@@ -8,7 +8,7 @@
 //! * **clean** — every client well-behaved; reports per-session
 //!   frames/s (client wall clock to the last delta) and p99 frame
 //!   latency (server-side `latency_ns` carried in each `Delta`, so
-//!   pump pacing and socket buffering don't pollute it).
+//!   socket buffering doesn't pollute it).
 //! * **chaos** — the *same* session layout, but the two clients
 //!   pinned to region 0 misbehave: one stalls (stops granting
 //!   credit — the slow-reader path) and one vanishes mid-frame
@@ -20,11 +20,13 @@
 //! `tools/check.sh --net-smoke` re-checks the emitted JSON: aggregate
 //! healthy fps ratio >= 0.9, evictions == 2, p99 under the ceiling.
 //!
-//! A whole run takes tens of milliseconds in release mode, so a single
-//! shot's frames/s is dominated by scheduler noise; each mode runs
-//! `DQ_NET_REPEATS` times — interleaved, alternating which mode goes
-//! first — and a session's pace is its best repeat (noise is
-//! one-sided: a descheduled thread only ever looks slower). The gate
+//! The front door adds no pacing of its own (every hand-off is a
+//! blocking wake-up), so a whole run takes a few milliseconds in
+//! release mode and a single shot's frames/s carries scheduler noise;
+//! each mode runs `DQ_NET_REPEATS` times — interleaved, alternating
+//! which mode goes first — and a session's pace is its best repeat
+//! (noise is one-sided: a descheduled thread only ever looks slower).
+//! The gate
 //! sums the healthy sessions' paces and samples adaptively (up to 3×
 //! the configured repeats) while it sits under the floor; per-session
 //! ratios stay in the table as information. The correctness asserts

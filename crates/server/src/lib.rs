@@ -12,13 +12,15 @@
 //!   checked before any session state exists; refused connections get
 //!   a typed `Rejected{Busy, Overloaded}` frame.
 //! * [`outbox`] — a bounded per-session queue of encoded frame
-//!   deltas between the serving core and the socket pump. A full
+//!   deltas, and the client's credit, between the serving core and
+//!   the session's writer half. A full
 //!   queue past the write deadline is the slow-reader signal: the
 //!   session is evicted and detached from its region frame clocks, so
 //!   a stalled socket back-pressures nothing.
-//! * [`server`] — the listener / pump / coordinator threads, credit
-//!   flow control, and the graceful-shutdown drain (stop admission,
-//!   serve what was admitted, final checkpoint).
+//! * [`server`] — the listener, per-session writer / reader halves
+//!   and coordinator threads (every hand-off a blocking wake-up, no
+//!   polling), and the graceful-shutdown drain (stop admission, serve
+//!   what was admitted, final checkpoint).
 //! * [`client`] — the blocking reference client, including the chaos
 //!   behaviors (stall, vanish, garbage) the robustness suite drives.
 
@@ -33,7 +35,7 @@ pub use admission::{Admission, AdmitGuard};
 pub use client::{ClientBehavior, ClientDelta, ClientOutcome, ClientRun, NetClient};
 pub use outbox::{Outbox, Pop, PushError};
 pub use protocol::{
-    decode_payload, encode, DoneOutcome, FrameReader, HelloSpec, Msg, ProtocolError, RejectReason,
-    DEFAULT_MAX_FRAME_BYTES, MAX_FRAME_TIMES, MAX_KEYS, PROTO_VERSION,
+    decode_payload, encode, encode_delta, DoneOutcome, FrameReader, HelloSpec, Msg, ProtocolError,
+    RejectReason, DEFAULT_MAX_FRAME_BYTES, MAX_FRAME_TIMES, MAX_KEYS, PROTO_VERSION,
 };
 pub use server::{NetHandle, NetServer, RunInserts, ServerConfig, ServerSummary};

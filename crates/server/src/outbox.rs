@@ -1,7 +1,7 @@
 //! Bounded per-session outbox between the serving core and a socket.
 //!
 //! The coordinator's [`FrameSink`](mobiquery::FrameSink) pushes each
-//! frame's encoded delta here; the session's pump thread pops frames
+//! frame's encoded delta here; the session's writer half pops frames
 //! and writes them to the socket. The queue is **bounded**: when the
 //! client stops draining it (no credit, stalled socket), `push` blocks
 //! up to the write deadline and then fails — that failure *is* the
@@ -9,10 +9,14 @@
 //! serving core therefore never waits on a socket longer than the
 //! deadline, and a dead session back-pressures nothing.
 //!
-//! Delta frames carry a credit bit so the pump can hold them while the
-//! client's credit is exhausted; terminal notices (`Done`, `Evicted`)
-//! bypass both the bound and the credit gate — they must always reach
-//! the wire if the socket still works.
+//! The client's **credit** lives here too, under the same mutex: the
+//! session's reader half [`grant`](Outbox::grant)s what the client
+//! sends, and `pop` *waits* while the head delta is credit-gated. One
+//! blocking `pop` is therefore woken by exactly the events that can
+//! make a frame writable — a push, a grant, or the outbox closing —
+//! and nothing on the path polls. Terminal notices (`Done`,
+//! `Evicted`) bypass both the bound and the credit gate — they must
+//! always reach the wire if the socket still works.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -34,8 +38,8 @@ pub enum PushError {
 pub enum Pop {
     /// One wire frame to write to the socket.
     Frame(Vec<u8>),
-    /// Nothing available within the timeout (or deltas held for
-    /// credit); poll the socket and come back.
+    /// Nothing became writable within the timeout (queue empty, or
+    /// the head delta still held for credit).
     Idle,
     /// The queue is drained and no more frames will ever arrive.
     Exhausted,
@@ -56,6 +60,8 @@ struct QueuedFrame {
 
 struct Inner {
     queue: VecDeque<QueuedFrame>,
+    /// Deltas the client has paid for and not yet received.
+    credit: u64,
     hwm: usize,
     state: State,
 }
@@ -63,7 +69,8 @@ struct Inner {
 /// Bounded handoff queue; see the module docs.
 pub struct Outbox {
     inner: Mutex<Inner>,
-    /// Signaled when a frame is queued or the state leaves `Open`.
+    /// Signaled when a frame is queued, credit is granted, or the
+    /// state leaves `Open`.
     added: Condvar,
     /// Signaled when a frame is popped (space freed).
     removed: Condvar,
@@ -71,11 +78,13 @@ pub struct Outbox {
 }
 
 impl Outbox {
-    /// An open outbox holding at most `cap` queued frames (minimum 1).
+    /// An open outbox holding at most `cap` queued frames (minimum 1),
+    /// with no credit granted yet.
     pub fn new(cap: usize) -> Outbox {
         Outbox {
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
+                credit: 0,
                 hwm: 0,
                 state: State::Open,
             }),
@@ -111,23 +120,37 @@ impl Outbox {
         }
     }
 
-    /// Pop the next frame the pump may write. `credit` gates delta
-    /// frames: when false, a queued delta is held and `Idle` is
-    /// returned instead (terminal notices always pass). Blocks up to
-    /// `timeout` waiting for something to arrive.
+    /// Add `n` delta credits and wake a `pop` waiting on them. Called
+    /// by the session's reader half for `Hello.credit` and each
+    /// `Credit` message.
+    pub fn grant(&self, n: u64) {
+        let mut g = self.inner.lock();
+        g.credit = g.credit.saturating_add(n);
+        self.added.notify_all();
+    }
+
+    /// Pop the next frame that may be written, waiting up to `timeout`
+    /// for one to become writable. A delta leaves only against credit:
+    /// one granted unit is spent per delta, or — with `credit` true —
+    /// the caller vouches for it and the granted balance is left alone
+    /// (callers that keep their own account). Terminal notices always
+    /// pass. `Idle` means the timeout ran out first.
     pub fn pop(&self, credit: bool, timeout: Duration) -> Pop {
         let start = Instant::now();
         let mut g = self.inner.lock();
         loop {
             if let Some(head) = g.queue.front() {
-                if head.needs_credit && !credit {
-                    return Pop::Idle;
+                let gated = head.needs_credit && !credit;
+                if !gated || g.credit > 0 {
+                    if gated {
+                        g.credit -= 1;
+                    }
+                    let f = g.queue.pop_front().expect("head just observed");
+                    self.removed.notify_all();
+                    return Pop::Frame(f.bytes);
                 }
-                let f = g.queue.pop_front().expect("head just observed");
-                self.removed.notify_all();
-                return Pop::Frame(f.bytes);
-            }
-            if g.state != State::Open {
+                // Held for credit: a grant or an eviction releases it.
+            } else if g.state != State::Open {
                 return Pop::Exhausted;
             }
             let remaining = timeout.saturating_sub(start.elapsed());
@@ -187,11 +210,6 @@ impl Outbox {
             _ => None,
         }
     }
-
-    /// True once `finish` or `evict` has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().state != State::Open
-    }
 }
 
 #[cfg(test)]
@@ -201,6 +219,24 @@ mod tests {
     use std::time::Duration;
 
     const MS: Duration = Duration::from_millis(1);
+    /// `pop` timeout of the wake-up tests: a lost wake-up surfaces as
+    /// `Idle` after this long instead of passing slowly.
+    const LOST_WAKEUP: Duration = Duration::from_secs(30);
+
+    /// Give a just-spawned thread time to block. The assertions hold
+    /// whichever side gets there first; the pause only makes the
+    /// blocked-then-woken order the likely one.
+    fn let_it_block() {
+        std::thread::sleep(Duration::from_millis(10)); // sleep-ok: test scheduling hint
+    }
+
+    /// A thread blocked in `pop(false, LOST_WAKEUP)`, `n` times over.
+    fn popper(ob: &Arc<Outbox>, n: usize) -> std::thread::JoinHandle<Vec<Pop>> {
+        let ob = Arc::clone(ob);
+        let t = std::thread::spawn(move || (0..n).map(|_| ob.pop(false, LOST_WAKEUP)).collect());
+        let_it_block();
+        t
+    }
 
     #[test]
     fn push_pop_roundtrip_and_hwm() {
@@ -258,9 +294,67 @@ mod tests {
         ob.push(vec![1], MS).unwrap();
         let ob2 = Arc::clone(&ob);
         let t = std::thread::spawn(move || ob2.push(vec![2], Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(10));
+        let_it_block();
         assert_eq!(ob.pop(true, MS), Pop::Frame(vec![1]));
         t.join().unwrap().unwrap();
         assert_eq!(ob.pop(true, MS), Pop::Frame(vec![2]));
+    }
+
+    #[test]
+    fn grant_releases_a_credit_gated_pop() {
+        let ob = Arc::new(Outbox::new(4));
+        ob.push(vec![1], MS).unwrap();
+        let t = popper(&ob, 1);
+        ob.grant(1);
+        assert_eq!(t.join().unwrap(), [Pop::Frame(vec![1])]);
+        // The unit was spent: the next delta is held again.
+        ob.push(vec![2], MS).unwrap();
+        assert_eq!(ob.pop(false, Duration::ZERO), Pop::Idle);
+    }
+
+    #[test]
+    fn empty_pop_wakes_on_push() {
+        let ob = Arc::new(Outbox::new(4));
+        ob.grant(1);
+        let t = popper(&ob, 1);
+        ob.push(vec![7], MS).unwrap();
+        assert_eq!(t.join().unwrap(), [Pop::Frame(vec![7])]);
+    }
+
+    #[test]
+    fn empty_pop_wakes_on_finish() {
+        let ob = Arc::new(Outbox::new(4));
+        let t = popper(&ob, 2);
+        ob.finish(vec![9]);
+        assert_eq!(t.join().unwrap(), [Pop::Frame(vec![9]), Pop::Exhausted]);
+    }
+
+    #[test]
+    fn gated_pop_wakes_on_evict_with_the_notice_only() {
+        let ob = Arc::new(Outbox::new(4));
+        ob.push(vec![1], MS).unwrap();
+        ob.push(vec![2], MS).unwrap();
+        let t = popper(&ob, 2); // no credit: both deltas are held
+        assert!(ob.evict(EvictReason::SlowReader, vec![0xEE]));
+        assert_eq!(t.join().unwrap(), [Pop::Frame(vec![0xEE]), Pop::Exhausted]);
+    }
+
+    #[test]
+    fn n_grants_release_exactly_n_deltas_across_interleaved_pushes() {
+        let ob = Arc::new(Outbox::new(8));
+        let t = popper(&ob, 4);
+        ob.push(vec![1], MS).unwrap();
+        ob.grant(1);
+        ob.push(vec![2], MS).unwrap();
+        ob.push(vec![3], MS).unwrap();
+        ob.grant(2);
+        ob.grant(1);
+        ob.push(vec![4], MS).unwrap();
+        ob.push(vec![5], MS).unwrap();
+        let popped = t.join().unwrap();
+        let expect: Vec<Pop> = (1..=4).map(|b| Pop::Frame(vec![b])).collect();
+        assert_eq!(popped, expect);
+        assert_eq!(ob.pop(false, Duration::ZERO), Pop::Idle, "4 spent");
+        assert_eq!(ob.pop(true, Duration::ZERO), Pop::Frame(vec![5]));
     }
 }

@@ -51,17 +51,9 @@ impl WorkerPool {
         }
     }
 
-    /// Enqueue a job; `false` once the pool is shutting down.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        match &self.tx {
-            Some(tx) => tx.send(Box::new(job)).is_ok(),
-            None => false,
-        }
-    }
-
-    /// A detached dispatcher for threads that outlive this reference
-    /// (the listener). Workers only exit once every such sender is
-    /// dropped *and* the pool's own half is closed by `join`.
+    /// The dispatcher: a sender the listener keeps for its lifetime.
+    /// Workers only exit once every such sender is dropped *and* the
+    /// pool's own half is closed by `join`.
     pub fn job_sender(&self) -> mpsc::Sender<Job> {
         self.tx.as_ref().expect("pool already joined").clone()
     }
@@ -92,14 +84,17 @@ mod tests {
     #[test]
     fn jobs_run_and_panics_are_contained() {
         let pool = WorkerPool::new(3, "test");
+        let jobs = pool.job_sender();
         let done = Arc::new(AtomicUsize::new(0));
-        pool.execute(|| panic!("contained"));
+        jobs.send(Box::new(|| panic!("contained"))).unwrap();
         for _ in 0..10 {
             let done = Arc::clone(&done);
-            pool.execute(move || {
+            let job = move || {
                 done.fetch_add(1, Ordering::SeqCst);
-            });
+            };
+            jobs.send(Box::new(job)).unwrap();
         }
+        drop(jobs);
         pool.join();
         assert_eq!(done.load(Ordering::SeqCst), 10);
     }

@@ -268,16 +268,7 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
             frame,
             latency_ns,
             results,
-        } => {
-            p.push(TAG_DELTA);
-            p.extend_from_slice(&frame.to_le_bytes());
-            p.extend_from_slice(&latency_ns.to_le_bytes());
-            p.extend_from_slice(&(results.len() as u32).to_le_bytes());
-            for &(oid, seq) in results {
-                p.extend_from_slice(&oid.to_le_bytes());
-                p.extend_from_slice(&seq.to_le_bytes());
-            }
-        }
+        } => return encode_delta(*frame, *latency_ns, results),
         Msg::Done {
             outcome,
             frames,
@@ -305,6 +296,24 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
     frame.extend_from_slice(&(p.len() as u32).to_le_bytes());
     frame.extend_from_slice(&p);
     frame
+}
+
+/// Encode one `Delta` wire frame straight from a borrowed result
+/// slice: the serving sink's per-frame path, one exact-size allocation
+/// and no intermediate [`Msg`].
+pub fn encode_delta(frame: u32, latency_ns: u64, results: &[(u32, u32)]) -> Vec<u8> {
+    let payload = 1 + 4 + 8 + 4 + 8 * results.len();
+    let mut out = Vec::with_capacity(4 + payload);
+    out.extend_from_slice(&(payload as u32).to_le_bytes());
+    out.push(TAG_DELTA);
+    out.extend_from_slice(&frame.to_le_bytes());
+    out.extend_from_slice(&latency_ns.to_le_bytes());
+    out.extend_from_slice(&(results.len() as u32).to_le_bytes());
+    for &(oid, seq) in results {
+        out.extend_from_slice(&oid.to_le_bytes());
+        out.extend_from_slice(&seq.to_le_bytes());
+    }
+    out
 }
 
 /// Bounds-checked little-endian reader over one payload.
@@ -446,13 +455,6 @@ fn decode_hello(c: &mut Cursor<'_>) -> Result<HelloSpec, ProtocolError> {
         keys,
         frame_times,
     })
-}
-
-/// Whether an encoded wire frame carries a `Delta` (the only message
-/// kind gated by client credit). Looks at the tag byte right after the
-/// length prefix, so the pump never re-decodes what it is sending.
-pub fn is_delta_frame(frame: &[u8]) -> bool {
-    frame.get(4) == Some(&TAG_DELTA)
 }
 
 /// Decode one payload (the bytes after the length prefix).

@@ -1,17 +1,23 @@
-//! The network front door: TCP listener, session pumps, and the
+//! The network front door: TCP listener, session halves, and the
 //! serving coordinator.
 //!
 //! Three kinds of thread cooperate:
 //!
-//! * **Listener** — accepts connections, runs admission inline
+//! * **Listener** — blocks in `accept`, runs admission inline
 //!   (rejects get a typed `Rejected` frame and close immediately), and
 //!   hands admitted sockets to the worker pool.
-//! * **Session pumps** (pool workers) — one per admitted session for
+//! * **Session halves** — one pool worker per admitted session for
 //!   its lifetime: decode the `Hello`, register the session with the
-//!   coordinator, then shuttle bytes — outbox frames out, `Credit` /
-//!   `Bye` in. Every socket failure mode (EOF, reset, garbage bytes,
-//!   half-open peer) is contained here: the pump evicts its own
-//!   outbox, which the coordinator's sink observes as `Detach`.
+//!   coordinator, then become the **writer half**, a blocking
+//!   [`Outbox::pop`] → `write_all` loop that ends in a half-close. A
+//!   scoped **reader half** blocks in `read` on a clone of the socket:
+//!   `Credit` becomes [`Outbox::grant`], and every socket failure mode
+//!   (EOF, reset, garbage bytes, half-open peer) evicts the session's
+//!   own outbox, which the coordinator's sink observes as `Detach`.
+//!   No hand-off waits on a timer — a frame goes from the serving core
+//!   to the socket by wake-ups alone — and the timeouts that remain
+//!   (`write_deadline`, `handshake_timeout`, `gather_window`) are
+//!   deadlines on a misbehaving peer, never pacing.
 //! * **Coordinator** — owns the [`PartitionedDqServer`], gathers
 //!   registered sessions into batches, and runs
 //!   [`serve_plans_streamed`](PartitionedDqServer::serve_plans_streamed)
@@ -20,20 +26,21 @@
 //!   from its frame clocks — the serving core never blocks on a
 //!   socket longer than the deadline.
 //!
-//! Graceful shutdown: the flag stops admission, the listener exits and
-//! drops its registration sender, in-flight pumps drop theirs after
+//! Graceful shutdown: the flag stops admission (a throwaway loopback
+//! connection wakes the listener to see it), the listener exits and
+//! drops its registration sender, in-flight sessions drop theirs after
 //! registering, so the coordinator's channel drains to disconnection —
 //! it serves every already-admitted session to completion (applying
 //! all committed frames) and takes a final checkpoint before exiting,
 //! which is why recovery after a drain replays zero WAL records.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mobiquery::router::PartitionedDqServer;
 use mobiquery::{FrameDelta, FrameSink, NsiRecord, SessionOutcome, SessionPlan, SinkVerdict};
@@ -42,11 +49,15 @@ use storage::PageStore;
 
 use crate::admission::Admission;
 use crate::outbox::{Outbox, Pop, PushError};
-use crate::pool::WorkerPool;
+use crate::pool::{Job, WorkerPool};
 use crate::protocol::{
-    encode, is_delta_frame, DoneOutcome, FrameReader, HelloSpec, Msg, ProtocolError,
+    encode, encode_delta, DoneOutcome, FrameReader, HelloSpec, Msg, ProtocolError, RejectReason,
     DEFAULT_MAX_FRAME_BYTES,
 };
+
+/// Pause after a failed `accept` (e.g. `EMFILE`), so a listener whose
+/// every call fails at once cannot spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
 
 /// One run's insert schedule (outer: frames, inner: records per frame).
 pub type RunInserts = Vec<Vec<(NsiRecord<2>, f64)>>;
@@ -75,8 +86,6 @@ pub struct ServerConfig {
     pub max_frame_bytes: usize,
     /// Budget for reading the `Hello` after accept.
     pub handshake_timeout: Duration,
-    /// Pump idle granularity (socket read timeout / outbox poll).
-    pub poll_interval: Duration,
     /// Metrics registry for `net.*` counters (optional).
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
@@ -93,7 +102,6 @@ impl Default for ServerConfig {
             min_gather: 1,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             handshake_timeout: Duration::from_secs(2),
-            poll_interval: Duration::from_millis(2),
             metrics: None,
         }
     }
@@ -120,7 +128,7 @@ struct PendingSession {
     outbox: Arc<Outbox>,
 }
 
-/// State shared by listener, pumps, and coordinator.
+/// State shared by listener, session halves, and coordinator.
 struct Shared {
     config: ServerConfig,
     shutdown: AtomicBool,
@@ -155,11 +163,7 @@ struct NetSink {
 
 impl FrameSink for NetSink {
     fn on_frame(&self, delta: &FrameDelta<'_>) -> SinkVerdict {
-        let bytes = encode(&Msg::Delta {
-            frame: delta.frame as u32,
-            latency_ns: delta.latency_ns,
-            results: delta.results.to_vec(),
-        });
+        let bytes = encode_delta(delta.frame as u32, delta.latency_ns, delta.results);
         let len = bytes.len() as u64;
         match self.outbox.push(bytes, self.shared.config.write_deadline) {
             Ok(()) => {
@@ -174,8 +178,8 @@ impl FrameSink for NetSink {
                     .evict(self.session, &self.outbox, EvictReason::SlowReader);
                 SinkVerdict::Detach
             }
-            // The pump already evicted (disconnect / protocol): just
-            // detach from the clocks.
+            // The session's own halves already evicted (disconnect /
+            // protocol): just detach from the clocks.
             Err(PushError::Closed) => SinkVerdict::Detach,
         }
     }
@@ -207,11 +211,21 @@ impl NetHandle {
     fn shutdown_inner(&mut self) -> ServerSummary {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.listener.take() {
+            // Wake the listener out of `accept` to see the flag. If
+            // the connect fails, `accept` is failing or backlogged too
+            // and re-checks the flag on its own.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = h.join();
         }
-        // Pool joins once every pump exits; pumps exit once the
-        // coordinator finishes (or evicts) their sessions — join the
-        // coordinator first.
+        // Pool joins once every session exits; sessions exit once the
+        // coordinator finishes (or evicts) them — join it first.
         let (runs, sessions, checkpointed) = self
             .coordinator
             .take()
@@ -231,7 +245,7 @@ impl NetHandle {
 
 impl Drop for NetHandle {
     /// A dropped handle still drains: without this, the worker pool's
-    /// drop would join pump workers whose job channel the live listener
+    /// drop would join workers whose job channel the live listener
     /// keeps open — a deadlock whenever a caller (e.g. a failing test)
     /// unwinds past the handle.
     fn drop(&mut self) {
@@ -257,7 +271,6 @@ impl NetServer {
     {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let shared = Arc::new(Shared {
             config: config.clone(),
@@ -275,11 +288,11 @@ impl NetServer {
         let listener_thread = {
             let shared = Arc::clone(&shared);
             let admission = Arc::clone(&admission);
-            let pool_tx = pool_sender(&pool);
+            let jobs = pool.job_sender();
             std::thread::Builder::new()
                 .name("net-accept".into())
                 .spawn(move || {
-                    listener_loop(listener, shared, admission, pool_tx, reg_tx);
+                    listener_loop(listener, shared, admission, jobs, reg_tx);
                 })
                 .expect("spawn listener")
         };
@@ -302,71 +315,58 @@ impl NetServer {
     }
 }
 
-/// The pool's `execute` needs to be callable from the listener thread
-/// while `NetHandle` still owns the pool for the final join — hand the
-/// listener a closure-backed dispatcher instead of the pool itself.
-type PumpJob = Box<dyn FnOnce() + Send + 'static>;
-
-fn pool_sender(pool: &WorkerPool) -> impl Fn(PumpJob) -> bool + Send + 'static {
-    // WorkerPool::execute only needs &self; clone its sender by
-    // wrapping dispatch in a channel of jobs? Simpler: the pool's own
-    // channel is already MPSC — expose it via a thin adapter.
-    let tx = pool.job_sender();
-    move |job| tx.send(job).is_ok()
-}
-
 fn listener_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
     admission: Arc<Admission>,
-    dispatch: impl Fn(PumpJob) -> bool,
+    jobs: mpsc::Sender<Job>,
     reg_tx: mpsc::Sender<PendingSession>,
 ) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked after every return and before admission: the
+        // connection that woke us for shutdown is dropped right here.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, peer)) => match admission.admit(peer.ip()) {
                 Ok(guard) => {
                     let shared = Arc::clone(&shared);
                     let reg_tx = reg_tx.clone();
-                    let job: PumpJob = Box::new(move || {
+                    let job: Job = Box::new(move || {
                         let _slot = guard;
                         session_pump(stream, shared, reg_tx);
                     });
-                    if !dispatch(job) {
+                    if jobs.send(job).is_err() {
                         return;
                     }
                 }
                 Err(reason) => {
                     shared.counter(match reason {
-                        crate::protocol::RejectReason::Busy => "net.conns.rejected.busy",
-                        crate::protocol::RejectReason::Overloaded => {
-                            "net.conns.rejected.overloaded"
-                        }
+                        RejectReason::Busy => "net.conns.rejected.busy",
+                        RejectReason::Overloaded => "net.conns.rejected.overloaded",
                     });
                     let mut stream = stream;
                     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
                     let _ = stream.write_all(&encode(&Msg::Rejected { reason }));
                 }
             },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.config.poll_interval);
-            }
-            Err(_) => std::thread::sleep(shared.config.poll_interval),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF), // sleep-ok: error back-off
         }
     }
-    // reg_tx drops here: once in-flight pumps have registered, the
+    // reg_tx drops here: once in-flight sessions have registered, the
     // coordinator's channel disconnects and it can drain out.
 }
 
-/// Read one complete `Hello` within the handshake budget.
+/// Read one complete `Hello` into `reader` within the handshake
+/// budget; each `read` may block for exactly what is left of it.
 fn read_hello(
     stream: &mut TcpStream,
-    shared: &Shared,
+    reader: &mut FrameReader,
+    budget: Duration,
 ) -> Result<HelloSpec, Option<ProtocolError>> {
-    let budget = shared.config.handshake_timeout;
-    let start = std::time::Instant::now();
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval.max(Duration::from_millis(1))));
-    let mut reader = FrameReader::new(shared.config.max_frame_bytes);
+    let deadline = Instant::now() + budget;
     let mut buf = [0u8; 4096];
     loop {
         match reader.next_msg() {
@@ -379,9 +379,11 @@ fn read_hello(
             Ok(None) => {}
             Err(e) => return Err(Some(e)),
         }
-        if start.elapsed() >= budget {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             return Err(None); // silent: the peer just never spoke
         }
+        let _ = stream.set_read_timeout(Some(left));
         match stream.read(&mut buf) {
             Ok(0) => {
                 // EOF mid-handshake: truncated stream if partial bytes
@@ -390,19 +392,23 @@ fn read_hello(
             }
             Ok(n) => reader.extend(&buf[..n]),
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
             Err(_) => return Err(None),
         }
     }
 }
 
-/// One admitted connection's whole lifetime on a pool worker.
+/// One admitted connection's whole lifetime on a pool worker:
+/// handshake, registration, then both halves.
 fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender<PendingSession>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(shared.config.write_deadline));
 
-    let hello = match read_hello(&mut stream, &shared) {
+    let mut reader = FrameReader::new(shared.config.max_frame_bytes);
+    let hello = match read_hello(&mut stream, &mut reader, shared.config.handshake_timeout) {
         Ok(h) => h,
         Err(proto_err) => {
             if proto_err.is_some() {
@@ -415,18 +421,23 @@ fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender
             return;
         }
     };
-    let plan = hello.to_plan();
-    let mut credit: u64 = hello.credit as u64;
+    // The reader half's handle on the socket, taken before any session
+    // state exists; from here on reads block without a timeout.
+    let Ok(read_stream) = stream.try_clone() else {
+        return;
+    };
+    let _ = stream.set_read_timeout(None);
 
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
     let outbox = Arc::new(Outbox::new(shared.config.outbox_frames));
+    outbox.grant(u64::from(hello.credit));
     // Register BEFORE confirming: a client that saw `Admitted` is
     // guaranteed to be in some batch, and sequential admits land in
     // registration order.
     if reg_tx
         .send(PendingSession {
             id,
-            plan,
+            plan: hello.to_plan(),
             outbox: Arc::clone(&outbox),
         })
         .is_err()
@@ -441,97 +452,97 @@ fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender
     shared.counter("net.conns.accepted");
     obs::trace(TraceEvent::ConnAccepted { session: id });
 
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let mut reader = FrameReader::new(shared.config.max_frame_bytes);
-    let mut buf = [0u8; 4096];
-    let mut saw_bye = false;
-    let mut read_open = true;
+    std::thread::scope(|scope| {
+        // Dropped when the reader half returns: how the writer half
+        // bounds its linger without polling.
+        let (reader_alive, reader_gone) = mpsc::channel::<()>();
+        let (outbox, shared) = (&*outbox, &*shared);
+        let spawned = std::thread::Builder::new()
+            .name(format!("net-read-{id}"))
+            .spawn_scoped(scope, move || {
+                let _alive = reader_alive;
+                read_half(read_stream, reader, id, outbox, shared);
+            });
+        if spawned.is_err() {
+            shared.evict(id, outbox, EvictReason::Disconnected);
+            return;
+        }
+        if write_half(&mut stream, id, outbox, shared) {
+            // Half-close after the terminal frame and let the reader
+            // half drain until the peer's FIN, for at most one write
+            // deadline. Closing outright would turn a late `Credit` /
+            // `Bye` into an RST, which destroys the terminal frame
+            // still sitting in the peer's receive buffer.
+            let _ = stream.shutdown(Shutdown::Write);
+            let _ = reader_gone.recv_timeout(shared.config.write_deadline);
+        }
+        // Unblocks a reader half still in `read`, so the scope can join.
+        let _ = stream.shutdown(Shutdown::Both);
+    });
+}
 
+/// The writer half: blocks in `pop` until a push, a grant or the
+/// outbox closing makes a frame writable, and writes it. False if the
+/// socket failed before the outbox was exhausted (session evicted).
+fn write_half(stream: &mut TcpStream, id: u32, outbox: &Outbox, shared: &Shared) -> bool {
     loop {
-        // Write step: drain whatever the outbox will release.
-        loop {
-            match outbox.pop(credit > 0, Duration::ZERO) {
-                Pop::Frame(bytes) => {
-                    let delta = is_delta_frame(&bytes);
-                    if stream.write_all(&bytes).is_err() {
-                        shared.evict(id, &outbox, EvictReason::Disconnected);
-                        return;
-                    }
-                    if delta {
-                        credit -= 1;
-                    }
-                }
-                Pop::Idle => break,
-                Pop::Exhausted => {
-                    let _ = stream.flush();
-                    graceful_close(stream, &shared);
-                    return;
+        match outbox.pop(false, Duration::MAX) {
+            Pop::Frame(bytes) => {
+                if stream.write_all(&bytes).is_err() {
+                    shared.evict(id, outbox, EvictReason::Disconnected);
+                    return false;
                 }
             }
-        }
-        // Read step: blocks up to poll_interval, which paces the loop.
-        if !read_open {
-            std::thread::sleep(shared.config.poll_interval);
-            continue;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                if saw_bye {
-                    // Orderly half-close: keep writing results.
-                    read_open = false;
-                } else {
-                    shared.evict(id, &outbox, EvictReason::Disconnected);
-                    // Drain the notice attempt, then exit via Exhausted.
-                }
-            }
-            Ok(n) => {
-                reader.extend(&buf[..n]);
-                loop {
-                    match reader.next_msg() {
-                        Ok(Some(Msg::Credit { n })) => credit = credit.saturating_add(n as u64),
-                        Ok(Some(Msg::Bye)) => saw_bye = true,
-                        Ok(Some(_)) => {
-                            shared.evict(id, &outbox, EvictReason::Protocol);
-                            read_open = false;
-                            break;
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            shared.evict(id, &outbox, EvictReason::Protocol);
-                            read_open = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => {
-                shared.evict(id, &outbox, EvictReason::Disconnected);
-                read_open = false;
-            }
+            Pop::Exhausted => return true,
+            Pop::Idle => {} // not with an unbounded timeout
         }
     }
 }
 
-/// Half-close after the terminal frame, then briefly drain the read
-/// side. Closing outright would turn a late `Credit`/`Bye` from the
-/// peer into an RST, which destroys the terminal frame still sitting
-/// in the peer's receive buffer — the peer would see a dead socket
-/// instead of its `Done`.
-fn graceful_close(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let deadline = std::time::Instant::now() + shared.config.write_deadline;
-    let mut buf = [0u8; 1024];
-    while std::time::Instant::now() < deadline {
+/// The reader half: blocks in `read` for the session's whole life.
+/// `Credit` is granted to the outbox; EOF without `Bye`, a reset or
+/// garbage evicts it (a no-op once the session has finished). After
+/// garbage, as after the writer's half-close, it reads and discards
+/// until the peer's FIN or the writer half shuts the socket down.
+fn read_half(
+    mut stream: TcpStream,
+    mut reader: FrameReader,
+    id: u32,
+    outbox: &Outbox,
+    shared: &Shared,
+) {
+    let mut buf = [0u8; 4096];
+    let mut saw_bye = false;
+    let mut discard = false;
+    loop {
+        // Decode first: bytes that arrived behind the `Hello` count.
+        while !discard {
+            match reader.next_msg() {
+                Ok(Some(Msg::Credit { n })) => outbox.grant(u64::from(n)),
+                Ok(Some(Msg::Bye)) => saw_bye = true,
+                Ok(None) => break,
+                Ok(Some(_)) | Err(_) => {
+                    shared.evict(id, outbox, EvictReason::Protocol);
+                    discard = true;
+                }
+            }
+        }
         match stream.read(&mut buf) {
-            Ok(0) => break, // peer's FIN: both directions closed cleanly
-            Ok(_) => {}     // stray credits/Bye: discard
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => break,
+            Ok(0) => {
+                // EOF after `Bye` is an orderly half-close: the writer
+                // half keeps delivering results.
+                if !saw_bye {
+                    shared.evict(id, outbox, EvictReason::Disconnected);
+                }
+                return;
+            }
+            Ok(_) if discard => {}
+            Ok(n) => reader.extend(&buf[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => {
+                shared.evict(id, outbox, EvictReason::Disconnected);
+                return;
+            }
         }
     }
 }
@@ -563,12 +574,11 @@ where
         // Gather a batch: block for the first registration, then give
         // stragglers `gather_window` (or until `min_gather`) to pile on.
         let mut batch: Vec<PendingSession> = Vec::new();
-        match reg_rx.recv_timeout(Duration::from_millis(50)) {
+        match reg_rx.recv() {
             Ok(p) => batch.push(p),
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(mpsc::RecvError) => break,
         }
-        let window_start = std::time::Instant::now();
+        let window_start = Instant::now();
         while batch.len() < shared.config.min_gather {
             let left = shared
                 .config

@@ -7,8 +7,8 @@ use mobiquery::SessionKind;
 use obs::EvictReason;
 use proptest::prelude::*;
 use server::protocol::{
-    decode_payload, encode, is_delta_frame, DoneOutcome, FrameReader, HelloSpec, Msg,
-    ProtocolError, RejectReason, DEFAULT_MAX_FRAME_BYTES, MAX_KEYS, PROTO_VERSION,
+    decode_payload, encode, encode_delta, DoneOutcome, FrameReader, HelloSpec, Msg, ProtocolError,
+    RejectReason, DEFAULT_MAX_FRAME_BYTES, MAX_KEYS, PROTO_VERSION,
 };
 
 /// Round-trip one message through encode → FrameReader → compare.
@@ -63,6 +63,38 @@ fn build_hello(
     }
 }
 
+/// `encode_delta` against `encode(&Msg::Delta{..})` and against the
+/// wire layout written out by hand (length prefix, tag 0x83, frame,
+/// latency, count, pairs — all little-endian).
+fn check_encode_delta(frame: u32, latency_ns: u64, results: &[(u32, u32)]) {
+    let mut layout = (17 + 8 * results.len() as u32).to_le_bytes().to_vec();
+    layout.push(0x83);
+    layout.extend_from_slice(&frame.to_le_bytes());
+    layout.extend_from_slice(&latency_ns.to_le_bytes());
+    layout.extend_from_slice(&(results.len() as u32).to_le_bytes());
+    for (oid, seq) in results {
+        layout.extend_from_slice(&oid.to_le_bytes());
+        layout.extend_from_slice(&seq.to_le_bytes());
+    }
+    let direct = encode_delta(frame, latency_ns, results);
+    assert_eq!(direct, layout);
+    assert_eq!(
+        direct,
+        encode(&Msg::Delta {
+            frame,
+            latency_ns,
+            results: results.to_vec(),
+        })
+    );
+}
+
+#[test]
+fn encode_delta_matches_encode_at_the_size_extremes() {
+    check_encode_delta(0, 0, &[]);
+    let full: Vec<(u32, u32)> = (0..MAX_KEYS as u32).map(|i| (i, u32::MAX - i)).collect();
+    check_encode_delta(u32::MAX, u64::MAX, &full);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -88,9 +120,18 @@ proptest! {
         results in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..200),
     ) {
         let msg = Msg::Delta { frame, latency_ns, results };
-        let frame_bytes = encode(&msg);
-        prop_assert!(is_delta_frame(&frame_bytes));
         prop_assert_eq!(roundtrip(&msg), msg);
+    }
+
+    /// The sink's slice encoder, the `Msg` encoder and the documented
+    /// layout agree byte for byte.
+    #[test]
+    fn encode_delta_matches_encode(
+        frame in any::<u32>(),
+        latency_ns in any::<u64>(),
+        results in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..200),
+    ) {
+        check_encode_delta(frame, latency_ns, &results);
     }
 
     #[test]
@@ -111,7 +152,6 @@ proptest! {
             6 => Msg::Evicted { reason: EvictReason::SlowReader },
             _ => Msg::Evicted { reason: EvictReason::Protocol },
         };
-        prop_assert!(!is_delta_frame(&encode(&msg)));
         prop_assert_eq!(roundtrip(&msg), msg);
     }
 

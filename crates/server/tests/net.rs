@@ -1,10 +1,11 @@
 //! Loopback integration suite for the network front door: bit-identity
 //! against the serial serving oracle, typed admission rejections,
-//! slow-reader / vanish / garbage containment, and the
-//! graceful-shutdown drain (recovery replays zero records).
+//! slow-reader / vanish / garbage containment, the graceful-shutdown
+//! drain (recovery replays zero records), and the no-timer regression
+//! (no hand-off on the wire path waits out a timeout).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mobiquery::durability::DurableLog;
 use mobiquery::region::RegionGrid;
@@ -140,6 +141,72 @@ fn loopback_stream_is_bit_identical_to_serve_serial() {
     assert_eq!(summary.sessions, 3);
     assert_eq!(summary.evicted, 0);
     assert!(!summary.checkpointed, "non-durable core takes no checkpoint");
+}
+
+/// Every timeout the front door still has is set to 10 s, so a
+/// hand-off that waits one out — instead of being woken by the event
+/// it waits for — shows as a ≥ 10 s run. A wide credit window leaves
+/// the push → pop wake-up as the only per-frame hand-off; window 1
+/// puts a `Credit` round trip (read → grant → pop) behind every delta.
+#[test]
+fn progress_never_waits_for_a_timer() {
+    const FRAMES: usize = 300;
+    let recs = line_records(30);
+    let plans = vec![
+        slide_plan(SessionKind::Pdq, FRAMES, 30.0),
+        slide_plan(SessionKind::Npdq, FRAMES, 30.0),
+    ];
+    let inserts = insert_schedule(FRAMES, 30.0);
+    let oracle = build_core(vec![15.0], &recs).serve_serial_plans(&plans, &inserts);
+
+    for window in [2 * FRAMES as u32, 1] {
+        let patient = Duration::from_secs(10);
+        let cfg = ServerConfig {
+            min_gather: plans.len(),
+            gather_window: patient,
+            write_deadline: patient,
+            handshake_timeout: patient,
+            ..ServerConfig::default()
+        };
+        let started = Instant::now();
+        let handle = NetServer::start(
+            build_core(vec![15.0], &recs),
+            vec![inserts.clone()],
+            "127.0.0.1:0",
+            cfg,
+        )
+        .expect("start server");
+        let clients: Vec<NetClient> = plans
+            .iter()
+            .map(|p| {
+                let mut c = NetClient::connect(handle.addr()).expect("connect");
+                c.hello(p, window).expect("hello io").expect("admitted");
+                c
+            })
+            .collect();
+        let threads: Vec<_> = clients
+            .into_iter()
+            .map(|c| std::thread::spawn(move || c.run(ClientBehavior::WellBehaved)))
+            .collect();
+        for (i, t) in threads.into_iter().enumerate() {
+            let run = t.join().expect("client thread");
+            assert_eq!(
+                run.results(),
+                oracle.base.sessions[i].results,
+                "window {window}, session {i}: bit-identical to serve_serial"
+            );
+            assert_eq!(run.deltas.len(), oracle.base.sessions[i].frames.len());
+            assert!(matches!(run.outcome, ClientOutcome::Done { .. }));
+        }
+        let summary = handle.shutdown();
+        let wall = started.elapsed();
+        assert_eq!((summary.runs, summary.sessions, summary.evicted), (1, 2, 0));
+        assert!(
+            wall < Duration::from_secs(2),
+            "window {window}: {FRAMES} frames took {wall:?} with 10 s timeouts — \
+             some hand-off waited for a timer"
+        );
+    }
 }
 
 #[test]

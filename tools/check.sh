@@ -50,11 +50,15 @@
 # clean-run frames/s, and the straggler itself must actually have been
 # slowed (< 0.5x), or the run proves nothing.
 #
-# --net-smoke runs the network front door end to end: the server
-# crate's suites (codec round-trip + adversarial proptests, the
-# loopback socket suite, in-process stream identity), then the
-# exp_service_net experiment — interleaved clean and chaos runs, the
-# chaos runs adding a stalling and a vanishing client — whose figure
+# --net-smoke runs the network front door end to end: a grep gate that
+# no thread under crates/server/src sleeps or reads a poll interval
+# (lines tagged `sleep-ok:` — the accept-error back-off, a test hint —
+# excepted), the server crate's suites (codec round-trip + adversarial
+# proptests, the loopback socket suite with its no-timer regression,
+# in-process stream identity) in the debug and the optimised build,
+# then the exp_service_net experiment — interleaved clean and chaos
+# runs, the chaos runs adding a stalling and a vanishing client — whose
+# figure
 # the wrapper gates: both misbehaving clients must be evicted, the
 # healthy sessions' aggregate frames/s must keep >= 0.9x the clean
 # runs' (per-session ratios are informational: on a loaded host they
@@ -245,8 +249,12 @@ if [ "$NET_SMOKE" = 1 ]; then
   # suite (bit-identity, typed admission rejections, slow-reader /
   # vanished / garbage containment, shutdown-drain recovery), and the
   # in-process stream-identity check the socket path rests on.
+  if grep -rnE 'thread::sleep|poll_interval' crates/server/src | grep -v 'sleep-ok:'; then
+    echo "FAIL: crates/server/src sleeps or polls (see above); hand-offs must be blocking wake-ups" >&2; exit 1
+  fi
   cargo test -q --offline -p server
-  echo "OK: server suites green (codec, sockets, stream identity)."
+  cargo test -q --offline --release -p server
+  echo "OK: server suites green in debug and release (codec, sockets, no-timer, stream identity)."
 
   # Clean vs chaos over a real loopback socket. The binary's internal
   # asserts already enforce eviction of both misbehaving clients, wire
