@@ -1,16 +1,17 @@
-//! Read-path microbench: decode-per-visit (the pre-zero-copy path:
-//! `read() -> Vec<u8>` + `Node::deserialize`, one page copy and one
-//! entry-vector materialization per node visit) against view-per-visit
-//! (`read_node() -> NodeRef`, a refcount bump and lazy entry decoding).
+//! Read-path microbench: decode-per-visit (the pre-zero-copy path: the
+//! page copied into a `Vec<u8>` + `Node::deserialize`, one page copy and
+//! one entry-vector materialization per node visit) against
+//! view-per-visit (`read_node() -> NodeRef`, a refcount bump and lazy
+//! entry decoding).
 //!
 //! Both paths walk the *entire* tree over a warm buffer pool, so every
 //! visit is a cache hit and the measured difference is pure read-path
-//! overhead. Bytes copied across the store API are counted by a wrapper
-//! `PageStore` — the view path must copy none; the bench exits non-zero
-//! if it ever copies at least as much as the decode path, so CI can run
-//! it tiny as a regression tripwire.
+//! overhead. Bytes the decode path copies out of the store are counted by
+//! a wrapper `PageStore` — the view path must copy none; the bench exits
+//! non-zero if it ever copies at least as much as the decode path, so CI
+//! can run it tiny as a regression tripwire.
 //!
-//! Two further figures ride along:
+//! Three further figures ride along:
 //!
 //! * **Contended reads** — N reader threads full-tree traversing against
 //!   an *active* writer, once with the pre-optimistic architecture (a
@@ -24,6 +25,12 @@
 //!   slope-sign cases, autovectorizable lanes). Figure:
 //!   entries-evaluated/s, plus the batched/scalar ratio. The batched
 //!   results are asserted bit-identical to the scalar ones first.
+//! * **Insert representation** — inserts/s into a warm bulk-loaded tree
+//!   through `RTree::insert` (page images edited in place) vs a
+//!   bench-owned copy of the path it replaced (every node on the path
+//!   decoded into an owned `Node`, changed, re-folded, re-encoded whole).
+//!   Same ChooseLeaf, same pages written; only the representation of a
+//!   node that does not split differs. Plus the patched/rebuilt ratio.
 //!
 //! Knobs: `DQ_READ_PATH_OBJECTS` (dataset size, default 5000),
 //! `DQ_READ_PATH_MS` (per-path measuring window, default 300),
@@ -47,8 +54,8 @@ use workload::{Dataset, DatasetConfig};
 type R = NsiSegmentRecord<2>;
 type K = StBox<2, 1>;
 
-/// Counts every byte that crosses the copying `read()` API; `read_page`
-/// is the zero-copy lane and counts nothing.
+/// Counts every byte [`Self::read_copy`] copies out of the store;
+/// `read_page` is the zero-copy lane and counts nothing.
 struct CountingStore<S> {
     inner: S,
     copied: AtomicU64,
@@ -71,6 +78,15 @@ impl<S> CountingStore<S> {
     }
 }
 
+impl<S: PageStore> CountingStore<S> {
+    /// Read a page into a fresh owned buffer, as the decode path did.
+    fn read_copy(&self, id: PageId) -> Vec<u8> {
+        let buf = self.inner.read_page(id).to_vec();
+        self.copied.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        buf
+    }
+}
+
 impl<S: PageStore> PageStore for CountingStore<S> {
     fn page_size(&self) -> usize {
         self.inner.page_size()
@@ -80,11 +96,6 @@ impl<S: PageStore> PageStore for CountingStore<S> {
     }
     fn read_page(&self, id: PageId) -> PageRef {
         self.inner.read_page(id)
-    }
-    fn read(&self, id: PageId) -> Vec<u8> {
-        let buf = self.inner.read(id);
-        self.copied.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        buf
     }
     fn write(&self, id: PageId, data: &[u8]) {
         self.inner.write(id, data)
@@ -108,7 +119,7 @@ fn traverse_decode(tree: &RTree<R, Store>) -> (u64, u64) {
     let (mut visits, mut checksum) = (0u64, 0u64);
     let mut stack = vec![tree.root_page()];
     while let Some(page) = stack.pop() {
-        let bytes = tree.store().read(page);
+        let bytes = tree.store().read_copy(page);
         let node: Node<K, R> = Node::deserialize(&bytes);
         visits += 1;
         match &node.entries {
@@ -308,6 +319,88 @@ fn contended_rate(recs: Vec<R>, readers: usize, window: Duration, optimistic: bo
         stop.store(true, Ordering::Relaxed);
     });
     total.load(Ordering::Relaxed) as f64 / window.as_secs_f64()
+}
+
+/// One insert the way the write path ran before it edited pages: the
+/// descent through zero-copy views, then every node on the path decoded
+/// into an owned [`Node`], changed, re-folded and re-encoded whole, and
+/// written while the path still shares the frame. Handles the no-split
+/// case only; `false` (nothing written) when the leaf is full.
+fn insert_rebuilding(tree: &RTree<R, BufferPool<Pager>>, rec: R, now: f64, buf: &mut Vec<u8>) -> bool {
+    use rtree::{Key, Record};
+    let key = {
+        let mut enc = Vec::with_capacity(K::ENCODED_LEN);
+        rec.key().encode(&mut enc);
+        K::decode(&enc)
+    };
+    let mut path = Vec::with_capacity(tree.height() as usize);
+    let mut cur = tree.root_page();
+    let (leaf_page, mut leaf) = loop {
+        let node = tree.read_node(cur);
+        if node.is_leaf() {
+            break (cur, node.to_node());
+        }
+        let (mut chosen, mut best) = (0, (f64::INFINITY, f64::INFINITY));
+        for (i, (k, _)) in node.internal_entries().enumerate() {
+            let cost = (k.enlargement(&key), k.volume());
+            if cost < best {
+                (chosen, best) = (i, cost);
+            }
+        }
+        let next = node.internal_entry(chosen).1;
+        path.push((cur, node, chosen));
+        cur = next;
+    };
+    if leaf.len() == tree.leaf_capacity() {
+        return false;
+    }
+    let page_size = tree.store().page_size();
+    leaf.timestamp = now;
+    let NodeEntries::Leaf(recs) = &mut leaf.entries else {
+        unreachable!()
+    };
+    recs.push(rec);
+    let mut child_key = leaf.bounding_key();
+    leaf.serialize_into(buf, page_size);
+    tree.store().write(leaf_page, buf);
+    while let Some((page, node, chosen)) = path.pop() {
+        let mut owned = node.to_node();
+        owned.timestamp = now;
+        let NodeEntries::Internal(entries) = &mut owned.entries else {
+            unreachable!()
+        };
+        entries[chosen].0 = child_key;
+        child_key = owned.bounding_key();
+        owned.serialize_into(buf, page_size);
+        tree.store().write(page, buf);
+    }
+    true
+}
+
+/// Inserts/s into a warm bulk-loaded tree, by the rebuilding path above
+/// and by `RTree::insert`. The stream scatters over the data space so it
+/// lands on every leaf; the handful of inserts that split go through
+/// `RTree::insert` on both sides.
+fn insert_rates(recs: &[R], window: Duration) -> (f64, f64) {
+    let rate = |patched: bool| {
+        let pool = BufferPool::new(Pager::new(), 1 << 16);
+        let mut tree = bulk_load(pool, RTreeConfig::default(), recs.to_vec());
+        let mut buf = Vec::new();
+        let mut oid = 20_000_000u32;
+        let t0 = Instant::now();
+        while t0.elapsed() < window {
+            for _ in 0..64 {
+                let (x, y) = (f64::from(oid % 997), f64::from(oid % 991));
+                let rec = R::new(oid, 0, Interval::new(0.0, 10.0), [x, y], [x + 1.0, y + 1.0]);
+                if patched || !insert_rebuilding(&tree, rec, 0.0, &mut buf) {
+                    black_box(tree.insert(rec, 0.0));
+                }
+                oid += 1;
+            }
+        }
+        f64::from(oid - 20_000_000) / t0.elapsed().as_secs_f64()
+    };
+    (rate(false), rate(true))
 }
 
 /// Entries-evaluated/s for the trapezoid overlap-time computation:
@@ -537,6 +630,26 @@ fn main() {
         String::new(),
         String::new(),
         format!("{:.2}x", geom_batched / geom_scalar),
+        String::new(),
+        String::new(),
+    ]);
+    // Insert representation: inserts/s, rebuilt nodes vs edited pages.
+    let (ins_rebuilt, ins_patched) = insert_rates(&ds.nsi_records(), window);
+    for (name, v) in [("insert rebuilt", ins_rebuilt), ("insert patched", ins_patched)] {
+        table.row(vec![
+            name.to_string(),
+            String::new(),
+            String::new(),
+            format!("{v:.0}"),
+            String::new(),
+            String::new(),
+        ]);
+    }
+    table.row(vec![
+        "patched/rebuilt speedup".to_string(),
+        String::new(),
+        String::new(),
+        format!("{:.2}x", ins_patched / ins_rebuilt),
         String::new(),
         String::new(),
     ]);

@@ -624,18 +624,21 @@ fn epoch_bounds(recuts: &[RecutPlan], steps: usize) -> Vec<usize> {
     bounds
 }
 
-/// The slice of `batch` that routes to region `r` under `grid`, in
-/// batch order.
+/// Refill `routed` with the slice of `batch` that routes to region `r`
+/// under `grid`, in batch order. The caller keeps one buffer per writer,
+/// so a frame's routing allocates nothing once the buffer has grown.
 fn route_slice<const D: usize>(
     grid: &RegionGrid,
     r: usize,
     batch: &[(NsiSegmentRecord<D>, f64)],
-) -> Vec<(NsiSegmentRecord<D>, f64)> {
-    batch
-        .iter()
-        .filter(|(rec, _)| grid.route_rect(&rec.seg.spatial_bbox()).contains(&r))
-        .copied()
-        .collect()
+    routed: &mut Vec<(NsiSegmentRecord<D>, f64)>,
+) {
+    routed.clear();
+    routed.extend(
+        batch
+            .iter()
+            .filter(|(rec, _)| grid.route_rect(&rec.seg.spatial_bbox()).contains(&r)),
+    );
 }
 
 /// Every record resident across `trees`, deduplicated by `(oid, seq)`
@@ -1023,11 +1026,12 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     ) -> RegionTally {
         let mut w = RegionTally::default();
         let mut reports: Vec<NsiReport<D>> = Vec::new();
+        let mut routed = Vec::new();
         let clock = &ep.clocks[r];
         for k in ep.start..ep.end {
             let ku = k as u64;
             if let Some(batch) = inserts.get(k) {
-                let routed = route_slice(&ep.grid, r, batch);
+                route_slice(&ep.grid, r, batch, &mut routed);
                 if !routed.is_empty() && !w.failed() {
                     // WAL before any page write, then flow control:
                     // every live attached session has acked past `k`
@@ -1610,6 +1614,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     }
                 }
             }
+            let mut routed = Vec::new();
             for k in start..end {
                 let ku = k as u64;
                 for (i, plan) in plans.iter().enumerate() {
@@ -1636,7 +1641,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         dur.commit_ns += committed.elapsed().as_nanos() as u64;
                     }
                     for r in 0..grid.len() {
-                        let routed = route_slice(&grid, r, batch);
+                        route_slice(&grid, r, batch, &mut routed);
                         if !routed.is_empty() && !tallies[r].failed() {
                             self.apply_region_batch(
                                 &trees[r],

@@ -17,10 +17,17 @@
 //! Internal entries are `key ‖ child-page-id(u32)`; leaf entries are
 //! encoded records. With 4 KiB pages, 2-d NSI keys (24 B) and 32-byte
 //! segment records this yields the paper's fanout: 145 internal, 127 leaf.
+//!
+//! Three representations share this layout. [`NodeView`] / [`NodeRef`]
+//! read a page in place; [`NodeEdit`] changes a copy of its used prefix
+//! by byte range (entries are fixed-stride, so adding one or re-keying
+//! one touches only its own bytes) — the insert path's form for every
+//! node that does not split; the owned [`Node`] decodes every entry and
+//! is what splits, deletes, bulk loading and `validate` work on.
 
 use crate::traits::{Key, Record};
 use std::marker::PhantomData;
-use storage::{PageId, PageRef};
+use storage::{PageId, PageRef, StorageError};
 
 /// Size of the fixed node header, in bytes.
 pub const NODE_HEADER_LEN: usize = 32;
@@ -28,6 +35,91 @@ pub const NODE_HEADER_LEN: usize = 32;
 const MAGIC: u16 = 0x5254;
 const KIND_LEAF: u8 = 0;
 const KIND_INTERNAL: u8 = 1;
+
+/// Offsets of the header fields the edit primitives rewrite.
+const COUNT_AT: usize = 4;
+const TIMESTAMP_AT: usize = 8;
+
+/// Bytes per entry of a leaf (`true`) or internal node.
+const fn stride<K: Key, R: Record>(leaf: bool) -> usize {
+    if leaf {
+        R::ENCODED_LEN
+    } else {
+        K::ENCODED_LEN + 4
+    }
+}
+
+/// Why a page image is not a node.
+#[derive(Debug)]
+enum BadHeader {
+    /// The buffer ends before the header, or before the entries the
+    /// header's count claims.
+    Short { count: usize },
+    Magic,
+    Kind(u8),
+}
+
+impl std::fmt::Display for BadHeader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BadHeader::Short { count } => {
+                write!(f, "corrupt node: {count} entries do not fit the page")
+            }
+            BadHeader::Magic => write!(f, "not an R-tree node page"),
+            BadHeader::Kind(other) => write!(f, "corrupt node kind byte {other}"),
+        }
+    }
+}
+
+/// The fixed header, checked: `count` entries of this kind fit the
+/// buffer it was parsed from.
+#[derive(Clone, Copy)]
+struct Header {
+    leaf: bool,
+    count: usize,
+    timestamp: f64,
+    level: u32,
+}
+
+impl Header {
+    /// Total over every byte string: the one place a count read off a
+    /// page is bounded before anything slices by it.
+    fn parse<K: Key, R: Record>(buf: &[u8]) -> Result<Header, BadHeader> {
+        let Some(head) = buf.get(..NODE_HEADER_LEN) else {
+            return Err(BadHeader::Short { count: 0 });
+        };
+        if u16::from_le_bytes([head[0], head[1]]) != MAGIC {
+            return Err(BadHeader::Magic);
+        }
+        let leaf = match head[2] {
+            KIND_LEAF => true,
+            KIND_INTERNAL => false,
+            other => return Err(BadHeader::Kind(other)),
+        };
+        let count =
+            u32::from_le_bytes(head[COUNT_AT..COUNT_AT + 4].try_into().unwrap()) as usize;
+        let fits = count
+            .checked_mul(stride::<K, R>(leaf))
+            .and_then(|n| n.checked_add(NODE_HEADER_LEN))
+            .is_some_and(|end| end <= buf.len());
+        if !fits {
+            return Err(BadHeader::Short { count });
+        }
+        Ok(Header {
+            leaf,
+            count,
+            timestamp: f64::from_le_bytes(
+                head[TIMESTAMP_AT..TIMESTAMP_AT + 8].try_into().unwrap(),
+            ),
+            level: u32::from_le_bytes(head[16..20].try_into().unwrap()),
+        })
+    }
+
+    /// End of the used prefix: header plus `count` entries.
+    fn used<K: Key, R: Record>(&self) -> usize {
+        NODE_HEADER_LEN + self.count * stride::<K, R>(self.leaf)
+    }
+}
 
 /// Entries of a node: child pointers with bounding keys, or data records.
 #[derive(Clone, Debug, PartialEq)]
@@ -192,89 +284,77 @@ impl<K: Key, R: Record<Key = K>> Node<K, R> {
 ///
 /// Parses the 32-byte header once; entries are decoded lazily, straight
 /// out of the page bytes, as the iterators advance — no entry `Vec` is
-/// ever built. This is the node representation of the read path; the
-/// write path (insert/split/delete) keeps using the owned [`Node`].
+/// ever built. This is the node representation of the read path, and of
+/// the insert path's descent and key folds.
 #[derive(Clone, Copy)]
 pub struct NodeView<'a, K, R> {
     /// Entry region of the page (header stripped).
     entries: &'a [u8],
-    leaf: bool,
-    count: usize,
-    timestamp: f64,
-    level: u32,
+    head: Header,
     _marker: PhantomData<fn() -> (K, R)>,
 }
 
 impl<'a, K: Key, R: Record<Key = K>> NodeView<'a, K, R> {
-    /// Parse the header of a page image. Panics on a corrupt page, like
-    /// [`Node::deserialize`].
+    /// Parse the header of a page image. Panics on a page that is not a
+    /// node, like [`Node::deserialize`]; serving reads go through
+    /// [`NodeRef::try_parse`] instead.
     pub fn parse(buf: &'a [u8]) -> Self {
-        let magic = u16::from_le_bytes(buf[0..2].try_into().unwrap());
-        assert_eq!(magic, MAGIC, "not an R-tree node page");
-        let leaf = match buf[2] {
-            KIND_LEAF => true,
-            KIND_INTERNAL => false,
-            other => panic!("corrupt node kind byte {other}"),
-        };
-        let count = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
-        let timestamp = f64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let level = u32::from_le_bytes(buf[16..20].try_into().unwrap());
-        let stride = if leaf {
-            R::ENCODED_LEN
-        } else {
-            K::ENCODED_LEN + 4
-        };
+        match Header::parse::<K, R>(buf) {
+            Ok(head) => Self::over(buf, head),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// View `buf` under a header already checked against it.
+    fn over(buf: &'a [u8], head: Header) -> Self {
         NodeView {
-            entries: &buf[NODE_HEADER_LEN..NODE_HEADER_LEN + count * stride],
-            leaf,
-            count,
-            timestamp,
-            level,
+            entries: &buf[NODE_HEADER_LEN..head.used::<K, R>()],
+            head,
             _marker: PhantomData,
         }
     }
 
     /// True iff this is a leaf node.
     pub fn is_leaf(&self) -> bool {
-        self.leaf
+        self.head.leaf
     }
 
     /// Height above the leaf level (0 = leaf).
     pub fn level(&self) -> u32 {
-        self.level
+        self.head.level
     }
 
     /// Logical time of the node's last modification (§4.2).
     pub fn timestamp(&self) -> f64 {
-        self.timestamp
+        self.head.timestamp
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.count
+        self.head.count
     }
 
     /// True iff the node has no entries.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.head.count == 0
     }
 
     /// Lazily decoded `(bounding key, child page)` entries. Panics on
     /// leaves (programming error).
     pub fn internal_entries(&self) -> InternalEntries<'a, K> {
-        assert!(!self.leaf, "expected internal node");
+        assert!(!self.head.leaf, "expected internal node");
         InternalEntries {
             buf: self.entries,
-            remaining: self.count,
+            remaining: self.head.count,
             _marker: PhantomData,
         }
     }
 
     /// Random access to one internal entry (fixed stride — O(1)).
     pub fn internal_entry(&self, i: usize) -> (K, PageId) {
-        assert!(!self.leaf, "expected internal node");
-        assert!(i < self.count, "entry index out of range");
-        let stride = K::ENCODED_LEN + 4;
+        assert!(!self.head.leaf, "expected internal node");
+        assert!(i < self.head.count, "entry index out of range");
+        let stride = stride::<K, R>(false);
         let at = &self.entries[i * stride..(i + 1) * stride];
         let k = K::decode(&at[..K::ENCODED_LEN]);
         let child = PageId(u32::from_le_bytes(
@@ -285,17 +365,17 @@ impl<'a, K: Key, R: Record<Key = K>> NodeView<'a, K, R> {
 
     /// Lazily decoded leaf records. Panics on internal nodes.
     pub fn leaf_records(&self) -> LeafRecords<'a, R> {
-        assert!(self.leaf, "expected leaf node");
+        assert!(self.head.leaf, "expected leaf node");
         LeafRecords {
             buf: self.entries,
-            remaining: self.count,
+            remaining: self.head.count,
             _marker: PhantomData,
         }
     }
 
     /// Minimum bounding key over all entries (empty key for empty nodes).
     pub fn bounding_key(&self) -> K {
-        if self.leaf {
+        if self.head.leaf {
             self.leaf_records()
                 .fold(K::empty(), |acc, r| acc.cover(&r.key()))
         } else {
@@ -304,16 +384,31 @@ impl<'a, K: Key, R: Record<Key = K>> NodeView<'a, K, R> {
         }
     }
 
-    /// Materialize an owned [`Node`] (the write path's representation).
+    /// [`Self::bounding_key`] of an internal node with entry `i`'s key
+    /// taken to be `key`: what the node's key becomes once a child's key
+    /// changes. Same fold, same order, so the result is bit-equal to
+    /// re-keying the entry and folding — for every [`Key`], including
+    /// ones whose `cover` rounds.
+    pub fn bounding_key_replacing(&self, i: usize, key: &K) -> K {
+        assert!(i < self.head.count, "entry index out of range");
+        self.internal_entries()
+            .enumerate()
+            .fold(K::empty(), |acc, (j, (k, _))| {
+                acc.cover(if j == i { key } else { &k })
+            })
+    }
+
+    /// Materialize an owned [`Node`] — every entry decoded into a `Vec`.
+    /// The insert path does this only for a node that splits.
     pub fn to_node(&self) -> Node<K, R> {
-        let entries = if self.leaf {
+        let entries = if self.head.leaf {
             NodeEntries::Leaf(self.leaf_records().collect())
         } else {
             NodeEntries::Internal(self.internal_entries().collect())
         };
         Node {
-            level: self.level,
-            timestamp: self.timestamp,
+            level: self.head.level,
+            timestamp: self.head.timestamp,
             entries,
         }
     }
@@ -384,68 +479,82 @@ impl<R: Record> ExactSizeIterator for LeafRecords<'_, R> {}
 /// alive across eviction) and hands out views on demand.
 pub struct NodeRef<K, R> {
     bytes: PageRef,
-    leaf: bool,
-    count: usize,
-    timestamp: f64,
-    level: u32,
+    head: Header,
     _marker: PhantomData<fn() -> (K, R)>,
 }
 
 impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
-    /// Parse the header of `bytes` once, taking ownership of the handle.
-    pub fn parse(bytes: PageRef) -> Self {
-        let v: NodeView<'_, K, R> = NodeView::parse(&bytes);
-        let (leaf, count, timestamp, level) = (v.leaf, v.count, v.timestamp, v.level);
-        NodeRef {
+    fn checked(bytes: PageRef) -> Result<Self, BadHeader> {
+        let head = Header::parse::<K, R>(&bytes)?;
+        Ok(NodeRef {
             bytes,
-            leaf,
-            count,
-            timestamp,
-            level,
+            head,
             _marker: PhantomData,
-        }
+        })
+    }
+
+    /// Parse the header of `bytes` once, taking ownership of the handle.
+    /// Panics on a page that is not a node (see [`NodeView::parse`]).
+    pub fn parse(bytes: PageRef) -> Self {
+        Self::checked(bytes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::parse`] for bytes that came off a device: a bad magic or
+    /// kind byte, or a count whose entries would not fit `bytes`, is
+    /// [`StorageError::Corrupt`] on `page` rather than a panic, so a
+    /// writer holding the tree lock never unwinds on a flipped byte.
+    /// Every entry the returned node admits lies inside `bytes`.
+    pub fn try_parse(bytes: PageRef, page: PageId) -> Result<Self, StorageError> {
+        Self::checked(bytes).map_err(|_| StorageError::Corrupt { page })
     }
 
     /// Borrow the underlying page as a [`NodeView`].
     pub fn view(&self) -> NodeView<'_, K, R> {
-        let stride = if self.leaf {
-            R::ENCODED_LEN
-        } else {
-            K::ENCODED_LEN + 4
-        };
-        NodeView {
-            entries: &self.bytes[NODE_HEADER_LEN..NODE_HEADER_LEN + self.count * stride],
-            leaf: self.leaf,
-            count: self.count,
-            timestamp: self.timestamp,
-            level: self.level,
+        NodeView::over(&self.bytes, self.head)
+    }
+
+    /// Copy the node's used prefix (header and entries, not the stale
+    /// tail) into `buf` and open it for editing. `buf` is cleared first
+    /// and keeps its capacity, so a caller reusing one buffer allocates
+    /// once. The edit does not borrow `self`: drop this handle before
+    /// writing the result back, or the store must copy the frame the
+    /// handle still shares instead of overwriting it in place.
+    pub fn edit_in<'b>(&self, buf: &'b mut Vec<u8>) -> NodeEdit<'b, K, R> {
+        buf.clear();
+        // Room for a full page plus the key `set_key` stages past the end.
+        buf.reserve(self.bytes.len() + K::ENCODED_LEN);
+        buf.extend_from_slice(&self.bytes[..self.head.used::<K, R>()]);
+        NodeEdit {
+            buf,
+            leaf: self.head.leaf,
+            count: self.head.count,
             _marker: PhantomData,
         }
     }
 
     /// True iff this is a leaf node.
     pub fn is_leaf(&self) -> bool {
-        self.leaf
+        self.head.leaf
     }
 
     /// Height above the leaf level (0 = leaf).
     pub fn level(&self) -> u32 {
-        self.level
+        self.head.level
     }
 
     /// Logical time of the node's last modification (§4.2).
     pub fn timestamp(&self) -> f64 {
-        self.timestamp
+        self.head.timestamp
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.count
+        self.head.count
     }
 
     /// True iff the node has no entries.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.head.count == 0
     }
 
     /// Lazily decoded internal entries. Panics on leaves.
@@ -471,6 +580,84 @@ impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
     /// Materialize an owned [`Node`] for mutation.
     pub fn to_node(&self) -> Node<K, R> {
         self.view().to_node()
+    }
+}
+
+/// A node's page image under edit in a caller-owned buffer — the insert
+/// path's representation of a node that does not split.
+///
+/// Opened by [`NodeRef::edit_in`] over a copy of the node's used prefix.
+/// Entries are fixed-stride, so each primitive touches only the bytes it
+/// names: every other entry keeps the exact bytes it had on the page,
+/// which is what re-encoding its decoded form would have produced (the
+/// [`Key`] / [`Record`] encoding contracts), minus the decode and the
+/// encode. [`Self::bytes`] is the image to hand to `PageStore::write`.
+pub struct NodeEdit<'a, K, R> {
+    buf: &'a mut Vec<u8>,
+    leaf: bool,
+    count: usize,
+    _marker: PhantomData<fn() -> (K, R)>,
+}
+
+impl<K: Key, R: Record<Key = K>> NodeEdit<'_, K, R> {
+    /// Number of entries, appended ones included.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True iff the node has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Stamp the node's modification time (§4.2).
+    pub fn set_timestamp(&mut self, now: f64) {
+        self.buf[TIMESTAMP_AT..TIMESTAMP_AT + 8].copy_from_slice(&now.to_le_bytes());
+    }
+
+    /// Append one record to a leaf, at `32 + len·stride`. The caller has
+    /// checked capacity — an overfull node splits instead.
+    pub fn push_record(&mut self, rec: &R) {
+        assert!(self.leaf, "expected leaf node");
+        rec.encode(self.buf);
+        self.grew();
+    }
+
+    /// Append one `(key, child)` entry to an internal node. The caller
+    /// has checked capacity.
+    pub fn push_entry(&mut self, key: &K, child: PageId) {
+        assert!(!self.leaf, "expected internal node");
+        key.encode(self.buf);
+        self.buf.extend_from_slice(&child.0.to_le_bytes());
+        self.grew();
+    }
+
+    /// Overwrite the key bytes of internal entry `i`; its child pointer
+    /// and every other entry stay as they are.
+    pub fn set_key(&mut self, i: usize, key: &K) {
+        assert!(!self.leaf, "expected internal node");
+        assert!(i < self.count, "entry index out of range");
+        // `Key::encode` only appends: stage the key past the end, move
+        // it into its slot, drop the staging bytes.
+        let end = self.buf.len();
+        key.encode(self.buf);
+        let at = NODE_HEADER_LEN + i * stride::<K, R>(false);
+        self.buf.copy_within(end.., at);
+        self.buf.truncate(end);
+    }
+
+    fn grew(&mut self) {
+        self.count += 1;
+        debug_assert_eq!(
+            self.buf.len(),
+            NODE_HEADER_LEN + self.count * stride::<K, R>(self.leaf)
+        );
+        self.buf[COUNT_AT..COUNT_AT + 4].copy_from_slice(&(self.count as u32).to_le_bytes());
+    }
+
+    /// The edited image: header plus every entry, ready to write.
+    pub fn bytes(&self) -> &[u8] {
+        self.buf
     }
 }
 

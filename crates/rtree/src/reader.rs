@@ -153,6 +153,11 @@ impl<R: Record, S: PageStore> TreeReader<R, S> {
     /// Perform one raw page-to-node read, recording it in the shared
     /// level counters and trace ring. The caller decides validity.
     fn read_raw(&self, page: PageId) -> Result<NodeRef<R::Key, R>, StorageError> {
+        // Fail-stop on a page that is not a node: a session reading an
+        // un-checksummed store that hands back garbage is failed whole by
+        // the serving layer's `catch_unwind` (`tests/chaos.rs::chaos_c`
+        // pins that), not degraded page by page. The writer's descent
+        // takes the typed path, `RTree::try_read_node`.
         let node = NodeRef::parse(self.store.try_read_page(page)?);
         self.levels.record_read(node.level());
         obs::trace(obs::TraceEvent::NodeVisit {

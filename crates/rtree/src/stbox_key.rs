@@ -50,6 +50,8 @@ fn decode_interval(buf: &[u8]) -> Interval {
 impl<const D: usize, const T: usize> Key for StBox<D, T> {
     const ENCODED_LEN: usize = (D + T) * 8;
     const AXES: usize = D + T;
+    // `StBox::cover` is per-bound `min`/`max`.
+    const COVER_IS_EXACT_JOIN: bool = true;
 
     fn empty() -> Self {
         StBox::EMPTY

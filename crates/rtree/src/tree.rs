@@ -69,6 +69,47 @@ pub struct InsertReport<K, R> {
     pub root_split: bool,
 }
 
+/// One internal node on an insert's descent: the page, the node as read
+/// (its `PageRef` lives until the upward pass reaches it), and the child
+/// taken — `usize::MAX` for the node a reinserted subtree lands *in*.
+struct Step<K, R> {
+    page: PageId,
+    node: NodeRef<K, R>,
+    chosen: usize,
+}
+
+impl<K: Key, R: Record<Key = K>> Step<K, R> {
+    /// The new key of the child this step descended into, one of whose
+    /// entries now covers `added`.
+    ///
+    /// In general that is `fold`, the child's entries folded again. But
+    /// this step's entry for the child is *tight* — exactly the child's
+    /// key as a page stores it; every writer stores `bounding_key()`
+    /// there and [`RTree::validate`] checks it — so when the entry only
+    /// `grew` and the key type's cover is an exact join, the child's new
+    /// key is that entry `∪ added`, no fold at all. The two can differ in
+    /// memory (the entry is rounded outward to `f32`, the fold is not) but
+    /// encode to the same bytes, because `min`/`max` commute with the
+    /// encoding's monotone rounding; and an insert that splits nothing
+    /// reports no key. Which key types qualify is theirs to declare
+    /// ([`Key::COVER_IS_EXACT_JOIN`]), never a setting.
+    fn child_key_after(&self, grew: bool, added: &K, fold: impl FnOnce() -> K) -> K {
+        if grew && K::COVER_IS_EXACT_JOIN {
+            self.node.internal_entry(self.chosen).0.cover(added)
+        } else {
+            fold()
+        }
+    }
+}
+
+/// What the upward pass tells its caller.
+struct Ascent<K, R> {
+    /// The lowest common ancestor of every node a split chain created:
+    /// the first node that absorbed a pending entry, or the new root.
+    lca: Option<Inserted<K, R>>,
+    root_split: bool,
+}
+
 /// Outcome of a recursive delete step.
 enum DeleteOutcome<K> {
     /// The record was not in this subtree.
@@ -82,9 +123,9 @@ enum DeleteOutcome<K> {
 
 /// A paginated R-tree over records of type `R`, stored in `S`.
 ///
-/// Every node occupies one page; loading a node through [`RTree::load`]
-/// costs exactly one [`PageStore::read`], which is the paper's disk-access
-/// metric.
+/// Every node occupies one page; reading a node ([`RTree::read_node`],
+/// or [`RTree::load`] for the owned form) costs exactly one
+/// [`PageStore::read_page`], which is the paper's disk-access metric.
 ///
 /// ```
 /// use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
@@ -115,9 +156,13 @@ pub struct RTree<R: Record, S: PageStore> {
     root: PageId,
     height: u32,
     len: u64,
-    /// Reusable serialization buffer for [`Self::write_node`], so the
-    /// write path allocates once per tree instead of once per node write.
+    /// The write path's one page buffer: [`Self::write_node`] serializes
+    /// into it and the insert path edits page images in it, so writing
+    /// allocates once per tree instead of once per node.
     scratch: Vec<u8>,
+    /// The insert path's descent stack, empty between inserts and kept
+    /// for its capacity.
+    path: Vec<Step<R::Key, R>>,
     /// Per-level node read/write counters (relaxed atomics, shared with
     /// any [`TreeReader`] handles so optimistic reads count here too).
     levels: Arc<LevelCounters>,
@@ -141,6 +186,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             height: 1,
             len: 0,
             scratch: Vec::new(),
+            path: Vec::new(),
             levels: Arc::new(LevelCounters::new()),
             epoch: Arc::new(TreeEpoch::new(root, 1, 0)),
             _records: std::marker::PhantomData,
@@ -158,6 +204,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             height,
             len,
             scratch: Vec::new(),
+            path: Vec::new(),
             levels: Arc::new(LevelCounters::new()),
             epoch: Arc::new(TreeEpoch::new(root, height, len)),
             _records: std::marker::PhantomData,
@@ -175,6 +222,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             height: self.height,
             len: self.len,
             scratch: self.scratch,
+            path: self.path,
             levels: self.levels,
             epoch: self.epoch,
             _records: std::marker::PhantomData,
@@ -261,9 +309,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         )
     }
 
-    /// Load a node into its owned, mutation-ready form — **one simulated
-    /// disk access**. The write path (insert/split/delete) uses this; the
-    /// read path should prefer the zero-copy [`Self::read_node`].
+    /// Load a node into its owned form, every entry decoded — **one
+    /// simulated disk access**. [`Self::delete`] and [`Self::validate`]
+    /// work on owned nodes; queries and the insert path read through the
+    /// zero-copy [`Self::read_node`].
     pub fn load(&self, page: PageId) -> Node<R::Key, R> {
         let node = Node::deserialize(&self.store.read_page(page));
         self.levels.record_read(node.level);
@@ -287,9 +336,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// report *which subtree* failed and retry or degrade instead of
     /// panicking. A failed read records nothing — no level counter, no
     /// trace event — so the I/O reconciliation identities only count
-    /// reads that actually served bytes.
+    /// reads that actually served bytes. Served bytes whose header does
+    /// not parse ([`NodeRef::try_parse`]) are [`StorageError::Corrupt`]
+    /// too; that one read the store has counted and the tree cannot (the
+    /// level is part of what is corrupt).
     pub fn try_read_node(&self, page: PageId) -> Result<NodeRef<R::Key, R>, StorageError> {
-        let node = NodeRef::parse(self.store.try_read_page(page)?);
+        let node = NodeRef::try_parse(self.store.try_read_page(page)?, page)?;
         self.levels.record_read(node.level());
         obs::trace(obs::TraceEvent::NodeVisit {
             page: page.0 as u64,
@@ -298,8 +350,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         Ok(node)
     }
 
-    /// Write a node image back to its page, serializing through the
-    /// tree's reusable scratch buffer.
+    /// Write an owned node back to its page, serializing through the
+    /// tree's scratch buffer: how split halves, new roots, delete and
+    /// bulk load write. An insert's unsplit nodes are edited page images
+    /// instead (see [`Self::ascend`]).
     pub(crate) fn write_node(&mut self, page: PageId, node: &Node<R::Key, R>) {
         node.serialize_into(&mut self.scratch, self.store.page_size());
         self.store.write(page, &self.scratch);
@@ -330,9 +384,11 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
     }
 
-    /// Fallible form of [`Self::insert`]. Device faults can only surface
-    /// during the read-only ChooseLeaf descent, *before* any page is
-    /// written: on `Err` the tree is unchanged, so the caller can release
+    /// Fallible form of [`Self::insert`]. Device faults — a page that no
+    /// longer parses as a node included — can only surface during the
+    /// read-only ChooseLeaf descent, *before* any page is written (the
+    /// upward pass edits the pages the descent already holds and reads
+    /// nothing): on `Err` the tree is unchanged, so the caller can release
     /// its locks, back off, and retry the same record — the serving
     /// layer's writer does exactly that without holding the tree write
     /// lock across backoff sleeps.
@@ -369,125 +425,216 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         rec: R,
         now: f64,
     ) -> Result<InsertReport<R::Key, R>, StorageError> {
+        self.with_path(|tree, path| tree.insert_along(path, rec, now))
+    }
+
+    /// Run `f` with the tree's descent stack, handing the stack back
+    /// empty: an error can leave steps behind, and their `PageRef`s must
+    /// not outlive the insert or later writes to those pages would copy.
+    fn with_path<T>(&mut self, f: impl FnOnce(&mut Self, &mut Vec<Step<R::Key, R>>) -> T) -> T {
+        let mut path = std::mem::take(&mut self.path);
+        let out = f(self, &mut path);
+        path.clear();
+        self.path = path;
+        out
+    }
+
+    fn insert_along(
+        &mut self,
+        path: &mut Vec<Step<R::Key, R>>,
+        rec: R,
+        now: f64,
+    ) -> Result<InsertReport<R::Key, R>, StorageError> {
+        let added = rec.key();
         // Page-domain key: what the record's key becomes after one trip
         // through the f32 page encoding.
         let key = {
-            let mut buf = Vec::with_capacity(R::Key::ENCODED_LEN);
-            rec.key().encode(&mut buf);
-            R::Key::decode(&buf)
+            self.scratch.clear();
+            added.encode(&mut self.scratch);
+            R::Key::decode(&self.scratch)
         };
 
-        // ChooseLeaf: descend by least enlargement through zero-copy node
-        // views, remembering the path. Nodes are materialized into their
-        // owned form only on the unwind below, where they are mutated.
-        struct Step<K: Key, R: Record<Key = K>> {
-            page: PageId,
-            node: NodeRef<K, R>,
-            chosen: usize,
-        }
-        let mut path: Vec<Step<R::Key, R>> = Vec::with_capacity(self.height as usize);
-        let mut cur = self.root;
-        let (leaf_page, mut leaf) = loop {
-            let node = self.try_read_node(cur)?;
-            if node.is_leaf() {
-                break (cur, node.to_node());
-            }
-            let chosen = choose_subtree(node.internal_entries().map(|(k, _)| k), &key);
-            let next = node.internal_entry(chosen).1;
-            path.push(Step {
-                page: cur,
-                node,
-                chosen,
-            });
-            cur = next;
-        };
+        // ChooseLeaf. Every page write happens after this, so a device
+        // fault surfaces with the tree unchanged.
+        let (leaf_page, leaf) = self.descend(path, &key, 0)?;
 
-        let leaf_cap = self.leaf_capacity();
-        let internal_cap = self.internal_capacity();
-
-        leaf.timestamp = now;
-        let NodeEntries::Leaf(recs) = &mut leaf.entries else {
-            unreachable!()
-        };
-        recs.push(rec);
-
-        let mut notify: Option<Inserted<R::Key, R>> = None;
-        // Entry that still has to be added to the next node up.
-        let mut pending: Option<(R::Key, PageId)> = None;
-        // Updated bounding key of the child we descended into.
-        let mut child_key;
-
-        if leaf.len() <= leaf_cap {
-            child_key = leaf.bounding_key();
-            self.write_node(leaf_page, &leaf);
-            notify = Some(Inserted::Record(rec));
+        // Key of the child just handled, for its parent's entry, and the
+        // entry that still has to be added to the next node up.
+        let child_key;
+        let mut pending = None;
+        if leaf.len() < self.leaf_capacity() {
+            let level = leaf.level();
+            // A root's key is stored nowhere: skip computing it.
+            child_key = path
+                .last()
+                .map(|up| up.child_key_after(true, &added, || leaf.bounding_key().cover(&added)));
+            let mut edit = leaf.edit_in(&mut self.scratch);
+            drop(leaf);
+            edit.set_timestamp(now);
+            edit.push_record(&rec);
+            self.store.write(leaf_page, edit.bytes());
+            self.levels.record_write(level);
         } else {
-            let (old_node, new_node) = self.split_node(&leaf, leaf.len() - 1);
-            child_key = old_node.bounding_key();
+            let mut owned = leaf.to_node();
+            drop(leaf);
+            owned.timestamp = now;
+            let NodeEntries::Leaf(recs) = &mut owned.entries else {
+                unreachable!()
+            };
+            recs.push(rec);
+            let (old_node, new_node) = self.split_node(&owned, owned.len() - 1);
             let new_page = self.store.try_alloc()?;
             self.write_node(leaf_page, &old_node);
             self.write_node(new_page, &new_node);
+            child_key = Some(old_node.bounding_key());
             pending = Some((new_node.bounding_key(), new_page));
         }
 
-        while let Some(Step { page, node, chosen }) = path.pop() {
-            let mut node = node.to_node();
-            node.timestamp = now;
-            let NodeEntries::Internal(entries) = &mut node.entries else {
-                unreachable!()
-            };
-            entries[chosen].0 = child_key;
-            if let Some((nk, np)) = pending.take() {
-                entries.push((nk, np));
-                if node.len() > internal_cap {
-                    let (old_node, new_node) = self.split_node(&node, node.len() - 1);
-                    child_key = old_node.bounding_key();
-                    let new_page = self.store.try_alloc()?;
-                    self.write_node(page, &old_node);
-                    self.write_node(new_page, &new_node);
-                    pending = Some((new_node.bounding_key(), new_page));
-                } else {
-                    child_key = node.bounding_key();
-                    self.write_node(page, &node);
-                    if notify.is_none() {
-                        // First ancestor that absorbed the split chain:
-                        // the LCA of all newly created nodes (§4.1).
-                        notify = Some(Inserted::Subtree {
-                            page,
-                            key: child_key,
-                            level: node.level,
-                        });
-                    }
-                }
+        let leaf_split = pending.is_some();
+        let up = self.ascend(path, child_key, pending, !leaf_split, now)?;
+        self.len += 1;
+        Ok(InsertReport {
+            notify: if leaf_split {
+                up.lca.expect("a split chain ends in an absorbing node or a new root")
             } else {
-                child_key = node.bounding_key();
-                self.write_node(page, &node);
+                Inserted::Record(rec)
+            },
+            root_split: up.root_split,
+        })
+    }
+
+    /// Walk from the root by least enlargement towards `key` until a node
+    /// at `stop_level` (or a leaf), pushing every node passed onto `path`
+    /// and returning the one stopped at — through zero-copy views; nothing
+    /// is materialized.
+    fn descend(
+        &self,
+        path: &mut Vec<Step<R::Key, R>>,
+        key: &R::Key,
+        stop_level: u32,
+    ) -> Result<(PageId, NodeRef<R::Key, R>), StorageError> {
+        let mut page = self.root;
+        loop {
+            let node = self.try_read_node(page)?;
+            if node.is_leaf() || node.level() == stop_level {
+                return Ok((page, node));
             }
+            let chosen = choose_subtree(node.internal_entries().map(|(k, _)| k), key);
+            let next = node.internal_entry(chosen).1;
+            path.push(Step { page, node, chosen });
+            page = next;
+        }
+    }
+
+    /// The upward pass of every insertion: unwind `path` from its deepest
+    /// node to the root, giving each node its child's new key
+    /// (`child_key`; `None` only for a first node with no `chosen` child)
+    /// and the entry `pending` from below, and stamping it with `now`.
+    ///
+    /// A node with room is *edited*: its used prefix is copied into the
+    /// scratch buffer, the one or two entries that change are patched in
+    /// place, and the image is written back — after the node's `PageRef`
+    /// is dropped, so the store overwrites its frame rather than copying
+    /// it. Only a node that overflows is materialized, because the split
+    /// heuristics want every key decoded.
+    ///
+    /// The key handed up is the node's fold with the changed entry
+    /// substituted, or — while `grew` holds: nothing below split, so every
+    /// key on the way only grew — [`Step::child_key_after`]'s union.
+    fn ascend(
+        &mut self,
+        path: &mut Vec<Step<R::Key, R>>,
+        mut child_key: Option<R::Key>,
+        mut pending: Option<(R::Key, PageId)>,
+        mut grew: bool,
+        now: f64,
+    ) -> Result<Ascent<R::Key, R>, StorageError> {
+        let internal_cap = self.internal_capacity();
+        let mut lca = None;
+        while let Some(Step { page, node, chosen }) = path.pop() {
+            let level = node.level();
+            if pending.is_some() && node.len() == internal_cap {
+                let mut owned = node.to_node();
+                drop(node);
+                owned.timestamp = now;
+                let NodeEntries::Internal(entries) = &mut owned.entries else {
+                    unreachable!()
+                };
+                if let Some(k) = child_key {
+                    entries[chosen].0 = k;
+                }
+                entries.extend(pending.take());
+                let (old_node, new_node) = self.split_node(&owned, owned.len() - 1);
+                let new_page = self.store.try_alloc()?;
+                self.write_node(page, &old_node);
+                self.write_node(new_page, &new_node);
+                child_key = Some(old_node.bounding_key());
+                pending = Some((new_node.bounding_key(), new_page));
+                grew = false;
+                continue;
+            }
+
+            let absorbs = pending.is_some();
+            let fold = || {
+                let view = node.view();
+                let folded = match &child_key {
+                    Some(k) => view.bounding_key_replacing(chosen, k),
+                    None => view.bounding_key(),
+                };
+                match &pending {
+                    Some((nk, _)) => folded.cover(nk),
+                    None => folded,
+                }
+            };
+            // The node's new key: for its parent's entry, or (absorbing)
+            // for the notification. A root that absorbs nothing needs none.
+            let key = match (path.last(), &child_key) {
+                (Some(up), Some(k)) => Some(up.child_key_after(grew, k, fold)),
+                (Some(_), None) => Some(fold()),
+                (None, _) => absorbs.then(fold),
+            };
+            let mut edit = node.edit_in(&mut self.scratch);
+            drop(node);
+            edit.set_timestamp(now);
+            if let Some(k) = &child_key {
+                edit.set_key(chosen, k);
+            }
+            if let Some((nk, np)) = pending.take() {
+                edit.push_entry(&nk, np);
+            }
+            self.store.write(page, edit.bytes());
+            self.levels.record_write(level);
+            if absorbs && lca.is_none() {
+                // First ancestor that absorbed the split chain: the LCA
+                // of all newly created nodes (§4.1).
+                lca = Some(Inserted::Subtree {
+                    page,
+                    key: key.expect("an absorbing node's key is computed"),
+                    level,
+                });
+            }
+            child_key = key;
         }
 
         let mut root_split = false;
         if let Some((nk, np)) = pending {
             // The old root split: grow the tree.
+            let old_root_key = child_key.expect("a split hands its old half's key up");
             let new_root = self.store.try_alloc()?;
             let mut root_node =
-                Node::<R::Key, R>::internal(self.height, vec![(child_key, self.root), (nk, np)]);
+                Node::<R::Key, R>::internal(self.height, vec![(old_root_key, self.root), (nk, np)]);
             root_node.timestamp = now;
             self.write_node(new_root, &root_node);
             self.root = new_root;
             self.height += 1;
             root_split = true;
-            notify = Some(Inserted::Subtree {
+            lca = Some(Inserted::Subtree {
                 page: new_root,
                 key: root_node.bounding_key(),
                 level: root_node.level,
             });
         }
-
-        self.len += 1;
-        Ok(InsertReport {
-            notify: notify.expect("notify always set"),
-            root_split,
-        })
+        Ok(Ascent { lca, root_split })
     }
 
     /// Delete one record (matched by full equality), condensing the tree
@@ -659,75 +806,18 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             self.height = root_node.level + 1;
             return;
         }
-        struct Step<K: Key, R: Record<Key = K>> {
-            page: PageId,
-            node: NodeRef<K, R>,
-            chosen: usize,
-        }
-        let mut path: Vec<Step<R::Key, R>> = Vec::new();
-        let mut cur = self.root;
-        loop {
-            let node = self.read_node(cur);
-            if node.level() == level + 1 {
-                path.push(Step {
-                    page: cur,
-                    node,
-                    chosen: usize::MAX,
-                });
-                break;
-            }
-            let chosen = choose_subtree(node.internal_entries().map(|(k, _)| k), &key);
-            let next = node.internal_entry(chosen).1;
+        // The node at `level + 1` takes the entry; its ancestors re-key
+        // the child they were descended through.
+        self.with_path(|tree, path| {
+            let (target, node) = tree.descend(path, &key, level + 1)?;
             path.push(Step {
-                page: cur,
+                page: target,
                 node,
-                chosen,
+                chosen: usize::MAX,
             });
-            cur = next;
-        }
-        let internal_cap = self.internal_capacity();
-        let mut pending: Option<(R::Key, PageId)> = Some((key, page));
-        let mut child_key = R::Key::empty();
-        let mut first = true;
-        while let Some(Step { page, node, chosen }) = path.pop() {
-            let mut node = node.to_node();
-            node.timestamp = now;
-            let NodeEntries::Internal(entries) = &mut node.entries else {
-                unreachable!()
-            };
-            if !first && chosen != usize::MAX {
-                entries[chosen].0 = child_key;
-            } else if !first {
-                unreachable!("only the target node lacks a chosen child");
-            }
-            if let Some((nk, np)) = pending.take() {
-                entries.push((nk, np));
-                if node.len() > internal_cap {
-                    let (old_node, new_node) = self.split_node(&node, node.len() - 1);
-                    child_key = old_node.bounding_key();
-                    let new_page = self.store.alloc();
-                    self.write_node(page, &old_node);
-                    self.write_node(new_page, &new_node);
-                    pending = Some((new_node.bounding_key(), new_page));
-                } else {
-                    child_key = node.bounding_key();
-                    self.write_node(page, &node);
-                }
-            } else {
-                child_key = node.bounding_key();
-                self.write_node(page, &node);
-            }
-            first = false;
-        }
-        if let Some((nk, np)) = pending {
-            let new_root = self.store.alloc();
-            let mut root_node =
-                Node::<R::Key, R>::internal(self.height, vec![(child_key, self.root), (nk, np)]);
-            root_node.timestamp = now;
-            self.write_node(new_root, &root_node);
-            self.root = new_root;
-            self.height += 1;
-        }
+            tree.ascend(path, None, Some((key, page)), false, now)
+        })
+        .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
     }
 
     /// Split an overflowing node. `new_entry_idx` is the position of the
@@ -823,6 +913,19 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 return Err(format!(
                     "parent key does not contain node {page}: {pk:?} vs {bk:?}"
                 ));
+            }
+            // Tightness: a parent entry is exactly its child's key as
+            // the page stores it. Every writer keeps this (bulk load,
+            // insert, split, delete all store `bounding_key()`); the
+            // insert path's `entry ∪ new key` shortcut depends on it.
+            if R::Key::COVER_IS_EXACT_JOIN {
+                let mut buf = Vec::with_capacity(R::Key::ENCODED_LEN);
+                bk.encode(&mut buf);
+                if R::Key::decode(&buf) != *pk {
+                    return Err(format!(
+                        "parent key of node {page} is not tight: {pk:?} vs {bk:?}"
+                    ));
+                }
             }
         }
         inv.nodes += 1;

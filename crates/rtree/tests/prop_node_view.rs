@@ -1,10 +1,15 @@
 //! Property tests: the zero-copy [`NodeView`] must be observationally
 //! identical to the materializing [`Node::deserialize`] on every
-//! round-tripped page — leaf and internal, empty through full capacity.
+//! round-tripped page — leaf and internal, empty through full capacity —
+//! and the header parse the tree reads through must be total: no 32
+//! bytes in front of a node body panic it or admit an entry outside the
+//! page.
 
 use proptest::prelude::*;
-use rtree::{Node, NodeEntries, NodeRef, NodeView, NsiSegmentRecord, Record};
-use storage::{PageId, PageRef};
+use rtree::{
+    Node, NodeEntries, NodeRef, NodeView, NsiSegmentRecord, RTree, RTreeConfig, Record,
+};
+use storage::{PageId, PageRef, PageStore, Pager, StorageError};
 use stkit::{Interval, StBox};
 
 type R = NsiSegmentRecord<2>;
@@ -88,8 +93,61 @@ fn assert_view_equivalent(node: &N) {
     assert_eq!(nref.bounding_key(), decoded.bounding_key());
 }
 
+/// A 32-byte header: mostly noise, but often enough with a valid magic
+/// and kind byte, and a count near capacity, to reach the bound check
+/// the edit path relies on.
+fn header() -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec(any::<u8>(), 32..33),
+        any::<bool>(),
+        any::<bool>(),
+        prop_oneof![any::<u32>(), 0u32..300, Just(u32::MAX)],
+    )
+        .prop_map(|(mut h, good_magic, good_kind, count)| {
+            if good_magic {
+                h[..2].copy_from_slice(&0x5254u16.to_le_bytes());
+            }
+            if good_kind {
+                h[2] &= 1;
+            }
+            h[4..8].copy_from_slice(&count.to_le_bytes());
+            h
+        })
+}
+
+/// Put `header` in front of `node`'s body on a page of a one-page tree
+/// and read it the way an insert's descent does.
+fn read_under_header(node: &N, header: &[u8]) -> Result<(), StorageError> {
+    let store = Pager::with_page_size(PAGE);
+    let page = store.alloc();
+    let mut image = node.serialize(PAGE);
+    image[..32].copy_from_slice(header);
+    store.write(page, &image);
+    let tree: RTree<R, Pager> = RTree::reopen(store, RTreeConfig::default(), page, 1, 0);
+    let read = tree.try_read_node(page)?;
+    // Whatever the header admits must be decodable without leaving the
+    // page: the body may be read as the other kind, at any count that fits.
+    let seen = if read.is_leaf() {
+        read.leaf_records().count()
+    } else {
+        read.internal_entries().count()
+    };
+    assert_eq!(seen, read.len());
+    let _ = read.bounding_key();
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn no_header_panics_the_tree_read(leaf in leaf_node(), internal in internal_node(), h in header()) {
+        for node in [&leaf, &internal] {
+            if let Err(e) = read_under_header(node, &h) {
+                prop_assert_eq!(e, StorageError::Corrupt { page: PageId(0) });
+            }
+        }
+    }
 
     #[test]
     fn leaf_view_matches_deserialize(node in leaf_node()) {
@@ -137,4 +195,34 @@ fn full_capacity_nodes_are_equivalent() {
         entries: NodeEntries::Internal(entries),
     };
     assert_view_equivalent(&internal);
+}
+
+#[test]
+fn bad_headers_are_corrupt_pages() {
+    let leaf = N::empty_leaf();
+    let good = leaf.serialize(PAGE)[..32].to_vec();
+    assert_eq!(read_under_header(&leaf, &good), Ok(()));
+    let corrupt = Err(StorageError::Corrupt { page: PageId(0) });
+    let with = |at: usize, bytes: &[u8]| {
+        let mut h = good.clone();
+        h[at..at + bytes.len()].copy_from_slice(bytes);
+        read_under_header(&leaf, &h)
+    };
+    assert_eq!(with(0, &[0x55]), corrupt, "magic");
+    assert_eq!(with(2, &[2]), corrupt, "kind");
+    assert_eq!(with(4, &(LEAF_CAP as u32).to_le_bytes()), Ok(()), "a full leaf fits");
+    assert_eq!(with(4, &(LEAF_CAP as u32 + 1).to_le_bytes()), corrupt, "count past the page");
+    assert_eq!(with(4, &u32::MAX.to_le_bytes()), corrupt, "count overflowing usize math");
+    // The same count is too many once the kind byte says internal.
+    assert_eq!(with(4, &(INTERNAL_CAP as u32).to_le_bytes()), corrupt);
+    let mut as_internal = good.clone();
+    as_internal[2] = 1;
+    as_internal[4..8].copy_from_slice(&(INTERNAL_CAP as u32).to_le_bytes());
+    assert_eq!(read_under_header(&leaf, &as_internal), Ok(()));
+
+    // A page shorter than the header itself.
+    let store = Pager::with_page_size(16);
+    let page = store.alloc();
+    let tree: RTree<R, Pager> = RTree::reopen(store, RTreeConfig::default(), page, 1, 0);
+    assert_eq!(tree.try_read_node(page).err(), Some(StorageError::Corrupt { page }));
 }

@@ -1,0 +1,365 @@
+//! The rebuild write path, kept as the reference the page-editing one is
+//! held to: every node on the insert path is decoded into an owned
+//! [`Node`], changed, re-folded and re-encoded whole. [`run`] drives a
+//! random build sequence and, before every insert, mirrors the tree's
+//! store, applies the insert both ways and requires the same report, the
+//! same pages byte for byte, the same allocator state and the same node
+//! I/O.
+//!
+//! Shared by `prop_patch.rs` here and `crates/tprtree/tests/prop_patch.rs`
+//! (through `#[path]`), so the TPR leg runs the same driver.
+
+use proptest::prelude::*;
+use rtree::bulk::bulk_load;
+use rtree::split::split;
+use rtree::{
+    InsertReport, Inserted, Key, Node, NodeEntries, RTree, RTreeConfig, Record, SplitPolicy,
+};
+use storage::{load_pager, save_pager, PageId, PageStore, Pager};
+
+/// One motion, before it becomes a record of some type.
+#[derive(Clone, Debug)]
+pub struct Raw {
+    pub t0: f64,
+    pub dur: f64,
+    pub a: [f64; 2],
+    pub b: [f64; 2],
+}
+
+#[derive(Clone, Debug)]
+pub enum Op {
+    Insert(Raw),
+    /// Delete the live record at this index (modulo the live count).
+    Delete(usize),
+}
+
+#[derive(Clone, Debug)]
+pub struct Scenario {
+    pub page_size: usize,
+    pub policy: SplitPolicy,
+    /// Bulk-loaded before the first op.
+    pub bulk: Vec<Raw>,
+    pub ops: Vec<Op>,
+}
+
+fn raw() -> impl Strategy<Value = Raw> {
+    (
+        0.0f64..100.0,
+        0.05f64..5.0,
+        (-100.0f64..100.0, -100.0f64..100.0),
+        (-100.0f64..100.0, -100.0f64..100.0),
+    )
+        .prop_map(|(t0, dur, a, b)| Raw {
+            t0,
+            dur,
+            a: [a.0, a.1],
+            b: [b.0, b.1],
+        })
+}
+
+/// Bulk prefix, then inserts and deletes three to one. 256-byte pages
+/// (fanout 7–8) split on most inserts and reach height 3; 4 KiB pages
+/// stay on the no-split path the serving core lives on.
+pub fn scenario() -> impl Strategy<Value = Scenario> {
+    (
+        prop_oneof![Just(256usize), Just(4096usize)],
+        prop_oneof![
+            Just(SplitPolicy::Linear),
+            Just(SplitPolicy::Quadratic),
+            Just(SplitPolicy::RStar)
+        ],
+        proptest::collection::vec(raw(), 0..200),
+        proptest::collection::vec(
+            prop_oneof![
+                raw().prop_map(Op::Insert),
+                raw().prop_map(Op::Insert),
+                raw().prop_map(Op::Insert),
+                (0usize..1 << 16).prop_map(Op::Delete)
+            ],
+            1..120,
+        ),
+    )
+        .prop_map(|(page_size, policy, bulk, ops)| Scenario {
+            page_size,
+            policy,
+            bulk,
+            ops,
+        })
+}
+
+/// The tree's metadata plus a private copy of its store, allocator state
+/// included, so both write paths start from the same bytes and draw the
+/// same page ids.
+struct Mirror {
+    store: Pager,
+    root: PageId,
+    height: u32,
+    config: RTreeConfig,
+    reads: u64,
+    writes: u64,
+}
+
+impl Mirror {
+    fn of<R: Record>(tree: &RTree<R, Pager>) -> Mirror {
+        let mut image = Vec::new();
+        save_pager(tree.store(), &mut image).expect("snapshot to memory");
+        let (root, height, _) = tree.metadata();
+        Mirror {
+            store: load_pager(image.as_slice()).expect("reload the snapshot"),
+            root,
+            height,
+            config: *tree.config(),
+            reads: 0,
+            writes: 0,
+        }
+    }
+
+    fn load<R: Record>(&mut self, page: PageId) -> Node<R::Key, R> {
+        self.reads += 1;
+        Node::deserialize(&self.store.read_page(page))
+    }
+
+    fn write<R: Record>(&mut self, page: PageId, node: &Node<R::Key, R>) {
+        self.writes += 1;
+        self.store
+            .write(page, &node.serialize(self.store.page_size()));
+    }
+
+    fn split_node<R: Record>(&self, node: &Node<R::Key, R>) -> (Node<R::Key, R>, Node<R::Key, R>) {
+        let capacity = node.capacity(self.store.page_size());
+        let min_fill = ((capacity as f64 * self.config.min_fill).floor() as usize)
+            .clamp(1, capacity.div_ceil(2));
+        let keys: Vec<R::Key> = match &node.entries {
+            NodeEntries::Leaf(recs) => recs.iter().map(Record::key).collect(),
+            NodeEntries::Internal(entries) => entries.iter().map(|(k, _)| *k).collect(),
+        };
+        let part = split(self.config.split_policy, &keys, min_fill);
+        // The group holding the entry that caused the overflow (always
+        // the last) becomes the new node (§4.1).
+        let (a, b) = if part.a.contains(&(node.len() - 1)) {
+            (&part.b, &part.a)
+        } else {
+            (&part.a, &part.b)
+        };
+        let pick = |idx: &[usize]| Node {
+            level: node.level,
+            timestamp: node.timestamp,
+            entries: match &node.entries {
+                NodeEntries::Leaf(recs) => {
+                    NodeEntries::Leaf(idx.iter().map(|&i| recs[i]).collect())
+                }
+                NodeEntries::Internal(entries) => {
+                    NodeEntries::Internal(idx.iter().map(|&i| entries[i]).collect())
+                }
+            },
+        };
+        (pick(a), pick(b))
+    }
+
+    /// Guttman insertion over owned nodes: decode, change, fold,
+    /// re-encode at every level.
+    fn insert<R: Record>(&mut self, rec: R, now: f64) -> InsertReport<R::Key, R> {
+        let key = {
+            let mut buf = Vec::new();
+            rec.key().encode(&mut buf);
+            R::Key::decode(&buf)
+        };
+        let mut path: Vec<(PageId, Node<R::Key, R>, usize)> = Vec::new();
+        let mut cur = self.root;
+        let (leaf_page, mut leaf) = loop {
+            let node = self.load::<R>(cur);
+            if node.is_leaf() {
+                break (cur, node);
+            }
+            let chosen = choose_subtree(node.internal_entries(), &key);
+            let next = node.internal_entries()[chosen].1;
+            path.push((cur, node, chosen));
+            cur = next;
+        };
+        let page_size = self.store.page_size();
+
+        leaf.timestamp = now;
+        let NodeEntries::Leaf(recs) = &mut leaf.entries else {
+            unreachable!()
+        };
+        recs.push(rec);
+        let mut notify = None;
+        let mut pending = None;
+        let mut child_key;
+        if leaf.len() <= leaf.capacity(page_size) {
+            child_key = leaf.bounding_key();
+            self.write(leaf_page, &leaf);
+            notify = Some(Inserted::Record(rec));
+        } else {
+            let (old_node, new_node) = self.split_node(&leaf);
+            child_key = old_node.bounding_key();
+            let new_page = self.store.alloc();
+            self.write(leaf_page, &old_node);
+            self.write(new_page, &new_node);
+            pending = Some((new_node.bounding_key(), new_page));
+        }
+
+        while let Some((page, mut node, chosen)) = path.pop() {
+            node.timestamp = now;
+            let NodeEntries::Internal(entries) = &mut node.entries else {
+                unreachable!()
+            };
+            entries[chosen].0 = child_key;
+            let absorbs = pending.is_some();
+            entries.extend(pending.take());
+            if node.len() > node.capacity(page_size) {
+                let (old_node, new_node) = self.split_node(&node);
+                child_key = old_node.bounding_key();
+                let new_page = self.store.alloc();
+                self.write(page, &old_node);
+                self.write(new_page, &new_node);
+                pending = Some((new_node.bounding_key(), new_page));
+            } else {
+                child_key = node.bounding_key();
+                self.write(page, &node);
+                if absorbs && notify.is_none() {
+                    notify = Some(Inserted::Subtree {
+                        page,
+                        key: child_key,
+                        level: node.level,
+                    });
+                }
+            }
+        }
+
+        let mut root_split = false;
+        if let Some(entry) = pending {
+            let new_root = self.store.alloc();
+            let mut root_node =
+                Node::<R::Key, R>::internal(self.height, vec![(child_key, self.root), entry]);
+            root_node.timestamp = now;
+            self.write(new_root, &root_node);
+            self.root = new_root;
+            self.height += 1;
+            root_split = true;
+            notify = Some(Inserted::Subtree {
+                page: new_root,
+                key: root_node.bounding_key(),
+                level: root_node.level,
+            });
+        }
+        InsertReport {
+            notify: notify.expect("notify always set"),
+            root_split,
+        }
+    }
+}
+
+/// Least enlargement, ties by smaller volume, then by position.
+fn choose_subtree<K: Key>(entries: &[(K, PageId)], key: &K) -> usize {
+    let mut best = (0, f64::INFINITY, f64::INFINITY);
+    for (i, (k, _)) in entries.iter().enumerate() {
+        let (enl, vol) = (k.enlargement(key), k.volume());
+        if enl < best.1 || (enl == best.1 && vol < best.2) {
+            best = (i, enl, vol);
+        }
+    }
+    best.0
+}
+
+/// Insert `rec` into `tree` and into a mirror of it by the rebuild path;
+/// the first difference is the error.
+fn insert_both_ways<R: Record>(tree: &mut RTree<R, Pager>, rec: R, now: f64) -> Result<(), String> {
+    let mut mirror = Mirror::of(tree);
+    let before = tree.level_counters().snapshot();
+    let height = u64::from(tree.height());
+
+    let report = tree.insert(rec, now);
+    let expected = mirror.insert(rec, now);
+
+    if report != expected {
+        return Err(format!(
+            "reports differ: {report:?} vs rebuilt {expected:?}"
+        ));
+    }
+    let (root, tree_height, _) = tree.metadata();
+    if (root, tree_height) != (mirror.root, mirror.height) {
+        return Err(format!(
+            "root/height {root}/{tree_height} vs rebuilt {}/{}",
+            mirror.root, mirror.height
+        ));
+    }
+    let delta = tree.level_counters().snapshot() - before;
+    if (delta.total_reads(), delta.total_writes()) != (mirror.reads, mirror.writes) {
+        return Err(format!(
+            "node I/O {}r/{}w vs rebuilt {}r/{}w",
+            delta.total_reads(),
+            delta.total_writes(),
+            mirror.reads,
+            mirror.writes
+        ));
+    }
+    if matches!(report.notify, Inserted::Record(_))
+        && (delta.total_reads(), delta.total_writes()) != (height, height)
+    {
+        return Err(format!(
+            "a no-split insert read {} and wrote {} nodes in a tree of height {height}",
+            delta.total_reads(),
+            delta.total_writes()
+        ));
+    }
+    let store = tree.store();
+    if store.free_list() != mirror.store.free_list() {
+        return Err("allocator free lists differ".into());
+    }
+    let pages = store.live_page_ids();
+    if pages != mirror.store.live_page_ids() {
+        return Err("live page sets differ".into());
+    }
+    for page in pages {
+        // Whole pages, stale tails included: a write of the wrong length
+        // shows even where the used prefix agrees.
+        if store.read_page(page)[..] != mirror.store.read_page(page)[..] {
+            return Err(format!("page {page} differs from the rebuilt page"));
+        }
+    }
+    Ok(())
+}
+
+/// Run `sc` over records built by `make(oid, raw)`: every insert goes
+/// both ways, and (`validates`) every op leaves a tree that validates.
+pub fn run<R: Record>(
+    sc: &Scenario,
+    make: impl Fn(u32, &Raw) -> R,
+    validates: bool,
+) -> Result<(), String> {
+    let config = RTreeConfig {
+        split_policy: sc.policy,
+        ..RTreeConfig::default()
+    };
+    let mut live: Vec<R> = sc
+        .bulk
+        .iter()
+        .enumerate()
+        .map(|(i, r)| make(i as u32, r))
+        .collect();
+    let mut tree = bulk_load(Pager::with_page_size(sc.page_size), config, live.clone());
+    let mut next_oid = live.len() as u32;
+    for (step, op) in sc.ops.iter().enumerate() {
+        let now = step as f64;
+        match op {
+            Op::Insert(r) => {
+                let rec = make(next_oid, r);
+                next_oid += 1;
+                insert_both_ways(&mut tree, rec, now).map_err(|e| format!("op {step}: {e}"))?;
+                live.push(rec);
+            }
+            Op::Delete(i) if !live.is_empty() => {
+                let rec = live.swap_remove(i % live.len());
+                if !tree.delete(&rec, now) {
+                    return Err(format!("op {step}: live record {rec:?} not found"));
+                }
+            }
+            Op::Delete(_) => {}
+        }
+        if validates {
+            tree.validate().map_err(|e| format!("op {step}: {e}"))?;
+        }
+    }
+    Ok(())
+}

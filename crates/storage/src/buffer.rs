@@ -373,7 +373,7 @@ mod tests {
         p.clear(); // start cold
         let before = p.io();
         for _ in 0..10 {
-            assert_eq!(p.read(id)[0], 7);
+            assert_eq!(p.read_page(id)[0], 7);
         }
         let delta = p.io() - before;
         assert_eq!(delta.reads, 1); // only the first read hits the disk
@@ -394,15 +394,15 @@ mod tests {
         }
         p.flush();
         p.clear();
-        p.read(a); // resident: [a]
-        p.read(b); // resident: [b, a]
-        p.read(a); // touch a:  [a, b]
-        p.read(c); // evicts b: [c, a]
+        p.read_page(a); // resident: [a]
+        p.read_page(b); // resident: [b, a]
+        p.read_page(a); // touch a:  [a, b]
+        p.read_page(c); // evicts b: [c, a]
         let before = p.io();
-        p.read(a); // hit
-        p.read(c); // hit
+        p.read_page(a); // hit
+        p.read_page(c); // hit
         assert_eq!((p.io() - before).reads, 0);
-        p.read(b); // miss — was evicted
+        p.read_page(b); // miss — was evicted
         assert_eq!((p.io() - before).reads, 1);
         assert!(p.cache_stats().evictions >= 1);
     }
@@ -413,9 +413,9 @@ mod tests {
         let a = p.alloc();
         let b = p.alloc();
         p.write(a, &[42]); // dirty, resident
-        p.read(b); // evicts a ⇒ must flush
+        p.read_page(b); // evicts a ⇒ must flush
         // Bypass the pool: the underlying pager must have the new bytes.
-        assert_eq!(p.inner().read(a)[0], 42);
+        assert_eq!(p.inner().read_page(a)[0], 42);
     }
 
     #[test]
@@ -427,7 +427,7 @@ mod tests {
         }
         p.flush();
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(p.inner().read(*id)[0], i as u8 + 1);
+            assert_eq!(p.inner().read_page(*id)[0], i as u8 + 1);
         }
     }
 
@@ -440,7 +440,7 @@ mod tests {
         let b = p.alloc(); // recycles the id
         assert_eq!(b, a);
         // Cached frame from the old life must not leak into the new page.
-        assert_eq!(p.read(b), vec![0u8; 32]);
+        assert_eq!(*p.read_page(b), [0u8; 32]);
     }
 
     #[test]
@@ -448,7 +448,7 @@ mod tests {
         let p = pool(4);
         let a = p.alloc();
         p.write(a, &[1, 2, 3]);
-        assert_eq!(&p.read(a)[..3], &[1, 2, 3]); // served before any flush
+        assert_eq!(&p.read_page(a)[..3], &[1, 2, 3]); // served before any flush
     }
 
     #[test]
@@ -458,7 +458,7 @@ mod tests {
         let p = pool(4);
         let ids: Vec<PageId> = (0..64).map(|_| p.alloc()).collect();
         for id in &ids {
-            p.read(*id);
+            p.read_page(*id);
             assert!(
                 p.resident_frames() <= 4,
                 "resident {} frames > capacity 4",
@@ -477,9 +477,9 @@ mod tests {
         let b = p.alloc();
         p.write(a, &[5]);
         let snap = p.read_page(a);
-        p.read(b); // evicts `a` while `snap` is outstanding
+        p.read_page(b); // evicts `a` while `snap` is outstanding
         p.write(a, &[6]); // rewrites `a` behind the snapshot
         assert_eq!(snap[0], 5); // snapshot bytes unchanged
-        assert_eq!(p.read(a)[0], 6);
+        assert_eq!(p.read_page(a)[0], 6);
     }
 }

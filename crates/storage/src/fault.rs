@@ -666,7 +666,7 @@ mod tests {
         pool.clear();
         for round in 0..4 {
             for (i, id) in ids.iter().enumerate() {
-                assert_eq!(pool.read(*id)[0], i as u8, "round {round}");
+                assert_eq!(pool.read_page(*id)[0], i as u8, "round {round}");
             }
         }
         let fr = pool.fault_stats();
@@ -693,7 +693,7 @@ mod tests {
         pool.flush();
         pool.clear();
         for id in &ids {
-            pool.read(*id);
+            pool.read_page(*id);
         }
         assert_eq!(
             reg.counter_value("storage.retries"),

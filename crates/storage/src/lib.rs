@@ -5,8 +5,8 @@
 //! provides that substrate:
 //!
 //! * [`Pager`] — an in-memory simulated disk of fixed-size pages with a
-//!   free-list allocator and atomic I/O counters. Every [`PageStore::read`]
-//!   is one simulated disk access.
+//!   free-list allocator and atomic I/O counters. Every
+//!   [`PageStore::read_page`] is one simulated disk access.
 //! * [`BufferPool`] — an LRU page cache layered over any [`PageStore`].
 //!   The paper argues (§4) that per-session server-side buffering is not a
 //!   substitute for dynamic-query processing; the pool exists so the bench
@@ -125,13 +125,6 @@ pub trait PageStore {
             .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
     }
 
-    /// Read a page into a fresh owned buffer. Compat wrapper over
-    /// [`Self::read_page`] for callers that need `Vec<u8>` (write path,
-    /// persistence); the query engines use `read_page` directly.
-    fn read(&self, id: PageId) -> Vec<u8> {
-        self.read_page(id).to_vec()
-    }
-
     /// Write a page; `data` must not exceed [`Self::page_size`].
     fn write(&self, id: PageId, data: &[u8]);
 
@@ -166,9 +159,6 @@ impl<S: PageStore + ?Sized> PageStore for std::sync::Arc<S> {
     }
     fn read_page(&self, id: PageId) -> PageRef {
         (**self).read_page(id)
-    }
-    fn read(&self, id: PageId) -> Vec<u8> {
-        (**self).read(id)
     }
     fn write(&self, id: PageId, data: &[u8]) {
         (**self).write(id, data)

@@ -27,7 +27,7 @@ struct PagerState {
 /// An in-memory simulated disk of fixed-size pages.
 ///
 /// Pages are allocated from a free list (freed pages are recycled). Every
-/// [`PageStore::read`] and [`PageStore::write`] bumps the [`IoStats`]
+/// [`PageStore::read_page`] and [`PageStore::write`] bumps the [`IoStats`]
 /// counters — the paper's "number of disk accesses" metric is exactly
 /// `io().reads` over a query.
 ///
@@ -36,7 +36,7 @@ struct PagerState {
 /// let disk = Pager::new(); // 4 KiB pages, like the paper
 /// let page = disk.alloc();
 /// disk.write(page, b"motion data");
-/// assert_eq!(&disk.read(page)[..11], b"motion data");
+/// assert_eq!(&disk.read_page(page)[..11], b"motion data");
 /// assert_eq!(disk.io().reads, 1); // one simulated disk access
 /// ```
 pub struct Pager {
@@ -222,9 +222,9 @@ mod tests {
     fn alloc_read_write_roundtrip() {
         let p = Pager::with_page_size(64);
         let id = p.alloc();
-        assert_eq!(p.read(id), vec![0u8; 64]); // zeroed on alloc
+        assert_eq!(*p.read_page(id), [0u8; 64]); // zeroed on alloc
         p.write(id, &[1, 2, 3]);
-        let back = p.read(id);
+        let back = p.read_page(id);
         assert_eq!(&back[..3], &[1, 2, 3]);
         assert_eq!(back.len(), 64);
     }
@@ -233,8 +233,8 @@ mod tests {
     fn io_counts_every_access() {
         let p = Pager::with_page_size(32);
         let id = p.alloc();
-        p.read(id);
-        p.read(id);
+        p.read_page(id);
+        p.read_page(id);
         p.write(id, &[9]);
         let io = p.io();
         assert_eq!(io.reads, 2);
@@ -253,7 +253,7 @@ mod tests {
         assert_ne!(c, b);
         assert_eq!(p.live_pages(), 2);
         // Recycled page comes back zeroed.
-        assert_eq!(p.read(c), vec![0u8; 16]);
+        assert_eq!(*p.read_page(c), [0u8; 16]);
     }
 
     #[test]
@@ -271,7 +271,7 @@ mod tests {
         let p = Pager::with_page_size(16);
         let a = p.alloc();
         p.free(a);
-        p.read(a);
+        p.read_page(a);
     }
 
     #[test]
@@ -290,7 +290,7 @@ mod tests {
         let snap = p.read_page(a);
         p.write(a, &[9, 9, 9]); // copies on write: `snap` still shares the old buffer
         assert_eq!(&snap[..3], &[1, 2, 3]);
-        assert_eq!(&p.read(a)[..3], &[9, 9, 9]);
+        assert_eq!(&p.read_page(a)[..3], &[9, 9, 9]);
     }
 
     #[test]

@@ -297,7 +297,7 @@ mod tests {
         p.clear();
         let before = p.io();
         for _ in 0..10 {
-            assert_eq!(p.read(id)[0], 7);
+            assert_eq!(p.read_page(id)[0], 7);
         }
         assert_eq!((p.io() - before).reads, 1);
         let cs = p.cache_stats();
@@ -315,7 +315,7 @@ mod tests {
             p.write(*id, &[i as u8]);
         }
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(p.read(*id)[0], i as u8);
+            assert_eq!(p.read_page(*id)[0], i as u8);
         }
         assert!(p.cache_stats().evictions > 0);
     }
@@ -329,7 +329,7 @@ mod tests {
         }
         p.flush();
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(p.inner().read(*id)[0], i as u8 + 1);
+            assert_eq!(p.inner().read_page(*id)[0], i as u8 + 1);
         }
     }
 
@@ -341,7 +341,7 @@ mod tests {
         p.free(a);
         let b = p.alloc();
         assert_eq!(b, a);
-        assert_eq!(p.read(b), vec![0u8; 32]);
+        assert_eq!(*p.read_page(b), [0u8; 32]);
     }
 
     #[test]
@@ -351,7 +351,7 @@ mod tests {
         let p = pool(8, 4);
         let ids: Vec<PageId> = (0..128).map(|_| p.alloc()).collect();
         for id in &ids {
-            p.read(*id);
+            p.read_page(*id);
             assert!(
                 p.resident_frames() <= 8,
                 "resident {} frames > capacity 8",
@@ -433,7 +433,7 @@ mod tests {
             ids.push(p.alloc());
         }
         for id in ids.iter().step_by(16) {
-            p.read(*id);
+            p.read_page(*id);
         }
         let per_shard = p.shard_stats();
         assert_eq!(per_shard.len(), shards);
@@ -473,7 +473,7 @@ mod tests {
                     for round in 0..50 {
                         for (i, id) in ids.iter().enumerate() {
                             if (i + t + round) % 3 == 0 {
-                                assert_eq!(p.read(*id)[0], i as u8);
+                                assert_eq!(p.read_page(*id)[0], i as u8);
                             }
                         }
                     }
@@ -589,13 +589,13 @@ mod tests {
         assert_eq!(p.capacity(), 4);
         assert!(p.resident_frames() <= 4, "resident {}", p.resident_frames());
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(p.read(*id)[0], i as u8);
+            assert_eq!(p.read_page(*id)[0], i as u8);
         }
         // Grow: more pages stay resident again.
         p.resize(16);
         assert_eq!(p.capacity(), 16);
         for id in &ids {
-            p.read(*id);
+            p.read_page(*id);
         }
         assert!(p.resident_frames() > 8, "resident {}", p.resident_frames());
     }

@@ -331,8 +331,8 @@ mod tests {
 
         let q = load_pager(&buf[..]).unwrap();
         assert_eq!(q.page_size(), 64);
-        assert_eq!(&q.read(a)[..5], b"alpha");
-        assert_eq!(&q.read(c)[..5], b"gamma");
+        assert_eq!(&q.read_page(a)[..5], b"alpha");
+        assert_eq!(&q.read_page(c)[..5], b"gamma");
         assert_eq!(q.live_pages(), 2);
         // The freed id is reusable.
         let d = q.alloc();
@@ -386,7 +386,7 @@ mod tests {
         buf.extend_from_slice(payload);
         let q = load_pager(&buf[..]).unwrap();
         assert_eq!(q.live_pages(), 1);
-        assert_eq!(&q.read(PageId(2))[..payload.len()], payload);
+        assert_eq!(&q.read_page(PageId(2))[..payload.len()], payload);
         assert_eq!(q.free_list(), vec![0, 1], "gaps re-freed ascending");
     }
 
@@ -410,7 +410,7 @@ mod tests {
         let mut buf = Vec::new();
         save_pager(&pool, &mut buf).unwrap();
         let q = load_pager(&buf[..]).unwrap();
-        assert_eq!(&q.read(a)[..6], b"pooled");
+        assert_eq!(&q.read_page(a)[..6], b"pooled");
     }
 
     /// A small valid snapshot with one page, for mutation tests.

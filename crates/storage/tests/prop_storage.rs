@@ -50,7 +50,7 @@ proptest! {
                 Op::Read(i) => {
                     if raw_pages.is_empty() { continue; }
                     let i = i % raw_pages.len();
-                    prop_assert_eq!(raw.read(raw_pages[i]), pool.read(pool_pages[i]));
+                    prop_assert_eq!(&raw.read_page(raw_pages[i])[..], &pool.read_page(pool_pages[i])[..]);
                 }
                 Op::Free(i) => {
                     if raw_pages.is_empty() { continue; }
@@ -62,12 +62,12 @@ proptest! {
         }
         // Final sweep: every live page identical through both paths.
         for (r, p) in raw_pages.iter().zip(&pool_pages) {
-            prop_assert_eq!(raw.read(*r), pool.read(*p));
+            prop_assert_eq!(&raw.read_page(*r)[..], &pool.read_page(*p)[..]);
         }
         // Flush and compare against the pool's *underlying* pager too.
         pool.flush();
         for p in &pool_pages {
-            prop_assert_eq!(pool.read(*p), pool.inner().read(*p));
+            prop_assert_eq!(&pool.read_page(*p)[..], &pool.inner().read_page(*p)[..]);
         }
     }
 
@@ -105,7 +105,7 @@ proptest! {
         pool.clear();
         for _round in 0..4 {
             for p in &pages {
-                pool.read(*p);
+                pool.read_page(*p);
             }
         }
         let cs = pool.cache_stats();

@@ -8,14 +8,20 @@
 # --bench-smoke additionally runs the read_path microbench at a tiny
 # size; the bench exits non-zero if the zero-copy view traversal copies
 # at least as many bytes as the decode traversal, so a read-path
-# regression fails the check. The wrapper then enforces two ratio
-# floors from the smoke figures — optimistic-vs-locked contended reads
-# and batched-vs-scalar overlap geometry must both stay >= 1.0x
-# (ratios are machine-portable where absolute throughputs are not), so
-# a regression that makes the optimistic read path slower than the
-# lock it replaced, or the SoA kernel slower than the scalar loop it
-# replaced, fails the check. The smoke output goes to target/figures/
-# and never clobbers the committed BENCH_read_path.json baseline.
+# regression fails the check. The wrapper then enforces three ratio
+# floors from the smoke figures — optimistic-vs-locked contended reads,
+# batched-vs-scalar overlap geometry and patched-vs-rebuilt inserts
+# must all stay >= 1.0x (ratios are machine-portable where absolute
+# throughputs are not), so a regression that makes the optimistic read
+# path slower than the lock it replaced, the SoA kernel slower than
+# the scalar loop it replaced, or the page-editing insert slower than
+# the node rebuild it replaced, fails the check. The smoke output goes
+# to target/figures/ and never clobbers the committed
+# BENCH_read_path.json baseline. It then runs benchmarks/smoke.sh:
+# dqbench is a package of its own, outside the workspace, so nothing
+# above builds it — this is the step that fails when a PageStore or
+# RTree signature changes under the benchmark the pipeline scores with
+# (every workload at 1/20 size, schema and correctness, no timing).
 #
 # --obs-smoke runs the observability reconciliation end to end: a small
 # exp_service sweep (whose hard asserts check tree level counters ==
@@ -118,6 +124,7 @@ def ratio(label):
 for label, what in [
     ("optimistic/locked", "optimistic reads vs the per-frame read lock"),
     ("batched/scalar", "SoA overlap kernel vs the scalar loop"),
+    ("patched/rebuilt", "page-editing insert vs the node rebuild"),
 ]:
     r = ratio(label)
     if r < 1.0:
@@ -125,6 +132,8 @@ for label, what in [
                  f"{what} regressed")
     print(f"OK: {label} speedup {r:.2f}x (floor 1.0x).")
 PY
+  benchmarks/smoke.sh > target/figures/dqbench_smoke.txt
+  echo "OK: dqbench builds against the workspace crates and its smoke run is correct on every workload."
 fi
 
 if [ "$OBS_SMOKE" = 1 ]; then
