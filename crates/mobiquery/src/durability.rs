@@ -3,24 +3,20 @@
 //! The serving write path applies one insert batch per frame, which gives
 //! durability a natural group-commit unit: the writer appends each
 //! frame's whole batch as **one** checksummed [`storage::Wal`] record
-//! *before* any tree page is written, and periodically checkpoints the
-//! tree (reusing the [`storage::save_pager`] snapshot format), truncating
-//! the WAL at the checkpoint. Recovery is always *last checkpoint +
-//! replay of every complete WAL record*, stopping cleanly at a torn,
-//! truncated, or checksum-failing tail — so a crash at any instant loses
-//! at most the frames whose records never became durable, and a frame
-//! whose record IS durable survives even if the crash hit between the
-//! WAL append and the tree write.
+//! *before* any tree page is written, and periodically installs a
+//! checkpoint, truncating the WAL at it. Recovery is always *last
+//! checkpoint + replay of every complete WAL record*, stopping cleanly
+//! at a torn, truncated, or checksum-failing tail — so a crash at any
+//! instant loses at most the frames whose records never became durable,
+//! and a frame whose record IS durable survives even if the crash hit
+//! between the WAL append and the tree write.
 //!
 //! The *ordering* between commit and apply is carried by the per-region
 //! [`crate::FrameClock`]s: the durability thread commits frame `k` and
 //! then advances every region clock's `committed` watermark past `k`,
 //! and each region writer's `wait_committed(k)` refuses to apply a
 //! non-empty slice before the watermark covers it — append
-//! happens-before apply, per frame, with no global barrier. Checkpoints
-//! are taken only after every clock's `applied` watermark covers the
-//! frame (a quiescent boundary), so a snapshot never observes a
-//! half-applied frame.
+//! happens-before apply, per frame, with no global barrier.
 //!
 //! Two checkpoint shapes share one log:
 //!
@@ -28,26 +24,49 @@
 //!   its page store bit-exactly (snapshot v3 keeps the allocator's free
 //!   list, so replaying the WAL onto the reloaded pager allocates the
 //!   same page ids the live tree would have — recovery is *bit-identical*
-//!   to a fault-free tree that applied the same committed prefix).
+//!   to a fault-free tree that applied the same committed prefix). It
+//!   reads the tree, so its writer takes it at a frame boundary.
 //! * [`Checkpoint::Logical`] — the [`crate::PartitionedDqServer`] has one
-//!   shared WAL over many region trees; its checkpoint is the
-//!   deduplicated record set, and recovery rebuilds the regions through
+//!   shared WAL over many region trees; its checkpoint is a record set,
+//!   and recovery rebuilds the regions through
 //!   [`crate::PartitionedDqServer::build`] (result-equivalent, not
 //!   bit-identical — region trees have no single page image).
 //!
+//! A logical checkpoint is built from the trees exactly once: the
+//! initial one, which captures whatever was preloaded before the log
+//! saw a commit ([`DurableLog::checkpoint_logical`]). Every later one is
+//! a *fold* of the log into it ([`DurableLog::fold_checkpoint`]).
+//! Durable serving is insert-only and single-epoch — no delete, no live
+//! recut — so the record set after commit `n` is the record set at the
+//! previous watermark plus the batches of the WAL records past it:
+//! *checkpoint N+1 = checkpoint N ∪ WAL tail*. The fold appends the
+//! tail's record bytes to the installed checkpoint, advances its
+//! watermark and truncates the WAL — work proportional to what was
+//! committed since the last checkpoint, not to the index. It never
+//! reads a tree, so it needs no quiescent frame boundary and holds back
+//! no writer; and it persists what was *committed*, not what some tree
+//! absorbed, so a region writer that failed mid-run costs it nothing.
+//!
+//! [`DurableLog::commit_frame`], every checkpoint install and
+//! [`DurableLog::durable_image`] serialize on one state lock, so a
+//! captured image is always (checkpoint at watermark `w`, WAL holding
+//! exactly the commits past `w`): no record is lost between an append
+//! and a fold, none appears on both sides of the watermark.
+//!
 //! Checkpoint failure is *safe*: the WAL is only truncated after the new
-//! checkpoint is installed, so a failed snapshot leaves the previous
-//! checkpoint plus the full (longer) WAL — still a complete recovery
-//! story, just a slower one. The failure is counted in
-//! [`DurableStats::checkpoint_failures`].
+//! checkpoint is installed, so a failed snapshot — or a fold that finds
+//! the live log damaged — leaves the previous checkpoint plus the full
+//! (longer) WAL: still a complete recovery story, just a slower one.
+//! The failure is counted in [`DurableStats::checkpoint_failures`].
 
 use parking_lot::Mutex;
 use rtree::{NsiSegmentRecord, RTree, RTreeConfig, Record};
 use std::io;
 use std::sync::Arc;
+use std::time::Instant;
 use storage::{
-    load_pager, replay_wal, save_pager, PageId, PageStore, Pager, SnapshotSource, StorageError,
-    Wal, WalError, WalStats, WalTail, WAL_RECORD_OVERHEAD,
+    load_pager, replay_wal, save_pager, scan_wal, PageId, PageStore, Pager, SnapshotSource,
+    StorageError, Wal, WalError, WalStats, WalTail, WAL_RECORD_OVERHEAD,
 };
 
 /// The durable state the single-tree server checkpoints: a byte-exact
@@ -68,8 +87,10 @@ pub struct TreeCheckpoint {
     pub wal_seq: u64,
 }
 
-/// The durable state the partitioned server checkpoints: the deduplicated
-/// record set (seam replicas collapsed), encoded with the WAL batch codec.
+/// The durable state the partitioned server checkpoints: the record set
+/// as of the watermark — the preloaded records (seam replicas collapsed,
+/// in id order) followed by every committed batch folded in since, in
+/// commit order — encoded with the WAL batch codec.
 #[derive(Clone, Debug)]
 pub struct LogicalCheckpoint {
     /// `count u32 ‖ [record bytes]*` — records only; rebuild inserts each
@@ -87,7 +108,7 @@ pub struct LogicalCheckpoint {
 pub enum Checkpoint {
     /// Byte-exact page snapshot (single-tree server).
     Tree(TreeCheckpoint),
-    /// Deduplicated record set (partitioned server).
+    /// Record set as of the watermark (partitioned server).
     Logical(LogicalCheckpoint),
 }
 
@@ -122,6 +143,9 @@ pub struct DurableStats {
     pub checkpoints: u64,
     /// Checkpoints that failed (WAL kept, previous checkpoint retained).
     pub checkpoint_failures: u64,
+    /// Records persisted by logical checkpoints: the initial record set
+    /// plus every delta folded out of the WAL since.
+    pub checkpoint_records: u64,
 }
 
 struct LogState {
@@ -129,6 +153,35 @@ struct LogState {
     commits_since_checkpoint: u64,
     checkpoints: u64,
     checkpoint_failures: u64,
+    checkpoint_records: u64,
+    /// [`DurableLog::commit_frame`]'s encode buffer, reused across frames.
+    payload: Vec<u8>,
+    metrics: Option<CheckpointMetrics>,
+}
+
+struct CheckpointMetrics {
+    checkpoint_ns: Arc<obs::Histogram>,
+    checkpoint_records: Arc<obs::Counter>,
+}
+
+impl LogState {
+    /// Bookkeeping of a checkpoint just installed at `wal_seq` (the
+    /// caller, holding the state lock, has replaced `self.checkpoint` and
+    /// truncated the WAL): `persisted` is its [`obs::TraceEvent`] size,
+    /// `records` what it adds to [`DurableStats::checkpoint_records`].
+    fn installed(&mut self, wal_seq: u64, persisted: u32, records: u64, started: Instant) {
+        self.commits_since_checkpoint = 0;
+        self.checkpoints += 1;
+        self.checkpoint_records += records;
+        if let Some(m) = &self.metrics {
+            m.checkpoint_ns.record(started.elapsed().as_nanos() as u64);
+            m.checkpoint_records.add(records);
+        }
+        obs::trace(obs::TraceEvent::Checkpoint {
+            seq: wal_seq,
+            persisted,
+        });
+    }
 }
 
 /// The write path's durability state: one WAL plus the last checkpoint.
@@ -155,14 +208,24 @@ impl DurableLog {
                 commits_since_checkpoint: 0,
                 checkpoints: 0,
                 checkpoint_failures: 0,
+                checkpoint_records: 0,
+                payload: Vec::new(),
+                metrics: None,
             }),
         }
     }
 
-    /// Mirror WAL commit counters into `registry` (`wal.appends`,
-    /// `wal.group_commit_ns`).
+    /// Mirror the log's counters into `registry`: the WAL's
+    /// `wal.appends` / `wal.group_commit_ns`, plus per installed
+    /// checkpoint its wall time in the `wal.checkpoint_ns` histogram and
+    /// the records it persisted in `wal.checkpoint_records` — a
+    /// checkpoint stall shows in the registry without a traced run.
     pub fn attach_metrics(&self, registry: &obs::MetricsRegistry) {
         self.wal.attach_metrics(registry);
+        self.state.lock().metrics = Some(CheckpointMetrics {
+            checkpoint_ns: registry.histogram("wal.checkpoint_ns"),
+            checkpoint_records: registry.counter("wal.checkpoint_records"),
+        });
     }
 
     /// Group-commit one frame's batch as a single WAL record, *before*
@@ -173,12 +236,15 @@ impl DurableLog {
         frame: u64,
         batch: &[(NsiSegmentRecord<D>, f64)],
     ) -> u64 {
-        let payload = encode_batch(frame, batch);
-        let seq = self.wal.commit(&payload);
-        self.state.lock().commits_since_checkpoint += 1;
+        // Under the state lock, so an append never lands between a
+        // checkpoint's read of the log and its truncation.
+        let mut st = self.state.lock();
+        encode_batch(frame, batch, &mut st.payload);
+        let seq = self.wal.commit(&st.payload);
+        st.commits_since_checkpoint += 1;
         obs::trace(obs::TraceEvent::WalCommit {
             seq,
-            bytes: (WAL_RECORD_OVERHEAD + payload.len()) as u32,
+            bytes: (WAL_RECORD_OVERHEAD + st.payload.len()) as u32,
         });
         seq
     }
@@ -205,6 +271,7 @@ impl DurableLog {
         &self,
         tree: &RTree<NsiSegmentRecord<D>, Arc<S>>,
     ) -> io::Result<()> {
+        let started = Instant::now();
         let mut snapshot = Vec::new();
         if let Err(e) = save_pager(tree.store(), &mut snapshot) {
             self.state.lock().checkpoint_failures += 1;
@@ -212,22 +279,27 @@ impl DurableLog {
         }
         let pages = u32::from_le_bytes(snapshot[12..16].try_into().unwrap());
         let (root, height, len) = tree.metadata();
-        self.install(pages, |wal_seq| {
-            Checkpoint::Tree(TreeCheckpoint {
-                snapshot,
-                root,
-                height,
-                len,
-                wal_seq,
-            })
-        });
+        let mut st = self.state.lock();
+        let wal_seq = self.wal.truncate_for_checkpoint();
+        st.checkpoint = Some(Checkpoint::Tree(TreeCheckpoint {
+            snapshot,
+            root,
+            height,
+            len,
+            wal_seq,
+        }));
+        st.installed(wal_seq, pages, 0, started);
         Ok(())
     }
 
-    /// Checkpoint a deduplicated record set (partitioned server), then
-    /// truncate the WAL. Encoding into memory cannot fail, so neither can
-    /// this.
+    /// Install `records` as the logical checkpoint — the base every
+    /// later [`Self::fold_checkpoint`] extends — and truncate the WAL:
+    /// the caller vouches that `records` already holds every batch the
+    /// log has committed. The partitioned server calls this once, for
+    /// the preloaded state, before its first commit. Encoding into
+    /// memory cannot fail, so neither can this.
     pub fn checkpoint_logical<const D: usize>(&self, records: &[NsiSegmentRecord<D>]) {
+        let started = Instant::now();
         let rec_len = <NsiSegmentRecord<D> as Record>::ENCODED_LEN;
         let mut buf = Vec::with_capacity(4 + records.len() * rec_len);
         buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
@@ -235,30 +307,47 @@ impl DurableLog {
             rec.encode(&mut buf);
         }
         let count = records.len() as u32;
-        self.install(count, |wal_seq| {
-            Checkpoint::Logical(LogicalCheckpoint {
-                records: buf,
-                count,
-                wal_seq,
-            })
-        });
+        let mut st = self.state.lock();
+        let wal_seq = self.wal.truncate_for_checkpoint();
+        st.checkpoint = Some(Checkpoint::Logical(LogicalCheckpoint {
+            records: buf,
+            count,
+            wal_seq,
+        }));
+        st.installed(wal_seq, count, u64::from(count), started);
     }
 
-    /// Install a built checkpoint and truncate the WAL under one state
-    /// lock, so a concurrent [`Self::durable_image`] capture sees either
-    /// (old checkpoint, full WAL) or (new checkpoint, truncated WAL) —
-    /// never a truncated WAL with the old checkpoint.
-    fn install(&self, pages: u32, make: impl FnOnce(u64) -> Checkpoint) {
+    /// Checkpoint by folding the log into the installed logical
+    /// checkpoint: append the records of every WAL frame past its
+    /// watermark, advance the watermark, truncate the WAL. Returns the
+    /// records folded. Costs what was committed since the last
+    /// checkpoint, reads no tree, and is atomic with respect to
+    /// [`Self::commit_frame`] and [`Self::durable_image`].
+    ///
+    /// Sound because durable partitioned serving only ever *adds*
+    /// records (see the module doc); the log is verified exactly as
+    /// recovery would verify it, and on any error — no logical
+    /// checkpoint to extend, or a live log that does not scan clean —
+    /// nothing is installed and nothing truncated.
+    pub fn fold_checkpoint<const D: usize>(&self) -> Result<u64, RecoverError> {
+        let started = Instant::now();
         let mut st = self.state.lock();
-        let wal_seq = self.wal.next_seq() - 1;
-        st.checkpoint = Some(make(wal_seq));
-        self.wal.truncate_for_checkpoint();
-        st.commits_since_checkpoint = 0;
-        st.checkpoints += 1;
-        obs::trace(obs::TraceEvent::Checkpoint {
-            seq: wal_seq,
-            pages,
-        });
+        let folded = match &mut st.checkpoint {
+            Some(Checkpoint::Logical(cp)) => self.wal.with_image(|wal| fold_tail::<D>(cp, wal)),
+            Some(Checkpoint::Tree(_)) => Err(RecoverError::WrongCheckpointKind),
+            None => Err(RecoverError::NoCheckpoint),
+        };
+        match folded {
+            Ok(records) => {
+                let wal_seq = self.wal.truncate_for_checkpoint();
+                st.installed(wal_seq, records as u32, records, started);
+                Ok(records)
+            }
+            Err(e) => {
+                st.checkpoint_failures += 1;
+                Err(e)
+            }
+        }
     }
 
     /// Capture the durable state as of now (what a crash at this instant
@@ -278,6 +367,7 @@ impl DurableLog {
             wal: self.wal.stats(),
             checkpoints: st.checkpoints,
             checkpoint_failures: st.checkpoint_failures,
+            checkpoint_records: st.checkpoint_records,
         }
     }
 }
@@ -302,8 +392,10 @@ impl RecoveryReport {
     }
 }
 
-/// Why recovery could not produce a tree. A damaged WAL *tail* is not an
-/// error (replay stops at the last complete record and reports it in
+/// Why recovery could not produce a tree — or, for
+/// [`DurableLog::fold_checkpoint`], which replays the same log early, why
+/// no checkpoint was installed. A damaged WAL *tail* is not an error for
+/// recovery (replay stops at the last complete record and reports it in
 /// [`RecoveryReport::tail`]); these are the states with no recovery story
 /// at all.
 #[derive(Debug)]
@@ -324,6 +416,10 @@ pub enum RecoverError {
     Codec(String),
     /// Re-applying a committed record to the recovered store failed.
     Apply(StorageError),
+    /// The *live* log did not scan clean to its end. Folding it would
+    /// seal the damage into the checkpoint and truncate the evidence, so
+    /// the fold refuses.
+    DamagedLog(WalTail),
 }
 
 impl std::fmt::Display for RecoverError {
@@ -337,6 +433,7 @@ impl std::fmt::Display for RecoverError {
             RecoverError::Snapshot(e) => write!(f, "checkpoint snapshot failed to load: {e}"),
             RecoverError::Codec(msg) => write!(f, "malformed WAL batch payload: {msg}"),
             RecoverError::Apply(e) => write!(f, "replay insert failed: {e}"),
+            RecoverError::DamagedLog(tail) => write!(f, "live WAL is damaged: {tail:?}"),
         }
     }
 }
@@ -395,8 +492,8 @@ impl DurableImage {
     }
 
     /// Recover the partitioned server's durable state: the checkpoint's
-    /// deduplicated record set plus every complete committed frame past
-    /// the watermark, in commit order. The caller rebuilds region trees
+    /// record set plus every complete committed frame past the
+    /// watermark, in commit order. The caller rebuilds region trees
     /// from the base set (via [`crate::PartitionedDqServer::build`]) and
     /// re-applies the frames through routing.
     #[allow(clippy::type_complexity)]
@@ -483,43 +580,109 @@ fn entry_len<const D: usize>() -> usize {
     <NsiSegmentRecord<D> as Record>::ENCODED_LEN + 8
 }
 
-/// WAL batch payload: `frame u64 ‖ count u32 ‖ [record bytes ‖ now f64]*`.
-fn encode_batch<const D: usize>(frame: u64, batch: &[(NsiSegmentRecord<D>, f64)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(12 + batch.len() * entry_len::<D>());
+/// WAL batch payload: `frame u64 ‖ count u32 ‖ [record bytes ‖ now f64]*`,
+/// written over `buf`.
+fn encode_batch<const D: usize>(
+    frame: u64,
+    batch: &[(NsiSegmentRecord<D>, f64)],
+    buf: &mut Vec<u8>,
+) {
+    buf.clear();
+    buf.reserve(12 + batch.len() * entry_len::<D>());
     buf.extend_from_slice(&frame.to_le_bytes());
     buf.extend_from_slice(&(batch.len() as u32).to_le_bytes());
     for (rec, now) in batch {
-        rec.encode(&mut buf);
+        rec.encode(buf);
         buf.extend_from_slice(&now.to_le_bytes());
     }
-    buf
 }
 
-fn decode_batch<const D: usize>(
-    payload: &[u8],
-) -> Result<(u64, Vec<(NsiSegmentRecord<D>, f64)>), String> {
+/// Check a WAL batch payload's framing; returns its frame and the
+/// `count × entry_len` entry bytes.
+fn batch_entries<const D: usize>(payload: &[u8]) -> Result<(u64, &[u8]), String> {
     if payload.len() < 12 {
         return Err(format!("batch payload too short: {} bytes", payload.len()));
     }
     let frame = u64::from_le_bytes(payload[0..8].try_into().unwrap());
     let count = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-    let entry = entry_len::<D>();
-    if payload.len() != 12 + count * entry {
+    if payload.len() != 12 + count * entry_len::<D>() {
         return Err(format!(
             "batch payload length {} does not match {count} records",
             payload.len()
         ));
     }
+    Ok((frame, &payload[12..]))
+}
+
+fn decode_batch<const D: usize>(
+    payload: &[u8],
+) -> Result<(u64, Vec<(NsiSegmentRecord<D>, f64)>), String> {
+    let (frame, entries) = batch_entries::<D>(payload)?;
     let rec_len = <NsiSegmentRecord<D> as Record>::ENCODED_LEN;
-    let mut batch = Vec::with_capacity(count);
-    let mut off = 12;
-    for _ in 0..count {
-        let rec = <NsiSegmentRecord<D> as Record>::decode(&payload[off..off + rec_len]);
-        let now = f64::from_le_bytes(payload[off + rec_len..off + entry].try_into().unwrap());
-        batch.push((rec, now));
-        off += entry;
-    }
+    let batch = entries
+        .chunks_exact(entry_len::<D>())
+        .map(|e| {
+            let rec = <NsiSegmentRecord<D> as Record>::decode(&e[..rec_len]);
+            (rec, f64::from_le_bytes(e[rec_len..].try_into().unwrap()))
+        })
+        .collect();
     Ok((frame, batch))
+}
+
+/// The body of [`DurableLog::fold_checkpoint`]: append to `cp` the record
+/// bytes of every batch in `wal` past `cp.wal_seq`, fix up its count and
+/// advance its watermark to the last record folded. All or nothing — on
+/// any error `cp` is left as it was.
+fn fold_tail<const D: usize>(cp: &mut LogicalCheckpoint, wal: &[u8]) -> Result<u64, RecoverError> {
+    let rec_len = <NsiSegmentRecord<D> as Record>::ENCODED_LEN;
+    let base_len = cp.records.len();
+    if base_len != 4 + cp.count as usize * rec_len {
+        return Err(RecoverError::Codec(format!(
+            "record set length {base_len} does not match {} records",
+            cp.count
+        )));
+    }
+    let (mut watermark, records) = (cp.wal_seq, &mut cp.records);
+    let mut malformed = None;
+    let scanned = scan_wal(wal, |seq, payload| {
+        // Same exactly-once filter recovery applies.
+        if seq <= watermark || malformed.is_some() {
+            return;
+        }
+        match batch_entries::<D>(payload) {
+            Ok((_, entries)) => {
+                for e in entries.chunks_exact(entry_len::<D>()) {
+                    records.extend_from_slice(&e[..rec_len]);
+                }
+                watermark = seq;
+            }
+            Err(msg) => malformed = Some(msg),
+        }
+    });
+    let folded = ((records.len() - base_len) / rec_len) as u64;
+    let count = match (scanned, malformed) {
+        (Err(e), _) => Err(RecoverError::Wal(e)),
+        (Ok(_), Some(msg)) => Err(RecoverError::Codec(msg)),
+        (Ok(tail), None) if !tail.is_clean() => Err(RecoverError::DamagedLog(tail)),
+        (Ok(_), None) => u32::try_from(u64::from(cp.count) + folded).map_err(|_| {
+            RecoverError::Codec(format!(
+                "{folded} more records overflow a record set of {}",
+                cp.count
+            ))
+        }),
+    };
+    match count {
+        Ok(count) => {
+            cp.count = count;
+            cp.records[..4].copy_from_slice(&count.to_le_bytes());
+            cp.wal_seq = watermark;
+            Ok(folded)
+        }
+        Err(e) => {
+            cp.records.truncate(base_len);
+            Err(e)
+        }
+    }
 }
 
 /// Logical checkpoint body: `count u32 ‖ [record bytes]*`.
@@ -568,12 +731,15 @@ mod tests {
     #[test]
     fn batch_codec_roundtrip() {
         let batch: Vec<(R, f64)> = (0..5).map(|i| (rec(i, f64::from(i), 0.25), 0.25)).collect();
-        let payload = encode_batch(7, &batch);
+        let mut payload = Vec::new();
+        encode_batch(7, &batch, &mut payload);
         let (frame, got) = decode_batch::<2>(&payload).unwrap();
         assert_eq!(frame, 7);
         assert_eq!(got, batch);
-        // Empty batches are legal group commits.
-        let (frame, got) = decode_batch::<2>(&encode_batch::<2>(9, &[])).unwrap();
+        // Empty batches are legal group commits; the buffer is reused.
+        let mut empty = payload.clone();
+        encode_batch::<2>(9, &[], &mut empty);
+        let (frame, got) = decode_batch::<2>(&empty).unwrap();
         assert_eq!((frame, got.len()), (9, 0));
         // Truncated and padded payloads are typed errors, not panics.
         assert!(decode_batch::<2>(&payload[..payload.len() - 1]).is_err());
@@ -685,6 +851,180 @@ mod tests {
         assert_eq!(report.replayed_frames, 1);
         assert_eq!(report.replayed_records, 2);
         assert!(report.tail.is_clean());
+    }
+
+    /// Every record recovery would hand back — base then replayed
+    /// frames — by oid.
+    fn recovered_oids(image: &DurableImage) -> (Vec<u32>, RecoveryReport) {
+        let (base, frames, report) = image.recover_records::<2>().unwrap();
+        let replayed = frames
+            .iter()
+            .flat_map(|(_, b)| b.iter().map(|(r, _)| r.oid));
+        (base.iter().map(|r| r.oid).chain(replayed).collect(), report)
+    }
+
+    #[test]
+    fn fold_moves_the_wal_tail_into_the_checkpoint() {
+        let base: Vec<R> = (0..6).map(|i| rec(i, f64::from(i), 0.0)).collect();
+        let log = DurableLog::new(2);
+        let registry = obs::MetricsRegistry::new();
+        log.attach_metrics(&registry);
+        log.checkpoint_logical(&base);
+        for k in 0..2u32 {
+            let batch: Vec<(R, f64)> = (0..3)
+                .map(|j| (rec(100 + k * 3 + j, 0.5, 1.0), 1.0))
+                .collect();
+            log.commit_frame(u64::from(k), &batch);
+        }
+        let before = log.durable_image();
+        assert!(log.due_for_checkpoint());
+        assert_eq!(log.fold_checkpoint::<2>().unwrap(), 6);
+        assert!(!log.due_for_checkpoint());
+
+        // Same records in the same order; they only changed sides.
+        let after = log.durable_image();
+        let (want, replayed_before) = recovered_oids(&before);
+        let (got, replayed_after) = recovered_oids(&after);
+        assert_eq!(got, want);
+        assert_eq!(replayed_before.replayed_records, 6);
+        assert_eq!(replayed_after.replayed_records, 0);
+        let Some(Checkpoint::Logical(cp)) = &after.checkpoint else {
+            panic!("fold keeps the logical checkpoint");
+        };
+        assert_eq!((cp.count, cp.wal_seq), (12, 2));
+        assert_eq!(after.wal.len(), 8, "WAL truncated to its header");
+
+        // An empty tail folds to the same checkpoint; the next commit
+        // replays alone (seq continuity across the fold).
+        assert_eq!(log.fold_checkpoint::<2>().unwrap(), 0);
+        log.commit_frame(2, &[(rec(200, 0.5, 2.0), 2.0)]);
+        let (got, report) = recovered_oids(&log.durable_image());
+        assert_eq!(got.len(), 13);
+        assert_eq!(report.replayed_records, 1);
+
+        let stats = log.stats();
+        assert_eq!(stats.checkpoints, 3);
+        assert_eq!(stats.checkpoint_records, 12);
+        assert_eq!(stats.wal.truncations, 3);
+        assert_eq!(registry.counter_value("wal.checkpoint_records"), 12);
+        assert_eq!(registry.histogram("wal.checkpoint_ns").count(), 3);
+    }
+
+    #[test]
+    fn fold_without_a_logical_base_is_refused_and_counted() {
+        let log = DurableLog::new(0);
+        log.commit_frame(0, &[(rec(1, 1.0, 0.0), 0.0)]);
+        assert!(matches!(
+            log.fold_checkpoint::<2>(),
+            Err(RecoverError::NoCheckpoint)
+        ));
+        let tree = build(&[], 256).map_store(Arc::new);
+        log.checkpoint_tree(&tree).unwrap();
+        log.commit_frame(1, &[(rec(2, 1.0, 0.0), 0.0)]);
+        assert!(matches!(
+            log.fold_checkpoint::<2>(),
+            Err(RecoverError::WrongCheckpointKind)
+        ));
+        let stats = log.stats();
+        assert_eq!((stats.checkpoints, stats.checkpoint_failures), (1, 2));
+        // The refused fold truncated nothing.
+        let (_, report) = log
+            .durable_image()
+            .recover_tree::<2>(RTreeConfig::default())
+            .unwrap();
+        assert_eq!(report.replayed_records, 1);
+    }
+
+    #[test]
+    fn fold_of_a_damaged_log_leaves_the_checkpoint_untouched() {
+        let log = DurableLog::new(0);
+        log.checkpoint_logical(&[rec(0, 0.5, 0.0)]);
+        log.commit_frame(0, &[(rec(1, 1.5, 0.0), 0.0)]);
+        log.commit_frame(1, &[(rec(2, 2.5, 0.0), 0.0)]);
+        let image = log.durable_image();
+        let Some(Checkpoint::Logical(cp)) = image.checkpoint else {
+            panic!("logical checkpoint installed above");
+        };
+        // Torn inside, and bit-flipped inside, the last record: the first
+        // record scans fine and must still not be folded.
+        let mut torn = image.wal.clone();
+        torn.truncate(torn.len() - 3);
+        let mut flipped = image.wal.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x10;
+        for wal in [torn, flipped] {
+            let mut copy = cp.clone();
+            assert!(matches!(
+                fold_tail::<2>(&mut copy, &wal),
+                Err(RecoverError::DamagedLog(_))
+            ));
+            assert_eq!((copy.records.len(), copy.count), (cp.records.len(), 1));
+        }
+        let mut copy = cp.clone();
+        assert_eq!(fold_tail::<2>(&mut copy, &image.wal).unwrap(), 2);
+        assert_eq!(decode_record_set::<2>(&copy.records).unwrap().len(), 3);
+        assert_eq!((copy.count, copy.wal_seq), (3, 2));
+        // Folding the same image again is a no-op: the watermark filters.
+        assert_eq!(fold_tail::<2>(&mut copy, &image.wal).unwrap(), 0);
+        assert_eq!((copy.count, copy.wal_seq), (3, 2));
+    }
+
+    /// A committer, a folder and a capturer share one log with no
+    /// ordering between them: every captured image must recover exactly
+    /// a prefix of the commit sequence, in order — nothing lost between a
+    /// WAL append and a fold, nothing on both sides of the watermark.
+    #[test]
+    fn concurrent_commit_fold_and_capture_always_recover_a_prefix() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const COMMITS: u32 = 20_000;
+        let log = DurableLog::new(0);
+        log.checkpoint_logical::<2>(&[]);
+        // Records `image` recovers, having checked they are commits
+        // 0..m whole and in order.
+        let prefix_len = |image: DurableImage| {
+            let (oids, report) = recovered_oids(&image);
+            assert!(report.tail.is_clean());
+            assert_eq!(oids.len() % 2, 0, "a commit is all or nothing");
+            assert!(
+                oids.iter().copied().eq(0..oids.len() as u32),
+                "image is not a prefix of the commits: {oids:?}"
+            );
+            oids.len()
+        };
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        let (captures, folds) = std::thread::scope(|scope| {
+            let folder = scope.spawn(|| {
+                start.wait();
+                let mut folds = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    log.fold_checkpoint::<2>().unwrap();
+                    folds += 1;
+                }
+                folds
+            });
+            let capturer = scope.spawn(|| {
+                start.wait();
+                let (mut captures, mut longest) = (0u64, 0);
+                while !done.load(Ordering::Acquire) {
+                    let len = prefix_len(log.durable_image());
+                    assert!(len >= longest, "a later image recovered less");
+                    longest = len;
+                    captures += 1;
+                }
+                captures
+            });
+            // Two records per commit, oids counting up across commits.
+            start.wait();
+            for k in 0..COMMITS {
+                let batch = [(rec(2 * k, 0.5, 0.0), 0.0), (rec(2 * k + 1, 0.5, 0.0), 0.0)];
+                log.commit_frame(u64::from(k), &batch);
+            }
+            done.store(true, Ordering::Release);
+            (capturer.join().unwrap(), folder.join().unwrap())
+        });
+        assert!(folds > 0 && captures > 0);
+        assert_eq!(prefix_len(log.durable_image()), 2 * COMMITS as usize);
     }
 
     #[test]

@@ -43,7 +43,8 @@
 //! invariant `committed >= applied` holds throughout, and the flow
 //! control keeps every optimistic read validation passing: region tree
 //! level reads == Σ lane disk accesses attributed to that region + that
-//! region's writer reads, exactly (non-durable runs).
+//! region's writer reads, exactly (a durable server's first run adds
+//! the base checkpoint's one scan; periodic checkpoints read no tree).
 //!
 //! ## Epoch-handoff recuts
 //!
@@ -81,10 +82,10 @@ use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
 use parking_lot::{Condvar, Mutex, RwLock};
 use rtree::{EpochStats, NsiSegmentRecord, RTree, TreeReadRetry};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use stkit::Interval;
@@ -440,7 +441,9 @@ struct RegionTally {
 
 impl RegionTally {
     /// A failed region writer (full device) stops applying; see
-    /// [`crate::service::DqServer`] — the same rule, per region.
+    /// [`crate::service::DqServer`] — the same rule, per region. The
+    /// log keeps committing and checkpointing regardless: a logical
+    /// checkpoint holds what was committed, not what a tree absorbed.
     fn failed(&self) -> bool {
         matches!(self.outcome, SessionOutcome::Failed(_))
     }
@@ -641,29 +644,26 @@ fn route_slice<const D: usize>(
     );
 }
 
-/// Every record resident across `trees`, deduplicated by `(oid, seq)`
-/// so seam replicas collapse to one copy — the shared idiom of recuts
-/// and logical checkpoints.
+/// Every record resident across `trees`, in `(oid, seq)` order and
+/// deduplicated by it so seam replicas collapse to one copy — what a
+/// recut re-routes and the base checkpoint persists.
 fn dedup_from<const D: usize, S: PageStore>(
     trees: &[RegionTree<D, S>],
-) -> BTreeMap<(u32, u32), NsiSegmentRecord<D>> {
-    let mut records = BTreeMap::new();
+) -> Vec<NsiSegmentRecord<D>> {
+    let mut records = Vec::new();
     for lock in trees {
-        lock.read().scan(|rec| {
-            records.insert(rec.ids(), *rec);
-        });
+        lock.read().scan(|rec| records.push(*rec));
     }
+    records.sort_unstable_by_key(NsiSegmentRecord::ids);
+    records.dedup_by_key(|rec| rec.ids());
     records
 }
 
 /// The grid-axis extent spanned by `records` (degenerate sets get a
 /// unit slab so `RegionGrid::recut` always has room to cut).
-fn record_bounds<const D: usize>(
-    axis: usize,
-    records: &BTreeMap<(u32, u32), NsiSegmentRecord<D>>,
-) -> Interval {
+fn record_bounds<const D: usize>(axis: usize, records: &[NsiSegmentRecord<D>]) -> Interval {
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for rec in records.values() {
+    for rec in records {
         let e = rec.seg.spatial_bbox().extent(axis);
         lo = lo.min(e.lo);
         hi = hi.max(e.hi);
@@ -681,7 +681,7 @@ fn record_bounds<const D: usize>(
 /// set, routing seam straddlers into every touching region.
 fn build_regions<const D: usize, S: PageStore>(
     grid: &RegionGrid,
-    records: &BTreeMap<(u32, u32), NsiSegmentRecord<D>>,
+    records: &[NsiSegmentRecord<D>],
     make_tree: &mut dyn FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>,
 ) -> Vec<RegionTree<D, S>> {
     let mut trees: Vec<RTree<NsiSegmentRecord<D>, S>> = (0..grid.len())
@@ -691,7 +691,7 @@ fn build_regions<const D: usize, S: PageStore>(
             t
         })
         .collect();
-    for rec in records.values() {
+    for rec in records {
         for r in grid.route_rect(&rec.seg.spatial_bbox()) {
             trees[r].insert(*rec, rec.seg.t.lo);
         }
@@ -702,13 +702,20 @@ fn build_regions<const D: usize, S: PageStore>(
         .collect()
 }
 
-/// Install a logical checkpoint of the deduplicated record set of
-/// `trees`. Callers fence the writers first (serial execution, or the
-/// committed-watermark hold in the durability loop), so the read-locked
-/// scans see a quiescent frame boundary.
+/// Install the record set resident in `trees` (seam replicas collapsed)
+/// as `log`'s logical checkpoint: the one tree scan of a durable
+/// server's life, capturing what was preloaded before the log saw a
+/// commit. Every later checkpoint folds the log instead
+/// ([`DurableLog::fold_checkpoint`]) and never comes back here.
 fn checkpoint_from<const D: usize, S: PageStore>(trees: &[RegionTree<D, S>], log: &DurableLog) {
-    let records: Vec<NsiSegmentRecord<D>> = dedup_from(trees).into_values().collect();
-    log.checkpoint_logical(&records);
+    log.checkpoint_logical(&dedup_from(trees));
+}
+
+/// Take `log`'s periodic checkpoint if its cadence says one is due;
+/// returns how many were installed (0 or 1). A refused fold is counted
+/// by the log and leaves the longer WAL in place.
+fn fold_if_due<const D: usize>(log: &DurableLog) -> u64 {
+    u64::from(log.due_for_checkpoint() && log.fold_checkpoint::<D>().is_ok())
 }
 
 /// Optimistic-read counters summed over every region's tree.
@@ -758,10 +765,10 @@ pub struct PartitionedDqServer<const D: usize, S: PageStore> {
     metrics: Option<Arc<obs::MetricsRegistry>>,
     writer_retry: RetryPolicy,
     /// When set, every frame's batch is group-committed to the WAL
-    /// before any region applies it, and *logical* checkpoints (the
-    /// deduplicated record set, not per-region page images) are
-    /// installed when due. Survives [`Self::rebalance`]: the logical
-    /// form is partition-independent.
+    /// before any region applies it, and *logical* checkpoints (a
+    /// record set, not per-region page images) are installed when due.
+    /// Survives [`Self::rebalance`]: the logical form is
+    /// partition-independent.
     durability: Option<Arc<DurableLog>>,
 }
 
@@ -821,12 +828,14 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// Make the write path durable (builder-style): each frame's whole
     /// batch is appended to `log`'s WAL as one group-committed record
     /// *before* any region writer touches a tree page (the per-region
-    /// clocks' `committed` watermark publishes exactly that fact), and
-    /// when a checkpoint falls due the deduplicated record set of every
-    /// region is installed as a [`crate::durability::Checkpoint::Logical`]
-    /// checkpoint. Recovery rebuilds via [`Self::build`] from the
-    /// checkpoint records plus the replayed frames — result-equivalent
-    /// to the crashed server, under any grid.
+    /// clocks' `committed` watermark publishes exactly that fact). The
+    /// preloaded regions are scanned once into the base
+    /// [`crate::durability::Checkpoint::Logical`] checkpoint; when a
+    /// later one falls due the log folds its own tail into that base
+    /// ([`DurableLog::fold_checkpoint`]) without reading a tree or
+    /// holding back a writer. Recovery rebuilds via [`Self::build`] from
+    /// the checkpoint records plus the replayed frames —
+    /// result-equivalent to the crashed server, under any grid.
     ///
     /// Unlike the single-tree server no `SnapshotSource` bound is
     /// needed: logical checkpoints serialize records, not pages.
@@ -910,18 +919,19 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         }
     }
 
-    /// Checkpoint the current region trees and truncate the WAL now,
-    /// regardless of the cadence counter. Returns `false` on a
-    /// non-durable server. The network front door calls this on
-    /// graceful shutdown so recovery after a drain replays zero records.
+    /// Checkpoint now, regardless of the cadence counter: fold every
+    /// commit still in the WAL into the logical checkpoint and truncate
+    /// (taking the base checkpoint first if the server never served).
+    /// Costs the commits since the last checkpoint, not the index.
+    /// Returns whether a checkpoint was installed — `false` on a
+    /// non-durable server or a refused fold. The network front door
+    /// calls this on graceful shutdown so recovery after a drain
+    /// replays zero records.
     pub fn checkpoint_now(&self) -> bool {
-        match &self.durability {
-            Some(log) => {
-                checkpoint_from(&self.regions, log);
-                true
-            }
-            None => false,
-        }
+        self.durability.as_deref().is_some_and(|log| {
+            self.ensure_initial_checkpoint(log);
+            log.fold_checkpoint::<D>().is_ok()
+        })
     }
 
     /// Global frame steps for a run (same rule as the single-tree
@@ -1019,7 +1029,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
         is_pdq: &[bool],
         live: &SessionLiveness,
-        any_failed: &AtomicBool,
         hold_hist: Option<&Arc<obs::Histogram>>,
         wait_hist: &Option<Arc<obs::Histogram>>,
         lag_gauge: Option<&Arc<obs::Gauge>>,
@@ -1044,9 +1053,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     record_wait(wait_hist, clock.wait_ready(ku));
                     reports.clear();
                     self.apply_region_batch(&ep.trees[r], &routed, &mut reports, &mut w, hold_hist);
-                    if w.failed() {
-                        any_failed.store(true, Ordering::Relaxed);
-                    }
                     // Broadcast outside the write lock; only to live
                     // sessions attached to this region whose window
                     // covers this frame — nobody else will ever drain
@@ -1079,35 +1085,22 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     }
 
     /// The durability participant (one per durable run; durable runs
-    /// are single-epoch): per frame, fence-and-checkpoint when due,
-    /// group-commit the batch, then advance every region's `committed`
-    /// watermark. The fence waits for every region's `applied` to reach
-    /// the frame boundary while `committed` still withholds the frame's
-    /// batch — trees hold exactly the batches the WAL's committed
-    /// prefix holds, a consistent cut under any interleaving.
+    /// are single-epoch): per frame, fold the log into the checkpoint
+    /// when one is due, group-commit the batch, then advance every
+    /// region's `committed` watermark. It never looks at a tree or a
+    /// region's `applied` watermark: the writers run on behind it.
     fn durability_loop(
         &self,
         ep: &Epoch<D, S>,
         log: &DurableLog,
         steps: usize,
         inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-        any_failed: &AtomicBool,
-        wait_hist: &Option<Arc<obs::Histogram>>,
     ) -> DurabilityTally {
         let mut t = DurabilityTally::default();
         for k in 0..steps {
             let ku = k as u64;
             if let Some(batch) = inserts.get(k) {
-                // Never checkpoint once any region's writer has failed:
-                // truncation would drop committed records the failed
-                // tree never absorbed.
-                if !any_failed.load(Ordering::Relaxed) && log.due_for_checkpoint() {
-                    for c in &ep.clocks {
-                        record_wait(wait_hist, c.wait_applied(ku));
-                    }
-                    checkpoint_from(&ep.trees, log);
-                    t.checkpoints += 1;
-                }
+                t.checkpoints += fold_if_due::<D>(log);
                 let committed = Instant::now();
                 log.commit_frame(ku, batch);
                 t.appends += 1;
@@ -1123,13 +1116,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             }
         }
         // A checkpoint that came due on the run's last commits.
-        if !any_failed.load(Ordering::Relaxed) && log.due_for_checkpoint() {
-            for c in &ep.clocks {
-                record_wait(wait_hist, c.wait_applied(steps as u64));
-            }
-            checkpoint_from(&ep.trees, log);
-            t.checkpoints += 1;
-        }
+        t.checkpoints += fold_if_due::<D>(log);
         t
     }
 
@@ -1349,7 +1336,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             .map(|p| matches!(p.spec.kind, SessionKind::Pdq))
             .collect();
         let live = SessionLiveness::new(plans.len());
-        let any_failed = AtomicBool::new(false);
         let gate = EpochGate::new();
         let ep0 = make_epoch(
             plans,
@@ -1402,11 +1388,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 if e == 0 {
                     if let Some(log) = durable {
                         let ep = Arc::clone(&ep);
-                        let wait = wait_hist.clone();
-                        let any_failed = &any_failed;
-                        dur_handle = Some(scope.spawn(move || {
-                            self.durability_loop(&ep, log, steps, inserts, any_failed, &wait)
-                        }));
+                        dur_handle = Some(
+                            scope.spawn(move || self.durability_loop(&ep, log, steps, inserts)),
+                        );
                     }
                 }
                 let writer_handles: Vec<_> = (0..ep.grid.len())
@@ -1416,7 +1400,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         let wait = wait_hist.clone();
                         let lag = lag_gauge.clone();
                         let live = &live;
-                        let any_failed = &any_failed;
                         let is_pdq = &is_pdq;
                         scope.spawn(move || {
                             self.writer_loop(
@@ -1425,7 +1408,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                                 inserts,
                                 is_pdq,
                                 live,
-                                any_failed,
                                 hold.as_ref(),
                                 &wait,
                                 lag.as_ref(),
@@ -1631,10 +1613,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 let mut frame_reports: Vec<Vec<NsiReport<D>>> = vec![Vec::new(); grid.len()];
                 if let Some(batch) = inserts.get(k) {
                     if let Some(log) = durable {
-                        if !tallies.iter().any(RegionTally::failed) && log.due_for_checkpoint() {
-                            checkpoint_from(&trees, log);
-                            dur.checkpoints += 1;
-                        }
+                        dur.checkpoints += fold_if_due::<D>(log);
                         let committed = Instant::now();
                         log.commit_frame(ku, batch);
                         dur.appends += 1;
@@ -1709,10 +1688,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 grid = new_grid;
             } else {
                 if let Some(log) = durable {
-                    if !tallies.iter().any(RegionTally::failed) && log.due_for_checkpoint() {
-                        checkpoint_from(&trees, log);
-                        dur.checkpoints += 1;
-                    }
+                    dur.checkpoints += fold_if_due::<D>(log);
                 }
                 final_tallies = tallies;
                 final_loads = session_loads;

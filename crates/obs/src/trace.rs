@@ -89,12 +89,14 @@ pub enum TraceEvent {
         /// Bytes appended (header + payload).
         bytes: u32,
     },
-    /// The durable writer checkpointed the tree and truncated the WAL.
+    /// The durable writer installed a checkpoint and truncated the WAL.
     Checkpoint {
         /// Last WAL sequence number the checkpoint covers.
         seq: u64,
-        /// Live pages persisted in the snapshot.
-        pages: u32,
+        /// What this checkpoint wrote: live pages for a tree snapshot,
+        /// records for a logical checkpoint (the whole set for the
+        /// initial one, the folded delta for every later one).
+        persisted: u32,
     },
     /// Recovery replayed the WAL on top of the last checkpoint.
     WalReplayed {

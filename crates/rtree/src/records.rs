@@ -79,6 +79,10 @@ macro_rules! segment_record {
                 buf.extend_from_slice(&self.seq.to_le_bytes());
             }
 
+            // Every leaf entry an engine visits is decoded here; `inline`
+            // keeps that independent of which codegen unit the
+            // downstream crate's instantiation of the engine lands in.
+            #[inline]
             fn decode(buf: &[u8]) -> Self {
                 let f = |o: usize| f32::from_le_bytes(buf[o..o + 4].try_into().unwrap()) as f64;
                 let t = Interval::new(f(0), f(4));

@@ -337,8 +337,16 @@ impl<S: PageStore> PageStore for FaultyStore<S> {
 
 /// FNV-1a over `bytes` — the page checksum function (also used by the
 /// snapshot file format).
+#[inline]
 pub fn page_checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    checksum_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash `h` over `bytes`:
+/// `page_checksum(a ++ b) == checksum_extend(page_checksum(a), b)`, so a
+/// framed record is hashed without concatenating it first.
+#[inline]
+pub(crate) fn checksum_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

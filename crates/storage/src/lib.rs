@@ -39,8 +39,8 @@ pub use sharded::ShardedBufferPool;
 pub use snapshotfile::{load_pager, save_pager, SnapshotSource};
 pub use stats::{IoSnapshot, IoStats};
 pub use wal::{
-    replay as replay_wal, Wal, WalError, WalRecord, WalReplay, WalStats, WalTail,
-    WAL_RECORD_OVERHEAD,
+    replay as replay_wal, scan as scan_wal, Wal, WalError, WalRecord, WalReplay, WalStats,
+    WalTail, WAL_RECORD_OVERHEAD,
 };
 
 use std::sync::Arc;

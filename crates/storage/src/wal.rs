@@ -31,7 +31,7 @@
 //! recover from what remains. [`replay`] is total: any byte stream in,
 //! typed verdict out, no panics.
 
-use crate::fault::page_checksum;
+use crate::fault::{checksum_extend, page_checksum};
 use parking_lot::Mutex;
 use std::time::Instant;
 
@@ -149,14 +149,15 @@ impl Wal {
         self.state.lock().buf.clone()
     }
 
+    /// Run `f` over the durable byte image in place — what
+    /// [`Self::image`] would clone. Commits block while `f` runs.
+    pub fn with_image<T>(&self, f: impl FnOnce(&[u8]) -> T) -> T {
+        f(&self.state.lock().buf)
+    }
+
     /// Lifetime counters (not reset by checkpoint truncation).
     pub fn stats(&self) -> WalStats {
         self.state.lock().stats
-    }
-
-    /// Sequence number the next commit will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.state.lock().next_seq
     }
 }
 
@@ -166,11 +167,9 @@ impl Default for Wal {
     }
 }
 
+/// [`page_checksum`] of `seq_le ++ payload`, without building it.
 fn record_checksum(seq: u64, payload: &[u8]) -> u64 {
-    let mut framed = Vec::with_capacity(8 + payload.len());
-    framed.extend_from_slice(&seq.to_le_bytes());
-    framed.extend_from_slice(payload);
-    page_checksum(&framed)
+    checksum_extend(page_checksum(&seq.to_le_bytes()), payload)
 }
 
 /// One complete record recovered by [`replay`].
@@ -250,6 +249,21 @@ impl std::error::Error for WalError {}
 /// predecessor's also stops the scan: replaying past a hole would apply
 /// frames out of order.
 pub fn replay(image: &[u8]) -> Result<WalReplay, WalError> {
+    let mut records = Vec::new();
+    let tail = scan(image, |seq, payload| {
+        records.push(WalRecord {
+            seq,
+            payload: payload.to_vec(),
+        })
+    })?;
+    Ok(WalReplay { records, tail })
+}
+
+/// [`replay`] without the copies: hand each complete, checksum-valid
+/// record's `(seq, payload)` to `visit` in commit order, payloads
+/// borrowed from `image`, and return where and why the scan stopped.
+/// Same verdicts as [`replay`] — it is the one parser both share.
+pub fn scan(image: &[u8], mut visit: impl FnMut(u64, &[u8])) -> Result<WalTail, WalError> {
     let header = MAGIC.len() + 4;
     if image.len() < header {
         return Err(WalError::TruncatedHeader);
@@ -262,66 +276,44 @@ pub fn replay(image: &[u8]) -> Result<WalReplay, WalError> {
         return Err(WalError::UnsupportedVersion(version));
     }
 
-    let mut records = Vec::new();
     let mut off = header;
     let mut prev_seq: Option<u64> = None;
     loop {
         if off == image.len() {
-            return Ok(WalReplay {
-                records,
-                tail: WalTail::Clean,
-            });
+            return Ok(WalTail::Clean);
         }
         if image.len() - off < RECORD_HEADER {
-            return Ok(WalReplay {
-                records,
-                tail: WalTail::Torn { offset: off },
-            });
+            return Ok(WalTail::Torn { offset: off });
         }
         let len = u32::from_le_bytes(image[off..off + 4].try_into().unwrap()) as usize;
         let seq = u64::from_le_bytes(image[off + 4..off + 12].try_into().unwrap());
         let sum = u64::from_le_bytes(image[off + 12..off + 20].try_into().unwrap());
         if len > MAX_WAL_RECORD {
-            return Ok(WalReplay {
-                records,
-                tail: WalTail::Corrupt {
-                    offset: off,
-                    reason: format!("implausible record length {len}"),
-                },
+            return Ok(WalTail::Corrupt {
+                offset: off,
+                reason: format!("implausible record length {len}"),
             });
         }
         if image.len() - off - RECORD_HEADER < len {
-            return Ok(WalReplay {
-                records,
-                tail: WalTail::Torn { offset: off },
-            });
+            return Ok(WalTail::Torn { offset: off });
         }
         let payload = &image[off + RECORD_HEADER..off + RECORD_HEADER + len];
         if record_checksum(seq, payload) != sum {
-            return Ok(WalReplay {
-                records,
-                tail: WalTail::Corrupt {
-                    offset: off,
-                    reason: format!("checksum mismatch in record seq {seq}"),
-                },
+            return Ok(WalTail::Corrupt {
+                offset: off,
+                reason: format!("checksum mismatch in record seq {seq}"),
             });
         }
         if let Some(prev) = prev_seq {
             if seq != prev + 1 {
-                return Ok(WalReplay {
-                    records,
-                    tail: WalTail::Corrupt {
-                        offset: off,
-                        reason: format!("sequence break: {seq} after {prev}"),
-                    },
+                return Ok(WalTail::Corrupt {
+                    offset: off,
+                    reason: format!("sequence break: {seq} after {prev}"),
                 });
             }
         }
         prev_seq = Some(seq);
-        records.push(WalRecord {
-            seq,
-            payload: payload.to_vec(),
-        });
+        visit(seq, payload);
         off += RECORD_HEADER + len;
     }
 }
@@ -345,6 +337,15 @@ mod tests {
         let stats = wal.stats();
         assert_eq!(stats.appends, 3);
         assert_eq!(stats.truncations, 0);
+    }
+
+    #[test]
+    fn record_checksum_is_the_page_checksum_of_the_framed_record() {
+        let payload = b"frame-7 payload";
+        let mut framed = 7u64.to_le_bytes().to_vec();
+        framed.extend_from_slice(payload);
+        assert_eq!(record_checksum(7, payload), page_checksum(&framed));
+        assert_eq!(record_checksum(7, b""), page_checksum(&7u64.to_le_bytes()));
     }
 
     #[test]

@@ -22,18 +22,22 @@
 //!   truncated, or bit-flipped at every byte offset of its last record
 //!   (`chaos_h`); a full device fails the writer cleanly while the WAL
 //!   keeps the backlog recoverable (`chaos_i`); the partitioned server
-//!   recovers result-equivalently through a rebuild (`chaos_j`).
+//!   recovers result-equivalently through a rebuild (`chaos_j`), keeps
+//!   checkpointing from its log when a region writer fails (`chaos_k`),
+//!   and from random batches, cadences, crash points and damaged tails
+//!   always recovers the committed prefix (`chaos_l`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dq_repro::mobiquery::{
-    DqServer, DurableImage, DurableLog, PartitionedDqServer, RegionGrid, SessionKind,
-    SessionOutcome, SessionSpec, Trajectory,
+    DqServer, DurableImage, DurableLog, MotionRecord, PartitionedDqServer, RecoveryReport,
+    RegionGrid, SessionKind, SessionOutcome, SessionSpec, Trajectory,
 };
-use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig, TreeRead, TreeReadRetry};
+use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig, Record, TreeRead, TreeReadRetry};
 use parking_lot::RwLock;
+use proptest::prelude::*;
 use dq_repro::stkit::{Interval, Rect};
 use dq_repro::storage::{
     save_pager, ChecksumStore, FaultPlan, FaultyStore, PageId, PageStore, Pager, RetryPolicy,
@@ -685,6 +689,237 @@ fn chaos_j_partitioned_recovery_is_result_equivalent() {
     for (i, (g, w)) in got.sessions.iter().zip(&want.sessions).enumerate() {
         assert!(g.outcome.is_ok(), "recovered session {i}: {:?}", g.outcome);
         assert_eq!(g.results, w.results, "session {i} diverged after recovery");
+    }
+}
+
+/// The `(oid, seq)` set resident across a partitioned server's regions,
+/// seam replicas collapsed — what the tree-scan checkpoint used to
+/// persist, kept here as the oracle for the log-derived one.
+fn resident_ids(srv: &PartitionedDqServer<2, Pager>) -> std::collections::BTreeSet<(u32, u32)> {
+    let mut ids = std::collections::BTreeSet::new();
+    for r in 0..srv.grid().len() {
+        srv.with_region_tree(r, |t| {
+            t.scan(|rec| {
+                ids.insert(rec.ids());
+            })
+        });
+    }
+    ids
+}
+
+/// Everything a durable image recovers, in order: the checkpoint base,
+/// then the replayed frames' records.
+fn recovered_records(image: &DurableImage) -> (Vec<R>, RecoveryReport) {
+    let (mut all, frames, rep) = image.recover_records::<2>().unwrap();
+    all.extend(frames.iter().flat_map(|(_, batch)| batch.iter().map(|(r, _)| *r)));
+    (all, rep)
+}
+
+/// Records as sorted encoded bytes, so duplicates count.
+fn encoded_multiset<'a>(recs: impl Iterator<Item = &'a R>) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = recs
+        .map(|r| {
+            let mut buf = Vec::new();
+            r.encode(&mut buf);
+            buf
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// (k) A region writer that dies mid-run (its id-capped device fills)
+/// must cost durability nothing: a logical checkpoint holds what was
+/// *committed*, not what a tree absorbed, so checkpoints keep installing
+/// on cadence, the WAL stays bounded by that cadence, and recovery hands
+/// back every committed record — including the ones the dead region
+/// never applied. Concurrent and serial paths alike.
+#[test]
+fn chaos_k_failed_region_writer_neither_stops_checkpoints_nor_loses_commits() {
+    let recs = line_records(36);
+    let frames = 12;
+    let inserts = line_inserts(frames, 4);
+    let grid = RegionGrid::from_cuts(0, vec![12.0, 24.0]);
+    let specs = vec![slide_spec(SessionKind::Pdq, 0.0, frames, 12.0)];
+
+    // Cap region 1's id space two pages past its share of the preload:
+    // its slice of the insert stream must hit `StorageError::Full`.
+    let probe = pager_image(&build_tree(Pager::with_page_size(256), &recs[12..24]));
+    let pages = u32::from_le_bytes(probe[12..16].try_into().unwrap());
+    let make = |r: usize| {
+        let pager = Pager::with_page_size(256);
+        let pager = if r == 1 { pager.with_id_cap(pages + 2) } else { pager };
+        RTree::new(pager, RTreeConfig::default())
+    };
+
+    let extra = vec![(
+        R::new(9000, 0, Interval::new(3.6, 100.0), [15.25, 0.5], [15.25, 0.5]),
+        3.6,
+    )];
+    let committed = encoded_multiset(
+        recs.iter()
+            .chain(inserts.iter().flatten().map(|(r, _)| r))
+            .chain(extra.iter().map(|(r, _)| r)),
+    );
+
+    for concurrent in [true, false] {
+        let log = Arc::new(DurableLog::new(3));
+        let server = PartitionedDqServer::build(grid.clone(), &recs, make)
+            .with_durability(Arc::clone(&log));
+        let report = if concurrent {
+            server.serve(&specs, &inserts)
+        } else {
+            server.serve_serial(&specs, &inserts)
+        };
+        let what = if concurrent { "serve" } else { "serve_serial" };
+
+        for (r, region) in report.regions.iter().enumerate() {
+            assert_eq!(
+                matches!(region.writer_outcome, SessionOutcome::Failed(_)),
+                r == 1,
+                "{what}: region {r} ended {:?}",
+                region.writer_outcome
+            );
+        }
+        assert!(
+            report.base.inserts_applied < frames * 4,
+            "{what}: the cap never bit — the regression is vacuous"
+        );
+        assert!(report.base.sessions[0].outcome.is_ok(), "{what}");
+        assert_eq!(report.base.wal_appends, frames as u64, "{what}");
+        assert_eq!(
+            report.base.checkpoints, 4,
+            "{what}: 12 commits at every=3 fold four times, failed writer or not"
+        );
+        let stats = log.stats();
+        assert_eq!((stats.checkpoints, stats.checkpoint_failures), (5, 0), "{what}");
+        assert_eq!(
+            log.durable_image().wal.len(),
+            8,
+            "{what}: the last fold left the WAL header-only"
+        );
+
+        // Crash with one more frame durable, aimed at the dead region.
+        log.commit_frame(frames as u64, &extra);
+        let image = log.durable_image();
+        let (got, rep) = recovered_records(&image);
+        assert!(rep.tail.is_clean(), "{what}");
+        assert_eq!(rep.replayed_frames, 1, "{what}: only the unfolded frame replays");
+        assert_eq!(
+            encoded_multiset(got.iter()),
+            committed,
+            "{what}: recovery lost or invented a committed record"
+        );
+
+        // Rebuilt on devices with room, the recovered server holds it all.
+        let recovered = PartitionedDqServer::build(grid.clone(), &got, |_| {
+            RTree::new(Pager::with_page_size(256), RTreeConfig::default())
+        });
+        let held = resident_ids(&recovered);
+        assert_eq!(held.len(), committed.len(), "{what}");
+        assert!(held.len() > resident_ids(&server).len(), "{what}: the crashed server was short");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// (l) Differential check of the log-derived checkpoint against the
+    /// tree scan it replaced. For random batches (ids may repeat, and
+    /// may collide with the preload), a random checkpoint cadence, and a
+    /// crash image at every commit boundary — applied and
+    /// committed-but-unapplied — plus a torn and a bit-flipped last
+    /// record: the recovered multiset (checkpoint base ∪ replayed
+    /// frames) is exactly the committed prefix, and its id set is what a
+    /// scan of a server that applied that prefix serially finds.
+    #[test]
+    fn chaos_l_random_crash_points_recover_the_committed_prefix(
+        preload in 0u32..40,
+        drawn in proptest::collection::vec(
+            proptest::collection::vec((20u32..60, 0.0f64..36.0), 0..5),
+            1..9,
+        ),
+        every in 0u64..5,
+        damage in 0.0f64..1.0,
+    ) {
+        let recs = line_records(preload);
+        let batches: Vec<Vec<(R, f64)>> = drawn
+            .iter()
+            .enumerate()
+            .map(|(k, batch)| {
+                let t = k as f64 * 0.3;
+                batch
+                    .iter()
+                    .map(|&(oid, x)| (R::new(oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]), t))
+                    .collect()
+            })
+            .collect();
+        let grid = RegionGrid::from_cuts(0, vec![12.0, 24.0]);
+        let make = |_: usize| RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+        let oracle = PartitionedDqServer::build(grid.clone(), &recs, make);
+
+        for crash_at in 0..=batches.len() {
+            if crash_at > 0 {
+                oracle.serve_serial(&[], &batches[crash_at - 1..crash_at]);
+            }
+            let prefix = |frames: usize| {
+                encoded_multiset(
+                    recs.iter().chain(batches[..frames].iter().flatten().map(|(r, _)| r)),
+                )
+            };
+            let log = Arc::new(DurableLog::new(every));
+            let server = PartitionedDqServer::build(grid.clone(), &recs, make)
+                .with_durability(Arc::clone(&log));
+            server.serve(&[], &batches[..crash_at]);
+
+            // Every frame committed and applied.
+            let applied = log.durable_image();
+            let (got, rep) = recovered_records(&applied);
+            prop_assert!(rep.tail.is_clean());
+            prop_assert!(
+                encoded_multiset(got.iter()) == prefix(crash_at),
+                "crash after frame {crash_at}: recovered {} records",
+                got.len()
+            );
+            let unfolded = if every == 0 { crash_at as u64 } else { crash_at as u64 % every };
+            prop_assert_eq!(rep.replayed_frames, unfolded, "the WAL outgrew its cadence");
+            let ids: std::collections::BTreeSet<(u32, u32)> = got.iter().map(R::ids).collect();
+            prop_assert_eq!(ids, resident_ids(&oracle), "crash after frame {}", crash_at);
+
+            // The next frame committed, applied nowhere — then its record
+            // torn, then bit-flipped, somewhere inside.
+            let Some(next) = batches.get(crash_at) else { continue };
+            log.commit_frame(crash_at as u64, next);
+            let full = log.durable_image();
+            let (got, rep) = recovered_records(&full);
+            prop_assert!(rep.tail.is_clean());
+            prop_assert!(
+                encoded_multiset(got.iter()) == prefix(crash_at + 1),
+                "crash inside frame {crash_at}: recovered {} records",
+                got.len()
+            );
+
+            let last = applied.wal.len()..full.wal.len();
+            let at = last.start + (damage * last.len() as f64) as usize;
+            let mut torn = full.clone();
+            torn.wal.truncate(at);
+            let (got, rep) = recovered_records(&torn);
+            prop_assert_eq!(rep.tail.is_clean(), at == last.start);
+            prop_assert!(
+                encoded_multiset(got.iter()) == prefix(crash_at),
+                "torn at byte {at}: recovered {} records",
+                got.len()
+            );
+            let mut flipped = full.clone();
+            flipped.wal[at] ^= 0x40;
+            let (got, rep) = recovered_records(&flipped);
+            prop_assert!(!rep.tail.is_clean());
+            prop_assert!(
+                encoded_multiset(got.iter()) == prefix(crash_at),
+                "bit flip at byte {at}: recovered {} records",
+                got.len()
+            );
+        }
     }
 }
 

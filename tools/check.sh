@@ -76,10 +76,14 @@
 # --wal-smoke runs the durable write path end to end: the WAL unit
 # suite, the durability module suite, and the chaos crash-point matrix
 # (recovery bit-identity at every crash point, torn/bit-flipped tails,
-# full-device backlog recovery, partitioned rebuild), then exp_service
-# with DQ_DURABLE=1 — whose hard asserts recover from the post-run
-# durable image and require the recovered tree to be bit-identical to
-# the served one, on every sweep configuration.
+# full-device backlog recovery, partitioned rebuild, checkpoints past a
+# failed region writer, the random crash-point differential), then
+# exp_service with DQ_DURABLE=1 — whose hard asserts recover from the
+# post-run durable image and require the recovered tree to be
+# bit-identical to the served one, on every sweep configuration — and
+# exp_checkpoint, which fails unless checkpointing a fixed delta over a
+# 4x larger base costs <= 2.0x what it costs over the 1x base (a
+# checkpoint that reads the index sits near 4).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -305,12 +309,13 @@ fi
 if [ "$WAL_SMOKE" = 1 ]; then
   # The durable write path, bottom up: WAL framing/replay units, the
   # DurableLog/checkpoint/recovery units, then the crash-point matrix
-  # (chaos_g..chaos_j: bit-identical recovery at every crash point,
+  # (chaos_g..chaos_l: bit-identical recovery at every crash point,
   # torn/truncated/bit-flipped tails landing on the last complete group
-  # commit, full-device backlog recovery, partitioned rebuild).
+  # commit, full-device backlog recovery, partitioned rebuild, folds
+  # past a failed region writer, random crash-point differential).
   cargo test -q --offline -p storage wal
   cargo test -q --offline -p mobiquery durability
-  cargo test -q --offline --test chaos -- chaos_g chaos_h chaos_i chaos_j
+  cargo test -q --offline --test chaos -- chaos_g chaos_h chaos_i chaos_j chaos_k chaos_l
   echo "OK: WAL + durability units and the crash-point matrix are green."
 
   # exp_service with durability attached: every sweep configuration
@@ -320,6 +325,12 @@ if [ "$WAL_SMOKE" = 1 ]; then
     cargo run -q --offline --release -p bench --bin exp_service \
     > target/figures/exp_service_wal_smoke.txt
   echo "OK: durable exp_service sweep recovered bit-identically on every configuration."
+
+  # A periodic logical checkpoint must cost the delta, not the index;
+  # the binary carries the ratio bound and exits non-zero past it.
+  cargo run -q --offline --release -p bench --bin exp_checkpoint \
+    > target/figures/exp_checkpoint_smoke.txt
+  echo "OK: logical checkpoint cost is flat in the base size (4x base <= 2.0x)."
 fi
 
 echo "OK: build, tests, and clippy all green."
