@@ -11,7 +11,7 @@
 //! non-zero if it ever copies at least as much as the decode path, so CI
 //! can run it tiny as a regression tripwire.
 //!
-//! Three further figures ride along:
+//! Four further figures ride along:
 //!
 //! * **Contended reads** — N reader threads full-tree traversing against
 //!   an *active* writer, once with the pre-optimistic architecture (a
@@ -32,6 +32,14 @@
 //!   Same ChooseLeaf, same pages written; only the representation of a
 //!   node that does not split differs. Plus the patched/rebuilt ratio.
 //!
+//! * **PDQ leaf expansion over a many-piece trajectory** — leaf pages/s
+//!   staged and solved against a 360-piece bouncing trajectory, once by
+//!   a bench-owned copy of the loop `Trajectory` ran before it indexed
+//!   its pieces (every piece solved against every page) and once through
+//!   `Trajectory::overlap_segment_batch_into` (the pieces meeting the
+//!   page's hull). Same pages, same kernel, results asserted identical;
+//!   plus the indexed/all-pieces ratio.
+//!
 //! Knobs: `DQ_READ_PATH_OBJECTS` (dataset size, default 5000),
 //! `DQ_READ_PATH_MS` (per-path measuring window, default 300),
 //! `DQ_READ_PATH_READERS` (contended reader threads, default 4),
@@ -48,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 use storage::{BufferPool, IoSnapshot, PageId, PageRef, PageStore, Pager};
-use stkit::{Interval, RectBatch, StBox};
+use stkit::{Interval, RectBatch, SegmentBatch, StBox, TimeSet};
 use workload::{Dataset, DatasetConfig};
 
 type R = NsiSegmentRecord<2>;
@@ -496,6 +504,98 @@ fn geometry_rates(recs: &[R], window: Duration) -> (f64, f64) {
     (scalar, batched)
 }
 
+/// Leaf pages/s expanded against a many-piece trajectory: every piece
+/// solved against every page (the loop `Trajectory` ran before it
+/// indexed its pieces, kept here) vs the indexed
+/// `overlap_segment_batch_into`. One expansion = stage the page's
+/// records, union the per-piece results into one `TimeSet` per record.
+/// Asserts identical results first.
+fn expand_rates(tree: &RTree<R, Store>, window: Duration) -> (f64, f64) {
+    // A 30-wide window bouncing off the walls of the data space, one
+    // piece per leg, 360 legs over the dataset's 10 time units: the
+    // fly-through dqbench's `query` workload drives, at its piece count.
+    const PIECES: usize = 360;
+    let (lo, hi, dt) = (15.0, 985.0, 10.0 / PIECES as f64);
+    let key = |t: f64, c: [f64; 2]| mobiquery::KeySnapshot {
+        t,
+        window: stkit::Rect::from_corners([c[0] - 15.0, c[1] - 15.0], [c[0] + 15.0, c[1] + 15.0]),
+    };
+    // Each leg runs wall to wall in x and drifts in y.
+    let (mut c, mut vy) = ([lo, 300.0], 210.0 / dt);
+    let mut keys = vec![key(0.0, c)];
+    for k in 1..=PIECES {
+        c[0] = if c[0] == lo { hi } else { lo };
+        c[1] += vy * dt;
+        if !(lo..=hi).contains(&c[1]) {
+            c[1] = c[1].clamp(lo, hi);
+            vy = -vy;
+        }
+        keys.push(key(k as f64 * dt, c));
+    }
+    let traj = mobiquery::Trajectory::new(keys);
+
+    let mut pages: Vec<Vec<R>> = Vec::new();
+    let mut stack = vec![tree.root_page()];
+    while let Some(page) = stack.pop() {
+        let node = tree.read_node(page);
+        if node.is_leaf() {
+            pages.push(node.leaf_records().collect());
+        } else {
+            stack.extend(node.internal_entries().map(|(_, c)| c));
+        }
+    }
+
+    fn stage(batch: &mut SegmentBatch<2>, page: &[R]) {
+        batch.clear();
+        for r in page {
+            batch.push(&r.seg);
+        }
+    }
+    let all_pieces = |batch: &mut SegmentBatch<2>, out: &mut Vec<TimeSet>| {
+        out.clear();
+        out.resize(batch.len(), TimeSet::empty());
+        for s in traj.segments() {
+            batch.solve(s);
+            for (j, ts) in out.iter_mut().enumerate() {
+                ts.insert(batch.result(j));
+            }
+        }
+    };
+    let mut batch = SegmentBatch::new();
+    let (mut out, mut expect) = (Vec::new(), Vec::new());
+    let mut solved = 0;
+    for page in &pages {
+        stage(&mut batch, page);
+        all_pieces(&mut batch, &mut expect);
+        solved += traj.overlap_segment_batch_into(&mut batch, &mut out);
+        assert_eq!(out, expect, "indexed expansion must equal the all-pieces loop");
+    }
+    eprintln!(
+        "# pdq leaf expand: {} leaf pages x {PIECES} pieces, the index solves {:.1} pieces per page",
+        pages.len(),
+        solved as f64 / pages.len() as f64
+    );
+
+    let mut timed = |expand: &mut dyn FnMut(&mut SegmentBatch<2>, &mut Vec<TimeSet>)| {
+        let t0 = Instant::now();
+        let mut expanded = 0u64;
+        while t0.elapsed() < window {
+            for page in &pages {
+                stage(&mut batch, page);
+                expand(&mut batch, &mut out);
+                black_box(&out);
+            }
+            expanded += pages.len() as u64;
+        }
+        expanded as f64 / t0.elapsed().as_secs_f64()
+    };
+    let scanned = timed(&mut |batch, out| all_pieces(batch, out));
+    let indexed = timed(&mut |batch, out| {
+        traj.overlap_segment_batch_into(batch, out);
+    });
+    (scanned, indexed)
+}
+
 fn main() {
     let objects = env_u64("DQ_READ_PATH_OBJECTS", 5_000) as u32;
     let window = Duration::from_millis(env_u64("DQ_READ_PATH_MS", 300));
@@ -650,6 +750,30 @@ fn main() {
         String::new(),
         String::new(),
         format!("{:.2}x", ins_patched / ins_rebuilt),
+        String::new(),
+        String::new(),
+    ]);
+    // PDQ leaf expansion over a many-piece trajectory: pages/s, every
+    // piece solved vs the pieces the index says meet the page.
+    let (exp_all, exp_indexed) = expand_rates(&tree, window);
+    for (name, v) in [
+        ("pdq leaf expand, many-piece trajectory: all pieces", exp_all),
+        ("pdq leaf expand, many-piece trajectory: indexed", exp_indexed),
+    ] {
+        table.row(vec![
+            name.to_string(),
+            String::new(),
+            String::new(),
+            format!("{v:.0}"),
+            String::new(),
+            String::new(),
+        ]);
+    }
+    table.row(vec![
+        "indexed/all-pieces speedup".to_string(),
+        String::new(),
+        String::new(),
+        format!("{:.2}x", exp_indexed / exp_all),
         String::new(),
         String::new(),
     ]);

@@ -17,6 +17,14 @@
 //! cascading split created), re-enqueues it if it intersects the
 //! trajectory, eliminates duplicate pops, and rebuilds the queue from the
 //! root when the LCA is close to the root.
+//!
+//! **Cost model.** A node is read once; expanding it costs its entries ×
+//! the trajectory pieces *meeting the page* — the pieces whose span and
+//! swept box reach the hull of what the page staged (see
+//! [`crate::trajectory`]) — not entries × all pieces. Entries that can
+//! no longer be enqueued (lifetime over before `t_start`, or outside the
+//! trajectory's span) are counted but not staged, so they widen no hull.
+//! [`PdqEngine::pieces_solved`] counts the piece solves actually made.
 
 use crate::stats::QueryStats;
 use crate::trajectory::Trajectory;
@@ -24,7 +32,7 @@ use rtree::{Inserted, NsiSegmentRecord, Record, TreeRead};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use storage::{PageId, StorageError};
-use stkit::{RectBatch, SegmentBatch, TimeSet};
+use stkit::{Interval, RectBatch, SegmentBatch, TimeSet};
 
 /// One answer of a dynamic query: the record plus the set of times during
 /// which it is visible ("the database will inform the application about
@@ -41,6 +49,15 @@ pub struct PdqResult<const D: usize> {
 enum ItemKind<const D: usize> {
     Node { page: PageId, level: u32 },
     Object(Box<PdqResult<D>>),
+}
+
+impl<const D: usize> ItemKind<D> {
+    /// An answer waiting in the queue. It may wait for most of the
+    /// trajectory, so the capacity its set grew by is handed back here.
+    fn object(record: NsiSegmentRecord<D>, mut visibility: TimeSet) -> Self {
+        visibility.shrink_to_fit();
+        ItemKind::Object(Box::new(PdqResult { record, visibility }))
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -151,6 +168,9 @@ pub struct PdqEngine<const D: usize> {
     /// Deepest the queue has ever been — the engine's memory footprint
     /// proxy (the paper's queue-size concern in §4.1).
     queue_hwm: usize,
+    /// Trajectory pieces solved against a staged page, over all
+    /// expansions.
+    pieces_solved: u64,
     stats: QueryStats,
     /// SoA staging for internal-node entry boxes (scratch, reused).
     rect_batch: RectBatch<D>,
@@ -184,6 +204,7 @@ impl<const D: usize> PdqEngine<D> {
             returned: HashSet::new(),
             last_t_start: f64::NEG_INFINITY,
             queue_hwm: 0,
+            pieces_solved: 0,
             stats: QueryStats::default(),
             rect_batch: RectBatch::new(),
             seg_batch: SegmentBatch::new(),
@@ -247,6 +268,12 @@ impl<const D: usize> PdqEngine<D> {
     /// Deepest the queue has ever been since the engine started.
     pub fn queue_hwm(&self) -> usize {
         self.queue_hwm
+    }
+
+    /// Trajectory pieces solved against staged pages since the engine
+    /// started: the multiplier in an expansion's cost (diagnostic).
+    pub fn pieces_solved(&self) -> u64 {
+        self.pieces_solved
     }
 
     /// The paper's `getNext(t_start, t_end)`: return the next object whose
@@ -358,33 +385,35 @@ impl<const D: usize> PdqEngine<D> {
         if level == 0 {
             self.stats.leaf_accesses += 1;
         }
+        // An entry whose lifetime ended before `t_start`, or misses the
+        // trajectory's span, has an overlap set `enqueue_timeset` drops
+        // (the set lies inside both): it is counted, never staged.
+        let span = self.trajectory.span();
+        let out_of_play =
+            |life: &Interval| life.hi < t_start || life.hi < span.lo || life.lo > span.hi;
         if node.is_leaf() {
-            // Stage every not-yet-returned segment into the SoA batch,
-            // then solve all lanes per trajectory piece (branch-free
-            // inner loops, bit-identical to the scalar path).
+            // Stage every live, not-yet-returned segment into the SoA
+            // batch, then solve all lanes per trajectory piece meeting
+            // the page (branch-free inner loops, bit-identical to the
+            // scalar path).
             self.seg_batch.clear();
             self.pending_recs.clear();
             for rec in node.leaf_records() {
                 self.stats.distance_computations += 1;
-                if self.returned.contains(&(rec.oid, rec.seq)) {
+                if out_of_play(&rec.seg.t) || self.returned.contains(&(rec.oid, rec.seq)) {
                     continue;
                 }
                 self.seg_batch.push(&rec.seg);
                 self.pending_recs.push(rec);
             }
-            self.trajectory
-                .overlap_segment_batch_into(&mut self.seg_batch, &mut self.ts_out);
+            self.pieces_solved += self
+                .trajectory
+                .overlap_segment_batch_into(&mut self.seg_batch, &mut self.ts_out)
+                as u64;
             for j in 0..self.pending_recs.len() {
                 let ts = std::mem::take(&mut self.ts_out[j]);
                 let rec = self.pending_recs[j];
-                self.enqueue_timeset(ts, t_start, |ts| QueueItem {
-                    start: ts.start().unwrap(),
-                    end: ts.end().unwrap(),
-                    kind: ItemKind::Object(Box::new(PdqResult {
-                        record: rec,
-                        visibility: ts.clone(),
-                    })),
-                });
+                self.enqueue_timeset(ts, t_start, |vis| ItemKind::object(rec, vis));
             }
         } else {
             let child_level = node.level() - 1;
@@ -392,43 +421,50 @@ impl<const D: usize> PdqEngine<D> {
             self.pending_children.clear();
             for (key, child) in node.internal_entries() {
                 self.stats.distance_computations += 1;
-                self.rect_batch.push(&key.space, &key.time.extent(0));
+                let life = key.time.extent(0);
+                if out_of_play(&life) {
+                    continue;
+                }
+                self.rect_batch.push(&key.space, &life);
                 self.pending_children.push(child);
             }
-            self.trajectory
-                .overlap_rect_batch_into(&mut self.rect_batch, &mut self.ts_out);
+            self.pieces_solved += self
+                .trajectory
+                .overlap_rect_batch_into(&mut self.rect_batch, &mut self.ts_out)
+                as u64;
             for j in 0..self.pending_children.len() {
                 let ts = std::mem::take(&mut self.ts_out[j]);
                 let child = self.pending_children[j];
-                self.enqueue_timeset(ts, t_start, |ts| QueueItem {
-                    start: ts.start().unwrap(),
-                    end: ts.end().unwrap(),
-                    kind: ItemKind::Node {
-                        page: child,
-                        level: child_level,
-                    },
+                self.enqueue_timeset(ts, t_start, |_| ItemKind::Node {
+                    page: child,
+                    level: child_level,
                 });
             }
         }
         Ok(())
     }
 
+    /// Enqueue what `make` builds from the overlap set `ts` — which it
+    /// takes over — at the set's hull, unless the set is empty or over.
     fn enqueue_timeset(
         &mut self,
         ts: TimeSet,
         t_start: f64,
-        make: impl FnOnce(&TimeSet) -> QueueItem<D>,
+        make: impl FnOnce(TimeSet) -> ItemKind<D>,
     ) {
-        if ts.is_empty() {
+        let (Some(start), Some(end)) = (ts.start(), ts.end()) else {
             return;
-        }
+        };
         // Entirely before the earliest time the application still cares
         // about: never enqueued (algorithm line 12).
-        if ts.end().unwrap() < t_start {
+        if end < t_start {
             return;
         }
-        let item = make(&ts);
-        self.push_item(item);
+        self.push_item(QueueItem {
+            start,
+            end,
+            kind: make(ts),
+        });
     }
 
     /// Drain every object whose visibility overlaps `[t_start, t_end]`.
@@ -494,14 +530,7 @@ impl<const D: usize> PdqEngine<D> {
                 }
                 let ts = self.trajectory.overlap_segment(&rec.seg);
                 let rec = *rec;
-                self.enqueue_timeset(ts, t_start, |ts| QueueItem {
-                    start: ts.start().unwrap(),
-                    end: ts.end().unwrap(),
-                    kind: ItemKind::Object(Box::new(PdqResult {
-                        record: rec,
-                        visibility: ts.clone(),
-                    })),
-                });
+                self.enqueue_timeset(ts, t_start, |vis| ItemKind::object(rec, vis));
             }
             Inserted::Subtree { page, key, level } => {
                 let root_distance = tree.height().saturating_sub(1 + *level);
@@ -545,7 +574,7 @@ mod tests {
     use rtree::bulk::bulk_load;
     use rtree::{RTree, RTreeConfig};
     use storage::Pager;
-    use stkit::{Interval, Rect};
+    use stkit::Rect;
 
     type R = NsiSegmentRecord<2>;
 
@@ -1048,6 +1077,101 @@ mod tests {
         assert!(errors > 0, "a 40% fault rate must surface errors");
         assert_eq!(got, expected, "healing must not lose or repeat results");
         assert_eq!(pdq.stats().duplicates_skipped, 0, "retries are not dups");
+    }
+
+    /// The piece index against the loop it replaced, through the whole
+    /// engine: two engines over one tree, one trajectory indexed and one
+    /// scanning every piece, driven frame by frame with inserts (and so
+    /// `Record` and `Subtree` notifications) in between.
+    #[test]
+    fn indexed_trajectory_streams_what_a_full_scan_streams_for_less() {
+        use crate::trajectory::KeySnapshot;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        // 320 pieces of a 30-wide window bouncing through [0, 1000]².
+        let (mut c, mut v) = ([500.0, 300.0], [900.0, 700.0]);
+        let window = |c: [f64; 2]| Rect::from_corners([c[0] - 15.0, c[1] - 15.0], [c[0] + 15.0, c[1] + 15.0]);
+        let mut keys = vec![KeySnapshot { t: 0.0, window: window(c) }];
+        for k in 1..=320 {
+            let dt = 0.2;
+            for d in 0..2 {
+                c[d] += v[d] * dt;
+                if !(15.0..=985.0).contains(&c[d]) {
+                    c[d] = c[d].clamp(15.0, 985.0);
+                    v[d] = -v[d];
+                }
+            }
+            keys.push(KeySnapshot { t: k as f64 * dt, window: window(c) });
+        }
+        let traj = Trajectory::new(keys);
+        let pieces = traj.segments().len() as u64;
+        assert_eq!(pieces, 320);
+        let span = traj.span();
+
+        // Short-lived motions all over the space and the span; small
+        // pages, so the tree is deep and inserts split below the root.
+        let motion = |rng: &mut ChaCha8Rng, oid: u32, born: f64| {
+            let a = [rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)];
+            let b = [a[0] + rng.gen_range(-40.0..40.0), a[1] + rng.gen_range(-40.0..40.0)];
+            R::new(oid, 0, Interval::new(born, born + rng.gen_range(0.5..4.0)), a, b)
+        };
+        let preload: Vec<R> = (0..6000)
+            .map(|i| motion(&mut rng, i, (i % 600) as f64 * 0.1))
+            .collect();
+        let mut tree = bulk_load(Pager::with_page_size(512), RTreeConfig::default(), preload);
+        assert!(tree.height() >= 3);
+
+        let mut indexed = PdqEngine::start(&tree, traj.clone());
+        let mut scanned = PdqEngine::start(&tree, traj.scanning_every_piece());
+        let (mut records, mut subtrees, mut delivered, mut next_oid) = (0, 0, 0usize, 100_000);
+        let frame = 0.5;
+        let mut t = span.lo;
+        while t < span.hi {
+            let got = indexed.drain_window(&tree, t, t + frame);
+            let want = scanned.drain_window(&tree, t, t + frame);
+            assert_eq!(got.len(), want.len(), "frame at t = {t}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.record, w.record, "frame at t = {t}");
+                let bits = |r: &PdqResult<2>| -> Vec<(u64, u64)> {
+                    let ivs = r.visibility.intervals();
+                    ivs.iter().map(|iv| (iv.lo.to_bits(), iv.hi.to_bits())).collect()
+                };
+                assert_eq!(bits(g), bits(w), "visibility of {:?}", g.record.oid);
+            }
+            delivered += got.len();
+            assert_eq!(indexed.stats(), scanned.stats(), "frame at t = {t}");
+            assert_eq!(indexed.queue_len(), scanned.queue_len(), "frame at t = {t}");
+            // Motions born now: some already over the hill, most ahead.
+            for _ in 0..30 {
+                let born = t + rng.gen_range(-3.0..6.0);
+                let rec = motion(&mut rng, next_oid, born);
+                next_oid += 1;
+                let report = tree.insert(rec, t);
+                match report.notify {
+                    Inserted::Record(_) => records += 1,
+                    Inserted::Subtree { .. } => subtrees += 1,
+                }
+                indexed.notify(&tree, &report);
+                scanned.notify(&tree, &report);
+            }
+            t += frame;
+        }
+        assert!(delivered > 500, "only {delivered} answers: the run proves little");
+        assert!(records > 100 && subtrees > 10, "{records} record / {subtrees} subtree reports");
+        assert_eq!(indexed.queue_hwm(), scanned.queue_hwm());
+
+        // The scan solves every piece on every expansion; the index must
+        // stay far below that, or it has rotted into a scan.
+        let expansions = scanned.stats().disk_accesses;
+        assert_eq!(scanned.pieces_solved(), expansions * pieces);
+        assert!(
+            indexed.pieces_solved() * 8 < scanned.pieces_solved(),
+            "index solved {} pieces over {expansions} expansions, the scan {}",
+            indexed.pieces_solved(),
+            scanned.pieces_solved()
+        );
     }
 
     #[test]

@@ -1,4 +1,19 @@
 //! Predictive query trajectories — sequences of key snapshots (§4.1).
+//!
+//! **Cost model.** A trajectory is a time-ordered run of trapezoid
+//! pieces, and every overlap form below is the union, over pieces, of
+//! one kernel result per piece. A piece whose span misses an entry's
+//! lifetime, or whose swept box lies clear of the entry, contributes the
+//! empty interval, so the forms do not visit it: the pieces are indexed
+//! once at construction (their spans are already sorted; their swept
+//! boxes are cached, widened for rounding — [`MovingWindow::reach`]) and
+//! [`Trajectory::pieces_meeting`] is a binary search on time plus a box
+//! test. An overlap query costs *entries × pieces meeting them*, not
+//! entries × pieces; a fly-through with hundreds of key snapshots pays
+//! per page for the handful of pieces that pass near the page while its
+//! entries are alive. The result is bit-identical to visiting every
+//! piece: time pruning is exact, the box test is conservative, and
+//! `TimeSet::insert` of an empty interval is a no-op.
 
 use crate::snapshot::SnapshotQuery;
 use stkit::{Interval, MotionSegment, MovingWindow, Rect, Scalar, StBox, TimeSet};
@@ -36,6 +51,12 @@ pub struct KeySnapshot<const D: usize> {
 pub struct Trajectory<const D: usize> {
     keys: Vec<KeySnapshot<D>>,
     segments: Vec<MovingWindow<D>>,
+    /// `segments[j].reach()`, the spatial half of the piece index.
+    reach: Vec<Rect<D>>,
+    swept_bounds: Rect<D>,
+    /// Test oracle: [`Self::pieces_meeting`] yields every piece.
+    #[cfg(test)]
+    scan_all: bool,
 }
 
 impl<const D: usize> Trajectory<D> {
@@ -53,13 +74,68 @@ impl<const D: usize> Trajectory<D> {
             keys.iter().all(|k| !k.window.is_empty()),
             "key windows must be non-empty"
         );
-        let segments = keys
+        let segments: Vec<_> = keys
             .windows(2)
             .map(|w| {
                 MovingWindow::between(Interval::new(w[0].t, w[1].t), &w[0].window, &w[1].window)
             })
             .collect();
-        Trajectory { keys, segments }
+        let reach = segments.iter().map(MovingWindow::reach).collect();
+        let swept_bounds = segments
+            .iter()
+            .fold(Rect::EMPTY, |acc, s| acc.cover(&s.swept_bounds()));
+        Trajectory {
+            keys,
+            segments,
+            reach,
+            swept_bounds,
+            #[cfg(test)]
+            scan_all: false,
+        }
+    }
+
+    /// The same trajectory answering every overlap form by visiting
+    /// every piece — what the forms did before the piece index, kept as
+    /// the oracle the indexed engine is compared against.
+    #[cfg(test)]
+    pub(crate) fn scanning_every_piece(mut self) -> Self {
+        self.scan_all = true;
+        self
+    }
+
+    /// The pieces that can overlap an entry alive during `time` inside
+    /// `space`, in ascending time order. Every piece left out solves to
+    /// the empty interval against any such entry: its span ends before
+    /// `time` starts or starts after it ends (exact — the kernels begin
+    /// from `span ∩ lifetime`), or its [`MovingWindow::reach`] lies
+    /// strictly beyond `space` in some dimension. A NaN bound never
+    /// excludes a piece, matching the kernels, which ignore it.
+    fn pieces_meeting<'a>(
+        &'a self,
+        time: &Interval,
+        space: &'a Rect<D>,
+    ) -> impl Iterator<Item = &'a MovingWindow<D>> + 'a {
+        #[cfg(test)]
+        let (time, space) = if self.scan_all {
+            (&Interval::ALL, &Rect::ALL)
+        } else {
+            (time, space)
+        };
+        let first = self.segments.partition_point(|s| s.span.hi < time.lo);
+        let end = self
+            .segments
+            .partition_point(|s| s.span.lo <= time.hi || time.hi.is_nan());
+        let met = first..end.max(first);
+        self.segments[met.clone()]
+            .iter()
+            .zip(&self.reach[met])
+            .filter(move |(_, reach)| {
+                !(0..D).any(|i| {
+                    let (r, e) = (reach.extent(i), space.extent(i));
+                    e.hi < r.lo || e.lo > r.hi
+                })
+            })
+            .map(|(s, _)| s)
     }
 
     /// A straight-line trajectory: `window` translating at constant
@@ -128,7 +204,7 @@ impl<const D: usize> Trajectory<D> {
     /// contributes one interval `T^j`; the result is their union.
     pub fn overlap_rect(&self, space: &Rect<D>, time: &Interval) -> TimeSet {
         let mut out = TimeSet::empty();
-        for s in &self.segments {
+        for s in self.pieces_meeting(time, space) {
             out.insert(s.overlap_time_rect(space, time));
         }
         out
@@ -146,46 +222,56 @@ impl<const D: usize> Trajectory<D> {
     /// view").
     pub fn overlap_segment(&self, seg: &MotionSegment<D>) -> TimeSet {
         let mut out = TimeSet::empty();
-        for s in &self.segments {
+        for s in self.pieces_meeting(&seg.t, &seg.reach()) {
             out.insert(s.overlap_time_segment(seg));
         }
         out
     }
 
     /// Batched [`Self::overlap_rect`] over a staged node page: one
-    /// [`TimeSet`] per staged box, built by solving every trajectory
-    /// segment against all lanes at once. Segment-order insertion keeps
-    /// each result bit-identical to the scalar path.
+    /// [`TimeSet`] per staged box, built by solving each piece that
+    /// meets the page's hull against all lanes at once. Piece-order
+    /// insertion keeps each result bit-identical to the scalar path.
+    /// Returns the number of pieces solved.
     pub fn overlap_rect_batch_into(
         &self,
         batch: &mut stkit::RectBatch<D>,
         out: &mut Vec<TimeSet>,
-    ) {
+    ) -> usize {
         out.clear();
         out.resize(batch.len(), TimeSet::empty());
-        for s in &self.segments {
+        let (time, space) = (batch.lifetime_hull(), batch.space_hull());
+        let mut solved = 0;
+        for s in self.pieces_meeting(&time, &space) {
             batch.solve(s);
             for (j, ts) in out.iter_mut().enumerate() {
                 ts.insert(batch.result(j));
             }
+            solved += 1;
         }
+        solved
     }
 
     /// Batched [`Self::overlap_segment`] over a staged leaf page: one
-    /// visibility [`TimeSet`] per staged motion segment.
+    /// visibility [`TimeSet`] per staged motion segment. Returns the
+    /// number of pieces solved.
     pub fn overlap_segment_batch_into(
         &self,
         batch: &mut stkit::SegmentBatch<D>,
         out: &mut Vec<TimeSet>,
-    ) {
+    ) -> usize {
         out.clear();
         out.resize(batch.len(), TimeSet::empty());
-        for s in &self.segments {
+        let (time, space) = (batch.lifetime_hull(), batch.space_hull());
+        let mut solved = 0;
+        for s in self.pieces_meeting(&time, &space) {
             batch.solve(s);
             for (j, ts) in out.iter_mut().enumerate() {
                 ts.insert(batch.result(j));
             }
+            solved += 1;
         }
+        solved
     }
 
     /// SPDQ (§4): inflate every key window by `delta` to tolerate an
@@ -205,9 +291,7 @@ impl<const D: usize> Trajectory<D> {
 
     /// Conservative spatial bounds of the whole swept trajectory.
     pub fn swept_bounds(&self) -> Rect<D> {
-        self.segments
-            .iter()
-            .fold(Rect::EMPTY, |acc, s| acc.cover(&s.swept_bounds()))
+        self.swept_bounds
     }
 }
 
@@ -308,8 +392,50 @@ mod tests {
 
     #[test]
     fn swept_bounds_cover_path() {
-        let b = slide_right().swept_bounds();
+        let tr = slide_right();
+        let b = tr.swept_bounds();
         assert_eq!(b, Rect::from_corners([0.0, 0.0], [22.0, 2.0]));
+        // The cached hull is the fold it replaced.
+        let folded = tr
+            .segments()
+            .iter()
+            .fold(Rect::EMPTY, |acc, s| acc.cover(&s.swept_bounds()));
+        assert_eq!(b, folded);
+    }
+
+    /// Start times of the pieces `pieces_meeting` yields.
+    fn met(tr: &Trajectory<2>, time: Interval, space: Rect<2>) -> Vec<f64> {
+        tr.pieces_meeting(&time, &space).map(|s| s.span.lo).collect()
+    }
+
+    #[test]
+    fn pieces_meeting_prunes_by_time_and_by_swept_box() {
+        // Piece j spans t ∈ [2j, 2j+2] and sweeps x ∈ [4j, 4j+6].
+        let tr = slide_right();
+        let all = Interval::new(0.0, 10.0);
+        let strip = |x0: f64, x1: f64| Rect::from_corners([x0, 0.0], [x1, 2.0]);
+        assert_eq!(met(&tr, all, strip(6.0, 7.0)), vec![0.0, 2.0]);
+        // Closed on both sides: a lifetime ending on a key time meets the
+        // piece that starts there, a box touching a swept face meets it.
+        assert_eq!(met(&tr, Interval::new(3.0, 4.0), Rect::ALL), vec![2.0, 4.0]);
+        assert_eq!(met(&tr, Interval::point(4.0), strip(14.0, 30.0)), vec![4.0]);
+        assert_eq!(met(&tr, all, strip(22.0, 30.0)), vec![8.0]);
+        assert_eq!(met(&tr, all, strip(22.1, 30.0)), Vec::<f64>::new());
+        assert_eq!(met(&tr, all, Rect::from_corners([0.0, 2.1], [30.0, 9.0])), Vec::<f64>::new());
+        // Beyond the span, empty, unbounded.
+        assert_eq!(met(&tr, Interval::new(10.5, 20.0), Rect::ALL), Vec::<f64>::new());
+        assert_eq!(met(&tr, Interval::new(5.0, 3.0), Rect::ALL), Vec::<f64>::new());
+        assert_eq!(met(&tr, Interval::EMPTY, Rect::ALL), Vec::<f64>::new());
+        assert_eq!(met(&tr, Interval::ALL, Rect::ALL).len(), 5);
+        // A NaN bound constrains nothing in the kernels, so it must not
+        // here either.
+        assert_eq!(met(&tr, Interval::new(f64::NAN, 3.0), Rect::ALL), vec![0.0, 2.0]);
+        assert_eq!(met(&tr, Interval::new(7.0, f64::NAN), Rect::ALL), vec![6.0, 8.0]);
+        assert_eq!(met(&tr, all, strip(f64::NAN, 1.0)), vec![0.0]);
+        assert_eq!(met(&tr, all, strip(19.0, f64::NAN)), vec![8.0]);
+        // The test oracle ignores the index.
+        let scan = slide_right().scanning_every_piece();
+        assert_eq!(met(&scan, Interval::EMPTY, strip(90.0, 91.0)).len(), 5);
     }
 
     #[test]

@@ -31,6 +31,14 @@
 //! interval where the batch returns another), which [`Interval`]'s
 //! `PartialEq` already treats as equal. Property tests in
 //! `tests/batch_prop.rs` pin both guarantees.
+//!
+//! **Cover.** A batch also folds, as entries are staged, the hull of
+//! their lifetimes and of their spatial extents (for motion segments, of
+//! their [`MotionSegment::reach`]). A window whose span misses the
+//! lifetime hull, or whose [`MovingWindow::reach`] lies strictly beyond
+//! the spatial hull in some dimension, solves to an empty interval in
+//! every lane — so a caller holding many windows asks the hulls which
+//! ones are worth a `solve` at all.
 
 use crate::{Interval, LinearForm, MotionSegment, MovingWindow, Rect};
 
@@ -141,6 +149,15 @@ pub fn lane_le0(d_a: f64, d_b: f64, out_lo: f64, out_hi: f64) -> (f64, f64) {
     (out_lo.max(s_lo), out_hi.min(s_hi))
 }
 
+/// Widen `hull` to `[lo, hi]`'s bounds. A NaN bound opens its side: the
+/// kernels' `max`/`min` drop a NaN operand, which leaves that side of
+/// the lane unconstrained.
+#[inline]
+fn widen(hull: &mut Interval, lo: f64, hi: f64) {
+    hull.lo = hull.lo.min(if lo.is_nan() { f64::NEG_INFINITY } else { lo });
+    hull.hi = hull.hi.max(if hi.is_nan() { f64::INFINITY } else { hi });
+}
+
 /// SoA staging area for static space-time boxes (internal-node entries):
 /// evaluate [`MovingWindow::overlap_time_rect`] for a whole node page in
 /// one pass per window segment.
@@ -152,6 +169,8 @@ pub struct RectBatch<const D: usize> {
     ext_hi: [Vec<f64>; D],
     out_lo: Vec<f64>,
     out_hi: Vec<f64>,
+    lifetimes: Interval,
+    space: Rect<D>,
 }
 
 impl<const D: usize> Default for RectBatch<D> {
@@ -170,6 +189,8 @@ impl<const D: usize> RectBatch<D> {
             ext_hi: std::array::from_fn(|_| Vec::new()),
             out_lo: Vec::new(),
             out_hi: Vec::new(),
+            lifetimes: Interval::EMPTY,
+            space: Rect::EMPTY,
         }
     }
 
@@ -181,6 +202,8 @@ impl<const D: usize> RectBatch<D> {
             self.ext_lo[i].clear();
             self.ext_hi[i].clear();
         }
+        self.lifetimes = Interval::EMPTY;
+        self.space = Rect::EMPTY;
     }
 
     /// Number of staged entries.
@@ -197,11 +220,23 @@ impl<const D: usize> RectBatch<D> {
     pub fn push(&mut self, space: &Rect<D>, qtime: &Interval) {
         self.qt_lo.push(qtime.lo);
         self.qt_hi.push(qtime.hi);
+        widen(&mut self.lifetimes, qtime.lo, qtime.hi);
         for i in 0..D {
             let e = space.extent(i);
             self.ext_lo[i].push(e.lo);
             self.ext_hi[i].push(e.hi);
+            widen(&mut self.space.dims[i], e.lo, e.hi);
         }
+    }
+
+    /// Hull of the staged lifetimes (see the module's **Cover** note).
+    pub fn lifetime_hull(&self) -> Interval {
+        self.lifetimes
+    }
+
+    /// Hull of the staged boxes.
+    pub fn space_hull(&self) -> Rect<D> {
+        self.space
     }
 
     /// Evaluate `w.overlap_time_rect(space_j, qtime_j)` for every staged
@@ -242,6 +277,8 @@ pub struct SegmentBatch<const D: usize> {
     pb: [Vec<f64>; D],
     out_lo: Vec<f64>,
     out_hi: Vec<f64>,
+    lifetimes: Interval,
+    space: Rect<D>,
 }
 
 impl<const D: usize> Default for SegmentBatch<D> {
@@ -260,6 +297,8 @@ impl<const D: usize> SegmentBatch<D> {
             pb: std::array::from_fn(|_| Vec::new()),
             out_lo: Vec::new(),
             out_hi: Vec::new(),
+            lifetimes: Interval::EMPTY,
+            space: Rect::EMPTY,
         }
     }
 
@@ -271,6 +310,8 @@ impl<const D: usize> SegmentBatch<D> {
             self.pa[i].clear();
             self.pb[i].clear();
         }
+        self.lifetimes = Interval::EMPTY;
+        self.space = Rect::EMPTY;
     }
 
     /// Number of staged segments.
@@ -287,11 +328,24 @@ impl<const D: usize> SegmentBatch<D> {
     pub fn push(&mut self, seg: &MotionSegment<D>) {
         self.st_lo.push(seg.t.lo);
         self.st_hi.push(seg.t.hi);
+        widen(&mut self.lifetimes, seg.t.lo, seg.t.hi);
+        let reach = seg.reach();
         for i in 0..D {
             let p = seg.coord_form(i);
             self.pa[i].push(p.a);
             self.pb[i].push(p.b);
+            widen(&mut self.space.dims[i], reach.extent(i).lo, reach.extent(i).hi);
         }
+    }
+
+    /// Hull of the staged lifetimes (see the module's **Cover** note).
+    pub fn lifetime_hull(&self) -> Interval {
+        self.lifetimes
+    }
+
+    /// Hull of the staged segments' [`MotionSegment::reach`].
+    pub fn space_hull(&self) -> Rect<D> {
+        self.space
     }
 
     /// Evaluate `w.overlap_time_segment(seg_j)` for every staged segment
@@ -404,6 +458,36 @@ mod tests {
         for (j, s) in segs.iter().enumerate() {
             assert_matches(batch.result(j), w.overlap_time_segment(s), &format!("segment {j}"));
         }
+    }
+
+    #[test]
+    fn hulls_cover_what_was_staged_and_reset_on_clear() {
+        let mut rects = RectBatch::<2>::new();
+        assert!(rects.lifetime_hull().is_empty() && rects.space_hull().is_empty());
+        rects.push(&win((5.0, 6.0), (0.0, 2.0)), &Interval::new(4.0, 5.0));
+        rects.push(&win((-1.0, 0.0), (1.5, 1.5)), &Interval::new(-5.0, 4.5));
+        assert_eq!(rects.lifetime_hull(), Interval::new(-5.0, 5.0));
+        assert_eq!(rects.space_hull(), win((-1.0, 6.0), (0.0, 2.0)));
+        // A NaN bound constrains nothing in the kernel: its side opens.
+        rects.push(&win((f64::NAN, 1.0), (0.0, 1.0)), &Interval::new(0.0, f64::NAN));
+        assert_eq!(rects.lifetime_hull(), Interval::new(-5.0, f64::INFINITY));
+        assert_eq!(rects.space_hull().extent(0), Interval::new(f64::NEG_INFINITY, 6.0));
+        rects.clear();
+        assert!(rects.lifetime_hull().is_empty() && rects.space_hull().is_empty());
+
+        let mut segs = SegmentBatch::<2>::new();
+        let a = MotionSegment::from_endpoints(Interval::new(0.0, 10.0), [-5.0, 1.0], [5.0, 1.0]);
+        let b = MotionSegment::from_endpoints(Interval::new(3.0, 7.0), [4.0, -8.0], [4.0, 9.0]);
+        segs.push(&a);
+        segs.push(&b);
+        assert_eq!(segs.lifetime_hull(), Interval::new(0.0, 10.0));
+        let hull = segs.space_hull();
+        for s in [&a, &b] {
+            assert!(hull.contains_rect(&s.reach()) && s.reach().contains_rect(&s.spatial_bbox()));
+        }
+        assert!(win((-5.1, 5.1), (-8.1, 9.1)).contains_rect(&hull));
+        segs.clear();
+        assert!(segs.lifetime_hull().is_empty() && segs.space_hull().is_empty());
     }
 
     #[test]

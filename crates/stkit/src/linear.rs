@@ -136,7 +136,37 @@ impl LinearForm {
         let v1 = self.eval(span.hi);
         Interval::new(v0.min(v1), v0.max(v1))
     }
+
+    /// [`Self::range_over`] widened by [`REACH_SLACK`]` · (|a| + |b|·T)`,
+    /// `T` the larger magnitude of `span`'s ends: the values the overlap
+    /// kernels can attribute to this line over `span`, rounding included.
+    ///
+    /// Why that is enough. A kernel never evaluates the line; it solves
+    /// `a + b·t ≷ c` for `t` as `(c − a)/b` (or, line against line,
+    /// `−(a − a′)/(b − b′)`) and intersects the roots with `span`. Each
+    /// root carries at most three roundings, so it is the exact root
+    /// times `1 + ε`, `|ε| < 2⁻⁵¹`, and the slope's sign — the case
+    /// selector — is exact. A non-empty result therefore holds a time
+    /// `τ ∈ span` at which every constraint is violated by at most
+    /// `(|b| + |b′|)·|τ|·2⁻⁵⁰`; the two endpoint evaluations of
+    /// `range_over` err by less than `2⁻⁵¹·(|a| + |b|·T)`. Each side of
+    /// a comparison pads for its own slope and intercept, so two reaches
+    /// that are disjoint prove the kernel result empty, with a factor
+    /// of 2⁸ to spare. A pad that is not finite (unbounded `span`)
+    /// makes the reach unbounded or NaN; callers prune on `<`/`>` only,
+    /// which a NaN never satisfies.
+    #[inline]
+    pub fn reach_over(&self, span: &Interval) -> Interval {
+        let r = self.range_over(span);
+        let t = span.lo.abs().max(span.hi.abs());
+        let pad = REACH_SLACK * (self.a.abs() + self.b.abs() * t);
+        Interval::new(r.lo - pad, r.hi + pad)
+    }
 }
+
+/// Relative widening of [`LinearForm::reach_over`]: 2⁻⁴⁰, about 2¹²
+/// ulps — far above the kernels' rounding, far below any window side.
+pub const REACH_SLACK: Scalar = 1.0 / (1u64 << 40) as Scalar;
 
 #[cfg(test)]
 mod tests {
@@ -206,6 +236,20 @@ mod tests {
             Interval::new(-3.0, -1.0)
         );
         assert!(f.range_over(&Interval::EMPTY).is_empty());
+    }
+
+    #[test]
+    fn reach_pads_the_range_by_the_line_scale() {
+        let f = LinearForm { a: 100.0, b: -2.0 };
+        let span = Interval::new(10.0, 20.0);
+        let (range, reach) = (f.range_over(&span), f.reach_over(&span));
+        assert_eq!(range, Interval::new(60.0, 80.0));
+        let pad = REACH_SLACK * (100.0 + 2.0 * 20.0);
+        assert_eq!(reach, Interval::new(60.0 - pad, 80.0 + pad));
+        assert!(reach.lo < range.lo && range.hi < reach.hi);
+        // Unbounded span: the reach is unbounded too.
+        let open = f.reach_over(&Interval::new(0.0, f64::INFINITY));
+        assert_eq!(open, Interval::ALL);
     }
 
     #[test]

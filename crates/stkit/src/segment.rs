@@ -208,6 +208,19 @@ impl<const D: usize> MotionSegment<D> {
         Rect::new(dims)
     }
 
+    /// Where the overlap kernels can place this motion: each
+    /// [`Self::coord_form`] line's [`LinearForm::reach_over`] the
+    /// validity (empty validity ⇒ empty reach). A
+    /// [`crate::MovingWindow`] whose own `reach` lies strictly beyond
+    /// it in some dimension never sees the object.
+    pub fn reach(&self) -> Rect<D> {
+        let mut dims = [Interval::EMPTY; D];
+        for i in 0..D {
+            dims[i] = self.coord_form(i).reach_over(&self.t);
+        }
+        Rect::new(dims)
+    }
+
     /// NSI bounding box (§3.2): spatial extents over validity × validity
     /// interval on the single temporal axis.
     pub fn nsi_box(&self) -> StBox<D, 1> {

@@ -100,6 +100,21 @@ impl TimeSet {
         if iv.is_empty() {
             return;
         }
+        // Ascending inserts — every trajectory caller, pieces being
+        // time-ordered — land past the last member or merge with it
+        // alone: no search, no shifting.
+        match self.ivs.last_mut() {
+            None => self.ivs.push(iv),
+            Some(last) if iv.lo > last.hi => self.ivs.push(iv),
+            Some(last) if iv.lo >= last.lo => {
+                *last = Interval::new(iv.lo.min(last.lo), iv.hi.max(last.hi));
+            }
+            Some(_) => self.insert_anywhere(iv),
+        }
+    }
+
+    /// [`Self::insert`] for a non-empty `iv` that may land anywhere.
+    fn insert_anywhere(&mut self, iv: Interval) {
         // Find the range of existing members that merge with `iv`
         // (overlap or touch). Members are sorted and disjoint.
         let lo_idx = self.ivs.partition_point(|m| m.hi < iv.lo);
@@ -113,6 +128,12 @@ impl TimeSet {
             );
             self.ivs.splice(lo_idx..hi_idx, std::iter::once(merged));
         }
+    }
+
+    /// Give back the capacity that growing by [`Self::insert`] left
+    /// over — for a set that is finished and will be held for a while.
+    pub fn shrink_to_fit(&mut self) {
+        self.ivs.shrink_to_fit();
     }
 
     /// Union of two sets.
@@ -197,6 +218,33 @@ mod tests {
         assert_eq!(s.intervals(), &[iv(1.0, 5.0)]);
         s.insert(iv(0.0, 10.0));
         assert_eq!(s.intervals(), &[iv(0.0, 10.0)]);
+    }
+
+    #[test]
+    fn ascending_fast_path_builds_the_same_set_as_the_general_path() {
+        let streams: &[&[Interval]] = &[
+            // Ascending and disjoint; touching; overlapping the last.
+            &[iv(0.0, 1.0), iv(2.0, 3.0), iv(5.0, 6.0)],
+            &[iv(0.0, 1.0), iv(1.0, 2.0), iv(2.0, 2.0), iv(4.0, 5.0), iv(5.0, 7.0)],
+            &[iv(0.0, 4.0), iv(1.0, 2.0), iv(3.0, 6.0), iv(3.0, 5.0), iv(8.0, 9.0), iv(8.5, 8.6)],
+            // Same start as the last member, signed zeros included.
+            &[iv(0.0, 1.0), iv(-0.0, 2.0), iv(3.0, 4.0), iv(3.0, 3.5)],
+            // Out of order: before everything, bridging several, between two.
+            &[iv(5.0, 6.0), iv(1.0, 2.0), iv(8.0, 9.0), iv(3.0, 3.5), iv(1.5, 8.5), iv(-1.0, 0.0)],
+            &[iv(5.0, 6.0), iv(7.0, 8.0), iv(4.0, 9.0), iv(9.0, 10.0), iv(0.0, 4.0)],
+        ];
+        for stream in streams {
+            let (mut fast, mut general) = (TimeSet::empty(), TimeSet::empty());
+            for &x in *stream {
+                fast.insert(x);
+                general.insert_anywhere(x);
+                let bits = |s: &TimeSet| -> Vec<(u64, u64)> {
+                    s.intervals().iter().map(|m| (m.lo.to_bits(), m.hi.to_bits())).collect()
+                };
+                assert_eq!(bits(&fast), bits(&general), "after {x:?} of {stream:?}");
+                assert!(fast.intervals().windows(2).all(|w| w[0].hi < w[1].lo));
+            }
+        }
     }
 
     #[test]

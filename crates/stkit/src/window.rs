@@ -79,6 +79,22 @@ impl<const D: usize> MovingWindow<D> {
         Rect::new(dims)
     }
 
+    /// [`Self::swept_bounds`] over [`LinearForm::reach_over`] in place of
+    /// `range_over`: a box, or a motion segment's
+    /// [`MotionSegment::reach`], that lies strictly beyond it in some
+    /// dimension makes [`Self::overlap_time_rect`] /
+    /// [`Self::overlap_time_segment`] (and their batched forms) return
+    /// an empty interval.
+    pub fn reach(&self) -> Rect<D> {
+        let mut dims = [Interval::EMPTY; D];
+        for i in 0..D {
+            dims[i] = self.lo[i]
+                .reach_over(&self.span)
+                .cover(&self.hi[i].reach_over(&self.span));
+        }
+        Rect::new(dims)
+    }
+
     /// Eq. 3: the time interval `T^j` during which this trapezoid segment
     /// overlaps the static box `⟨qtime, space⟩`.
     ///
