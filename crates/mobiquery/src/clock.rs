@@ -1,18 +1,15 @@
-//! Per-region frame clocks: the watermark protocol that replaced the
-//! global frame barrier.
+//! Per-region frame clocks: the watermark protocol that orders a
+//! region's writer against the sessions reading it.
 //!
-//! Until PR 8 every serving path — [`crate::DqServer`],
-//! [`crate::PartitionedDqServer`], and the durability thread — met at
-//! one `std::sync::Barrier` twice per frame. Correct, but the slowest
-//! session stalled the world, a failed session had to be kept alive as
-//! a barrier-parked zombie, and a grid recut needed `&mut self` between
-//! serves. A [`FrameClock`] per region dissolves that rendezvous into
-//! three monotonic watermarks plus per-session consumption cursors:
+//! There is no global rendezvous on the serving path. Each region has a
+//! [`FrameClock`]: three monotonic watermarks plus per-session
+//! consumption cursors, so a slow session holds back only the regions
+//! its query touches, a failed session simply detaches, and a grid can
+//! be recut while sessions are live.
 //!
 //! * `committed` — frames whose insert batch is WAL-durable. Advanced by
 //!   the durability participant; a region's writer waits on it before
-//!   applying, so *commit happens-before apply* exactly as under the
-//!   barrier (chaos_g–j's contract).
+//!   applying, so *commit happens-before apply* (chaos_g–j's contract).
 //! * `applied` — frames whose batch is visible in this region's tree.
 //!   Advanced by the region's writer; a session reads frame `k` only
 //!   after `applied` covers `k`, and only on the clocks of the regions
@@ -34,8 +31,8 @@
 //! reference. Isolation comes from the *per-region* scope: a stalled
 //! session back-pressures only the regions its lanes touch, every other
 //! region's writer and sessions run at full speed (the
-//! `exp_service_straggler` figure), and a failed session [`FrameClock::detach`]es
-//! instead of zombie-parking.
+//! `exp_service_straggler` figure), and a failed session
+//! [`FrameClock::detach`]es, so nobody waits on it again.
 //!
 //! Invariant, per region, whenever durability is attached:
 //! `committed >= applied >= min(acks) - 1`. Watermarks count *completed

@@ -18,19 +18,13 @@
 //! non-empty slice before the watermark covers it — append
 //! happens-before apply, per frame, with no global barrier.
 //!
-//! Two checkpoint shapes share one log:
-//!
-//! * [`Checkpoint::Tree`] — the single-tree [`crate::DqServer`] persists
-//!   its page store bit-exactly (snapshot v3 keeps the allocator's free
-//!   list, so replaying the WAL onto the reloaded pager allocates the
-//!   same page ids the live tree would have — recovery is *bit-identical*
-//!   to a fault-free tree that applied the same committed prefix). It
-//!   reads the tree, so its writer takes it at a frame boundary.
-//! * [`Checkpoint::Logical`] — the [`crate::PartitionedDqServer`] has one
-//!   shared WAL over many region trees; its checkpoint is a record set,
-//!   and recovery rebuilds the regions through
-//!   [`crate::PartitionedDqServer::build`] (result-equivalent, not
-//!   bit-identical — region trees have no single page image).
+//! There is one checkpoint shape, [`LogicalCheckpoint`]: a record set,
+//! not page images. One WAL is shared by however many region trees the
+//! grid has, so there is no single page image to persist; a record set
+//! survives a recut; and it can be extended from the log alone, where a
+//! page image costs a scan of the index every time. Recovery rebuilds
+//! the regions through [`crate::PartitionedDqServer::build`] under any
+//! grid — result-equivalent to the crashed server, not page-identical.
 //!
 //! A logical checkpoint is built from the trees exactly once: the
 //! initial one, which captures whatever was preloaded before the log
@@ -54,43 +48,21 @@
 //! and a fold, none appears on both sides of the watermark.
 //!
 //! Checkpoint failure is *safe*: the WAL is only truncated after the new
-//! checkpoint is installed, so a failed snapshot — or a fold that finds
-//! the live log damaged — leaves the previous checkpoint plus the full
-//! (longer) WAL: still a complete recovery story, just a slower one.
+//! checkpoint is installed, so a fold that finds the live log damaged
+//! leaves the previous checkpoint plus the full (longer) WAL: still a
+//! complete recovery story, just a slower one.
 //! The failure is counted in [`DurableStats::checkpoint_failures`].
 
 use parking_lot::Mutex;
-use rtree::{NsiSegmentRecord, RTree, RTreeConfig, Record};
-use std::io;
+use rtree::{NsiSegmentRecord, Record};
 use std::sync::Arc;
 use std::time::Instant;
-use storage::{
-    load_pager, replay_wal, save_pager, scan_wal, PageId, PageStore, Pager, SnapshotSource,
-    StorageError, Wal, WalError, WalStats, WalTail, WAL_RECORD_OVERHEAD,
-};
+use storage::{replay_wal, scan_wal, Wal, WalError, WalStats, WalTail, WAL_RECORD_OVERHEAD};
 
-/// The durable state the single-tree server checkpoints: a byte-exact
-/// page-store snapshot plus the tree metadata needed to reopen it.
-#[derive(Clone, Debug)]
-pub struct TreeCheckpoint {
-    /// [`storage::save_pager`] bytes of the serving store (v3: free list
-    /// preserved, so post-restore allocation order matches the original).
-    pub snapshot: Vec<u8>,
-    /// Root page at checkpoint time.
-    pub root: PageId,
-    /// Tree height at checkpoint time.
-    pub height: u32,
-    /// Records indexed at checkpoint time.
-    pub len: u64,
-    /// Last WAL sequence number the snapshot covers; replay applies only
-    /// records with `seq > wal_seq`.
-    pub wal_seq: u64,
-}
-
-/// The durable state the partitioned server checkpoints: the record set
-/// as of the watermark — the preloaded records (seam replicas collapsed,
-/// in id order) followed by every committed batch folded in since, in
-/// commit order — encoded with the WAL batch codec.
+/// What a checkpoint persists: the record set as of the watermark — the
+/// preloaded records (seam replicas collapsed, in id order) followed by
+/// every committed batch folded in since, in commit order — encoded with
+/// the WAL batch codec.
 #[derive(Clone, Debug)]
 pub struct LogicalCheckpoint {
     /// `count u32 ‖ [record bytes]*` — records only; rebuild inserts each
@@ -103,25 +75,6 @@ pub struct LogicalCheckpoint {
     pub wal_seq: u64,
 }
 
-/// What the last checkpoint persisted.
-#[derive(Clone, Debug)]
-pub enum Checkpoint {
-    /// Byte-exact page snapshot (single-tree server).
-    Tree(TreeCheckpoint),
-    /// Record set as of the watermark (partitioned server).
-    Logical(LogicalCheckpoint),
-}
-
-impl Checkpoint {
-    /// The WAL watermark this checkpoint covers.
-    pub fn wal_seq(&self) -> u64 {
-        match self {
-            Checkpoint::Tree(c) => c.wal_seq,
-            Checkpoint::Logical(c) => c.wal_seq,
-        }
-    }
-}
-
 /// Everything recovery needs, captured as of one instant: the installed
 /// checkpoint (if any) and the WAL byte image. Crash harnesses snapshot
 /// this at arbitrary points — including between a WAL append and the
@@ -129,7 +82,7 @@ impl Checkpoint {
 #[derive(Clone, Debug)]
 pub struct DurableImage {
     /// The last installed checkpoint.
-    pub checkpoint: Option<Checkpoint>,
+    pub checkpoint: Option<LogicalCheckpoint>,
     /// The WAL image ([`storage::Wal::image`]) as of the capture.
     pub wal: Vec<u8>,
 }
@@ -149,7 +102,7 @@ pub struct DurableStats {
 }
 
 struct LogState {
-    checkpoint: Option<Checkpoint>,
+    checkpoint: Option<LogicalCheckpoint>,
     commits_since_checkpoint: u64,
     checkpoints: u64,
     checkpoint_failures: u64,
@@ -263,35 +216,6 @@ impl DurableLog {
             && self.state.lock().commits_since_checkpoint >= self.checkpoint_every
     }
 
-    /// Checkpoint a single serving tree: snapshot its store byte-exactly,
-    /// then truncate the WAL. On snapshot failure nothing is installed
-    /// and the WAL is *not* truncated — the previous checkpoint plus the
-    /// full log still recovers.
-    pub fn checkpoint_tree<const D: usize, S: SnapshotSource>(
-        &self,
-        tree: &RTree<NsiSegmentRecord<D>, Arc<S>>,
-    ) -> io::Result<()> {
-        let started = Instant::now();
-        let mut snapshot = Vec::new();
-        if let Err(e) = save_pager(tree.store(), &mut snapshot) {
-            self.state.lock().checkpoint_failures += 1;
-            return Err(e);
-        }
-        let pages = u32::from_le_bytes(snapshot[12..16].try_into().unwrap());
-        let (root, height, len) = tree.metadata();
-        let mut st = self.state.lock();
-        let wal_seq = self.wal.truncate_for_checkpoint();
-        st.checkpoint = Some(Checkpoint::Tree(TreeCheckpoint {
-            snapshot,
-            root,
-            height,
-            len,
-            wal_seq,
-        }));
-        st.installed(wal_seq, pages, 0, started);
-        Ok(())
-    }
-
     /// Install `records` as the logical checkpoint — the base every
     /// later [`Self::fold_checkpoint`] extends — and truncate the WAL:
     /// the caller vouches that `records` already holds every batch the
@@ -309,11 +233,11 @@ impl DurableLog {
         let count = records.len() as u32;
         let mut st = self.state.lock();
         let wal_seq = self.wal.truncate_for_checkpoint();
-        st.checkpoint = Some(Checkpoint::Logical(LogicalCheckpoint {
+        st.checkpoint = Some(LogicalCheckpoint {
             records: buf,
             count,
             wal_seq,
-        }));
+        });
         st.installed(wal_seq, count, u64::from(count), started);
     }
 
@@ -324,19 +248,19 @@ impl DurableLog {
     /// checkpoint, reads no tree, and is atomic with respect to
     /// [`Self::commit_frame`] and [`Self::durable_image`].
     ///
-    /// Sound because durable partitioned serving only ever *adds*
+    /// Sound because durable serving only ever *adds*
     /// records (see the module doc); the log is verified exactly as
-    /// recovery would verify it, and on any error — no logical
+    /// recovery would verify it, and on any error — no
     /// checkpoint to extend, or a live log that does not scan clean —
     /// nothing is installed and nothing truncated.
     pub fn fold_checkpoint<const D: usize>(&self) -> Result<u64, RecoverError> {
         let started = Instant::now();
         let mut st = self.state.lock();
-        let folded = match &mut st.checkpoint {
-            Some(Checkpoint::Logical(cp)) => self.wal.with_image(|wal| fold_tail::<D>(cp, wal)),
-            Some(Checkpoint::Tree(_)) => Err(RecoverError::WrongCheckpointKind),
-            None => Err(RecoverError::NoCheckpoint),
-        };
+        let folded = st
+            .checkpoint
+            .as_mut()
+            .ok_or(RecoverError::NoCheckpoint)
+            .and_then(|cp| self.wal.with_image(|wal| fold_tail::<D>(cp, wal)));
         match folded {
             Ok(records) => {
                 let wal_seq = self.wal.truncate_for_checkpoint();
@@ -392,7 +316,7 @@ impl RecoveryReport {
     }
 }
 
-/// Why recovery could not produce a tree — or, for
+/// Why recovery could not produce a record set — or, for
 /// [`DurableLog::fold_checkpoint`], which replays the same log early, why
 /// no checkpoint was installed. A damaged WAL *tail* is not an error for
 /// recovery (replay stops at the last complete record and reports it in
@@ -404,18 +328,11 @@ pub enum RecoverError {
     /// onto (the writer takes an initial checkpoint before its first
     /// frame precisely to rule this out).
     NoCheckpoint,
-    /// The image's checkpoint is the other server's shape (e.g. a logical
-    /// record-set checkpoint handed to [`DurableImage::recover_tree`]).
-    WrongCheckpointKind,
     /// The WAL header itself is unusable.
     Wal(WalError),
-    /// The checkpoint snapshot failed to load.
-    Snapshot(io::Error),
     /// A checksum-valid WAL record decoded to a malformed batch (a logic
     /// bug, surfaced as a typed error rather than a panic).
     Codec(String),
-    /// Re-applying a committed record to the recovered store failed.
-    Apply(StorageError),
     /// The *live* log did not scan clean to its end. Folding it would
     /// seal the damage into the checkpoint and truncate the evidence, so
     /// the fold refuses.
@@ -426,13 +343,8 @@ impl std::fmt::Display for RecoverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoverError::NoCheckpoint => write!(f, "no checkpoint to recover from"),
-            RecoverError::WrongCheckpointKind => {
-                write!(f, "checkpoint kind does not match the recovery path")
-            }
             RecoverError::Wal(e) => write!(f, "unusable WAL image: {e}"),
-            RecoverError::Snapshot(e) => write!(f, "checkpoint snapshot failed to load: {e}"),
             RecoverError::Codec(msg) => write!(f, "malformed WAL batch payload: {msg}"),
-            RecoverError::Apply(e) => write!(f, "replay insert failed: {e}"),
             RecoverError::DamagedLog(tail) => write!(f, "live WAL is damaged: {tail:?}"),
         }
     }
@@ -441,57 +353,7 @@ impl std::fmt::Display for RecoverError {
 impl std::error::Error for RecoverError {}
 
 impl DurableImage {
-    /// Recover a single serving tree: load the checkpoint snapshot,
-    /// reopen the tree, and replay every complete WAL record past the
-    /// checkpoint watermark. The result is bit-identical (same
-    /// [`save_pager`] bytes, same metadata) to a fault-free tree that
-    /// applied the same committed-frame prefix, because the v3 snapshot
-    /// preserves allocation order.
-    pub fn recover_tree<const D: usize>(
-        &self,
-        config: RTreeConfig,
-    ) -> Result<(RTree<NsiSegmentRecord<D>, Pager>, RecoveryReport), RecoverError> {
-        let Some(Checkpoint::Tree(cp)) = &self.checkpoint else {
-            return Err(match &self.checkpoint {
-                None => RecoverError::NoCheckpoint,
-                Some(_) => RecoverError::WrongCheckpointKind,
-            });
-        };
-        let pager = load_pager(&cp.snapshot[..]).map_err(RecoverError::Snapshot)?;
-        let mut tree: RTree<NsiSegmentRecord<D>, Pager> =
-            RTree::reopen(pager, config, cp.root, cp.height, cp.len);
-        let rep = replay_wal(&self.wal).map_err(RecoverError::Wal)?;
-        let mut frames = 0u64;
-        let mut records = 0u64;
-        for r in &rep.records {
-            // A capture racing a checkpoint can hold records the snapshot
-            // already covers; the watermark filter keeps replay
-            // exactly-once.
-            if r.seq <= cp.wal_seq {
-                continue;
-            }
-            let (_, batch) = decode_batch::<D>(&r.payload).map_err(RecoverError::Codec)?;
-            frames += 1;
-            for (rec, now) in batch {
-                tree.try_insert(rec, now).map_err(RecoverError::Apply)?;
-                records += 1;
-            }
-        }
-        obs::trace(obs::TraceEvent::WalReplayed {
-            records: records as u32,
-            clean_tail: rep.tail.is_clean(),
-        });
-        Ok((
-            tree,
-            RecoveryReport {
-                replayed_frames: frames,
-                replayed_records: records,
-                tail: rep.tail,
-            },
-        ))
-    }
-
-    /// Recover the partitioned server's durable state: the checkpoint's
+    /// Recover the durable state: the checkpoint's
     /// record set plus every complete committed frame past the
     /// watermark, in commit order. The caller rebuilds region trees
     /// from the base set (via [`crate::PartitionedDqServer::build`]) and
@@ -507,17 +369,15 @@ impl DurableImage {
         ),
         RecoverError,
     > {
-        let Some(Checkpoint::Logical(cp)) = &self.checkpoint else {
-            return Err(match &self.checkpoint {
-                None => RecoverError::NoCheckpoint,
-                Some(_) => RecoverError::WrongCheckpointKind,
-            });
-        };
+        let cp = self.checkpoint.as_ref().ok_or(RecoverError::NoCheckpoint)?;
         let base = decode_record_set::<D>(&cp.records).map_err(RecoverError::Codec)?;
         let rep = replay_wal(&self.wal).map_err(RecoverError::Wal)?;
         let mut frames = Vec::new();
         let mut records = 0u64;
         for r in &rep.records {
+            // A capture racing a checkpoint can hold records the
+            // checkpoint already covers; the watermark filter keeps
+            // replay exactly-once.
             if r.seq <= cp.wal_seq {
                 continue;
             }
@@ -535,44 +395,6 @@ impl DurableImage {
             tail: rep.tail,
         };
         Ok((base, frames, report))
-    }
-}
-
-/// Hooks [`DurableLog`] into a [`crate::DqServer`] without bounding the
-/// whole server on [`SnapshotSource`]: the checkpoint path is a plain
-/// function pointer instantiated by
-/// [`crate::DqServer::with_durability`] — the only place the bound
-/// exists — so `serve` stays generic over any [`PageStore`].
-pub struct DurabilityHook<const D: usize, S: PageStore> {
-    pub(crate) log: Arc<DurableLog>,
-    checkpoint_fn: fn(&DurableLog, &RTree<NsiSegmentRecord<D>, Arc<S>>) -> io::Result<()>,
-}
-
-impl<const D: usize, S: PageStore> DurabilityHook<D, S> {
-    pub(crate) fn for_tree(log: Arc<DurableLog>) -> Self
-    where
-        S: SnapshotSource,
-    {
-        DurabilityHook {
-            log,
-            checkpoint_fn: |log, tree| log.checkpoint_tree(tree),
-        }
-    }
-
-    /// Take the run's base checkpoint if none exists yet, so recovery
-    /// always has the preloaded tree to replay onto.
-    pub(crate) fn ensure_initial(
-        &self,
-        tree: &RTree<NsiSegmentRecord<D>, Arc<S>>,
-    ) -> io::Result<()> {
-        if self.log.has_checkpoint() {
-            return Ok(());
-        }
-        (self.checkpoint_fn)(&self.log, tree)
-    }
-
-    pub(crate) fn checkpoint(&self, tree: &RTree<NsiSegmentRecord<D>, Arc<S>>) -> io::Result<()> {
-        (self.checkpoint_fn)(&self.log, tree)
     }
 }
 
@@ -720,14 +542,6 @@ mod tests {
         R::new(oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5])
     }
 
-    fn build(recs: &[(R, f64)], page_size: usize) -> RTree<R, Pager> {
-        let mut tree = RTree::new(Pager::with_page_size(page_size), RTreeConfig::default());
-        for (r, now) in recs {
-            tree.insert(*r, *now);
-        }
-        tree
-    }
-
     #[test]
     fn batch_codec_roundtrip() {
         let batch: Vec<(R, f64)> = (0..5).map(|i| (rec(i, f64::from(i), 0.25), 0.25)).collect();
@@ -752,90 +566,9 @@ mod tests {
         log.commit_frame(0, &[(rec(1, 1.0, 0.0), 0.0)]);
         let image = log.durable_image();
         assert!(matches!(
-            image.recover_tree::<2>(RTreeConfig::default()),
-            Err(RecoverError::NoCheckpoint)
-        ));
-        assert!(matches!(
             image.recover_records::<2>(),
             Err(RecoverError::NoCheckpoint)
         ));
-    }
-
-    #[test]
-    fn checkpoint_plus_replay_reconstructs_the_tree_bit_identically() {
-        let preload: Vec<(R, f64)> = (0..30).map(|i| (rec(i, f64::from(i), 0.0), 0.0)).collect();
-        let tree = build(&preload, 256).map_store(Arc::new);
-        let log = DurableLog::new(0);
-        log.checkpoint_tree(&tree).unwrap();
-
-        // Commit two frames, apply them to the live tree, crash, recover.
-        let mut live = tree;
-        let batches: Vec<Vec<(R, f64)>> = (0..2)
-            .map(|k| {
-                (0..4)
-                    .map(|j| (rec(100 + k * 4 + j, f64::from(j) + 0.25, 1.0), 1.0))
-                    .collect()
-            })
-            .collect();
-        for (k, b) in batches.iter().enumerate() {
-            log.commit_frame(k as u64, b);
-            for (r, now) in b {
-                live.insert(*r, *now);
-            }
-        }
-        let (recovered, report) = log
-            .durable_image()
-            .recover_tree::<2>(RTreeConfig::default())
-            .unwrap();
-        assert_eq!(report.replayed_frames, 2);
-        assert_eq!(report.replayed_records, 8);
-        assert!(report.tail.is_clean());
-        assert_eq!(recovered.metadata(), live.metadata());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        save_pager(recovered.store(), &mut a).unwrap();
-        save_pager(live.store(), &mut b).unwrap();
-        assert_eq!(a, b, "recovered pager image differs from the live tree");
-    }
-
-    #[test]
-    fn checkpoint_truncates_and_watermark_filters_replay() {
-        let preload: Vec<(R, f64)> = (0..10).map(|i| (rec(i, f64::from(i), 0.0), 0.0)).collect();
-        let mut live = build(&preload, 256).map_store(Arc::new);
-        let log = DurableLog::new(2);
-        log.checkpoint_tree(&live).unwrap();
-        assert!(!log.due_for_checkpoint());
-
-        for k in 0..2u64 {
-            let b = vec![(rec(100 + k as u32, 0.25, 1.0), 1.0)];
-            log.commit_frame(k, &b);
-            live.insert(b[0].0, b[0].1);
-        }
-        assert!(log.due_for_checkpoint(), "two commits at every=2");
-        log.checkpoint_tree(&live).unwrap();
-        assert!(!log.due_for_checkpoint());
-        let stats = log.stats();
-        assert_eq!(stats.checkpoints, 2);
-        assert_eq!(stats.wal.truncations, 2);
-
-        // Nothing to replay: the checkpoint covers both commits.
-        let (recovered, report) = log
-            .durable_image()
-            .recover_tree::<2>(RTreeConfig::default())
-            .unwrap();
-        assert_eq!(report.replayed_records, 0);
-        assert_eq!(recovered.metadata(), live.metadata());
-
-        // One more commit replays exactly one record (seq continuity
-        // across the truncation is what makes the watermark meaningful).
-        let b = vec![(rec(200, 0.75, 2.0), 2.0)];
-        log.commit_frame(2, &b);
-        live.insert(b[0].0, b[0].1);
-        let (recovered, report) = log
-            .durable_image()
-            .recover_tree::<2>(RTreeConfig::default())
-            .unwrap();
-        assert_eq!(report.replayed_records, 1);
-        assert_eq!(recovered.metadata(), live.metadata());
     }
 
     #[test]
@@ -888,9 +621,7 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(replayed_before.replayed_records, 6);
         assert_eq!(replayed_after.replayed_records, 0);
-        let Some(Checkpoint::Logical(cp)) = &after.checkpoint else {
-            panic!("fold keeps the logical checkpoint");
-        };
+        let cp = after.checkpoint.as_ref().expect("fold keeps the checkpoint");
         assert_eq!((cp.count, cp.wal_seq), (12, 2));
         assert_eq!(after.wal.len(), 8, "WAL truncated to its header");
 
@@ -911,27 +642,19 @@ mod tests {
     }
 
     #[test]
-    fn fold_without_a_logical_base_is_refused_and_counted() {
+    fn fold_without_a_base_is_refused_and_counted() {
         let log = DurableLog::new(0);
         log.commit_frame(0, &[(rec(1, 1.0, 0.0), 0.0)]);
         assert!(matches!(
             log.fold_checkpoint::<2>(),
             Err(RecoverError::NoCheckpoint)
         ));
-        let tree = build(&[], 256).map_store(Arc::new);
-        log.checkpoint_tree(&tree).unwrap();
-        log.commit_frame(1, &[(rec(2, 1.0, 0.0), 0.0)]);
-        assert!(matches!(
-            log.fold_checkpoint::<2>(),
-            Err(RecoverError::WrongCheckpointKind)
-        ));
         let stats = log.stats();
-        assert_eq!((stats.checkpoints, stats.checkpoint_failures), (1, 2));
+        assert_eq!((stats.checkpoints, stats.checkpoint_failures), (0, 1));
         // The refused fold truncated nothing.
-        let (_, report) = log
-            .durable_image()
-            .recover_tree::<2>(RTreeConfig::default())
-            .unwrap();
+        log.checkpoint_logical::<2>(&[]);
+        log.commit_frame(1, &[(rec(2, 1.0, 0.0), 0.0)]);
+        let (_, report) = recovered_oids(&log.durable_image());
         assert_eq!(report.replayed_records, 1);
     }
 
@@ -942,9 +665,7 @@ mod tests {
         log.commit_frame(0, &[(rec(1, 1.5, 0.0), 0.0)]);
         log.commit_frame(1, &[(rec(2, 2.5, 0.0), 0.0)]);
         let image = log.durable_image();
-        let Some(Checkpoint::Logical(cp)) = image.checkpoint else {
-            panic!("logical checkpoint installed above");
-        };
+        let cp = image.checkpoint.expect("checkpoint installed above");
         // Torn inside, and bit-flipped inside, the last record: the first
         // record scans fine and must still not be folded.
         let mut torn = image.wal.clone();
@@ -1025,22 +746,5 @@ mod tests {
         });
         assert!(folds > 0 && captures > 0);
         assert_eq!(prefix_len(log.durable_image()), 2 * COMMITS as usize);
-    }
-
-    #[test]
-    fn kind_mismatch_is_a_typed_error() {
-        let log = DurableLog::new(0);
-        log.checkpoint_logical::<2>(&[]);
-        assert!(matches!(
-            log.durable_image().recover_tree::<2>(RTreeConfig::default()),
-            Err(RecoverError::WrongCheckpointKind)
-        ));
-        let tree = build(&[], 256).map_store(Arc::new);
-        let log = DurableLog::new(0);
-        log.checkpoint_tree(&tree).unwrap();
-        assert!(matches!(
-            log.durable_image().recover_records::<2>(),
-            Err(RecoverError::WrongCheckpointKind)
-        ));
     }
 }

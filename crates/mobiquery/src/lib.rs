@@ -49,7 +49,6 @@ pub mod psi;
 pub mod region;
 pub mod router;
 pub mod service;
-pub mod session;
 pub mod snapshot;
 pub mod spdq;
 pub mod stats;
@@ -61,8 +60,7 @@ pub use aggregate::CountProfile;
 pub use cache::ClientCache;
 pub use clock::{FrameClock, SessionLiveness};
 pub use durability::{
-    Checkpoint, DurableImage, DurableLog, DurableStats, LogicalCheckpoint, RecoverError,
-    RecoveryReport, TreeCheckpoint,
+    DurableImage, DurableLog, DurableStats, LogicalCheckpoint, RecoverError, RecoveryReport,
 };
 pub use join::{distance_join, self_distance_join, JoinPair};
 pub use knn::{knn_at, knn_moving_observer, KnnResult, MovingKnn};
@@ -74,10 +72,9 @@ pub use psi::{psi_query, psi_query_key, PsiBounds, PsiSegmentRecord};
 pub use region::RegionGrid;
 pub use router::{PartitionedDqServer, PartitionedServeReport, RecutPlan, RegionReport};
 pub use service::{
-    DqServer, FrameDelta, FrameReport, FrameSink, ServeReport, SessionKind, SessionOutcome,
+    FrameDelta, FrameReport, FrameSink, ServeReport, SessionKind, SessionOutcome,
     SessionOutput, SessionPlan, SessionSpec, SinkVerdict,
 };
-pub use session::{FlightSession, FrameView};
 pub use snapshot::SnapshotQuery;
 pub use spdq::SpdqSession;
 pub use stats::QueryStats;

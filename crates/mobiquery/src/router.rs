@@ -1,13 +1,14 @@
-//! Region-partitioned serving: many trees, many writers, one answer.
+//! The serving core: many trees, many writers, one answer.
 //!
-//! [`crate::service::DqServer`] serializes every insert behind ONE
-//! tree's write lock — correct, but the writer caps throughput long
-//! before millions of objects. [`PartitionedDqServer`] splits space by a
-//! [`RegionGrid`] into regions that each own their own NSI tree, their
-//! own writer thread, and their own buffer pool, so per-frame insert
-//! batches apply in parallel (the architecture of distributed
-//! continuous-range-query processors, arXiv 2206.01905, folded into one
-//! process).
+//! One tree serializes every insert behind one write lock — correct,
+//! but the writer caps throughput long before millions of objects.
+//! [`PartitionedDqServer`] splits space by a [`RegionGrid`] into regions
+//! that each own their own NSI tree, their own writer thread, and their
+//! own buffer pool, so per-frame insert batches apply in parallel (the
+//! architecture of distributed continuous-range-query processors, arXiv
+//! 2206.01905, folded into one process). The single-tree server is the
+//! one-region grid ([`RegionGrid::single`]): one lane per session, one
+//! writer, nothing to merge — same protocol, same code.
 //!
 //! The router half lives in each session: a session's moving window is
 //! split across the regions its trajectory sweeps (its *lanes*), one
@@ -21,8 +22,7 @@
 //! results order by `(visibility start, oid, seq)` — the same keys the
 //! PDQ queue itself tie-breaks on — which makes partitioned runs
 //! bitwise deterministic: [`PartitionedDqServer::serve`] equals
-//! [`PartitionedDqServer::serve_serial`] exactly, the same contract the
-//! single-tree server keeps.
+//! [`PartitionedDqServer::serve_serial`] exactly, under every grid.
 //!
 //! ## The clock protocol, per region
 //!
@@ -39,7 +39,7 @@
 //! back-pressures only its own lanes: writers of untouched regions never
 //! hear from it. Sessions *detach* from their lane clocks when their
 //! schedule ends — or when they fail mid-run, so a dead session releases
-//! the writers instead of zombie-parking at a barrier. Per region the
+//! the writers instead of holding them. Per region the
 //! invariant `committed >= applied` holds throughout, and the flow
 //! control keeps every optimistic read validation passing: region tree
 //! level reads == Σ lane disk accesses attributed to that region + that
@@ -74,7 +74,7 @@ use crate::npdq::NpdqEngine;
 use crate::pdq::{PdqEngine, PdqResult};
 use crate::region::RegionGrid;
 use crate::service::{
-    mailbox_bound, panic_message, publish_mailbox_hwm, record_wait, FrameDelta, FrameReport,
+    mailbox_bound, panic_message, record_wait, FrameDelta, FrameReport,
     FrameSink, Mailbox, NsiReport, ServeReport, SessionKind, SessionOutcome, SessionOutput,
     SessionPlan, SessionSpec, SinkVerdict,
 };
@@ -145,7 +145,7 @@ impl RegionReport {
 }
 
 /// Outcome of one [`PartitionedDqServer::serve`] /
-/// [`PartitionedDqServer::serve_serial`] run: the familiar single-tree
+/// [`PartitionedDqServer::serve_serial`] run: the whole-server
 /// [`ServeReport`] (writer tallies summed over regions *and* epochs;
 /// session outputs merged across lanes) plus the per-region breakdown of
 /// the **final** epoch (the whole run when nothing recut — region
@@ -154,8 +154,7 @@ impl RegionReport {
 /// Note `base.inserts_applied` counts *physical* per-region inserts, so
 /// it exceeds the batch record count when segments straddle seams.
 /// Under the clock protocol sessions never absorb frames outside their
-/// own window, so `Σ frame.stats == session.stats` holds here exactly
-/// as it does for the single-tree server.
+/// own window, so `Σ frame.stats == session.stats` holds exactly.
 #[derive(Clone, Debug, Default)]
 pub struct PartitionedServeReport {
     /// The run viewed as a single server (sessions in spec order).
@@ -289,8 +288,12 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     /// (this frame's broadcast for lane `li`), drain/execute in-schedule
     /// frames, then merge. Only the first lane error is returned (lanes
     /// process in ascending region order, so the choice is
-    /// deterministic); the engines stay valid for retry next frame,
-    /// exactly like the single-tree path.
+    /// deterministic). On `Err` the frame is still reported (with
+    /// whatever results and stats it produced before the fault) and the
+    /// engines stay valid: PDQ keeps the failed node queued for the next
+    /// drain, NPDQ keeps its discard baseline at the last *completed*
+    /// query, so a later frame re-derives anything the failed one missed
+    /// — degraded sessions lose latency, not results.
     fn step_frame<T: TreeReadRetry<NsiSegmentRecord<D>>>(
         &mut self,
         trees: &[T],
@@ -440,10 +443,10 @@ struct RegionTally {
 }
 
 impl RegionTally {
-    /// A failed region writer (full device) stops applying; see
-    /// [`crate::service::DqServer`] — the same rule, per region. The
-    /// log keeps committing and checkpointing regardless: a logical
-    /// checkpoint holds what was committed, not what a tree absorbed.
+    /// A failed region writer (full device) stops applying — a full
+    /// disk stays full. The log keeps committing and checkpointing
+    /// regardless: a checkpoint holds what was committed, not what a
+    /// tree absorbed, so the backlog replays onto a larger device.
     fn failed(&self) -> bool {
         matches!(self.outcome, SessionOutcome::Failed(_))
     }
@@ -765,10 +768,9 @@ pub struct PartitionedDqServer<const D: usize, S: PageStore> {
     metrics: Option<Arc<obs::MetricsRegistry>>,
     writer_retry: RetryPolicy,
     /// When set, every frame's batch is group-committed to the WAL
-    /// before any region applies it, and *logical* checkpoints (a
-    /// record set, not per-region page images) are installed when due.
-    /// Survives [`Self::rebalance`]: the logical form is
-    /// partition-independent.
+    /// before any region applies it, and checkpoints (a record set, not
+    /// per-region page images) are installed when due. Survives
+    /// [`Self::rebalance`]: a record set is partition-independent.
     durability: Option<Arc<DurableLog>>,
 }
 
@@ -809,9 +811,17 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         }
     }
 
-    /// Record serving metrics into `registry` (builder-style): the
-    /// single-tree run counters (including `service.clock_wait_ns` and
-    /// `service.frame_lag`) plus per-region labels
+    /// Record serving metrics into `registry` (builder-style).
+    ///
+    /// Metric names: `service.drain_ns` (per-session-frame drain latency
+    /// histogram), `service.writer.lock_hold_ns` (write-lock hold-time
+    /// histogram), `service.clock_wait_ns` (time any participant spent
+    /// blocked on a frame-clock watermark), `service.frame_lag` (gauge:
+    /// deepest applied-watermark lead over the slowest attached session),
+    /// `service.mailbox_hwm` (gauge), `service.frames` /
+    /// `service.inserts` / `service.results` / `service.writer.reads` /
+    /// `service.session.reads` (run counters), `service.pdq.queue_hwm` /
+    /// `service.npdq.discarded`, and per-region labels
     /// `service.region{r}.{inserts,writer.reads,writer.writes,session.reads,load}`.
     pub fn with_metrics(mut self, registry: Arc<obs::MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
@@ -819,7 +829,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     }
 
     /// How each region's writer treats transient insert failures
-    /// (builder-style); see [`crate::service::DqServer::with_writer_retry`].
+    /// (builder-style). A failed [`rtree::RTree::try_insert`] descent
+    /// leaves the tree unchanged, so the writer can retry the same
+    /// record; backoff sleeps happen with the write lock *released*.
+    /// Default: [`RetryPolicy::default`].
     pub fn with_writer_retry(mut self, policy: RetryPolicy) -> Self {
         self.writer_retry = policy;
         self
@@ -830,15 +843,12 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// *before* any region writer touches a tree page (the per-region
     /// clocks' `committed` watermark publishes exactly that fact). The
     /// preloaded regions are scanned once into the base
-    /// [`crate::durability::Checkpoint::Logical`] checkpoint; when a
-    /// later one falls due the log folds its own tail into that base
+    /// [`crate::LogicalCheckpoint`]; when a later one falls due the log
+    /// folds its own tail into that base
     /// ([`DurableLog::fold_checkpoint`]) without reading a tree or
     /// holding back a writer. Recovery rebuilds via [`Self::build`] from
     /// the checkpoint records plus the replayed frames —
     /// result-equivalent to the crashed server, under any grid.
-    ///
-    /// Unlike the single-tree server no `SnapshotSource` bound is
-    /// needed: logical checkpoints serialize records, not pages.
     pub fn with_durability(mut self, log: Arc<DurableLog>) -> Self {
         self.durability = Some(log);
         self
@@ -934,8 +944,8 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         })
     }
 
-    /// Global frame steps for a run (same rule as the single-tree
-    /// server: enough for every plan's window and every insert batch).
+    /// Global frame steps for a run: enough for every plan's window and
+    /// every insert batch.
     fn step_count(
         &self,
         plans: &[SessionPlan<D>],
@@ -949,10 +959,11 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             .max(inserts.len())
     }
 
-    /// Apply one region's routed slice under that region's write lock —
-    /// the single-tree writer's retry discipline, per region: transient
-    /// failures back off with the lock *released*, exhausted or
-    /// unrecoverable records are skipped into the tally's outcome.
+    /// Apply one region's routed slice under that region's write lock.
+    /// Transient failures back off with the lock *released* and resume
+    /// from the failed record; records whose errors are unrecoverable
+    /// (corrupt page) or whose retry budget is exhausted are skipped
+    /// into the tally's outcome.
     fn apply_region_batch(
         &self,
         tree: &RwLock<RTree<NsiSegmentRecord<D>, Arc<S>>>,
@@ -987,9 +998,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                             break;
                         }
                         // A full device fails the region's writer for the
-                        // rest of the run (same rule as the single-tree
-                        // server): skipping ahead would drop records
-                        // silently, and retrying a full disk is futile.
+                        // rest of the run: skipping ahead would drop
+                        // records silently, and retrying a full disk is
+                        // futile.
                         Err(e @ StorageError::Full { .. }) => {
                             w.outcome = SessionOutcome::Failed(format!("writer stopped: {e}"));
                             idx = batch.len();
@@ -1053,18 +1064,25 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     record_wait(wait_hist, clock.wait_ready(ku));
                     reports.clear();
                     self.apply_region_batch(&ep.trees[r], &routed, &mut reports, &mut w, hold_hist);
-                    // Broadcast outside the write lock; only to live
-                    // sessions attached to this region whose window
-                    // covers this frame — nobody else will ever drain
-                    // the mailbox.
+                    // Broadcast outside the write lock (mailbox pushes
+                    // clone reports and take per-session locks, none of
+                    // which needs the tree); only to live sessions
+                    // attached to this region whose window covers this
+                    // frame — nobody else will ever drain the mailbox.
+                    let mut fanout = 0u32;
                     for (i, win) in ep.windows[r].iter().enumerate() {
                         if is_pdq[i]
                             && win.is_some_and(|(f, l)| f <= ku && ku <= l)
                             && live.is_live(i)
                         {
                             ep.mailboxes[i][r].push_all(&reports, ep.mailbox_cap);
+                            fanout += 1;
                         }
                     }
+                    obs::trace(obs::TraceEvent::InsertBroadcast {
+                        reports: reports.len() as u32,
+                        sessions: fanout,
+                    });
                     obs::trace(obs::TraceEvent::RegionRoute {
                         region: r as u32,
                         records: routed.len() as u32,
@@ -1123,8 +1141,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// One session's thread over the whole run: walk the epochs its
     /// window intersects, (re)build lane engines at each handoff, and
     /// inside an epoch run the clock protocol — wait `applied`, drain
-    /// mailboxes, step, ack. Failure at any point detaches the session
-    /// from its lane clocks and keeps its results so far.
+    /// mailboxes, step, sink, ack. However the session's life ends, it
+    /// detaches from its lane clocks in one place and keeps its results
+    /// so far.
     #[allow(clippy::too_many_arguments)]
     fn session_loop(
         i: usize,
@@ -1142,16 +1161,16 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         let mut run: Option<LaneRun<'_, D>> = None;
         let mut failure: Option<SessionOutcome> = None;
         let mut started: Option<Instant> = None;
-        'epochs: for e in 0..epoch_count {
+        // The epoch whose lane clocks currently hold this session.
+        let mut attached: Option<Arc<Epoch<D, S>>> = None;
+        'life: for e in 0..epoch_count {
             let ep = gate.wait_for(e);
-            if (ep.start as u64) > gl {
-                break;
-            }
             let f = gf.max(ep.start as u64);
             let l = gl.min(ep.end.saturating_sub(1) as u64);
             if f > l {
                 continue;
             }
+            let ep = &**attached.insert(ep);
             let lanes = ep.lanes[i].clone();
             // Wait for the join/handoff boundary on every lane: trees
             // hold exactly state_{f-1} (the writers withhold batch `f`
@@ -1185,10 +1204,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         Some(r0) => r0.out.outcome = SessionOutcome::Failed(msg),
                         None => failure = Some(SessionOutcome::Failed(msg)),
                     }
-                    for r in lanes.clone() {
-                        ep.clocks[r].detach(i);
-                    }
-                    break 'epochs;
+                    break 'life;
                 }
             }
             for r in lanes.clone() {
@@ -1220,16 +1236,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     Ok(Ok(None)) => {}
                     Ok(Err(e)) => r0.out.outcome.record_error(e),
                     Err(p) => {
-                        // Dead engine: keep the results so far, flush
-                        // the read attribution, release the writers.
+                        // Dead engine: keep the results so far.
                         r0.out.outcome = SessionOutcome::Failed(panic_message(p));
-                        r0.flush_loads(|r, c| {
-                            ep.session_loads[r].fetch_add(c, Ordering::Relaxed);
-                        });
-                        for r in lanes.clone() {
-                            ep.clocks[r].detach(i);
-                        }
-                        break 'epochs;
+                        break 'life;
                     }
                 }
                 if r0.out.frames.len() > frames_before {
@@ -1242,18 +1251,11 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                             latency_ns: f.latency_ns,
                         };
                         if sink.on_frame(&delta) == SinkVerdict::Detach {
-                            // Evicted by its consumer: same exit as a
-                            // mid-run failure — flush attribution, keep
-                            // the results so far, release the writers.
+                            // Evicted by its consumer before the ack: the
+                            // next batch's permit is never granted.
                             r0.out.outcome =
                                 SessionOutcome::Failed("detached by frame sink".into());
-                            r0.flush_loads(|r, c| {
-                                ep.session_loads[r].fetch_add(c, Ordering::Relaxed);
-                            });
-                            for r in lanes.clone() {
-                                ep.clocks[r].detach(i);
-                            }
-                            break 'epochs;
+                            break 'life;
                         }
                     }
                 }
@@ -1272,12 +1274,22 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 }
             }
             if l == gl {
-                // Schedule complete: detach so no writer ever waits on
-                // this slot again (later epochs never attach it — the
-                // window clamp comes up empty).
-                for r in lanes.clone() {
-                    ep.clocks[r].detach(i);
-                }
+                break;
+            }
+        }
+        // End of life — schedule complete, engine dead or never built,
+        // or evicted: flush the read attribution and detach from the
+        // lane clocks, here and nowhere else, so no writer waits on this
+        // slot again (an epoch handoff is not a detach; later epochs
+        // never attach a dead session — liveness is shared).
+        if let Some(ep) = &attached {
+            if let Some(r0) = &mut run {
+                r0.flush_loads(|r, c| {
+                    ep.session_loads[r].fetch_add(c, Ordering::Relaxed);
+                });
+            }
+            for r in ep.lanes[i].clone() {
+                ep.clocks[r].detach(i);
             }
         }
         let mut out = match (run, failure) {
@@ -1472,12 +1484,14 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         });
 
         let published = gate.snapshot();
-        let deepest = published
-            .iter()
-            .flat_map(|ep| ep.mailboxes.iter().flatten().map(Mailbox::hwm))
-            .max()
-            .unwrap_or(0);
-        publish_mailbox_hwm(&self.metrics, deepest);
+        if let Some(reg) = &self.metrics {
+            let deepest = published
+                .iter()
+                .flat_map(|ep| ep.mailboxes.iter().flatten().map(Mailbox::hwm))
+                .max()
+                .unwrap_or(0);
+            reg.gauge("service.mailbox_hwm").record_max(deepest as i64);
+        }
         let mut retries = EpochStats::default();
         for (e, ep) in published.iter().enumerate() {
             retries += stats_of(&ep.trees) - baselines[e];
@@ -2002,35 +2016,80 @@ mod tests {
         })
     }
 
+    /// The grids every grid-independent behaviour is pinned on: the
+    /// single-tree case, one cut, three cuts.
+    fn grids() -> [RegionGrid; 3] {
+        [
+            RegionGrid::single(),
+            RegionGrid::from_cuts(0, vec![20.0]),
+            RegionGrid::from_cuts(0, vec![10.0, 20.0, 30.0]),
+        ]
+    }
+
+    /// `frames` batches of `per_frame` fresh objects dropped ahead of a
+    /// window sliding over `span`, oids from `base`.
+    fn ahead_inserts(frames: u32, per_frame: u32, span: f64, base: u32) -> Vec<Vec<(R, f64)>> {
+        (0..frames)
+            .map(|k| {
+                let t = span * f64::from(k) / f64::from(frames);
+                (0..per_frame)
+                    .map(|j| {
+                        let x = (t + 4.0 + f64::from(j)) % (span - 1.0);
+                        let oid = base + per_frame * k + j;
+                        (R::new(oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]), t)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Per-frame delivered sets: in-frame order is a tie-break artifact
+    /// (queue pop order vs the merge's `(start, oid, seq)`).
+    fn frame_sets(s: &SessionOutput) -> Vec<Vec<(u32, u32)>> {
+        let mut off = 0;
+        s.frames
+            .iter()
+            .map(|f| {
+                let mut set = s.results[off..off + f.results].to_vec();
+                off += f.results;
+                set.sort_unstable();
+                set
+            })
+            .collect()
+    }
+
     #[test]
-    fn single_region_matches_single_tree_server_per_frame() {
-        // 1-region partitioned serving delivers the same objects in the
-        // same frames as DqServer (in-frame order may legally differ at
-        // start-time ties, so compare frame sets).
+    fn single_pdq_session_matches_direct_engine() {
+        // The oracle chain's root: a bare engine over a bare tree — no
+        // serving code — delivers the same objects in the same frames as
+        // one region, which delivers the same stream as N regions.
         let recs = line_records(30);
         let spec = slide_spec(SessionKind::Pdq, 10, 30.0);
-        let part = build(RegionGrid::single(), &recs);
-        let p = part.serve(std::slice::from_ref(&spec), &[]);
-
         let mut tree = RTree::new(Pager::new(), RTreeConfig::default());
         for r in &recs {
             tree.insert(*r, r.seg.t.lo);
         }
-        let mono = crate::DqServer::new(tree).serve(std::slice::from_ref(&spec), &[]);
-
-        let frame_sets = |s: &SessionOutput| -> Vec<Vec<(u32, u32)>> {
-            let mut off = 0;
-            s.frames
-                .iter()
-                .map(|f| {
-                    let mut set = s.results[off..off + f.results].to_vec();
-                    off += f.results;
-                    set.sort_unstable();
-                    set
-                })
-                .collect()
-        };
-        assert_eq!(frame_sets(&p.sessions[0]), frame_sets(&mono.sessions[0]));
+        let mut direct = PdqEngine::start(&tree, spec.trajectory.clone());
+        let expect: Vec<Vec<(u32, u32)>> = spec
+            .frame_times
+            .windows(2)
+            .map(|w| {
+                let mut set: Vec<_> = direct
+                    .drain_window(&tree, w[0], w[1])
+                    .iter()
+                    .map(|r| (r.record.oid, r.record.seq))
+                    .collect();
+                set.sort_unstable();
+                set
+            })
+            .collect();
+        let one = build(RegionGrid::single(), &recs).serve(std::slice::from_ref(&spec), &[]);
+        assert_eq!(frame_sets(&one.sessions[0]), expect);
+        assert!(one.sessions[0].stats.disk_accesses > 0);
+        for grid in grids() {
+            let n = build(grid, &recs).serve(std::slice::from_ref(&spec), &[]);
+            assert_eq!(n.sessions[0].results, one.sessions[0].results);
+        }
     }
 
     #[test]
@@ -2039,27 +2098,134 @@ mod tests {
         let specs = vec![
             slide_spec(SessionKind::Pdq, 20, 40.0),
             slide_spec(SessionKind::Npdq, 20, 40.0),
+            slide_spec(SessionKind::Pdq, 10, 40.0),
+            slide_spec(SessionKind::Npdq, 10, 40.0),
         ];
-        let inserts: Vec<Vec<(R, f64)>> = (0..20)
-            .map(|k| {
-                let t = 40.0 * k as f64 / 20.0;
-                vec![(
-                    R::new(1000 + k, 0, Interval::new(t, 100.0), [(t + 5.0) % 39.0, 0.5], [(t + 5.0) % 39.0, 0.5]),
-                    t,
-                )]
-            })
-            .collect();
-        for cuts in [vec![20.0], vec![10.0, 20.0, 30.0]] {
-            let grid = RegionGrid::from_cuts(0, cuts);
+        let inserts = ahead_inserts(20, 2, 40.0, 1000);
+        for grid in grids() {
             let p = build(grid.clone(), &recs).serve(&specs, &inserts);
             let s = build(grid, &recs).serve_serial(&specs, &inserts);
             for (a, b) in p.sessions.iter().zip(&s.sessions) {
                 assert_eq!(a.results, b.results);
             }
+            assert!(p.total_results() > 0);
             assert_eq!(p.base.inserts_applied, s.base.inserts_applied);
             assert_eq!(p.base.writer_reads, s.base.writer_reads);
             assert_eq!(p.base.writer_writes, s.base.writer_writes);
         }
+    }
+
+    #[test]
+    fn empty_run_is_empty() {
+        let server = build(RegionGrid::single(), &line_records(5));
+        assert_eq!(server.region_record_counts(), vec![5]);
+        let report = server.serve(&[], &[]);
+        assert_eq!(report.frames, 0);
+        assert_eq!(report.sessions.len(), 0);
+    }
+
+    #[test]
+    fn writer_only_serve_applies_every_batch() {
+        // No sessions at all: the clocks have no attached windows, so the
+        // writers never wait and must still apply every frame's batch.
+        let inserts: Vec<Vec<(R, f64)>> = (0..7)
+            .map(|k| {
+                let x = 5.0 * f64::from(k) + 1.0;
+                vec![(R::new(500 + k, 0, Interval::new(0.0, 100.0), [x, 3.5], [x, 3.5]), f64::from(k))]
+            })
+            .collect();
+        for grid in grids() {
+            let server = build(grid, &line_records(5));
+            let report = server.serve(&[], &inserts);
+            assert_eq!(report.frames, 7);
+            assert_eq!(report.inserts_applied, 7);
+            assert_eq!(report.sessions.len(), 0);
+            assert!(report.writer_reads > 0, "insert descents read nodes");
+            assert!(report.writer_writes > 0, "inserts write nodes");
+            assert_eq!(server.region_record_counts().iter().sum::<u64>(), 12);
+        }
+    }
+
+    #[test]
+    fn short_schedule_session_stops_while_writer_continues() {
+        // A session whose frame schedule (3 steps) is much shorter than
+        // the insert schedule (10 batches): the run spans 10 frames, the
+        // session reports only its own 3, detaches, and the writers
+        // finish the remaining batches without waiting on it.
+        let recs = line_records(30);
+        let spec = slide_spec(SessionKind::Pdq, 3, 3.0);
+        let inserts: Vec<Vec<(R, f64)>> = (0..10)
+            .map(|k| {
+                let x = 1.5 + f64::from(k);
+                vec![(R::new(700 + k, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5]), f64::from(k))]
+            })
+            .collect();
+        for grid in grids() {
+            let report = build(grid.clone(), &recs).serve(std::slice::from_ref(&spec), &inserts);
+            assert_eq!(report.frames, 10);
+            assert_eq!(report.inserts_applied, 10);
+            assert_eq!(report.sessions[0].frames.len(), 3, "only scheduled frames report");
+            let serial = build(grid, &recs).serve_serial(std::slice::from_ref(&spec), &inserts);
+            assert_eq!(report.sessions[0].results, serial.sessions[0].results);
+        }
+    }
+
+    #[test]
+    fn broadcast_after_lock_drop_keeps_parallel_equal_to_serial() {
+        // Heavier regression for the mailbox protocol: many PDQ sessions,
+        // multi-record batches every frame (every batch forces an
+        // InsertBroadcast after the write guard drops).
+        let recs = line_records(30);
+        let specs: Vec<SessionSpec<2>> = (0..6)
+            .map(|i| slide_spec(SessionKind::Pdq, 15 + i, 30.0))
+            .collect();
+        let inserts = ahead_inserts(21, 3, 30.0, 2000);
+        for grid in grids() {
+            let parallel = build(grid.clone(), &recs).serve(&specs, &inserts);
+            let serial = build(grid, &recs).serve_serial(&specs, &inserts);
+            assert!(parallel.inserts_applied >= 63);
+            for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
+                assert_eq!(p.results, s.results);
+            }
+            assert_eq!(parallel.writer_reads, serial.writer_reads);
+            assert_eq!(parallel.writer_writes, serial.writer_writes);
+        }
+    }
+
+    #[test]
+    fn writer_reports_broadcast_fanout() {
+        // Drive one region's writer on this thread so its trace ring is
+        // readable: two PDQ sessions and one NPDQ session attached, every
+        // permit pre-granted (so the mailbox bound is the whole run's
+        // worth). Each batch must be followed by one InsertBroadcast
+        // naming its reports and the two PDQ mailboxes pushed to.
+        let server = build(RegionGrid::single(), &line_records(10));
+        let plans: Vec<SessionPlan<2>> = [SessionKind::Pdq, SessionKind::Npdq, SessionKind::Pdq]
+            .into_iter()
+            .map(|kind| SessionPlan::new(slide_spec(kind, 4, 8.0)))
+            .collect();
+        let windows: Vec<_> = plans.iter().map(SessionPlan::window).collect();
+        let inserts = ahead_inserts(4, 3, 8.0, 3000);
+        let live = SessionLiveness::new(plans.len());
+        let trees = server.regions.to_vec();
+        let ep = make_epoch(&plans, &windows, RegionGrid::single(), trees, &live, 0, 4, false, 12);
+        for i in 0..plans.len() {
+            ep.clocks[0].ack(i, u64::MAX);
+        }
+        obs::take_thread_trace();
+        let is_pdq = [true, false, true];
+        let tally = server.writer_loop(&ep, 0, &inserts, &is_pdq, &live, None, &None, None);
+        assert_eq!(tally.applied, 12);
+        let fanouts: Vec<(u32, u32)> = obs::take_thread_trace()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                obs::TraceEvent::InsertBroadcast { reports, sessions } => Some((reports, sessions)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fanouts, vec![(3, 2); 4]);
+        assert_eq!(ep.mailboxes[0][0].take().len(), 12);
+        assert!(ep.mailboxes[1][0].take().is_empty(), "NPDQ sessions get no broadcast");
     }
 
     #[test]
@@ -2239,5 +2405,114 @@ mod tests {
         assert_eq!(server.grid().len(), 2);
         assert_eq!(serial_server.grid().len(), 2);
         assert!(server.grid().cuts()[0] < 25.0);
+    }
+
+    #[test]
+    fn frame_reports_reconcile_and_timeline_is_ordered() {
+        let specs: Vec<SessionSpec<2>> = vec![
+            slide_spec(SessionKind::Pdq, 8, 20.0),
+            slide_spec(SessionKind::Npdq, 5, 20.0),
+        ];
+        for grid in grids() {
+            let registry = Arc::new(obs::MetricsRegistry::new());
+            let server = build(grid, &line_records(20)).with_metrics(Arc::clone(&registry));
+            let report = server.serve(&specs, &[]);
+
+            for s in &report.sessions {
+                let mut sum = QueryStats::default();
+                let mut results = 0;
+                for f in &s.frames {
+                    sum += f.stats;
+                    results += f.results;
+                }
+                assert_eq!(sum, s.stats, "frame stats must sum to session stats");
+                assert_eq!(results, s.results.len());
+            }
+            assert_eq!(report.sessions[0].frames.len(), 8);
+            assert_eq!(report.sessions[1].frames.len(), 6); // NPDQ: one step per frame time
+            assert!(report.sessions[0].queue_hwm > 0);
+            assert!(report.sessions[0].wall_ns > 0, "session wall time recorded");
+
+            let timeline = report.timeline();
+            assert_eq!(timeline.len(), 14);
+            let keys: Vec<(usize, usize)> = timeline.iter().map(|&(i, f)| (f.frame, i)).collect();
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            assert_eq!(keys, sorted, "timeline ordered by (frame, session)");
+
+            // The registry saw one drain sample per in-schedule frame and
+            // the run totals.
+            match registry.get("service.drain_ns") {
+                Some(obs::MetricValue::Histogram { count, .. }) => assert_eq!(count, 14),
+                other => panic!("missing drain histogram: {other:?}"),
+            }
+            assert_eq!(registry.counter_value("service.frames"), 8);
+            assert_eq!(
+                registry.counter_value("service.session.reads"),
+                report.total_stats().disk_accesses
+            );
+        }
+    }
+
+    /// A sink that counts the deltas it is offered and detaches once it
+    /// has seen `detach_after` of them.
+    struct CountingSink {
+        seen: Mutex<usize>,
+        detach_after: usize,
+    }
+
+    impl FrameSink for CountingSink {
+        fn on_frame(&self, _: &FrameDelta<'_>) -> SinkVerdict {
+            let mut seen = self.seen.lock();
+            *seen += 1;
+            if *seen >= self.detach_after {
+                SinkVerdict::Detach
+            } else {
+                SinkVerdict::Continue
+            }
+        }
+    }
+
+    #[test]
+    fn sink_detach_frees_the_writer_and_fails_only_that_session() {
+        let recs = line_records(30);
+        let plans: Vec<SessionPlan<2>> = (0..2)
+            .map(|_| SessionPlan::new(slide_spec(SessionKind::Pdq, 10, 30.0)))
+            .collect();
+        let inserts = ahead_inserts(10, 1, 30.0, 7000);
+        for grid in grids() {
+            let slow = CountingSink {
+                seen: Mutex::new(0),
+                detach_after: 3,
+            };
+            let refs: Vec<Option<&dyn FrameSink>> = vec![Some(&slow as &dyn FrameSink), None];
+            let report = build(grid.clone(), &recs).serve_plans_streamed(&plans, &inserts, &refs);
+            assert_eq!(report.frames, 10, "detach must not stall the run");
+            assert_eq!(*slow.seen.lock(), 3);
+            assert!(
+                matches!(&report.sessions[0].outcome, SessionOutcome::Failed(m) if m.contains("detached")),
+                "evicted session fails: {:?}",
+                report.sessions[0].outcome
+            );
+            let serial = build(grid, &recs).serve_serial_plans(&plans, &inserts);
+            assert_eq!(report.inserts_applied, serial.inserts_applied, "every batch still applied");
+            assert_eq!(report.sessions[1].results, serial.sessions[1].results, "healthy session unaffected");
+        }
+    }
+
+    #[test]
+    fn mailbox_hwm_gauge_stays_within_one_batch() {
+        let specs: Vec<SessionSpec<2>> = (0..4)
+            .map(|_| slide_spec(SessionKind::Pdq, 15, 30.0))
+            .collect();
+        let inserts = ahead_inserts(15, 3, 30.0, 8000);
+        for grid in grids() {
+            let registry = Arc::new(obs::MetricsRegistry::new());
+            let server = build(grid, &line_records(30)).with_metrics(Arc::clone(&registry));
+            server.serve(&specs, &inserts);
+            let hwm = registry.gauge_value("service.mailbox_hwm");
+            assert!(hwm > 0, "PDQ broadcasts must land in mailboxes");
+            assert!(hwm <= 3, "mailbox hwm {hwm} exceeds the one-batch bound 3");
+        }
     }
 }

@@ -1,51 +1,26 @@
-//! Concurrent query service: many dynamic-query sessions over one tree.
+//! The serving vocabulary: what a client asks for and what a run reports.
 //!
 //! The paper's system picture (§2, Fig. 1) is a *server* evaluating many
-//! clients' dynamic queries against one shared index while updates keep
-//! arriving. [`DqServer`] realises that picture: it owns a single NSI
-//! tree behind a [`parking_lot::RwLock`], runs N PDQ/NPDQ sessions on a
-//! scoped thread pool with per-frame batching, and broadcasts every
-//! [`rtree::InsertReport`] produced by the writer to all live PDQ
-//! engines (the §4.1 update-management protocol), while NPDQ sessions
-//! pick updates up through node timestamps (§4.2).
-//!
-//! Frames are ordered by a [`crate::clock::FrameClock`] instead of a
-//! global barrier: the writer advances the `applied` watermark after
-//! each frame's insert batch (and, when durable, the `committed`
-//! watermark after the batch's WAL group commit, which happens first);
-//! a session reads frame `k` by waiting for `applied` to cover `k`, and
-//! permits batch `k + 1` only once it has finished frame `k` (the
-//! clock's ack cursor). That flow control means the writer and the
-//! attached readers alternate — every session observes exactly the tree
-//! state the serial protocol would show it, every optimistic validation
-//! passes, and sessions join ([`SessionPlan::join_at`]) or leave
-//! ([`crate::clock::FrameClock::detach`] — including mid-run failures,
-//! which no longer zombie-park) at any frame without perturbing anyone
-//! else's results. Each frame's processing is *latch-free* through an
-//! optimistic [`rtree::TreeReader`] (per-visit version validation for
-//! PDQ, a pinned snapshot via [`rtree::TreeReadRetry::with_consistent`]
-//! for NPDQ) — no read lock is taken on the serving path, and the
-//! concurrent run stays *bitwise deterministic*: its per-session result
-//! sequences equal [`DqServer::serve_serial`]'s (the single-threaded
-//! reference executing the same protocol over `&RTree`, where
-//! validation is statically unnecessary), which the `service` and
-//! `clock` integration tests check.
+//! clients' dynamic queries against a shared index while updates keep
+//! arriving. The server itself is [`crate::PartitionedDqServer`] (one
+//! region is the single-tree case); this module holds the types both
+//! sides of it speak: a client's query and lifecycle ([`SessionSpec`],
+//! [`SessionPlan`], [`SessionKind`]), what a run hands back
+//! ([`ServeReport`], [`SessionOutput`], [`FrameReport`],
+//! [`SessionOutcome`]), the per-frame streaming hook a network front
+//! door attaches ([`FrameSink`], [`FrameDelta`], [`SinkVerdict`]), and
+//! the bounded per-session mailbox the region writers broadcast
+//! [`rtree::InsertReport`]s into (the §4.1 update-management protocol;
+//! NPDQ sessions pick updates up through node timestamps, §4.2).
 
-use crate::clock::{FrameClock, SessionLiveness};
-use crate::durability::{DurabilityHook, DurableLog};
-use crate::layout::MotionRecord;
-use crate::npdq::NpdqEngine;
-use crate::pdq::{PdqEngine, PdqResult};
-use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
 use crate::trajectory::Trajectory;
-use parking_lot::{Mutex, RwLock};
-use rtree::{EpochStats, InsertReport, NsiSegmentRecord, RTree, Record, TreeRead, TreeReadRetry};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use parking_lot::Mutex;
+use rtree::{InsertReport, NsiSegmentRecord, Record};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use storage::{PageStore, RetryPolicy, SnapshotSource, StorageError};
+use std::time::Duration;
+use storage::StorageError;
 
 /// The insert report the writer broadcasts to PDQ sessions.
 pub type NsiReport<const D: usize> =
@@ -110,8 +85,7 @@ impl<const D: usize> From<SessionSpec<D>> for SessionPlan<D> {
 }
 
 impl<const D: usize> SessionPlan<D> {
-    /// A plan that joins at frame 0 with no artificial delay — exactly
-    /// the pre-clock serving behavior.
+    /// A plan that joins at frame 0 with no artificial delay.
     pub fn new(spec: SessionSpec<D>) -> Self {
         SessionPlan {
             spec,
@@ -239,7 +213,8 @@ pub struct SessionOutput {
     pub outcome: SessionOutcome,
 }
 
-/// Outcome of one [`DqServer::serve`] / [`DqServer::serve_serial`] run.
+/// A run viewed as a single server: every session's output plus the
+/// writer and durability tallies summed over regions.
 #[derive(Clone, Debug, Default)]
 pub struct ServeReport {
     /// Per-session outputs, in spec order.
@@ -403,226 +378,10 @@ impl<T: Clone> Mailbox<T> {
 }
 
 /// The one-batch mailbox bound for a run: no broadcast can exceed the
-/// largest insert batch (partitioned servers broadcast routed slices,
-/// which only shrink).
+/// largest insert batch (a region broadcasts its routed slice, which
+/// can only be smaller).
 pub(crate) fn mailbox_bound<const D: usize>(inserts: &[Vec<(NsiSegmentRecord<D>, f64)>]) -> usize {
     inserts.iter().map(Vec::len).max().unwrap_or(0)
-}
-
-/// Publish the deepest mailbox high-water mark of a run.
-pub(crate) fn publish_mailbox_hwm(metrics: &Option<Arc<obs::MetricsRegistry>>, hwm: usize) {
-    if let Some(reg) = metrics {
-        reg.gauge("service.mailbox_hwm").record_max(hwm as i64);
-    }
-}
-
-/// One session's engine state while the run is in flight.
-enum Engine<const D: usize> {
-    // Boxed: a PdqEngine (queue + trajectory) is an order of magnitude
-    // bigger than an NpdqEngine, and there is one Engine per session.
-    Pdq(Box<PdqEngine<D>>),
-    Npdq(Box<NpdqEngine<D>>),
-}
-
-struct SessionRun<'a, const D: usize> {
-    /// Position in the spec slice (frame trace / report attribution).
-    index: usize,
-    spec: &'a SessionSpec<D>,
-    engine: Engine<D>,
-    out: SessionOutput,
-    /// Per-frame result scratch (PDQ), reused across frames so the
-    /// per-frame loop doesn't allocate a fresh Vec every step.
-    scratch: Vec<PdqResult<D>>,
-    /// Per-attempt emission staging (NPDQ): a snapshot descent aborted
-    /// by a version conflict is retried wholesale, so emissions must not
-    /// reach the results until the attempt completes.
-    npdq_scratch: Vec<(u32, u32)>,
-}
-
-impl<'a, const D: usize> SessionRun<'a, D> {
-    fn start<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
-        index: usize,
-        spec: &'a SessionSpec<D>,
-        tree: &T,
-    ) -> Self {
-        let engine = match spec.kind {
-            SessionKind::Pdq => Engine::Pdq(Box::new(PdqEngine::start(tree, spec.trajectory.clone()))),
-            SessionKind::Npdq => Engine::Npdq(Box::new(NpdqEngine::new())),
-        };
-        SessionRun {
-            index,
-            spec,
-            engine,
-            out: SessionOutput::default(),
-            scratch: Vec::new(),
-            npdq_scratch: Vec::new(),
-        }
-    }
-
-    /// Apply this frame's broadcast insert reports (PDQ only — NPDQ
-    /// sessions learn about updates from node timestamps instead).
-    fn absorb<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
-        &mut self,
-        tree: &T,
-        reports: &[NsiReport<D>],
-    ) {
-        if let Engine::Pdq(pdq) = &mut self.engine {
-            for report in reports {
-                pdq.notify(tree, report);
-            }
-        }
-    }
-
-    /// Process global frame step `k` (no-op once this session's own
-    /// schedule is exhausted). Returns the drain latency when the frame
-    /// was in-schedule.
-    ///
-    /// On `Err` the frame is still reported (with whatever results and
-    /// stats it produced before the fault) and the engine stays valid:
-    /// PDQ keeps the failed node queued for the next drain, NPDQ keeps
-    /// its discard baseline at the last *completed* query. A later frame
-    /// therefore re-derives anything the failed one missed — degraded
-    /// sessions lose latency, not results.
-    fn try_step<T: TreeReadRetry<NsiSegmentRecord<D>>>(
-        &mut self,
-        tree: &T,
-        k: usize,
-    ) -> Result<Option<u64>, StorageError> {
-        let in_schedule = match self.engine {
-            Engine::Pdq(_) => k + 1 < self.spec.frame_times.len(),
-            Engine::Npdq(_) => k < self.spec.frame_times.len(),
-        };
-        if !in_schedule {
-            return Ok(None);
-        }
-        let before_results = self.out.results.len();
-        obs::trace(obs::TraceEvent::FrameStart {
-            session: self.index as u32,
-            frame: k as u32,
-        });
-        let started = Instant::now();
-        let (frame_stats, frame_err) = match &mut self.engine {
-            Engine::Pdq(pdq) => {
-                let (t0, t1) = (self.spec.frame_times[k], self.spec.frame_times[k + 1]);
-                self.scratch.clear();
-                let res = pdq.try_drain_window_into(tree, t0, t1, &mut self.scratch);
-                // Results delivered before the fault are valid and final
-                // (the queue popped them); keep them either way.
-                for r in &self.scratch {
-                    self.out.results.push((r.record.oid, r.record.seq));
-                }
-                (pdq.take_stats(), res.err())
-            }
-            Engine::Npdq(npdq) => {
-                let t = self.spec.frame_times[k];
-                let q = SnapshotQuery::at_instant(self.spec.trajectory.window_at(t), t);
-                // The whole descent runs against one pinned tree version;
-                // a conflicting attempt is abandoned (its emissions stay
-                // in the scratch) and retried against a fresh pin.
-                let scratch = &mut self.npdq_scratch;
-                match tree.with_consistent(|view| {
-                    scratch.clear();
-                    npdq.try_execute(view, &q, t, |r: &NsiSegmentRecord<D>| {
-                        scratch.push(r.ids());
-                    })
-                }) {
-                    Ok(stats) => {
-                        self.out.results.extend(self.npdq_scratch.iter().copied());
-                        (stats, None)
-                    }
-                    Err(e) => (QueryStats::default(), Some(e)),
-                }
-            }
-        };
-        let latency_ns = started.elapsed().as_nanos() as u64;
-        let results = self.out.results.len() - before_results;
-        self.out.stats += frame_stats;
-        self.out.frames.push(FrameReport {
-            frame: k,
-            results,
-            latency_ns,
-            stats: frame_stats,
-        });
-        obs::trace(obs::TraceEvent::FrameEnd {
-            session: self.index as u32,
-            frame: k as u32,
-            results: results as u32,
-            latency_ns,
-        });
-        match frame_err {
-            Some(e) => Err(e),
-            None => Ok(Some(latency_ns)),
-        }
-    }
-
-    fn finish(mut self) -> SessionOutput {
-        match &self.engine {
-            Engine::Pdq(pdq) => self.out.queue_hwm = pdq.queue_hwm(),
-            Engine::Npdq(npdq) => self.out.discarded_subtrees = npdq.discarded_subtrees(),
-        }
-        self.out
-    }
-}
-
-/// A serving instance owning one shared NSI tree.
-///
-/// ```
-/// use mobiquery::{DqServer, SessionKind, SessionSpec, Trajectory};
-/// use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
-/// use storage::Pager;
-/// use stkit::{Interval, Rect};
-///
-/// let mut tree = RTree::new(Pager::new(), RTreeConfig::default());
-/// tree.insert(
-///     NsiSegmentRecord::new(7, 0, Interval::new(0.0, 100.0), [5.5, 0.5], [5.5, 0.5]),
-///     0.0,
-/// );
-/// let server = DqServer::new(tree);
-/// let spec = SessionSpec {
-///     kind: SessionKind::Pdq,
-///     trajectory: Trajectory::linear(
-///         Rect::from_corners([0.0, 0.0], [1.0, 1.0]),
-///         [1.0, 0.0], Interval::new(0.0, 10.0), 2),
-///     frame_times: (0..=10).map(f64::from).collect(),
-/// };
-/// let report = server.serve(&[spec], &[]);
-/// assert_eq!(report.sessions[0].results, vec![(7, 0)]);
-/// ```
-pub struct DqServer<const D: usize, S: PageStore> {
-    /// The shared store is `Arc`-wrapped so optimistic [`rtree::TreeReader`]s
-    /// can clone a handle per session thread without `S: Clone`.
-    tree: RwLock<RTree<NsiSegmentRecord<D>, Arc<S>>>,
-    /// Optional metrics sink: when set, serving runs record drain and
-    /// write-lock-hold latency histograms plus run totals into it.
-    metrics: Option<Arc<obs::MetricsRegistry>>,
-    /// How the writer handles transient insert failures (see
-    /// [`Self::with_writer_retry`]).
-    writer_retry: RetryPolicy,
-    /// When set, the writer group-commits every frame batch to the WAL
-    /// before applying it and checkpoints periodically (see
-    /// [`Self::with_durability`]).
-    durability: Option<DurabilityHook<D, S>>,
-}
-
-/// The writer's running tallies over one serve.
-#[derive(Default)]
-struct WriterState {
-    applied: usize,
-    reads: u64,
-    writes: u64,
-    outcome: SessionOutcome,
-    wal_appends: u64,
-    wal_commit_ns: u64,
-    checkpoints: u64,
-}
-
-impl WriterState {
-    /// A failed writer (full device) stops applying; checkpoints must
-    /// also stop, or truncation would drop WAL records that never reached
-    /// the tree.
-    fn failed(&self) -> bool {
-        matches!(self.outcome, SessionOutcome::Failed(_))
-    }
 }
 
 /// Record a clock wait into the `service.clock_wait_ns` histogram —
@@ -633,1032 +392,5 @@ pub(crate) fn record_wait(hist: &Option<Arc<obs::Histogram>>, ns: u64) {
         if let Some(h) = hist {
             h.record(ns);
         }
-    }
-}
-
-impl<const D: usize, S: PageStore> DqServer<D, S> {
-    /// Take ownership of a (possibly pre-loaded) tree.
-    pub fn new(tree: RTree<NsiSegmentRecord<D>, S>) -> Self {
-        DqServer {
-            tree: RwLock::new(tree.map_store(Arc::new)),
-            metrics: None,
-            writer_retry: RetryPolicy::default(),
-            durability: None,
-        }
-    }
-
-    /// Record serving metrics into `registry` (builder-style).
-    ///
-    /// Metric names: `service.drain_ns` (per-session-frame drain latency
-    /// histogram), `service.writer.lock_hold_ns` (write-lock hold-time
-    /// histogram), `service.clock_wait_ns` (time any participant spent
-    /// blocked on a frame-clock watermark), `service.frame_lag` (gauge:
-    /// deepest applied-watermark lead over the slowest attached session),
-    /// `service.frames` / `service.inserts` / `service.results` /
-    /// `service.writer.reads` (run counters), and
-    /// `service.pdq.queue_hwm` / `service.npdq.discarded` (gauges).
-    pub fn with_metrics(mut self, registry: Arc<obs::MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// How the writer treats transient insert failures (builder-style).
-    ///
-    /// A failed [`rtree::RTree::try_insert`] descent leaves the tree
-    /// unchanged, so the writer can retry the same record. Backoff sleeps
-    /// happen with the write lock *released* — the clock's flow control
-    /// keeps sessions out of the tree during the write section anyway,
-    /// but a held-across-sleep lock would serialize recovery behind the
-    /// slowest retry. Default: [`RetryPolicy::default`].
-    pub fn with_writer_retry(mut self, policy: RetryPolicy) -> Self {
-        self.writer_retry = policy;
-        self
-    }
-
-    /// Make the write path durable (builder-style): before applying any
-    /// frame's batch the writer group-commits it as one WAL record in
-    /// `log` (then advances the clock's `committed` watermark), takes an
-    /// initial checkpoint of the (possibly preloaded) tree before the
-    /// first frame, and checkpoints again every `checkpoint_every`
-    /// commits — so [`DurableLog::durable_image`] recovers a tree
-    /// bit-identical to this one at every committed-frame prefix.
-    ///
-    /// The [`SnapshotSource`] bound lives only here: the checkpoint path
-    /// is captured as a plain function pointer, so `serve` stays generic
-    /// over any [`PageStore`].
-    pub fn with_durability(mut self, log: Arc<DurableLog>) -> Self
-    where
-        S: SnapshotSource,
-    {
-        self.durability = Some(DurabilityHook::for_tree(log));
-        self
-    }
-
-    /// Tear the server down, returning the tree (store still `Arc`-wrapped).
-    pub fn into_tree(self) -> RTree<NsiSegmentRecord<D>, Arc<S>> {
-        self.tree.into_inner()
-    }
-
-    /// Records currently indexed.
-    pub fn len(&self) -> u64 {
-        self.tree.read().len()
-    }
-
-    /// True iff the tree holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Run a value out of the shared tree under the read lock (e.g. I/O
-    /// counters or buffer statistics of the backing store).
-    pub fn with_tree<T>(&self, f: impl FnOnce(&RTree<NsiSegmentRecord<D>, Arc<S>>) -> T) -> T {
-        f(&self.tree.read())
-    }
-
-    /// Global frame steps for a run: enough for every plan's window and
-    /// every insert batch.
-    fn step_count(&self, plans: &[SessionPlan<D>], inserts: &[Vec<(NsiSegmentRecord<D>, f64)>]) -> usize {
-        plans
-            .iter()
-            .filter_map(|p| p.window().map(|(_, last)| last as usize + 1))
-            .max()
-            .unwrap_or(0)
-            .max(inserts.len())
-    }
-
-    /// Apply one frame's insert batch, collecting reports and tallies
-    /// into `w`. Transient failures are retried per [`Self::with_writer_retry`];
-    /// each backoff sleep happens *after* the write guard drops, and the
-    /// resume re-acquires the lock and continues from the failed record.
-    /// Records whose errors are unrecoverable (corrupt page) or whose
-    /// retry budget is exhausted are skipped and logged in `w.outcome`.
-    fn apply_batch(
-        &self,
-        batch: &[(NsiSegmentRecord<D>, f64)],
-        reports: &mut Vec<NsiReport<D>>,
-        w: &mut WriterState,
-        hold_hist: Option<&Arc<obs::Histogram>>,
-    ) {
-        let mut idx = 0;
-        let mut attempt = 0u32;
-        while idx < batch.len() {
-            let backoff = {
-                let mut tree = self.tree.write();
-                let held = Instant::now();
-                let before = tree.level_counters().snapshot();
-                let mut backoff = None;
-                while idx < batch.len() {
-                    let (rec, now) = &batch[idx];
-                    match tree.try_insert(*rec, *now) {
-                        Ok(report) => {
-                            reports.push(report);
-                            w.applied += 1;
-                            idx += 1;
-                            attempt = 0;
-                        }
-                        Err(e) if e.is_transient() && attempt + 1 < self.writer_retry.max_attempts => {
-                            attempt += 1;
-                            backoff = Some(self.writer_retry.backoff(attempt));
-                            break;
-                        }
-                        Err(e @ StorageError::Full { .. }) => {
-                            // A full device stays full: retrying or
-                            // skipping to the next record would just fail
-                            // again, so the writer fails for the run and
-                            // stops applying. With durability on, the
-                            // batch is already WAL-committed — nothing is
-                            // lost, it replays onto a larger device.
-                            w.outcome = SessionOutcome::Failed(format!("writer stopped: {e}"));
-                            idx = batch.len();
-                        }
-                        Err(e) => {
-                            w.outcome.record_error(e);
-                            idx += 1;
-                            attempt = 0;
-                        }
-                    }
-                }
-                let delta = tree.level_counters().snapshot() - before;
-                w.reads += delta.total_reads();
-                w.writes += delta.total_writes();
-                if let Some(h) = hold_hist {
-                    h.record(held.elapsed().as_nanos() as u64);
-                }
-                backoff
-            };
-            if let Some(pause) = backoff {
-                std::thread::sleep(pause);
-            }
-        }
-    }
-
-    /// Serve every session concurrently — one scoped thread per session
-    /// plus a writer thread — frames ordered by the frame clock.
-    ///
-    /// `inserts[k]` is the batch of `(record, timestamp)` the writer
-    /// applies at the start of frame `k`, before any session processes
-    /// that frame; its [`rtree::InsertReport`]s are broadcast to the PDQ
-    /// sessions whose window covers frame `k`. Result sequences are
-    /// deterministic and equal to [`Self::serve_serial`] on an
-    /// identically prepared server.
-    pub fn serve(
-        &self,
-        specs: &[SessionSpec<D>],
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-    ) -> ServeReport
-    where
-        S: Sync + Send,
-    {
-        let plans: Vec<SessionPlan<D>> = specs.iter().cloned().map(SessionPlan::new).collect();
-        self.serve_plans(&plans, inserts)
-    }
-
-    /// [`Self::serve`] with full per-session lifecycle control: join
-    /// frames and consumption pacing. The clock protocol in one page:
-    ///
-    /// * The writer, per frame `k`: group-commit the batch when durable
-    ///   (advancing `committed`), wait for every attached session's
-    ///   permit ([`FrameClock::wait_ready`]), apply under the write
-    ///   lock, broadcast reports to in-window PDQ mailboxes, advance
-    ///   `applied`, checkpoint when due.
-    /// * A session, per frame `k` of its window: wait for `applied` to
-    ///   cover `k`, drain its mailbox, absorb + step its engine, then
-    ///   ack `k + 2` — the permit for batch `k + 1`.
-    /// * Joiners wait for `applied == join_frame` before building their
-    ///   engines (the writer holds batch `join_frame` back until they
-    ///   ack); finished or failed sessions detach, so nobody ever waits
-    ///   on them again.
-    pub fn serve_plans(
-        &self,
-        plans: &[SessionPlan<D>],
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-    ) -> ServeReport
-    where
-        S: Sync + Send,
-    {
-        self.serve_plans_streamed(plans, inserts, &[])
-    }
-
-    /// [`Self::serve_plans`] with per-frame streaming: `sinks[i]` (when
-    /// present) receives session `i`'s [`FrameDelta`] the moment each
-    /// frame finishes, from the session's own thread, *before* the
-    /// session acks the frame — a [`SinkVerdict::Detach`] therefore
-    /// stops the session without it ever granting the next batch's
-    /// permit, exactly the mid-run-failure path. Result sequences are
-    /// unaffected by sinks: streamed deltas concatenate to precisely the
-    /// results a plain run reports.
-    pub fn serve_plans_streamed(
-        &self,
-        plans: &[SessionPlan<D>],
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-        sinks: &[Option<&dyn FrameSink>],
-    ) -> ServeReport
-    where
-        S: Sync + Send,
-    {
-        let steps = self.step_count(plans, inserts);
-        let epoch_start = self.tree.read().epoch_stats();
-        let is_pdq: Vec<bool> = plans.iter().map(|p| p.spec.kind == SessionKind::Pdq).collect();
-        let windows: Vec<Option<(u64, u64)>> = plans.iter().map(SessionPlan::window).collect();
-        let live = SessionLiveness::new(plans.len());
-        let clock = FrameClock::new(windows.clone(), Arc::clone(&live), 0, self.durability.is_some());
-        let mailbox_cap = mailbox_bound(inserts);
-        let mailboxes: Vec<Mailbox<NsiReport<D>>> =
-            plans.iter().map(|_| Mailbox::new()).collect();
-        let mut writer = WriterState::default();
-        // Histogram handles resolve once, up front: session threads then
-        // record through lock-free atomics only.
-        let drain_hist = self.metrics.as_ref().map(|m| m.histogram("service.drain_ns"));
-        let hold_hist = self
-            .metrics
-            .as_ref()
-            .map(|m| m.histogram("service.writer.lock_hold_ns"));
-        let wait_hist = self
-            .metrics
-            .as_ref()
-            .map(|m| m.histogram("service.clock_wait_ns"));
-        let lag_gauge = self.metrics.as_ref().map(|m| m.gauge("service.frame_lag"));
-        if let Some(d) = &self.durability {
-            // The base checkpoint covers the preloaded tree, so recovery
-            // always has a snapshot to replay onto. A failure here is
-            // counted in the log's stats and the run proceeds: commits
-            // still accumulate, and the next successful checkpoint
-            // restores a full recovery story.
-            let _ = d.ensure_initial(&self.tree.read());
-        }
-
-        let sessions = std::thread::scope(|scope| {
-            let handles: Vec<_> = plans
-                .iter()
-                .enumerate()
-                .map(|(i, plan)| {
-                    let clock = &clock;
-                    let mailboxes = &mailboxes;
-                    let tree = &self.tree;
-                    let drain_hist = drain_hist.clone();
-                    let wait_hist = wait_hist.clone();
-                    let sink = sinks.get(i).copied().flatten();
-                    scope.spawn(move || {
-                        let Some((first, last)) = plan.window() else {
-                            // Never scheduled: no engine, no clock
-                            // attachment (the window table has `None`).
-                            return SessionOutput::default();
-                        };
-                        let started = Instant::now();
-                        // Joiners see the tree exactly as of their join
-                        // frame: batches `< first` applied, batch `first`
-                        // held back by our un-acked permit.
-                        record_wait(&wait_hist, clock.wait_applied(first));
-                        // Latch-free read path: every frame descends through
-                        // this optimistic reader, never a read lock. Flow
-                        // control keeps the writer out of the tree while we
-                        // read, so validation always passes; the reader
-                        // still validates every visit, making torn reads
-                        // impossible even if the protocol drifts.
-                        let reader = tree.read().reader();
-                        let mut run =
-                            catch_unwind(AssertUnwindSafe(|| SessionRun::start(i, &plan.spec, &reader)))
-                                .map_err(|p| SessionOutcome::Failed(panic_message(p)));
-                        if run.is_ok() {
-                            clock.ack(i, first + 1);
-                        }
-                        if let Ok(r) = &mut run {
-                            for k in first..=last {
-                                record_wait(&wait_hist, clock.wait_applied(k + 1));
-                                let reports = mailboxes[i].take();
-                                let results_before = r.out.results.len();
-                                let frames_before = r.out.frames.len();
-                                // Contain panics to the engine work alone;
-                                // the clock calls stay outside so a caught
-                                // panic can't corrupt the frame protocol.
-                                let stepped = catch_unwind(AssertUnwindSafe(|| {
-                                    r.absorb(&reader, &reports);
-                                    r.try_step(&reader, k as usize)
-                                }));
-                                match stepped {
-                                    Ok(Ok(Some(ns))) => {
-                                        if let Some(h) = &drain_hist {
-                                            h.record(ns);
-                                        }
-                                    }
-                                    Ok(Ok(None)) => {}
-                                    Ok(Err(e)) => r.out.outcome.record_error(e),
-                                    Err(p) => {
-                                        // Dead engine: keep the results so
-                                        // far, stop consuming frames. The
-                                        // detach below releases the writer.
-                                        r.out.outcome = SessionOutcome::Failed(panic_message(p));
-                                        break;
-                                    }
-                                }
-                                if r.out.frames.len() > frames_before {
-                                    if let Some(sink) = sink {
-                                        let f = r.out.frames.last().expect("frame just reported");
-                                        let delta = FrameDelta {
-                                            session: i,
-                                            frame: f.frame,
-                                            results: &r.out.results[results_before..],
-                                            latency_ns: f.latency_ns,
-                                        };
-                                        if sink.on_frame(&delta) == SinkVerdict::Detach {
-                                            // Evicted by its consumer: the
-                                            // un-acked permit is released by
-                                            // the detach below, like any
-                                            // mid-run failure.
-                                            r.out.outcome = SessionOutcome::Failed(
-                                                "detached by frame sink".into(),
-                                            );
-                                            break;
-                                        }
-                                    }
-                                }
-                                if !plan.frame_delay.is_zero() {
-                                    std::thread::sleep(plan.frame_delay);
-                                }
-                                clock.ack(i, k + 2);
-                            }
-                        }
-                        // End of life — finished, failed, or the engine
-                        // never started: detach so the writer stops
-                        // waiting on this slot, permanently.
-                        clock.detach(i);
-                        let mut out = match run {
-                            Ok(r) => r.finish(),
-                            Err(outcome) => SessionOutput {
-                                outcome,
-                                ..SessionOutput::default()
-                            },
-                        };
-                        out.wall_ns = started.elapsed().as_nanos() as u64;
-                        out
-                    })
-                })
-                .collect();
-
-            // This thread is the writer.
-            for k in 0..steps {
-                let ku = k as u64;
-                if let Some(batch) = inserts.get(k) {
-                    // Durability first: the frame's whole batch becomes
-                    // durable as ONE group-committed WAL record before
-                    // any tree page is written — the `committed`
-                    // watermark publishes exactly that fact. A failed
-                    // (full-device) writer keeps committing — recovery
-                    // replays the backlog onto a larger device.
-                    if let Some(d) = &self.durability {
-                        let committed = Instant::now();
-                        d.log.commit_frame(ku, batch);
-                        writer.wal_appends += 1;
-                        writer.wal_commit_ns += committed.elapsed().as_nanos() as u64;
-                        clock.advance_committed(ku + 1);
-                        obs::trace(obs::TraceEvent::FrameAdvance {
-                            region: 0,
-                            frame: k as u32,
-                            watermark: obs::Watermark::Committed,
-                        });
-                    }
-                    let mut reports: Vec<NsiReport<D>> = Vec::with_capacity(batch.len());
-                    if !writer.failed() {
-                        // Flow control: every live attached session has
-                        // acked past `k` (finished frame `k - 1`, or —
-                        // at its join frame — built its engines) before
-                        // the write lock is taken.
-                        record_wait(&wait_hist, clock.wait_ready(ku));
-                        self.apply_batch(batch, &mut reports, &mut writer, hold_hist.as_ref());
-                    }
-                    // Broadcast outside the write lock: mailbox pushes
-                    // clone reports and take per-session locks, none of
-                    // which needs the tree. Only in-window live PDQ
-                    // sessions receive the batch — finished sessions have
-                    // nobody left to drain their mailbox.
-                    let mut fanout = 0u32;
-                    for (i, mb) in mailboxes.iter().enumerate() {
-                        let in_window = windows[i].is_some_and(|(f, l)| f <= ku && ku <= l);
-                        if is_pdq[i] && in_window && live.is_live(i) {
-                            mb.push_all(&reports, mailbox_cap);
-                            fanout += 1;
-                        }
-                    }
-                    obs::trace(obs::TraceEvent::InsertBroadcast {
-                        reports: reports.len() as u32,
-                        sessions: fanout,
-                    });
-                }
-                let lag = clock.advance_applied(ku + 1);
-                if let Some(g) = &lag_gauge {
-                    g.record_max(lag as i64);
-                }
-                obs::trace(obs::TraceEvent::FrameAdvance {
-                    region: 0,
-                    frame: k as u32,
-                    watermark: obs::Watermark::Applied,
-                });
-                // Checkpoint at the frame boundary: the tree is exactly
-                // `state_k` (this thread is the only mutator) and
-                // concurrent sessions read latch-free, so the read lock
-                // is immediately available. Never checkpoint once the
-                // writer has failed: truncation would drop committed
-                // records the tree never absorbed.
-                if let Some(d) = &self.durability {
-                    if !writer.failed()
-                        && d.log.due_for_checkpoint()
-                        && d.checkpoint(&self.tree.read()).is_ok()
-                    {
-                        writer.checkpoints += 1;
-                    }
-                }
-            }
-
-            // Joining can only fail for panics *outside* the contained
-            // region (they already unwound through the frame loop and the
-            // detach, so this run's results are forfeit anyway);
-            // synthesize a Failed output rather than poisoning the whole
-            // serve. The writer's loop above has finished by this point,
-            // so its tallies are complete no matter which sessions died.
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(out) => out,
-                    Err(p) => SessionOutput {
-                        outcome: SessionOutcome::Failed(panic_message(p)),
-                        ..SessionOutput::default()
-                    },
-                })
-                .collect()
-        });
-
-        let deepest = mailboxes.iter().map(Mailbox::hwm).max().unwrap_or(0);
-        publish_mailbox_hwm(&self.metrics, deepest);
-        let report = ServeReport {
-            sessions,
-            frames: steps,
-            inserts_applied: writer.applied,
-            writer_reads: writer.reads,
-            writer_writes: writer.writes,
-            writer_outcome: writer.outcome,
-            wal_appends: writer.wal_appends,
-            wal_commit_ns: writer.wal_commit_ns,
-            checkpoints: writer.checkpoints,
-        };
-        self.publish_run(&report, self.tree.read().epoch_stats() - epoch_start);
-        report
-    }
-
-    /// The single-threaded reference: identical protocol, identical
-    /// results, no threads — the oracle for the concurrency tests and a
-    /// baseline for the serving bench. Sessions read through `&RTree`
-    /// directly (the validation-free [`rtree::TreeRead`] impl), so the
-    /// optimistic path's results must match these bit-for-bit.
-    pub fn serve_serial(
-        &self,
-        specs: &[SessionSpec<D>],
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-    ) -> ServeReport {
-        let plans: Vec<SessionPlan<D>> = specs.iter().cloned().map(SessionPlan::new).collect();
-        self.serve_serial_plans(&plans, inserts)
-    }
-
-    /// [`Self::serve_plans`]'s single-threaded reference: the same frame
-    /// order the clock enforces, executed inline (joiners build their
-    /// engines right before their join frame's batch applies; frame
-    /// delays are ignored — pacing never changes results).
-    pub fn serve_serial_plans(
-        &self,
-        plans: &[SessionPlan<D>],
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-    ) -> ServeReport {
-        let steps = self.step_count(plans, inserts);
-        let epoch_start = self.tree.read().epoch_stats();
-        let windows: Vec<Option<(u64, u64)>> = plans.iter().map(SessionPlan::window).collect();
-        let mut writer = WriterState::default();
-        let drain_hist = self.metrics.as_ref().map(|m| m.histogram("service.drain_ns"));
-        let hold_hist = self
-            .metrics
-            .as_ref()
-            .map(|m| m.histogram("service.writer.lock_hold_ns"));
-        if let Some(d) = &self.durability {
-            let _ = d.ensure_initial(&self.tree.read());
-        }
-        // Engines are built lazily at each plan's join frame, against the
-        // pre-batch tree — the same state the concurrent joiner pins via
-        // the clock.
-        let mut runs: Vec<Option<Result<SessionRun<'_, D>, SessionOutcome>>> =
-            plans.iter().map(|_| None).collect();
-        let mut started: Vec<Option<Instant>> = vec![None; plans.len()];
-        for k in 0..steps {
-            {
-                let tree = self.tree.read();
-                for (i, plan) in plans.iter().enumerate() {
-                    if windows[i].is_some_and(|(f, _)| f == k as u64) {
-                        started[i] = Some(Instant::now());
-                        runs[i] = Some(
-                            catch_unwind(AssertUnwindSafe(|| SessionRun::start(i, &plan.spec, &*tree)))
-                                .map_err(|p| SessionOutcome::Failed(panic_message(p))),
-                        );
-                    }
-                }
-            }
-            let mut reports = Vec::new();
-            if let Some(batch) = inserts.get(k) {
-                // Same durable protocol as the concurrent serve: group
-                // commit first, then apply (never after a full device).
-                if let Some(d) = &self.durability {
-                    let committed = Instant::now();
-                    d.log.commit_frame(k as u64, batch);
-                    writer.wal_appends += 1;
-                    writer.wal_commit_ns += committed.elapsed().as_nanos() as u64;
-                }
-                if !writer.failed() {
-                    self.apply_batch(batch, &mut reports, &mut writer, hold_hist.as_ref());
-                }
-            }
-            if let Some(d) = &self.durability {
-                if !writer.failed()
-                    && d.log.due_for_checkpoint()
-                    && d.checkpoint(&self.tree.read()).is_ok()
-                {
-                    writer.checkpoints += 1;
-                }
-            }
-            let tree = self.tree.read();
-            for (i, run) in runs.iter_mut().enumerate() {
-                let Some(Ok(r)) = run.as_mut() else { continue };
-                if matches!(r.out.outcome, SessionOutcome::Failed(_)) {
-                    continue;
-                }
-                if !windows[i].is_some_and(|(f, l)| f <= k as u64 && k as u64 <= l) {
-                    continue;
-                }
-                let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    r.absorb(&*tree, &reports);
-                    r.try_step(&*tree, k)
-                }));
-                match stepped {
-                    Ok(Ok(Some(ns))) => {
-                        if let Some(h) = &drain_hist {
-                            h.record(ns);
-                        }
-                    }
-                    Ok(Ok(None)) => {}
-                    Ok(Err(e)) => r.out.outcome.record_error(e),
-                    Err(p) => r.out.outcome = SessionOutcome::Failed(panic_message(p)),
-                }
-            }
-        }
-        let report = ServeReport {
-            sessions: runs
-                .into_iter()
-                .enumerate()
-                .map(|(i, run)| {
-                    let mut out = match run {
-                        Some(Ok(r)) => r.finish(),
-                        Some(Err(outcome)) => SessionOutput {
-                            outcome,
-                            ..SessionOutput::default()
-                        },
-                        None => SessionOutput::default(),
-                    };
-                    if let Some(s) = started[i] {
-                        out.wall_ns = s.elapsed().as_nanos() as u64;
-                    }
-                    out
-                })
-                .collect(),
-            frames: steps,
-            inserts_applied: writer.applied,
-            writer_reads: writer.reads,
-            writer_writes: writer.writes,
-            writer_outcome: writer.outcome,
-            wal_appends: writer.wal_appends,
-            wal_commit_ns: writer.wal_commit_ns,
-            checkpoints: writer.checkpoints,
-        };
-        self.publish_run(&report, self.tree.read().epoch_stats() - epoch_start);
-        report
-    }
-
-    /// Record a finished run's totals into the attached registry.
-    ///
-    /// `retries` is the run's delta of the tree's optimistic-read
-    /// counters: `tree.read_retries` (node reads performed but discarded
-    /// by version validation — these *are* counted in the level read
-    /// counters, so `levels.total_reads == attributed reads + retried
-    /// reads`) and `tree.version_conflicts` (conflicts surfaced to a
-    /// session as a transient error after retry exhaustion).
-    fn publish_run(&self, report: &ServeReport, retries: EpochStats) {
-        let Some(reg) = &self.metrics else { return };
-        reg.counter("tree.read_retries").add(retries.read_retries);
-        reg.counter("tree.version_conflicts")
-            .add(retries.version_conflicts);
-        reg.counter("service.frames").add(report.frames as u64);
-        reg.counter("service.inserts").add(report.inserts_applied as u64);
-        reg.counter("service.results").add(report.total_results() as u64);
-        reg.counter("service.writer.reads").add(report.writer_reads);
-        reg.counter("service.writer.writes").add(report.writer_writes);
-        reg.counter("service.session.reads")
-            .add(report.total_stats().disk_accesses);
-        if report.checkpoints > 0 {
-            reg.counter("service.checkpoints").add(report.checkpoints);
-        }
-        for s in &report.sessions {
-            reg.gauge("service.pdq.queue_hwm")
-                .record_max(s.queue_hwm as i64);
-            if s.discarded_subtrees > 0 {
-                reg.counter("service.npdq.discarded").add(s.discarded_subtrees);
-            }
-            match &s.outcome {
-                SessionOutcome::Ok => {}
-                SessionOutcome::Degraded { errors } => {
-                    reg.counter("service.sessions.degraded").add(1);
-                    reg.counter("service.sessions.errors").add(errors.len() as u64);
-                }
-                SessionOutcome::Failed(_) => {
-                    reg.counter("service.sessions.failed").add(1);
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rtree::bulk::bulk_load;
-    use rtree::RTreeConfig;
-    use stkit::{Interval, Rect};
-    use storage::Pager;
-
-    type R = NsiSegmentRecord<2>;
-
-    fn line_tree(n: u32) -> RTree<R, Pager> {
-        let recs: Vec<R> = (0..n)
-            .map(|i| {
-                let x = i as f64 + 0.5;
-                R::new(i, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5])
-            })
-            .collect();
-        bulk_load(Pager::new(), RTreeConfig::default(), recs)
-    }
-
-    fn slide_spec(kind: SessionKind, frames: usize, span: f64) -> SessionSpec<2> {
-        SessionSpec {
-            kind,
-            trajectory: Trajectory::linear(
-                Rect::from_corners([0.0, 0.0], [1.0, 1.0]),
-                [1.0, 0.0],
-                Interval::new(0.0, span),
-                2,
-            ),
-            frame_times: (0..=frames).map(|k| span * k as f64 / frames as f64).collect(),
-        }
-    }
-
-    #[test]
-    fn single_pdq_session_matches_direct_engine() {
-        let server = DqServer::new(line_tree(30));
-        let spec = slide_spec(SessionKind::Pdq, 10, 30.0);
-        let report = server.serve(std::slice::from_ref(&spec), &[]);
-        let tree = server.into_tree();
-        let mut direct = PdqEngine::start(&tree, spec.trajectory.clone());
-        let expect: Vec<(u32, u32)> = spec
-            .frame_times
-            .windows(2)
-            .flat_map(|w| direct.drain_window(&tree, w[0], w[1]))
-            .map(|r| (r.record.oid, r.record.seq))
-            .collect();
-        assert_eq!(report.sessions[0].results, expect);
-        assert!(report.sessions[0].stats.disk_accesses > 0);
-    }
-
-    #[test]
-    fn parallel_equals_serial_with_writer() {
-        let specs: Vec<SessionSpec<2>> = vec![
-            slide_spec(SessionKind::Pdq, 20, 40.0),
-            slide_spec(SessionKind::Npdq, 20, 40.0),
-            slide_spec(SessionKind::Pdq, 10, 40.0),
-            slide_spec(SessionKind::Npdq, 10, 40.0),
-        ];
-        // Writer: two objects per frame dropped ahead of the window.
-        let inserts: Vec<Vec<(R, f64)>> = (0..20)
-            .map(|k| {
-                let t = 40.0 * k as f64 / 20.0;
-                (0..2)
-                    .map(|j| {
-                        let x = (t + 5.0 + j as f64) % 39.0;
-                        (
-                            R::new(1000 + 2 * k + j, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]),
-                            t,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let parallel = DqServer::new(line_tree(40)).serve(&specs, &inserts);
-        let serial = DqServer::new(line_tree(40)).serve_serial(&specs, &inserts);
-        assert_eq!(parallel.inserts_applied, 40);
-        assert_eq!(serial.inserts_applied, 40);
-        for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
-            assert_eq!(p.results, s.results, "concurrent run must be deterministic");
-        }
-        assert!(parallel.total_results() > 0);
-    }
-
-    #[test]
-    fn empty_run_is_empty() {
-        let server: DqServer<2, Pager> = DqServer::new(line_tree(5));
-        assert!(!server.is_empty());
-        assert_eq!(server.len(), 5);
-        let report = server.serve(&[], &[]);
-        assert_eq!(report.frames, 0);
-        assert_eq!(report.sessions.len(), 0);
-    }
-
-    #[test]
-    fn writer_only_serve_applies_every_batch() {
-        // No sessions at all: the clock has no attached windows, so the
-        // writer never waits and must still apply every frame's batch.
-        let server: DqServer<2, Pager> = DqServer::new(line_tree(5));
-        let inserts: Vec<Vec<(R, f64)>> = (0..7)
-            .map(|k| {
-                vec![(
-                    R::new(
-                        500 + k,
-                        0,
-                        Interval::new(0.0, 100.0),
-                        [k as f64, 3.5],
-                        [k as f64, 3.5],
-                    ),
-                    k as f64,
-                )]
-            })
-            .collect();
-        let report = server.serve(&[], &inserts);
-        assert_eq!(report.frames, 7);
-        assert_eq!(report.inserts_applied, 7);
-        assert_eq!(report.sessions.len(), 0);
-        assert!(report.writer_reads > 0, "insert descents read nodes");
-        assert!(report.writer_writes > 0, "inserts write nodes");
-        assert_eq!(server.len(), 12);
-    }
-
-    #[test]
-    fn short_schedule_session_stops_while_writer_continues() {
-        // A session whose frame schedule (3 steps) is much shorter than
-        // the insert schedule (10 batches): the run spans 10 frames, the
-        // session reports only its own 3, detaches, and the writer
-        // finishes the remaining batches without waiting on it.
-        let server = DqServer::new(line_tree(30));
-        let spec = slide_spec(SessionKind::Pdq, 3, 3.0);
-        let inserts: Vec<Vec<(R, f64)>> = (0..10)
-            .map(|k| {
-                vec![(
-                    R::new(
-                        700 + k,
-                        0,
-                        Interval::new(0.0, 100.0),
-                        [1.5 + k as f64, 0.5],
-                        [1.5 + k as f64, 0.5],
-                    ),
-                    k as f64,
-                )]
-            })
-            .collect();
-        let report = server.serve(std::slice::from_ref(&spec), &inserts);
-        assert_eq!(report.frames, 10);
-        assert_eq!(report.inserts_applied, 10);
-        assert_eq!(report.sessions[0].frames.len(), 3, "only scheduled frames report");
-        // Still deterministic against the serial oracle.
-        let serial = DqServer::new(line_tree(30)).serve_serial(std::slice::from_ref(&spec), &inserts);
-        assert_eq!(report.sessions[0].results, serial.sessions[0].results);
-    }
-
-    #[test]
-    fn broadcast_after_lock_drop_keeps_parallel_equal_to_serial() {
-        // Heavier regression for the mailbox protocol: many PDQ sessions,
-        // multi-record batches every frame (every batch forces an
-        // InsertBroadcast after the write guard drops).
-        let specs: Vec<SessionSpec<2>> = (0..6)
-            .map(|i| slide_spec(SessionKind::Pdq, 15 + i, 30.0))
-            .collect();
-        let inserts: Vec<Vec<(R, f64)>> = (0..21)
-            .map(|k| {
-                let t = 30.0 * k as f64 / 21.0;
-                (0..3)
-                    .map(|j| {
-                        let x = (t + 3.0 + j as f64) % 29.0;
-                        (
-                            R::new(2000 + 3 * k + j, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]),
-                            t,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let parallel = DqServer::new(line_tree(30)).serve(&specs, &inserts);
-        let serial = DqServer::new(line_tree(30)).serve_serial(&specs, &inserts);
-        assert_eq!(parallel.inserts_applied, 63);
-        for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
-            assert_eq!(p.results, s.results);
-        }
-        assert_eq!(parallel.writer_reads, serial.writer_reads);
-        assert_eq!(parallel.writer_writes, serial.writer_writes);
-    }
-
-    #[test]
-    fn frame_reports_reconcile_and_timeline_is_ordered() {
-        let specs: Vec<SessionSpec<2>> = vec![
-            slide_spec(SessionKind::Pdq, 8, 20.0),
-            slide_spec(SessionKind::Npdq, 5, 20.0),
-        ];
-        let registry = Arc::new(obs::MetricsRegistry::new());
-        let server = DqServer::new(line_tree(20)).with_metrics(Arc::clone(&registry));
-        let report = server.serve(&specs, &[]);
-
-        for s in &report.sessions {
-            let mut sum = QueryStats::default();
-            let mut results = 0;
-            for f in &s.frames {
-                sum += f.stats;
-                results += f.results;
-            }
-            assert_eq!(sum, s.stats, "frame stats must sum to session stats");
-            assert_eq!(results, s.results.len());
-        }
-        assert_eq!(report.sessions[0].frames.len(), 8);
-        assert_eq!(report.sessions[1].frames.len(), 6); // NPDQ: one step per frame time
-        assert!(report.sessions[0].queue_hwm > 0);
-        assert!(report.sessions[0].wall_ns > 0, "session wall time recorded");
-
-        let timeline = report.timeline();
-        assert_eq!(timeline.len(), 14);
-        let keys: Vec<(usize, usize)> = timeline.iter().map(|&(i, f)| (f.frame, i)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted, "timeline ordered by (frame, session)");
-
-        // The registry saw one drain sample per in-schedule frame and the
-        // run totals.
-        match registry.get("service.drain_ns") {
-            Some(obs::MetricValue::Histogram { count, .. }) => assert_eq!(count, 14),
-            other => panic!("missing drain histogram: {other:?}"),
-        }
-        assert_eq!(registry.counter_value("service.frames"), 8);
-        assert_eq!(
-            registry.counter_value("service.session.reads"),
-            report.total_stats().disk_accesses
-        );
-    }
-
-    #[test]
-    fn join_mid_run_sees_exactly_the_tail_and_matches_serial() {
-        // A joiner at frame 4 of a 10-step schedule: reports exactly
-        // frames 4..=9, delivers no duplicates, and the concurrent run
-        // equals the serial reference bit-for-bit.
-        let spec = slide_spec(SessionKind::Pdq, 10, 30.0);
-        let plans = vec![
-            SessionPlan::new(spec.clone()),
-            SessionPlan::new(spec).join_at(4),
-        ];
-        let inserts: Vec<Vec<(R, f64)>> = (0..10)
-            .map(|k| {
-                let t = 3.0 * k as f64;
-                vec![(
-                    R::new(4000 + k as u32, 0, Interval::new(t, 100.0), [(t + 4.0) % 29.0, 0.5], [(t + 4.0) % 29.0, 0.5]),
-                    t,
-                )]
-            })
-            .collect();
-        let parallel = DqServer::new(line_tree(30)).serve_plans(&plans, &inserts);
-        let serial = DqServer::new(line_tree(30)).serve_serial_plans(&plans, &inserts);
-        let joiner = &parallel.sessions[1];
-        assert_eq!(joiner.frames.len(), 6, "frames >= join watermark only");
-        assert_eq!(joiner.frames[0].frame, 4);
-        let mut seen = std::collections::HashSet::new();
-        assert!(joiner.results.iter().all(|id| seen.insert(*id)), "every object once");
-        for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
-            assert_eq!(p.results, s.results);
-        }
-    }
-
-    /// One recorded delta: `(frame, results)`.
-    type RecordedDelta = (usize, Vec<(u32, u32)>);
-
-    /// A sink that accumulates every delta it is offered, optionally
-    /// detaching after a fixed number of frames.
-    struct RecordingSink {
-        got: Mutex<Vec<RecordedDelta>>,
-        detach_after: usize,
-    }
-
-    impl FrameSink for RecordingSink {
-        fn on_frame(&self, delta: &FrameDelta<'_>) -> SinkVerdict {
-            let mut got = self.got.lock();
-            got.push((delta.frame, delta.results.to_vec()));
-            if got.len() >= self.detach_after {
-                SinkVerdict::Detach
-            } else {
-                SinkVerdict::Continue
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_deltas_reassemble_the_serial_results() {
-        let specs: Vec<SessionSpec<2>> = vec![
-            slide_spec(SessionKind::Pdq, 12, 30.0),
-            slide_spec(SessionKind::Npdq, 12, 30.0),
-        ];
-        let plans: Vec<SessionPlan<2>> = specs.iter().cloned().map(SessionPlan::new).collect();
-        let inserts: Vec<Vec<(R, f64)>> = (0..12)
-            .map(|k| {
-                let t = 30.0 * k as f64 / 12.0;
-                vec![(
-                    R::new(6000 + k as u32, 0, Interval::new(t, 100.0), [(t + 4.0) % 29.0, 0.5], [(t + 4.0) % 29.0, 0.5]),
-                    t,
-                )]
-            })
-            .collect();
-        let sinks: Vec<RecordingSink> = (0..2)
-            .map(|_| RecordingSink {
-                got: Mutex::new(Vec::new()),
-                detach_after: usize::MAX,
-            })
-            .collect();
-        let refs: Vec<Option<&dyn FrameSink>> =
-            sinks.iter().map(|s| Some(s as &dyn FrameSink)).collect();
-        let report = DqServer::new(line_tree(30)).serve_plans_streamed(&plans, &inserts, &refs);
-        let serial = DqServer::new(line_tree(30)).serve_serial_plans(&plans, &inserts);
-        for (i, sink) in sinks.iter().enumerate() {
-            let got = sink.got.lock();
-            let frames: Vec<usize> = got.iter().map(|(f, _)| *f).collect();
-            let expect_frames: Vec<usize> =
-                report.sessions[i].frames.iter().map(|f| f.frame).collect();
-            assert_eq!(frames, expect_frames, "one delta per reported frame");
-            let streamed: Vec<(u32, u32)> =
-                got.iter().flat_map(|(_, r)| r.iter().copied()).collect();
-            assert_eq!(streamed, serial.sessions[i].results, "deltas reassemble serial");
-        }
-    }
-
-    #[test]
-    fn sink_detach_frees_the_writer_and_fails_only_that_session() {
-        let specs: Vec<SessionSpec<2>> = vec![
-            slide_spec(SessionKind::Pdq, 10, 30.0),
-            slide_spec(SessionKind::Pdq, 10, 30.0),
-        ];
-        let plans: Vec<SessionPlan<2>> = specs.iter().cloned().map(SessionPlan::new).collect();
-        let inserts: Vec<Vec<(R, f64)>> = (0..10)
-            .map(|k| {
-                let t = 3.0 * k as f64;
-                vec![(
-                    R::new(7000 + k as u32, 0, Interval::new(t, 100.0), [(t + 4.0) % 29.0, 0.5], [(t + 4.0) % 29.0, 0.5]),
-                    t,
-                )]
-            })
-            .collect();
-        let slow = RecordingSink {
-            got: Mutex::new(Vec::new()),
-            detach_after: 3,
-        };
-        let refs: Vec<Option<&dyn FrameSink>> = vec![Some(&slow as &dyn FrameSink), None];
-        let report = DqServer::new(line_tree(30)).serve_plans_streamed(&plans, &inserts, &refs);
-        assert_eq!(report.frames, 10, "detach must not stall the run");
-        assert_eq!(report.inserts_applied, 10);
-        assert_eq!(slow.got.lock().len(), 3);
-        assert!(
-            matches!(&report.sessions[0].outcome, SessionOutcome::Failed(m) if m.contains("detached")),
-            "evicted session fails: {:?}",
-            report.sessions[0].outcome
-        );
-        let serial = DqServer::new(line_tree(30)).serve_serial_plans(&plans, &inserts);
-        assert_eq!(report.sessions[1].results, serial.sessions[1].results, "healthy session unaffected");
-    }
-
-    #[test]
-    fn mailbox_hwm_gauge_stays_within_one_batch() {
-        let specs: Vec<SessionSpec<2>> = (0..4)
-            .map(|_| slide_spec(SessionKind::Pdq, 15, 30.0))
-            .collect();
-        let inserts: Vec<Vec<(R, f64)>> = (0..15)
-            .map(|k| {
-                let t = 2.0 * k as f64;
-                (0..3)
-                    .map(|j| {
-                        let x = (t + 3.0 + j as f64) % 29.0;
-                        (
-                            R::new(8000 + 3 * k + j, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]),
-                            t,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let registry = Arc::new(obs::MetricsRegistry::new());
-        let server = DqServer::new(line_tree(30)).with_metrics(Arc::clone(&registry));
-        server.serve(&specs, &inserts);
-        let hwm = registry.gauge_value("service.mailbox_hwm");
-        let bound = inserts.iter().map(Vec::len).max().unwrap_or(0) as i64;
-        assert!(hwm > 0, "PDQ broadcasts must land in mailboxes");
-        assert!(hwm <= bound, "mailbox hwm {hwm} exceeds one-batch bound {bound}");
     }
 }

@@ -66,9 +66,10 @@ pub enum TraceEvent {
         /// Whether the victim needed write-back.
         dirty: bool,
     },
-    /// The writer broadcast a frame's insert reports to PDQ sessions.
+    /// A region writer broadcast a frame's insert reports to the PDQ
+    /// sessions attached to its region.
     InsertBroadcast {
-        /// Reports in the batch.
+        /// Reports in the region's routed slice.
         reports: u32,
         /// PDQ mailboxes that received them.
         sessions: u32,
@@ -93,9 +94,8 @@ pub enum TraceEvent {
     Checkpoint {
         /// Last WAL sequence number the checkpoint covers.
         seq: u64,
-        /// What this checkpoint wrote: live pages for a tree snapshot,
-        /// records for a logical checkpoint (the whole set for the
-        /// initial one, the folded delta for every later one).
+        /// Records this checkpoint wrote: the whole set for the initial
+        /// one, the folded delta for every later one.
         persisted: u32,
     },
     /// Recovery replayed the WAL on top of the last checkpoint.
@@ -108,9 +108,9 @@ pub enum TraceEvent {
     },
     /// A region's frame clock advanced one of its watermarks: frame
     /// `frame`'s batch became WAL-durable (`committed`) or visible in the
-    /// region's tree (`applied`). Single-tree servers emit region 0.
+    /// region's tree (`applied`).
     FrameAdvance {
-        /// Region index within the serving grid (0 for `DqServer`).
+        /// Region index within the serving grid.
         region: u32,
         /// Global frame whose watermark advanced.
         frame: u32,

@@ -1,6 +1,7 @@
 //! The server's core assumption, tested without sockets: a
-//! multi-region `serve_plans_streamed` run hands its sinks per-frame
-//! deltas that concatenate to exactly the serial reference results.
+//! `serve_plans_streamed` run — one region or several — hands its sinks
+//! per-frame deltas that concatenate to exactly the serial reference
+//! results.
 
 use std::sync::Mutex;
 use mobiquery::region::RegionGrid;
@@ -81,7 +82,7 @@ impl FrameSink for Rec {
 }
 
 #[test]
-fn two_region_streamed_matches_serial() {
+fn streamed_matches_serial_on_one_and_two_regions() {
     let recs = line_records(30);
     let plans = vec![
         slide_plan(SessionKind::Pdq, 12, 30.0),
@@ -90,42 +91,43 @@ fn two_region_streamed_matches_serial() {
     ];
     let inserts = insert_schedule(12, 30.0);
 
-    let oracle = build_core(vec![15.0], &recs).serve_serial_plans(&plans, &inserts);
+    for cuts in [vec![], vec![15.0]] {
+        let oracle = build_core(cuts.clone(), &recs).serve_serial_plans(&plans, &inserts);
 
-    let sinks_owned: Vec<Rec> = plans.iter().map(|_| Rec::default()).collect();
-    let sinks: Vec<Option<&dyn FrameSink>> =
-        sinks_owned.iter().map(|s| Some(s as &dyn FrameSink)).collect();
-    let streamed =
-        build_core(vec![15.0], &recs).serve_plans_streamed(&plans, &inserts, &sinks);
+        let sinks_owned: Vec<Rec> = plans.iter().map(|_| Rec::default()).collect();
+        let sinks: Vec<Option<&dyn FrameSink>> =
+            sinks_owned.iter().map(|s| Some(s as &dyn FrameSink)).collect();
+        let streamed = build_core(cuts, &recs).serve_plans_streamed(&plans, &inserts, &sinks);
 
-    for (i, sink) in sinks_owned.iter().enumerate() {
-        assert_eq!(
-            streamed.base.sessions[i].results, oracle.base.sessions[i].results,
-            "session {i}: concurrent vs serial report"
-        );
-        let got: Vec<(u32, u32)> = sink
-            .frames
-            .lock()
-            .unwrap()
-            .iter()
-            .flat_map(|(_, r)| r.iter().copied())
-            .collect();
-        let frames: Vec<u32> = sink
-            .frames
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(f, _)| *f)
-            .collect();
-        let reported: Vec<u32> = streamed.base.sessions[i]
-            .frames
-            .iter()
-            .map(|f| f.frame as u32)
-            .collect();
-        assert_eq!(frames, reported, "session {i}: one sink delta per frame");
-        assert_eq!(
-            got, oracle.base.sessions[i].results,
-            "session {i}: sink deltas vs serial results"
-        );
+        for (i, sink) in sinks_owned.iter().enumerate() {
+            assert_eq!(
+                streamed.base.sessions[i].results, oracle.base.sessions[i].results,
+                "session {i}: concurrent vs serial report"
+            );
+            let got: Vec<(u32, u32)> = sink
+                .frames
+                .lock()
+                .unwrap()
+                .iter()
+                .flat_map(|(_, r)| r.iter().copied())
+                .collect();
+            let frames: Vec<u32> = sink
+                .frames
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(f, _)| *f)
+                .collect();
+            let reported: Vec<u32> = streamed.base.sessions[i]
+                .frames
+                .iter()
+                .map(|f| f.frame as u32)
+                .collect();
+            assert_eq!(frames, reported, "session {i}: one sink delta per frame");
+            assert_eq!(
+                got, oracle.base.sessions[i].results,
+                "session {i}: sink deltas vs serial results"
+            );
+        }
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! magic "DQPG" ‖ version u32 ‖ page_size u32 ‖ page_count u32
-//! ‖ free_count u32 ‖ free ids (u32 each, allocator order)      (v3 only)
+//! ‖ free_count u32 ‖ free ids (u32 each, allocator order)
 //! then per page: page_id u32 ‖ page_len u32 ‖ fnv1a u64 ‖ page bytes (page_len)
 //! ```
 //!
@@ -18,10 +18,9 @@
 //! Version 3 persists the allocator's free list verbatim, so a reloaded
 //! pager grants page ids in exactly the pre-save order — without that,
 //! post-restore `alloc()` order diverges from the original pager and the
-//! recovered-tree == fault-free-oracle identity (and the serve ==
-//! serve_serial determinism oracles after a restore) break. Version 2
-//! streams (no free section; gaps re-freed in ascending id order) still
-//! load via a compat path.
+//! reloaded-tree == never-saved-tree identity (and the serve ==
+//! serve_serial determinism oracles after a restore) break. Older
+//! versions carried no free section and are rejected.
 
 use crate::fault::page_checksum;
 use crate::{PageId, PageStore, Pager, StorageError};
@@ -30,8 +29,6 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"DQPG";
 const VERSION: u32 = 3;
-/// Newest legacy version still accepted by [`load_pager`].
-const VERSION_V2: u32 = 2;
 
 /// Largest `page_id` a snapshot may carry: load rebuilds ids densely, so
 /// this bounds the memory a malformed header can make us allocate.
@@ -166,8 +163,8 @@ pub fn save_pager<S: SnapshotSource, W: Write>(store: &S, mut w: W) -> io::Resul
 
 /// Reconstruct a pager from a stream produced by [`save_pager`].
 ///
-/// Every persisted page keeps its original [`PageId`] and (for v3
-/// streams) the allocator's free list is restored verbatim, so both tree
+/// Every persisted page keeps its original [`PageId`] and the
+/// allocator's free list is restored verbatim, so both tree
 /// root references and future `alloc()` order survive the roundtrip.
 /// Malformed input — bad magic, unsupported version, truncation anywhere,
 /// a `page_len` exceeding the page size, an out-of-range or duplicate id,
@@ -181,7 +178,7 @@ pub fn load_pager<R: Read>(mut r: R) -> io::Result<Pager> {
         return Err(bad("bad magic"));
     }
     let version = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-    if version != VERSION && version != VERSION_V2 {
+    if version != VERSION {
         return Err(bad(format!("unsupported version {version}")));
     }
     let page_size = u32::from_le_bytes([head[8], head[9], head[10], head[11]]) as usize;
@@ -193,24 +190,22 @@ pub fn load_pager<R: Read>(mut r: R) -> io::Result<Pager> {
         return Err(bad(format!("implausible page size {page_size}")));
     }
 
-    // v3: explicit free list, allocator order. v2 has no free section.
+    // The free list, in allocator order.
     let mut free: Vec<u32> = Vec::new();
-    if version == VERSION {
-        let mut fixed = [0u8; 4];
-        r.read_exact(&mut fixed)?;
-        let free_count = u32::from_le_bytes(fixed) as usize;
-        if free_count > MAX_SNAPSHOT_PAGE_ID as usize {
-            return Err(bad(format!("implausible free count {free_count}")));
+    let mut fixed = [0u8; 4];
+    r.read_exact(&mut fixed)?;
+    let free_count = u32::from_le_bytes(fixed) as usize;
+    if free_count > MAX_SNAPSHOT_PAGE_ID as usize {
+        return Err(bad(format!("implausible free count {free_count}")));
+    }
+    for _ in 0..free_count {
+        let mut idb = [0u8; 4];
+        r.read_exact(&mut idb)?;
+        let id = u32::from_le_bytes(idb);
+        if id >= MAX_SNAPSHOT_PAGE_ID {
+            return Err(bad(format!("free id {id} out of range")));
         }
-        for _ in 0..free_count {
-            let mut idb = [0u8; 4];
-            r.read_exact(&mut idb)?;
-            let id = u32::from_le_bytes(idb);
-            if id >= MAX_SNAPSHOT_PAGE_ID {
-                return Err(bad(format!("free id {id} out of range")));
-            }
-            free.push(id);
-        }
+        free.push(id);
     }
 
     let mut entries: Vec<(u32, Vec<u8>)> = Vec::new();
@@ -247,11 +242,7 @@ pub fn load_pager<R: Read>(mut r: R) -> io::Result<Pager> {
         entries.push((id, data));
     }
 
-    if version == VERSION_V2 {
-        return load_v2(page_size, entries, max_id);
-    }
-
-    // v3 rebuild: every slot in 0..total must be exactly one of live or
+    // Rebuild: every slot in 0..total must be exactly one of live or
     // free — that is the pager's allocator invariant, and anything else
     // means the stream is inconsistent.
     let max_free = free.iter().copied().max();
@@ -285,31 +276,6 @@ pub fn load_pager<R: Read>(mut r: R) -> io::Result<Pager> {
         )));
     }
     Ok(Pager::restore(page_size, slots, free))
-}
-
-/// Legacy (v2) rebuild: allocate `0..=max_id` densely, write live pages,
-/// free the gaps in ascending id order. Ascending re-free is all a v2
-/// stream can offer — it did not record allocator order — so `alloc()`
-/// order after a v2 load may differ from the pre-save pager (fixed by v3).
-fn load_v2(page_size: usize, entries: Vec<(u32, Vec<u8>)>, max_id: u32) -> io::Result<Pager> {
-    let pager = Pager::with_page_size(page_size);
-    if entries.is_empty() {
-        return Ok(pager);
-    }
-    let live: std::collections::HashSet<u32> = entries.iter().map(|(id, _)| *id).collect();
-    for i in 0..=max_id {
-        let got = pager.alloc();
-        debug_assert_eq!(got.0, i, "dense allocation");
-    }
-    for (id, data) in &entries {
-        pager.write(PageId(*id), data);
-    }
-    for i in 0..=max_id {
-        if !live.contains(&i) {
-            pager.free(PageId(i));
-        }
-    }
-    Ok(pager)
 }
 
 #[cfg(test)]
@@ -371,26 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_stream_still_loads() {
-        // Hand-build a v2 snapshot (no free section) and check the compat
-        // path: pages land on their ids, gaps are re-freed ascending.
-        let payload = b"legacy";
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&2u32.to_le_bytes());
-        buf.extend_from_slice(&16u32.to_le_bytes()); // page size
-        buf.extend_from_slice(&1u32.to_le_bytes()); // one page ...
-        buf.extend_from_slice(&2u32.to_le_bytes()); // ... with id 2
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&page_checksum(payload).to_le_bytes());
-        buf.extend_from_slice(payload);
-        let q = load_pager(&buf[..]).unwrap();
-        assert_eq!(q.live_pages(), 1);
-        assert_eq!(&q.read_page(PageId(2))[..payload.len()], payload);
-        assert_eq!(q.free_list(), vec![0, 1], "gaps re-freed ascending");
-    }
-
-    #[test]
     fn empty_pager_roundtrip() {
         let p = Pager::with_page_size(32);
         let mut buf = Vec::new();
@@ -441,9 +387,12 @@ mod tests {
 
     #[test]
     fn unsupported_version_rejected() {
-        let mut buf = one_page_snapshot();
-        buf[4] = 99;
-        expect_invalid(&buf, "unsupported version");
+        // 2 was the last free-list-less format; nothing reads it any more.
+        for version in [2, 99] {
+            let mut buf = one_page_snapshot();
+            buf[4] = version;
+            expect_invalid(&buf, "unsupported version");
+        }
     }
 
     #[test]

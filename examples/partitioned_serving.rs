@@ -1,14 +1,15 @@
 //! Region-partitioned serving — scaling the writer, keeping the answer.
 //!
 //! A fleet of random-walk objects is split 80/20 into a pre-loaded
-//! history and a live update stream, then served twice:
-//!  1. by the single-tree `DqServer` (one writer, one tree), and
-//!  2. by the `PartitionedDqServer` over a 4-region grid — one tree,
-//!     one writer thread, and one buffer pool per region, with each
-//!     session's moving window split across the regions it sweeps and
-//!     the per-region result streams merged back exactly-once.
+//! history and a live update stream, then served twice by the same
+//! `PartitionedDqServer`:
+//!  1. over a one-region grid (one writer, one tree), and
+//!  2. over a 4-region grid — one tree, one writer thread, and one
+//!     buffer pool per region, with each session's moving window split
+//!     across the regions it sweeps and the per-region result streams
+//!     merged back exactly-once.
 //!
-//! The PDQ sessions' per-frame answers must agree, and the partitioned
+//! The PDQ sessions' answers must agree exactly, and the partitioned
 //! report breaks the work down per region. A final skewed run shows the
 //! hotspot detector firing and the Kiwano-style recut moving the seams
 //! toward the load.
@@ -18,7 +19,7 @@
 //! ```
 
 use dq_repro::mobiquery::{
-    DqServer, PartitionedDqServer, RegionGrid, SessionKind, SessionSpec, Trajectory,
+    PartitionedDqServer, RegionGrid, SessionKind, SessionSpec, Trajectory,
 };
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
@@ -64,15 +65,14 @@ fn main() {
         })
         .collect();
 
-    // 1. Single tree, single writer.
-    let mut mono_tree = RTree::new(
-        ShardedBufferPool::new(Pager::new(), 256, 4),
-        RTreeConfig::default(),
-    );
-    for r in preload {
-        mono_tree.insert(*r, r.seg.t.lo);
-    }
-    let mono = DqServer::new(mono_tree).serve(&specs, &inserts);
+    // 1. One region: a single tree, a single writer.
+    let mono = PartitionedDqServer::build(RegionGrid::single(), preload, |_| {
+        RTree::new(
+            ShardedBufferPool::new(Pager::new(), 256, 4),
+            RTreeConfig::default(),
+        )
+    })
+    .serve(&specs, &inserts);
     println!("single tree : {} physical inserts, {} results", mono.inserts_applied, mono.total_results());
 
     // 2. Four regions, four writers, one merged answer per session.
@@ -97,14 +97,11 @@ fn main() {
         );
     }
 
-    // The PDQ sessions' delivered sets are identical frame by frame;
-    // only in-frame tie order may differ between the two servers.
+    // The PDQ sessions' streams are identical, order included: the
+    // merge key (visibility start, oid, seq) does not depend on the grid.
     for (i, (p, m)) in part.sessions.iter().zip(&mono.sessions).enumerate() {
         if specs[i].kind == SessionKind::Pdq {
-            let (mut a, mut b) = (p.results.clone(), m.results.clone());
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "session {i} diverged");
+            assert_eq!(p.results, m.results, "session {i} diverged");
         }
     }
     println!("PDQ sessions: partitioned answers match the single tree exactly");

@@ -12,19 +12,20 @@
 //!   (`chaos_b`).
 //! - **Undetected corruption** (no checksum layer, node magic destroyed)
 //!   panics the session's engine; the panic is contained, the session is
-//!   `Failed`, and the barrier protocol still runs the serve to
+//!   `Failed`, it detaches from its clocks, and the serve still runs to
 //!   completion (`chaos_c`).
 //! - **A corrupt root** starves the writer: every insert is dropped and
 //!   logged in `writer_outcome`, and the tree is untouched (`chaos_d`).
-//! - **A crash at any point of the durable write path** recovers to
-//!   exactly the committed-frame prefix, bit-identically for the
-//!   single-tree server (`chaos_g`), even when the WAL tail is torn,
-//!   truncated, or bit-flipped at every byte offset of its last record
-//!   (`chaos_h`); a full device fails the writer cleanly while the WAL
-//!   keeps the backlog recoverable (`chaos_i`); the partitioned server
-//!   recovers result-equivalently through a rebuild (`chaos_j`), keeps
-//!   checkpointing from its log when a region writer fails (`chaos_k`),
-//!   and from random batches, cadences, crash points and damaged tails
+//! - **A crash at any point of the durable write path** recovers
+//!   exactly the committed-frame prefix — the recovered record multiset,
+//!   and a server rebuilt from it answering like the fault-free oracle
+//!   (`chaos_g`) — even when the WAL tail is torn, truncated, or
+//!   bit-flipped at every byte offset of its last record (`chaos_h`); a
+//!   full device fails the writer cleanly while the WAL keeps the
+//!   backlog recoverable (`chaos_i`); recovery through a rebuild is
+//!   result-equivalent under one region or many (`chaos_j`), the log
+//!   keeps checkpointing when a region writer fails (`chaos_k`), and
+//!   from random batches, cadences, crash points and damaged tails
 //!   always recovers the committed prefix (`chaos_l`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,8 +33,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dq_repro::mobiquery::{
-    DqServer, DurableImage, DurableLog, MotionRecord, PartitionedDqServer, RecoveryReport,
-    RegionGrid, SessionKind, SessionOutcome, SessionSpec, Trajectory,
+    DurableImage, DurableLog, MotionRecord, PartitionedDqServer, RecoveryReport, RegionGrid,
+    SessionKind, SessionOutcome, SessionSpec, Trajectory,
 };
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig, Record, TreeRead, TreeReadRetry};
 use parking_lot::RwLock;
@@ -62,6 +63,20 @@ fn build_tree<S: PageStore>(store: S, recs: &[R]) -> RTree<R, S> {
         tree.insert(*r, r.seg.t.lo);
     }
     tree
+}
+
+/// The single-tree server: one region over `store`, `recs` preloaded.
+fn single<S: PageStore>(store: S, recs: &[R]) -> PartitionedDqServer<2, S> {
+    let mut store = Some(store);
+    PartitionedDqServer::build(RegionGrid::single(), recs, |_| {
+        RTree::new(store.take().expect("one region"), RTreeConfig::default())
+    })
+}
+
+/// The fault-free single-tree server every faulted run is measured
+/// against.
+fn clean(recs: &[R]) -> PartitionedDqServer<2, Pager> {
+    single(Pager::with_page_size(256), recs)
 }
 
 /// A window sliding right from `x0` at unit speed for `span` seconds.
@@ -140,11 +155,10 @@ fn chaos_a_transient_faults_are_invisible_through_retry() {
         max_attempts: 8,
         base_backoff: Duration::from_micros(1),
     });
-    let server = DqServer::new(build_tree(pool, &recs));
+    let server = single(pool, &recs);
     let report = server.serve(&specs, &inserts);
 
-    let oracle = DqServer::new(build_tree(Pager::with_page_size(256), &recs))
-        .serve_serial(&specs, &inserts);
+    let oracle = clean(&recs).serve_serial(&specs, &inserts);
 
     assert!(report.writer_outcome.is_ok(), "writer: {:?}", report.writer_outcome);
     assert_eq!(report.inserts_applied, oracle.inserts_applied);
@@ -154,7 +168,7 @@ fn chaos_a_transient_faults_are_invisible_through_retry() {
     }
 
     // The schedule fired and the pool absorbed it.
-    let (transients, retries, exhausted, corrupt) = server.with_tree(|t| {
+    let (transients, retries, exhausted, corrupt) = server.with_region_tree(0, |t| {
         let pool = t.store();
         let fs = pool.fault_stats();
         (
@@ -186,14 +200,15 @@ fn chaos_b_corruption_blast_radius_is_one_session() {
         Pager::with_page_size(256),
         FaultPlan::quiet(7),
     ));
-    let tree = build_tree(store, &recs);
-    let victim = leaf_page_of(&tree, 28); // x = 28.5: B's region only
-    tree.store().inner().corrupt_page(victim);
+    let server = single(store, &recs);
+    let victim = server.with_region_tree(0, |tree| {
+        let victim = leaf_page_of(tree, 28); // x = 28.5: B's sweep only
+        tree.store().inner().corrupt_page(victim);
+        victim
+    });
 
-    let server = DqServer::new(tree);
     let report = server.serve(&specs, &[]);
-    let oracle =
-        DqServer::new(build_tree(Pager::with_page_size(256), &recs)).serve_serial(&specs, &[]);
+    let oracle = clean(&recs).serve_serial(&specs, &[]);
 
     // Session A never touches the corrupt leaf: clean and exact.
     assert!(report.sessions[0].outcome.is_ok(), "A: {:?}", report.sessions[0].outcome);
@@ -248,14 +263,11 @@ fn chaos_c_undetected_corruption_panic_is_contained() {
         FaultPlan::quiet(7),
         vec![0],
     );
-    let tree = build_tree(store, &recs);
-    let victim = leaf_page_of(&tree, 28);
-    tree.store().corrupt_page(victim);
+    let server = single(store, &recs);
+    server.with_region_tree(0, |tree| tree.store().corrupt_page(leaf_page_of(tree, 28)));
 
-    let server = DqServer::new(tree);
     let report = server.serve(&specs, &[]);
-    let oracle =
-        DqServer::new(build_tree(Pager::with_page_size(256), &recs)).serve_serial(&specs, &[]);
+    let oracle = clean(&recs).serve_serial(&specs, &[]);
 
     assert!(report.sessions[0].outcome.is_ok(), "A: {:?}", report.sessions[0].outcome);
     assert_eq!(report.sessions[0].results, oracle.sessions[0].results);
@@ -279,11 +291,11 @@ fn chaos_d_corrupt_root_stops_the_writer_cleanly() {
         Pager::with_page_size(256),
         FaultPlan::quiet(3),
     ));
-    let tree = build_tree(store, &recs);
-    let root = tree.root_page();
-    tree.store().inner().corrupt_page(root);
-
-    let server: DqServer<2, _> = DqServer::new(tree);
+    let server = single(store, &recs);
+    let root = server.with_region_tree(0, |tree| {
+        tree.store().inner().corrupt_page(tree.root_page());
+        tree.root_page()
+    });
     let inserts = line_inserts(3, 1);
     let report = server.serve(&[], &inserts);
 
@@ -293,7 +305,7 @@ fn chaos_d_corrupt_root_stops_the_writer_cleanly() {
         assert_eq!(*e, StorageError::Corrupt { page: root });
     }
     assert_eq!(report.writer_reads, 0, "failed reads must not count as device reads");
-    assert_eq!(server.len(), 20, "the tree must be untouched");
+    assert_eq!(server.region_record_counts(), vec![20], "the tree must be untouched");
 }
 
 /// (f) Fault-level retries and version-validation retries compose
@@ -448,254 +460,19 @@ fn chaos_f_fault_retries_compose_with_version_retries() {
     );
 }
 
-/// `save_pager` bytes of a tree's store — the bit-identity yardstick.
+/// `save_pager` bytes of a tree's store (its header carries the page
+/// count the id-cap scenarios size themselves by).
 fn pager_image<S: dq_repro::storage::SnapshotSource>(tree: &RTree<R, S>) -> Vec<u8> {
     let mut buf = Vec::new();
     save_pager(tree.store(), &mut buf).unwrap();
     buf
 }
 
-/// A fault-free tree that applied the first `frames` insert batches on
-/// top of `recs` — the oracle every crash recovery is measured against.
-fn oracle_tree(recs: &[R], inserts: &[Vec<(R, f64)>], frames: usize) -> RTree<R, Pager> {
-    let mut tree = build_tree(Pager::with_page_size(256), recs);
-    for batch in &inserts[..frames] {
-        for (r, now) in batch {
-            tree.insert(*r, *now);
-        }
-    }
-    tree
-}
-
-/// (g) The crash-point matrix for the durable single-tree server: after
-/// any number of served frames — including a crash *between* a frame's
-/// WAL append and its tree apply — recovery reproduces a fault-free tree
-/// that applied exactly the committed-frame prefix, bit-identically
-/// (same pager image, same metadata). The checkpoint cadence of 3 puts
-/// initial-checkpoint-only, post-checkpoint, and mid-interval crash
-/// points all in the matrix.
-#[test]
-fn chaos_g_crash_points_recover_the_committed_prefix_bit_identically() {
-    let recs = line_records(60);
-    let frames = 6;
-    let inserts = line_inserts(frames, 3);
-
-    for crashed_at in 0..=frames {
-        let log = Arc::new(DurableLog::new(3));
-        let server = DqServer::new(build_tree(Pager::with_page_size(256), &recs))
-            .with_durability(Arc::clone(&log));
-        let report = server.serve_serial(&[], &inserts[..crashed_at]);
-        assert!(report.writer_outcome.is_ok());
-        assert_eq!(report.wal_appends, crashed_at as u64);
-
-        // The crash lands between the next frame's group commit and its
-        // first page write: the record is durable, the pages are not.
-        let committed = if crashed_at < frames {
-            log.commit_frame(crashed_at as u64, &inserts[crashed_at]);
-            crashed_at + 1
-        } else {
-            crashed_at
-        };
-
-        let (recovered, rep) = log
-            .durable_image()
-            .recover_tree::<2>(RTreeConfig::default())
-            .unwrap();
-        assert!(rep.tail.is_clean(), "crash at {crashed_at}: {:?}", rep.tail);
-        let oracle = oracle_tree(&recs, &inserts, committed);
-        assert_eq!(
-            recovered.metadata(),
-            oracle.metadata(),
-            "crash at {crashed_at}: metadata diverged"
-        );
-        assert_eq!(
-            pager_image(&recovered),
-            pager_image(&oracle),
-            "crash at {crashed_at}: recovered pager image diverged"
-        );
-    }
-}
-
-/// (h) Tail damage at every byte offset of the WAL's last record —
-/// truncation and bit flips — must land recovery on the last *complete*
-/// group commit: the damaged frame is lost, every earlier frame is
-/// intact, and the report's tail says clean only at the exact record
-/// boundary.
-#[test]
-fn chaos_h_torn_and_corrupt_wal_tails_recover_the_last_complete_commit() {
-    let recs = line_records(40);
-    let inserts = line_inserts(4, 3);
-    let log = Arc::new(DurableLog::new(0)); // initial checkpoint only
-    let server = DqServer::new(build_tree(Pager::with_page_size(256), &recs))
-        .with_durability(Arc::clone(&log));
-    server.serve_serial(&[], &inserts[..3]);
-    let prefix_len = log.durable_image().wal.len();
-    // Frame 3 commits but never applies (crash mid-frame); its record is
-    // the one the damage schedule mutilates.
-    log.commit_frame(3, &inserts[3]);
-    let full = log.durable_image();
-    assert!(full.wal.len() > prefix_len);
-
-    let oracle = oracle_tree(&recs, &inserts, 3);
-    let oracle_img = pager_image(&oracle);
-    let check = |img: DurableImage, want_clean: bool, what: String| {
-        let (recovered, rep) = img.recover_tree::<2>(RTreeConfig::default()).unwrap();
-        assert_eq!(rep.replayed_frames, 3, "{what}: wrong landing point");
-        assert_eq!(
-            rep.tail.is_clean(),
-            want_clean,
-            "{what}: tail was {:?}",
-            rep.tail
-        );
-        assert_eq!(recovered.metadata(), oracle.metadata(), "{what}");
-        assert_eq!(pager_image(&recovered), oracle_img, "{what}");
-    };
-
-    for cut in prefix_len..full.wal.len() {
-        let mut img = full.clone();
-        img.wal.truncate(cut);
-        check(img, cut == prefix_len, format!("truncated at {cut}"));
-    }
-    for off in prefix_len..full.wal.len() {
-        let mut img = full.clone();
-        img.wal[off] ^= 0x40;
-        check(img, false, format!("bit flip at {off}"));
-    }
-}
-
-/// (i) A device that fills mid-run: the writer degrades to `Failed`
-/// without panicking or zombifying the serve (every frame still runs,
-/// sessions still read), it keeps group-committing every frame, and
-/// recovery onto an uncapped device replays the whole backlog —
-/// bit-identical to a fault-free run that never filled up.
-#[test]
-fn chaos_i_full_device_fails_writer_cleanly_and_wal_recovers_the_backlog() {
-    let recs = line_records(30);
-    let frames = 5;
-    let inserts = line_inserts(frames, 4);
-
-    // Cap the id space so the preload fits with two pages to spare: the
-    // insert stream must hit `StorageError::Full` partway through.
-    let probe = pager_image(&build_tree(Pager::with_page_size(256), &recs));
-    let pages = u32::from_le_bytes(probe[12..16].try_into().unwrap());
-    let capped = Pager::with_page_size(256).with_id_cap(pages + 2);
-
-    let log = Arc::new(DurableLog::new(2));
-    let server =
-        DqServer::new(build_tree(capped, &recs)).with_durability(Arc::clone(&log));
-    let specs = vec![slide_spec(SessionKind::Pdq, 0.0, frames, 5.0)];
-    let report = server.serve(&specs, &inserts);
-
-    assert!(
-        matches!(report.writer_outcome, SessionOutcome::Failed(_)),
-        "full device must fail the writer, got {:?}",
-        report.writer_outcome
-    );
-    assert!(
-        report.inserts_applied < frames * 4,
-        "the cap never bit — the regression is vacuous"
-    );
-    assert_eq!(report.frames, frames, "a failed writer must not stall the serve");
-    assert!(report.sessions[0].outcome.is_ok(), "readers outlive a full device");
-    assert_eq!(
-        report.wal_appends, frames as u64,
-        "a failed writer must keep group-committing"
-    );
-    let stats = log.stats();
-    assert_eq!(
-        stats.checkpoints, 1,
-        "only the initial checkpoint: truncating after the failure would drop the backlog"
-    );
-
-    let (recovered, rep) = log
-        .durable_image()
-        .recover_tree::<2>(RTreeConfig::default())
-        .unwrap();
-    assert_eq!(rep.replayed_frames, frames as u64);
-    let oracle = oracle_tree(&recs, &inserts, frames);
-    assert_eq!(recovered.metadata(), oracle.metadata());
-    assert_eq!(pager_image(&recovered), pager_image(&oracle));
-}
-
-/// (j) Partitioned durability: one shared WAL over many region trees,
-/// logical checkpoints of the deduplicated record set, and recovery by
-/// rebuilding through [`PartitionedDqServer::build`] plus frame replay.
-/// The recovered server holds exactly the crashed server's records
-/// (including a frame committed but never applied), and serves identical
-/// results.
-#[test]
-fn chaos_j_partitioned_recovery_is_result_equivalent() {
-    let recs = line_records(120);
-    let specs = vec![
-        slide_spec(SessionKind::Pdq, 0.0, 12, 12.0),
-        slide_spec(SessionKind::Npdq, 30.0, 12, 12.0),
-    ];
-    let inserts = line_inserts(12, 2);
-    let grid = RegionGrid::from_cuts(0, vec![40.0, 80.0]);
-    let make = |_: usize| RTree::new(Pager::with_page_size(256), RTreeConfig::default());
-
-    let log = Arc::new(DurableLog::new(5));
-    let server = PartitionedDqServer::build(grid.clone(), &recs, make)
-        .with_durability(Arc::clone(&log));
-    let report = server.serve(&specs, &inserts);
-    assert!(report.base.writer_outcome.is_ok());
-    assert_eq!(report.base.wal_appends, 12);
-    assert!(
-        report.base.checkpoints >= 1,
-        "12 commits at every=5 must install mid-run checkpoints"
-    );
-
-    // Crash with one more frame durable but applied to no region; the
-    // live server absorbs the same frame so the comparison target holds
-    // the full committed prefix too.
-    let extra = vec![(
-        R::new(9000, 0, Interval::new(3.6, 100.0), [5.25, 0.5], [5.25, 0.5]),
-        3.6,
-    )];
-    log.commit_frame(12, &extra);
-    let image = log.durable_image();
-    server.serve_serial(&[], std::slice::from_ref(&extra));
-
-    let (base, frames, rep) = image.recover_records::<2>().unwrap();
-    assert!(rep.tail.is_clean());
-    assert_eq!(rep.replayed_frames, frames.len() as u64);
-    assert_eq!(frames.last().expect("the extra frame is committed").0, 12);
-
-    let recovered = PartitionedDqServer::build(grid, &base, make);
-    let replayed: Vec<Vec<(R, f64)>> = frames.into_iter().map(|(_, b)| b).collect();
-    recovered.serve_serial(&[], &replayed);
-
-    // Same deduplicated record set...
-    let collect = |srv: &PartitionedDqServer<2, Pager>| {
-        let mut ids = std::collections::BTreeSet::new();
-        for r in 0..srv.grid().len() {
-            srv.with_region_tree(r, |t| {
-                t.scan(|rec| {
-                    ids.insert((rec.oid, rec.seq));
-                })
-            });
-        }
-        ids
-    };
-    assert_eq!(collect(&recovered), collect(&server));
-
-    // ...and the same answers to a fresh identical query run.
-    let requery = vec![
-        slide_spec(SessionKind::Pdq, 0.0, 10, 10.0),
-        slide_spec(SessionKind::Npdq, 20.0, 10, 10.0),
-    ];
-    let got = recovered.serve_serial(&requery, &[]);
-    let want = server.serve_serial(&requery, &[]);
-    for (i, (g, w)) in got.sessions.iter().zip(&want.sessions).enumerate() {
-        assert!(g.outcome.is_ok(), "recovered session {i}: {:?}", g.outcome);
-        assert_eq!(g.results, w.results, "session {i} diverged after recovery");
-    }
-}
-
-/// The `(oid, seq)` set resident across a partitioned server's regions,
-/// seam replicas collapsed — what the tree-scan checkpoint used to
-/// persist, kept here as the oracle for the log-derived one.
-fn resident_ids(srv: &PartitionedDqServer<2, Pager>) -> std::collections::BTreeSet<(u32, u32)> {
+/// The `(oid, seq)` set resident across a server's regions, seam
+/// replicas collapsed.
+fn resident_ids<S: PageStore>(
+    srv: &PartitionedDqServer<2, S>,
+) -> std::collections::BTreeSet<(u32, u32)> {
     let mut ids = std::collections::BTreeSet::new();
     for r in 0..srv.grid().len() {
         srv.with_region_tree(r, |t| {
@@ -726,6 +503,236 @@ fn encoded_multiset<'a>(recs: impl Iterator<Item = &'a R>) -> Vec<Vec<u8>> {
         .collect();
     out.sort_unstable();
     out
+}
+
+/// Restart from a durable image: the checkpoint's records through
+/// [`PartitionedDqServer::build`] under `grid`, then the replayed frames
+/// in commit order.
+fn recover_server(image: &DurableImage, grid: RegionGrid) -> PartitionedDqServer<2, Pager> {
+    let (base, frames, _) = image.recover_records::<2>().unwrap();
+    let server = PartitionedDqServer::build(grid, &base, |_| {
+        RTree::new(Pager::with_page_size(256), RTreeConfig::default())
+    });
+    let replayed: Vec<Vec<(R, f64)>> = frames.into_iter().map(|(_, b)| b).collect();
+    server.serve_serial(&[], &replayed);
+    server
+}
+
+/// What a server answers to one fixed PDQ + NPDQ query pair.
+fn requery<S: PageStore>(server: &PartitionedDqServer<2, S>) -> Vec<Vec<(u32, u32)>> {
+    let specs = [
+        slide_spec(SessionKind::Pdq, 0.0, 10, 10.0),
+        slide_spec(SessionKind::Npdq, 20.0, 10, 10.0),
+    ];
+    let report = server.serve_serial(&specs, &[]);
+    for (i, s) in report.sessions.iter().enumerate() {
+        assert!(s.outcome.is_ok(), "requery session {i}: {:?}", s.outcome);
+    }
+    report.base.sessions.into_iter().map(|s| s.results).collect()
+}
+
+/// The recovery yardstick for the single-tree server: `image` hands back
+/// exactly `recs` plus the first `frames` batches of `inserts` (as a
+/// multiset, so duplicates count), and a server rebuilt from it holds
+/// and answers what a fault-free server that applied that prefix does.
+fn assert_recovers_prefix(
+    image: &DurableImage,
+    recs: &[R],
+    inserts: &[Vec<(R, f64)>],
+    frames: usize,
+    what: &str,
+) -> RecoveryReport {
+    let (got, rep) = recovered_records(image);
+    let committed = recs.iter().chain(inserts[..frames].iter().flatten().map(|(r, _)| r));
+    assert_eq!(
+        encoded_multiset(got.iter()),
+        encoded_multiset(committed),
+        "{what}: recovery lost or invented a committed record"
+    );
+    let recovered = recover_server(image, RegionGrid::single());
+    let oracle = clean(recs);
+    oracle.serve_serial(&[], &inserts[..frames]);
+    assert_eq!(resident_ids(&recovered), resident_ids(&oracle), "{what}");
+    assert_eq!(requery(&recovered), requery(&oracle), "{what}: answers diverged");
+    rep
+}
+
+/// (g) The crash-point matrix for the durable single-tree server: after
+/// any number of served frames — including a crash *between* a frame's
+/// WAL append and its tree apply — recovery hands back exactly the
+/// committed-frame prefix, and the rebuilt server answers like a
+/// fault-free one that applied it. The checkpoint cadence of 3 puts
+/// initial-checkpoint-only, post-checkpoint, and mid-interval crash
+/// points all in the matrix.
+#[test]
+fn chaos_g_crash_points_recover_the_committed_prefix() {
+    let recs = line_records(60);
+    let frames = 6;
+    let inserts = line_inserts(frames, 3);
+
+    for crashed_at in 0..=frames {
+        let log = Arc::new(DurableLog::new(3));
+        let server = clean(&recs).with_durability(Arc::clone(&log));
+        let report = server.serve_serial(&[], &inserts[..crashed_at]);
+        assert!(report.writer_outcome.is_ok());
+        assert_eq!(report.wal_appends, crashed_at as u64);
+
+        // The crash lands between the next frame's group commit and its
+        // first page write: the record is durable, the pages are not.
+        let committed = if crashed_at < frames {
+            log.commit_frame(crashed_at as u64, &inserts[crashed_at]);
+            crashed_at + 1
+        } else {
+            crashed_at
+        };
+
+        let what = format!("crash at {crashed_at}");
+        let rep = assert_recovers_prefix(&log.durable_image(), &recs, &inserts, committed, &what);
+        assert!(rep.tail.is_clean(), "{what}: {:?}", rep.tail);
+    }
+}
+
+/// (h) Tail damage at every byte offset of the WAL's last record —
+/// truncation and bit flips — must land recovery on the last *complete*
+/// group commit: the damaged frame is lost, every earlier frame is
+/// intact, and the report's tail says clean only at the exact record
+/// boundary.
+#[test]
+fn chaos_h_torn_and_corrupt_wal_tails_recover_the_last_complete_commit() {
+    let recs = line_records(40);
+    let inserts = line_inserts(4, 3);
+    let log = Arc::new(DurableLog::new(0)); // initial checkpoint only
+    let server = clean(&recs).with_durability(Arc::clone(&log));
+    server.serve_serial(&[], &inserts[..3]);
+    let prefix_len = log.durable_image().wal.len();
+    // Frame 3 commits but never applies (crash mid-frame); its record is
+    // the one the damage schedule mutilates.
+    log.commit_frame(3, &inserts[3]);
+    let full = log.durable_image();
+    assert!(full.wal.len() > prefix_len);
+
+    let check = |img: DurableImage, want_clean: bool, what: String| {
+        let rep = assert_recovers_prefix(&img, &recs, &inserts, 3, &what);
+        assert_eq!(rep.replayed_frames, 3, "{what}: wrong landing point");
+        assert_eq!(
+            rep.tail.is_clean(),
+            want_clean,
+            "{what}: tail was {:?}",
+            rep.tail
+        );
+    };
+
+    for cut in prefix_len..full.wal.len() {
+        let mut img = full.clone();
+        img.wal.truncate(cut);
+        check(img, cut == prefix_len, format!("truncated at {cut}"));
+    }
+    for off in prefix_len..full.wal.len() {
+        let mut img = full.clone();
+        img.wal[off] ^= 0x40;
+        check(img, false, format!("bit flip at {off}"));
+    }
+}
+
+/// (i) A device that fills mid-run: the writer degrades to `Failed`
+/// without panicking or zombifying the serve (every frame still runs,
+/// sessions still read), the log keeps group-committing and folding
+/// every frame, and recovery onto an uncapped device replays the whole
+/// backlog — the records and answers of a fault-free run that never
+/// filled up.
+#[test]
+fn chaos_i_full_device_fails_writer_cleanly_and_wal_recovers_the_backlog() {
+    let recs = line_records(30);
+    let frames = 5;
+    let inserts = line_inserts(frames, 4);
+
+    // Cap the id space so the preload fits with two pages to spare: the
+    // insert stream must hit `StorageError::Full` partway through.
+    let probe = pager_image(&build_tree(Pager::with_page_size(256), &recs));
+    let pages = u32::from_le_bytes(probe[12..16].try_into().unwrap());
+    let capped = Pager::with_page_size(256).with_id_cap(pages + 2);
+
+    let log = Arc::new(DurableLog::new(2));
+    let server = single(capped, &recs).with_durability(Arc::clone(&log));
+    let specs = vec![slide_spec(SessionKind::Pdq, 0.0, frames, 5.0)];
+    let report = server.serve(&specs, &inserts);
+
+    assert!(
+        matches!(report.writer_outcome, SessionOutcome::Failed(_)),
+        "full device must fail the writer, got {:?}",
+        report.writer_outcome
+    );
+    assert!(
+        report.inserts_applied < frames * 4,
+        "the cap never bit — the regression is vacuous"
+    );
+    assert_eq!(report.frames, frames, "a failed writer must not stall the serve");
+    assert!(report.sessions[0].outcome.is_ok(), "readers outlive a full device");
+    assert_eq!(
+        report.wal_appends, frames as u64,
+        "a failed writer must keep group-committing"
+    );
+    let stats = log.stats();
+    assert_eq!(
+        (stats.checkpoints, stats.checkpoint_failures),
+        (3, 0),
+        "5 commits at every=2 fold twice past the base: a checkpoint holds what was committed"
+    );
+
+    let rep = assert_recovers_prefix(&log.durable_image(), &recs, &inserts, frames, "full device");
+    assert_eq!(rep.replayed_frames, 1, "only the unfolded frame replays");
+    assert!(rep.tail.is_clean());
+}
+
+/// (j) Recovery through a rebuild, one region or many: one shared WAL,
+/// checkpoints of the deduplicated record set, and recovery by
+/// [`PartitionedDqServer::build`] plus frame replay. The recovered
+/// server holds exactly the crashed server's records (including a frame
+/// committed but never applied), and serves identical results.
+#[test]
+fn chaos_j_partitioned_recovery_is_result_equivalent() {
+    let recs = line_records(120);
+    let specs = vec![
+        slide_spec(SessionKind::Pdq, 0.0, 12, 12.0),
+        slide_spec(SessionKind::Npdq, 30.0, 12, 12.0),
+    ];
+    let inserts = line_inserts(12, 2);
+    let make = |_: usize| RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+
+    for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![40.0, 80.0])] {
+        let log = Arc::new(DurableLog::new(5));
+        let server = PartitionedDqServer::build(grid.clone(), &recs, make)
+            .with_durability(Arc::clone(&log));
+        let report = server.serve(&specs, &inserts);
+        assert!(report.base.writer_outcome.is_ok());
+        assert_eq!(report.base.wal_appends, 12);
+        assert!(
+            report.base.checkpoints >= 1,
+            "12 commits at every=5 must install mid-run checkpoints"
+        );
+
+        // Crash with one more frame durable but applied to no region; the
+        // live server absorbs the same frame so the comparison target
+        // holds the full committed prefix too.
+        let extra = vec![(
+            R::new(9000, 0, Interval::new(3.6, 100.0), [5.25, 0.5], [5.25, 0.5]),
+            3.6,
+        )];
+        log.commit_frame(12, &extra);
+        let image = log.durable_image();
+        server.serve_serial(&[], std::slice::from_ref(&extra));
+
+        let (_, frames, rep) = image.recover_records::<2>().unwrap();
+        assert!(rep.tail.is_clean());
+        assert_eq!(rep.replayed_frames, frames.len() as u64);
+        assert_eq!(frames.last().expect("the extra frame is committed").0, 12);
+
+        // Same deduplicated record set, and the same answers to a fresh
+        // identical query run.
+        let recovered = recover_server(&image, grid);
+        assert_eq!(resident_ids(&recovered), resident_ids(&server));
+        assert_eq!(requery(&recovered), requery(&server), "diverged after recovery");
+    }
 }
 
 /// (k) A region writer that dies mid-run (its id-capped device fills)

@@ -8,8 +8,8 @@
 use std::time::Duration;
 
 use dq_repro::mobiquery::{
-    DqServer, PartitionedDqServer, RecutPlan, RegionGrid, SessionKind, SessionOutcome,
-    SessionPlan, SessionSpec, Trajectory,
+    PartitionedDqServer, RecutPlan, RegionGrid, SessionKind, SessionOutcome, SessionPlan,
+    SessionSpec, Trajectory,
 };
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
@@ -25,14 +25,6 @@ fn line_records(n: u32) -> Vec<R> {
             R::new(i, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5])
         })
         .collect()
-}
-
-fn build_tree<S: PageStore>(store: S, recs: &[R]) -> RTree<R, S> {
-    let mut tree = RTree::new(store, RTreeConfig::default());
-    for r in recs {
-        tree.insert(*r, r.seg.t.lo);
-    }
-    tree
 }
 
 /// A window sliding right from `x0` at unit speed for `span` seconds.
@@ -73,6 +65,11 @@ fn partitioned(grid: RegionGrid, recs: &[R]) -> PartitionedDqServer<2, Pager> {
     })
 }
 
+/// The single-tree case and a three-region grid.
+fn grids() -> [RegionGrid; 2] {
+    [RegionGrid::single(), RegionGrid::from_cuts(0, vec![15.0, 30.0])]
+}
+
 /// The (oid, seq) stream must never repeat — the paper's "retrieve each
 /// object once" contract, per session.
 fn assert_each_object_once(results: &[(u32, u32)]) {
@@ -98,7 +95,7 @@ fn assert_frames_reconcile(sessions: &[dq_repro::mobiquery::SessionOutput]) {
 }
 
 /// Sessions with very different schedule lengths: the short ones finish
-/// and detach while the long one keeps consuming frames. Both servers,
+/// and detach while the long one keeps consuming frames. Both grids,
 /// concurrent == serial, bit for bit.
 #[test]
 fn ragged_schedule_lengths_match_serial() {
@@ -111,35 +108,28 @@ fn ragged_schedule_lengths_match_serial() {
     ];
     let plans: Vec<SessionPlan<2>> = specs.iter().cloned().map(SessionPlan::new).collect();
 
-    let single = DqServer::new(build_tree(Pager::new(), &recs));
-    let p = single.serve_plans(&plans, &inserts);
-    let s = DqServer::new(build_tree(Pager::new(), &recs)).serve_serial_plans(&plans, &inserts);
-    assert_eq!(p.frames, 20);
-    for i in 0..plans.len() {
-        assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
-        assert_eq!(p.sessions[i].stats, s.sessions[i].stats, "session {i}");
-        // Frame reports match on every deterministic field (latency is
-        // wall clock, so it is excluded).
-        assert_eq!(p.sessions[i].frames.len(), s.sessions[i].frames.len());
-        for (a, b) in p.sessions[i].frames.iter().zip(&s.sessions[i].frames) {
-            assert_eq!((a.frame, a.results, a.stats), (b.frame, b.results, b.stats));
+    for grid in grids() {
+        let p = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
+        let s = partitioned(grid, &recs).serve_serial_plans(&plans, &inserts);
+        assert_eq!(p.frames, 20);
+        for i in 0..plans.len() {
+            assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
+            assert_eq!(p.sessions[i].stats, s.sessions[i].stats, "session {i}");
+            assert_each_object_once(&p.sessions[i].results);
+            // Frame reports match on every deterministic field (latency
+            // is wall clock, so it is excluded).
+            assert_eq!(p.sessions[i].frames.len(), s.sessions[i].frames.len());
+            for (a, b) in p.sessions[i].frames.iter().zip(&s.sessions[i].frames) {
+                assert_eq!((a.frame, a.results, a.stats), (b.frame, b.results, b.stats));
+            }
         }
-    }
-
-    let grid = RegionGrid::from_cuts(0, vec![15.0, 30.0]);
-    let pp = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
-    let ps = partitioned(grid, &recs).serve_serial_plans(&plans, &inserts);
-    for i in 0..plans.len() {
-        assert_eq!(pp.sessions[i].results, ps.sessions[i].results, "session {i}");
-        assert_eq!(pp.sessions[i].stats, ps.sessions[i].stats, "session {i}");
-        assert_each_object_once(&pp.sessions[i].results);
     }
 }
 
 /// A session joining at global frame 7 of a 16-frame run: it sees the
 /// tree exactly as of its join watermark (batches 0..7 applied, batch 7
 /// not yet), reports only frames >= 7, delivers each object once, and
-/// matches the serial reference on both servers.
+/// matches the serial reference on both grids.
 #[test]
 fn join_mid_run_sees_exactly_the_tail() {
     let recs = line_records(40);
@@ -150,31 +140,23 @@ fn join_mid_run_sees_exactly_the_tail() {
         SessionPlan::new(slide_spec(SessionKind::Npdq, 20.0, 16, 12.0)).join_at(7),
     ];
 
-    let single = DqServer::new(build_tree(Pager::new(), &recs));
-    let p = single.serve_plans(&plans, &inserts);
-    let s = DqServer::new(build_tree(Pager::new(), &recs)).serve_serial_plans(&plans, &inserts);
-    for i in 0..plans.len() {
-        assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
-        assert_eq!(p.sessions[i].stats, s.sessions[i].stats, "session {i}");
-        assert_each_object_once(&p.sessions[i].results);
+    for grid in grids() {
+        let p = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
+        let s = partitioned(grid, &recs).serve_serial_plans(&plans, &inserts);
+        for i in 0..plans.len() {
+            assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
+            assert_eq!(p.sessions[i].stats, s.sessions[i].stats, "session {i}");
+            assert_each_object_once(&p.sessions[i].results);
+        }
+        // Joiners report frames starting at their join watermark only.
+        for i in [1, 2] {
+            assert!(!p.sessions[i].frames.is_empty(), "joiner {i} never ran");
+            assert!(
+                p.sessions[i].frames.iter().all(|f| f.frame >= 7),
+                "joiner {i} reported a pre-join frame"
+            );
+        }
     }
-    // Joiners report frames starting at their join watermark only.
-    for i in [1, 2] {
-        assert!(!p.sessions[i].frames.is_empty(), "joiner {i} never ran");
-        assert!(
-            p.sessions[i].frames.iter().all(|f| f.frame >= 7),
-            "joiner {i} reported a pre-join frame"
-        );
-    }
-
-    let grid = RegionGrid::from_cuts(0, vec![15.0, 30.0]);
-    let pp = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
-    let ps = partitioned(grid, &recs).serve_serial_plans(&plans, &inserts);
-    for i in 0..plans.len() {
-        assert_eq!(pp.sessions[i].results, ps.sessions[i].results, "session {i}");
-        assert_each_object_once(&pp.sessions[i].results);
-    }
-    assert!(pp.sessions[1].frames.iter().all(|f| f.frame >= 7));
 }
 
 /// A recut fires at frame 6 while a joiner arrives at frame 3 and a
@@ -257,16 +239,16 @@ fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
 
     // No checksum layer, flip byte 0: the node header itself breaks, so
     // the doomed session's descent panics (contained fail-stop).
-    let store = FaultyStore::with_flipped_bytes(
-        Pager::with_page_size(256),
-        FaultPlan::quiet(7),
-        vec![0],
-    );
-    let tree = build_tree(store, &recs);
-    let victim = leaf_page_of(&tree, 28);
-    tree.store().corrupt_page(victim);
+    let server = PartitionedDqServer::build(RegionGrid::single(), &recs, |_| {
+        let store = FaultyStore::with_flipped_bytes(
+            Pager::with_page_size(256),
+            FaultPlan::quiet(7),
+            vec![0],
+        );
+        RTree::new(store, RTreeConfig::default())
+    });
+    server.with_region_tree(0, |tree| tree.store().corrupt_page(leaf_page_of(tree, 28)));
 
-    let server = DqServer::new(tree);
     let report = server.serve(&[healthy.clone(), doomed], &inserts);
     assert!(
         matches!(report.sessions[1].outcome, SessionOutcome::Failed(_)),
@@ -280,8 +262,10 @@ fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
 
     // The healthy session is oblivious: same results as a run that
     // never had the doomed session at all, on a clean store.
-    let oracle = DqServer::new(build_tree(Pager::with_page_size(256), &recs))
-        .serve_serial(std::slice::from_ref(&healthy), &inserts);
+    let oracle = PartitionedDqServer::build(RegionGrid::single(), &recs, |_| {
+        RTree::new(Pager::with_page_size(256), RTreeConfig::default())
+    })
+    .serve_serial(std::slice::from_ref(&healthy), &inserts);
     assert!(report.sessions[0].outcome.is_ok());
     assert_eq!(report.sessions[0].results, oracle.sessions[0].results);
     assert_eq!(report.sessions[0].frames.len(), 8);
@@ -290,7 +274,7 @@ fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
 /// Out-of-lockstep execution (one deliberately slow session): results
 /// stay bit-identical to the undelayed serial reference and the
 /// per-frame flight recorder still reconciles exactly with the
-/// session-level stats — on both servers.
+/// session-level stats — on both grids.
 #[test]
 fn frame_reports_reconcile_out_of_lockstep() {
     let recs = line_records(40);
@@ -315,18 +299,12 @@ fn frame_reports_reconcile_out_of_lockstep() {
         .collect();
     let undelayed: Vec<SessionPlan<2>> = specs.iter().cloned().map(SessionPlan::new).collect();
 
-    let p = DqServer::new(build_tree(Pager::new(), &recs)).serve_plans(&plans, &inserts);
-    let s = DqServer::new(build_tree(Pager::new(), &recs)).serve_serial_plans(&undelayed, &inserts);
-    for i in 0..plans.len() {
-        assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
+    for grid in grids() {
+        let p = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
+        let s = partitioned(grid, &recs).serve_serial_plans(&undelayed, &inserts);
+        for i in 0..plans.len() {
+            assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
+        }
+        assert_frames_reconcile(&p.sessions);
     }
-    assert_frames_reconcile(&p.sessions);
-
-    let grid = RegionGrid::from_cuts(0, vec![15.0, 30.0]);
-    let pp = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
-    let ps = partitioned(grid, &recs).serve_serial_plans(&undelayed, &inserts);
-    for i in 0..plans.len() {
-        assert_eq!(pp.sessions[i].results, ps.sessions[i].results, "session {i}");
-    }
-    assert_frames_reconcile(&pp.sessions);
 }

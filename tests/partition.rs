@@ -10,11 +10,12 @@
 //! exactly once, in the same frame the unpartitioned server would.
 
 use dq_repro::mobiquery::{
-    DqServer, PartitionedDqServer, RegionGrid, SessionKind, SessionOutput, SessionSpec, Trajectory,
+    PartitionedDqServer, PdqEngine, RegionGrid, SessionKind, SessionOutput, SessionSpec,
+    Trajectory,
 };
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
-use dq_repro::storage::{PageStore, Pager, ShardedBufferPool};
+use dq_repro::storage::{Pager, ShardedBufferPool};
 use dq_repro::workload::{Dataset, DatasetConfig, QueryWorkload, QueryWorkloadConfig};
 
 type R = NsiSegmentRecord<2>;
@@ -54,14 +55,6 @@ fn build_partitioned(grid: RegionGrid, preload: &[R]) -> PartitionedDqServer<2, 
     })
 }
 
-fn build_tree<S: PageStore>(store: S, preload: &[R]) -> RTree<R, S> {
-    let mut tree = RTree::new(store, RTreeConfig::default());
-    for r in preload {
-        tree.insert(*r, r.seg.t.lo);
-    }
-    tree
-}
-
 /// Per-frame delivered (oid, seq) sets, in frame order. In-frame order
 /// is a tie-break artifact (queue pop order vs merge order), so frame
 /// *sets* are the layout-independent contract.
@@ -80,16 +73,32 @@ fn frame_sets(s: &SessionOutput) -> Vec<Vec<(u32, u32)>> {
 
 /// Seam oracle: for 1-, 2- and 4-region grids with objects sitting
 /// exactly on every cut, each entry event is delivered exactly once and
-/// in the same frame as the unpartitioned server delivers it.
+/// in the same frame as a bare PDQ engine over one unpartitioned tree
+/// delivers it.
 #[test]
 fn pdq_entry_events_are_exactly_once_across_seams() {
     let recs = integer_line(40);
     let spec = slide_spec(SessionKind::Pdq, 40, 40.0);
-    let mono = DqServer::new(build_tree(Pager::new(), &recs))
-        .serve_serial(std::slice::from_ref(&spec), &[]);
-    let expected = frame_sets(&mono.sessions[0]);
+    let mut tree = RTree::new(Pager::new(), RTreeConfig::default());
+    for r in &recs {
+        tree.insert(*r, r.seg.t.lo);
+    }
+    let mut direct = PdqEngine::start(&tree, spec.trajectory.clone());
+    let expected: Vec<Vec<(u32, u32)>> = spec
+        .frame_times
+        .windows(2)
+        .map(|w| {
+            let mut set: Vec<_> = direct
+                .drain_window(&tree, w[0], w[1])
+                .iter()
+                .map(|r| (r.record.oid, r.record.seq))
+                .collect();
+            set.sort_unstable();
+            set
+        })
+        .collect();
     assert!(
-        mono.sessions[0].results.len() > 30,
+        expected.iter().map(Vec::len).sum::<usize>() > 30,
         "sweep must actually deliver entries"
     );
 

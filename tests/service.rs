@@ -1,11 +1,14 @@
-//! End-to-end serving: [`DqServer`] running mixed PDQ/NPDQ sessions
-//! concurrently over ONE shared tree backed by a sharded buffer pool,
-//! with a writer inserting live updates between frames. The concurrent
-//! run must be *exactly* deterministic: per-session result sequences
-//! equal the single-threaded reference protocol on an identically
-//! prepared server.
+//! End-to-end serving: mixed PDQ/NPDQ sessions running concurrently
+//! over ONE shared tree (a one-region grid) backed by a sharded buffer
+//! pool, with a writer inserting live updates between frames. The
+//! concurrent run must be *exactly* deterministic: per-session result
+//! sequences equal the single-threaded reference protocol on an
+//! identically prepared server — and, frame by frame, the same objects
+//! arrive under every grid.
 
-use dq_repro::mobiquery::{DqServer, PartitionedDqServer, RegionGrid, SessionKind, SessionSpec};
+use dq_repro::mobiquery::{
+    PartitionedDqServer, RegionGrid, SessionKind, SessionOutput, SessionPlan, SessionSpec,
+};
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::storage::{PageStore, Pager, ShardedBufferPool};
 use dq_repro::workload::{Dataset, DatasetConfig, QueryWorkload, QueryWorkloadConfig};
@@ -61,12 +64,13 @@ fn fixture() -> Fixture {
     }
 }
 
-fn build_tree<S: PageStore>(store: S, preload: &[NsiSegmentRecord<2>]) -> RTree<NsiSegmentRecord<2>, S> {
-    let mut tree = RTree::new(store, RTreeConfig::default());
-    for r in preload {
-        tree.insert(*r, r.seg.t.lo);
-    }
-    tree
+/// The server over `grid`, every region's tree on its own `pool()`.
+fn build<S: PageStore>(
+    grid: RegionGrid,
+    preload: &[NsiSegmentRecord<2>],
+    mut pool: impl FnMut() -> S,
+) -> PartitionedDqServer<2, S> {
+    PartitionedDqServer::build(grid, preload, |_| RTree::new(pool(), RTreeConfig::default()))
 }
 
 #[test]
@@ -75,12 +79,13 @@ fn concurrent_serving_matches_serial_reference() {
     assert!(fx.specs.len() >= 4, "need at least 4 mixed sessions");
 
     // Concurrent server over a sharded buffer pool (64 frames, 4 shards).
-    let pool = ShardedBufferPool::new(Pager::new(), 64, 4);
-    let server = DqServer::new(build_tree(pool, &fx.preload));
+    let server = build(RegionGrid::single(), &fx.preload, || {
+        ShardedBufferPool::new(Pager::new(), 64, 4)
+    });
     let parallel = server.serve(&fx.specs, &fx.inserts);
 
     // Serial reference over an identically prepared plain-pager tree.
-    let reference = DqServer::new(build_tree(Pager::new(), &fx.preload));
+    let reference = build(RegionGrid::single(), &fx.preload, Pager::new);
     let serial = reference.serve_serial(&fx.specs, &fx.inserts);
 
     let live_total: usize = fx.inserts.iter().map(Vec::len).sum();
@@ -98,7 +103,7 @@ fn concurrent_serving_matches_serial_reference() {
     // The workload actually exercises the sessions and the pool.
     assert!(parallel.total_results() > 0, "no session returned anything");
     assert!(parallel.total_stats().disk_accesses > 0);
-    let cs = server.with_tree(|t| t.store().cache_stats());
+    let cs = server.with_region_tree(0, |t| t.store().cache_stats());
     assert!(cs.hits > 0, "buffer pool never hit");
     assert!(cs.misses > 0, "buffer pool never missed");
 }
@@ -107,13 +112,15 @@ fn concurrent_serving_matches_serial_reference() {
 fn serving_twice_is_reproducible() {
     let fx = fixture();
     let run = |threads: bool| {
-        let pool = ShardedBufferPool::new(Pager::new(), 32, 2);
-        let server = DqServer::new(build_tree(pool, &fx.preload));
+        let server = build(RegionGrid::single(), &fx.preload, || {
+            ShardedBufferPool::new(Pager::new(), 32, 2)
+        });
         if threads {
             server.serve(&fx.specs, &fx.inserts)
         } else {
             server.serve_serial(&fx.specs, &fx.inserts)
         }
+        .base
         .sessions
         .into_iter()
         .map(|s| s.results)
@@ -123,43 +130,92 @@ fn serving_twice_is_reproducible() {
     assert_eq!(run(true), run(false), "concurrent vs serial diverged");
 }
 
-/// Bridge to the partitioned server: over a single region the region
-/// trees are built by the same insert sequence as [`DqServer`]'s tree,
-/// so per-frame delivered *sets* must agree exactly for every session —
-/// the only legal difference is in-frame tie order (queue pop order vs
-/// the router's (start, oid, seq) merge).
+/// Per-frame delivered `(oid, seq)` sets, in frame order — the
+/// grid-independent contract (an NPDQ frame repeats a still-visible
+/// object or not by node timestamps, which depend on the tree's shape;
+/// what *enters* a frame does not).
+fn frame_sets(s: &SessionOutput) -> Vec<Vec<(u32, u32)>> {
+    let mut off = 0;
+    s.frames
+        .iter()
+        .map(|f| {
+            let mut set = s.results[off..off + f.results].to_vec();
+            off += f.results;
+            set.sort_unstable();
+            set
+        })
+        .collect()
+}
+
+/// The oracle across grids: mixed PDQ/NPDQ sessions, inserts every
+/// frame, one session joining mid-run and one with a short schedule.
+/// Under each of 1, 3 and 5 regions the concurrent run equals the serial
+/// protocol bit for bit; across grids every PDQ session delivers the
+/// same stream, and every NPDQ session the same first frame (the full
+/// window), duplicate-free frames and the same objects over the run.
 #[test]
-fn single_region_partitioned_matches_dqserver_frame_sets() {
+fn every_grid_matches_serial_and_grids_agree_per_frame() {
     let fx = fixture();
-    let partitioned = PartitionedDqServer::build(RegionGrid::single(), &fx.preload, |_| {
-        RTree::new(ShardedBufferPool::new(Pager::new(), 64, 4), RTreeConfig::default())
-    })
-    .serve(&fx.specs, &fx.inserts);
-    let mono = DqServer::new(build_tree(Pager::new(), &fx.preload)).serve_serial(&fx.specs, &fx.inserts);
-
-    // One region means no seam replication: physical == logical inserts.
+    let plans: Vec<SessionPlan<2>> = fx
+        .specs
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, mut spec)| match i {
+            2 | 3 => SessionPlan::new(spec).join_at(FRAMES / 3),
+            4 | 5 => {
+                spec.frame_times.truncate(FRAMES / 2);
+                SessionPlan::new(spec)
+            }
+            _ => SessionPlan::new(spec),
+        })
+        .collect();
     let live_total: usize = fx.inserts.iter().map(Vec::len).sum();
-    assert_eq!(partitioned.base.inserts_applied, live_total);
 
-    let frame_sets = |s: &dq_repro::mobiquery::SessionOutput| -> Vec<Vec<(u32, u32)>> {
-        let mut off = 0;
-        s.frames
-            .iter()
-            .map(|f| {
-                let mut set = s.results[off..off + f.results].to_vec();
-                off += f.results;
-                set.sort_unstable();
-                set
-            })
-            .collect()
-    };
-    for (i, (p, m)) in partitioned.sessions.iter().zip(&mono.sessions).enumerate() {
-        assert!(p.outcome.is_ok(), "session {i}: {:?}", p.outcome);
-        assert_eq!(
-            frame_sets(p),
-            frame_sets(m),
-            "session {i} ({:?}) diverged from the single-tree server",
-            fx.specs[i].kind
-        );
+    let mut across: Vec<Vec<SessionOutput>> = Vec::new();
+    for cuts in [vec![], vec![33.0, 66.0], vec![20.0, 40.0, 60.0, 80.0]] {
+        let grid = RegionGrid::from_cuts(0, cuts);
+        let regions = grid.len();
+        let parallel = build(grid.clone(), &fx.preload, || {
+            ShardedBufferPool::new(Pager::new(), 64, 4)
+        })
+        .serve_plans(&plans, &fx.inserts);
+        let serial = build(grid, &fx.preload, Pager::new).serve_serial_plans(&plans, &fx.inserts);
+
+        assert!(parallel.writer_outcome.is_ok());
+        assert_eq!(parallel.inserts_applied, serial.inserts_applied);
+        // One region means no seam replication: physical == logical.
+        assert!(parallel.inserts_applied >= live_total);
+        assert_eq!(regions > 1, parallel.inserts_applied > live_total, "{regions} regions");
+        for (i, (p, s)) in parallel.sessions.iter().zip(&serial.sessions).enumerate() {
+            assert!(p.outcome.is_ok(), "{regions} regions, session {i}: {:?}", p.outcome);
+            assert_eq!(p.results, s.results, "{regions} regions, session {i} vs serial");
+            assert_eq!(p.stats, s.stats, "{regions} regions, session {i} vs serial");
+        }
+        assert!(parallel.sessions[2].frames.iter().all(|f| f.frame >= FRAMES / 3));
+        assert!(parallel.sessions[4].frames.len() < parallel.sessions[0].frames.len());
+        across.push(parallel.base.sessions);
+    }
+
+    let mono = &across[0];
+    for (g, sessions) in across.iter().enumerate().skip(1) {
+        for (i, (s, m)) in sessions.iter().zip(mono).enumerate() {
+            let what = format!("grid {g}, session {i} ({:?})", plans[i].spec.kind);
+            let (got, want) = (frame_sets(s), frame_sets(m));
+            assert_eq!(got.len(), want.len(), "{what}: frame count");
+            match plans[i].spec.kind {
+                SessionKind::Pdq => assert_eq!(s.results, m.results, "{what}"),
+                SessionKind::Npdq => {
+                    assert_eq!(got[0], want[0], "{what}: first frame is the full window");
+                    for f in &got {
+                        assert!(f.windows(2).all(|w| w[0] != w[1]), "{what}: duplicate in a frame");
+                    }
+                    let union = |sets: &[Vec<(u32, u32)>]| {
+                        sets.iter().flatten().copied().collect::<std::collections::BTreeSet<_>>()
+                    };
+                    assert_eq!(union(&got), union(&want), "{what}: objects delivered");
+                }
+            }
+        }
     }
 }

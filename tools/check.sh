@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repo check: tier-1 build + tests, then the full workspace and clippy.
+# Repo check: tier-1 build + tests, the full workspace, clippy, and a
+# type-check of benchmarks/dqbench — its own package, which nothing else
+# compiles: deleting public API must not pass here and break the scorer.
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -19,11 +21,8 @@
 # expansion over a 360-piece trajectory must stay >= 2.0x the
 # all-pieces loop, so a piece index that decays into a scan fails it
 # too. The smoke output goes to target/figures/ and never clobbers the
-# committed BENCH_read_path.json baseline. It then runs benchmarks/smoke.sh:
-# dqbench is a package of its own, outside the workspace, so nothing
-# above builds it — this is the step that fails when a PageStore or
-# RTree signature changes under the benchmark the pipeline scores with
-# (every workload at 1/20 size, schema and correctness, no timing).
+# committed BENCH_read_path.json baseline. It then runs benchmarks/smoke.sh
+# (every dqbench workload at 1/20 size, schema and correctness, no timing).
 #
 # --obs-smoke runs the observability reconciliation end to end: a small
 # exp_service sweep (whose hard asserts check tree level counters ==
@@ -66,8 +65,7 @@
 # in-process stream identity) in the debug and the optimised build,
 # then the exp_service_net experiment — interleaved clean and chaos
 # runs, the chaos runs adding a stalling and a vanishing client — whose
-# figure
-# the wrapper gates: both misbehaving clients must be evicted, the
+# figure the wrapper gates: both misbehaving clients must be evicted, the
 # healthy sessions' aggregate frames/s must keep >= 0.9x the clean
 # runs' (per-session ratios are informational: on a loaded host they
 # carry scheduler noise the aggregate averages out) with bit-identical
@@ -77,15 +75,16 @@
 #
 # --wal-smoke runs the durable write path end to end: the WAL unit
 # suite, the durability module suite, and the chaos crash-point matrix
-# (recovery bit-identity at every crash point, torn/bit-flipped tails,
-# full-device backlog recovery, partitioned rebuild, checkpoints past a
-# failed region writer, the random crash-point differential), then
-# exp_service with DQ_DURABLE=1 — whose hard asserts recover from the
-# post-run durable image and require the recovered tree to be
-# bit-identical to the served one, on every sweep configuration — and
-# exp_checkpoint, which fails unless checkpointing a fixed delta over a
-# 4x larger base costs <= 2.0x what it costs over the 1x base (a
-# checkpoint that reads the index sits near 4).
+# (recovered record multiset == committed prefix and a rebuilt server
+# answering like the fault-free oracle at every crash point and
+# torn/bit-flipped tail, full-device backlog recovery, rebuild under 1
+# and 3 regions, checkpoints past a failed region writer, the random
+# crash-point differential), then exp_service with DQ_DURABLE=1 — whose
+# hard asserts rebuild from the post-run durable image and require the
+# served server's records and equivalent answers, on every sweep
+# configuration — and exp_checkpoint, which fails unless checkpointing a
+# fixed delta over a 4x larger base costs <= 2.0x what it costs over the
+# 1x base (a checkpoint that reads the index sits near 4).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -113,6 +112,7 @@ cargo build --release --offline
 cargo test -q --offline
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
+cargo check --release --offline --manifest-path benchmarks/dqbench/Cargo.toml
 
 if [ "$BENCH_SMOKE" = 1 ]; then
   # Absolute output path: cargo runs bench binaries with the package
@@ -312,10 +312,10 @@ fi
 if [ "$WAL_SMOKE" = 1 ]; then
   # The durable write path, bottom up: WAL framing/replay units, the
   # DurableLog/checkpoint/recovery units, then the crash-point matrix
-  # (chaos_g..chaos_l: bit-identical recovery at every crash point,
+  # (chaos_g..chaos_l: committed-prefix recovery at every crash point,
   # torn/truncated/bit-flipped tails landing on the last complete group
-  # commit, full-device backlog recovery, partitioned rebuild, folds
-  # past a failed region writer, random crash-point differential).
+  # commit, full-device backlog recovery, rebuild under 1 and 3 regions,
+  # folds past a failed region writer, random crash-point differential).
   cargo test -q --offline -p storage wal
   cargo test -q --offline -p mobiquery durability
   cargo test -q --offline --test chaos -- chaos_g chaos_h chaos_i chaos_j chaos_k chaos_l
@@ -323,11 +323,11 @@ if [ "$WAL_SMOKE" = 1 ]; then
 
   # exp_service with durability attached: every sweep configuration
   # group-commits each frame, checkpoints on cadence, then recovers from
-  # the durable image and asserts bit-identity with the served tree.
+  # the durable image and asserts record- and result-equivalence.
   DQ_SCALE=quick DQ_SESSIONS=4 DQ_DURABLE=1 \
     cargo run -q --offline --release -p bench --bin exp_service \
     > target/figures/exp_service_wal_smoke.txt
-  echo "OK: durable exp_service sweep recovered bit-identically on every configuration."
+  echo "OK: durable exp_service sweep recovered result-equivalently on every configuration."
 
   # A periodic logical checkpoint must cost the delta, not the index;
   # the binary carries the ratio bound and exits non-zero past it.
@@ -336,4 +336,4 @@ if [ "$WAL_SMOKE" = 1 ]; then
   echo "OK: logical checkpoint cost is flat in the base size (4x base <= 2.0x)."
 fi
 
-echo "OK: build, tests, and clippy all green."
+echo "OK: build, tests, clippy and the dqbench type-check all green."
