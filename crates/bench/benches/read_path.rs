@@ -11,14 +11,8 @@
 //! non-zero if it ever copies at least as much as the decode path, so CI
 //! can run it tiny as a regression tripwire.
 //!
-//! Four further figures ride along:
+//! Three further figures ride along:
 //!
-//! * **Contended reads** — N reader threads full-tree traversing against
-//!   an *active* writer, once with the pre-optimistic architecture (a
-//!   `RwLock` read acquisition per traversal) and once latch-free
-//!   through optimistic `TreeReader`s (per-visit version validation, no
-//!   lock). Figure: node-visits/s summed over readers, plus the
-//!   optimistic/locked ratio.
 //! * **Batched overlap geometry** — the four-case trapezoid overlap-time
 //!   computation evaluated entry-at-a-time (scalar `overlap_time_rect`)
 //!   vs node-page-sized SoA batches (`RectBatch::solve`, hoisted
@@ -42,18 +36,14 @@
 //!
 //! Knobs: `DQ_READ_PATH_OBJECTS` (dataset size, default 5000),
 //! `DQ_READ_PATH_MS` (per-path measuring window, default 300),
-//! `DQ_READ_PATH_READERS` (contended reader threads, default 4),
-//! `DQ_READ_PATH_FLUSH_US` / `DQ_READ_PATH_TICK_US` (writer critical
-//! section stall and batch period, defaults 1000/2000),
 //! `DQ_READ_PATH_OUT` (output JSON path, default the repo-root
 //! `BENCH_read_path.json`).
 
 use bench::FigureTable;
 use rtree::bulk::bulk_load;
-use rtree::{Node, NodeEntries, NsiSegmentRecord, RTree, RTreeConfig, TreeRead};
+use rtree::{Node, NodeEntries, NsiSegmentRecord, RTree, RTreeConfig};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use storage::{BufferPool, IoSnapshot, PageId, PageRef, PageStore, Pager};
 use stkit::{Interval, RectBatch, SegmentBatch, StBox, TimeSet};
@@ -202,131 +192,6 @@ fn env_u64(key: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// One frame-sized burst of a resumable tree descent: pop and visit up
-/// to `budget` nodes, pushing children back on the caller's `stack` (an
-/// empty stack reseeds from the root). This is the serving layer's unit
-/// of read work — a session's engine step visits a bounded handful of
-/// nodes per frame, and the pre-optimistic architecture held the read
-/// lock for exactly one such burst. A visit that fails validation drops
-/// the frontier and restarts from the root next frame (its reads still
-/// count — that is the retry traffic the optimistic protocol pays for
-/// never blocking).
-fn contended_frame<T: TreeRead<R> + ?Sized>(t: &T, stack: &mut Vec<PageId>, budget: u32) -> u64 {
-    let mut visits = 0u64;
-    for _ in 0..budget {
-        let Some(page) = stack.pop() else {
-            stack.push(t.root_page());
-            continue;
-        };
-        let Ok(node) = t.try_read_node(page) else {
-            stack.clear();
-            break;
-        };
-        visits += 1;
-        if node.is_leaf() {
-            for r in node.leaf_records() {
-                black_box(r.oid);
-            }
-        } else {
-            for (_, c) in node.internal_entries() {
-                stack.push(c);
-            }
-        }
-    }
-    visits
-}
-
-/// Node visits one reader performs per read section — the scale of one
-/// session frame step.
-const FRAME_VISITS: u32 = 16;
-
-/// Pause between a reader's frames, standing in for the serving layer's
-/// inter-frame work (result merging, barrier waits): sessions step on a
-/// cadence, they do not spin read sections back-to-back. Without the
-/// gap the benchmark measures an artifact instead — on a saturated core
-/// a spinning reader always re-acquires the lock before a woken writer
-/// is scheduled, so the locked configuration never pays for the writer
-/// at all (it starves indefinitely).
-const FRAME_GAP: Duration = Duration::from_micros(50);
-
-/// Node-visits/s summed over `readers` threads while a writer keeps
-/// inserting. `optimistic == false` is the pre-optimistic architecture:
-/// every frame-sized burst takes the tree's read lock (and so
-/// serializes with the writer). `optimistic == true` never takes a lock
-/// on the read side: each thread holds a `TreeReader` and validates per
-/// visit. Either way the writer mutates under the write lock, so the
-/// only variable is the read-side protocol.
-fn contended_rate(recs: Vec<R>, readers: usize, window: Duration, optimistic: bool) -> f64 {
-    let pool = BufferPool::new(Pager::new(), 1 << 16);
-    let tree = bulk_load(pool, RTreeConfig::default(), recs).map_store(Arc::new);
-    let lock = RwLock::new(tree);
-    let stop = AtomicBool::new(false);
-    let total = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..readers {
-            scope.spawn(|| {
-                let mut visits = 0u64;
-                let mut stack = Vec::new();
-                if optimistic {
-                    let rd = lock.read().unwrap().reader();
-                    while !stop.load(Ordering::Relaxed) {
-                        visits += contended_frame(&rd, &mut stack, FRAME_VISITS);
-                        std::thread::sleep(FRAME_GAP);
-                    }
-                } else {
-                    while !stop.load(Ordering::Relaxed) {
-                        let g = lock.read().unwrap();
-                        visits += contended_frame(&*g, &mut stack, FRAME_VISITS);
-                        drop(g);
-                        std::thread::sleep(FRAME_GAP);
-                    }
-                }
-                total.fetch_add(visits, Ordering::Relaxed);
-            });
-        }
-        scope.spawn(|| {
-            // The writer only ever inserts (pages are never freed), so a
-            // reader holding a pre-split PageId still reads a valid node
-            // image — the version check is what keeps its *view* sound.
-            //
-            // The update stream runs on a fixed-rate tick so both
-            // configurations apply the same batches per second regardless
-            // of how long lock acquisition takes; the two runs then
-            // differ only in the read-side protocol. Each batch includes
-            // a write-back stall *inside* the critical section (the apply
-            // path's shape: dirty pages flush under the update latch).
-            // Under the lock that stall parks every reader — new read
-            // acquisitions are already blocked from the moment the writer
-            // starts waiting — while optimistic readers traverse straight
-            // through it, paying only per-visit validation and the rare
-            // retry against the brief per-insert write sections.
-            let flush = Duration::from_micros(env_u64("DQ_READ_PATH_FLUSH_US", 1000));
-            let tick = Duration::from_micros(env_u64("DQ_READ_PATH_TICK_US", 2000));
-            let mut oid = 10_000_000u32;
-            let mut next = Instant::now() + tick;
-            while !stop.load(Ordering::Relaxed) {
-                let mut g = lock.write().unwrap();
-                std::thread::sleep(flush);
-                for _ in 0..16 {
-                    let x = f64::from(oid % 997);
-                    let rec = R::new(oid, 0, Interval::new(0.0, 10.0), [x, x * 0.5], [x, x * 0.5]);
-                    g.insert(rec, 0.0);
-                    oid += 1;
-                }
-                drop(g);
-                let now = Instant::now();
-                if next > now {
-                    std::thread::sleep(next - now);
-                }
-                next += tick;
-            }
-        });
-        std::thread::sleep(window);
-        stop.store(true, Ordering::Relaxed);
-    });
-    total.load(Ordering::Relaxed) as f64 / window.as_secs_f64()
 }
 
 /// One insert the way the write path ran before it edited pages: the
@@ -679,34 +544,6 @@ fn main() {
         String::new(),
         String::new(),
         format!("{:.2}x", rate(&view) / rate(&decode)),
-        String::new(),
-        String::new(),
-    ]);
-
-    // Contended reads: N reader threads vs an active writer, locked
-    // read acquisition vs latch-free optimistic readers. Fresh tree per
-    // configuration so writer-driven growth is comparable.
-    let readers = env_u64("DQ_READ_PATH_READERS", 4) as usize;
-    let locked = contended_rate(ds.nsi_records(), readers, window, false);
-    let optimistic = contended_rate(ds.nsi_records(), readers, window, true);
-    for (name, v) in [
-        (format!("contended locked x{readers}"), locked),
-        (format!("contended optimistic x{readers}"), optimistic),
-    ] {
-        table.row(vec![
-            name,
-            String::new(),
-            String::new(),
-            format!("{v:.0}"),
-            String::new(),
-            String::new(),
-        ]);
-    }
-    table.row(vec![
-        "optimistic/locked speedup".to_string(),
-        String::new(),
-        String::new(),
-        format!("{:.2}x", optimistic / locked),
         String::new(),
         String::new(),
     ]);

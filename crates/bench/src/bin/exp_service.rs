@@ -163,24 +163,12 @@ fn run_config<S: PageStore + Send + Sync>(
     // (failed reads never touch the device counters, and the pool's
     // retry pairs each miss with exactly one successful device read).
     //  tree level counters == engine QueryStats + writer attribution
-    //  + optimistic retry traffic (node reads performed but discarded on
-    //  version-validation failure; the serve publishes the delta as
-    //  `tree.read_retries`). Under the frame clock's flow control a
-    //  session reading frame `k` withholds the permit for batch `k + 1`,
-    //  so the writer never overlaps a reading frame and the retry term
-    //  must be exactly zero — a nonzero term here would mean a write
-    //  section leaked into a read phase.
-    let retried = registry.counter_value("tree.read_retries");
     assert_eq!(
         levels.total_reads(),
-        report.total_reads() + retried,
-        "tree node reads must equal session disk accesses + writer reads + retried reads"
+        report.total_reads(),
+        "tree node reads must equal session disk accesses + writer reads"
     );
-    assert_eq!(
-        retried, 0,
-        "the clock's flow control must keep optimistic reads conflict-free"
-    );
-    //  per-session mailboxes are bounded by the same flow control: the
+    //  per-session mailboxes are bounded by the clock's flow control: the
     //  writer is never more than one frame ahead of any reader, so a
     //  mailbox can never hold more than one frame's insert batch.
     let mailbox_hwm = registry.gauge_value("service.mailbox_hwm");
@@ -353,7 +341,7 @@ fn run_partitioned(
         .map(|r| {
             server.with_region_tree(r, |t| {
                 t.store().clear(); // serve from a cold cache
-                (t.level_counters().snapshot(), t.store().cache_stats(), t.epoch_stats())
+                (t.level_counters().snapshot(), t.store().cache_stats())
             })
         })
         .collect();
@@ -387,21 +375,16 @@ fn run_partitioned(
     // hit or miss.
     let mut disk_reads = 0;
     let mut summed_reads = 0;
-    for (r, (levels0, cache0, epoch0)) in before.into_iter().enumerate() {
-        let (levels, cache, epoch) = server.with_region_tree(r, |t| {
-            (t.level_counters().snapshot(), t.store().cache_stats(), t.epoch_stats())
+    for (r, (levels0, cache0)) in before.into_iter().enumerate() {
+        let (levels, cache) = server.with_region_tree(r, |t| {
+            (t.level_counters().snapshot(), t.store().cache_stats())
         });
         let reads = (levels - levels0).total_reads();
-        // Optimistic retry traffic joins the identity; each region's
-        // frame clock keeps its write phases disjoint from reading
-        // frames, so the term must be exactly zero.
-        let retried = (epoch - epoch0).read_retries;
         assert_eq!(
             reads,
-            report.regions[r].session_reads + report.regions[r].writer_reads + retried,
+            report.regions[r].session_reads + report.regions[r].writer_reads,
             "region {r}: tree reads vs attributed reads"
         );
-        assert_eq!(retried, 0, "region {r}: a write section leaked into a read phase");
         assert_eq!(
             (cache.hits - cache0.hits) + (cache.misses - cache0.misses),
             reads,

@@ -21,14 +21,13 @@
 //!   pre-batch tree; a not-yet-joined session's frontier already sits
 //!   at its join frame, so it never gates earlier batches).
 //!
-//! The ack cursors are the load-bearing subtlety: the tree readers are
-//! optimistic seqlock grades with no multi-version store, so a reader
-//! can never observe a *previous* tree version once the writer mutates.
-//! Flow control closes that gap — within one region, the writer and the
-//! attached readers alternate (writer at most one frame ahead), so
-//! every optimistic validation passes, read-retry counters stay zero,
-//! and the concurrent serve stays *bitwise* equal to the serial
-//! reference. Isolation comes from the *per-region* scope: a stalled
+//! The ack cursors are the load-bearing subtlety: there is no
+//! multi-version store, so a reader can never observe a *previous* tree
+//! version once the writer mutates. Flow control closes that gap —
+//! within one region, the writer and the attached readers alternate
+//! (writer at most one frame ahead), so a lane's read lock on its
+//! region's tree never waits on the writer, and the concurrent serve
+//! stays *bitwise* equal to the serial reference. Isolation comes from the *per-region* scope: a stalled
 //! session back-pressures only the regions its lanes touch, every other
 //! region's writer and sessions run at full speed (the
 //! `exp_service_straggler` figure), and a failed session

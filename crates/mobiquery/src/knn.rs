@@ -12,10 +12,10 @@
 //! result-reuse idea the paper applies to range queries.
 
 use crate::stats::QueryStats;
-use rtree::{NsiSegmentRecord, TreeRead};
+use rtree::{NsiSegmentRecord, RTree};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use storage::PageId;
+use storage::{PageId, PageStore};
 
 /// One kNN answer: a record and its squared distance at the query instant.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,8 +75,8 @@ impl<const D: usize> Ord for FrontierItem<D> {
 /// Best-first kNN at a single instant `t`: the `k` objects (valid at `t`)
 /// nearest to point `p`, with an optional initial pruning bound
 /// `max_dist_sq` (results beyond it are not reported).
-pub fn knn_at<const D: usize, T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
-    tree: &T,
+pub fn knn_at<const D: usize, S: PageStore>(
+    tree: &RTree<NsiSegmentRecord<D>, S>,
     p: [f64; D],
     t: f64,
     k: usize,
@@ -179,9 +179,9 @@ impl<const D: usize> MovingKnn<D> {
     }
 
     /// Evaluate the kNN at instant `(t, p)`.
-    pub fn query<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
+    pub fn query<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<NsiSegmentRecord<D>, S>,
         t: f64,
         p: [f64; D],
         stats: &mut QueryStats,
@@ -391,8 +391,8 @@ mod tests {
 /// minute?". Best-first over a lower bound: the spatial box distance
 /// between the observer's swept extent and each node box (valid because
 /// positions stay inside their bounding boxes).
-pub fn knn_moving_observer<const D: usize, T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
-    tree: &T,
+pub fn knn_moving_observer<const D: usize, S: PageStore>(
+    tree: &RTree<NsiSegmentRecord<D>, S>,
     observer: &stkit::MotionSegment<D>,
     window: stkit::Interval,
     k: usize,

@@ -21,8 +21,8 @@
 use crate::layout::MotionRecord;
 use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
-use rtree::{Key, TreeRead};
-use storage::{PageId, StorageError};
+use rtree::{Key, RTree};
+use storage::{PageId, PageStore, StorageError};
 
 /// The NPDQ query processor: one instance per dynamic query session.
 ///
@@ -123,9 +123,9 @@ impl<const D: usize> NpdqEngine<D> {
     /// Generic over the index layout ([`MotionRecord`]): run it over the
     /// double-temporal-axes tree (the paper's choice, Fig. 5(b)) or the
     /// plain NSI tree with open-ended queries (Fig. 5(a)).
-    pub fn execute<R: MotionRecord<D>, T: TreeRead<R> + ?Sized>(
+    pub fn execute<R: MotionRecord<D>, S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<R, S>,
         q: &SnapshotQuery<D>,
         now: f64,
         emit: impl FnMut(&R),
@@ -141,9 +141,9 @@ impl<const D: usize> NpdqEngine<D> {
     /// discard baseline), so re-executing a later snapshot will re-derive
     /// the delta against the last *completed* query — possibly re-emitting
     /// some of this frame's partial results, never losing any.
-    pub fn try_execute<R: MotionRecord<D>, T: TreeRead<R> + ?Sized>(
+    pub fn try_execute<R: MotionRecord<D>, S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<R, S>,
         q: &SnapshotQuery<D>,
         now: f64,
         mut emit: impl FnMut(&R),

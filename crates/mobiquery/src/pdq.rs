@@ -28,10 +28,10 @@
 
 use crate::stats::QueryStats;
 use crate::trajectory::Trajectory;
-use rtree::{Inserted, NsiSegmentRecord, Record, TreeRead};
+use rtree::{Inserted, NsiSegmentRecord, RTree, Record};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
-use storage::{PageId, StorageError};
+use storage::{PageId, PageStore, StorageError};
 use stkit::{Interval, RectBatch, SegmentBatch, TimeSet};
 
 /// One answer of a dynamic query: the record plus the set of times during
@@ -191,8 +191,8 @@ pub struct PdqEngine<const D: usize> {
 impl<const D: usize> PdqEngine<D> {
     /// Start a dynamic query: seeds the queue with the root (if the root's
     /// box overlaps the trajectory at all).
-    pub fn start<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
-        tree: &T,
+    pub fn start<S: PageStore>(
+        tree: &RTree<NsiSegmentRecord<D>, S>,
         trajectory: Trajectory<D>,
     ) -> Self {
         let mut engine = PdqEngine {
@@ -231,7 +231,7 @@ impl<const D: usize> PdqEngine<D> {
         });
     }
 
-    fn seed_root<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(&mut self, tree: &T) {
+    fn seed_root<S: PageStore>(&mut self, tree: &RTree<NsiSegmentRecord<D>, S>) {
         // The root has no stored bounding box above it; enqueue it over
         // the whole trajectory span (it is examined precisely on first pop).
         let span = self.trajectory.span();
@@ -282,9 +282,9 @@ impl<const D: usize> PdqEngine<D> {
     ///
     /// Items whose overlap interval ended before `t_start` are discarded —
     /// the application never asked for them (it "skipped ahead").
-    pub fn get_next<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
+    pub fn get_next<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<NsiSegmentRecord<D>, S>,
         t_start: f64,
         t_end: f64,
     ) -> Option<PdqResult<D>> {
@@ -299,9 +299,9 @@ impl<const D: usize> PdqEngine<D> {
     /// retracted, so the very next call retries the read. Results already
     /// returned are never repeated and none are lost: a session can keep
     /// calling across frames and heal once the fault clears.
-    pub fn try_get_next<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
+    pub fn try_get_next<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<NsiSegmentRecord<D>, S>,
         t_start: f64,
         t_end: f64,
     ) -> Result<Option<PdqResult<D>>, StorageError> {
@@ -373,9 +373,9 @@ impl<const D: usize> PdqEngine<D> {
     /// Read a node (one disk access, zero-copy) and enqueue each child
     /// whose overlap-time set is non-empty and not entirely before
     /// `t_start`. Entries are decoded lazily straight out of the page.
-    fn expand<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
+    fn expand<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<NsiSegmentRecord<D>, S>,
         page: PageId,
         level: u32,
         t_start: f64,
@@ -470,9 +470,9 @@ impl<const D: usize> PdqEngine<D> {
     /// Drain every object whose visibility overlaps `[t_start, t_end]`.
     /// The typical per-frame call: all objects newly appearing by the
     /// frame's time.
-    pub fn drain_window<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
+    pub fn drain_window<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<NsiSegmentRecord<D>, S>,
         t_start: f64,
         t_end: f64,
     ) -> Vec<PdqResult<D>> {
@@ -484,9 +484,9 @@ impl<const D: usize> PdqEngine<D> {
     /// Like [`Self::drain_window`], but appends into a caller-owned
     /// buffer so per-frame serving loops can reuse one allocation across
     /// frames.
-    pub fn drain_window_into<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
+    pub fn drain_window_into<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<NsiSegmentRecord<D>, S>,
         t_start: f64,
         t_end: f64,
         out: &mut Vec<PdqResult<D>>,
@@ -498,9 +498,9 @@ impl<const D: usize> PdqEngine<D> {
     /// Fallible form of [`Self::drain_window_into`]: results due before
     /// the fault are appended to `out` and remain valid; the failing node
     /// stays queued for retry (see [`Self::try_get_next`]).
-    pub fn try_drain_window_into<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
+    pub fn try_drain_window_into<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<NsiSegmentRecord<D>, S>,
         t_start: f64,
         t_end: f64,
         out: &mut Vec<PdqResult<D>>,
@@ -513,9 +513,9 @@ impl<const D: usize> PdqEngine<D> {
 
     /// §4.1 update management: called with the report of every insertion
     /// that runs concurrently with this dynamic query.
-    pub fn notify<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(
+    pub fn notify<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<NsiSegmentRecord<D>, S>,
         report: &rtree::InsertReport<<NsiSegmentRecord<D> as Record>::Key, NsiSegmentRecord<D>>,
     ) {
         // Reports whose overlap ended before the latest requested t_start
@@ -559,7 +559,7 @@ impl<const D: usize> PdqEngine<D> {
 
     /// Drop all queue state and restart from the root, preserving the set
     /// of already-returned objects so nothing is reported twice.
-    pub fn rebuild<T: TreeRead<NsiSegmentRecord<D>> + ?Sized>(&mut self, tree: &T) {
+    pub fn rebuild<S: PageStore>(&mut self, tree: &RTree<NsiSegmentRecord<D>, S>) {
         self.queue.clear();
         self.expanded.clear();
         self.recent.clear();

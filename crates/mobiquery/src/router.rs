@@ -40,10 +40,11 @@
 //! hear from it. Sessions *detach* from their lane clocks when their
 //! schedule ends — or when they fail mid-run, so a dead session releases
 //! the writers instead of holding them. Per region the
-//! invariant `committed >= applied` holds throughout, and the flow
-//! control keeps every optimistic read validation passing: region tree
-//! level reads == Σ lane disk accesses attributed to that region + that
-//! region's writer reads, exactly (a durable server's first run adds
+//! invariant `committed >= applied` holds throughout, and a region's
+//! writer and its readers strictly alternate: a lane reads its region's
+//! tree behind the lock that writer takes, and never waits on it. Region
+//! tree level reads == Σ lane disk accesses attributed to that region +
+//! that region's writer reads, exactly (a durable server's first run adds
 //! the base checkpoint's one scan; periodic checkpoints read no tree).
 //!
 //! ## Epoch-handoff recuts
@@ -81,7 +82,7 @@ use crate::service::{
 use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
 use parking_lot::{Condvar, Mutex, RwLock};
-use rtree::{EpochStats, NsiSegmentRecord, RTree, TreeReadRetry};
+use rtree::{NsiSegmentRecord, RTree};
 use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -93,8 +94,8 @@ use storage::{PageStore, RetryPolicy, StorageError};
 
 /// One region's shared tree handle: epochs and the server itself hold
 /// `Arc`s to the same locked tree, so a recut can hand trees off without
-/// copying and old-epoch readers drain at their own pace.
-type RegionTree<const D: usize, S> = Arc<RwLock<RTree<NsiSegmentRecord<D>, Arc<S>>>>;
+/// copying and old-epoch sessions drain at their own pace.
+type RegionTree<const D: usize, S> = Arc<RwLock<RTree<NsiSegmentRecord<D>, S>>>;
 
 /// A scheduled live recut: at the start of frame `at_frame` the grid is
 /// recut into `target_regions` at equal-load quantiles of the load
@@ -198,29 +199,25 @@ struct LaneRun<'a, const D: usize> {
     scratch: Vec<PdqResult<D>>,
     merge_pdq: Vec<(f64, u32, u32)>,
     merge_npdq: Vec<(u32, u32)>,
-    /// Per-attempt NPDQ emission staging: a snapshot descent aborted by
-    /// a version conflict retries wholesale, so emissions only reach the
-    /// merge once the attempt completes.
-    npdq_scratch: Vec<(u32, u32)>,
 }
 
 impl<'a, const D: usize> LaneRun<'a, D> {
-    /// `trees[r]` is the read handle for region `r`: optimistic
-    /// [`rtree::TreeReader`]s on the concurrent path, the same on the
-    /// serial path (validation always passes there — no concurrent
-    /// writer — so the code path stays identical).
-    fn start<T: TreeReadRetry<NsiSegmentRecord<D>>>(
+    /// `trees[r]` is region `r`'s tree behind the lock its writer takes.
+    /// The region's [`FrameClock`] alternates that writer with its
+    /// readers, so a lane's read lock never waits; every method here
+    /// holds it for one lane's engine work and never across a clock call.
+    fn start<S: PageStore>(
         index: usize,
         spec: &'a SessionSpec<D>,
         grid: &RegionGrid,
-        trees: &[T],
+        trees: &[RegionTree<D, S>],
     ) -> Self {
         let lanes = grid.route_rect(&spec.trajectory.swept_bounds());
         let engines = lanes
             .clone()
             .map(|r| match spec.kind {
                 SessionKind::Pdq => LaneEngine::Pdq(Box::new(PdqEngine::start(
-                    &trees[r],
+                    &*trees[r].read(),
                     spec.trajectory.clone(),
                 ))),
                 SessionKind::Npdq => LaneEngine::Npdq(Box::new(NpdqEngine::new())),
@@ -237,7 +234,6 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             scratch: Vec::new(),
             merge_pdq: Vec::new(),
             merge_npdq: Vec::new(),
-            npdq_scratch: Vec::new(),
         }
     }
 
@@ -246,7 +242,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     /// new lane. The delivered set and accumulated results survive, so
     /// objects the new engines re-discover (anything still visible) are
     /// suppressed — delivery stays exactly-once across the handoff.
-    fn rebuild<T: TreeReadRetry<NsiSegmentRecord<D>>>(&mut self, grid: &RegionGrid, trees: &[T]) {
+    fn rebuild<S: PageStore>(&mut self, grid: &RegionGrid, trees: &[RegionTree<D, S>]) {
         for engine in &self.engines {
             match engine {
                 LaneEngine::Pdq(pdq) => {
@@ -263,7 +259,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             .clone()
             .map(|r| match self.spec.kind {
                 SessionKind::Pdq => LaneEngine::Pdq(Box::new(PdqEngine::start(
-                    &trees[r],
+                    &*trees[r].read(),
                     self.spec.trajectory.clone(),
                 ))),
                 SessionKind::Npdq => LaneEngine::Npdq(Box::new(NpdqEngine::new())),
@@ -294,9 +290,9 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     /// drain, NPDQ keeps its discard baseline at the last *completed*
     /// query, so a later frame re-derives anything the failed one missed
     /// — degraded sessions lose latency, not results.
-    fn step_frame<T: TreeReadRetry<NsiSegmentRecord<D>>>(
+    fn step_frame<S: PageStore>(
         &mut self,
-        trees: &[T],
+        trees: &[RegionTree<D, S>],
         reports: &[Vec<NsiReport<D>>],
         k: usize,
     ) -> Result<Option<u64>, StorageError> {
@@ -317,7 +313,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         self.merge_pdq.clear();
         self.merge_npdq.clear();
         for (li, r) in self.lanes.clone().enumerate() {
-            let tree = &trees[r];
+            let tree = &*trees[r].read();
             match &mut self.engines[li] {
                 LaneEngine::Pdq(pdq) => {
                     for report in &reports[li] {
@@ -346,21 +342,18 @@ impl<'a, const D: usize> LaneRun<'a, D> {
                     if in_schedule {
                         let t = self.spec.frame_times[k];
                         let q = SnapshotQuery::at_instant(self.spec.trajectory.window_at(t), t);
-                        // Whole descent against one pinned version; an
-                        // aborted attempt's emissions stay in the scratch.
-                        let scratch = &mut self.npdq_scratch;
-                        match tree.with_consistent(|view| {
-                            scratch.clear();
-                            npdq.try_execute(view, &q, t, |rec: &NsiSegmentRecord<D>| {
-                                scratch.push(rec.ids());
-                            })
+                        let mark = self.merge_npdq.len();
+                        let merge = &mut self.merge_npdq;
+                        match npdq.try_execute(tree, &q, t, |rec: &NsiSegmentRecord<D>| {
+                            merge.push(rec.ids());
                         }) {
                             Ok(st) => {
-                                self.merge_npdq.extend(self.npdq_scratch.iter().copied());
                                 frame_stats += st;
                                 self.region_reads[r] += st.disk_accesses;
                             }
                             Err(e) => {
+                                // A failed lane contributes nothing.
+                                self.merge_npdq.truncate(mark);
                                 first_err.get_or_insert(e);
                             }
                         }
@@ -701,7 +694,7 @@ fn build_regions<const D: usize, S: PageStore>(
     }
     trees
         .into_iter()
-        .map(|t| Arc::new(RwLock::new(t.map_store(Arc::new))))
+        .map(|t| Arc::new(RwLock::new(t)))
         .collect()
 }
 
@@ -719,15 +712,6 @@ fn checkpoint_from<const D: usize, S: PageStore>(trees: &[RegionTree<D, S>], log
 /// by the log and leaves the longer WAL in place.
 fn fold_if_due<const D: usize>(log: &DurableLog) -> u64 {
     u64::from(log.due_for_checkpoint() && log.fold_checkpoint::<D>().is_ok())
-}
-
-/// Optimistic-read counters summed over every region's tree.
-fn stats_of<const D: usize, S: PageStore>(trees: &[RegionTree<D, S>]) -> EpochStats {
-    let mut total = EpochStats::default();
-    for lock in trees {
-        total += lock.read().epoch_stats();
-    }
-    total
 }
 
 /// A serving instance owning one NSI tree *per region*.
@@ -758,9 +742,8 @@ fn stats_of<const D: usize, S: PageStore>(trees: &[RegionTree<D, S>]) -> EpochSt
 /// ```
 pub struct PartitionedDqServer<const D: usize, S: PageStore> {
     grid: RegionGrid,
-    /// One tree per region; stores are `Arc`-wrapped so each session can
-    /// hold per-region optimistic readers without `S: Clone`, and the
-    /// locks are `Arc`-wrapped so live epochs share them with `&self`.
+    /// One tree per region; the locks are `Arc`-wrapped so live epochs
+    /// share them with `&self`.
     regions: Vec<RegionTree<D, S>>,
     /// Accumulated per-region load across serves (feeds hotspot
     /// detection and recutting).
@@ -802,7 +785,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             grid,
             regions: trees
                 .into_iter()
-                .map(|t| Arc::new(RwLock::new(t.map_store(Arc::new))))
+                .map(|t| Arc::new(RwLock::new(t)))
                 .collect(),
             loads,
             metrics: None,
@@ -875,7 +858,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     pub fn with_region_tree<T>(
         &self,
         r: usize,
-        f: impl FnOnce(&RTree<NsiSegmentRecord<D>, Arc<S>>) -> T,
+        f: impl FnOnce(&RTree<NsiSegmentRecord<D>, S>) -> T,
     ) -> T {
         f(&self.regions[r].read())
     }
@@ -966,7 +949,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// into the tally's outcome.
     fn apply_region_batch(
         &self,
-        tree: &RwLock<RTree<NsiSegmentRecord<D>, Arc<S>>>,
+        tree: &RwLock<RTree<NsiSegmentRecord<D>, S>>,
         batch: &[(NsiSegmentRecord<D>, f64)],
         reports: &mut Vec<NsiReport<D>>,
         w: &mut RegionTally,
@@ -1179,19 +1162,16 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             for r in lanes.clone() {
                 record_wait(wait_hist, ep.clocks[r].wait_applied(f));
             }
-            // Latch-free read path: every frame descends through these
-            // optimistic readers, never a read lock.
-            let readers: Vec<_> = ep.trees.iter().map(|t| t.read().reader()).collect();
             if started.is_none() {
                 started = Some(Instant::now());
             }
             let prep = match &mut run {
                 None => catch_unwind(AssertUnwindSafe(|| {
-                    LaneRun::start(i, &plan.spec, &ep.grid, &readers)
+                    LaneRun::start(i, &plan.spec, &ep.grid, &ep.trees)
                 }))
                 .map(Some),
                 Some(r0) => catch_unwind(AssertUnwindSafe(|| {
-                    r0.rebuild(&ep.grid, &readers);
+                    r0.rebuild(&ep.grid, &ep.trees);
                     None
                 })),
             };
@@ -1225,7 +1205,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 // calls stay outside so a caught panic can't corrupt
                 // the frame protocol.
                 let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    r0.step_frame(&readers, &reports, k as usize)
+                    r0.step_frame(&ep.trees, &reports, k as usize)
                 }));
                 match stepped {
                     Ok(Ok(Some(ns))) => {
@@ -1360,7 +1340,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             durable.is_some(),
             mailbox_cap,
         );
-        let mut baselines = vec![stats_of(&ep0.trees)];
         gate.publish(Arc::clone(&ep0));
 
         let drain_hist = self
@@ -1453,7 +1432,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     );
                     let make = make_tree.as_deref_mut().expect("recuts require make_tree");
                     let new_trees = build_regions(&new_grid, &records, make);
-                    baselines.push(stats_of(&new_trees));
                     gate.publish(make_epoch(
                         plans,
                         &plan_windows,
@@ -1492,10 +1470,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 .unwrap_or(0);
             reg.gauge("service.mailbox_hwm").record_max(deepest as i64);
         }
-        let mut retries = EpochStats::default();
-        for (e, ep) in published.iter().enumerate() {
-            retries += stats_of(&ep.trees) - baselines[e];
-        }
         let mut totals = RunTotals::default();
         for tallies in &epoch_tallies {
             totals.absorb(tallies);
@@ -1515,7 +1489,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             &final_loads,
             totals,
             dur,
-            retries,
         );
         let final_state =
             (epoch_count > 1).then(|| (final_ep.grid.clone(), final_ep.trees.clone()));
@@ -1569,14 +1542,12 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         let mut started: Vec<Option<Instant>> = vec![None; plans.len()];
         let mut dur = DurabilityTally::default();
         let mut totals = RunTotals::default();
-        let mut epoch_meta: Vec<(Vec<RegionTree<D, S>>, EpochStats)> = Vec::new();
         let mut final_tallies: Vec<RegionTally> = Vec::new();
         let mut final_loads: Vec<u64> = vec![0; grid.len()];
         let mut final_grid = grid.clone();
 
         for e in 0..epoch_count {
             let (start, end) = (bounds[e], bounds[e + 1]);
-            let baseline = stats_of(&trees);
             let mut tallies: Vec<RegionTally> = vec![RegionTally::default(); grid.len()];
             let mut session_loads: Vec<u64> = vec![0; grid.len()];
             let wins: Vec<Option<(u64, u64)>> = plan_windows
@@ -1589,7 +1560,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     })
                 })
                 .collect();
-            let readers: Vec<_> = trees.iter().map(|t| t.read().reader()).collect();
             if e > 0 {
                 // Handoff rebuild for sessions carried over from the
                 // previous epoch, in the same session order the
@@ -1603,7 +1573,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                             continue;
                         }
                         if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-                            r0.rebuild(&grid, &readers);
+                            r0.rebuild(&grid, &trees);
                         })) {
                             r0.out.outcome = SessionOutcome::Failed(panic_message(p));
                         }
@@ -1618,7 +1588,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         started[i] = Some(Instant::now());
                         runs[i] = Some(
                             catch_unwind(AssertUnwindSafe(|| {
-                                LaneRun::start(i, &plan.spec, &grid, &readers)
+                                LaneRun::start(i, &plan.spec, &grid, &trees)
                             }))
                             .map_err(|p| SessionOutcome::Failed(panic_message(p))),
                         );
@@ -1670,7 +1640,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                             }
                         })
                         .collect();
-                    match catch_unwind(AssertUnwindSafe(|| r0.step_frame(&readers, &reports, k))) {
+                    match catch_unwind(AssertUnwindSafe(|| r0.step_frame(&trees, &reports, k))) {
                         Ok(Ok(Some(ns))) => {
                             if let Some(h) = &drain_hist {
                                 h.record(ns);
@@ -1686,7 +1656,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 r0.flush_loads(|r, c| session_loads[r] += c);
             }
             totals.absorb(&tallies);
-            epoch_meta.push((trees.clone(), baseline));
             if e + 1 < epoch_count {
                 let loads: Vec<u64> = (0..grid.len())
                     .map(|r| session_loads[r] + tallies[r].reads + tallies[r].writes)
@@ -1728,10 +1697,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 out
             })
             .collect();
-        let mut retries = EpochStats::default();
-        for (epoch_trees, baseline) in &epoch_meta {
-            retries += stats_of(epoch_trees) - *baseline;
-        }
         let report = self.finish_report(
             steps,
             outputs,
@@ -1740,7 +1705,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             &final_loads,
             totals,
             dur,
-            retries,
         );
         let final_state = (epoch_count > 1).then_some((final_grid, trees));
         (report, final_state)
@@ -1758,7 +1722,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         final_loads: &[u64],
         totals: RunTotals,
         dur: DurabilityTally,
-        retries: EpochStats,
     ) -> PartitionedServeReport {
         let regions: Vec<RegionReport> = final_tallies
             .into_iter()
@@ -1786,7 +1749,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             },
             regions,
         };
-        self.publish_run(&report, retries);
+        self.publish_run(&report);
         report
     }
 
@@ -1926,14 +1889,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     }
 
     /// Mirror a run's report into the metrics registry (no-op when no
-    /// registry was attached). `retries` carries the run's
-    /// optimistic-read counter deltas summed per epoch — recut handoffs
-    /// reset the trees, so the deltas only compose epoch-by-epoch.
-    fn publish_run(&self, report: &PartitionedServeReport, retries: EpochStats) {
+    /// registry was attached).
+    fn publish_run(&self, report: &PartitionedServeReport) {
         let Some(reg) = &self.metrics else { return };
-        reg.counter("tree.read_retries").add(retries.read_retries);
-        reg.counter("tree.version_conflicts")
-            .add(retries.version_conflicts);
         reg.counter("service.frames").add(report.base.frames as u64);
         reg.counter("service.inserts")
             .add(report.base.inserts_applied as u64);

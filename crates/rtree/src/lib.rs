@@ -35,10 +35,8 @@
 //! of 145 (internal) / 127 (leaf) on 4 KiB pages for `d = 2`.
 
 pub mod bulk;
-pub mod epoch;
 pub mod levels;
 pub mod node;
-pub mod reader;
 pub mod records;
 pub mod search;
 pub mod split;
@@ -46,12 +44,10 @@ pub mod stbox_key;
 pub mod traits;
 pub mod tree;
 
-pub use epoch::{EpochStats, TreeEpoch};
 pub use levels::{LevelCounters, LevelSnapshot, MAX_TRACKED_LEVELS};
 pub use node::{Node, NodeEntries, NodeRef, NodeView};
-pub use reader::{SnapshotReader, TreeRead, TreeReadRetry, TreeReader};
 pub use records::{DtaSegmentRecord, NsiSegmentRecord};
 pub use search::{RangeQuery, SearchStats};
 pub use split::SplitPolicy;
 pub use traits::{Key, Record};
-pub use tree::{InsertReport, Inserted, RTree, RTreeConfig};
+pub use tree::{EpochStats, InsertReport, Inserted, RTree, RTreeConfig};

@@ -1,12 +1,9 @@
 //! The paginated R-tree: construction, insertion, node access.
 
-use crate::epoch::{EpochStats, TreeEpoch};
 use crate::levels::LevelCounters;
 use crate::node::{Node, NodeEntries, NodeRef};
-use crate::reader::TreeReader;
 use crate::split::{split, SplitPolicy};
 use crate::traits::{Key, Record};
-use std::sync::Arc;
 use storage::{PageId, PageStore, StorageError};
 
 /// Tuning knobs; defaults reproduce the paper's setup (§5).
@@ -57,6 +54,14 @@ pub enum Inserted<K, R> {
         /// Level of the LCA (0 = leaf).
         level: u32,
     },
+}
+
+/// What [`RTree::epoch_stats`] returns: a compile-compat remnant for
+/// `benchmarks/dqbench`, always zero. See that method.
+#[derive(Debug, Default)]
+pub struct EpochStats {
+    /// Node reads performed and then discarded. Nothing discards reads.
+    pub read_retries: u64,
 }
 
 /// Outcome of one insertion.
@@ -163,12 +168,9 @@ pub struct RTree<R: Record, S: PageStore> {
     /// The insert path's descent stack, empty between inserts and kept
     /// for its capacity.
     path: Vec<Step<R::Key, R>>,
-    /// Per-level node read/write counters (relaxed atomics, shared with
-    /// any [`TreeReader`] handles so optimistic reads count here too).
-    levels: Arc<LevelCounters>,
-    /// Seqlock-style version counter bracketing every mutation; shared
-    /// with [`TreeReader`] handles for latch-free validated reads.
-    epoch: Arc<TreeEpoch>,
+    /// Per-level node read/write counters (relaxed atomics, so readers
+    /// sharing `&self` all count here).
+    levels: LevelCounters,
     _records: std::marker::PhantomData<fn() -> R>,
 }
 
@@ -187,8 +189,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             len: 0,
             scratch: Vec::new(),
             path: Vec::new(),
-            levels: Arc::new(LevelCounters::new()),
-            epoch: Arc::new(TreeEpoch::new(root, 1, 0)),
+            levels: LevelCounters::new(),
             _records: std::marker::PhantomData,
         }
     }
@@ -205,26 +206,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             len,
             scratch: Vec::new(),
             path: Vec::new(),
-            levels: Arc::new(LevelCounters::new()),
-            epoch: Arc::new(TreeEpoch::new(root, height, len)),
-            _records: std::marker::PhantomData,
-        }
-    }
-
-    /// Rewrap the underlying store (e.g. `S` → `Arc<S>` so read handles
-    /// can share it), preserving the tree's metadata, counters, and —
-    /// crucially — its [`TreeEpoch`], so existing readers stay valid.
-    pub fn map_store<S2: PageStore>(self, f: impl FnOnce(S) -> S2) -> RTree<R, S2> {
-        RTree {
-            store: f(self.store),
-            config: self.config,
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            scratch: self.scratch,
-            path: self.path,
-            levels: self.levels,
-            epoch: self.epoch,
+            levels: LevelCounters::new(),
             _records: std::marker::PhantomData,
         }
     }
@@ -283,30 +265,13 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         &self.levels
     }
 
-    /// The tree's version epoch (sequence counter + optimistic-read
-    /// retry/conflict statistics).
-    pub fn epoch(&self) -> &TreeEpoch {
-        &self.epoch
-    }
-
-    /// Snapshot of the optimistic-read counters ([`EpochStats`]).
+    /// Always zero: a tree is read through `&self` and written through
+    /// `&mut self`, so nothing is left that can retry a read. Kept only
+    /// because `benchmarks/dqbench/src/run.rs` calls it for its
+    /// `rtree.read_retries` layer metric; ROADMAP item 8 removes both
+    /// together. Nothing else in the workspace may call it.
     pub fn epoch_stats(&self) -> EpochStats {
-        self.epoch.stats()
-    }
-
-    /// Create a latch-free read handle sharing this tree's store, epoch,
-    /// and level counters. The handle's reads validate against the epoch
-    /// and therefore stay safe while a writer (holding `&mut self`
-    /// elsewhere, e.g. behind a lock) mutates concurrently.
-    pub fn reader(&self) -> TreeReader<R, S>
-    where
-        S: Clone,
-    {
-        TreeReader::new(
-            self.store.clone(),
-            Arc::clone(&self.epoch),
-            Arc::clone(&self.levels),
-        )
+        EpochStats::default()
     }
 
     /// Load a node into its owned form, every entry decoded — **one
@@ -364,9 +329,6 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         self.root = root;
         self.height = height;
         self.len = len;
-        // Construction-time publication (bulk load): no readers exist yet,
-        // so no write section is needed.
-        self.epoch.publish(root, height, len);
     }
 
     fn min_fill_count(&self, capacity: usize) -> usize {
@@ -407,30 +369,15 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         rec: R,
         now: f64,
     ) -> Result<InsertReport<R::Key, R>, StorageError> {
-        // Bracket the mutation in a write section so optimistic readers
-        // discard any node visit that overlapped it. On `Err` the tree is
-        // unchanged and the bump merely costs readers a spurious retry.
-        self.epoch.begin_write();
-        let out = self.try_insert_inner(rec, now);
-        self.epoch.end_write(self.root, self.height, self.len);
-        out
-    }
-
-    /// [`Self::try_insert`] without the epoch write-section bracket, for
-    /// internal reentrant use (delete's orphan reinsertion runs inside
-    /// delete's own write section; nesting sections would flip the
-    /// sequence even mid-mutation and expose torn state to readers).
-    fn try_insert_inner(
-        &mut self,
-        rec: R,
-        now: f64,
-    ) -> Result<InsertReport<R::Key, R>, StorageError> {
         self.with_path(|tree, path| tree.insert_along(path, rec, now))
     }
 
     /// Run `f` with the tree's descent stack, handing the stack back
     /// empty: an error can leave steps behind, and their `PageRef`s must
     /// not outlive the insert or later writes to those pages would copy.
+    /// Inlined into `insert` / `try_insert`: left out of line it cost
+    /// `dqbench ingest` 3-4 % CPU per frame.
+    #[inline]
     fn with_path<T>(&mut self, f: impl FnOnce(&mut Self, &mut Vec<Step<R::Key, R>>) -> T) -> T {
         let mut path = std::mem::take(&mut self.path);
         let out = f(self, &mut path);
@@ -648,16 +595,6 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// *insertions* only, so dynamic queries running concurrently with
     /// deletes should be rebuilt afterwards.
     pub fn delete(&mut self, rec: &R, now: f64) -> bool {
-        // One write section covers the whole operation, orphan
-        // reinsertion included — which is why the body calls the
-        // non-bumping `try_insert_inner`/`insert_subtree` forms.
-        self.epoch.begin_write();
-        let deleted = self.delete_inner(rec, now);
-        self.epoch.end_write(self.root, self.height, self.len);
-        deleted
-    }
-
-    fn delete_inner(&mut self, rec: &R, now: f64) -> bool {
         let key = rec.key();
         let mut orphan_records: Vec<R> = Vec::new();
         let mut orphan_subtrees: Vec<(R::Key, PageId, u32)> = Vec::new();
@@ -682,7 +619,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             self.insert_subtree(k, page, level, now);
         }
         for r in orphan_records {
-            self.try_insert_inner(r, now)
+            self.try_insert(r, now)
                 .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
             self.len -= 1; // the reinsertion counted it again
         }

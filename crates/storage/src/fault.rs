@@ -42,11 +42,6 @@ pub enum StorageError {
     /// The page's bytes fail checksum validation (torn write, bit rot).
     /// Not retryable — the damage is in the store, not the path to it.
     Corrupt { page: PageId },
-    /// An optimistic (seqlock-validated) read observed a concurrent tree
-    /// mutation and was discarded. Retryable — re-reading after the
-    /// writer's section closes succeeds. Raised by `rtree`'s versioned
-    /// readers, not by any device.
-    Conflict { page: PageId },
     /// Page allocation failed: the device's page-id space is exhausted
     /// (simulated disk full). `page` is the first id that could not be
     /// granted. Not retryable — a full disk stays full until pages are
@@ -61,7 +56,6 @@ impl StorageError {
             StorageError::Transient { page }
             | StorageError::Timeout { page }
             | StorageError::Corrupt { page }
-            | StorageError::Conflict { page }
             | StorageError::Full { page } => *page,
         }
     }
@@ -81,9 +75,6 @@ impl std::fmt::Display for StorageError {
             StorageError::Transient { page } => write!(f, "transient I/O error reading {page}"),
             StorageError::Timeout { page } => write!(f, "timeout reading {page}"),
             StorageError::Corrupt { page } => write!(f, "corrupt page {page} (checksum mismatch)"),
-            StorageError::Conflict { page } => {
-                write!(f, "version conflict reading {page} (concurrent write)")
-            }
             StorageError::Full { page } => {
                 write!(f, "page allocation failed at {page}: id space exhausted")
             }

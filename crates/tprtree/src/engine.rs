@@ -11,10 +11,10 @@ use crate::batch::TpBoxBatch;
 use crate::record::TprRecord;
 use crate::tpbox::TpBox;
 use mobiquery::{QueryStats, Trajectory};
-use rtree::{Inserted, TreeRead};
+use rtree::{Inserted, RTree};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
-use storage::PageId;
+use storage::{PageId, PageStore};
 use stkit::{Interval, MovingWindow, TimeSet};
 
 /// Overlap time of one trapezoid trajectory segment with a
@@ -97,7 +97,7 @@ pub struct TprDynamicQuery {
 
 impl TprDynamicQuery {
     /// Start the query: seed with the root over the trajectory span.
-    pub fn start<T: TreeRead<TprRecord> + ?Sized>(tree: &T, trajectory: Trajectory<2>) -> Self {
+    pub fn start<S: PageStore>(tree: &RTree<TprRecord, S>, trajectory: Trajectory<2>) -> Self {
         let span = trajectory.span();
         let mut q = TprDynamicQuery {
             trajectory,
@@ -146,9 +146,9 @@ impl TprDynamicQuery {
     }
 
     /// `getNext(t_start, t_end)` over the TPR-tree.
-    pub fn get_next<T: TreeRead<TprRecord> + ?Sized>(
+    pub fn get_next<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<TprRecord, S>,
         t_start: f64,
         t_end: f64,
     ) -> Option<TprResult> {
@@ -241,9 +241,9 @@ impl TprDynamicQuery {
     }
 
     /// Drain every object visible during `[t_start, t_end]`.
-    pub fn drain_window<T: TreeRead<TprRecord> + ?Sized>(
+    pub fn drain_window<S: PageStore>(
         &mut self,
-        tree: &T,
+        tree: &RTree<TprRecord, S>,
         t_start: f64,
         t_end: f64,
     ) -> Vec<TprResult> {
@@ -256,9 +256,9 @@ impl TprDynamicQuery {
 
     /// §4.1 update management: forward insertion reports from
     /// `tree.insert` (a motion update of an object).
-    pub fn notify<T: TreeRead<TprRecord> + ?Sized>(
+    pub fn notify<S: PageStore>(
         &mut self,
-        _tree: &T,
+        _tree: &RTree<TprRecord, S>,
         report: &rtree::InsertReport<TpBox, TprRecord>,
     ) {
         match &report.notify {

@@ -10,10 +10,10 @@
 //!   exactly the sessions whose queries touch the corrupt page; they
 //!   degrade but keep serving, everyone else matches the oracle
 //!   (`chaos_b`).
-//! - **Undetected corruption** (no checksum layer, node magic destroyed)
-//!   panics the session's engine; the panic is contained, the session is
-//!   `Failed`, it detaches from its clocks, and the serve still runs to
-//!   completion (`chaos_c`).
+//! - **Undetected corruption** (no checksum layer, node header
+//!   destroyed) is caught by the tree's total header parse: the same
+//!   one-session blast radius, typed `Corrupt{page}`, no panic
+//!   (`chaos_c`).
 //! - **A corrupt root** starves the writer: every insert is dropped and
 //!   logged in `writer_outcome`, and the tree is untouched (`chaos_d`).
 //! - **A crash at any point of the durable write path** recovers
@@ -28,16 +28,14 @@
 //!   from random batches, cadences, crash points and damaged tails
 //!   always recovers the committed prefix (`chaos_l`).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dq_repro::mobiquery::{
     DurableImage, DurableLog, MotionRecord, PartitionedDqServer, RecoveryReport, RegionGrid,
     SessionKind, SessionOutcome, SessionSpec, Trajectory,
 };
-use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig, Record, TreeRead, TreeReadRetry};
-use parking_lot::RwLock;
+use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig, Record};
 use proptest::prelude::*;
 use dq_repro::stkit::{Interval, Rect};
 use dq_repro::storage::{
@@ -156,7 +154,9 @@ fn chaos_a_transient_faults_are_invisible_through_retry() {
         base_backoff: Duration::from_micros(1),
     });
     let server = single(pool, &recs);
+    let levels0 = server.with_region_tree(0, |t| t.level_counters().snapshot());
     let report = server.serve(&specs, &inserts);
+    let levels = server.with_region_tree(0, |t| t.level_counters().snapshot()) - levels0;
 
     let oracle = clean(&recs).serve_serial(&specs, &inserts);
 
@@ -179,9 +179,16 @@ fn chaos_a_transient_faults_are_invisible_through_retry() {
         )
     });
     assert!(transients > 0, "no transient fault ever injected");
-    assert!(retries > 0, "the pool never retried");
+    assert_eq!(retries, transients, "pool retries must pair 1:1 with injected transients");
     assert_eq!(exhausted, 0, "a retry budget was exhausted");
     assert_eq!(corrupt, 0, "no page was corrupted in this schedule");
+    // One logical node read ticks the level counters once, however many
+    // device attempts it took.
+    assert_eq!(
+        levels.total_reads(),
+        report.total_reads(),
+        "device-level retries inflated the node-read counts"
+    );
 }
 
 /// (b) Checksum-detected corruption of one leaf: only the session whose
@@ -245,12 +252,12 @@ fn chaos_b_corruption_blast_radius_is_one_session() {
 }
 
 /// (c) Corruption *below* the checksum layer that destroys the node
-/// magic: the page parses fail-stop (panic), the panic is contained to
-/// the session, and the serve still completes with every other session
-/// clean. This is the layering argument for checksums — without them,
-/// corruption costs the whole session instead of a degraded frame.
+/// header: no checksum catches it, but sessions read through the tree's
+/// total header parse, so it surfaces as the same typed `Corrupt{page}`
+/// and costs the one session that reaches the page a degraded run — not
+/// a panic, and nothing for anyone else.
 #[test]
-fn chaos_c_undetected_corruption_panic_is_contained() {
+fn chaos_c_undetected_header_corruption_degrades_one_session() {
     let recs = line_records(40);
     let specs = vec![
         slide_spec(SessionKind::Pdq, 0.0, 8, 8.0),
@@ -264,17 +271,38 @@ fn chaos_c_undetected_corruption_panic_is_contained() {
         vec![0],
     );
     let server = single(store, &recs);
-    server.with_region_tree(0, |tree| tree.store().corrupt_page(leaf_page_of(tree, 28)));
+    let victim = server.with_region_tree(0, |tree| {
+        let victim = leaf_page_of(tree, 28);
+        tree.store().corrupt_page(victim);
+        victim
+    });
 
     let report = server.serve(&specs, &[]);
     let oracle = clean(&recs).serve_serial(&specs, &[]);
 
     assert!(report.sessions[0].outcome.is_ok(), "A: {:?}", report.sessions[0].outcome);
     assert_eq!(report.sessions[0].results, oracle.sessions[0].results);
+
+    let b = &report.sessions[1];
     assert!(
-        matches!(report.sessions[1].outcome, SessionOutcome::Failed(_)),
-        "B should have died on the broken node header, got {:?}",
-        report.sessions[1].outcome
+        matches!(b.outcome, SessionOutcome::Degraded { .. }),
+        "B should degrade on the broken node header, got {:?}",
+        b.outcome
+    );
+    assert!(!b.outcome.errors().is_empty());
+    for e in b.outcome.errors() {
+        assert_eq!(*e, StorageError::Corrupt { page: victim });
+    }
+    assert!(!b.results.contains(&(28, 0)), "a record on the corrupt page was delivered");
+    for r in &b.results {
+        assert!(
+            oracle.sessions[1].results.contains(r),
+            "B delivered {r:?} which the oracle never produced"
+        );
+    }
+    assert!(
+        b.results.len() < oracle.sessions[1].results.len(),
+        "B cannot be complete with a corrupt leaf"
     );
     // The run itself completed: every frame was served for A.
     assert_eq!(report.frames, 8);
@@ -306,158 +334,6 @@ fn chaos_d_corrupt_root_stops_the_writer_cleanly() {
     }
     assert_eq!(report.writer_reads, 0, "failed reads must not count as device reads");
     assert_eq!(server.region_record_counts(), vec![20], "the tree must be untouched");
-}
-
-/// (f) Fault-level retries and version-validation retries compose
-/// without double-counting: optimistic readers descend through a faulty
-/// pool while a writer mutates the tree, so a single node visit can be
-/// retried at *both* layers — the pool re-reads the device on a
-/// transient fault, and the epoch discards the visit on a version
-/// conflict. The layering contract:
-///
-/// - The pool absorbs its layer exactly: with no budget exhausted,
-///   every injected transient pairs with exactly one pool retry, and
-///   none of the extra device attempts ever reach the node-read
-///   counters (one logical read ticks the level counters once, however
-///   many device attempts it took).
-/// - The epoch absorbs its layer on top: delivered + version-retried
-///   reads + the writer's deterministic read count equals the level
-///   counters exactly — a fault retry is never misattributed as a
-///   version retry or vice versa.
-#[test]
-fn chaos_f_fault_retries_compose_with_version_retries() {
-    let recs = line_records(120);
-
-    fn mover(j: u32) -> R {
-        let oid = 1000 + j;
-        let x = f64::from(oid % 37) + 0.25;
-        R::new(oid, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5])
-    }
-
-    let faulty = FaultyStore::new(Pager::with_page_size(256), FaultPlan::transient(42, 0.05));
-    let pool = ShardedBufferPool::new(ChecksumStore::new(faulty), 8, 2).with_retry(RetryPolicy {
-        max_attempts: 8,
-        base_backoff: Duration::from_micros(1),
-    });
-    let tree = build_tree(pool, &recs).map_store(Arc::new);
-    let levels0 = tree.level_counters().snapshot();
-    let epoch0 = tree.epoch_stats();
-    let reader = tree.reader();
-    let lock = RwLock::new(tree);
-
-    // Delivered node visits across all optimistic attempts (a read that
-    // validated stays delivered even if its snapshot later conflicts).
-    let visits = AtomicU64::new(0);
-    let scan = |view: &dyn TreeRead<R>| -> Result<(u64, Vec<u32>), StorageError> {
-        let len = view.len();
-        let mut ids = Vec::new();
-        let mut stack = vec![view.root_page()];
-        while let Some(page) = stack.pop() {
-            let node = view.try_read_node(page)?;
-            visits.fetch_add(1, Ordering::Relaxed);
-            if node.is_leaf() {
-                ids.extend(node.leaf_records().map(|r| r.oid));
-            } else {
-                stack.extend(node.internal_entries().map(|(_, c)| c));
-            }
-        }
-        Ok((len, ids))
-    };
-    // Preloaded ids 0..119 plus the writer's contiguous 1000.. prefix.
-    let check = |len: u64, mut ids: Vec<u32>| {
-        ids.sort_unstable();
-        assert_eq!(ids.len() as u64, len, "snapshot delivered a non-len id set");
-        for (k, id) in ids.iter().enumerate() {
-            let want = if k < 120 { k as u32 } else { 1000 + k as u32 - 120 };
-            assert_eq!(*id, want, "torn snapshot under faults + conflicts");
-        }
-    };
-
-    let stop = AtomicBool::new(false);
-    let inserted = std::thread::scope(|s| {
-        let writer = s.spawn(|| {
-            // At least BASE write sections, then keep going until both
-            // retry layers have demonstrably fired (deadline-bounded).
-            const BASE: u32 = 2_000;
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let mut j = 0;
-            loop {
-                lock.write().insert(mover(j), 0.0);
-                j += 1;
-                let (conflicted, faulted) = {
-                    let t = lock.read();
-                    let d = t.epoch_stats() - epoch0;
-                    let fs = t.store().fault_stats();
-                    (d.read_retries + d.version_conflicts > 0, fs.retries > 0)
-                };
-                if j >= BASE && ((conflicted && faulted) || Instant::now() > deadline) {
-                    break;
-                }
-            }
-            stop.store(true, Ordering::Relaxed);
-            j
-        });
-        for _ in 0..2 {
-            s.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    match reader.with_consistent(&scan) {
-                        Ok((len, ids)) => check(len, ids),
-                        Err(StorageError::Conflict { .. }) => {}
-                        Err(e) => panic!("a transient fault leaked through the pool: {e}"),
-                    }
-                }
-            });
-        }
-        writer.join().unwrap()
-    });
-
-    // Final agreement between the optimistic and locked paths.
-    let (len_opt, ids_opt) = reader.with_consistent(&scan).unwrap();
-    let tree = lock.read();
-    let (len_locked, mut ids_locked) = scan(&*tree).unwrap();
-    assert_eq!(len_opt, 120 + u64::from(inserted));
-    assert_eq!(len_locked, len_opt);
-    let mut sorted_opt = ids_opt;
-    sorted_opt.sort_unstable();
-    ids_locked.sort_unstable();
-    assert_eq!(sorted_opt, ids_locked, "optimistic vs locked scan diverged");
-    check(len_opt, sorted_opt);
-
-    // Both retry layers fired, and the pool layer paired exactly: one
-    // retry per injected transient, none exhausted, none misread as
-    // corruption.
-    let epoch = tree.epoch_stats() - epoch0;
-    assert!(
-        epoch.read_retries + epoch.version_conflicts > 0,
-        "the writer never conflicted a reader — stress was vacuous"
-    );
-    let pool = tree.store();
-    let fs = pool.fault_stats();
-    let transients = pool.inner().inner().injected().transients;
-    assert!(transients > 0, "no transient fault ever injected");
-    assert_eq!(fs.exhausted, 0, "a retry budget was exhausted");
-    assert_eq!(pool.inner().corrupt_detected(), 0);
-    assert_eq!(
-        fs.retries, transients,
-        "pool retries must pair 1:1 with injected transients"
-    );
-
-    // The cross-layer identity: device-level retries never inflate the
-    // node-read counters, and version-level retries account for every
-    // discarded visit. The writer's logical reads are reproduced by a
-    // fault-free replay of the same insert sequence.
-    let mut replay = build_tree(Pager::with_page_size(256), &recs);
-    let replay0 = replay.level_counters().snapshot();
-    for j in 0..inserted {
-        replay.insert(mover(j), 0.0);
-    }
-    let writer_reads = (replay.level_counters().snapshot() - replay0).total_reads();
-    let levels = tree.level_counters().snapshot() - levels0;
-    assert_eq!(
-        levels.total_reads(),
-        visits.load(Ordering::Relaxed) + epoch.read_retries + writer_reads,
-        "level reads must equal delivered + version-retried + writer reads"
-    );
 }
 
 /// `save_pager` bytes of a tree's store (its header carries the page

@@ -5,6 +5,7 @@
 //! the single-threaded reference protocol — the clock refactor must be
 //! invisible to results.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use dq_repro::mobiquery::{
@@ -13,7 +14,7 @@ use dq_repro::mobiquery::{
 };
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
-use dq_repro::storage::{FaultPlan, FaultyStore, PageId, PageStore, Pager};
+use dq_repro::storage::{IoSnapshot, PageId, PageRef, PageStore, Pager, StorageError};
 
 type R = NsiSegmentRecord<2>;
 
@@ -214,8 +215,37 @@ fn leaf_page_of<S: PageStore>(tree: &RTree<R, S>, oid: u32) -> PageId {
     panic!("oid {oid} not found in any leaf");
 }
 
-/// The retired-zombie regression: a session that panics mid-run (broken
-/// node header on its sweep path) detaches from its clocks instead of
+/// A `Pager` whose read of one chosen page panics — the panic injector
+/// of the regression below, armed once the tree is built.
+struct PanickingStore {
+    inner: Pager,
+    victim: AtomicU32,
+}
+
+impl PageStore for PanickingStore {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn try_read_page(&self, id: PageId) -> Result<PageRef, StorageError> {
+        assert_ne!(id.0, self.victim.load(Ordering::Relaxed), "injected panic reading {id}");
+        self.inner.try_read_page(id)
+    }
+    fn write(&self, id: PageId, data: &[u8]) {
+        self.inner.write(id, data)
+    }
+    fn try_alloc(&self) -> Result<PageId, StorageError> {
+        self.inner.try_alloc()
+    }
+    fn free(&self, id: PageId) {
+        self.inner.free(id)
+    }
+    fn io(&self) -> IoSnapshot {
+        self.inner.io()
+    }
+}
+
+/// The retired-zombie regression: a session that panics mid-run (a page
+/// read on its sweep path blows up) detaches from its clocks instead of
 /// parking on a barrier. The writer keeps applying every batch, the
 /// healthy session's results are bit-identical to a run without the
 /// doomed session, and the serve terminates (this test completing *is*
@@ -224,7 +254,7 @@ fn leaf_page_of<S: PageStore>(tree: &RTree<R, S>, oid: u32) -> PageId {
 fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
     let recs = line_records(40);
     // Inserts land in the healthy session's lane only, far from the
-    // corrupt leaf, so the writer's descent never touches it.
+    // victim leaf, so the writer's descent never touches it.
     let inserts: Vec<Vec<(R, f64)>> = (0..8)
         .map(|k| {
             let t = k as f64;
@@ -237,17 +267,19 @@ fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
     let healthy = slide_spec(SessionKind::Pdq, 0.0, 8, 8.0);
     let doomed = slide_spec(SessionKind::Pdq, 24.0, 8, 8.0);
 
-    // No checksum layer, flip byte 0: the node header itself breaks, so
-    // the doomed session's descent panics (contained fail-stop).
+    // Reading the leaf that holds oid 28 panics, so the doomed session's
+    // descent dies there (contained fail-stop).
     let server = PartitionedDqServer::build(RegionGrid::single(), &recs, |_| {
-        let store = FaultyStore::with_flipped_bytes(
-            Pager::with_page_size(256),
-            FaultPlan::quiet(7),
-            vec![0],
-        );
+        let store = PanickingStore {
+            inner: Pager::with_page_size(256),
+            victim: AtomicU32::new(u32::MAX),
+        };
         RTree::new(store, RTreeConfig::default())
     });
-    server.with_region_tree(0, |tree| tree.store().corrupt_page(leaf_page_of(tree, 28)));
+    server.with_region_tree(0, |tree| {
+        let victim = leaf_page_of(tree, 28);
+        tree.store().victim.store(victim.0, Ordering::Relaxed);
+    });
 
     let report = server.serve(&[healthy.clone(), doomed], &inserts);
     assert!(

@@ -10,14 +10,13 @@
 # --bench-smoke additionally runs the read_path microbench at a tiny
 # size; the bench exits non-zero if the zero-copy view traversal copies
 # at least as many bytes as the decode traversal, so a read-path
-# regression fails the check. The wrapper then enforces four ratio
-# floors from the smoke figures — optimistic-vs-locked contended reads,
-# batched-vs-scalar overlap geometry and patched-vs-rebuilt inserts
-# must all stay >= 1.0x (ratios are machine-portable where absolute
-# throughputs are not), so a regression that makes the optimistic read
-# path slower than the lock it replaced, the SoA kernel slower than
-# the scalar loop it replaced, or the page-editing insert slower than
-# the node rebuild it replaced, fails the check; and a PDQ leaf
+# regression fails the check. The wrapper then enforces three ratio
+# floors from the smoke figures — batched-vs-scalar overlap geometry
+# and patched-vs-rebuilt inserts must both stay >= 1.0x (ratios are
+# machine-portable where absolute throughputs are not), so a regression
+# that makes the SoA kernel slower than the scalar loop it replaced, or
+# the page-editing insert slower than the node rebuild it replaced,
+# fails the check; and a PDQ leaf
 # expansion over a 360-piece trajectory must stay >= 2.0x the
 # all-pieces loop, so a piece index that decays into a scan fails it
 # too. The smoke output goes to target/figures/ and never clobbers the
@@ -128,7 +127,6 @@ def ratio(label):
     row = next(r for r in rows if r[0].startswith(label))
     return float(next(c for c in row[1:] if c.strip()).rstrip("x"))
 for label, floor, what in [
-    ("optimistic/locked", 1.0, "optimistic reads vs the per-frame read lock"),
     ("batched/scalar", 1.0, "SoA overlap kernel vs the scalar loop"),
     ("patched/rebuilt", 1.0, "page-editing insert vs the node rebuild"),
     ("indexed/all-pieces", 2.0, "indexed trajectory pieces vs solving every piece"),
