@@ -11,7 +11,7 @@
 //! non-zero if it ever copies at least as much as the decode path, so CI
 //! can run it tiny as a regression tripwire.
 //!
-//! Three further figures ride along:
+//! Four further figures ride along:
 //!
 //! * **Batched overlap geometry** — the four-case trapezoid overlap-time
 //!   computation evaluated entry-at-a-time (scalar `overlap_time_rect`)
@@ -34,13 +34,22 @@
 //!   page's hull). Same pages, same kernel, results asserted identical;
 //!   plus the indexed/all-pieces ratio.
 //!
+//! * **Rebuild** — records/s to build the serving index over the data
+//!   set, once by the per-record insert loop every rebuild ran before it
+//!   packed (kept here) and once through `PartitionedDqServer::build`,
+//!   which routes the set and packs each region bottom-up; each row
+//!   names the shape it leaves (height, leaf count, records per leaf).
+//!   Plus the packed/inserted ratio.
+//!
 //! Knobs: `DQ_READ_PATH_OBJECTS` (dataset size, default 5000),
 //! `DQ_READ_PATH_MS` (per-path measuring window, default 300),
 //! `DQ_READ_PATH_OUT` (output JSON path, default the repo-root
 //! `BENCH_read_path.json`).
 
 use bench::FigureTable;
+use mobiquery::{PartitionedDqServer, RegionGrid};
 use rtree::bulk::bulk_load;
+use rtree::tree::TreeInventory;
 use rtree::{Node, NodeEntries, NsiSegmentRecord, RTree, RTreeConfig};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -461,6 +470,39 @@ fn expand_rates(tree: &RTree<R, Store>, window: Duration) -> (f64, f64) {
     (scanned, indexed)
 }
 
+/// Records/s to build the serving index over `recs`, and the shape it
+/// comes out in: by one insert per record at its start time — what every
+/// rebuild did before it packed — and by `PartitionedDqServer::build`.
+/// Builds repeat until the window is spent, at least once.
+fn rebuild_rates(recs: &[R], window: Duration) -> [(f64, TreeInventory); 2] {
+    let empty = || RTree::new(Pager::new(), RTreeConfig::default());
+    let timed = |build: &dyn Fn() -> TreeInventory| {
+        let t0 = Instant::now();
+        let mut builds = 0u32;
+        let inv = loop {
+            let inv = black_box(build());
+            builds += 1;
+            if t0.elapsed() >= window {
+                break inv;
+            }
+        };
+        let rate = f64::from(builds) * recs.len() as f64 / t0.elapsed().as_secs_f64();
+        (rate, inv)
+    };
+    let inserted = timed(&|| {
+        let mut tree = empty();
+        for rec in recs {
+            tree.insert(*rec, rec.seg.t.lo);
+        }
+        tree.validate().expect("inserted tree")
+    });
+    let packed = timed(&|| {
+        PartitionedDqServer::build(RegionGrid::single(), recs, |_| empty())
+            .with_region_tree(0, |tree| tree.validate().expect("packed tree"))
+    });
+    [inserted, packed]
+}
+
 fn main() {
     let objects = env_u64("DQ_READ_PATH_OBJECTS", 5_000) as u32;
     let window = Duration::from_millis(env_u64("DQ_READ_PATH_MS", 300));
@@ -611,6 +653,32 @@ fn main() {
         String::new(),
         String::new(),
         format!("{:.2}x", exp_indexed / exp_all),
+        String::new(),
+        String::new(),
+    ]);
+    // Rebuild: records/s into a fresh serving index, one insert per
+    // record vs routed and packed; the row names the shape left behind.
+    let [inserted, packed] = rebuild_rates(&ds.nsi_records(), window);
+    for (name, (v, inv)) in [("rebuild inserted", &inserted), ("rebuild packed", &packed)] {
+        table.row(vec![
+            format!(
+                "{name}: height {}, {} leaves, avg_leaf_fill {:.1}",
+                inv.height,
+                inv.nodes_per_level[0],
+                inv.avg_leaf_fill()
+            ),
+            String::new(),
+            String::new(),
+            format!("{v:.0}"),
+            format!("{:.1}", 1e9 / v),
+            String::new(),
+        ]);
+    }
+    table.row(vec![
+        "packed/inserted speedup".to_string(),
+        String::new(),
+        String::new(),
+        format!("{:.2}x", packed.0 / inserted.0),
         String::new(),
         String::new(),
     ]);

@@ -82,6 +82,7 @@ use crate::service::{
 use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
 use parking_lot::{Condvar, Mutex, RwLock};
+use rtree::bulk::{pack_into, AxisOrder};
 use rtree::{NsiSegmentRecord, RTree};
 use std::collections::HashSet;
 use std::ops::Range;
@@ -673,28 +674,81 @@ fn record_bounds<const D: usize>(axis: usize, records: &[NsiSegmentRecord<D>]) -
     }
 }
 
-/// Build fresh region trees under `grid` from a deduplicated record
-/// set, routing seam straddlers into every touching region.
+/// A rebuild tiles on time first, then space. A serving index is mostly
+/// history, and a frame at `t` can match only what is alive at `t`: cut
+/// on time first and those records get leaves of their own; cut on space
+/// first (the §5 experiment order) and they are spread over every leaf.
+/// `dqbench` `query`, seed 1, `node_reads_per_frame` /
+/// `dist_comps_per_frame`, inserted tree 25.38 / 2199.6: space-first at
+/// fill 0.70 reads 30.64 / 2421.1, at 0.85 26.85 / 2494.6; time-first at
+/// the same fills 20.80 / 1838.2 and 18.27 / 1823.9.
+const REBUILD_ORDER: AxisOrder = AxisOrder::LastFirst;
+
+/// How full a rebuild packs each node: the low end of the plateau
+/// `dqbench` measured for [`REBUILD_ORDER`] (exact counts, seed 1; seed 2
+/// orders the same way).
+///
+/// | fill | `query` reads / comps | `ingest` reads | `wire` reads | `wire` PDQ reads | `wire` writer hold |
+/// |---|---|---|---|---|---|
+/// | inserted | 25.38 / 2199.6 | 7.833 | 4.448 | 0.197 | 12.5 µs |
+/// | 0.65 | 34.27 / 2836.2 | | 4.441 | | |
+/// | **0.70** | 20.80 / 1838.2 | 7.438 | 4.472 | 0.195 | 12.2 µs |
+/// | 0.75 | 19.34 / 1833.7 | 7.571 | 4.346 | 0.201 | 14.1 µs |
+/// | 0.80 | 18.68 / 1847.1 | 7.123 | 4.367 | 0.211 | 13.4 µs |
+/// | 0.85 | 18.27 / 1823.9 | 6.914 | 4.397 | 0.396 | 16.9 µs |
+/// | 0.90 | 18.66 / 1804.6 | 7.158 | 4.326 | 0.389 | 15.6 µs |
+/// | 1.0 | 24.39 / 1901.1 | | | | |
+///
+/// (Reads and comps per session-frame; PDQ reads per frame and the
+/// writer's lock hold per frame from the traced run, hold as the median
+/// of 10.) From 0.70 to 0.90 a frame reads 18–28 % fewer nodes than over
+/// the inserted tree. Below, the gain falls off a cliff — 0.65 reads
+/// 35 % *more*, 0.5 reads 41.65. The loader cuts ⌈∛tiles⌉ time slabs:
+/// over `query`'s ≈115 k records a region that is 11 slabs of 9.1 % from
+/// 0.70 to 0.90, and the last one holds all of the parked objects' long
+/// last segments — the ~20 k records (8.7 %) that are everything a frame
+/// past the preload can match. At 0.65 it is 12 slabs of 8.3 %: the
+/// boundary falls inside that population and mixes its tail into history
+/// leaves, whose time extent then covers every frame. So the value is
+/// not to be lowered, nor the preload's shape assumed elsewhere, without
+/// rerunning `query`.
+/// Above 0.80 the reads keep falling but the writer pays: leaves at the
+/// time frontier, where every live insert lands, start nearly full,
+/// split sooner, and each split re-enqueues a subtree in every PDQ — on
+/// `wire` PDQ reads per frame double and the writer's hold grows by a
+/// third. 0.70 is the one fill that raises neither on `wire` or
+/// `ingest`, and it is the nearest to what inserts converge to on their
+/// own (`rtree.leaf_fill` 0.62–0.65).
+const REBUILD_FILL: f64 = 0.70;
+
+/// Every rebuild of the region trees — server start, the base of a
+/// recovery, [`PartitionedDqServer::rebalance`], a live recut: route
+/// `records` under `grid`, seam straddlers into every region they touch,
+/// then pack each region's tree bottom-up into the empty tree `make_tree`
+/// returns for it (so its store, pool and configuration are the
+/// caller's). The trees are a function of the record multiset and the
+/// grid, not of the order records arrive in. Inserts are for what comes
+/// after: live frames, and the WAL tail replayed over a recovered base.
 fn build_regions<const D: usize, S: PageStore>(
     grid: &RegionGrid,
     records: &[NsiSegmentRecord<D>],
     make_tree: &mut dyn FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>,
 ) -> Vec<RegionTree<D, S>> {
-    let mut trees: Vec<RTree<NsiSegmentRecord<D>, S>> = (0..grid.len())
-        .map(|r| {
-            let t = make_tree(r);
-            assert!(t.is_empty(), "make_tree must return empty trees");
-            t
-        })
-        .collect();
-    for rec in records {
+    let mut routed: Vec<Vec<u32>> = vec![Vec::new(); grid.len()];
+    for (i, rec) in (0u32..).zip(records) {
         for r in grid.route_rect(&rec.seg.spatial_bbox()) {
-            trees[r].insert(*rec, rec.seg.t.lo);
+            routed[r].push(i);
         }
     }
-    trees
+    routed
         .into_iter()
-        .map(|t| Arc::new(RwLock::new(t)))
+        .enumerate()
+        .map(|(r, members)| {
+            let mut tree = make_tree(r);
+            assert!(tree.is_empty(), "make_tree must return empty trees");
+            pack_into(&mut tree, records, members, REBUILD_ORDER, REBUILD_FILL);
+            Arc::new(RwLock::new(tree))
+        })
         .collect()
 }
 
@@ -759,34 +813,23 @@ pub struct PartitionedDqServer<const D: usize, S: PageStore> {
 
 impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// Build one tree per region (each from `make_tree`, which must
-    /// return an *empty* tree — typically over its own pool slice) and
-    /// route `preload` into every region its segment's spatial bbox
-    /// overlaps (each inserted at its segment's start time).
+    /// return an *empty* tree — typically over its own pool slice):
+    /// `preload` is routed into every region its segment's spatial bbox
+    /// overlaps and each region's share is packed bottom-up
+    /// ([`rtree::bulk`]), not inserted. The trees depend on which records
+    /// `preload` holds, not on their order; packed nodes carry the
+    /// never-modified timestamp, and every session served afterwards
+    /// starts with no previous query.
     pub fn build(
         grid: RegionGrid,
         preload: &[NsiSegmentRecord<D>],
         mut make_tree: impl FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>,
     ) -> Self {
-        let n = grid.len();
-        let mut trees: Vec<RTree<NsiSegmentRecord<D>, S>> = (0..n)
-            .map(|r| {
-                let t = make_tree(r);
-                assert!(t.is_empty(), "make_tree must return empty trees");
-                t
-            })
-            .collect();
-        for rec in preload {
-            for r in grid.route_rect(&rec.seg.spatial_bbox()) {
-                trees[r].insert(*rec, rec.seg.t.lo);
-            }
-        }
-        let loads = Mutex::new(vec![0; n]);
+        let regions = build_regions(&grid, preload, &mut make_tree);
+        let loads = Mutex::new(vec![0; grid.len()]);
         PartitionedDqServer {
             grid,
-            regions: trees
-                .into_iter()
-                .map(|t| Arc::new(RwLock::new(t)))
-                .collect(),
+            regions,
             loads,
             metrics: None,
             writer_retry: RetryPolicy::default(),
@@ -829,9 +872,11 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// [`crate::LogicalCheckpoint`]; when a later one falls due the log
     /// folds its own tail into that base
     /// ([`DurableLog::fold_checkpoint`]) without reading a tree or
-    /// holding back a writer. Recovery rebuilds via [`Self::build`] from
-    /// the checkpoint records plus the replayed frames —
-    /// result-equivalent to the crashed server, under any grid.
+    /// holding back a writer. Recovery is a packed base plus an inserted
+    /// tail: [`Self::build`] over the checkpoint's record set, then the
+    /// WAL frames past its watermark re-applied as the live inserts they
+    /// were — result-equivalent to the crashed server, under any grid,
+    /// not page-identical to it.
     pub fn with_durability(mut self, log: Arc<DurableLog>) -> Self {
         self.durability = Some(log);
         self
@@ -886,7 +931,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// flight). The same handoff [`RecutPlan`] performs mid-run, minus
     /// the live sessions: records are collected from every region,
     /// deduplicated by `(oid, seq)` (seam replicas collapse), then
-    /// re-routed under the new cuts; load tallies reset.
+    /// re-routed under the new cuts and packed as [`Self::build`] packs
+    /// a preload — the same set under the same cuts gives the same
+    /// pages; load tallies reset.
     pub fn rebalance(
         &mut self,
         target_regions: usize,
@@ -2048,6 +2095,102 @@ mod tests {
             let n = build(grid, &recs).serve(std::slice::from_ref(&spec), &[]);
             assert_eq!(n.sessions[0].results, one.sessions[0].results);
         }
+    }
+
+    #[test]
+    fn npdq_frames_are_bracketed_by_naive_snapshots() {
+        // The oracle chain's NPDQ end, over trees that were packed and
+        // then served: with live inserts, and with one mid-run recut that
+        // packs again. A frame may repeat a still-visible object (which
+        // ones is the tree's shape), so the brute-force bracket is: it
+        // reports nothing outside the snapshot at `t_k`, and everything
+        // in it that the snapshot at `t_{k-1}` did not hold.
+        let recs = line_records(40);
+        let spec = slide_spec(SessionKind::Npdq, 80, 40.0);
+        let inserts = ahead_inserts(80, 2, 40.0, 1000);
+        let plans = vec![SessionPlan::new(spec.clone())];
+        let mut resident = recs.clone();
+        let snapshots: Vec<Vec<(u32, u32)>> = spec
+            .frame_times
+            .iter()
+            .enumerate()
+            .map(|(k, &t)| {
+                resident.extend(inserts.get(k).into_iter().flatten().map(|(r, _)| *r));
+                let q = SnapshotQuery::at_instant(spec.trajectory.window_at(t), t);
+                let mut set: Vec<_> = resident
+                    .iter()
+                    .filter(|r| q.matches_segment(&r.seg))
+                    .map(R::ids)
+                    .collect();
+                set.sort_unstable();
+                set
+            })
+            .collect();
+        assert!(snapshots.windows(2).any(|w| w[1].iter().any(|id| w[0].contains(id))));
+        for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![10.0, 25.0])] {
+            for recuts in [vec![], vec![RecutPlan::new(40, 2)]] {
+                let mut server = build(grid.clone(), &recs);
+                let out = server.serve_plans_with_recuts(&plans, &inserts, &recuts, |_| {
+                    RTree::new(Pager::new(), RTreeConfig::default())
+                });
+                let frames = frame_sets(&out.sessions[0]);
+                assert_eq!(frames.len(), snapshots.len());
+                for (k, got) in frames.iter().enumerate() {
+                    let now = &snapshots[k];
+                    assert!(
+                        got.iter().all(|id| now.contains(id)),
+                        "frame {k} reported outside its snapshot: {got:?} vs {now:?}"
+                    );
+                    let fresh = now
+                        .iter()
+                        .filter(|id| k == 0 || !snapshots[k - 1].contains(id));
+                    for id in fresh {
+                        assert!(got.contains(id), "frame {k} missed newly visible {id:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_is_a_function_of_the_record_set() {
+        // Same records, whatever order they arrive in and whichever
+        // rebuild packs them — `build`, or a `rebalance` that lands on the
+        // same grid: byte-identical pages per region.
+        let recs: Vec<R> = (0..600u32)
+            .map(|i| {
+                let x = f64::from(i * 37 % 101) + 0.5;
+                let t = f64::from(i % 23);
+                R::new(i, 0, Interval::new(t, t + 4.0), [x, 0.5], [x + 0.25, 0.75])
+            })
+            .collect();
+        let small = |_: usize| RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+        let images = |server: &PartitionedDqServer<2, Pager>| -> Vec<_> {
+            (0..server.grid().len())
+                .map(|r| {
+                    server.with_region_tree(r, |tree| {
+                        let mut pages = Vec::new();
+                        storage::save_pager(tree.store(), &mut pages).unwrap();
+                        (tree.metadata(), pages)
+                    })
+                })
+                .collect()
+        };
+        let grid = RegionGrid::uniform(0, record_bounds(0, &recs), 3);
+        let built = PartitionedDqServer::build(grid.clone(), &recs, small);
+        assert!(built.with_region_tree(1, |tree| tree.height()) >= 3);
+
+        let mut shuffled = recs.clone();
+        shuffled.reverse();
+        shuffled.rotate_left(217);
+        let mut again = PartitionedDqServer::build(grid.clone(), &shuffled, small);
+        assert!(images(&again) == images(&built), "arrival order reached the pages");
+
+        // Never served, so no load: the recut is the uniform grid over the
+        // records' extent — the grid both servers were built under.
+        again.rebalance(3, small);
+        assert_eq!(again.grid().cuts(), grid.cuts());
+        assert!(images(&again) == images(&built), "a rebalance packed the same set differently");
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! * **Node timestamps** — every node on an insertion path is stamped
 //!   with the logical time of the insert, which is what lets NPDQ decide
 //!   whether the previous query may be used to discard a subtree (§4.2).
-//! * **STR bulk loading** at a configurable fill factor (the paper builds
-//!   its index at 0.5).
+//! * **STR bulk loading** ([`bulk`]): one packing routine, called by the
+//!   §5 experiment build at a configurable fill factor (the paper builds
+//!   its index at 0.5) and by every rebuild of a serving tree.
 //! * **Range search** with I/O and comparison counting — the *naive*
 //!   baseline the paper compares against, and the building block for the
 //!   first snapshot of every dynamic query.

@@ -22,8 +22,9 @@
 //! read a page in place; [`NodeEdit`] changes a copy of its used prefix
 //! by byte range (entries are fixed-stride, so adding one or re-keying
 //! one touches only its own bytes) — the insert path's form for every
-//! node that does not split; the owned [`Node`] decodes every entry and
-//! is what splits, deletes, bulk loading and `validate` work on.
+//! node that does not split, and the bulk loader's for every node it
+//! packs; the owned [`Node`] decodes every entry and is what splits,
+//! deletes and `validate` work on.
 
 use crate::traits::{Key, Record};
 use std::marker::PhantomData;
@@ -47,6 +48,17 @@ const fn stride<K: Key, R: Record>(leaf: bool) -> usize {
     } else {
         K::ENCODED_LEN + 4
     }
+}
+
+/// Append the fixed header to an empty `buf`.
+fn write_header(buf: &mut Vec<u8>, leaf: bool, count: usize, timestamp: f64, level: u32) {
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.push(if leaf { KIND_LEAF } else { KIND_INTERNAL });
+    buf.push(0);
+    buf.extend_from_slice(&(count as u32).to_le_bytes());
+    buf.extend_from_slice(&timestamp.to_le_bytes());
+    buf.extend_from_slice(&level.to_le_bytes());
+    buf.resize(NODE_HEADER_LEN, 0);
 }
 
 /// Why a page image is not a node.
@@ -234,13 +246,7 @@ impl<K: Key, R: Record<Key = K>> Node<K, R> {
         );
         buf.clear();
         buf.reserve(page_size);
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.push(if self.is_leaf() { KIND_LEAF } else { KIND_INTERNAL });
-        buf.push(0);
-        buf.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&self.timestamp.to_le_bytes());
-        buf.extend_from_slice(&self.level.to_le_bytes());
-        buf.resize(NODE_HEADER_LEN, 0);
+        write_header(buf, self.is_leaf(), self.len(), self.timestamp, self.level);
         match &self.entries {
             NodeEntries::Internal(v) => {
                 for (k, child) in v {
@@ -584,9 +590,11 @@ impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
 }
 
 /// A node's page image under edit in a caller-owned buffer — the insert
-/// path's representation of a node that does not split.
+/// path's representation of a node that does not split, and the bulk
+/// loader's of every node it packs.
 ///
-/// Opened by [`NodeRef::edit_in`] over a copy of the node's used prefix.
+/// Opened by [`NodeRef::edit_in`] over a copy of the node's used prefix,
+/// or empty by [`Self::fresh`].
 /// Entries are fixed-stride, so each primitive touches only the bytes it
 /// names: every other entry keeps the exact bytes it had on the page,
 /// which is what re-encoding its decoded form would have produced (the
@@ -599,7 +607,22 @@ pub struct NodeEdit<'a, K, R> {
     _marker: PhantomData<fn() -> (K, R)>,
 }
 
-impl<K: Key, R: Record<Key = K>> NodeEdit<'_, K, R> {
+impl<'a, K: Key, R: Record<Key = K>> NodeEdit<'a, K, R> {
+    /// Open an empty, never-modified node at `level` (0 = leaf) in `buf`,
+    /// cleared first and grown once to a page: how the bulk loader builds
+    /// each node, appending entries straight into the image it writes.
+    pub fn fresh(buf: &'a mut Vec<u8>, level: u32, page_size: usize) -> Self {
+        buf.clear();
+        buf.reserve(page_size);
+        write_header(buf, level == 0, 0, f64::NEG_INFINITY, level);
+        NodeEdit {
+            buf,
+            leaf: level == 0,
+            count: 0,
+            _marker: PhantomData,
+        }
+    }
+
     /// Number of entries, appended ones included.
     pub fn len(&self) -> usize {
         self.count

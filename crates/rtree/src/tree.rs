@@ -1,7 +1,7 @@
 //! The paginated R-tree: construction, insertion, node access.
 
 use crate::levels::LevelCounters;
-use crate::node::{Node, NodeEntries, NodeRef};
+use crate::node::{Node, NodeEdit, NodeEntries, NodeRef};
 use crate::split::{split, SplitPolicy};
 use crate::traits::{Key, Record};
 use storage::{PageId, PageStore, StorageError};
@@ -14,7 +14,10 @@ pub struct RTreeConfig {
     pub min_fill: f64,
     /// Split heuristic on overflow.
     pub split_policy: SplitPolicy,
-    /// Target node fill for bulk loading (paper: 0.5).
+    /// Target node fill for [`crate::bulk::bulk_load`], the paper's §5
+    /// experiment build (paper: 0.5). A serving rebuild does not read
+    /// this or the next field: it passes `pack_into` its own order and
+    /// fill.
     pub bulk_fill: f64,
     /// When `Some(k)`, STR bulk loading tiles only over the first `k`
     /// axes (spatial axes come first in `StBox` keys): pass `Some(2)` for
@@ -316,13 +319,31 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     }
 
     /// Write an owned node back to its page, serializing through the
-    /// tree's scratch buffer: how split halves, new roots, delete and
-    /// bulk load write. An insert's unsplit nodes are edited page images
-    /// instead (see [`Self::ascend`]).
+    /// tree's scratch buffer: how split halves, new roots and delete
+    /// write. An insert's unsplit nodes are edited page images instead
+    /// (see [`Self::ascend`]), and bulk load appends to fresh ones
+    /// ([`Self::write_fresh`]).
     pub(crate) fn write_node(&mut self, page: PageId, node: &Node<R::Key, R>) {
         node.serialize_into(&mut self.scratch, self.store.page_size());
         self.store.write(page, &self.scratch);
         self.levels.record_write(node.level);
+    }
+
+    /// Allocate a page and write it the node `fill` appends to — an empty,
+    /// never-modified node at `level`, built in the scratch buffer. How
+    /// bulk load writes: the image goes from the caller's entries to the
+    /// store with no owned [`Node`] in between.
+    pub(crate) fn write_fresh(
+        &mut self,
+        level: u32,
+        fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
+    ) -> PageId {
+        let mut edit = NodeEdit::fresh(&mut self.scratch, level, self.store.page_size());
+        fill(&mut edit);
+        let page = self.store.alloc();
+        self.store.write(page, edit.bytes());
+        self.levels.record_write(level);
+        page
     }
 
     pub(crate) fn set_root(&mut self, root: PageId, height: u32, len: u64) {

@@ -3,7 +3,7 @@
 //! page-encoding conservatism.
 
 use proptest::prelude::*;
-use rtree::bulk::bulk_load;
+use rtree::bulk::{bulk_load, pack_into, AxisOrder};
 use rtree::{Key, NsiSegmentRecord, RTree, RTreeConfig, Record, SplitPolicy};
 use storage::Pager;
 use stkit::{Interval, Rect, StBox};
@@ -166,6 +166,47 @@ proptest! {
         let mut got: Vec<u32> = hits.drain(..).map(|r| r.oid).collect();
         got.sort_unstable();
         prop_assert_eq!(got, brute(&all, &q));
+    }
+
+    #[test]
+    fn serving_packed_tree_takes_inserts_and_deletes(
+        base in records(500),
+        extra in records(120),
+        fill in 0.7f64..0.9,
+        drop_mod in 2usize..5,
+    ) {
+        // A serving rebuild packs time first and fuller than a split
+        // leaves a node; what it hands back is an ordinary tree, and
+        // stays one under the inserts and deletes that follow. Small
+        // pages (fanout 15) so the packed tree has depth to disturb.
+        let extra: Vec<R> = extra
+            .iter()
+            .enumerate()
+            .map(|(i, r)| R { oid: 10_000 + i as u32, ..*r })
+            .collect();
+        let mut tree: RTree<R, Pager> =
+            RTree::new(Pager::with_page_size(512), RTreeConfig::default());
+        let members = (0..base.len() as u32).collect();
+        pack_into(&mut tree, &base, members, AxisOrder::LastFirst, fill);
+        tree.validate().unwrap();
+        for (i, r) in extra.iter().enumerate() {
+            tree.insert(*r, i as f64);
+        }
+        let mut expect = extra;
+        for (i, r) in base.iter().enumerate() {
+            if i % drop_mod == 0 {
+                prop_assert!(tree.delete(r, 1_000.0 + i as f64), "delete {i}");
+            } else {
+                expect.push(*r);
+            }
+        }
+        let inv = tree.validate().unwrap();
+        prop_assert_eq!(inv.records as usize, expect.len());
+        let mut got = Vec::new();
+        tree.scan(|r| got.push(*r));
+        got.sort_unstable_by_key(|r| r.oid);
+        expect.sort_unstable_by_key(|r| r.oid);
+        prop_assert_eq!(got, expect);
     }
 
     #[test]

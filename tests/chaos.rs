@@ -524,7 +524,7 @@ fn chaos_i_full_device_fails_writer_cleanly_and_wal_recovers_the_backlog() {
 
     // Cap the id space so the preload fits with two pages to spare: the
     // insert stream must hit `StorageError::Full` partway through.
-    let probe = pager_image(&build_tree(Pager::with_page_size(256), &recs));
+    let probe = clean(&recs).with_region_tree(0, pager_image);
     let pages = u32::from_le_bytes(probe[12..16].try_into().unwrap());
     let capped = Pager::with_page_size(256).with_id_cap(pages + 2);
 

@@ -78,9 +78,11 @@ fn concurrent_serving_matches_serial_reference() {
     let fx = fixture();
     assert!(fx.specs.len() >= 4, "need at least 4 mixed sessions");
 
-    // Concurrent server over a sharded buffer pool (64 frames, 4 shards).
+    // Concurrent server over a sharded buffer pool (16 frames, 4 shards):
+    // a quarter of the packed tree, so serving — the build only writes —
+    // has to fault pages back in.
     let server = build(RegionGrid::single(), &fx.preload, || {
-        ShardedBufferPool::new(Pager::new(), 64, 4)
+        ShardedBufferPool::new(Pager::new(), 16, 4)
     });
     let parallel = server.serve(&fx.specs, &fx.inserts);
 

@@ -10,7 +10,7 @@
 # --bench-smoke additionally runs the read_path microbench at a tiny
 # size; the bench exits non-zero if the zero-copy view traversal copies
 # at least as many bytes as the decode traversal, so a read-path
-# regression fails the check. The wrapper then enforces three ratio
+# regression fails the check. The wrapper then enforces four ratio
 # floors from the smoke figures — batched-vs-scalar overlap geometry
 # and patched-vs-rebuilt inserts must both stay >= 1.0x (ratios are
 # machine-portable where absolute throughputs are not), so a regression
@@ -19,8 +19,10 @@
 # fails the check; and a PDQ leaf
 # expansion over a 360-piece trajectory must stay >= 2.0x the
 # all-pieces loop, so a piece index that decays into a scan fails it
-# too. The smoke output goes to target/figures/ and never clobbers the
-# committed BENCH_read_path.json baseline. It then runs benchmarks/smoke.sh
+# too; and a packed rebuild must stay >= 2.0x one insert per record, so
+# a rebuild that goes back to inserting fails it. The smoke output goes
+# to target/figures/ and never clobbers the committed
+# BENCH_read_path.json baseline. It then runs benchmarks/smoke.sh
 # (every dqbench workload at 1/20 size, schema and correctness, no timing).
 #
 # --obs-smoke runs the observability reconciliation end to end: a small
@@ -130,6 +132,7 @@ for label, floor, what in [
     ("batched/scalar", 1.0, "SoA overlap kernel vs the scalar loop"),
     ("patched/rebuilt", 1.0, "page-editing insert vs the node rebuild"),
     ("indexed/all-pieces", 2.0, "indexed trajectory pieces vs solving every piece"),
+    ("packed/inserted", 2.0, "packed rebuild vs one insert per record"),
 ]:
     r = ratio(label)
     if r < floor:
