@@ -54,7 +54,7 @@ use rtree::{Node, NodeEntries, NsiSegmentRecord, RTree, RTreeConfig};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use storage::{BufferPool, IoSnapshot, PageId, PageRef, PageStore, Pager};
+use storage::{IoSnapshot, PageId, PageRef, PageStore, Pager, ShardedBufferPool};
 use stkit::{Interval, RectBatch, SegmentBatch, StBox, TimeSet};
 use workload::{Dataset, DatasetConfig};
 
@@ -118,7 +118,7 @@ impl<S: PageStore> PageStore for CountingStore<S> {
     }
 }
 
-type Store = CountingStore<BufferPool<Pager>>;
+type Store = CountingStore<ShardedBufferPool<Pager>>;
 
 /// The pre-refactor read path: copy the page into a `Vec`, materialize
 /// every entry into an owned `Node`, then iterate.
@@ -208,7 +208,7 @@ fn env_u64(key: &str, default: u64) -> u64 {
 /// into an owned [`Node`], changed, re-folded and re-encoded whole, and
 /// written while the path still shares the frame. Handles the no-split
 /// case only; `false` (nothing written) when the leaf is full.
-fn insert_rebuilding(tree: &RTree<R, BufferPool<Pager>>, rec: R, now: f64, buf: &mut Vec<u8>) -> bool {
+fn insert_rebuilding(tree: &RTree<R, ShardedBufferPool<Pager>>, rec: R, now: f64, buf: &mut Vec<u8>) -> bool {
     use rtree::{Key, Record};
     let key = {
         let mut enc = Vec::with_capacity(K::ENCODED_LEN);
@@ -265,7 +265,7 @@ fn insert_rebuilding(tree: &RTree<R, BufferPool<Pager>>, rec: R, now: f64, buf: 
 /// `RTree::insert` on both sides.
 fn insert_rates(recs: &[R], window: Duration) -> (f64, f64) {
     let rate = |patched: bool| {
-        let pool = BufferPool::new(Pager::new(), 1 << 16);
+        let pool = ShardedBufferPool::new(Pager::new(), 1 << 16, 1);
         let mut tree = bulk_load(pool, RTreeConfig::default(), recs.to_vec());
         let mut buf = Vec::new();
         let mut oid = 20_000_000u32;
@@ -517,7 +517,7 @@ fn main() {
     let n_records = recs.len();
     // Capacity far above the tree size: the whole tree stays resident,
     // so every timed visit is a pool hit.
-    let store = CountingStore::new(BufferPool::new(Pager::new(), 1 << 16));
+    let store = CountingStore::new(ShardedBufferPool::new(Pager::new(), 1 << 16, 1));
     let tree = bulk_load(store, RTreeConfig::default(), recs);
 
     // Warm the pool and agree on the answer before timing anything.

@@ -9,7 +9,7 @@
 
 use bench::{f2, FigureTable, Scale};
 use mobiquery::NaiveEngine;
-use storage::{BufferPool, PageStore, Pager};
+use storage::{PageStore, Pager, ShardedBufferPool};
 use workload::{measure_pdq, QueryWorkload};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
 
     // Naive behind LRU buffers of growing size.
     for cap in [8usize, 32, 128, 512] {
-        let tree = ds.build_nsi_tree_on(BufferPool::new(Pager::new(), cap));
+        let tree = ds.build_nsi_tree_on(ShardedBufferPool::new(Pager::new(), cap, 1));
         tree.store().clear(); // cold cache after build
         let engine = NaiveEngine::new();
         let mut frames = 0u64;

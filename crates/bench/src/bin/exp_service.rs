@@ -168,9 +168,11 @@ fn run_config<S: PageStore + Send + Sync>(
         report.total_reads(),
         "tree node reads must equal session disk accesses + writer reads"
     );
-    //  per-session mailboxes are bounded by the clock's flow control: the
-    //  writer is never more than one frame ahead of any reader, so a
-    //  mailbox can never hold more than one frame's insert batch.
+    //  a region's writer publishes one frame's insert reports at a time,
+    //  for every PDQ lane on the region to read in place (the clock's flow
+    //  control keeps it from replacing them under a reader), so the most
+    //  it ever publishes is one frame's insert batch. The gauge keeps the
+    //  name it had when the reports were copied into per-session mailboxes.
     let mailbox_hwm = registry.gauge_value("service.mailbox_hwm");
     let mailbox_bound = inserts.iter().map(Vec::len).max().unwrap_or(0) as i64;
     assert!(

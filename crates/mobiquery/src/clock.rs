@@ -162,7 +162,7 @@ impl FrameClock {
         debug_assert!(n >= inner.applied, "applied is monotone");
         inner.applied = n;
         let lag = self
-            .attached(&inner, |_, _| true)
+            .attached()
             .map(|(i, _)| n.saturating_sub(inner.acks[i].saturating_sub(1)))
             .max()
             .unwrap_or(0);
@@ -224,8 +224,7 @@ impl FrameClock {
     pub fn wait_ready(&self, k: u64) -> u64 {
         let mut inner = self.inner.lock();
         let ready = |inner: &ClockInner| {
-            self.attached(inner, |_, _| true)
-                .all(|(i, _)| inner.acks[i] > k)
+            self.attached().all(|(i, _)| inner.acks[i] > k)
         };
         if ready(&inner) {
             return 0;
@@ -245,7 +244,7 @@ impl FrameClock {
     pub fn wait_drained(&self) -> u64 {
         let mut inner = self.inner.lock();
         let drained = |inner: &ClockInner| {
-            self.attached(inner, |_, _| true)
+            self.attached()
                 .all(|(i, (_, last))| inner.acks[i] > last + 1)
         };
         if drained(&inner) {
@@ -258,16 +257,12 @@ impl FrameClock {
         started.elapsed().as_nanos() as u64
     }
 
-    /// Live attached sessions whose window passes `keep`.
-    fn attached<'a>(
-        &'a self,
-        _inner: &'a ClockInner,
-        keep: impl Fn(u64, u64) -> bool + 'a,
-    ) -> impl Iterator<Item = (usize, (u64, u64))> + 'a {
-        self.windows.iter().enumerate().filter_map(move |(i, w)| {
-            let (first, last) = (*w)?;
-            (self.live.is_live(i) && keep(first, last)).then_some((i, (first, last)))
-        })
+    /// Live attached sessions and their windows.
+    fn attached(&self) -> impl Iterator<Item = (usize, (u64, u64))> + '_ {
+        self.windows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| w.filter(|_| self.live.is_live(i)).map(|w| (i, w)))
     }
 }
 

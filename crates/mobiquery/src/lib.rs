@@ -53,7 +53,6 @@ pub mod snapshot;
 pub mod spdq;
 pub mod stats;
 pub mod trajectory;
-pub mod uncertain;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveSession, Mode};
 pub use aggregate::CountProfile;
@@ -79,7 +78,6 @@ pub use snapshot::SnapshotQuery;
 pub use spdq::SpdqSession;
 pub use stats::QueryStats;
 pub use trajectory::{KeySnapshot, Trajectory};
-pub use uncertain::{uncertain_query, Containment, UncertainHit};
 
 /// Convenience alias: the NSI record type the PDQ/naive engines index.
 pub type NsiRecord<const D: usize> = rtree::NsiSegmentRecord<D>;

@@ -31,27 +31,32 @@
 //! writer applies its routed slice of batch `k` only after (a) the
 //! `committed` watermark covers `k` (durable runs: the batch is in the
 //! WAL first) and (b) every live session attached to `r` has acked past
-//! `k` — then it applies under its tree's
-//! write lock, broadcasts [`rtree::InsertReport`]s into per-`(session,
-//! region)` mailboxes, and advances `r`'s `applied` watermark. A session
-//! processes frame `k` by waiting on `applied` of exactly the regions
-//! its query sweeps, so a slow (or deliberately sleeping) session
-//! back-pressures only its own lanes: writers of untouched regions never
-//! hear from it. Sessions *detach* from their lane clocks when their
-//! schedule ends — or when they fail mid-run, so a dead session releases
-//! the writers instead of holding them. Per region the
-//! invariant `committed >= applied` holds throughout, and a region's
-//! writer and its readers strictly alternate: a lane reads its region's
-//! tree behind the lock that writer takes, and never waits on it. Region
-//! tree level reads == Σ lane disk accesses attributed to that region +
-//! that region's writer reads, exactly (a durable server's first run adds
+//! `k` — then it applies under its tree's write lock, leaves the frame's
+//! [`rtree::InsertReport`]s on `r`'s one slate (§4.1's notification of
+//! running PDQs: published once, whatever the session count), and
+//! advances `r`'s `applied` watermark. A session processes frame `k` by
+//! waiting on `applied` of exactly the regions its query sweeps; its PDQ
+//! lanes then absorb their regions' slates where they lie, skipping one
+//! that still holds an older frame. So a slow (or deliberately sleeping)
+//! session back-pressures only its own lanes: writers of untouched
+//! regions never hear from it. Sessions *detach* from their lane clocks
+//! when their schedule ends — or when they fail mid-run, so a dead
+//! session releases the writers instead of holding them. Per region the
+//! invariant
+//! `committed >= applied` holds throughout, and a region's writer and its
+//! readers strictly alternate: a lane reads its region's tree and slate
+//! behind the locks that writer takes, and never waits on them; a slate
+//! *ahead* of the frame being read would mean the clock failed, and fails
+//! the session that sees it. Region tree level reads == Σ lane disk
+//! accesses attributed to that region + that region's writer reads,
+//! exactly (a durable server's first run adds
 //! the base checkpoint's one scan; periodic checkpoints read no tree).
 //!
 //! ## Epoch-handoff recuts
 //!
 //! Because nothing global synchronizes frames, the grid can be *recut
 //! while sessions are live* ([`RecutPlan`]): the run is split into
-//! epochs, each with its own grid, trees, clocks, and mailboxes. At an
+//! epochs, each with its own grid, trees, clocks, and slates. At an
 //! epoch boundary the coordinator waits for the old epoch's clocks to
 //! drain, collects and deduplicates every record, recuts the grid at
 //! equal-load quantiles of the epoch's measured load, rebuilds region
@@ -75,9 +80,8 @@ use crate::npdq::NpdqEngine;
 use crate::pdq::{PdqEngine, PdqResult};
 use crate::region::RegionGrid;
 use crate::service::{
-    mailbox_bound, panic_message, record_wait, FrameDelta, FrameReport,
-    FrameSink, Mailbox, NsiReport, ServeReport, SessionKind, SessionOutcome, SessionOutput,
-    SessionPlan, SessionSpec, SinkVerdict,
+    panic_message, record_wait, FrameDelta, FrameReport, FrameSink, NsiReport, ServeReport,
+    SessionKind, SessionOutcome, SessionOutput, SessionPlan, SessionSpec, SinkVerdict,
 };
 use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
@@ -214,16 +218,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         trees: &[RegionTree<D, S>],
     ) -> Self {
         let lanes = grid.route_rect(&spec.trajectory.swept_bounds());
-        let engines = lanes
-            .clone()
-            .map(|r| match spec.kind {
-                SessionKind::Pdq => LaneEngine::Pdq(Box::new(PdqEngine::start(
-                    &*trees[r].read(),
-                    spec.trajectory.clone(),
-                ))),
-                SessionKind::Npdq => LaneEngine::Npdq(Box::new(NpdqEngine::new())),
-            })
-            .collect();
+        let engines = Self::engines_for(spec, lanes.clone(), trees);
         LaneRun {
             index,
             spec,
@@ -244,6 +239,32 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     /// objects the new engines re-discover (anything still visible) are
     /// suppressed — delivery stays exactly-once across the handoff.
     fn rebuild<S: PageStore>(&mut self, grid: &RegionGrid, trees: &[RegionTree<D, S>]) {
+        self.fold_engine_marks();
+        self.lanes = grid.route_rect(&self.spec.trajectory.swept_bounds());
+        self.engines = Self::engines_for(self.spec, self.lanes.clone(), trees);
+        self.region_reads = vec![0; trees.len()];
+    }
+
+    /// One engine per lane, each built against its region's tree.
+    fn engines_for<S: PageStore>(
+        spec: &SessionSpec<D>,
+        lanes: Range<usize>,
+        trees: &[RegionTree<D, S>],
+    ) -> Vec<LaneEngine<D>> {
+        lanes
+            .map(|r| match spec.kind {
+                SessionKind::Pdq => LaneEngine::Pdq(Box::new(PdqEngine::start(
+                    &*trees[r].read(),
+                    spec.trajectory.clone(),
+                ))),
+                SessionKind::Npdq => LaneEngine::Npdq(Box::new(NpdqEngine::new())),
+            })
+            .collect()
+    }
+
+    /// Fold the current engines' high-water marks into the output, before
+    /// they are replaced or dropped.
+    fn fold_engine_marks(&mut self) {
         for engine in &self.engines {
             match engine {
                 LaneEngine::Pdq(pdq) => {
@@ -254,19 +275,6 @@ impl<'a, const D: usize> LaneRun<'a, D> {
                 }
             }
         }
-        self.lanes = grid.route_rect(&self.spec.trajectory.swept_bounds());
-        self.engines = self
-            .lanes
-            .clone()
-            .map(|r| match self.spec.kind {
-                SessionKind::Pdq => LaneEngine::Pdq(Box::new(PdqEngine::start(
-                    &*trees[r].read(),
-                    self.spec.trajectory.clone(),
-                ))),
-                SessionKind::Npdq => LaneEngine::Npdq(Box::new(NpdqEngine::new())),
-            })
-            .collect();
-        self.region_reads = vec![0; trees.len()];
     }
 
     /// Hand the per-region read attribution to `add` and zero it (the
@@ -281,9 +289,10 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         }
     }
 
-    /// Process global frame `k` across every lane: absorb `reports[li]`
-    /// (this frame's broadcast for lane `li`), drain/execute in-schedule
-    /// frames, then merge. Only the first lane error is returned (lanes
+    /// Process global frame `k` across every lane: a PDQ lane on region
+    /// `r` absorbs `slates[r]`'s reports where they lie, if they are frame
+    /// `k`'s (see [`Slate`]); then drain/execute in-schedule frames and
+    /// merge. Only the first lane error is returned (lanes
     /// process in ascending region order, so the choice is
     /// deterministic). On `Err` the frame is still reported (with
     /// whatever results and stats it produced before the fault) and the
@@ -294,7 +303,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     fn step_frame<S: PageStore>(
         &mut self,
         trees: &[RegionTree<D, S>],
-        reports: &[Vec<NsiReport<D>>],
+        slates: &[RwLock<Slate<D>>],
         k: usize,
     ) -> Result<Option<u64>, StorageError> {
         let in_schedule = match self.spec.kind {
@@ -317,7 +326,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             let tree = &*trees[r].read();
             match &mut self.engines[li] {
                 LaneEngine::Pdq(pdq) => {
-                    for report in &reports[li] {
+                    for report in slates[r].read().reports_of(r, k) {
                         pdq.notify(tree, report);
                     }
                     if in_schedule {
@@ -413,17 +422,62 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     }
 
     fn finish(mut self) -> SessionOutput {
-        for engine in &self.engines {
-            match engine {
-                LaneEngine::Pdq(pdq) => {
-                    self.out.queue_hwm = self.out.queue_hwm.max(pdq.queue_hwm());
-                }
-                LaneEngine::Npdq(npdq) => {
-                    self.out.discarded_subtrees += npdq.discarded_subtrees();
-                }
-            }
-        }
+        self.fold_engine_marks();
         self.out
+    }
+}
+
+/// What a region's writer last broadcast: the frame whose routed slice
+/// it applied and the [`rtree::InsertReport`]s those inserts produced —
+/// §4.1's notification of running PDQs. There is one per region per
+/// epoch, written once a frame by the region's writer and read where it
+/// lies by every PDQ lane on the region; nothing is copied per session.
+///
+/// One slot is enough because the region's [`FrameClock`] alternates the
+/// writer with its readers: `wait_ready(k)` holds batch `k` back until
+/// every live attached session has finished frame `k - 1`, and a session
+/// reads frame `k` only once `applied` covers it. So while anyone reads
+/// frame `k` the slate holds frame `k` or — the region's slice of batch
+/// `k` was empty, or its writer has failed — an older one, which that
+/// reader has already absorbed or joined after, and skips.
+#[derive(Default)]
+struct Slate<const D: usize> {
+    /// Frame of the last non-empty slice applied (`None`: none yet).
+    frame: Option<usize>,
+    reports: Vec<NsiReport<D>>,
+    /// Most reports ever published at once.
+    hwm: usize,
+}
+
+impl<const D: usize> Slate<D> {
+    /// Writer side, after the tree's write lock dropped: frame `k`'s
+    /// reports replace the previous frame's, whose buffer goes back to the
+    /// caller for the next batch.
+    fn publish(&mut self, k: usize, reports: &mut Vec<NsiReport<D>>) {
+        std::mem::swap(&mut self.reports, reports);
+        self.frame = Some(k);
+        self.hwm = self.hwm.max(self.reports.len());
+        obs::trace(obs::TraceEvent::InsertBroadcast {
+            reports: self.reports.len() as u32,
+        });
+    }
+
+    /// Reader side: what a session at frame `k` must absorb from region
+    /// `r` — this slate's reports if they are frame `k`'s, else nothing.
+    /// A slate ahead of its reader means the clock let the writer overrun
+    /// it: a protocol violation, which fails the session that sees it.
+    fn reports_of(&self, r: usize, k: usize) -> &[NsiReport<D>] {
+        assert!(
+            self.frame <= Some(k),
+            "region {r}'s slate holds frame {:?} while a session reads frame {k}: \
+             the writer overran an attached reader",
+            self.frame,
+        );
+        if self.frame == Some(k) {
+            &self.reports
+        } else {
+            &[]
+        }
     }
 }
 
@@ -486,9 +540,9 @@ impl RunTotals {
     }
 }
 
-/// One epoch of a partitioned run: a grid, its trees, one frame clock
-/// per region, and the per-`(session, region)` mailboxes — everything
-/// that must be replaced wholesale at a live recut.
+/// One epoch of a partitioned run: a grid, its trees, and per region
+/// one frame clock and one [`Slate`] — everything that must be replaced
+/// wholesale at a live recut.
 struct Epoch<const D: usize, S: PageStore> {
     /// First global frame this epoch serves.
     start: usize,
@@ -498,19 +552,12 @@ struct Epoch<const D: usize, S: PageStore> {
     trees: Vec<RegionTree<D, S>>,
     /// `clocks[r]` orders region `r`'s frames against its sessions.
     clocks: Vec<FrameClock>,
-    /// `windows[r][i]`: session `i`'s attached window on region `r`'s
-    /// clock — its global window clamped to this epoch, `None` when the
-    /// session's lanes miss `r` or its window misses the epoch.
-    windows: Vec<Vec<Option<(u64, u64)>>>,
+    /// `slates[r]`: the insert reports of the last frame region `r`'s
+    /// writer applied, for the PDQ lanes on `r` to absorb.
+    slates: Vec<RwLock<Slate<D>>>,
     /// `lanes[i]`: the regions session `i`'s trajectory sweeps under
     /// this epoch's grid.
     lanes: Vec<Range<usize>>,
-    /// `mailboxes[i][r]`: insert reports broadcast by region `r`'s
-    /// writer for session `i` to absorb. Bounded by `mailbox_cap`.
-    mailboxes: Vec<Vec<Mailbox<NsiReport<D>>>>,
-    /// The one-batch mailbox bound (largest insert batch of the run; a
-    /// region's routed slice can only be smaller).
-    mailbox_cap: usize,
     /// Session-side node reads attributed per region, flushed in by
     /// each session before its final ack of the epoch (feeds recut
     /// loads and the final report).
@@ -552,8 +599,10 @@ impl<const D: usize, S: PageStore> EpochGate<D, S> {
 }
 
 /// Build one epoch: route every plan's lanes under `grid`, clamp every
-/// plan's window to `[start, end)`, and give each region a clock that
-/// knows exactly which sessions are attached to it.
+/// plan's window to `[start, end)`, and give each region a blank slate
+/// and a clock that knows exactly which sessions are attached to it —
+/// session `i` to region `r` over its clamped window, when its lanes
+/// reach `r` and its window the epoch.
 #[allow(clippy::too_many_arguments)]
 fn make_epoch<const D: usize, S: PageStore>(
     plans: &[SessionPlan<D>],
@@ -564,16 +613,15 @@ fn make_epoch<const D: usize, S: PageStore>(
     start: usize,
     end: usize,
     durable: bool,
-    mailbox_cap: usize,
 ) -> Arc<Epoch<D, S>> {
     let n = grid.len();
     let lanes: Vec<Range<usize>> = plans
         .iter()
         .map(|p| grid.route_rect(&p.spec.trajectory.swept_bounds()))
         .collect();
-    let windows: Vec<Vec<Option<(u64, u64)>>> = (0..n)
+    let clocks: Vec<FrameClock> = (0..n)
         .map(|r| {
-            plan_windows
+            let windows = plan_windows
                 .iter()
                 .enumerate()
                 .map(|(i, w)| {
@@ -583,16 +631,11 @@ fn make_epoch<const D: usize, S: PageStore>(
                         (lanes[i].contains(&r) && f <= l).then_some((f, l))
                     })
                 })
-                .collect()
+                .collect();
+            FrameClock::new(windows, Arc::clone(live), start as u64, durable)
         })
         .collect();
-    let clocks: Vec<FrameClock> = (0..n)
-        .map(|r| FrameClock::new(windows[r].clone(), Arc::clone(live), start as u64, durable))
-        .collect();
-    let mailboxes: Vec<Vec<Mailbox<NsiReport<D>>>> = plans
-        .iter()
-        .map(|_| (0..n).map(|_| Mailbox::new()).collect())
-        .collect();
+    let slates = (0..n).map(|_| RwLock::new(Slate::default())).collect();
     let session_loads: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     Arc::new(Epoch {
         start,
@@ -600,10 +643,8 @@ fn make_epoch<const D: usize, S: PageStore>(
         grid,
         trees,
         clocks,
-        windows,
+        slates,
         lanes,
-        mailboxes,
-        mailbox_cap,
         session_loads,
     })
 }
@@ -844,7 +885,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// histogram), `service.clock_wait_ns` (time any participant spent
     /// blocked on a frame-clock watermark), `service.frame_lag` (gauge:
     /// deepest applied-watermark lead over the slowest attached session),
-    /// `service.mailbox_hwm` (gauge), `service.frames` /
+    /// `service.mailbox_hwm` (gauge: most insert reports any region
+    /// published for one frame; the name, which `dqbench` reads, predates
+    /// the single slate per region), `service.frames` /
     /// `service.inserts` / `service.results` / `service.writer.reads` /
     /// `service.session.reads` (run counters), `service.pdq.queue_hwm` /
     /// `service.npdq.discarded`, and per-region labels
@@ -1058,18 +1101,14 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
 
     /// Region `r`'s writer over one epoch: per frame, wait for the WAL
     /// commit (durable runs) and for every attached session's permit,
-    /// apply the routed slice, broadcast to in-window live PDQ
-    /// mailboxes, and advance `r`'s `applied` watermark — every frame,
-    /// batch or not, so sessions of an idle or failed region never
-    /// stall.
-    #[allow(clippy::too_many_arguments)]
+    /// apply the routed slice, publish its reports on `r`'s slate, and
+    /// advance `r`'s `applied` watermark — every frame, batch or not, so
+    /// sessions of an idle or failed region never stall.
     fn writer_loop(
         &self,
         ep: &Epoch<D, S>,
         r: usize,
         inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-        is_pdq: &[bool],
-        live: &SessionLiveness,
         hold_hist: Option<&Arc<obs::Histogram>>,
         wait_hist: &Option<Arc<obs::Histogram>>,
         lag_gauge: Option<&Arc<obs::Gauge>>,
@@ -1094,25 +1133,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     record_wait(wait_hist, clock.wait_ready(ku));
                     reports.clear();
                     self.apply_region_batch(&ep.trees[r], &routed, &mut reports, &mut w, hold_hist);
-                    // Broadcast outside the write lock (mailbox pushes
-                    // clone reports and take per-session locks, none of
-                    // which needs the tree); only to live sessions
-                    // attached to this region whose window covers this
-                    // frame — nobody else will ever drain the mailbox.
-                    let mut fanout = 0u32;
-                    for (i, win) in ep.windows[r].iter().enumerate() {
-                        if is_pdq[i]
-                            && win.is_some_and(|(f, l)| f <= ku && ku <= l)
-                            && live.is_live(i)
-                        {
-                            ep.mailboxes[i][r].push_all(&reports, ep.mailbox_cap);
-                            fanout += 1;
-                        }
-                    }
-                    obs::trace(obs::TraceEvent::InsertBroadcast {
-                        reports: reports.len() as u32,
-                        sessions: fanout,
-                    });
+                    // `wait_ready` above is also why nobody still reads
+                    // the slate's previous frame.
+                    ep.slates[r].write().publish(k, &mut reports);
                     obs::trace(obs::TraceEvent::RegionRoute {
                         region: r as u32,
                         records: routed.len() as u32,
@@ -1170,10 +1193,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
 
     /// One session's thread over the whole run: walk the epochs its
     /// window intersects, (re)build lane engines at each handoff, and
-    /// inside an epoch run the clock protocol — wait `applied`, drain
-    /// mailboxes, step, sink, ack. However the session's life ends, it
-    /// detaches from its lane clocks in one place and keeps its results
-    /// so far.
+    /// inside an epoch run the clock protocol — wait `applied`, step
+    /// (absorbing the lanes' slates), sink, ack. However the session's
+    /// life ends, it detaches from its lane clocks in one place and keeps
+    /// its results so far.
     #[allow(clippy::too_many_arguments)]
     fn session_loop(
         i: usize,
@@ -1242,17 +1265,13 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 for r in lanes.clone() {
                     record_wait(wait_hist, ep.clocks[r].wait_applied(k + 1));
                 }
-                let reports: Vec<Vec<NsiReport<D>>> = lanes
-                    .clone()
-                    .map(|r| ep.mailboxes[i][r].take())
-                    .collect();
                 let results_before = r0.out.results.len();
                 let frames_before = r0.out.frames.len();
                 // Contain panics to the engine work alone; the clock
                 // calls stay outside so a caught panic can't corrupt
                 // the frame protocol.
                 let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    r0.step_frame(&ep.trees, &reports, k as usize)
+                    r0.step_frame(&ep.trees, &ep.slates, k as usize)
                 }));
                 match stepped {
                     Ok(Ok(Some(ns))) => {
@@ -1358,7 +1377,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         S: Sync + Send,
     {
         let steps = self.step_count(plans, inserts);
-        let mailbox_cap = mailbox_bound(inserts);
         let bounds = epoch_bounds(recuts, steps);
         let epoch_count = bounds.len() - 1;
         let durable = self.durability.as_deref();
@@ -1370,10 +1388,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             self.ensure_initial_checkpoint(log);
         }
         let plan_windows: Vec<Option<(u64, u64)>> = plans.iter().map(|p| p.window()).collect();
-        let is_pdq: Vec<bool> = plans
-            .iter()
-            .map(|p| matches!(p.spec.kind, SessionKind::Pdq))
-            .collect();
         let live = SessionLiveness::new(plans.len());
         let gate = EpochGate::new();
         let ep0 = make_epoch(
@@ -1385,7 +1399,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             0,
             bounds[1],
             durable.is_some(),
-            mailbox_cap,
         );
         gate.publish(Arc::clone(&ep0));
 
@@ -1437,19 +1450,8 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         let hold = hold_hist.clone();
                         let wait = wait_hist.clone();
                         let lag = lag_gauge.clone();
-                        let live = &live;
-                        let is_pdq = &is_pdq;
                         scope.spawn(move || {
-                            self.writer_loop(
-                                &ep,
-                                r,
-                                inserts,
-                                is_pdq,
-                                live,
-                                hold.as_ref(),
-                                &wait,
-                                lag.as_ref(),
-                            )
+                            self.writer_loop(&ep, r, inserts, hold.as_ref(), &wait, lag.as_ref())
                         })
                     })
                     .collect();
@@ -1488,7 +1490,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         bounds[e + 1],
                         bounds[e + 2],
                         false,
-                        mailbox_cap,
                     ));
                 }
                 epoch_tallies.push(tallies);
@@ -1512,7 +1513,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         if let Some(reg) = &self.metrics {
             let deepest = published
                 .iter()
-                .flat_map(|ep| ep.mailboxes.iter().flatten().map(Mailbox::hwm))
+                .flat_map(|ep| ep.slates.iter().map(|s| s.read().hwm))
                 .max()
                 .unwrap_or(0);
             reg.gauge("service.mailbox_hwm").record_max(deepest as i64);
@@ -1569,10 +1570,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             self.ensure_initial_checkpoint(log);
         }
         let plan_windows: Vec<Option<(u64, u64)>> = plans.iter().map(|p| p.window()).collect();
-        let is_pdq: Vec<bool> = plans
-            .iter()
-            .map(|p| matches!(p.spec.kind, SessionKind::Pdq))
-            .collect();
         let drain_hist = self
             .metrics
             .as_ref()
@@ -1597,6 +1594,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             let (start, end) = (bounds[e], bounds[e + 1]);
             let mut tallies: Vec<RegionTally> = vec![RegionTally::default(); grid.len()];
             let mut session_loads: Vec<u64> = vec![0; grid.len()];
+            let slates: Vec<_> = (0..grid.len()).map(|_| RwLock::new(Slate::default())).collect();
             let wins: Vec<Option<(u64, u64)>> = plan_windows
                 .iter()
                 .map(|w| {
@@ -1628,6 +1626,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 }
             }
             let mut routed = Vec::new();
+            let mut reports = Vec::new();
             for k in start..end {
                 let ku = k as u64;
                 for (i, plan) in plans.iter().enumerate() {
@@ -1641,7 +1640,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         );
                     }
                 }
-                let mut frame_reports: Vec<Vec<NsiReport<D>>> = vec![Vec::new(); grid.len()];
                 if let Some(batch) = inserts.get(k) {
                     if let Some(log) = durable {
                         dur.checkpoints += fold_if_due::<D>(log);
@@ -1653,13 +1651,15 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     for r in 0..grid.len() {
                         route_slice(&grid, r, batch, &mut routed);
                         if !routed.is_empty() && !tallies[r].failed() {
+                            reports.clear();
                             self.apply_region_batch(
                                 &trees[r],
                                 &routed,
-                                &mut frame_reports[r],
+                                &mut reports,
                                 &mut tallies[r],
                                 hold_hist.as_ref(),
                             );
+                            slates[r].write().publish(k, &mut reports);
                             obs::trace(obs::TraceEvent::RegionRoute {
                                 region: r as u32,
                                 records: routed.len() as u32,
@@ -1676,18 +1676,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     if ku < f || ku > l {
                         continue;
                     }
-                    let reports: Vec<Vec<NsiReport<D>>> = r0
-                        .lanes
-                        .clone()
-                        .map(|reg| {
-                            if is_pdq[i] {
-                                frame_reports[reg].clone()
-                            } else {
-                                Vec::new()
-                            }
-                        })
-                        .collect();
-                    match catch_unwind(AssertUnwindSafe(|| r0.step_frame(&trees, &reports, k))) {
+                    match catch_unwind(AssertUnwindSafe(|| r0.step_frame(&trees, &slates, k))) {
                         Ok(Ok(Some(ns))) => {
                             if let Some(h) = &drain_hist {
                                 h.record(ns);
@@ -2273,7 +2262,7 @@ mod tests {
 
     #[test]
     fn broadcast_after_lock_drop_keeps_parallel_equal_to_serial() {
-        // Heavier regression for the mailbox protocol: many PDQ sessions,
+        // Heavier regression for the broadcast protocol: many PDQ sessions,
         // multi-record batches every frame (every batch forces an
         // InsertBroadcast after the write guard drops).
         let recs = line_records(30);
@@ -2295,38 +2284,156 @@ mod tests {
 
     #[test]
     fn writer_reports_broadcast_fanout() {
-        // Drive one region's writer on this thread so its trace ring is
-        // readable: two PDQ sessions and one NPDQ session attached, every
-        // permit pre-granted (so the mailbox bound is the whole run's
-        // worth). Each batch must be followed by one InsertBroadcast
-        // naming its reports and the two PDQ mailboxes pushed to.
+        // The writer's half of the broadcast, driven alone on this thread
+        // (so its trace ring is readable) with every permit pre-granted:
+        // one InsertBroadcast per non-empty batch, published once the
+        // batch's node work is over and before `applied` moves, and the
+        // slate left holding the last non-empty frame — exactly the
+        // reports those inserts produce, whoever is attached.
         let server = build(RegionGrid::single(), &line_records(10));
         let plans: Vec<SessionPlan<2>> = [SessionKind::Pdq, SessionKind::Npdq, SessionKind::Pdq]
             .into_iter()
             .map(|kind| SessionPlan::new(slide_spec(kind, 4, 8.0)))
             .collect();
         let windows: Vec<_> = plans.iter().map(SessionPlan::window).collect();
-        let inserts = ahead_inserts(4, 3, 8.0, 3000);
+        let mut inserts = ahead_inserts(4, 3, 8.0, 3000);
+        inserts[1].clear();
+        inserts.push(Vec::new());
         let live = SessionLiveness::new(plans.len());
         let trees = server.regions.to_vec();
-        let ep = make_epoch(&plans, &windows, RegionGrid::single(), trees, &live, 0, 4, false, 12);
+        let ep = make_epoch(&plans, &windows, RegionGrid::single(), trees, &live, 0, 5, false);
         for i in 0..plans.len() {
             ep.clocks[0].ack(i, u64::MAX);
         }
         obs::take_thread_trace();
-        let is_pdq = [true, false, true];
-        let tally = server.writer_loop(&ep, 0, &inserts, &is_pdq, &live, None, &None, None);
-        assert_eq!(tally.applied, 12);
-        let fanouts: Vec<(u32, u32)> = obs::take_thread_trace()
-            .into_iter()
-            .filter_map(|ev| match ev {
-                obs::TraceEvent::InsertBroadcast { reports, sessions } => Some((reports, sessions)),
-                _ => None,
+        let tally = server.writer_loop(&ep, 0, &inserts, None, &None, None);
+        assert_eq!(tally.applied, 9);
+        let mut broadcasts = Vec::new();
+        let mut since_visit = Vec::new();
+        for ev in obs::take_thread_trace() {
+            match ev {
+                obs::TraceEvent::NodeVisit { .. } => since_visit.clear(),
+                obs::TraceEvent::InsertBroadcast { reports } => {
+                    broadcasts.push(reports);
+                    since_visit.push(None);
+                }
+                obs::TraceEvent::FrameAdvance { frame, .. } => since_visit.push(Some(frame)),
+                _ => {}
+            }
+        }
+        assert_eq!(broadcasts, vec![3; 3]);
+        assert_eq!(since_visit, vec![None, Some(3), Some(4)], "published after the inserts, before the advance");
+
+        let twin = build(RegionGrid::single(), &line_records(10));
+        let mut expect = Vec::new();
+        for batch in &inserts {
+            if !batch.is_empty() {
+                expect.clear();
+            }
+            for (rec, now) in batch {
+                expect.push(twin.regions[0].write().try_insert(*rec, *now).unwrap());
+            }
+        }
+        let slate = ep.slates[0].read();
+        assert_eq!(slate.frame, Some(3));
+        assert_eq!(slate.reports, expect);
+        assert_eq!(slate.hwm, 3);
+    }
+
+    #[test]
+    fn slate_is_absorbed_only_at_its_own_frame() {
+        // The reader's half: the window reaches x = 5.5 in frame 2; an
+        // object dropped there after frame 0 expanded the (single-leaf)
+        // tree is delivered iff the engine is notified of it.
+        let late = R::new(900, 0, Interval::new(0.0, 100.0), [5.5, 0.5], [5.5, 0.5]);
+        let run = |stamp: Option<usize>| {
+            let server = build(RegionGrid::single(), &line_records(10));
+            let spec = slide_spec(SessionKind::Pdq, 4, 8.0);
+            let mut lanes = LaneRun::start(0, &spec, &server.grid, &server.regions);
+            let slates = [RwLock::new(Slate::default())];
+            lanes.step_frame(&server.regions, &slates, 0).unwrap();
+            let report = server.regions[0].write().try_insert(late, 2.0).unwrap();
+            *slates[0].write() = Slate {
+                frame: stamp,
+                reports: vec![report],
+                hwm: 1,
+            };
+            for k in 1..4 {
+                lanes.step_frame(&server.regions, &slates, k).unwrap();
+            }
+            lanes.finish().results
+        };
+        assert!(run(Some(1)).contains(&late.ids()), "frame 1's slate reaches frame 1");
+        assert!(!run(Some(0)).contains(&late.ids()), "a stale slate notifies nothing");
+        assert!(!run(None).contains(&late.ids()), "a blank slate notifies nothing");
+        let ahead = catch_unwind(AssertUnwindSafe(|| run(Some(2)))).map_err(panic_message);
+        assert!(
+            matches!(&ahead, Err(m) if m.contains("the writer overran an attached reader")),
+            "a slate ahead of its reader is a protocol violation: {ahead:?}"
+        );
+    }
+
+    #[test]
+    fn stale_slates_are_skipped_by_lagging_and_joining_sessions() {
+        // Batches land at frames 0 and 5 only, so in between every slate
+        // keeps frame 0 while a slow session walks frames 1-4 over it and
+        // another joins at frame 3. Absorbing it again would re-enqueue
+        // objects not yet delivered: it shows in the per-frame stats and
+        // the queue's high-water mark first.
+        let recs = line_records(30);
+        let mut inserts = vec![Vec::new(); 8];
+        for (k, base, x0, dx) in [(0u32, 4000u32, 2.25, 1.0), (5, 4100, 6.6, 0.5)] {
+            inserts[k as usize] = (0..6)
+                .map(|j| {
+                    let x = x0 + dx * f64::from(j);
+                    let t = f64::from(k);
+                    (R::new(base + j, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]), t)
+                })
+                .collect();
+        }
+        let plans = vec![
+            SessionPlan::new(slide_spec(SessionKind::Pdq, 8, 8.0))
+                .with_frame_delay(std::time::Duration::from_millis(2)),
+            SessionPlan::new(slide_spec(SessionKind::Pdq, 8, 8.0)).join_at(3),
+        ];
+        let per_frame = |o: &SessionOutput| -> Vec<_> {
+            o.frames.iter().map(|f| (f.frame, f.results, f.stats)).collect()
+        };
+        // What "once" costs session 0 over one region: a bare engine told
+        // of each batch as it lands, and of nothing in between.
+        let twin = build(RegionGrid::single(), &recs);
+        let mut tree = twin.regions[0].write();
+        let spec = &plans[0].spec;
+        let mut direct = PdqEngine::start(&*tree, spec.trajectory.clone());
+        let once: Vec<_> = (0..8)
+            .map(|k| {
+                let reports: Vec<_> = inserts[k]
+                    .iter()
+                    .map(|(rec, now)| tree.try_insert(*rec, *now).unwrap())
+                    .collect();
+                for report in &reports {
+                    direct.notify(&*tree, report);
+                }
+                let (t0, t1) = (spec.frame_times[k], spec.frame_times[k + 1]);
+                (k, direct.drain_window(&*tree, t0, t1).len(), direct.take_stats())
             })
             .collect();
-        assert_eq!(fanouts, vec![(3, 2); 4]);
-        assert_eq!(ep.mailboxes[0][0].take().len(), 12);
-        assert!(ep.mailboxes[1][0].take().is_empty(), "NPDQ sessions get no broadcast");
+        for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![5.0, 20.0])] {
+            let p = build(grid.clone(), &recs).serve_plans(&plans, &inserts);
+            let s = build(grid.clone(), &recs).serve_serial_plans(&plans, &inserts);
+            for (a, b) in p.sessions.iter().zip(&s.sessions) {
+                assert_eq!(a.outcome, SessionOutcome::Ok);
+                assert_eq!(a.results, b.results);
+                assert_eq!(per_frame(a), per_frame(b));
+                assert_eq!(a.queue_hwm, b.queue_hwm);
+            }
+            if grid.len() == 1 {
+                assert_eq!(per_frame(&p.sessions[0]), once);
+                assert_eq!(p.sessions[0].queue_hwm, direct.queue_hwm());
+            }
+            assert!(p.sessions[0].results.iter().any(|&(oid, _)| oid >= 4100));
+            assert!(p.sessions[1].results.iter().any(|&(oid, _)| oid >= 4000));
+        }
     }
 
     #[test]
@@ -2612,8 +2719,8 @@ mod tests {
             let server = build(grid, &line_records(30)).with_metrics(Arc::clone(&registry));
             server.serve(&specs, &inserts);
             let hwm = registry.gauge_value("service.mailbox_hwm");
-            assert!(hwm > 0, "PDQ broadcasts must land in mailboxes");
-            assert!(hwm <= 3, "mailbox hwm {hwm} exceeds the one-batch bound 3");
+            assert!(hwm > 0, "PDQ broadcasts must be published");
+            assert!(hwm <= 3, "broadcast hwm {hwm} exceeds the one-batch bound 3");
         }
     }
 }

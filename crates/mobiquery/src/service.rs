@@ -9,20 +9,19 @@
 //! ([`ServeReport`], [`SessionOutput`], [`FrameReport`],
 //! [`SessionOutcome`]), the per-frame streaming hook a network front
 //! door attaches ([`FrameSink`], [`FrameDelta`], [`SinkVerdict`]), and
-//! the bounded per-session mailbox the region writers broadcast
-//! [`rtree::InsertReport`]s into (the §4.1 update-management protocol;
-//! NPDQ sessions pick updates up through node timestamps, §4.2).
+//! [`NsiReport`], what a region's writer leaves for the PDQ lanes on its
+//! region after each frame's inserts (the §4.1 update-management
+//! protocol; NPDQ sessions pick updates up through node timestamps,
+//! §4.2).
 
 use crate::stats::QueryStats;
 use crate::trajectory::Trajectory;
-use parking_lot::Mutex;
 use rtree::{InsertReport, NsiSegmentRecord, Record};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use storage::StorageError;
 
-/// The insert report the writer broadcasts to PDQ sessions.
+/// The insert report a region's writer publishes for PDQ sessions.
 pub type NsiReport<const D: usize> =
     InsertReport<<NsiSegmentRecord<D> as Record>::Key, NsiSegmentRecord<D>>;
 
@@ -329,59 +328,6 @@ pub trait FrameSink: Sync {
     /// Consume one frame's delta; the verdict decides whether the
     /// session keeps running.
     fn on_frame(&self, delta: &FrameDelta<'_>) -> SinkVerdict;
-}
-
-/// A bounded per-session mailbox of broadcast insert reports.
-///
-/// The clock's flow control keeps the writer at most one frame ahead of
-/// every attached reader, so a mailbox never holds more than one
-/// frame's broadcast — the bound is a protocol invariant, not a drop
-/// policy (dropping would break determinism). Overflow is therefore a
-/// bug and asserts; the observed high-water mark is published as the
-/// `service.mailbox_hwm` gauge and re-checked by the `exp_service`
-/// reconciliation pass.
-pub(crate) struct Mailbox<T> {
-    inner: Mutex<Vec<T>>,
-    hwm: AtomicUsize,
-}
-
-impl<T: Clone> Mailbox<T> {
-    pub(crate) fn new() -> Self {
-        Mailbox {
-            inner: Mutex::new(Vec::new()),
-            hwm: AtomicUsize::new(0),
-        }
-    }
-
-    /// Append a frame's broadcast, asserting the one-batch bound `cap`
-    /// (the largest batch the run can broadcast).
-    pub(crate) fn push_all(&self, items: &[T], cap: usize) {
-        let mut q = self.inner.lock();
-        q.extend(items.iter().cloned());
-        assert!(
-            q.len() <= cap,
-            "mailbox overflow: {} queued reports exceed the one-batch bound {cap}",
-            q.len(),
-        );
-        self.hwm.fetch_max(q.len(), Ordering::Relaxed);
-    }
-
-    /// Drain everything queued.
-    pub(crate) fn take(&self) -> Vec<T> {
-        std::mem::take(&mut *self.inner.lock())
-    }
-
-    /// Deepest the mailbox ever got.
-    pub(crate) fn hwm(&self) -> usize {
-        self.hwm.load(Ordering::Relaxed)
-    }
-}
-
-/// The one-batch mailbox bound for a run: no broadcast can exceed the
-/// largest insert batch (a region broadcasts its routed slice, which
-/// can only be smaller).
-pub(crate) fn mailbox_bound<const D: usize>(inserts: &[Vec<(NsiSegmentRecord<D>, f64)>]) -> usize {
-    inserts.iter().map(Vec::len).max().unwrap_or(0)
 }
 
 /// Record a clock wait into the `service.clock_wait_ns` histogram —

@@ -1,12 +1,12 @@
 //! Property tests for the extension modules: joins vs brute force,
-//! aggregation vs pointwise counting, uncertainty contract.
+//! aggregation vs pointwise counting.
 
 use proptest::prelude::*;
 use rtree::bulk::bulk_load;
 use rtree::{NsiSegmentRecord, RTreeConfig};
 use std::collections::BTreeSet;
 use storage::Pager;
-use stkit::{within_distance, Interval, Rect, TimeSet};
+use stkit::{within_distance, Interval, TimeSet};
 
 type R = NsiSegmentRecord<2>;
 
@@ -86,44 +86,6 @@ proptest! {
             }
             let expected = sets.iter().filter(|s| s.contains(t)).count() as u32;
             prop_assert_eq!(profile.count_at(t), expected, "t={}", t);
-        }
-    }
-
-    #[test]
-    fn uncertainty_never_misses_possible_matches(rs in recs(60), eps in 0.0f64..4.0) {
-        let tree = bulk_load(Pager::new(), RTreeConfig::default(), rs.clone());
-        let q = mobiquery::SnapshotQuery::new(
-            Rect::from_corners([15.0, 15.0], [40.0, 40.0]),
-            Interval::new(2.0, 8.0),
-        );
-        let mut reported = BTreeSet::new();
-        let mut must = BTreeSet::new();
-        mobiquery::uncertain_query(&tree, &q, eps, |h| {
-            reported.insert(h.record.oid);
-            if h.containment == mobiquery::Containment::Must {
-                must.insert(h.record.oid);
-            }
-        });
-        // Contract 1: every exact match is reported.
-        for r in &rs {
-            if q.matches_segment(&r.seg) {
-                prop_assert!(reported.contains(&r.oid), "missed exact match {}", r.oid);
-            }
-        }
-        // Contract 2: Must ⊆ exact matches (a certainly-inside object is
-        // inside under zero error too).
-        for oid in &must {
-            let r = rs.iter().find(|r| r.oid == *oid).unwrap();
-            prop_assert!(q.matches_segment(&r.seg), "Must object {} not inside", oid);
-        }
-        // Contract 3: with eps = 0, reported == exact.
-        if eps == 0.0 {
-            let exact: BTreeSet<u32> = rs
-                .iter()
-                .filter(|r| q.matches_segment(&r.seg))
-                .map(|r| r.oid)
-                .collect();
-            prop_assert_eq!(reported, exact);
         }
     }
 }

@@ -66,13 +66,12 @@ pub enum TraceEvent {
         /// Whether the victim needed write-back.
         dirty: bool,
     },
-    /// A region writer broadcast a frame's insert reports to the PDQ
-    /// sessions attached to its region.
+    /// A region writer published a frame's insert reports on its region's
+    /// slate, where every PDQ lane on the region reads them in place
+    /// (nothing is sent per session).
     InsertBroadcast {
-        /// Reports in the region's routed slice.
+        /// Reports the region's routed slice produced.
         reports: u32,
-        /// PDQ mailboxes that received them.
-        sessions: u32,
     },
     /// A partitioned server routed a frame's insert batch to one region
     /// (records straddling a seam are counted once per receiving region).

@@ -5,7 +5,7 @@
 
 use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use stkit::{Interval, Rect, StBox};
-use storage::{BufferPool, Pager};
+use storage::{Pager, ShardedBufferPool};
 
 type R = NsiSegmentRecord<2>;
 
@@ -17,7 +17,7 @@ fn record(i: u32) -> R {
 
 #[test]
 fn level_reads_reconcile_with_pool_hits_plus_misses() {
-    let pool = BufferPool::new(Pager::new(), 32);
+    let pool = ShardedBufferPool::new(Pager::new(), 32, 1);
     let mut tree = RTree::new(pool, RTreeConfig::default());
     for i in 0..2000u32 {
         tree.insert(record(i), i as f64);

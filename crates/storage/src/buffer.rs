@@ -1,15 +1,15 @@
-//! LRU buffer pool over any [`PageStore`].
+//! One LRU domain of page frames: what each shard of
+//! [`crate::ShardedBufferPool`] is. The tests here pin the LRU itself
+//! through a one-shard pool.
 //!
 //! §4 of the paper argues that an LRU buffer at the server cannot replace
 //! dynamic-query processing: buffering happens per session and a server
-//! holding per-session buffers for many clients cannot scale. The pool
-//! exists so the `ablation_buffer` bench can quantify that argument — how
-//! much of the naive approach's repeated I/O an LRU of a given size
-//! actually absorbs, compared to the PDQ/NPDQ algorithms which need none.
+//! holding per-session buffers for many clients cannot scale. The
+//! `ablation_buffer` bench quantifies that argument — how much of the
+//! naive approach's repeated I/O an LRU of a given size actually absorbs,
+//! compared to the PDQ/NPDQ algorithms which need none.
 
-use crate::fault::{FaultRecovery, FaultRecoveryStats, RetryPolicy, StorageError};
-use crate::{make_mut_page, IoSnapshot, PageId, PageRef, PageStore};
-use parking_lot::Mutex;
+use crate::{make_mut_page, PageId, PageStore};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -44,8 +44,7 @@ impl Frame {
     }
 }
 
-/// One LRU domain: the whole pool for [`BufferPool`], one shard for
-/// [`crate::ShardedBufferPool`].
+/// One LRU domain: one shard of [`crate::ShardedBufferPool`].
 pub(crate) struct PoolState {
     pub(crate) frames: HashMap<PageId, Frame>,
     /// Most recently used page.
@@ -156,7 +155,7 @@ impl PoolState {
     }
 }
 
-/// Cache statistics reported by [`BufferPool::cache_stats`].
+/// Cache statistics reported by [`crate::ShardedBufferPool::cache_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Reads served from the pool.
@@ -179,190 +178,12 @@ impl CacheStats {
     }
 }
 
-/// A fixed-capacity LRU page cache in front of a [`PageStore`].
-///
-/// Write-back: dirty pages are flushed when evicted or on [`Self::flush`].
-/// Reads served from the pool do **not** touch the underlying device, so
-/// `io()` (which delegates to the device) reports only true disk accesses.
-pub struct BufferPool<S> {
-    inner: S,
-    capacity: usize,
-    state: Mutex<PoolState>,
-    recovery: FaultRecovery,
-}
-
-impl<S: PageStore> BufferPool<S> {
-    /// Wrap `inner` with an LRU cache holding up to `capacity` pages.
-    pub fn new(inner: S, capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer pool capacity must be positive");
-        BufferPool {
-            inner,
-            capacity,
-            state: Mutex::new(PoolState::empty()),
-            recovery: FaultRecovery::new(RetryPolicy::none()),
-        }
-    }
-
-    /// Retry transient device faults on miss fills per `policy` (the
-    /// default pool surfaces the first error). The retry loop — and its
-    /// backoff sleeps — runs with the pool lock *released*: a faulted
-    /// page must not stall every other reader of the pool for the full
-    /// backoff. After recovery the pool re-acquires and re-validates
-    /// (another thread may have filled the frame meanwhile).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.recovery = FaultRecovery::new(policy);
-        self
-    }
-
-    /// Snapshot of the retry/corruption counters.
-    pub fn fault_stats(&self) -> FaultRecoveryStats {
-        self.recovery.stats()
-    }
-
-    /// Mirror fault-recovery counters into `registry` as
-    /// `storage.retries`, `storage.corrupt_pages`, and the
-    /// `storage.retry_latency_ns` histogram (push-model: updated as
-    /// faults happen; the fault-free hot path never touches them).
-    pub fn attach_fault_metrics(&self, registry: &obs::MetricsRegistry) {
-        self.recovery.attach(registry);
-    }
-
-    /// Current cache statistics.
-    pub fn cache_stats(&self) -> CacheStats {
-        let st = self.state.lock();
-        CacheStats {
-            hits: st.hits,
-            misses: st.misses,
-            evictions: st.evictions,
-        }
-    }
-
-    /// Write all dirty pages back to the underlying store.
-    pub fn flush(&self) {
-        self.state.lock().flush_to(&self.inner);
-    }
-
-    /// Drop every cached page (flushing dirty ones) — used between bench
-    /// runs to measure cold-cache behaviour.
-    pub fn clear(&self) {
-        let mut st = self.state.lock();
-        st.flush_to(&self.inner);
-        st.reset();
-    }
-
-    /// Number of pages currently resident in the cache (≤ capacity).
-    pub fn resident_frames(&self) -> usize {
-        self.state.lock().frames.len()
-    }
-
-    /// Publish hit/miss/eviction/resident gauges into `registry` under
-    /// `{prefix}.…`. Pull-model: call at any measurement point; the hot
-    /// path never touches the registry.
-    pub fn publish_to(&self, registry: &obs::MetricsRegistry, prefix: &str) {
-        let st = self.state.lock();
-        registry.gauge(&format!("{prefix}.hits")).set(st.hits as i64);
-        registry
-            .gauge(&format!("{prefix}.misses"))
-            .set(st.misses as i64);
-        registry
-            .gauge(&format!("{prefix}.evictions"))
-            .set(st.evictions as i64);
-        registry
-            .gauge(&format!("{prefix}.resident"))
-            .set(st.frames.len() as i64);
-    }
-
-    /// Access the wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: PageStore> PageStore for BufferPool<S> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn try_read_page(&self, id: PageId) -> Result<PageRef, StorageError> {
-        let mut st = self.state.lock();
-        if st.frames.contains_key(&id) {
-            st.hits += 1;
-            st.touch(id);
-            return Ok(PageRef::from_arc(Arc::clone(&st.frames[&id].data)));
-        }
-        st.misses += 1;
-        // The miss fill shares the device's buffer: no copy on this path
-        // either. `evict_if_full` runs *before* the insert, so the
-        // resident count never exceeds `capacity`. The fault-free fill
-        // stays under the lock; the retry loop (and its backoff sleeps)
-        // runs with the lock *released* — see the cold branch.
-        let data = match self.inner.try_read_page(id) {
-            Ok(page) => page.into_arc(),
-            Err(first) => {
-                drop(st);
-                // Recover without the lock so other readers keep serving
-                // through the backoff. The miss above already paired with
-                // the one successful device read `recover` performs, so
-                // the misses == device-reads identity survives even if a
-                // concurrent reader filled the frame meanwhile (it counted
-                // its own miss and its own device read).
-                let data = self.recovery.recover(&self.inner, id, first)?.into_arc();
-                st = self.state.lock();
-                if let Some(frame) = st.frames.get(&id) {
-                    // Re-validate: a concurrent reader (or writer) beat us
-                    // to the frame while we slept. Its bytes are at least
-                    // as fresh as our device read — never clobber them
-                    // (the frame may hold an unflushed dirty write).
-                    let data = Arc::clone(&frame.data);
-                    st.touch(id);
-                    return Ok(PageRef::from_arc(data));
-                }
-                data
-            }
-        };
-        st.evict_if_full(&self.inner, self.capacity);
-        st.frames.insert(id, Frame::resident(Arc::clone(&data), false));
-        st.push_front(id);
-        Ok(PageRef::from_arc(data))
-    }
-
-    fn write(&self, id: PageId, data: &[u8]) {
-        assert!(data.len() <= self.page_size(), "page overflow");
-        let mut st = self.state.lock();
-        if st.frames.contains_key(&id) {
-            let size = self.page_size();
-            st.frames.get_mut(&id).unwrap().overwrite(data, size);
-            st.touch(id);
-            return;
-        }
-        st.evict_if_full(&self.inner, self.capacity);
-        let mut buf = vec![0u8; self.page_size()];
-        buf[..data.len()].copy_from_slice(data);
-        st.frames.insert(id, Frame::resident(buf.into(), true));
-        st.push_front(id);
-    }
-
-    fn try_alloc(&self) -> Result<PageId, StorageError> {
-        self.inner.try_alloc()
-    }
-
-    fn free(&self, id: PageId) {
-        self.state.lock().forget(id);
-        self.inner.free(id);
-    }
-
-    fn io(&self) -> IoSnapshot {
-        self.inner.io()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Pager;
+    use crate::{PageId, PageStore, Pager, ShardedBufferPool};
 
-    fn pool(cap: usize) -> BufferPool<Pager> {
-        BufferPool::new(Pager::with_page_size(32), cap)
+    fn pool(cap: usize) -> ShardedBufferPool<Pager> {
+        ShardedBufferPool::new(Pager::with_page_size(32), cap, 1)
     }
 
     #[test]
@@ -416,31 +237,6 @@ mod tests {
         p.read_page(b); // evicts a ⇒ must flush
         // Bypass the pool: the underlying pager must have the new bytes.
         assert_eq!(p.inner().read_page(a)[0], 42);
-    }
-
-    #[test]
-    fn flush_writes_all_dirty() {
-        let p = pool(8);
-        let ids: Vec<PageId> = (0..4).map(|_| p.alloc()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            p.write(*id, &[i as u8 + 1]);
-        }
-        p.flush();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(p.inner().read_page(*id)[0], i as u8 + 1);
-        }
-    }
-
-    #[test]
-    fn free_drops_cached_frame() {
-        let p = pool(4);
-        let a = p.alloc();
-        p.write(a, &[1]);
-        p.free(a);
-        let b = p.alloc(); // recycles the id
-        assert_eq!(b, a);
-        // Cached frame from the old life must not leak into the new page.
-        assert_eq!(*p.read_page(b), [0u8; 32]);
     }
 
     #[test]

@@ -535,7 +535,7 @@ impl FaultRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufferPool, Pager};
+    use crate::{Pager, ShardedBufferPool};
 
     #[test]
     fn quiet_plan_is_a_pass_through() {
@@ -652,7 +652,7 @@ mod tests {
         // 30% transient rate, 8 attempts: the pool's miss fill must always
         // succeed, and pool misses must still equal device reads.
         let plan = FaultPlan::transient(7, 0.3);
-        let pool = BufferPool::new(FaultyStore::new(Pager::with_page_size(32), plan), 2)
+        let pool = ShardedBufferPool::new(FaultyStore::new(Pager::with_page_size(32), plan), 2, 1)
             .with_retry(RetryPolicy {
                 max_attempts: 8,
                 base_backoff: Duration::ZERO,
@@ -678,7 +678,7 @@ mod tests {
     #[test]
     fn retry_metrics_reach_the_registry() {
         let plan = FaultPlan::transient(11, 0.5);
-        let pool = BufferPool::new(FaultyStore::new(Pager::with_page_size(32), plan), 1)
+        let pool = ShardedBufferPool::new(FaultyStore::new(Pager::with_page_size(32), plan), 1, 1)
             .with_retry(RetryPolicy {
                 max_attempts: 10,
                 base_backoff: Duration::ZERO,

@@ -7,13 +7,12 @@
 //! * [`Pager`] — an in-memory simulated disk of fixed-size pages with a
 //!   free-list allocator and atomic I/O counters. Every
 //!   [`PageStore::read_page`] is one simulated disk access.
-//! * [`BufferPool`] — an LRU page cache layered over any [`PageStore`].
-//!   The paper argues (§4) that per-session server-side buffering is not a
-//!   substitute for dynamic-query processing; the pool exists so the bench
-//!   suite can test that claim (`ablation_buffer`).
-//! * [`ShardedBufferPool`] — the same cache split into independently
-//!   locked shards, for the concurrent query service where many sessions
-//!   read one shared tree.
+//! * [`ShardedBufferPool`] — an LRU page cache layered over any
+//!   [`PageStore`], split into independently locked shards for the
+//!   concurrent query service where many sessions read one shared tree;
+//!   one shard is the plain LRU. The paper argues (§4) that per-session
+//!   server-side buffering is not a substitute for dynamic-query
+//!   processing; the bench suite tests that claim (`ablation_buffer`).
 //! * [`IoStats`] — cheap, thread-safe counters snapshotted by the query
 //!   engines before/after each query to report per-query page accesses.
 //!
@@ -29,7 +28,7 @@ pub mod snapshotfile;
 pub mod stats;
 pub mod wal;
 
-pub use buffer::{BufferPool, CacheStats};
+pub use buffer::CacheStats;
 pub use fault::{
     ChecksumStore, FaultPlan, FaultRecoveryStats, FaultyStore, InjectedFaults, RetryPolicy,
     StorageError,
@@ -102,7 +101,7 @@ pub(crate) fn make_mut_page(page: &mut Arc<[u8]>, page_size: usize) -> &mut [u8]
 /// Abstraction over a page-granular storage device.
 ///
 /// Implemented by the raw simulated disk ([`Pager`]) and by the LRU cache
-/// ([`BufferPool`]). All methods take `&self`; implementations use interior
+/// ([`ShardedBufferPool`]). All methods take `&self`; implementations use interior
 /// mutability so a single store can be shared by an index and several
 /// concurrent readers.
 pub trait PageStore {

@@ -1,12 +1,13 @@
 //! Sharded LRU buffer pool for concurrent serving.
 //!
-//! [`crate::BufferPool`] serializes every page access behind one mutex —
-//! fine for single-session benches, a bottleneck when a server runs many
-//! query sessions over one shared tree. [`ShardedBufferPool`] routes each
-//! page to one of N independent LRU shards by a multiplicative hash of
-//! its [`PageId`], so concurrent readers of different pages contend only
-//! on their shard's lock. Capacity and the hit/miss/eviction counters are
-//! per shard; [`ShardedBufferPool::cache_stats`] aggregates them.
+//! One LRU behind one mutex serializes every page access — fine for
+//! single-session benches (ask for one shard), a bottleneck when a server
+//! runs many query sessions over one shared tree. [`ShardedBufferPool`]
+//! routes each page to one of N independent LRU shards by a
+//! multiplicative hash of its [`PageId`], so concurrent readers of
+//! different pages contend only on their shard's lock. Capacity and the
+//! hit/miss/eviction counters are per shard;
+//! [`ShardedBufferPool::cache_stats`] aggregates them.
 
 use crate::buffer::{CacheStats, Frame, PoolState};
 use crate::fault::{FaultRecovery, FaultRecoveryStats, RetryPolicy, StorageError};
@@ -18,8 +19,10 @@ use std::sync::Arc;
 /// A fixed-capacity LRU page cache split into independently locked
 /// shards, in front of any [`PageStore`].
 ///
-/// Write-back, like [`crate::BufferPool`]: dirty pages are flushed when
-/// evicted or on [`Self::flush`]. Total capacity is divided evenly among
+/// Write-back: dirty pages are flushed when evicted or on
+/// [`Self::flush`]. Reads served from the pool do **not** touch the
+/// underlying device, so `io()` (which delegates to the device) reports
+/// only true disk accesses. Total capacity is divided evenly among
 /// shards (rounded up), so a pathological workload hammering one shard
 /// sees roughly `capacity / shards` frames, not zero.
 pub struct ShardedBufferPool<S> {

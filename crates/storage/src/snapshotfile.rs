@@ -70,19 +70,6 @@ impl SnapshotSource for Pager {
     }
 }
 
-impl<S: SnapshotSource> SnapshotSource for crate::BufferPool<S> {
-    fn prepare_snapshot(&self) {
-        self.flush();
-        self.inner().prepare_snapshot();
-    }
-    fn snapshot_live_ids(&self) -> Vec<PageId> {
-        self.inner().snapshot_live_ids()
-    }
-    fn snapshot_free_list(&self) -> Vec<u32> {
-        self.inner().snapshot_free_list()
-    }
-}
-
 impl<S: SnapshotSource> SnapshotSource for crate::ShardedBufferPool<S> {
     fn prepare_snapshot(&self) {
         self.flush();
@@ -348,9 +335,10 @@ mod tests {
 
     #[test]
     fn snapshot_through_a_pool_stack_flushes_first() {
-        // save_pager through BufferPool<ChecksumStore<Pager>> must flush
+        // save_pager through a pool over ChecksumStore<Pager> must flush
         // the dirty frame before reading the device.
-        let pool = crate::BufferPool::new(crate::ChecksumStore::new(Pager::with_page_size(32)), 4);
+        let pool =
+            crate::ShardedBufferPool::new(crate::ChecksumStore::new(Pager::with_page_size(32)), 4, 1);
         let a = pool.alloc();
         pool.write(a, b"pooled"); // dirty in the pool, not yet on device
         let mut buf = Vec::new();

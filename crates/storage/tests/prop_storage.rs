@@ -3,7 +3,7 @@
 //! allocator never hands out a live page twice.
 
 use proptest::prelude::*;
-use storage::{BufferPool, PageStore, Pager};
+use storage::{PageStore, Pager, ShardedBufferPool};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn buffer_pool_equivalent_to_pager(ops in proptest::collection::vec(op(), 1..120), cap in 1usize..16) {
         let raw = Pager::with_page_size(64);
-        let pool = BufferPool::new(Pager::with_page_size(64), cap);
+        let pool = ShardedBufferPool::new(Pager::with_page_size(64), cap, 1);
         let mut raw_pages = Vec::new();
         let mut pool_pages = Vec::new();
         for op in &ops {
@@ -97,7 +97,7 @@ proptest! {
         // Sequential cyclic scans: with cap ≥ n_pages everything after the
         // first round hits; with cap < n_pages an LRU on a cyclic scan
         // always misses.
-        let pool = BufferPool::new(Pager::with_page_size(32), cap);
+        let pool = ShardedBufferPool::new(Pager::with_page_size(32), cap, 1);
         let pages: Vec<_> = (0..n_pages).map(|_| pool.alloc()).collect();
         for p in &pages {
             pool.write(*p, &[1]);

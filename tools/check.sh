@@ -23,7 +23,10 @@
 # a rebuild that goes back to inserting fails it. The smoke output goes
 # to target/figures/ and never clobbers the committed
 # BENCH_read_path.json baseline. It then runs benchmarks/smoke.sh
-# (every dqbench workload at 1/20 size, schema and correctness, no timing).
+# (every dqbench workload at 1/20 size, schema and correctness, no
+# timing) and dqbench's own unit tests, in the release build the smoke
+# just made — one of them holds BENCHMARK.json to the in-code metric and
+# workload tables, and nothing else in this gate runs it.
 #
 # --obs-smoke runs the observability reconciliation end to end: a small
 # exp_service sweep (whose hard asserts check tree level counters ==
@@ -141,7 +144,8 @@ for label, floor, what in [
     print(f"OK: {label} speedup {r:.2f}x (floor {floor:.1f}x).")
 PY
   benchmarks/smoke.sh > target/figures/dqbench_smoke.txt
-  echo "OK: dqbench builds against the workspace crates and its smoke run is correct on every workload."
+  cargo test --release --offline --quiet --manifest-path benchmarks/dqbench/Cargo.toml
+  echo "OK: dqbench builds against the workspace crates, its smoke run is correct on every workload, and its unit tests pass."
 fi
 
 if [ "$OBS_SMOKE" = 1 ]; then
