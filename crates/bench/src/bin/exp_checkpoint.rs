@@ -10,7 +10,7 @@
 //!
 //! The figure is the ratio of the two medians. A checkpoint that reads
 //! the index (the tree scan this replaced) sits near 4; the fold sits
-//! near 1. The binary fails above 2.0, which `tools/check.sh --wal-smoke`
+//! near 1. The binary fails above 2.0, which `tools/check.sh --only wal`
 //! relies on — a ratio of two runs on one machine, so it is portable
 //! where the absolute times are not.
 

@@ -17,7 +17,7 @@
 //!   frames/s and deliver bit-identical results. Identical layouts
 //!   mean the ratio isolates eviction fallout from plain added load.
 //!
-//! `tools/check.sh --net-smoke` re-checks the emitted JSON: aggregate
+//! `tools/check.sh --only net` re-checks the emitted JSON: aggregate
 //! healthy fps ratio >= 0.9, evictions == 2, p99 under the ceiling.
 //!
 //! The front door adds no pacing of its own (every hand-off is a

@@ -11,7 +11,7 @@
 //! Under the old barrier every session would finish at the straggler's
 //! pace. Under the clocks, only region 0's writer waits for the slow
 //! permit; sessions 1–3 must keep their frames/s within a whisker of the
-//! clean run. `tools/check.sh --clock-smoke` enforces the bound
+//! clean run. `tools/check.sh --only clock` enforces the bound
 //! (non-stalled frames/s ratio >= 0.9) from the emitted JSON.
 //!
 //! Knobs: `DQ_STRAGGLER_FRAMES` (default 30), `DQ_STRAGGLER_DELAY_MS`

@@ -198,9 +198,9 @@ impl FrameClock {
         }
     }
 
-    /// Session `i` is done with this region (schedule finished, epoch
-    /// handed off is *not* a detach — only failure or end-of-life is):
-    /// writers stop waiting on it everywhere, immediately. Idempotent.
+    /// Session `i` is done with this region (the end of an epoch is
+    /// *not* a detach — only failure or end-of-life is): writers stop
+    /// waiting on it everywhere, immediately. Idempotent.
     pub fn detach(&self, i: usize) {
         self.live.mark_dead(i);
         // Take the lock so a writer mid-predicate-check cannot miss the
@@ -231,27 +231,6 @@ impl FrameClock {
         }
         let started = Instant::now();
         while !ready(&inner) {
-            self.cv.wait(&mut inner);
-        }
-        started.elapsed().as_nanos() as u64
-    }
-
-    /// Epoch-handoff coordinator: block until every live attached
-    /// session has fully consumed its window on this region (acked past
-    /// its last frame) — after which no reader will ever touch this
-    /// region's tree again and it can be retired. Returns nanoseconds
-    /// spent waiting.
-    pub fn wait_drained(&self) -> u64 {
-        let mut inner = self.inner.lock();
-        let drained = |inner: &ClockInner| {
-            self.attached()
-                .all(|(i, (_, last))| inner.acks[i] > last + 1)
-        };
-        if drained(&inner) {
-            return 0;
-        }
-        let started = Instant::now();
-        while !drained(&inner) {
             self.cv.wait(&mut inner);
         }
         started.elapsed().as_nanos() as u64
@@ -350,18 +329,6 @@ mod tests {
             writer.join().unwrap();
         });
         assert_eq!(durable.watermarks().0, 1);
-    }
-
-    #[test]
-    fn drained_means_every_window_fully_acked() {
-        let (clock, _) = clock(vec![Some((0, 1)), None], false);
-        clock.ack(0, 2); // consumed frame 0, still owes frame 1
-        std::thread::scope(|scope| {
-            let coord = scope.spawn(|| clock.wait_drained());
-            std::thread::sleep(Duration::from_millis(10));
-            clock.ack(0, 3); // consumed frame 1 == window end
-            coord.join().unwrap();
-        });
     }
 
     #[test]

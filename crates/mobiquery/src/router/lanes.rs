@@ -1,0 +1,565 @@
+//! The lane state machine: one session's engines — one per region its
+//! trajectory sweeps — and the seam merge that folds their streams back
+//! into one. No threads and no clocks live here: both serve paths drive
+//! a [`LaneRun`] through the same three calls ([`LaneRun::enter`] at the
+//! session's first frame of an epoch, [`LaneRun::step`] per frame,
+//! [`LaneRun::finish`] once), and [`Slate`] is how a region's writer
+//! hands a frame's insert reports to the PDQ lanes on it.
+//!
+//! What an NPDQ lane re-reports. Each frame runs
+//! `SnapshotQuery::at_instant(window(t_k), t_k)` through its lane's
+//! [`NpdqEngine`], which suppresses a matching record iff the previous
+//! query matched it too *and* the leaf holding it is unmodified since
+//! that query ran (§4.2's timestamp rule). So a still-visible object
+//! repeats in frame `k` exactly when an insert touched its leaf since
+//! frame `k - 1`: *which* objects repeat is the tree's shape, not a
+//! property of the query. What every layout guarantees is the bracket
+//! `npdq_frames_are_bracketed_by_naive_snapshots` pins — nothing outside
+//! the snapshot at `t_k`, everything in it that the snapshot at
+//! `t_{k-1}` did not hold.
+//!
+//! Why `service.npdq.discarded` is 0 on this path by construction, not
+//! by measurement: over an NSI key an instant query's time extent is
+//! the point `{t_k}`, so for every node `R` that overlaps `Q` the time
+//! extent of `Q ∩ R` is `{t_k}` as well, and the previous query's
+//! `P = {t_{k-1}}` cannot contain it (`KeyBatch::solve` asks
+//! `p_lo <= t_k <= p_hi`). Lemma 1, `(Q ∩ R) ⊆ P`, therefore never
+//! fires for an overlapping node; discarding needs a query with a time
+//! *extent* (`open_from`, or the double-temporal-axes layout).
+
+use super::RegionTree;
+use crate::npdq::NpdqEngine;
+use crate::pdq::{PdqEngine, PdqResult};
+use crate::layout::MotionRecord;
+use crate::region::RegionGrid;
+use crate::service::{
+    panic_message, FrameReport, NsiReport, SessionKind, SessionOutcome, SessionOutput, SessionSpec,
+};
+use crate::snapshot::SnapshotQuery;
+use crate::stats::QueryStats;
+use parking_lot::RwLock;
+use rtree::NsiSegmentRecord;
+use std::collections::HashSet;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+use std::time::Instant;
+use storage::{PageStore, StorageError};
+
+/// One lane's engine: the session's algorithm instantiated against one
+/// region's tree.
+enum LaneEngine<const D: usize> {
+    Pdq(Box<PdqEngine<D>>),
+    Npdq(Box<NpdqEngine<D>>),
+}
+
+/// One session's in-flight state: an engine per swept region, plus the
+/// merge/dedup state that folds lane streams back into one. It outlives
+/// its engines: a recut replaces them ([`Self::enter`]), the delivered
+/// set and the output carry on.
+pub(super) struct LaneRun<'a, const D: usize> {
+    index: usize,
+    spec: &'a SessionSpec<D>,
+    /// Contiguous region indices this session's trajectory sweeps.
+    lanes: Range<usize>,
+    engines: Vec<LaneEngine<D>>,
+    /// PDQ cross-frame dedup: seam replicas deliver in the same frame in
+    /// every lane (frame assignment depends only on overlap start), but
+    /// the set keeps exactly-once robust without leaning on that. It
+    /// also carries exactly-once across an epoch handoff, where fresh
+    /// engines re-see everything still visible.
+    delivered: HashSet<(u32, u32)>,
+    pub(super) out: SessionOutput,
+    /// Node reads attributed per region (for the per-region identity),
+    /// collected by the driver at the end of each epoch.
+    region_reads: Vec<u64>,
+    scratch: Vec<PdqResult<D>>,
+    merge_pdq: Vec<(f64, u32, u32)>,
+    merge_npdq: Vec<(u32, u32)>,
+    /// When the engines first came up; `out.wall_ns` counts from here.
+    started: Option<Instant>,
+}
+
+impl<'a, const D: usize> LaneRun<'a, D> {
+    /// A session before its first frame: no lanes, no engines. One that
+    /// is never scheduled finishes as the default output.
+    pub(super) fn idle(index: usize, spec: &'a SessionSpec<D>) -> Self {
+        LaneRun {
+            index,
+            spec,
+            lanes: 0..0,
+            engines: Vec::new(),
+            delivered: HashSet::new(),
+            out: SessionOutput::default(),
+            region_reads: Vec::new(),
+            scratch: Vec::new(),
+            merge_pdq: Vec::new(),
+            merge_npdq: Vec::new(),
+            started: None,
+        }
+    }
+
+    /// Whether the session can still take frames (a failed one keeps its
+    /// results so far and is never entered or stepped again).
+    pub(super) fn alive(&self) -> bool {
+        !matches!(self.out.outcome, SessionOutcome::Failed(_))
+    }
+
+    /// Route this session under `grid` and build an engine per lane —
+    /// at its first frame, and again after every recut: the dying
+    /// engines' high-water marks fold into the output, the delivered set
+    /// and accumulated results survive, so objects the new engines
+    /// re-discover (anything still visible) are suppressed and delivery
+    /// stays exactly-once across the handoff.
+    ///
+    /// `trees[r]` is region `r`'s tree behind the lock its writer takes.
+    /// The region's `FrameClock` alternates that writer with its
+    /// readers, so a lane's read lock never waits; every method here
+    /// holds it for one lane's engine work and never across a clock call.
+    fn rebuild<S: PageStore>(&mut self, grid: &RegionGrid, trees: &[RegionTree<D, S>]) {
+        self.fold_engine_marks();
+        self.lanes = grid.route_rect(&self.spec.trajectory.swept_bounds());
+        self.engines = Self::engines_for(self.spec, self.lanes.clone(), trees);
+        self.region_reads = vec![0; trees.len()];
+    }
+
+    /// [`Self::rebuild`], contained: a panic building the engines fails
+    /// this session and nobody else. Returns [`Self::alive`].
+    pub(super) fn enter<S: PageStore>(&mut self, grid: &RegionGrid, trees: &[RegionTree<D, S>]) -> bool {
+        self.started.get_or_insert_with(Instant::now);
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| self.rebuild(grid, trees))) {
+            self.out.outcome = SessionOutcome::Failed(panic_message(p));
+        }
+        self.alive()
+    }
+
+    /// [`Self::step_frame`], contained: a storage error degrades the
+    /// session, a panic fails it with its results so far kept. Only the
+    /// engine work is inside — the callers' clock calls stay outside, so
+    /// a caught panic cannot corrupt the frame protocol. Returns
+    /// [`Self::alive`].
+    pub(super) fn step<S: PageStore>(
+        &mut self,
+        trees: &[RegionTree<D, S>],
+        slates: &[RwLock<Slate<D>>],
+        k: usize,
+        drain_hist: &Option<Arc<obs::Histogram>>,
+    ) -> bool {
+        match catch_unwind(AssertUnwindSafe(|| self.step_frame(trees, slates, k))) {
+            Ok(Ok(Some(ns))) => {
+                if let Some(h) = drain_hist {
+                    h.record(ns);
+                }
+            }
+            Ok(Ok(None)) => {}
+            Ok(Err(e)) => self.out.outcome.record_error(e),
+            Err(p) => self.out.outcome = SessionOutcome::Failed(panic_message(p)),
+        }
+        self.alive()
+    }
+
+    /// One engine per lane, each built against its region's tree.
+    fn engines_for<S: PageStore>(
+        spec: &SessionSpec<D>,
+        lanes: Range<usize>,
+        trees: &[RegionTree<D, S>],
+    ) -> Vec<LaneEngine<D>> {
+        lanes
+            .map(|r| match spec.kind {
+                SessionKind::Pdq => LaneEngine::Pdq(Box::new(PdqEngine::start(
+                    &*trees[r].read(),
+                    spec.trajectory.clone(),
+                ))),
+                SessionKind::Npdq => LaneEngine::Npdq(Box::new(NpdqEngine::new())),
+            })
+            .collect()
+    }
+
+    /// Fold the current engines' high-water marks into the output, before
+    /// they are replaced or dropped.
+    fn fold_engine_marks(&mut self) {
+        for engine in &self.engines {
+            match engine {
+                LaneEngine::Pdq(pdq) => {
+                    self.out.queue_hwm = self.out.queue_hwm.max(pdq.queue_hwm());
+                }
+                LaneEngine::Npdq(npdq) => {
+                    self.out.discarded_subtrees += npdq.discarded_subtrees();
+                }
+            }
+        }
+    }
+
+    /// Hand the per-region read attribution to `add` and zero it (the
+    /// region count changes across epochs, so each epoch's driver
+    /// collects it before the handoff).
+    pub(super) fn flush_loads(&mut self, mut add: impl FnMut(usize, u64)) {
+        for (r, c) in self.region_reads.iter_mut().enumerate() {
+            if *c > 0 {
+                add(r, *c);
+                *c = 0;
+            }
+        }
+    }
+
+    /// Process global frame `k` across every lane: a PDQ lane on region
+    /// `r` absorbs `slates[r]`'s reports where they lie, if they are frame
+    /// `k`'s (see [`Slate`]); then drain/execute in-schedule frames and
+    /// merge. Only the first lane error is returned (lanes
+    /// process in ascending region order, so the choice is
+    /// deterministic). On `Err` the frame is still reported (with
+    /// whatever results and stats it produced before the fault) and the
+    /// engines stay valid: PDQ keeps the failed node queued for the next
+    /// drain, NPDQ keeps its discard baseline at the last *completed*
+    /// query, so a later frame re-derives anything the failed one missed
+    /// — degraded sessions lose latency, not results.
+    fn step_frame<S: PageStore>(
+        &mut self,
+        trees: &[RegionTree<D, S>],
+        slates: &[RwLock<Slate<D>>],
+        k: usize,
+    ) -> Result<Option<u64>, StorageError> {
+        let in_schedule = match self.spec.kind {
+            SessionKind::Pdq => k + 1 < self.spec.frame_times.len(),
+            SessionKind::Npdq => k < self.spec.frame_times.len(),
+        };
+        if in_schedule {
+            obs::trace(obs::TraceEvent::FrameStart {
+                session: self.index as u32,
+                frame: k as u32,
+            });
+        }
+        let before_results = self.out.results.len();
+        let started = Instant::now();
+        let mut frame_stats = QueryStats::default();
+        let mut first_err: Option<StorageError> = None;
+        self.merge_pdq.clear();
+        self.merge_npdq.clear();
+        for (li, r) in self.lanes.clone().enumerate() {
+            let tree = &*trees[r].read();
+            match &mut self.engines[li] {
+                LaneEngine::Pdq(pdq) => {
+                    for report in slates[r].read().reports_of(r, k) {
+                        pdq.notify(tree, report);
+                    }
+                    if in_schedule {
+                        let (t0, t1) = (self.spec.frame_times[k], self.spec.frame_times[k + 1]);
+                        self.scratch.clear();
+                        let res = pdq.try_drain_window_into(tree, t0, t1, &mut self.scratch);
+                        for pr in &self.scratch {
+                            self.merge_pdq.push((
+                                pr.visibility.start().unwrap_or(f64::NEG_INFINITY),
+                                pr.record.oid,
+                                pr.record.seq,
+                            ));
+                        }
+                        if let Err(e) = res {
+                            first_err.get_or_insert(e);
+                        }
+                    }
+                    let st = pdq.take_stats();
+                    frame_stats += st;
+                    self.region_reads[r] += st.disk_accesses;
+                }
+                LaneEngine::Npdq(npdq) => {
+                    if in_schedule {
+                        let t = self.spec.frame_times[k];
+                        let q = SnapshotQuery::at_instant(self.spec.trajectory.window_at(t), t);
+                        let mark = self.merge_npdq.len();
+                        let merge = &mut self.merge_npdq;
+                        match npdq.try_execute(tree, &q, t, |rec: &NsiSegmentRecord<D>| {
+                            merge.push(rec.ids());
+                        }) {
+                            Ok(st) => {
+                                frame_stats += st;
+                                self.region_reads[r] += st.disk_accesses;
+                            }
+                            Err(e) => {
+                                // A failed lane contributes nothing.
+                                self.merge_npdq.truncate(mark);
+                                first_err.get_or_insert(e);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The seam merge. PDQ: order by the queue's own priority keys —
+        // (visibility start, then object identity) — and deliver each
+        // object once ever; a straddler drained by two lanes ties on the
+        // full key, so which copy survives is immaterial. NPDQ: snapshot
+        // per frame, ordered and deduplicated by identity within the
+        // frame only.
+        match self.spec.kind {
+            SessionKind::Pdq => {
+                self.merge_pdq.sort_unstable_by(|a, b| {
+                    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+                });
+                for &(_, oid, seq) in &self.merge_pdq {
+                    if self.delivered.insert((oid, seq)) {
+                        self.out.results.push((oid, seq));
+                    }
+                }
+            }
+            SessionKind::Npdq => {
+                self.merge_npdq.sort_unstable();
+                self.merge_npdq.dedup();
+                self.out.results.extend(self.merge_npdq.iter().copied());
+            }
+        }
+        let latency_ns = started.elapsed().as_nanos() as u64;
+        self.out.stats += frame_stats;
+        if !in_schedule {
+            return match first_err {
+                Some(e) => Err(e),
+                None => Ok(None),
+            };
+        }
+        let results = self.out.results.len() - before_results;
+        self.out.frames.push(FrameReport {
+            frame: k,
+            results,
+            latency_ns,
+            stats: frame_stats,
+        });
+        obs::trace(obs::TraceEvent::FrameEnd {
+            session: self.index as u32,
+            frame: k as u32,
+            results: results as u32,
+            latency_ns,
+        });
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(Some(latency_ns)),
+        }
+    }
+
+    /// The session stopped taking frames: its wall time ends here.
+    pub(super) fn stamp(&mut self) {
+        if let Some(s) = self.started {
+            self.out.wall_ns = s.elapsed().as_nanos() as u64;
+        }
+    }
+
+    pub(super) fn finish(mut self) -> SessionOutput {
+        self.fold_engine_marks();
+        self.out
+    }
+}
+
+/// What a region's writer last broadcast: the frame whose routed slice
+/// it applied and the [`rtree::InsertReport`]s those inserts produced —
+/// §4.1's notification of running PDQs. There is one per region per
+/// epoch, written once a frame by the region's writer and read where it
+/// lies by every PDQ lane on the region; nothing is copied per session.
+///
+/// One slot is enough because the region's `FrameClock` alternates the
+/// writer with its readers: `wait_ready(k)` holds batch `k` back until
+/// every live attached session has finished frame `k - 1`, and a session
+/// reads frame `k` only once `applied` covers it. So while anyone reads
+/// frame `k` the slate holds frame `k` or — the region's slice of batch
+/// `k` was empty, or its writer has failed — an older one, which that
+/// reader has already absorbed or joined after, and skips.
+#[derive(Default)]
+pub(super) struct Slate<const D: usize> {
+    /// Frame of the last non-empty slice applied (`None`: none yet).
+    pub(super) frame: Option<usize>,
+    pub(super) reports: Vec<NsiReport<D>>,
+    /// Most reports ever published at once.
+    pub(super) hwm: usize,
+}
+
+impl<const D: usize> Slate<D> {
+    /// Writer side, after the tree's write lock dropped: frame `k`'s
+    /// reports replace the previous frame's, whose buffer goes back to the
+    /// caller for the next batch.
+    pub(super) fn publish(&mut self, k: usize, reports: &mut Vec<NsiReport<D>>) {
+        std::mem::swap(&mut self.reports, reports);
+        self.frame = Some(k);
+        self.hwm = self.hwm.max(self.reports.len());
+        obs::trace(obs::TraceEvent::InsertBroadcast {
+            reports: self.reports.len() as u32,
+        });
+    }
+
+    /// Reader side: what a session at frame `k` must absorb from region
+    /// `r` — this slate's reports if they are frame `k`'s, else nothing.
+    /// A slate ahead of its reader means the clock let the writer overrun
+    /// it: a protocol violation, which fails the session that sees it.
+    fn reports_of(&self, r: usize, k: usize) -> &[NsiReport<D>] {
+        assert!(
+            self.frame <= Some(k),
+            "region {r}'s slate holds frame {:?} while a session reads frame {k}: \
+             the writer overran an attached reader",
+            self.frame,
+        );
+        if self.frame == Some(k) {
+            &self.reports
+        } else {
+            &[]
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::router::tests::*;
+    use crate::router::RecutPlan;
+    use crate::service::SessionPlan;
+    use rtree::{RTree, RTreeConfig};
+    use stkit::Interval;
+    use storage::Pager;
+
+    #[test]
+    fn npdq_frames_are_bracketed_by_naive_snapshots() {
+        // The oracle chain's NPDQ end, over trees that were packed and
+        // then served: with live inserts, and with one mid-run recut that
+        // packs again. A frame may repeat a still-visible object (which
+        // ones is the tree's shape), so the brute-force bracket is: it
+        // reports nothing outside the snapshot at `t_k`, and everything
+        // in it that the snapshot at `t_{k-1}` did not hold.
+        let recs = line_records(40);
+        let spec = slide_spec(SessionKind::Npdq, 80, 40.0);
+        let inserts = ahead_inserts(80, 2, 40.0, 1000);
+        let plans = vec![SessionPlan::new(spec.clone())];
+        let mut resident = recs.clone();
+        let snapshots: Vec<Vec<(u32, u32)>> = spec
+            .frame_times
+            .iter()
+            .enumerate()
+            .map(|(k, &t)| {
+                resident.extend(inserts.get(k).into_iter().flatten().map(|(r, _)| *r));
+                let q = SnapshotQuery::at_instant(spec.trajectory.window_at(t), t);
+                let mut set: Vec<_> = resident
+                    .iter()
+                    .filter(|r| q.matches_segment(&r.seg))
+                    .map(R::ids)
+                    .collect();
+                set.sort_unstable();
+                set
+            })
+            .collect();
+        assert!(snapshots.windows(2).any(|w| w[1].iter().any(|id| w[0].contains(id))));
+        for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![10.0, 25.0])] {
+            for recuts in [vec![], vec![RecutPlan::new(40, 2)]] {
+                let mut server = build(grid.clone(), &recs);
+                let out = server.serve_plans_with_recuts(&plans, &inserts, &recuts, |_| {
+                    RTree::new(Pager::new(), RTreeConfig::default())
+                });
+                let frames = frame_sets(&out.sessions[0]);
+                assert_eq!(frames.len(), snapshots.len());
+                for (k, got) in frames.iter().enumerate() {
+                    let now = &snapshots[k];
+                    assert!(
+                        got.iter().all(|id| now.contains(id)),
+                        "frame {k} reported outside its snapshot: {got:?} vs {now:?}"
+                    );
+                    let fresh = now
+                        .iter()
+                        .filter(|id| k == 0 || !snapshots[k - 1].contains(id));
+                    for id in fresh {
+                        assert!(got.contains(id), "frame {k} missed newly visible {id:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slate_is_absorbed_only_at_its_own_frame() {
+        // The reader's half: the window reaches x = 5.5 in frame 2; an
+        // object dropped there after frame 0 expanded the (single-leaf)
+        // tree is delivered iff the engine is notified of it.
+        let late = R::new(900, 0, Interval::new(0.0, 100.0), [5.5, 0.5], [5.5, 0.5]);
+        let run = |stamp: Option<usize>| {
+            let server = build(RegionGrid::single(), &line_records(10));
+            let spec = slide_spec(SessionKind::Pdq, 4, 8.0);
+            let mut lanes = LaneRun::idle(0, &spec);
+            lanes.enter(&server.grid, &server.regions);
+            let slates = [RwLock::new(Slate::default())];
+            lanes.step_frame(&server.regions, &slates, 0).unwrap();
+            let report = server.regions[0].write().try_insert(late, 2.0).unwrap();
+            *slates[0].write() = Slate {
+                frame: stamp,
+                reports: vec![report],
+                hwm: 1,
+            };
+            for k in 1..4 {
+                lanes.step_frame(&server.regions, &slates, k).unwrap();
+            }
+            lanes.finish().results
+        };
+        assert!(run(Some(1)).contains(&late.ids()), "frame 1's slate reaches frame 1");
+        assert!(!run(Some(0)).contains(&late.ids()), "a stale slate notifies nothing");
+        assert!(!run(None).contains(&late.ids()), "a blank slate notifies nothing");
+        let ahead = catch_unwind(AssertUnwindSafe(|| run(Some(2)))).map_err(panic_message);
+        assert!(
+            matches!(&ahead, Err(m) if m.contains("the writer overran an attached reader")),
+            "a slate ahead of its reader is a protocol violation: {ahead:?}"
+        );
+    }
+
+    #[test]
+    fn stale_slates_are_skipped_by_lagging_and_joining_sessions() {
+        // Batches land at frames 0 and 5 only, so in between every slate
+        // keeps frame 0 while a slow session walks frames 1-4 over it and
+        // another joins at frame 3. Absorbing it again would re-enqueue
+        // objects not yet delivered: it shows in the per-frame stats and
+        // the queue's high-water mark first.
+        let recs = line_records(30);
+        let mut inserts = vec![Vec::new(); 8];
+        for (k, base, x0, dx) in [(0u32, 4000u32, 2.25, 1.0), (5, 4100, 6.6, 0.5)] {
+            inserts[k as usize] = (0..6)
+                .map(|j| {
+                    let x = x0 + dx * f64::from(j);
+                    let t = f64::from(k);
+                    (R::new(base + j, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]), t)
+                })
+                .collect();
+        }
+        let plans = vec![
+            SessionPlan::new(slide_spec(SessionKind::Pdq, 8, 8.0))
+                .with_frame_delay(std::time::Duration::from_millis(2)),
+            SessionPlan::new(slide_spec(SessionKind::Pdq, 8, 8.0)).join_at(3),
+        ];
+        let per_frame = |o: &SessionOutput| -> Vec<_> {
+            o.frames.iter().map(|f| (f.frame, f.results, f.stats)).collect()
+        };
+        // What "once" costs session 0 over one region: a bare engine told
+        // of each batch as it lands, and of nothing in between.
+        let twin = build(RegionGrid::single(), &recs);
+        let mut tree = twin.regions[0].write();
+        let spec = &plans[0].spec;
+        let mut direct = PdqEngine::start(&*tree, spec.trajectory.clone());
+        let once: Vec<_> = (0..8)
+            .map(|k| {
+                let reports: Vec<_> = inserts[k]
+                    .iter()
+                    .map(|(rec, now)| tree.try_insert(*rec, *now).unwrap())
+                    .collect();
+                for report in &reports {
+                    direct.notify(&*tree, report);
+                }
+                let (t0, t1) = (spec.frame_times[k], spec.frame_times[k + 1]);
+                (k, direct.drain_window(&*tree, t0, t1).len(), direct.take_stats())
+            })
+            .collect();
+        for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![5.0, 20.0])] {
+            let p = build(grid.clone(), &recs).serve_plans(&plans, &inserts);
+            let s = build(grid.clone(), &recs).serve_serial_plans(&plans, &inserts);
+            for (a, b) in p.sessions.iter().zip(&s.sessions) {
+                assert_eq!(a.outcome, SessionOutcome::Ok);
+                assert_eq!(a.results, b.results);
+                assert_eq!(per_frame(a), per_frame(b));
+                assert_eq!(a.queue_hwm, b.queue_hwm);
+            }
+            if grid.len() == 1 {
+                assert_eq!(per_frame(&p.sessions[0]), once);
+                assert_eq!(p.sessions[0].queue_hwm, direct.queue_hwm());
+            }
+            assert!(p.sessions[0].results.iter().any(|&(oid, _)| oid >= 4100));
+            assert!(p.sessions[1].results.iter().any(|&(oid, _)| oid >= 4000));
+        }
+    }
+}

@@ -1,0 +1,838 @@
+//! The participants of a serve and the two drivers that schedule them.
+//!
+//! Concurrent ([`PartitionedDqServer::serve_clocked`]): per epoch, one
+//! `std::thread::scope` holding a writer thread per region, a thread per
+//! session with frames in the epoch and — durable runs, which are
+//! single-epoch — the durability thread, ordered by the per-region
+//! [`FrameClock`](crate::clock::FrameClock)s alone. The scope's join is
+//! the only barrier: when it returns nobody reads or writes the epoch's
+//! trees, so the driver recuts and opens the next scope. Serial
+//! ([`PartitionedDqServer::serve_serial_clocked`]): the oracle — the
+//! same epochs and the same frame interleaving (WAL commit → regions
+//! ascending → sessions ascending) in one straight-line loop, with no
+//! thread and no clock. Both carry a [`Run`] from
+//! [`PartitionedDqServer::begin_run`] to
+//! [`PartitionedDqServer::finish_run`].
+
+use super::epoch::{blank_slates, epoch_bounds, epoch_windows, handoff, make_epoch, Epoch};
+use super::lanes::LaneRun;
+use super::rebuild::route_slice;
+use super::{
+    PartitionedDqServer, PartitionedServeReport, RecutPlan, RegionReport, RegionTree,
+};
+use crate::clock::SessionLiveness;
+use crate::durability::DurableLog;
+use crate::region::RegionGrid;
+use crate::service::{
+    panic_message, record_wait, FrameDelta, FrameSink, NsiReport, SessionOutcome, SessionPlan,
+    SinkVerdict,
+};
+use parking_lot::RwLock;
+use rtree::{NsiSegmentRecord, RTree};
+use std::sync::Arc;
+use std::time::Instant;
+use storage::{PageStore, StorageError};
+
+/// A failed region writer (full device) stops applying — a full disk
+/// stays full. The log keeps committing and checkpointing regardless: a
+/// checkpoint holds what was committed, not what a tree absorbed, so the
+/// backlog replays onto a larger device.
+fn writer_failed(w: &RegionReport) -> bool {
+    matches!(w.writer_outcome, SessionOutcome::Failed(_))
+}
+
+/// Tallies of the durability participant (WAL commits + logical
+/// checkpoints) over one partitioned run.
+#[derive(Clone, Copy, Default)]
+struct DurabilityTally {
+    appends: u64,
+    commit_ns: u64,
+    checkpoints: u64,
+}
+
+impl DurabilityTally {
+    /// Frame `k`'s durable step: fold the log into the checkpoint when
+    /// one is due, then group-commit `batch`.
+    fn commit<const D: usize>(
+        &mut self,
+        log: &DurableLog,
+        k: u64,
+        batch: &[(NsiSegmentRecord<D>, f64)],
+    ) {
+        self.checkpoints += fold_if_due::<D>(log);
+        let committed = Instant::now();
+        log.commit_frame(k, batch);
+        self.appends += 1;
+        self.commit_ns += committed.elapsed().as_nanos() as u64;
+    }
+}
+
+/// Take `log`'s periodic checkpoint if its cadence says one is due;
+/// returns how many were installed (0 or 1). A refused fold is counted
+/// by the log and leaves the longer WAL in place.
+fn fold_if_due<const D: usize>(log: &DurableLog) -> u64 {
+    u64::from(log.due_for_checkpoint() && log.fold_checkpoint::<D>().is_ok())
+}
+
+/// What either driver carries through a run: the schedule, the current
+/// epoch's grid and trees, every session's state, and the report so far.
+pub(super) struct Run<'a, const D: usize, S: PageStore> {
+    /// Epoch `e` serves frames `bounds[e]..bounds[e + 1]`.
+    bounds: Vec<usize>,
+    plan_windows: Vec<Option<(u64, u64)>>,
+    /// The server's own until the first recut, a handoff's after.
+    grid: RegionGrid,
+    trees: Vec<RegionTree<D, S>>,
+    /// Session `i`'s lanes, carried from epoch to epoch.
+    sessions: Vec<LaneRun<'a, D>>,
+    dur: DurabilityTally,
+    /// Writer figures summed over every region of every epoch so far
+    /// (regions are not comparable across recuts), and — once the last
+    /// epoch ends — its per-region breakdown.
+    report: PartitionedServeReport,
+    /// Threads each epoch's scope spawned (none on the serial path).
+    pub(super) spawned: Vec<usize>,
+}
+
+impl<const D: usize, S: PageStore> Run<'_, D, S> {
+    /// Close an epoch whose participants are all done: complete each
+    /// writer's tally with its region's span and session-side reads and
+    /// fold it into the run's totals, then recut for the epoch `recut`
+    /// opens — or, after the last one, keep the per-region figures.
+    fn end_epoch(
+        &mut self,
+        mut regions: Vec<RegionReport>,
+        recut: Option<&RecutPlan>,
+        make_tree: &mut Option<&mut dyn FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>>,
+    ) {
+        for s in &mut self.sessions {
+            s.flush_loads(|r, c| regions[r].session_reads += c);
+        }
+        let base = &mut self.report.base;
+        for (r, w) in regions.iter_mut().enumerate() {
+            w.span = self.grid.span_of(r);
+            base.inserts_applied += w.inserts_applied;
+            base.writer_reads += w.writer_reads;
+            base.writer_writes += w.writer_writes;
+            match &w.writer_outcome {
+                SessionOutcome::Ok => {}
+                SessionOutcome::Degraded { errors } => {
+                    errors.iter().for_each(|e| base.writer_outcome.record_error(e.clone()));
+                }
+                failed => base.writer_outcome = failed.clone(),
+            }
+        }
+        let Some(recut) = recut else {
+            self.report.regions = regions;
+            return;
+        };
+        let loads: Vec<u64> = regions.iter().map(RegionReport::load).collect();
+        let make = make_tree.as_deref_mut().expect("recuts require make_tree");
+        (self.grid, self.trees) =
+            handoff(&self.grid, &self.trees, &loads, recut.target_regions, make);
+    }
+}
+
+/// One session's thread over one epoch: wait for the join/handoff
+/// boundary, (re)build the lane engines, then run the clock protocol per
+/// frame — wait `applied`, step (absorbing the lanes' slates), sink, ack.
+/// If the session's life ends in this epoch — schedule complete, engines
+/// dead or never built, evicted by its sink — it detaches from its lane
+/// clocks, here and nowhere else, so no writer waits on it again; the end
+/// of an epoch is not a detach.
+fn session_epoch<const D: usize, S: PageStore>(
+    ep: &Epoch<D, S>,
+    i: usize,
+    plan: &SessionPlan<D>,
+    run: &mut LaneRun<'_, D>,
+    sink: Option<&dyn FrameSink>,
+    drain_hist: &Option<Arc<obs::Histogram>>,
+    wait_hist: &Option<Arc<obs::Histogram>>,
+) {
+    let (f, l) = ep.windows[i].expect("spawned for its window in this epoch");
+    let lanes = ep.grid.route_rect(&plan.spec.trajectory.swept_bounds());
+    // The boundary on every lane: trees hold exactly state_{f-1} (the
+    // writers withhold batch `f` until our un-acked permit clears), so
+    // the engines build against precisely what the serial reference
+    // shows them.
+    for r in lanes.clone() {
+        record_wait(wait_hist, ep.clocks[r].wait_applied(f));
+    }
+    if run.enter(&ep.grid, &ep.trees) {
+        for r in lanes.clone() {
+            ep.clocks[r].ack(i, f + 1);
+        }
+        for k in f..=l {
+            for r in lanes.clone() {
+                record_wait(wait_hist, ep.clocks[r].wait_applied(k + 1));
+            }
+            let (results_before, frames_before) = (run.out.results.len(), run.out.frames.len());
+            if !run.step(&ep.trees, &ep.slates, k as usize, drain_hist) {
+                break;
+            }
+            if run.out.frames.len() > frames_before {
+                if let Some(sink) = sink {
+                    let f = run.out.frames.last().expect("frame just reported");
+                    let delta = FrameDelta {
+                        session: i,
+                        frame: f.frame,
+                        results: &run.out.results[results_before..],
+                        latency_ns: f.latency_ns,
+                    };
+                    if sink.on_frame(&delta) == SinkVerdict::Detach {
+                        // Evicted by its consumer before the ack: the
+                        // next batch's permit is never granted.
+                        run.out.outcome =
+                            SessionOutcome::Failed("detached by frame sink".into());
+                        break;
+                    }
+                }
+            }
+            if !plan.frame_delay.is_zero() {
+                std::thread::sleep(plan.frame_delay);
+            }
+            for r in lanes.clone() {
+                ep.clocks[r].ack(i, k + 2);
+            }
+        }
+    }
+    if !run.alive() || plan.window().is_some_and(|(_, last)| last == l) {
+        for r in lanes {
+            ep.clocks[r].detach(i);
+        }
+        run.stamp();
+    }
+}
+
+impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
+    /// Apply one region's routed slice under that region's write lock.
+    /// Transient failures back off with the lock *released* and resume
+    /// from the failed record; records whose errors are unrecoverable
+    /// (corrupt page) or whose retry budget is exhausted are skipped
+    /// into the tally's outcome.
+    fn apply_region_batch(
+        &self,
+        tree: &RwLock<RTree<NsiSegmentRecord<D>, S>>,
+        batch: &[(NsiSegmentRecord<D>, f64)],
+        reports: &mut Vec<NsiReport<D>>,
+        w: &mut RegionReport,
+        hold_hist: Option<&Arc<obs::Histogram>>,
+    ) {
+        let mut idx = 0;
+        let mut attempt = 0u32;
+        while idx < batch.len() {
+            let backoff = {
+                let mut tree = tree.write();
+                let held = Instant::now();
+                let before = tree.level_counters().snapshot();
+                let mut backoff = None;
+                while idx < batch.len() {
+                    let (rec, now) = &batch[idx];
+                    match tree.try_insert(*rec, *now) {
+                        Ok(report) => {
+                            reports.push(report);
+                            w.inserts_applied += 1;
+                            idx += 1;
+                            attempt = 0;
+                        }
+                        Err(e)
+                            if e.is_transient()
+                                && attempt + 1 < self.writer_retry.max_attempts =>
+                        {
+                            attempt += 1;
+                            backoff = Some(self.writer_retry.backoff(attempt));
+                            break;
+                        }
+                        // A full device fails the region's writer for the
+                        // rest of the run: skipping ahead would drop
+                        // records silently, and retrying a full disk is
+                        // futile.
+                        Err(e @ StorageError::Full { .. }) => {
+                            w.writer_outcome =
+                                SessionOutcome::Failed(format!("writer stopped: {e}"));
+                            idx = batch.len();
+                        }
+                        Err(e) => {
+                            w.writer_outcome.record_error(e);
+                            idx += 1;
+                            attempt = 0;
+                        }
+                    }
+                }
+                let delta = tree.level_counters().snapshot() - before;
+                w.writer_reads += delta.total_reads();
+                w.writer_writes += delta.total_writes();
+                if let Some(h) = hold_hist {
+                    h.record(held.elapsed().as_nanos() as u64);
+                }
+                backoff
+            };
+            if let Some(pause) = backoff {
+                std::thread::sleep(pause);
+            }
+        }
+    }
+
+    /// Region `r`'s writer over one epoch: per frame, wait for the WAL
+    /// commit (durable runs) and for every attached session's permit,
+    /// apply the routed slice, publish its reports on `r`'s slate, and
+    /// advance `r`'s `applied` watermark — every frame, batch or not, so
+    /// sessions of an idle or failed region never stall.
+    pub(super) fn writer_loop(
+        &self,
+        ep: &Epoch<D, S>,
+        r: usize,
+        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
+        hold_hist: Option<&Arc<obs::Histogram>>,
+        wait_hist: &Option<Arc<obs::Histogram>>,
+        lag_gauge: Option<&Arc<obs::Gauge>>,
+    ) -> RegionReport {
+        let mut w = RegionReport::default();
+        let mut reports: Vec<NsiReport<D>> = Vec::new();
+        let mut routed = Vec::new();
+        let clock = &ep.clocks[r];
+        for k in ep.start..ep.end {
+            let ku = k as u64;
+            if let Some(batch) = inserts.get(k) {
+                route_slice(&ep.grid, r, batch, &mut routed);
+                if !routed.is_empty() && !writer_failed(&w) {
+                    // WAL before any page write, then flow control:
+                    // every live attached session has acked past `k`
+                    // (finished frame `k - 1`, or — at its join frame —
+                    // built its engines). Frames that route nothing
+                    // here skip both waits, so the ack check must not
+                    // be window-scoped (a later non-empty batch would
+                    // slip past a still-reading session).
+                    record_wait(wait_hist, clock.wait_committed(ku));
+                    record_wait(wait_hist, clock.wait_ready(ku));
+                    reports.clear();
+                    self.apply_region_batch(&ep.trees[r], &routed, &mut reports, &mut w, hold_hist);
+                    // `wait_ready` above is also why nobody still reads
+                    // the slate's previous frame.
+                    ep.slates[r].write().publish(k, &mut reports);
+                    obs::trace(obs::TraceEvent::RegionRoute {
+                        region: r as u32,
+                        records: routed.len() as u32,
+                    });
+                }
+            }
+            let lag = clock.advance_applied(ku + 1);
+            if let Some(g) = lag_gauge {
+                g.record_max(lag as i64);
+            }
+            obs::trace(obs::TraceEvent::FrameAdvance {
+                region: r as u32,
+                frame: k as u32,
+                watermark: obs::Watermark::Applied,
+            });
+        }
+        w
+    }
+
+    /// The durability participant of a durable run's one epoch: per
+    /// frame, fold the log into the checkpoint when one is due,
+    /// group-commit the batch, then advance every region's `committed`
+    /// watermark. It never looks at a tree or a region's `applied`
+    /// watermark: the writers run on behind it.
+    fn durability_loop(
+        &self,
+        ep: &Epoch<D, S>,
+        log: &DurableLog,
+        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
+    ) -> DurabilityTally {
+        let mut t = DurabilityTally::default();
+        for k in ep.start..ep.end {
+            let ku = k as u64;
+            if let Some(batch) = inserts.get(k) {
+                t.commit(log, ku, batch);
+            }
+            for (r, c) in ep.clocks.iter().enumerate() {
+                c.advance_committed(ku + 1);
+                obs::trace(obs::TraceEvent::FrameAdvance {
+                    region: r as u32,
+                    frame: k as u32,
+                    watermark: obs::Watermark::Committed,
+                });
+            }
+        }
+        // A checkpoint that came due on the run's last commits.
+        t.checkpoints += fold_if_due::<D>(log);
+        t
+    }
+
+    /// What both drivers do first: size the run, cut it into epochs,
+    /// take the base checkpoint of a durable server, and give every plan
+    /// an idle [`LaneRun`].
+    fn begin_run<'a>(
+        &self,
+        plans: &'a [SessionPlan<D>],
+        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
+        recuts: &[RecutPlan],
+    ) -> Run<'a, D, S> {
+        let plan_windows: Vec<Option<(u64, u64)>> = plans.iter().map(|p| p.window()).collect();
+        let steps = plan_windows
+            .iter()
+            .filter_map(|w| w.map(|(_, last)| last as usize + 1))
+            .max()
+            .unwrap_or(0)
+            .max(inserts.len());
+        let bounds = epoch_bounds(recuts, steps);
+        assert!(
+            recuts.is_empty() || self.durability.is_none(),
+            "live recuts require a non-durable server"
+        );
+        if let Some(log) = self.durability.as_deref() {
+            self.ensure_initial_checkpoint(log);
+        }
+        let mut report = PartitionedServeReport::default();
+        report.base.frames = steps;
+        Run {
+            bounds,
+            plan_windows,
+            grid: self.grid.clone(),
+            trees: self.regions.clone(),
+            sessions: (0..).zip(plans).map(|(i, p)| LaneRun::idle(i, &p.spec)).collect(),
+            dur: DurabilityTally::default(),
+            report,
+            spawned: Vec::new(),
+        }
+    }
+
+    /// The concurrent serve. Per epoch, one scope: a writer thread per
+    /// region, a thread for every live session with frames in the epoch
+    /// (each handed its own carried [`LaneRun`]) and, durable runs, the
+    /// durability thread — all ordered by the epoch's per-region clocks,
+    /// no global barrier inside. The scope's join is the handoff
+    /// barrier: with every participant gone the driver recuts and runs
+    /// the next epoch.
+    pub(super) fn serve_clocked<'a>(
+        &self,
+        plans: &'a [SessionPlan<D>],
+        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
+        recuts: &[RecutPlan],
+        mut make_tree: Option<&mut dyn FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>>,
+        sinks: &[Option<&dyn FrameSink>],
+    ) -> Run<'a, D, S>
+    where
+        S: Sync + Send,
+    {
+        let mut run = self.begin_run(plans, inserts, recuts);
+        let durable = self.durability.as_deref();
+        let live = SessionLiveness::new(plans.len());
+        let drain_hist = self.histogram("service.drain_ns");
+        let hold_hist = self.histogram("service.writer.lock_hold_ns");
+        let wait_hist = self.histogram("service.clock_wait_ns");
+        let lag_gauge = self.metrics.as_ref().map(|m| m.gauge("service.frame_lag"));
+        let (drain, hold, wait, lag) =
+            (&drain_hist, hold_hist.as_ref(), &wait_hist, lag_gauge.as_ref());
+        for e in 0..run.bounds.len() - 1 {
+            let ep = &make_epoch(
+                plans,
+                &run.plan_windows,
+                run.grid.clone(),
+                run.trees.clone(),
+                &live,
+                run.bounds[e],
+                run.bounds[e + 1],
+                durable.is_some(),
+            );
+            let (tallies, crashed) = std::thread::scope(|scope| {
+                let sessions: Vec<_> = (0..)
+                    .zip(&mut run.sessions)
+                    .filter(|(i, s)| ep.windows[*i].is_some() && s.alive())
+                    .map(|(i, s)| {
+                        let sink = sinks.get(i).copied().flatten();
+                        let body = move || session_epoch(ep, i, &plans[i], s, sink, drain, wait);
+                        (i, scope.spawn(body))
+                    })
+                    .collect();
+                let dur = durable
+                    .map(|log| scope.spawn(move || self.durability_loop(ep, log, inserts)));
+                let writers: Vec<_> = (0..ep.grid.len())
+                    .map(|r| scope.spawn(move || self.writer_loop(ep, r, inserts, hold, wait, lag)))
+                    .collect();
+                run.spawned
+                    .push(sessions.len() + writers.len() + usize::from(dur.is_some()));
+                let tallies: Vec<RegionReport> = writers
+                    .into_iter()
+                    .map(|h| h.join().expect("region writer panicked"))
+                    .collect();
+                if let Some(h) = dur {
+                    run.dur = h.join().expect("durability thread panicked");
+                }
+                // A session thread that died outside its containment
+                // (its sink panicked) fails that session alone.
+                let crashed: Vec<(usize, String)> = sessions
+                    .into_iter()
+                    .filter_map(|(i, h)| h.join().err().map(|p| (i, panic_message(p))))
+                    .collect();
+                (tallies, crashed)
+            });
+            for (i, msg) in crashed {
+                run.sessions[i].out.outcome = SessionOutcome::Failed(msg);
+            }
+            if let Some(reg) = &self.metrics {
+                let deepest = ep.slates.iter().map(|s| s.read().hwm).max().unwrap_or(0);
+                reg.gauge("service.mailbox_hwm").record_max(deepest as i64);
+            }
+            run.end_epoch(tallies, recuts.get(e), &mut make_tree);
+        }
+        run
+    }
+
+    /// Single-threaded reference for the clocked serve: the same epoch
+    /// schedule, frame interleaving (WAL commit → regions ascending →
+    /// sessions ascending) and handoff rebuilds, with no threads and no
+    /// clocks. [`Self::serve_plans`] must match this bit-for-bit.
+    pub(super) fn serve_serial_clocked<'a>(
+        &self,
+        plans: &'a [SessionPlan<D>],
+        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
+        recuts: &[RecutPlan],
+        mut make_tree: Option<&mut dyn FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>>,
+    ) -> Run<'a, D, S> {
+        let mut run = self.begin_run(plans, inserts, recuts);
+        let durable = self.durability.as_deref();
+        let drain_hist = self.histogram("service.drain_ns");
+        let hold_hist = self.histogram("service.writer.lock_hold_ns");
+        for e in 0..run.bounds.len() - 1 {
+            let (start, end) = (run.bounds[e], run.bounds[e + 1]);
+            let n = run.grid.len();
+            let mut tallies = vec![RegionReport::default(); n];
+            let slates = blank_slates(n);
+            let windows = epoch_windows(&run.plan_windows, start, end);
+            let mut routed = Vec::new();
+            let mut reports = Vec::new();
+            for k in start..end {
+                let ku = k as u64;
+                // Whoever's first frame of the epoch this is — a joiner,
+                // or at a handoff everyone carried over — builds engines
+                // against the pre-batch trees, as the concurrent path's
+                // boundary wait arranges.
+                for (s, w) in run.sessions.iter_mut().zip(&windows) {
+                    if s.alive() && w.is_some_and(|(f, _)| f == ku) {
+                        s.enter(&run.grid, &run.trees);
+                    }
+                }
+                if let Some(batch) = inserts.get(k) {
+                    if let Some(log) = durable {
+                        run.dur.commit(log, ku, batch);
+                    }
+                    for r in 0..n {
+                        route_slice(&run.grid, r, batch, &mut routed);
+                        if !routed.is_empty() && !writer_failed(&tallies[r]) {
+                            reports.clear();
+                            self.apply_region_batch(
+                                &run.trees[r],
+                                &routed,
+                                &mut reports,
+                                &mut tallies[r],
+                                hold_hist.as_ref(),
+                            );
+                            slates[r].write().publish(k, &mut reports);
+                            obs::trace(obs::TraceEvent::RegionRoute {
+                                region: r as u32,
+                                records: routed.len() as u32,
+                            });
+                        }
+                    }
+                }
+                for (s, w) in run.sessions.iter_mut().zip(&windows) {
+                    if s.alive() && w.is_some_and(|(f, l)| f <= ku && ku <= l) {
+                        s.step(&run.trees, &slates, k, &drain_hist);
+                    }
+                }
+            }
+            run.end_epoch(tallies, recuts.get(e), &mut make_tree);
+        }
+        if let Some(log) = durable {
+            run.dur.checkpoints += fold_if_due::<D>(log);
+        }
+        for s in &mut run.sessions {
+            s.stamp();
+        }
+        run
+    }
+
+    /// What both drivers do last: close every session out, assemble the
+    /// report, publish metrics. Also returns — when the run recut — the
+    /// final grid and trees for the caller to adopt.
+    #[allow(clippy::type_complexity)]
+    pub(super) fn finish_run(
+        &self,
+        run: Run<'_, D, S>,
+    ) -> (
+        PartitionedServeReport,
+        Option<(RegionGrid, Vec<RegionTree<D, S>>)>,
+    ) {
+        let mut report = run.report;
+        report.base.sessions = run.sessions.into_iter().map(LaneRun::finish).collect();
+        report.base.wal_appends = run.dur.appends;
+        report.base.wal_commit_ns = run.dur.commit_ns;
+        report.base.checkpoints = run.dur.checkpoints;
+        self.publish_run(&report);
+        let recut = (run.bounds.len() > 2).then_some((run.grid, run.trees));
+        (report, recut)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::router::tests::*;
+    use crate::service::{SessionKind, SessionOutput, SessionSpec};
+    use rtree::RTreeConfig;
+    use storage::Pager;
+    use parking_lot::Mutex;
+    use stkit::Interval;
+
+    #[test]
+    fn writer_only_serve_applies_every_batch() {
+        // No sessions at all: the clocks have no attached windows, so the
+        // writers never wait and must still apply every frame's batch.
+        let inserts: Vec<Vec<(R, f64)>> = (0..7)
+            .map(|k| {
+                let x = 5.0 * f64::from(k) + 1.0;
+                vec![(R::new(500 + k, 0, Interval::new(0.0, 100.0), [x, 3.5], [x, 3.5]), f64::from(k))]
+            })
+            .collect();
+        for grid in grids() {
+            let server = build(grid, &line_records(5));
+            let report = server.serve(&[], &inserts);
+            assert_eq!(report.frames, 7);
+            assert_eq!(report.inserts_applied, 7);
+            assert_eq!(report.sessions.len(), 0);
+            assert!(report.writer_reads > 0, "insert descents read nodes");
+            assert!(report.writer_writes > 0, "inserts write nodes");
+            assert_eq!(server.region_record_counts().iter().sum::<u64>(), 12);
+        }
+    }
+
+    #[test]
+    fn short_schedule_session_stops_while_writer_continues() {
+        // A session whose frame schedule (3 steps) is much shorter than
+        // the insert schedule (10 batches): the run spans 10 frames, the
+        // session reports only its own 3, detaches, and the writers
+        // finish the remaining batches without waiting on it.
+        let recs = line_records(30);
+        let spec = slide_spec(SessionKind::Pdq, 3, 3.0);
+        let inserts: Vec<Vec<(R, f64)>> = (0..10)
+            .map(|k| {
+                let x = 1.5 + f64::from(k);
+                vec![(R::new(700 + k, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5]), f64::from(k))]
+            })
+            .collect();
+        for grid in grids() {
+            let report = build(grid.clone(), &recs).serve(std::slice::from_ref(&spec), &inserts);
+            assert_eq!(report.frames, 10);
+            assert_eq!(report.inserts_applied, 10);
+            assert_eq!(report.sessions[0].frames.len(), 3, "only scheduled frames report");
+            let serial = build(grid, &recs).serve_serial(std::slice::from_ref(&spec), &inserts);
+            assert_eq!(report.sessions[0].results, serial.sessions[0].results);
+        }
+    }
+
+    #[test]
+    fn broadcast_after_lock_drop_keeps_parallel_equal_to_serial() {
+        // Heavier regression for the broadcast protocol: many PDQ sessions,
+        // multi-record batches every frame (every batch forces an
+        // InsertBroadcast after the write guard drops).
+        let recs = line_records(30);
+        let specs: Vec<SessionSpec<2>> = (0..6)
+            .map(|i| slide_spec(SessionKind::Pdq, 15 + i, 30.0))
+            .collect();
+        let inserts = ahead_inserts(21, 3, 30.0, 2000);
+        for grid in grids() {
+            let parallel = build(grid.clone(), &recs).serve(&specs, &inserts);
+            let serial = build(grid, &recs).serve_serial(&specs, &inserts);
+            assert!(parallel.inserts_applied >= 63);
+            for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
+                assert_eq!(p.results, s.results);
+            }
+            assert_eq!(parallel.writer_reads, serial.writer_reads);
+            assert_eq!(parallel.writer_writes, serial.writer_writes);
+        }
+    }
+
+    #[test]
+    fn writer_reports_broadcast_fanout() {
+        // The writer's half of the broadcast, driven alone on this thread
+        // (so its trace ring is readable) with every permit pre-granted:
+        // one InsertBroadcast per non-empty batch, published once the
+        // batch's node work is over and before `applied` moves, and the
+        // slate left holding the last non-empty frame — exactly the
+        // reports those inserts produce, whoever is attached.
+        let server = build(RegionGrid::single(), &line_records(10));
+        let plans: Vec<SessionPlan<2>> = [SessionKind::Pdq, SessionKind::Npdq, SessionKind::Pdq]
+            .into_iter()
+            .map(|kind| SessionPlan::new(slide_spec(kind, 4, 8.0)))
+            .collect();
+        let windows: Vec<_> = plans.iter().map(SessionPlan::window).collect();
+        let mut inserts = ahead_inserts(4, 3, 8.0, 3000);
+        inserts[1].clear();
+        inserts.push(Vec::new());
+        let live = SessionLiveness::new(plans.len());
+        let trees = server.regions.to_vec();
+        let ep = make_epoch(&plans, &windows, RegionGrid::single(), trees, &live, 0, 5, false);
+        for i in 0..plans.len() {
+            ep.clocks[0].ack(i, u64::MAX);
+        }
+        obs::take_thread_trace();
+        let tally = server.writer_loop(&ep, 0, &inserts, None, &None, None);
+        assert_eq!(tally.inserts_applied, 9);
+        let mut broadcasts = Vec::new();
+        let mut since_visit = Vec::new();
+        for ev in obs::take_thread_trace() {
+            match ev {
+                obs::TraceEvent::NodeVisit { .. } => since_visit.clear(),
+                obs::TraceEvent::InsertBroadcast { reports } => {
+                    broadcasts.push(reports);
+                    since_visit.push(None);
+                }
+                obs::TraceEvent::FrameAdvance { frame, .. } => since_visit.push(Some(frame)),
+                _ => {}
+            }
+        }
+        assert_eq!(broadcasts, vec![3; 3]);
+        assert_eq!(since_visit, vec![None, Some(3), Some(4)], "published after the inserts, before the advance");
+
+        let twin = build(RegionGrid::single(), &line_records(10));
+        let mut expect = Vec::new();
+        for batch in &inserts {
+            if !batch.is_empty() {
+                expect.clear();
+            }
+            for (rec, now) in batch {
+                expect.push(twin.regions[0].write().try_insert(*rec, *now).unwrap());
+            }
+        }
+        let slate = ep.slates[0].read();
+        assert_eq!(slate.frame, Some(3));
+        assert_eq!(slate.reports, expect);
+        assert_eq!(slate.hwm, 3);
+    }
+
+    #[test]
+    fn zombie_session_does_not_stall_partitioned_serve() {
+        // An empty-schedule session among healthy ones plus per-frame
+        // inserts: the never-scheduled session has no window, so it
+        // never attaches to any region's clock — nobody waits on it.
+        let recs = line_records(10);
+        let mut dead = slide_spec(SessionKind::Pdq, 10, 10.0);
+        dead.frame_times = vec![0.0]; // zero steps
+        let specs = vec![slide_spec(SessionKind::Pdq, 10, 10.0), dead];
+        let inserts: Vec<Vec<(R, f64)>> = (0..10)
+            .map(|k| {
+                vec![(
+                    R::new(100 + k, 0, Interval::new(0.0, 100.0), [k as f64 + 0.1, 0.5], [k as f64 + 0.1, 0.5]),
+                    k as f64,
+                )]
+            })
+            .collect();
+        let server = build(RegionGrid::from_cuts(0, vec![5.0]), &recs);
+        let report = server.serve(&specs, &inserts);
+        assert_eq!(report.base.frames, 10);
+        assert!(report.sessions[0].results.len() >= 10);
+        assert!(report.sessions[1].results.is_empty());
+    }
+
+    /// A sink that counts the deltas it is offered and detaches once it
+    /// has seen `detach_after` of them.
+    struct CountingSink {
+        seen: Mutex<usize>,
+        detach_after: usize,
+    }
+
+    impl FrameSink for CountingSink {
+        fn on_frame(&self, _: &FrameDelta<'_>) -> SinkVerdict {
+            let mut seen = self.seen.lock();
+            *seen += 1;
+            if *seen >= self.detach_after {
+                SinkVerdict::Detach
+            } else {
+                SinkVerdict::Continue
+            }
+        }
+    }
+
+    #[test]
+    fn sink_detach_frees_the_writer_and_fails_only_that_session() {
+        let recs = line_records(30);
+        let plans: Vec<SessionPlan<2>> = (0..2)
+            .map(|_| SessionPlan::new(slide_spec(SessionKind::Pdq, 10, 30.0)))
+            .collect();
+        let inserts = ahead_inserts(10, 1, 30.0, 7000);
+        for grid in grids() {
+            let slow = CountingSink {
+                seen: Mutex::new(0),
+                detach_after: 3,
+            };
+            let refs: Vec<Option<&dyn FrameSink>> = vec![Some(&slow as &dyn FrameSink), None];
+            let report = build(grid.clone(), &recs).serve_plans_streamed(&plans, &inserts, &refs);
+            assert_eq!(report.frames, 10, "detach must not stall the run");
+            assert_eq!(*slow.seen.lock(), 3);
+            assert!(
+                matches!(&report.sessions[0].outcome, SessionOutcome::Failed(m) if m.contains("detached")),
+                "evicted session fails: {:?}",
+                report.sessions[0].outcome
+            );
+            let serial = build(grid, &recs).serve_serial_plans(&plans, &inserts);
+            assert_eq!(report.inserts_applied, serial.inserts_applied, "every batch still applied");
+            assert_eq!(report.sessions[1].results, serial.sessions[1].results, "healthy session unaffected");
+        }
+    }
+
+    #[test]
+    fn an_epoch_spawns_its_writers_and_its_live_sessions_and_nothing_else() {
+        // The thread shape. Without a recut a serve is one scope of
+        // s + r threads (+1 durable), as it was before epochs moved out
+        // of the participants. With one it is a scope per epoch, and
+        // epoch 1 has no thread — so no frame — for a session epoch 0
+        // saw the end of: 0 is evicted by its sink at frame 2, 3's
+        // schedule ends at frame 3; 1 and 2 are carried over and must
+        // not notice.
+        let recs = line_records(30);
+        let mut plans: Vec<SessionPlan<2>> = (0..3)
+            .map(|_| SessionPlan::new(slide_spec(SessionKind::Pdq, 10, 30.0)))
+            .collect();
+        plans.push(SessionPlan::new(slide_spec(SessionKind::Npdq, 3, 9.0)));
+        let inserts = ahead_inserts(10, 1, 30.0, 7000);
+        let recuts = [RecutPlan::new(5, 2)];
+        let fresh = |_| RTree::new(Pager::new(), RTreeConfig::default());
+        let per_frame = |o: &SessionOutput| -> Vec<_> {
+            o.frames.iter().map(|f| (f.frame, f.results, f.stats)).collect()
+        };
+        for grid in grids() {
+            let r = grid.len();
+            let flat = build(grid.clone(), &recs).serve_clocked(&plans, &inserts, &[], None, &[]);
+            assert_eq!(flat.spawned, vec![4 + r]);
+            let durable = build(grid.clone(), &recs).with_durability(Arc::new(DurableLog::new(3)));
+            let flat = durable.serve_clocked(&plans, &inserts, &[], None, &[]);
+            assert_eq!(flat.spawned, vec![4 + r + 1]);
+
+            let evict = CountingSink {
+                seen: Mutex::new(0),
+                detach_after: 3,
+            };
+            let sinks = [Some(&evict as &dyn FrameSink), None, None, None];
+            let server = build(grid.clone(), &recs);
+            let mut make = fresh;
+            let run = server.serve_clocked(&plans, &inserts, &recuts, Some(&mut make), &sinks);
+            assert_eq!(run.spawned, vec![4 + r, 2 + 2]);
+            let (p, _) = server.finish_run(run);
+            let s = build(grid, &recs).serve_serial_plans_with_recuts(&plans, &inserts, &recuts, fresh);
+            for i in 1..4 {
+                assert_eq!(p.sessions[i].outcome, SessionOutcome::Ok);
+                assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
+                assert_eq!(per_frame(&p.sessions[i]), per_frame(&s.sessions[i]), "session {i}");
+                assert_eq!(p.sessions[i].queue_hwm, s.sessions[i].queue_hwm, "session {i}");
+            }
+            // The evicted one keeps exactly what it had: the serial
+            // stream's first three frames.
+            let (dead, whole) = (&p.sessions[0], &s.sessions[0]);
+            assert!(matches!(&dead.outcome, SessionOutcome::Failed(m) if m.contains("detached")));
+            assert_eq!(per_frame(dead), per_frame(whole)[..3]);
+            assert_eq!(dead.results, whole.results[..dead.results.len()]);
+        }
+    }
+}

@@ -30,8 +30,11 @@ pub type NsiReport<const D: usize> =
 pub enum SessionKind {
     /// Predictive: trajectory known ahead, one tree traversal (§4.1).
     Pdq,
-    /// Non-predictive: per-frame snapshot queries with previous-query
-    /// discarding (§4.2), here over the shared NSI layout.
+    /// Non-predictive: a snapshot query per frame through §4.2's engine,
+    /// here at an instant over the shared NSI layout — a still-visible
+    /// object is suppressed iff its leaf is unmodified since the previous
+    /// frame, and Lemma 1 never discards a subtree (why: the lanes
+    /// module of `router`).
     Npdq,
 }
 

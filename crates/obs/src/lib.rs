@@ -12,7 +12,7 @@
 //!   goes through an `Arc` handle and is a single relaxed atomic op, so
 //!   the hot path never contends. [`MetricsRegistry::render`] /
 //!   [`MetricsRegistry::render_json`] dump every metric for the bench
-//!   binaries and the `--obs-smoke` reconciliation check.
+//!   binaries and the `--only obs` reconciliation check.
 //! * [`TraceRing`] — a bounded ring of structured [`TraceEvent`]s
 //!   (`FrameStart`/`FrameEnd`, `NodeVisit`, `QueueOp`, `CacheEvict`,
 //!   `InsertBroadcast`). A per-thread ring is maintained behind
@@ -22,7 +22,7 @@
 //! The same counters double as a *cross-check oracle*: because every
 //! layer counts independently (pool hits+misses, per-level node reads,
 //! per-engine `QueryStats`), exact identities between them pin down
-//! accounting bugs — see `exp_service` and `tools/check.sh --obs-smoke`.
+//! accounting bugs — see `exp_service` and `tools/check.sh --only obs`.
 
 pub mod metrics;
 pub mod trace;

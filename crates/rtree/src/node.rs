@@ -69,6 +69,9 @@ enum BadHeader {
     Short { count: usize },
     Magic,
     Kind(u8),
+    /// A leaf above level 0, or an internal node at it: engines compute
+    /// `level - 1` for an internal node's children.
+    Level(u32),
 }
 
 impl std::fmt::Display for BadHeader {
@@ -79,6 +82,7 @@ impl std::fmt::Display for BadHeader {
             }
             BadHeader::Magic => write!(f, "not an R-tree node page"),
             BadHeader::Kind(other) => write!(f, "corrupt node kind byte {other}"),
+            BadHeader::Level(level) => write!(f, "corrupt node: level {level} contradicts its kind"),
         }
     }
 }
@@ -117,13 +121,17 @@ impl Header {
         if !fits {
             return Err(BadHeader::Short { count });
         }
+        let level = u32::from_le_bytes(head[16..20].try_into().unwrap());
+        if leaf != (level == 0) {
+            return Err(BadHeader::Level(level));
+        }
         Ok(Header {
             leaf,
             count,
             timestamp: f64::from_le_bytes(
                 head[TIMESTAMP_AT..TIMESTAMP_AT + 8].try_into().unwrap(),
             ),
-            level: u32::from_le_bytes(head[16..20].try_into().unwrap()),
+            level,
         })
     }
 

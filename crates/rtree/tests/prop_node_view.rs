@@ -94,21 +94,26 @@ fn assert_view_equivalent(node: &N) {
 }
 
 /// A 32-byte header: mostly noise, but often enough with a valid magic
-/// and kind byte, and a count near capacity, to reach the bound check
-/// the edit path relies on.
+/// and kind byte, a level that agrees with the kind, and a count near
+/// capacity, to reach the bound check the edit path relies on.
 fn header() -> impl Strategy<Value = Vec<u8>> {
     (
         proptest::collection::vec(any::<u8>(), 32..33),
         any::<bool>(),
         any::<bool>(),
+        any::<bool>(),
         prop_oneof![any::<u32>(), 0u32..300, Just(u32::MAX)],
     )
-        .prop_map(|(mut h, good_magic, good_kind, count)| {
+        .prop_map(|(mut h, good_magic, good_kind, good_level, count)| {
             if good_magic {
                 h[..2].copy_from_slice(&0x5254u16.to_le_bytes());
             }
             if good_kind {
                 h[2] &= 1;
+            }
+            if good_level {
+                let level = u32::from(h[2] & 1);
+                h[16..20].copy_from_slice(&level.to_le_bytes());
             }
             h[4..8].copy_from_slice(&count.to_le_bytes());
             h
@@ -133,6 +138,9 @@ fn read_under_header(node: &N, header: &[u8]) -> Result<(), StorageError> {
         read.internal_entries().count()
     };
     assert_eq!(seen, read.len());
+    // ...and must not contradict itself: engines queue an internal node's
+    // children at `level() - 1`.
+    assert_eq!(read.is_leaf(), read.level() == 0);
     let _ = read.bounding_key();
     Ok(())
 }
@@ -218,7 +226,10 @@ fn bad_headers_are_corrupt_pages() {
     let mut as_internal = good.clone();
     as_internal[2] = 1;
     as_internal[4..8].copy_from_slice(&(INTERNAL_CAP as u32).to_le_bytes());
+    assert_eq!(read_under_header(&leaf, &as_internal), corrupt, "internal kind at level 0");
+    as_internal[16..20].copy_from_slice(&1u32.to_le_bytes());
     assert_eq!(read_under_header(&leaf, &as_internal), Ok(()));
+    assert_eq!(with(16, &1u32.to_le_bytes()), corrupt, "leaf kind above level 0");
 
     // A page shorter than the header itself.
     let store = Pager::with_page_size(16);

@@ -255,9 +255,22 @@ fn chaos_b_corruption_blast_radius_is_one_session() {
 /// header: no checksum catches it, but sessions read through the tree's
 /// total header parse, so it surfaces as the same typed `Corrupt{page}`
 /// and costs the one session that reaches the page a degraded run — not
-/// a panic, and nothing for anyone else.
+/// a panic (contained or otherwise), and nothing for anyone else. Two
+/// ways to break it: a flipped magic byte, and a header that parses
+/// field by field but contradicts itself — internal kind at level 0,
+/// whose children an engine would queue at level `0 - 1`.
 #[test]
 fn chaos_c_undetected_header_corruption_degrades_one_session() {
+    header_corruption_degrades_one_session(|store, victim| store.corrupt_page(victim));
+    header_corruption_degrades_one_session(|store, victim| {
+        let mut image = store.try_read_page(victim).expect("clean page").to_vec();
+        image[2] = 1;
+        image[4..8].copy_from_slice(&1u32.to_le_bytes());
+        store.write(victim, &image);
+    });
+}
+
+fn header_corruption_degrades_one_session(break_header: impl Fn(&FaultyStore<Pager>, PageId)) {
     let recs = line_records(40);
     let specs = vec![
         slide_spec(SessionKind::Pdq, 0.0, 8, 8.0),
@@ -273,7 +286,7 @@ fn chaos_c_undetected_header_corruption_degrades_one_session() {
     let server = single(store, &recs);
     let victim = server.with_region_tree(0, |tree| {
         let victim = leaf_page_of(tree, 28);
-        tree.store().corrupt_page(victim);
+        break_header(tree.store(), victim);
         victim
     });
 

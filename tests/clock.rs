@@ -160,40 +160,75 @@ fn join_mid_run_sees_exactly_the_tail() {
     }
 }
 
-/// A recut fires at frame 6 while a joiner arrives at frame 3 and a
-/// short session has already finished: the epoch handoff must preserve
-/// every session's results exactly (recut == no-recut, concurrent ==
-/// serial) and leave the server on the new grid.
+/// One recut scenario, checked three ways: every session that survives
+/// matches the same run without recuts and the serial reference (results,
+/// per-frame stats, `queue_hwm`) and is delivered each object once; every
+/// session in `dead` failed before the first recut, kept exactly what the
+/// serial reference had delivered by then, and never reported a frame
+/// from a later epoch; and both servers end on the last recut's grid.
+fn check_recuts<S: PageStore + Send + Sync>(
+    server: impl Fn() -> PartitionedDqServer<2, S>,
+    make_tree: impl Fn(usize) -> RTree<R, S> + Copy,
+    plans: &[SessionPlan<2>],
+    recuts: &[RecutPlan],
+    dead: &[usize],
+) {
+    let inserts = line_inserts(12, 3);
+    let per_frame = |o: &dq_repro::mobiquery::SessionOutput| -> Vec<_> {
+        o.frames.iter().map(|f| (f.frame, f.results, f.stats)).collect()
+    };
+    let mut concurrent = server();
+    let p = concurrent.serve_plans_with_recuts(plans, &inserts, recuts, make_tree);
+    let flat = server().serve_plans(plans, &inserts);
+    let mut serial = server();
+    let s = serial.serve_serial_plans_with_recuts(plans, &inserts, recuts, make_tree);
+    for i in 0..plans.len() {
+        assert_eq!(p.sessions[i].results, s.sessions[i].results, "vs serial {i}");
+        assert_eq!(per_frame(&p.sessions[i]), per_frame(&s.sessions[i]), "vs serial {i}");
+        assert_eq!(p.sessions[i].stats, s.sessions[i].stats, "vs serial {i}");
+        assert_eq!(p.sessions[i].queue_hwm, s.sessions[i].queue_hwm, "vs serial {i}");
+        assert_each_object_once(&p.sessions[i].results);
+        if dead.contains(&i) {
+            assert!(matches!(p.sessions[i].outcome, SessionOutcome::Failed(_)), "session {i}");
+            assert!(!p.sessions[i].frames.is_empty(), "session {i} died before its first frame");
+            let last = p.sessions[i].frames.last().expect("non-empty").frame;
+            assert!(last < recuts[0].at_frame, "dead session {i} reported frame {last}");
+        } else {
+            assert_eq!(p.sessions[i].results, flat.sessions[i].results, "vs no-recut {i}");
+            assert_eq!(p.sessions[i].outcome, SessionOutcome::Ok);
+        }
+    }
+    let regions = recuts.last().expect("a recut scenario").target_regions;
+    assert_eq!(concurrent.grid().len(), regions, "server adopted the recut grid");
+    assert_eq!(serial.grid().len(), regions);
+}
+
+/// Recuts while sessions are live. A recut at frame 6 while a joiner
+/// arrives at frame 3 and a short session has already finished; two
+/// recuts in one run, one session spanning all three epochs and one
+/// joining inside the middle one; and a session that dies in epoch 0 (a
+/// page read on its sweep path panics) with a recut after it — later
+/// epochs must not resurrect it, even though the rebuilt stores no
+/// longer panic.
 #[test]
 fn recut_during_active_serve_preserves_results() {
     let recs = line_records(40);
-    let inserts = line_inserts(12, 3);
-    let plans = vec![
+    let grid = RegionGrid::from_cuts(0, vec![20.0]);
+    let plain = |_: usize| RTree::new(Pager::new(), RTreeConfig::default());
+    let mut plans = vec![
         SessionPlan::new(slide_spec(SessionKind::Pdq, 0.0, 12, 10.0)),
         SessionPlan::new(slide_spec(SessionKind::Npdq, 12.0, 12, 10.0)).join_at(3),
         SessionPlan::new(slide_spec(SessionKind::Pdq, 24.0, 4, 4.0)),
     ];
-    let recuts = [RecutPlan::new(6, 3)];
-    let grid = RegionGrid::from_cuts(0, vec![20.0]);
+    check_recuts(|| partitioned(grid.clone(), &recs), plain, &plans, &[RecutPlan::new(6, 3)], &[]);
 
-    let mut server = partitioned(grid.clone(), &recs);
-    let p = server.serve_plans_with_recuts(&plans, &inserts, &recuts, |_| {
-        RTree::new(Pager::new(), RTreeConfig::default())
-    });
-    let flat = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
-    let mut serial_server = partitioned(grid, &recs);
-    let s = serial_server.serve_serial_plans_with_recuts(&plans, &inserts, &recuts, |_| {
-        RTree::new(Pager::new(), RTreeConfig::default())
-    });
-    for i in 0..plans.len() {
-        assert_eq!(p.sessions[i].results, flat.sessions[i].results, "vs no-recut {i}");
-        assert_eq!(p.sessions[i].results, s.sessions[i].results, "vs serial {i}");
-        assert_eq!(p.sessions[i].stats, s.sessions[i].stats, "vs serial {i}");
-        assert_each_object_once(&p.sessions[i].results);
-        assert_eq!(p.sessions[i].outcome, SessionOutcome::Ok);
-    }
-    assert_eq!(server.grid().len(), 3, "server adopted the recut grid");
-    assert_eq!(serial_server.grid().len(), 3);
+    plans[1].join_frame = 5;
+    plans.push(SessionPlan::new(slide_spec(SessionKind::Pdq, 6.0, 12, 10.0)).join_at(7));
+    let twice = [RecutPlan::new(4, 3), RecutPlan::new(8, 2)];
+    check_recuts(|| partitioned(grid.clone(), &recs), plain, &plans, &twice, &[]);
+
+    plans[2] = SessionPlan::new(slide_spec(SessionKind::Pdq, 24.0, 12, 10.0));
+    check_recuts(|| panicking_at(grid.clone(), &recs, 28), quiet_tree, &plans, &twice, &[2]);
 }
 
 /// The leaf page holding `oid` — found by a plain DFS over clean pages,
@@ -215,8 +250,9 @@ fn leaf_page_of<S: PageStore>(tree: &RTree<R, S>, oid: u32) -> PageId {
     panic!("oid {oid} not found in any leaf");
 }
 
-/// A `Pager` whose read of one chosen page panics — the panic injector
-/// of the regression below, armed once the tree is built.
+/// A `Pager` whose next read of one chosen page panics (once: whoever
+/// comes after the victim — a recut's scan — reads it fine) — the panic
+/// injector of the regressions here, armed once the tree is built.
 struct PanickingStore {
     inner: Pager,
     victim: AtomicU32,
@@ -227,7 +263,8 @@ impl PageStore for PanickingStore {
         self.inner.page_size()
     }
     fn try_read_page(&self, id: PageId) -> Result<PageRef, StorageError> {
-        assert_ne!(id.0, self.victim.load(Ordering::Relaxed), "injected panic reading {id}");
+        let armed = self.victim.compare_exchange(id.0, u32::MAX, Ordering::Relaxed, Ordering::Relaxed);
+        assert!(armed.is_err(), "injected panic reading {id}");
         self.inner.try_read_page(id)
     }
     fn write(&self, id: PageId, data: &[u8]) {
@@ -242,6 +279,27 @@ impl PageStore for PanickingStore {
     fn io(&self) -> IoSnapshot {
         self.inner.io()
     }
+}
+
+/// A tree over a [`PanickingStore`] that does not panic (yet).
+fn quiet_tree(_: usize) -> RTree<R, PanickingStore> {
+    let store = PanickingStore {
+        inner: Pager::with_page_size(256),
+        victim: AtomicU32::new(u32::MAX),
+    };
+    RTree::new(store, RTreeConfig::default())
+}
+
+/// A server under `grid` in which reading the leaf that holds `oid`
+/// panics, in whichever region that leaf lives.
+fn panicking_at(grid: RegionGrid, recs: &[R], oid: u32) -> PartitionedDqServer<2, PanickingStore> {
+    let server = PartitionedDqServer::build(grid, recs, quiet_tree);
+    let region = server.grid().route_rect(&recs[oid as usize].seg.spatial_bbox()).start;
+    server.with_region_tree(region, |tree| {
+        let victim = leaf_page_of(tree, oid);
+        tree.store().victim.store(victim.0, Ordering::Relaxed);
+    });
+    server
 }
 
 /// The retired-zombie regression: a session that panics mid-run (a page
@@ -269,17 +327,7 @@ fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
 
     // Reading the leaf that holds oid 28 panics, so the doomed session's
     // descent dies there (contained fail-stop).
-    let server = PartitionedDqServer::build(RegionGrid::single(), &recs, |_| {
-        let store = PanickingStore {
-            inner: Pager::with_page_size(256),
-            victim: AtomicU32::new(u32::MAX),
-        };
-        RTree::new(store, RTreeConfig::default())
-    });
-    server.with_region_tree(0, |tree| {
-        let victim = leaf_page_of(tree, 28);
-        tree.store().victim.store(victim.0, Ordering::Relaxed);
-    });
+    let server = panicking_at(RegionGrid::single(), &recs, 28);
 
     let report = server.serve(&[healthy.clone(), doomed], &inserts);
     assert!(

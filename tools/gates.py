@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Figure gates for tools/check.sh: one table, one checker.
+
+Usage: tools/gates.py <group>...   (run from the repository root)
+
+Every experiment binary writes a figure `{"columns": [...], "rows":
+[[cell, ...], ...]}` under target/figures/. A gate picks rows of one
+figure, reads one column, folds the values and compares the result with
+a bound — a number, or the same kind of measurement taken from another
+figure times a factor, which is how every timing gate here is a ratio
+(ratios are machine-portable where absolute throughputs are not).
+Exit status 1 names every gate of the requested groups that failed.
+"""
+import json
+import os
+import sys
+
+FIGURES = "target/figures/"
+
+# Two bounds can be moved from the environment, as before the table.
+OBS_TOL = float(os.environ.get("DQ_OBS_SPEEDUP_TOL", "0.25"))
+NET_P99_US = float(os.environ.get("DQ_NET_P99_US", "50000"))
+
+# Column pickers. SPEEDUP: a read_path ratio row keeps its one value in
+# whichever cell the throughput column is ("2.70x").
+SPEEDUP = None
+LAST = -1
+
+
+def label(prefix):
+    return lambda r: r[0].startswith(prefix)
+
+
+def net(mode, done, *, healthy=False):
+    """exp_service_net rows: mode, session, region, fps, p99, ratio, outcome.
+    The healthy sessions are the ones off region 0, where both
+    misbehaving clients sit."""
+    return lambda r: (r[0] == mode and (r[6] == "done") == done
+                      and (not healthy or r[2] != "0"))
+
+
+def every(_row):
+    return True
+
+
+def stalled(r):
+    return r[-1] == "yes"
+
+
+def measure(figure, rows, column, fold):
+    path = figure if figure.endswith(".json") else f"{FIGURES}{figure}.json"
+    with open(path) as f:
+        picked = [r for r in json.load(f)["rows"] if rows(r)]
+    if fold == "count":
+        return [float(len(picked))]
+    cells = [next(c for c in r[1:] if c.strip()) if column is SPEEDUP else r[column]
+             for r in picked]
+    values = [float(c.rstrip("x")) for c in cells]
+    if fold == "each":
+        if not values:
+            sys.exit(f"FAIL: {path} has no row for a gate that needs one")
+        return values
+    return [{"max": max, "sum": sum}[fold](values)]
+
+
+# group, figure, rows, column, fold, comparison, bound, what is measured.
+# A tuple bound is (factor, figure, rows, column, fold): that measurement,
+# scaled.
+GATES = [
+    ("bench", "read_path_smoke", label("batched/scalar"), SPEEDUP, "each", ">=", 1.0,
+     "SoA overlap kernel vs the scalar loop, speedup"),
+    ("bench", "read_path_smoke", label("patched/rebuilt"), SPEEDUP, "each", ">=", 1.0,
+     "page-editing insert vs the node rebuild, speedup"),
+    ("bench", "read_path_smoke", label("indexed/all-pieces"), SPEEDUP, "each", ">=", 2.0,
+     "indexed trajectory pieces vs solving every piece, speedup"),
+    ("bench", "read_path_smoke", label("packed/inserted"), SPEEDUP, "each", ">=", 2.0,
+     "packed rebuild vs one insert per record, speedup"),
+    ("obs", "read_path_obs_smoke", label("view/decode"), SPEEDUP, "each", ">=",
+     (1.0 - OBS_TOL, "BENCH_read_path.json", label("view/decode"), SPEEDUP, "each"),
+     f"instrumented view/decode speedup vs the committed baseline less {OBS_TOL:.0%}"),
+    ("shard", "exp_service_regions", every, LAST, "each", "<=", 2.0,
+     "hottest region's load over the mean, uniform workload"),
+    ("chaos", "exp_service_chaos", label("concurrent"), 2, "max", ">=",
+     (0.5, "exp_service", label("concurrent"), 2, "max"),
+     "best concurrent frames/s under 1% faults vs half the fault-free best"),
+    ("clock", "exp_service_straggler", stalled, 4, "each", "<", 0.5,
+     "the straggler's own frames/s vs its clean run (the injected delay must bite)"),
+    ("clock", "exp_service_straggler", lambda r: not stalled(r), 4, "each", ">=", 0.9,
+     "a non-stalled region's frames/s vs its clean run"),
+    ("net", "exp_service_net", net("chaos", done=False), 0, "count", "==", 2,
+     "misbehaving clients evicted"),
+    ("net", "exp_service_net", net("clean", done=False), 0, "count", "==", 0,
+     "clean-run sessions that did not finish"),
+    ("net", "exp_service_net", lambda r: r[6] == "done", 4, "each", "<=", NET_P99_US,
+     "a completed session's p99 frame latency, us"),
+    ("net", "exp_service_net", net("chaos", done=True, healthy=True), 3, "sum", ">=",
+     (0.9, "exp_service_net", net("clean", done=True, healthy=True), 3, "sum"),
+     "healthy sessions' aggregate frames/s, chaos vs 0.9x clean"),
+]
+
+COMPARE = {
+    ">=": lambda v, b: v >= b,
+    "<=": lambda v, b: v <= b,
+    "<": lambda v, b: v < b,
+    "==": lambda v, b: v == b,
+}
+
+
+def main(groups):
+    unknown = set(groups) - {g[0] for g in GATES}
+    if unknown or not groups:
+        sys.exit(f"usage: gates.py <group>...; no gate group {sorted(unknown)}")
+    failed = 0
+    for group, figure, rows, column, fold, op, bound, what in GATES:
+        if group not in groups:
+            continue
+        if isinstance(bound, tuple):
+            factor, *reference = bound
+            bound = factor * measure(*reference)[0]
+        values = measure(figure, rows, column, fold)
+        bad = [v for v in values if not COMPARE[op](v, bound)]
+        failed += len(bad)
+        # Green: one line, the value nearest the bound.
+        for value in bad or [min(values) if op == ">=" else max(values)]:
+            print(f"{'FAIL' if bad else 'OK'}: [{group}] {what}: {value:.2f} "
+                  f"(must be {op} {bound:.2f})")
+    sys.exit(1 if failed else 0)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
