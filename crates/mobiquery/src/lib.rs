@@ -15,8 +15,8 @@
 //!   overlap start time; `get_next(t_start, t_end)` emits objects as they
 //!   enter the view, visiting each R-tree node at most once per dynamic
 //!   query. Handles concurrent insertions via the §4.1 update-management
-//!   protocol (LCA notification, duplicate elimination on pop, queue
-//!   rebuild when the LCA is near the root).
+//!   protocol (the top-most node a split created — the LCA of all new
+//!   nodes — enqueued without a read; duplicate elimination on pop).
 //! * [`NpdqEngine`] — the §4.2 algorithm for unknown trajectories:
 //!   consecutive snapshot queries over the double-temporal-axes index,
 //!   discarding any subtree whose overlap with the current query is

@@ -13,10 +13,12 @@
 //!
 //! Concurrent insertions are handled per the paper's update-management
 //! protocol: [`PdqEngine::notify`] receives the [`rtree::InsertReport`]
-//! (the record itself, or the lowest common ancestor of all pages a
-//! cascading split created), re-enqueues it if it intersects the
-//! trajectory, eliminates duplicate pops, and rebuilds the queue from the
-//! root when the LCA is close to the root.
+//! (the record itself, or the top-most node a cascading split created —
+//! the common ancestor of every new node) and enqueues it if it
+//! intersects the trajectory. That node is one the query has never read,
+//! so nothing is read twice; what a split *moved* into it the query may
+//! already hold, and the two sets below — nodes expanded, objects
+//! returned — drop such a duplicate when it pops.
 //!
 //! **Cost model.** A node is read once; expanding it costs its entries ×
 //! the trajectory pieces *meeting the page* — the pieces whose span and
@@ -70,15 +72,6 @@ struct QueueItem<const D: usize> {
 }
 
 impl<const D: usize> QueueItem<D> {
-    /// Identity for duplicate elimination: page for nodes, (oid, seq) for
-    /// objects.
-    fn identity(&self) -> ItemId {
-        match &self.kind {
-            ItemKind::Node { page, .. } => ItemId::Node(*page),
-            ItemKind::Object(r) => ItemId::Object(r.record.oid, r.record.seq),
-        }
-    }
-
     /// Deterministic tie-break key for items sharing a `start`: objects
     /// pop before nodes (an answer due now beats speculative expansion),
     /// then ascending identity. Without this, `BinaryHeap`'s arbitrary
@@ -89,12 +82,6 @@ impl<const D: usize> QueueItem<D> {
             ItemKind::Node { page, .. } => (1, page.0 as u64),
         }
     }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum ItemId {
-    Node(PageId),
-    Object(u32, u32),
 }
 
 impl<const D: usize> PartialEq for QueueItem<D> {
@@ -152,13 +139,10 @@ impl<const D: usize> Ord for QueueItem<D> {
 pub struct PdqEngine<const D: usize> {
     trajectory: Trajectory<D>,
     queue: BinaryHeap<QueueItem<D>>,
-    /// §4.1 footnote 2: identities popped at the current head priority,
-    /// for consecutive-duplicate elimination.
-    recent: Vec<ItemId>,
-    recent_priority: f64,
-    /// Correctness backstop beyond the paper's consecutive-pop check:
-    /// nodes already expanded and objects already returned are never
-    /// processed twice even if a duplicate resurfaces at a later priority.
+    /// §4.1 duplicate elimination: a node already expanded or an object
+    /// already returned is dropped when it pops again, at whatever
+    /// priority (the paper's consecutive-pop check needs a duplicate to
+    /// share its original's priority; keys grow, so here it need not).
     expanded: HashSet<PageId>,
     returned: HashSet<(u32, u32)>,
     /// Latest `t_start` the application has asked for, so [`Self::notify`]
@@ -182,10 +166,6 @@ pub struct PdqEngine<const D: usize> {
     pending_recs: Vec<NsiSegmentRecord<D>>,
     /// Child pages staged alongside `rect_batch` (scratch).
     pending_children: Vec<PageId>,
-    /// Levels-from-root threshold for the §4.1 rebuild heuristic: if an
-    /// update's LCA is at distance < `rebuild_depth` from the root, drop
-    /// and rebuild the queue instead of patching it.
-    pub rebuild_depth: u32,
 }
 
 impl<const D: usize> PdqEngine<D> {
@@ -198,8 +178,6 @@ impl<const D: usize> PdqEngine<D> {
         let mut engine = PdqEngine {
             trajectory,
             queue: BinaryHeap::new(),
-            recent: Vec::new(),
-            recent_priority: f64::NAN,
             expanded: HashSet::new(),
             returned: HashSet::new(),
             last_t_start: f64::NEG_INFINITY,
@@ -211,9 +189,18 @@ impl<const D: usize> PdqEngine<D> {
             ts_out: Vec::new(),
             pending_recs: Vec::new(),
             pending_children: Vec::new(),
-            rebuild_depth: 1,
         };
-        engine.seed_root(tree);
+        // The root has no stored bounding box above it; enqueue it over
+        // the whole trajectory span (it is examined precisely on first pop).
+        let span = engine.trajectory.span();
+        engine.push_item(QueueItem {
+            start: span.lo,
+            end: span.hi,
+            kind: ItemKind::Node {
+                page: tree.root_page(),
+                level: tree.height() - 1,
+            },
+        });
         engine
     }
 
@@ -228,20 +215,6 @@ impl<const D: usize> PdqEngine<D> {
         obs::trace(obs::TraceEvent::QueueOp {
             op: obs::QueueOpKind::Push,
             depth: depth as u32,
-        });
-    }
-
-    fn seed_root<S: PageStore>(&mut self, tree: &RTree<NsiSegmentRecord<D>, S>) {
-        // The root has no stored bounding box above it; enqueue it over
-        // the whole trajectory span (it is examined precisely on first pop).
-        let span = self.trajectory.span();
-        self.push_item(QueueItem {
-            start: span.lo,
-            end: span.hi,
-            kind: ItemKind::Node {
-                page: tree.root_page(),
-                level: tree.height() - 1,
-            },
         });
     }
 
@@ -295,10 +268,9 @@ impl<const D: usize> PdqEngine<D> {
     /// Fallible form of [`Self::get_next`]: a device fault while
     /// expanding a node surfaces as `Err` carrying the failing page. The
     /// engine stays consistent — the un-expanded node is re-enqueued at
-    /// its old priority and its duplicate-elimination footprint is
-    /// retracted, so the very next call retries the read. Results already
-    /// returned are never repeated and none are lost: a session can keep
-    /// calling across frames and heal once the fault clears.
+    /// its old priority, so the very next call retries the read. Results
+    /// already returned are never repeated and none are lost: a session
+    /// can keep calling across frames and heal once the fault clears.
     pub fn try_get_next<S: PageStore>(
         &mut self,
         tree: &RTree<NsiSegmentRecord<D>, S>,
@@ -322,20 +294,6 @@ impl<const D: usize> PdqEngine<D> {
                 depth: self.queue.len() as u32,
             });
 
-            // §4.1 duplicate elimination: duplicates share a priority and
-            // pop consecutively.
-            if item.start == self.recent_priority {
-                if self.recent.contains(&item.identity()) {
-                    self.stats.duplicates_skipped += 1;
-                    continue;
-                }
-                self.recent.push(item.identity());
-            } else {
-                self.recent_priority = item.start;
-                self.recent.clear();
-                self.recent.push(item.identity());
-            }
-
             if item.end < t_start {
                 // Entirely in the past: dropped unexamined (line 7).
                 continue;
@@ -352,10 +310,7 @@ impl<const D: usize> PdqEngine<D> {
                     if self.expanded.contains(&page) {
                         self.stats.duplicates_skipped += 1;
                     } else if let Err(e) = self.expand(tree, page, level, t_start) {
-                        // Re-enqueue the un-expanded node at its old
-                        // priority and retract its footprint in `recent`,
-                        // or the retry would be eliminated as a duplicate.
-                        self.recent.pop();
+                        // Still unexpanded: back at its old priority.
                         self.push_item(QueueItem {
                             start: item.start,
                             end: item.end,
@@ -512,10 +467,12 @@ impl<const D: usize> PdqEngine<D> {
     }
 
     /// §4.1 update management: called with the report of every insertion
-    /// that runs concurrently with this dynamic query.
+    /// that runs concurrently with this dynamic query. Costs one overlap
+    /// test and at most one enqueue, and reads nothing: what a report
+    /// names is new to this query, so the tree is not consulted.
     pub fn notify<S: PageStore>(
         &mut self,
-        tree: &RTree<NsiSegmentRecord<D>, S>,
+        _tree: &RTree<NsiSegmentRecord<D>, S>,
         report: &rtree::InsertReport<<NsiSegmentRecord<D> as Record>::Key, NsiSegmentRecord<D>>,
     ) {
         // Reports whose overlap ended before the latest requested t_start
@@ -533,38 +490,11 @@ impl<const D: usize> PdqEngine<D> {
                 self.enqueue_timeset(ts, t_start, |vis| ItemKind::object(rec, vis));
             }
             Inserted::Subtree { page, key, level } => {
-                let root_distance = tree.height().saturating_sub(1 + *level);
-                if report.root_split || root_distance < self.rebuild_depth {
-                    // LCA close to the root: high duplication risk —
-                    // rebuild the queue from the root (§4.1).
-                    self.rebuild(tree);
-                    return;
-                }
                 let ts = self.trajectory.overlap_nsi_box(key);
-                if !ts.is_empty() && ts.end().unwrap() >= t_start {
-                    // The subtree's contents changed: allow re-expansion.
-                    self.expanded.remove(page);
-                    self.push_item(QueueItem {
-                        start: ts.start().unwrap(),
-                        end: ts.end().unwrap(),
-                        kind: ItemKind::Node {
-                            page: *page,
-                            level: *level,
-                        },
-                    });
-                }
+                let (page, level) = (*page, *level);
+                self.enqueue_timeset(ts, t_start, |_| ItemKind::Node { page, level });
             }
         }
-    }
-
-    /// Drop all queue state and restart from the root, preserving the set
-    /// of already-returned objects so nothing is reported twice.
-    pub fn rebuild<S: PageStore>(&mut self, tree: &RTree<NsiSegmentRecord<D>, S>) {
-        self.queue.clear();
-        self.expanded.clear();
-        self.recent.clear();
-        self.recent_priority = f64::NAN;
-        self.seed_root(tree);
     }
 }
 
@@ -746,8 +676,7 @@ mod tests {
     #[test]
     fn massive_concurrent_insertions_no_duplicates_no_losses() {
         // Build small, then insert a stream of objects ahead of the
-        // window while draining — splits will cascade and trigger both
-        // LCA notifications and rebuilds.
+        // window while draining — splits will cascade, up to the root.
         let mut tree = line_tree(10);
         let mut pdq = PdqEngine::start(&tree, slide(100.0));
         let mut seen: Vec<(u32, u32)> = Vec::new();
@@ -792,39 +721,16 @@ mod tests {
     }
 
     #[test]
-    fn explicit_rebuild_loses_nothing_and_duplicates_nothing() {
-        let tree = line_tree(50);
-        let mut pdq = PdqEngine::start(&tree, slide(50.0));
-        let mut seen: Vec<u32> = pdq
-            .drain_window(&tree, 0.0, 10.0)
-            .iter()
-            .map(|r| r.record.oid)
-            .collect();
-        // Rebuild mid-stream (as an update near the root would force).
-        pdq.rebuild(&tree);
-        seen.extend(
-            pdq.drain_window(&tree, 10.0, 50.0)
-                .iter()
-                .map(|r| r.record.oid),
-        );
-        let n = seen.len();
-        let set: std::collections::BTreeSet<u32> = seen.into_iter().collect();
-        assert_eq!(set.len(), n, "rebuild caused duplicate deliveries");
-        assert_eq!(set.len(), 50, "rebuild lost objects");
-    }
-
-    #[test]
-    fn rebuild_depth_zero_never_rebuilds() {
+    fn split_reports_alone_deliver_everything_once() {
         let mut tree = line_tree(10);
         let mut pdq = PdqEngine::start(&tree, slide(100.0));
-        pdq.rebuild_depth = 0;
         let mut got: Vec<(u32, u32)> = pdq
             .drain_window(&tree, 0.0, 5.0)
             .iter()
             .map(|r| (r.record.oid, r.record.seq))
             .collect();
-        // Force many splits: the engine must still deliver everything via
-        // LCA notifications alone.
+        // Force many splits, root splits among them: the reports alone
+        // must deliver everything.
         let mut expected = 10usize;
         for i in 0..300u32 {
             let x = 10.5 + (i % 80) as f64;
@@ -843,10 +749,10 @@ mod tests {
         got.sort_unstable();
         let n = got.len();
         got.dedup();
-        assert_eq!(got.len(), n, "duplicates with rebuild disabled");
+        assert_eq!(got.len(), n, "duplicates");
         // Everything whose position gets swept must arrive; the window
         // reaches x = 101 by t = 100, so all inserted objects qualify.
-        assert_eq!(got.len(), expected, "losses with rebuild disabled");
+        assert_eq!(got.len(), expected, "losses");
     }
 
     #[test]
@@ -907,7 +813,7 @@ mod tests {
         // A sustained stream of inserts whose overlap with the trajectory
         // ended long before t = 30: every `Inserted::Record` report must
         // be filtered out in notify; only split (subtree) reports — whose
-        // LCA box legitimately covers live data — may enqueue anything.
+        // box legitimately covers moved live data — may enqueue anything.
         let mut subtree_reports = 0usize;
         for i in 0..200u32 {
             let x = 5.5 + (i % 10) as f64; // swept around t ∈ [5, 15]

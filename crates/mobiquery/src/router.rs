@@ -95,11 +95,12 @@ use rebuild::{build_regions, dedup_from};
 use rtree::{NsiSegmentRecord, RTree};
 use std::sync::Arc;
 use stkit::Interval;
-use storage::{PageStore, RetryPolicy};
+use storage::PageStore;
 
-/// One region's shared tree handle: epochs and the server itself hold
-/// `Arc`s to the same locked tree, so a recut can hand trees off without
-/// copying and old-epoch sessions drain at their own pace.
+/// One region's shared tree handle: an epoch and the server itself hold
+/// `Arc`s to the same locked tree, so a serve's last epoch hands its
+/// trees back to the server without copying. No two epochs overlap: an
+/// epoch's scope has joined every participant before the next is cut.
 type RegionTree<const D: usize, S> = Arc<RwLock<RTree<NsiSegmentRecord<D>, S>>>;
 
 /// Per-region tallies of one partitioned run.
@@ -189,7 +190,6 @@ pub struct PartitionedDqServer<const D: usize, S: PageStore> {
     /// detection and recutting).
     loads: Mutex<Vec<u64>>,
     metrics: Option<Arc<obs::MetricsRegistry>>,
-    writer_retry: RetryPolicy,
     /// When set, every frame's batch is group-committed to the WAL
     /// before any region applies it, and checkpoints (a record set, not
     /// per-region page images) are installed when due. Survives
@@ -218,7 +218,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             regions,
             loads,
             metrics: None,
-            writer_retry: RetryPolicy::default(),
             durability: None,
         }
     }
@@ -239,16 +238,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// `service.region{r}.{inserts,writer.reads,writer.writes,session.reads,load}`.
     pub fn with_metrics(mut self, registry: Arc<obs::MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
-        self
-    }
-
-    /// How each region's writer treats transient insert failures
-    /// (builder-style). A failed [`rtree::RTree::try_insert`] descent
-    /// leaves the tree unchanged, so the writer can retry the same
-    /// record; backoff sleeps happen with the write lock *released*.
-    /// Default: [`RetryPolicy::default`].
-    pub fn with_writer_retry(mut self, policy: RetryPolicy) -> Self {
-        self.writer_retry = policy;
         self
     }
 

@@ -30,8 +30,17 @@ use crate::service::{
 use parking_lot::RwLock;
 use rtree::{NsiSegmentRecord, RTree};
 use std::sync::Arc;
-use std::time::Instant;
-use storage::{PageStore, StorageError};
+use std::time::{Duration, Instant};
+use storage::{PageStore, RetryPolicy, StorageError};
+
+/// How a region's writer treats a transient insert failure: the failed
+/// [`RTree::try_insert`] descent left the tree unchanged, so the same
+/// record is retried, after a backoff slept with the write lock
+/// *released*. The values are [`RetryPolicy::default`]'s.
+const WRITER_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_backoff: Duration::from_micros(20),
+};
 
 /// A failed region writer (full device) stops applying — a full disk
 /// stays full. The log keeps committing and checkpointing regardless: a
@@ -236,11 +245,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                             attempt = 0;
                         }
                         Err(e)
-                            if e.is_transient()
-                                && attempt + 1 < self.writer_retry.max_attempts =>
+                            if e.is_transient() && attempt + 1 < WRITER_RETRY.max_attempts =>
                         {
                             attempt += 1;
-                            backoff = Some(self.writer_retry.backoff(attempt));
+                            backoff = Some(WRITER_RETRY.backoff(attempt));
                             break;
                         }
                         // A full device fails the region's writer for the

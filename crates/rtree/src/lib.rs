@@ -19,8 +19,9 @@
 //!   ([`SplitPolicy`]), modified per §4.1 so that all nodes created by a
 //!   cascading split lie **on one path**: the split group containing the
 //!   cascading new entry always receives the freshly allocated page. The
-//!   insert reports the lowest common ancestor of everything new
-//!   ([`InsertReport`]) so running dynamic queries can be notified.
+//!   new nodes therefore nest, and the insert reports the top-most of
+//!   them — their common ancestor, and a page no running query has read
+//!   ([`InsertReport`]) — so running dynamic queries can be notified.
 //! * **Node timestamps** — every node on an insertion path is stamped
 //!   with the logical time of the insert, which is what lets NPDQ decide
 //!   whether the previous query may be used to discard a subtree (§4.2).

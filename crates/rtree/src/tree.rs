@@ -45,16 +45,20 @@ pub enum Inserted<K, R> {
     /// No node was split: only this record is new. Running queries check
     /// it against their trajectory directly.
     Record(R),
-    /// Splits occurred; `page` is the lowest common ancestor of every
-    /// newly created node (the first ancestor that absorbed a split
-    /// without splitting itself, or the new root). Running queries
-    /// re-enqueue this subtree.
+    /// Splits occurred; `page` is the top-most node the split chain
+    /// *created*: the entry the first ancestor with room absorbed, or at
+    /// a root split the old root's new sibling. A split puts the arriving
+    /// entry's group in the new node, so the new nodes nest and this one
+    /// is their common ancestor (§4.1's LCA, a node counting as its own
+    /// ancestor): its subtree holds the new record and every entry a
+    /// split moved, and it is a page no running query has read. Running
+    /// queries enqueue it.
     Subtree {
-        /// Page of the LCA node.
+        /// Page of that node.
         page: PageId,
-        /// Bounding key of the LCA at insertion time.
+        /// Its bounding key.
         key: K,
-        /// Level of the LCA (0 = leaf).
+        /// Its level (0 = leaf).
         level: u32,
     },
 }
@@ -72,9 +76,6 @@ pub struct EpochStats {
 pub struct InsertReport<K, R> {
     /// What to forward to running dynamic queries.
     pub notify: Inserted<K, R>,
-    /// True iff the root split (queries may prefer to rebuild their
-    /// queues, §4.1).
-    pub root_split: bool,
 }
 
 /// One internal node on an insert's descent: the page, the node as read
@@ -108,14 +109,6 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
             fold()
         }
     }
-}
-
-/// What the upward pass tells its caller.
-struct Ascent<K, R> {
-    /// The lowest common ancestor of every node a split chain created:
-    /// the first node that absorbed a pending entry, or the new root.
-    lca: Option<Inserted<K, R>>,
-    root_split: bool,
 }
 
 /// Outcome of a recursive delete step.
@@ -458,16 +451,11 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             pending = Some((new_node.bounding_key(), new_page));
         }
 
-        let leaf_split = pending.is_some();
-        let up = self.ascend(path, child_key, pending, !leaf_split, now)?;
+        let grew = pending.is_none();
+        let created = self.ascend(path, child_key, pending, grew, now)?;
         self.len += 1;
         Ok(InsertReport {
-            notify: if leaf_split {
-                up.lca.expect("a split chain ends in an absorbing node or a new root")
-            } else {
-                Inserted::Record(rec)
-            },
-            root_split: up.root_split,
+            notify: created.unwrap_or(Inserted::Record(rec)),
         })
     }
 
@@ -509,6 +497,9 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// The key handed up is the node's fold with the changed entry
     /// substituted, or — while `grew` holds: nothing below split, so every
     /// key on the way only grew — [`Step::child_key_after`]'s union.
+    ///
+    /// Returns the top-most node created, if `pending` or a split on the
+    /// way created any: see [`Inserted::Subtree`].
     fn ascend(
         &mut self,
         path: &mut Vec<Step<R::Key, R>>,
@@ -516,9 +507,9 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         mut pending: Option<(R::Key, PageId)>,
         mut grew: bool,
         now: f64,
-    ) -> Result<Ascent<R::Key, R>, StorageError> {
+    ) -> Result<Option<Inserted<R::Key, R>>, StorageError> {
         let internal_cap = self.internal_capacity();
-        let mut lca = None;
+        let mut created = None;
         while let Some(Step { page, node, chosen }) = path.pop() {
             let level = node.level();
             if pending.is_some() && node.len() == internal_cap {
@@ -542,7 +533,6 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 continue;
             }
 
-            let absorbs = pending.is_some();
             let fold = || {
                 let view = node.view();
                 let folded = match &child_key {
@@ -554,13 +544,11 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                     None => folded,
                 }
             };
-            // The node's new key: for its parent's entry, or (absorbing)
-            // for the notification. A root that absorbs nothing needs none.
-            let key = match (path.last(), &child_key) {
-                (Some(up), Some(k)) => Some(up.child_key_after(grew, k, fold)),
-                (Some(_), None) => Some(fold()),
-                (None, _) => absorbs.then(fold),
-            };
+            // The node's new key, for its parent's entry: a root has none.
+            let key = path.last().map(|up| match &child_key {
+                Some(k) => up.child_key_after(grew, k, fold),
+                None => fold(),
+            });
             let mut edit = node.edit_in(&mut self.scratch);
             drop(node);
             edit.set_timestamp(now);
@@ -568,23 +556,19 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 edit.set_key(chosen, k);
             }
             if let Some((nk, np)) = pending.take() {
+                // The first ancestor with room: the split chain ends here.
                 edit.push_entry(&nk, np);
+                created = Some(Inserted::Subtree {
+                    page: np,
+                    key: nk,
+                    level: level - 1,
+                });
             }
             self.store.write(page, edit.bytes());
             self.levels.record_write(level);
-            if absorbs && lca.is_none() {
-                // First ancestor that absorbed the split chain: the LCA
-                // of all newly created nodes (§4.1).
-                lca = Some(Inserted::Subtree {
-                    page,
-                    key: key.expect("an absorbing node's key is computed"),
-                    level,
-                });
-            }
             child_key = key;
         }
 
-        let mut root_split = false;
         if let Some((nk, np)) = pending {
             // The old root split: grow the tree.
             let old_root_key = child_key.expect("a split hands its old half's key up");
@@ -595,14 +579,13 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             self.write_node(new_root, &root_node);
             self.root = new_root;
             self.height += 1;
-            root_split = true;
-            lca = Some(Inserted::Subtree {
-                page: new_root,
-                key: root_node.bounding_key(),
-                level: root_node.level,
+            created = Some(Inserted::Subtree {
+                page: np,
+                key: nk,
+                level: root_node.level - 1,
             });
         }
-        Ok(Ascent { lca, root_split })
+        Ok(created)
     }
 
     /// Delete one record (matched by full equality), condensing the tree

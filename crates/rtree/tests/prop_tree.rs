@@ -260,19 +260,53 @@ proptest! {
     }
 
     #[test]
-    fn insert_reports_cover_the_record(recs in records(300)) {
-        // Every InsertReport's notification must cover the inserted record:
-        // Record(r) trivially, Subtree's key must contain the record's key.
-        let mut tree: RTree<R, Pager> = RTree::new(Pager::new(), RTreeConfig::default());
+    fn split_reports_name_the_top_new_node(recs in records(300)) {
+        // 256-byte pages (fanout 7-8): most inserts split, many cascade,
+        // some split the root. `Record(r)` is the record; `Subtree` must
+        // name a page the insert created, hanging one level below the
+        // node that took it in, whose key and subtree hold the record.
+        let mut tree: RTree<R, Pager> =
+            RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+        let mut splits = 0;
         for (i, r) in recs.iter().enumerate() {
+            let before = tree.store().live_page_ids();
             let report = tree.insert(*r, i as f64);
             match &report.notify {
                 rtree::Inserted::Record(rec) => prop_assert_eq!(rec, r),
-                rtree::Inserted::Subtree { key, .. } => {
+                rtree::Inserted::Subtree { page, key, level } => {
+                    splits += 1;
+                    prop_assert!(!before.contains(page), "{page} predates the insert");
                     prop_assert!(key.contains(&r.key()),
-                        "LCA key {key:?} must contain inserted {:?}", r.key());
+                        "reported key {key:?} must contain inserted {:?}", r.key());
+                    prop_assert_eq!(tree.read_node(*page).level(), *level);
+                    let parent = pages_under(&tree, tree.root_page())
+                        .into_iter()
+                        .map(|p| tree.read_node(p))
+                        .find(|n| !n.is_leaf() && n.internal_entries().any(|(_, c)| c == *page));
+                    let parent = parent.expect("the reported node hangs in the tree");
+                    prop_assert_eq!(parent.level(), *level + 1);
+                    let reached = pages_under(&tree, *page).into_iter().any(|p| {
+                        let node = tree.read_node(p);
+                        node.is_leaf() && node.leaf_records().any(|rec| rec == *r)
+                    });
+                    prop_assert!(reached, "no path from {page} to the inserted record");
                 }
             }
         }
+        prop_assert!(recs.len() < 8 || splits > 0);
     }
+}
+
+/// Every page of the subtree rooted at `from`, itself included.
+fn pages_under(tree: &RTree<R, Pager>, from: storage::PageId) -> Vec<storage::PageId> {
+    let mut pages = vec![from];
+    let mut next = 0;
+    while next < pages.len() {
+        let node = tree.read_node(pages[next]);
+        next += 1;
+        if !node.is_leaf() {
+            pages.extend(node.internal_entries().map(|(_, child)| child));
+        }
+    }
+    pages
 }

@@ -205,8 +205,8 @@ impl Mirror {
                 unreachable!()
             };
             entries[chosen].0 = child_key;
-            let absorbs = pending.is_some();
-            entries.extend(pending.take());
+            let arrived = pending.take();
+            entries.extend(arrived);
             if node.len() > node.capacity(page_size) {
                 let (old_node, new_node) = self.split_node(&node);
                 child_key = old_node.bounding_key();
@@ -217,17 +217,18 @@ impl Mirror {
             } else {
                 child_key = node.bounding_key();
                 self.write(page, &node);
-                if absorbs && notify.is_none() {
+                // The node with room ends the split chain; what it took
+                // in is the top-most node the chain created.
+                if let Some((key, created)) = arrived {
                     notify = Some(Inserted::Subtree {
-                        page,
-                        key: child_key,
-                        level: node.level,
+                        page: created,
+                        key,
+                        level: node.level - 1,
                     });
                 }
             }
         }
 
-        let mut root_split = false;
         if let Some(entry) = pending {
             let new_root = self.store.alloc();
             let mut root_node =
@@ -236,16 +237,15 @@ impl Mirror {
             self.write(new_root, &root_node);
             self.root = new_root;
             self.height += 1;
-            root_split = true;
+            // A root split: the old root's new sibling.
             notify = Some(Inserted::Subtree {
-                page: new_root,
-                key: root_node.bounding_key(),
-                level: root_node.level,
+                page: entry.1,
+                key: entry.0,
+                level: root_node.level - 1,
             });
         }
         InsertReport {
             notify: notify.expect("notify always set"),
-            root_split,
         }
     }
 }

@@ -281,7 +281,6 @@ impl TprDynamicQuery {
             Inserted::Subtree { page, key, level } => {
                 let ts = overlap_trajectory_tpbox(&self.trajectory, key);
                 if let (Some(s), Some(e)) = (ts.start(), ts.end()) {
-                    self.expanded.remove(page);
                     self.queue.push(QueueItem {
                         start: s,
                         end: e,
@@ -405,6 +404,64 @@ mod tests {
         q.notify(&tr, &report);
         let later = q.drain_window(&tr, 5.0, 60.0);
         assert!(later.iter().any(|r| r.record.oid == 99));
+    }
+
+    #[test]
+    fn split_reports_deliver_each_update_in_its_frame() {
+        // 256-byte pages: the stream splits nodes at every level, so most
+        // reports are `Inserted::Subtree`. The ground truth is computed
+        // from the records alone: a frame delivers what is in the tree,
+        // undelivered, and overlaps the trajectory from by the frame's
+        // end until at or after its start.
+        let motion = |i: u32, born: f64| {
+            let ang = i as f64 * 2.399;
+            let p = [50.0 + (i % 40) as f64 - 20.0, 50.0 + ((i / 40) % 12) as f64 - 6.0];
+            TprRecord::new(i, 0, Interval::new(born, born + 30.0), p, [0.8 * ang.cos(), 0.8 * ang.sin()])
+        };
+        let traj = Trajectory::linear(
+            Rect::from_corners([45.0, 45.0], [55.0, 55.0]),
+            [0.5, 0.2],
+            Interval::new(0.0, 20.0),
+            4,
+        );
+        let mut tr: RTree<TprRecord, Pager> =
+            RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+        let mut present = Vec::new();
+        let admit = |present: &mut Vec<(u32, f64, f64)>, rec: &TprRecord| {
+            let ts = overlap_trajectory_tpbox(&traj, &rec.tpbox());
+            if let (Some(s), Some(e)) = (ts.start(), ts.end()) {
+                present.push((rec.oid, s, e));
+            }
+        };
+        let mut next = 0..;
+        for i in next.by_ref().take(100) {
+            tr.insert(motion(i, 0.0), 0.0);
+            admit(&mut present, &motion(i, 0.0));
+        }
+        assert!(tr.height() >= 3);
+        let mut q = TprDynamicQuery::start(&tr, traj.clone());
+        let (mut delivered, mut subtrees) = (HashSet::new(), 0);
+        for k in 0..40 {
+            let (t0, t1) = (k as f64 * 0.5, (k + 1) as f64 * 0.5);
+            for i in next.by_ref().take(6) {
+                let report = tr.insert(motion(i, t0), t0);
+                subtrees += usize::from(matches!(report.notify, Inserted::Subtree { .. }));
+                q.notify(&tr, &report);
+                admit(&mut present, &motion(i, t0));
+            }
+            let mut got: Vec<u32> =
+                q.drain_window(&tr, t0, t1).iter().map(|r| r.record.oid).collect();
+            got.sort_unstable();
+            let mut want: Vec<u32> = present
+                .iter()
+                .filter(|(oid, s, e)| !delivered.contains(oid) && *s <= t1 && *e >= t0)
+                .map(|&(oid, ..)| oid)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "frame {k}");
+            delivered.extend(got);
+        }
+        assert!(subtrees > 20 && delivered.len() > 50, "{subtrees} splits, {} answers", delivered.len());
     }
 
     #[test]

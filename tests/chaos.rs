@@ -16,6 +16,9 @@
 //!   (`chaos_c`).
 //! - **A corrupt root** starves the writer: every insert is dropped and
 //!   logged in `writer_outcome`, and the tree is untouched (`chaos_d`).
+//! - **Transient faults with no pool retry** reach the region writer,
+//!   which retries the record itself with its lock released: nothing is
+//!   dropped and the tree answers like the oracle's (`chaos_m`).
 //! - **A crash at any point of the durable write path** recovers
 //!   exactly the committed-frame prefix — the recovered record multiset,
 //!   and a server rebuilt from it answering like the fault-free oracle
@@ -347,6 +350,35 @@ fn chaos_d_corrupt_root_stops_the_writer_cleanly() {
     }
     assert_eq!(report.writer_reads, 0, "failed reads must not count as device reads");
     assert_eq!(server.region_record_counts(), vec![20], "the tree must be untouched");
+}
+
+/// (m) Transient faults with *no* retrying pool beneath the tree: every
+/// injected fault reaches the region writer raw, whose own policy —
+/// release the write lock, back off, retry the same record on the tree
+/// the failed descent left unchanged — is then the only thing between a
+/// fault and a dropped insert. No session runs while faults fire (a
+/// session has no retry of its own and would degrade); the tree the
+/// writer leaves behind must answer like the fault-free oracle's.
+#[test]
+fn chaos_m_writer_retries_transients_with_no_pool_beneath_it() {
+    let recs = line_records(120);
+    let inserts = line_inserts(12, 4);
+
+    let faulty = FaultyStore::new(Pager::with_page_size(256), FaultPlan::transient(9, 0.05));
+    faulty.set_enabled(false);
+    let server = single(faulty, &recs);
+    server.with_region_tree(0, |t| t.store().set_enabled(true));
+    let report = server.serve(&[], &inserts);
+    server.with_region_tree(0, |t| t.store().set_enabled(false));
+
+    let oracle = clean(&recs);
+    let expected = oracle.serve_serial(&[], &inserts);
+
+    assert!(report.writer_outcome.is_ok(), "writer: {:?}", report.writer_outcome);
+    assert_eq!(report.inserts_applied, expected.inserts_applied);
+    let transients = server.with_region_tree(0, |t| t.store().injected().transients);
+    assert!(transients > 0, "no transient fault ever reached the writer");
+    assert_eq!(requery(&server), requery(&oracle));
 }
 
 /// `save_pager` bytes of a tree's store (its header carries the page

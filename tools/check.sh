@@ -64,10 +64,17 @@
 #          equivalent answers — and exp_checkpoint, which fails unless
 #          checkpointing a fixed delta over a 4x larger base costs <=
 #          2.0x what it costs over the 1x base.
+#   updates
+#          the §4.1 update protocol measured against something that is
+#          not the shared-engine oracle: exp_updates at quick scale — a
+#          PDQ over an index that grows while it runs must deliver what a
+#          PDQ over the finished index delivers, for <= 1.05x its disk
+#          accesses per frame, dropping at most a quarter as many
+#          duplicate queue entries as it delivers objects.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GROUPS_ALL="bench obs shard chaos clock net wal"
+GROUPS_ALL="bench obs shard chaos clock net wal updates"
 SMOKE=""
 ONLY=""
 while [ $# -gt 0 ]; do
@@ -156,6 +163,11 @@ if want wal; then
   echo "OK: durable exp_service sweep recovered result-equivalently on every configuration."
   bench_bin exp_checkpoint_smoke exp_checkpoint
   echo "OK: logical checkpoint cost is flat in the base size (4x base <= 2.0x)."
+fi
+
+if want updates; then
+  bench_bin exp_updates_smoke exp_updates DQ_SCALE=quick
+  tools/gates.py updates
 fi
 
 if [ -n "$ONLY" ]; then

@@ -39,6 +39,12 @@ def net(mode, done, *, healthy=False):
                       and (not healthy or r[2] != "0"))
 
 
+def updates(mode):
+    """exp_updates rows: engine, mode, disk/query, dups skipped/dq,
+    delivered/dq."""
+    return lambda r: r[0] == "PDQ" and r[1] == mode
+
+
 def every(_row):
     return True
 
@@ -96,6 +102,15 @@ GATES = [
     ("net", "exp_service_net", net("chaos", done=True, healthy=True), 3, "sum", ">=",
      (0.9, "exp_service_net", net("clean", done=True, healthy=True), 3, "sum"),
      "healthy sessions' aggregate frames/s, chaos vs 0.9x clean"),
+    ("updates", "exp_updates", updates("live insertions"), 4, "each", "==",
+     (1.0, "exp_updates", updates("static index"), 4, "each"),
+     "objects a PDQ delivers over a live index vs over the finished one"),
+    ("updates", "exp_updates", updates("live insertions"), 2, "each", "<=",
+     (1.05, "exp_updates", updates("static index"), 2, "each"),
+     "PDQ disk accesses per frame, live index vs 1.05x the finished one"),
+    ("updates", "exp_updates", updates("live insertions"), 3, "each", "<=",
+     (0.25, "exp_updates", updates("live insertions"), 4, "each"),
+     "duplicate queue entries a live PDQ drops vs a quarter of what it delivers"),
 ]
 
 COMPARE = {
