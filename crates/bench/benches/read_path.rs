@@ -30,7 +30,7 @@
 //!   staged and solved against a 360-piece bouncing trajectory, once by
 //!   a bench-owned copy of the loop `Trajectory` ran before it indexed
 //!   its pieces (every piece solved against every page) and once through
-//!   `Trajectory::overlap_segment_batch_into` (the pieces meeting the
+//!   `Trajectory::overlap_batch_into` (the pieces meeting the
 //!   page's hull). Same pages, same kernel, results asserted identical;
 //!   plus the indexed/all-pieces ratio.
 //!
@@ -290,7 +290,7 @@ fn insert_rates(recs: &[R], window: Duration) -> (f64, f64) {
 /// SoA-batched in node-page-sized chunks. Asserts bit-identity first.
 fn geometry_rates(recs: &[R], window: Duration) -> (f64, f64) {
     // The four-case trapezoid kernel itself, in the shape the descents
-    // drive it (`Trajectory::overlap_rect_batch_into`): a node page is
+    // drive it (`Trajectory::overlap_batch_into`): a node page is
     // staged once and then solved against *every* trapezoid segment of
     // the trajectory, so the SoA transform is amortized across segments
     // while the scalar path re-branches per (segment, entry). One
@@ -381,7 +381,7 @@ fn geometry_rates(recs: &[R], window: Duration) -> (f64, f64) {
 /// Leaf pages/s expanded against a many-piece trajectory: every piece
 /// solved against every page (the loop `Trajectory` ran before it
 /// indexed its pieces, kept here) vs the indexed
-/// `overlap_segment_batch_into`. One expansion = stage the page's
+/// `overlap_batch_into`. One expansion = stage the page's
 /// records, union the per-piece results into one `TimeSet` per record.
 /// Asserts identical results first.
 fn expand_rates(tree: &RTree<R, Store>, window: Duration) -> (f64, f64) {
@@ -441,7 +441,7 @@ fn expand_rates(tree: &RTree<R, Store>, window: Duration) -> (f64, f64) {
     for page in &pages {
         stage(&mut batch, page);
         all_pieces(&mut batch, &mut expect);
-        solved += traj.overlap_segment_batch_into(&mut batch, &mut out);
+        solved += traj.overlap_batch_into(&mut batch, &mut out);
         assert_eq!(out, expect, "indexed expansion must equal the all-pieces loop");
     }
     eprintln!(
@@ -465,7 +465,7 @@ fn expand_rates(tree: &RTree<R, Store>, window: Duration) -> (f64, f64) {
     };
     let scanned = timed(&mut |batch, out| all_pieces(batch, out));
     let indexed = timed(&mut |batch, out| {
-        traj.overlap_segment_batch_into(batch, out);
+        traj.overlap_batch_into(batch, out);
     });
     (scanned, indexed)
 }

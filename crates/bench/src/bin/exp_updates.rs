@@ -82,7 +82,7 @@ fn main() {
                 let rec =
                     NsiSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position());
                 let report = tree.insert(rec, u.seg.t.lo);
-                e.notify(&tree, &report);
+                e.notify(&report);
                 live_iter.next();
             }
             delivered += e.drain_window(&tree, w[0], w[1]).len() as u64;

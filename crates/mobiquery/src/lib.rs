@@ -63,7 +63,7 @@ pub use durability::{
 };
 pub use join::{distance_join, self_distance_join, JoinPair};
 pub use knn::{knn_at, knn_moving_observer, KnnResult, MovingKnn};
-pub use layout::MotionRecord;
+pub use layout::{MotionRecord, PdqRecord};
 pub use naive::NaiveEngine;
 pub use npdq::NpdqEngine;
 pub use pdq::{PdqEngine, PdqResult};

@@ -1,4 +1,6 @@
-//! Predictive Dynamic Queries (§4.1).
+//! Predictive Dynamic Queries (§4.1) — the one engine, over every index
+//! family that implements [`PdqRecord`]: NSI motion segments by default,
+//! the TPR-tree's moving points in `tprtree`.
 //!
 //! The trajectory is known ahead of time, so the engine traverses the
 //! R-tree *once* for the whole dynamic query: a priority queue holds
@@ -28,74 +30,78 @@
 //! trajectory's span) are counted but not staged, so they widen no hull.
 //! [`PdqEngine::pieces_solved`] counts the piece solves actually made.
 
+use crate::layout::PdqRecord;
 use crate::stats::QueryStats;
 use crate::trajectory::Trajectory;
-use rtree::{Inserted, NsiSegmentRecord, RTree, Record};
+use rtree::{Inserted, NsiSegmentRecord, RTree};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use storage::{PageId, PageStore, StorageError};
-use stkit::{Interval, RectBatch, SegmentBatch, TimeSet};
+use stkit::{Interval, TimeSet};
 
 /// One answer of a dynamic query: the record plus the set of times during
 /// which it is visible ("the database will inform the application about
 /// how long that object will stay in the view").
 #[derive(Clone, Debug, PartialEq)]
-pub struct PdqResult<const D: usize> {
-    /// The motion-segment record.
-    pub record: NsiSegmentRecord<D>,
+pub struct PdqResult<const D: usize, R = NsiSegmentRecord<D>> {
+    /// The indexed record (a motion segment unless `R` says otherwise).
+    pub record: R,
     /// Exact times the object is inside the moving window.
     pub visibility: TimeSet,
 }
 
 #[derive(Clone, Debug)]
-enum ItemKind<const D: usize> {
+enum ItemKind<const D: usize, R> {
     Node { page: PageId, level: u32 },
-    Object(Box<PdqResult<D>>),
+    Object(Box<PdqResult<D, R>>),
 }
 
-impl<const D: usize> ItemKind<D> {
+impl<const D: usize, R> ItemKind<D, R> {
     /// An answer waiting in the queue. It may wait for most of the
     /// trajectory, so the capacity its set grew by is handed back here.
-    fn object(record: NsiSegmentRecord<D>, mut visibility: TimeSet) -> Self {
+    fn object(record: R, mut visibility: TimeSet) -> Self {
         visibility.shrink_to_fit();
         ItemKind::Object(Box::new(PdqResult { record, visibility }))
     }
 }
 
 #[derive(Clone, Debug)]
-struct QueueItem<const D: usize> {
+struct QueueItem<const D: usize, R> {
     /// Start of the overlap-time interval — the queue priority.
     start: f64,
     /// End of the overlap-time interval.
     end: f64,
-    kind: ItemKind<D>,
+    kind: ItemKind<D, R>,
 }
 
-impl<const D: usize> QueueItem<D> {
+impl<const D: usize, R: PdqRecord<D>> QueueItem<D, R> {
     /// Deterministic tie-break key for items sharing a `start`: objects
     /// pop before nodes (an answer due now beats speculative expansion),
     /// then ascending identity. Without this, `BinaryHeap`'s arbitrary
     /// tie order makes result order depend on insertion history.
     fn tie_key(&self) -> (u8, u64) {
         match &self.kind {
-            ItemKind::Object(r) => (0, ((r.record.oid as u64) << 32) | r.record.seq as u64),
+            ItemKind::Object(r) => {
+                let (oid, seq) = r.record.identity();
+                (0, ((oid as u64) << 32) | seq as u64)
+            }
             ItemKind::Node { page, .. } => (1, page.0 as u64),
         }
     }
 }
 
-impl<const D: usize> PartialEq for QueueItem<D> {
+impl<const D: usize, R: PdqRecord<D>> PartialEq for QueueItem<D, R> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl<const D: usize> Eq for QueueItem<D> {}
-impl<const D: usize> PartialOrd for QueueItem<D> {
+impl<const D: usize, R: PdqRecord<D>> Eq for QueueItem<D, R> {}
+impl<const D: usize, R: PdqRecord<D>> PartialOrd for QueueItem<D, R> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<const D: usize> Ord for QueueItem<D> {
+impl<const D: usize, R: PdqRecord<D>> Ord for QueueItem<D, R> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse for earliest-start-first,
         // with a total tie-break so pop order is deterministic.
@@ -110,7 +116,9 @@ impl<const D: usize> Ord for QueueItem<D> {
 ///
 /// The engine holds only queue state; every method borrows the tree, so
 /// callers remain free to insert into the tree between calls (forwarding
-/// each [`rtree::InsertReport`] through [`PdqEngine::notify`]).
+/// each [`rtree::InsertReport`] through [`PdqEngine::notify`]). `R` is
+/// the record type of the index family queried, inferred from the tree
+/// [`PdqEngine::start`] is given.
 ///
 /// ```
 /// use mobiquery::{PdqEngine, Trajectory};
@@ -136,9 +144,9 @@ impl<const D: usize> Ord for QueueItem<D> {
 /// assert!(pdq.get_next(&tree, 0.0, 10.0).is_none());
 /// ```
 #[derive(Debug)]
-pub struct PdqEngine<const D: usize> {
+pub struct PdqEngine<const D: usize, R: PdqRecord<D> = NsiSegmentRecord<D>> {
     trajectory: Trajectory<D>,
-    queue: BinaryHeap<QueueItem<D>>,
+    queue: BinaryHeap<QueueItem<D, R>>,
     /// §4.1 duplicate elimination: a node already expanded or an object
     /// already returned is dropped when it pops again, at whatever
     /// priority (the paper's consecutive-pop check needs a duplicate to
@@ -156,25 +164,21 @@ pub struct PdqEngine<const D: usize> {
     /// expansions.
     pieces_solved: u64,
     stats: QueryStats,
-    /// SoA staging for internal-node entry boxes (scratch, reused).
-    rect_batch: RectBatch<D>,
-    /// SoA staging for leaf motion segments (scratch, reused).
-    seg_batch: SegmentBatch<D>,
+    /// SoA staging for the entries of the node being expanded (scratch,
+    /// reused; empty between expansions).
+    page: R::Page,
     /// Per-entry overlap time sets from the last batch solve (scratch).
     ts_out: Vec<TimeSet>,
-    /// Leaf records staged alongside `seg_batch` (scratch).
-    pending_recs: Vec<NsiSegmentRecord<D>>,
-    /// Child pages staged alongside `rect_batch` (scratch).
+    /// Leaf records staged alongside `page` (scratch).
+    pending_recs: Vec<R>,
+    /// Child pages staged alongside `page` (scratch).
     pending_children: Vec<PageId>,
 }
 
-impl<const D: usize> PdqEngine<D> {
+impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
     /// Start a dynamic query: seeds the queue with the root (if the root's
     /// box overlaps the trajectory at all).
-    pub fn start<S: PageStore>(
-        tree: &RTree<NsiSegmentRecord<D>, S>,
-        trajectory: Trajectory<D>,
-    ) -> Self {
+    pub fn start<S: PageStore>(tree: &RTree<R, S>, trajectory: Trajectory<D>) -> Self {
         let mut engine = PdqEngine {
             trajectory,
             queue: BinaryHeap::new(),
@@ -184,8 +188,7 @@ impl<const D: usize> PdqEngine<D> {
             queue_hwm: 0,
             pieces_solved: 0,
             stats: QueryStats::default(),
-            rect_batch: RectBatch::new(),
-            seg_batch: SegmentBatch::new(),
+            page: R::Page::default(),
             ts_out: Vec::new(),
             pending_recs: Vec::new(),
             pending_children: Vec::new(),
@@ -206,7 +209,7 @@ impl<const D: usize> PdqEngine<D> {
 
     /// All queue pushes funnel through here so the high-water mark and
     /// trace stream stay exact.
-    fn push_item(&mut self, item: QueueItem<D>) {
+    fn push_item(&mut self, item: QueueItem<D, R>) {
         self.queue.push(item);
         let depth = self.queue.len();
         if depth > self.queue_hwm {
@@ -257,10 +260,10 @@ impl<const D: usize> PdqEngine<D> {
     /// the application never asked for them (it "skipped ahead").
     pub fn get_next<S: PageStore>(
         &mut self,
-        tree: &RTree<NsiSegmentRecord<D>, S>,
+        tree: &RTree<R, S>,
         t_start: f64,
         t_end: f64,
-    ) -> Option<PdqResult<D>> {
+    ) -> Option<PdqResult<D, R>> {
         self.try_get_next(tree, t_start, t_end)
             .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
     }
@@ -273,10 +276,10 @@ impl<const D: usize> PdqEngine<D> {
     /// can keep calling across frames and heal once the fault clears.
     pub fn try_get_next<S: PageStore>(
         &mut self,
-        tree: &RTree<NsiSegmentRecord<D>, S>,
+        tree: &RTree<R, S>,
         t_start: f64,
         t_end: f64,
-    ) -> Result<Option<PdqResult<D>>, StorageError> {
+    ) -> Result<Option<PdqResult<D, R>>, StorageError> {
         if t_start > self.last_t_start {
             self.last_t_start = t_start;
         }
@@ -300,7 +303,7 @@ impl<const D: usize> PdqEngine<D> {
             }
             match item.kind {
                 ItemKind::Object(result) => {
-                    if self.returned.insert((result.record.oid, result.record.seq)) {
+                    if self.returned.insert(result.record.identity()) {
                         self.stats.results += 1;
                         return Ok(Some(*result));
                     }
@@ -330,7 +333,7 @@ impl<const D: usize> PdqEngine<D> {
     /// `t_start`. Entries are decoded lazily straight out of the page.
     fn expand<S: PageStore>(
         &mut self,
-        tree: &RTree<NsiSegmentRecord<D>, S>,
+        tree: &RTree<R, S>,
         page: PageId,
         level: u32,
         t_start: f64,
@@ -347,24 +350,21 @@ impl<const D: usize> PdqEngine<D> {
         let out_of_play =
             |life: &Interval| life.hi < t_start || life.hi < span.lo || life.lo > span.hi;
         if node.is_leaf() {
-            // Stage every live, not-yet-returned segment into the SoA
+            // Stage every live, not-yet-returned record into the SoA
             // batch, then solve all lanes per trajectory piece meeting
             // the page (branch-free inner loops, bit-identical to the
             // scalar path).
-            self.seg_batch.clear();
             self.pending_recs.clear();
             for rec in node.leaf_records() {
                 self.stats.distance_computations += 1;
-                if out_of_play(&rec.seg.t) || self.returned.contains(&(rec.oid, rec.seq)) {
+                if out_of_play(&rec.lifetime()) || self.returned.contains(&rec.identity()) {
                     continue;
                 }
-                self.seg_batch.push(&rec.seg);
+                rec.stage(&mut self.page);
                 self.pending_recs.push(rec);
             }
-            self.pieces_solved += self
-                .trajectory
-                .overlap_segment_batch_into(&mut self.seg_batch, &mut self.ts_out)
-                as u64;
+            self.pieces_solved +=
+                R::solve(&mut self.page, true, &self.trajectory, &mut self.ts_out) as u64;
             for j in 0..self.pending_recs.len() {
                 let ts = std::mem::take(&mut self.ts_out[j]);
                 let rec = self.pending_recs[j];
@@ -372,21 +372,17 @@ impl<const D: usize> PdqEngine<D> {
             }
         } else {
             let child_level = node.level() - 1;
-            self.rect_batch.clear();
             self.pending_children.clear();
             for (key, child) in node.internal_entries() {
                 self.stats.distance_computations += 1;
-                let life = key.time.extent(0);
-                if out_of_play(&life) {
+                if out_of_play(&R::key_lifetime(&key)) {
                     continue;
                 }
-                self.rect_batch.push(&key.space, &life);
+                R::stage_key(&key, &mut self.page);
                 self.pending_children.push(child);
             }
-            self.pieces_solved += self
-                .trajectory
-                .overlap_rect_batch_into(&mut self.rect_batch, &mut self.ts_out)
-                as u64;
+            self.pieces_solved +=
+                R::solve(&mut self.page, false, &self.trajectory, &mut self.ts_out) as u64;
             for j in 0..self.pending_children.len() {
                 let ts = std::mem::take(&mut self.ts_out[j]);
                 let child = self.pending_children[j];
@@ -405,7 +401,7 @@ impl<const D: usize> PdqEngine<D> {
         &mut self,
         ts: TimeSet,
         t_start: f64,
-        make: impl FnOnce(TimeSet) -> ItemKind<D>,
+        make: impl FnOnce(TimeSet) -> ItemKind<D, R>,
     ) {
         let (Some(start), Some(end)) = (ts.start(), ts.end()) else {
             return;
@@ -427,10 +423,10 @@ impl<const D: usize> PdqEngine<D> {
     /// frame's time.
     pub fn drain_window<S: PageStore>(
         &mut self,
-        tree: &RTree<NsiSegmentRecord<D>, S>,
+        tree: &RTree<R, S>,
         t_start: f64,
         t_end: f64,
-    ) -> Vec<PdqResult<D>> {
+    ) -> Vec<PdqResult<D, R>> {
         let mut out = Vec::new();
         self.drain_window_into(tree, t_start, t_end, &mut out);
         out
@@ -441,10 +437,10 @@ impl<const D: usize> PdqEngine<D> {
     /// frames.
     pub fn drain_window_into<S: PageStore>(
         &mut self,
-        tree: &RTree<NsiSegmentRecord<D>, S>,
+        tree: &RTree<R, S>,
         t_start: f64,
         t_end: f64,
-        out: &mut Vec<PdqResult<D>>,
+        out: &mut Vec<PdqResult<D, R>>,
     ) {
         self.try_drain_window_into(tree, t_start, t_end, out)
             .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
@@ -455,10 +451,10 @@ impl<const D: usize> PdqEngine<D> {
     /// stays queued for retry (see [`Self::try_get_next`]).
     pub fn try_drain_window_into<S: PageStore>(
         &mut self,
-        tree: &RTree<NsiSegmentRecord<D>, S>,
+        tree: &RTree<R, S>,
         t_start: f64,
         t_end: f64,
-        out: &mut Vec<PdqResult<D>>,
+        out: &mut Vec<PdqResult<D, R>>,
     ) -> Result<(), StorageError> {
         while let Some(r) = self.try_get_next(tree, t_start, t_end)? {
             out.push(r);
@@ -470,11 +466,7 @@ impl<const D: usize> PdqEngine<D> {
     /// that runs concurrently with this dynamic query. Costs one overlap
     /// test and at most one enqueue, and reads nothing: what a report
     /// names is new to this query, so the tree is not consulted.
-    pub fn notify<S: PageStore>(
-        &mut self,
-        _tree: &RTree<NsiSegmentRecord<D>, S>,
-        report: &rtree::InsertReport<<NsiSegmentRecord<D> as Record>::Key, NsiSegmentRecord<D>>,
-    ) {
+    pub fn notify(&mut self, report: &rtree::InsertReport<R::Key, R>) {
         // Reports whose overlap ended before the latest requested t_start
         // go through the same staleness filter as expansion: the
         // application will never ask for them, so enqueueing them would
@@ -482,15 +474,15 @@ impl<const D: usize> PdqEngine<D> {
         let t_start = self.last_t_start;
         match &report.notify {
             Inserted::Record(rec) => {
-                if self.returned.contains(&(rec.oid, rec.seq)) {
+                if self.returned.contains(&rec.identity()) {
                     return;
                 }
-                let ts = self.trajectory.overlap_segment(&rec.seg);
+                let ts = rec.overlap(&self.trajectory);
                 let rec = *rec;
                 self.enqueue_timeset(ts, t_start, |vis| ItemKind::object(rec, vis));
             }
             Inserted::Subtree { page, key, level } => {
-                let ts = self.trajectory.overlap_nsi_box(key);
+                let ts = R::key_overlap(key, &self.trajectory);
                 let (page, level) = (*page, *level);
                 self.enqueue_timeset(ts, t_start, |_| ItemKind::Node { page, level });
             }
@@ -641,7 +633,7 @@ mod tests {
         // A new object appears ahead of the window at x = 20.5.
         let rec = R::new(999, 0, Interval::new(10.0, 100.0), [20.5, 0.5], [20.5, 0.5]);
         let report = tree.insert(rec, 10.0);
-        pdq.notify(&tree, &report);
+        pdq.notify(&report);
         let later = pdq.drain_window(&tree, 10.0, 50.0);
         assert!(
             later.iter().any(|r| r.record.oid == 999),
@@ -668,7 +660,7 @@ mod tests {
         // passed, and its motion ended at t=6).
         let rec = R::new(998, 0, Interval::new(4.0, 6.0), [5.5, 0.5], [5.5, 0.5]);
         let report = tree.insert(rec, 20.0);
-        pdq.notify(&tree, &report);
+        pdq.notify(&report);
         let later = pdq.drain_window(&tree, 20.0, 50.0);
         assert!(later.iter().all(|r| r.record.oid != 998));
     }
@@ -694,7 +686,7 @@ mod tests {
                 if x < 100.0 {
                     let rec = R::new(next_oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]);
                     let report = tree.insert(rec, t);
-                    pdq.notify(&tree, &report);
+                    pdq.notify(&report);
                     expected.push(next_oid);
                     next_oid += 1;
                 }
@@ -737,7 +729,7 @@ mod tests {
             if x < 99.0 {
                 let rec = R::new(10_000 + i, 0, Interval::new(5.0, 100.0), [x, 0.5], [x, 0.5]);
                 let report = tree.insert(rec, 5.0);
-                pdq.notify(&tree, &report);
+                pdq.notify(&report);
                 expected += 1;
             }
         }
@@ -822,7 +814,7 @@ mod tests {
             if matches!(report.notify, Inserted::Subtree { .. }) {
                 subtree_reports += 1;
             }
-            pdq.notify(&tree, &report);
+            pdq.notify(&report);
         }
         let after = pdq.queue_len();
         assert!(
@@ -1059,8 +1051,8 @@ mod tests {
                     Inserted::Record(_) => records += 1,
                     Inserted::Subtree { .. } => subtrees += 1,
                 }
-                indexed.notify(&tree, &report);
-                scanned.notify(&tree, &report);
+                indexed.notify(&report);
+                scanned.notify(&report);
             }
             t += frame;
         }

@@ -240,7 +240,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             match &mut self.engines[li] {
                 LaneEngine::Pdq(pdq) => {
                     for report in slates[r].read().reports_of(r, k) {
-                        pdq.notify(tree, report);
+                        pdq.notify(report);
                     }
                     if in_schedule {
                         let (t0, t1) = (self.spec.frame_times[k], self.spec.frame_times[k + 1]);
@@ -539,7 +539,7 @@ mod tests {
                     .map(|(rec, now)| tree.try_insert(*rec, *now).unwrap())
                     .collect();
                 for report in &reports {
-                    direct.notify(&*tree, report);
+                    direct.notify(report);
                 }
                 let (t0, t1) = (spec.frame_times[k], spec.frame_times[k + 1]);
                 (k, direct.drain_window(&*tree, t0, t1).len(), direct.take_stats())

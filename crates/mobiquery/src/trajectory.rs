@@ -16,7 +16,9 @@
 //! `TimeSet::insert` of an empty interval is a no-op.
 
 use crate::snapshot::SnapshotQuery;
-use stkit::{Interval, MotionSegment, MovingWindow, Rect, Scalar, StBox, TimeSet};
+use stkit::{
+    Interval, MotionSegment, MovingWindow, Rect, Scalar, StBox, StagedPage, TimeSet,
+};
 
 /// One key snapshot `K^j = ⟨t, x̄₁, …, x̄_d⟩`: the query window at a point
 /// of the observer's trajectory (Eq. 2).
@@ -228,36 +230,15 @@ impl<const D: usize> Trajectory<D> {
         out
     }
 
-    /// Batched [`Self::overlap_rect`] over a staged node page: one
-    /// [`TimeSet`] per staged box, built by solving each piece that
-    /// meets the page's hull against all lanes at once. Piece-order
-    /// insertion keeps each result bit-identical to the scalar path.
-    /// Returns the number of pieces solved.
-    pub fn overlap_rect_batch_into(
+    /// Batched [`Self::overlap_rect`] / [`Self::overlap_segment`] over a
+    /// staged node page, of whatever index family: one [`TimeSet`] per
+    /// staged entry, built by solving each piece that meets the page's
+    /// hulls against all lanes at once. Piece-order insertion keeps each
+    /// result bit-identical to the scalar path. Returns the number of
+    /// pieces solved.
+    pub fn overlap_batch_into<B: StagedPage<D>>(
         &self,
-        batch: &mut stkit::RectBatch<D>,
-        out: &mut Vec<TimeSet>,
-    ) -> usize {
-        out.clear();
-        out.resize(batch.len(), TimeSet::empty());
-        let (time, space) = (batch.lifetime_hull(), batch.space_hull());
-        let mut solved = 0;
-        for s in self.pieces_meeting(&time, &space) {
-            batch.solve(s);
-            for (j, ts) in out.iter_mut().enumerate() {
-                ts.insert(batch.result(j));
-            }
-            solved += 1;
-        }
-        solved
-    }
-
-    /// Batched [`Self::overlap_segment`] over a staged leaf page: one
-    /// visibility [`TimeSet`] per staged motion segment. Returns the
-    /// number of pieces solved.
-    pub fn overlap_segment_batch_into(
-        &self,
-        batch: &mut stkit::SegmentBatch<D>,
+        batch: &mut B,
         out: &mut Vec<TimeSet>,
     ) -> usize {
         out.clear();

@@ -117,7 +117,7 @@ fn check(sc: Scenario) -> Result<(), String> {
         for _ in 0..sc.batch {
             let rec = motion(&mut rng, t1);
             let report = tree.insert(rec, t1);
-            pdq.notify(&tree, &report);
+            pdq.notify(&report);
             admit(&mut present, &rec);
         }
     }

@@ -265,7 +265,7 @@ proptest! {
             for (space, life) in page {
                 rects.push(space, life);
             }
-            let solved = traj.overlap_rect_batch_into(&mut rects, &mut out);
+            let solved = traj.overlap_batch_into(&mut rects, &mut out);
             prop_assert!(solved <= pieces);
             let expect = oracle_rect_batch(&traj, &mut rects);
             prop_assert_eq!(out.len(), page.len());
@@ -283,7 +283,7 @@ proptest! {
             for seg in page {
                 lanes.push(seg);
             }
-            let solved = traj.overlap_segment_batch_into(&mut lanes, &mut out);
+            let solved = traj.overlap_batch_into(&mut lanes, &mut out);
             prop_assert!(solved <= pieces);
             let expect = oracle_segment_batch(&traj, &mut lanes);
             prop_assert_eq!(out.len(), page.len());
@@ -309,7 +309,7 @@ proptest! {
             lanes.push(&MotionSegment::from_endpoints(life, a, a));
         }
         let mut out = Vec::new();
-        let solved = traj.overlap_segment_batch_into(&mut lanes, &mut out);
+        let solved = traj.overlap_batch_into(&mut lanes, &mut out);
         prop_assert!(solved <= 400 / 8, "solved {} of 400 pieces", solved);
         prop_assert_eq!(
             out.iter().map(bits).collect::<Vec<_>>(),

@@ -384,6 +384,50 @@ impl<const D: usize> SegmentBatch<D> {
     }
 }
 
+/// What a caller holding many windows needs of one staged page: the two
+/// hulls of the module's **Cover** note to choose the windows worth a
+/// solve, and the solve itself. `lifetime_hull` must be exact under the
+/// kernel's own rule (a NaN bound opens its side) and `space_hull` may be
+/// any superset of where the staged entries can be — then leaving out a
+/// window that misses either hull changes no lane's result.
+#[allow(clippy::len_without_is_empty)]
+pub trait StagedPage<const D: usize> {
+    /// Number of staged entries (lanes).
+    fn len(&self) -> usize;
+    /// Hull of the staged entries' lifetimes.
+    fn lifetime_hull(&self) -> Interval;
+    /// A box no staged entry ever leaves.
+    fn space_hull(&self) -> Rect<D>;
+    /// Solve every lane against `w`.
+    fn solve(&mut self, w: &MovingWindow<D>);
+    /// Lane `j`'s overlap time from the last [`Self::solve`].
+    fn result(&self, j: usize) -> Interval;
+}
+
+macro_rules! staged_page {
+    ($batch:ident) => {
+        impl<const D: usize> StagedPage<D> for $batch<D> {
+            fn len(&self) -> usize {
+                $batch::len(self)
+            }
+            fn lifetime_hull(&self) -> Interval {
+                $batch::lifetime_hull(self)
+            }
+            fn space_hull(&self) -> Rect<D> {
+                $batch::space_hull(self)
+            }
+            fn solve(&mut self, w: &MovingWindow<D>) {
+                $batch::solve(self, w)
+            }
+            fn result(&self, j: usize) -> Interval {
+                $batch::result(self, j)
+            }
+        }
+    };
+}
+staged_page!(RectBatch);
+staged_page!(SegmentBatch);
+
 #[cfg(test)]
 mod tests {
     use super::*;

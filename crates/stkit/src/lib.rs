@@ -42,7 +42,7 @@ pub mod segment;
 pub mod timeset;
 pub mod window;
 
-pub use batch::{RectBatch, SegmentBatch};
+pub use batch::{RectBatch, SegmentBatch, StagedPage};
 pub use interval::Interval;
 pub use linear::LinearForm;
 pub use quadratic::{min_dist_sq_over, solve_quadratic_le, within_distance};

@@ -14,7 +14,7 @@
 
 use crate::tpbox::TpBox;
 use stkit::batch::{lane_ge0, lane_le0};
-use stkit::{Interval, MovingWindow};
+use stkit::{Interval, MovingWindow, Rect, StagedPage};
 
 /// SoA staging area for [`TpBox`] entries of one node page.
 #[derive(Debug, Default)]
@@ -102,6 +102,40 @@ impl TpBoxBatch {
     #[inline]
     pub fn result(&self, j: usize) -> Interval {
         Interval::new(self.out_lo[j], self.out_hi[j])
+    }
+}
+
+/// How a trajectory picks the pieces worth solving against a staged
+/// TPR page. The lifetime hull is the exact hull of the staged `active`
+/// windows, folded on demand (once per page, against a solve per piece)
+/// under [`TpBoxBatch::solve`]'s own rule that a NaN bound constrains
+/// nothing. The space hull is `Rect::ALL`: where a moving box can be
+/// over its lifetime is not free to bound, and any superset is correct —
+/// it only means pieces are pruned by time alone.
+impl StagedPage<2> for TpBoxBatch {
+    fn len(&self) -> usize {
+        TpBoxBatch::len(self)
+    }
+
+    fn lifetime_hull(&self) -> Interval {
+        let lo = |m: f64, &a: &f64| m.min(if a.is_nan() { f64::NEG_INFINITY } else { a });
+        let hi = |m: f64, &a: &f64| m.max(if a.is_nan() { f64::INFINITY } else { a });
+        Interval::new(
+            self.act_lo.iter().fold(f64::INFINITY, lo),
+            self.act_hi.iter().fold(f64::NEG_INFINITY, hi),
+        )
+    }
+
+    fn space_hull(&self) -> Rect<2> {
+        Rect::ALL
+    }
+
+    fn solve(&mut self, w: &MovingWindow<2>) {
+        TpBoxBatch::solve(self, w)
+    }
+
+    fn result(&self, j: usize) -> Interval {
+        TpBoxBatch::result(self, j)
     }
 }
 

@@ -1,20 +1,17 @@
 //! Dynamic queries over the TPR-tree — future work (iii) realized.
 //!
-//! The §4.1 best-first algorithm transfers unchanged: a priority queue
-//! ordered by overlap-start time, nodes expanded lazily, each object
-//! returned once with its visibility time set. The only new geometry is
-//! the overlap time of a linearly-moving query window with a linearly-
-//! moving bounding rectangle ([`overlap_window_tpbox`]) — still a
-//! conjunction of linear inequalities.
+//! The §4.1 best-first algorithm transfers unchanged, so it is not
+//! written again: [`TprDynamicQuery`] is `mobiquery`'s [`PdqEngine`] run
+//! over [`TprRecord`]s. What this module adds is the one piece of new
+//! geometry — the overlap time of a linearly-moving query window with a
+//! linearly-moving bounding rectangle ([`overlap_window_tpbox`]), still
+//! a conjunction of linear inequalities — and the [`PdqRecord`] impl
+//! that hands it to the engine.
 
 use crate::batch::TpBoxBatch;
 use crate::record::TprRecord;
 use crate::tpbox::TpBox;
-use mobiquery::{QueryStats, Trajectory};
-use rtree::{Inserted, RTree};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-use storage::{PageId, PageStore};
+use mobiquery::{PdqEngine, PdqRecord, PdqResult, Trajectory};
 use stkit::{Interval, MovingWindow, TimeSet};
 
 /// Overlap time of one trapezoid trajectory segment with a
@@ -32,7 +29,9 @@ pub fn overlap_window_tpbox(w: &MovingWindow<2>, b: &TpBox) -> Interval {
     t
 }
 
-/// Overlap time set of a whole trajectory with a time-parameterized box.
+/// Overlap time set of a whole trajectory with a time-parameterized box:
+/// every piece, one at a time — the scalar reference the batched page
+/// solve is held bit-identical to.
 pub fn overlap_trajectory_tpbox(traj: &Trajectory<2>, b: &TpBox) -> TimeSet {
     let mut out = TimeSet::empty();
     for s in traj.segments() {
@@ -41,264 +40,59 @@ pub fn overlap_trajectory_tpbox(traj: &Trajectory<2>, b: &TpBox) -> TimeSet {
     out
 }
 
-/// One answer: the moving point plus its visibility time set.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TprResult {
-    /// The record.
-    pub record: TprRecord,
-    /// Times the object is inside the moving window.
-    pub visibility: TimeSet,
-}
-
-enum ItemKind {
-    Node { page: PageId, level: u32 },
-    Object(Box<TprResult>),
-}
-
-struct QueueItem {
-    start: f64,
-    end: f64,
-    kind: ItemKind,
-}
-
-impl PartialEq for QueueItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.start == other.start
-    }
-}
-impl Eq for QueueItem {}
-impl PartialOrd for QueueItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueueItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.start.total_cmp(&self.start)
-    }
-}
-
 /// A running dynamic query over a TPR-tree.
-pub struct TprDynamicQuery {
-    trajectory: Trajectory<2>,
-    queue: BinaryHeap<QueueItem>,
-    expanded: HashSet<PageId>,
-    returned: HashSet<(u32, u32)>,
-    stats: QueryStats,
-    /// SoA staging for one node page's entries (scratch, reused).
-    batch: TpBoxBatch,
-    /// Per-entry overlap time sets from the last batch solve (scratch).
-    ts_out: Vec<TimeSet>,
-    /// Leaf records staged alongside `batch` (scratch).
-    pending_recs: Vec<TprRecord>,
-    /// Child pages staged alongside `batch` (scratch).
-    pending_children: Vec<PageId>,
-}
+pub type TprDynamicQuery = PdqEngine<2, TprRecord>;
 
-impl TprDynamicQuery {
-    /// Start the query: seed with the root over the trajectory span.
-    pub fn start<S: PageStore>(tree: &RTree<TprRecord, S>, trajectory: Trajectory<2>) -> Self {
-        let span = trajectory.span();
-        let mut q = TprDynamicQuery {
-            trajectory,
-            queue: BinaryHeap::new(),
-            expanded: HashSet::new(),
-            returned: HashSet::new(),
-            stats: QueryStats::default(),
-            batch: TpBoxBatch::new(),
-            ts_out: Vec::new(),
-            pending_recs: Vec::new(),
-            pending_children: Vec::new(),
-        };
-        q.queue.push(QueueItem {
-            start: span.lo,
-            end: span.hi,
-            kind: ItemKind::Node {
-                page: tree.root_page(),
-                level: tree.height() - 1,
-            },
-        });
-        q
+/// One answer: the moving point plus its visibility time set.
+pub type TprResult = PdqResult<2, TprRecord>;
+
+/// A moving point is its own (degenerate) bounding box, so the
+/// record-side defaults — overlap and staging of `self.key()` — are
+/// exact, and leaves and internal nodes share one batch.
+impl PdqRecord<2> for TprRecord {
+    type Page = TpBoxBatch;
+
+    #[inline]
+    fn identity(&self) -> (u32, u32) {
+        (self.oid, self.seq)
     }
 
-    /// Accumulated cost.
-    pub fn stats(&self) -> QueryStats {
-        self.stats
+    #[inline]
+    fn key_lifetime(key: &TpBox) -> Interval {
+        key.active
     }
 
-    /// Take and reset the accumulated cost.
-    pub fn take_stats(&mut self) -> QueryStats {
-        std::mem::take(&mut self.stats)
+    fn key_overlap(key: &TpBox, traj: &Trajectory<2>) -> TimeSet {
+        overlap_trajectory_tpbox(traj, key)
     }
 
-    /// Solve the staged batch against every trajectory segment, building
-    /// one overlap [`TimeSet`] per staged entry. Segment-order insertion
-    /// keeps the result bit-identical to [`overlap_trajectory_tpbox`].
-    fn solve_batch(&mut self) {
-        self.ts_out.clear();
-        self.ts_out.resize(self.batch.len(), TimeSet::empty());
-        for s in self.trajectory.segments() {
-            self.batch.solve(s);
-            for j in 0..self.ts_out.len() {
-                self.ts_out[j].insert(self.batch.result(j));
-            }
-        }
+    #[inline]
+    fn stage_key(key: &TpBox, page: &mut TpBoxBatch) {
+        page.push(key);
     }
 
-    /// `getNext(t_start, t_end)` over the TPR-tree.
-    pub fn get_next<S: PageStore>(
-        &mut self,
-        tree: &RTree<TprRecord, S>,
-        t_start: f64,
-        t_end: f64,
-    ) -> Option<TprResult> {
-        loop {
-            let head = self.queue.peek()?;
-            if head.start > t_end {
-                return None;
-            }
-            let item = self.queue.pop().expect("peeked");
-            if item.end < t_start {
-                continue;
-            }
-            match item.kind {
-                ItemKind::Object(r) => {
-                    if self.returned.insert((r.record.oid, r.record.seq)) {
-                        self.stats.results += 1;
-                        return Some(*r);
-                    }
-                    self.stats.duplicates_skipped += 1;
-                }
-                ItemKind::Node { page, level } => {
-                    if !self.expanded.insert(page) {
-                        self.stats.duplicates_skipped += 1;
-                        continue;
-                    }
-                    // Zero-copy visit: entries decode lazily off the page.
-                    let node = tree.read_node(page);
-                    self.stats.disk_accesses += 1;
-                    if level == 0 {
-                        self.stats.leaf_accesses += 1;
-                    }
-                    if node.is_leaf() {
-                        // Stage the whole page, solve once per trajectory
-                        // segment, then enqueue survivors.
-                        self.batch.clear();
-                        self.pending_recs.clear();
-                        for rec in node.leaf_records() {
-                            self.stats.distance_computations += 1;
-                            if self.returned.contains(&(rec.oid, rec.seq)) {
-                                continue;
-                            }
-                            self.batch.push(&rec.tpbox());
-                            self.pending_recs.push(rec);
-                        }
-                        self.solve_batch();
-                        for j in 0..self.pending_recs.len() {
-                            let ts = std::mem::take(&mut self.ts_out[j]);
-                            if let (Some(s), Some(e)) = (ts.start(), ts.end()) {
-                                if e >= t_start {
-                                    self.queue.push(QueueItem {
-                                        start: s,
-                                        end: e,
-                                        kind: ItemKind::Object(Box::new(TprResult {
-                                            record: self.pending_recs[j],
-                                            visibility: ts,
-                                        })),
-                                    });
-                                }
-                            }
-                        }
-                    } else {
-                        let child_level = node.level() - 1;
-                        self.batch.clear();
-                        self.pending_children.clear();
-                        for (key, child) in node.internal_entries() {
-                            self.stats.distance_computations += 1;
-                            self.batch.push(&key);
-                            self.pending_children.push(child);
-                        }
-                        self.solve_batch();
-                        for j in 0..self.pending_children.len() {
-                            let ts = std::mem::take(&mut self.ts_out[j]);
-                            if let (Some(s), Some(e)) = (ts.start(), ts.end()) {
-                                if e >= t_start {
-                                    self.queue.push(QueueItem {
-                                        start: s,
-                                        end: e,
-                                        kind: ItemKind::Node {
-                                            page: self.pending_children[j],
-                                            level: child_level,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    #[inline]
+    fn lifetime(&self) -> Interval {
+        self.active
     }
 
-    /// Drain every object visible during `[t_start, t_end]`.
-    pub fn drain_window<S: PageStore>(
-        &mut self,
-        tree: &RTree<TprRecord, S>,
-        t_start: f64,
-        t_end: f64,
-    ) -> Vec<TprResult> {
-        let mut out = Vec::new();
-        while let Some(r) = self.get_next(tree, t_start, t_end) {
-            out.push(r);
-        }
-        out
-    }
-
-    /// §4.1 update management: forward insertion reports from
-    /// `tree.insert` (a motion update of an object).
-    pub fn notify<S: PageStore>(
-        &mut self,
-        _tree: &RTree<TprRecord, S>,
-        report: &rtree::InsertReport<TpBox, TprRecord>,
-    ) {
-        match &report.notify {
-            Inserted::Record(rec) => {
-                if self.returned.contains(&(rec.oid, rec.seq)) {
-                    return;
-                }
-                let ts = overlap_trajectory_tpbox(&self.trajectory, &rec.tpbox());
-                if let (Some(s), Some(e)) = (ts.start(), ts.end()) {
-                    self.queue.push(QueueItem {
-                        start: s,
-                        end: e,
-                        kind: ItemKind::Object(Box::new(TprResult {
-                            record: *rec,
-                            visibility: ts,
-                        })),
-                    });
-                }
-            }
-            Inserted::Subtree { page, key, level } => {
-                let ts = overlap_trajectory_tpbox(&self.trajectory, key);
-                if let (Some(s), Some(e)) = (ts.start(), ts.end()) {
-                    self.queue.push(QueueItem {
-                        start: s,
-                        end: e,
-                        kind: ItemKind::Node {
-                            page: *page,
-                            level: *level,
-                        },
-                    });
-                }
-            }
-        }
+    fn solve(
+        page: &mut TpBoxBatch,
+        _leaf: bool,
+        traj: &Trajectory<2>,
+        out: &mut Vec<TimeSet>,
+    ) -> usize {
+        let solved = traj.overlap_batch_into(page, out);
+        page.clear();
+        solved
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtree::{RTree, RTreeConfig};
+    use rtree::{Inserted, RTree, RTreeConfig};
+    use std::collections::HashSet;
     use storage::Pager;
     use stkit::Rect;
 
@@ -401,9 +195,94 @@ mod tests {
         // A new object appears at t=5, heading for the window.
         let rec = TprRecord::new(99, 0, Interval::new(5.0, 100.0), [45.0, 0.5], [1.0, 0.0]);
         let report = tr.insert(rec, 5.0);
-        q.notify(&tr, &report);
+        q.notify(&report);
         let later = q.drain_window(&tr, 5.0, 60.0);
         assert!(later.iter().any(|r| r.record.oid == 99));
+    }
+
+    #[test]
+    fn coincident_entries_pop_in_id_order() {
+        // Five objects on one spot enter the view at the same instant;
+        // they must pop in id order whatever order the heap took them in.
+        let mut tr: RTree<TprRecord, Pager> = RTree::new(Pager::new(), RTreeConfig::default());
+        for i in (0..5).rev() {
+            tr.insert(TprRecord::new(i, 0, Interval::new(0.0, 100.0), [10.5, 0.5], [0.0, 0.0]), 0.0);
+        }
+        let traj = Trajectory::linear(
+            Rect::from_corners([0.0, 0.0], [1.0, 1.0]),
+            [1.0, 0.0],
+            Interval::new(0.0, 50.0),
+            2,
+        );
+        let mut q = TprDynamicQuery::start(&tr, traj);
+        let oids: Vec<u32> = q.drain_window(&tr, 0.0, 50.0).iter().map(|r| r.record.oid).collect();
+        assert_eq!(oids, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn stale_reports_do_not_grow_the_queue() {
+        let mut tr = tree(50);
+        let traj = Trajectory::linear(
+            Rect::from_corners([60.0, 0.0], [61.0, 1.0]),
+            [0.0, 0.0],
+            Interval::new(0.0, 50.0),
+            2,
+        );
+        let mut q = TprDynamicQuery::start(&tr, traj);
+        for k in 0..30 {
+            let _ = q.drain_window(&tr, k as f64, k as f64 + 1.0);
+        }
+        let before = q.queue_len();
+        // Motions parked inside the window whose validity ended at
+        // t = 20, reported at t = 30: the application will never ask for
+        // them. Only a split's subtree report, whose box also covers
+        // moved live entries, may enqueue anything.
+        let mut subtree_reports = 0;
+        for i in 0..200u32 {
+            let rec = TprRecord::new(20_000 + i, 0, Interval::new(0.0, 20.0), [60.5, 0.5], [0.0, 0.0]);
+            let report = tr.insert(rec, 30.0);
+            subtree_reports += usize::from(matches!(report.notify, Inserted::Subtree { .. }));
+            q.notify(&report);
+        }
+        let after = q.queue_len();
+        assert!(
+            after <= before + subtree_reports,
+            "queue grew from {before} to {after} with only {subtree_reports} splits"
+        );
+        let rest = q.drain_window(&tr, 30.0, 50.0);
+        assert!(rest.iter().all(|r| r.record.oid < 20_000));
+    }
+
+    #[test]
+    fn storage_faults_surface_as_errors_and_heal() {
+        use storage::{FaultPlan, FaultyStore};
+        // 256-byte pages: many nodes, so many fallible reads. Built with
+        // injection paused; no pool, so faults reach the engine raw.
+        let faulty = FaultyStore::new(Pager::with_page_size(256), FaultPlan::transient(3, 0.4));
+        faulty.set_enabled(false);
+        let mut tr = RTree::new(faulty, RTreeConfig::default());
+        for i in 0..60 {
+            tr.insert(TprRecord::new(i, 0, Interval::new(0.0, 100.0), [i as f64, 0.5], [1.0, 0.0]), 0.0);
+        }
+        let traj = Trajectory::linear(
+            Rect::from_corners([70.0, 0.0], [71.0, 1.0]),
+            [0.0, 0.0],
+            Interval::new(0.0, 80.0),
+            2,
+        );
+        let mut q = TprDynamicQuery::start(&tr, traj);
+        tr.store().set_enabled(true);
+        let mut got = Vec::new();
+        let err = q.try_drain_window_into(&tr, 0.0, 80.0, &mut got).unwrap_err();
+        assert!(err.is_transient());
+        // The failed node went back on the queue: once the device heals,
+        // the same engine delivers the rest, and nothing twice.
+        tr.store().set_enabled(false);
+        q.try_drain_window_into(&tr, 0.0, 80.0, &mut got).unwrap();
+        let mut oids: Vec<u32> = got.iter().map(|r| r.record.oid).collect();
+        oids.sort_unstable();
+        assert_eq!(oids, (0..60).collect::<Vec<u32>>());
+        assert_eq!(q.stats().duplicates_skipped, 0, "a retry is not a duplicate");
     }
 
     #[test]
@@ -446,7 +325,7 @@ mod tests {
             for i in next.by_ref().take(6) {
                 let report = tr.insert(motion(i, t0), t0);
                 subtrees += usize::from(matches!(report.notify, Inserted::Subtree { .. }));
-                q.notify(&tr, &report);
+                q.notify(&report);
                 admit(&mut present, &motion(i, t0));
             }
             let mut got: Vec<u32> =

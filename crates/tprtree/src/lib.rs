@@ -16,11 +16,13 @@
 //! insertion with same-path splits, bulk loading, deletion and node
 //! timestamps all come for free.
 //!
-//! On top, [`TprDynamicQuery`] runs the §4.1 best-first algorithm against
-//! the moving-window trajectory: the overlap time of a linearly-moving
-//! query window with a linearly-moving bounding rectangle is still a
-//! conjunction of linear inequalities, so `stkit::LinearForm` solves it
-//! exactly — the same geometry kit powers both index families.
+//! On top, [`TprDynamicQuery`] is the §4.1 best-first algorithm —
+//! `mobiquery::PdqEngine` itself, instantiated over [`TprRecord`] — run
+//! against the moving-window trajectory: the overlap time of a
+//! linearly-moving query window with a linearly-moving bounding rectangle
+//! is still a conjunction of linear inequalities, so `stkit::LinearForm`
+//! solves it exactly. The same geometry kit and the same engine power
+//! both index families; this crate supplies only the geometry.
 
 // Numeric kernels iterate several fixed-size arrays in lockstep; index
 // loops keep the per-axis math symmetric and readable.

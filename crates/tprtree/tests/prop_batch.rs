@@ -1,10 +1,13 @@
 //! Property tests pinning the SoA batched TpBox overlap kernel to the
 //! scalar `overlap_window_tpbox`: interval-equal always, bit-identical
-//! on non-empty results.
+//! on non-empty results — and the page solve a trajectory drives through
+//! it, pieces pruned by the batch's hulls, to the every-piece scalar
+//! `overlap_trajectory_tpbox`.
 
+use mobiquery::{KeySnapshot, Trajectory};
 use proptest::prelude::*;
 use stkit::{Interval, MovingWindow, Rect};
-use tprtree::engine::overlap_window_tpbox;
+use tprtree::engine::{overlap_trajectory_tpbox, overlap_window_tpbox};
 use tprtree::{TpBox, TpBoxBatch};
 
 fn iv() -> impl Strategy<Value = Interval> {
@@ -28,6 +31,24 @@ fn window() -> impl Strategy<Value = MovingWindow<2>> {
             MovingWindow::between(span, &a, &b)
         }
     })
+}
+
+/// 2–12 key snapshots, 0.5–8 time units apart, starting inside the
+/// range the boxes' `active` windows are drawn from.
+fn trajectory() -> impl Strategy<Value = Trajectory<2>> {
+    (-40.0f64..40.0, proptest::collection::vec((0.5f64..8.0, rect2()), 2..12)).prop_map(
+        |(t0, steps)| {
+            let mut t = t0;
+            let keys = steps.into_iter().map(|(dt, mut window)| {
+                t += dt;
+                for e in &mut window.dims {
+                    e.hi = e.hi.max(e.lo + 0.5);
+                }
+                KeySnapshot { t, window }
+            });
+            Trajectory::new(keys.collect())
+        },
+    )
 }
 
 fn tpbox() -> impl Strategy<Value = TpBox> {
@@ -64,6 +85,27 @@ proptest! {
                 prop_assert_eq!(batched.lo.to_bits(), scalar.lo.to_bits(), "box {} lo", j);
                 prop_assert_eq!(batched.hi.to_bits(), scalar.hi.to_bits(), "box {} hi", j);
             }
+        }
+    }
+
+    #[test]
+    fn pruned_page_solve_equals_every_piece(
+        traj in trajectory(),
+        boxes in proptest::collection::vec(tpbox(), 0..20),
+    ) {
+        let mut batch = TpBoxBatch::new();
+        for b in &boxes {
+            batch.push(b);
+        }
+        let mut out = Vec::new();
+        let solved = traj.overlap_batch_into(&mut batch, &mut out);
+        prop_assert!(solved <= traj.segments().len());
+        prop_assert_eq!(out.len(), boxes.len());
+        let bits = |ts: &stkit::TimeSet| -> Vec<(u64, u64)> {
+            ts.intervals().iter().map(|iv| (iv.lo.to_bits(), iv.hi.to_bits())).collect()
+        };
+        for (j, b) in boxes.iter().enumerate() {
+            prop_assert_eq!(bits(&out[j]), bits(&overlap_trajectory_tpbox(&traj, b)), "box {}", j);
         }
     }
 }

@@ -225,7 +225,7 @@ fn live_session_pdq_and_cache() {
             let rec =
                 NsiSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position());
             let report = tree.insert(rec, u.seg.t.lo);
-            pdq.notify(&tree, &report);
+            pdq.notify(&report);
             feed.next();
         }
         for r in pdq.drain_window(&tree, t, t + 0.25) {

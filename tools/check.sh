@@ -71,10 +71,16 @@
 #          PDQ over the finished index delivers, for <= 1.05x its disk
 #          accesses per frame, dropping at most a quarter as many
 #          duplicate queue entries as it delivers objects.
+#   tpr    the one §4.1 engine over the second index family: exp_tpr at
+#          quick scale (seeded, a few seconds) must reproduce the
+#          committed results/figures_smoke/exp_tpr.json — the TPR-tree's
+#          disk accesses, distance computations and delivered objects,
+#          summed over the overlap sweep — and deliver over the TPR-tree
+#          exactly what PDQ delivers over NSI in the same run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GROUPS_ALL="bench obs shard chaos clock net wal updates"
+GROUPS_ALL="bench obs shard chaos clock net wal updates tpr"
 SMOKE=""
 ONLY=""
 while [ $# -gt 0 ]; do
@@ -168,6 +174,11 @@ fi
 if want updates; then
   bench_bin exp_updates_smoke exp_updates DQ_SCALE=quick
   tools/gates.py updates
+fi
+
+if want tpr; then
+  bench_bin exp_tpr_smoke exp_tpr DQ_SCALE=quick
+  tools/gates.py tpr
 fi
 
 if [ -n "$ONLY" ]; then

@@ -45,6 +45,11 @@ def updates(mode):
     return lambda r: r[0] == "PDQ" and r[1] == mode
 
 
+# The committed quick-scale TPR figure: exp_tpr is seeded and counts
+# only, so any build reproduces it cell for cell.
+TPR_PINNED = "results/figures_smoke/exp_tpr.json"
+
+
 def every(_row):
     return True
 
@@ -111,6 +116,14 @@ GATES = [
     ("updates", "exp_updates", updates("live insertions"), 3, "each", "<=",
      (0.25, "exp_updates", updates("live insertions"), 4, "each"),
      "duplicate queue entries a live PDQ drops vs a quarter of what it delivers"),
+    ("tpr", "exp_tpr", every, 2, "sum", "==", (1.0, TPR_PINNED, every, 2, "sum"),
+     "TPR disk accesses per frame, summed over the overlap sweep, vs the committed figure"),
+    ("tpr", "exp_tpr", every, 4, "sum", "==", (1.0, TPR_PINNED, every, 4, "sum"),
+     "TPR distance computations per frame, summed, vs the committed figure"),
+    ("tpr", "exp_tpr", every, 6, "sum", "==", (1.0, TPR_PINNED, every, 6, "sum"),
+     "objects a TPR dynamic query delivers, summed, vs the committed figure"),
+    ("tpr", "exp_tpr", every, 6, "sum", "==", (1.0, "exp_tpr", every, 5, "sum"),
+     "objects delivered over the TPR-tree vs by PDQ over NSI, same run"),
 ]
 
 COMPARE = {
