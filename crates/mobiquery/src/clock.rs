@@ -4,8 +4,7 @@
 //! There is no global rendezvous on the serving path. Each region has a
 //! [`FrameClock`]: three monotonic watermarks plus per-session
 //! consumption cursors, so a slow session holds back only the regions
-//! its query touches, a failed session simply detaches, and a grid can
-//! be recut while sessions are live.
+//! its query touches, and a failed session simply detaches.
 //!
 //! * `committed` — frames whose insert batch is WAL-durable. Advanced by
 //!   the durability participant; a region's writer waits on it before
@@ -45,8 +44,7 @@ use std::time::Instant;
 
 /// Liveness flags shared by every clock of one serve: `false` means the
 /// session has detached (failed or finished) and no writer may wait on
-/// it again — on *any* region, including regions of epochs created
-/// after the detach.
+/// it again — on *any* region.
 #[derive(Debug)]
 pub struct SessionLiveness {
     flags: Vec<AtomicBool>,
@@ -84,7 +82,7 @@ struct ClockInner {
     acks: Vec<u64>,
 }
 
-/// One region's epoch clock. See the module docs for the protocol.
+/// One region's frame clock. See the module docs for the protocol.
 pub struct FrameClock {
     /// Static attach table: `windows[i] = Some((first, last))` is the
     /// inclusive global-frame range session `i` consumes on this region
@@ -97,11 +95,10 @@ pub struct FrameClock {
 }
 
 impl FrameClock {
-    /// A clock whose watermarks start at global frame `start` (0 for a
-    /// whole serve; the recut frame for an epoch installed mid-serve —
-    /// the new trees already contain every batch `< start`). `durable`
-    /// arms the `committed` watermark; without it writers never wait on
-    /// commit. Each attached session's ack frontier starts at its window
+    /// A clock whose watermarks start at global frame `start`: the tree
+    /// already contains every batch `< start` (a serve starts its clocks
+    /// at 0). `durable` arms the `committed` watermark; without it
+    /// writers never wait on commit. Each attached session's ack frontier starts at its window
     /// start: the writer is blocked from the session's first frame until
     /// the session has built its engines against the pre-batch tree.
     pub fn new(windows: Vec<Option<(u64, u64)>>, live: Arc<SessionLiveness>, start: u64, durable: bool) -> FrameClock {
@@ -198,9 +195,9 @@ impl FrameClock {
         }
     }
 
-    /// Session `i` is done with this region (the end of an epoch is
-    /// *not* a detach — only failure or end-of-life is): writers stop
-    /// waiting on it everywhere, immediately. Idempotent.
+    /// Session `i` is done with this region — it failed, or its schedule
+    /// ended: writers stop waiting on it everywhere, immediately.
+    /// Idempotent.
     pub fn detach(&self, i: usize) {
         self.live.mark_dead(i);
         // Take the lock so a writer mid-predicate-check cannot miss the

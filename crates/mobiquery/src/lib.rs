@@ -69,7 +69,7 @@ pub use npdq::NpdqEngine;
 pub use pdq::{PdqEngine, PdqResult};
 pub use psi::{psi_query, psi_query_key, PsiBounds, PsiSegmentRecord};
 pub use region::RegionGrid;
-pub use router::{PartitionedDqServer, PartitionedServeReport, RecutPlan, RegionReport};
+pub use router::{PartitionedDqServer, PartitionedServeReport, RegionReport};
 pub use service::{
     FrameDelta, FrameReport, FrameSink, ServeReport, SessionKind, SessionOutcome,
     SessionOutput, SessionPlan, SessionSpec, SinkVerdict,

@@ -146,9 +146,25 @@ impl<const D: usize> NpdqEngine<D> {
         tree: &RTree<R, S>,
         q: &SnapshotQuery<D>,
         now: f64,
-        mut emit: impl FnMut(&R),
+        emit: impl FnMut(&R),
     ) -> Result<QueryStats, StorageError> {
         let mut stats = QueryStats::default();
+        self.try_execute_into(tree, q, now, &mut stats, emit)?;
+        Ok(stats)
+    }
+
+    /// [`Self::try_execute`] counting into the caller's `stats`, so the
+    /// cost of a traversal that ends in `Err` — every node read before
+    /// the fault already ticked the tree's level counters — is not lost
+    /// with it.
+    pub(crate) fn try_execute_into<R: MotionRecord<D>, S: PageStore>(
+        &mut self,
+        tree: &RTree<R, S>,
+        q: &SnapshotQuery<D>,
+        now: f64,
+        stats: &mut QueryStats,
+        mut emit: impl FnMut(&R),
+    ) -> Result<(), StorageError> {
         let qkey = R::query_key(q);
         let prev = if self.use_discard { self.prev } else { None };
         let pkey = prev.map(|(p, clock)| (p, R::query_key(&p), clock));
@@ -232,7 +248,7 @@ impl<const D: usize> NpdqEngine<D> {
         }
         self.stack = stack;
         self.prev = Some((*q, now));
-        Ok(stats)
+        Ok(())
     }
 }
 

@@ -53,55 +53,37 @@
 //! exactly (a durable server's first run adds
 //! the base checkpoint's one scan; periodic checkpoints read no tree).
 //!
-//! ## Epoch-handoff recuts
-//!
-//! The grid can be *recut while sessions are live* ([`RecutPlan`]): the
-//! serve loop runs an epoch — one grid, its trees, clocks and slates —
-//! to its end, recuts at equal-load quantiles of the epoch's measured
-//! load, and runs the next. Sessions carried across rebuild their lane
-//! engines against the new layout and keep their delivered set and
-//! results, so delivery stays exactly-once and result sequences are
-//! bit-identical to a run that never recut. Between serves,
-//! [`PartitionedDqServer::rebalance`] (over `&mut self`) is the same
-//! handoff without a run around it.
-//!
 //! ## Where things live
 //!
 //! Here: the server, its builders, the `serve*` entry points, the
 //! metrics mirror. `router/lanes.rs`: a session's per-region engines and
-//! the seam merge. `router/epoch.rs`: what a recut replaces, and the
-//! recut. `router/rebuild.rs`: record set → region trees.
+//! the seam merge. `router/rebuild.rs`: record set → region trees.
 //! `router/participants.rs`: the writer, durability and session threads
 //! and the two drivers — concurrent, serial oracle — that run them.
 //!
-//! Hotspot rebalancing (after Kiwano, arXiv 1211.4414): every serve
-//! accumulates per-region load (writer reads+writes plus session reads);
+//! A serve has one grid. Hotspot rebalancing (after Kiwano, arXiv
+//! 1211.4414) happens between serves: every serve accumulates per-region
+//! load (writer reads+writes plus session reads),
 //! [`PartitionedDqServer::hotspot`] flags a region pulling more than a
-//! factor above the mean.
+//! factor above the mean, and [`PartitionedDqServer::rebalance`] recuts
+//! the grid at equal-load quantiles and packs the records again.
 
-mod epoch;
 mod lanes;
 mod participants;
 mod rebuild;
 
-pub use epoch::RecutPlan;
-
 use crate::durability::DurableLog;
 use crate::region::RegionGrid;
 use crate::service::{FrameSink, ServeReport, SessionOutcome, SessionPlan, SessionSpec};
-use epoch::handoff;
 use parking_lot::{Mutex, RwLock};
-use rebuild::{build_regions, dedup_from};
+use rebuild::{build_regions, dedup_from, record_bounds};
 use rtree::{NsiSegmentRecord, RTree};
 use std::sync::Arc;
 use stkit::Interval;
 use storage::PageStore;
 
-/// One region's shared tree handle: an epoch and the server itself hold
-/// `Arc`s to the same locked tree, so a serve's last epoch hands its
-/// trees back to the server without copying. No two epochs overlap: an
-/// epoch's scope has joined every participant before the next is cut.
-type RegionTree<const D: usize, S> = Arc<RwLock<RTree<NsiSegmentRecord<D>, S>>>;
+/// One region's tree, behind the lock its writer takes.
+type RegionTree<const D: usize, S> = RwLock<RTree<NsiSegmentRecord<D>, S>>;
 
 /// Per-region tallies of one partitioned run.
 #[derive(Clone, Debug, Default)]
@@ -131,10 +113,8 @@ impl RegionReport {
 
 /// Outcome of one [`PartitionedDqServer::serve`] /
 /// [`PartitionedDqServer::serve_serial`] run: the whole-server
-/// [`ServeReport`] (writer tallies summed over regions *and* epochs;
-/// session outputs merged across lanes) plus the per-region breakdown of
-/// the **final** epoch (the whole run when nothing recut — region
-/// indices are not comparable across grids).
+/// [`ServeReport`] (writer tallies summed over regions; session outputs
+/// merged across lanes) plus the per-region breakdown.
 ///
 /// Note `base.inserts_applied` counts *physical* per-region inserts, so
 /// it exceeds the batch record count when segments straddle seams.
@@ -144,7 +124,7 @@ impl RegionReport {
 pub struct PartitionedServeReport {
     /// The run viewed as a single server (sessions in spec order).
     pub base: ServeReport,
-    /// Per-region tallies of the final epoch, in grid order.
+    /// Per-region tallies, in grid order.
     pub regions: Vec<RegionReport>,
 }
 
@@ -183,8 +163,7 @@ impl std::ops::Deref for PartitionedServeReport {
 /// ```
 pub struct PartitionedDqServer<const D: usize, S: PageStore> {
     grid: RegionGrid,
-    /// One tree per region; the locks are `Arc`-wrapped so live epochs
-    /// share them with `&self`.
+    /// One tree per region.
     regions: Vec<RegionTree<D, S>>,
     /// Accumulated per-region load across serves (feeds hotspot
     /// detection and recutting).
@@ -304,9 +283,8 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
 
     /// Recut the grid into `target_regions` at equal-load quantiles of
     /// the accumulated per-region loads and rebuild the region trees
-    /// (between serves — callers hold `&mut self`, so no epoch is in
-    /// flight). The same handoff a [`RecutPlan`] performs mid-run, minus
-    /// the live sessions: records are collected from every region,
+    /// (between serves — callers hold `&mut self`, so nobody is reading
+    /// or writing them): records are collected from every region,
     /// deduplicated by `(oid, seq)` (seam replicas collapse), then
     /// re-routed under the new cuts and packed as [`Self::build`] packs
     /// a preload — the same set under the same cuts gives the same
@@ -316,10 +294,12 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         target_regions: usize,
         mut make_tree: impl FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>,
     ) {
-        let loads = self.loads.lock().clone();
-        (self.grid, self.regions) =
-            handoff(&self.grid, &self.regions, &loads, target_regions, &mut make_tree);
-        *self.loads.lock() = vec![0; self.grid.len()];
+        let records = dedup_from(&self.regions);
+        let bounds = record_bounds(self.grid.axis(), &records);
+        let loads = self.loads.get_mut();
+        self.grid = self.grid.recut(bounds, loads, target_regions);
+        self.regions = build_regions(&self.grid, &records, &mut make_tree);
+        *loads = vec![0; self.grid.len()];
     }
 
     /// Take the base checkpoint covering the preloaded regions, so
@@ -378,8 +358,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     }
 
     /// Run the clocked serve over explicit [`SessionPlan`]s (staggered
-    /// joins, per-frame delays) with the current grid, one epoch, no
-    /// recuts.
+    /// joins, per-frame delays).
     pub fn serve_plans(
         &self,
         plans: &[SessionPlan<D>],
@@ -388,9 +367,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     where
         S: Sync + Send,
     {
-        let (report, _) = self.finish_run(self.serve_clocked(plans, inserts, &[], None, &[]));
-        self.accumulate_loads(&report);
-        report
+        self.serve_plans_streamed(plans, inserts, &[])
     }
 
     /// [`Self::serve_plans`] with a per-session [`FrameSink`] hook: each
@@ -408,9 +385,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     where
         S: Sync + Send,
     {
-        let (report, _) = self.finish_run(self.serve_clocked(plans, inserts, &[], None, sinks));
-        self.accumulate_loads(&report);
-        report
+        self.finish_run(self.serve_clocked(plans, inserts, sinks))
     }
 
     /// Single-threaded reference for [`Self::serve_plans`].
@@ -419,73 +394,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         plans: &[SessionPlan<D>],
         inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
     ) -> PartitionedServeReport {
-        let (report, _) = self.finish_run(self.serve_serial_clocked(plans, inserts, &[], None));
-        self.accumulate_loads(&report);
-        report
-    }
-
-    /// Serve with live rebalances: at each [`RecutPlan`] frame boundary
-    /// the serve loop, its epoch run to the end, recuts the grid at load
-    /// quantiles, rebuilds the region trees via `make_tree`, and runs the
-    /// next epoch with the live sessions carried over (their engines
-    /// rebuild against the new partition; the delivered-set dedup
-    /// guarantees no object is ever re-emitted). The server adopts the
-    /// final grid and trees. Requires a non-durable server.
-    pub fn serve_plans_with_recuts(
-        &mut self,
-        plans: &[SessionPlan<D>],
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-        recuts: &[RecutPlan],
-        mut make_tree: impl FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>,
-    ) -> PartitionedServeReport
-    where
-        S: Sync + Send,
-    {
-        let run = self.serve_clocked(plans, inserts, recuts, Some(&mut make_tree), &[]);
-        let (report, final_state) = self.finish_run(run);
-        self.adopt(&report, final_state);
-        report
-    }
-
-    /// Single-threaded reference for [`Self::serve_plans_with_recuts`].
-    pub fn serve_serial_plans_with_recuts(
-        &mut self,
-        plans: &[SessionPlan<D>],
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-        recuts: &[RecutPlan],
-        mut make_tree: impl FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>,
-    ) -> PartitionedServeReport {
-        let run = self.serve_serial_clocked(plans, inserts, recuts, Some(&mut make_tree));
-        let (report, final_state) = self.finish_run(run);
-        self.adopt(&report, final_state);
-        report
-    }
-
-    /// Fold a run's per-region session+writer loads into the sticky
-    /// per-region tallies that drive [`Self::hotspot`].
-    fn accumulate_loads(&self, report: &PartitionedServeReport) {
-        let mut loads = self.loads.lock();
-        for (r, rr) in report.regions.iter().enumerate() {
-            loads[r] += rr.load();
-        }
-    }
-
-    /// Install the final epoch's grid and trees after a run with recuts
-    /// (or just fold loads when no recut fired).
-    #[allow(clippy::type_complexity)]
-    fn adopt(
-        &mut self,
-        report: &PartitionedServeReport,
-        final_state: Option<(RegionGrid, Vec<RegionTree<D, S>>)>,
-    ) {
-        match final_state {
-            Some((grid, trees)) => {
-                self.grid = grid;
-                self.regions = trees;
-                *self.loads.lock() = report.regions.iter().map(RegionReport::load).collect();
-            }
-            None => self.accumulate_loads(report),
-        }
+        self.finish_run(self.serve_serial_clocked(plans, inserts))
     }
 
     /// Mirror a run's report into the metrics registry (no-op when no
@@ -804,39 +713,6 @@ mod tests {
             build(RegionGrid::from_cuts(0, vec![25.0]), &all).serve(std::slice::from_ref(&spec), &[]);
         let after = server.serve(std::slice::from_ref(&spec), &[]);
         assert_eq!(after.sessions[0].results, oracle.sessions[0].results);
-    }
-
-    #[test]
-    fn recut_mid_serve_preserves_results_and_matches_serial() {
-        // A live rebalance at frame 5 of a 10-frame serve: the epoch
-        // handoff must not change what the session sees (delivered-set
-        // dedup absorbs the engine rebuild), must match the serial
-        // reference bit-for-bit, and must leave the server on the new
-        // grid.
-        let recs = line_records(30);
-        let spec = slide_spec(SessionKind::Pdq, 10, 24.0);
-        let inserts = region0_inserts(10);
-        let plans = vec![SessionPlan::new(spec.clone())];
-        let recuts = [RecutPlan::new(5, 2)];
-        let mut server = build(RegionGrid::from_cuts(0, vec![25.0]), &recs);
-        let p = server.serve_plans_with_recuts(&plans, &inserts, &recuts, |_| {
-            RTree::new(Pager::new(), RTreeConfig::default())
-        });
-        let oracle = build(RegionGrid::from_cuts(0, vec![25.0]), &recs).serve_plans(&plans, &inserts);
-        assert_eq!(p.sessions[0].results, oracle.sessions[0].results);
-        assert_eq!(p.sessions[0].outcome, SessionOutcome::Ok);
-
-        let mut serial_server = build(RegionGrid::from_cuts(0, vec![25.0]), &recs);
-        let s = serial_server.serve_serial_plans_with_recuts(&plans, &inserts, &recuts, |_| {
-            RTree::new(Pager::new(), RTreeConfig::default())
-        });
-        assert_eq!(p.sessions[0].results, s.sessions[0].results);
-        assert_eq!(p.sessions[0].stats, s.sessions[0].stats);
-
-        // Both servers adopted the recut 2-region grid.
-        assert_eq!(server.grid().len(), 2);
-        assert_eq!(serial_server.grid().len(), 2);
-        assert!(server.grid().cuts()[0] < 25.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! trajectory sweeps — and the seam merge that folds their streams back
 //! into one. No threads and no clocks live here: both serve paths drive
 //! a [`LaneRun`] through the same three calls ([`LaneRun::enter`] at the
-//! session's first frame of an epoch, [`LaneRun::step`] per frame,
+//! session's first frame, [`LaneRun::step`] per frame,
 //! [`LaneRun::finish`] once), and [`Slate`] is how a region's writer
 //! hands a frame's insert reports to the PDQ lanes on it.
 //!
@@ -54,9 +54,7 @@ enum LaneEngine<const D: usize> {
 }
 
 /// One session's in-flight state: an engine per swept region, plus the
-/// merge/dedup state that folds lane streams back into one. It outlives
-/// its engines: a recut replaces them ([`Self::enter`]), the delivered
-/// set and the output carry on.
+/// merge/dedup state that folds lane streams back into one.
 pub(super) struct LaneRun<'a, const D: usize> {
     index: usize,
     spec: &'a SessionSpec<D>,
@@ -65,14 +63,12 @@ pub(super) struct LaneRun<'a, const D: usize> {
     engines: Vec<LaneEngine<D>>,
     /// PDQ cross-frame dedup: seam replicas deliver in the same frame in
     /// every lane (frame assignment depends only on overlap start), but
-    /// the set keeps exactly-once robust without leaning on that. It
-    /// also carries exactly-once across an epoch handoff, where fresh
-    /// engines re-see everything still visible.
+    /// the set keeps exactly-once robust without leaning on that.
     delivered: HashSet<(u32, u32)>,
     pub(super) out: SessionOutput,
-    /// Node reads attributed per region (for the per-region identity),
-    /// collected by the driver at the end of each epoch.
-    region_reads: Vec<u64>,
+    /// Node reads attributed per region (for the per-region identity):
+    /// empty until [`Self::enter`], one slot per region after.
+    pub(super) region_reads: Vec<u64>,
     scratch: Vec<PdqResult<D>>,
     merge_pdq: Vec<(f64, u32, u32)>,
     merge_npdq: Vec<(u32, u32)>,
@@ -100,35 +96,43 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     }
 
     /// Whether the session can still take frames (a failed one keeps its
-    /// results so far and is never entered or stepped again).
+    /// results so far and is never stepped again).
     pub(super) fn alive(&self) -> bool {
         !matches!(self.out.outcome, SessionOutcome::Failed(_))
     }
 
-    /// Route this session under `grid` and build an engine per lane —
-    /// at its first frame, and again after every recut: the dying
-    /// engines' high-water marks fold into the output, the delivered set
-    /// and accumulated results survive, so objects the new engines
-    /// re-discover (anything still visible) are suppressed and delivery
-    /// stays exactly-once across the handoff.
+    /// Route this session under `grid` and build an engine per lane, once,
+    /// at the session's first frame. Contained: a panic building the
+    /// engines fails this session and nobody else. Returns [`Self::alive`].
     ///
     /// `trees[r]` is region `r`'s tree behind the lock its writer takes.
     /// The region's `FrameClock` alternates that writer with its
     /// readers, so a lane's read lock never waits; every method here
     /// holds it for one lane's engine work and never across a clock call.
-    fn rebuild<S: PageStore>(&mut self, grid: &RegionGrid, trees: &[RegionTree<D, S>]) {
-        self.fold_engine_marks();
-        self.lanes = grid.route_rect(&self.spec.trajectory.swept_bounds());
-        self.engines = Self::engines_for(self.spec, self.lanes.clone(), trees);
-        self.region_reads = vec![0; trees.len()];
-    }
-
-    /// [`Self::rebuild`], contained: a panic building the engines fails
-    /// this session and nobody else. Returns [`Self::alive`].
     pub(super) fn enter<S: PageStore>(&mut self, grid: &RegionGrid, trees: &[RegionTree<D, S>]) -> bool {
-        self.started.get_or_insert_with(Instant::now);
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| self.rebuild(grid, trees))) {
-            self.out.outcome = SessionOutcome::Failed(panic_message(p));
+        self.started = Some(Instant::now());
+        let spec = self.spec;
+        let build = || {
+            let lanes = grid.route_rect(&spec.trajectory.swept_bounds());
+            let engines = lanes
+                .clone()
+                .map(|r| match spec.kind {
+                    SessionKind::Pdq => LaneEngine::Pdq(Box::new(PdqEngine::start(
+                        &*trees[r].read(),
+                        spec.trajectory.clone(),
+                    ))),
+                    SessionKind::Npdq => LaneEngine::Npdq(Box::new(NpdqEngine::new())),
+                })
+                .collect();
+            (lanes, engines)
+        };
+        match catch_unwind(AssertUnwindSafe(build)) {
+            Ok((lanes, engines)) => {
+                self.lanes = lanes;
+                self.engines = engines;
+                self.region_reads = vec![0; trees.len()];
+            }
+            Err(p) => self.out.outcome = SessionOutcome::Failed(panic_message(p)),
         }
         self.alive()
     }
@@ -156,50 +160,6 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             Err(p) => self.out.outcome = SessionOutcome::Failed(panic_message(p)),
         }
         self.alive()
-    }
-
-    /// One engine per lane, each built against its region's tree.
-    fn engines_for<S: PageStore>(
-        spec: &SessionSpec<D>,
-        lanes: Range<usize>,
-        trees: &[RegionTree<D, S>],
-    ) -> Vec<LaneEngine<D>> {
-        lanes
-            .map(|r| match spec.kind {
-                SessionKind::Pdq => LaneEngine::Pdq(Box::new(PdqEngine::start(
-                    &*trees[r].read(),
-                    spec.trajectory.clone(),
-                ))),
-                SessionKind::Npdq => LaneEngine::Npdq(Box::new(NpdqEngine::new())),
-            })
-            .collect()
-    }
-
-    /// Fold the current engines' high-water marks into the output, before
-    /// they are replaced or dropped.
-    fn fold_engine_marks(&mut self) {
-        for engine in &self.engines {
-            match engine {
-                LaneEngine::Pdq(pdq) => {
-                    self.out.queue_hwm = self.out.queue_hwm.max(pdq.queue_hwm());
-                }
-                LaneEngine::Npdq(npdq) => {
-                    self.out.discarded_subtrees += npdq.discarded_subtrees();
-                }
-            }
-        }
-    }
-
-    /// Hand the per-region read attribution to `add` and zero it (the
-    /// region count changes across epochs, so each epoch's driver
-    /// collects it before the handoff).
-    pub(super) fn flush_loads(&mut self, mut add: impl FnMut(usize, u64)) {
-        for (r, c) in self.region_reads.iter_mut().enumerate() {
-            if *c > 0 {
-                add(r, *c);
-                *c = 0;
-            }
-        }
     }
 
     /// Process global frame `k` across every lane: a PDQ lane on region
@@ -267,19 +227,17 @@ impl<'a, const D: usize> LaneRun<'a, D> {
                         let q = SnapshotQuery::at_instant(self.spec.trajectory.window_at(t), t);
                         let mark = self.merge_npdq.len();
                         let merge = &mut self.merge_npdq;
-                        match npdq.try_execute(tree, &q, t, |rec: &NsiSegmentRecord<D>| {
-                            merge.push(rec.ids());
-                        }) {
-                            Ok(st) => {
-                                frame_stats += st;
-                                self.region_reads[r] += st.disk_accesses;
-                            }
-                            Err(e) => {
-                                // A failed lane contributes nothing.
-                                self.merge_npdq.truncate(mark);
-                                first_err.get_or_insert(e);
-                            }
+                        let mut st = QueryStats::default();
+                        let emit = |rec: &NsiSegmentRecord<D>| merge.push(rec.ids());
+                        if let Err(e) = npdq.try_execute_into(tree, &q, t, &mut st, emit) {
+                            // A failed lane contributes no results; the
+                            // nodes it read before the fault still count.
+                            self.merge_npdq.truncate(mark);
+                            st.results = 0;
+                            first_err.get_or_insert(e);
                         }
+                        frame_stats += st;
+                        self.region_reads[r] += st.disk_accesses;
                     }
                 }
             }
@@ -341,8 +299,18 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         }
     }
 
+    /// The output, with the engines' high-water marks folded in.
     pub(super) fn finish(mut self) -> SessionOutput {
-        self.fold_engine_marks();
+        for engine in &self.engines {
+            match engine {
+                LaneEngine::Pdq(pdq) => {
+                    self.out.queue_hwm = self.out.queue_hwm.max(pdq.queue_hwm());
+                }
+                LaneEngine::Npdq(npdq) => {
+                    self.out.discarded_subtrees += npdq.discarded_subtrees();
+                }
+            }
+        }
         self.out
     }
 }
@@ -350,7 +318,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
 /// What a region's writer last broadcast: the frame whose routed slice
 /// it applied and the [`rtree::InsertReport`]s those inserts produced —
 /// §4.1's notification of running PDQs. There is one per region per
-/// epoch, written once a frame by the region's writer and read where it
+/// serve, written once a frame by the region's writer and read where it
 /// lies by every PDQ lane on the region; nothing is copied per session.
 ///
 /// One slot is enough because the region's `FrameClock` alternates the
@@ -405,7 +373,6 @@ impl<const D: usize> Slate<D> {
 mod tests {
     use super::*;
     use crate::router::tests::*;
-    use crate::router::RecutPlan;
     use crate::service::SessionPlan;
     use rtree::{RTree, RTreeConfig};
     use stkit::Interval;
@@ -414,39 +381,39 @@ mod tests {
     #[test]
     fn npdq_frames_are_bracketed_by_naive_snapshots() {
         // The oracle chain's NPDQ end, over trees that were packed and
-        // then served: with live inserts, and with one mid-run recut that
-        // packs again. A frame may repeat a still-visible object (which
-        // ones is the tree's shape), so the brute-force bracket is: it
-        // reports nothing outside the snapshot at `t_k`, and everything
-        // in it that the snapshot at `t_{k-1}` did not hold.
+        // then served with live inserts, and — the second serve — over
+        // what a `rebalance` packs out of those. A frame may repeat a
+        // still-visible object (which ones is the tree's shape), so the
+        // brute-force bracket is: it reports nothing outside the snapshot
+        // at `t_k`, and everything in it that the snapshot at `t_{k-1}`
+        // did not hold.
         let recs = line_records(40);
         let spec = slide_spec(SessionKind::Npdq, 80, 40.0);
         let inserts = ahead_inserts(80, 2, 40.0, 1000);
-        let plans = vec![SessionPlan::new(spec.clone())];
+        let snapshot = |resident: &[R], t: f64| -> Vec<(u32, u32)> {
+            let q = SnapshotQuery::at_instant(spec.trajectory.window_at(t), t);
+            let mut set: Vec<_> =
+                resident.iter().filter(|r| q.matches_segment(&r.seg)).map(R::ids).collect();
+            set.sort_unstable();
+            set
+        };
         let mut resident = recs.clone();
-        let snapshots: Vec<Vec<(u32, u32)>> = spec
-            .frame_times
-            .iter()
-            .enumerate()
+        let snapshots: Vec<_> = (0..)
+            .zip(&spec.frame_times)
             .map(|(k, &t)| {
                 resident.extend(inserts.get(k).into_iter().flatten().map(|(r, _)| *r));
-                let q = SnapshotQuery::at_instant(spec.trajectory.window_at(t), t);
-                let mut set: Vec<_> = resident
-                    .iter()
-                    .filter(|r| q.matches_segment(&r.seg))
-                    .map(R::ids)
-                    .collect();
-                set.sort_unstable();
-                set
+                snapshot(&resident, t)
             })
             .collect();
         assert!(snapshots.windows(2).any(|w| w[1].iter().any(|id| w[0].contains(id))));
+        // The second serve starts with every insert resident.
+        let settled: Vec<_> = spec.frame_times.iter().map(|&t| snapshot(&resident, t)).collect();
         for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![10.0, 25.0])] {
-            for recuts in [vec![], vec![RecutPlan::new(40, 2)]] {
-                let mut server = build(grid.clone(), &recs);
-                let out = server.serve_plans_with_recuts(&plans, &inserts, &recuts, |_| {
-                    RTree::new(Pager::new(), RTreeConfig::default())
-                });
+            let mut server = build(grid, &recs);
+            let live = server.serve(std::slice::from_ref(&spec), &inserts);
+            server.rebalance(2, |_| RTree::new(Pager::new(), RTreeConfig::default()));
+            let again = server.serve(std::slice::from_ref(&spec), &[]);
+            for (out, snapshots) in [(live, &snapshots), (again, &settled)] {
                 let frames = frame_sets(&out.sessions[0]);
                 assert_eq!(frames.len(), snapshots.len());
                 for (k, got) in frames.iter().enumerate() {

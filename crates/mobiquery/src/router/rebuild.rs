@@ -1,7 +1,7 @@
 //! Rebuild: how a record set becomes region trees. Every start-up,
-//! recovery base, [`super::PartitionedDqServer::rebalance`] and live
-//! recut goes through [`build_regions`]; [`route_slice`] is the same
-//! routing rule applied to one live batch.
+//! recovery base and [`super::PartitionedDqServer::rebalance`] goes
+//! through [`build_regions`]; [`route_slice`] is the same routing rule
+//! applied to one live batch.
 
 use super::RegionTree;
 use crate::layout::MotionRecord;
@@ -9,7 +9,6 @@ use crate::region::RegionGrid;
 use parking_lot::RwLock;
 use rtree::bulk::{pack_into, AxisOrder};
 use rtree::{NsiSegmentRecord, RTree};
-use std::sync::Arc;
 use stkit::Interval;
 use storage::PageStore;
 
@@ -32,7 +31,7 @@ pub(super) fn route_slice<const D: usize>(
 
 /// Every record resident across `trees`, in `(oid, seq)` order and
 /// deduplicated by it so seam replicas collapse to one copy — what a
-/// recut re-routes and the base checkpoint persists.
+/// rebalance re-routes and the base checkpoint persists.
 pub(super) fn dedup_from<const D: usize, S: PageStore>(
     trees: &[RegionTree<D, S>],
 ) -> Vec<NsiSegmentRecord<D>> {
@@ -111,8 +110,8 @@ const REBUILD_ORDER: AxisOrder = AxisOrder::LastFirst;
 const REBUILD_FILL: f64 = 0.70;
 
 /// Every rebuild of the region trees — server start, the base of a
-/// recovery, [`super::PartitionedDqServer::rebalance`], a live recut: route
-/// `records` under `grid`, seam straddlers into every region they touch,
+/// recovery, [`super::PartitionedDqServer::rebalance`]: route `records`
+/// under `grid`, seam straddlers into every region they touch,
 /// then pack each region's tree bottom-up into the empty tree `make_tree`
 /// returns for it (so its store, pool and configuration are the
 /// caller's). The trees are a function of the record multiset and the
@@ -136,7 +135,7 @@ pub(super) fn build_regions<const D: usize, S: PageStore>(
             let mut tree = make_tree(r);
             assert!(tree.is_empty(), "make_tree must return empty trees");
             pack_into(&mut tree, records, members, REBUILD_ORDER, REBUILD_FILL);
-            Arc::new(RwLock::new(tree))
+            RwLock::new(tree)
         })
         .collect()
 }

@@ -111,12 +111,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Record a [`std::time::Duration`] in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Observations recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -296,18 +290,6 @@ impl MetricsRegistry {
             .filter(|(name, _)| name.starts_with(prefix))
             .filter_map(|(_, metric)| match metric {
                 Metric::Counter(c) => Some(c.get()),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Sum of all gauge values whose name starts with `prefix`.
-    pub fn sum_gauges(&self, prefix: &str) -> i64 {
-        let m = self.metrics.lock();
-        m.iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .filter_map(|(_, metric)| match metric {
-                Metric::Gauge(g) => Some(g.get()),
                 _ => None,
             })
             .sum()

@@ -95,6 +95,13 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// 4 attempts, 20 µs base backoff — absorbs the chaos suite's
+    /// transient rates without measurable throughput cost.
+    pub const DEFAULT: RetryPolicy = RetryPolicy {
+        max_attempts: 4,
+        base_backoff: Duration::from_micros(20),
+    };
+
     /// No retries: a single attempt, errors surface immediately.
     pub fn none() -> RetryPolicy {
         RetryPolicy {
@@ -113,13 +120,9 @@ impl RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// 4 attempts, 20 µs base backoff — absorbs the chaos suite's
-    /// transient rates without measurable throughput cost.
+    /// [`RetryPolicy::DEFAULT`].
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_micros(20),
-        }
+        RetryPolicy::DEFAULT
     }
 }
 

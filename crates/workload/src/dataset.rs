@@ -162,12 +162,6 @@ impl Dataset {
     pub fn build_nsi_tree_bulk(&self) -> RTree<NsiSegmentRecord<2>, Pager> {
         bulk_load(Pager::new(), RTreeConfig::default(), self.nsi_records())
     }
-
-    /// STR bulk-loaded double-temporal-axes tree (ablation twin of
-    /// [`Self::build_dta_tree`]).
-    pub fn build_dta_tree_bulk(&self) -> RTree<DtaSegmentRecord<2>, Pager> {
-        bulk_load(Pager::new(), RTreeConfig::default(), self.dta_records())
-    }
 }
 
 #[cfg(test)]

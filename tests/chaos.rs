@@ -194,16 +194,19 @@ fn chaos_a_transient_faults_are_invisible_through_retry() {
     );
 }
 
-/// (b) Checksum-detected corruption of one leaf: only the session whose
-/// window reaches that leaf degrades; the untouched session is `Ok` and
-/// bit-identical to the oracle.
+/// (b) Checksum-detected corruption of one leaf: only the sessions whose
+/// windows reach that leaf degrade; the untouched session is `Ok` and
+/// bit-identical to the oracle. A degraded session still accounts for
+/// every node it read on the way to the fault.
 #[test]
 fn chaos_b_corruption_blast_radius_is_one_session() {
     let recs = line_records(40);
     // A sweeps x ∈ [0, 9]; B sweeps x ∈ [24, 33]. Disjoint by > one page.
+    // C is B's sweep as per-frame snapshots.
     let specs = vec![
         slide_spec(SessionKind::Pdq, 0.0, 8, 8.0),
         slide_spec(SessionKind::Pdq, 24.0, 8, 8.0),
+        slide_spec(SessionKind::Npdq, 24.0, 8, 8.0),
     ];
 
     let store = ChecksumStore::new(FaultyStore::new(
@@ -217,8 +220,24 @@ fn chaos_b_corruption_blast_radius_is_one_session() {
         victim
     });
 
+    let levels0 = server.with_region_tree(0, |t| t.level_counters().snapshot());
     let report = server.serve(&specs, &[]);
+    let levels = server.with_region_tree(0, |t| t.level_counters().snapshot()) - levels0;
     let oracle = clean(&recs).serve_serial(&specs, &[]);
+
+    // A traversal that ends in an error keeps the reads it made: tree
+    // level reads == session reads + writer reads, per region too.
+    let c = &report.sessions[2];
+    assert!(
+        c.outcome.errors().contains(&StorageError::Corrupt { page: victim }),
+        "C should reach the corrupt leaf, got {:?}",
+        c.outcome
+    );
+    assert_eq!(levels.total_reads(), report.total_reads());
+    assert_eq!(
+        levels.total_reads(),
+        report.regions[0].session_reads + report.regions[0].writer_reads
+    );
 
     // Session A never touches the corrupt leaf: clean and exact.
     assert!(report.sessions[0].outcome.is_ok(), "A: {:?}", report.sessions[0].outcome);

@@ -1,7 +1,6 @@
 //! Per-region frame clocks, end to end: ragged schedule lengths,
-//! sessions joining mid-run, a recut during an active serve, a mid-run
-//! session panic, and the frame-report/session-stats identity under
-//! out-of-lockstep execution. Every concurrent run is checked against
+//! sessions joining mid-run, a mid-run session panic, and the
+//! frame-report/session-stats identity under out-of-lockstep execution. Every concurrent run is checked against
 //! the single-threaded reference protocol — the clock refactor must be
 //! invisible to results.
 
@@ -9,8 +8,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use dq_repro::mobiquery::{
-    PartitionedDqServer, RecutPlan, RegionGrid, SessionKind, SessionOutcome, SessionPlan,
-    SessionSpec, Trajectory,
+    PartitionedDqServer, RegionGrid, SessionKind, SessionOutcome, SessionPlan, SessionSpec,
+    Trajectory,
 };
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
@@ -160,77 +159,6 @@ fn join_mid_run_sees_exactly_the_tail() {
     }
 }
 
-/// One recut scenario, checked three ways: every session that survives
-/// matches the same run without recuts and the serial reference (results,
-/// per-frame stats, `queue_hwm`) and is delivered each object once; every
-/// session in `dead` failed before the first recut, kept exactly what the
-/// serial reference had delivered by then, and never reported a frame
-/// from a later epoch; and both servers end on the last recut's grid.
-fn check_recuts<S: PageStore + Send + Sync>(
-    server: impl Fn() -> PartitionedDqServer<2, S>,
-    make_tree: impl Fn(usize) -> RTree<R, S> + Copy,
-    plans: &[SessionPlan<2>],
-    recuts: &[RecutPlan],
-    dead: &[usize],
-) {
-    let inserts = line_inserts(12, 3);
-    let per_frame = |o: &dq_repro::mobiquery::SessionOutput| -> Vec<_> {
-        o.frames.iter().map(|f| (f.frame, f.results, f.stats)).collect()
-    };
-    let mut concurrent = server();
-    let p = concurrent.serve_plans_with_recuts(plans, &inserts, recuts, make_tree);
-    let flat = server().serve_plans(plans, &inserts);
-    let mut serial = server();
-    let s = serial.serve_serial_plans_with_recuts(plans, &inserts, recuts, make_tree);
-    for i in 0..plans.len() {
-        assert_eq!(p.sessions[i].results, s.sessions[i].results, "vs serial {i}");
-        assert_eq!(per_frame(&p.sessions[i]), per_frame(&s.sessions[i]), "vs serial {i}");
-        assert_eq!(p.sessions[i].stats, s.sessions[i].stats, "vs serial {i}");
-        assert_eq!(p.sessions[i].queue_hwm, s.sessions[i].queue_hwm, "vs serial {i}");
-        assert_each_object_once(&p.sessions[i].results);
-        if dead.contains(&i) {
-            assert!(matches!(p.sessions[i].outcome, SessionOutcome::Failed(_)), "session {i}");
-            assert!(!p.sessions[i].frames.is_empty(), "session {i} died before its first frame");
-            let last = p.sessions[i].frames.last().expect("non-empty").frame;
-            assert!(last < recuts[0].at_frame, "dead session {i} reported frame {last}");
-        } else {
-            assert_eq!(p.sessions[i].results, flat.sessions[i].results, "vs no-recut {i}");
-            assert_eq!(p.sessions[i].outcome, SessionOutcome::Ok);
-        }
-    }
-    let regions = recuts.last().expect("a recut scenario").target_regions;
-    assert_eq!(concurrent.grid().len(), regions, "server adopted the recut grid");
-    assert_eq!(serial.grid().len(), regions);
-}
-
-/// Recuts while sessions are live. A recut at frame 6 while a joiner
-/// arrives at frame 3 and a short session has already finished; two
-/// recuts in one run, one session spanning all three epochs and one
-/// joining inside the middle one; and a session that dies in epoch 0 (a
-/// page read on its sweep path panics) with a recut after it — later
-/// epochs must not resurrect it, even though the rebuilt stores no
-/// longer panic.
-#[test]
-fn recut_during_active_serve_preserves_results() {
-    let recs = line_records(40);
-    let grid = RegionGrid::from_cuts(0, vec![20.0]);
-    let plain = |_: usize| RTree::new(Pager::new(), RTreeConfig::default());
-    let mut plans = vec![
-        SessionPlan::new(slide_spec(SessionKind::Pdq, 0.0, 12, 10.0)),
-        SessionPlan::new(slide_spec(SessionKind::Npdq, 12.0, 12, 10.0)).join_at(3),
-        SessionPlan::new(slide_spec(SessionKind::Pdq, 24.0, 4, 4.0)),
-    ];
-    check_recuts(|| partitioned(grid.clone(), &recs), plain, &plans, &[RecutPlan::new(6, 3)], &[]);
-
-    plans[1].join_frame = 5;
-    plans.push(SessionPlan::new(slide_spec(SessionKind::Pdq, 6.0, 12, 10.0)).join_at(7));
-    let twice = [RecutPlan::new(4, 3), RecutPlan::new(8, 2)];
-    check_recuts(|| partitioned(grid.clone(), &recs), plain, &plans, &twice, &[]);
-
-    plans[2] = SessionPlan::new(slide_spec(SessionKind::Pdq, 24.0, 12, 10.0));
-    check_recuts(|| panicking_at(grid.clone(), &recs, 28), quiet_tree, &plans, &twice, &[2]);
-}
-
 /// The leaf page holding `oid` — found by a plain DFS over clean pages,
 /// so call this *before* corrupting anything.
 fn leaf_page_of<S: PageStore>(tree: &RTree<R, S>, oid: u32) -> PageId {
@@ -250,9 +178,8 @@ fn leaf_page_of<S: PageStore>(tree: &RTree<R, S>, oid: u32) -> PageId {
     panic!("oid {oid} not found in any leaf");
 }
 
-/// A `Pager` whose next read of one chosen page panics (once: whoever
-/// comes after the victim — a recut's scan — reads it fine) — the panic
-/// injector of the regressions here, armed once the tree is built.
+/// A `Pager` whose next read of one chosen page panics (once) — the
+/// panic injector of the regression here, armed once the tree is built.
 struct PanickingStore {
     inner: Pager,
     victim: AtomicU32,

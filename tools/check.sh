@@ -43,11 +43,11 @@
 #          all sessions Ok, best concurrent throughput within 2x of the
 #          baseline taken on this machine just before.
 #   clock  the clock suite (ragged schedule lengths, join-mid-run
-#          watermarks, recuts during an active serve, mid-run panic
-#          containment, frame-report reconciliation out of lockstep) and
-#          the straggler experiment — one deliberately slow session on
-#          region 0: every other region keeps >= 0.9x its clean-run
-#          frames/s and the straggler itself was actually slowed.
+#          watermarks, mid-run panic containment, frame-report
+#          reconciliation out of lockstep) and the straggler experiment —
+#          one deliberately slow session on region 0: every other region
+#          keeps >= 0.9x its clean-run frames/s and the straggler itself
+#          was actually slowed.
 #   net    a grep gate that no thread under crates/server/src sleeps or
 #          reads a poll interval (lines tagged `sleep-ok:` excepted), the
 #          server crate's suites in the debug and the optimised build,
@@ -77,10 +77,18 @@
 #          disk accesses, distance computations and delivered objects,
 #          summed over the overlap sweep — and deliver over the TPR-tree
 #          exactly what PDQ delivers over NSI in the same run.
+#   paper  the reproduction held to the paper: Figs. 6 and 10 (PDQ and
+#          NPDQ disk accesses against the naive baseline) at quick scale
+#          — seeded, counts only, a few seconds — must reproduce the
+#          committed results/figures_smoke/fig06.json and fig10.json cell
+#          for cell and keep §5's shape: PDQ's first query costs what the
+#          naive one does, its subsequent queries cost less than naive's
+#          at every overlap and less the higher the overlap, and NPDQ's
+#          never cost more than naive's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GROUPS_ALL="bench obs shard chaos clock net wal updates tpr"
+GROUPS_ALL="bench obs shard chaos clock net wal updates tpr paper"
 SMOKE=""
 ONLY=""
 while [ $# -gt 0 ]; do
@@ -179,6 +187,12 @@ fi
 if want tpr; then
   bench_bin exp_tpr_smoke exp_tpr DQ_SCALE=quick
   tools/gates.py tpr
+fi
+
+if want paper; then
+  bench_bin fig06_smoke fig06_pdq_io DQ_SCALE=quick
+  bench_bin fig10_smoke fig10_npdq_io DQ_SCALE=quick
+  tools/gates.py paper
 fi
 
 if [ -n "$ONLY" ]; then
