@@ -284,19 +284,11 @@ fn run_config<S: PageStore + Send + Sync>(
             server.region_record_counts(),
             "recovered record count diverged from the served tree"
         );
-        // PDQ streams are layout-independent; an NPDQ stream repeats an
-        // object or not by node timestamps, which a rebuild does not
-        // preserve, so its yardstick is the set of objects delivered.
+        // Both session kinds' streams are functions of the record set,
+        // not of the tree that holds it.
         let (got, want) = (recovered.serve_serial(specs, &[]), server.serve_serial(specs, &[]));
         for (i, (g, w)) in got.sessions.iter().zip(&want.sessions).enumerate() {
-            let (mut g, mut w) = (g.results.clone(), w.results.clone());
-            if specs[i].kind == SessionKind::Npdq {
-                for r in [&mut g, &mut w] {
-                    r.sort_unstable();
-                    r.dedup();
-                }
-            }
-            assert_eq!(g, w, "session {i} diverged after recovery");
+            assert_eq!(g.results, w.results, "session {i} diverged after recovery");
         }
         eprintln!(
             "# durability ({mode}, {pool_pages} pages): appends={} group_commit_ns={} checkpoints={} replayed_frames={} replayed_records={}",

@@ -52,19 +52,9 @@ use storage::{PageId, PageStore, StorageError};
 pub struct NpdqEngine<const D: usize> {
     /// Previous snapshot query and the logical time at which it ran.
     prev: Option<(SnapshotQuery<D>, f64)>,
-    /// Disable the discardability optimization entirely (then every
-    /// snapshot is evaluated naively) — lets benches measure the no-harm
-    /// property at 0 % overlap.
-    pub use_discard: bool,
-    /// Reusable traversal stack, so per-frame executions in a serving
-    /// loop don't allocate frame over frame.
+    /// Reusable traversal stack, so consecutive executions don't
+    /// allocate query over query.
     stack: Vec<PageId>,
-    /// Internal entries pruned by Lemma 1 since the engine started — the
-    /// whole point of NPDQ; `discard_rate` is the headline number.
-    discarded_subtrees: u64,
-    /// Internal entries that overlapped the query (the discard check's
-    /// denominator).
-    candidate_subtrees: u64,
     /// SoA staging of one node page's internal-entry keys (scratch): the
     /// overlap and Lemma-1 tests evaluate branch-free across all lanes.
     batch: KeyBatch,
@@ -81,27 +71,8 @@ impl<const D: usize> NpdqEngine<D> {
     pub fn new() -> Self {
         NpdqEngine {
             prev: None,
-            use_discard: true,
             stack: Vec::new(),
-            discarded_subtrees: 0,
-            candidate_subtrees: 0,
             batch: KeyBatch::default(),
-        }
-    }
-
-    /// Subtrees pruned by the §4.2 discardability test since the engine
-    /// started.
-    pub fn discarded_subtrees(&self) -> u64 {
-        self.discarded_subtrees
-    }
-
-    /// Fraction of query-overlapping subtrees the discardability test
-    /// pruned (0.0 when nothing has been considered yet).
-    pub fn discard_rate(&self) -> f64 {
-        if self.candidate_subtrees == 0 {
-            0.0
-        } else {
-            self.discarded_subtrees as f64 / self.candidate_subtrees as f64
         }
     }
 
@@ -146,28 +117,11 @@ impl<const D: usize> NpdqEngine<D> {
         tree: &RTree<R, S>,
         q: &SnapshotQuery<D>,
         now: f64,
-        emit: impl FnMut(&R),
+        mut emit: impl FnMut(&R),
     ) -> Result<QueryStats, StorageError> {
         let mut stats = QueryStats::default();
-        self.try_execute_into(tree, q, now, &mut stats, emit)?;
-        Ok(stats)
-    }
-
-    /// [`Self::try_execute`] counting into the caller's `stats`, so the
-    /// cost of a traversal that ends in `Err` — every node read before
-    /// the fault already ticked the tree's level counters — is not lost
-    /// with it.
-    pub(crate) fn try_execute_into<R: MotionRecord<D>, S: PageStore>(
-        &mut self,
-        tree: &RTree<R, S>,
-        q: &SnapshotQuery<D>,
-        now: f64,
-        stats: &mut QueryStats,
-        mut emit: impl FnMut(&R),
-    ) -> Result<(), StorageError> {
         let qkey = R::query_key(q);
-        let prev = if self.use_discard { self.prev } else { None };
-        let pkey = prev.map(|(p, clock)| (p, R::query_key(&p), clock));
+        let pkey = self.prev.map(|(p, clock)| (p, R::query_key(&p), clock));
 
         // Depth-first traversal; the stack is engine-owned scratch, reused
         // across per-frame executions.
@@ -205,12 +159,10 @@ impl<const D: usize> NpdqEngine<D> {
                         continue;
                     }
                     // Already returned by the previous query?
-                    if clean {
-                        if let Some((p, _)) = &prev {
-                            if p.matches_segment(rec.segment()) {
-                                continue;
-                            }
-                        }
+                    if clean
+                        && pkey.as_ref().is_some_and(|(p, ..)| p.matches_segment(rec.segment()))
+                    {
+                        continue;
                     }
                     stats.results += 1;
                     emit(&rec);
@@ -231,11 +183,9 @@ impl<const D: usize> NpdqEngine<D> {
                     if !self.batch.overlap[j] {
                         continue;
                     }
-                    self.candidate_subtrees += 1;
                     if pdiscard.is_some() && self.batch.discard[j] {
                         // Pruned without loading: the I/O the previous
                         // query paid for.
-                        self.discarded_subtrees += 1;
                         obs::trace(obs::TraceEvent::QueueOp {
                             op: obs::QueueOpKind::Discard,
                             depth: stack.len() as u32,
@@ -248,7 +198,7 @@ impl<const D: usize> NpdqEngine<D> {
         }
         self.stack = stack;
         self.prev = Some((*q, now));
-        Ok(())
+        Ok(stats)
     }
 }
 
@@ -518,10 +468,6 @@ mod tests {
         assert!(got.is_empty(), "fully covered query returns nothing new");
         // And it touches almost nothing below the root.
         assert!(stats.leaf_accesses == 0, "leaf I/O should be fully pruned");
-        // The prunes are visible on the engine's discard counters: every
-        // overlapping subtree of q2 was discarded, none loaded.
-        assert!(eng.discarded_subtrees() > 0, "prunes must be counted");
-        assert!(eng.discard_rate() > 0.0 && eng.discard_rate() <= 1.0);
     }
 
     #[test]
@@ -627,18 +573,5 @@ mod tests {
                 "object {oid} matches neither the delta nor the overlap"
             );
         }
-    }
-
-    #[test]
-    fn disabling_discard_reverts_to_naive() {
-        let tree = grid_tree(20);
-        let mut eng = NpdqEngine::new();
-        eng.use_discard = false;
-        let q1 = SnapshotQuery::at_instant(win(2.0, 2.0, 6.0), 1.0);
-        let q2 = SnapshotQuery::at_instant(win(2.0, 2.0, 6.0), 1.1);
-        let s1 = eng.execute(&tree, &q1, 0.0, |_| {});
-        let s2 = eng.execute(&tree, &q2, 0.0, |_| {});
-        assert_eq!(s1.results, s2.results, "same window, same objects");
-        assert_eq!(s1.disk_accesses, s2.disk_accesses);
     }
 }

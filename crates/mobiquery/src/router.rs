@@ -11,15 +11,15 @@
 //! writer, nothing to merge — same protocol, same code.
 //!
 //! The router half lives in each session: a session's moving window is
-//! split across the regions its trajectory sweeps (its *lanes*), one
-//! PDQ/NPDQ engine per lane, and per-frame lane results are merged back
-//! into a single stream. Records whose trapezoid segments straddle a
-//! region seam are replicated into every touching region (closed slabs —
-//! see [`RegionGrid::route_rect`]), so the merge deduplicates by
-//! `(oid, seq)`: PDQ keeps a cross-frame delivered set (entry events
-//! stay exactly-once at seams), NPDQ dedups within the frame (across
-//! frames a still-visible object repeats iff its leaf was modified since
-//! the previous frame — see `router/lanes.rs`). Within a frame, merged PDQ
+//! split across the regions its trajectory sweeps (its *lanes*) — a PDQ
+//! engine per lane, or for NPDQ a range search per lane — and per-frame
+//! lane results are merged back into a single stream. Records whose
+//! trapezoid segments straddle a region seam are replicated into every
+//! touching region (closed slabs — see [`RegionGrid::route_rect`]), so
+//! the merge deduplicates by `(oid, seq)`: PDQ keeps a cross-frame
+//! delivered set (entry events stay exactly-once at seams), NPDQ dedups
+//! within the frame, which holds exactly what became visible since the
+//! previous one (see `router/lanes.rs`). Within a frame, merged PDQ
 //! results order by `(visibility start, oid, seq)` — the same keys the
 //! PDQ queue itself tie-breaks on — which makes partitioned runs
 //! bitwise deterministic: [`PartitionedDqServer::serve`] equals
@@ -182,9 +182,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// `preload` is routed into every region its segment's spatial bbox
     /// overlaps and each region's share is packed bottom-up
     /// ([`rtree::bulk`]), not inserted. The trees depend on which records
-    /// `preload` holds, not on their order; packed nodes carry the
-    /// never-modified timestamp, and every session served afterwards
-    /// starts with no previous query.
+    /// `preload` holds, not on their order.
     pub fn build(
         grid: RegionGrid,
         preload: &[NsiSegmentRecord<D>],
@@ -212,8 +210,8 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// published for one frame; the name, which `dqbench` reads, predates
     /// the single slate per region), `service.frames` /
     /// `service.inserts` / `service.results` / `service.writer.reads` /
-    /// `service.session.reads` (run counters), `service.pdq.queue_hwm` /
-    /// `service.npdq.discarded`, and per-region labels
+    /// `service.session.reads` (run counters), `service.pdq.queue_hwm`
+    /// (gauge), and per-region labels
     /// `service.region{r}.{inserts,writer.reads,writer.writes,session.reads,load}`.
     pub fn with_metrics(mut self, registry: Arc<obs::MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
@@ -428,9 +426,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         for s in &report.base.sessions {
             reg.gauge("service.pdq.queue_hwm")
                 .record_max(s.queue_hwm as i64);
-            if s.discarded_subtrees > 0 {
-                reg.counter("service.npdq.discarded").add(s.discarded_subtrees);
-            }
             match &s.outcome {
                 SessionOutcome::Ok => {}
                 SessionOutcome::Degraded { errors } => {

@@ -1,36 +1,29 @@
-//! The lane state machine: one session's engines — one per region its
-//! trajectory sweeps — and the seam merge that folds their streams back
+//! The lane state machine: one session's work on each region its
+//! trajectory sweeps, and the seam merge that folds those streams back
 //! into one. No threads and no clocks live here: both serve paths drive
 //! a [`LaneRun`] through the same three calls ([`LaneRun::enter`] at the
 //! session's first frame, [`LaneRun::step`] per frame,
 //! [`LaneRun::finish`] once), and [`Slate`] is how a region's writer
-//! hands a frame's insert reports to the PDQ lanes on it.
+//! tells the lanes on it what a frame's inserts were.
 //!
-//! What an NPDQ lane re-reports. Each frame runs
-//! `SnapshotQuery::at_instant(window(t_k), t_k)` through its lane's
-//! [`NpdqEngine`], which suppresses a matching record iff the previous
-//! query matched it too *and* the leaf holding it is unmodified since
-//! that query ran (§4.2's timestamp rule). So a still-visible object
-//! repeats in frame `k` exactly when an insert touched its leaf since
-//! frame `k - 1`: *which* objects repeat is the tree's shape, not a
-//! property of the query. What every layout guarantees is the bracket
-//! `npdq_frames_are_bracketed_by_naive_snapshots` pins — nothing outside
-//! the snapshot at `t_k`, everything in it that the snapshot at
-//! `t_{k-1}` did not hold.
-//!
-//! Why `service.npdq.discarded` is 0 on this path by construction, not
-//! by measurement: over an NSI key an instant query's time extent is
-//! the point `{t_k}`, so for every node `R` that overlaps `Q` the time
-//! extent of `Q ∩ R` is `{t_k}` as well, and the previous query's
-//! `P = {t_{k-1}}` cannot contain it (`KeyBatch::solve` asks
-//! `p_lo <= t_k <= p_hi`). Lemma 1, `(Q ∩ R) ⊆ P`, therefore never
-//! fires for an overlapping node; discarding needs a query with a time
-//! *extent* (`open_from`, or the double-temporal-axes layout).
+//! A PDQ lane is a [`PdqEngine`] notified of its region's insert reports.
+//! An NPDQ lane has no engine: each frame runs
+//! `SnapshotQuery::at_instant(window(t_k), t_k)` through the region
+//! tree's range search and delivers every match unless the session's
+//! previous query `q_{k-1}` matched it too *and* the slate does not list
+//! it as inserted this frame. So frame `k` is exactly `S_k ∖ S_{k-1}`
+//! over the records resident at each frame — a function of the query and
+//! the record set, the same under every grid, layout, rebalance and
+//! recovery, whatever the inserts' timestamps. A frame that fails leaves
+//! no previous query, so the next one re-delivers its whole snapshot: it
+//! may repeat objects, never lose one. (§4.2's discarding engine is not
+//! used here: over an NSI key an instant query's time extent is a point,
+//! so Lemma 1 cannot discard a subtree, and its node-timestamp rule drops
+//! a record inserted with a `now` older than the previous frame.)
 
 use super::RegionTree;
-use crate::npdq::NpdqEngine;
-use crate::pdq::{PdqEngine, PdqResult};
 use crate::layout::MotionRecord;
+use crate::pdq::{PdqEngine, PdqResult};
 use crate::region::RegionGrid;
 use crate::service::{
     panic_message, FrameReport, NsiReport, SessionKind, SessionOutcome, SessionOutput, SessionSpec,
@@ -38,7 +31,7 @@ use crate::service::{
 use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
 use parking_lot::RwLock;
-use rtree::NsiSegmentRecord;
+use rtree::{NsiSegmentRecord, SearchStats};
 use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,21 +39,18 @@ use std::sync::Arc;
 use std::time::Instant;
 use storage::{PageStore, StorageError};
 
-/// One lane's engine: the session's algorithm instantiated against one
-/// region's tree.
-enum LaneEngine<const D: usize> {
-    Pdq(Box<PdqEngine<D>>),
-    Npdq(Box<NpdqEngine<D>>),
-}
-
-/// One session's in-flight state: an engine per swept region, plus the
-/// merge/dedup state that folds lane streams back into one.
+/// One session's in-flight state: a PDQ engine per swept region (none for
+/// NPDQ), plus the merge/dedup state that folds lane streams back into
+/// one.
 pub(super) struct LaneRun<'a, const D: usize> {
     index: usize,
     spec: &'a SessionSpec<D>,
     /// Contiguous region indices this session's trajectory sweeps.
     lanes: Range<usize>,
-    engines: Vec<LaneEngine<D>>,
+    /// PDQ: one engine per lane, in lane order. NPDQ: empty.
+    engines: Vec<PdqEngine<D>>,
+    /// NPDQ: the last frame's query, if that frame completed.
+    prev: Option<SnapshotQuery<D>>,
     /// PDQ cross-frame dedup: seam replicas deliver in the same frame in
     /// every lane (frame assignment depends only on overlap start), but
     /// the set keeps exactly-once robust without leaning on that.
@@ -72,7 +62,7 @@ pub(super) struct LaneRun<'a, const D: usize> {
     scratch: Vec<PdqResult<D>>,
     merge_pdq: Vec<(f64, u32, u32)>,
     merge_npdq: Vec<(u32, u32)>,
-    /// When the engines first came up; `out.wall_ns` counts from here.
+    /// When the lanes first came up; `out.wall_ns` counts from here.
     started: Option<Instant>,
 }
 
@@ -85,6 +75,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             spec,
             lanes: 0..0,
             engines: Vec::new(),
+            prev: None,
             delivered: HashSet::new(),
             out: SessionOutput::default(),
             region_reads: Vec::new(),
@@ -101,29 +92,27 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         !matches!(self.out.outcome, SessionOutcome::Failed(_))
     }
 
-    /// Route this session under `grid` and build an engine per lane, once,
-    /// at the session's first frame. Contained: a panic building the
-    /// engines fails this session and nobody else. Returns [`Self::alive`].
+    /// Route this session under `grid` and, for PDQ, start an engine per
+    /// lane, once, at the session's first frame. Contained: a panic
+    /// starting the engines fails this session and nobody else. Returns
+    /// [`Self::alive`].
     ///
     /// `trees[r]` is region `r`'s tree behind the lock its writer takes.
     /// The region's `FrameClock` alternates that writer with its
     /// readers, so a lane's read lock never waits; every method here
-    /// holds it for one lane's engine work and never across a clock call.
+    /// holds it for one lane's work and never across a clock call.
     pub(super) fn enter<S: PageStore>(&mut self, grid: &RegionGrid, trees: &[RegionTree<D, S>]) -> bool {
         self.started = Some(Instant::now());
         let spec = self.spec;
         let build = || {
             let lanes = grid.route_rect(&spec.trajectory.swept_bounds());
-            let engines = lanes
-                .clone()
-                .map(|r| match spec.kind {
-                    SessionKind::Pdq => LaneEngine::Pdq(Box::new(PdqEngine::start(
-                        &*trees[r].read(),
-                        spec.trajectory.clone(),
-                    ))),
-                    SessionKind::Npdq => LaneEngine::Npdq(Box::new(NpdqEngine::new())),
-                })
-                .collect();
+            let engines = match spec.kind {
+                SessionKind::Pdq => lanes
+                    .clone()
+                    .map(|r| PdqEngine::start(&*trees[r].read(), spec.trajectory.clone()))
+                    .collect(),
+                SessionKind::Npdq => Vec::new(),
+            };
             (lanes, engines)
         };
         match catch_unwind(AssertUnwindSafe(build)) {
@@ -139,7 +128,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
 
     /// [`Self::step_frame`], contained: a storage error degrades the
     /// session, a panic fails it with its results so far kept. Only the
-    /// engine work is inside — the callers' clock calls stay outside, so
+    /// lane work is inside — the callers' clock calls stay outside, so
     /// a caught panic cannot corrupt the frame protocol. Returns
     /// [`Self::alive`].
     pub(super) fn step<S: PageStore>(
@@ -150,106 +139,68 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         drain_hist: &Option<Arc<obs::Histogram>>,
     ) -> bool {
         match catch_unwind(AssertUnwindSafe(|| self.step_frame(trees, slates, k))) {
-            Ok(Ok(Some(ns))) => {
+            Ok(Ok(ns)) => {
                 if let Some(h) = drain_hist {
                     h.record(ns);
                 }
             }
-            Ok(Ok(None)) => {}
             Ok(Err(e)) => self.out.outcome.record_error(e),
             Err(p) => self.out.outcome = SessionOutcome::Failed(panic_message(p)),
         }
         self.alive()
     }
 
-    /// Process global frame `k` across every lane: a PDQ lane on region
-    /// `r` absorbs `slates[r]`'s reports where they lie, if they are frame
-    /// `k`'s (see [`Slate`]); then drain/execute in-schedule frames and
-    /// merge. Only the first lane error is returned (lanes
-    /// process in ascending region order, so the choice is
-    /// deterministic). On `Err` the frame is still reported (with
-    /// whatever results and stats it produced before the fault) and the
-    /// engines stay valid: PDQ keeps the failed node queued for the next
-    /// drain, NPDQ keeps its discard baseline at the last *completed*
-    /// query, so a later frame re-derives anything the failed one missed
-    /// — degraded sessions lose latency, not results.
+    /// Process global frame `k` across every lane, in ascending region
+    /// order, and merge. A PDQ lane on region `r` absorbs `slates[r]`'s
+    /// reports where they lie, if they are frame `k`'s (see [`Slate`]),
+    /// then drains `[t_k, t_{k+1}]`; an NPDQ lane searches the snapshot
+    /// at `t_k` and keeps what is new (module doc). Only the first lane
+    /// error is returned, and the frame is still reported with whatever
+    /// it delivered before the fault. PDQ keeps a failed node queued for
+    /// the next drain; a failed NPDQ lane contributes no results and the
+    /// session forgets its previous query — degraded sessions lose
+    /// latency, not results.
     fn step_frame<S: PageStore>(
         &mut self,
         trees: &[RegionTree<D, S>],
         slates: &[RwLock<Slate<D>>],
         k: usize,
-    ) -> Result<Option<u64>, StorageError> {
-        let in_schedule = match self.spec.kind {
-            SessionKind::Pdq => k + 1 < self.spec.frame_times.len(),
-            SessionKind::Npdq => k < self.spec.frame_times.len(),
-        };
-        if in_schedule {
-            obs::trace(obs::TraceEvent::FrameStart {
-                session: self.index as u32,
-                frame: k as u32,
-            });
-        }
+    ) -> Result<u64, StorageError> {
+        obs::trace(obs::TraceEvent::FrameStart {
+            session: self.index as u32,
+            frame: k as u32,
+        });
         let before_results = self.out.results.len();
         let started = Instant::now();
         let mut frame_stats = QueryStats::default();
         let mut first_err: Option<StorageError> = None;
-        self.merge_pdq.clear();
-        self.merge_npdq.clear();
-        for (li, r) in self.lanes.clone().enumerate() {
-            let tree = &*trees[r].read();
-            match &mut self.engines[li] {
-                LaneEngine::Pdq(pdq) => {
-                    for report in slates[r].read().reports_of(r, k) {
+        // The seam merge. PDQ: order by the queue's own priority keys —
+        // (visibility start, then object identity) — and deliver each
+        // object once ever; a straddler drained by two lanes ties on the
+        // full key, so which copy survives is immaterial. NPDQ: ordered
+        // and deduplicated by identity within the frame.
+        match self.spec.kind {
+            SessionKind::Pdq => {
+                let (t0, t1) = (self.spec.frame_times[k], self.spec.frame_times[k + 1]);
+                self.merge_pdq.clear();
+                for (pdq, r) in self.engines.iter_mut().zip(self.lanes.clone()) {
+                    let tree = &*trees[r].read();
+                    for report in slates[r].read().of_frame(r, k).0 {
                         pdq.notify(report);
                     }
-                    if in_schedule {
-                        let (t0, t1) = (self.spec.frame_times[k], self.spec.frame_times[k + 1]);
-                        self.scratch.clear();
-                        let res = pdq.try_drain_window_into(tree, t0, t1, &mut self.scratch);
-                        for pr in &self.scratch {
-                            self.merge_pdq.push((
-                                pr.visibility.start().unwrap_or(f64::NEG_INFINITY),
-                                pr.record.oid,
-                                pr.record.seq,
-                            ));
-                        }
-                        if let Err(e) = res {
-                            first_err.get_or_insert(e);
-                        }
+                    self.scratch.clear();
+                    let res = pdq.try_drain_window_into(tree, t0, t1, &mut self.scratch);
+                    for pr in &self.scratch {
+                        let start = pr.visibility.start().unwrap_or(f64::NEG_INFINITY);
+                        self.merge_pdq.push((start, pr.record.oid, pr.record.seq));
+                    }
+                    if let Err(e) = res {
+                        first_err.get_or_insert(e);
                     }
                     let st = pdq.take_stats();
                     frame_stats += st;
                     self.region_reads[r] += st.disk_accesses;
                 }
-                LaneEngine::Npdq(npdq) => {
-                    if in_schedule {
-                        let t = self.spec.frame_times[k];
-                        let q = SnapshotQuery::at_instant(self.spec.trajectory.window_at(t), t);
-                        let mark = self.merge_npdq.len();
-                        let merge = &mut self.merge_npdq;
-                        let mut st = QueryStats::default();
-                        let emit = |rec: &NsiSegmentRecord<D>| merge.push(rec.ids());
-                        if let Err(e) = npdq.try_execute_into(tree, &q, t, &mut st, emit) {
-                            // A failed lane contributes no results; the
-                            // nodes it read before the fault still count.
-                            self.merge_npdq.truncate(mark);
-                            st.results = 0;
-                            first_err.get_or_insert(e);
-                        }
-                        frame_stats += st;
-                        self.region_reads[r] += st.disk_accesses;
-                    }
-                }
-            }
-        }
-        // The seam merge. PDQ: order by the queue's own priority keys —
-        // (visibility start, then object identity) — and deliver each
-        // object once ever; a straddler drained by two lanes ties on the
-        // full key, so which copy survives is immaterial. NPDQ: snapshot
-        // per frame, ordered and deduplicated by identity within the
-        // frame only.
-        match self.spec.kind {
-            SessionKind::Pdq => {
                 self.merge_pdq.sort_unstable_by(|a, b| {
                     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
                 });
@@ -260,19 +211,48 @@ impl<'a, const D: usize> LaneRun<'a, D> {
                 }
             }
             SessionKind::Npdq => {
+                let t = self.spec.frame_times[k];
+                let q = SnapshotQuery::at_instant(self.spec.trajectory.window_at(t), t);
+                let key = q.nsi_key();
+                self.merge_npdq.clear();
+                for r in self.lanes.clone() {
+                    let tree = &*trees[r].read();
+                    let slate = slates[r].read();
+                    let inserted = slate.of_frame(r, k).1;
+                    let (prev, merge) = (self.prev.as_ref(), &mut self.merge_npdq);
+                    let mark = merge.len();
+                    let mut st = SearchStats::default();
+                    let res = tree.try_range_search(
+                        &key,
+                        &mut st,
+                        |rec| q.matches_segment(rec.segment()),
+                        |rec| {
+                            let id = rec.ids();
+                            let seen = prev.is_some_and(|p| p.matches_segment(rec.segment()));
+                            if !seen || inserted.binary_search(&id).is_ok() {
+                                merge.push(id);
+                            }
+                        },
+                    );
+                    if let Err(e) = res {
+                        merge.truncate(mark);
+                        first_err.get_or_insert(e);
+                    }
+                    // A lane's matches are not the frame's deliveries:
+                    // those are counted after the merge.
+                    let st = QueryStats { results: 0, ..st.into() };
+                    frame_stats += st;
+                    self.region_reads[r] += st.disk_accesses;
+                }
                 self.merge_npdq.sort_unstable();
                 self.merge_npdq.dedup();
-                self.out.results.extend(self.merge_npdq.iter().copied());
+                frame_stats.results = self.merge_npdq.len() as u64;
+                self.out.results.extend_from_slice(&self.merge_npdq);
+                self.prev = first_err.is_none().then_some(q);
             }
         }
         let latency_ns = started.elapsed().as_nanos() as u64;
         self.out.stats += frame_stats;
-        if !in_schedule {
-            return match first_err {
-                Some(e) => Err(e),
-                None => Ok(None),
-            };
-        }
         let results = self.out.results.len() - before_results;
         self.out.frames.push(FrameReport {
             frame: k,
@@ -288,7 +268,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         });
         match first_err {
             Some(e) => Err(e),
-            None => Ok(Some(latency_ns)),
+            None => Ok(latency_ns),
         }
     }
 
@@ -299,27 +279,20 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         }
     }
 
-    /// The output, with the engines' high-water marks folded in.
+    /// The output, with the PDQ engines' queue high-water mark folded in.
     pub(super) fn finish(mut self) -> SessionOutput {
-        for engine in &self.engines {
-            match engine {
-                LaneEngine::Pdq(pdq) => {
-                    self.out.queue_hwm = self.out.queue_hwm.max(pdq.queue_hwm());
-                }
-                LaneEngine::Npdq(npdq) => {
-                    self.out.discarded_subtrees += npdq.discarded_subtrees();
-                }
-            }
-        }
+        self.out.queue_hwm = self.engines.iter().map(PdqEngine::queue_hwm).max().unwrap_or(0);
         self.out
     }
 }
 
-/// What a region's writer last broadcast: the frame whose routed slice
-/// it applied and the [`rtree::InsertReport`]s those inserts produced —
-/// §4.1's notification of running PDQs. There is one per region per
-/// serve, written once a frame by the region's writer and read where it
-/// lies by every PDQ lane on the region; nothing is copied per session.
+/// What a region's writer last applied: the frame, the `(oid, seq)` of
+/// every record its routed slice held, sorted — which an NPDQ lane reads
+/// as "inserted this frame" — and the [`rtree::InsertReport`]s those
+/// inserts produced, §4.1's notification of running PDQs. There is one
+/// per region per serve, written once a frame by the region's writer and
+/// read where it lies by every lane on the region; nothing is copied per
+/// session.
 ///
 /// One slot is enough because the region's `FrameClock` alternates the
 /// writer with its readers: `wait_ready(k)` holds batch `k` back until
@@ -332,6 +305,8 @@ impl<'a, const D: usize> LaneRun<'a, D> {
 pub(super) struct Slate<const D: usize> {
     /// Frame of the last non-empty slice applied (`None`: none yet).
     pub(super) frame: Option<usize>,
+    /// The slice's record ids, sorted.
+    pub(super) ids: Vec<(u32, u32)>,
     pub(super) reports: Vec<NsiReport<D>>,
     /// Most reports ever published at once.
     pub(super) hwm: usize,
@@ -339,10 +314,18 @@ pub(super) struct Slate<const D: usize> {
 
 impl<const D: usize> Slate<D> {
     /// Writer side, after the tree's write lock dropped: frame `k`'s
-    /// reports replace the previous frame's, whose buffer goes back to the
-    /// caller for the next batch.
-    pub(super) fn publish(&mut self, k: usize, reports: &mut Vec<NsiReport<D>>) {
+    /// routed slice and its reports replace the previous frame's; the
+    /// reports' old buffer goes back to the caller for the next batch.
+    pub(super) fn publish(
+        &mut self,
+        k: usize,
+        routed: &[(NsiSegmentRecord<D>, f64)],
+        reports: &mut Vec<NsiReport<D>>,
+    ) {
         std::mem::swap(&mut self.reports, reports);
+        self.ids.clear();
+        self.ids.extend(routed.iter().map(|(rec, _)| rec.ids()));
+        self.ids.sort_unstable();
         self.frame = Some(k);
         self.hwm = self.hwm.max(self.reports.len());
         obs::trace(obs::TraceEvent::InsertBroadcast {
@@ -350,11 +333,12 @@ impl<const D: usize> Slate<D> {
         });
     }
 
-    /// Reader side: what a session at frame `k` must absorb from region
-    /// `r` — this slate's reports if they are frame `k`'s, else nothing.
-    /// A slate ahead of its reader means the clock let the writer overrun
-    /// it: a protocol violation, which fails the session that sees it.
-    fn reports_of(&self, r: usize, k: usize) -> &[NsiReport<D>] {
+    /// Reader side: what a session at frame `k` must take from region
+    /// `r` — this slate's reports and inserted ids if they are frame
+    /// `k`'s, else nothing. A slate ahead of its reader means the clock
+    /// let the writer overrun it: a protocol violation, which fails the
+    /// session that sees it.
+    fn of_frame(&self, r: usize, k: usize) -> (&[NsiReport<D>], &[(u32, u32)]) {
         assert!(
             self.frame <= Some(k),
             "region {r}'s slate holds frame {:?} while a session reads frame {k}: \
@@ -362,9 +346,9 @@ impl<const D: usize> Slate<D> {
             self.frame,
         );
         if self.frame == Some(k) {
-            &self.reports
+            (&self.reports, &self.ids)
         } else {
-            &[]
+            (&[], &[])
         }
     }
 }
@@ -379,14 +363,12 @@ mod tests {
     use storage::Pager;
 
     #[test]
-    fn npdq_frames_are_bracketed_by_naive_snapshots() {
+    fn npdq_frames_are_the_newly_visible_set() {
         // The oracle chain's NPDQ end, over trees that were packed and
         // then served with live inserts, and — the second serve — over
-        // what a `rebalance` packs out of those. A frame may repeat a
-        // still-visible object (which ones is the tree's shape), so the
-        // brute-force bracket is: it reports nothing outside the snapshot
-        // at `t_k`, and everything in it that the snapshot at `t_{k-1}`
-        // did not hold.
+        // what a `rebalance` packs out of those: frame `k` is exactly
+        // what the snapshot at `t_k` holds that the one at `t_{k-1}` did
+        // not, each over the records resident at its frame.
         let recs = line_records(40);
         let spec = slide_spec(SessionKind::Npdq, 80, 40.0);
         let inserts = ahead_inserts(80, 2, 40.0, 1000);
@@ -417,19 +399,34 @@ mod tests {
                 let frames = frame_sets(&out.sessions[0]);
                 assert_eq!(frames.len(), snapshots.len());
                 for (k, got) in frames.iter().enumerate() {
-                    let now = &snapshots[k];
-                    assert!(
-                        got.iter().all(|id| now.contains(id)),
-                        "frame {k} reported outside its snapshot: {got:?} vs {now:?}"
-                    );
-                    let fresh = now
+                    let fresh: Vec<_> = snapshots[k]
                         .iter()
-                        .filter(|id| k == 0 || !snapshots[k - 1].contains(id));
-                    for id in fresh {
-                        assert!(got.contains(id), "frame {k} missed newly visible {id:?}");
-                    }
+                        .filter(|id| k == 0 || !snapshots[k - 1].contains(id))
+                        .copied()
+                        .collect();
+                    assert_eq!(*got, fresh, "frame {k}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_past_stamped_insert_is_delivered_when_it_becomes_visible() {
+        // Record 900 sits in the windows at t_2 = 1.0 and t_3 = 1.5 but
+        // arrives only in batch 3, stamped `now = 0.0` — older than frame
+        // 2. Frame 2 could not see it, so frame 3 must deliver it; a
+        // node-timestamp rule reads its leaf as unchanged since frame 2
+        // and suppresses it as already seen.
+        let late = R::new(900, 0, Interval::new(0.0, 100.0), [1.75, 0.5], [1.75, 0.5]);
+        let spec = slide_spec(SessionKind::Npdq, 20, 10.0);
+        let mut inserts = vec![Vec::new(); 4];
+        inserts[3].push((late, 0.0));
+        for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![1.0, 3.0])] {
+            let specs = std::slice::from_ref(&spec);
+            let out = build(grid.clone(), &line_records(40)).serve(specs, &inserts);
+            let serial = build(grid, &line_records(40)).serve_serial(specs, &inserts);
+            assert_eq!(out.sessions[0].results, serial.sessions[0].results);
+            assert!(frame_sets(&out.sessions[0])[3].contains(&late.ids()), "record 900 lost");
         }
     }
 
@@ -449,6 +446,7 @@ mod tests {
             let report = server.regions[0].write().try_insert(late, 2.0).unwrap();
             *slates[0].write() = Slate {
                 frame: stamp,
+                ids: vec![late.ids()],
                 reports: vec![report],
                 hwm: 1,
             };

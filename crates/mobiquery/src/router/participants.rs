@@ -93,8 +93,8 @@ struct Shared<const D: usize> {
     steps: usize,
     /// `clocks[r]` orders region `r`'s frames against its sessions.
     clocks: Vec<FrameClock>,
-    /// `slates[r]`: the insert reports of the last frame region `r`'s
-    /// writer applied, for the PDQ lanes on `r` to absorb.
+    /// `slates[r]`: the last frame region `r`'s writer applied — its
+    /// record ids and insert reports — for the lanes on `r` to read.
     slates: Vec<RwLock<Slate<D>>>,
     drain_hist: Option<Arc<obs::Histogram>>,
     hold_hist: Option<Arc<obs::Histogram>>,
@@ -240,7 +240,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     self.apply_region_batch(&self.regions[r], &routed, &mut reports, &mut w, hold);
                     // `wait_ready` above is also why nobody still reads
                     // the slate's previous frame.
-                    sh.slates[r].write().publish(k, &mut reports);
+                    sh.slates[r].write().publish(k, &routed, &mut reports);
                     obs::trace(obs::TraceEvent::RegionRoute {
                         region: r as u32,
                         records: routed.len() as u32,
@@ -475,7 +475,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         reports.clear();
                         let hold = hold_hist.as_ref();
                         self.apply_region_batch(&self.regions[r], &routed, &mut reports, w, hold);
-                        slates[r].write().publish(k, &mut reports);
+                        slates[r].write().publish(k, &routed, &mut reports);
                         obs::trace(obs::TraceEvent::RegionRoute {
                             region: r as u32,
                             records: routed.len() as u32,
@@ -538,6 +538,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::MotionRecord;
     use crate::router::tests::*;
     use crate::region::RegionGrid;
     use crate::service::{SessionKind, SessionSpec};
@@ -663,6 +664,9 @@ mod tests {
         }
         let slate = sh.slates[0].read();
         assert_eq!(slate.frame, Some(3));
+        let mut ids: Vec<_> = inserts[3].iter().map(|(rec, _)| rec.ids()).collect();
+        ids.sort_unstable();
+        assert_eq!(slate.ids, ids);
         assert_eq!(slate.reports, expect);
         assert_eq!(slate.hwm, 3);
     }

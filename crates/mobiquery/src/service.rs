@@ -11,8 +11,7 @@
 //! door attaches ([`FrameSink`], [`FrameDelta`], [`SinkVerdict`]), and
 //! [`NsiReport`], what a region's writer leaves for the PDQ lanes on its
 //! region after each frame's inserts (the §4.1 update-management
-//! protocol; NPDQ sessions pick updates up through node timestamps,
-//! §4.2).
+//! protocol).
 
 use crate::stats::QueryStats;
 use crate::trajectory::Trajectory;
@@ -30,11 +29,12 @@ pub type NsiReport<const D: usize> =
 pub enum SessionKind {
     /// Predictive: trajectory known ahead, one tree traversal (§4.1).
     Pdq,
-    /// Non-predictive: a snapshot query per frame through §4.2's engine,
-    /// here at an instant over the shared NSI layout — a still-visible
-    /// object is suppressed iff its leaf is unmodified since the previous
-    /// frame, and Lemma 1 never discards a subtree (why: the lanes
-    /// module of `router`).
+    /// Non-predictive: a snapshot query at each frame time, delivering
+    /// what is newly visible — every object the query at `t_k` matches
+    /// that the query at `t_{k-1}` did not, each over the records
+    /// resident at its frame. Served as a range search over the shared
+    /// NSI tree (why not §4.2's [`crate::NpdqEngine`]: the lanes module
+    /// of `router`).
     Npdq,
 }
 
@@ -204,8 +204,6 @@ pub struct SessionOutput {
     pub frames: Vec<FrameReport>,
     /// PDQ only: deepest the priority queue ever got (0 for NPDQ).
     pub queue_hwm: usize,
-    /// NPDQ only: subtrees pruned by discardability (0 for PDQ).
-    pub discarded_subtrees: u64,
     /// Wall-clock nanoseconds from this session's engine start to its
     /// last frame — under independent clocks, sessions finish at their
     /// own pace, and this is the per-session figure the straggler

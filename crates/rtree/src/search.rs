@@ -9,7 +9,7 @@
 
 use crate::traits::{Key, Record};
 use crate::tree::RTree;
-use storage::PageStore;
+use storage::{PageStore, StorageError};
 
 /// Cost counters for one search.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,17 +48,34 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     pub fn range_search(
         &self,
         query: &R::Key,
-        mut accept: impl FnMut(&R) -> bool,
-        mut emit: impl FnMut(&R),
+        accept: impl FnMut(&R) -> bool,
+        emit: impl FnMut(&R),
     ) -> SearchStats {
         let mut stats = SearchStats::default();
+        self.try_range_search(query, &mut stats, accept, emit)
+            .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
+        stats
+    }
+
+    /// Fallible form of [`Self::range_search`]: a device fault mid-descent
+    /// surfaces as `Err` carrying the failing page. Records emitted before
+    /// the fault are valid answers, and the nodes read before it are
+    /// counted into the caller's `stats`, so the cost of a failed search
+    /// is not lost with it.
+    pub fn try_range_search(
+        &self,
+        query: &R::Key,
+        stats: &mut SearchStats,
+        mut accept: impl FnMut(&R) -> bool,
+        mut emit: impl FnMut(&R),
+    ) -> Result<(), StorageError> {
         if query.is_empty() {
-            return stats;
+            return Ok(());
         }
         let mut stack = vec![self.root_page()];
         while let Some(page) = stack.pop() {
             // Zero-copy visit: entries decode lazily out of the page bytes.
-            let node = self.read_node(page);
+            let node = self.try_read_node(page)?;
             stats.nodes_visited += 1;
             if node.is_leaf() {
                 stats.leaf_nodes_visited += 1;
@@ -78,7 +95,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 }
             }
         }
-        stats
+        Ok(())
     }
 
     /// Convenience: collect all accepted records.

@@ -133,10 +133,9 @@ fn pdq_entry_events_are_exactly_once_across_seams() {
     }
 }
 
-/// NPDQ across seams: per-frame reports contain no duplicates, never
-/// contain a non-matching object, and never miss a true new entry —
-/// entry events stay exactly-once even though snapshot suppression is
-/// layout-dependent.
+/// NPDQ across seams: frame `k` is exactly the objects in the window at
+/// `t_k` that were not in it at `t_{k-1}` — seam replicas merged, and
+/// the first frame the full window.
 #[test]
 fn npdq_seam_frames_are_sound_and_entry_complete() {
     let recs = integer_line(40);
@@ -159,28 +158,12 @@ fn npdq_seam_frames_are_sound_and_entry_complete() {
             .collect()
     };
     for (k, got) in per_frame.iter().enumerate() {
-        let t = spec.frame_times[k];
-        let expect = matching(t);
-        // No duplicates within the frame (seam replicas merged).
-        let mut dedup = got.clone();
-        dedup.dedup();
-        assert_eq!(*got, dedup, "frame {k}: duplicate report");
-        // Soundness: only objects actually inside the window.
-        for id in got {
-            assert!(expect.contains(id), "frame {k}: {id:?} outside window");
-        }
-        // Entry completeness: an object not matching last frame but
-        // matching now cannot be suppressed by any layout.
+        let mut expect = matching(spec.frame_times[k]);
         if k > 0 {
             let prev = matching(spec.frame_times[k - 1]);
-            for id in &expect {
-                if !prev.contains(id) {
-                    assert!(got.contains(id), "frame {k}: new entry {id:?} missed");
-                }
-            }
-        } else {
-            assert_eq!(*got, expect, "first frame must report the full window");
+            expect.retain(|id| !prev.contains(id));
         }
+        assert_eq!(*got, expect, "frame {k}");
     }
 }
 

@@ -78,13 +78,14 @@
 #          summed over the overlap sweep — and deliver over the TPR-tree
 #          exactly what PDQ delivers over NSI in the same run.
 #   paper  the reproduction held to the paper: Figs. 6 and 10 (PDQ and
-#          NPDQ disk accesses against the naive baseline) at quick scale
-#          — seeded, counts only, a few seconds — must reproduce the
-#          committed results/figures_smoke/fig06.json and fig10.json cell
-#          for cell and keep §5's shape: PDQ's first query costs what the
-#          naive one does, its subsequent queries cost less than naive's
-#          at every overlap and less the higher the overlap, and NPDQ's
-#          never cost more than naive's.
+#          NPDQ disk accesses against the naive baseline) and Fig. 11
+#          (NPDQ distance computations) at quick scale — seeded, counts
+#          only, a few seconds — must reproduce the committed
+#          results/figures_smoke/fig06.json, fig10.json and fig11.json
+#          cell for cell and keep §5's shape: PDQ's and NPDQ's first
+#          query costs what the naive one does, PDQ's subsequent queries
+#          cost less than naive's at every overlap and less the higher
+#          the overlap, and NPDQ's never cost more than naive's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -192,6 +193,7 @@ fi
 if want paper; then
   bench_bin fig06_smoke fig06_pdq_io DQ_SCALE=quick
   bench_bin fig10_smoke fig10_npdq_io DQ_SCALE=quick
+  bench_bin fig11_smoke fig11_npdq_cpu DQ_SCALE=quick
   tools/gates.py paper
 fi
 

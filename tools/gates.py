@@ -55,11 +55,12 @@ def updates(mode):
 TPR_PINNED = "results/figures_smoke/exp_tpr.json"
 
 
-# The committed quick-scale Figs. 6 and 10 (seeded, counts only), and
+# The committed quick-scale Figs. 6, 10 and 11 (seeded, counts only), and
 # their row and column layout: overlap, naive first, naive subsequent,
 # PDQ/NPDQ first, PDQ/NPDQ subsequent; overlap rises down the rows.
 FIG06_PINNED = "results/figures_smoke/fig06.json"
 FIG10_PINNED = "results/figures_smoke/fig10.json"
+FIG11_PINNED = "results/figures_smoke/fig11.json"
 NAIVE_FIRST, NAIVE_SUBS, DQ_FIRST, DQ_SUBS = 1, 2, 3, 4
 
 
@@ -154,6 +155,13 @@ GATES = [
      "PDQ's subsequent queries vs the next lower overlap's, disk accesses"),
     ("paper", "fig10", every, DQ_SUBS, "each", "<=", (1.0, "fig10", every, NAIVE_SUBS, "each"),
      "NPDQ's subsequent queries vs naive's at the same overlap (§5: no harm)"),
+    ("paper", "fig11", every, CELLS, "each", "==", (1.0, FIG11_PINNED, every, CELLS, "each"),
+     "Fig. 11 at quick scale vs the committed figure, cell for cell"),
+    ("paper", "fig11", every, DQ_FIRST, "each", "==",
+     (1.0, "fig11", every, NAIVE_FIRST, "each"),
+     "NPDQ's first query vs the naive first query, distance computations (§5: the same)"),
+    ("paper", "fig11", every, DQ_SUBS, "each", "<=", (1.0, "fig11", every, NAIVE_SUBS, "each"),
+     "NPDQ's subsequent queries vs naive's at the same overlap, distance computations"),
 ]
 
 COMPARE = {
