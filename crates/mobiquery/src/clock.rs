@@ -28,9 +28,10 @@
 //! region's tree never waits on the writer, and the concurrent serve
 //! stays *bitwise* equal to the serial reference. Isolation comes from the *per-region* scope: a stalled
 //! session back-pressures only the regions its lanes touch, every other
-//! region's writer and sessions run at full speed (the
-//! `exp_service_straggler` figure), and a failed session
-//! [`FrameClock::detach`]es, so nobody waits on it again.
+//! region's writer and sessions run to the end without it
+//! (`tests/clock.rs`, `a_stalled_session_holds_back_only_its_regions`),
+//! and a failed session [`FrameClock::detach`]es, so nobody waits on it
+//! again.
 //!
 //! Invariant, per region, whenever durability is attached:
 //! `committed >= applied >= min(acks) - 1`. Watermarks count *completed

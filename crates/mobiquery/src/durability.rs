@@ -747,4 +747,42 @@ mod tests {
         assert!(folds > 0 && captures > 0);
         assert_eq!(prefix_len(log.durable_image()), 2 * COMMITS as usize);
     }
+
+    /// A checkpoint costs the delta, not the index: the same 128-record
+    /// delta committed over a base of N and of 4N records grows the
+    /// checkpoint by exactly those records, and `checkpoint_now` moves no
+    /// region tree's level counters — it never reads a node.
+    #[test]
+    fn checkpoint_now_folds_the_delta_and_reads_no_tree() {
+        use crate::{PartitionedDqServer, RegionGrid};
+        use rtree::{RTree, RTreeConfig};
+        for base in [2_000u32, 8_000] {
+            let preload: Vec<R> = (0..base)
+                .map(|oid| rec(oid, f64::from(oid % 997) * 0.1, 0.0))
+                .collect();
+            let log = Arc::new(DurableLog::new(0));
+            let server = PartitionedDqServer::build(
+                RegionGrid::from_cuts(0, vec![25.0, 50.0, 75.0]),
+                &preload,
+                |_| RTree::new(storage::Pager::new(), RTreeConfig::default()),
+            )
+            .with_durability(Arc::clone(&log));
+            assert!(server.checkpoint_now(), "the base checkpoint, the one tree scan");
+            let levels = || {
+                (0..4)
+                    .map(|r| server.with_region_tree(r, |t| t.level_counters().snapshot()))
+                    .collect::<Vec<_>>()
+            };
+            let (records, read) = (log.stats().checkpoint_records, levels());
+            for frame in 0..8u32 {
+                let batch: Vec<(R, f64)> = (0..16)
+                    .map(|j| (rec(base + frame * 16 + j, 50.0, 1.0), 1.0))
+                    .collect();
+                log.commit_frame(u64::from(frame), &batch);
+            }
+            assert!(server.checkpoint_now());
+            assert_eq!(log.stats().checkpoint_records, records + 128, "base {base}");
+            assert_eq!(levels(), read, "base {base}: the checkpoint read a tree");
+        }
+    }
 }

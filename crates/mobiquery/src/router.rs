@@ -356,7 +356,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     }
 
     /// Run the clocked serve over explicit [`SessionPlan`]s (staggered
-    /// joins, per-frame delays).
+    /// joins).
     pub fn serve_plans(
         &self,
         plans: &[SessionPlan<D>],

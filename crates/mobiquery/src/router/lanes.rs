@@ -357,7 +357,7 @@ impl<const D: usize> Slate<D> {
 mod tests {
     use super::*;
     use crate::router::tests::*;
-    use crate::service::SessionPlan;
+    use crate::service::{FrameDelta, FrameSink, SessionPlan, SinkVerdict};
     use rtree::{RTree, RTreeConfig};
     use stkit::Interval;
     use storage::Pager;
@@ -484,10 +484,18 @@ mod tests {
                 .collect();
         }
         let plans = vec![
-            SessionPlan::new(slide_spec(SessionKind::Pdq, 8, 8.0))
-                .with_frame_delay(std::time::Duration::from_millis(2)),
+            SessionPlan::new(slide_spec(SessionKind::Pdq, 8, 8.0)),
             SessionPlan::new(slide_spec(SessionKind::Pdq, 8, 8.0)).join_at(3),
         ];
+        // Session 0 lags: its sink takes 2 ms a frame, before the ack.
+        struct Lag;
+        impl FrameSink for Lag {
+            fn on_frame(&self, _: &FrameDelta<'_>) -> SinkVerdict {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                SinkVerdict::Continue
+            }
+        }
+        let lag: [Option<&dyn FrameSink>; 1] = [Some(&Lag)];
         let per_frame = |o: &SessionOutput| -> Vec<_> {
             o.frames.iter().map(|f| (f.frame, f.results, f.stats)).collect()
         };
@@ -511,7 +519,7 @@ mod tests {
             })
             .collect();
         for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![5.0, 20.0])] {
-            let p = build(grid.clone(), &recs).serve_plans(&plans, &inserts);
+            let p = build(grid.clone(), &recs).serve_plans_streamed(&plans, &inserts, &lag);
             let s = build(grid.clone(), &recs).serve_serial_plans(&plans, &inserts);
             for (a, b) in p.sessions.iter().zip(&s.sessions) {
                 assert_eq!(a.outcome, SessionOutcome::Ok);

@@ -344,9 +344,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         }
                     }
                 }
-                if !plan.frame_delay.is_zero() {
-                    std::thread::sleep(plan.frame_delay);
-                }
                 for r in lanes.clone() {
                     sh.clocks[r].ack(i, k + 2);
                 }

@@ -17,7 +17,6 @@ use crate::stats::QueryStats;
 use crate::trajectory::Trajectory;
 use rtree::{InsertReport, NsiSegmentRecord, Record};
 use std::sync::Arc;
-use std::time::Duration;
 use storage::StorageError;
 
 /// The insert report a region's writer publishes for PDQ sessions.
@@ -62,8 +61,8 @@ impl<const D: usize> SessionSpec<D> {
 }
 
 /// One session's lifecycle over a run: the query itself plus *when* it
-/// runs — independent frame clocks let sessions join mid-run and pace
-/// themselves, so those knobs live here rather than on [`SessionSpec`].
+/// runs — independent frame clocks let sessions join mid-run, so that
+/// knob lives here rather than on [`SessionSpec`].
 #[derive(Clone, Debug)]
 pub struct SessionPlan<const D: usize> {
     /// The query and frame schedule.
@@ -73,11 +72,6 @@ pub struct SessionPlan<const D: usize> {
     /// join frame's batch not yet) and consumes frames `join_frame..`
     /// of its schedule — `frame_times` stay globally indexed.
     pub join_frame: usize,
-    /// Artificial per-frame consumption delay — a deliberately slow
-    /// client. The session back-pressures only the regions its query
-    /// touches (the straggler experiment); results are unaffected, and
-    /// the serial reference ignores the delay entirely.
-    pub frame_delay: Duration,
 }
 
 impl<const D: usize> From<SessionSpec<D>> for SessionPlan<D> {
@@ -87,24 +81,14 @@ impl<const D: usize> From<SessionSpec<D>> for SessionPlan<D> {
 }
 
 impl<const D: usize> SessionPlan<D> {
-    /// A plan that joins at frame 0 with no artificial delay.
+    /// A plan that joins at frame 0.
     pub fn new(spec: SessionSpec<D>) -> Self {
-        SessionPlan {
-            spec,
-            join_frame: 0,
-            frame_delay: Duration::ZERO,
-        }
+        SessionPlan { spec, join_frame: 0 }
     }
 
     /// Join mid-run at global frame `frame` (builder-style).
     pub fn join_at(mut self, frame: usize) -> Self {
         self.join_frame = frame;
-        self
-    }
-
-    /// Sleep `delay` after each processed frame (builder-style).
-    pub fn with_frame_delay(mut self, delay: Duration) -> Self {
-        self.frame_delay = delay;
         self
     }
 
@@ -206,8 +190,7 @@ pub struct SessionOutput {
     pub queue_hwm: usize,
     /// Wall-clock nanoseconds from this session's engine start to its
     /// last frame — under independent clocks, sessions finish at their
-    /// own pace, and this is the per-session figure the straggler
-    /// experiment compares (0 when the session never ran).
+    /// own pace (0 when the session never ran).
     pub wall_ns: u64,
     /// Whether the session finished clean, degraded, or failed.
     pub outcome: SessionOutcome,

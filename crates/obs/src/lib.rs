@@ -12,7 +12,7 @@
 //!   goes through an `Arc` handle and is a single relaxed atomic op, so
 //!   the hot path never contends. [`MetricsRegistry::render`] /
 //!   [`MetricsRegistry::render_json`] dump every metric for the bench
-//!   binaries and the `--only obs` reconciliation check.
+//!   binaries and `dqbench`.
 //! * [`TraceRing`] — a bounded ring of structured [`TraceEvent`]s
 //!   (`FrameStart`/`FrameEnd`, `NodeVisit`, `QueueOp`, `CacheEvict`,
 //!   `InsertBroadcast`). A per-thread ring is maintained behind
@@ -22,7 +22,8 @@
 //! The same counters double as a *cross-check oracle*: because every
 //! layer counts independently (pool hits+misses, per-level node reads,
 //! per-engine `QueryStats`), exact identities between them pin down
-//! accounting bugs — see `exp_service` and `tools/check.sh --only obs`.
+//! accounting bugs — see `per_region_reconciliation_identities_hold`
+//! in `tests/partition.rs` and `chaos_a` in `tests/chaos.rs`.
 
 pub mod metrics;
 pub mod trace;

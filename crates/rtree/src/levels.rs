@@ -8,7 +8,8 @@
 //! serving layer's `RwLock` can be counted from any thread at zero
 //! coordination cost, and [`LevelSnapshot`] supports interval arithmetic
 //! (`after - before`) for exact attribution of a serving run — the
-//! reconciliation identities in `exp_service` depend on it.
+//! reconciliation identities of the partition and chaos suites depend
+//! on it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

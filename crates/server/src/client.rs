@@ -1,7 +1,7 @@
 //! Blocking reference client for the wire protocol.
 //!
-//! Used by the integration tests, the `exp_service_net` benchmark, and
-//! the `examples/net_client` quickstart. Besides the well-behaved
+//! Used by the integration tests, `dqbench`'s `wire` workload, and the
+//! `examples/net_client` quickstart. Besides the well-behaved
 //! [`run`](NetClient::run) path it exposes
 //! the misbehaviors the chaos suite needs: stop granting credit
 //! mid-run ([`ClientBehavior::StallAfter`]), vanish without a goodbye

@@ -14,7 +14,7 @@ use mobiquery::{NsiRecord, SessionKind, SessionPlan, SessionSpec, Trajectory};
 use obs::EvictReason;
 use rtree::{RTree, RTreeConfig};
 use server::{
-    ClientBehavior, ClientOutcome, NetClient, NetServer, RejectReason, ServerConfig,
+    ClientBehavior, ClientOutcome, Msg, NetClient, NetServer, RejectReason, ServerConfig,
 };
 use stkit::{Interval, Rect};
 use storage::Pager;
@@ -344,6 +344,124 @@ fn vanished_client_is_contained() {
     assert_eq!(summary.evicted, 1, "the vanished session was evicted");
 }
 
+/// Straggler isolation over the wire: four 25-wide slabs, one healthy
+/// PDQ client on each of regions 1–3, and a staller and a vanisher on
+/// region 0. The staller admits at zero credit and holds its socket, so
+/// region 0 stalls once its outbox is full, for up to the 30 s write
+/// deadline — and the healthy clients must still read every delta, within
+/// a 20 s guard that the deadline cannot rescue. Only then does the
+/// staller drop its socket.
+#[test]
+fn a_stalled_client_holds_back_only_its_region() {
+    const FRAMES: usize = 30;
+    const SLAB: f64 = 25.0;
+    let preload: Vec<R> = (0..4u32)
+        .flat_map(|r| (0..50u32).map(move |i| (r, i)))
+        .map(|(r, i)| {
+            let x = f64::from(r) * SLAB + 0.5 + f64::from(i) * (SLAB - 1.0) / 50.0;
+            R::new(r * 10_000 + i, 0, Interval::new(0.0, 1_000.0), [x, 0.5], [x, 0.5])
+        })
+        .collect();
+    let inserts: Vec<Vec<(R, f64)>> = (0..FRAMES as u32)
+        .map(|k| {
+            let t = f64::from(k);
+            (0..4u32)
+                .map(|r| {
+                    let x = f64::from(r) * SLAB + 1.0 + f64::from((k + r) % 20);
+                    let oid = 50_000 + k * 4 + r;
+                    (R::new(oid, 0, Interval::new(t, 1_000.0), [x, 0.5], [x, 0.5]), t)
+                })
+                .collect()
+        })
+        .collect();
+    let slab_plan = |r: usize| {
+        let x0 = r as f64 * SLAB + 1.0;
+        SessionPlan::new(SessionSpec {
+            kind: SessionKind::Pdq,
+            trajectory: Trajectory::linear(
+                Rect::from_corners([x0, 0.0], [x0 + 2.0, 1.0]),
+                [(SLAB - 4.0) / FRAMES as f64, 0.0],
+                Interval::new(0.0, FRAMES as f64),
+                2,
+            ),
+            frame_times: (0..=FRAMES).map(|k| k as f64).collect(),
+        })
+    };
+    let plans: Vec<SessionPlan<2>> = [1, 2, 3, 0, 0].into_iter().map(slab_plan).collect();
+    let core = || {
+        let grid = RegionGrid::uniform(0, Interval::new(0.0, 4.0 * SLAB), 4);
+        PartitionedDqServer::build(grid, &preload, |_| {
+            RTree::new(Pager::new(), RTreeConfig::default())
+        })
+    };
+    let oracle = core().serve_serial_plans(&plans, &inserts);
+
+    let cfg = ServerConfig {
+        min_gather: plans.len(),
+        gather_window: Duration::from_secs(10),
+        write_deadline: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    let handle = NetServer::start(core(), vec![inserts], "127.0.0.1:0", cfg).expect("start server");
+    let credits = [64, 64, 64, 0, 8];
+    let mut clients: Vec<NetClient> = plans
+        .iter()
+        .zip(credits)
+        .map(|(p, credit)| {
+            let mut c = NetClient::connect(handle.addr()).expect("connect");
+            c.hello(p, credit).expect("hello io").expect("admitted");
+            c
+        })
+        .collect();
+    let staller = clients.remove(3);
+    let vanisher = clients.remove(3);
+    let vanished = std::thread::spawn(move || vanisher.run(ClientBehavior::VanishAfter(2)));
+
+    // A healthy client reads its deltas, reports once it holds all of
+    // them, then waits for `Done`, which comes only after the serve.
+    let (read_all, healthy_done) = std::sync::mpsc::channel();
+    let healthy: Vec<_> = clients
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut c)| {
+            let read_all = read_all.clone();
+            std::thread::spawn(move || {
+                let mut results = Vec::new();
+                for _ in 0..FRAMES {
+                    match c.next_msg() {
+                        Ok(Msg::Delta { results: r, .. }) => results.extend(r),
+                        other => panic!("healthy session {i}: expected a delta, got {other:?}"),
+                    }
+                    c.grant(1).expect("grant");
+                }
+                read_all.send(i).expect("report");
+                let done = c.next_msg();
+                assert!(matches!(done, Ok(Msg::Done { .. })), "session {i}: {done:?}");
+                results
+            })
+        })
+        .collect();
+    drop(read_all);
+    let guard = Instant::now() + Duration::from_secs(20);
+    let finished: Vec<usize> = std::iter::from_fn(|| {
+        healthy_done.recv_timeout(guard.saturating_duration_since(Instant::now())).ok()
+    })
+    .take(3)
+    .collect();
+    drop(staller);
+
+    let results: Vec<_> = healthy.into_iter().map(|t| t.join().expect("healthy thread")).collect();
+    assert!(
+        finished.len() == 3,
+        "only sessions {finished:?} of 0..3 read every delta while the staller held its socket"
+    );
+    for (i, got) in results.iter().enumerate() {
+        assert_eq!(*got, oracle.base.sessions[i].results, "healthy session {i} vs serve_serial");
+    }
+    assert_eq!(vanished.join().expect("vanisher").outcome, ClientOutcome::ConnectionLost);
+    assert_eq!(handle.shutdown().evicted, 2, "the staller and the vanisher");
+}
+
 #[test]
 fn garbage_streams_are_contained_to_their_session() {
     let recs = line_records(30);
@@ -366,7 +484,7 @@ fn garbage_streams_are_contained_to_their_session() {
     let mut pre = NetClient::connect(handle.addr()).expect("connect");
     pre.send_raw(&[5, 0, 0, 0, 0x7F, 1, 2, 3, 4]).expect("send");
     match pre.next_msg() {
-        Ok(server::Msg::Evicted {
+        Ok(Msg::Evicted {
             reason: EvictReason::Protocol,
         }) => {}
         other => panic!("expected Protocol eviction notice, got {other:?}"),

@@ -157,9 +157,15 @@ fn chaos_a_transient_faults_are_invisible_through_retry() {
         base_backoff: Duration::from_micros(1),
     });
     let server = single(pool, &recs);
-    let levels0 = server.with_region_tree(0, |t| t.level_counters().snapshot());
+    let counters = || {
+        server.with_region_tree(0, |t| {
+            (t.level_counters().snapshot(), t.store().cache_stats().misses, t.store().io())
+        })
+    };
+    let (levels0, misses0, io0) = counters();
     let report = server.serve(&specs, &inserts);
-    let levels = server.with_region_tree(0, |t| t.level_counters().snapshot()) - levels0;
+    let (levels, misses, io) = counters();
+    let levels = levels - levels0;
 
     let oracle = clean(&recs).serve_serial(&specs, &inserts);
 
@@ -192,6 +198,9 @@ fn chaos_a_transient_faults_are_invisible_through_retry() {
         report.total_reads(),
         "device-level retries inflated the node-read counts"
     );
+    // A failed attempt never reaches the device counters, so each miss
+    // is still exactly one device read.
+    assert_eq!(misses - misses0, (io - io0).reads, "pool misses vs device reads");
 }
 
 /// (b) Checksum-detected corruption of one leaf: only the sessions whose
@@ -624,55 +633,80 @@ fn chaos_i_full_device_fails_writer_cleanly_and_wal_recovers_the_backlog() {
     assert!(rep.tail.is_clean());
 }
 
-/// (j) Recovery through a rebuild, one region or many: one shared WAL,
-/// checkpoints of the deduplicated record set, and recovery by
+/// (j) Recovery through a rebuild, one region or many, over bare pagers
+/// and over buffer pools: one shared WAL, checkpoints of the
+/// deduplicated record set, and recovery by
 /// [`PartitionedDqServer::build`] plus frame replay. The recovered
 /// server holds exactly the crashed server's records (including a frame
 /// committed but never applied), and serves identical results.
 #[test]
 fn chaos_j_partitioned_recovery_is_result_equivalent() {
+    let cuts = || RegionGrid::from_cuts(0, vec![40.0, 80.0]);
+    let bare = |_: usize| RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+    let pooled = |_: usize| {
+        RTree::new(
+            ShardedBufferPool::new(Pager::with_page_size(256), 16, 2),
+            RTreeConfig::default(),
+        )
+    };
+    recovery_is_result_equivalent(RegionGrid::single(), bare);
+    recovery_is_result_equivalent(cuts(), bare);
+    recovery_is_result_equivalent(RegionGrid::single(), pooled);
+    recovery_is_result_equivalent(cuts(), pooled);
+}
+
+/// One `chaos_j` case: a durable serve with mid-run checkpoints under
+/// `grid`, region trees from `make`, then a crash and a recovery.
+fn recovery_is_result_equivalent<S: PageStore + Send + Sync>(
+    grid: RegionGrid,
+    make: impl FnMut(usize) -> RTree<R, S>,
+) {
     let recs = line_records(120);
     let specs = vec![
         slide_spec(SessionKind::Pdq, 0.0, 12, 12.0),
         slide_spec(SessionKind::Npdq, 30.0, 12, 12.0),
     ];
     let inserts = line_inserts(12, 2);
-    let make = |_: usize| RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+    let registry = dq_repro::obs::MetricsRegistry::new();
+    let log = Arc::new(DurableLog::new(5));
+    log.attach_metrics(&registry);
+    let server =
+        PartitionedDqServer::build(grid.clone(), &recs, make).with_durability(Arc::clone(&log));
+    let report = server.serve(&specs, &inserts);
+    assert!(report.base.writer_outcome.is_ok());
+    assert_eq!(report.base.wal_appends, 12);
+    assert!(
+        report.base.checkpoints >= 1,
+        "12 commits at every=5 must install mid-run checkpoints"
+    );
+    let stats = log.stats();
+    assert_eq!(stats.wal.appends, report.base.wal_appends);
+    assert_eq!(registry.counter_value("wal.appends"), stats.wal.appends);
+    assert_eq!(stats.checkpoint_failures, 0, "a checkpoint fold was refused");
 
-    for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![40.0, 80.0])] {
-        let log = Arc::new(DurableLog::new(5));
-        let server = PartitionedDqServer::build(grid.clone(), &recs, make)
-            .with_durability(Arc::clone(&log));
-        let report = server.serve(&specs, &inserts);
-        assert!(report.base.writer_outcome.is_ok());
-        assert_eq!(report.base.wal_appends, 12);
-        assert!(
-            report.base.checkpoints >= 1,
-            "12 commits at every=5 must install mid-run checkpoints"
-        );
+    // Crash with one more frame durable but applied to no region; the
+    // live server absorbs the same frame so the comparison target holds
+    // the full committed prefix too.
+    let extra = vec![(
+        R::new(9000, 0, Interval::new(3.6, 100.0), [5.25, 0.5], [5.25, 0.5]),
+        3.6,
+    )];
+    log.commit_frame(12, &extra);
+    let image = log.durable_image();
+    server.serve_serial(&[], std::slice::from_ref(&extra));
 
-        // Crash with one more frame durable but applied to no region; the
-        // live server absorbs the same frame so the comparison target
-        // holds the full committed prefix too.
-        let extra = vec![(
-            R::new(9000, 0, Interval::new(3.6, 100.0), [5.25, 0.5], [5.25, 0.5]),
-            3.6,
-        )];
-        log.commit_frame(12, &extra);
-        let image = log.durable_image();
-        server.serve_serial(&[], std::slice::from_ref(&extra));
+    let (_, frames, rep) = image.recover_records::<2>().unwrap();
+    assert!(rep.tail.is_clean());
+    assert_eq!(rep.replayed_frames, frames.len() as u64);
+    assert_eq!(frames.last().expect("the extra frame is committed").0, 12);
+    rep.publish(&registry);
+    assert_eq!(registry.counter_value("wal.replayed_records"), rep.replayed_records);
 
-        let (_, frames, rep) = image.recover_records::<2>().unwrap();
-        assert!(rep.tail.is_clean());
-        assert_eq!(rep.replayed_frames, frames.len() as u64);
-        assert_eq!(frames.last().expect("the extra frame is committed").0, 12);
-
-        // Same deduplicated record set, and the same answers to a fresh
-        // identical query run.
-        let recovered = recover_server(&image, grid);
-        assert_eq!(resident_ids(&recovered), resident_ids(&server));
-        assert_eq!(requery(&recovered), requery(&server), "diverged after recovery");
-    }
+    // Same deduplicated record set, and the same answers to a fresh
+    // identical query run.
+    let recovered = recover_server(&image, grid);
+    assert_eq!(resident_ids(&recovered), resident_ids(&server));
+    assert_eq!(requery(&recovered), requery(&server), "diverged after recovery");
 }
 
 /// (k) A region writer that dies mid-run (its id-capped device fills)

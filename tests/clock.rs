@@ -1,15 +1,17 @@
 //! Per-region frame clocks, end to end: ragged schedule lengths,
-//! sessions joining mid-run, a mid-run session panic, and the
-//! frame-report/session-stats identity under out-of-lockstep execution. Every concurrent run is checked against
-//! the single-threaded reference protocol — the clock refactor must be
-//! invisible to results.
+//! sessions joining mid-run, a mid-run session panic, the
+//! frame-report/session-stats identity under out-of-lockstep execution,
+//! and a stalled session that holds back only its own regions. Every
+//! concurrent run is checked against the single-threaded reference
+//! protocol — the clocks must be invisible to results.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use dq_repro::mobiquery::{
-    PartitionedDqServer, RegionGrid, SessionKind, SessionOutcome, SessionPlan, SessionSpec,
-    Trajectory,
+    FrameDelta, FrameSink, PartitionedDqServer, RegionGrid, SessionKind, SessionOutcome,
+    SessionPlan, SessionSpec, SinkVerdict, Trajectory,
 };
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
@@ -278,40 +280,143 @@ fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
     assert_eq!(report.sessions[0].frames.len(), 8);
 }
 
+/// A sink that takes 2 ms over every frame before the session acks it.
+struct Lag;
+
+impl FrameSink for Lag {
+    fn on_frame(&self, _: &FrameDelta<'_>) -> SinkVerdict {
+        std::thread::sleep(Duration::from_millis(2));
+        SinkVerdict::Continue
+    }
+}
+
 /// Out-of-lockstep execution (one deliberately slow session): results
-/// stay bit-identical to the undelayed serial reference and the
-/// per-frame flight recorder still reconciles exactly with the
-/// session-level stats — on both grids.
+/// stay bit-identical to the serial reference and the per-frame flight
+/// recorder still reconciles exactly with the session-level stats — on
+/// both grids.
 #[test]
 fn frame_reports_reconcile_out_of_lockstep() {
     let recs = line_records(40);
     let inserts = line_inserts(10, 3);
-    let specs = [
+    let plans: Vec<SessionPlan<2>> = [
         slide_spec(SessionKind::Pdq, 0.0, 10, 10.0),
         slide_spec(SessionKind::Npdq, 12.0, 10, 10.0),
         slide_spec(SessionKind::Pdq, 24.0, 10, 10.0),
-    ];
-    let plans: Vec<SessionPlan<2>> = specs
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, spec)| {
-            let p = SessionPlan::new(spec);
-            if i == 1 {
-                p.with_frame_delay(Duration::from_millis(2))
-            } else {
-                p
-            }
-        })
-        .collect();
-    let undelayed: Vec<SessionPlan<2>> = specs.iter().cloned().map(SessionPlan::new).collect();
+    ]
+    .into_iter()
+    .map(SessionPlan::new)
+    .collect();
+    let sinks: [Option<&dyn FrameSink>; 2] = [None, Some(&Lag)];
 
     for grid in grids() {
-        let p = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
-        let s = partitioned(grid, &recs).serve_serial_plans(&undelayed, &inserts);
+        let p = partitioned(grid.clone(), &recs).serve_plans_streamed(&plans, &inserts, &sinks);
+        let s = partitioned(grid, &recs).serve_serial_plans(&plans, &inserts);
         for i in 0..plans.len() {
             assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
         }
         assert_frames_reconcile(&p.sessions);
+    }
+}
+
+const SLABS: usize = 4;
+const SLAB: f64 = 25.0;
+const STALL_FRAMES: usize = 30;
+/// How long the stalled session waits for the others before the test
+/// gives up on them.
+const GUARD: Duration = Duration::from_secs(30);
+
+/// Frames each session has delivered, and what they were when session 0
+/// woke from its stall.
+#[derive(Default)]
+struct StallState {
+    seen: [usize; SLABS],
+    at_wake: Option<[usize; SLABS]>,
+}
+
+/// Session 0 parks in its first frame's sink, so it never acks that
+/// frame; the sink of the last other session to deliver its final frame
+/// wakes it.
+#[derive(Default)]
+struct Stall {
+    state: Mutex<StallState>,
+    others_done: Condvar,
+}
+
+impl FrameSink for Stall {
+    fn on_frame(&self, d: &FrameDelta<'_>) -> SinkVerdict {
+        let unfinished = |s: &mut StallState| s.seen[1..].iter().any(|&n| n < STALL_FRAMES);
+        let mut st = self.state.lock().unwrap();
+        st.seen[d.session] += 1;
+        if d.session == 0 && st.seen[0] == 1 {
+            let (mut st, _) = self.others_done.wait_timeout_while(st, GUARD, unfinished).unwrap();
+            st.at_wake = Some(st.seen);
+        } else if !unfinished(&mut st) {
+            self.others_done.notify_all();
+        }
+        SinkVerdict::Continue
+    }
+}
+
+/// Straggler isolation under per-region clocks: four uniform slabs, one
+/// PDQ session confined to each, one insert per region every frame.
+/// Session 0 stalls at its first frame, so region 0's writer can apply
+/// nothing past batch 0 — and sessions 1–3 must still deliver every
+/// frame. A session that waited on a region outside its lanes would
+/// stall with it and fail the bounded wait instead of running slow.
+#[test]
+fn a_stalled_session_holds_back_only_its_regions() {
+    let preload: Vec<R> = (0..SLABS as u32)
+        .flat_map(|r| (0..50).map(move |i| (r, i)))
+        .map(|(r, i)| {
+            let x = f64::from(r) * SLAB + 0.5 + f64::from(i) * (SLAB - 1.0) / 50.0;
+            R::new(r * 10_000 + i, 0, Interval::new(0.0, 1_000.0), [x, 0.5], [x, 0.5])
+        })
+        .collect();
+    let inserts: Vec<Vec<(R, f64)>> = (0..STALL_FRAMES as u32)
+        .map(|k| {
+            let t = f64::from(k);
+            (0..SLABS as u32)
+                .map(|r| {
+                    let x = f64::from(r) * SLAB + 1.0 + f64::from((k + r) % 20);
+                    let oid = 50_000 + k * 4 + r;
+                    (R::new(oid, 0, Interval::new(t, 1_000.0), [x, 0.5], [x, 0.5]), t)
+                })
+                .collect()
+        })
+        .collect();
+    let span = STALL_FRAMES as f64;
+    let plans: Vec<SessionPlan<2>> = (0..SLABS)
+        .map(|r| {
+            let x0 = r as f64 * SLAB + 1.0;
+            SessionPlan::new(SessionSpec {
+                kind: SessionKind::Pdq,
+                trajectory: Trajectory::linear(
+                    Rect::from_corners([x0, 0.0], [x0 + 2.0, 1.0]),
+                    [(SLAB - 4.0) / span, 0.0],
+                    Interval::new(0.0, span),
+                    2,
+                ),
+                frame_times: (0..=STALL_FRAMES).map(|k| k as f64).collect(),
+            })
+        })
+        .collect();
+    let grid = RegionGrid::uniform(0, Interval::new(0.0, SLABS as f64 * SLAB), SLABS);
+
+    let stall = Stall::default();
+    let sinks = vec![Some(&stall as &dyn FrameSink); SLABS];
+    let p = partitioned(grid.clone(), &preload).serve_plans_streamed(&plans, &inserts, &sinks);
+    let at_wake = stall.state.lock().unwrap().at_wake.expect("session 0 parked");
+    let unfinished: Vec<usize> = (1..SLABS).filter(|&i| at_wake[i] < STALL_FRAMES).collect();
+    assert!(
+        unfinished.is_empty(),
+        "sessions {unfinished:?} did not finish while session 0 was parked (frames {at_wake:?})"
+    );
+    assert_eq!(at_wake[0], 1, "session 0 was parked at its first frame");
+
+    let s = partitioned(grid, &preload).serve_serial_plans(&plans, &inserts);
+    for (i, (a, b)) in p.sessions.iter().zip(&s.sessions).enumerate() {
+        assert!(a.outcome.is_ok(), "session {i}: {:?}", a.outcome);
+        assert_eq!(a.frames.len(), STALL_FRAMES, "session {i}");
+        assert_eq!(a.results, b.results, "session {i}");
     }
 }

@@ -15,10 +15,12 @@ use dq_repro::mobiquery::{
 };
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
-use dq_repro::storage::{Pager, ShardedBufferPool};
+use dq_repro::storage::{PageStore, Pager, ShardedBufferPool};
 use dq_repro::workload::{Dataset, DatasetConfig, QueryWorkload, QueryWorkloadConfig};
 
 type R = NsiSegmentRecord<2>;
+/// One frame's inserts.
+type Batch = Vec<(R, f64)>;
 
 /// One stationary object at every integer x in `0..=n` — including the
 /// grid cuts themselves.
@@ -167,11 +169,10 @@ fn npdq_seam_frames_are_sound_and_entry_complete() {
     }
 }
 
-/// The mixed PDQ/NPDQ dataset workload from the service suite, served
-/// partitioned over 2 and 4 regions: the concurrent run must be
-/// bit-identical to the partitioned serial protocol, per session.
-#[test]
-fn partitioned_serve_matches_partitioned_serial_on_mixed_workload() {
+/// The mixed PDQ/NPDQ dataset workload from the service suite: 80 % of a
+/// seeded data set over `[0, 100]²` preloaded, the rest arriving over 20
+/// frames, and six sessions alternating PDQ and NPDQ.
+fn mixed_workload() -> (Vec<R>, Vec<Batch>, Vec<SessionSpec<2>>) {
     const FRAMES: usize = 20;
     let ds = Dataset::generate(DatasetConfig {
         objects: 400,
@@ -183,7 +184,7 @@ fn partitioned_serve_matches_partitioned_serial_on_mixed_workload() {
     let split = records.len() * 8 / 10;
     let (preload, live) = records.split_at(split);
     let batch = live.len().div_ceil(FRAMES);
-    let inserts: Vec<Vec<(R, f64)>> = live
+    let inserts: Vec<Batch> = live
         .chunks(batch)
         .map(|c| c.iter().map(|r| (*r, r.seg.t.lo)).collect())
         .collect();
@@ -206,16 +207,24 @@ fn partitioned_serve_matches_partitioned_serial_on_mixed_workload() {
         frame_times: q.frame_times,
     })
     .collect();
+    (preload.to_vec(), inserts, specs)
+}
 
+/// The mixed workload served partitioned over 2 and 4 regions: the
+/// concurrent run must be bit-identical to the partitioned serial
+/// protocol, per session.
+#[test]
+fn partitioned_serve_matches_partitioned_serial_on_mixed_workload() {
+    let (preload, inserts, specs) = mixed_workload();
     let live_total: usize = inserts.iter().map(Vec::len).sum();
     for cuts in [vec![50.0], vec![25.0, 50.0, 75.0]] {
         let grid = RegionGrid::from_cuts(0, cuts);
         let regions = grid.len();
-        let parallel = PartitionedDqServer::build(grid.clone(), preload, |_| {
+        let parallel = PartitionedDqServer::build(grid.clone(), &preload, |_| {
             RTree::new(ShardedBufferPool::new(Pager::new(), 64, 4), RTreeConfig::default())
         })
         .serve(&specs, &inserts);
-        let serial = build_partitioned(grid, preload).serve_serial(&specs, &inserts);
+        let serial = build_partitioned(grid, &preload).serve_serial(&specs, &inserts);
 
         assert!(parallel.base.writer_outcome.is_ok());
         assert_eq!(parallel.base.frames, serial.base.frames);
@@ -235,10 +244,25 @@ fn partitioned_serve_matches_partitioned_serial_on_mixed_workload() {
     }
 }
 
+/// Load balance: the mixed workload over a uniform 4-region grid puts no
+/// more than twice the mean load (writer reads and writes plus session
+/// reads) on any region.
+#[test]
+fn uniform_workload_loads_no_region_past_twice_the_mean() {
+    let (preload, inserts, specs) = mixed_workload();
+    let server = build_partitioned(RegionGrid::uniform(0, Interval::new(0.0, 100.0), 4), &preload);
+    server.serve(&specs, &inserts);
+    let loads = server.region_loads();
+    let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
+    let max = *loads.iter().max().expect("four regions") as f64;
+    assert!(max <= 2.0 * mean, "loads {loads:?}: hottest {:.2}x the mean", max / mean);
+}
+
 /// Per-region reconciliation: each region's tree-level read counters
 /// must equal that region's attributed session reads plus its writer
-/// reads, and every one of those reads must be a pool hit or miss —
-/// the PR 3 identities, now holding region by region.
+/// reads, every one of those reads must be a pool hit or miss, and every
+/// miss exactly one device read — the PR 3 identities, now holding
+/// region by region.
 #[test]
 fn per_region_reconciliation_identities_hold() {
     let recs = integer_line(60);
@@ -269,29 +293,37 @@ fn per_region_reconciliation_identities_hold() {
             RTreeConfig::default(),
         )
     });
+    let counters = |r| {
+        server.with_region_tree(r, |t| {
+            (t.level_counters().snapshot(), t.store().cache_stats(), t.store().io())
+        })
+    };
     let before: Vec<_> = (0..3)
         .map(|r| {
-            server.with_region_tree(r, |t| (t.level_counters().snapshot(), t.store().cache_stats()))
+            server.with_region_tree(r, |t| t.store().clear()); // serve from a cold pool
+            counters(r)
         })
         .collect();
     let report = server.serve(&specs, &inserts);
     assert!(report.base.writer_outcome.is_ok());
 
     let mut summed_reads = 0;
-    for (r, (levels0, cache0)) in before.into_iter().enumerate() {
-        let (levels, cache) =
-            server.with_region_tree(r, |t| (t.level_counters().snapshot(), t.store().cache_stats()));
+    for (r, (levels0, cache0, io0)) in before.into_iter().enumerate() {
+        let (levels, cache, io) = counters(r);
         let reads = (levels - levels0).total_reads();
         assert_eq!(
             reads,
             report.regions[r].session_reads + report.regions[r].writer_reads,
             "region {r}: tree reads vs attributed reads"
         );
+        let misses = cache.misses - cache0.misses;
         assert_eq!(
-            (cache.hits - cache0.hits) + (cache.misses - cache0.misses),
+            (cache.hits - cache0.hits) + misses,
             reads,
             "region {r}: every read is a pool hit or miss"
         );
+        assert!(misses > 0, "region {r}: the pool never missed");
+        assert_eq!(misses, (io - io0).reads, "region {r}: every miss is one device read");
         summed_reads += reads;
     }
     // And the summed identity matches the aggregate report.

@@ -19,9 +19,8 @@ import sys
 
 FIGURES = "target/figures/"
 
-# Two bounds can be moved from the environment, as before the table.
+# One bound can be moved from the environment, as before the table.
 OBS_TOL = float(os.environ.get("DQ_OBS_SPEEDUP_TOL", "0.25"))
-NET_P99_US = float(os.environ.get("DQ_NET_P99_US", "50000"))
 
 # Column pickers. SPEEDUP: a read_path ratio row keeps its one value in
 # whichever cell the throughput column is ("2.70x"). CELLS: every number
@@ -29,19 +28,10 @@ NET_P99_US = float(os.environ.get("DQ_NET_P99_US", "50000"))
 # two numbers to CELLS and its total to a single-column gate.
 SPEEDUP = None
 CELLS = "cells"
-LAST = -1
 
 
 def label(prefix):
     return lambda r: r[0].startswith(prefix)
-
-
-def net(mode, done, *, healthy=False):
-    """exp_service_net rows: mode, session, region, fps, p99, ratio, outcome.
-    The healthy sessions are the ones off region 0, where both
-    misbehaving clients sit."""
-    return lambda r: (r[0] == mode and (r[6] == "done") == done
-                      and (not healthy or r[2] != "0"))
 
 
 def updates(mode):
@@ -68,16 +58,10 @@ def every(_row):
     return True
 
 
-def stalled(r):
-    return r[-1] == "yes"
-
-
 def measure(figure, rows, column, fold):
     path = figure if figure.endswith(".json") else f"{FIGURES}{figure}.json"
     with open(path) as f:
         picked = [r for r in json.load(f)["rows"] if rows(r)]
-    if fold == "count":
-        return [float(len(picked))]
     if column is CELLS:
         values = [float(n) for r in picked for c in r[1:] for n in c.split("/")]
     else:
@@ -88,7 +72,7 @@ def measure(figure, rows, column, fold):
         if not values:
             sys.exit(f"FAIL: {path} has no row for a gate that needs one")
         return values
-    return [{"max": max, "sum": sum}[fold](values)]
+    return [sum(values)]
 
 
 # group, figure, rows, column, fold, comparison, bound, what is measured.
@@ -106,24 +90,6 @@ GATES = [
     ("obs", "read_path_obs_smoke", label("view/decode"), SPEEDUP, "each", ">=",
      (1.0 - OBS_TOL, "BENCH_read_path.json", label("view/decode"), SPEEDUP, "each"),
      f"instrumented view/decode speedup vs the committed baseline less {OBS_TOL:.0%}"),
-    ("shard", "exp_service_regions", every, LAST, "each", "<=", 2.0,
-     "hottest region's load over the mean, uniform workload"),
-    ("chaos", "exp_service_chaos", label("concurrent"), 2, "max", ">=",
-     (0.5, "exp_service", label("concurrent"), 2, "max"),
-     "best concurrent frames/s under 1% faults vs half the fault-free best"),
-    ("clock", "exp_service_straggler", stalled, 4, "each", "<", 0.5,
-     "the straggler's own frames/s vs its clean run (the injected delay must bite)"),
-    ("clock", "exp_service_straggler", lambda r: not stalled(r), 4, "each", ">=", 0.9,
-     "a non-stalled region's frames/s vs its clean run"),
-    ("net", "exp_service_net", net("chaos", done=False), 0, "count", "==", 2,
-     "misbehaving clients evicted"),
-    ("net", "exp_service_net", net("clean", done=False), 0, "count", "==", 0,
-     "clean-run sessions that did not finish"),
-    ("net", "exp_service_net", lambda r: r[6] == "done", 4, "each", "<=", NET_P99_US,
-     "a completed session's p99 frame latency, us"),
-    ("net", "exp_service_net", net("chaos", done=True, healthy=True), 3, "sum", ">=",
-     (0.9, "exp_service_net", net("clean", done=True, healthy=True), 3, "sum"),
-     "healthy sessions' aggregate frames/s, chaos vs 0.9x clean"),
     ("updates", "exp_updates", updates("live insertions"), 4, "each", "==",
      (1.0, "exp_updates", updates("static index"), 4, "each"),
      "objects a PDQ delivers over a live index vs over the finished one"),
