@@ -190,14 +190,7 @@ fn bench_engines() {
     });
     g.run("knn_k10", || {
         let mut stats = mobiquery::QueryStats::default();
-        mobiquery::knn_at(
-            &nsi,
-            black_box([50.0, 50.0]),
-            5.0,
-            10,
-            f64::INFINITY,
-            &mut stats,
-        )
+        mobiquery::knn_at(&nsi, black_box([50.0, 50.0]), 5.0, 10, &mut stats)
     });
 }
 

@@ -1,12 +1,12 @@
 //! Experiment: SPDQ cost vs deviation bound δ (§4).
 //!
-//! SPDQ runs PDQ over the δ-inflated trajectory, so each snapshot is
+//! SPDQ is PDQ over the δ-inflated trajectory, so each snapshot is
 //! "larger" than the plain PDQ one. This sweep quantifies the price of
 //! deviation tolerance: subsequent-query I/O and objects fetched, as δ
 //! grows from 0 (plain PDQ) to a full window width.
 
 use bench::{f2, FigureTable, Scale};
-use mobiquery::spdq::SpdqSession;
+use mobiquery::PdqEngine;
 use workload::QueryWorkload;
 
 fn main() {
@@ -31,13 +31,13 @@ fn main() {
     for delta in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0] {
         let (mut disk, mut cpu, mut results, mut frames) = (0u64, 0u64, 0u64, 0u64);
         for spec in &specs {
-            let mut s = SpdqSession::start(&tree, spec.trajectory.clone(), delta);
+            let mut s = PdqEngine::start(&tree, spec.trajectory.inflate(delta));
             let t0 = spec.frame_times[0];
-            results += s.engine_mut().drain_window(&tree, t0, t0).len() as u64;
-            let _ = s.engine_mut().take_stats();
+            results += s.drain_window(&tree, t0, t0).len() as u64;
+            let _ = s.take_stats();
             for w in spec.frame_times.windows(2) {
-                results += s.engine_mut().drain_window(&tree, w[0], w[1]).len() as u64;
-                let st = s.engine_mut().take_stats();
+                results += s.drain_window(&tree, w[0], w[1]).len() as u64;
+                let st = s.take_stats();
                 disk += st.disk_accesses;
                 cpu += st.distance_computations;
                 frames += 1;

@@ -4,12 +4,9 @@
 //!
 //! [`knn_at`] is a classic best-first kNN (Hjaltason–Samet style, the
 //! same priority-queue machinery §4.1 builds on) restricted to motion
-//! segments valid at the query instant. [`MovingKnn`] evaluates a
-//! sequence of instants, seeding each search with the previous answer's
-//! distance bound: when the query point moves by `δ`, the previous k-th
-//! distance plus `δ` plus the maximum object displacement bounds the new
-//! k-th distance, letting the search prune aggressively — the same
-//! result-reuse idea the paper applies to range queries.
+//! segments valid at the query instant. [`knn_moving_observer`] ranks
+//! records by their closest approach to an observer moving over a time
+//! window.
 
 use crate::stats::QueryStats;
 use rtree::{NsiSegmentRecord, RTree};
@@ -73,27 +70,24 @@ impl<const D: usize> Ord for FrontierItem<D> {
 }
 
 /// Best-first kNN at a single instant `t`: the `k` objects (valid at `t`)
-/// nearest to point `p`, with an optional initial pruning bound
-/// `max_dist_sq` (results beyond it are not reported).
+/// nearest to point `p`.
 pub fn knn_at<const D: usize, S: PageStore>(
     tree: &RTree<NsiSegmentRecord<D>, S>,
     p: [f64; D],
     t: f64,
     k: usize,
-    max_dist_sq: f64,
     stats: &mut QueryStats,
 ) -> Vec<KnnResult<D>> {
+    if k == 0 {
+        return Vec::new();
+    }
     let mut heap: BinaryHeap<FrontierItem<D>> = BinaryHeap::new();
     heap.push(FrontierItem {
         dist_sq: 0.0,
         what: Frontier::Node(tree.root_page()),
     });
     let mut out: Vec<KnnResult<D>> = Vec::with_capacity(k);
-    let mut bound = max_dist_sq;
     while let Some(item) = heap.pop() {
-        if item.dist_sq > bound {
-            break;
-        }
         match item.what {
             Frontier::Object(record) => {
                 out.push(KnnResult {
@@ -116,13 +110,10 @@ pub fn knn_at<const D: usize, S: PageStore>(
                         if !rec.seg.t.contains(t) {
                             continue;
                         }
-                        let d = rec.seg.dist_sq_at(t, &p);
-                        if d <= bound {
-                            heap.push(FrontierItem {
-                                dist_sq: d,
-                                what: Frontier::Object(rec),
-                            });
-                        }
+                        heap.push(FrontierItem {
+                            dist_sq: rec.seg.dist_sq_at(t, &p),
+                            what: Frontier::Object(rec),
+                        });
                     }
                 } else {
                     for (key, child) in node.internal_entries() {
@@ -130,93 +121,16 @@ pub fn knn_at<const D: usize, S: PageStore>(
                         if !key.time.extent(0).contains(t) {
                             continue;
                         }
-                        let d = key.space.min_dist_sq(&p);
-                        if d <= bound {
-                            heap.push(FrontierItem {
-                                dist_sq: d,
-                                what: Frontier::Node(child),
-                            });
-                        }
+                        heap.push(FrontierItem {
+                            dist_sq: key.space.min_dist_sq(&p),
+                            what: Frontier::Node(child),
+                        });
                     }
                 }
             }
         }
-        // Tighten the bound once k candidates are enqueued/known: the
-        // k-th smallest enqueued object distance is an upper bound.
-        if out.len() == k {
-            break;
-        }
     }
-    out.truncate(k);
-    if let Some(last) = out.last() {
-        let _ = last; // bound bookkeeping done by the caller (MovingKnn)
-    }
-    let _ = &mut bound;
     out
-}
-
-/// kNN over a moving query point: a sequence of `(t, p)` instants, each
-/// search seeded with a distance bound derived from the previous answer.
-#[derive(Clone, Debug)]
-pub struct MovingKnn<const D: usize> {
-    k: usize,
-    /// Upper bound on any object's speed (for bound transfer between
-    /// instants); `f64::INFINITY` disables reuse.
-    max_object_speed: f64,
-    prev: Option<(f64, [f64; D], f64)>, // (t, p, kth_dist)
-}
-
-impl<const D: usize> MovingKnn<D> {
-    /// A moving-kNN session. `max_object_speed` bounds how fast any
-    /// indexed object moves (the workload knows this).
-    pub fn new(k: usize, max_object_speed: f64) -> Self {
-        assert!(k > 0, "k must be positive");
-        MovingKnn {
-            k,
-            max_object_speed,
-            prev: None,
-        }
-    }
-
-    /// Evaluate the kNN at instant `(t, p)`.
-    pub fn query<S: PageStore>(
-        &mut self,
-        tree: &RTree<NsiSegmentRecord<D>, S>,
-        t: f64,
-        p: [f64; D],
-        stats: &mut QueryStats,
-    ) -> Vec<KnnResult<D>> {
-        let bound = match self.prev {
-            Some((pt, pp, kth)) if t >= pt => {
-                // Previous k-th neighbour moved at most v·Δt; the query
-                // point moved ‖p − pp‖. New k-th distance is at most
-                // kth + both displacements (triangle inequality).
-                let dt = t - pt;
-                let moved: f64 = pp
-                    .iter()
-                    .zip(&p)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
-                let slack = moved + self.max_object_speed * dt;
-                let b = kth.sqrt() + slack;
-                b * b
-            }
-            _ => f64::INFINITY,
-        };
-        let mut res = knn_at(tree, p, t, self.k, bound, stats);
-        // The bound can only be *too tight* if fewer than k results came
-        // back (e.g. objects expired); retry unbounded in that case.
-        if res.len() < self.k && bound.is_finite() {
-            res = knn_at(tree, p, t, self.k, f64::INFINITY, stats);
-        }
-        if let Some(last) = res.last() {
-            self.prev = Some((t, p, last.dist_sq));
-        } else {
-            self.prev = None;
-        }
-        res
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +158,7 @@ mod tests {
     fn nearest_neighbor_is_correct() {
         let tree = grid_tree(20);
         let mut stats = QueryStats::default();
-        let res = knn_at(&tree, [5.6, 5.6], 1.0, 1, f64::INFINITY, &mut stats);
+        let res = knn_at(&tree, [5.6, 5.6], 1.0, 1, &mut stats);
         assert_eq!(res.len(), 1);
         // Nearest grid point to (5.6, 5.6) is (5.5, 5.5).
         assert_eq!(res[0].record.seg.x0, [5.5, 5.5]);
@@ -255,7 +169,7 @@ mod tests {
     fn k_results_in_distance_order() {
         let tree = grid_tree(20);
         let mut stats = QueryStats::default();
-        let res = knn_at(&tree, [10.5, 10.5], 1.0, 5, f64::INFINITY, &mut stats);
+        let res = knn_at(&tree, [10.5, 10.5], 1.0, 5, &mut stats);
         assert_eq!(res.len(), 5);
         for w in res.windows(2) {
             assert!(w[0].dist_sq <= w[1].dist_sq);
@@ -278,35 +192,10 @@ mod tests {
         recs.push(R::new(1, 0, Interval::new(0.0, 100.0), [52.0, 50.0], [52.0, 50.0]));
         let tree = bulk_load(Pager::new(), RTreeConfig::default(), recs);
         let mut stats = QueryStats::default();
-        let early = knn_at(&tree, [50.0, 50.0], 0.5, 1, f64::INFINITY, &mut stats);
+        let early = knn_at(&tree, [50.0, 50.0], 0.5, 1, &mut stats);
         assert_eq!(early[0].record.oid, 0);
-        let late = knn_at(&tree, [50.0, 50.0], 5.0, 1, f64::INFINITY, &mut stats);
+        let late = knn_at(&tree, [50.0, 50.0], 5.0, 1, &mut stats);
         assert_eq!(late[0].record.oid, 1, "expired object must be skipped");
-    }
-
-    #[test]
-    fn moving_knn_matches_fresh_searches_and_saves_io() {
-        let tree = grid_tree(40);
-        let mut mov = MovingKnn::new(3, 0.0);
-        let mut mov_stats = QueryStats::default();
-        let mut fresh_stats = QueryStats::default();
-        for step in 0..20 {
-            let t = 1.0 + step as f64 * 0.1;
-            let p = [5.0 + step as f64 * 0.3, 8.0];
-            let a = mov.query(&tree, t, p, &mut mov_stats);
-            let b = knn_at(&tree, p, t, 3, f64::INFINITY, &mut fresh_stats);
-            // Equidistant neighbours may tie-break differently between
-            // the bounded and unbounded searches: compare distances.
-            let ak: Vec<f64> = a.iter().map(|r| r.dist_sq).collect();
-            let bk: Vec<f64> = b.iter().map(|r| r.dist_sq).collect();
-            assert_eq!(ak, bk, "step {step}");
-        }
-        assert!(
-            mov_stats.distance_computations <= fresh_stats.distance_computations,
-            "bound reuse should not examine more: {} vs {}",
-            mov_stats.distance_computations,
-            fresh_stats.distance_computations
-        );
     }
 
     #[test]
@@ -338,7 +227,7 @@ mod tests {
             .collect();
         let tree = bulk_load(Pager::new(), RTreeConfig::default(), recs);
         let mut stats = QueryStats::default();
-        let res = knn_at(&tree, [50.0, 50.0], 1.0, 3, f64::INFINITY, &mut stats);
+        let res = knn_at(&tree, [50.0, 50.0], 1.0, 3, &mut stats);
         assert_eq!(res.len(), 3);
         for r in &res {
             assert_eq!(r.dist_sq, 25.0, "all candidates tie exactly");
@@ -348,7 +237,7 @@ mod tests {
         let ids: Vec<u32> = res.iter().map(|r| r.record.oid).collect();
         assert_eq!(ids, vec![0, 1, 2], "k-set must be the smallest ids");
         // And a second run over the same tree is bit-identical.
-        let again = knn_at(&tree, [50.0, 50.0], 1.0, 3, f64::INFINITY, &mut stats);
+        let again = knn_at(&tree, [50.0, 50.0], 1.0, 3, &mut stats);
         assert_eq!(res, again);
     }
 
@@ -380,7 +269,7 @@ mod tests {
     fn more_neighbors_than_objects() {
         let tree = grid_tree(2);
         let mut stats = QueryStats::default();
-        let res = knn_at(&tree, [0.0, 0.0], 1.0, 10, f64::INFINITY, &mut stats);
+        let res = knn_at(&tree, [0.0, 0.0], 1.0, 10, &mut stats);
         assert_eq!(res.len(), 4, "only 4 objects exist");
     }
 }

@@ -22,19 +22,20 @@
 //!   discarding any subtree whose overlap with the current query is
 //!   covered by the previous one (`(Q ∩ R) ⊆ P`), with node timestamps
 //!   deciding when the previous query is still usable.
-//! * [`spdq`] — semi-predictive queries: PDQ over a δ-inflated trajectory.
+//! * Semi-predictive queries (§4) are [`PdqEngine`] over
+//!   [`Trajectory::inflate`]`(δ)`: "SPDQ can be easily implemented using
+//!   the PDQ algorithms".
 //! * [`naive`] — the baseline: every snapshot evaluated independently.
 //! * [`ClientCache`] — the client-side buffer keyed on object
 //!   disappearance time that completes the paper's system picture.
-//! * [`knn`] — the paper's future-work extension (i): incremental
-//!   nearest-neighbour search for a moving query point, on the same
-//!   best-first machinery.
+//! * [`knn`] — the paper's future-work extension (i): best-first
+//!   nearest-neighbour search at an instant and over a moving observer's
+//!   time window, on the same priority-queue machinery.
 
 // Numeric kernels iterate several fixed-size arrays in lockstep; index
 // loops keep the per-axis math symmetric and readable.
 #![allow(clippy::needless_range_loop)]
 
-pub mod adaptive;
 pub mod aggregate;
 pub mod cache;
 pub mod clock;
@@ -50,11 +51,9 @@ pub mod region;
 pub mod router;
 pub mod service;
 pub mod snapshot;
-pub mod spdq;
 pub mod stats;
 pub mod trajectory;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveSession, Mode};
 pub use aggregate::CountProfile;
 pub use cache::ClientCache;
 pub use clock::{FrameClock, SessionLiveness};
@@ -62,7 +61,7 @@ pub use durability::{
     DurableImage, DurableLog, DurableStats, LogicalCheckpoint, RecoverError, RecoveryReport,
 };
 pub use join::{distance_join, self_distance_join, JoinPair};
-pub use knn::{knn_at, knn_moving_observer, KnnResult, MovingKnn};
+pub use knn::{knn_at, knn_moving_observer, KnnResult};
 pub use layout::{MotionRecord, PdqRecord};
 pub use naive::NaiveEngine;
 pub use npdq::NpdqEngine;
@@ -75,7 +74,6 @@ pub use service::{
     SessionOutput, SessionPlan, SessionSpec, SinkVerdict,
 };
 pub use snapshot::SnapshotQuery;
-pub use spdq::SpdqSession;
 pub use stats::QueryStats;
 pub use trajectory::{KeySnapshot, Trajectory};
 

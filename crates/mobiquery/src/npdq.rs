@@ -76,11 +76,6 @@ impl<const D: usize> NpdqEngine<D> {
         }
     }
 
-    /// Forget the previous query (e.g. after the observer teleports).
-    pub fn reset(&mut self) {
-        self.prev = None;
-    }
-
     /// True iff a previous query is available for discarding.
     pub fn has_previous(&self) -> bool {
         self.prev.is_some()
@@ -468,22 +463,6 @@ mod tests {
         assert!(got.is_empty(), "fully covered query returns nothing new");
         // And it touches almost nothing below the root.
         assert!(stats.leaf_accesses == 0, "leaf I/O should be fully pruned");
-    }
-
-    #[test]
-    fn reset_forgets_previous_query() {
-        let tree = grid_tree(20);
-        let mut eng = NpdqEngine::new();
-        let q1 = SnapshotQuery::at_instant(win(2.0, 2.0, 6.0), 1.0);
-        eng.execute(&tree, &q1, 0.0, |_| {});
-        assert!(eng.has_previous());
-        eng.reset();
-        assert!(!eng.has_previous());
-        // After reset the same window returns everything again (like a
-        // first query) — the teleport semantics.
-        let mut got = 0;
-        eng.execute(&tree, &q1, 0.0, |_| got += 1);
-        assert_eq!(got, 36, "6×6 grid cells re-delivered after reset");
     }
 
     #[test]

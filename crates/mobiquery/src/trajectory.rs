@@ -257,8 +257,9 @@ impl<const D: usize> Trajectory<D> {
 
     /// SPDQ (§4): inflate every key window by `delta` to tolerate an
     /// observer deviating up to `‖x_p(t) − x(t)‖ ≤ δ` from the predicted
-    /// path.
+    /// path. A PDQ over the result is the semi-predictive query.
     pub fn inflate(&self, delta: Scalar) -> Trajectory<D> {
+        assert!(delta >= 0.0, "deviation bound must be non-negative");
         Trajectory::new(
             self.keys
                 .iter()
@@ -369,6 +370,12 @@ mod tests {
     fn inflation_grows_windows() {
         let tr = slide_right().inflate(1.0);
         assert_eq!(tr.window_at(0.0), Rect::from_corners([-1.0, -1.0], [3.0, 3.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_delta_rejected() {
+        let _ = slide_right().inflate(-1.0);
     }
 
     #[test]

@@ -187,29 +187,28 @@ proptest! {
 
     #[test]
     fn spdq_is_superset_of_pdq(raws in segments(200), traj in trajectory(), delta in 0.0f64..5.0) {
+        // SPDQ (§4) is PDQ over the δ-inflated trajectory.
         let (_, tree) = nsi_tree(&raws);
         let span = traj.span();
         let mut pdq = PdqEngine::start(&tree, traj.clone());
-        let plain: BTreeSet<u32> = pdq
-            .drain_window(&tree, span.lo, span.hi)
-            .iter()
-            .map(|r| r.record.oid)
-            .collect();
-        let mut spdq = mobiquery::SpdqSession::start(&tree, traj, delta);
-        let fat: BTreeSet<u32> = spdq
-            .engine_mut()
-            .drain_window(&tree, span.lo, span.hi)
-            .iter()
-            .map(|r| r.record.oid)
-            .collect();
-        prop_assert!(fat.is_superset(&plain));
+        let plain = pdq.drain_window(&tree, span.lo, span.hi);
+        let oids = |rs: &[mobiquery::PdqResult<2>]| {
+            rs.iter().map(|r| r.record.oid).collect::<BTreeSet<u32>>()
+        };
+        let mut spdq = PdqEngine::start(&tree, traj.inflate(delta));
+        let fat = spdq.drain_window(&tree, span.lo, span.hi);
+        prop_assert!(oids(&fat).is_superset(&oids(&plain)));
+        // δ = 0 is plain PDQ: same results, same order, same cost.
+        let mut zero = PdqEngine::start(&tree, traj.inflate(0.0));
+        prop_assert_eq!(&zero.drain_window(&tree, span.lo, span.hi), &plain);
+        prop_assert_eq!(zero.stats(), pdq.stats());
     }
 
     #[test]
     fn knn_matches_brute_force(raws in segments(250), px in 0.0f64..100.0, py in 0.0f64..100.0, t in 1.0f64..20.0, k in 1usize..8) {
         let (recs, tree) = nsi_tree(&raws);
         let mut stats = mobiquery::QueryStats::default();
-        let got = mobiquery::knn_at(&tree, [px, py], t, k, f64::INFINITY, &mut stats);
+        let got = mobiquery::knn_at(&tree, [px, py], t, k, &mut stats);
         // Brute force.
         let mut alive: Vec<(f64, u32)> = recs
             .iter()

@@ -143,18 +143,6 @@ impl<const D: usize> MovingWindow<D> {
         }
         out
     }
-
-    /// Inflate by a *time-varying* allowance `δ(t) = d.a + d.b·t` (SPDQ
-    /// with growing uncertainty). The caller guarantees `δ(t) ≥ 0` over
-    /// the span.
-    pub fn inflate_linear(&self, d: &LinearForm) -> Self {
-        let mut out = *self;
-        for i in 0..D {
-            out.lo[i] = out.lo[i].sub(d);
-            out.hi[i] = out.hi[i].add(d);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -276,9 +264,5 @@ mod tests {
         let w = MovingWindow::stationary(Interval::new(0.0, 1.0), &win((2.0, 4.0), (2.0, 4.0)));
         let fat = w.inflate(1.0);
         assert_eq!(fat.window_at(0.5), win((1.0, 5.0), (1.0, 5.0)));
-        // Time-varying inflation: δ(t) = t.
-        let grow = w.inflate_linear(&LinearForm { a: 0.0, b: 1.0 });
-        assert_eq!(grow.window_at(1.0), win((1.0, 5.0), (1.0, 5.0)));
-        assert_eq!(grow.window_at(0.0), win((2.0, 4.0), (2.0, 4.0)));
     }
 }

@@ -9,13 +9,15 @@
 //!     compare its answer to the historical index,
 //!  4. persist the historical index to a file and reload it.
 //!
+//! Each step asserts what it prints: the profile against per-instant
+//! naive counts, the TPR answer against the NSI one, and the reloaded
+//! record count against the saved one.
+//!
 //! ```bash
 //! cargo run --release --example convoy_analysis
 //! ```
 
-use dq_repro::mobiquery::{
-    self_distance_join, CountProfile, PdqEngine, Trajectory,
-};
+use dq_repro::mobiquery::{self_distance_join, CountProfile, NaiveEngine, PdqEngine, Trajectory};
 use dq_repro::motion::{RandomWalk, RandomWalkConfig};
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::storage::{load_pager, save_pager, Pager};
@@ -74,11 +76,17 @@ fn main() {
         Interval::new(0.0, 12.0),
         2,
     );
-    let mut pdq = PdqEngine::start(&nsi, zone);
+    let mut pdq = PdqEngine::start(&nsi, zone.clone());
     let results = pdq.drain_window(&nsi, 0.0, 12.0);
     let profile = CountProfile::from_results(&results);
     println!("zone [40,60]² occupancy (from one PDQ pass, no per-frame queries):");
     for h in [1.0, 4.0, 8.0, 11.0] {
+        let naive = NaiveEngine::new().query_nsi(&nsi, &zone.snapshot_at(h), |_| {});
+        assert_eq!(
+            profile.count_at(h) as u64,
+            naive.results,
+            "zone count at t={h}"
+        );
         println!("  t={h:>4.1}h: {:>2} vehicles in zone", profile.count_at(h));
     }
     println!(
@@ -106,10 +114,10 @@ fn main() {
         .iter()
         .map(|r| r.record.oid)
         .collect();
+    assert_eq!(sa, sb, "TPR must deliver the vehicles NSI+PDQ does");
     println!(
-        "pursuit query: NSI+PDQ and TPR agree on {} vehicles (sets {}),",
-        sa.len(),
-        if sa == sb { "identical" } else { "DIFFER!" }
+        "pursuit query: NSI+PDQ and TPR agree on {} vehicles,",
+        sa.len()
     );
     println!(
         "  NSI cost {} node loads, TPR cost {} node loads\n",
@@ -133,6 +141,7 @@ fn main() {
         meta.1,
         meta.2,
     );
+    assert_eq!(reopened.len(), nsi.len(), "the reloaded index lost records");
     println!(
         "persisted index: {} KiB on disk, reloaded with {} records (height {})",
         size / 1024,

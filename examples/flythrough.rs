@@ -5,7 +5,9 @@
 //! 2-d window). The example runs the same fly-through twice — naive
 //! per-frame snapshot queries vs one predictive dynamic query — and shows
 //! the per-frame disk I/O and the client cache evolving (objects evicted
-//! exactly at their disappearance time).
+//! exactly at their disappearance time). It asserts what it prints: at
+//! every frame the cache's visible set is the naive query's answer, and
+//! PDQ reads fewer pages than the naive pass.
 //!
 //! ```bash
 //! cargo run --release --example flythrough
@@ -16,6 +18,7 @@ use dq_repro::motion::{RandomWalk, RandomWalkConfig};
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::Rect;
 use dq_repro::storage::{PageStore, Pager};
+use std::collections::BTreeSet;
 
 const FPS: f64 = 20.0;
 
@@ -67,9 +70,15 @@ fn main() {
     let naive = NaiveEngine::new();
     let before = tree.store().io();
     let mut naive_results = 0u64;
+    let mut naive_sets = Vec::with_capacity(frames.len());
     for &t in &frames {
         let q = trajectory.snapshot_at(t);
-        naive_results += naive.query_nsi(&tree, &q, |_| {}).results;
+        let mut seen = BTreeSet::new();
+        let stats = naive.query_nsi(&tree, &q, |r| {
+            seen.insert(r.oid);
+        });
+        naive_results += stats.results;
+        naive_sets.push(seen);
     }
     let naive_io = (tree.store().io() - before).reads;
 
@@ -86,6 +95,11 @@ fn main() {
             delivered += 1;
         }
         cache.advance(t);
+        let visible: BTreeSet<u32> = cache.visible_now().map(|(oid, _)| oid).collect();
+        assert_eq!(
+            visible, naive_sets[i],
+            "frame t={t}: cache disagrees with the naive query"
+        );
         peak_cache = peak_cache.max(cache.len());
         if i % (FPS as usize * 3) == 0 {
             println!(
@@ -98,6 +112,10 @@ fn main() {
         prev = t;
     }
     let pdq_io = (tree.store().io() - before).reads;
+    assert!(
+        pdq_io < naive_io,
+        "PDQ read {pdq_io} pages, naive {naive_io}"
+    );
 
     println!("\n{} frames rendered at {} fps", frames.len(), FPS);
     println!(

@@ -95,7 +95,7 @@ fn main() {
         // Every 2 minutes: report + 3 nearest contacts via kNN.
         if (t * 10.0).round() as i64 % 20 == 5 {
             let mut ks = QueryStats::default();
-            let near = knn_at(&nsi, p, t, 3, f64::INFINITY, &mut ks);
+            let near = knn_at(&nsi, p, t, 3, &mut ks);
             let ids: Vec<String> = near
                 .iter()
                 .map(|r| format!("#{} ({:.1} km)", r.record.oid, r.dist_sq.sqrt()))

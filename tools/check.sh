@@ -57,10 +57,23 @@
 #          query costs what the naive one does, PDQ's subsequent queries
 #          cost less than naive's at every overlap and less the higher
 #          the overlap, and NPDQ's never cost more than naive's.
+#   extensions
+#          every extension kept beside the paper's engines, held to the
+#          claim that justifies it: exp_spdq, exp_join, ablation_psi,
+#          ablation_split and ablation_buffer at quick scale (seeded,
+#          counts only, a few seconds) must reproduce the committed
+#          results/figures_smoke/ figures cell for cell and keep their
+#          EXPERIMENTS.md claims — SPDQ's cost never falls as δ grows,
+#          the join compares less than brute force, PSI reads more than
+#          NSI, r-star < quadratic < linear, and unbuffered PDQ reads less
+#          than naive behind any LRU; exp_join and ablation_psi also assert
+#          their answers against brute force and NSI. Then the flythrough
+#          and convoy_analysis examples (optimised build), which assert the
+#          client cache and the COUNT profile against naive queries.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GROUPS_ALL="bench obs net updates tpr paper"
+GROUPS_ALL="bench obs net updates tpr paper extensions"
 SMOKE=""
 ONLY=""
 while [ $# -gt 0 ]; do
@@ -129,6 +142,17 @@ if want paper; then
   bench_bin fig10_smoke fig10_npdq_io DQ_SCALE=quick
   bench_bin fig11_smoke fig11_npdq_cpu DQ_SCALE=quick
   tools/gates.py paper
+fi
+
+if want extensions; then
+  for bin in exp_spdq exp_join ablation_psi ablation_split ablation_buffer; do
+    bench_bin "${bin}_smoke" "$bin" DQ_SCALE=quick
+  done
+  tools/gates.py extensions
+  for ex in flythrough convoy_analysis; do
+    cargo run -q --offline --release --example "$ex" > "target/figures/$ex.txt"
+  done
+  echo "OK: the flythrough and convoy_analysis examples assert what they print."
 fi
 
 if [ -n "$ONLY" ]; then

@@ -24,10 +24,16 @@ OBS_TOL = float(os.environ.get("DQ_OBS_SPEEDUP_TOL", "0.25"))
 
 # Column pickers. SPEEDUP: a read_path ratio row keeps its one value in
 # whichever cell the throughput column is ("2.70x"). CELLS: every number
-# of every cell past the row label. A "leaf/total" cell (Figs. 6-13) is
-# two numbers to CELLS and its total to a single-column gate.
+# of every cell past the row label. A single-column gate reads the last
+# number of its cell.
 SPEEDUP = None
 CELLS = "cells"
+
+
+def numbers(cell):
+    """A "leaf/total" cell (Figs. 6-13) holds two numbers; "2.70x",
+    "45.3%" and "+4.7%" hold one; "-" holds none."""
+    return [float(n.rstrip("x%")) for n in cell.split("/") if n != "-"]
 
 
 def label(prefix):
@@ -40,17 +46,14 @@ def updates(mode):
     return lambda r: r[0] == "PDQ" and r[1] == mode
 
 
-# The committed quick-scale TPR figure: exp_tpr is seeded and counts
-# only, so any build reproduces it cell for cell.
-TPR_PINNED = "results/figures_smoke/exp_tpr.json"
+# The committed quick-scale figures. Each is seeded and counts only, so
+# any build reproduces it cell for cell.
+PINNED = "results/figures_smoke/"
+TPR_PINNED = f"{PINNED}exp_tpr.json"
 
-
-# The committed quick-scale Figs. 6, 10 and 11 (seeded, counts only), and
-# their row and column layout: overlap, naive first, naive subsequent,
-# PDQ/NPDQ first, PDQ/NPDQ subsequent; overlap rises down the rows.
-FIG06_PINNED = "results/figures_smoke/fig06.json"
-FIG10_PINNED = "results/figures_smoke/fig10.json"
-FIG11_PINNED = "results/figures_smoke/fig11.json"
+# Figs. 6, 10 and 11's column layout: overlap, naive first, naive
+# subsequent, PDQ/NPDQ first, PDQ/NPDQ subsequent; overlap rises down the
+# rows.
 NAIVE_FIRST, NAIVE_SUBS, DQ_FIRST, DQ_SUBS = 1, 2, 3, 4
 
 
@@ -58,16 +61,23 @@ def every(_row):
     return True
 
 
+def pinned(group, figure, what):
+    """The gate row holding `figure` to its committed copy."""
+    return (group, figure, every, CELLS, "each", "==",
+            (1.0, f"{PINNED}{figure}.json", every, CELLS, "each"),
+            f"{what} at quick scale vs the committed figure, cell for cell")
+
+
 def measure(figure, rows, column, fold):
     path = figure if figure.endswith(".json") else f"{FIGURES}{figure}.json"
     with open(path) as f:
         picked = [r for r in json.load(f)["rows"] if rows(r)]
     if column is CELLS:
-        values = [float(n) for r in picked for c in r[1:] for n in c.split("/")]
+        values = [n for r in picked for c in r[1:] for n in numbers(c)]
     else:
         cells = [next(c for c in r[1:] if c.strip()) if column is SPEEDUP else r[column]
                  for r in picked]
-        values = [float(c.rstrip("x").rsplit("/", 1)[-1]) for c in cells]
+        values = [numbers(c)[-1] for c in cells]
     if fold == "each":
         if not values:
             sys.exit(f"FAIL: {path} has no row for a gate that needs one")
@@ -107,10 +117,8 @@ GATES = [
      "objects a TPR dynamic query delivers, summed, vs the committed figure"),
     ("tpr", "exp_tpr", every, 6, "sum", "==", (1.0, "exp_tpr", every, 5, "sum"),
      "objects delivered over the TPR-tree vs by PDQ over NSI, same run"),
-    ("paper", "fig06", every, CELLS, "each", "==", (1.0, FIG06_PINNED, every, CELLS, "each"),
-     "Fig. 6 at quick scale vs the committed figure, cell for cell"),
-    ("paper", "fig10", every, CELLS, "each", "==", (1.0, FIG10_PINNED, every, CELLS, "each"),
-     "Fig. 10 at quick scale vs the committed figure, cell for cell"),
+    pinned("paper", "fig06", "Fig. 6"),
+    pinned("paper", "fig10", "Fig. 10"),
     ("paper", "fig06", every, DQ_FIRST, "each", "==",
      (1.0, "fig06", every, NAIVE_FIRST, "each"),
      "PDQ's first query vs the naive first query, disk accesses (§5: the same)"),
@@ -121,19 +129,47 @@ GATES = [
      "PDQ's subsequent queries vs the next lower overlap's, disk accesses"),
     ("paper", "fig10", every, DQ_SUBS, "each", "<=", (1.0, "fig10", every, NAIVE_SUBS, "each"),
      "NPDQ's subsequent queries vs naive's at the same overlap (§5: no harm)"),
-    ("paper", "fig11", every, CELLS, "each", "==", (1.0, FIG11_PINNED, every, CELLS, "each"),
-     "Fig. 11 at quick scale vs the committed figure, cell for cell"),
+    pinned("paper", "fig11", "Fig. 11"),
     ("paper", "fig11", every, DQ_FIRST, "each", "==",
      (1.0, "fig11", every, NAIVE_FIRST, "each"),
      "NPDQ's first query vs the naive first query, distance computations (§5: the same)"),
     ("paper", "fig11", every, DQ_SUBS, "each", "<=", (1.0, "fig11", every, NAIVE_SUBS, "each"),
      "NPDQ's subsequent queries vs naive's at the same overlap, distance computations"),
+    # exp_spdq: delta, disk/query, cpu/query, objects/dq, overhead; delta
+    # rises down the rows.
+    pinned("extensions", "exp_spdq", "The SPDQ delta sweep"),
+    ("extensions", "exp_spdq", lambda r: r[0] != "8.00", 1, "each", "<=",
+     (1.0, "exp_spdq", lambda r: r[0] != "0.00", 1, "each"),
+     "SPDQ's disk accesses per query vs the next larger delta's (non-decreasing)"),
+    ("extensions", "exp_spdq", lambda r: r[0] != "8.00", 3, "each", "<",
+     (1.0, "exp_spdq", lambda r: r[0] != "0.00", 3, "each"),
+     "objects an SPDQ delivers vs the next larger delta's (strictly increasing)"),
+    # exp_join: delta, pairs, join cpu, brute cpu, pruning, join disk.
+    pinned("extensions", "exp_join", "The distance self-join"),
+    ("extensions", "exp_join", every, 2, "each", "<", (1.0, "exp_join", every, 3, "each"),
+     "dual-tree join vs brute force at the same delta, distance computations"),
+    # ablation_psi: overlap, NSI disk, PSI disk, NSI cpu, PSI cpu.
+    pinned("extensions", "ablation_psi", "NSI vs PSI"),
+    ("extensions", "ablation_psi", every, 2, "each", ">", (1.0, "ablation_psi", every, 1, "each"),
+     "PSI's disk accesses per query vs NSI's at the same overlap (§2: NSI wins)"),
+    # ablation_split: policy, nodes, leaf fill, build writes, naive disk,
+    # naive cpu; rows linear, quadratic, r-star.
+    pinned("extensions", "ablation_split", "The split-policy ablation"),
+    ("extensions", "ablation_split", lambda r: r[0] != "linear", 4, "each", "<",
+     (1.0, "ablation_split", lambda r: r[0] != "r-star", 4, "each"),
+     "naive disk accesses per query vs the row above's (r-star < quadratic < linear)"),
+    # ablation_buffer: configuration, buffer pages, disk reads, hit ratio.
+    pinned("extensions", "ablation_buffer", "The server-buffer ablation"),
+    ("extensions", "ablation_buffer", label("naive"), 2, "each", ">",
+     (1.0, "ablation_buffer", label("PDQ"), 2, "each"),
+     "naive + LRU reads per query at each buffer size vs PDQ with no buffer (§4)"),
 ]
 
 COMPARE = {
     ">=": lambda v, b: v >= b,
     "<=": lambda v, b: v <= b,
     "<": lambda v, b: v < b,
+    ">": lambda v, b: v > b,
     "==": lambda v, b: v == b,
 }
 
@@ -159,7 +195,7 @@ def main(groups):
         bad = [p for p in pairs if not COMPARE[op](*p)]
         failed += len(bad)
         # Green: one line, the value nearest its bound.
-        slack = (lambda p: p[0] - p[1]) if op == ">=" else (lambda p: p[1] - p[0])
+        slack = (lambda p: p[0] - p[1]) if op.startswith(">") else (lambda p: p[1] - p[0])
         for value, limit in bad or [min(pairs, key=slack)]:
             print(f"{'FAIL' if bad else 'OK'}: [{group}] {what}: {value:.2f} "
                   f"(must be {op} {limit:.2f})")

@@ -2,7 +2,7 @@
 """Regenerate the EXPERIMENTS.md appendix from target/figures/*.json.
 
 Run after the figure suite:
-    DQ_SCALE=paper /tmp/run_figures2.sh   # or the individual binaries
+    DQ_SCALE=paper cargo run --release -p bench --bin <figure>   # each figure
     python3 tools/gen_experiments_appendix.py
 """
 import json
@@ -18,8 +18,7 @@ ORDER = [
     "fig10", "fig11", "fig12", "fig13",
     "ablation_split", "ablation_leaf_exact", "ablation_buffer",
     "ablation_npdq_clustering", "ablation_npdq_axes", "ablation_psi",
-    "exp_spdq", "exp_updates", "exp_knn", "exp_tpr", "exp_join",
-    "exp_adaptive",
+    "exp_spdq", "exp_updates", "exp_tpr", "exp_join",
 ]
 
 def render(table):
