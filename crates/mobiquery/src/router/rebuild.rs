@@ -148,19 +148,47 @@ mod tests {
     use rtree::RTreeConfig;
     use storage::Pager;
 
-    #[test]
-    fn rebuild_is_a_function_of_the_record_set() {
-        // Same records, whatever order they arrive in and whichever
-        // rebuild packs them — `build`, or a `rebalance` that lands on the
-        // same grid: byte-identical pages per region.
-        let recs: Vec<R> = (0..600u32)
+    fn records() -> Vec<R> {
+        (0..600u32)
             .map(|i| {
                 let x = f64::from(i * 37 % 101) + 0.5;
                 let t = f64::from(i % 23);
                 R::new(i, 0, Interval::new(t, t + 4.0), [x, 0.5], [x + 0.25, 0.75])
             })
-            .collect();
-        let small = |_: usize| RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+            .collect()
+    }
+
+    fn small(_: usize) -> RTree<R, Pager> {
+        RTree::new(Pager::with_page_size(256), RTreeConfig::default())
+    }
+
+    #[test]
+    fn a_build_reads_no_node_and_writes_each_node_once() {
+        // A fresh tree's counters hold only what the pack did; read them
+        // before `validate` reads every node. One insert per record, the
+        // rebuild the pack replaced, writes at least a leaf per record.
+        let recs = records();
+        let built = PartitionedDqServer::build(RegionGrid::single(), &recs, small);
+        let (io, inv) = built.with_region_tree(0, |tree| {
+            (tree.level_counters().snapshot(), tree.validate().unwrap())
+        });
+        assert!(inv.height >= 3, "a one-level tree proves nothing");
+        assert_eq!(io.total_reads(), 0, "the pack read a node");
+        assert_eq!(io.total_writes(), inv.nodes, "the pack wrote a node other than once");
+
+        let mut inserted = small(0);
+        for rec in &recs {
+            inserted.insert(*rec, rec.seg.t.lo);
+        }
+        assert!(inserted.level_counters().snapshot().total_writes() >= recs.len() as u64);
+    }
+
+    #[test]
+    fn rebuild_is_a_function_of_the_record_set() {
+        // Same records, whatever order they arrive in and whichever
+        // rebuild packs them — `build`, or a `rebalance` that lands on the
+        // same grid: byte-identical pages per region.
+        let recs = records();
         let images = |server: &PartitionedDqServer<2, Pager>| -> Vec<_> {
             (0..server.grid().len())
                 .map(|r| {

@@ -11,8 +11,7 @@
 //!   latency histograms. Registration takes a short lock; every *update*
 //!   goes through an `Arc` handle and is a single relaxed atomic op, so
 //!   the hot path never contends. [`MetricsRegistry::render`] /
-//!   [`MetricsRegistry::render_json`] dump every metric for the bench
-//!   binaries and `dqbench`.
+//!   [`MetricsRegistry::render_json`] dump every metric.
 //! * [`TraceRing`] — a bounded ring of structured [`TraceEvent`]s
 //!   (`FrameStart`/`FrameEnd`, `NodeVisit`, `QueueOp`, `CacheEvict`,
 //!   `InsertBroadcast`). A per-thread ring is maintained behind
@@ -30,6 +29,6 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry};
 pub use trace::{
-    set_trace_enabled, take_thread_trace, thread_trace_dropped, trace, trace_enabled, EvictReason,
-    QueueOpKind, TraceEvent, TraceRing, Watermark,
+    take_thread_trace, thread_trace_dropped, trace, EvictReason, QueueOpKind, TraceEvent, TraceRing,
+    Watermark,
 };

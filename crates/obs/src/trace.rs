@@ -5,12 +5,9 @@
 //! there is no cross-thread contention and no allocation after the ring
 //! exists. When the ring is full the oldest events are overwritten (and
 //! counted as dropped) — tracing cost is O(1) and bounded regardless of
-//! run length, which is what makes it safe to leave on in release
-//! builds. A process-wide flag ([`set_trace_enabled`]) turns emission
-//! into a single relaxed load + branch when tracing is off.
+//! run length, which is why it is always on, release builds included.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// What happened to a priority queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -230,21 +227,6 @@ impl TraceRing {
     }
 }
 
-/// Process-wide emission switch; on by default (emission is a bounded
-/// ring write, cheap enough for release builds).
-static TRACE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable [`trace`] emission process-wide.
-pub fn set_trace_enabled(on: bool) {
-    TRACE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`trace`] currently records events.
-#[inline]
-pub fn trace_enabled() -> bool {
-    TRACE_ENABLED.load(Ordering::Relaxed)
-}
-
 const THREAD_RING_CAPACITY: usize = 1024;
 
 thread_local! {
@@ -252,12 +234,9 @@ thread_local! {
         RefCell::new(TraceRing::with_capacity(THREAD_RING_CAPACITY));
 }
 
-/// Record `ev` in the calling thread's ring (no-op when tracing is off).
+/// Record `ev` in the calling thread's ring.
 #[inline]
 pub fn trace(ev: TraceEvent) {
-    if !trace_enabled() {
-        return;
-    }
     THREAD_RING.with(|r| r.borrow_mut().push(ev));
 }
 
@@ -319,17 +298,9 @@ mod tests {
         assert!(ring.is_empty());
     }
 
-    /// One test covers both the thread-local ring and the global enable
-    /// flag: the flag is process-wide, so exercising it inside a single
-    /// test keeps it from racing concurrently running tests.
     #[test]
-    fn thread_ring_collects_clears_and_respects_flag() {
+    fn thread_ring_collects_and_clears() {
         std::thread::spawn(|| {
-            set_trace_enabled(false);
-            trace(TraceEvent::NodeVisit { page: 1, level: 0 });
-            set_trace_enabled(true);
-            assert!(take_thread_trace().is_empty(), "disabled trace recorded");
-
             trace(TraceEvent::FrameStart {
                 session: 1,
                 frame: 2,

@@ -87,29 +87,6 @@ impl LevelSnapshot {
     pub fn upper_reads(&self) -> u64 {
         self.total_reads() - self.leaf_reads()
     }
-
-    /// Publish non-zero per-level read/write gauges plus totals into
-    /// `registry` under `{prefix}.reads.l{i}` / `{prefix}.writes.l{i}`.
-    pub fn publish_to(&self, registry: &obs::MetricsRegistry, prefix: &str) {
-        for i in 0..MAX_TRACKED_LEVELS {
-            if self.reads[i] > 0 {
-                registry
-                    .gauge(&format!("{prefix}.reads.l{i}"))
-                    .set(self.reads[i] as i64);
-            }
-            if self.writes[i] > 0 {
-                registry
-                    .gauge(&format!("{prefix}.writes.l{i}"))
-                    .set(self.writes[i] as i64);
-            }
-        }
-        registry
-            .gauge(&format!("{prefix}.reads.total"))
-            .set(self.total_reads() as i64);
-        registry
-            .gauge(&format!("{prefix}.writes.total"))
-            .set(self.total_writes() as i64);
-    }
 }
 
 impl std::ops::Sub for LevelSnapshot {
@@ -164,18 +141,5 @@ mod tests {
         assert_eq!(delta.reads[0], 1);
         assert_eq!(delta.reads[1], 1);
         assert_eq!(delta.total_reads(), 2);
-    }
-
-    #[test]
-    fn publish_emits_only_live_levels_plus_totals() {
-        let c = LevelCounters::new();
-        c.record_read(0);
-        c.record_read(3);
-        let reg = obs::MetricsRegistry::new();
-        c.snapshot().publish_to(&reg, "rtree");
-        assert_eq!(reg.gauge_value("rtree.reads.l0"), 1);
-        assert_eq!(reg.gauge_value("rtree.reads.l3"), 1);
-        assert_eq!(reg.gauge_value("rtree.reads.total"), 2);
-        assert!(reg.get("rtree.reads.l1").is_none());
     }
 }

@@ -736,6 +736,19 @@ mod tests {
     }
 
     #[test]
+    fn node_ref_keeps_the_page_it_parses() {
+        // Zero-copy: the handle holds the buffer it was given, and its
+        // views decode entries straight out of it.
+        let page = PageRef::from(N::internal(1, vec![(rec(1, 0.0).key(), PageId(7))]).serialize(4096));
+        let parsed = NodeRef::<K, R>::parse(page.clone());
+        let tried = NodeRef::<K, R>::try_parse(page.clone(), PageId(0)).unwrap();
+        for node in [parsed, tried] {
+            assert_eq!(node.bytes.as_ptr(), page.as_ptr());
+            assert_eq!(node.view().entries.as_ptr(), page[NODE_HEADER_LEN..].as_ptr());
+        }
+    }
+
+    #[test]
     fn capacities_match_paper() {
         assert_eq!(N::leaf_capacity(4096), 127);
         assert_eq!(N::internal_capacity(4096), 145);

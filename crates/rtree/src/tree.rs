@@ -264,7 +264,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// Always zero: a tree is read through `&self` and written through
     /// `&mut self`, so nothing is left that can retry a read. Kept only
     /// because `benchmarks/dqbench/src/run.rs` calls it for its
-    /// `rtree.read_retries` layer metric; ROADMAP item 8 removes both
+    /// `rtree.read_retries` layer metric; ROADMAP item 1(g) removes both
     /// together. Nothing else in the workspace may call it.
     pub fn epoch_stats(&self) -> EpochStats {
         EpochStats::default()

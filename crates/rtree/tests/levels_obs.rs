@@ -1,7 +1,7 @@
 //! Per-level counter reconciliation: every simulated disk access the tree
 //! performs must show up once in [`rtree::LevelCounters`], agree with the
-//! buffer pool's hit+miss totals, and (when tracing is on) appear as a
-//! `NodeVisit` event in the thread's trace ring.
+//! buffer pool's hit+miss totals, and appear as a `NodeVisit` event in
+//! the thread's trace ring.
 
 use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use stkit::{Interval, Rect, StBox};
@@ -52,8 +52,8 @@ fn level_reads_reconcile_with_pool_hits_plus_misses() {
 
 #[test]
 fn node_visits_trace_into_the_thread_ring() {
-    // Dedicated thread: the trace ring is thread-local and the enable
-    // flag is global, so keep this test's view isolated.
+    // Dedicated thread: the trace ring is thread-local, so this test
+    // sees only its own events.
     std::thread::spawn(|| {
         let mut tree = RTree::new(Pager::new(), RTreeConfig::default());
         for i in 0..600u32 {

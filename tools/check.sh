@@ -18,20 +18,15 @@
 # reconciliation, fault and recovery claims are not here: they are
 # deterministic tests the default check already runs
 # (tests/{clock,partition,chaos}.rs, the durability units,
-# crates/server/tests). Figures and logs go to target/figures/ and never
-# clobber the committed BENCH_read_path.json baseline.
+# crates/server/tests). Every gates.py row compares counts; the one perf
+# harness is benchmarks/dqbench, and its smoke run checks correctness
+# only. Figures and logs go to target/figures/.
 #
-#   bench  the read_path microbench at a tiny size (it exits non-zero if
-#          the zero-copy view traversal copies at least as many bytes as
-#          the decode traversal) and its four ratio floors; then
-#          benchmarks/smoke.sh (every dqbench workload at 1/20 size,
+#   bench  benchmarks/smoke.sh (every dqbench workload at 1/20 size,
 #          schema and correctness, no timing) and dqbench's own unit
 #          tests in the release build the smoke just made — one of them
 #          holds BENCHMARK.json to the in-code metric and workload
 #          tables, and nothing else in this gate runs it.
-#   obs    the instrumented read_path bench, whose view/decode speedup
-#          must stay within DQ_OBS_SPEEDUP_TOL (default 0.25) of the
-#          committed baseline.
 #   net    a grep gate that no thread under crates/server/src sleeps or
 #          reads a poll interval (lines tagged `sleep-ok:` excepted), and
 #          the server crate's suites in the debug and the optimised build.
@@ -73,7 +68,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GROUPS_ALL="bench obs net updates tpr paper extensions"
+GROUPS_ALL="bench net updates tpr paper extensions"
 SMOKE=""
 ONLY=""
 while [ $# -gt 0 ]; do
@@ -92,9 +87,6 @@ done
 want() { case " $SMOKE " in *" $1 "*) return 0 ;; esac; return 1; }
 # Run a release binary of the bench crate, stdout to target/figures/$1.txt.
 bench_bin() { local log=$1 bin=$2; shift 2; env "$@" cargo run -q --offline --release -p bench --bin "$bin" > "target/figures/$log.txt"; }
-# The read_path microbench. Absolute output path: cargo runs bench
-# binaries with the package directory as cwd, not the workspace root.
-read_path() { DQ_READ_PATH_OBJECTS=$2 DQ_READ_PATH_MS=$3 DQ_READ_PATH_OUT="$PWD/target/figures/$1.json" cargo bench --offline -p bench --bench read_path; }
 
 cargo build --release --offline
 if [ -z "$ONLY" ]; then
@@ -106,16 +98,9 @@ fi
 mkdir -p target/figures
 
 if want bench; then
-  read_path read_path_smoke 300 50
-  tools/gates.py bench
   benchmarks/smoke.sh > target/figures/dqbench_smoke.txt
   cargo test --release --offline --quiet --manifest-path benchmarks/dqbench/Cargo.toml
   echo "OK: dqbench builds against the workspace crates, its smoke run is correct on every workload, and its unit tests pass."
-fi
-
-if want obs; then
-  read_path read_path_obs_smoke 2000 150
-  tools/gates.py obs
 fi
 
 if want net; then

@@ -7,26 +7,19 @@ Every experiment binary writes a figure `{"columns": [...], "rows":
 [[cell, ...], ...]}` under target/figures/. A gate picks rows of one
 figure, reads one column, folds the values and compares the result with
 a bound — a number, or the same kind of measurement taken from another
-figure times a factor, which is how every timing gate here is a ratio
-(ratios are machine-portable where absolute throughputs are not). A
-reference that yields one value bounds every value measured; one that
-yields as many bounds them pairwise, in row order.
+figure times a factor. Every figure gated here is seeded counts, so a
+bound holds on any machine. A reference that yields one value bounds
+every value measured; one that yields as many bounds them pairwise, in
+row order.
 Exit status 1 names every gate of the requested groups that failed.
 """
 import json
-import os
 import sys
 
 FIGURES = "target/figures/"
 
-# One bound can be moved from the environment, as before the table.
-OBS_TOL = float(os.environ.get("DQ_OBS_SPEEDUP_TOL", "0.25"))
-
-# Column pickers. SPEEDUP: a read_path ratio row keeps its one value in
-# whichever cell the throughput column is ("2.70x"). CELLS: every number
-# of every cell past the row label. A single-column gate reads the last
-# number of its cell.
-SPEEDUP = None
+# Column picker CELLS: every number of every cell past the row label. A
+# single-column gate reads the last number of its cell.
 CELLS = "cells"
 
 
@@ -75,9 +68,7 @@ def measure(figure, rows, column, fold):
     if column is CELLS:
         values = [n for r in picked for c in r[1:] for n in numbers(c)]
     else:
-        cells = [next(c for c in r[1:] if c.strip()) if column is SPEEDUP else r[column]
-                 for r in picked]
-        values = [numbers(c)[-1] for c in cells]
+        values = [numbers(r[column])[-1] for r in picked]
     if fold == "each":
         if not values:
             sys.exit(f"FAIL: {path} has no row for a gate that needs one")
@@ -89,17 +80,6 @@ def measure(figure, rows, column, fold):
 # A tuple bound is (factor, figure, rows, column, fold): that measurement,
 # scaled.
 GATES = [
-    ("bench", "read_path_smoke", label("batched/scalar"), SPEEDUP, "each", ">=", 1.0,
-     "SoA overlap kernel vs the scalar loop, speedup"),
-    ("bench", "read_path_smoke", label("patched/rebuilt"), SPEEDUP, "each", ">=", 1.0,
-     "page-editing insert vs the node rebuild, speedup"),
-    ("bench", "read_path_smoke", label("indexed/all-pieces"), SPEEDUP, "each", ">=", 2.0,
-     "indexed trajectory pieces vs solving every piece, speedup"),
-    ("bench", "read_path_smoke", label("packed/inserted"), SPEEDUP, "each", ">=", 2.0,
-     "packed rebuild vs one insert per record, speedup"),
-    ("obs", "read_path_obs_smoke", label("view/decode"), SPEEDUP, "each", ">=",
-     (1.0 - OBS_TOL, "BENCH_read_path.json", label("view/decode"), SPEEDUP, "each"),
-     f"instrumented view/decode speedup vs the committed baseline less {OBS_TOL:.0%}"),
     ("updates", "exp_updates", updates("live insertions"), 4, "each", "==",
      (1.0, "exp_updates", updates("static index"), 4, "each"),
      "objects a PDQ delivers over a live index vs over the finished one"),
