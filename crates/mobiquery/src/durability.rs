@@ -30,7 +30,7 @@
 //! initial one, which captures whatever was preloaded before the log
 //! saw a commit ([`DurableLog::checkpoint_logical`]). Every later one is
 //! a *fold* of the log into it ([`DurableLog::fold_checkpoint`]).
-//! Durable serving is insert-only — no delete — so the record set after
+//! The index is insert-only (`RTree` has no delete), so the record set after
 //! commit `n` is the record set at the previous watermark plus the
 //! batches of the WAL records past it:
 //! *checkpoint N+1 = checkpoint N ∪ WAL tail*. The fold appends the

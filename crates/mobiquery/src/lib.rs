@@ -29,8 +29,8 @@
 //! * [`ClientCache`] — the client-side buffer keyed on object
 //!   disappearance time that completes the paper's system picture.
 //! * [`knn`] — the paper's future-work extension (i): best-first
-//!   nearest-neighbour search at an instant and over a moving observer's
-//!   time window, on the same priority-queue machinery.
+//!   nearest-neighbour search at an instant, on the same priority-queue
+//!   machinery.
 
 // Numeric kernels iterate several fixed-size arrays in lockstep; index
 // loops keep the per-axis math symmetric and readable.
@@ -61,7 +61,7 @@ pub use durability::{
     DurableImage, DurableLog, DurableStats, LogicalCheckpoint, RecoverError, RecoveryReport,
 };
 pub use join::{distance_join, self_distance_join, JoinPair};
-pub use knn::{knn_at, knn_moving_observer, KnnResult};
+pub use knn::{knn_at, KnnResult};
 pub use layout::{MotionRecord, PdqRecord};
 pub use naive::NaiveEngine;
 pub use npdq::NpdqEngine;

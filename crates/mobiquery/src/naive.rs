@@ -61,19 +61,6 @@ impl NaiveEngine {
         )
         .into()
     }
-
-    /// Evaluate a whole dynamic query naively: one independent snapshot
-    /// per frame time. Returns per-frame stats.
-    pub fn run_frames_nsi<const D: usize, S: PageStore>(
-        &self,
-        tree: &RTree<NsiSegmentRecord<D>, S>,
-        frames: impl IntoIterator<Item = SnapshotQuery<D>>,
-    ) -> Vec<QueryStats> {
-        frames
-            .into_iter()
-            .map(|q| self.query_nsi(tree, &q, |_| {}))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -120,10 +107,12 @@ mod tests {
         // depend on inter-frame overlap.
         let tree = grid_tree();
         let w = Rect::from_corners([5.0, 5.0], [8.0, 8.0]);
-        let frames: Vec<SnapshotQuery<2>> = (0..20)
-            .map(|i| SnapshotQuery::at_instant(w, i as f64 * 0.1))
+        let stats: Vec<QueryStats> = (0..20)
+            .map(|i| {
+                let q = SnapshotQuery::at_instant(w, i as f64 * 0.1);
+                NaiveEngine::new().query_nsi(&tree, &q, |_| {})
+            })
             .collect();
-        let stats = NaiveEngine::new().run_frames_nsi(&tree, frames);
         let first = stats[0];
         for s in &stats[1..] {
             assert_eq!(s.disk_accesses, first.disk_accesses);

@@ -12,13 +12,11 @@
 //!   a box, re-drawing a random direction roughly every
 //!   `mean_update_interval` time units (normally distributed), at a speed
 //!   around `speed`. Deterministic under a seed.
-//! * [`RandomWaypoint`] — a second classic mobility model (objects pick a
-//!   waypoint and travel to it), used by the examples to show the query
-//!   algorithms are workload-agnostic.
 //! * [`DeadReckoner`] — the threshold-based update policy of §3.1: an
 //!   update is emitted only when the object's true position deviates from
 //!   the database's dead-reckoned prediction by more than a threshold,
-//!   bounding the database-side error.
+//!   bounding the database-side error (asserted by
+//!   `examples/dead_reckoning.rs`).
 //! * [`ObjectTrace`] — a per-object segment history with continuity
 //!   checks and position lookup, shared by tests and benches.
 
@@ -31,10 +29,8 @@ pub mod rng;
 pub mod trace;
 pub mod update;
 pub mod walk;
-pub mod waypoint;
 
 pub use deadreckon::DeadReckoner;
 pub use trace::ObjectTrace;
 pub use update::MotionUpdate;
 pub use walk::{RandomWalk, RandomWalkConfig};
-pub use waypoint::{RandomWaypoint, RandomWaypointConfig};

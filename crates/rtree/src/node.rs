@@ -23,8 +23,8 @@
 //! by byte range (entries are fixed-stride, so adding one or re-keying
 //! one touches only its own bytes) — the insert path's form for every
 //! node that does not split, and the bulk loader's for every node it
-//! packs; the owned [`Node`] decodes every entry and is what splits,
-//! deletes and `validate` work on.
+//! packs; the owned [`Node`] decodes every entry and is what a split
+//! works on.
 
 use crate::traits::{Key, Record};
 use std::marker::PhantomData;

@@ -80,7 +80,7 @@ pub struct InsertReport<K, R> {
 
 /// One internal node on an insert's descent: the page, the node as read
 /// (its `PageRef` lives until the upward pass reaches it), and the child
-/// taken — `usize::MAX` for the node a reinserted subtree lands *in*.
+/// taken.
 struct Step<K, R> {
     page: PageId,
     node: NodeRef<K, R>,
@@ -111,22 +111,16 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
     }
 }
 
-/// Outcome of a recursive delete step.
-enum DeleteOutcome<K> {
-    /// The record was not in this subtree.
-    NotFound,
-    /// Deleted; the subtree's new bounding key.
-    Deleted { new_key: K },
-    /// Deleted, and this node dissolved (underflow); its contents were
-    /// added to the orphan lists and its page freed.
-    Dissolved,
-}
-
 /// A paginated R-tree over records of type `R`, stored in `S`.
 ///
-/// Every node occupies one page; reading a node ([`RTree::read_node`],
-/// or [`RTree::load`] for the owned form) costs exactly one
-/// [`PageStore::read_page`], which is the paper's disk-access metric.
+/// Every node occupies one page; reading a node ([`RTree::read_node`])
+/// costs exactly one [`PageStore::read_page`], which is the paper's
+/// disk-access metric.
+///
+/// The tree is insert-only, as the paper's update management (§4.1) is:
+/// once it holds records no page is freed, so a page id names one node
+/// for the tree's life and a running query may key its duplicate filter
+/// on it.
 ///
 /// ```
 /// use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
@@ -270,20 +264,6 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         EpochStats::default()
     }
 
-    /// Load a node into its owned form, every entry decoded — **one
-    /// simulated disk access**. [`Self::delete`] and [`Self::validate`]
-    /// work on owned nodes; queries and the insert path read through the
-    /// zero-copy [`Self::read_node`].
-    pub fn load(&self, page: PageId) -> Node<R::Key, R> {
-        let node = Node::deserialize(&self.store.read_page(page));
-        self.levels.record_read(node.level);
-        obs::trace(obs::TraceEvent::NodeVisit {
-            page: page.0 as u64,
-            level: node.level,
-        });
-        node
-    }
-
     /// Read a node zero-copy — **one simulated disk access**, no page
     /// copy and no entry materialization; entries decode lazily as the
     /// [`NodeRef`]'s iterators advance.
@@ -312,8 +292,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     }
 
     /// Write an owned node back to its page, serializing through the
-    /// tree's scratch buffer: how split halves, new roots and delete
-    /// write. An insert's unsplit nodes are edited page images instead
+    /// tree's scratch buffer: how split halves and new roots are
+    /// written. An insert's unsplit nodes are edited page images instead
     /// (see [`Self::ascend`]), and bulk load appends to fresh ones
     /// ([`Self::write_fresh`]).
     pub(crate) fn write_node(&mut self, page: PageId, node: &Node<R::Key, R>) {
@@ -417,7 +397,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 
         // ChooseLeaf. Every page write happens after this, so a device
         // fault surfaces with the tree unchanged.
-        let (leaf_page, leaf) = self.descend(path, &key, 0)?;
+        let (leaf_page, leaf) = self.descend(path, &key)?;
 
         // Key of the child just handled, for its parent's entry, and the
         // entry that still has to be added to the next node up.
@@ -451,28 +431,25 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             pending = Some((new_node.bounding_key(), new_page));
         }
 
-        let grew = pending.is_none();
-        let created = self.ascend(path, child_key, pending, grew, now)?;
+        let created = self.ascend(path, child_key, pending, now)?;
         self.len += 1;
         Ok(InsertReport {
             notify: created.unwrap_or(Inserted::Record(rec)),
         })
     }
 
-    /// Walk from the root by least enlargement towards `key` until a node
-    /// at `stop_level` (or a leaf), pushing every node passed onto `path`
-    /// and returning the one stopped at — through zero-copy views; nothing
-    /// is materialized.
+    /// Walk from the root by least enlargement towards `key` down to a
+    /// leaf, pushing every internal node passed onto `path` and returning
+    /// the leaf — through zero-copy views; nothing is materialized.
     fn descend(
         &self,
         path: &mut Vec<Step<R::Key, R>>,
         key: &R::Key,
-        stop_level: u32,
     ) -> Result<(PageId, NodeRef<R::Key, R>), StorageError> {
         let mut page = self.root;
         loop {
             let node = self.try_read_node(page)?;
-            if node.is_leaf() || node.level() == stop_level {
+            if node.is_leaf() {
                 return Ok((page, node));
             }
             let chosen = choose_subtree(node.internal_entries().map(|(k, _)| k), key);
@@ -482,10 +459,11 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         }
     }
 
-    /// The upward pass of every insertion: unwind `path` from its deepest
+    /// The upward pass of an insertion: unwind `path` from its deepest
     /// node to the root, giving each node its child's new key
-    /// (`child_key`; `None` only for a first node with no `chosen` child)
-    /// and the entry `pending` from below, and stamping it with `now`.
+    /// (`child_key`; `None` only when `path` is empty and the leaf, the
+    /// root, did not split) and the entry `pending` from below, and
+    /// stamping it with `now`.
     ///
     /// A node with room is *edited*: its used prefix is copied into the
     /// scratch buffer, the one or two entries that change are patched in
@@ -505,13 +483,14 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         path: &mut Vec<Step<R::Key, R>>,
         mut child_key: Option<R::Key>,
         mut pending: Option<(R::Key, PageId)>,
-        mut grew: bool,
         now: f64,
     ) -> Result<Option<Inserted<R::Key, R>>, StorageError> {
         let internal_cap = self.internal_capacity();
+        let mut grew = pending.is_none();
         let mut created = None;
         while let Some(Step { page, node, chosen }) = path.pop() {
             let level = node.level();
+            let ck = child_key.expect("a node below the root hands its key up");
             if pending.is_some() && node.len() == internal_cap {
                 let mut owned = node.to_node();
                 drop(node);
@@ -519,9 +498,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 let NodeEntries::Internal(entries) = &mut owned.entries else {
                     unreachable!()
                 };
-                if let Some(k) = child_key {
-                    entries[chosen].0 = k;
-                }
+                entries[chosen].0 = ck;
                 entries.extend(pending.take());
                 let (old_node, new_node) = self.split_node(&owned, owned.len() - 1);
                 let new_page = self.store.try_alloc()?;
@@ -534,27 +511,18 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             }
 
             let fold = || {
-                let view = node.view();
-                let folded = match &child_key {
-                    Some(k) => view.bounding_key_replacing(chosen, k),
-                    None => view.bounding_key(),
-                };
+                let folded = node.view().bounding_key_replacing(chosen, &ck);
                 match &pending {
                     Some((nk, _)) => folded.cover(nk),
                     None => folded,
                 }
             };
             // The node's new key, for its parent's entry: a root has none.
-            let key = path.last().map(|up| match &child_key {
-                Some(k) => up.child_key_after(grew, k, fold),
-                None => fold(),
-            });
+            let key = path.last().map(|up| up.child_key_after(grew, &ck, fold));
             let mut edit = node.edit_in(&mut self.scratch);
             drop(node);
             edit.set_timestamp(now);
-            if let Some(k) = &child_key {
-                edit.set_key(chosen, k);
-            }
+            edit.set_key(chosen, &ck);
             if let Some((nk, np)) = pending.take() {
                 // The first ancestor with room: the split chain ends here.
                 edit.push_entry(&nk, np);
@@ -588,179 +556,6 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         Ok(created)
     }
 
-    /// Delete one record (matched by full equality), condensing the tree
-    /// à la Guttman: nodes that underflow are dissolved and their
-    /// contents reinserted at the appropriate level; the root is shrunk
-    /// when it is an internal node with a single child. Returns `true`
-    /// iff the record was found.
-    ///
-    /// Deletion is an index-maintenance operation (e.g. expiring old
-    /// motion history); the paper's update-management protocol covers
-    /// *insertions* only, so dynamic queries running concurrently with
-    /// deletes should be rebuilt afterwards.
-    pub fn delete(&mut self, rec: &R, now: f64) -> bool {
-        let key = rec.key();
-        let mut orphan_records: Vec<R> = Vec::new();
-        let mut orphan_subtrees: Vec<(R::Key, PageId, u32)> = Vec::new();
-        let root = self.root;
-        let outcome = self.delete_rec(
-            root,
-            &key,
-            rec,
-            now,
-            &mut orphan_records,
-            &mut orphan_subtrees,
-        );
-        if !matches!(outcome, DeleteOutcome::Deleted { .. }) {
-            return false;
-        }
-        self.len -= 1;
-
-        // Reinsert orphans: subtrees at their own level first (deepest
-        // first so the tree height is adequate), then records.
-        orphan_subtrees.sort_by_key(|&(_, _, level)| std::cmp::Reverse(level));
-        for (k, page, level) in orphan_subtrees {
-            self.insert_subtree(k, page, level, now);
-        }
-        for r in orphan_records {
-            self.try_insert(r, now)
-                .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
-            self.len -= 1; // the reinsertion counted it again
-        }
-
-        // Shrink the root while it is an internal node with one child.
-        loop {
-            let root_node = self.read_node(self.root);
-            if root_node.is_leaf() || root_node.len() != 1 {
-                break;
-            }
-            let child = root_node.internal_entry(0).1;
-            self.store.free(self.root);
-            self.root = child;
-            self.height -= 1;
-        }
-        true
-    }
-
-    fn delete_rec(
-        &mut self,
-        page: PageId,
-        key: &R::Key,
-        rec: &R,
-        now: f64,
-        orphan_records: &mut Vec<R>,
-        orphan_subtrees: &mut Vec<(R::Key, PageId, u32)>,
-    ) -> DeleteOutcome<R::Key> {
-        let mut node = self.load(page);
-        let is_root = page == self.root;
-        let cap = node.capacity(self.store.page_size());
-        let min_fill = if is_root { 1 } else { self.min_fill_count(cap) };
-        match &mut node.entries {
-            NodeEntries::Leaf(recs) => {
-                let Some(pos) = recs.iter().position(|r| r == rec) else {
-                    return DeleteOutcome::NotFound;
-                };
-                recs.remove(pos);
-                node.timestamp = now;
-                let underfull = node.len() < min_fill && !is_root;
-                if underfull {
-                    // Dissolve: all remaining records get reinserted.
-                    orphan_records.extend_from_slice(node.leaf_records());
-                    self.store.free(page);
-                    DeleteOutcome::Dissolved
-                } else {
-                    let k = node.bounding_key();
-                    self.write_node(page, &node);
-                    DeleteOutcome::Deleted { new_key: k }
-                }
-            }
-            NodeEntries::Internal(entries) => {
-                let mut hit: Option<(usize, DeleteOutcome<R::Key>)> = None;
-                for (i, (k, child)) in entries.iter().enumerate() {
-                    if !k.overlaps(key) {
-                        continue;
-                    }
-                    let out = self.delete_rec(
-                        *child,
-                        key,
-                        rec,
-                        now,
-                        orphan_records,
-                        orphan_subtrees,
-                    );
-                    if !matches!(out, DeleteOutcome::NotFound) {
-                        hit = Some((i, out));
-                        break;
-                    }
-                }
-                let Some((idx, out)) = hit else {
-                    return DeleteOutcome::NotFound;
-                };
-                // Re-borrow mutably after the recursive calls.
-                let NodeEntries::Internal(entries) = &mut node.entries else {
-                    unreachable!()
-                };
-                match out {
-                    DeleteOutcome::Deleted { new_key } => {
-                        entries[idx].0 = new_key;
-                    }
-                    DeleteOutcome::Dissolved => {
-                        entries.remove(idx);
-                    }
-                    DeleteOutcome::NotFound => unreachable!(),
-                }
-                node.timestamp = now;
-                let underfull = node.len() < min_fill && !is_root;
-                if underfull {
-                    // Dissolve this node too: its remaining children are
-                    // orphan subtrees at the level below.
-                    for (k, child) in node.internal_entries() {
-                        orphan_subtrees.push((*k, *child, node.level - 1));
-                    }
-                    self.store.free(page);
-                    DeleteOutcome::Dissolved
-                } else {
-                    let k = node.bounding_key();
-                    self.write_node(page, &node);
-                    DeleteOutcome::Deleted { new_key: k }
-                }
-            }
-        }
-    }
-
-    /// Reinsert a whole subtree (root `page` at `level`, bounding `key`)
-    /// during condensation: descend by least enlargement to the node at
-    /// `level + 1` and add the entry there, splitting upward as usual.
-    fn insert_subtree(&mut self, key: R::Key, page: PageId, level: u32, now: f64) {
-        // If the tree shrank below the subtree's level, grow it by
-        // making a new root (rare; happens when the old root dissolved).
-        if level + 1 >= self.height {
-            let new_root = self.store.alloc();
-            let old_root_key = self.read_node(self.root).bounding_key();
-            let mut root_node = Node::<R::Key, R>::internal(
-                self.height.max(level + 1),
-                vec![(old_root_key, self.root), (key, page)],
-            );
-            root_node.timestamp = now;
-            self.write_node(new_root, &root_node);
-            self.root = new_root;
-            self.height = root_node.level + 1;
-            return;
-        }
-        // The node at `level + 1` takes the entry; its ancestors re-key
-        // the child they were descended through.
-        self.with_path(|tree, path| {
-            let (target, node) = tree.descend(path, &key, level + 1)?;
-            path.push(Step {
-                page: target,
-                node,
-                chosen: usize::MAX,
-            });
-            tree.ascend(path, None, Some((key, page)), false, now)
-        })
-        .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
-    }
-
     /// Split an overflowing node. `new_entry_idx` is the position of the
     /// entry whose arrival caused the overflow; per §4.1, the group
     /// containing it becomes the *new* node so that cascading splits stay
@@ -770,7 +565,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         node: &Node<R::Key, R>,
         new_entry_idx: usize,
     ) -> (Node<R::Key, R>, Node<R::Key, R>) {
-        let capacity = node.capacity(self.store.page_size()) ;
+        let capacity = node.capacity(self.store.page_size());
         let min_fill = self.min_fill_count(capacity);
         match &node.entries {
             NodeEntries::Leaf(recs) => {
@@ -813,11 +608,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             height: self.height,
             ..TreeInventory::default()
         };
-        let root = self.load(self.root);
-        if root.level + 1 != self.height {
+        let root = self.read_node(self.root);
+        if root.level() + 1 != self.height {
             return Err(format!(
                 "root level {} inconsistent with height {}",
-                root.level, self.height
+                root.level(),
+                self.height
             ));
         }
         self.validate_node(self.root, &root, None, true, &mut inv)?;
@@ -833,12 +629,16 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     fn validate_node(
         &self,
         page: PageId,
-        node: &Node<R::Key, R>,
+        node: &NodeRef<R::Key, R>,
         parent_key: Option<&R::Key>,
         is_root: bool,
         inv: &mut TreeInventory,
     ) -> Result<(), String> {
-        let cap = node.capacity(self.store.page_size());
+        let cap = if node.is_leaf() {
+            self.leaf_capacity()
+        } else {
+            self.internal_capacity()
+        };
         let min_fill = self.min_fill_count(cap);
         if node.len() > cap {
             return Err(format!("node {page} over capacity: {}", node.len()));
@@ -857,7 +657,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             }
             // Tightness: a parent entry is exactly its child's key as
             // the page stores it. Every writer keeps this (bulk load,
-            // insert, split, delete all store `bounding_key()`); the
+            // insert and split all store `bounding_key()`); the
             // insert path's `entry ∪ new key` shortcut depends on it.
             if R::Key::COVER_IS_EXACT_JOIN {
                 let mut buf = Vec::with_capacity(R::Key::ENCODED_LEN);
@@ -870,29 +670,27 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             }
         }
         inv.nodes += 1;
-        let lvl = node.level as usize;
+        let lvl = node.level() as usize;
         if inv.nodes_per_level.len() <= lvl {
             inv.nodes_per_level.resize(lvl + 1, 0);
             inv.entries_per_level.resize(lvl + 1, 0);
         }
         inv.nodes_per_level[lvl] += 1;
         inv.entries_per_level[lvl] += node.len() as u64;
-        match &node.entries {
-            NodeEntries::Leaf(recs) => {
-                inv.records += recs.len() as u64;
+        if node.is_leaf() {
+            inv.records += node.len() as u64;
+            return Ok(());
+        }
+        for (k, child_page) in node.internal_entries() {
+            let child = self.read_node(child_page);
+            if child.level() + 1 != node.level() {
+                return Err(format!(
+                    "level discontinuity: node {page} level {} child {child_page} level {}",
+                    node.level(),
+                    child.level()
+                ));
             }
-            NodeEntries::Internal(entries) => {
-                for (k, child_page) in entries {
-                    let child = self.load(*child_page);
-                    if child.level + 1 != node.level {
-                        return Err(format!(
-                            "level discontinuity: node {page} level {} child {child_page} level {}",
-                            node.level, child.level
-                        ));
-                    }
-                    self.validate_node(*child_page, &child, Some(k), false, inv)?;
-                }
-            }
+            self.validate_node(child_page, &child, Some(&k), false, inv)?;
         }
         Ok(())
     }
@@ -945,109 +743,4 @@ pub(crate) fn choose_subtree<K: Key>(keys: impl Iterator<Item = K>, key: &K) -> 
     }
     debug_assert!(seen > 0);
     best
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::records::NsiSegmentRecord;
-    use storage::Pager;
-    use stkit::Interval;
-
-    type R = NsiSegmentRecord<2>;
-
-    fn rec(i: u32) -> R {
-        let x = (i % 40) as f64 * 2.0;
-        let y = (i / 40) as f64 * 2.0;
-        R::new(
-            i,
-            0,
-            Interval::new((i % 10) as f64, (i % 10) as f64 + 1.0),
-            [x, y],
-            [x + 1.0, y + 1.0],
-        )
-    }
-
-    fn build(n: u32) -> RTree<R, Pager> {
-        let mut tree = RTree::new(Pager::new(), RTreeConfig::default());
-        for i in 0..n {
-            tree.insert(rec(i), i as f64);
-        }
-        tree
-    }
-
-    #[test]
-    fn delete_missing_record_is_noop() {
-        let mut tree = build(100);
-        let ghost = R::new(9999, 0, Interval::new(0.0, 1.0), [1.0, 1.0], [2.0, 2.0]);
-        assert!(!tree.delete(&ghost, 100.0));
-        assert_eq!(tree.len(), 100);
-        tree.validate().unwrap();
-    }
-
-    #[test]
-    fn delete_single_record() {
-        let mut tree = build(100);
-        assert!(tree.delete(&rec(42), 100.0));
-        assert_eq!(tree.len(), 99);
-        tree.validate().unwrap();
-        let (hits, _) = tree.range_collect(&rec(42).key(), |r| r == &rec(42));
-        assert!(hits.is_empty(), "deleted record still findable");
-        // Deleting it again fails.
-        assert!(!tree.delete(&rec(42), 101.0));
-    }
-
-    #[test]
-    fn delete_everything_shrinks_to_empty_root() {
-        let mut tree = build(400);
-        assert!(tree.height() >= 2);
-        for i in 0..400 {
-            assert!(tree.delete(&rec(i), 1000.0 + i as f64), "record {i}");
-        }
-        assert_eq!(tree.len(), 0);
-        assert_eq!(tree.height(), 1, "tree must shrink back to a leaf root");
-        tree.validate().unwrap();
-    }
-
-    #[test]
-    fn delete_half_keeps_other_half_searchable() {
-        let mut tree = build(500);
-        for i in (0..500).step_by(2) {
-            assert!(tree.delete(&rec(i), 1000.0 + i as f64));
-        }
-        assert_eq!(tree.len(), 250);
-        tree.validate().unwrap();
-        for i in 0..500u32 {
-            let target = rec(i);
-            let (hits, _) = tree.range_collect(&target.key(), |r| r == &target);
-            if i % 2 == 0 {
-                assert!(hits.is_empty(), "record {i} should be gone");
-            } else {
-                assert_eq!(hits.len(), 1, "record {i} should remain");
-            }
-        }
-    }
-
-    #[test]
-    fn interleaved_insert_delete() {
-        let mut tree = build(200);
-        for round in 0..5u32 {
-            for i in 0..50 {
-                assert!(tree.delete(&rec(i), 2000.0 + round as f64));
-            }
-            for i in 0..50 {
-                tree.insert(rec(i), 3000.0 + round as f64);
-            }
-            tree.validate().unwrap();
-        }
-        assert_eq!(tree.len(), 200);
-    }
-
-    #[test]
-    fn delete_updates_timestamps() {
-        let mut tree = build(300);
-        tree.delete(&rec(7), 777.0);
-        let root = tree.load(tree.root_page());
-        assert_eq!(root.timestamp, 777.0, "delete path must be stamped");
-    }
 }

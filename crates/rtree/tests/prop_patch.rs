@@ -1,7 +1,7 @@
 //! The insert path edits page images; these tests hold it to the rebuild
 //! path it replaced (see `support/rebuild.rs`): same pages, same reports,
 //! same node I/O, under every split policy, on split-heavy 256-byte and
-//! paper-sized 4 KiB pages, from bulk-loaded, grown and condensed trees.
+//! paper-sized 4 KiB pages, from bulk-loaded and grown trees.
 
 #[path = "support/rebuild.rs"]
 mod rebuild;

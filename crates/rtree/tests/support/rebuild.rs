@@ -1,7 +1,8 @@
 //! The rebuild write path, kept as the reference the page-editing one is
 //! held to: every node on the insert path is decoded into an owned
 //! [`Node`], changed, re-folded and re-encoded whole. [`run`] drives a
-//! random build sequence and, before every insert, mirrors the tree's
+//! random build sequence — a bulk-loaded prefix, then inserts, the only
+//! write the tree has — and, before every insert, mirrors the tree's
 //! store, applies the insert both ways and requires the same report, the
 //! same pages byte for byte, the same allocator state and the same node
 //! I/O.
@@ -27,19 +28,12 @@ pub struct Raw {
 }
 
 #[derive(Clone, Debug)]
-pub enum Op {
-    Insert(Raw),
-    /// Delete the live record at this index (modulo the live count).
-    Delete(usize),
-}
-
-#[derive(Clone, Debug)]
 pub struct Scenario {
     pub page_size: usize,
     pub policy: SplitPolicy,
-    /// Bulk-loaded before the first op.
+    /// Bulk-loaded before the first insert.
     pub bulk: Vec<Raw>,
-    pub ops: Vec<Op>,
+    pub inserts: Vec<Raw>,
 }
 
 fn raw() -> impl Strategy<Value = Raw> {
@@ -57,9 +51,9 @@ fn raw() -> impl Strategy<Value = Raw> {
         })
 }
 
-/// Bulk prefix, then inserts and deletes three to one. 256-byte pages
-/// (fanout 7–8) split on most inserts and reach height 3; 4 KiB pages
-/// stay on the no-split path the serving core lives on.
+/// Bulk prefix, then inserts. 256-byte pages (fanout 7–8) split on most
+/// inserts and reach height 3; 4 KiB pages stay on the no-split path the
+/// serving core lives on.
 pub fn scenario() -> impl Strategy<Value = Scenario> {
     (
         prop_oneof![Just(256usize), Just(4096usize)],
@@ -69,21 +63,13 @@ pub fn scenario() -> impl Strategy<Value = Scenario> {
             Just(SplitPolicy::RStar)
         ],
         proptest::collection::vec(raw(), 0..200),
-        proptest::collection::vec(
-            prop_oneof![
-                raw().prop_map(Op::Insert),
-                raw().prop_map(Op::Insert),
-                raw().prop_map(Op::Insert),
-                (0usize..1 << 16).prop_map(Op::Delete)
-            ],
-            1..120,
-        ),
+        proptest::collection::vec(raw(), 1..120),
     )
-        .prop_map(|(page_size, policy, bulk, ops)| Scenario {
+        .prop_map(|(page_size, policy, bulk, inserts)| Scenario {
             page_size,
             policy,
             bulk,
-            ops,
+            inserts,
         })
 }
 
@@ -322,7 +308,7 @@ fn insert_both_ways<R: Record>(tree: &mut RTree<R, Pager>, rec: R, now: f64) -> 
 }
 
 /// Run `sc` over records built by `make(oid, raw)`: every insert goes
-/// both ways, and (`validates`) every op leaves a tree that validates.
+/// both ways, and (`validates`) every insert leaves a tree that validates.
 pub fn run<R: Record>(
     sc: &Scenario,
     make: impl Fn(u32, &Raw) -> R,
@@ -332,33 +318,19 @@ pub fn run<R: Record>(
         split_policy: sc.policy,
         ..RTreeConfig::default()
     };
-    let mut live: Vec<R> = sc
+    let bulk = sc
         .bulk
         .iter()
         .enumerate()
         .map(|(i, r)| make(i as u32, r))
-        .collect();
-    let mut tree = bulk_load(Pager::with_page_size(sc.page_size), config, live.clone());
-    let mut next_oid = live.len() as u32;
-    for (step, op) in sc.ops.iter().enumerate() {
-        let now = step as f64;
-        match op {
-            Op::Insert(r) => {
-                let rec = make(next_oid, r);
-                next_oid += 1;
-                insert_both_ways(&mut tree, rec, now).map_err(|e| format!("op {step}: {e}"))?;
-                live.push(rec);
-            }
-            Op::Delete(i) if !live.is_empty() => {
-                let rec = live.swap_remove(i % live.len());
-                if !tree.delete(&rec, now) {
-                    return Err(format!("op {step}: live record {rec:?} not found"));
-                }
-            }
-            Op::Delete(_) => {}
-        }
+        .collect::<Vec<R>>();
+    let first_oid = bulk.len();
+    let mut tree = bulk_load(Pager::with_page_size(sc.page_size), config, bulk);
+    for (step, r) in sc.inserts.iter().enumerate() {
+        let rec = make((first_oid + step) as u32, r);
+        insert_both_ways(&mut tree, rec, step as f64).map_err(|e| format!("insert {step}: {e}"))?;
         if validates {
-            tree.validate().map_err(|e| format!("op {step}: {e}"))?;
+            tree.validate().map_err(|e| format!("insert {step}: {e}"))?;
         }
     }
     Ok(())

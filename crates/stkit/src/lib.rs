@@ -45,7 +45,7 @@ pub mod window;
 pub use batch::{RectBatch, SegmentBatch, StagedPage};
 pub use interval::Interval;
 pub use linear::LinearForm;
-pub use quadratic::{min_dist_sq_over, solve_quadratic_le, within_distance};
+pub use quadratic::{solve_quadratic_le, within_distance};
 pub use rect::Rect;
 pub use segment::{MotionSegment, StBox};
 pub use timeset::TimeSet;

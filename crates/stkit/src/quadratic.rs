@@ -177,85 +177,3 @@ mod tests {
         }
     }
 }
-
-/// Minimum squared distance between two motion segments over the
-/// intersection of their validity intervals clipped to `window`, or
-/// `None` if the clipped interval is empty.
-///
-/// The squared distance is a convex (upward) quadratic in `t`, so the
-/// minimum is at the unconstrained vertex if it lies inside the interval,
-/// else at the nearer endpoint.
-pub fn min_dist_sq_over<const D: usize>(
-    a: &MotionSegment<D>,
-    b: &MotionSegment<D>,
-    window: &Interval,
-) -> Option<Scalar> {
-    let span = a.t.intersect(&b.t).intersect(window);
-    if span.is_empty() {
-        return None;
-    }
-    let (mut qa, mut qb, mut qc) = (0.0, 0.0, 0.0);
-    for i in 0..D {
-        let diff = a.coord_form(i).sub(&b.coord_form(i));
-        qa += diff.b * diff.b;
-        qb += 2.0 * diff.a * diff.b;
-        qc += diff.a * diff.a;
-    }
-    let eval = |t: Scalar| qa * t * t + qb * t + qc;
-    let mut best = eval(span.lo).min(eval(span.hi));
-    if qa > 0.0 {
-        let vertex = -qb / (2.0 * qa);
-        if span.contains(vertex) {
-            best = best.min(eval(vertex));
-        }
-    }
-    Some(best.max(0.0))
-}
-
-#[cfg(test)]
-mod min_dist_tests {
-    use super::*;
-
-    #[test]
-    fn closest_approach_at_vertex() {
-        // Head-on: closest approach 0 at t = 5.
-        let a = MotionSegment::from_endpoints(Interval::new(0.0, 10.0), [0.0, 0.0], [10.0, 0.0]);
-        let b = MotionSegment::from_endpoints(Interval::new(0.0, 10.0), [10.0, 0.0], [0.0, 0.0]);
-        assert_eq!(min_dist_sq_over(&a, &b, &Interval::ALL), Some(0.0));
-        // Clipped before the meeting: minimum at the window's end (t=3:
-        // positions 3 and 7 ⇒ distance 4).
-        let d = min_dist_sq_over(&a, &b, &Interval::new(0.0, 3.0)).unwrap();
-        assert!((d - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_constant_distance() {
-        let a = MotionSegment::from_endpoints(Interval::new(0.0, 10.0), [0.0, 0.0], [10.0, 0.0]);
-        let b = MotionSegment::from_endpoints(Interval::new(0.0, 10.0), [0.0, 4.0], [10.0, 4.0]);
-        assert_eq!(min_dist_sq_over(&a, &b, &Interval::ALL), Some(16.0));
-    }
-
-    #[test]
-    fn disjoint_validity_gives_none() {
-        let a = MotionSegment::from_endpoints(Interval::new(0.0, 1.0), [0.0, 0.0], [1.0, 0.0]);
-        let b = MotionSegment::from_endpoints(Interval::new(5.0, 6.0), [0.0, 0.0], [1.0, 0.0]);
-        assert_eq!(min_dist_sq_over(&a, &b, &Interval::ALL), None);
-    }
-
-    #[test]
-    fn agrees_with_dense_sampling() {
-        let a = MotionSegment::from_endpoints(Interval::new(1.0, 9.0), [0.0, 5.0], [8.0, -3.0]);
-        let b = MotionSegment::from_endpoints(Interval::new(2.0, 8.0), [7.0, 0.0], [-1.0, 4.0]);
-        let w = Interval::new(0.0, 10.0);
-        let analytic = min_dist_sq_over(&a, &b, &w).unwrap();
-        let mut sampled = f64::INFINITY;
-        for k in 0..=4000 {
-            let t = 2.0 + 6.0 * k as f64 / 4000.0;
-            let (pa, pb) = (a.position(t), b.position(t));
-            let d = (pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2);
-            sampled = sampled.min(d);
-        }
-        assert!((analytic - sampled).abs() < 1e-4, "{analytic} vs {sampled}");
-        assert!(analytic <= sampled + 1e-12);
-    }
-}

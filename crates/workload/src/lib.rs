@@ -23,4 +23,4 @@ pub mod queries;
 
 pub use dataset::{Dataset, DatasetConfig};
 pub use experiments::{measure_naive_dta, measure_naive_nsi, measure_npdq, measure_pdq, PointSummary};
-pub use queries::{follow_object, DynamicQuerySpec, QueryWorkload, QueryWorkloadConfig};
+pub use queries::{DynamicQuerySpec, QueryWorkload, QueryWorkloadConfig};

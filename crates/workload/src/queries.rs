@@ -354,116 +354,3 @@ mod tests {
         }
     }
 }
-
-/// Build a dynamic-query trajectory that *follows a mobile object*: the
-/// window stays centred on the object's (piecewise-linear) path — the
-/// "monitor the vicinity of vehicle X" query of the paper's §1 military
-/// scenario. Each motion update of the object becomes a key snapshot, so
-/// the trajectory is exactly as predictable as the object's own motion.
-pub fn follow_object(
-    trace: &motion::ObjectTrace<2>,
-    half_extent: f64,
-    clip: Option<stkit::Interval>,
-) -> Option<Trajectory<2>> {
-    assert!(half_extent > 0.0, "window half-extent must be positive");
-    let span = clip.unwrap_or(stkit::Interval::new(
-        trace.start_time(),
-        trace.end_time(),
-    ));
-    let mut keys = Vec::new();
-    // Key snapshot at every motion-update boundary inside the span…
-    for u in &trace.updates {
-        for t in [u.seg.t.lo, u.seg.t.hi] {
-            if span.contains(t) && keys.last().is_none_or(|k: &KeySnapshot<2>| k.t < t) {
-                if let Some(p) = trace.position_at(t) {
-                    keys.push(KeySnapshot {
-                        t,
-                        window: window_around(p, half_extent),
-                    });
-                }
-            }
-        }
-    }
-    // …and exactly at the span borders.
-    for t in [span.lo, span.hi] {
-        if let Some(p) = trace.position_at(t) {
-            if !keys.iter().any(|k| k.t == t) {
-                keys.push(KeySnapshot {
-                    t,
-                    window: window_around(p, half_extent),
-                });
-            }
-        }
-    }
-    keys.sort_by(|a, b| a.t.total_cmp(&b.t));
-    keys.dedup_by(|a, b| a.t == b.t);
-    (keys.len() >= 2).then(|| Trajectory::new(keys))
-}
-
-#[cfg(test)]
-mod follow_tests {
-    use super::*;
-    use motion::{RandomWalk, RandomWalkConfig};
-
-    #[test]
-    fn follow_trajectory_tracks_the_object() {
-        let walk = RandomWalk::new(RandomWalkConfig {
-            objects: 3,
-            duration: 10.0,
-            ..RandomWalkConfig::default()
-        });
-        let traces = walk.generate();
-        let traj = follow_object(&traces[1], 4.0, None).expect("trajectory");
-        // At any sampled instant, the window is centred on the object.
-        for k in 0..=50 {
-            let t = 10.0 * k as f64 / 50.0;
-            let p = traces[1].position_at(t).unwrap();
-            let w = traj.window_at(t);
-            let c = w.center();
-            assert!((c[0] - p[0]).abs() < 1e-6, "t={t}");
-            assert!((c[1] - p[1]).abs() < 1e-6, "t={t}");
-            assert!((w.extent(0).length() - 8.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn follow_respects_clip() {
-        let walk = RandomWalk::new(RandomWalkConfig {
-            objects: 1,
-            duration: 10.0,
-            ..RandomWalkConfig::default()
-        });
-        let tr = &walk.generate()[0];
-        let traj = follow_object(tr, 2.0, Some(stkit::Interval::new(2.0, 5.0))).unwrap();
-        assert_eq!(traj.span(), stkit::Interval::new(2.0, 5.0));
-    }
-
-    #[test]
-    fn follow_self_finds_neighbours() {
-        // Following object 0's own path with PDQ must deliver exactly the
-        // segments passing near it — including its own.
-        use mobiquery::PdqEngine;
-        use rtree::bulk::bulk_load;
-        let walk = RandomWalk::new(RandomWalkConfig {
-            objects: 50,
-            duration: 10.0,
-            ..RandomWalkConfig::default()
-        });
-        let traces = walk.generate();
-        let recs: Vec<rtree::NsiSegmentRecord<2>> = traces
-            .iter()
-            .flat_map(|t| &t.updates)
-            .map(|u| {
-                rtree::NsiSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position())
-            })
-            .collect();
-        let tree = bulk_load(storage::Pager::new(), rtree::RTreeConfig::default(), recs);
-        let traj = follow_object(&traces[0], 3.0, None).unwrap();
-        let mut pdq = PdqEngine::start(&tree, traj);
-        let results = pdq.drain_window(&tree, 0.0, 10.0);
-        // The followed object itself is always in view: all of its own
-        // segments must be delivered.
-        let own = results.iter().filter(|r| r.record.oid == 0).count();
-        assert_eq!(own, traces[0].updates.len());
-    }
-}

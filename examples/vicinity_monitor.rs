@@ -4,8 +4,9 @@
 //! The observer's own course changes unpredictably, so the session uses
 //! **NPDQ** (non-predictive dynamic queries) over the double-temporal-axes
 //! index, with live insertions handled by the §4.2 timestamp mechanism.
-//! On top of the range monitor, an incremental **kNN** tracks the three
-//! nearest contacts (the paper's future-work extension).
+//! On top of the range monitor, a best-first **kNN** reports the three
+//! nearest contacts every two minutes (the paper's future-work
+//! extension), each report asserted against a brute-force ranking.
 //!
 //! ```bash
 //! cargo run --release --example vicinity_monitor
@@ -17,6 +18,19 @@ use dq_repro::motion::{MotionUpdate, RandomWalk, RandomWalkConfig};
 use dq_repro::rtree::{DtaSegmentRecord, NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::Rect;
 use dq_repro::storage::Pager;
+
+/// The `k` records valid at `t` nearest to `p`, as `(dist², oid, seq)`,
+/// ties broken by `(oid, seq)` — what `knn_at` must return.
+fn brute_knn(recs: &[NsiSegmentRecord<2>], p: [f64; 2], t: f64, k: usize) -> Vec<(f64, u32, u32)> {
+    let mut ranked: Vec<(f64, u32, u32)> = recs
+        .iter()
+        .filter(|r| r.seg.t.contains(t))
+        .map(|r| (r.seg.dist_sq_at(t, &p), r.oid, r.seq))
+        .collect();
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+    ranked.truncate(k);
+    ranked
+}
 
 fn main() {
     // Traffic: 800 vehicles roaming a 100×100 km theatre for 20 minutes,
@@ -61,6 +75,8 @@ fn main() {
     let mut clock = 0.0f64;
     let mut total = QueryStats::default();
     let mut contacts = 0u64;
+    // Every NSI record inserted so far: the kNN's brute-force truth.
+    let mut inserted = Vec::new();
 
     // One radar sweep every 0.1 minute.
     let mut t = 0.5;
@@ -74,10 +90,9 @@ fn main() {
                 DtaSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position()),
                 u.seg.t.lo,
             );
-            nsi.insert(
-                NsiSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position()),
-                u.seg.t.lo,
-            );
+            let rec = NsiSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position());
+            nsi.insert(rec, u.seg.t.lo);
+            inserted.push(rec);
             clock = clock.max(u.seg.t.lo);
             feed.next();
         }
@@ -96,6 +111,15 @@ fn main() {
         if (t * 10.0).round() as i64 % 20 == 5 {
             let mut ks = QueryStats::default();
             let near = knn_at(&nsi, p, t, 3, &mut ks);
+            let got: Vec<(f64, u32, u32)> = near
+                .iter()
+                .map(|r| (r.dist_sq, r.record.oid, r.record.seq))
+                .collect();
+            assert_eq!(
+                got,
+                brute_knn(&inserted, p, t, 3),
+                "t={t}: kNN vs brute force"
+            );
             let ids: Vec<String> = near
                 .iter()
                 .map(|r| format!("#{} ({:.1} km)", r.record.oid, r.dist_sq.sqrt()))
