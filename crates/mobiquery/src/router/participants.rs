@@ -21,6 +21,7 @@ use crate::service::{
 };
 use parking_lot::RwLock;
 use rtree::NsiSegmentRecord;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 use storage::{PageStore, RetryPolicy, StorageError};
@@ -31,10 +32,11 @@ use storage::{PageStore, RetryPolicy, StorageError};
 /// *released*.
 const WRITER_RETRY: RetryPolicy = RetryPolicy::DEFAULT;
 
-/// A failed region writer (full device) stops applying — a full disk
-/// stays full. The log keeps committing and checkpointing regardless: a
-/// checkpoint holds what was committed, not what a tree absorbed, so the
-/// backlog replays onto a larger device.
+/// A failed region writer (full device, or a panic) stops applying — a
+/// full disk stays full, and a panic may have left its tree half-written.
+/// The log keeps committing and checkpointing regardless: a checkpoint
+/// holds what was committed, not what a tree absorbed, so the backlog
+/// replays onto a larger device.
 fn writer_failed(w: &RegionReport) -> bool {
     matches!(w.writer_outcome, SessionOutcome::Failed(_))
 }
@@ -113,6 +115,13 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// from the failed record; records whose errors are unrecoverable
     /// (corrupt page) or whose retry budget is exhausted are skipped
     /// into the tally's outcome.
+    ///
+    /// Contained: page bytes behind a header that parses can still panic
+    /// an insert (a child id off the device). That fails the region's
+    /// writer like a full device does and returns `false`: the slice's
+    /// reports may describe a half-written tree, so the caller publishes
+    /// no slate for it. The caller's clock calls stay outside, so the
+    /// writer still advances its frames and no session waits on it.
     fn apply_region_batch(
         &self,
         tree: &RegionTree<D, S>,
@@ -120,9 +129,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         reports: &mut Vec<NsiReport<D>>,
         w: &mut RegionReport,
         hold_hist: Option<&Arc<obs::Histogram>>,
-    ) {
+    ) -> bool {
         let mut idx = 0;
         let mut attempt = 0u32;
+        let mut panicked = false;
         while idx < batch.len() {
             let backoff = {
                 let mut tree = tree.write();
@@ -131,14 +141,14 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 let mut backoff = None;
                 while idx < batch.len() {
                     let (rec, now) = &batch[idx];
-                    match tree.try_insert(*rec, *now) {
-                        Ok(report) => {
+                    match catch_unwind(AssertUnwindSafe(|| tree.try_insert(*rec, *now))) {
+                        Ok(Ok(report)) => {
                             reports.push(report);
                             w.inserts_applied += 1;
                             idx += 1;
                             attempt = 0;
                         }
-                        Err(e)
+                        Ok(Err(e))
                             if e.is_transient() && attempt + 1 < WRITER_RETRY.max_attempts =>
                         {
                             attempt += 1;
@@ -149,15 +159,22 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                         // rest of the run: skipping ahead would drop
                         // records silently, and retrying a full disk is
                         // futile.
-                        Err(e @ StorageError::Full { .. }) => {
+                        Ok(Err(e @ StorageError::Full { .. })) => {
                             w.writer_outcome =
                                 SessionOutcome::Failed(format!("writer stopped: {e}"));
                             idx = batch.len();
                         }
-                        Err(e) => {
+                        Ok(Err(e)) => {
                             w.writer_outcome.record_error(e);
                             idx += 1;
                             attempt = 0;
+                        }
+                        Err(p) => {
+                            let e = panic_message(p);
+                            w.writer_outcome =
+                                SessionOutcome::Failed(format!("writer stopped: {e}"));
+                            idx = batch.len();
+                            panicked = true;
                         }
                     }
                 }
@@ -173,6 +190,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 std::thread::sleep(pause);
             }
         }
+        !panicked
     }
 
     /// The clocks, slates and instruments of one concurrent serve of
@@ -236,11 +254,12 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     record_wait(&sh.wait_hist, clock.wait_committed(ku));
                     record_wait(&sh.wait_hist, clock.wait_ready(ku));
                     reports.clear();
-                    let hold = sh.hold_hist.as_ref();
-                    self.apply_region_batch(&self.regions[r], &routed, &mut reports, &mut w, hold);
+                    let (tree, hold) = (&self.regions[r], sh.hold_hist.as_ref());
                     // `wait_ready` above is also why nobody still reads
                     // the slate's previous frame.
-                    sh.slates[r].write().publish(k, &routed, &mut reports);
+                    if self.apply_region_batch(tree, &routed, &mut reports, &mut w, hold) {
+                        sh.slates[r].write().publish(k, &routed, &mut reports);
+                    }
                     obs::trace(obs::TraceEvent::RegionRoute {
                         region: r as u32,
                         records: routed.len() as u32,
@@ -470,9 +489,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     route_slice(&self.grid, r, batch, &mut routed);
                     if !routed.is_empty() && !writer_failed(w) {
                         reports.clear();
-                        let hold = hold_hist.as_ref();
-                        self.apply_region_batch(&self.regions[r], &routed, &mut reports, w, hold);
-                        slates[r].write().publish(k, &routed, &mut reports);
+                        let (tree, hold) = (&self.regions[r], hold_hist.as_ref());
+                        if self.apply_region_batch(tree, &routed, &mut reports, w, hold) {
+                            slates[r].write().publish(k, &routed, &mut reports);
+                        }
                         obs::trace(obs::TraceEvent::RegionRoute {
                             region: r as u32,
                             records: routed.len() as u32,

@@ -47,9 +47,9 @@ pub mod traits;
 pub mod tree;
 
 pub use levels::{LevelCounters, LevelSnapshot, MAX_TRACKED_LEVELS};
-pub use node::{Node, NodeEntries, NodeRef, NodeView};
+pub use node::NodeRef;
 pub use records::{DtaSegmentRecord, NsiSegmentRecord};
-pub use search::{RangeQuery, SearchStats};
+pub use search::SearchStats;
 pub use split::SplitPolicy;
 pub use traits::{Key, Record};
 pub use tree::{EpochStats, InsertReport, Inserted, RTree, RTreeConfig};

@@ -1,4 +1,4 @@
-//! On-page node representation and (de)serialization.
+//! The on-page node layout, read and written in place.
 //!
 //! One node occupies exactly one page. Layout (little-endian):
 //!
@@ -18,13 +18,13 @@
 //! encoded records. With 4 KiB pages, 2-d NSI keys (24 B) and 32-byte
 //! segment records this yields the paper's fanout: 145 internal, 127 leaf.
 //!
-//! Three representations share this layout. [`NodeView`] / [`NodeRef`]
-//! read a page in place; [`NodeEdit`] changes a copy of its used prefix
-//! by byte range (entries are fixed-stride, so adding one or re-keying
-//! one touches only its own bytes) — the insert path's form for every
-//! node that does not split, and the bulk loader's for every node it
-//! packs; the owned [`Node`] decodes every entry and is what a split
-//! works on.
+//! A node is its page: there is no decoded twin. [`NodeRef`] reads a page
+//! in place, decoding entries only as its iterators advance. [`NodeEdit`]
+//! writes one by byte range — entries are fixed-stride, so adding one or
+//! re-keying one touches only its own bytes — either over a copy of a
+//! node's used prefix ([`NodeRef::edit_in`], every node an insert changes
+//! without splitting) or from empty ([`NodeEdit::fresh`], a split's two
+//! halves, a new root, and every node the bulk loader packs).
 
 use crate::traits::{Key, Record};
 use std::marker::PhantomData;
@@ -50,41 +50,10 @@ const fn stride<K: Key, R: Record>(leaf: bool) -> usize {
     }
 }
 
-/// Append the fixed header to an empty `buf`.
-fn write_header(buf: &mut Vec<u8>, leaf: bool, count: usize, timestamp: f64, level: u32) {
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.push(if leaf { KIND_LEAF } else { KIND_INTERNAL });
-    buf.push(0);
-    buf.extend_from_slice(&(count as u32).to_le_bytes());
-    buf.extend_from_slice(&timestamp.to_le_bytes());
-    buf.extend_from_slice(&level.to_le_bytes());
-    buf.resize(NODE_HEADER_LEN, 0);
-}
-
-/// Why a page image is not a node.
-#[derive(Debug)]
-enum BadHeader {
-    /// The buffer ends before the header, or before the entries the
-    /// header's count claims.
-    Short { count: usize },
-    Magic,
-    Kind(u8),
-    /// A leaf above level 0, or an internal node at it: engines compute
-    /// `level - 1` for an internal node's children.
-    Level(u32),
-}
-
-impl std::fmt::Display for BadHeader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BadHeader::Short { count } => {
-                write!(f, "corrupt node: {count} entries do not fit the page")
-            }
-            BadHeader::Magic => write!(f, "not an R-tree node page"),
-            BadHeader::Kind(other) => write!(f, "corrupt node kind byte {other}"),
-            BadHeader::Level(level) => write!(f, "corrupt node: level {level} contradicts its kind"),
-        }
-    }
+/// Entries of a leaf (`true`) or internal node that fit a page of
+/// `page_size` bytes: the tree's fanout.
+pub(crate) fn capacity<K: Key, R: Record>(leaf: bool, page_size: usize) -> usize {
+    (page_size - NODE_HEADER_LEN) / stride::<K, R>(leaf)
 }
 
 /// The fixed header, checked: `count` entries of this kind fit the
@@ -99,18 +68,20 @@ struct Header {
 
 impl Header {
     /// Total over every byte string: the one place a count read off a
-    /// page is bounded before anything slices by it.
-    fn parse<K: Key, R: Record>(buf: &[u8]) -> Result<Header, BadHeader> {
-        let Some(head) = buf.get(..NODE_HEADER_LEN) else {
-            return Err(BadHeader::Short { count: 0 });
-        };
+    /// page is bounded before anything slices by it. `None` for a buffer
+    /// shorter than the header or than the entries its count claims, a
+    /// bad magic or kind byte, or a level that contradicts the kind (a
+    /// leaf above level 0, or an internal node at it: engines compute
+    /// `level - 1` for an internal node's children).
+    fn parse<K: Key, R: Record>(buf: &[u8]) -> Option<Header> {
+        let head = buf.get(..NODE_HEADER_LEN)?;
         if u16::from_le_bytes([head[0], head[1]]) != MAGIC {
-            return Err(BadHeader::Magic);
+            return None;
         }
         let leaf = match head[2] {
             KIND_LEAF => true,
             KIND_INTERNAL => false,
-            other => return Err(BadHeader::Kind(other)),
+            _ => return None,
         };
         let count =
             u32::from_le_bytes(head[COUNT_AT..COUNT_AT + 4].try_into().unwrap()) as usize;
@@ -118,14 +89,11 @@ impl Header {
             .checked_mul(stride::<K, R>(leaf))
             .and_then(|n| n.checked_add(NODE_HEADER_LEN))
             .is_some_and(|end| end <= buf.len());
-        if !fits {
-            return Err(BadHeader::Short { count });
-        }
         let level = u32::from_le_bytes(head[16..20].try_into().unwrap());
-        if leaf != (level == 0) {
-            return Err(BadHeader::Level(level));
+        if !fits || leaf != (level == 0) {
+            return None;
         }
-        Ok(Header {
+        Some(Header {
             leaf,
             count,
             timestamp: f64::from_le_bytes(
@@ -138,293 +106,6 @@ impl Header {
     /// End of the used prefix: header plus `count` entries.
     fn used<K: Key, R: Record>(&self) -> usize {
         NODE_HEADER_LEN + self.count * stride::<K, R>(self.leaf)
-    }
-}
-
-/// Entries of a node: child pointers with bounding keys, or data records.
-#[derive(Clone, Debug, PartialEq)]
-pub enum NodeEntries<K, R> {
-    /// An internal node's `(bounding key, child page)` entries.
-    Internal(Vec<(K, PageId)>),
-    /// A leaf node's data records.
-    Leaf(Vec<R>),
-}
-
-/// An R-tree node decoded into memory.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Node<K, R> {
-    /// Height above the leaf level (0 = leaf).
-    pub level: u32,
-    /// Logical time of the last modification of this node (insertion path
-    /// stamping, §4.2). `-∞` for never-modified bulk-loaded nodes.
-    pub timestamp: f64,
-    /// The node's entries.
-    pub entries: NodeEntries<K, R>,
-}
-
-impl<K: Key, R: Record<Key = K>> Node<K, R> {
-    /// A fresh empty leaf.
-    pub fn empty_leaf() -> Self {
-        Node {
-            level: 0,
-            timestamp: f64::NEG_INFINITY,
-            entries: NodeEntries::Leaf(Vec::new()),
-        }
-    }
-
-    /// A fresh internal node at `level` (≥ 1).
-    pub fn internal(level: u32, entries: Vec<(K, PageId)>) -> Self {
-        debug_assert!(level >= 1);
-        Node {
-            level,
-            timestamp: f64::NEG_INFINITY,
-            entries: NodeEntries::Internal(entries),
-        }
-    }
-
-    /// True iff this is a leaf node.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self.entries, NodeEntries::Leaf(_))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match &self.entries {
-            NodeEntries::Internal(v) => v.len(),
-            NodeEntries::Leaf(v) => v.len(),
-        }
-    }
-
-    /// True iff the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Minimum bounding key over all entries (empty key for empty nodes).
-    pub fn bounding_key(&self) -> K {
-        match &self.entries {
-            NodeEntries::Internal(v) => v
-                .iter()
-                .fold(K::empty(), |acc, (k, _)| acc.cover(k)),
-            NodeEntries::Leaf(v) => v
-                .iter()
-                .fold(K::empty(), |acc, r| acc.cover(&r.key())),
-        }
-    }
-
-    /// Maximum number of entries that fit a page of `page_size` bytes for
-    /// this node's kind.
-    pub fn capacity(&self, page_size: usize) -> usize {
-        if self.is_leaf() {
-            Self::leaf_capacity(page_size)
-        } else {
-            Self::internal_capacity(page_size)
-        }
-    }
-
-    /// Leaf fanout for a given page size.
-    pub fn leaf_capacity(page_size: usize) -> usize {
-        (page_size - NODE_HEADER_LEN) / R::ENCODED_LEN
-    }
-
-    /// Internal fanout for a given page size.
-    pub fn internal_capacity(page_size: usize) -> usize {
-        (page_size - NODE_HEADER_LEN) / (K::ENCODED_LEN + 4)
-    }
-
-    /// Serialize into a page image of at most `page_size` bytes.
-    ///
-    /// Panics if the node exceeds its capacity — callers split first.
-    pub fn serialize(&self, page_size: usize) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(page_size);
-        self.serialize_into(&mut buf, page_size);
-        buf
-    }
-
-    /// Serialize into a caller-provided buffer (cleared first), so the hot
-    /// write path can reuse one allocation across calls.
-    ///
-    /// Panics if the node exceeds its capacity — callers split first.
-    pub fn serialize_into(&self, buf: &mut Vec<u8>, page_size: usize) {
-        assert!(
-            self.len() <= self.capacity(page_size),
-            "node overflow: {} entries > capacity {}",
-            self.len(),
-            self.capacity(page_size)
-        );
-        buf.clear();
-        buf.reserve(page_size);
-        write_header(buf, self.is_leaf(), self.len(), self.timestamp, self.level);
-        match &self.entries {
-            NodeEntries::Internal(v) => {
-                for (k, child) in v {
-                    k.encode(buf);
-                    buf.extend_from_slice(&child.0.to_le_bytes());
-                }
-            }
-            NodeEntries::Leaf(v) => {
-                for r in v {
-                    r.encode(buf);
-                }
-            }
-        }
-        debug_assert!(buf.len() <= page_size);
-    }
-
-    /// Decode a node from a page image. (Materializes entry `Vec`s; the
-    /// read path should prefer [`NodeView`] / [`NodeRef`].)
-    pub fn deserialize(buf: &[u8]) -> Self {
-        NodeView::parse(buf).to_node()
-    }
-
-    /// Internal entries, panicking on leaves (programming error).
-    pub fn internal_entries(&self) -> &[(K, PageId)] {
-        match &self.entries {
-            NodeEntries::Internal(v) => v,
-            NodeEntries::Leaf(_) => panic!("expected internal node"),
-        }
-    }
-
-    /// Leaf records, panicking on internal nodes (programming error).
-    pub fn leaf_records(&self) -> &[R] {
-        match &self.entries {
-            NodeEntries::Leaf(v) => v,
-            NodeEntries::Internal(_) => panic!("expected leaf node"),
-        }
-    }
-}
-
-/// A borrowed, zero-copy view of an on-page node.
-///
-/// Parses the 32-byte header once; entries are decoded lazily, straight
-/// out of the page bytes, as the iterators advance — no entry `Vec` is
-/// ever built. This is the node representation of the read path, and of
-/// the insert path's descent and key folds.
-#[derive(Clone, Copy)]
-pub struct NodeView<'a, K, R> {
-    /// Entry region of the page (header stripped).
-    entries: &'a [u8],
-    head: Header,
-    _marker: PhantomData<fn() -> (K, R)>,
-}
-
-impl<'a, K: Key, R: Record<Key = K>> NodeView<'a, K, R> {
-    /// Parse the header of a page image. Panics on a page that is not a
-    /// node, like [`Node::deserialize`]; serving reads go through
-    /// [`NodeRef::try_parse`] instead.
-    pub fn parse(buf: &'a [u8]) -> Self {
-        match Header::parse::<K, R>(buf) {
-            Ok(head) => Self::over(buf, head),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// View `buf` under a header already checked against it.
-    fn over(buf: &'a [u8], head: Header) -> Self {
-        NodeView {
-            entries: &buf[NODE_HEADER_LEN..head.used::<K, R>()],
-            head,
-            _marker: PhantomData,
-        }
-    }
-
-    /// True iff this is a leaf node.
-    pub fn is_leaf(&self) -> bool {
-        self.head.leaf
-    }
-
-    /// Height above the leaf level (0 = leaf).
-    pub fn level(&self) -> u32 {
-        self.head.level
-    }
-
-    /// Logical time of the node's last modification (§4.2).
-    pub fn timestamp(&self) -> f64 {
-        self.head.timestamp
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.head.count
-    }
-
-    /// True iff the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.head.count == 0
-    }
-
-    /// Lazily decoded `(bounding key, child page)` entries. Panics on
-    /// leaves (programming error).
-    pub fn internal_entries(&self) -> InternalEntries<'a, K> {
-        assert!(!self.head.leaf, "expected internal node");
-        InternalEntries {
-            buf: self.entries,
-            remaining: self.head.count,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Random access to one internal entry (fixed stride — O(1)).
-    pub fn internal_entry(&self, i: usize) -> (K, PageId) {
-        assert!(!self.head.leaf, "expected internal node");
-        assert!(i < self.head.count, "entry index out of range");
-        let stride = stride::<K, R>(false);
-        let at = &self.entries[i * stride..(i + 1) * stride];
-        let k = K::decode(&at[..K::ENCODED_LEN]);
-        let child = PageId(u32::from_le_bytes(
-            at[K::ENCODED_LEN..].try_into().unwrap(),
-        ));
-        (k, child)
-    }
-
-    /// Lazily decoded leaf records. Panics on internal nodes.
-    pub fn leaf_records(&self) -> LeafRecords<'a, R> {
-        assert!(self.head.leaf, "expected leaf node");
-        LeafRecords {
-            buf: self.entries,
-            remaining: self.head.count,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Minimum bounding key over all entries (empty key for empty nodes).
-    pub fn bounding_key(&self) -> K {
-        if self.head.leaf {
-            self.leaf_records()
-                .fold(K::empty(), |acc, r| acc.cover(&r.key()))
-        } else {
-            self.internal_entries()
-                .fold(K::empty(), |acc, (k, _)| acc.cover(&k))
-        }
-    }
-
-    /// [`Self::bounding_key`] of an internal node with entry `i`'s key
-    /// taken to be `key`: what the node's key becomes once a child's key
-    /// changes. Same fold, same order, so the result is bit-equal to
-    /// re-keying the entry and folding — for every [`Key`], including
-    /// ones whose `cover` rounds.
-    pub fn bounding_key_replacing(&self, i: usize, key: &K) -> K {
-        assert!(i < self.head.count, "entry index out of range");
-        self.internal_entries()
-            .enumerate()
-            .fold(K::empty(), |acc, (j, (k, _))| {
-                acc.cover(if j == i { key } else { &k })
-            })
-    }
-
-    /// Materialize an owned [`Node`] — every entry decoded into a `Vec`.
-    /// The insert path does this only for a node that splits.
-    pub fn to_node(&self) -> Node<K, R> {
-        let entries = if self.head.leaf {
-            NodeEntries::Leaf(self.leaf_records().collect())
-        } else {
-            NodeEntries::Internal(self.internal_entries().collect())
-        };
-        Node {
-            level: self.head.level,
-            timestamp: self.head.timestamp,
-            entries,
-        }
     }
 }
 
@@ -485,12 +166,13 @@ impl<R: Record> Iterator for LeafRecords<'_, R> {
 
 impl<R: Record> ExactSizeIterator for LeafRecords<'_, R> {}
 
-/// An owned zero-copy node handle: a [`storage::PageRef`] plus the parsed
-/// header.
+/// A node read in place: a [`storage::PageRef`] plus its parsed header.
 ///
-/// `NodeView` borrows page bytes, so it can't be returned from a method
-/// that reads the page; `NodeRef` owns the refcounted bytes (keeping them
-/// alive across eviction) and hands out views on demand.
+/// The header is parsed once; entries decode lazily, straight out of the
+/// page bytes, as the iterators advance — no entry `Vec` is ever built.
+/// The handle owns the refcounted bytes, keeping them alive across
+/// eviction. This is the node representation of the read path, and of
+/// the insert path's descent and key folds.
 pub struct NodeRef<K, R> {
     bytes: PageRef,
     head: Header,
@@ -498,8 +180,14 @@ pub struct NodeRef<K, R> {
 }
 
 impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
-    fn checked(bytes: PageRef) -> Result<Self, BadHeader> {
-        let head = Header::parse::<K, R>(&bytes)?;
+    /// Parse the header of `bytes`, page `page`, taking ownership of the
+    /// handle. A bad magic or kind byte, a level that contradicts the
+    /// kind, or a count whose entries would not fit `bytes` is
+    /// [`StorageError::Corrupt`] on `page` rather than a panic, so a
+    /// writer holding the tree lock never unwinds on a flipped byte.
+    /// Every entry the returned node admits lies inside `bytes`.
+    pub fn try_parse(bytes: PageRef, page: PageId) -> Result<Self, StorageError> {
+        let head = Header::parse::<K, R>(&bytes).ok_or(StorageError::Corrupt { page })?;
         Ok(NodeRef {
             bytes,
             head,
@@ -507,24 +195,9 @@ impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
         })
     }
 
-    /// Parse the header of `bytes` once, taking ownership of the handle.
-    /// Panics on a page that is not a node (see [`NodeView::parse`]).
-    pub fn parse(bytes: PageRef) -> Self {
-        Self::checked(bytes).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::parse`] for bytes that came off a device: a bad magic or
-    /// kind byte, or a count whose entries would not fit `bytes`, is
-    /// [`StorageError::Corrupt`] on `page` rather than a panic, so a
-    /// writer holding the tree lock never unwinds on a flipped byte.
-    /// Every entry the returned node admits lies inside `bytes`.
-    pub fn try_parse(bytes: PageRef, page: PageId) -> Result<Self, StorageError> {
-        Self::checked(bytes).map_err(|_| StorageError::Corrupt { page })
-    }
-
-    /// Borrow the underlying page as a [`NodeView`].
-    pub fn view(&self) -> NodeView<'_, K, R> {
-        NodeView::over(&self.bytes, self.head)
+    /// Entry region of the page: the used prefix, header stripped.
+    fn entries(&self) -> &[u8] {
+        &self.bytes[NODE_HEADER_LEN..self.head.used::<K, R>()]
     }
 
     /// Copy the node's used prefix (header and entries, not the stale
@@ -542,6 +215,7 @@ impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
             buf,
             leaf: self.head.leaf,
             count: self.head.count,
+            cap: capacity::<K, R>(self.head.leaf, self.bytes.len()),
             _marker: PhantomData,
         }
     }
@@ -571,35 +245,68 @@ impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
         self.head.count == 0
     }
 
-    /// Lazily decoded internal entries. Panics on leaves.
+    /// Lazily decoded `(bounding key, child page)` entries. Panics on
+    /// leaves (programming error).
     pub fn internal_entries(&self) -> InternalEntries<'_, K> {
-        self.view().internal_entries()
+        assert!(!self.head.leaf, "expected internal node");
+        InternalEntries {
+            buf: self.entries(),
+            remaining: self.head.count,
+            _marker: PhantomData,
+        }
     }
 
-    /// Random access to one internal entry.
+    /// Random access to one internal entry (fixed stride — O(1)).
     pub fn internal_entry(&self, i: usize) -> (K, PageId) {
-        self.view().internal_entry(i)
+        assert!(!self.head.leaf, "expected internal node");
+        assert!(i < self.head.count, "entry index out of range");
+        let stride = stride::<K, R>(false);
+        let at = &self.entries()[i * stride..(i + 1) * stride];
+        let k = K::decode(&at[..K::ENCODED_LEN]);
+        let child = PageId(u32::from_le_bytes(
+            at[K::ENCODED_LEN..].try_into().unwrap(),
+        ));
+        (k, child)
     }
 
     /// Lazily decoded leaf records. Panics on internal nodes.
     pub fn leaf_records(&self) -> LeafRecords<'_, R> {
-        self.view().leaf_records()
+        assert!(self.head.leaf, "expected leaf node");
+        LeafRecords {
+            buf: self.entries(),
+            remaining: self.head.count,
+            _marker: PhantomData,
+        }
     }
 
-    /// Minimum bounding key over all entries.
+    /// Minimum bounding key over all entries (empty key for empty nodes).
     pub fn bounding_key(&self) -> K {
-        self.view().bounding_key()
+        if self.head.leaf {
+            self.leaf_records()
+                .fold(K::empty(), |acc, r| acc.cover(&r.key()))
+        } else {
+            self.internal_entries()
+                .fold(K::empty(), |acc, (k, _)| acc.cover(&k))
+        }
     }
 
-    /// Materialize an owned [`Node`] for mutation.
-    pub fn to_node(&self) -> Node<K, R> {
-        self.view().to_node()
+    /// [`Self::bounding_key`] of an internal node with entry `i`'s key
+    /// taken to be `key`: what the node's key becomes once a child's key
+    /// changes. Same fold, same order, so the result is bit-equal to
+    /// re-keying the entry and folding — for every [`Key`], including
+    /// ones whose `cover` rounds.
+    pub fn bounding_key_replacing(&self, i: usize, key: &K) -> K {
+        assert!(i < self.head.count, "entry index out of range");
+        self.internal_entries()
+            .enumerate()
+            .fold(K::empty(), |acc, (j, (k, _))| {
+                acc.cover(if j == i { key } else { &k })
+            })
     }
 }
 
-/// A node's page image under edit in a caller-owned buffer — the insert
-/// path's representation of a node that does not split, and the bulk
-/// loader's of every node it packs.
+/// A node's page image under edit in a caller-owned buffer — how every
+/// page of the tree is written.
 ///
 /// Opened by [`NodeRef::edit_in`] over a copy of the node's used prefix,
 /// or empty by [`Self::fresh`].
@@ -612,21 +319,32 @@ pub struct NodeEdit<'a, K, R> {
     buf: &'a mut Vec<u8>,
     leaf: bool,
     count: usize,
+    /// Entries the page holds; appending past it panics.
+    cap: usize,
     _marker: PhantomData<fn() -> (K, R)>,
 }
 
 impl<'a, K: Key, R: Record<Key = K>> NodeEdit<'a, K, R> {
-    /// Open an empty, never-modified node at `level` (0 = leaf) in `buf`,
-    /// cleared first and grown once to a page: how the bulk loader builds
-    /// each node, appending entries straight into the image it writes.
+    /// Open an empty, never-modified node at `level` (0 = leaf) for a
+    /// page of `page_size` bytes in `buf`, cleared first and grown once
+    /// to a page: how a node written whole is built, its entries
+    /// appended straight into the image that is written.
     pub fn fresh(buf: &'a mut Vec<u8>, level: u32, page_size: usize) -> Self {
+        let leaf = level == 0;
         buf.clear();
         buf.reserve(page_size);
-        write_header(buf, level == 0, 0, f64::NEG_INFINITY, level);
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.push(if leaf { KIND_LEAF } else { KIND_INTERNAL });
+        buf.push(0);
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&f64::NEG_INFINITY.to_le_bytes());
+        buf.extend_from_slice(&level.to_le_bytes());
+        buf.resize(NODE_HEADER_LEN, 0);
         NodeEdit {
             buf,
-            leaf: level == 0,
+            leaf,
             count: 0,
+            cap: capacity::<K, R>(leaf, page_size),
             _marker: PhantomData,
         }
     }
@@ -646,16 +364,16 @@ impl<'a, K: Key, R: Record<Key = K>> NodeEdit<'a, K, R> {
         self.buf[TIMESTAMP_AT..TIMESTAMP_AT + 8].copy_from_slice(&now.to_le_bytes());
     }
 
-    /// Append one record to a leaf, at `32 + len·stride`. The caller has
-    /// checked capacity — an overfull node splits instead.
+    /// Append one record to a leaf, at `32 + len·stride`. Panics on a
+    /// full node — an overfull node splits instead.
     pub fn push_record(&mut self, rec: &R) {
         assert!(self.leaf, "expected leaf node");
         rec.encode(self.buf);
         self.grew();
     }
 
-    /// Append one `(key, child)` entry to an internal node. The caller
-    /// has checked capacity.
+    /// Append one `(key, child)` entry to an internal node. Panics on a
+    /// full node.
     pub fn push_entry(&mut self, key: &K, child: PageId) {
         assert!(!self.leaf, "expected internal node");
         key.encode(self.buf);
@@ -679,6 +397,12 @@ impl<'a, K: Key, R: Record<Key = K>> NodeEdit<'a, K, R> {
 
     fn grew(&mut self) {
         self.count += 1;
+        assert!(
+            self.count <= self.cap,
+            "node overflow: {} entries > capacity {}",
+            self.count,
+            self.cap
+        );
         debug_assert_eq!(
             self.buf.len(),
             NODE_HEADER_LEN + self.count * stride::<K, R>(self.leaf)
@@ -700,102 +424,48 @@ mod tests {
 
     type R = NsiSegmentRecord<2>;
     type K = StBox<2, 1>;
-    type N = Node<K, R>;
 
     fn rec(oid: u32, x: f64) -> R {
         R::new(oid, 0, Interval::new(0.0, 1.0), [x, 0.0], [x + 1.0, 1.0])
     }
 
-    #[test]
-    fn leaf_roundtrip() {
-        let mut n = N::empty_leaf();
-        n.timestamp = 17.5;
-        if let NodeEntries::Leaf(v) = &mut n.entries {
-            v.push(rec(1, 0.0));
-            v.push(rec(2, 5.0));
+    /// A leaf page holding `recs`, read back.
+    fn leaf(recs: &[R]) -> NodeRef<K, R> {
+        let mut buf = Vec::new();
+        let mut edit = NodeEdit::<K, R>::fresh(&mut buf, 0, 4096);
+        for r in recs {
+            edit.push_record(r);
         }
-        let page = n.serialize(4096);
-        assert!(page.len() <= 4096);
-        let back = N::deserialize(&page);
-        assert_eq!(back, n);
-        assert_eq!(back.level, 0);
-        assert_eq!(back.timestamp, 17.5);
-        assert_eq!(back.leaf_records().len(), 2);
-    }
-
-    #[test]
-    fn internal_roundtrip() {
-        let k1 = rec(1, 0.0).key();
-        let k2 = rec(2, 5.0).key();
-        let mut n = N::internal(2, vec![(k1, PageId(7)), (k2, PageId(9))]);
-        n.timestamp = -3.25;
-        let page = n.serialize(4096);
-        let back = N::deserialize(&page);
-        assert_eq!(back, n);
-        assert_eq!(back.internal_entries()[1].1, PageId(9));
+        NodeRef::try_parse(PageRef::from(buf), PageId(0)).unwrap()
     }
 
     #[test]
     fn node_ref_keeps_the_page_it_parses() {
         // Zero-copy: the handle holds the buffer it was given, and its
-        // views decode entries straight out of it.
-        let page = PageRef::from(N::internal(1, vec![(rec(1, 0.0).key(), PageId(7))]).serialize(4096));
-        let parsed = NodeRef::<K, R>::parse(page.clone());
-        let tried = NodeRef::<K, R>::try_parse(page.clone(), PageId(0)).unwrap();
-        for node in [parsed, tried] {
-            assert_eq!(node.bytes.as_ptr(), page.as_ptr());
-            assert_eq!(node.view().entries.as_ptr(), page[NODE_HEADER_LEN..].as_ptr());
-        }
+        // iterators decode entries straight out of it.
+        let page = leaf(&[rec(1, 0.0)]).bytes;
+        let node = NodeRef::<K, R>::try_parse(page.clone(), PageId(0)).unwrap();
+        assert_eq!(node.bytes.as_ptr(), page.as_ptr());
+        assert_eq!(node.entries().as_ptr(), page[NODE_HEADER_LEN..].as_ptr());
     }
 
     #[test]
     fn capacities_match_paper() {
-        assert_eq!(N::leaf_capacity(4096), 127);
-        assert_eq!(N::internal_capacity(4096), 145);
-    }
-
-    #[test]
-    fn bounding_key_covers_entries() {
-        let mut n = N::empty_leaf();
-        if let NodeEntries::Leaf(v) = &mut n.entries {
-            v.push(rec(1, 0.0));
-            v.push(rec(2, 5.0));
-        }
-        let bk = n.bounding_key();
-        assert!(bk.contains(&rec(1, 0.0).key()));
-        assert!(bk.contains(&rec(2, 5.0).key()));
-        assert!(N::empty_leaf().bounding_key().is_empty());
+        assert_eq!(capacity::<K, R>(true, 4096), 127);
+        assert_eq!(capacity::<K, R>(false, 4096), 145);
     }
 
     #[test]
     #[should_panic(expected = "node overflow")]
     fn oversized_node_panics() {
-        let mut n = N::empty_leaf();
-        if let NodeEntries::Leaf(v) = &mut n.entries {
-            for i in 0..200 {
-                v.push(rec(i, i as f64));
-            }
-        }
-        n.serialize(4096);
+        let recs: Vec<R> = (0..128).map(|i| rec(i, i as f64)).collect();
+        leaf(&recs);
     }
 
     #[test]
-    #[should_panic(expected = "not an R-tree node")]
     fn garbage_page_rejected() {
-        let buf = vec![0u8; 4096];
-        let _ = N::deserialize(&buf);
-    }
-
-    #[test]
-    fn full_leaf_fits_exactly() {
-        let mut n = N::empty_leaf();
-        if let NodeEntries::Leaf(v) = &mut n.entries {
-            for i in 0..127 {
-                v.push(rec(i, i as f64));
-            }
-        }
-        let page = n.serialize(4096);
-        assert!(page.len() <= 4096);
-        assert_eq!(N::deserialize(&page).len(), 127);
+        let page = PageRef::from(vec![0u8; 4096]);
+        let read = NodeRef::<K, R>::try_parse(page, PageId(3));
+        assert_eq!(read.err(), Some(StorageError::Corrupt { page: PageId(3) }));
     }
 }

@@ -34,13 +34,6 @@ impl std::ops::AddAssign for SearchStats {
     }
 }
 
-/// A range query over the tree's key space.
-#[derive(Clone, Copy, Debug)]
-pub struct RangeQuery<K> {
-    /// The query box.
-    pub key: K,
-}
-
 impl<R: Record, S: PageStore> RTree<R, S> {
     /// Range search: emit every record whose key overlaps `query` *and*
     /// that passes `accept` (the exact geometric test). Uses an explicit

@@ -1,7 +1,7 @@
 //! The paginated R-tree: construction, insertion, node access.
 
 use crate::levels::LevelCounters;
-use crate::node::{Node, NodeEdit, NodeEntries, NodeRef};
+use crate::node::{capacity, NodeEdit, NodeRef};
 use crate::split::{split, SplitPolicy};
 use crate::traits::{Key, Record};
 use storage::{PageId, PageStore, StorageError};
@@ -151,9 +151,9 @@ pub struct RTree<R: Record, S: PageStore> {
     root: PageId,
     height: u32,
     len: u64,
-    /// The write path's one page buffer: [`Self::write_node`] serializes
-    /// into it and the insert path edits page images in it, so writing
-    /// allocates once per tree instead of once per node.
+    /// The write path's one page buffer: every page image is built or
+    /// edited in it ([`NodeEdit`]), so writing allocates once per tree
+    /// instead of once per node.
     scratch: Vec<u8>,
     /// The insert path's descent stack, empty between inserts and kept
     /// for its capacity.
@@ -168,16 +168,16 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// Create an empty tree (a single empty leaf as root).
     pub fn new(store: S, config: RTreeConfig) -> Self {
         let root = store.alloc();
-        let node = Node::<R::Key, R>::empty_leaf();
-        let page_size = store.page_size();
-        store.write(root, &node.serialize(page_size));
+        let mut scratch = Vec::new();
+        let leaf = NodeEdit::<R::Key, R>::fresh(&mut scratch, 0, store.page_size());
+        store.write(root, leaf.bytes());
         RTree {
             store,
             config,
             root,
             height: 1,
             len: 0,
-            scratch: Vec::new(),
+            scratch,
             path: Vec::new(),
             levels: LevelCounters::new(),
             _records: std::marker::PhantomData,
@@ -240,12 +240,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 
     /// Leaf fanout under the store's page size.
     pub fn leaf_capacity(&self) -> usize {
-        Node::<R::Key, R>::leaf_capacity(self.store.page_size())
+        capacity::<R::Key, R>(true, self.store.page_size())
     }
 
     /// Internal fanout under the store's page size.
     pub fn internal_capacity(&self) -> usize {
-        Node::<R::Key, R>::internal_capacity(self.store.page_size())
+        capacity::<R::Key, R>(false, self.store.page_size())
     }
 
     /// Per-level node read/write counters, accumulated since the tree
@@ -291,31 +291,34 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         Ok(node)
     }
 
-    /// Write an owned node back to its page, serializing through the
-    /// tree's scratch buffer: how split halves and new roots are
-    /// written. An insert's unsplit nodes are edited page images instead
-    /// (see [`Self::ascend`]), and bulk load appends to fresh ones
-    /// ([`Self::write_fresh`]).
-    pub(crate) fn write_node(&mut self, page: PageId, node: &Node<R::Key, R>) {
-        node.serialize_into(&mut self.scratch, self.store.page_size());
-        self.store.write(page, &self.scratch);
-        self.levels.record_write(node.level);
+    /// Write `page` whole: a node at `level` stamped `now`, holding the
+    /// entries `fill` appends, built in the scratch buffer
+    /// ([`NodeEdit::fresh`]). How split halves and new roots are written;
+    /// an insert's unsplit nodes are edited page images instead (see
+    /// [`Self::ascend`]).
+    fn write_new(
+        &mut self,
+        page: PageId,
+        level: u32,
+        now: f64,
+        fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
+    ) {
+        let mut edit = NodeEdit::fresh(&mut self.scratch, level, self.store.page_size());
+        edit.set_timestamp(now);
+        fill(&mut edit);
+        self.store.write(page, edit.bytes());
+        self.levels.record_write(level);
     }
 
-    /// Allocate a page and write it the node `fill` appends to — an empty,
-    /// never-modified node at `level`, built in the scratch buffer. How
-    /// bulk load writes: the image goes from the caller's entries to the
-    /// store with no owned [`Node`] in between.
+    /// Allocate a page and [write](Self::write_new) it a never-modified
+    /// node (`-∞`): how bulk load writes each node it packs.
     pub(crate) fn write_fresh(
         &mut self,
         level: u32,
         fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
     ) -> PageId {
-        let mut edit = NodeEdit::fresh(&mut self.scratch, level, self.store.page_size());
-        fill(&mut edit);
         let page = self.store.alloc();
-        self.store.write(page, edit.bytes());
-        self.levels.record_write(level);
+        self.write_new(page, level, f64::NEG_INFINITY, fill);
         page
     }
 
@@ -416,19 +419,15 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             self.store.write(leaf_page, edit.bytes());
             self.levels.record_write(level);
         } else {
-            let mut owned = leaf.to_node();
+            let mut recs: Vec<R> = leaf.leaf_records().collect();
             drop(leaf);
-            owned.timestamp = now;
-            let NodeEntries::Leaf(recs) = &mut owned.entries else {
-                unreachable!()
-            };
             recs.push(rec);
-            let (old_node, new_node) = self.split_node(&owned, owned.len() - 1);
-            let new_page = self.store.try_alloc()?;
-            self.write_node(leaf_page, &old_node);
-            self.write_node(new_page, &new_node);
-            child_key = Some(old_node.bounding_key());
-            pending = Some((new_node.bounding_key(), new_page));
+            let [(old_key, _), new_entry] =
+                self.write_split(leaf_page, 0, now, &recs, R::key, |edit, r| {
+                    edit.push_record(r)
+                })?;
+            child_key = Some(old_key);
+            pending = Some(new_entry);
         }
 
         let created = self.ascend(path, child_key, pending, now)?;
@@ -469,8 +468,9 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// scratch buffer, the one or two entries that change are patched in
     /// place, and the image is written back — after the node's `PageRef`
     /// is dropped, so the store overwrites its frame rather than copying
-    /// it. Only a node that overflows is materialized, because the split
-    /// heuristics want every key decoded.
+    /// it. Only a node that overflows has its entries decoded into a
+    /// `Vec`, because the split heuristics want every key
+    /// ([`Self::write_split`]).
     ///
     /// The key handed up is the node's fold with the changed entry
     /// substituted, or — while `grew` holds: nothing below split, so every
@@ -492,26 +492,26 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             let level = node.level();
             let ck = child_key.expect("a node below the root hands its key up");
             if pending.is_some() && node.len() == internal_cap {
-                let mut owned = node.to_node();
+                let mut entries: Vec<(R::Key, PageId)> = node.internal_entries().collect();
                 drop(node);
-                owned.timestamp = now;
-                let NodeEntries::Internal(entries) = &mut owned.entries else {
-                    unreachable!()
-                };
                 entries[chosen].0 = ck;
                 entries.extend(pending.take());
-                let (old_node, new_node) = self.split_node(&owned, owned.len() - 1);
-                let new_page = self.store.try_alloc()?;
-                self.write_node(page, &old_node);
-                self.write_node(new_page, &new_node);
-                child_key = Some(old_node.bounding_key());
-                pending = Some((new_node.bounding_key(), new_page));
+                let [(old_key, _), new_entry] = self.write_split(
+                    page,
+                    level,
+                    now,
+                    &entries,
+                    |(k, _)| *k,
+                    |edit, (k, child)| edit.push_entry(k, *child),
+                )?;
+                child_key = Some(old_key);
+                pending = Some(new_entry);
                 grew = false;
                 continue;
             }
 
             let fold = || {
-                let folded = node.view().bounding_key_replacing(chosen, &ck);
+                let folded = node.bounding_key_replacing(chosen, &ck);
                 match &pending {
                     Some((nk, _)) => folded.cover(nk),
                     None => folded,
@@ -540,65 +540,59 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         if let Some((nk, np)) = pending {
             // The old root split: grow the tree.
             let old_root_key = child_key.expect("a split hands its old half's key up");
+            let (old_root, level) = (self.root, self.height);
             let new_root = self.store.try_alloc()?;
-            let mut root_node =
-                Node::<R::Key, R>::internal(self.height, vec![(old_root_key, self.root), (nk, np)]);
-            root_node.timestamp = now;
-            self.write_node(new_root, &root_node);
+            self.write_new(new_root, level, now, |edit| {
+                edit.push_entry(&old_root_key, old_root);
+                edit.push_entry(&nk, np);
+            });
             self.root = new_root;
             self.height += 1;
             created = Some(Inserted::Subtree {
                 page: np,
                 key: nk,
-                level: root_node.level - 1,
+                level: level - 1,
             });
         }
         Ok(created)
     }
 
-    /// Split an overflowing node. `new_entry_idx` is the position of the
-    /// entry whose arrival caused the overflow; per §4.1, the group
-    /// containing it becomes the *new* node so that cascading splits stay
-    /// on one path (the old page keeps the other group).
-    fn split_node(
-        &self,
-        node: &Node<R::Key, R>,
-        new_entry_idx: usize,
-    ) -> (Node<R::Key, R>, Node<R::Key, R>) {
-        let capacity = node.capacity(self.store.page_size());
-        let min_fill = self.min_fill_count(capacity);
-        match &node.entries {
-            NodeEntries::Leaf(recs) => {
-                let keys: Vec<R::Key> = recs.iter().map(Record::key).collect();
-                let part = split(self.config.split_policy, &keys, min_fill);
-                let (a, b) = if part.a.contains(&new_entry_idx) {
-                    (&part.b, &part.a)
-                } else {
-                    (&part.a, &part.b)
-                };
-                let mk = |idx: &[usize]| Node {
-                    level: node.level,
-                    timestamp: node.timestamp,
-                    entries: NodeEntries::Leaf(idx.iter().map(|&i| recs[i]).collect()),
-                };
-                (mk(a), mk(b))
-            }
-            NodeEntries::Internal(entries) => {
-                let keys: Vec<R::Key> = entries.iter().map(|(k, _)| *k).collect();
-                let part = split(self.config.split_policy, &keys, min_fill);
-                let (a, b) = if part.a.contains(&new_entry_idx) {
-                    (&part.b, &part.a)
-                } else {
-                    (&part.a, &part.b)
-                };
-                let mk = |idx: &[usize]| Node {
-                    level: node.level,
-                    timestamp: node.timestamp,
-                    entries: NodeEntries::Internal(idx.iter().map(|&i| entries[i]).collect()),
-                };
-                (mk(a), mk(b))
-            }
-        }
+    /// Split the overflowing node at `page`, whose `entries` end with
+    /// the one whose arrival overflowed it. Per §4.1 the group holding
+    /// that entry goes to a *new* page, so cascading splits stay on one
+    /// path; `page` keeps the other group. Both halves are written whole
+    /// at `level`, stamped `now`, each entry appended by `push`. Returns
+    /// the old and the new half as `(key, page)` entries, each key its
+    /// group's `key`s folded in order — the fold
+    /// [`NodeRef::bounding_key`] does off the page.
+    fn write_split<E>(
+        &mut self,
+        page: PageId,
+        level: u32,
+        now: f64,
+        entries: &[E],
+        key: impl Fn(&E) -> R::Key,
+        push: impl Fn(&mut NodeEdit<'_, R::Key, R>, &E),
+    ) -> Result<[(R::Key, PageId); 2], StorageError> {
+        let keys: Vec<R::Key> = entries.iter().map(key).collect();
+        let min_fill =
+            self.min_fill_count(capacity::<R::Key, R>(level == 0, self.store.page_size()));
+        let part = split(self.config.split_policy, &keys, min_fill);
+        let (old, new) = if part.a.contains(&(keys.len() - 1)) {
+            (&part.b, &part.a)
+        } else {
+            (&part.a, &part.b)
+        };
+        let new_page = self.store.try_alloc()?;
+        let mut half = |page, group: &[usize]| {
+            self.write_new(page, level, now, |edit| {
+                group.iter().for_each(|&i| push(edit, &entries[i]));
+            });
+            group
+                .iter()
+                .fold(R::Key::empty(), |acc, &i| acc.cover(&keys[i]))
+        };
+        Ok([(half(page, old), page), (half(new_page, new), new_page)])
     }
 
     /// Walk the whole tree checking structural invariants; returns a
@@ -725,7 +719,7 @@ impl TreeInventory {
 
 /// Guttman's ChooseLeaf criterion: least enlargement, ties by smaller
 /// volume, then by position. Consumes keys lazily so callers can feed a
-/// [`NodeView`](crate::node::NodeView) iterator without materializing.
+/// [`NodeRef`] iterator without materializing.
 pub(crate) fn choose_subtree<K: Key>(keys: impl Iterator<Item = K>, key: &K) -> usize {
     let mut seen = 0usize;
     let mut best = 0;

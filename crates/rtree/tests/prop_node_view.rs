@@ -1,24 +1,29 @@
-//! Property tests: the zero-copy [`NodeView`] must be observationally
-//! identical to the materializing [`Node::deserialize`] on every
-//! round-tripped page — leaf and internal, empty through full capacity —
-//! and the header parse the tree reads through must be total: no 32
-//! bytes in front of a node body panic it or admit an entry outside the
-//! page.
+//! Property tests: a page written by [`NodeEdit`] reads back through
+//! [`NodeRef`] as exactly the entries and timestamp that went in — leaf
+//! and internal, empty through full capacity — and the header parse the
+//! tree reads through is total: no 32 bytes in front of a node body panic
+//! it or admit an entry outside the page.
 
 use proptest::prelude::*;
-use rtree::{
-    Node, NodeEntries, NodeRef, NodeView, NsiSegmentRecord, RTree, RTreeConfig, Record,
-};
+use rtree::node::NodeEdit;
+use rtree::{Key, NodeRef, NsiSegmentRecord, RTree, RTreeConfig, Record};
 use storage::{PageId, PageRef, PageStore, Pager, StorageError};
 use stkit::{Interval, StBox};
 
 type R = NsiSegmentRecord<2>;
 type K = StBox<2, 1>;
-type N = Node<K, R>;
 
 const PAGE: usize = 4096;
 const LEAF_CAP: usize = 127;
 const INTERNAL_CAP: usize = 145;
+
+/// What a page is written from: a leaf's records or an internal node's
+/// entries at a level, and a timestamp.
+#[derive(Clone, Debug)]
+enum Entries {
+    Leaf(Vec<R>),
+    Internal(u32, Vec<(K, PageId)>),
+}
 
 fn rec() -> impl Strategy<Value = R> {
     (
@@ -34,63 +39,71 @@ fn rec() -> impl Strategy<Value = R> {
         })
 }
 
-fn leaf_node() -> impl Strategy<Value = N> {
-    (proptest::collection::vec(rec(), 0..LEAF_CAP + 1), -10.0f64..10.0).prop_map(
-        |(recs, ts)| Node {
-            level: 0,
-            timestamp: ts,
-            entries: NodeEntries::Leaf(recs),
-        },
-    )
+fn leaf_node() -> impl Strategy<Value = (Entries, f64)> {
+    (proptest::collection::vec(rec(), 0..LEAF_CAP + 1), -10.0f64..10.0)
+        .prop_map(|(recs, ts)| (Entries::Leaf(recs), ts))
 }
 
-fn internal_node() -> impl Strategy<Value = N> {
+fn internal_node() -> impl Strategy<Value = (Entries, f64)> {
     (
         proptest::collection::vec((rec(), 0u32..100_000), 0..INTERNAL_CAP + 1),
         1u32..8,
         -10.0f64..10.0,
     )
-        .prop_map(|(raw, level, ts)| Node {
-            level,
-            timestamp: ts,
-            entries: NodeEntries::Internal(
-                raw.into_iter().map(|(r, p)| (r.key(), PageId(p))).collect(),
-            ),
+        .prop_map(|(raw, level, ts)| {
+            let entries = raw.into_iter().map(|(r, p)| (r.key(), PageId(p))).collect();
+            (Entries::Internal(level, entries), ts)
         })
 }
 
-/// All observations through the view must match the materialized node,
-/// and materializing through the view must re-serialize bit-identically.
-fn assert_view_equivalent(node: &N) {
-    let page = node.serialize(PAGE);
-    let decoded = N::deserialize(&page);
-    let view: NodeView<'_, K, R> = NodeView::parse(&page);
-
-    assert_eq!(view.is_leaf(), decoded.is_leaf());
-    assert_eq!(view.level(), decoded.level);
-    assert_eq!(view.timestamp().to_bits(), decoded.timestamp.to_bits());
-    assert_eq!(view.len(), decoded.len());
-    assert_eq!(view.is_empty(), decoded.is_empty());
-    assert_eq!(view.bounding_key(), decoded.bounding_key());
-    if view.is_leaf() {
-        let lazy: Vec<R> = view.leaf_records().collect();
-        assert_eq!(lazy.as_slice(), decoded.leaf_records());
-    } else {
-        let lazy: Vec<(K, PageId)> = view.internal_entries().collect();
-        assert_eq!(lazy.as_slice(), decoded.internal_entries());
-        for (i, e) in decoded.internal_entries().iter().enumerate() {
-            assert_eq!(view.internal_entry(i), *e, "random access entry {i}");
-        }
+/// The page image `NodeEdit` writes for `entries` stamped `ts`.
+fn write(entries: &Entries, ts: f64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let level = match entries {
+        Entries::Leaf(_) => 0,
+        Entries::Internal(level, _) => *level,
+    };
+    let mut edit = NodeEdit::<K, R>::fresh(&mut buf, level, PAGE);
+    edit.set_timestamp(ts);
+    match entries {
+        Entries::Leaf(recs) => recs.iter().for_each(|r| edit.push_record(r)),
+        Entries::Internal(_, es) => es.iter().for_each(|(k, child)| edit.push_entry(k, *child)),
     }
-    assert_eq!(view.to_node(), decoded);
-    // Bit-identical: view → owned → page bytes reproduces the input page.
-    assert_eq!(view.to_node().serialize(PAGE), page);
+    buf
+}
 
-    // The owned handle must agree with the borrowed view.
-    let nref: NodeRef<K, R> = NodeRef::parse(PageRef::from(page.clone()));
-    assert_eq!(nref.to_node(), decoded);
-    assert_eq!(nref.len(), decoded.len());
-    assert_eq!(nref.bounding_key(), decoded.bounding_key());
+/// A key after one trip through the page encoding (`f32`, rounded out).
+fn on_page(k: &K) -> K {
+    let mut buf = Vec::new();
+    k.encode(&mut buf);
+    K::decode(&buf)
+}
+
+/// Write `entries`, read the page back, and require exactly what went
+/// in: kind, level, timestamp bits, count, every entry in order (internal
+/// keys as the page rounds them, by iterator and by random access), and
+/// a bounding key equal to those entries' keys folded in order.
+fn assert_reads_back(entries: &Entries, ts: f64) {
+    let page = PageRef::from(write(entries, ts));
+    let node = NodeRef::<K, R>::try_parse(page, PageId(0)).expect("a written page parses");
+    assert_eq!(node.timestamp().to_bits(), ts.to_bits());
+    let (level, keys): (u32, Vec<K>) = match entries {
+        Entries::Leaf(recs) => {
+            assert_eq!(node.leaf_records().collect::<Vec<_>>(), *recs);
+            (0, recs.iter().map(R::key).collect())
+        }
+        Entries::Internal(level, es) => {
+            let want: Vec<(K, PageId)> = es.iter().map(|(k, p)| (on_page(k), *p)).collect();
+            assert_eq!(node.internal_entries().collect::<Vec<_>>(), want);
+            for (i, e) in want.iter().enumerate() {
+                assert_eq!(node.internal_entry(i), *e, "random access entry {i}");
+            }
+            (*level, want.iter().map(|(k, _)| *k).collect())
+        }
+    };
+    assert_eq!((node.is_leaf(), node.level()), (level == 0, level));
+    assert_eq!((node.len(), node.is_empty()), (keys.len(), keys.is_empty()));
+    assert_eq!(node.bounding_key(), keys.iter().fold(K::empty(), |acc, k| acc.cover(k)));
 }
 
 /// A 32-byte header: mostly noise, but often enough with a valid magic
@@ -122,10 +135,10 @@ fn header() -> impl Strategy<Value = Vec<u8>> {
 
 /// Put `header` in front of `node`'s body on a page of a one-page tree
 /// and read it the way an insert's descent does.
-fn read_under_header(node: &N, header: &[u8]) -> Result<(), StorageError> {
+fn read_under_header(node: &Entries, header: &[u8]) -> Result<(), StorageError> {
     let store = Pager::with_page_size(PAGE);
     let page = store.alloc();
-    let mut image = node.serialize(PAGE);
+    let mut image = write(node, 0.0);
     image[..32].copy_from_slice(header);
     store.write(page, &image);
     let tree: RTree<R, Pager> = RTree::reopen(store, RTreeConfig::default(), page, 1, 0);
@@ -150,7 +163,7 @@ proptest! {
 
     #[test]
     fn no_header_panics_the_tree_read(leaf in leaf_node(), internal in internal_node(), h in header()) {
-        for node in [&leaf, &internal] {
+        for (node, _) in [&leaf, &internal] {
             if let Err(e) = read_under_header(node, &h) {
                 prop_assert_eq!(e, StorageError::Corrupt { page: PageId(0) });
             }
@@ -158,24 +171,24 @@ proptest! {
     }
 
     #[test]
-    fn leaf_view_matches_deserialize(node in leaf_node()) {
-        assert_view_equivalent(&node);
+    fn written_leaves_read_back((node, ts) in leaf_node()) {
+        assert_reads_back(&node, ts);
     }
 
     #[test]
-    fn internal_view_matches_deserialize(node in internal_node()) {
-        assert_view_equivalent(&node);
+    fn written_internal_nodes_read_back((node, ts) in internal_node()) {
+        assert_reads_back(&node, ts);
     }
 }
 
 #[test]
-fn empty_nodes_are_equivalent() {
-    assert_view_equivalent(&N::empty_leaf());
-    assert_view_equivalent(&N::internal(3, Vec::new()));
+fn empty_nodes_read_back() {
+    assert_reads_back(&Entries::Leaf(Vec::new()), f64::NEG_INFINITY);
+    assert_reads_back(&Entries::Internal(3, Vec::new()), 0.0);
 }
 
 #[test]
-fn full_capacity_nodes_are_equivalent() {
+fn full_capacity_nodes_read_back() {
     let recs: Vec<R> = (0..LEAF_CAP as u32)
         .map(|i| {
             R::new(
@@ -187,28 +200,17 @@ fn full_capacity_nodes_are_equivalent() {
             )
         })
         .collect();
-    let leaf = Node {
-        level: 0,
-        timestamp: 42.0,
-        entries: NodeEntries::Leaf(recs.clone()),
-    };
-    assert_view_equivalent(&leaf);
-
     let entries: Vec<(K, PageId)> = (0..INTERNAL_CAP)
         .map(|i| (recs[i % LEAF_CAP].key(), PageId(i as u32)))
         .collect();
-    let internal = Node {
-        level: 1,
-        timestamp: -1.5,
-        entries: NodeEntries::Internal(entries),
-    };
-    assert_view_equivalent(&internal);
+    assert_reads_back(&Entries::Leaf(recs), 42.0);
+    assert_reads_back(&Entries::Internal(1, entries), -1.5);
 }
 
 #[test]
 fn bad_headers_are_corrupt_pages() {
-    let leaf = N::empty_leaf();
-    let good = leaf.serialize(PAGE)[..32].to_vec();
+    let leaf = Entries::Leaf(Vec::new());
+    let good = write(&leaf, 0.0)[..32].to_vec();
     assert_eq!(read_under_header(&leaf, &good), Ok(()));
     let corrupt = Err(StorageError::Corrupt { page: PageId(0) });
     let with = |at: usize, bytes: &[u8]| {

@@ -1,6 +1,9 @@
 //! The rebuild write path, kept as the reference the page-editing one is
 //! held to: every node on the insert path is decoded into an owned
-//! [`Node`], changed, re-folded and re-encoded whole. [`run`] drives a
+//! [`Node`] of this file's own, changed, re-folded and re-encoded whole.
+//! Nothing of the tree's write path is shared: a page is read through
+//! [`NodeRef`]'s iterators and written entry by entry into a
+//! [`NodeEdit::fresh`] image. [`run`] drives a
 //! random build sequence — a bulk-loaded prefix, then inserts, the only
 //! write the tree has — and, before every insert, mirrors the tree's
 //! store, applies the insert both ways and requires the same report, the
@@ -12,11 +15,42 @@
 
 use proptest::prelude::*;
 use rtree::bulk::bulk_load;
+use rtree::node::{NodeEdit, NODE_HEADER_LEN};
 use rtree::split::split;
-use rtree::{
-    InsertReport, Inserted, Key, Node, NodeEntries, RTree, RTreeConfig, Record, SplitPolicy,
-};
+use rtree::{InsertReport, Inserted, Key, NodeRef, RTree, RTreeConfig, Record, SplitPolicy};
 use storage::{load_pager, save_pager, PageId, PageStore, Pager};
+
+/// One entry of a node decoded whole: a child above the leaves, a
+/// record at them.
+#[derive(Clone, Copy, Debug)]
+enum Entry<K, R> {
+    Child(K, PageId),
+    Record(R),
+}
+
+impl<K: Key, R: Record<Key = K>> Entry<K, R> {
+    fn key(&self) -> K {
+        match self {
+            Entry::Child(k, _) => *k,
+            Entry::Record(r) => r.key(),
+        }
+    }
+}
+
+/// A node decoded whole.
+struct Node<K, R> {
+    level: u32,
+    timestamp: f64,
+    entries: Vec<Entry<K, R>>,
+}
+
+impl<K: Key, R: Record<Key = K>> Node<K, R> {
+    fn bounding_key(&self) -> K {
+        self.entries
+            .iter()
+            .fold(K::empty(), |acc, e| acc.cover(&e.key()))
+    }
+}
 
 /// One motion, before it becomes a record of some type.
 #[derive(Clone, Debug)]
@@ -102,27 +136,55 @@ impl Mirror {
 
     fn load<R: Record>(&mut self, page: PageId) -> Node<R::Key, R> {
         self.reads += 1;
-        Node::deserialize(&self.store.read_page(page))
+        let node =
+            NodeRef::<R::Key, R>::try_parse(self.store.read_page(page), page).expect("a node page");
+        let entries = if node.is_leaf() {
+            node.leaf_records().map(Entry::Record).collect()
+        } else {
+            node.internal_entries()
+                .map(|(k, child)| Entry::Child(k, child))
+                .collect()
+        };
+        Node {
+            level: node.level(),
+            timestamp: node.timestamp(),
+            entries,
+        }
     }
 
     fn write<R: Record>(&mut self, page: PageId, node: &Node<R::Key, R>) {
         self.writes += 1;
-        self.store
-            .write(page, &node.serialize(self.store.page_size()));
+        let mut buf = Vec::new();
+        let mut edit = NodeEdit::<R::Key, R>::fresh(&mut buf, node.level, self.store.page_size());
+        edit.set_timestamp(node.timestamp);
+        for e in &node.entries {
+            match e {
+                Entry::Child(k, child) => edit.push_entry(k, *child),
+                Entry::Record(r) => edit.push_record(r),
+            }
+        }
+        self.store.write(page, &buf);
+    }
+
+    /// Entries that fit a page after the node header.
+    fn capacity<R: Record>(&self, node: &Node<R::Key, R>) -> usize {
+        let stride = if node.level == 0 {
+            R::ENCODED_LEN
+        } else {
+            R::Key::ENCODED_LEN + 4
+        };
+        (self.store.page_size() - NODE_HEADER_LEN) / stride
     }
 
     fn split_node<R: Record>(&self, node: &Node<R::Key, R>) -> (Node<R::Key, R>, Node<R::Key, R>) {
-        let capacity = node.capacity(self.store.page_size());
+        let capacity = self.capacity(node);
         let min_fill = ((capacity as f64 * self.config.min_fill).floor() as usize)
             .clamp(1, capacity.div_ceil(2));
-        let keys: Vec<R::Key> = match &node.entries {
-            NodeEntries::Leaf(recs) => recs.iter().map(Record::key).collect(),
-            NodeEntries::Internal(entries) => entries.iter().map(|(k, _)| *k).collect(),
-        };
+        let keys: Vec<R::Key> = node.entries.iter().map(Entry::key).collect();
         let part = split(self.config.split_policy, &keys, min_fill);
         // The group holding the entry that caused the overflow (always
         // the last) becomes the new node (§4.1).
-        let (a, b) = if part.a.contains(&(node.len() - 1)) {
+        let (a, b) = if part.a.contains(&(keys.len() - 1)) {
             (&part.b, &part.a)
         } else {
             (&part.a, &part.b)
@@ -130,14 +192,7 @@ impl Mirror {
         let pick = |idx: &[usize]| Node {
             level: node.level,
             timestamp: node.timestamp,
-            entries: match &node.entries {
-                NodeEntries::Leaf(recs) => {
-                    NodeEntries::Leaf(idx.iter().map(|&i| recs[i]).collect())
-                }
-                NodeEntries::Internal(entries) => {
-                    NodeEntries::Internal(idx.iter().map(|&i| entries[i]).collect())
-                }
-            },
+            entries: idx.iter().map(|&i| node.entries[i]).collect(),
         };
         (pick(a), pick(b))
     }
@@ -154,25 +209,22 @@ impl Mirror {
         let mut cur = self.root;
         let (leaf_page, mut leaf) = loop {
             let node = self.load::<R>(cur);
-            if node.is_leaf() {
+            if node.level == 0 {
                 break (cur, node);
             }
-            let chosen = choose_subtree(node.internal_entries(), &key);
-            let next = node.internal_entries()[chosen].1;
+            let chosen = choose_subtree(&node.entries, &key);
+            let Entry::Child(_, next) = node.entries[chosen] else {
+                unreachable!()
+            };
             path.push((cur, node, chosen));
             cur = next;
         };
-        let page_size = self.store.page_size();
-
         leaf.timestamp = now;
-        let NodeEntries::Leaf(recs) = &mut leaf.entries else {
-            unreachable!()
-        };
-        recs.push(rec);
+        leaf.entries.push(Entry::Record(rec));
         let mut notify = None;
         let mut pending = None;
         let mut child_key;
-        if leaf.len() <= leaf.capacity(page_size) {
+        if leaf.entries.len() <= self.capacity(&leaf) {
             child_key = leaf.bounding_key();
             self.write(leaf_page, &leaf);
             notify = Some(Inserted::Record(rec));
@@ -187,13 +239,14 @@ impl Mirror {
 
         while let Some((page, mut node, chosen)) = path.pop() {
             node.timestamp = now;
-            let NodeEntries::Internal(entries) = &mut node.entries else {
+            let Entry::Child(key, _) = &mut node.entries[chosen] else {
                 unreachable!()
             };
-            entries[chosen].0 = child_key;
+            *key = child_key;
             let arrived = pending.take();
-            entries.extend(arrived);
-            if node.len() > node.capacity(page_size) {
+            node.entries
+                .extend(arrived.map(|(k, child)| Entry::Child(k, child)));
+            if node.entries.len() > self.capacity(&node) {
                 let (old_node, new_node) = self.split_node(&node);
                 child_key = old_node.bounding_key();
                 let new_page = self.store.alloc();
@@ -217,9 +270,14 @@ impl Mirror {
 
         if let Some(entry) = pending {
             let new_root = self.store.alloc();
-            let mut root_node =
-                Node::<R::Key, R>::internal(self.height, vec![(child_key, self.root), entry]);
-            root_node.timestamp = now;
+            let root_node = Node::<R::Key, R> {
+                level: self.height,
+                timestamp: now,
+                entries: vec![
+                    Entry::Child(child_key, self.root),
+                    Entry::Child(entry.0, entry.1),
+                ],
+            };
             self.write(new_root, &root_node);
             self.root = new_root;
             self.height += 1;
@@ -237,9 +295,10 @@ impl Mirror {
 }
 
 /// Least enlargement, ties by smaller volume, then by position.
-fn choose_subtree<K: Key>(entries: &[(K, PageId)], key: &K) -> usize {
+fn choose_subtree<K: Key, R: Record<Key = K>>(entries: &[Entry<K, R>], key: &K) -> usize {
     let mut best = (0, f64::INFINITY, f64::INFINITY);
-    for (i, (k, _)) in entries.iter().enumerate() {
+    for (i, e) in entries.iter().enumerate() {
+        let k = e.key();
         let (enl, vol) = (k.enlargement(key), k.volume());
         if enl < best.1 || (enl == best.1 && vol < best.2) {
             best = (i, enl, vol);

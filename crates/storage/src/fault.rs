@@ -5,13 +5,14 @@
 //! must not take down every session. This module supplies the three
 //! pieces of that story:
 //!
-//! * [`StorageError`] — what a fallible page read can report: a transient
-//!   I/O error, a timeout (also transient), or a corrupt page.
+//! * [`StorageError`] — what a fallible page read can report, a
+//!   transient I/O error or a corrupt page, and an allocation a full
+//!   device.
 //! * [`FaultyStore`] — a deterministic, seeded fault injector wrapped
-//!   around any [`PageStore`]. Per-read transient/timeout probabilities,
-//!   latency spikes, and a runtime-mutable set of targeted corrupt pages
-//!   are all driven by one ChaCha8 stream, so chaos runs are reproducible
-//!   given a seed (modulo thread interleaving of the draw order).
+//!   around any [`PageStore`]. A per-read transient probability, drawn
+//!   from one ChaCha8 stream so chaos runs are reproducible given a seed
+//!   (modulo thread interleaving of the draw order), and a
+//!   runtime-mutable set of targeted corrupt pages.
 //! * [`ChecksumStore`] — records an FNV-1a checksum of every page write
 //!   and validates it on read, so a torn or bit-flipped page surfaces as
 //!   [`StorageError::Corrupt`] instead of garbage query results.
@@ -29,16 +30,14 @@ use std::time::{Duration, Instant};
 
 /// Why a page read failed.
 ///
-/// `Transient` and `Timeout` are retryable — the same read may succeed a
-/// moment later. `Corrupt` is not: the stored bytes themselves are wrong
-/// and every retry will see the same bad page.
+/// `Transient` is retryable — the same read may succeed a moment later.
+/// `Corrupt` is not: the stored bytes themselves are wrong and every
+/// retry will see the same bad page.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StorageError {
     /// A transient I/O error (the simulated analogue of EIO on a flaky
     /// device); retrying may succeed.
     Transient { page: PageId },
-    /// The read exceeded its deadline; retryable like `Transient`.
-    Timeout { page: PageId },
     /// The page's bytes fail checksum validation (torn write, bit rot).
     /// Not retryable — the damage is in the store, not the path to it.
     Corrupt { page: PageId },
@@ -54,7 +53,6 @@ impl StorageError {
     pub fn page(&self) -> PageId {
         match self {
             StorageError::Transient { page }
-            | StorageError::Timeout { page }
             | StorageError::Corrupt { page }
             | StorageError::Full { page } => *page,
         }
@@ -73,7 +71,6 @@ impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StorageError::Transient { page } => write!(f, "transient I/O error reading {page}"),
-            StorageError::Timeout { page } => write!(f, "timeout reading {page}"),
             StorageError::Corrupt { page } => write!(f, "corrupt page {page} (checksum mismatch)"),
             StorageError::Full { page } => {
                 write!(f, "page allocation failed at {page}: id space exhausted")
@@ -137,38 +134,20 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability a read fails with [`StorageError::Transient`].
     pub transient_prob: f64,
-    /// Probability a read fails with [`StorageError::Timeout`].
-    pub timeout_prob: f64,
-    /// Probability a (successful) read sleeps for `latency_spike` first.
-    pub latency_spike_prob: f64,
-    /// Duration of an injected latency spike.
-    pub latency_spike: Duration,
 }
 
 impl FaultPlan {
     /// A plan injecting nothing (deterministic pass-through).
     pub fn quiet(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            transient_prob: 0.0,
-            timeout_prob: 0.0,
-            latency_spike_prob: 0.0,
-            latency_spike: Duration::ZERO,
-        }
+        FaultPlan::transient(seed, 0.0)
     }
 
-    /// A plan injecting only transient errors at rate `p`.
+    /// A plan injecting transient errors at rate `p`.
     pub fn transient(seed: u64, p: f64) -> FaultPlan {
         FaultPlan {
+            seed,
             transient_prob: p,
-            ..FaultPlan::quiet(seed)
         }
-    }
-
-    /// Whether any probabilistic fault can fire (corrupt-page targeting
-    /// is independent of this).
-    pub fn is_active(&self) -> bool {
-        self.transient_prob > 0.0 || self.timeout_prob > 0.0 || self.latency_spike_prob > 0.0
     }
 }
 
@@ -177,20 +156,16 @@ impl FaultPlan {
 pub struct InjectedFaults {
     /// Reads failed with [`StorageError::Transient`].
     pub transients: u64,
-    /// Reads failed with [`StorageError::Timeout`].
-    pub timeouts: u64,
-    /// Reads delayed by a latency spike.
-    pub spikes: u64,
     /// Reads of pages in the corrupt set (bytes were flipped).
     pub corrupt_reads: u64,
 }
 
 /// A deterministic fault injector around any [`PageStore`].
 ///
-/// Probabilistic faults (transients, timeouts, latency spikes) come from
-/// one seeded ChaCha8 stream; targeted corruption flips bytes of specific
-/// pages on read. Failed attempts never reach the inner store, so the
-/// device's [`IoStats`](crate::IoStats) counters — the paper's "disk
+/// Transient faults come from one seeded ChaCha8 stream; targeted
+/// corruption flips bytes of specific pages on read. Failed attempts
+/// never reach the inner store, so the device's
+/// [`IoStats`](crate::IoStats) counters — the paper's "disk
 /// accesses" — count only successful reads and the reconciliation
 /// identities of the serving layer survive fault injection exactly.
 ///
@@ -207,8 +182,6 @@ pub struct FaultyStore<S> {
     /// Byte offsets flipped (XOR 0xFF) in corrupt pages.
     flip: Vec<usize>,
     transients: AtomicU64,
-    timeouts: AtomicU64,
-    spikes: AtomicU64,
     corrupt_reads: AtomicU64,
 }
 
@@ -222,9 +195,10 @@ impl<S: PageStore> FaultyStore<S> {
     }
 
     /// Like [`Self::new`] but flipping the given byte offsets in corrupt
-    /// pages. Flipping offset 0 hits the node magic, which makes an
-    /// unchecksummed parse panic — the chaos suite uses that to exercise
-    /// panic containment.
+    /// pages. Flipping offset 0 hits the node magic, which the tree's
+    /// header parse reports as corrupt; flipping the high byte of an
+    /// internal entry's child id sends a descent off the device, which
+    /// panics — the chaos suite uses both.
     pub fn with_flipped_bytes(inner: S, plan: FaultPlan, flip: Vec<usize>) -> FaultyStore<S> {
         let rng = ChaCha8Rng::seed_from_u64(plan.seed);
         FaultyStore {
@@ -235,8 +209,6 @@ impl<S: PageStore> FaultyStore<S> {
             corrupt: Mutex::new(HashSet::new()),
             flip,
             transients: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            spikes: AtomicU64::new(0),
             corrupt_reads: AtomicU64::new(0),
         }
     }
@@ -261,8 +233,6 @@ impl<S: PageStore> FaultyStore<S> {
     pub fn injected(&self) -> InjectedFaults {
         InjectedFaults {
             transients: self.transients.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            spikes: self.spikes.load(Ordering::Relaxed),
             corrupt_reads: self.corrupt_reads.load(Ordering::Relaxed),
         }
     }
@@ -280,23 +250,10 @@ impl<S: PageStore> PageStore for FaultyStore<S> {
 
     fn try_read_page(&self, id: PageId) -> Result<PageRef, StorageError> {
         if self.enabled.load(Ordering::Relaxed) {
-            if self.plan.is_active() {
-                let mut rng = self.rng.lock();
-                if rng.gen_bool(self.plan.transient_prob) {
-                    drop(rng);
-                    self.transients.fetch_add(1, Ordering::Relaxed);
-                    return Err(StorageError::Transient { page: id });
-                }
-                if rng.gen_bool(self.plan.timeout_prob) {
-                    drop(rng);
-                    self.timeouts.fetch_add(1, Ordering::Relaxed);
-                    return Err(StorageError::Timeout { page: id });
-                }
-                if rng.gen_bool(self.plan.latency_spike_prob) {
-                    drop(rng);
-                    self.spikes.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(self.plan.latency_spike);
-                }
+            let p = self.plan.transient_prob;
+            if p > 0.0 && self.rng.lock().gen_bool(p) {
+                self.transients.fetch_add(1, Ordering::Relaxed);
+                return Err(StorageError::Transient { page: id });
             }
             if self.corrupt.lock().contains(&id) {
                 self.corrupt_reads.fetch_add(1, Ordering::Relaxed);
@@ -586,12 +543,12 @@ mod tests {
     }
 
     #[test]
-    fn timeouts_are_transient_corruption_is_not() {
+    fn transients_are_retryable_corruption_is_not() {
         let p = PageId(3);
         assert!(StorageError::Transient { page: p }.is_transient());
-        assert!(StorageError::Timeout { page: p }.is_transient());
         assert!(!StorageError::Corrupt { page: p }.is_transient());
-        assert_eq!(StorageError::Timeout { page: p }.page(), p);
+        assert!(!StorageError::Full { page: p }.is_transient());
+        assert_eq!(StorageError::Transient { page: p }.page(), p);
     }
 
     #[test]

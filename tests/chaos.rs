@@ -16,6 +16,10 @@
 //!   (`chaos_c`).
 //! - **A corrupt root** starves the writer: every insert is dropped and
 //!   logged in `writer_outcome`, and the tree is untouched (`chaos_d`).
+//! - **Garbage behind a valid header** that panics the region writer
+//!   (a child id off the device) fails that writer alone, contained like
+//!   a session's panic: the serve completes and equals the serial one
+//!   (`chaos_n`).
 //! - **Transient faults with no pool retry** reach the region writer,
 //!   which retries the record itself with its lock released: nothing is
 //!   dropped and the tree answers like the oracle's (`chaos_m`).
@@ -31,6 +35,7 @@
 //!   from random batches, cadences, crash points and damaged tails
 //!   always recovers the committed prefix (`chaos_l`).
 
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,7 +43,7 @@ use dq_repro::mobiquery::{
     DurableImage, DurableLog, MotionRecord, PartitionedDqServer, RecoveryReport, RegionGrid,
     SessionKind, SessionOutcome, SessionSpec, Trajectory,
 };
-use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig, Record};
+use dq_repro::rtree::{Key, NsiSegmentRecord, RTree, RTreeConfig, Record};
 use proptest::prelude::*;
 use dq_repro::stkit::{Interval, Rect};
 use dq_repro::storage::{
@@ -407,6 +412,67 @@ fn chaos_m_writer_retries_transients_with_no_pool_beneath_it() {
     let transients = server.with_region_tree(0, |t| t.store().injected().transients);
     assert!(transients > 0, "no transient fault ever reached the writer");
     assert_eq!(requery(&server), requery(&oracle));
+}
+
+/// (n) Bytes behind a header that parses, on an un-checksummed store,
+/// that panic the region *writer*: the root's entry 0 names a child whose
+/// id has its high byte flipped, the insert descent follows it, and the
+/// pager panics on an unallocated page. The writer contains it — `Failed`,
+/// no slate for that frame, its frames still advance — so the serve
+/// completes rather than leaving its sessions waiting on a frame that
+/// never applies. The sessions reach the same entry and fail on their
+/// own containment; concurrent equals serial, outcomes included.
+#[test]
+fn chaos_n_a_panicking_writer_fails_alone_and_the_serve_completes() {
+    let recs = line_records(40);
+    let specs = vec![
+        slide_spec(SessionKind::Pdq, 0.0, 8, 8.0),
+        slide_spec(SessionKind::Npdq, 0.0, 8, 8.0),
+    ];
+    let inserts = line_inserts(4, 2);
+    let server = || {
+        let child_id_high_byte = 32 + <R as Record>::Key::ENCODED_LEN + 3;
+        let store = FaultyStore::with_flipped_bytes(
+            Pager::with_page_size(256),
+            FaultPlan::quiet(5),
+            vec![child_id_high_byte],
+        );
+        let server = single(store, &recs);
+        server.with_region_tree(0, |t| {
+            assert!(t.height() > 1, "the root must be an internal node");
+            t.store().corrupt_page(t.root_page());
+        });
+        server
+    };
+
+    let (done, finished) = std::sync::mpsc::channel();
+    let (concurrent, plans, batches) = (server(), specs.clone(), inserts.clone());
+    let serving = std::thread::spawn(move || {
+        let _ = done.send(concurrent.serve(&plans, &batches));
+    });
+    // Bounded, so a hang fails this test instead of the whole suite.
+    let report = finished.recv_timeout(Duration::from_secs(30));
+    assert!(
+        !matches!(report, Err(RecvTimeoutError::Timeout)),
+        "the serve hung behind a panicking region writer"
+    );
+    serving.join().expect("the serve itself panicked");
+    let report = report.expect("a finished serve sent its report");
+    let oracle = server().serve_serial(&specs, &inserts);
+
+    let writer = &report.regions[0].writer_outcome;
+    assert!(
+        matches!(writer, SessionOutcome::Failed(m) if m.starts_with("writer stopped: ")),
+        "writer: {writer:?}"
+    );
+    assert_eq!(*writer, oracle.regions[0].writer_outcome);
+    assert_eq!(report.inserts_applied, 0);
+    assert_eq!(report.frames, oracle.frames);
+    for (i, (got, want)) in report.sessions.iter().zip(&oracle.sessions).enumerate() {
+        assert!(!got.outcome.is_ok(), "session {i} never reached the bad child");
+        assert_eq!(got.outcome, want.outcome, "session {i}");
+        assert_eq!(got.results, want.results, "session {i} diverged from serial");
+    }
 }
 
 /// `save_pager` bytes of a tree's store (its header carries the page
@@ -920,10 +986,13 @@ fn chaos_e_partitioned_transients_match_clean_partitioned_serial() {
     let inserts = line_inserts(12, 2);
     let grid = RegionGrid::from_cuts(0, vec![40.0, 80.0]);
 
+    // 10 %, not `chaos_a`'s 5 %: a faulted read draws one number from the
+    // plan's stream, and over these three regions' few device reads the
+    // seeds 42–44 inject nothing at 5 %.
     let faulted = PartitionedDqServer::build(grid.clone(), &recs, |r| {
         let faulty = FaultyStore::new(
             Pager::with_page_size(256),
-            FaultPlan::transient(42 + r as u64, 0.05),
+            FaultPlan::transient(42 + r as u64, 0.10),
         );
         let pool = ShardedBufferPool::new(ChecksumStore::new(faulty), 8, 2).with_retry(
             RetryPolicy {

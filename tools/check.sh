@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo check: tier-1 build + tests, the full workspace, clippy, and a
-# type-check of benchmarks/dqbench — its own package, which nothing else
+# Repo check: the tier-1 release build, every workspace suite (the root
+# package's tier-1 tests among them), clippy, and a type-check of
+# benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer.
 #
 # The environment has no registry access; all external deps are vendored
@@ -93,7 +94,6 @@ bench_bin() { local log=$1 bin=$2; shift 2; env "$@" cargo run -q --offline --re
 
 cargo build --release --offline
 if [ -z "$ONLY" ]; then
-  cargo test -q --offline
   cargo test -q --offline --workspace
   cargo clippy --offline --workspace --all-targets -- -D warnings
   cargo check --release --offline --manifest-path benchmarks/dqbench/Cargo.toml
