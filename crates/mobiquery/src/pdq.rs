@@ -272,8 +272,9 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
     /// expanding a node surfaces as `Err` carrying the failing page. The
     /// engine stays consistent — the un-expanded node is re-enqueued at
     /// its old priority, so the very next call retries the read. Results
-    /// already returned are never repeated and none are lost: a session
-    /// can keep calling across frames and heal once the fault clears.
+    /// already returned are never repeated, and none are lost as long as
+    /// the caller keeps the failed call's `t_start` until a call succeeds:
+    /// a later one drops what ended before it, unexamined.
     pub fn try_get_next<S: PageStore>(
         &mut self,
         tree: &RTree<R, S>,

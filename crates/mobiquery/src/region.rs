@@ -5,13 +5,13 @@
 //! slice. [`RegionGrid`] is the partition function: `n − 1` strictly
 //! increasing interior cuts along one axis define `n` slabs, with the
 //! outer slabs extending to ±∞ so every record routes somewhere. Slabs
-//! are **closed** on both sides: a rectangle that merely *touches* a cut
-//! routes to the slabs on both sides. That closure is the seam rule that
-//! makes boundary semantics exactly-once — a trapezoid segment lying on
-//! a seam is replicated into both neighbouring trees, each region's
-//! engine may deliver it, and the router's merge deduplicates by
-//! `(oid, seq)` so the client sees one entry event (the same discipline
-//! the PDQ queue applies to re-notified records within one tree).
+//! are **closed** on both sides for routing: a trapezoid segment that
+//! merely *touches* a cut is replicated into both neighbouring trees, and
+//! each region's lane may match it. [`RegionGrid::owner`] names the one
+//! that emits it — a half-open slab, found from the record alone by
+//! comparisons against the cuts — so the client sees one entry event and
+//! nothing remembers what was sent (the reference-point method, Dittrich
+//! & Seeger, ICDE 2000).
 //!
 //! [`RegionGrid::recut`] is the load-adaptive half (after Kiwano,
 //! arXiv 1211.4414): given per-region load tallies it places new cuts at
@@ -116,10 +116,18 @@ impl RegionGrid {
 
     /// The regions a rectangle overlaps (closed-boundary, like
     /// [`Self::route_interval`]); a rect lying on a seam routes to both
-    /// neighbours — the replication that keeps seam events exactly-once
-    /// after the router's merge dedup.
+    /// neighbours, so whichever of them [`Self::owner`] names holds it.
     pub fn route_rect<const D: usize>(&self, rect: &Rect<D>) -> Range<usize> {
         self.route_interval(&rect.extent(self.axis))
+    }
+
+    /// The one lane of `lanes` (a session's non-empty route of its swept
+    /// bounds) that emits a match on a record routed by `rect`: the
+    /// half-open slab holding the low end of `rect`'s extent, clamped into
+    /// `lanes` — always a slab holding a replica (DESIGN.md §2e).
+    pub fn owner<const D: usize>(&self, rect: &Rect<D>, lanes: &Range<usize>) -> usize {
+        let lo = rect.extent(self.axis).lo;
+        self.cuts.partition_point(|c| *c <= lo).clamp(lanes.start, lanes.end - 1)
     }
 
     /// Re-partition into `target` regions at equal-load quantiles.
@@ -244,6 +252,52 @@ mod tests {
         let straddle: Rect<2> = Rect::from_corners([0.0, 40.0], [1.0, 60.0]);
         assert_eq!(g.route_rect(&low), 0..1);
         assert_eq!(g.route_rect(&straddle), 0..2);
+    }
+
+    /// A 1-D rect over `[lo, hi]`: the owner reads only the grid axis.
+    fn span(lo: f64, hi: f64) -> Rect<1> {
+        Rect::new([Interval::new(lo, hi)])
+    }
+
+    #[test]
+    fn owner_edges() {
+        let g = RegionGrid::from_cuts(0, vec![5.0, 10.0]);
+        // A low end exactly on a cut belongs to the slab on its right …
+        assert_eq!(g.owner(&span(5.0, 7.0), &(0..3)), 1);
+        assert_eq!(g.owner(&span(4.0, 5.0), &(0..3)), 0);
+        // … and one left of the lanes to the first lane, which it crosses.
+        assert_eq!(g.owner(&span(4.0, 12.0), &(1..3)), 1);
+        assert_eq!(g.owner(&span(11.0, 12.0), &(0..2)), 1, "clamped; it cannot match");
+        assert_eq!(RegionGrid::single().owner(&span(-1e9, 1e9), &(0..1)), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Ownership never loses a match: whenever a record's extent meets
+        /// the session's swept extent, its owner is one of the session's
+        /// lanes and one of the slabs the record was routed to. Many draws
+        /// put the record's low end exactly on a cut.
+        #[test]
+        fn the_owner_is_a_lane_that_holds_a_replica(
+            raw in proptest::collection::vec(-50.0f64..50.0, 0..6),
+            (lo, len, on_cut) in (-60.0f64..60.0, 0.0f64..30.0, 0usize..12),
+            (swept_lo, swept_len) in (-60.0f64..60.0, 0.0f64..40.0),
+        ) {
+            let mut cuts = raw;
+            cuts.sort_unstable_by(f64::total_cmp);
+            cuts.dedup();
+            let lo = cuts.get(on_cut).copied().unwrap_or(lo);
+            let g = RegionGrid::from_cuts(0, cuts);
+            let (rec, swept) = (span(lo, lo + len), span(swept_lo, swept_lo + swept_len));
+            let lanes = g.route_rect(&swept);
+            if rec.extent(0).overlaps(&swept.extent(0)) {
+                let owner = g.owner(&rec, &lanes);
+                proptest::prop_assert!(lanes.contains(&owner), "{owner} not in {lanes:?}");
+                let routed = g.route_rect(&rec);
+                proptest::prop_assert!(routed.contains(&owner), "{owner} not in {routed:?}");
+            }
+        }
     }
 
     #[test]

@@ -13,17 +13,17 @@
 //! The router half lives in each session: a session's moving window is
 //! split across the regions its trajectory sweeps (its *lanes*) — a PDQ
 //! engine per lane, or for NPDQ a range search per lane — and per-frame
-//! lane results are merged back into a single stream. Records whose
+//! lane results are folded into a single stream. Records whose
 //! trapezoid segments straddle a region seam are replicated into every
-//! touching region (closed slabs — see [`RegionGrid::route_rect`]), so
-//! the merge deduplicates by `(oid, seq)`: PDQ keeps a cross-frame
-//! delivered set (entry events stay exactly-once at seams), NPDQ dedups
-//! within the frame, which holds exactly what became visible since the
-//! previous one (see `router/lanes.rs`). Within a frame, merged PDQ
-//! results order by `(visibility start, oid, seq)` — the same keys the
-//! PDQ queue itself tie-breaks on — which makes partitioned runs
-//! bitwise deterministic: [`PartitionedDqServer::serve`] equals
-//! [`PartitionedDqServer::serve_serial`] exactly, under every grid.
+//! touching region (closed slabs — see [`RegionGrid::route_rect`]), and
+//! only the lane whose region is the record's [`RegionGrid::owner`]
+//! emits a match, so each is emitted once with no delivered set and no
+//! dedup. Within a frame, PDQ results order by
+//! `(visibility start, oid, seq)` — the same keys the PDQ queue itself
+//! tie-breaks on — and NPDQ results by `(oid, seq)`, so a session's
+//! stream is the same under every grid and partitioned runs are bitwise
+//! deterministic: [`PartitionedDqServer::serve`] equals
+//! [`PartitionedDqServer::serve_serial`] exactly.
 //!
 //! ## The clock protocol, per region
 //!
@@ -57,7 +57,7 @@
 //!
 //! Here: the server, its builders, the `serve*` entry points, the
 //! metrics mirror. `router/lanes.rs`: a session's per-region engines and
-//! the seam merge. `router/rebuild.rs`: record set → region trees.
+//! the seam owner rule. `router/rebuild.rs`: record set → region trees.
 //! `router/participants.rs`: the writer, durability and session threads
 //! and the two drivers — concurrent, serial oracle — that run them.
 //!
@@ -591,14 +591,17 @@ mod tests {
     #[test]
     fn seam_straddler_is_replicated_but_delivered_once() {
         // One object moving ACROSS the cut at x = 5: its segment bbox
-        // touches both regions, so both trees store it — yet the PDQ
-        // merge must deliver exactly one entry event.
+        // touches both regions, so both trees store it — yet each kind
+        // must deliver exactly one entry event, and count it once.
         let straddler = R::new(9, 0, Interval::new(0.0, 10.0), [4.0, 0.5], [6.0, 0.5]);
         let server = build(RegionGrid::from_cuts(0, vec![5.0]), &[straddler]);
         assert_eq!(server.region_record_counts(), vec![1, 1], "replicated");
-        let spec = slide_spec(SessionKind::Pdq, 10, 10.0);
-        let report = server.serve(&[spec], &[]);
-        assert_eq!(report.sessions[0].results, vec![(9, 0)], "exactly once");
+        let specs = [SessionKind::Pdq, SessionKind::Npdq].map(|kind| slide_spec(kind, 10, 10.0));
+        let report = server.serve(&specs, &[]);
+        for (s, spec) in report.sessions.iter().zip(&specs) {
+            assert_eq!(s.results, vec![(9, 0)], "{:?}: exactly once", spec.kind);
+            assert_eq!(s.stats.results, s.results.len() as u64, "{:?}: counted once", spec.kind);
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The lane state machine: one session's work on each region its
-//! trajectory sweeps, and the seam merge that folds those streams back
-//! into one. No threads and no clocks live here: both serve paths drive
-//! a [`LaneRun`] through the same three calls ([`LaneRun::enter`] at the
-//! session's first frame, [`LaneRun::step`] per frame,
-//! [`LaneRun::finish`] once), and [`Slate`] is how a region's writer
-//! tells the lanes on it what a frame's inserts were.
+//! trajectory sweeps, each lane emitting only the matches its region owns
+//! ([`RegionGrid::owner`]). No threads and no clocks live here: both
+//! serve paths drive a [`LaneRun`] through the same three calls
+//! ([`LaneRun::enter`] at the session's first frame, [`LaneRun::step`] per
+//! frame, [`LaneRun::finish`] once), and [`Slate`] is how a region's
+//! writer tells the lanes on it what a frame's inserts were.
 //!
 //! A PDQ lane is a [`PdqEngine`] notified of its region's insert reports.
 //! An NPDQ lane has no engine: each frame runs
@@ -32,7 +32,6 @@ use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
 use parking_lot::RwLock;
 use rtree::{NsiSegmentRecord, SearchStats};
-use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -40,8 +39,7 @@ use std::time::Instant;
 use storage::{PageStore, StorageError};
 
 /// One session's in-flight state: a PDQ engine per swept region (none for
-/// NPDQ), plus the merge/dedup state that folds lane streams back into
-/// one.
+/// NPDQ), plus what a failed frame leaves the next one.
 pub(super) struct LaneRun<'a, const D: usize> {
     index: usize,
     spec: &'a SessionSpec<D>,
@@ -51,17 +49,14 @@ pub(super) struct LaneRun<'a, const D: usize> {
     engines: Vec<PdqEngine<D>>,
     /// NPDQ: the last frame's query, if that frame completed.
     prev: Option<SnapshotQuery<D>>,
-    /// PDQ cross-frame dedup: seam replicas deliver in the same frame in
-    /// every lane (frame assignment depends only on overlap start), but
-    /// the set keeps exactly-once robust without leaning on that.
-    delivered: HashSet<(u32, u32)>,
+    /// PDQ: `t_k` of the first failed frame since the last that completed.
+    retry_from: Option<f64>,
     pub(super) out: SessionOutput,
     /// Node reads attributed per region (for the per-region identity):
     /// empty until [`Self::enter`], one slot per region after.
     pub(super) region_reads: Vec<u64>,
     scratch: Vec<PdqResult<D>>,
     merge_pdq: Vec<(f64, u32, u32)>,
-    merge_npdq: Vec<(u32, u32)>,
     /// When the lanes first came up; `out.wall_ns` counts from here.
     started: Option<Instant>,
 }
@@ -76,12 +71,11 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             lanes: 0..0,
             engines: Vec::new(),
             prev: None,
-            delivered: HashSet::new(),
+            retry_from: None,
             out: SessionOutput::default(),
             region_reads: Vec::new(),
             scratch: Vec::new(),
             merge_pdq: Vec::new(),
-            merge_npdq: Vec::new(),
             started: None,
         }
     }
@@ -133,12 +127,13 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     /// [`Self::alive`].
     pub(super) fn step<S: PageStore>(
         &mut self,
+        grid: &RegionGrid,
         trees: &[RegionTree<D, S>],
         slates: &[RwLock<Slate<D>>],
         k: usize,
         drain_hist: &Option<Arc<obs::Histogram>>,
     ) -> bool {
-        match catch_unwind(AssertUnwindSafe(|| self.step_frame(trees, slates, k))) {
+        match catch_unwind(AssertUnwindSafe(|| self.step_frame(grid, trees, slates, k))) {
             Ok(Ok(ns)) => {
                 if let Some(h) = drain_hist {
                     h.record(ns);
@@ -151,17 +146,20 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     }
 
     /// Process global frame `k` across every lane, in ascending region
-    /// order, and merge. A PDQ lane on region `r` absorbs `slates[r]`'s
-    /// reports where they lie, if they are frame `k`'s (see [`Slate`]),
-    /// then drains `[t_k, t_{k+1}]`; an NPDQ lane searches the snapshot
-    /// at `t_k` and keeps what is new (module doc). Only the first lane
-    /// error is returned, and the frame is still reported with whatever
-    /// it delivered before the fault. PDQ keeps a failed node queued for
-    /// the next drain; a failed NPDQ lane contributes no results and the
-    /// session forgets its previous query — degraded sessions lose
-    /// latency, not results.
+    /// order, keeping the matches each lane owns (see
+    /// [`RegionGrid::owner`]). A PDQ lane on region `r` absorbs
+    /// `slates[r]`'s reports where they lie, if they are frame `k`'s (see
+    /// [`Slate`]), then drains `[t_k, t_{k+1}]`; an NPDQ lane searches the
+    /// snapshot at `t_k` and keeps what is new (module doc). Only the first
+    /// lane error is returned, and the frame is still reported with
+    /// whatever it delivered before the fault. After a failed PDQ frame a
+    /// failed node stays queued and the next drain starts at the failed
+    /// frame's `t_k`, so nothing due in it is dropped as past; a failed
+    /// NPDQ lane contributes no results and the session forgets its
+    /// previous query — degraded sessions lose latency, not results.
     fn step_frame<S: PageStore>(
         &mut self,
+        grid: &RegionGrid,
         trees: &[RegionTree<D, S>],
         slates: &[RwLock<Slate<D>>],
         k: usize,
@@ -174,14 +172,10 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         let started = Instant::now();
         let mut frame_stats = QueryStats::default();
         let mut first_err: Option<StorageError> = None;
-        // The seam merge. PDQ: order by the queue's own priority keys —
-        // (visibility start, then object identity) — and deliver each
-        // object once ever; a straddler drained by two lanes ties on the
-        // full key, so which copy survives is immaterial. NPDQ: ordered
-        // and deduplicated by identity within the frame.
         match self.spec.kind {
             SessionKind::Pdq => {
-                let (t0, t1) = (self.spec.frame_times[k], self.spec.frame_times[k + 1]);
+                let t0 = self.retry_from.take().unwrap_or(self.spec.frame_times[k]);
+                let t1 = self.spec.frame_times[k + 1];
                 self.merge_pdq.clear();
                 for (pdq, r) in self.engines.iter_mut().zip(self.lanes.clone()) {
                     let tree = &*trees[r].read();
@@ -191,8 +185,10 @@ impl<'a, const D: usize> LaneRun<'a, D> {
                     self.scratch.clear();
                     let res = pdq.try_drain_window_into(tree, t0, t1, &mut self.scratch);
                     for pr in &self.scratch {
-                        let start = pr.visibility.start().unwrap_or(f64::NEG_INFINITY);
-                        self.merge_pdq.push((start, pr.record.oid, pr.record.seq));
+                        if grid.owner(&pr.record.seg.spatial_bbox(), &self.lanes) == r {
+                            let start = pr.visibility.start().unwrap_or(f64::NEG_INFINITY);
+                            self.merge_pdq.push((start, pr.record.oid, pr.record.seq));
+                        }
                     }
                     if let Err(e) = res {
                         first_err.get_or_insert(e);
@@ -201,26 +197,24 @@ impl<'a, const D: usize> LaneRun<'a, D> {
                     frame_stats += st;
                     self.region_reads[r] += st.disk_accesses;
                 }
+                // The queue's priority keys: lane streams tie differently.
                 self.merge_pdq.sort_unstable_by(|a, b| {
                     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
                 });
-                for &(_, oid, seq) in &self.merge_pdq {
-                    if self.delivered.insert((oid, seq)) {
-                        self.out.results.push((oid, seq));
-                    }
-                }
+                self.out.results.extend(self.merge_pdq.iter().map(|&(_, oid, seq)| (oid, seq)));
+                self.retry_from = first_err.is_some().then_some(t0);
             }
             SessionKind::Npdq => {
                 let t = self.spec.frame_times[k];
                 let q = SnapshotQuery::at_instant(self.spec.trajectory.window_at(t), t);
                 let key = q.nsi_key();
-                self.merge_npdq.clear();
                 for r in self.lanes.clone() {
                     let tree = &*trees[r].read();
                     let slate = slates[r].read();
                     let inserted = slate.of_frame(r, k).1;
-                    let (prev, merge) = (self.prev.as_ref(), &mut self.merge_npdq);
-                    let mark = merge.len();
+                    let (prev, lanes) = (self.prev.as_ref(), &self.lanes);
+                    let out = &mut self.out.results;
+                    let mark = out.len();
                     let mut st = SearchStats::default();
                     let res = tree.try_range_search(
                         &key,
@@ -229,31 +223,29 @@ impl<'a, const D: usize> LaneRun<'a, D> {
                         |rec| {
                             let id = rec.ids();
                             let seen = prev.is_some_and(|p| p.matches_segment(rec.segment()));
-                            if !seen || inserted.binary_search(&id).is_ok() {
-                                merge.push(id);
+                            if (!seen || inserted.binary_search(&id).is_ok())
+                                && grid.owner(&rec.seg.spatial_bbox(), lanes) == r
+                            {
+                                out.push(id);
                             }
                         },
                     );
                     if let Err(e) = res {
-                        merge.truncate(mark);
+                        out.truncate(mark);
                         first_err.get_or_insert(e);
                     }
-                    // A lane's matches are not the frame's deliveries:
-                    // those are counted after the merge.
-                    let st = QueryStats { results: 0, ..st.into() };
+                    let st = QueryStats::from(st);
                     frame_stats += st;
                     self.region_reads[r] += st.disk_accesses;
                 }
-                self.merge_npdq.sort_unstable();
-                self.merge_npdq.dedup();
-                frame_stats.results = self.merge_npdq.len() as u64;
-                self.out.results.extend_from_slice(&self.merge_npdq);
+                self.out.results[before_results..].sort_unstable();
                 self.prev = first_err.is_none().then_some(q);
             }
         }
         let latency_ns = started.elapsed().as_nanos() as u64;
-        self.out.stats += frame_stats;
         let results = self.out.results.len() - before_results;
+        frame_stats.results = results as u64;
+        self.out.stats += frame_stats;
         self.out.frames.push(FrameReport {
             frame: k,
             results,
@@ -357,10 +349,102 @@ impl<const D: usize> Slate<D> {
 mod tests {
     use super::*;
     use crate::router::tests::*;
+    use crate::router::PartitionedDqServer;
     use crate::service::{FrameDelta, FrameSink, SessionPlan, SinkVerdict};
     use rtree::{RTree, RTreeConfig};
     use stkit::Interval;
-    use storage::Pager;
+    use storage::{FaultPlan, FaultyStore, Pager};
+
+    /// A sink that hands each frame it is given to `f`, where the frame's
+    /// ack waits: a page it corrupts or heals reads so from the session's
+    /// next frame on.
+    struct OnFrame<F>(F);
+
+    impl<F: Fn(usize) + Sync> FrameSink for OnFrame<F> {
+        fn on_frame(&self, delta: &FrameDelta<'_>) -> SinkVerdict {
+            (self.0)(delta.frame);
+            SinkVerdict::Continue
+        }
+    }
+
+    /// Small pages over stores whose corrupt pages read with the node
+    /// magic flipped.
+    fn faulty(grid: RegionGrid, recs: &[R]) -> PartitionedDqServer<2, FaultyStore<Pager>> {
+        PartitionedDqServer::build(grid, recs, |_| {
+            let store =
+                FaultyStore::with_flipped_bytes(Pager::with_page_size(256), FaultPlan::quiet(0), vec![0]);
+            RTree::new(store, RTreeConfig::default())
+        })
+    }
+
+    #[test]
+    fn a_failed_pdq_frame_still_delivers_what_was_due_in_it() {
+        // The root reads corrupt for frame 0, [0, 4], and heals after it.
+        // Objects 0..=3 leave the window before t_1 = 4: unless frame 1
+        // drains from t_0, they are dropped unexamined as past.
+        let server = faulty(RegionGrid::single(), &line_records(10));
+        let root = server.with_region_tree(0, |t| {
+            t.store().corrupt_page(t.root_page());
+            t.root_page()
+        });
+        let heal = OnFrame(|_| server.with_region_tree(0, |t| t.store().heal_page(root)));
+        let plans = [SessionPlan::new(slide_spec(SessionKind::Pdq, 2, 8.0))];
+        let report = server.serve_plans_streamed(&plans, &[], &[Some(&heal)]);
+        let out = &report.sessions[0];
+        let errors = vec![StorageError::Corrupt { page: root }];
+        assert_eq!(out.outcome, SessionOutcome::Degraded { errors });
+        let every: Vec<_> = (0..=8).map(|oid| (oid, 0)).collect();
+        assert_eq!(frame_sets(out), [vec![], every]);
+    }
+
+    #[test]
+    fn a_straddler_whose_owner_lane_fails_arrives_once_a_frame_late() {
+        // The straddler crosses the cut at x = 5 while it lives, [4.5, 5.5],
+        // and the window [t, t + 1] holds it over [5, 5.5]: inside frame 2
+        // of four over [0, 8]. Both regions store it; region 0, holding its
+        // low end x = 4, owns it. Fillers alive over the same span give
+        // region 0 leaves that no drain reads before frame 2, and the
+        // straddler's leaf reads corrupt for frame 2 alone.
+        let straddler = R::new(99, 0, Interval::new(4.5, 5.5), [4.0, 0.5], [6.0, 0.5]);
+        let mut recs: Vec<_> = (0..12)
+            .map(|j| {
+                let x = 4.0 + 0.08 * f64::from(j);
+                R::new(j, 0, Interval::new(4.5, 5.5), [x, 0.5], [x, 0.5])
+            })
+            .collect();
+        recs.push(straddler);
+        let server = faulty(RegionGrid::from_cuts(0, vec![5.0]), &recs);
+        assert_eq!(server.region_record_counts(), vec![13, 1]);
+        let leaf = server.with_region_tree(0, |t| {
+            assert!(t.height() > 1, "the straddler's leaf must not be the root");
+            let mut stack = vec![t.root_page()];
+            loop {
+                let page = stack.pop().expect("the straddler is in region 0");
+                let node = t.read_node(page);
+                if !node.is_leaf() {
+                    stack.extend(node.internal_entries().map(|(_, child)| child));
+                } else if node.leaf_records().any(|r| r.ids() == straddler.ids()) {
+                    break page;
+                }
+            }
+        });
+        let fault = OnFrame(|k| {
+            server.with_region_tree(0, |t| match k {
+                1 => t.store().corrupt_page(leaf),
+                2 => t.store().heal_page(leaf),
+                _ => {}
+            })
+        });
+        let plans = [SessionPlan::new(slide_spec(SessionKind::Pdq, 4, 8.0))];
+        let report = server.serve_plans_streamed(&plans, &[], &[Some(&fault)]);
+        let out = &report.sessions[0];
+        let errors = vec![StorageError::Corrupt { page: leaf }];
+        assert_eq!(out.outcome, SessionOutcome::Degraded { errors });
+        let frames = frame_sets(out);
+        assert!(!frames[2].contains(&straddler.ids()), "the sibling lane emitted it");
+        assert!(frames[3].contains(&straddler.ids()), "the owner lane never caught up");
+        assert_eq!(out.results.iter().filter(|&&id| id == straddler.ids()).count(), 1);
+    }
 
     #[test]
     fn npdq_frames_are_the_newly_visible_set() {
@@ -442,7 +526,7 @@ mod tests {
             let mut lanes = LaneRun::idle(0, &spec);
             lanes.enter(&server.grid, &server.regions);
             let slates = [RwLock::new(Slate::default())];
-            lanes.step_frame(&server.regions, &slates, 0).unwrap();
+            lanes.step_frame(&server.grid, &server.regions, &slates, 0).unwrap();
             let report = server.regions[0].write().try_insert(late, 2.0).unwrap();
             *slates[0].write() = Slate {
                 frame: stamp,
@@ -451,7 +535,7 @@ mod tests {
                 hwm: 1,
             };
             for k in 1..4 {
-                lanes.step_frame(&server.regions, &slates, k).unwrap();
+                lanes.step_frame(&server.grid, &server.regions, &slates, k).unwrap();
             }
             lanes.finish().results
         };

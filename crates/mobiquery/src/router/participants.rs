@@ -342,7 +342,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     record_wait(&sh.wait_hist, sh.clocks[r].wait_applied(k + 1));
                 }
                 let (results_before, frames_before) = (run.out.results.len(), run.out.frames.len());
-                if !run.step(&self.regions, &sh.slates, k as usize, &sh.drain_hist) {
+                if !run.step(&self.grid, &self.regions, &sh.slates, k as usize, &sh.drain_hist) {
                     break;
                 }
                 if run.out.frames.len() > frames_before {
@@ -502,7 +502,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             }
             for (s, p) in run.sessions.iter_mut().zip(plans) {
                 if s.alive() && p.window().is_some_and(|(f, l)| f <= ku && ku <= l) {
-                    s.step(&self.regions, &slates, k, &drain_hist);
+                    s.step(&self.grid, &self.regions, &slates, k, &drain_hist);
                 }
             }
         }

@@ -175,7 +175,8 @@ fn one_insert_between_two_frames_is_delivered() {
 /// 1–3 regions; before frame `k`, `sc.batch` records stamped with a `now`
 /// drawn from `[0, t_k]`; a PDQ session from frame 0 and an NPDQ session
 /// joining at a random frame. The concurrent serve must equal the serial
-/// one, and both must equal the ground truth frame by frame.
+/// one, the serial one's streams the single region's, order included, and
+/// both must equal the ground truth frame by frame.
 fn check_served(sc: Scenario) -> Result<(), String> {
     let mut rng = ChaCha8Rng::seed_from_u64(sc.seed);
     let span = sc.frames as f64 * DT;
@@ -193,8 +194,19 @@ fn check_served(sc: Scenario) -> Result<(), String> {
                 .collect()
         })
         .collect();
+    // Half the grids cut at records' own grid-axis low ends, where a
+    // record's owner is decided by a tie with a cut.
+    let lows: Vec<f64> = preload
+        .iter()
+        .chain(inserts.iter().flatten().map(|(r, _)| r))
+        .map(|r| r.seg.spatial_bbox().extent(0).lo)
+        .collect();
+    let on_records = !lows.is_empty() && rng.gen_bool(0.5);
     let mut cuts: Vec<f64> = (0..rng.gen_range(0..3))
-        .map(|_| rng.gen_range(1.0..99.0))
+        .map(|_| match on_records {
+            true => lows[rng.gen_range(0..lows.len())],
+            false => rng.gen_range(1.0..99.0),
+        })
         .collect();
     cuts.sort_unstable_by(f64::total_cmp);
     cuts.dedup();
@@ -208,13 +220,21 @@ fn check_served(sc: Scenario) -> Result<(), String> {
         SessionPlan::new(spec(SessionKind::Pdq)),
         SessionPlan::new(spec(SessionKind::Npdq)).join_at(join),
     ];
-    let server = || {
-        PartitionedDqServer::build(RegionGrid::from_cuts(0, cuts.clone()), &preload, |_| {
+    let server = |cuts: &[f64]| {
+        PartitionedDqServer::build(RegionGrid::from_cuts(0, cuts.to_vec()), &preload, |_| {
             RTree::new(Pager::with_page_size(256), RTreeConfig::default())
         })
     };
-    let concurrent = server().serve_plans(&plans, &inserts);
-    let serial = server().serve_serial_plans(&plans, &inserts);
+    let concurrent = server(&cuts).serve_plans(&plans, &inserts);
+    let serial = server(&cuts).serve_serial_plans(&plans, &inserts);
+    // Streams do not depend on the grid, in-frame order included.
+    let single = server(&[]).serve_serial_plans(&plans, &inserts);
+    for (i, (s, one)) in serial.sessions.iter().zip(&single.sessions).enumerate() {
+        if s.results != one.results {
+            let (got, one) = (&s.results, &one.results);
+            return Err(format!("{cuts:?}: session {i} streams {got:?}, one region {one:?}"));
+        }
+    }
     // Everything but the wall clock.
     let counted = |s: &SessionOutput| {
         let frames: Vec<_> = s.frames.iter().map(|f| (f.frame, f.results, f.stats)).collect();

@@ -63,12 +63,14 @@
 #          the join compares less than brute force, PSI reads more than
 #          NSI, r-star < quadratic < linear, and unbuffered PDQ reads less
 #          than naive behind any LRU; exp_join and ablation_psi also assert
-#          their answers against brute force and NSI. Then four examples
+#          their answers against brute force and NSI. Then five examples
 #          (optimised build), each asserting what it prints: flythrough and
 #          convoy_analysis the client cache and the COUNT profile against
 #          naive queries, dead_reckoning §3.1's update/error trade-off and
 #          that the threshold-inflated window misses no truly-in-window
-#          segment, vicinity_monitor the kNN against a brute-force ranking.
+#          segment, vicinity_monitor the kNN against a brute-force ranking,
+#          partitioned_serving every PDQ and NPDQ stream over four regions
+#          against the single tree's, order included, none repeating.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -137,10 +139,10 @@ if want extensions; then
     bench_bin "${bin}_smoke" "$bin" DQ_SCALE=quick
   done
   tools/gates.py extensions
-  for ex in flythrough convoy_analysis dead_reckoning vicinity_monitor; do
+  for ex in flythrough convoy_analysis dead_reckoning vicinity_monitor partitioned_serving; do
     cargo run -q --offline --release --example "$ex" > "target/figures/$ex.txt"
   done
-  echo "OK: the flythrough, convoy_analysis, dead_reckoning and vicinity_monitor examples assert what they print."
+  echo "OK: the flythrough, convoy_analysis, dead_reckoning, vicinity_monitor and partitioned_serving examples assert what they print."
 fi
 
 if [ -n "$ONLY" ]; then
