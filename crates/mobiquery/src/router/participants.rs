@@ -116,9 +116,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// (corrupt page) or whose retry budget is exhausted are skipped
     /// into the tally's outcome.
     ///
-    /// Contained: page bytes behind a header that parses can still panic
-    /// an insert (a child id off the device). That fails the region's
-    /// writer like a full device does and returns `false`: the slice's
+    /// Contained: a panicking insert (an engine bug, or page bytes
+    /// behind a header that parses that no read checks) fails the
+    /// region's writer like a full device does and returns `false`: the slice's
     /// reports may describe a half-written tree, so the caller publishes
     /// no slate for it. The caller's clock calls stay outside, so the
     /// writer still advances its frames and no session waits on it.

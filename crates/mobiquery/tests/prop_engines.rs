@@ -1,14 +1,19 @@
 //! Property-based tests for the query engines: PDQ and NPDQ are checked
-//! against brute force over randomly generated data and trajectories.
+//! against brute force over randomly generated data and trajectories,
+//! and PDQ against §4.1's own claim that it "visits every node at most
+//! once, independent of frame rate".
 
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use rtree::bulk::bulk_load;
 use rtree::{DtaSegmentRecord, NsiSegmentRecord, RTree, RTreeConfig};
 use std::collections::BTreeSet;
-use storage::Pager;
 use stkit::{Interval, Rect, TimeSet};
+use storage::{IoSnapshot, PageId, PageRef, PageStore, Pager, StorageError};
 
-use mobiquery::{KeySnapshot, NaiveEngine, NpdqEngine, PdqEngine, SnapshotQuery, Trajectory};
+use mobiquery::{
+    KeySnapshot, NaiveEngine, NpdqEngine, PdqEngine, PdqResult, SnapshotQuery, Trajectory,
+};
 
 #[derive(Clone, Debug)]
 struct RawSeg {
@@ -59,16 +64,63 @@ fn trajectory() -> impl Strategy<Value = Trajectory<2>> {
         })
 }
 
-fn nsi_tree(raws: &[RawSeg]) -> (Vec<NsiSegmentRecord<2>>, RTree<NsiSegmentRecord<2>, Pager>) {
-    let recs: Vec<NsiSegmentRecord<2>> = raws
-        .iter()
+fn nsi_records(raws: &[RawSeg]) -> Vec<NsiSegmentRecord<2>> {
+    raws.iter()
         .enumerate()
         .map(|(i, r)| {
             NsiSegmentRecord::new(i as u32, 0, Interval::new(r.t0, r.t0 + r.dur), r.a, r.b)
         })
-        .collect();
+        .collect()
+}
+
+fn nsi_tree(raws: &[RawSeg]) -> (Vec<NsiSegmentRecord<2>>, RTree<NsiSegmentRecord<2>, Pager>) {
+    let recs = nsi_records(raws);
     let tree = bulk_load(Pager::new(), RTreeConfig::default(), recs.clone());
     (recs, tree)
+}
+
+/// A pager that logs the id of every page read through it.
+struct ReadLog {
+    inner: Pager,
+    reads: Mutex<Vec<PageId>>,
+}
+
+impl PageStore for ReadLog {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn try_read_page(&self, id: PageId) -> Result<PageRef, StorageError> {
+        self.reads.lock().push(id);
+        self.inner.try_read_page(id)
+    }
+    fn write(&self, id: PageId, data: &[u8]) {
+        self.inner.write(id, data)
+    }
+    fn try_alloc(&self) -> Result<PageId, StorageError> {
+        self.inner.try_alloc()
+    }
+    fn io(&self) -> IoSnapshot {
+        self.inner.io()
+    }
+}
+
+/// Drain one fresh PDQ frame by frame over `times` (ascending, first and
+/// last the trajectory's span): the pages it read, in order, its disk
+/// accesses, and its answers sorted by identity.
+fn drain_frames(
+    tree: &RTree<NsiSegmentRecord<2>, ReadLog>,
+    traj: &Trajectory<2>,
+    times: &[f64],
+) -> (Vec<PageId>, u64, Vec<PdqResult<2>>) {
+    tree.store().reads.lock().clear();
+    let mut pdq = PdqEngine::start(tree, traj.clone());
+    let mut out = Vec::new();
+    for w in times.windows(2) {
+        pdq.drain_window_into(tree, w[0], w[1], &mut out);
+    }
+    out.sort_by_key(|r| (r.record.oid, r.record.seq));
+    let reads = std::mem::take(&mut *tree.store().reads.lock());
+    (reads, pdq.stats().disk_accesses, out)
 }
 
 proptest! {
@@ -110,27 +162,46 @@ proptest! {
         }
     }
 
+    /// One frame over the whole span against a random refinement of it:
+    /// cuts anywhere, and cuts exactly on the times answers enter and
+    /// leave the view. Same pages read in the same order, none twice, and
+    /// the same answers with the same visibility.
     #[test]
-    fn pdq_chunked_equals_single_drain(raws in segments(200), traj in trajectory(), chunks in 2usize..20) {
-        let (_, tree) = nsi_tree(&raws);
+    fn pdq_reads_and_answers_do_not_depend_on_the_frame_schedule(
+        raws in segments(400),
+        traj in trajectory(),
+        page_size in prop_oneof![Just(512usize), Just(4096usize)],
+        cuts in proptest::collection::vec(0.0f64..1.0, 0..40),
+        on_events in proptest::collection::vec(any::<usize>(), 0..16),
+    ) {
+        let store = ReadLog { inner: Pager::with_page_size(page_size), reads: Mutex::new(Vec::new()) };
+        let tree = bulk_load(store, RTreeConfig::default(), nsi_records(&raws));
         let span = traj.span();
-        let mut one = PdqEngine::start(&tree, traj.clone());
-        let all: BTreeSet<u32> = one
-            .drain_window(&tree, span.lo, span.hi)
+        let (one_reads, one_io, one) = drain_frames(&tree, &traj, &[span.lo, span.hi]);
+
+        let events: Vec<f64> = one
             .iter()
-            .map(|r| r.record.oid)
+            .flat_map(|r| r.visibility.intervals().iter().flat_map(|i| [i.lo, i.hi]))
             .collect();
-        let mut many = PdqEngine::start(&tree, traj);
-        let mut chunked = BTreeSet::new();
-        let dt = span.length() / chunks as f64;
-        for k in 0..chunks {
-            for r in many.drain_window(&tree, span.lo + k as f64 * dt, span.lo + (k + 1) as f64 * dt) {
-                chunked.insert(r.record.oid);
-            }
+        let mut times: Vec<f64> = cuts.iter().map(|u| span.lo + u * span.length()).collect();
+        if !events.is_empty() {
+            times.extend(on_events.iter().map(|&k| events[k % events.len()]));
         }
-        prop_assert_eq!(chunked, all);
-        // Same I/O either way.
-        prop_assert_eq!(one.stats().disk_accesses, many.stats().disk_accesses);
+        times.retain(|t| span.lo < *t && *t < span.hi);
+        times.extend([span.lo, span.hi]);
+        times.sort_by(f64::total_cmp);
+        times.dedup();
+        let (many_reads, many_io, many) = drain_frames(&tree, &traj, &times);
+
+        for (what, reads) in [("one frame", &one_reads), ("refined", &many_reads)] {
+            let mut distinct = reads.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            prop_assert_eq!(distinct.len(), reads.len(), "{}: a node was read twice", what);
+        }
+        prop_assert_eq!(many_io, one_io, "disk accesses over {} frames", times.len() - 1);
+        prop_assert_eq!(&many_reads, &one_reads, "nodes read, in order");
+        prop_assert_eq!(&many, &one, "answers over {} frames", times.len() - 1);
     }
 
     #[test]

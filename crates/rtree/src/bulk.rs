@@ -102,8 +102,9 @@ pub fn pack_into<R: Record, S: PageStore>(
     }
     let len = members.len() as u64;
     let axes = order.axes::<R::Key>();
-    // The empty-leaf root from `RTree::new` is recycled below.
-    tree.store().free(tree.root_page());
+    // The first leaf goes into the empty root's page from `RTree::new`,
+    // so the store's ids stay exactly `0..page_count`.
+    let mut root_page = Some(tree.root_page());
 
     // Pack leaves. Equal centres fall back on the encoded records, the
     // one total order every `Record` has.
@@ -123,7 +124,7 @@ pub fn pack_into<R: Record, S: PageStore>(
         },
         emit: |tile: &[u32]| {
             let mut key = R::Key::empty();
-            let page = tree.write_fresh(0, |node| {
+            let page = tree.write_fresh(root_page.take(), 0, |node| {
                 for &i in tile {
                     let rec = &records[i as usize];
                     key = key.cover(&rec.key());
@@ -151,7 +152,7 @@ pub fn pack_into<R: Record, S: PageStore>(
             tie: |a, b| below[a as usize].1.cmp(&below[b as usize].1),
             emit: |tile: &[u32]| {
                 let mut key = R::Key::empty();
-                let page = tree.write_fresh(level, |node| {
+                let page = tree.write_fresh(None, level, |node| {
                     for &i in tile {
                         let (k, child) = &below[i as usize];
                         key = key.cover(k);

@@ -117,10 +117,9 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
 /// costs exactly one [`PageStore::read_page`], which is the paper's
 /// disk-access metric.
 ///
-/// The tree is insert-only, as the paper's update management (§4.1) is:
-/// once it holds records no page is freed, so a page id names one node
-/// for the tree's life and a running query may key its duplicate filter
-/// on it.
+/// The tree is insert-only, as the paper's update management (§4.1) is,
+/// and no store frees a page: a page id names one node for the tree's
+/// life, so a running query may key its duplicate filter on it.
 ///
 /// ```
 /// use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
@@ -310,14 +309,16 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         self.levels.record_write(level);
     }
 
-    /// Allocate a page and [write](Self::write_new) it a never-modified
-    /// node (`-∞`): how bulk load writes each node it packs.
+    /// [Write](Self::write_new) `page`, or a newly allocated page when it
+    /// is `None`, a never-modified node (`-∞`): how bulk load writes each
+    /// node it packs.
     pub(crate) fn write_fresh(
         &mut self,
+        page: Option<PageId>,
         level: u32,
         fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
     ) -> PageId {
-        let page = self.store.alloc();
+        let page = page.unwrap_or_else(|| self.store.alloc());
         self.write_new(page, level, f64::NEG_INFINITY, fill);
         page
     }

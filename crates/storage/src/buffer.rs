@@ -103,13 +103,6 @@ impl PoolState {
         }
     }
 
-    /// Drop `id`'s frame if resident (without write-back).
-    pub(crate) fn forget(&mut self, id: PageId) {
-        if self.frames.contains_key(&id) {
-            self.unlink(id);
-            self.frames.remove(&id);
-        }
-    }
     /// Unlink `id` from the LRU list (must be resident).
     fn unlink(&mut self, id: PageId) {
         let (prev, next) = {

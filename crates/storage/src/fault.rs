@@ -38,13 +38,14 @@ pub enum StorageError {
     /// A transient I/O error (the simulated analogue of EIO on a flaky
     /// device); retrying may succeed.
     Transient { page: PageId },
-    /// The page's bytes fail checksum validation (torn write, bit rot).
-    /// Not retryable — the damage is in the store, not the path to it.
+    /// The page's bytes fail checksum validation (torn write, bit rot),
+    /// or the id is past the device's last page (read off a corrupt
+    /// child pointer). Not retryable — the damage is in the store, not
+    /// the path to it.
     Corrupt { page: PageId },
     /// Page allocation failed: the device's page-id space is exhausted
     /// (simulated disk full). `page` is the first id that could not be
-    /// granted. Not retryable — a full disk stays full until pages are
-    /// freed.
+    /// granted. Not retryable — a full disk stays full.
     Full { page: PageId },
 }
 
@@ -197,8 +198,9 @@ impl<S: PageStore> FaultyStore<S> {
     /// Like [`Self::new`] but flipping the given byte offsets in corrupt
     /// pages. Flipping offset 0 hits the node magic, which the tree's
     /// header parse reports as corrupt; flipping the high byte of an
-    /// internal entry's child id sends a descent off the device, which
-    /// panics — the chaos suite uses both.
+    /// internal entry's child id sends a descent past the device's last
+    /// page, which the pager reports as corrupt — the chaos suite uses
+    /// both.
     pub fn with_flipped_bytes(inner: S, plan: FaultPlan, flip: Vec<usize>) -> FaultyStore<S> {
         let rng = ChaCha8Rng::seed_from_u64(plan.seed);
         FaultyStore {
@@ -277,10 +279,6 @@ impl<S: PageStore> PageStore for FaultyStore<S> {
         self.inner.try_alloc()
     }
 
-    fn free(&self, id: PageId) {
-        self.inner.free(id)
-    }
-
     fn io(&self) -> IoSnapshot {
         self.inner.io()
     }
@@ -313,8 +311,8 @@ pub(crate) fn checksum_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// Checksums cover the written *prefix* only because the pager's write
 /// semantics keep the tail's previous bytes — writers always serialize
 /// full logical records with explicit lengths, so the prefix is exactly
-/// the meaningful payload. Pages never written through this layer (or
-/// freshly allocated) validate trivially.
+/// the meaningful payload. Pages never written through this layer
+/// validate trivially. No page is freed, so a sum never outlives its page.
 pub struct ChecksumStore<S> {
     inner: S,
     sums: Mutex<HashMap<PageId, (usize, u64)>>,
@@ -364,15 +362,7 @@ impl<S: PageStore> PageStore for ChecksumStore<S> {
     }
 
     fn try_alloc(&self) -> Result<PageId, StorageError> {
-        let id = self.inner.try_alloc()?;
-        // A recycled id starts a new (zeroed) life; drop any stale sum.
-        self.sums.lock().remove(&id);
-        Ok(id)
-    }
-
-    fn free(&self, id: PageId) {
-        self.sums.lock().remove(&id);
-        self.inner.free(id)
+        self.inner.try_alloc()
     }
 
     fn io(&self) -> IoSnapshot {
@@ -594,17 +584,14 @@ mod tests {
     }
 
     #[test]
-    fn checksum_validates_rewrites_and_recycled_pages() {
+    fn checksum_validates_rewrites_and_fresh_pages() {
         let cs = ChecksumStore::new(Pager::with_page_size(32));
         let id = cs.alloc();
         cs.write(id, &[1, 2, 3]);
         cs.write(id, &[9]); // shorter rewrite re-records the sum
         assert_eq!(&cs.try_read_page(id).unwrap()[..3], &[9, 2, 3]);
-        cs.free(id);
-        let id2 = cs.alloc();
-        assert_eq!(id2, id);
-        // Recycled page is zeroed; the stale sum must not condemn it.
-        assert!(cs.try_read_page(id2).is_ok());
+        // A page never written through the layer validates trivially.
+        assert!(cs.try_read_page(cs.alloc()).is_ok());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! page size and R-tree nodes mapped one-to-one onto pages. This crate
 //! provides that substrate:
 //!
-//! * [`Pager`] — an in-memory simulated disk of fixed-size pages with a
-//!   free-list allocator and atomic I/O counters. Every
-//!   [`PageStore::read_page`] is one simulated disk access.
+//! * [`Pager`] — an in-memory simulated disk of fixed-size pages and
+//!   atomic I/O counters. It never frees: page ids are dense, exactly
+//!   `0..page_count()`. Every [`PageStore::read_page`] is one simulated
+//!   disk access.
 //! * [`ShardedBufferPool`] — an LRU page cache layered over any
 //!   [`PageStore`], split into independently locked shards for the
 //!   concurrent query service where many sessions read one shared tree;
@@ -110,9 +111,10 @@ pub trait PageStore {
 
     /// Read a page without copying it: the returned [`PageRef`] shares
     /// the resident buffer. Counts as one (possibly cached) access.
-    /// Fails with [`StorageError`] on injected or detected device faults;
-    /// out-of-contract reads (unallocated pages) still panic — those are
-    /// caller bugs, not device weather.
+    /// Fails with [`StorageError`] on injected or detected device faults,
+    /// and with [`StorageError::Corrupt`] for an id the device never
+    /// granted: such an id can only come from corrupt page bytes (a
+    /// child pointer), so it is bad data, not a caller bug.
     fn try_read_page(&self, id: PageId) -> Result<PageRef, StorageError>;
 
     /// Infallible wrapper over [`Self::try_read_page`] for callers with
@@ -139,8 +141,12 @@ pub trait PageStore {
             .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
     }
 
-    /// Return a page to the free list.
-    fn free(&self, id: PageId);
+    /// Does nothing: no store frees a page. It exists only because
+    /// `benchmarks/dqbench/src/probe.rs` forwards it; nothing in the
+    /// workspace may call it, and ROADMAP item 1(g)'s benchmark change
+    /// deletes both.
+    #[doc(hidden)]
+    fn free(&self, _id: PageId) {}
 
     /// Snapshot of the I/O counters of the *underlying device* — i.e. the
     /// number of simulated disk accesses, after any caching.
@@ -167,9 +173,6 @@ impl<S: PageStore + ?Sized> PageStore for std::sync::Arc<S> {
     }
     fn alloc(&self) -> PageId {
         (**self).alloc()
-    }
-    fn free(&self, id: PageId) {
-        (**self).free(id)
     }
     fn io(&self) -> IoSnapshot {
         (**self).io()

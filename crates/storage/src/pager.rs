@@ -1,6 +1,6 @@
 //! The in-memory simulated disk.
 
-use crate::{make_mut_page, IoSnapshot, IoStats, PageRef, PageStore};
+use crate::{make_mut_page, IoSnapshot, IoStats, PageRef, PageStore, StorageError};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -17,19 +17,14 @@ impl std::fmt::Display for PageId {
 /// Default page size used throughout the reproduction (the paper's 4 KiB).
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
-struct PagerState {
-    /// Shared buffers so [`PageStore::read_page`] is a refcount bump; a
-    /// write to a page with outstanding readers copies before mutating.
-    pages: Vec<Option<Arc<[u8]>>>,
-    free: Vec<u32>,
-}
-
 /// An in-memory simulated disk of fixed-size pages.
 ///
-/// Pages are allocated from a free list (freed pages are recycled). Every
-/// [`PageStore::read_page`] and [`PageStore::write`] bumps the [`IoStats`]
-/// counters — the paper's "number of disk accesses" metric is exactly
-/// `io().reads` over a query.
+/// The pager never frees: [`PageStore::try_alloc`] grants `0, 1, 2, …`,
+/// so the ids in use are exactly `0..page_count()` and an id names one
+/// page for the store's life (§4.1's duplicate filter keys on it). Every
+/// [`PageStore::read_page`] and [`PageStore::write`] bumps the
+/// [`IoStats`] counters — the paper's "number of disk accesses" metric is
+/// exactly `io().reads` over a query.
 ///
 /// ```
 /// use storage::{PageStore, Pager};
@@ -44,7 +39,10 @@ pub struct Pager {
     /// First page id that may never be granted (simulated disk capacity);
     /// `u32::MAX` by default, lowered by [`Self::with_id_cap`] for tests.
     id_cap: u32,
-    state: Mutex<PagerState>,
+    /// Page `i` is `pages[i]`. Shared buffers so [`PageStore::read_page`]
+    /// is a refcount bump; a write to a page with outstanding readers
+    /// copies before mutating.
+    pages: Mutex<Vec<Arc<[u8]>>>,
     stats: IoStats,
 }
 
@@ -56,20 +54,11 @@ impl Pager {
 
     /// A pager with a custom page size (must be non-zero).
     pub fn with_page_size(page_size: usize) -> Self {
-        assert!(page_size > 0, "page size must be positive");
-        Pager {
-            page_size,
-            id_cap: u32::MAX,
-            state: Mutex::new(PagerState {
-                pages: Vec::new(),
-                free: Vec::new(),
-            }),
-            stats: IoStats::new(),
-        }
+        Self::restore(page_size, Vec::new())
     }
 
     /// Cap the page-id space at `cap` pages (ids `0..cap`): the simulated
-    /// analogue of a small disk. Once every id below the cap is live,
+    /// analogue of a small disk. Once every id below the cap is granted,
     /// [`PageStore::try_alloc`] reports [`StorageError::Full`] instead of
     /// growing — the regression harness for writer degradation under
     /// disk-full uses this.
@@ -78,50 +67,21 @@ impl Pager {
         self
     }
 
-    /// Rebuild a pager from snapshot state: `slots[i]` is page `i`'s bytes
-    /// (`None` for a freed slot) and `free` is the allocator's free list,
-    /// verbatim, most-recently-freed last. Restoring the list verbatim is
-    /// what pins post-restore `alloc()` order to the pre-save pager.
-    pub(crate) fn restore(
-        page_size: usize,
-        slots: Vec<Option<Arc<[u8]>>>,
-        free: Vec<u32>,
-    ) -> Self {
+    /// A pager holding `pages`, page `i` at id `i` (a loaded snapshot).
+    pub(crate) fn restore(page_size: usize, pages: Vec<Arc<[u8]>>) -> Self {
         assert!(page_size > 0, "page size must be positive");
         Pager {
             page_size,
             id_cap: u32::MAX,
-            state: Mutex::new(PagerState { pages: slots, free }),
+            pages: Mutex::new(pages),
             stats: IoStats::new(),
         }
     }
 
-    /// The allocator's free list, verbatim (most-recently-freed last, the
-    /// next `alloc` pops from the back). Persisted by snapshot v3 so a
-    /// reloaded pager allocates in the same order as the original.
-    pub fn free_list(&self) -> Vec<u32> {
-        self.state.lock().free.clone()
-    }
-
-    /// Number of live (allocated, not freed) pages.
-    pub fn live_pages(&self) -> usize {
-        let st = self.state.lock();
-        st.pages.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Total bytes held by live pages.
-    pub fn bytes_in_use(&self) -> usize {
-        self.live_pages() * self.page_size
-    }
-
-    /// Ids of all live pages, ascending (for persistence).
-    pub fn live_page_ids(&self) -> Vec<PageId> {
-        let st = self.state.lock();
-        st.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|_| PageId(i as u32)))
-            .collect()
+    /// Pages granted so far: the ids in use are exactly `0..page_count()`,
+    /// and the next [`PageStore::alloc`] grants `page_count()`.
+    pub fn page_count(&self) -> u32 {
+        self.pages.lock().len() as u32
     }
 }
 
@@ -135,7 +95,7 @@ impl std::fmt::Debug for Pager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pager")
             .field("page_size", &self.page_size)
-            .field("live_pages", &self.live_pages())
+            .field("page_count", &self.page_count())
             .finish()
     }
 }
@@ -145,16 +105,15 @@ impl PageStore for Pager {
         self.page_size
     }
 
-    fn try_read_page(&self, id: PageId) -> Result<PageRef, crate::StorageError> {
+    fn try_read_page(&self, id: PageId) -> Result<PageRef, StorageError> {
         // The raw simulated disk never fails on its own; faults enter via
-        // the FaultyStore/ChecksumStore wrappers. Reading an unallocated
-        // page is a caller bug and still panics.
-        let st = self.state.lock();
-        let page = st
-            .pages
+        // the FaultyStore/ChecksumStore wrappers. An id past the last
+        // granted one can only come from corrupt bytes (a child pointer):
+        // one comparison makes it a typed error instead of a panic.
+        let pages = self.pages.lock();
+        let page = pages
             .get(id.0 as usize)
-            .and_then(|p| p.as_ref())
-            .unwrap_or_else(|| panic!("read of unallocated page {id}"));
+            .ok_or(StorageError::Corrupt { page: id })?;
         self.stats.record_read();
         Ok(PageRef::from_arc(Arc::clone(page)))
     }
@@ -166,11 +125,11 @@ impl PageStore for Pager {
             data.len(),
             self.page_size
         );
-        let mut st = self.state.lock();
-        let slot = st
-            .pages
+        // A write names a page its writer allocated: past the end is a
+        // writer bug, not device data, and panics.
+        let mut pages = self.pages.lock();
+        let slot = pages
             .get_mut(id.0 as usize)
-            .and_then(|p| p.as_mut())
             .unwrap_or_else(|| panic!("write of unallocated page {id}"));
         make_mut_page(slot, self.page_size)[..data.len()].copy_from_slice(data);
         // The tail beyond `data` keeps its previous contents; writers
@@ -178,35 +137,17 @@ impl PageStore for Pager {
         self.stats.record_write();
     }
 
-    fn try_alloc(&self) -> Result<PageId, crate::StorageError> {
-        let mut st = self.state.lock();
-        let zeroed: Arc<[u8]> = vec![0u8; self.page_size].into();
-        if let Some(idx) = st.free.pop() {
-            self.stats.record_alloc();
-            st.pages[idx as usize] = Some(zeroed);
-            return Ok(PageId(idx));
-        }
-        let idx = u32::try_from(st.pages.len())
+    fn try_alloc(&self) -> Result<PageId, StorageError> {
+        let mut pages = self.pages.lock();
+        let idx = u32::try_from(pages.len())
             .ok()
             .filter(|&i| i < self.id_cap)
-            .ok_or(crate::StorageError::Full {
+            .ok_or(StorageError::Full {
                 page: PageId(self.id_cap),
             })?;
         self.stats.record_alloc();
-        st.pages.push(Some(zeroed));
+        pages.push(vec![0u8; self.page_size].into());
         Ok(PageId(idx))
-    }
-
-    fn free(&self, id: PageId) {
-        let mut st = self.state.lock();
-        let slot = st
-            .pages
-            .get_mut(id.0 as usize)
-            .unwrap_or_else(|| panic!("free of out-of-range page {id}"));
-        assert!(slot.is_some(), "double free of page {id}");
-        *slot = None;
-        st.free.push(id.0);
-        self.stats.record_free();
     }
 
     fn io(&self) -> IoSnapshot {
@@ -243,35 +184,24 @@ mod tests {
     }
 
     #[test]
-    fn free_list_recycles_ids() {
+    fn ids_are_dense_and_a_read_past_the_end_is_corrupt() {
         let p = Pager::with_page_size(16);
-        let a = p.alloc();
-        let b = p.alloc();
-        p.free(a);
-        let c = p.alloc();
-        assert_eq!(c, a); // recycled
-        assert_ne!(c, b);
-        assert_eq!(p.live_pages(), 2);
-        // Recycled page comes back zeroed.
-        assert_eq!(*p.read_page(c), [0u8; 16]);
+        let ids: Vec<PageId> = (0..3).map(|_| p.alloc()).collect();
+        assert_eq!(ids, [PageId(0), PageId(1), PageId(2)]);
+        assert_eq!(p.page_count(), 3);
+        for id in [PageId(3), PageId(u32::MAX)] {
+            assert_eq!(
+                p.try_read_page(id).unwrap_err(),
+                StorageError::Corrupt { page: id }
+            );
+        }
+        assert_eq!(p.io().reads, 0, "a failed read is no disk access");
     }
 
     #[test]
-    #[should_panic(expected = "double free")]
-    fn double_free_panics() {
-        let p = Pager::with_page_size(16);
-        let a = p.alloc();
-        p.free(a);
-        p.free(a);
-    }
-
-    #[test]
-    #[should_panic(expected = "unallocated")]
-    fn read_after_free_panics() {
-        let p = Pager::with_page_size(16);
-        let a = p.alloc();
-        p.free(a);
-        p.read_page(a);
+    #[should_panic(expected = "write of unallocated page")]
+    fn write_past_the_end_panics() {
+        Pager::with_page_size(16).write(PageId(0), &[1]);
     }
 
     #[test]
@@ -291,15 +221,5 @@ mod tests {
         p.write(a, &[9, 9, 9]); // copies on write: `snap` still shares the old buffer
         assert_eq!(&snap[..3], &[1, 2, 3]);
         assert_eq!(&p.read_page(a)[..3], &[9, 9, 9]);
-    }
-
-    #[test]
-    fn bytes_in_use_tracks_live_pages() {
-        let p = Pager::with_page_size(128);
-        let a = p.alloc();
-        let _b = p.alloc();
-        assert_eq!(p.bytes_in_use(), 256);
-        p.free(a);
-        assert_eq!(p.bytes_in_use(), 128);
     }
 }

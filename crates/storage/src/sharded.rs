@@ -13,7 +13,6 @@ use crate::buffer::{CacheStats, Frame, PoolState};
 use crate::fault::{FaultRecovery, FaultRecoveryStats, RetryPolicy, StorageError};
 use crate::{IoSnapshot, PageId, PageRef, PageStore};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A fixed-capacity LRU page cache split into independently locked
@@ -28,10 +27,8 @@ use std::sync::Arc;
 pub struct ShardedBufferPool<S> {
     inner: S,
     shards: Vec<Mutex<PoolState>>,
-    /// Frame budget per shard. Atomic so a server can re-slice one
-    /// device's total frame budget across regions between epochs
-    /// ([`Self::resize`]) without taking every shard lock up front.
-    shard_capacity: AtomicUsize,
+    /// Frame budget per shard.
+    shard_capacity: usize,
     /// `log2(shards.len())`; the shard count is a power of two.
     shard_bits: u32,
     recovery: FaultRecovery,
@@ -48,30 +45,9 @@ impl<S: PageStore> ShardedBufferPool<S> {
         ShardedBufferPool {
             inner,
             shards: (0..shards).map(|_| Mutex::new(PoolState::empty())).collect(),
-            shard_capacity: AtomicUsize::new(shard_capacity),
+            shard_capacity,
             shard_bits: shards.trailing_zeros(),
             recovery: FaultRecovery::new(RetryPolicy::none()),
-        }
-    }
-
-    /// Total frame budget (per-shard budget × shard count).
-    pub fn capacity(&self) -> usize {
-        self.shard_capacity.load(Ordering::Relaxed) * self.shards.len()
-    }
-
-    /// Re-slice the pool to a new total `capacity` (divided evenly among
-    /// the existing shards, minimum 1 frame each), trimming any shard now
-    /// over budget — dirty victims are written back, like any eviction.
-    /// Used when a partitioned server re-assigns one device's frame
-    /// budget across regions between writer epochs.
-    pub fn resize(&self, capacity: usize) {
-        assert!(capacity > 0, "buffer pool capacity must be positive");
-        let per = capacity.div_ceil(self.shards.len()).max(1);
-        self.shard_capacity.store(per, Ordering::Relaxed);
-        for shard in &self.shards {
-            // `evict_if_full` evicts while len >= cap (it is built to run
-            // *before* an insert); `per + 1` trims to at most `per`.
-            shard.lock().evict_if_full(&self.inner, per + 1);
         }
     }
 
@@ -218,7 +194,7 @@ impl<S: PageStore> PageStore for ShardedBufferPool<S> {
                 data
             }
         };
-        st.evict_if_full(&self.inner, self.shard_capacity.load(Ordering::Relaxed));
+        st.evict_if_full(&self.inner, self.shard_capacity);
         st.frames.insert(id, Frame::resident(Arc::clone(&data), false));
         st.push_front(id);
         Ok(PageRef::from_arc(data))
@@ -233,7 +209,7 @@ impl<S: PageStore> PageStore for ShardedBufferPool<S> {
             st.touch(id);
             return;
         }
-        st.evict_if_full(&self.inner, self.shard_capacity.load(Ordering::Relaxed));
+        st.evict_if_full(&self.inner, self.shard_capacity);
         let mut buf = vec![0u8; self.page_size()];
         buf[..data.len()].copy_from_slice(data);
         st.frames.insert(id, Frame::resident(buf.into(), true));
@@ -242,11 +218,6 @@ impl<S: PageStore> PageStore for ShardedBufferPool<S> {
 
     fn try_alloc(&self) -> Result<PageId, StorageError> {
         self.inner.try_alloc()
-    }
-
-    fn free(&self, id: PageId) {
-        self.shard(id).lock().forget(id);
-        self.inner.free(id);
     }
 
     fn io(&self) -> IoSnapshot {
@@ -330,17 +301,6 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(p.inner().read_page(*id)[0], i as u8 + 1);
         }
-    }
-
-    #[test]
-    fn free_drops_cached_frame() {
-        let p = pool(8, 2);
-        let a = p.alloc();
-        p.write(a, &[1]);
-        p.free(a);
-        let b = p.alloc();
-        assert_eq!(b, a);
-        assert_eq!(*p.read_page(b), [0u8; 32]);
     }
 
     #[test]
@@ -512,9 +472,6 @@ mod tests {
             fn try_alloc(&self) -> Result<PageId, StorageError> {
                 self.inner.try_alloc()
             }
-            fn free(&self, id: PageId) {
-                self.inner.free(id)
-            }
             fn io(&self) -> IoSnapshot {
                 self.inner.io()
             }
@@ -561,33 +518,5 @@ mod tests {
         assert_eq!(cs.misses, 2);
         assert_eq!(p.fault_stats().retries, 4);
         assert_eq!(p.io().reads, 2);
-    }
-
-    #[test]
-    fn resize_trims_resident_frames_and_rescales_capacity() {
-        let p = pool(16, 4);
-        assert_eq!(p.capacity(), 16);
-        let ids: Vec<PageId> = (0..16).map(|_| p.alloc()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            p.write(*id, &[i as u8]);
-        }
-        // Fibonacci-hash placement is not perfectly uniform, so a shard
-        // may run over its slice and evict early; near-full is enough.
-        assert!(p.resident_frames() > 8, "resident {}", p.resident_frames());
-        // Shrink: residents trim to the new per-shard budget, contents
-        // survive via write-back.
-        p.resize(4);
-        assert_eq!(p.capacity(), 4);
-        assert!(p.resident_frames() <= 4, "resident {}", p.resident_frames());
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(p.read_page(*id)[0], i as u8);
-        }
-        // Grow: more pages stay resident again.
-        p.resize(16);
-        assert_eq!(p.capacity(), 16);
-        for id in &ids {
-            p.read_page(*id);
-        }
-        assert!(p.resident_frames() > 8, "resident {}", p.resident_frames());
     }
 }

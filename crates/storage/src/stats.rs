@@ -12,7 +12,6 @@ pub struct IoStats {
     reads: AtomicU64,
     writes: AtomicU64,
     allocs: AtomicU64,
-    frees: AtomicU64,
 }
 
 impl IoStats {
@@ -39,19 +38,12 @@ impl IoStats {
         self.allocs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one page free.
-    #[inline]
-    pub fn record_free(&self) {
-        self.frees.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Snapshot current values.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             allocs: self.allocs.load(Ordering::Relaxed),
-            frees: self.frees.load(Ordering::Relaxed),
         }
     }
 }
@@ -66,8 +58,6 @@ pub struct IoSnapshot {
     pub writes: u64,
     /// Cumulative page allocations.
     pub allocs: u64,
-    /// Cumulative page frees.
-    pub frees: u64,
 }
 
 impl std::ops::Sub for IoSnapshot {
@@ -78,7 +68,6 @@ impl std::ops::Sub for IoSnapshot {
             reads: self.reads - rhs.reads,
             writes: self.writes - rhs.writes,
             allocs: self.allocs - rhs.allocs,
-            frees: self.frees - rhs.frees,
         }
     }
 }
@@ -94,12 +83,10 @@ mod tests {
         s.record_read();
         s.record_write();
         s.record_alloc();
-        s.record_free();
         let snap = s.snapshot();
         assert_eq!(snap.reads, 2);
         assert_eq!(snap.writes, 1);
         assert_eq!(snap.allocs, 1);
-        assert_eq!(snap.frees, 1);
     }
 
     #[test]

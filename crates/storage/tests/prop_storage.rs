@@ -1,9 +1,9 @@
 //! Property-based tests: the buffer pool is observationally equivalent
-//! to the raw pager under arbitrary operation sequences, and the pager's
-//! allocator never hands out a live page twice.
+//! to the raw pager under arbitrary operation sequences, and every store
+//! stack grants page ids densely, `0, 1, 2, …`.
 
 use proptest::prelude::*;
-use storage::{PageStore, Pager, ShardedBufferPool};
+use storage::{ChecksumStore, FaultPlan, FaultyStore, PageId, PageStore, Pager, ShardedBufferPool};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -12,8 +12,6 @@ enum Op {
     Write(usize, u8),
     /// Read the i-th live page and compare.
     Read(usize),
-    /// Free the i-th live page.
-    Free(usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -21,7 +19,6 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Alloc),
         (0usize..64, any::<u8>()).prop_map(|(i, b)| Op::Write(i, b)),
         (0usize..64).prop_map(Op::Read),
-        (0usize..64).prop_map(Op::Free),
     ]
 }
 
@@ -52,12 +49,6 @@ proptest! {
                     let i = i % raw_pages.len();
                     prop_assert_eq!(&raw.read_page(raw_pages[i])[..], &pool.read_page(pool_pages[i])[..]);
                 }
-                Op::Free(i) => {
-                    if raw_pages.is_empty() { continue; }
-                    let i = i % raw_pages.len();
-                    raw.free(raw_pages.swap_remove(i));
-                    pool.free(pool_pages.swap_remove(i));
-                }
             }
         }
         // Final sweep: every live page identical through both paths.
@@ -72,24 +63,36 @@ proptest! {
     }
 
     #[test]
-    fn allocator_never_double_allocates(ops in proptest::collection::vec(op(), 1..200)) {
+    fn alloc_grants_dense_ids_through_every_stack(ops in proptest::collection::vec(op(), 1..200), cap in 1usize..16) {
         let pager = Pager::with_page_size(16);
-        let mut live = Vec::new();
+        let checked = ChecksumStore::new(Pager::with_page_size(16));
+        let faulty = FaultyStore::new(Pager::with_page_size(16), FaultPlan::quiet(1));
+        let pool = ShardedBufferPool::new(
+            ChecksumStore::new(FaultyStore::new(Pager::with_page_size(16), FaultPlan::quiet(2))),
+            cap,
+            2,
+        );
+        let stacks: [&dyn PageStore; 4] = [&pager, &checked, &faulty, &pool];
+        let mut granted = 0u32;
         for op in &ops {
             match op {
                 Op::Alloc => {
-                    let id = pager.alloc();
-                    prop_assert!(!live.contains(&id), "page {id} allocated twice");
-                    live.push(id);
+                    for store in stacks {
+                        prop_assert_eq!(store.alloc(), PageId(granted));
+                    }
+                    granted += 1;
                 }
-                Op::Free(i) if !live.is_empty() => {
-                    let i = i % live.len();
-                    pager.free(live.swap_remove(i));
+                Op::Write(i, b) if granted > 0 => {
+                    let id = PageId(*i as u32 % granted);
+                    for store in stacks {
+                        store.write(id, &[*b; 5]);
+                    }
                 }
                 _ => {}
             }
         }
-        prop_assert_eq!(pager.live_pages(), live.len());
+        prop_assert_eq!(pager.page_count(), granted);
+        prop_assert_eq!(pool.inner().inner().inner().page_count(), granted);
     }
 
     #[test]

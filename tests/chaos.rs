@@ -16,9 +16,10 @@
 //!   (`chaos_c`).
 //! - **A corrupt root** starves the writer: every insert is dropped and
 //!   logged in `writer_outcome`, and the tree is untouched (`chaos_d`).
-//! - **Garbage behind a valid header** that panics the region writer
-//!   (a child id off the device) fails that writer alone, contained like
-//!   a session's panic: the serve completes and equals the serial one
+//! - **Garbage behind a valid header** — a child id past the device's
+//!   last page — is a typed `Corrupt{page}` read, not a panic: the region
+//!   writer drops each insert that descends to it, the sessions that
+//!   reach it degrade, and the serve completes and equals the serial one
 //!   (`chaos_n`).
 //! - **Transient faults with no pool retry** reach the region writer,
 //!   which retries the record itself with its lock released: nothing is
@@ -47,7 +48,7 @@ use dq_repro::rtree::{Key, NsiSegmentRecord, RTree, RTreeConfig, Record};
 use proptest::prelude::*;
 use dq_repro::stkit::{Interval, Rect};
 use dq_repro::storage::{
-    save_pager, ChecksumStore, FaultPlan, FaultyStore, PageId, PageStore, Pager, RetryPolicy,
+    ChecksumStore, FaultPlan, FaultyStore, PageId, PageStore, Pager, RetryPolicy,
     ShardedBufferPool, StorageError,
 };
 
@@ -414,39 +415,41 @@ fn chaos_m_writer_retries_transients_with_no_pool_beneath_it() {
     assert_eq!(requery(&server), requery(&oracle));
 }
 
-/// (n) Bytes behind a header that parses, on an un-checksummed store,
-/// that panic the region *writer*: the root's entry 0 names a child whose
-/// id has its high byte flipped, the insert descent follows it, and the
-/// pager panics on an unallocated page. The writer contains it — `Failed`,
-/// no slate for that frame, its frames still advance — so the serve
-/// completes rather than leaving its sessions waiting on a frame that
-/// never applies. The sessions reach the same entry and fail on their
-/// own containment; concurrent equals serial, outcomes included.
+/// (n) Bytes behind a header that parses, on an un-checksummed store:
+/// the root's entry 0 names a child whose id has its high byte flipped,
+/// far past the device's last page. The pager reports that read as
+/// `Corrupt{page}` — no panic reaches either `catch_unwind` — so the
+/// region writer drops and logs each insert whose descent follows it,
+/// the way `chaos_d`'s writer does, and every session that reaches it
+/// degrades. The serve completes, and concurrent equals serial, outcomes
+/// included.
 #[test]
-fn chaos_n_a_panicking_writer_fails_alone_and_the_serve_completes() {
+fn chaos_n_a_child_id_off_the_device_is_corrupt_and_the_serve_completes() {
     let recs = line_records(40);
     let specs = vec![
         slide_spec(SessionKind::Pdq, 0.0, 8, 8.0),
         slide_spec(SessionKind::Npdq, 0.0, 8, 8.0),
     ];
     let inserts = line_inserts(4, 2);
+    let child_id_high_byte = 32 + <R as Record>::Key::ENCODED_LEN + 3;
     let server = || {
-        let child_id_high_byte = 32 + <R as Record>::Key::ENCODED_LEN + 3;
         let store = FaultyStore::with_flipped_bytes(
             Pager::with_page_size(256),
             FaultPlan::quiet(5),
             vec![child_id_high_byte],
         );
         let server = single(store, &recs);
-        server.with_region_tree(0, |t| {
+        let bad = server.with_region_tree(0, |t| {
             assert!(t.height() > 1, "the root must be an internal node");
+            let (_, child) = t.read_node(t.root_page()).internal_entry(0);
             t.store().corrupt_page(t.root_page());
+            PageId(child.0 ^ 0xFF00_0000)
         });
-        server
+        (server, bad)
     };
 
     let (done, finished) = std::sync::mpsc::channel();
-    let (concurrent, plans, batches) = (server(), specs.clone(), inserts.clone());
+    let ((concurrent, bad), plans, batches) = (server(), specs.clone(), inserts.clone());
     let serving = std::thread::spawn(move || {
         let _ = done.send(concurrent.serve(&plans, &batches));
     });
@@ -454,33 +457,34 @@ fn chaos_n_a_panicking_writer_fails_alone_and_the_serve_completes() {
     let report = finished.recv_timeout(Duration::from_secs(30));
     assert!(
         !matches!(report, Err(RecvTimeoutError::Timeout)),
-        "the serve hung behind a panicking region writer"
+        "the serve hung behind a corrupt child id"
     );
     serving.join().expect("the serve itself panicked");
     let report = report.expect("a finished serve sent its report");
-    let oracle = server().serve_serial(&specs, &inserts);
+    let oracle = server().0.serve_serial(&specs, &inserts);
 
     let writer = &report.regions[0].writer_outcome;
     assert!(
-        matches!(writer, SessionOutcome::Failed(m) if m.starts_with("writer stopped: ")),
+        matches!(writer, SessionOutcome::Degraded { .. }),
         "writer: {writer:?}"
     );
+    assert!(!writer.errors().is_empty());
+    for e in writer.errors() {
+        assert_eq!(*e, StorageError::Corrupt { page: bad }, "writer");
+    }
     assert_eq!(*writer, oracle.regions[0].writer_outcome);
-    assert_eq!(report.inserts_applied, 0);
+    assert_eq!(report.inserts_applied, oracle.inserts_applied);
     assert_eq!(report.frames, oracle.frames);
     for (i, (got, want)) in report.sessions.iter().zip(&oracle.sessions).enumerate() {
         assert!(!got.outcome.is_ok(), "session {i} never reached the bad child");
+        assert!(
+            got.outcome.errors().contains(&StorageError::Corrupt { page: bad }),
+            "session {i}: {:?}",
+            got.outcome
+        );
         assert_eq!(got.outcome, want.outcome, "session {i}");
         assert_eq!(got.results, want.results, "session {i} diverged from serial");
     }
-}
-
-/// `save_pager` bytes of a tree's store (its header carries the page
-/// count the id-cap scenarios size themselves by).
-fn pager_image<S: dq_repro::storage::SnapshotSource>(tree: &RTree<R, S>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    save_pager(tree.store(), &mut buf).unwrap();
-    buf
 }
 
 /// The `(oid, seq)` set resident across a server's regions, seam
@@ -663,8 +667,7 @@ fn chaos_i_full_device_fails_writer_cleanly_and_wal_recovers_the_backlog() {
 
     // Cap the id space so the preload fits with two pages to spare: the
     // insert stream must hit `StorageError::Full` partway through.
-    let probe = clean(&recs).with_region_tree(0, pager_image);
-    let pages = u32::from_le_bytes(probe[12..16].try_into().unwrap());
+    let pages = clean(&recs).with_region_tree(0, |t| t.store().page_count());
     let capped = Pager::with_page_size(256).with_id_cap(pages + 2);
 
     let log = Arc::new(DurableLog::new(2));
@@ -791,8 +794,7 @@ fn chaos_k_failed_region_writer_neither_stops_checkpoints_nor_loses_commits() {
 
     // Cap region 1's id space two pages past its share of the preload:
     // its slice of the insert stream must hit `StorageError::Full`.
-    let probe = pager_image(&build_tree(Pager::with_page_size(256), &recs[12..24]));
-    let pages = u32::from_le_bytes(probe[12..16].try_into().unwrap());
+    let pages = build_tree(Pager::with_page_size(256), &recs[12..24]).store().page_count();
     let make = |r: usize| {
         let pager = Pager::with_page_size(256);
         let pager = if r == 1 { pager.with_id_cap(pages + 2) } else { pager };

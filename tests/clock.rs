@@ -202,9 +202,6 @@ impl PageStore for PanickingStore {
     fn try_alloc(&self) -> Result<PageId, StorageError> {
         self.inner.try_alloc()
     }
-    fn free(&self, id: PageId) {
-        self.inner.free(id)
-    }
     fn io(&self) -> IoSnapshot {
         self.inner.io()
     }

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Repo check: the tier-1 release build, every workspace suite (the root
-# package's tier-1 tests among them), clippy, and a type-check of
+# package's tier-1 tests among them), clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
-# compiles: deleting public API must not pass here and break the scorer.
+# compiles: deleting public API must not pass here and break the scorer —
+# and a grep gate that no Rust under crates tests examples src calls
+# `.free(`: no store frees a page, and `PageStore::free` is a no-op kept
+# only because benchmarks/dqbench forwards it.
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -99,6 +102,9 @@ if [ -z "$ONLY" ]; then
   cargo test -q --offline --workspace
   cargo clippy --offline --workspace --all-targets -- -D warnings
   cargo check --release --offline --manifest-path benchmarks/dqbench/Cargo.toml
+  if grep -rn --include='*.rs' '\.free(' crates tests examples src; then
+    echo "FAIL: a call to PageStore::free (see above); page ids are dense and nothing frees" >&2; exit 1
+  fi
 fi
 mkdir -p target/figures
 
