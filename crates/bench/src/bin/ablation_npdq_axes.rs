@@ -48,8 +48,8 @@ fn main() {
             let mut e_dta = NpdqEngine::new();
             for (i, _) in spec.frame_times.iter().enumerate() {
                 let q = spec.open_snapshot(i);
-                let sn = e_nsi.execute(&nsi_spatial, &q, f64::INFINITY, |_| {});
-                let sd = e_dta.execute(&dta, &q, f64::INFINITY, |_| {});
+                let sn = e_nsi.execute(&nsi_spatial, &q, |_| {});
+                let sd = e_dta.execute(&dta, &q, |_| {});
                 if i > 0 {
                     nd += sn.disk_accesses;
                     dd += sd.disk_accesses;

@@ -31,7 +31,7 @@ fn run(
             } else {
                 SnapshotQuery::at_instant(spec.trajectory.window_at(*t), *t)
             };
-            let s = eng.execute(tree, &q, f64::INFINITY, |_| {});
+            let s = eng.execute(tree, &q, |_| {});
             let ns = naive.query_dta(tree, &q, |_| {});
             if i > 0 {
                 npdq_disk += s.disk_accesses;

@@ -4,7 +4,7 @@
 //! verifies the correctness contract (every object that becomes visible
 //! is delivered exactly once) and measures the overhead: duplicates
 //! eliminated by the §4.1 dedup, extra disk accesses versus a static run,
-//! and the NPDQ timestamp mechanism's cost on the DTA side.
+//! and the cost of the NPDQ node-stamp mechanism on the DTA side.
 
 use bench::{f2, FigureTable, Scale};
 use mobiquery::{NpdqEngine, PdqEngine};
@@ -100,18 +100,16 @@ fn main() {
         f2(delivered as f64 / n_specs as f64),
     ]);
 
-    // --- NPDQ with live insertions (timestamp mechanism) ---
+    // --- NPDQ with live insertions (node-stamp mechanism) ---
     let (mut disk, mut frames, mut delivered) = (0u64, 0u64, 0u64);
     for spec in specs {
         let mut tree: RTree<DtaSegmentRecord<2>, _> =
             RTree::new(Pager::new(), RTreeConfig::default());
-        let mut clock = 0.0f64;
         for u in &pre {
             tree.insert(
                 DtaSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position()),
                 u.seg.t.lo,
             );
-            clock = clock.max(u.seg.t.lo);
         }
         let mut e = NpdqEngine::new();
         let mut live_iter = live.iter().peekable();
@@ -125,10 +123,9 @@ fn main() {
                     DtaSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position()),
                     u.seg.t.lo,
                 );
-                clock = clock.max(u.seg.t.lo);
                 live_iter.next();
             }
-            let s = e.execute(&tree, &q, clock, |_| {});
+            let s = e.execute(&tree, &q, |_| {});
             if i > 0 {
                 disk += s.disk_accesses;
                 frames += 1;

@@ -11,6 +11,8 @@
 
 use crate::{build_dataset, build_queries, f2, pct, FigureTable, Scale, PAPER_OVERLAPS,
             PAPER_WINDOW_SIDES};
+use rtree::{DtaSegmentRecord, NsiSegmentRecord, RTree};
+use storage::Pager;
 use workload::{measure_naive_dta, measure_naive_nsi, measure_npdq, measure_pdq, PointSummary};
 
 /// Which of the paper's two metrics a figure plots.
@@ -48,28 +50,43 @@ pub enum Algo {
     Npdq,
 }
 
+impl Algo {
+    fn name(self) -> &'static str {
+        match self {
+            Algo::Pdq => "PDQ",
+            Algo::Npdq => "NPDQ",
+        }
+    }
+
+    /// The one index this algorithm and its baseline read, over the
+    /// scale's data set.
+    fn index(self, scale: Scale) -> Index {
+        let ds = build_dataset(scale);
+        match self {
+            Algo::Pdq => Index::Nsi(ds.build_nsi_tree()),
+            Algo::Npdq => Index::Dta(ds.build_dta_tree()),
+        }
+    }
+}
+
+enum Index {
+    Nsi(RTree<NsiSegmentRecord<2>, Pager>),
+    Dta(RTree<DtaSegmentRecord<2>, Pager>),
+}
+
 struct Sweep {
     naive: PointSummary,
     dq: PointSummary,
 }
 
-fn run_point(
-    algo: Algo,
-    ds: &workload::Dataset,
-    nsi: &rtree::RTree<rtree::NsiSegmentRecord<2>, storage::Pager>,
-    dta: &rtree::RTree<rtree::DtaSegmentRecord<2>, storage::Pager>,
-    scale: Scale,
-    overlap: f64,
-    window: f64,
-) -> Sweep {
-    let _ = ds;
+fn run_point(index: &Index, scale: Scale, overlap: f64, window: f64) -> Sweep {
     let specs = build_queries(scale, overlap, window);
-    match algo {
-        Algo::Pdq => Sweep {
+    match index {
+        Index::Nsi(nsi) => Sweep {
             naive: measure_naive_nsi(nsi, &specs),
             dq: measure_pdq(nsi, &specs),
         },
-        Algo::Npdq => Sweep {
+        Index::Dta(dta) => Sweep {
             naive: measure_naive_dta(dta, &specs),
             dq: measure_npdq(dta, &specs),
         },
@@ -79,13 +96,8 @@ fn run_point(
 /// Figs. 6, 7, 10, 11: first + subsequent cost vs overlap, small window.
 pub fn overlap_figure(figure: &str, title: &str, algo: Algo, metric: Metric) -> FigureTable {
     let scale = Scale::from_env();
-    let ds = build_dataset(scale);
-    let nsi = ds.build_nsi_tree();
-    let dta = ds.build_dta_tree();
-    let algo_name = match algo {
-        Algo::Pdq => "PDQ",
-        Algo::Npdq => "NPDQ",
-    };
+    let index = algo.index(scale);
+    let algo_name = algo.name();
     let mut table = FigureTable::new(
         figure,
         title,
@@ -98,7 +110,7 @@ pub fn overlap_figure(figure: &str, title: &str, algo: Algo, metric: Metric) -> 
         ],
     );
     for overlap in PAPER_OVERLAPS {
-        let s = run_point(algo, &ds, &nsi, &dta, scale, overlap, 8.0);
+        let s = run_point(&index, scale, overlap, 8.0);
         table.row(vec![
             pct(overlap),
             metric.first(&s.naive),
@@ -114,13 +126,8 @@ pub fn overlap_figure(figure: &str, title: &str, algo: Algo, metric: Metric) -> 
 /// window sizes.
 pub fn size_figure(figure: &str, title: &str, algo: Algo, metric: Metric) -> FigureTable {
     let scale = Scale::from_env();
-    let ds = build_dataset(scale);
-    let nsi = ds.build_nsi_tree();
-    let dta = ds.build_dta_tree();
-    let algo_name = match algo {
-        Algo::Pdq => "PDQ",
-        Algo::Npdq => "NPDQ",
-    };
+    let index = algo.index(scale);
+    let algo_name = algo.name();
     let mut cols: Vec<String> = vec!["overlap".into()];
     for w in PAPER_WINDOW_SIDES {
         cols.push(format!("naive {w:.0}x{w:.0}"));
@@ -131,7 +138,7 @@ pub fn size_figure(figure: &str, title: &str, algo: Algo, metric: Metric) -> Fig
     for overlap in PAPER_OVERLAPS {
         let mut cells = vec![pct(overlap)];
         for w in PAPER_WINDOW_SIDES {
-            let s = run_point(algo, &ds, &nsi, &dta, scale, overlap, w);
+            let s = run_point(&index, scale, overlap, w);
             cells.push(metric.subsequent(&s.naive));
             cells.push(metric.subsequent(&s.dq));
         }

@@ -62,12 +62,11 @@ use storage::{replay_wal, scan_wal, Wal, WalError, WalStats, WalTail, WAL_RECORD
 /// What a checkpoint persists: the record set as of the watermark — the
 /// preloaded records (seam replicas collapsed, in id order) followed by
 /// every committed batch folded in since, in commit order — encoded with
-/// the WAL batch codec.
+/// the codec a WAL batch carries behind its frame number.
 #[derive(Clone, Debug)]
 pub struct LogicalCheckpoint {
-    /// `count u32 ‖ [record bytes]*` — records only; rebuild inserts each
-    /// at its segment start time, exactly like
-    /// [`crate::PartitionedDqServer::build`].
+    /// `count u32 ‖ [record bytes]*` — records only, which is all
+    /// [`crate::PartitionedDqServer::build`] rebuilds from.
     pub records: Vec<u8>,
     /// Records in `records`.
     pub count: u32,
@@ -182,8 +181,10 @@ impl DurableLog {
     }
 
     /// Group-commit one frame's batch as a single WAL record, *before*
-    /// any page of the tree is written. Returns the record's sequence
-    /// number.
+    /// any page of the tree is written: `frame u64 ‖` the batch's record
+    /// set. Returns the record's sequence number. Each pair's `f64` is
+    /// read by nothing; the signature keeps it for
+    /// `benchmarks/dqbench`.
     pub fn commit_frame<const D: usize>(
         &self,
         frame: u64,
@@ -192,7 +193,9 @@ impl DurableLog {
         // Under the state lock, so an append never lands between a
         // checkpoint's read of the log and its truncation.
         let mut st = self.state.lock();
-        encode_batch(frame, batch, &mut st.payload);
+        st.payload.clear();
+        st.payload.extend_from_slice(&frame.to_le_bytes());
+        encode_records(batch.iter().map(|(rec, _)| *rec), &mut st.payload);
         let seq = self.wal.commit(&st.payload);
         st.commits_since_checkpoint += 1;
         obs::trace(obs::TraceEvent::WalCommit {
@@ -224,12 +227,8 @@ impl DurableLog {
     /// memory cannot fail, so neither can this.
     pub fn checkpoint_logical<const D: usize>(&self, records: &[NsiSegmentRecord<D>]) {
         let started = Instant::now();
-        let rec_len = <NsiSegmentRecord<D> as Record>::ENCODED_LEN;
-        let mut buf = Vec::with_capacity(4 + records.len() * rec_len);
-        buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
-        for rec in records {
-            rec.encode(&mut buf);
-        }
+        let mut buf = Vec::new();
+        encode_records(records.iter().copied(), &mut buf);
         let count = records.len() as u32;
         let mut st = self.state.lock();
         let wal_seq = self.wal.truncate_for_checkpoint();
@@ -357,7 +356,9 @@ impl DurableImage {
     /// record set plus every complete committed frame past the
     /// watermark, in commit order. The caller rebuilds region trees
     /// from the base set (via [`crate::PartitionedDqServer::build`]) and
-    /// re-applies the frames through routing.
+    /// re-applies the frames through routing. A frame's records come
+    /// paired with their segment start, which nothing reads: the pairs
+    /// are what `benchmarks/dqbench` destructures.
     #[allow(clippy::type_complexity)]
     pub fn recover_records<const D: usize>(
         &self,
@@ -370,7 +371,7 @@ impl DurableImage {
         RecoverError,
     > {
         let cp = self.checkpoint.as_ref().ok_or(RecoverError::NoCheckpoint)?;
-        let base = decode_record_set::<D>(&cp.records).map_err(RecoverError::Codec)?;
+        let base = decode_records::<D>(&cp.records).map_err(RecoverError::Codec)?;
         let rep = replay_wal(&self.wal).map_err(RecoverError::Wal)?;
         let mut frames = Vec::new();
         let mut records = 0u64;
@@ -381,7 +382,12 @@ impl DurableImage {
             if r.seq <= cp.wal_seq {
                 continue;
             }
-            let (frame, batch) = decode_batch::<D>(&r.payload).map_err(RecoverError::Codec)?;
+            let (frame, set) = batch_records(&r.payload).map_err(RecoverError::Codec)?;
+            let batch: Vec<_> = decode_records::<D>(set)
+                .map_err(RecoverError::Codec)?
+                .into_iter()
+                .map(|rec| (rec, rec.seg.t.lo))
+                .collect();
             records += batch.len() as u64;
             frames.push((frame, batch));
         }
@@ -398,57 +404,54 @@ impl DurableImage {
     }
 }
 
-fn entry_len<const D: usize>() -> usize {
-    <NsiSegmentRecord<D> as Record>::ENCODED_LEN + 8
+/// Bytes of one encoded record.
+const fn rec_len<const D: usize>() -> usize {
+    <NsiSegmentRecord<D> as Record>::ENCODED_LEN
 }
 
-/// WAL batch payload: `frame u64 ‖ count u32 ‖ [record bytes ‖ now f64]*`,
-/// written over `buf`.
-fn encode_batch<const D: usize>(
-    frame: u64,
-    batch: &[(NsiSegmentRecord<D>, f64)],
+/// Append the one record-set codec, `count u32 ‖ [record bytes]*`, to
+/// `buf`: a checkpoint's body, and a WAL batch's payload behind its
+/// frame number.
+fn encode_records<const D: usize>(
+    records: impl ExactSizeIterator<Item = NsiSegmentRecord<D>>,
     buf: &mut Vec<u8>,
 ) {
-    buf.clear();
-    buf.reserve(12 + batch.len() * entry_len::<D>());
-    buf.extend_from_slice(&frame.to_le_bytes());
-    buf.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-    for (rec, now) in batch {
+    buf.reserve(4 + records.len() * rec_len::<D>());
+    buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    for rec in records {
         rec.encode(buf);
-        buf.extend_from_slice(&now.to_le_bytes());
     }
 }
 
-/// Check a WAL batch payload's framing; returns its frame and the
-/// `count × entry_len` entry bytes.
-fn batch_entries<const D: usize>(payload: &[u8]) -> Result<(u64, &[u8]), String> {
-    if payload.len() < 12 {
-        return Err(format!("batch payload too short: {} bytes", payload.len()));
-    }
-    let frame = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let count = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-    if payload.len() != 12 + count * entry_len::<D>() {
+/// Check a record set's framing; returns its `count` records' bytes.
+fn record_bytes<const D: usize>(buf: &[u8]) -> Result<&[u8], String> {
+    let (count, records) = buf
+        .split_first_chunk::<4>()
+        .ok_or_else(|| format!("record set too short: {} bytes", buf.len()))?;
+    let count = u32::from_le_bytes(*count) as usize;
+    if records.len() != count * rec_len::<D>() {
         return Err(format!(
-            "batch payload length {} does not match {count} records",
-            payload.len()
+            "record set length {} does not match {count} records",
+            buf.len()
         ));
     }
-    Ok((frame, &payload[12..]))
+    Ok(records)
 }
 
-fn decode_batch<const D: usize>(
-    payload: &[u8],
-) -> Result<(u64, Vec<(NsiSegmentRecord<D>, f64)>), String> {
-    let (frame, entries) = batch_entries::<D>(payload)?;
-    let rec_len = <NsiSegmentRecord<D> as Record>::ENCODED_LEN;
-    let batch = entries
-        .chunks_exact(entry_len::<D>())
-        .map(|e| {
-            let rec = <NsiSegmentRecord<D> as Record>::decode(&e[..rec_len]);
-            (rec, f64::from_le_bytes(e[rec_len..].try_into().unwrap()))
-        })
-        .collect();
-    Ok((frame, batch))
+fn decode_records<const D: usize>(buf: &[u8]) -> Result<Vec<NsiSegmentRecord<D>>, String> {
+    let records = record_bytes::<D>(buf)?;
+    Ok(records
+        .chunks_exact(rec_len::<D>())
+        .map(<NsiSegmentRecord<D> as Record>::decode)
+        .collect())
+}
+
+/// Split a WAL batch payload, `frame u64 ‖ record set`, into its parts.
+fn batch_records(payload: &[u8]) -> Result<(u64, &[u8]), String> {
+    let (frame, set) = payload
+        .split_first_chunk::<8>()
+        .ok_or_else(|| format!("batch payload too short: {} bytes", payload.len()))?;
+    Ok((u64::from_le_bytes(*frame), set))
 }
 
 /// The body of [`DurableLog::fold_checkpoint`]: append to `cp` the record
@@ -456,7 +459,7 @@ fn decode_batch<const D: usize>(
 /// advance its watermark to the last record folded. All or nothing — on
 /// any error `cp` is left as it was.
 fn fold_tail<const D: usize>(cp: &mut LogicalCheckpoint, wal: &[u8]) -> Result<u64, RecoverError> {
-    let rec_len = <NsiSegmentRecord<D> as Record>::ENCODED_LEN;
+    let rec_len = rec_len::<D>();
     let base_len = cp.records.len();
     if base_len != 4 + cp.count as usize * rec_len {
         return Err(RecoverError::Codec(format!(
@@ -471,11 +474,9 @@ fn fold_tail<const D: usize>(cp: &mut LogicalCheckpoint, wal: &[u8]) -> Result<u
         if seq <= watermark || malformed.is_some() {
             return;
         }
-        match batch_entries::<D>(payload) {
-            Ok((_, entries)) => {
-                for e in entries.chunks_exact(entry_len::<D>()) {
-                    records.extend_from_slice(&e[..rec_len]);
-                }
+        match batch_records(payload).and_then(|(_, set)| record_bytes::<D>(set)) {
+            Ok(batch) => {
+                records.extend_from_slice(batch);
                 watermark = seq;
             }
             Err(msg) => malformed = Some(msg),
@@ -507,30 +508,6 @@ fn fold_tail<const D: usize>(cp: &mut LogicalCheckpoint, wal: &[u8]) -> Result<u
     }
 }
 
-/// Logical checkpoint body: `count u32 ‖ [record bytes]*`.
-fn decode_record_set<const D: usize>(buf: &[u8]) -> Result<Vec<NsiSegmentRecord<D>>, String> {
-    if buf.len() < 4 {
-        return Err(format!("record set too short: {} bytes", buf.len()));
-    }
-    let count = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    let rec_len = <NsiSegmentRecord<D> as Record>::ENCODED_LEN;
-    if buf.len() != 4 + count * rec_len {
-        return Err(format!(
-            "record set length {} does not match {count} records",
-            buf.len()
-        ));
-    }
-    let mut out = Vec::with_capacity(count);
-    let mut off = 4;
-    for _ in 0..count {
-        out.push(<NsiSegmentRecord<D> as Record>::decode(
-            &buf[off..off + rec_len],
-        ));
-        off += rec_len;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,22 +519,64 @@ mod tests {
         R::new(oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5])
     }
 
+    /// A frame's batch as recovery hands it back, from a WAL image.
+    fn recover_batch(wal: &[u8]) -> Result<(u64, Vec<(R, f64)>), RecoverError> {
+        let image = DurableImage {
+            checkpoint: Some(LogicalCheckpoint {
+                records: 0u32.to_le_bytes().to_vec(),
+                count: 0,
+                wal_seq: 0,
+            }),
+            wal: wal.to_vec(),
+        };
+        let (_, mut frames, _) = image.recover_records::<2>()?;
+        Ok(frames.pop().expect("one committed frame"))
+    }
+
     #[test]
     fn batch_codec_roundtrip() {
-        let batch: Vec<(R, f64)> = (0..5).map(|i| (rec(i, f64::from(i), 0.25), 0.25)).collect();
-        let mut payload = Vec::new();
-        encode_batch(7, &batch, &mut payload);
-        let (frame, got) = decode_batch::<2>(&payload).unwrap();
-        assert_eq!(frame, 7);
-        assert_eq!(got, batch);
-        // Empty batches are legal group commits; the buffer is reused.
-        let mut empty = payload.clone();
-        encode_batch::<2>(9, &[], &mut empty);
-        let (frame, got) = decode_batch::<2>(&empty).unwrap();
-        assert_eq!((frame, got.len()), (9, 0));
+        let recs: Vec<R> = (0..5).map(|i| rec(i, f64::from(i), 0.25)).collect();
+        let log = DurableLog::new(0);
+        log.commit_frame(7, &recs.iter().map(|&r| (r, -1.0)).collect::<Vec<_>>());
+        // The `f64` a commit is handed is not stored: recovery pairs each
+        // record with its segment start.
+        let paired: Vec<(R, f64)> = recs.iter().map(|&r| (r, 0.25)).collect();
+        assert_eq!(recover_batch(&log.durable_image().wal).unwrap(), (7, paired));
+        // Empty batches are legal group commits.
+        let log = DurableLog::new(0);
+        log.commit_frame::<2>(9, &[]);
+        assert_eq!(recover_batch(&log.durable_image().wal).unwrap(), (9, Vec::new()));
         // Truncated and padded payloads are typed errors, not panics.
-        assert!(decode_batch::<2>(&payload[..payload.len() - 1]).is_err());
-        assert!(decode_batch::<2>(&[0u8; 11]).is_err());
+        let mut payload = 3u64.to_le_bytes().to_vec();
+        encode_records(recs.iter().copied(), &mut payload);
+        for bad in [&payload[..payload.len() - 1], &payload[..11], &payload[..7]] {
+            let wal = Wal::new();
+            wal.commit(bad);
+            assert!(matches!(recover_batch(&wal.image()), Err(RecoverError::Codec(_))));
+        }
+    }
+
+    #[test]
+    fn a_batch_with_an_f64_behind_each_record_is_a_codec_error() {
+        // The payload an older build committed: `frame ‖ count ‖ [record
+        // bytes ‖ now f64]*`. Recovery refuses it with a typed error, and
+        // so does a fold of a live log holding it.
+        let mut payload = 5u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        for i in 0..2 {
+            rec(i, 1.0, 0.0).encode(&mut payload);
+            payload.extend_from_slice(&0.5f64.to_le_bytes());
+        }
+        let wal = Wal::new();
+        wal.commit(&payload);
+        assert!(matches!(recover_batch(&wal.image()), Err(RecoverError::Codec(_))));
+        let mut cp = LogicalCheckpoint {
+            records: 0u32.to_le_bytes().to_vec(),
+            count: 0,
+            wal_seq: 0,
+        };
+        assert!(matches!(fold_tail::<2>(&mut cp, &wal.image()), Err(RecoverError::Codec(_))));
+        assert_eq!((cp.records.len(), cp.count), (4, 0));
     }
 
     #[test]
@@ -683,7 +702,7 @@ mod tests {
         }
         let mut copy = cp.clone();
         assert_eq!(fold_tail::<2>(&mut copy, &image.wal).unwrap(), 2);
-        assert_eq!(decode_record_set::<2>(&copy.records).unwrap().len(), 3);
+        assert_eq!(decode_records::<2>(&copy.records).unwrap().len(), 3);
         assert_eq!((copy.count, copy.wal_seq), (3, 2));
         // Folding the same image again is a no-op: the watermark filters.
         assert_eq!(fold_tail::<2>(&mut copy, &image.wal).unwrap(), 0);

@@ -20,8 +20,9 @@
 //! * [`NpdqEngine`] — the §4.2 algorithm for unknown trajectories:
 //!   consecutive snapshot queries over the double-temporal-axes index,
 //!   discarding any subtree whose overlap with the current query is
-//!   covered by the previous one (`(Q ∩ R) ⊆ P`), with node timestamps
-//!   deciding when the previous query is still usable.
+//!   covered by the previous one (`(Q ∩ R) ⊆ P`), with node stamps —
+//!   the tree's own insert ordinals — deciding when the previous query
+//!   is still usable.
 //! * Semi-predictive queries (§4) are [`PdqEngine`] over
 //!   [`Trajectory::inflate`]`(δ)`: "SPDQ can be easily implemented using
 //!   the PDQ algorithms".

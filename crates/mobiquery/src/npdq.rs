@@ -12,11 +12,14 @@
 //! quadrant-shaped region — consecutive quadrants genuinely contain each
 //! other's overlap.
 //!
-//! Update management uses node timestamps (§4.2): every insertion stamps
-//! its path; when a visited node's timestamp is newer than the time the
-//! previous query ran, the previous query's result can no longer be
-//! trusted for that subtree and the engine falls back to the plain
-//! overlap test there.
+//! Update management uses node stamps (§4.2): every insertion stamps the
+//! nodes it writes with its ordinal, the tree's record count after it
+//! ([`rtree::NodeRef::stamp`]), and the engine remembers the count the
+//! previous query saw. A visited node stamped above that count was
+//! written since the previous query ran, so the previous query's result
+//! can no longer be trusted for that subtree and the engine falls back to
+//! the plain overlap test there. The order is the tree's own, so no
+//! caller's clock can make a fresh insert look old.
 
 use crate::layout::MotionRecord;
 use crate::snapshot::SnapshotQuery;
@@ -41,17 +44,18 @@ use storage::{PageId, PageStore, StorageError};
 /// let window = Rect::from_corners([0.0, 0.0], [5.0, 5.0]);
 /// // First snapshot returns the object…
 /// let mut got = Vec::new();
-/// npdq.execute(&tree, &SnapshotQuery::open_from(window, 1.0), 0.5, |r| got.push(r.oid));
+/// npdq.execute(&tree, &SnapshotQuery::open_from(window, 1.0), |r| got.push(r.oid));
 /// assert_eq!(got, vec![1]);
 /// // …the next (unchanged) snapshot returns nothing new.
 /// got.clear();
-/// npdq.execute(&tree, &SnapshotQuery::open_from(window, 1.1), 0.5, |r| got.push(r.oid));
+/// npdq.execute(&tree, &SnapshotQuery::open_from(window, 1.1), |r| got.push(r.oid));
 /// assert!(got.is_empty());
 /// ```
 #[derive(Clone, Debug)]
 pub struct NpdqEngine<const D: usize> {
-    /// Previous snapshot query and the logical time at which it ran.
-    prev: Option<(SnapshotQuery<D>, f64)>,
+    /// Previous snapshot query and the tree's record count when it ran:
+    /// a node stamped above it was written since.
+    prev: Option<(SnapshotQuery<D>, u64)>,
     /// Reusable traversal stack, so consecutive executions don't
     /// allocate query over query.
     stack: Vec<PageId>,
@@ -82,9 +86,8 @@ impl<const D: usize> NpdqEngine<D> {
     }
 
     /// Evaluate snapshot `q`, emitting only objects **not** returned by
-    /// the previous snapshot. `now` is the logical clock used to compare
-    /// against node modification timestamps (use the tree's insertion
-    /// clock; any monotone scalar works).
+    /// the previous snapshot, over whatever `tree` holds now: records
+    /// inserted since the previous snapshot are tested afresh.
     ///
     /// Generic over the index layout ([`MotionRecord`]): run it over the
     /// double-temporal-axes tree (the paper's choice, Fig. 5(b)) or the
@@ -93,10 +96,9 @@ impl<const D: usize> NpdqEngine<D> {
         &mut self,
         tree: &RTree<R, S>,
         q: &SnapshotQuery<D>,
-        now: f64,
         emit: impl FnMut(&R),
     ) -> QueryStats {
-        self.try_execute(tree, q, now, emit)
+        self.try_execute(tree, q, emit)
             .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
     }
 
@@ -111,12 +113,11 @@ impl<const D: usize> NpdqEngine<D> {
         &mut self,
         tree: &RTree<R, S>,
         q: &SnapshotQuery<D>,
-        now: f64,
         mut emit: impl FnMut(&R),
     ) -> Result<QueryStats, StorageError> {
         let mut stats = QueryStats::default();
         let qkey = R::query_key(q);
-        let pkey = self.prev.map(|(p, clock)| (p, R::query_key(&p), clock));
+        let pkey = self.prev.map(|(p, len)| (p, R::query_key(&p), len));
 
         // Depth-first traversal; the stack is engine-owned scratch, reused
         // across per-frame executions.
@@ -140,11 +141,11 @@ impl<const D: usize> NpdqEngine<D> {
             if node.level() == 0 {
                 stats.leaf_accesses += 1;
             }
-            // §4.2 timestamp check: if this node was modified after the
+            // §4.2 stamp check: if an insert wrote this node after the
             // previous query ran, its children may contain unseen data —
             // the previous query cannot be used to discard them.
             let clean = match &pkey {
-                Some((_, _, pclock)) => node.timestamp() <= *pclock,
+                Some((_, _, plen)) => node.stamp() <= *plen,
                 None => false,
             };
             if node.is_leaf() {
@@ -192,7 +193,7 @@ impl<const D: usize> NpdqEngine<D> {
             }
         }
         self.stack = stack;
-        self.prev = Some((*q, now));
+        self.prev = Some((*q, tree.len()));
         Ok(stats)
     }
 }
@@ -341,7 +342,7 @@ mod tests {
         let mut eng = NpdqEngine::new();
         let q = SnapshotQuery::at_instant(win(2.0, 2.0, 4.0), 1.0);
         let mut got = Vec::new();
-        let stats = eng.execute(&tree, &q, 0.0, |r| got.push(r.oid));
+        let stats = eng.execute(&tree, &q, |r| got.push(r.oid));
         assert_eq!(got.len(), 16, "4×4 cells");
         assert_eq!(stats.results, 16);
         assert!(eng.has_previous());
@@ -354,9 +355,9 @@ mod tests {
         let q1 = SnapshotQuery::at_instant(win(2.0, 2.0, 4.0), 1.0);
         let q2 = SnapshotQuery::at_instant(win(3.0, 2.0, 4.0), 1.1); // shifted 1 in x
         let mut first = Vec::new();
-        eng.execute(&tree, &q1, 0.0, |r| first.push(r.oid));
+        eng.execute(&tree, &q1, |r| first.push(r.oid));
         let mut second = Vec::new();
-        let s2 = eng.execute(&tree, &q2, 0.0, |r| second.push(r.oid));
+        let s2 = eng.execute(&tree, &q2, |r| second.push(r.oid));
         // New column x ∈ [6, 7): 4 objects.
         assert_eq!(second.len(), 4, "only the newly visible column");
         assert!(second.iter().all(|o| !first.contains(o)));
@@ -370,13 +371,13 @@ mod tests {
         let mut eng_hi = NpdqEngine::new();
         let mut eng_lo = NpdqEngine::new();
         let q0 = SnapshotQuery::at_instant(win(5.0, 5.0, 20.0), 1.0);
-        let hi_first = eng_hi.execute(&tree, &q0, 0.0, |_| {});
-        let lo_first = eng_lo.execute(&tree, &q0, 0.0, |_| {});
+        let hi_first = eng_hi.execute(&tree, &q0, |_| {});
+        let lo_first = eng_lo.execute(&tree, &q0, |_| {});
         assert_eq!(hi_first.disk_accesses, lo_first.disk_accesses);
         let q_hi = SnapshotQuery::at_instant(win(5.2, 5.0, 20.0), 1.1);
         let q_lo = SnapshotQuery::at_instant(win(30.0, 30.0, 8.0), 1.1);
-        let hi = eng_hi.execute(&tree, &q_hi, 0.0, |_| {});
-        let lo = eng_lo.execute(&tree, &q_lo, 0.0, |_| {});
+        let hi = eng_hi.execute(&tree, &q_hi, |_| {});
+        let lo = eng_lo.execute(&tree, &q_lo, |_| {});
         assert!(
             hi.leaf_accesses < lo_first.leaf_accesses,
             "99% overlap must prune leaf I/O: {} vs first {}",
@@ -393,13 +394,13 @@ mod tests {
         let q2 = SnapshotQuery::at_instant(win(25.0, 25.0, 8.0), 1.1);
         // NPDQ with a useless previous query…
         let mut eng = NpdqEngine::new();
-        eng.execute(&tree, &q1, 0.0, |_| {});
+        eng.execute(&tree, &q1, |_| {});
         let mut with_prev = Vec::new();
-        let npdq_stats = eng.execute(&tree, &q2, 0.0, |r| with_prev.push(r.oid));
+        let npdq_stats = eng.execute(&tree, &q2, |r| with_prev.push(r.oid));
         // …vs a fresh evaluation of q2.
         let mut fresh_eng = NpdqEngine::new();
         let mut fresh = Vec::new();
-        let fresh_stats = fresh_eng.execute(&tree, &q2, 0.0, |r| fresh.push(r.oid));
+        let fresh_stats = fresh_eng.execute(&tree, &q2, |r| fresh.push(r.oid));
         with_prev.sort_unstable();
         fresh.sort_unstable();
         assert_eq!(with_prev, fresh, "no overlap ⇒ identical results");
@@ -420,7 +421,7 @@ mod tests {
         for k in 0..40 {
             let t = 1.0 + k as f64 * 0.1;
             let q = SnapshotQuery::at_instant(win(2.0 + k as f64 * 0.5, 10.0, 6.0), t);
-            eng.execute(&tree, &q, 0.0, |r| {
+            eng.execute(&tree, &q, |r| {
                 npdq_all.insert(r.oid);
             });
             naive.query_dta(&tree, &q, |r| {
@@ -431,24 +432,24 @@ mod tests {
     }
 
     #[test]
-    fn updates_invalidate_previous_query() {
-        // Insert an object inside the overlap region after P ran: the
-        // timestamp mechanism must prevent discarding it.
+    fn a_past_stamped_insert_under_the_previous_query_is_delivered() {
+        // An object inserted after P ran, inside Q ∩ P, alive at both
+        // instants: P's predicate matches it, but P never saw it. Its
+        // motion and the `now` it is inserted with (ignored) both lie
+        // before P's instant; a stamp taken from that clock read its leaf
+        // as untouched since P, and Q suppressed the object for good.
         let mut tree = grid_tree(20);
         let mut eng = NpdqEngine::new();
         let q1 = SnapshotQuery::at_instant(win(2.0, 2.0, 6.0), 1.0);
-        eng.execute(&tree, &q1, /*now=*/ 0.0, |_| {});
-        // New object in the middle of the already-covered region, with a
-        // validity that starts after q1's instant so q1 never saw it.
-        let rec = R::new(9999, 0, Interval::new(1.05, 100.0), [4.0, 4.0], [4.0, 4.0]);
-        tree.insert(rec, /*timestamp=*/ 1.0);
+        eng.execute(&tree, &q1, |_| {});
+        let rec = R::new(9999, 0, Interval::new(0.0, 100.0), [4.0, 4.0], [4.0, 4.0]);
+        assert!(q1.matches_segment(rec.segment()));
+        tree.insert(rec, 0.0);
         let q2 = SnapshotQuery::at_instant(win(2.0, 2.0, 6.0), 1.2);
         let mut got = Vec::new();
-        eng.execute(&tree, &q2, 1.0, |r| got.push(r.oid));
-        assert!(
-            got.contains(&9999),
-            "timestamped update must defeat discardability: {got:?}"
-        );
+        eng.execute(&tree, &q2, |r| got.push(r.oid));
+        // The leaf it went into is re-read whole: §4.2 may repeat objects.
+        assert!(got.contains(&9999), "the insert is new to q2: {got:?}");
     }
 
     #[test]
@@ -457,9 +458,9 @@ mod tests {
         let mut eng = NpdqEngine::new();
         let q1 = SnapshotQuery::at_instant(win(2.0, 2.0, 6.0), 1.0);
         let q2 = SnapshotQuery::at_instant(win(2.0, 2.0, 6.0), 1.1);
-        eng.execute(&tree, &q1, 0.0, |_| {});
+        eng.execute(&tree, &q1, |_| {});
         let mut got = Vec::new();
-        let stats = eng.execute(&tree, &q2, 0.0, |r| got.push(r.oid));
+        let stats = eng.execute(&tree, &q2, |r| got.push(r.oid));
         assert!(got.is_empty(), "fully covered query returns nothing new");
         // And it touches almost nothing below the root.
         assert!(stats.leaf_accesses == 0, "leaf I/O should be fully pruned");
@@ -489,7 +490,7 @@ mod tests {
         let mut eng = NpdqEngine::new();
         let q1 = SnapshotQuery::at_instant(win(2.0, 2.0, 6.0), 1.0);
         let mut baseline = std::collections::HashSet::new();
-        eng.execute(&tree, &q1, 0.0, |r| {
+        eng.execute(&tree, &q1, |r| {
             baseline.insert(r.oid);
         });
         assert!(eng.has_previous());
@@ -499,7 +500,7 @@ mod tests {
         let mut emitted = std::collections::HashSet::new();
         let mut errors = 0u32;
         let stats = loop {
-            match eng.try_execute(&tree, &q2, 0.0, |r| {
+            match eng.try_execute(&tree, &q2, |r| {
                 emitted.insert(r.oid);
             }) {
                 Ok(stats) => break stats,
@@ -531,9 +532,9 @@ mod tests {
                 clean_recs,
             );
             let mut oracle = NpdqEngine::new();
-            oracle.execute(&clean, &q1, 0.0, |_| {});
+            oracle.execute(&clean, &q1, |_| {});
             let mut out = std::collections::HashSet::new();
-            oracle.execute(&clean, &q2, 0.0, |r| {
+            oracle.execute(&clean, &q2, |r| {
                 out.insert(r.oid);
             });
             out

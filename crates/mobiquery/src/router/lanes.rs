@@ -14,12 +14,12 @@
 //! it as inserted this frame. So frame `k` is exactly `S_k ∖ S_{k-1}`
 //! over the records resident at each frame — a function of the query and
 //! the record set, the same under every grid, layout, rebalance and
-//! recovery, whatever the inserts' timestamps. A frame that fails leaves
-//! no previous query, so the next one re-delivers its whole snapshot: it
-//! may repeat objects, never lose one. (§4.2's discarding engine is not
-//! used here: over an NSI key an instant query's time extent is a point,
-//! so Lemma 1 cannot discard a subtree, and its node-timestamp rule drops
-//! a record inserted with a `now` older than the previous frame.)
+//! recovery. A frame that fails leaves no previous query, so the next one
+//! re-delivers its whole snapshot: it may repeat objects, never lose one.
+//! (§4.2's discarding engine, `NpdqEngine`, is not used here: over an NSI
+//! key an instant query's time extent is a point, so Lemma 1 cannot
+//! discard a subtree, and the engine would add nothing but its node-stamp
+//! test to this search.)
 
 use super::RegionTree;
 use crate::layout::MotionRecord;
@@ -306,15 +306,14 @@ pub(super) struct Slate<const D: usize> {
 
 impl<const D: usize> Slate<D> {
     /// Writer side, after the tree's write lock dropped: frame `k`'s
-    /// routed slice and its reports replace the previous frame's; the
-    /// reports' old buffer goes back to the caller for the next batch.
+    /// routed slice and its reports replace the previous frame's.
     pub(super) fn publish(
         &mut self,
         k: usize,
         routed: &[(NsiSegmentRecord<D>, f64)],
-        reports: &mut Vec<NsiReport<D>>,
+        reports: Vec<NsiReport<D>>,
     ) {
-        std::mem::swap(&mut self.reports, reports);
+        self.reports = reports;
         self.ids.clear();
         self.ids.extend(routed.iter().map(|(rec, _)| rec.ids()));
         self.ids.sort_unstable();
@@ -497,10 +496,10 @@ mod tests {
     #[test]
     fn a_past_stamped_insert_is_delivered_when_it_becomes_visible() {
         // Record 900 sits in the windows at t_2 = 1.0 and t_3 = 1.5 but
-        // arrives only in batch 3, stamped `now = 0.0` — older than frame
-        // 2. Frame 2 could not see it, so frame 3 must deliver it; a
-        // node-timestamp rule reads its leaf as unchanged since frame 2
-        // and suppresses it as already seen.
+        // arrives only in batch 3, paired with `now = 0.0` — older than
+        // frame 2. Frame 2 could not see it, so frame 3 must deliver it; a
+        // node stamp taken from that `now` reads its leaf as unchanged
+        // since frame 2 and suppresses it as already seen.
         let late = R::new(900, 0, Interval::new(0.0, 100.0), [1.75, 0.5], [1.75, 0.5]);
         let spec = slide_spec(SessionKind::Npdq, 20, 10.0);
         let mut inserts = vec![Vec::new(); 4];
@@ -527,7 +526,7 @@ mod tests {
             lanes.enter(&server.grid, &server.regions);
             let slates = [RwLock::new(Slate::default())];
             lanes.step_frame(&server.grid, &server.regions, &slates, 0).unwrap();
-            let report = server.regions[0].write().try_insert(late, 2.0).unwrap();
+            let report = server.regions[0].write().try_insert(late).unwrap();
             *slates[0].write() = Slate {
                 frame: stamp,
                 ids: vec![late.ids()],
@@ -593,7 +592,7 @@ mod tests {
             .map(|k| {
                 let reports: Vec<_> = inserts[k]
                     .iter()
-                    .map(|(rec, now)| tree.try_insert(*rec, *now).unwrap())
+                    .map(|(rec, _)| tree.try_insert(*rec).unwrap())
                     .collect();
                 for report in &reports {
                     direct.notify(report);

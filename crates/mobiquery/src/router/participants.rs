@@ -12,12 +12,11 @@
 
 use super::lanes::{LaneRun, Slate};
 use super::rebuild::route_slice;
-use super::{PartitionedDqServer, PartitionedServeReport, RegionReport, RegionTree};
+use super::{PartitionedDqServer, PartitionedServeReport, RegionReport};
 use crate::clock::{FrameClock, SessionLiveness};
 use crate::durability::DurableLog;
 use crate::service::{
-    panic_message, record_wait, FrameDelta, FrameSink, NsiReport, SessionOutcome, SessionPlan,
-    SinkVerdict,
+    panic_message, record_wait, FrameDelta, FrameSink, SessionOutcome, SessionPlan, SinkVerdict,
 };
 use parking_lot::RwLock;
 use rtree::NsiSegmentRecord;
@@ -110,26 +109,35 @@ fn blank_slates<const D: usize>(n: usize) -> Vec<RwLock<Slate<D>>> {
 }
 
 impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
-    /// Apply one region's routed slice under that region's write lock.
-    /// Transient failures back off with the lock *released* and resume
-    /// from the failed record; records whose errors are unrecoverable
-    /// (corrupt page) or whose retry budget is exhausted are skipped
-    /// into the tally's outcome.
+    /// Region `r`'s step of frame `k`, the same in both drivers: apply
+    /// its routed slice `batch` under the region's write lock, publish
+    /// the slice and its insert reports on the region's `slate`, and
+    /// trace the route. Transient failures back off with the lock
+    /// *released* and resume from the failed record; records whose
+    /// errors are unrecoverable (corrupt page) or whose retry budget is
+    /// exhausted are skipped into the tally's outcome.
+    ///
+    /// The caller has made sure nobody reads the slate's previous frame
+    /// any more, so its reports buffer is taken for this frame's.
     ///
     /// Contained: a panicking insert (an engine bug, or page bytes
     /// behind a header that parses that no read checks) fails the
-    /// region's writer like a full device does and returns `false`: the slice's
-    /// reports may describe a half-written tree, so the caller publishes
-    /// no slate for it. The caller's clock calls stay outside, so the
-    /// writer still advances its frames and no session waits on it.
+    /// region's writer like a full device does, and no slate is
+    /// published: the slice's reports may describe a half-written tree.
+    /// The caller's clock calls stay outside, so the writer still
+    /// advances its frames and no session waits on it.
     fn apply_region_batch(
         &self,
-        tree: &RegionTree<D, S>,
+        k: usize,
+        r: usize,
         batch: &[(NsiSegmentRecord<D>, f64)],
-        reports: &mut Vec<NsiReport<D>>,
+        slate: &RwLock<Slate<D>>,
         w: &mut RegionReport,
         hold_hist: Option<&Arc<obs::Histogram>>,
-    ) -> bool {
+    ) {
+        let tree = &self.regions[r];
+        let mut reports = std::mem::take(&mut slate.write().reports);
+        reports.clear();
         let mut idx = 0;
         let mut attempt = 0u32;
         let mut panicked = false;
@@ -140,8 +148,8 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 let before = tree.level_counters().snapshot();
                 let mut backoff = None;
                 while idx < batch.len() {
-                    let (rec, now) = &batch[idx];
-                    match catch_unwind(AssertUnwindSafe(|| tree.try_insert(*rec, *now))) {
+                    let (rec, _) = batch[idx];
+                    match catch_unwind(AssertUnwindSafe(|| tree.try_insert(rec))) {
                         Ok(Ok(report)) => {
                             reports.push(report);
                             w.inserts_applied += 1;
@@ -190,7 +198,13 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 std::thread::sleep(pause);
             }
         }
-        !panicked
+        if !panicked {
+            slate.write().publish(k, batch, reports);
+        }
+        obs::trace(obs::TraceEvent::RegionRoute {
+            region: r as u32,
+            records: batch.len() as u32,
+        });
     }
 
     /// The clocks, slates and instruments of one concurrent serve of
@@ -236,7 +250,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
     ) -> RegionReport {
         let mut w = RegionReport::default();
-        let mut reports: Vec<NsiReport<D>> = Vec::new();
         let mut routed = Vec::new();
         let clock = &sh.clocks[r];
         for k in 0..sh.steps {
@@ -253,17 +266,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     // slip past a still-reading session).
                     record_wait(&sh.wait_hist, clock.wait_committed(ku));
                     record_wait(&sh.wait_hist, clock.wait_ready(ku));
-                    reports.clear();
-                    let (tree, hold) = (&self.regions[r], sh.hold_hist.as_ref());
                     // `wait_ready` above is also why nobody still reads
                     // the slate's previous frame.
-                    if self.apply_region_batch(tree, &routed, &mut reports, &mut w, hold) {
-                        sh.slates[r].write().publish(k, &routed, &mut reports);
-                    }
-                    obs::trace(obs::TraceEvent::RegionRoute {
-                        region: r as u32,
-                        records: routed.len() as u32,
-                    });
+                    let hold = sh.hold_hist.as_ref();
+                    self.apply_region_batch(k, r, &routed, &sh.slates[r], &mut w, hold);
                 }
             }
             let lag = clock.advance_applied(ku + 1);
@@ -471,7 +477,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         let hold_hist = self.histogram("service.writer.lock_hold_ns");
         let slates = blank_slates(self.grid.len());
         let mut routed = Vec::new();
-        let mut reports = Vec::new();
         for k in 0..run.steps {
             let ku = k as u64;
             // A joiner builds its engines against the pre-batch trees,
@@ -488,15 +493,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 for (r, w) in run.writers.iter_mut().enumerate() {
                     route_slice(&self.grid, r, batch, &mut routed);
                     if !routed.is_empty() && !writer_failed(w) {
-                        reports.clear();
-                        let (tree, hold) = (&self.regions[r], hold_hist.as_ref());
-                        if self.apply_region_batch(tree, &routed, &mut reports, w, hold) {
-                            slates[r].write().publish(k, &routed, &mut reports);
-                        }
-                        obs::trace(obs::TraceEvent::RegionRoute {
-                            region: r as u32,
-                            records: routed.len() as u32,
-                        });
+                        // Sessions step after every region: nobody reads
+                        // the slate's previous frame.
+                        self.apply_region_batch(k, r, &routed, &slates[r], w, hold_hist.as_ref());
                     }
                 }
             }
@@ -675,8 +674,8 @@ mod tests {
             if !batch.is_empty() {
                 expect.clear();
             }
-            for (rec, now) in batch {
-                expect.push(twin.regions[0].write().try_insert(*rec, *now).unwrap());
+            for (rec, _) in batch {
+                expect.push(twin.regions[0].write().try_insert(*rec).unwrap());
             }
         }
         let slate = sh.slates[0].read();

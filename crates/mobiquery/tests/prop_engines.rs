@@ -224,7 +224,7 @@ proptest! {
         for k in 0..frames {
             let t = span.lo + span.length() * k as f64 / (frames - 1) as f64;
             let q = SnapshotQuery::open_from(traj.window_at(t), t);
-            eng.execute(&tree, &q, f64::INFINITY, |r| { union_npdq.insert(r.oid); });
+            eng.execute(&tree, &q, |r| { union_npdq.insert(r.oid); });
             naive.query_dta(&tree, &q, |r| { union_naive.insert(r.oid); });
         }
         prop_assert_eq!(union_npdq, union_naive);
@@ -250,7 +250,7 @@ proptest! {
         for k in 0..frames {
             let t = span.lo + span.length() * k as f64 / (frames - 1) as f64;
             let q = SnapshotQuery::at_instant(traj.window_at(t), t);
-            eng.execute(&tree, &q, f64::INFINITY, |r| { union_npdq.insert((r.oid, r.seq)); });
+            eng.execute(&tree, &q, |r| { union_npdq.insert((r.oid, r.seq)); });
             naive.query_dta(&tree, &q, |r| { union_naive.insert((r.oid, r.seq)); });
         }
         prop_assert_eq!(union_npdq, union_naive);

@@ -15,15 +15,20 @@
 //! matches that the one at `t_{k-1}` did not, each over the records
 //! resident at its frame — `SnapshotQuery::matches_segment` over the
 //! record list, no tree and no engine.
+//!
+//! The third holds the library `NpdqEngine` to that NPDQ truth's
+//! contract, over a DTA tree and an NSI tree, with the open queries of
+//! Fig. 5(a) and inserts between frames paired with any `now` up to the
+//! frame time: §4.2 may repeat an object, never lose one.
 
 use mobiquery::{
-    KeySnapshot, MotionRecord, PartitionedDqServer, PdqEngine, RegionGrid, SessionKind,
+    KeySnapshot, MotionRecord, NpdqEngine, PartitionedDqServer, PdqEngine, RegionGrid, SessionKind,
     SessionOutput, SessionPlan, SessionSpec, SnapshotQuery, Trajectory,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
+use rtree::{DtaSegmentRecord, NsiSegmentRecord, RTree, RTreeConfig};
 use std::collections::HashSet;
 use storage::Pager;
 use stkit::{Interval, Rect};
@@ -316,6 +321,81 @@ proptest! {
     ) {
         if let Err(e) = check_served(Scenario { seed, preload, frames, batch }) {
             return Err(TestCaseError::fail(e));
+        }
+    }
+}
+
+/// The library NPDQ over a tree of `make`'s records: the preload
+/// inserted, then per frame `k` one open snapshot at `t_k` and a batch
+/// paired with `now` drawn from `[0, t_{k+1}]` — mostly older than the
+/// snapshot just taken. With `S_k` the resident records `q_k` matches,
+/// frame `k` must deliver all of `S_k ∖ S_{k-1}` and nothing outside
+/// `S_k`, and the run must deliver fewer objects than the naive
+/// `Σ |S_k|`, or nothing was discarded.
+fn check_npdq<T: MotionRecord<2>>(sc: Scenario, make: impl Fn(&R) -> T) -> Result<(), String> {
+    let mut rng = ChaCha8Rng::seed_from_u64(sc.seed);
+    let span = sc.frames as f64 * DT;
+    let traj = zigzag(span);
+    let mut oids = 0u32..;
+    let mut draw = |rng: &mut ChaCha8Rng, around: f64| {
+        motion(rng, oids.next().expect("u32 ids"), around, span)
+    };
+    let mut tree = RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+    let mut resident: Vec<R> = Vec::new();
+    for _ in 0..sc.preload {
+        let rec = draw(&mut rng, 0.0);
+        tree.insert(make(&rec), 0.0);
+        resident.push(rec);
+    }
+    if tree.height() < 3 {
+        return Err(format!("height {} proves little", tree.height()));
+    }
+    let mut engine = NpdqEngine::new();
+    let (mut before, mut delivered, mut naive) = (HashSet::new(), 0, 0);
+    for k in 0..sc.frames {
+        let t = k as f64 * DT;
+        let q = SnapshotQuery::open_from(traj.window_at(t), t);
+        let mut got = HashSet::new();
+        engine.execute(&tree, &q, |r| {
+            got.insert(r.ids());
+        });
+        let visible: HashSet<_> =
+            resident.iter().filter(|r| q.matches_segment(&r.seg)).map(R::ids).collect();
+        let lost: Vec<_> = visible.difference(&before).filter(|id| !got.contains(id)).collect();
+        let stray: Vec<_> = got.difference(&visible).collect();
+        if !lost.is_empty() || !stray.is_empty() {
+            return Err(format!("frame {k} at {t}: lost {lost:?}, stray {stray:?}"));
+        }
+        (delivered, naive) = (delivered + got.len(), naive + visible.len());
+        before = visible;
+        for _ in 0..sc.batch {
+            let rec = draw(&mut rng, t + DT);
+            tree.insert(make(&rec), (t + DT) * rng.gen_range(0.0..1.0));
+            resident.push(rec);
+        }
+    }
+    if delivered >= naive {
+        return Err(format!("delivered {delivered} of naive {naive}: nothing discarded"));
+    }
+    Ok(())
+}
+
+fn dta(r: &R) -> DtaSegmentRecord<2> {
+    DtaSegmentRecord::new(r.oid, r.seq, r.seg.t, r.seg.x0, r.seg.end_position())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn library_npdq_delivers_every_newly_visible_record(sc in scenario()) {
+        // Sixteen frames or more, so consecutive windows overlap and
+        // NPDQ has something to discard.
+        let sc = Scenario { frames: 16 + sc.frames, ..sc };
+        for (layout, verdict) in [("DTA", check_npdq(sc, dta)), ("NSI", check_npdq(sc, |r| *r))] {
+            if let Err(e) = verdict {
+                return Err(TestCaseError::fail(format!("{layout}: {e}")));
+            }
         }
     }
 }

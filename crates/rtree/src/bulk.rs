@@ -34,7 +34,7 @@
 //! writes each node through the tree's one scratch page — under 16 bytes
 //! per record beyond the pages written (`tests/insert_allocs.rs`).
 //!
-//! Packed nodes carry the never-modified timestamp `-∞`. For NPDQ (§4.2)
+//! Packed nodes carry stamp 0, the one no insert writes. For NPDQ (§4.2)
 //! that reads "not modified since the previous query", which is sound
 //! because whatever rebuilds a tree also starts its queries afresh, with
 //! no previous query to discard against.

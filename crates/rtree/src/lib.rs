@@ -22,8 +22,9 @@
 //!   new nodes therefore nest, and the insert reports the top-most of
 //!   them — their common ancestor, and a page no running query has read
 //!   ([`InsertReport`]) — so running dynamic queries can be notified.
-//! * **Node timestamps** — every node on an insertion path is stamped
-//!   with the logical time of the insert, which is what lets NPDQ decide
+//! * **Node stamps** — every node an insert writes is stamped with the
+//!   tree's record count after it, so "written since the previous query"
+//!   is a comparison with the count that query saw: what lets NPDQ decide
 //!   whether the previous query may be used to discard a subtree (§4.2).
 //! * **STR bulk loading** ([`bulk`]): one packing routine, called by the
 //!   §5 experiment build at a configurable fill factor (the paper builds

@@ -8,7 +8,8 @@
 //! 2       1     node kind: 0 = leaf, 1 = internal
 //! 3       1     reserved
 //! 4       4     entry count (u32)
-//! 8       8     modification timestamp (f64) — §4.2 update management
+//! 8       8     stamp (u64): the tree's record count after the insert
+//!               that last wrote the node, 0 if none did — §4.2
 //! 16      4     level (u32): 0 at leaves, increasing towards the root
 //! 20      12    reserved
 //! 32      …     entries
@@ -39,7 +40,7 @@ const KIND_INTERNAL: u8 = 1;
 
 /// Offsets of the header fields the edit primitives rewrite.
 const COUNT_AT: usize = 4;
-const TIMESTAMP_AT: usize = 8;
+const STAMP_AT: usize = 8;
 
 /// Bytes per entry of a leaf (`true`) or internal node.
 const fn stride<K: Key, R: Record>(leaf: bool) -> usize {
@@ -62,7 +63,7 @@ pub(crate) fn capacity<K: Key, R: Record>(leaf: bool, page_size: usize) -> usize
 struct Header {
     leaf: bool,
     count: usize,
-    timestamp: f64,
+    stamp: u64,
     level: u32,
 }
 
@@ -96,9 +97,7 @@ impl Header {
         Some(Header {
             leaf,
             count,
-            timestamp: f64::from_le_bytes(
-                head[TIMESTAMP_AT..TIMESTAMP_AT + 8].try_into().unwrap(),
-            ),
+            stamp: u64::from_le_bytes(head[STAMP_AT..STAMP_AT + 8].try_into().unwrap()),
             level,
         })
     }
@@ -230,9 +229,10 @@ impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
         self.head.level
     }
 
-    /// Logical time of the node's last modification (§4.2).
-    pub fn timestamp(&self) -> f64 {
-        self.head.timestamp
+    /// Which insert last wrote the node: the tree's record count right
+    /// after it, 0 for a node no insert has written (§4.2).
+    pub fn stamp(&self) -> u64 {
+        self.head.stamp
     }
 
     /// Number of entries.
@@ -325,7 +325,7 @@ pub struct NodeEdit<'a, K, R> {
 }
 
 impl<'a, K: Key, R: Record<Key = K>> NodeEdit<'a, K, R> {
-    /// Open an empty, never-modified node at `level` (0 = leaf) for a
+    /// Open an empty node stamped 0 at `level` (0 = leaf) for a
     /// page of `page_size` bytes in `buf`, cleared first and grown once
     /// to a page: how a node written whole is built, its entries
     /// appended straight into the image that is written.
@@ -337,7 +337,7 @@ impl<'a, K: Key, R: Record<Key = K>> NodeEdit<'a, K, R> {
         buf.push(if leaf { KIND_LEAF } else { KIND_INTERNAL });
         buf.push(0);
         buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&f64::NEG_INFINITY.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&level.to_le_bytes());
         buf.resize(NODE_HEADER_LEN, 0);
         NodeEdit {
@@ -359,9 +359,9 @@ impl<'a, K: Key, R: Record<Key = K>> NodeEdit<'a, K, R> {
         self.count == 0
     }
 
-    /// Stamp the node's modification time (§4.2).
-    pub fn set_timestamp(&mut self, now: f64) {
-        self.buf[TIMESTAMP_AT..TIMESTAMP_AT + 8].copy_from_slice(&now.to_le_bytes());
+    /// Stamp the node with the insert writing it (see [`NodeRef::stamp`]).
+    pub fn set_stamp(&mut self, stamp: u64) {
+        self.buf[STAMP_AT..STAMP_AT + 8].copy_from_slice(&stamp.to_le_bytes());
     }
 
     /// Append one record to a leaf, at `32 + len·stride`. Panics on a

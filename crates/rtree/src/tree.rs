@@ -132,7 +132,7 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
 ///     let y = (i / 25) as f64;
 ///     let rec = NsiSegmentRecord::new(
 ///         i, 0, Interval::new(0.0, 1.0), [x, y], [x + 0.5, y + 0.5]);
-///     tree.insert(rec, i as f64); // the f64 is the §4.2 timestamp
+///     tree.insert(rec, 0.0); // the f64 is ignored: see `RTree::insert`
 /// }
 /// assert_eq!(tree.len(), 500);
 /// // Range search with the exact leaf test (§3.2).
@@ -290,28 +290,25 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         Ok(node)
     }
 
-    /// Write `page` whole: a node at `level` stamped `now`, holding the
-    /// entries `fill` appends, built in the scratch buffer
-    /// ([`NodeEdit::fresh`]). How split halves and new roots are written;
-    /// an insert's unsplit nodes are edited page images instead (see
-    /// [`Self::ascend`]).
+    /// Write `page` whole: a node at `level` holding the entries `fill`
+    /// appends, built in the scratch buffer ([`NodeEdit::fresh`]) and
+    /// stamped 0 unless `fill` stamps it. How split halves and new roots
+    /// are written; an insert's unsplit nodes are edited page images
+    /// instead (see [`Self::ascend`]).
     fn write_new(
         &mut self,
         page: PageId,
         level: u32,
-        now: f64,
         fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
     ) {
         let mut edit = NodeEdit::fresh(&mut self.scratch, level, self.store.page_size());
-        edit.set_timestamp(now);
         fill(&mut edit);
         self.store.write(page, edit.bytes());
         self.levels.record_write(level);
     }
 
     /// [Write](Self::write_new) `page`, or a newly allocated page when it
-    /// is `None`, a never-modified node (`-∞`): how bulk load writes each
-    /// node it packs.
+    /// is `None`: how bulk load writes each node it packs, stamped 0.
     pub(crate) fn write_fresh(
         &mut self,
         page: Option<PageId>,
@@ -319,7 +316,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
     ) -> PageId {
         let page = page.unwrap_or_else(|| self.store.alloc());
-        self.write_new(page, level, f64::NEG_INFINITY, fill);
+        self.write_new(page, level, fill);
         page
     }
 
@@ -336,12 +333,24 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         m.clamp(1, capacity.div_ceil(2))
     }
 
-    /// Insert one record, stamping every touched node with logical time
-    /// `now` (§4.2 update management) and reporting what running dynamic
-    /// queries must be told (§4.1 update management).
-    pub fn insert(&mut self, rec: R, now: f64) -> InsertReport<R::Key, R> {
-        self.try_insert(rec, now)
+    /// Insert one record, reporting what running dynamic queries must be
+    /// told (§4.1 update management). Every node it writes is stamped
+    /// with [`Self::len`] after it (§4.2 update management; see
+    /// [`NodeRef::stamp`]). `_now` is read by nothing: it is kept only
+    /// because `benchmarks/dqbench/src/layers.rs` passes one.
+    pub fn insert(&mut self, rec: R, _now: f64) -> InsertReport<R::Key, R> {
+        self.try_insert(rec)
             .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
+    }
+
+    /// The stamp of every node the insert in progress writes: its ordinal,
+    /// which is [`Self::len`] once it succeeds. A successful insert
+    /// strictly raises `len`, so a node stamped above the `len` read at
+    /// some instant was written after it. An insert that fails with
+    /// [`StorageError::Full`] mid-cascade leaves nodes stamped one past
+    /// `len`: they look newer than they are, which is the safe side.
+    fn stamp(&self) -> u64 {
+        self.len + 1
     }
 
     /// Fallible form of [`Self::insert`]. Device faults — a page that no
@@ -362,12 +371,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// what the serving writer's `SessionOutcome::Failed` degradation
     /// does. With the WAL enabled no update is lost: the batch's record
     /// is already durable and recovery replays it onto a larger device.
-    pub fn try_insert(
-        &mut self,
-        rec: R,
-        now: f64,
-    ) -> Result<InsertReport<R::Key, R>, StorageError> {
-        self.with_path(|tree, path| tree.insert_along(path, rec, now))
+    pub fn try_insert(&mut self, rec: R) -> Result<InsertReport<R::Key, R>, StorageError> {
+        self.with_path(|tree, path| tree.insert_along(path, rec))
     }
 
     /// Run `f` with the tree's descent stack, handing the stack back
@@ -388,7 +393,6 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         &mut self,
         path: &mut Vec<Step<R::Key, R>>,
         rec: R,
-        now: f64,
     ) -> Result<InsertReport<R::Key, R>, StorageError> {
         let added = rec.key();
         // Page-domain key: what the record's key becomes after one trip
@@ -413,9 +417,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             child_key = path
                 .last()
                 .map(|up| up.child_key_after(true, &added, || leaf.bounding_key().cover(&added)));
+            let stamp = self.stamp();
             let mut edit = leaf.edit_in(&mut self.scratch);
             drop(leaf);
-            edit.set_timestamp(now);
+            edit.set_stamp(stamp);
             edit.push_record(&rec);
             self.store.write(leaf_page, edit.bytes());
             self.levels.record_write(level);
@@ -424,14 +429,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             drop(leaf);
             recs.push(rec);
             let [(old_key, _), new_entry] =
-                self.write_split(leaf_page, 0, now, &recs, R::key, |edit, r| {
-                    edit.push_record(r)
-                })?;
+                self.write_split(leaf_page, 0, &recs, R::key, |edit, r| edit.push_record(r))?;
             child_key = Some(old_key);
             pending = Some(new_entry);
         }
 
-        let created = self.ascend(path, child_key, pending, now)?;
+        let created = self.ascend(path, child_key, pending)?;
         self.len += 1;
         Ok(InsertReport {
             notify: created.unwrap_or(Inserted::Record(rec)),
@@ -463,7 +466,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// node to the root, giving each node its child's new key
     /// (`child_key`; `None` only when `path` is empty and the leaf, the
     /// root, did not split) and the entry `pending` from below, and
-    /// stamping it with `now`.
+    /// [stamping](Self::stamp) it.
     ///
     /// A node with room is *edited*: its used prefix is copied into the
     /// scratch buffer, the one or two entries that change are patched in
@@ -484,9 +487,9 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         path: &mut Vec<Step<R::Key, R>>,
         mut child_key: Option<R::Key>,
         mut pending: Option<(R::Key, PageId)>,
-        now: f64,
     ) -> Result<Option<Inserted<R::Key, R>>, StorageError> {
         let internal_cap = self.internal_capacity();
+        let stamp = self.stamp();
         let mut grew = pending.is_none();
         let mut created = None;
         while let Some(Step { page, node, chosen }) = path.pop() {
@@ -500,7 +503,6 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 let [(old_key, _), new_entry] = self.write_split(
                     page,
                     level,
-                    now,
                     &entries,
                     |(k, _)| *k,
                     |edit, (k, child)| edit.push_entry(k, *child),
@@ -522,7 +524,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             let key = path.last().map(|up| up.child_key_after(grew, &ck, fold));
             let mut edit = node.edit_in(&mut self.scratch);
             drop(node);
-            edit.set_timestamp(now);
+            edit.set_stamp(stamp);
             edit.set_key(chosen, &ck);
             if let Some((nk, np)) = pending.take() {
                 // The first ancestor with room: the split chain ends here.
@@ -543,7 +545,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             let old_root_key = child_key.expect("a split hands its old half's key up");
             let (old_root, level) = (self.root, self.height);
             let new_root = self.store.try_alloc()?;
-            self.write_new(new_root, level, now, |edit| {
+            self.write_new(new_root, level, |edit| {
+                edit.set_stamp(stamp);
                 edit.push_entry(&old_root_key, old_root);
                 edit.push_entry(&nk, np);
             });
@@ -562,7 +565,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// the one whose arrival overflowed it. Per §4.1 the group holding
     /// that entry goes to a *new* page, so cascading splits stay on one
     /// path; `page` keeps the other group. Both halves are written whole
-    /// at `level`, stamped `now`, each entry appended by `push`. Returns
+    /// at `level`, [stamped](Self::stamp), each entry appended by `push`. Returns
     /// the old and the new half as `(key, page)` entries, each key its
     /// group's `key`s folded in order — the fold
     /// [`NodeRef::bounding_key`] does off the page.
@@ -570,7 +573,6 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         &mut self,
         page: PageId,
         level: u32,
-        now: f64,
         entries: &[E],
         key: impl Fn(&E) -> R::Key,
         push: impl Fn(&mut NodeEdit<'_, R::Key, R>, &E),
@@ -585,8 +587,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             (&part.a, &part.b)
         };
         let new_page = self.store.try_alloc()?;
+        let stamp = self.stamp();
         let mut half = |page, group: &[usize]| {
-            self.write_new(page, level, now, |edit| {
+            self.write_new(page, level, |edit| {
+                edit.set_stamp(stamp);
                 group.iter().for_each(|&i| push(edit, &entries[i]));
             });
             group

@@ -1,5 +1,5 @@
 //! Property tests: a page written by [`NodeEdit`] reads back through
-//! [`NodeRef`] as exactly the entries and timestamp that went in — leaf
+//! [`NodeRef`] as exactly the entries and stamp that went in — leaf
 //! and internal, empty through full capacity — and the header parse the
 //! tree reads through is total: no 32 bytes in front of a node body panic
 //! it or admit an entry outside the page.
@@ -18,7 +18,7 @@ const LEAF_CAP: usize = 127;
 const INTERNAL_CAP: usize = 145;
 
 /// What a page is written from: a leaf's records or an internal node's
-/// entries at a level, and a timestamp.
+/// entries at a level, and a stamp.
 #[derive(Clone, Debug)]
 enum Entries {
     Leaf(Vec<R>),
@@ -39,16 +39,21 @@ fn rec() -> impl Strategy<Value = R> {
         })
 }
 
-fn leaf_node() -> impl Strategy<Value = (Entries, f64)> {
-    (proptest::collection::vec(rec(), 0..LEAF_CAP + 1), -10.0f64..10.0)
+/// Stamps small and large: every byte of the field matters.
+fn stamp() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..1_000, any::<u64>()]
+}
+
+fn leaf_node() -> impl Strategy<Value = (Entries, u64)> {
+    (proptest::collection::vec(rec(), 0..LEAF_CAP + 1), stamp())
         .prop_map(|(recs, ts)| (Entries::Leaf(recs), ts))
 }
 
-fn internal_node() -> impl Strategy<Value = (Entries, f64)> {
+fn internal_node() -> impl Strategy<Value = (Entries, u64)> {
     (
         proptest::collection::vec((rec(), 0u32..100_000), 0..INTERNAL_CAP + 1),
         1u32..8,
-        -10.0f64..10.0,
+        stamp(),
     )
         .prop_map(|(raw, level, ts)| {
             let entries = raw.into_iter().map(|(r, p)| (r.key(), PageId(p))).collect();
@@ -57,14 +62,14 @@ fn internal_node() -> impl Strategy<Value = (Entries, f64)> {
 }
 
 /// The page image `NodeEdit` writes for `entries` stamped `ts`.
-fn write(entries: &Entries, ts: f64) -> Vec<u8> {
+fn write(entries: &Entries, ts: u64) -> Vec<u8> {
     let mut buf = Vec::new();
     let level = match entries {
         Entries::Leaf(_) => 0,
         Entries::Internal(level, _) => *level,
     };
     let mut edit = NodeEdit::<K, R>::fresh(&mut buf, level, PAGE);
-    edit.set_timestamp(ts);
+    edit.set_stamp(ts);
     match entries {
         Entries::Leaf(recs) => recs.iter().for_each(|r| edit.push_record(r)),
         Entries::Internal(_, es) => es.iter().for_each(|(k, child)| edit.push_entry(k, *child)),
@@ -80,13 +85,13 @@ fn on_page(k: &K) -> K {
 }
 
 /// Write `entries`, read the page back, and require exactly what went
-/// in: kind, level, timestamp bits, count, every entry in order (internal
+/// in: kind, level, stamp, count, every entry in order (internal
 /// keys as the page rounds them, by iterator and by random access), and
 /// a bounding key equal to those entries' keys folded in order.
-fn assert_reads_back(entries: &Entries, ts: f64) {
+fn assert_reads_back(entries: &Entries, ts: u64) {
     let page = PageRef::from(write(entries, ts));
     let node = NodeRef::<K, R>::try_parse(page, PageId(0)).expect("a written page parses");
-    assert_eq!(node.timestamp().to_bits(), ts.to_bits());
+    assert_eq!(node.stamp(), ts);
     let (level, keys): (u32, Vec<K>) = match entries {
         Entries::Leaf(recs) => {
             assert_eq!(node.leaf_records().collect::<Vec<_>>(), *recs);
@@ -138,7 +143,7 @@ fn header() -> impl Strategy<Value = Vec<u8>> {
 fn read_under_header(node: &Entries, header: &[u8]) -> Result<(), StorageError> {
     let store = Pager::with_page_size(PAGE);
     let page = store.alloc();
-    let mut image = write(node, 0.0);
+    let mut image = write(node, 0);
     image[..32].copy_from_slice(header);
     store.write(page, &image);
     let tree: RTree<R, Pager> = RTree::reopen(store, RTreeConfig::default(), page, 1, 0);
@@ -183,8 +188,8 @@ proptest! {
 
 #[test]
 fn empty_nodes_read_back() {
-    assert_reads_back(&Entries::Leaf(Vec::new()), f64::NEG_INFINITY);
-    assert_reads_back(&Entries::Internal(3, Vec::new()), 0.0);
+    assert_reads_back(&Entries::Leaf(Vec::new()), u64::MAX);
+    assert_reads_back(&Entries::Internal(3, Vec::new()), 0);
 }
 
 #[test]
@@ -203,14 +208,14 @@ fn full_capacity_nodes_read_back() {
     let entries: Vec<(K, PageId)> = (0..INTERNAL_CAP)
         .map(|i| (recs[i % LEAF_CAP].key(), PageId(i as u32)))
         .collect();
-    assert_reads_back(&Entries::Leaf(recs), 42.0);
-    assert_reads_back(&Entries::Internal(1, entries), -1.5);
+    assert_reads_back(&Entries::Leaf(recs), 42);
+    assert_reads_back(&Entries::Internal(1, entries), 1 << 40);
 }
 
 #[test]
 fn bad_headers_are_corrupt_pages() {
     let leaf = Entries::Leaf(Vec::new());
-    let good = write(&leaf, 0.0)[..32].to_vec();
+    let good = write(&leaf, 0)[..32].to_vec();
     assert_eq!(read_under_header(&leaf, &good), Ok(()));
     let corrupt = Err(StorageError::Corrupt { page: PageId(0) });
     let with = |at: usize, bytes: &[u8]| {

@@ -39,7 +39,7 @@ impl<K: Key, R: Record<Key = K>> Entry<K, R> {
 /// A node decoded whole.
 struct Node<K, R> {
     level: u32,
-    timestamp: f64,
+    stamp: u64,
     entries: Vec<Entry<K, R>>,
 }
 
@@ -112,6 +112,8 @@ struct Mirror {
     store: Pager,
     root: PageId,
     height: u32,
+    /// The tree's record count: an insert stamps what it writes one past.
+    len: u64,
     config: RTreeConfig,
     reads: u64,
     writes: u64,
@@ -121,11 +123,12 @@ impl Mirror {
     fn of<R: Record>(tree: &RTree<R, Pager>) -> Mirror {
         let mut image = Vec::new();
         save_pager(tree.store(), &mut image).expect("snapshot to memory");
-        let (root, height, _) = tree.metadata();
+        let (root, height, len) = tree.metadata();
         Mirror {
             store: load_pager(image.as_slice()).expect("reload the snapshot"),
             root,
             height,
+            len,
             config: *tree.config(),
             reads: 0,
             writes: 0,
@@ -145,7 +148,7 @@ impl Mirror {
         };
         Node {
             level: node.level(),
-            timestamp: node.timestamp(),
+            stamp: node.stamp(),
             entries,
         }
     }
@@ -154,7 +157,7 @@ impl Mirror {
         self.writes += 1;
         let mut buf = Vec::new();
         let mut edit = NodeEdit::<R::Key, R>::fresh(&mut buf, node.level, self.store.page_size());
-        edit.set_timestamp(node.timestamp);
+        edit.set_stamp(node.stamp);
         for e in &node.entries {
             match e {
                 Entry::Child(k, child) => edit.push_entry(k, *child),
@@ -189,7 +192,7 @@ impl Mirror {
         };
         let pick = |idx: &[usize]| Node {
             level: node.level,
-            timestamp: node.timestamp,
+            stamp: node.stamp,
             entries: idx.iter().map(|&i| node.entries[i]).collect(),
         };
         (pick(a), pick(b))
@@ -197,7 +200,8 @@ impl Mirror {
 
     /// Guttman insertion over owned nodes: decode, change, fold,
     /// re-encode at every level.
-    fn insert<R: Record>(&mut self, rec: R, now: f64) -> InsertReport<R::Key, R> {
+    fn insert<R: Record>(&mut self, rec: R) -> InsertReport<R::Key, R> {
+        let stamp = self.len + 1;
         let key = {
             let mut buf = Vec::new();
             rec.key().encode(&mut buf);
@@ -217,7 +221,7 @@ impl Mirror {
             path.push((cur, node, chosen));
             cur = next;
         };
-        leaf.timestamp = now;
+        leaf.stamp = stamp;
         leaf.entries.push(Entry::Record(rec));
         let mut notify = None;
         let mut pending = None;
@@ -236,7 +240,7 @@ impl Mirror {
         }
 
         while let Some((page, mut node, chosen)) = path.pop() {
-            node.timestamp = now;
+            node.stamp = stamp;
             let Entry::Child(key, _) = &mut node.entries[chosen] else {
                 unreachable!()
             };
@@ -270,7 +274,7 @@ impl Mirror {
             let new_root = self.store.alloc();
             let root_node = Node::<R::Key, R> {
                 level: self.height,
-                timestamp: now,
+                stamp,
                 entries: vec![
                     Entry::Child(child_key, self.root),
                     Entry::Child(entry.0, entry.1),
@@ -307,13 +311,13 @@ fn choose_subtree<K: Key, R: Record<Key = K>>(entries: &[Entry<K, R>], key: &K) 
 
 /// Insert `rec` into `tree` and into a mirror of it by the rebuild path;
 /// the first difference is the error.
-fn insert_both_ways<R: Record>(tree: &mut RTree<R, Pager>, rec: R, now: f64) -> Result<(), String> {
+fn insert_both_ways<R: Record>(tree: &mut RTree<R, Pager>, rec: R) -> Result<(), String> {
     let mut mirror = Mirror::of(tree);
     let before = tree.level_counters().snapshot();
     let height = u64::from(tree.height());
 
-    let report = tree.insert(rec, now);
-    let expected = mirror.insert(rec, now);
+    let report = tree.try_insert(rec).map_err(|e| e.to_string())?;
+    let expected = mirror.insert(rec);
 
     if report != expected {
         return Err(format!(
@@ -381,7 +385,7 @@ pub fn run<R: Record>(
     let mut tree = bulk_load(Pager::with_page_size(sc.page_size), config, bulk);
     for (step, r) in sc.inserts.iter().enumerate() {
         let rec = make((first_oid + step) as u32, r);
-        insert_both_ways(&mut tree, rec, step as f64).map_err(|e| format!("insert {step}: {e}"))?;
+        insert_both_ways(&mut tree, rec).map_err(|e| format!("insert {step}: {e}"))?;
         if validates {
             tree.validate().map_err(|e| format!("insert {step}: {e}"))?;
         }

@@ -13,8 +13,8 @@
 //! *integrals* over the box's active time window, after the TPR-tree's
 //! integrated-area insertion goodness), and a [`TprRecord`] implements
 //! `rtree::Record`, so `rtree::RTree<TprRecord, S>` *is* the TPR-tree —
-//! insertion with same-path splits, bulk loading and node timestamps
-//! all come for free.
+//! insertion with same-path splits, bulk loading and node stamps all
+//! come for free.
 //!
 //! On top, [`TprDynamicQuery`] is the §4.1 best-first algorithm —
 //! `mobiquery::PdqEngine` itself, instantiated over [`TprRecord`] — run

@@ -134,9 +134,7 @@ pub fn measure_npdq<S: PageStore>(
     for spec in specs {
         let mut engine = NpdqEngine::new();
         for (i, q) in spec.open_snapshots().enumerate() {
-            // Static pre-built tree: queries run after every insertion,
-            // so the logical "now" is later than any node timestamp.
-            let s = engine.execute(tree, &q, f64::INFINITY, |_| {});
+            let s = engine.execute(tree, &q, |_| {});
             results += s.results;
             if i == 0 {
                 first.push(s);

@@ -3,7 +3,7 @@
 //!
 //! The observer's own course changes unpredictably, so the session uses
 //! **NPDQ** (non-predictive dynamic queries) over the double-temporal-axes
-//! index, with live insertions handled by the §4.2 timestamp mechanism.
+//! index, with live insertions handled by the §4.2 node-stamp mechanism.
 //! On top of the range monitor, a best-first **kNN** reports the three
 //! nearest contacts every two minutes (the paper's future-work
 //! extension), each report asserted against a brute-force ranking.
@@ -72,7 +72,6 @@ fn main() {
 
     let mut monitor = NpdqEngine::new();
     let mut feed = updates.iter().peekable();
-    let mut clock = 0.0f64;
     let mut total = QueryStats::default();
     let mut contacts = 0u64;
     // Every NSI record inserted so far: the kNN's brute-force truth.
@@ -93,7 +92,6 @@ fn main() {
             let rec = NsiSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position());
             nsi.insert(rec, u.seg.t.lo);
             inserted.push(rec);
-            clock = clock.max(u.seg.t.lo);
             feed.next();
         }
 
@@ -103,7 +101,7 @@ fn main() {
         let p = position(t);
         let window = Rect::from_corners([p[0] - 8.0, p[1] - 8.0], [p[0] + 8.0, p[1] + 8.0]);
         let q = SnapshotQuery::open_from(window, t);
-        let stats = monitor.execute(&dta, &q, clock, |_| {});
+        let stats = monitor.execute(&dta, &q, |_| {});
         contacts += stats.results;
         total += stats;
 

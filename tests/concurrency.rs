@@ -6,8 +6,6 @@
 use dq_repro::mobiquery::{NaiveEngine, NpdqEngine, PdqEngine};
 use dq_repro::storage::PageStore;
 use dq_repro::workload::{Dataset, DatasetConfig, QueryWorkload, QueryWorkloadConfig};
-use parking_lot::RwLock;
-use std::sync::Barrier;
 
 fn setup() -> (
     Dataset,
@@ -91,7 +89,7 @@ fn parallel_mixed_engines() {
             s.spawn(move || {
                 let mut e = NpdqEngine::new();
                 for (i, _) in spec.frame_times.iter().enumerate() {
-                    e.execute(dta, &spec.open_snapshot(i), f64::INFINITY, |_| {});
+                    e.execute(dta, &spec.open_snapshot(i), |_| {});
                 }
             });
         }
@@ -100,119 +98,4 @@ fn parallel_mixed_engines() {
     let delta = tree.store().io() - io_before;
     assert!(delta.reads > 0);
     assert_eq!(delta.writes, 0);
-}
-
-/// NPDQ timestamp invalidation under a live writer (§4.2): a subtree may
-/// only be discarded against the previous query if its timestamp shows no
-/// insert since that query ran. Two threads interleave frame by frame —
-/// the writer inserts a batch under the write lock, then the query thread
-/// runs the NPDQ frame under a read lock. NPDQ emits per-frame *deltas*,
-/// so the invariant is the session union: every object a naive scan of
-/// the identical evolving tree ever sees must be delivered by NPDQ too.
-/// If invalidation were broken, NPDQ would discard freshly updated
-/// subtrees and silently drop the interleaved records from the union.
-#[test]
-fn npdq_sees_interleaved_inserts_from_writer_thread() {
-    use std::collections::HashSet;
-
-    let ds = Dataset::generate(DatasetConfig {
-        objects: 400,
-        duration: 15.0,
-        space_side: 100.0,
-        seed: 0xBEEF,
-    });
-    let records = ds.dta_records(); // time-ordered
-    let split = records.len() * 7 / 10;
-    let (preload, live) = records.split_at(split);
-    let spec = QueryWorkload::new(QueryWorkloadConfig {
-        count: 1,
-        data_duration: 15.0,
-        subsequent_frames: 24,
-        ..QueryWorkloadConfig::paper(0.8)
-    })
-    .generate_one(0);
-    let frames = spec.frame_times.len();
-    let batches: Vec<_> = live.chunks(live.len().div_ceil(frames)).collect();
-
-    let tree = {
-        let mut t = dq_repro::rtree::RTree::new(
-            dq_repro::storage::Pager::new(),
-            dq_repro::rtree::RTreeConfig::default(),
-        );
-        for r in preload {
-            t.insert(*r, r.seg.t.lo);
-        }
-        RwLock::new(t)
-    };
-    let barrier = Barrier::new(2);
-    let mut inserted_in_view = 0usize;
-
-    // Assertions happen after the scope: a panic inside the barrier
-    // protocol would strand the peer thread at the barrier forever.
-    let (npdq_union, naive_union, npdq_emitted, naive_emitted) = std::thread::scope(|s| {
-        // Writer: one batch per frame, stamped with the frame time.
-        let writer = s.spawn(|| {
-            let mut in_view = 0usize;
-            for k in 0..frames {
-                if let Some(batch) = batches.get(k) {
-                    let mut t = tree.write();
-                    let now = spec.frame_times[k];
-                    for r in *batch {
-                        t.insert(*r, now);
-                        // Will a later frame's query see this record?
-                        if (k + 1..frames)
-                            .any(|j| spec.open_snapshot(j).matches_segment(&r.seg))
-                        {
-                            in_view += 1;
-                        }
-                    }
-                }
-                barrier.wait(); // batch k is now visible
-                barrier.wait(); // frame k has been queried
-            }
-            in_view
-        });
-        // Query session: NPDQ deltas vs naive on the SAME evolving state.
-        let mut engine = NpdqEngine::new();
-        let naive = NaiveEngine::new();
-        let mut npdq_union = HashSet::new();
-        let mut naive_union = HashSet::new();
-        let mut npdq_emitted = 0u64;
-        let mut naive_emitted = 0u64;
-        for k in 0..frames {
-            barrier.wait();
-            {
-                let t = tree.read();
-                let q = spec.open_snapshot(k);
-                let now = spec.frame_times[k];
-                npdq_emitted += engine
-                    .execute(&*t, &q, now, |r| {
-                        npdq_union.insert((r.oid, r.seq));
-                    })
-                    .results;
-                naive_emitted += naive
-                    .query_dta(&t, &q, |r| {
-                        naive_union.insert((r.oid, r.seq));
-                    })
-                    .results;
-            }
-            barrier.wait();
-        }
-        inserted_in_view = writer.join().unwrap();
-        (npdq_union, naive_union, npdq_emitted, naive_emitted)
-    });
-
-    assert_eq!(
-        npdq_union, naive_union,
-        "NPDQ session union must match naive union over the same states"
-    );
-    // The workload genuinely interleaves: some live-inserted records were
-    // in view of a later frame, so the unions include them.
-    assert!(inserted_in_view > 0, "workload never put an insert in view");
-    // The previous-query machinery was exercised, not vacuously bypassed:
-    // with 80 % frame overlap NPDQ must suppress already-delivered objects.
-    assert!(
-        npdq_emitted < naive_emitted,
-        "NPDQ re-emitted everything ({npdq_emitted} vs naive {naive_emitted})"
-    );
 }

@@ -151,7 +151,7 @@ fn npdq_session_union_equals_naive_union() {
         let mut naive_io = 0;
         for (i, _) in spec.frame_times.iter().enumerate() {
             let q = spec.open_snapshot(i);
-            let s = engine.execute(&tree, &q, f64::INFINITY, |r| {
+            let s = engine.execute(&tree, &q, |r| {
                 npdq_union.insert((r.oid, r.seq));
             });
             npdq_io += s.disk_accesses;

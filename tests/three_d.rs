@@ -109,7 +109,7 @@ fn three_d_npdq_session() {
             [25.0 + k as f64 * 0.5, 25.0, 25.0],
         );
         let q = SnapshotQuery::<3>::open_from(w, t);
-        eng.execute(&tree, &q, f64::INFINITY, |r| {
+        eng.execute(&tree, &q, |r| {
             npdq_union.insert((r.oid, r.seq));
         });
         naive.query_dta(&tree, &q, |r| {

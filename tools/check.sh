@@ -40,7 +40,10 @@
 #          PDQ over an index that grows while it runs must deliver what a
 #          PDQ over the finished index delivers, for <= 1.05x its disk
 #          accesses per frame, dropping at most a quarter as many
-#          duplicate queue entries as it delivers objects.
+#          duplicate queue entries as it delivers objects — and the whole
+#          figure must reproduce the committed
+#          results/figures_smoke/exp_updates.json cell for cell, its NPDQ
+#          row being the one figure row §4.2's node-stamp rule drives.
 #   tpr    the one §4.1 engine over the second index family: exp_tpr at
 #          quick scale (seeded, a few seconds) must reproduce the
 #          committed results/figures_smoke/exp_tpr.json — the TPR-tree's
