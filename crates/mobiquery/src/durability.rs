@@ -57,7 +57,7 @@ use parking_lot::Mutex;
 use rtree::{NsiSegmentRecord, Record};
 use std::sync::Arc;
 use std::time::Instant;
-use storage::{replay_wal, scan_wal, Wal, WalError, WalStats, WalTail, WAL_RECORD_OVERHEAD};
+use storage::{scan_wal, Wal, WalError, WalStats, WalTail, WAL_RECORD_OVERHEAD};
 
 /// What a checkpoint persists: the record set as of the watermark — the
 /// preloaded records (seam replicas collapsed, in id order) followed by
@@ -372,33 +372,38 @@ impl DurableImage {
     > {
         let cp = self.checkpoint.as_ref().ok_or(RecoverError::NoCheckpoint)?;
         let base = decode_records::<D>(&cp.records).map_err(RecoverError::Codec)?;
-        let rep = replay_wal(&self.wal).map_err(RecoverError::Wal)?;
         let mut frames = Vec::new();
-        let mut records = 0u64;
-        for r in &rep.records {
+        let mut malformed = None;
+        let tail = scan_wal(&self.wal, |seq, payload| {
             // A capture racing a checkpoint can hold records the
             // checkpoint already covers; the watermark filter keeps
             // replay exactly-once.
-            if r.seq <= cp.wal_seq {
-                continue;
+            if seq <= cp.wal_seq || malformed.is_some() {
+                return;
             }
-            let (frame, set) = batch_records(&r.payload).map_err(RecoverError::Codec)?;
-            let batch: Vec<_> = decode_records::<D>(set)
-                .map_err(RecoverError::Codec)?
-                .into_iter()
-                .map(|rec| (rec, rec.seg.t.lo))
-                .collect();
-            records += batch.len() as u64;
-            frames.push((frame, batch));
+            let batch = batch_records(payload)
+                .and_then(|(frame, set)| Ok((frame, decode_records::<D>(set)?)));
+            match batch {
+                Ok((frame, recs)) => {
+                    let batch: Vec<_> = recs.into_iter().map(|rec| (rec, rec.seg.t.lo)).collect();
+                    frames.push((frame, batch));
+                }
+                Err(msg) => malformed = Some(msg),
+            }
+        })
+        .map_err(RecoverError::Wal)?;
+        if let Some(msg) = malformed {
+            return Err(RecoverError::Codec(msg));
         }
+        let records: u64 = frames.iter().map(|(_, batch)| batch.len() as u64).sum();
         obs::trace(obs::TraceEvent::WalReplayed {
             records: records as u32,
-            clean_tail: rep.tail.is_clean(),
+            clean_tail: tail.is_clean(),
         });
         let report = RecoveryReport {
             replayed_frames: frames.len() as u64,
             replayed_records: records,
-            tail: rep.tail,
+            tail,
         };
         Ok((base, frames, report))
     }

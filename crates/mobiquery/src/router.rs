@@ -443,7 +443,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
 mod tests {
     use super::*;
     use crate::service::{SessionKind, SessionOutput};
-    use crate::{PdqEngine, QueryStats};
+    use crate::QueryStats;
     use rtree::RTreeConfig;
     use stkit::Rect;
     use storage::Pager;
@@ -520,63 +520,6 @@ mod tests {
                 set
             })
             .collect()
-    }
-
-    #[test]
-    fn single_pdq_session_matches_direct_engine() {
-        // The oracle chain's root: a bare engine over a bare tree — no
-        // serving code — delivers the same objects in the same frames as
-        // one region, which delivers the same stream as N regions.
-        let recs = line_records(30);
-        let spec = slide_spec(SessionKind::Pdq, 10, 30.0);
-        let mut tree = RTree::new(Pager::new(), RTreeConfig::default());
-        for r in &recs {
-            tree.insert(*r, r.seg.t.lo);
-        }
-        let mut direct = PdqEngine::start(&tree, spec.trajectory.clone());
-        let expect: Vec<Vec<(u32, u32)>> = spec
-            .frame_times
-            .windows(2)
-            .map(|w| {
-                let mut set: Vec<_> = direct
-                    .drain_window(&tree, w[0], w[1])
-                    .iter()
-                    .map(|r| (r.record.oid, r.record.seq))
-                    .collect();
-                set.sort_unstable();
-                set
-            })
-            .collect();
-        let one = build(RegionGrid::single(), &recs).serve(std::slice::from_ref(&spec), &[]);
-        assert_eq!(frame_sets(&one.sessions[0]), expect);
-        assert!(one.sessions[0].stats.disk_accesses > 0);
-        for grid in grids() {
-            let n = build(grid, &recs).serve(std::slice::from_ref(&spec), &[]);
-            assert_eq!(n.sessions[0].results, one.sessions[0].results);
-        }
-    }
-
-    #[test]
-    fn partitioned_parallel_equals_partitioned_serial() {
-        let recs = line_records(40);
-        let specs = vec![
-            slide_spec(SessionKind::Pdq, 20, 40.0),
-            slide_spec(SessionKind::Npdq, 20, 40.0),
-            slide_spec(SessionKind::Pdq, 10, 40.0),
-            slide_spec(SessionKind::Npdq, 10, 40.0),
-        ];
-        let inserts = ahead_inserts(20, 2, 40.0, 1000);
-        for grid in grids() {
-            let p = build(grid.clone(), &recs).serve(&specs, &inserts);
-            let s = build(grid, &recs).serve_serial(&specs, &inserts);
-            for (a, b) in p.sessions.iter().zip(&s.sessions) {
-                assert_eq!(a.results, b.results);
-            }
-            assert!(p.total_results() > 0);
-            assert_eq!(p.base.inserts_applied, s.base.inserts_applied);
-            assert_eq!(p.base.writer_reads, s.base.writer_reads);
-            assert_eq!(p.base.writer_writes, s.base.writer_writes);
-        }
     }
 
     #[test]

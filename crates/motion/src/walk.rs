@@ -119,11 +119,6 @@ impl<const D: usize> RandomWalk<D> {
         }
         ObjectTrace { oid, updates }
     }
-
-    /// Expected number of segments ≈ `objects · duration / mean_interval`.
-    pub fn expected_segments(&self) -> f64 {
-        self.config.objects as f64 * self.config.duration / self.config.mean_update_interval
-    }
 }
 
 fn random_point<const D: usize, R: Rng>(rng: &mut R, space: &Rect<D>) -> [Scalar; D] {
@@ -183,10 +178,11 @@ mod tests {
             duration: 50.0,
             ..RandomWalkConfig::default()
         };
+        // About `objects · duration / mean_interval` segments, within
+        // 10 % — interval truncation biases slightly high.
+        let expected = cfg.objects as f64 * cfg.duration / cfg.mean_update_interval;
         let walk = RandomWalk::new(cfg);
         let total: usize = walk.generate().iter().map(|t| t.updates.len()).sum();
-        let expected = walk.expected_segments();
-        // Within 10 % — interval truncation biases slightly high.
         assert!(
             (total as f64) > expected * 0.9 && (total as f64) < expected * 1.2,
             "{total} vs expected {expected}"

@@ -82,11 +82,6 @@ impl LevelSnapshot {
     pub fn leaf_reads(&self) -> u64 {
         self.reads[0]
     }
-
-    /// Reads above the leaf level.
-    pub fn upper_reads(&self) -> u64 {
-        self.total_reads() - self.leaf_reads()
-    }
 }
 
 impl std::ops::Sub for LevelSnapshot {
@@ -119,7 +114,6 @@ mod tests {
         assert_eq!(s.writes[1], 1);
         assert_eq!(s.total_reads(), 3);
         assert_eq!(s.leaf_reads(), 2);
-        assert_eq!(s.upper_reads(), 1);
         assert_eq!(s.total_writes(), 1);
     }
 

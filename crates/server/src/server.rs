@@ -82,8 +82,6 @@ pub struct ServerConfig {
     pub gather_window: Duration,
     /// Serve as soon as this many sessions are gathered.
     pub min_gather: usize,
-    /// Wire frame payload cap.
-    pub max_frame_bytes: usize,
     /// Budget for reading the `Hello` after accept.
     pub handshake_timeout: Duration,
     /// Metrics registry for `net.*` counters (optional).
@@ -100,7 +98,6 @@ impl Default for ServerConfig {
             write_deadline: Duration::from_millis(200),
             gather_window: Duration::from_millis(10),
             min_gather: 1,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             handshake_timeout: Duration::from_secs(2),
             metrics: None,
         }
@@ -407,7 +404,7 @@ fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(shared.config.write_deadline));
 
-    let mut reader = FrameReader::new(shared.config.max_frame_bytes);
+    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
     let hello = match read_hello(&mut stream, &mut reader, shared.config.handshake_timeout) {
         Ok(h) => h,
         Err(proto_err) => {

@@ -236,12 +236,6 @@ impl<const D: usize> MotionSegment<D> {
         )
     }
 
-    /// Inflate the segment's *extent* by `delta` to account for location
-    /// imprecision (§3.1): the box grows, the motion itself is unchanged.
-    pub fn imprecise_nsi_box(&self, delta: Scalar) -> StBox<D, 1> {
-        StBox::new(self.spatial_bbox().inflate(delta), Rect::new([self.t]))
-    }
-
     /// Exact intersection test of the motion with a static space-time
     /// query (§3.2's leaf-level optimization): the time interval during
     /// which the object is inside `space`, restricted to the segment's
@@ -380,15 +374,6 @@ mod tests {
         );
         assert_eq!(a.lo(), vec![0.0, 1.0, 7.0]);
         assert_eq!(a.hi(), vec![4.0, 5.0, 9.0]);
-    }
-
-    #[test]
-    fn imprecision_inflates_box_only() {
-        let s = seg(0.0, 2.0, [1.0, 1.0], [3.0, 3.0]);
-        let precise = s.nsi_box();
-        let fuzzy = s.imprecise_nsi_box(0.5);
-        assert!(fuzzy.space.contains_rect(&precise.space));
-        assert_eq!(fuzzy.time, precise.time);
     }
 
     #[test]

@@ -38,10 +38,7 @@ pub use pager::{PageId, Pager};
 pub use sharded::ShardedBufferPool;
 pub use snapshotfile::{load_pager, save_pager, SnapshotSource};
 pub use stats::{IoSnapshot, IoStats};
-pub use wal::{
-    replay as replay_wal, scan as scan_wal, Wal, WalError, WalRecord, WalReplay, WalStats,
-    WalTail, WAL_RECORD_OVERHEAD,
-};
+pub use wal::{scan as scan_wal, Wal, WalError, WalStats, WalTail, WAL_RECORD_OVERHEAD};
 
 use std::sync::Arc;
 

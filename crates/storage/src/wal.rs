@@ -28,7 +28,7 @@
 //! The log lives in memory like the rest of the simulated disk, but its
 //! byte image — [`Wal::image`] — *is* the durable medium: crash tests
 //! snapshot it at arbitrary points, truncate or flip its tail, and
-//! recover from what remains. [`replay`] is total: any byte stream in,
+//! recover from what remains. [`scan`] is total: any byte stream in,
 //! typed verdict out, no panics.
 
 use crate::fault::{checksum_extend, page_checksum};
@@ -42,8 +42,8 @@ const RECORD_HEADER: usize = 4 + 8 + 8;
 /// Bytes a record occupies beyond its payload (the fixed record header)
 /// — lets callers report exact appended sizes without knowing the format.
 pub const WAL_RECORD_OVERHEAD: usize = RECORD_HEADER;
-/// Largest believable record payload; bounds what a corrupt length
-/// prefix can make [`replay`] allocate.
+/// Largest believable record payload: [`scan`] reads a longer length
+/// prefix as corruption, not as a torn tail.
 const MAX_WAL_RECORD: usize = 1 << 26;
 
 /// Append-only write-ahead log over an in-memory durable image.
@@ -144,7 +144,7 @@ impl Wal {
 
     /// The durable byte image: header plus every committed record. Crash
     /// harnesses snapshot this, mutilate the tail, and hand it back to
-    /// [`replay`].
+    /// [`scan`].
     pub fn image(&self) -> Vec<u8> {
         self.state.lock().buf.clone()
     }
@@ -172,16 +172,7 @@ fn record_checksum(seq: u64, payload: &[u8]) -> u64 {
     checksum_extend(page_checksum(&seq.to_le_bytes()), payload)
 }
 
-/// One complete record recovered by [`replay`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalRecord {
-    /// The record's sequence number (monotonic across truncations).
-    pub seq: u64,
-    /// The group-committed payload, verbatim.
-    pub payload: Vec<u8>,
-}
-
-/// Where and why [`replay`] stopped reading.
+/// Where and why [`scan`] stopped reading.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalTail {
     /// The image ended exactly at a record boundary.
@@ -203,24 +194,14 @@ pub enum WalTail {
 }
 
 impl WalTail {
-    /// Whether replay consumed the whole image.
+    /// Whether the scan consumed the whole image.
     pub fn is_clean(&self) -> bool {
         matches!(self, WalTail::Clean)
     }
 }
 
-/// The outcome of scanning a WAL image: every complete, valid record in
-/// order, plus the typed tail verdict.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalReplay {
-    /// Complete records, in commit order.
-    pub records: Vec<WalRecord>,
-    /// Why the scan stopped.
-    pub tail: WalTail,
-}
-
 /// Errors that make a WAL image unusable *as a whole* (as opposed to a
-/// damaged tail, which [`replay`] reports via [`WalTail`]).
+/// damaged tail, which [`scan`] reports via [`WalTail`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalError {
     /// The image is shorter than the file header.
@@ -243,26 +224,13 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// Scan a durable WAL image, returning every complete, checksum-valid
-/// record in order and stopping — never panicking — at the first torn,
-/// truncated, or corrupt byte. A record whose `seq` does not follow its
-/// predecessor's also stops the scan: replaying past a hole would apply
-/// frames out of order.
-pub fn replay(image: &[u8]) -> Result<WalReplay, WalError> {
-    let mut records = Vec::new();
-    let tail = scan(image, |seq, payload| {
-        records.push(WalRecord {
-            seq,
-            payload: payload.to_vec(),
-        })
-    })?;
-    Ok(WalReplay { records, tail })
-}
-
-/// [`replay`] without the copies: hand each complete, checksum-valid
-/// record's `(seq, payload)` to `visit` in commit order, payloads
-/// borrowed from `image`, and return where and why the scan stopped.
-/// Same verdicts as [`replay`] — it is the one parser both share.
+/// Scan a durable WAL image: hand each complete, checksum-valid record's
+/// `(seq, payload)` to `visit` in commit order, payloads borrowed from
+/// `image`, and stop — never panicking — at the first torn, truncated,
+/// or corrupt byte, returning where and why. A record whose `seq` does
+/// not follow its predecessor's also stops the scan: replaying past a
+/// hole would apply frames out of order. The one WAL parser: recovery
+/// and the checkpoint fold both read through it.
 pub fn scan(image: &[u8], mut visit: impl FnMut(u64, &[u8])) -> Result<WalTail, WalError> {
     let header = MAGIC.len() + 4;
     if image.len() < header {
@@ -322,18 +290,28 @@ pub fn scan(image: &[u8], mut visit: impl FnMut(u64, &[u8])) -> Result<WalTail, 
 mod tests {
     use super::*;
 
+    /// `(seq, payload)` per record, in commit order.
+    type Records = Vec<(u64, Vec<u8>)>;
+
+    /// Every record `scan` hands over, copied, with its verdict.
+    fn replay(image: &[u8]) -> Result<(Records, WalTail), WalError> {
+        let mut records = Vec::new();
+        let tail = scan(image, |seq, payload| records.push((seq, payload.to_vec())))?;
+        Ok((records, tail))
+    }
+
     #[test]
     fn commit_then_replay_roundtrip() {
         let wal = Wal::new();
         assert_eq!(wal.commit(b"frame-1"), 1);
         assert_eq!(wal.commit(b"frame-2 with more bytes"), 2);
         assert_eq!(wal.commit(b""), 3); // empty groups are legal
-        let rep = replay(&wal.image()).unwrap();
-        assert!(rep.tail.is_clean());
-        assert_eq!(rep.records.len(), 3);
-        assert_eq!(rep.records[0].payload, b"frame-1");
-        assert_eq!(rep.records[1].seq, 2);
-        assert_eq!(rep.records[2].payload, b"");
+        let (records, tail) = replay(&wal.image()).unwrap();
+        assert!(tail.is_clean());
+        assert_eq!(records.len(), 3);
+        assert_eq!(records[0].1, b"frame-1");
+        assert_eq!(records[1].0, 2);
+        assert_eq!(records[2].1, b"");
         let stats = wal.stats();
         assert_eq!(stats.appends, 3);
         assert_eq!(stats.truncations, 0);
@@ -355,19 +333,19 @@ mod tests {
         wal.commit(b"b");
         assert_eq!(wal.truncate_for_checkpoint(), 2);
         assert_eq!(wal.commit(b"c"), 3);
-        let rep = replay(&wal.image()).unwrap();
-        assert_eq!(rep.records.len(), 1, "checkpointed records are gone");
-        assert_eq!(rep.records[0].seq, 3);
-        assert!(rep.tail.is_clean());
+        let (records, tail) = replay(&wal.image()).unwrap();
+        assert_eq!(records.len(), 1, "checkpointed records are gone");
+        assert_eq!(records[0].0, 3);
+        assert!(tail.is_clean());
         assert_eq!(wal.stats().truncations, 1);
     }
 
     #[test]
     fn empty_log_replays_clean() {
         let wal = Wal::new();
-        let rep = replay(&wal.image()).unwrap();
-        assert!(rep.records.is_empty());
-        assert!(rep.tail.is_clean());
+        let (records, tail) = replay(&wal.image()).unwrap();
+        assert!(records.is_empty());
+        assert!(tail.is_clean());
         assert_eq!(wal.truncate_for_checkpoint(), 0, "nothing committed yet");
     }
 
@@ -380,24 +358,24 @@ mod tests {
         let header = 8;
         let second_start = image.len() - (RECORD_HEADER + b"second record".len());
         for cut in header..=image.len() {
-            let rep = replay(&image[..cut]).unwrap();
+            let (records, tail) = replay(&image[..cut]).unwrap();
             if cut == header {
-                assert_eq!((rep.records.len(), rep.tail.is_clean()), (0, true));
+                assert_eq!((records.len(), tail.is_clean()), (0, true));
             } else if cut < second_start {
-                assert_eq!(rep.records.len(), 0, "cut {cut} inside record 1");
-                assert_eq!(rep.tail, WalTail::Torn { offset: header });
+                assert_eq!(records.len(), 0, "cut {cut} inside record 1");
+                assert_eq!(tail, WalTail::Torn { offset: header });
             } else if cut == second_start {
-                assert_eq!((rep.records.len(), rep.tail.is_clean()), (1, true));
+                assert_eq!((records.len(), tail.is_clean()), (1, true));
             } else if cut < image.len() {
-                assert_eq!(rep.records.len(), 1, "cut {cut} inside record 2");
+                assert_eq!(records.len(), 1, "cut {cut} inside record 2");
                 assert_eq!(
-                    rep.tail,
+                    tail,
                     WalTail::Torn {
                         offset: second_start
                     }
                 );
             } else {
-                assert_eq!((rep.records.len(), rep.tail.is_clean()), (2, true));
+                assert_eq!((records.len(), tail.is_clean()), (2, true));
             }
         }
         // Header-only truncations are header errors, not tails.
@@ -419,10 +397,10 @@ mod tests {
         for pos in second_start..image.len() {
             let mut copy = image.clone();
             copy[pos] ^= 0x01;
-            let rep = replay(&copy).unwrap();
-            assert_eq!(rep.records.len(), 1, "flip at {pos} must drop record 2");
-            assert_eq!(rep.records[0].payload, b"good");
-            assert!(!rep.tail.is_clean(), "flip at {pos} must mark the tail");
+            let (records, tail) = replay(&copy).unwrap();
+            assert_eq!(records.len(), 1, "flip at {pos} must drop record 2");
+            assert_eq!(records[0].1, b"good");
+            assert!(!tail.is_clean(), "flip at {pos} must mark the tail");
         }
     }
 
@@ -441,12 +419,11 @@ mod tests {
         let c_img = c.image();
         let third_start = c_img.len() - (RECORD_HEADER + b"tail".len());
         image.extend_from_slice(&c_img[third_start..]); // seq 3 after seq 1
-        let rep = replay(&image).unwrap();
-        assert_eq!(rep.records.len(), 1);
+        let (records, tail) = replay(&image).unwrap();
+        assert_eq!(records.len(), 1);
         assert!(
-            matches!(&rep.tail, WalTail::Corrupt { reason, .. } if reason.contains("sequence")),
-            "{:?}",
-            rep.tail
+            matches!(&tail, WalTail::Corrupt { reason, .. } if reason.contains("sequence")),
+            "{tail:?}"
         );
     }
 

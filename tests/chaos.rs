@@ -5,7 +5,9 @@
 //!
 //! - **Transient-only faults + pool retry** are invisible: the serve is
 //!   bit-identical to the oracle, every participant finishes `Ok`, and
-//!   the only evidence is non-zero retry counters (`chaos_a`).
+//!   the only evidence is the retry counters, which pair one to one with
+//!   the plan's own draws — on one region and on three (`chaos_a`,
+//!   `chaos_e`: pinned cases of the served oracle, `support::served`).
 //! - **Detected corruption** (checksum mismatch) has a blast radius of
 //!   exactly the sessions whose queries touch the corrupt page; they
 //!   degrade but keep serving, everyone else matches the oracle
@@ -36,33 +38,25 @@
 //!   from random batches, cadences, crash points and damaged tails
 //!   always recovers the committed prefix (`chaos_l`).
 
+mod support;
+
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dq_repro::mobiquery::{
     DurableImage, DurableLog, MotionRecord, PartitionedDqServer, RecoveryReport, RegionGrid,
-    SessionKind, SessionOutcome, SessionSpec, Trajectory,
+    SessionKind, SessionOutcome,
 };
-use dq_repro::rtree::{Key, NsiSegmentRecord, RTree, RTreeConfig, Record};
+use dq_repro::rtree::{Key, RTree, RTreeConfig, Record};
 use proptest::prelude::*;
-use dq_repro::stkit::{Interval, Rect};
+use dq_repro::stkit::Interval;
 use dq_repro::storage::{
-    ChecksumStore, FaultPlan, FaultyStore, PageId, PageStore, Pager, RetryPolicy,
-    ShardedBufferPool, StorageError,
+    ChecksumStore, FaultPlan, FaultyStore, PageId, PageStore, Pager, ShardedBufferPool,
+    StorageError,
 };
-
-type R = NsiSegmentRecord<2>;
-
-/// Objects on a line: oid `i` sits at `x = i + 0.5`, alive the whole run.
-fn line_records(n: u32) -> Vec<R> {
-    (0..n)
-        .map(|i| {
-            let x = f64::from(i) + 0.5;
-            R::new(i, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5])
-        })
-        .collect()
-}
+use support::served::{check_served, Case};
+use support::{leaf_page_of, line_inserts, line_records, slide_spec, R};
 
 fn build_tree<S: PageStore>(store: S, recs: &[R]) -> RTree<R, S> {
     let mut tree = RTree::new(store, RTreeConfig::default());
@@ -86,127 +80,33 @@ fn clean(recs: &[R]) -> PartitionedDqServer<2, Pager> {
     single(Pager::with_page_size(256), recs)
 }
 
-/// A window sliding right from `x0` at unit speed for `span` seconds.
-fn slide_spec(kind: SessionKind, x0: f64, frames: usize, span: f64) -> SessionSpec<2> {
-    SessionSpec {
-        kind,
-        trajectory: Trajectory::linear(
-            Rect::from_corners([x0, 0.0], [x0 + 1.0, 1.0]),
-            [1.0, 0.0],
-            Interval::new(0.0, span),
-            2,
-        ),
-        frame_times: (0..=frames)
-            .map(|k| span * k as f64 / frames as f64)
-            .collect(),
-    }
-}
-
-/// The leaf page holding `oid` — found by a plain DFS over clean pages,
-/// so call this *before* corrupting anything.
-fn leaf_page_of<S: PageStore>(tree: &RTree<R, S>, oid: u32) -> PageId {
-    let mut stack = vec![tree.root_page()];
-    while let Some(page) = stack.pop() {
-        let node = tree.read_node(page);
-        if node.is_leaf() {
-            if node.leaf_records().any(|r| r.oid == oid) {
-                return page;
-            }
-        } else {
-            for (_, child) in node.internal_entries() {
-                stack.push(child);
-            }
-        }
-    }
-    panic!("oid {oid} not found in any leaf");
-}
-
-/// Per-frame insert batches dropping fresh objects along the line.
-fn line_inserts(frames: usize, per_frame: u32) -> Vec<Vec<(R, f64)>> {
-    (0..frames)
-        .map(|k| {
-            let t = k as f64 * 0.3;
-            (0..per_frame)
-                .map(|j| {
-                    let oid = 1000 + (k as u32) * per_frame + j;
-                    let x = f64::from(oid % 37) + 0.25;
-                    (R::new(oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]), t)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// (a) Transient-only schedule, retry at the pool layer: the serve must
-/// be bit-identical to a fault-free serial oracle — results, outcomes,
-/// and writer tallies — while the fault and retry counters prove the
-/// schedule actually fired.
-#[test]
-fn chaos_a_transient_faults_are_invisible_through_retry() {
-    let recs = line_records(120);
+/// Four sessions over 120 objects on a line, two inserts a frame.
+fn transient_case(cuts: Vec<f64>, p: f64) -> Case {
     let specs = vec![
         slide_spec(SessionKind::Pdq, 0.0, 12, 12.0),
         slide_spec(SessionKind::Npdq, 30.0, 12, 12.0),
         slide_spec(SessionKind::Pdq, 60.0, 8, 12.0),
         slide_spec(SessionKind::Npdq, 90.0, 8, 12.0),
     ];
-    let inserts = line_inserts(12, 2);
+    Case { cuts, faults: Some((42, p)), ..Case::new(line_records(120), line_inserts(12, 2), specs) }
+}
 
-    // Small pages force a multi-node tree; a pool far smaller than the
-    // tree forces device reads (and therefore fault exposure) all run.
-    let faulty = FaultyStore::new(
-        Pager::with_page_size(256),
-        FaultPlan::transient(42, 0.05),
-    );
-    let pool = ShardedBufferPool::new(ChecksumStore::new(faulty), 8, 2).with_retry(RetryPolicy {
-        max_attempts: 8,
-        base_backoff: Duration::from_micros(1),
-    });
-    let server = single(pool, &recs);
-    let counters = || {
-        server.with_region_tree(0, |t| {
-            (t.level_counters().snapshot(), t.store().cache_stats().misses, t.store().io())
-        })
-    };
-    let (levels0, misses0, io0) = counters();
-    let report = server.serve(&specs, &inserts);
-    let (levels, misses, io) = counters();
-    let levels = levels - levels0;
+/// (a) Transient-only schedule, retry at the pool layer, one region. The
+/// oracle pairs every retry with a transient the plan drew; the serve
+/// must have drawn some.
+#[test]
+fn chaos_a_transient_faults_are_invisible_through_retry() {
+    let store = check_served(&transient_case(Vec::new(), 0.05)).unwrap().store;
+    assert!(store.retries > 0, "{store:?}");
+}
 
-    let oracle = clean(&recs).serve_serial(&specs, &inserts);
-
-    assert!(report.writer_outcome.is_ok(), "writer: {:?}", report.writer_outcome);
-    assert_eq!(report.inserts_applied, oracle.inserts_applied);
-    for (i, (got, want)) in report.sessions.iter().zip(&oracle.sessions).enumerate() {
-        assert!(got.outcome.is_ok(), "session {i}: {:?}", got.outcome);
-        assert_eq!(got.results, want.results, "session {i} diverged from oracle");
-    }
-
-    // The schedule fired and the pool absorbed it.
-    let (transients, retries, exhausted, corrupt) = server.with_region_tree(0, |t| {
-        let pool = t.store();
-        let fs = pool.fault_stats();
-        (
-            pool.inner().inner().injected().transients,
-            fs.retries,
-            fs.exhausted,
-            pool.inner().corrupt_detected(),
-        )
-    });
-    assert!(transients > 0, "no transient fault ever injected");
-    assert_eq!(retries, transients, "pool retries must pair 1:1 with injected transients");
-    assert_eq!(exhausted, 0, "a retry budget was exhausted");
-    assert_eq!(corrupt, 0, "no page was corrupted in this schedule");
-    // One logical node read ticks the level counters once, however many
-    // device attempts it took.
-    assert_eq!(
-        levels.total_reads(),
-        report.total_reads(),
-        "device-level retries inflated the node-read counts"
-    );
-    // A failed attempt never reaches the device counters, so each miss
-    // is still exactly one device read.
-    assert_eq!(misses - misses0, (io - io0).reads, "pool misses vs device reads");
+/// (e) The same over three regions, each pool absorbing its own fault
+/// stream. 10 %, not `chaos_a`'s 5 %: over these regions' few device
+/// reads the seeds 42–44 inject nothing at 5 %.
+#[test]
+fn chaos_e_partitioned_transients_match_clean_partitioned_serial() {
+    let store = check_served(&transient_case(vec![40.0, 80.0], 0.10)).unwrap().store;
+    assert!(store.retries > 0, "{store:?}");
 }
 
 /// (b) Checksum-detected corruption of one leaf: only the sessions whose
@@ -970,69 +870,4 @@ proptest! {
             );
         }
     }
-}
-
-/// (e) The partitioned server under the same transient-only schedule:
-/// every region's pool absorbs its own fault stream, and the concurrent
-/// multi-writer serve stays bit-identical to a fault-free partitioned
-/// serial oracle — region by region and session by session.
-#[test]
-fn chaos_e_partitioned_transients_match_clean_partitioned_serial() {
-    let recs = line_records(120);
-    let specs = vec![
-        slide_spec(SessionKind::Pdq, 0.0, 12, 12.0),
-        slide_spec(SessionKind::Npdq, 30.0, 12, 12.0),
-        slide_spec(SessionKind::Pdq, 60.0, 8, 12.0),
-        slide_spec(SessionKind::Npdq, 90.0, 8, 12.0),
-    ];
-    let inserts = line_inserts(12, 2);
-    let grid = RegionGrid::from_cuts(0, vec![40.0, 80.0]);
-
-    // 10 %, not `chaos_a`'s 5 %: a faulted read draws one number from the
-    // plan's stream, and over these three regions' few device reads the
-    // seeds 42–44 inject nothing at 5 %.
-    let faulted = PartitionedDqServer::build(grid.clone(), &recs, |r| {
-        let faulty = FaultyStore::new(
-            Pager::with_page_size(256),
-            FaultPlan::transient(42 + r as u64, 0.10),
-        );
-        let pool = ShardedBufferPool::new(ChecksumStore::new(faulty), 8, 2).with_retry(
-            RetryPolicy {
-                max_attempts: 8,
-                base_backoff: Duration::from_micros(1),
-            },
-        );
-        RTree::new(pool, RTreeConfig::default())
-    });
-    let report = faulted.serve(&specs, &inserts);
-
-    let oracle = PartitionedDqServer::build(grid, &recs, |_| {
-        RTree::new(Pager::with_page_size(256), RTreeConfig::default())
-    })
-    .serve_serial(&specs, &inserts);
-
-    assert!(report.base.writer_outcome.is_ok(), "writers: {:?}", report.base.writer_outcome);
-    assert_eq!(report.base.inserts_applied, oracle.base.inserts_applied);
-    for r in 0..report.regions.len() {
-        assert_eq!(
-            report.regions[r].inserts_applied, oracle.regions[r].inserts_applied,
-            "region {r} applied a different batch slice"
-        );
-    }
-    for (i, (got, want)) in report.sessions.iter().zip(&oracle.sessions).enumerate() {
-        assert!(got.outcome.is_ok(), "session {i}: {:?}", got.outcome);
-        assert_eq!(got.results, want.results, "session {i} diverged from oracle");
-    }
-
-    // At least one region's schedule actually fired, and none leaked.
-    let mut transients = 0;
-    for r in 0..3 {
-        let (t, exhausted) = faulted.with_region_tree(r, |tree| {
-            let pool = tree.store();
-            (pool.inner().inner().injected().transients, pool.fault_stats().exhausted)
-        });
-        transients += t;
-        assert_eq!(exhausted, 0, "region {r} exhausted a retry budget");
-    }
-    assert!(transients > 0, "no transient fault ever injected");
 }

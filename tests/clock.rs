@@ -1,9 +1,12 @@
-//! Per-region frame clocks, end to end: ragged schedule lengths,
-//! sessions joining mid-run, a mid-run session panic, the
-//! frame-report/session-stats identity under out-of-lockstep execution,
-//! and a stalled session that holds back only its own regions. Every
-//! concurrent run is checked against the single-threaded reference
-//! protocol — the clocks must be invisible to results.
+//! Per-region frame clocks, end to end. Ragged schedule lengths,
+//! sessions joining mid-run and a slow sink are pinned cases of the
+//! served oracle (`support::served`): the clocks are invisible to
+//! results, frame reports and session stats. Where a hand-picked
+//! schedule shows what the oracle's cannot: a session that panics
+//! mid-run on a page read detaches and perturbs nobody, and a stalled
+//! session holds back only its own regions.
+
+mod support;
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -13,171 +16,65 @@ use dq_repro::mobiquery::{
     FrameDelta, FrameSink, PartitionedDqServer, RegionGrid, SessionKind, SessionOutcome,
     SessionPlan, SessionSpec, SinkVerdict, Trajectory,
 };
-use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
+use dq_repro::rtree::{RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
 use dq_repro::storage::{IoSnapshot, PageId, PageRef, PageStore, Pager, StorageError};
-
-type R = NsiSegmentRecord<2>;
-
-/// Objects on a line: oid `i` sits at `x = i + 0.5`, alive the whole run.
-fn line_records(n: u32) -> Vec<R> {
-    (0..n)
-        .map(|i| {
-            let x = f64::from(i) + 0.5;
-            R::new(i, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5])
-        })
-        .collect()
-}
-
-/// A window sliding right from `x0` at unit speed for `span` seconds.
-fn slide_spec(kind: SessionKind, x0: f64, frames: usize, span: f64) -> SessionSpec<2> {
-    SessionSpec {
-        kind,
-        trajectory: Trajectory::linear(
-            Rect::from_corners([x0, 0.0], [x0 + 1.0, 1.0]),
-            [1.0, 0.0],
-            Interval::new(0.0, span),
-            2,
-        ),
-        frame_times: (0..=frames)
-            .map(|k| span * k as f64 / frames as f64)
-            .collect(),
-    }
-}
-
-/// Per-frame insert batches dropping fresh objects along the line.
-fn line_inserts(frames: usize, per_frame: u32) -> Vec<Vec<(R, f64)>> {
-    (0..frames)
-        .map(|k| {
-            let t = k as f64 * 0.3;
-            (0..per_frame)
-                .map(|j| {
-                    let oid = 1000 + (k as u32) * per_frame + j;
-                    let x = f64::from(oid % 37) + 0.25;
-                    (R::new(oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]), t)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn partitioned(grid: RegionGrid, recs: &[R]) -> PartitionedDqServer<2, Pager> {
-    PartitionedDqServer::build(grid, recs, |_| {
-        RTree::new(Pager::new(), RTreeConfig::default())
-    })
-}
+use support::served::{check_served, Case, Sink};
+use support::{leaf_page_of, line_inserts, line_records, partitioned, slide_spec, R};
 
 /// The single-tree case and a three-region grid.
-fn grids() -> [RegionGrid; 2] {
-    [RegionGrid::single(), RegionGrid::from_cuts(0, vec![15.0, 30.0])]
-}
-
-/// The (oid, seq) stream must never repeat — the paper's "retrieve each
-/// object once" contract, per session.
-fn assert_each_object_once(results: &[(u32, u32)]) {
-    let mut seen = std::collections::HashSet::new();
-    for &r in results {
-        assert!(seen.insert(r), "object {r:?} delivered twice");
-    }
-}
-
-/// Σ frame-report stats == session stats and Σ frame results ==
-/// delivered count, for every session of a run.
-fn assert_frames_reconcile(sessions: &[dq_repro::mobiquery::SessionOutput]) {
-    for (i, s) in sessions.iter().enumerate() {
-        let mut stats = dq_repro::mobiquery::QueryStats::default();
-        let mut results = 0;
-        for f in &s.frames {
-            stats += f.stats;
-            results += f.results;
-        }
-        assert_eq!(stats, s.stats, "session {i}: Σ frame stats != session stats");
-        assert_eq!(results, s.results.len(), "session {i}: Σ frame results");
-    }
-}
+const CUTS: [&[f64]; 2] = [&[], &[15.0, 30.0]];
 
 /// Sessions with very different schedule lengths: the short ones finish
-/// and detach while the long one keeps consuming frames. Both grids,
-/// concurrent == serial, bit for bit.
+/// and detach while the long one keeps consuming frames.
 #[test]
 fn ragged_schedule_lengths_match_serial() {
-    let recs = line_records(40);
-    let inserts = line_inserts(20, 3);
-    let specs = [
+    let specs = vec![
         slide_spec(SessionKind::Pdq, 0.0, 5, 5.0),
         slide_spec(SessionKind::Npdq, 10.0, 12, 12.0),
         slide_spec(SessionKind::Pdq, 20.0, 20, 16.0),
     ];
-    let plans: Vec<SessionPlan<2>> = specs.iter().cloned().map(SessionPlan::new).collect();
-
-    for grid in grids() {
-        let p = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
-        let s = partitioned(grid, &recs).serve_serial_plans(&plans, &inserts);
-        assert_eq!(p.frames, 20);
-        for i in 0..plans.len() {
-            assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
-            assert_eq!(p.sessions[i].stats, s.sessions[i].stats, "session {i}");
-            assert_each_object_once(&p.sessions[i].results);
-            // Frame reports match on every deterministic field (latency
-            // is wall clock, so it is excluded).
-            assert_eq!(p.sessions[i].frames.len(), s.sessions[i].frames.len());
-            for (a, b) in p.sessions[i].frames.iter().zip(&s.sessions[i].frames) {
-                assert_eq!((a.frame, a.results, a.stats), (b.frame, b.results, b.stats));
-            }
-        }
+    for cuts in CUTS {
+        let case = Case { cuts: cuts.to_vec(), ..Case::new(line_records(40), line_inserts(20, 3), specs.clone()) };
+        check_served(&case).unwrap();
     }
 }
 
-/// A session joining at global frame 7 of a 16-frame run: it sees the
-/// tree exactly as of its join watermark (batches 0..7 applied, batch 7
-/// not yet), reports only frames >= 7, delivers each object once, and
-/// matches the serial reference on both grids.
+/// Two sessions joining at global frame 7 of a 16-frame run see the tree
+/// exactly as of their join watermark and report frames from 7 on.
 #[test]
 fn join_mid_run_sees_exactly_the_tail() {
-    let recs = line_records(40);
-    let inserts = line_inserts(16, 3);
-    let plans = vec![
-        SessionPlan::new(slide_spec(SessionKind::Pdq, 0.0, 16, 12.0)),
-        SessionPlan::new(slide_spec(SessionKind::Pdq, 8.0, 16, 12.0)).join_at(7),
-        SessionPlan::new(slide_spec(SessionKind::Npdq, 20.0, 16, 12.0)).join_at(7),
+    let specs = vec![
+        slide_spec(SessionKind::Pdq, 0.0, 16, 12.0),
+        slide_spec(SessionKind::Pdq, 8.0, 16, 12.0),
+        slide_spec(SessionKind::Npdq, 20.0, 16, 12.0),
     ];
-
-    for grid in grids() {
-        let p = partitioned(grid.clone(), &recs).serve_plans(&plans, &inserts);
-        let s = partitioned(grid, &recs).serve_serial_plans(&plans, &inserts);
-        for i in 0..plans.len() {
-            assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
-            assert_eq!(p.sessions[i].stats, s.sessions[i].stats, "session {i}");
-            assert_each_object_once(&p.sessions[i].results);
+    for cuts in CUTS {
+        let mut case = Case { cuts: cuts.to_vec(), ..Case::new(line_records(40), line_inserts(16, 3), specs.clone()) };
+        for plan in &mut case.plans[1..] {
+            plan.join_frame = 7;
         }
-        // Joiners report frames starting at their join watermark only.
-        for i in [1, 2] {
-            assert!(!p.sessions[i].frames.is_empty(), "joiner {i} never ran");
-            assert!(
-                p.sessions[i].frames.iter().all(|f| f.frame >= 7),
-                "joiner {i} reported a pre-join frame"
-            );
-        }
+        check_served(&case).unwrap();
     }
 }
 
-/// The leaf page holding `oid` — found by a plain DFS over clean pages,
-/// so call this *before* corrupting anything.
-fn leaf_page_of<S: PageStore>(tree: &RTree<R, S>, oid: u32) -> PageId {
-    let mut stack = vec![tree.root_page()];
-    while let Some(page) = stack.pop() {
-        let node = tree.read_node(page);
-        if node.is_leaf() {
-            if node.leaf_records().any(|r| r.oid == oid) {
-                return page;
-            }
-        } else {
-            for (_, child) in node.internal_entries() {
-                stack.push(child);
-            }
-        }
+/// Out-of-lockstep execution: one session's sink sleeps 2 ms before
+/// every ack.
+#[test]
+fn frame_reports_reconcile_out_of_lockstep() {
+    let specs = vec![
+        slide_spec(SessionKind::Pdq, 0.0, 10, 10.0),
+        slide_spec(SessionKind::Npdq, 12.0, 10, 10.0),
+        slide_spec(SessionKind::Pdq, 24.0, 10, 10.0),
+    ];
+    for cuts in CUTS {
+        let case = Case {
+            cuts: cuts.to_vec(),
+            sinks: vec![Sink::None, Sink::Lag(vec![2000; 11]), Sink::None],
+            ..Case::new(line_records(40), line_inserts(10, 3), specs.clone())
+        };
+        check_served(&case).unwrap();
     }
-    panic!("oid {oid} not found in any leaf");
 }
 
 /// A `Pager` whose next read of one chosen page panics (once) — the
@@ -275,44 +172,6 @@ fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
     assert!(report.sessions[0].outcome.is_ok());
     assert_eq!(report.sessions[0].results, oracle.sessions[0].results);
     assert_eq!(report.sessions[0].frames.len(), 8);
-}
-
-/// A sink that takes 2 ms over every frame before the session acks it.
-struct Lag;
-
-impl FrameSink for Lag {
-    fn on_frame(&self, _: &FrameDelta<'_>) -> SinkVerdict {
-        std::thread::sleep(Duration::from_millis(2));
-        SinkVerdict::Continue
-    }
-}
-
-/// Out-of-lockstep execution (one deliberately slow session): results
-/// stay bit-identical to the serial reference and the per-frame flight
-/// recorder still reconciles exactly with the session-level stats — on
-/// both grids.
-#[test]
-fn frame_reports_reconcile_out_of_lockstep() {
-    let recs = line_records(40);
-    let inserts = line_inserts(10, 3);
-    let plans: Vec<SessionPlan<2>> = [
-        slide_spec(SessionKind::Pdq, 0.0, 10, 10.0),
-        slide_spec(SessionKind::Npdq, 12.0, 10, 10.0),
-        slide_spec(SessionKind::Pdq, 24.0, 10, 10.0),
-    ]
-    .into_iter()
-    .map(SessionPlan::new)
-    .collect();
-    let sinks: [Option<&dyn FrameSink>; 2] = [None, Some(&Lag)];
-
-    for grid in grids() {
-        let p = partitioned(grid.clone(), &recs).serve_plans_streamed(&plans, &inserts, &sinks);
-        let s = partitioned(grid, &recs).serve_serial_plans(&plans, &inserts);
-        for i in 0..plans.len() {
-            assert_eq!(p.sessions[i].results, s.sessions[i].results, "session {i}");
-        }
-        assert_frames_reconcile(&p.sessions);
-    }
 }
 
 const SLABS: usize = 4;

@@ -1,194 +1,208 @@
-//! End-to-end serving: mixed PDQ/NPDQ sessions running concurrently
-//! over ONE shared tree (a one-region grid) backed by a sharded buffer
-//! pool, with a writer inserting live updates between frames. The
-//! concurrent run must be *exactly* deterministic: per-session result
-//! sequences equal the single-threaded reference protocol on an
-//! identically prepared server — and, frame by frame, the same objects
-//! arrive under every grid.
+//! The serving core's one oracle, `support::served::check_served`, over
+//! cases drawn from a seed: every lifecycle a session can have (ragged
+//! schedules, joiners, joiners that never run, slow, detaching and
+//! panicking sinks), every schedule the threads can take, 1–4 regions,
+//! bare pagers or a faulty store behind a retrying pool, with and
+//! without a durability thread — and the mixed dataset workload, pinned.
 
-use dq_repro::mobiquery::{
-    PartitionedDqServer, RegionGrid, SessionKind, SessionOutput, SessionPlan, SessionSpec,
-};
-use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
-use dq_repro::storage::{PageStore, Pager, ShardedBufferPool};
-use dq_repro::workload::{Dataset, DatasetConfig, QueryWorkload, QueryWorkloadConfig};
+mod support;
 
-const FRAMES: usize = 20;
+use dq_repro::mobiquery::{KeySnapshot, SessionKind, SessionPlan, SessionSpec, Trajectory};
+use dq_repro::stkit::{Interval, Rect};
+use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use support::served::{check_served, Case, Served, Sink};
+use support::{integer_line, line_records, mixed_workload, slide_spec, R};
 
-/// Workload: 400 random-walk objects, 80 % pre-loaded, 20 % arriving
-/// live in per-frame batches; 6 sessions alternating PDQ/NPDQ.
-struct Fixture {
-    preload: Vec<NsiSegmentRecord<2>>,
-    inserts: Vec<Vec<(NsiSegmentRecord<2>, f64)>>,
-    specs: Vec<SessionSpec<2>>,
+/// A 16-wide window crossing [0, 100]² on a four-piece zigzag over
+/// `[0, span]`. `crates/mobiquery/tests/prop_pdq_updates.rs` keeps its
+/// own copy: a crate's test target cannot use the root suites' modules.
+fn zigzag(span: f64) -> Trajectory<2> {
+    let corners = [[5.0, 20.0], [35.0, 70.0], [60.0, 25.0], [80.0, 75.0], [95.0, 40.0]];
+    let keys = corners
+        .iter()
+        .enumerate()
+        .map(|(i, c)| KeySnapshot {
+            t: span * i as f64 / 4.0,
+            window: Rect::from_corners([c[0] - 8.0, c[1] - 8.0], [c[0] + 8.0, c[1] + 8.0]),
+        })
+        .collect();
+    Trajectory::new(keys)
 }
 
-fn fixture() -> Fixture {
-    let ds = Dataset::generate(DatasetConfig {
-        objects: 400,
-        duration: 15.0,
-        space_side: 100.0,
-        seed: 0xD1CE,
-    });
-    let records = ds.nsi_records(); // time-ordered
-    let split = records.len() * 8 / 10;
-    let (preload, live) = records.split_at(split);
-    let batch = live.len().div_ceil(FRAMES);
-    let inserts = live
-        .chunks(batch)
-        .map(|c| c.iter().map(|r| (*r, r.seg.t.lo)).collect())
+/// The seam geometry's x range: an object at every integer in it.
+const SEAM_X: u32 = 40;
+
+/// Draw a case from `seed`, with up to `preload` records before the
+/// run, `frames` frames and up to `batch` inserts a frame. Two
+/// geometries:
+/// - random motions over [0, 100]² (object `oid` born near its batch's
+///   time, up to 10 units of travel over a 0.5–6 lifetime), frames 0.25
+///   apart, half the grids cut at records' own grid-axis low ends (where
+///   a record's owner is decided by a tie with a cut), sessions on the
+///   zigzag or on a slide confined to a few lanes;
+/// - a third of the cases, the seam geometry: an object at every integer
+///   x, inserts there too, living between integer times, integer cuts
+///   and frame times, and unit windows sliding at unit speed, so objects,
+///   cuts and window edges meet exactly.
+///
+/// Half the cases sit on chaos stores, a third are durable. 1–6 sessions
+/// of either kind, each with its own schedule length, join frame (at or
+/// past its last frame too: it never runs) and sink.
+fn served_case(seed: u64, preload: usize, frames: usize, batch: usize) -> Case {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let seams = rng.gen_bool(1.0 / 3.0);
+    let dt = if seams { 1.0 } else { 0.25 };
+    let span = frames as f64 * dt;
+    // Past the seam preload's oids.
+    let mut oids = SEAM_X + 1..;
+    let mut draw = |rng: &mut ChaCha8Rng, t: f64| {
+        let oid = oids.next().expect("u32 ids");
+        if !seams {
+            let born = t + rng.gen_range(-2.0..span.max(4.0));
+            let a = [rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)];
+            let b = [a[0] + rng.gen_range(-10.0..10.0), a[1] + rng.gen_range(-10.0..10.0)];
+            return R::new(oid, 0, Interval::new(born, born + rng.gen_range(0.5..6.0)), a, b);
+        }
+        let x = f64::from(rng.gen_range(0..=SEAM_X));
+        let born = t - f64::from(rng.gen_range(0..3u32));
+        let life = Interval::new(born, born + f64::from(rng.gen_range(1..8u32)));
+        R::new(oid, 0, life, [x, 0.5], [x, 0.5])
+    };
+    let preload: Vec<R> = match seams {
+        true => integer_line(SEAM_X),
+        false => (0..preload).map(|_| draw(&mut rng, 0.0)).collect(),
+    };
+    let inserts: Vec<Vec<(R, f64)>> = (0..=frames)
+        .map(|k| {
+            let t = k as f64 * dt;
+            (0..rng.gen_range(0..=batch))
+                .map(|_| (draw(&mut rng, t), t * rng.gen_range(0.0..1.0)))
+                .collect()
+        })
         .collect();
-    let specs = QueryWorkload::new(QueryWorkloadConfig {
-        count: 6,
-        data_duration: 15.0,
-        subsequent_frames: FRAMES,
-        ..QueryWorkloadConfig::paper(0.8)
-    })
-    .generate()
-    .into_iter()
-    .enumerate()
-    .map(|(i, q)| SessionSpec {
-        kind: if i % 2 == 0 {
-            SessionKind::Pdq
+    let lows: Vec<f64> = (preload.iter())
+        .chain(inserts.iter().flatten().map(|(r, _)| r))
+        .map(|r| r.seg.spatial_bbox().extent(0).lo)
+        .collect();
+    let on_records = !lows.is_empty() && rng.gen_bool(0.5);
+    let mut cuts: Vec<f64> = (0..rng.gen_range(0..=3))
+        .map(|_| match (seams, on_records) {
+            (true, _) => f64::from(rng.gen_range(1..SEAM_X)),
+            (false, true) => lows[rng.gen_range(0..lows.len())],
+            (false, false) => rng.gen_range(1.0..99.0),
+        })
+        .collect();
+    cuts.sort_unstable_by(f64::total_cmp);
+    cuts.dedup();
+    let faults = rng.gen_bool(0.5).then(|| (rng.gen::<u64>() >> 1, rng.gen_range(0.02..0.1)));
+    let durable = rng.gen_bool(1.0 / 3.0).then(|| rng.gen_range(0..=4u64));
+    let (mut plans, mut sinks) = (Vec::new(), Vec::new());
+    for _ in 0..rng.gen_range(1..=6) {
+        let kind = if rng.gen_bool(0.5) { SessionKind::Pdq } else { SessionKind::Npdq };
+        let len = rng.gen_range(1..=frames);
+        let spec = if seams {
+            slide_spec(kind, f64::from(rng.gen_range(0..8u32)), len, len as f64)
         } else {
-            SessionKind::Npdq
-        },
-        trajectory: q.trajectory,
-        frame_times: q.frame_times,
-    })
-    .collect();
-    Fixture {
-        preload: preload.to_vec(),
-        inserts,
-        specs,
+            let trajectory = if rng.gen_bool(0.5) {
+                zigzag(span)
+            } else {
+                // An 8-wide window crossing at most 20 units of x.
+                let (x, y) = (rng.gen_range(0.0..80.0), rng.gen_range(0.0..90.0));
+                let window = Rect::from_corners([x, y], [x + 8.0, y + 8.0]);
+                let velocity = [rng.gen_range(-20.0..20.0) / span, 0.0];
+                Trajectory::linear(window, velocity, Interval::new(0.0, span), 2)
+            };
+            SessionSpec { kind, trajectory, frame_times: (0..=len).map(|k| k as f64 * dt).collect() }
+        };
+        plans.push(SessionPlan::new(spec).join_at(rng.gen_range(0..=len + 1)));
+        sinks.push(match rng.gen_range(0..4) {
+            0 => Sink::None,
+            1 => Sink::Lag(
+                (0..=frames)
+                    .map(|_| if rng.gen_bool(0.25) { rng.gen_range(0..=2000u64) } else { 0 })
+                    .collect(),
+            ),
+            2 => Sink::Detach(rng.gen_range(0..=frames)),
+            _ => Sink::Panic(rng.gen_range(0..=frames)),
+        });
+    }
+    Case { preload, inserts, cuts, faults, durable, plans, sinks }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn served_frames_are_the_ground_truth_under_any_lifecycle_and_schedule(
+        seed in any::<u64>(), preload in 0usize..300, frames in 2usize..32, batch in 0usize..=8,
+    ) {
+        if let Err(e) = check_served(&served_case(seed, preload, frames, batch)) {
+            return Err(TestCaseError::fail(e));
+        }
     }
 }
 
-/// The server over `grid`, every region's tree on its own `pool()`.
-fn build<S: PageStore>(
-    grid: RegionGrid,
-    preload: &[NsiSegmentRecord<2>],
-    mut pool: impl FnMut() -> S,
-) -> PartitionedDqServer<2, S> {
-    PartitionedDqServer::build(grid, preload, |_| RTree::new(pool(), RTreeConfig::default()))
+/// The case that hung the concurrent serve: session 0's sink panics at
+/// frame 2. The panic unwound the session's thread past its detach from
+/// the lane clocks, and the region's writer, holding frame 3's batch,
+/// waited for that session's ack for ever. A panicking sink now fails
+/// its own session as a `Detach` does.
+#[test]
+fn a_panicking_sink_fails_only_its_own_session() {
+    let inserts = (0..10)
+        .map(|k| {
+            let (t, oid) = (3.0 * f64::from(k), 7000 + k);
+            let x = (t + 4.0) % 29.0;
+            vec![(R::new(oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]), t)]
+        })
+        .collect();
+    let slide = slide_spec(SessionKind::Pdq, 0.0, 10, 30.0);
+    let case = Case {
+        sinks: vec![Sink::Panic(2), Sink::None],
+        ..Case::new(line_records(30), inserts, vec![slide.clone(), slide])
+    };
+    check_served(&case).unwrap();
 }
 
+/// The mixed workload over one region whose trees sit behind a small
+/// pool (a fault-free chaos stack), against the serial reference: the
+/// sessions find objects, read the tree, and the pool both hits and
+/// misses.
 #[test]
 fn concurrent_serving_matches_serial_reference() {
-    let fx = fixture();
-    assert!(fx.specs.len() >= 4, "need at least 4 mixed sessions");
-
-    // Concurrent server over a sharded buffer pool (16 frames, 4 shards):
-    // a quarter of the packed tree, so serving — the build only writes —
-    // has to fault pages back in.
-    let server = build(RegionGrid::single(), &fx.preload, || {
-        ShardedBufferPool::new(Pager::new(), 16, 4)
-    });
-    let parallel = server.serve(&fx.specs, &fx.inserts);
-
-    // Serial reference over an identically prepared plain-pager tree.
-    let reference = build(RegionGrid::single(), &fx.preload, Pager::new);
-    let serial = reference.serve_serial(&fx.specs, &fx.inserts);
-
-    let live_total: usize = fx.inserts.iter().map(Vec::len).sum();
-    assert_eq!(parallel.inserts_applied, live_total);
-    assert_eq!(serial.inserts_applied, live_total);
-    assert_eq!(parallel.frames, serial.frames);
-
-    for (i, (p, s)) in parallel.sessions.iter().zip(&serial.sessions).enumerate() {
-        assert_eq!(
-            p.results, s.results,
-            "session {i} ({:?}) diverged from the serial reference",
-            fx.specs[i].kind
-        );
-    }
-    // The workload actually exercises the sessions and the pool.
-    assert!(parallel.total_results() > 0, "no session returned anything");
-    assert!(parallel.total_stats().disk_accesses > 0);
-    let cs = server.with_region_tree(0, |t| t.store().cache_stats());
-    assert!(cs.hits > 0, "buffer pool never hit");
-    assert!(cs.misses > 0, "buffer pool never missed");
+    let (preload, inserts, specs) = mixed_workload();
+    let case = Case { faults: Some((0xD1CE, 0.0)), ..Case::new(preload, inserts, specs) };
+    let Served { report, store } = check_served(&case).unwrap();
+    let results: usize = report.sessions.iter().map(|s| s.results.len()).sum();
+    let reads: u64 = report.sessions.iter().map(|s| s.stats.disk_accesses).sum();
+    assert!(results > 0 && reads > 0 && store.hits > 0 && store.misses > 0, "{results} results, {reads} reads, {store:?}");
 }
 
+/// Two concurrent serves of the same case are each the serial serve.
 #[test]
 fn serving_twice_is_reproducible() {
-    let fx = fixture();
-    let run = |threads: bool| {
-        let server = build(RegionGrid::single(), &fx.preload, || {
-            ShardedBufferPool::new(Pager::new(), 32, 2)
-        });
-        if threads {
-            server.serve(&fx.specs, &fx.inserts)
-        } else {
-            server.serve_serial(&fx.specs, &fx.inserts)
-        }
-        .base
-        .sessions
-        .into_iter()
-        .map(|s| s.results)
-        .collect::<Vec<_>>()
-    };
-    assert_eq!(run(true), run(true), "two concurrent runs diverged");
-    assert_eq!(run(true), run(false), "concurrent vs serial diverged");
+    let (preload, inserts, specs) = mixed_workload();
+    let case = Case::new(preload, inserts, specs);
+    for _ in 0..2 {
+        check_served(&case).unwrap();
+    }
 }
 
-/// The oracle across grids: mixed PDQ/NPDQ sessions, inserts every
-/// frame, one session joining mid-run and one with a short schedule.
-/// Under each of 1, 3 and 5 regions the concurrent run equals the serial
-/// protocol bit for bit, and across grids every session, PDQ and NPDQ,
-/// delivers the same stream in the same frames.
+/// The mixed workload with two sessions joining at frame 6 and two
+/// stopping at frame 9, over 1, 3 and 5 regions.
 #[test]
 fn every_grid_matches_serial_and_grids_agree_per_frame() {
-    let fx = fixture();
-    let plans: Vec<SessionPlan<2>> = fx
-        .specs
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(i, mut spec)| match i {
-            2 | 3 => SessionPlan::new(spec).join_at(FRAMES / 3),
-            4 | 5 => {
-                spec.frame_times.truncate(FRAMES / 2);
-                SessionPlan::new(spec)
-            }
-            _ => SessionPlan::new(spec),
-        })
-        .collect();
-    let live_total: usize = fx.inserts.iter().map(Vec::len).sum();
-
-    let mut across: Vec<Vec<SessionOutput>> = Vec::new();
-    for cuts in [vec![], vec![33.0, 66.0], vec![20.0, 40.0, 60.0, 80.0]] {
-        let grid = RegionGrid::from_cuts(0, cuts);
-        let regions = grid.len();
-        let parallel = build(grid.clone(), &fx.preload, || {
-            ShardedBufferPool::new(Pager::new(), 64, 4)
-        })
-        .serve_plans(&plans, &fx.inserts);
-        let serial = build(grid, &fx.preload, Pager::new).serve_serial_plans(&plans, &fx.inserts);
-
-        assert!(parallel.writer_outcome.is_ok());
-        assert_eq!(parallel.inserts_applied, serial.inserts_applied);
-        // One region means no seam replication: physical == logical.
-        assert!(parallel.inserts_applied >= live_total);
-        assert_eq!(regions > 1, parallel.inserts_applied > live_total, "{regions} regions");
-        for (i, (p, s)) in parallel.sessions.iter().zip(&serial.sessions).enumerate() {
-            assert!(p.outcome.is_ok(), "{regions} regions, session {i}: {:?}", p.outcome);
-            assert_eq!(p.results, s.results, "{regions} regions, session {i} vs serial");
-            assert_eq!(p.stats, s.stats, "{regions} regions, session {i} vs serial");
-        }
-        assert!(parallel.sessions[2].frames.iter().all(|f| f.frame >= FRAMES / 3));
-        assert!(parallel.sessions[4].frames.len() < parallel.sessions[0].frames.len());
-        across.push(parallel.base.sessions);
+    let (preload, inserts, mut specs) = mixed_workload();
+    for spec in &mut specs[4..] {
+        spec.frame_times.truncate(10);
     }
-
-    let mono = &across[0];
-    let per_frame =
-        |s: &SessionOutput| s.frames.iter().map(|f| (f.frame, f.results)).collect::<Vec<_>>();
-    for (g, sessions) in across.iter().enumerate().skip(1) {
-        for (i, (s, m)) in sessions.iter().zip(mono).enumerate() {
-            let what = format!("grid {g}, session {i} ({:?})", plans[i].spec.kind);
-            assert_eq!(s.results, m.results, "{what}");
-            assert_eq!(per_frame(s), per_frame(m), "{what}: frames");
+    for cuts in [vec![], vec![33.0, 66.0], vec![20.0, 40.0, 60.0, 80.0]] {
+        let mut case = Case { cuts, ..Case::new(preload.clone(), inserts.clone(), specs.clone()) };
+        for plan in &mut case.plans[2..4] {
+            plan.join_frame = 6;
         }
+        check_served(&case).unwrap();
     }
 }

@@ -20,9 +20,10 @@
 # tools/gates.py that read the figures those binaries write (bounds and
 # what each measures are in that table). The serving core's isolation,
 # reconciliation, fault and recovery claims are not here: they are
-# deterministic tests the default check already runs
-# (tests/{clock,partition,chaos}.rs, the durability units,
-# crates/server/tests). Every gates.py row compares counts; the one perf
+# deterministic tests the default check already runs (the served
+# oracle, tests/support/served.rs, over tests/service.rs's property and
+# the cases pinned in tests/{concurrency,partition,clock,chaos}.rs;
+# the durability units; crates/server/tests). Every gates.py row compares counts; the one perf
 # harness is benchmarks/dqbench, and its smoke run checks correctness
 # only. Figures and logs go to target/figures/.
 #
