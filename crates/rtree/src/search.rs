@@ -65,11 +65,16 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         if query.is_empty() {
             return Ok(());
         }
-        let mut stack = vec![self.root_page()];
-        while let Some(page) = stack.pop() {
+        let mut stack = vec![(self.root_page(), self.height() - 1)];
+        while let Some((page, level)) = stack.pop() {
             // Zero-copy visit: entries decode lazily out of the page bytes.
+            // A node off its expected level is `Corrupt` (a child id naming
+            // an ancestor would otherwise loop); the read still counts.
             let node = self.try_read_node(page)?;
             stats.nodes_visited += 1;
+            if node.level() != level {
+                return Err(StorageError::Corrupt { page });
+            }
             if node.is_leaf() {
                 stats.leaf_nodes_visited += 1;
                 for r in node.leaf_records() {
@@ -83,7 +88,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 for (k, child) in node.internal_entries() {
                     stats.comparisons += 1;
                     if k.overlaps(query) {
-                        stack.push(child);
+                        stack.push((child, level - 1));
                     }
                 }
             }
@@ -107,8 +112,9 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 mod tests {
     use crate::bulk::bulk_load;
     use crate::records::NsiSegmentRecord;
+    use crate::search::SearchStats;
     use crate::tree::{RTree, RTreeConfig};
-    use storage::{PageStore, Pager};
+    use storage::{PageStore, Pager, StorageError};
     use stkit::{Interval, Rect, StBox};
 
     type R = NsiSegmentRecord<2>;
@@ -213,6 +219,19 @@ mod tests {
         let delta = tree.store().io() - before;
         assert_eq!(delta.reads, stats.nodes_visited);
         assert_eq!(delta.writes, 0);
+    }
+
+    #[test]
+    fn a_range_search_descending_into_a_cycle_is_corrupt() {
+        let tree = crate::tree::tests::cyclic_tree();
+        let root = tree.root_page();
+        let q = query((-1.0, 30.0), (-1.0, 30.0), (0.0, 10.0));
+        let (res, stats) = crate::tree::tests::within_5s(tree, move |t| {
+            let mut stats = SearchStats::default();
+            (t.try_range_search(&q, &mut stats, |_| true, |_| {}), stats)
+        });
+        assert_eq!(res, Err(StorageError::Corrupt { page: root }));
+        assert_eq!((stats.nodes_visited, stats.results), (2, 0));
     }
 
     #[test]

@@ -145,12 +145,14 @@ fn intersection_volume<K: Key>(a: &K, b: &K) -> f64 {
 }
 
 /// Guttman's PickSeeds (quadratic): the pair wasting the most area.
+/// Each key's volume is computed once, not once per pair.
 fn quadratic_seeds<K: Key>(keys: &[K]) -> (usize, usize) {
+    let vols: Vec<f64> = keys.iter().map(K::volume).collect();
     let mut best = (0, 1);
     let mut best_waste = f64::NEG_INFINITY;
     for i in 0..keys.len() {
         for j in (i + 1)..keys.len() {
-            let waste = keys[i].cover(&keys[j]).volume() - keys[i].volume() - keys[j].volume();
+            let waste = keys[i].cover_volume(&keys[j]) - vols[i] - vols[j];
             if waste > best_waste {
                 best_waste = waste;
                 best = (i, j);
@@ -198,6 +200,20 @@ fn linear_seeds<K: Key>(keys: &[K]) -> (usize, usize) {
     best
 }
 
+/// Guttman's distribution after PickSeeds: place the remaining entries
+/// one at a time (Quadratic: PickNext's greatest preference first;
+/// Linear: in reverse input order), each into the group its cover grows
+/// least by.
+///
+/// Each group's cover volume is kept beside the cover. Under Quadratic
+/// both groups' enlargements for every remaining entry are kept too, in
+/// vectors aligned with `remaining` and `swap_remove`d in step with it;
+/// a placement refreshes only the group that took the entry, since the
+/// other's cover did not change. Every kept value is bit-equal to the
+/// `enlargement` it stands for (`cover_volume` minus the cover's
+/// volume), so the partition is Guttman's bit for bit. Every vector is
+/// sized up front: a split allocates the same number of times whatever
+/// the node's capacity.
 fn distribute<K: Key>(
     keys: &[K],
     seed_a: usize,
@@ -205,12 +221,34 @@ fn distribute<K: Key>(
     min_fill: usize,
     policy: SplitPolicy,
 ) -> SplitResult {
+    let pick_next = match policy {
+        SplitPolicy::Quadratic => true,
+        SplitPolicy::Linear => false,
+        SplitPolicy::RStar => unreachable!("R* uses rstar_split, not distribute"),
+    };
     let n = keys.len();
-    let mut group_a = vec![seed_a];
-    let mut group_b = vec![seed_b];
-    let mut cover_a = keys[seed_a];
-    let mut cover_b = keys[seed_b];
-    let mut remaining: Vec<usize> = (0..n).filter(|&i| i != seed_a && i != seed_b).collect();
+    let (mut group_a, mut group_b) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    group_a.push(seed_a);
+    group_b.push(seed_b);
+    let (mut cover_a, mut cover_b) = (keys[seed_a], keys[seed_b]);
+    let (mut vol_a, mut vol_b) = (cover_a.volume(), cover_b.volume());
+    let mut remaining = Vec::with_capacity(n);
+    remaining.extend((0..n).filter(|&i| i != seed_a && i != seed_b));
+    // `remaining` is an argument, not a capture: captured, it made
+    // `distribute` compile to code that cost `dqbench ingest` ~10 % CPU
+    // per frame.
+    let enlargements = |cover: &K, vol: f64, remaining: &[usize]| -> Vec<f64> {
+        if pick_next {
+            remaining
+                .iter()
+                .map(|&i| cover.cover_volume(&keys[i]) - vol)
+                .collect()
+        } else {
+            Vec::new()
+        }
+    };
+    let mut enl_a = enlargements(&cover_a, vol_a, &remaining);
+    let mut enl_b = enlargements(&cover_b, vol_b, &remaining);
 
     while !remaining.is_empty() {
         // If one group must take everything left to reach min_fill, do so.
@@ -222,45 +260,56 @@ fn distribute<K: Key>(
             group_b.append(&mut remaining);
             break;
         }
-        // Choose the next entry to place.
-        let pick = match policy {
-            SplitPolicy::Quadratic => {
-                // PickNext: entry with the greatest |d_a − d_b| preference.
-                let mut best_pos = 0;
-                let mut best_diff = f64::NEG_INFINITY;
-                for (pos, &i) in remaining.iter().enumerate() {
-                    let da = cover_a.enlargement(&keys[i]);
-                    let db = cover_b.enlargement(&keys[i]);
-                    let diff = (da - db).abs();
-                    if diff > best_diff {
-                        best_diff = diff;
-                        best_pos = pos;
-                    }
+        // Choose the next entry to place, with its enlargement of each
+        // group's cover.
+        let (pick, da, db) = if pick_next {
+            // PickNext: entry with the greatest |d_a − d_b| preference.
+            let mut best_pos = 0;
+            let mut best_diff = f64::NEG_INFINITY;
+            for (pos, (da, db)) in enl_a.iter().zip(&enl_b).enumerate() {
+                let diff = (da - db).abs();
+                if diff > best_diff {
+                    best_diff = diff;
+                    best_pos = pos;
                 }
-                remaining.swap_remove(best_pos)
             }
-            SplitPolicy::Linear => remaining.pop().expect("checked non-empty"),
-            SplitPolicy::RStar => unreachable!("R* uses rstar_split, not distribute"),
+            (
+                remaining.swap_remove(best_pos),
+                enl_a.swap_remove(best_pos),
+                enl_b.swap_remove(best_pos),
+            )
+        } else {
+            let pick = remaining.pop().expect("checked non-empty");
+            let k = &keys[pick];
+            (
+                pick,
+                cover_a.cover_volume(k) - vol_a,
+                cover_b.cover_volume(k) - vol_b,
+            )
         };
         // Assign to the group needing least enlargement; ties by smaller
         // volume, then by fewer entries (Guttman's tie-breaking).
-        let da = cover_a.enlargement(&keys[pick]);
-        let db = cover_b.enlargement(&keys[pick]);
         let to_a = match da.partial_cmp(&db) {
             Some(std::cmp::Ordering::Less) => true,
             Some(std::cmp::Ordering::Greater) => false,
-            _ => match cover_a.volume().partial_cmp(&cover_b.volume()) {
+            _ => match vol_a.partial_cmp(&vol_b) {
                 Some(std::cmp::Ordering::Less) => true,
                 Some(std::cmp::Ordering::Greater) => false,
                 _ => group_a.len() <= group_b.len(),
             },
         };
-        if to_a {
-            cover_a = cover_a.cover(&keys[pick]);
-            group_a.push(pick);
+        let (group, cover, vol, enl) = if to_a {
+            (&mut group_a, &mut cover_a, &mut vol_a, &mut enl_a)
         } else {
-            cover_b = cover_b.cover(&keys[pick]);
-            group_b.push(pick);
+            (&mut group_b, &mut cover_b, &mut vol_b, &mut enl_b)
+        };
+        group.push(pick);
+        *cover = cover.cover(&keys[pick]);
+        *vol = cover.volume();
+        if pick_next {
+            for (e, &i) in enl.iter_mut().zip(&remaining) {
+                *e = cover.cover_volume(&keys[i]) - *vol;
+            }
         }
     }
     SplitResult {

@@ -89,6 +89,27 @@ impl<const D: usize, const T: usize> Key for StBox<D, T> {
         StBox::enlargement(self, other)
     }
 
+    /// `StBox::cover` then `StBox::volume`, without the cover: for two
+    /// non-empty boxes each side of the cover is `min`/`max` of the
+    /// operands' bounds, and the volume multiplies the sides' lengths in
+    /// `Rect::volume`'s order, space and time apart, so every operation
+    /// is the one the two calls make. An empty operand makes the cover
+    /// the other box: that case takes the default.
+    #[inline]
+    fn cover_volume(&self, other: &Self) -> f64 {
+        if StBox::is_empty(self) || StBox::is_empty(other) {
+            return StBox::cover(self, other).volume();
+        }
+        fn side<const N: usize>(a: &Rect<N>, b: &Rect<N>) -> f64 {
+            a.dims
+                .iter()
+                .zip(&b.dims)
+                .map(|(a, b)| a.hi.max(b.hi) - a.lo.min(b.lo))
+                .product()
+        }
+        side(&self.space, &other.space) * side(&self.time, &other.time)
+    }
+
     fn axis_lo(&self, axis: usize) -> f64 {
         if axis < D {
             self.space.extent(axis).lo

@@ -55,8 +55,23 @@ pub trait Key: Copy + std::fmt::Debug + PartialEq {
     fn margin(&self) -> f64;
 
     /// Volume growth of `self ⊎ other` over `self` — Guttman's
-    /// least-enlargement criterion.
+    /// least-enlargement criterion. Must be
+    /// `self.cover(other).volume() - self.volume()`, bit for bit: the
+    /// write path computes it as [`Self::cover_volume`] minus a volume it
+    /// already holds.
     fn enlargement(&self, other: &Self) -> f64;
+
+    /// Volume of `self ⊎ other`: `self.cover(other).volume()`.
+    ///
+    /// An override may skip building the cover, but must return the same
+    /// `f64` bit for bit (`to_bits`-equal, NaN and signed zero included)
+    /// for every pair of keys, empty, inverted and infinite bounds
+    /// included: the split heuristics and ChooseLeaf compare these values,
+    /// so one differing bit can change a partition and with it every page
+    /// an insert writes.
+    fn cover_volume(&self, other: &Self) -> f64 {
+        self.cover(other).volume()
+    }
 
     /// Lower bound along `axis ∈ 0..AXES` (spatial axes first).
     fn axis_lo(&self, axis: usize) -> f64;

@@ -425,7 +425,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             self.store.write(leaf_page, edit.bytes());
             self.levels.record_write(level);
         } else {
-            let mut recs: Vec<R> = leaf.leaf_records().collect();
+            let mut recs = Vec::with_capacity(leaf.len() + 1);
+            recs.extend(leaf.leaf_records());
             drop(leaf);
             recs.push(rec);
             let [(old_key, _), new_entry] =
@@ -444,21 +445,32 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// Walk from the root by least enlargement towards `key` down to a
     /// leaf, pushing every internal node passed onto `path` and returning
     /// the leaf — through zero-copy views; nothing is materialized.
+    ///
+    /// Each node must sit at the level its parent implies — the root at
+    /// `height − 1`, then one less a step — so the walk takes at most
+    /// `height` reads: a child id naming an ancestor (or any page at the
+    /// wrong level) is [`StorageError::Corrupt`] on that page, before any
+    /// write, instead of a loop.
     fn descend(
         &self,
         path: &mut Vec<Step<R::Key, R>>,
         key: &R::Key,
     ) -> Result<(PageId, NodeRef<R::Key, R>), StorageError> {
-        let mut page = self.root;
+        let (mut page, mut level) = (self.root, self.height - 1);
         loop {
+            // The read counts even when the level is wrong, as a header
+            // that does not parse does.
             let node = self.try_read_node(page)?;
+            if node.level() != level {
+                return Err(StorageError::Corrupt { page });
+            }
             if node.is_leaf() {
                 return Ok((page, node));
             }
             let chosen = choose_subtree(node.internal_entries().map(|(k, _)| k), key);
             let next = node.internal_entry(chosen).1;
             path.push(Step { page, node, chosen });
-            page = next;
+            (page, level) = (next, level - 1);
         }
     }
 
@@ -496,7 +508,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             let level = node.level();
             let ck = child_key.expect("a node below the root hands its key up");
             if pending.is_some() && node.len() == internal_cap {
-                let mut entries: Vec<(R::Key, PageId)> = node.internal_entries().collect();
+                let mut entries = Vec::with_capacity(node.len() + 1);
+                entries.extend(node.internal_entries());
                 drop(node);
                 entries[chosen].0 = ck;
                 entries.extend(pending.take());
@@ -732,8 +745,10 @@ pub(crate) fn choose_subtree<K: Key>(keys: impl Iterator<Item = K>, key: &K) -> 
     let mut best_vol = f64::INFINITY;
     for (i, k) in keys.enumerate() {
         seen += 1;
-        let enl = k.enlargement(key);
+        // `enlargement` is `cover().volume() - volume()` for every key:
+        // computed from the one volume the tie-break needs anyway.
         let vol = k.volume();
+        let enl = k.cover_volume(key) - vol;
         if enl < best_enl || (enl == best_enl && vol < best_vol) {
             best = i;
             best_enl = enl;
@@ -742,4 +757,69 @@ pub(crate) fn choose_subtree<K: Key>(keys: impl Iterator<Item = K>, key: &K) -> 
     }
     debug_assert!(seen > 0);
     best
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::bulk::bulk_load;
+    use crate::records::NsiSegmentRecord;
+    use std::time::Duration;
+    use stkit::Interval;
+    use storage::Pager;
+
+    type R = NsiSegmentRecord<2>;
+
+    fn rec(i: u32) -> R {
+        let (x, y) = (f64::from(i % 20), f64::from(i / 20));
+        R::new(i, 0, Interval::new(0.0, 10.0), [x, y], [x + 0.5, y + 0.5])
+    }
+
+    /// A packed height-3 tree on 256 B pages whose root's every entry
+    /// names the root itself: a header that parses, children that cycle.
+    pub(crate) fn cyclic_tree() -> RTree<R, Pager> {
+        let tree = bulk_load(
+            Pager::with_page_size(256),
+            RTreeConfig::default(),
+            (0..40).map(rec).collect(),
+        );
+        assert_eq!(tree.height(), 3);
+        let root = tree.root_page();
+        let node = tree.read_node(root);
+        let mut buf = Vec::new();
+        let mut edit = NodeEdit::<_, R>::fresh(&mut buf, node.level(), tree.store().page_size());
+        node.internal_entries()
+            .for_each(|(k, _)| edit.push_entry(&k, root));
+        tree.store().write(root, edit.bytes());
+        tree
+    }
+
+    /// `f(tree)` on a thread of its own, failing the test if it has not
+    /// returned within 5 s: a descent that cycles fails its test instead
+    /// of hanging the suite.
+    pub(crate) fn within_5s<T: Send + 'static>(
+        mut tree: RTree<R, Pager>,
+        f: impl FnOnce(&mut RTree<R, Pager>) -> T + Send + 'static,
+    ) -> T {
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = done.send(f(&mut tree));
+        });
+        let out = finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("no answer within 5 s: the descent cycles");
+        worker.join().expect("the worker sent its answer");
+        out
+    }
+
+    #[test]
+    fn an_insert_descending_into_a_cycle_is_corrupt_before_any_write() {
+        let tree = cyclic_tree();
+        let root = tree.root_page();
+        let before = tree.store().io();
+        let (res, io, len) = within_5s(tree, |t| (t.try_insert(rec(40)), t.store().io(), t.len()));
+        assert_eq!(res, Err(StorageError::Corrupt { page: root }));
+        let io = io - before;
+        assert_eq!((io.reads, io.writes, len), (2, 0, 40), "{io:?}");
+    }
 }

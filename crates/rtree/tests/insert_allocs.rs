@@ -1,6 +1,8 @@
 //! An insert that splits nothing allocates nothing: the descent holds
 //! zero-copy views on a stack the tree keeps, and each level is an edit
-//! of the tree's one scratch page. And packing is serving-grade in
+//! of the tree's one scratch page. A leaf split allocates a fixed number
+//! of times whatever the page size: its vectors are sized up front, none
+//! grows per key pair or per placement. And packing is serving-grade in
 //! memory: the records stay in the caller's slice, and beyond the pages
 //! it writes the loader allocates a `u32` permutation, one `f64` sort
 //! centre per record and the level above's entries — under 16 bytes per
@@ -131,4 +133,40 @@ fn a_no_split_insert_allocates_nothing() {
         "only {unsplit} of 200 inserts took the no-split path"
     );
     tree.validate().unwrap();
+}
+
+/// The allocation count of every insert, after a warm-up, into a packed
+/// tree on `page_size` pages that split a leaf and nothing above it.
+fn leaf_split_allocations(page_size: usize) -> Vec<u64> {
+    let mut tree = bulk_load(
+        Pager::with_page_size(page_size),
+        RTreeConfig::default(),
+        (0..10_000).map(rec).collect(),
+    );
+    tree.insert(rec(10_000), 0.0);
+    let mut counts = Vec::new();
+    for i in 10_001..12_001 {
+        let height = tree.height();
+        let before = ALLOCATIONS.with(Cell::get);
+        let report = tree.insert(rec(i), 0.0);
+        let allocated = ALLOCATIONS.with(Cell::get) - before;
+        if matches!(report.notify, Inserted::Subtree { level: 0, .. }) && tree.height() == height {
+            counts.push(allocated);
+        }
+    }
+    tree.validate().unwrap();
+    counts
+}
+
+#[test]
+fn a_leaf_split_allocates_as_often_on_4_kib_pages_as_on_256_b() {
+    // A leaf holds 127 records on 4 KiB pages and 5 on 256 B ones: a
+    // split that grew a vector per pair or per placement would allocate
+    // more often on the larger page.
+    let (small, large) = (leaf_split_allocations(256), leaf_split_allocations(4096));
+    assert!(!small.is_empty() && !large.is_empty(), "no leaf split");
+    assert!(
+        small.iter().chain(&large).all(|&n| n == small[0]),
+        "leaf splits allocated {small:?} times on 256 B pages, {large:?} on 4 KiB"
+    );
 }

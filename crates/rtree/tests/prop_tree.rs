@@ -3,6 +3,8 @@
 //! page-encoding conservatism.
 
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use rtree::bulk::{bulk_load, pack_into, AxisOrder};
 use rtree::{Key, NsiSegmentRecord, RTree, RTreeConfig, Record, SplitPolicy};
 use storage::Pager;
@@ -276,4 +278,232 @@ fn pages_under(tree: &RTree<R, Pager>, from: storage::PageId) -> Vec<storage::Pa
         }
     }
     pages
+}
+
+// The split oracle. `prop_patch`'s reference insert calls the library
+// `split`, so it cannot see a split that changes a partition: this holds
+// `split` to a straight transcription of Guttman's PickSeeds and PickNext
+// as they were written before the volumes were cached — every volume and
+// enlargement recomputed where it is used.
+
+/// Guttman's quadratic PickSeeds, every volume recomputed per pair.
+fn oracle_quadratic_seeds<K: Key>(keys: &[K]) -> (usize, usize) {
+    let mut best = (0, 1);
+    let mut best_waste = f64::NEG_INFINITY;
+    for i in 0..keys.len() {
+        for j in (i + 1)..keys.len() {
+            let waste = keys[i].cover(&keys[j]).volume() - keys[i].volume() - keys[j].volume();
+            if waste > best_waste {
+                best_waste = waste;
+                best = (i, j);
+            }
+        }
+    }
+    best
+}
+
+/// Guttman's LinearPickSeeds: greatest normalized separation.
+fn oracle_linear_seeds<K: Key>(keys: &[K]) -> (usize, usize) {
+    let mut best = (0, 1);
+    let mut best_sep = f64::NEG_INFINITY;
+    for axis in 0..K::AXES {
+        let (mut hi_lo_idx, mut lo_hi_idx) = (0, 0);
+        let (mut total_lo, mut total_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (i, k) in keys.iter().enumerate() {
+            if k.axis_lo(axis) > keys[hi_lo_idx].axis_lo(axis) {
+                hi_lo_idx = i;
+            }
+            if k.axis_hi(axis) < keys[lo_hi_idx].axis_hi(axis) {
+                lo_hi_idx = i;
+            }
+            total_lo = total_lo.min(k.axis_lo(axis));
+            total_hi = total_hi.max(k.axis_hi(axis));
+        }
+        let width = total_hi - total_lo;
+        if width <= 0.0 || hi_lo_idx == lo_hi_idx {
+            continue;
+        }
+        let sep = (keys[hi_lo_idx].axis_lo(axis) - keys[lo_hi_idx].axis_hi(axis)) / width;
+        if sep > best_sep {
+            best_sep = sep;
+            best = (lo_hi_idx, hi_lo_idx);
+        }
+    }
+    if best.0 == best.1 {
+        best = (0, 1);
+    }
+    best
+}
+
+/// The distribution: PickNext (Quadratic) or reverse input order
+/// (Linear), each entry to the group it enlarges least, ties by smaller
+/// cover volume, then by fewer entries.
+fn oracle_split<K: Key>(
+    policy: SplitPolicy,
+    keys: &[K],
+    min_fill: usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let (seed_a, seed_b) = match policy {
+        SplitPolicy::Quadratic => oracle_quadratic_seeds(keys),
+        SplitPolicy::Linear => oracle_linear_seeds(keys),
+        SplitPolicy::RStar => unreachable!("the oracle covers Guttman's splits"),
+    };
+    let mut group_a = vec![seed_a];
+    let mut group_b = vec![seed_b];
+    let mut cover_a = keys[seed_a];
+    let mut cover_b = keys[seed_b];
+    let mut remaining: Vec<usize> = (0..keys.len())
+        .filter(|&i| i != seed_a && i != seed_b)
+        .collect();
+    while !remaining.is_empty() {
+        if group_a.len() + remaining.len() == min_fill {
+            group_a.append(&mut remaining);
+            break;
+        }
+        if group_b.len() + remaining.len() == min_fill {
+            group_b.append(&mut remaining);
+            break;
+        }
+        let pick = if policy == SplitPolicy::Quadratic {
+            let mut best_pos = 0;
+            let mut best_diff = f64::NEG_INFINITY;
+            for (pos, &i) in remaining.iter().enumerate() {
+                let diff = (cover_a.enlargement(&keys[i]) - cover_b.enlargement(&keys[i])).abs();
+                if diff > best_diff {
+                    best_diff = diff;
+                    best_pos = pos;
+                }
+            }
+            remaining.swap_remove(best_pos)
+        } else {
+            remaining.pop().unwrap()
+        };
+        let da = cover_a.enlargement(&keys[pick]);
+        let db = cover_b.enlargement(&keys[pick]);
+        let to_a = match da.partial_cmp(&db) {
+            Some(std::cmp::Ordering::Less) => true,
+            Some(std::cmp::Ordering::Greater) => false,
+            _ => match cover_a.volume().partial_cmp(&cover_b.volume()) {
+                Some(std::cmp::Ordering::Less) => true,
+                Some(std::cmp::Ordering::Greater) => false,
+                _ => group_a.len() <= group_b.len(),
+            },
+        };
+        if to_a {
+            cover_a = cover_a.cover(&keys[pick]);
+            group_a.push(pick);
+        } else {
+            cover_b = cover_b.cover(&keys[pick]);
+            group_b.push(pick);
+        }
+    }
+    (group_a, group_b)
+}
+
+/// A bound from a pool that makes the float corner cases common: signed
+/// zeros, infinities, NaN, small integers, and now and then any value.
+fn odd_bound(rng: &mut impl Rng) -> f64 {
+    match rng.gen_range(0u32..10) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => f64::NAN,
+        5..=7 => f64::from(rng.gen_range(-2i32..=2)),
+        _ => rng.gen_range(-1e3..1e3),
+    }
+}
+
+/// One extent of a key of `kind` (see [`oracle_key`]).
+fn oracle_axis(rng: &mut impl Rng, kind: u32) -> Interval {
+    match kind {
+        0..=4 => {
+            let lo = f64::from(rng.gen_range(0i32..4));
+            Interval::new(lo, lo + f64::from(rng.gen_range(0i32..3)))
+        }
+        5..=7 => {
+            let lo = rng.gen_range(-100.0..100.0);
+            Interval::new(lo, lo + rng.gen_range(0.0..50.0))
+        }
+        _ => Interval::new(odd_bound(rng), odd_bound(rng)),
+    }
+}
+
+/// A key with `T` time axes: mostly integer-grid boxes (volume ties
+/// everywhere, zero extents included) and plain float boxes, with
+/// duplicates of earlier keys, empty keys, and keys whose every bound is
+/// an [`odd_bound`] (inverted, NaN, infinite, ±0.0).
+fn oracle_key<const T: usize>(rng: &mut impl Rng, earlier: &[StBox<2, T>]) -> StBox<2, T> {
+    let kind = rng.gen_range(0u32..12);
+    match kind {
+        9 if !earlier.is_empty() => earlier[rng.gen_range(0..earlier.len())],
+        10 => StBox::EMPTY,
+        _ => StBox::new(
+            Rect::new([oracle_axis(rng, kind), oracle_axis(rng, kind)]),
+            Rect::new([(); T].map(|_| oracle_axis(rng, kind))),
+        ),
+    }
+}
+
+/// `split` against the oracle for both Guttman policies over one key set
+/// of `T`-time-axis keys drawn from `seed`: 2 to 64 entries, any legal
+/// `min_fill`.
+fn split_matches_oracle<const T: usize>(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let n = rng.gen_range(2usize..=64);
+    let mut keys: Vec<StBox<2, T>> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let k = oracle_key(&mut rng, &keys);
+        keys.push(k);
+    }
+    let min_fill = rng.gen_range(1..=n / 2);
+    for policy in [SplitPolicy::Quadratic, SplitPolicy::Linear] {
+        let got = rtree::split::split(policy, &keys, min_fill);
+        let want = oracle_split(policy, &keys, min_fill);
+        prop_assert_eq!(
+            (&got.a, &got.b),
+            (&want.0, &want.1),
+            "{:?} over {:?}",
+            policy,
+            keys
+        );
+    }
+    Ok(())
+}
+
+/// `cover_volume` against `cover().volume()`, bit for bit.
+fn cover_volume_is_bit_equal<const T: usize>(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let a: StBox<2, T> = oracle_key(&mut rng, &[]);
+    let b: StBox<2, T> = oracle_key(&mut rng, &[a]);
+    for (x, y) in [(a, b), (b, a), (a, a)] {
+        let got = Key::cover_volume(&x, &y);
+        let want = Key::cover(&x, &y).volume();
+        prop_assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{:?} ⊎ {:?}: {} vs {}",
+            x,
+            y,
+            got,
+            want
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1500))]
+
+    #[test]
+    fn guttman_splits_equal_the_uncached_oracle(seed in any::<u64>()) {
+        split_matches_oracle::<1>(seed)?;
+        split_matches_oracle::<2>(seed)?;
+    }
+
+    #[test]
+    fn cover_volume_is_the_cover_s_volume_bit_for_bit(seed in any::<u64>()) {
+        cover_volume_is_bit_equal::<1>(seed)?;
+        cover_volume_is_bit_equal::<2>(seed)?;
+    }
 }

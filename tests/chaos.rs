@@ -42,12 +42,12 @@ mod support;
 
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::time::Duration;
 
 use dq_repro::mobiquery::{
-    DurableImage, DurableLog, MotionRecord, PartitionedDqServer, RecoveryReport, RegionGrid,
-    SessionKind, SessionOutcome,
+    DurableImage, DurableLog, MotionRecord, PartitionedDqServer, PartitionedServeReport,
+    RecoveryReport, RegionGrid, SessionKind, SessionOutcome, SessionSpec,
 };
+use dq_repro::rtree::node::NodeEdit;
 use dq_repro::rtree::{Key, RTree, RTreeConfig, Record};
 use proptest::prelude::*;
 use dq_repro::stkit::Interval;
@@ -55,8 +55,8 @@ use dq_repro::storage::{
     ChecksumStore, FaultPlan, FaultyStore, PageId, PageStore, Pager, ShardedBufferPool,
     StorageError,
 };
-use support::served::{check_served, Case};
-use support::{leaf_page_of, line_inserts, line_records, slide_spec, R};
+use support::served::{check_served, Case, BOUND};
+use support::{leaf_page_of, line_inserts, line_records, slide_spec, Batch, R};
 
 fn build_tree<S: PageStore>(store: S, recs: &[R]) -> RTree<R, S> {
     let mut tree = RTree::new(store, RTreeConfig::default());
@@ -348,19 +348,8 @@ fn chaos_n_a_child_id_off_the_device_is_corrupt_and_the_serve_completes() {
         (server, bad)
     };
 
-    let (done, finished) = std::sync::mpsc::channel();
-    let ((concurrent, bad), plans, batches) = (server(), specs.clone(), inserts.clone());
-    let serving = std::thread::spawn(move || {
-        let _ = done.send(concurrent.serve(&plans, &batches));
-    });
-    // Bounded, so a hang fails this test instead of the whole suite.
-    let report = finished.recv_timeout(Duration::from_secs(30));
-    assert!(
-        !matches!(report, Err(RecvTimeoutError::Timeout)),
-        "the serve hung behind a corrupt child id"
-    );
-    serving.join().expect("the serve itself panicked");
-    let report = report.expect("a finished serve sent its report");
+    let (concurrent, bad) = server();
+    let report = serve_within_bound(concurrent, &specs, &inserts);
     let oracle = server().0.serve_serial(&specs, &inserts);
 
     let writer = &report.regions[0].writer_outcome;
@@ -385,6 +374,139 @@ fn chaos_n_a_child_id_off_the_device_is_corrupt_and_the_serve_completes() {
         assert_eq!(got.outcome, want.outcome, "session {i}");
         assert_eq!(got.results, want.results, "session {i} diverged from serial");
     }
+}
+
+/// (o) A child id that names an ancestor, on an un-checksummed internal
+/// page one level under the root: its entry over `x = 5.5` is rewritten
+/// to name the root. Every descent carries the level it expects, so the
+/// root read where a leaf should be is a typed `Corrupt{page}` on the
+/// root, not a loop: the region writer drops and logs each insert that
+/// descends to it, as `chaos_d`'s and `chaos_n`'s do, and the NPDQ
+/// session that sweeps over it degrades. The serve returns within the
+/// served oracle's bound, concurrent equals serial, and the PDQ session
+/// that never reads the broken page equals the fault-free oracle.
+#[test]
+fn chaos_o_a_child_id_naming_an_ancestor_is_corrupt_and_the_serve_completes() {
+    let recs = line_records(120);
+    let specs = vec![
+        slide_spec(SessionKind::Pdq, 60.0, 8, 8.0),
+        slide_spec(SessionKind::Npdq, 0.0, 8, 8.0),
+    ];
+    // Each frame drops one object by the broken entry and one at x > 66,
+    // which no descent through it reaches. The line's keys are flat in y;
+    // these are not, so ChooseLeaf picks by x instead of by position.
+    let inserts: Vec<Batch> = (0..4u32)
+        .map(|k| {
+            let t = f64::from(k) * 0.3;
+            [(0, 1.25), (1, 66.25)]
+                .map(|(j, x0)| {
+                    let x = x0 + f64::from(k);
+                    (
+                        R::new(
+                            1000 + 2 * k + j,
+                            0,
+                            Interval::new(t, 100.0),
+                            [x, 0.5],
+                            [x, 0.75],
+                        ),
+                        t,
+                    )
+                })
+                .to_vec()
+        })
+        .collect();
+    let holds = |k: &<R as Record>::Key| k.space.contains_point(&[5.5, 0.5]);
+    let server = || {
+        let server = single(Pager::with_page_size(256), &recs);
+        let root = server.with_region_tree(0, |t| {
+            assert!(
+                t.height() >= 3,
+                "the root's children must be internal nodes"
+            );
+            let root = t.root_page();
+            let find = |page| {
+                let node = t.read_node(page);
+                let i = (0..node.len()).find(|&i| holds(&node.internal_entry(i).0));
+                (node, i.expect("an entry over x = 5.5"))
+            };
+            let (node, i) = find(root);
+            let inner = node.internal_entry(i).1;
+            let (node, bad) = find(inner);
+            let mut image = Vec::new();
+            let mut edit = NodeEdit::<_, R>::fresh(&mut image, node.level(), t.store().page_size());
+            for (j, (k, child)) in node.internal_entries().enumerate() {
+                edit.push_entry(&k, if j == bad { root } else { child });
+            }
+            t.store().write(inner, edit.bytes());
+            root
+        });
+        (server, root)
+    };
+
+    let (concurrent, root) = server();
+    let report = serve_within_bound(concurrent, &specs, &inserts);
+    let oracle = server().0.serve_serial(&specs, &inserts);
+
+    let writer = &report.regions[0].writer_outcome;
+    assert!(
+        matches!(writer, SessionOutcome::Degraded { .. }),
+        "writer: {writer:?}"
+    );
+    for e in writer.errors() {
+        assert_eq!(*e, StorageError::Corrupt { page: root }, "writer");
+    }
+    assert_eq!(*writer, oracle.regions[0].writer_outcome);
+    assert_eq!(report.inserts_applied, oracle.inserts_applied);
+    assert_eq!(
+        report.inserts_applied, 4,
+        "only the inserts by x = 5.5 may be dropped"
+    );
+    assert_eq!(report.frames, oracle.frames);
+    for (i, (got, want)) in report.sessions.iter().zip(&oracle.sessions).enumerate() {
+        assert_eq!(got.outcome, want.outcome, "session {i}");
+        assert_eq!(
+            got.results, want.results,
+            "session {i} diverged from serial"
+        );
+    }
+    let npdq = &report.sessions[1];
+    assert!(
+        matches!(npdq.outcome, SessionOutcome::Degraded { .. }),
+        "NPDQ: {:?}",
+        npdq.outcome
+    );
+    for e in npdq.outcome.errors() {
+        assert_eq!(*e, StorageError::Corrupt { page: root }, "NPDQ");
+    }
+
+    // The PDQ session's window stays at x >= 60, off the broken page, so
+    // it is what a fault-free server serves.
+    let fault_free = clean(&recs).serve_serial(&specs, &inserts);
+    let pdq = &report.sessions[0];
+    assert!(pdq.outcome.is_ok(), "PDQ: {:?}", pdq.outcome);
+    assert_eq!(pdq.results, fault_free.sessions[0].results);
+}
+
+/// `server.serve(specs, inserts)` on a thread of its own, failing the
+/// test if it has not returned within the served oracle's bound: a hang
+/// fails this test instead of the whole suite.
+fn serve_within_bound<S: PageStore + Send + Sync + 'static>(
+    server: PartitionedDqServer<2, S>,
+    specs: &[SessionSpec<2>],
+    inserts: &[Batch],
+) -> PartitionedServeReport {
+    let (done, finished) = std::sync::mpsc::channel();
+    let (plans, batches) = (specs.to_vec(), inserts.to_vec());
+    let serving = std::thread::spawn(move || {
+        let _ = done.send(server.serve(&plans, &batches));
+    });
+    let report = finished.recv_timeout(BOUND);
+    assert!(
+        !matches!(report, Err(RecvTimeoutError::Timeout)),
+        "the serve hung behind a corrupt child id"
+    );
+    serving.join().expect("the serve itself panicked");
+    report.expect("a finished serve sent its report")
 }
 
 /// The `(oid, seq)` set resident across a server's regions, seam

@@ -190,7 +190,7 @@ fn transients_drawn(seed: u64, p: f64, reads: u64) -> u64 {
 }
 
 /// How long a concurrent serve may take before the case fails as a hang.
-const BOUND: Duration = Duration::from_secs(20);
+pub const BOUND: Duration = Duration::from_secs(20);
 
 /// Per session, the recorder that is its sink, if it has one.
 type Recorders = Vec<Option<Arc<Recorder>>>;

@@ -27,6 +27,16 @@
 # harness is benchmarks/dqbench, and its smoke run checks correctness
 # only. Figures and logs go to target/figures/.
 #
+# The node split's identity gates: both prop_patch suites (pages vs the
+# rebuild reference), prop_tree's split oracle (Quadratic and Linear
+# `split` == the uncached PickSeeds/PickNext kept in the test, and
+# `cover_volume` == `cover().volume()` bit for bit), and the figures
+# built by inserting — ablation_split (extensions), exp_updates
+# (updates), exp_tpr (tpr). A split that changes a partition must fail
+# here, not pass with a re-pinned figure. The tests that corrupt a
+# child id into a cycle (the rtree descent tests, chaos_n, chaos_o) wait
+# a bounded time, so a descent that loops fails the suite, not hangs it.
+#
 #   bench  benchmarks/smoke.sh (every dqbench workload at 1/20 size,
 #          schema and correctness, no timing) and dqbench's own unit
 #          tests in the release build the smoke just made — one of them
