@@ -1,18 +1,23 @@
 //! Ablation: index clustering × query shape for NPDQ discardability.
 //!
 //! A reproduction finding documented in EXPERIMENTS.md: with the paper's
-//! workload (≈1-time-unit segment lifetimes), *instant* delta queries can
-//! never benefit from Lemma 1 — every node holding currently-alive
-//! segments also holds freshly-started ones, so `(Q∩R).t_start ⊆ P`
-//! fails; and time-clustered leaves are spatially huge, so the spatial
-//! containment fails too. The §4.2 open-ended query shape fixes the
-//! temporal axis, and spatial-only clustering fixes the spatial one.
-//! This bench measures all combinations.
+//! workload (≈1-time-unit segment lifetimes), *instant* delta queries
+//! can hardly discard — an instant query skips a subtree only if every
+//! record under it started by the previous instant and its whole space
+//! lies inside the previous window (the latest-start rule, `npdq.rs`),
+//! and a node holding currently-alive segments also holds freshly
+//! started ones, while time-clustered leaves are spatially huge. The
+//! §4.2 open-ended query shape keeps Lemma 1, and spatial-only
+//! clustering makes its spatial containment hold. This bench measures
+//! all combinations, and asserts every NPDQ frame over these static
+//! trees against naive's newly visible set, so a discard that loses a
+//! record fails the run instead of scoring as a saving.
 
 use bench::{f2, FigureTable, Scale};
-use mobiquery::{NaiveEngine, NpdqEngine, SnapshotQuery};
+use mobiquery::{MotionRecord, NaiveEngine, NpdqEngine, SnapshotQuery};
 use rtree::bulk::bulk_load;
 use rtree::{DtaSegmentRecord, RTree, RTreeConfig};
+use std::collections::BTreeSet;
 use storage::Pager;
 use workload::{DynamicQuerySpec, QueryWorkload};
 
@@ -25,14 +30,26 @@ fn run(
     let (mut npdq_disk, mut naive_disk, mut frames) = (0u64, 0u64, 0u64);
     for spec in specs {
         let mut eng = NpdqEngine::new();
+        let mut before = BTreeSet::new();
         for (i, t) in spec.frame_times.iter().enumerate() {
             let q = if open_ended {
                 spec.open_snapshot(i)
             } else {
                 SnapshotQuery::at_instant(spec.trajectory.window_at(*t), *t)
             };
-            let s = eng.execute(tree, &q, |_| {});
-            let ns = naive.query_dta(tree, &q, |_| {});
+            let mut got = BTreeSet::new();
+            let s = eng.execute(tree, &q, |r| {
+                got.insert(r.ids());
+            });
+            let mut visible = BTreeSet::new();
+            let ns = naive.query_dta(tree, &q, |r| {
+                visible.insert(r.ids());
+            });
+            // Over a static tree an NPDQ frame is exactly what the
+            // snapshot matches that the previous one did not.
+            let fresh: BTreeSet<_> = visible.difference(&before).copied().collect();
+            assert_eq!(got, fresh, "frame {i} at t = {t}: NPDQ vs naive's newly visible set");
+            before = visible;
             if i > 0 {
                 npdq_disk += s.disk_accesses;
                 naive_disk += ns.disk_accesses;

@@ -341,6 +341,11 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
     ) -> Result<(), StorageError> {
         let node = tree.try_read_node(page)?;
         self.stats.disk_accesses += 1;
+        // A node off the level it was queued at is `Corrupt`, as on the
+        // tree's own descents; the read counts.
+        if node.level() != level {
+            return Err(StorageError::Corrupt { page });
+        }
         if level == 0 {
             self.stats.leaf_accesses += 1;
         }
@@ -372,7 +377,7 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
                 self.enqueue_timeset(ts, t_start, |vis| ItemKind::object(rec, vis));
             }
         } else {
-            let child_level = node.level() - 1;
+            let child_level = level - 1;
             self.pending_children.clear();
             for (key, child) in node.internal_entries() {
                 self.stats.distance_computations += 1;
@@ -1082,5 +1087,45 @@ mod tests {
         assert!(s1.disk_accesses > 0);
         let s2 = pdq.stats();
         assert_eq!(s2.disk_accesses, 0);
+    }
+
+    #[test]
+    fn a_child_off_its_level_is_corrupt() {
+        // 256 B pages: a deep tree. The root's first entry is pointed at
+        // a leaf, keys untouched, so the leaf is queued as a level-1
+        // node. Taken unchecked it streamed its records and was counted
+        // as an upper-level read.
+        let recs: Vec<R> = (0..200)
+            .map(|i| {
+                let x = f64::from(i) * 0.25 + 0.5;
+                R::new(i, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5])
+            })
+            .collect();
+        let tree = bulk_load(Pager::with_page_size(256), RTreeConfig::default(), recs);
+        assert!(tree.height() >= 3);
+        let root = tree.read_node(tree.root_page());
+        let mut leaf = root.internal_entry(0).1;
+        while !tree.read_node(leaf).is_leaf() {
+            leaf = tree.read_node(leaf).internal_entry(0).1;
+        }
+        let mut buf = Vec::new();
+        let mut edit = rtree::node::NodeEdit::<_, R>::fresh(
+            &mut buf,
+            root.level(),
+            tree.store().page_size(),
+        );
+        for (j, (key, child)) in root.internal_entries().enumerate() {
+            edit.push_entry(&key, if j == 0 { leaf } else { child });
+        }
+        let root_page = tree.root_page();
+        drop(root);
+        tree.store().write(root_page, edit.bytes());
+
+        let mut pdq = PdqEngine::start(&tree, slide(60.0));
+        let mut out = Vec::new();
+        let res = pdq.try_drain_window_into(&tree, 0.0, 60.0, &mut out);
+        assert_eq!(res, Err(StorageError::Corrupt { page: leaf }));
+        let stats = pdq.stats();
+        assert_eq!(stats.leaf_accesses, 0, "no leaf was reached through a checked level");
     }
 }

@@ -210,7 +210,8 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// published for one frame; the name, which `dqbench` reads, predates
     /// the single slate per region), `service.frames` /
     /// `service.inserts` / `service.results` / `service.writer.reads` /
-    /// `service.session.reads` (run counters), `service.pdq.queue_hwm`
+    /// `service.session.reads` / `service.npdq.discarded` (subtrees NPDQ
+    /// lanes skipped unread) (run counters), `service.pdq.queue_hwm`
     /// (gauge), and per-region labels
     /// `service.region{r}.{inserts,writer.reads,writer.writes,session.reads,load}`.
     pub fn with_metrics(mut self, registry: Arc<obs::MetricsRegistry>) -> Self {
@@ -406,8 +407,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             .add(report.base.total_results() as u64);
         reg.counter("service.writer.reads").add(report.base.writer_reads);
         reg.counter("service.writer.writes").add(report.base.writer_writes);
-        reg.counter("service.session.reads")
-            .add(report.base.total_stats().disk_accesses);
+        let sessions = report.base.total_stats();
+        reg.counter("service.session.reads").add(sessions.disk_accesses);
+        reg.counter("service.npdq.discarded").add(sessions.subtrees_discarded);
         if report.base.checkpoints > 0 {
             reg.counter("service.checkpoints").add(report.base.checkpoints);
         }

@@ -7,22 +7,31 @@
 //! writer tells the lanes on it what a frame's inserts were.
 //!
 //! A PDQ lane is a [`PdqEngine`] notified of its region's insert reports.
-//! An NPDQ lane has no engine: each frame runs
-//! `SnapshotQuery::at_instant(window(t_k), t_k)` through the region
-//! tree's range search and delivers every match unless the session's
-//! previous query `q_{k-1}` matched it too *and* the slate does not list
-//! it as inserted this frame. So frame `k` is exactly `S_k ∖ S_{k-1}`
-//! over the records resident at each frame — a function of the query and
-//! the record set, the same under every grid, layout, rebalance and
-//! recovery. A frame that fails leaves no previous query, so the next one
-//! re-delivers its whole snapshot: it may repeat objects, never lose one.
-//! (§4.2's discarding engine, `NpdqEngine`, is not used here: over an NSI
-//! key an instant query's time extent is a point, so Lemma 1 cannot
-//! discard a subtree, and the engine would add nothing but its node-stamp
-//! test to this search.)
+//! An NPDQ lane is an [`NpdqEngine`] over its region's tree: each frame
+//! runs `q_k = SnapshotQuery::at_instant(window(t_k), t_k)` and delivers
+//! every match that `q_{k-1}` did not match, with the slate's inserted
+//! ids as the one served override at the leaves — a record `q_{k-1}`
+//! matched is suppressed iff its leaf is unwritten since `q_{k-1}` ran
+//! or the slate does not list it as inserted this frame. So frame `k` is
+//! exactly `S_k ∖ S_{k-1}` over the records resident at each frame — a
+//! function of the query and the record set, the same under every grid,
+//! layout, rebalance and recovery.
+//!
+//! The engine's instant-query rule (`npdq.rs`'s module doc has the proof
+//! and its rounding margin) skips a subtree under a node unwritten since
+//! `q_{k-1}` when every record under it started by `t_{k-1}` and its
+//! space lies inside `window(t_{k-1})`: whatever `q_k` matches there,
+//! `q_{k-1}` matched, so the subtree emits nothing and the stream cannot
+//! move. It pays where a region is mostly parked history — records that
+//! started long ago and sit still under a window that moves little.
+//!
+//! A frame that fails leaves no previous query in any lane, so the next
+//! one re-delivers its whole snapshot: it may repeat objects, never lose
+//! one.
 
 use super::RegionTree;
 use crate::layout::MotionRecord;
+use crate::npdq::NpdqEngine;
 use crate::pdq::{PdqEngine, PdqResult};
 use crate::region::RegionGrid;
 use crate::service::{
@@ -31,15 +40,15 @@ use crate::service::{
 use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
 use parking_lot::RwLock;
-use rtree::{NsiSegmentRecord, SearchStats};
+use rtree::NsiSegmentRecord;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 use storage::{PageStore, StorageError};
 
-/// One session's in-flight state: a PDQ engine per swept region (none for
-/// NPDQ), plus what a failed frame leaves the next one.
+/// One session's in-flight state: a PDQ or an NPDQ engine per swept
+/// region, plus what a failed frame leaves the next one.
 pub(super) struct LaneRun<'a, const D: usize> {
     index: usize,
     spec: &'a SessionSpec<D>,
@@ -47,8 +56,10 @@ pub(super) struct LaneRun<'a, const D: usize> {
     lanes: Range<usize>,
     /// PDQ: one engine per lane, in lane order. NPDQ: empty.
     engines: Vec<PdqEngine<D>>,
-    /// NPDQ: the last frame's query, if that frame completed.
-    prev: Option<SnapshotQuery<D>>,
+    /// NPDQ: one engine per lane, in lane order, each holding the last
+    /// completed frame's query and its region's record count then.
+    /// PDQ: empty.
+    npdq: Vec<NpdqEngine<D>>,
     /// PDQ: `t_k` of the first failed frame since the last that completed.
     retry_from: Option<f64>,
     pub(super) out: SessionOutput,
@@ -70,7 +81,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             spec,
             lanes: 0..0,
             engines: Vec::new(),
-            prev: None,
+            npdq: Vec::new(),
             retry_from: None,
             out: SessionOutput::default(),
             region_reads: Vec::new(),
@@ -86,8 +97,8 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         !matches!(self.out.outcome, SessionOutcome::Failed(_))
     }
 
-    /// Route this session under `grid` and, for PDQ, start an engine per
-    /// lane, once, at the session's first frame. Contained: a panic
+    /// Route this session under `grid` and start an engine per lane,
+    /// once, at the session's first frame. Contained: a panic
     /// starting the engines fails this session and nobody else. Returns
     /// [`Self::alive`].
     ///
@@ -100,19 +111,23 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         let spec = self.spec;
         let build = || {
             let lanes = grid.route_rect(&spec.trajectory.swept_bounds());
-            let engines = match spec.kind {
-                SessionKind::Pdq => lanes
-                    .clone()
-                    .map(|r| PdqEngine::start(&*trees[r].read(), spec.trajectory.clone()))
-                    .collect(),
-                SessionKind::Npdq => Vec::new(),
+            let (engines, npdq) = match spec.kind {
+                SessionKind::Pdq => (
+                    lanes
+                        .clone()
+                        .map(|r| PdqEngine::start(&*trees[r].read(), spec.trajectory.clone()))
+                        .collect(),
+                    Vec::new(),
+                ),
+                SessionKind::Npdq => (Vec::new(), lanes.clone().map(|_| NpdqEngine::new()).collect()),
             };
-            (lanes, engines)
+            (lanes, engines, npdq)
         };
         match catch_unwind(AssertUnwindSafe(build)) {
-            Ok((lanes, engines)) => {
+            Ok((lanes, engines, npdq)) => {
                 self.lanes = lanes;
                 self.engines = engines;
+                self.npdq = npdq;
                 self.region_reads = vec![0; trees.len()];
             }
             Err(p) => self.out.outcome = SessionOutcome::Failed(panic_message(p)),
@@ -149,13 +164,13 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     /// order, keeping the matches each lane owns (see
     /// [`RegionGrid::owner`]). A PDQ lane on region `r` absorbs
     /// `slates[r]`'s reports where they lie, if they are frame `k`'s (see
-    /// [`Slate`]), then drains `[t_k, t_{k+1}]`; an NPDQ lane searches the
+    /// [`Slate`]), then drains `[t_k, t_{k+1}]`; an NPDQ lane runs the
     /// snapshot at `t_k` and keeps what is new (module doc). Only the first
     /// lane error is returned, and the frame is still reported with
     /// whatever it delivered before the fault. After a failed PDQ frame a
     /// failed node stays queued and the next drain starts at the failed
     /// frame's `t_k`, so nothing due in it is dropped as past; a failed
-    /// NPDQ lane contributes no results and the session forgets its
+    /// NPDQ lane contributes no results and every lane forgets its
     /// previous query — degraded sessions lose latency, not results.
     fn step_frame<S: PageStore>(
         &mut self,
@@ -207,26 +222,22 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             SessionKind::Npdq => {
                 let t = self.spec.frame_times[k];
                 let q = SnapshotQuery::at_instant(self.spec.trajectory.window_at(t), t);
-                let key = q.nsi_key();
-                for r in self.lanes.clone() {
+                for (npdq, r) in self.npdq.iter_mut().zip(self.lanes.clone()) {
                     let tree = &*trees[r].read();
                     let slate = slates[r].read();
                     let inserted = slate.of_frame(r, k).1;
-                    let (prev, lanes) = (self.prev.as_ref(), &self.lanes);
+                    let lanes = &self.lanes;
                     let out = &mut self.out.results;
                     let mark = out.len();
-                    let mut st = SearchStats::default();
-                    let res = tree.try_range_search(
-                        &key,
+                    let mut st = QueryStats::default();
+                    let res = npdq.try_execute_with(
+                        tree,
+                        &q,
                         &mut st,
-                        |rec| q.matches_segment(rec.segment()),
+                        |rec| inserted.binary_search(&rec.ids()).is_ok(),
                         |rec| {
-                            let id = rec.ids();
-                            let seen = prev.is_some_and(|p| p.matches_segment(rec.segment()));
-                            if (!seen || inserted.binary_search(&id).is_ok())
-                                && grid.owner(&rec.seg.spatial_bbox(), lanes) == r
-                            {
-                                out.push(id);
+                            if grid.owner(&rec.seg.spatial_bbox(), lanes) == r {
+                                out.push(rec.ids());
                             }
                         },
                     );
@@ -234,12 +245,13 @@ impl<'a, const D: usize> LaneRun<'a, D> {
                         out.truncate(mark);
                         first_err.get_or_insert(e);
                     }
-                    let st = QueryStats::from(st);
                     frame_stats += st;
                     self.region_reads[r] += st.disk_accesses;
                 }
                 self.out.results[before_results..].sort_unstable();
-                self.prev = first_err.is_none().then_some(q);
+                if first_err.is_some() {
+                    self.npdq.iter_mut().for_each(|e| *e = NpdqEngine::new());
+                }
             }
         }
         let latency_ns = started.elapsed().as_nanos() as u64;

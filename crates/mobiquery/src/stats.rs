@@ -21,6 +21,9 @@ pub struct QueryStats {
     /// Duplicate queue entries discarded by the §4.1 update-management
     /// dedup (0 unless concurrent insertions occur).
     pub duplicates_skipped: u64,
+    /// Subtrees NPDQ skipped unread because the previous query already
+    /// retrieved what they hold for this one (§4.2).
+    pub subtrees_discarded: u64,
 }
 
 impl QueryStats {
@@ -37,6 +40,7 @@ impl std::ops::AddAssign for QueryStats {
         self.distance_computations += rhs.distance_computations;
         self.results += rhs.results;
         self.duplicates_skipped += rhs.duplicates_skipped;
+        self.subtrees_discarded += rhs.subtrees_discarded;
     }
 }
 
@@ -55,7 +59,7 @@ impl From<rtree::SearchStats> for QueryStats {
             leaf_accesses: s.leaf_nodes_visited,
             distance_computations: s.comparisons,
             results: s.results,
-            duplicates_skipped: 0,
+            ..QueryStats::default()
         }
     }
 }
@@ -119,7 +123,7 @@ mod tests {
             leaf_accesses: l,
             distance_computations: c,
             results: r,
-            duplicates_skipped: 0,
+            ..QueryStats::default()
         }
     }
 

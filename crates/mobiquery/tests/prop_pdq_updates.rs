@@ -11,9 +11,10 @@
 //! The second holds the library `NpdqEngine` to the NPDQ truth — frame
 //! `k` is what the snapshot at `t_k` matches that the one at `t_{k-1}`
 //! did not, `SnapshotQuery::matches_segment` over the record list — over
-//! a DTA tree and an NSI tree, with the open queries of Fig. 5(a) and
-//! inserts between frames paired with any `now` up to the frame time:
-//! §4.2 may repeat an object, never lose one.
+//! a DTA tree and an NSI tree, with the open queries of Fig. 5(a) and,
+//! in a third, with instant queries, and inserts between frames paired
+//! with any `now` up to the frame time: §4.2 may repeat an object, never
+//! lose one.
 //!
 //! The served path is held to the same two truths, with every session
 //! lifecycle and thread schedule, by the root `tests/service.rs`.
@@ -171,13 +172,17 @@ fn one_insert_between_two_frames_is_delivered() {
 }
 
 /// The library NPDQ over a tree of `make`'s records: the preload
-/// inserted, then per frame `k` one open snapshot at `t_k` and a batch
+/// inserted, then per frame `k` one snapshot of `shape` at `t_k` and a batch
 /// paired with `now` drawn from `[0, t_{k+1}]` — mostly older than the
 /// snapshot just taken. With `S_k` the resident records `q_k` matches,
 /// frame `k` must deliver all of `S_k ∖ S_{k-1}` and nothing outside
 /// `S_k`, and the run must deliver fewer objects than the naive
 /// `Σ |S_k|`, or nothing was discarded.
-fn check_npdq<T: MotionRecord<2>>(sc: Scenario, make: impl Fn(&R) -> T) -> Result<(), String> {
+fn check_npdq<T: MotionRecord<2>>(
+    sc: Scenario,
+    shape: fn(Rect<2>, f64) -> SnapshotQuery<2>,
+    make: impl Fn(&R) -> T,
+) -> Result<(), String> {
     let mut rng = ChaCha8Rng::seed_from_u64(sc.seed);
     let span = sc.frames as f64 * DT;
     let traj = zigzag(span);
@@ -199,7 +204,7 @@ fn check_npdq<T: MotionRecord<2>>(sc: Scenario, make: impl Fn(&R) -> T) -> Resul
     let (mut before, mut delivered, mut naive) = (HashSet::new(), 0, 0);
     for k in 0..sc.frames {
         let t = k as f64 * DT;
-        let q = SnapshotQuery::open_from(traj.window_at(t), t);
+        let q = shape(traj.window_at(t), t);
         let mut got = HashSet::new();
         engine.execute(&tree, &q, |r| {
             got.insert(r.ids());
@@ -237,7 +242,29 @@ proptest! {
         // Sixteen frames or more, so consecutive windows overlap and
         // NPDQ has something to discard.
         let sc = Scenario { frames: 16 + sc.frames, ..sc };
-        for (layout, verdict) in [("DTA", check_npdq(sc, dta)), ("NSI", check_npdq(sc, |r| *r))] {
+        let open = SnapshotQuery::open_from;
+        for (layout, verdict) in [("DTA", check_npdq(sc, open, dta)), ("NSI", check_npdq(sc, open, |r| *r))] {
+            if let Err(e) = verdict {
+                return Err(TestCaseError::fail(format!("{layout}: {e}")));
+            }
+        }
+    }
+}
+
+proptest! {
+    // Each case runs 64 frames or more.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn library_npdq_over_instants_delivers_every_newly_visible_record(sc in scenario()) {
+        // The instant-query discard: a record that entered the window
+        // since `t_{k-1}` sits under a node `q_{k-1}` already covered.
+        // More frames over the same zigzag: a slower window, so that
+        // consecutive instants share most of it, and a longer run, so
+        // that most leaves hold only started records.
+        let sc = Scenario { frames: 64 + 4 * sc.frames, ..sc };
+        let instant = SnapshotQuery::at_instant;
+        for (layout, verdict) in [("DTA", check_npdq(sc, instant, dta)), ("NSI", check_npdq(sc, instant, |r| *r))] {
             if let Err(e) = verdict {
                 return Err(TestCaseError::fail(format!("{layout}: {e}")));
             }

@@ -37,10 +37,11 @@
 //! Packed nodes carry stamp 0, the one no insert writes. For NPDQ (§4.2)
 //! that reads "not modified since the previous query", which is sound
 //! because whatever rebuilds a tree also starts its queries afresh, with
-//! no previous query to discard against.
+//! no previous query to discard against. Each packed node's
+//! [`RTree::latest_start`] is the exact maximum over the records under it.
 
 use crate::traits::{Key, Record};
-use crate::tree::{RTree, RTreeConfig};
+use crate::tree::{start_bound_f32, RTree, RTreeConfig};
 use std::cmp::Ordering;
 use storage::{PageId, PageStore};
 
@@ -124,13 +125,16 @@ pub fn pack_into<R: Record, S: PageStore>(
         },
         emit: |tile: &[u32]| {
             let mut key = R::Key::empty();
+            let mut latest = f32::NEG_INFINITY;
             let page = tree.write_fresh(root_page.take(), 0, |node| {
                 for &i in tile {
                     let rec = &records[i as usize];
                     key = key.cover(&rec.key());
+                    latest = latest.max(start_bound_f32(rec));
                     node.push_record(rec);
                 }
             });
+            tree.set_start(page, latest);
             entries.push((key, page));
         },
     }
@@ -152,6 +156,10 @@ pub fn pack_into<R: Record, S: PageStore>(
             tie: |a, b| below[a as usize].1.cmp(&below[b as usize].1),
             emit: |tile: &[u32]| {
                 let mut key = R::Key::empty();
+                let latest = tile
+                    .iter()
+                    .map(|&i| tree.start_of(below[i as usize].1))
+                    .fold(f32::NEG_INFINITY, f32::max);
                 let page = tree.write_fresh(None, level, |node| {
                     for &i in tile {
                         let (k, child) = &below[i as usize];
@@ -159,6 +167,7 @@ pub fn pack_into<R: Record, S: PageStore>(
                         node.push_entry(k, *child);
                     }
                 });
+                tree.set_start(page, latest);
                 entries.push((key, page));
             },
         }

@@ -26,6 +26,9 @@
 //!   tree's record count after it, so "written since the previous query"
 //!   is a comparison with the count that query saw: what lets NPDQ decide
 //!   whether the previous query may be used to discard a subtree (§4.2).
+//! * **Latest starts** — beside the pages, the tree keeps an upper bound
+//!   on the latest record start under each page ([`RTree::latest_start`]),
+//!   what lets an instant NPDQ query skip a subtree soundly.
 //! * **STR bulk loading** ([`bulk`]): one packing routine, called by the
 //!   §5 experiment build at a configurable fill factor (the paper builds
 //!   its index at 0.5) and by every rebuild of a serving tree.

@@ -65,6 +65,10 @@ macro_rules! segment_record {
                 self.seg.$keyfn()
             }
 
+            fn start_bound(&self) -> f64 {
+                self.seg.t.lo
+            }
+
             fn encode(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&(self.seg.t.lo as f32).to_le_bytes());
                 buf.extend_from_slice(&(self.seg.t.hi as f32).to_le_bytes());

@@ -113,6 +113,14 @@ pub trait Record: Copy + std::fmt::Debug + PartialEq {
     /// The bounding key under which the record is indexed.
     fn key(&self) -> Self::Key;
 
+    /// An upper bound on the instant the record's motion starts, which
+    /// the tree folds into a per-page bound ([`crate::RTree::latest_start`]).
+    /// The default, `+∞`, bounds nothing: a query may never take a page
+    /// of such records as started.
+    fn start_bound(&self) -> f64 {
+        f64::INFINITY
+    }
+
     /// Append exactly [`Self::ENCODED_LEN`] bytes to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 

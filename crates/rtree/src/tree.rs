@@ -3,6 +3,7 @@
 use crate::levels::LevelCounters;
 use crate::node::{capacity, NodeEdit, NodeRef};
 use crate::split::{split, SplitPolicy};
+use crate::stbox_key::f32_up;
 use crate::traits::{Key, Record};
 use storage::{PageId, PageStore, StorageError};
 
@@ -119,7 +120,8 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
 ///
 /// The tree is insert-only, as the paper's update management (§4.1) is,
 /// and no store frees a page: a page id names one node for the tree's
-/// life, so a running query may key its duplicate filter on it.
+/// life, so a running query may key its duplicate filter on it — and the
+/// tree may keep a side array by page id ([`Self::latest_start`]).
 ///
 /// ```
 /// use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
@@ -160,6 +162,10 @@ pub struct RTree<R: Record, S: PageStore> {
     /// Per-level node read/write counters (relaxed atomics, so readers
     /// sharing `&self` all count here).
     levels: LevelCounters,
+    /// By page id: an upper bound on [`Record::start_bound`] over every
+    /// record under the page ([`Self::latest_start`]). Kept in memory
+    /// only; a page past the end is unknown, `+∞`.
+    starts: Vec<f32>,
     _records: std::marker::PhantomData<fn() -> R>,
 }
 
@@ -170,7 +176,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         let mut scratch = Vec::new();
         let leaf = NodeEdit::<R::Key, R>::fresh(&mut scratch, 0, store.page_size());
         store.write(root, leaf.bytes());
-        RTree {
+        let mut tree = RTree {
             store,
             config,
             root,
@@ -179,13 +185,18 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             scratch,
             path: Vec::new(),
             levels: LevelCounters::new(),
+            starts: Vec::new(),
             _records: std::marker::PhantomData,
-        }
+        };
+        // An empty leaf: no record under it has started.
+        tree.set_start(root, f32::NEG_INFINITY);
+        tree
     }
 
     /// Re-open a tree whose pages already live in `store` (e.g. loaded
     /// from a persisted page file): the caller supplies the metadata that
-    /// [`RTree::metadata`] returned when the tree was saved.
+    /// [`RTree::metadata`] returned when the tree was saved. Pages carry
+    /// no start bound, so every page's [`Self::latest_start`] is `+∞`.
     pub fn reopen(store: S, config: RTreeConfig, root: PageId, height: u32, len: u64) -> Self {
         RTree {
             store,
@@ -196,6 +207,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             scratch: Vec::new(),
             path: Vec::new(),
             levels: LevelCounters::new(),
+            starts: Vec::new(),
             _records: std::marker::PhantomData,
         }
     }
@@ -252,6 +264,36 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// attribute its node I/O by level.
     pub fn level_counters(&self) -> &LevelCounters {
         &self.levels
+    }
+
+    /// An upper bound on [`Record::start_bound`] over every record under
+    /// `page`, read without reading the page: `-∞` for an empty leaf,
+    /// `+∞` where the tree knows nothing (any page of a tree opened by
+    /// [`Self::reopen`], or not a page of this tree).
+    ///
+    /// Exact after [`crate::bulk::pack_into`]. An insert raises the bound
+    /// of every node on its path, and a node a split or a root growth
+    /// creates copies its sibling's, so it stays an upper bound, if a
+    /// looser one. It is held as `f32`, rounded up: exact for records
+    /// quantized to the page precision.
+    pub fn latest_start(&self, page: PageId) -> f64 {
+        f64::from(self.start_of(page))
+    }
+
+    pub(crate) fn start_of(&self, page: PageId) -> f32 {
+        self.starts.get(page.0 as usize).copied().unwrap_or(f32::INFINITY)
+    }
+
+    pub(crate) fn set_start(&mut self, page: PageId, bound: f32) {
+        let i = page.0 as usize;
+        if self.starts.len() <= i {
+            self.starts.resize(i + 1, f32::INFINITY);
+        }
+        self.starts[i] = bound;
+    }
+
+    fn raise_start(&mut self, page: PageId, bound: f32) {
+        self.set_start(page, self.start_of(page).max(bound));
     }
 
     /// Always zero: a tree is read through `&self` and written through
@@ -406,6 +448,11 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         // ChooseLeaf. Every page write happens after this, so a device
         // fault surfaces with the tree unchanged.
         let (leaf_page, leaf) = self.descend(path, &key)?;
+        let start = start_bound_f32(&rec);
+        self.raise_start(leaf_page, start);
+        for step in path.iter() {
+            self.raise_start(step.page, start);
+        }
 
         // Key of the child just handled, for its parent's entry, and the
         // entry that still has to be added to the next node up.
@@ -563,6 +610,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 edit.push_entry(&old_root_key, old_root);
                 edit.push_entry(&nk, np);
             });
+            self.set_start(new_root, self.start_of(old_root));
             self.root = new_root;
             self.height += 1;
             created = Some(Inserted::Subtree {
@@ -600,6 +648,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             (&part.a, &part.b)
         };
         let new_page = self.store.try_alloc()?;
+        // `page`'s bound already covers both groups.
+        self.set_start(new_page, self.start_of(page));
         let stamp = self.stamp();
         let mut half = |page, group: &[usize]| {
             self.write_new(page, level, |edit| {
@@ -689,11 +739,18 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         }
         inv.nodes_per_level[lvl] += 1;
         inv.entries_per_level[lvl] += node.len() as u64;
+        let bound = self.start_of(page);
         if node.is_leaf() {
             inv.records += node.len() as u64;
+            if let Some(r) = node.leaf_records().find(|r| start_bound_f32(r) > bound) {
+                return Err(format!("node {page}'s latest start {bound} is below {r:?}'s"));
+            }
             return Ok(());
         }
         for (k, child_page) in node.internal_entries() {
+            if self.start_of(child_page) > bound {
+                return Err(format!("child {child_page}'s latest start exceeds node {page}'s"));
+            }
             let child = self.read_node(child_page);
             if child.level() + 1 != node.level() {
                 return Err(format!(
@@ -732,6 +789,17 @@ impl TreeInventory {
             return 0.0;
         }
         self.entries_per_level[0] as f64 / self.nodes_per_level[0] as f64
+    }
+}
+
+/// `rec`'s [`Record::start_bound`] as the side array holds it: rounded
+/// up, and `+∞` for NaN, which bounds nothing.
+pub(crate) fn start_bound_f32<R: Record>(rec: &R) -> f32 {
+    let s = rec.start_bound();
+    if s.is_nan() {
+        f32::INFINITY
+    } else {
+        f32_up(s)
     }
 }
 
@@ -810,6 +878,44 @@ pub(crate) mod tests {
             .expect("no answer within 5 s: the descent cycles");
         worker.join().expect("the worker sent its answer");
         out
+    }
+
+    #[test]
+    fn latest_start_is_exact_when_packed_and_an_upper_bound_after_inserts() {
+        // Record `i` starts at i/4: the later the id, the later the start.
+        let timed = |i: u32| {
+            let (x, y) = (f64::from(i % 20), f64::from(i / 20 % 20));
+            let t = Interval::new(f64::from(i) * 0.25, 100.0);
+            R::new(i, 0, t, [x, y], [x + 0.5, y + 0.5])
+        };
+        let empty: RTree<R, Pager> = RTree::new(Pager::new(), RTreeConfig::default());
+        assert_eq!(empty.latest_start(empty.root_page()), f64::NEG_INFINITY);
+        assert_eq!(empty.latest_start(PageId(7)), f64::INFINITY, "not a page of the tree");
+
+        let recs = (0..200).map(timed).collect();
+        let mut tree = bulk_load(Pager::with_page_size(256), RTreeConfig::default(), recs);
+        assert!(tree.height() >= 3);
+        let mut stack = vec![tree.root_page()];
+        while let Some(page) = stack.pop() {
+            let node = tree.read_node(page);
+            let exact = if node.is_leaf() {
+                node.leaf_records().map(|r| r.seg.t.lo).fold(f64::NEG_INFINITY, f64::max)
+            } else {
+                let children: Vec<_> = node.internal_entries().map(|(_, c)| c).collect();
+                stack.extend(&children);
+                children.iter().map(|&c| tree.latest_start(c)).fold(f64::NEG_INFINITY, f64::max)
+            };
+            assert_eq!(tree.latest_start(page), exact, "packed node {page}");
+        }
+        assert_eq!(tree.latest_start(tree.root_page()), 199.0 * 0.25);
+
+        // Inserts split leaves, internal nodes and the root: every bound
+        // stays above every start under its page (`validate` checks it).
+        for i in 200..600 {
+            tree.insert(timed(i), 0.0);
+        }
+        tree.validate().unwrap();
+        assert_eq!(tree.latest_start(tree.root_page()), 599.0 * 0.25);
     }
 
     #[test]

@@ -69,7 +69,12 @@
 #          cell for cell and keep §5's shape: PDQ's and NPDQ's first
 #          query costs what the naive one does, PDQ's subsequent queries
 #          cost less than naive's at every overlap and less the higher
-#          the overlap, and NPDQ's never cost more than naive's.
+#          the overlap, and NPDQ's never cost more than naive's. Then
+#          ablation_npdq_clustering (§4.2's discard over three
+#          clusterings, instant and open-ended queries), which asserts
+#          every NPDQ frame against naive's newly visible set, must
+#          reproduce results/figures_smoke/ablation_npdq_clustering.json
+#          and read no more than naive on every row.
 #   extensions
 #          every extension kept beside the paper's engines, held to the
 #          claim that justifies it: exp_spdq, exp_join, ablation_psi,
@@ -151,6 +156,7 @@ if want paper; then
   bench_bin fig06_smoke fig06_pdq_io DQ_SCALE=quick
   bench_bin fig10_smoke fig10_npdq_io DQ_SCALE=quick
   bench_bin fig11_smoke fig11_npdq_cpu DQ_SCALE=quick
+  bench_bin ablation_npdq_clustering_smoke ablation_npdq_clustering DQ_SCALE=quick
   tools/gates.py paper
 fi
 

@@ -112,6 +112,13 @@ GATES = [
      "PDQ's subsequent queries vs the next lower overlap's, disk accesses"),
     ("paper", "fig10", every, DQ_SUBS, "each", "<=", (1.0, "fig10", every, NAIVE_SUBS, "each"),
      "NPDQ's subsequent queries vs naive's at the same overlap (§5: no harm)"),
+    # ablation_npdq_clustering: clustering, query shape, naive disk/query,
+    # NPDQ disk/query, saving. The binary asserts every frame against
+    # naive's newly visible set, so a saving here is a sound one.
+    pinned("paper", "ablation_npdq_clustering", "The NPDQ clustering ablation"),
+    ("paper", "ablation_npdq_clustering", every, 3, "each", "<=",
+     (1.0, "ablation_npdq_clustering", every, 2, "each"),
+     "NPDQ's disk accesses per query vs naive's, every clustering and query shape"),
     pinned("paper", "fig11", "Fig. 11"),
     ("paper", "fig11", every, DQ_FIRST, "each", "==",
      (1.0, "fig11", every, NAIVE_FIRST, "each"),
