@@ -193,38 +193,31 @@ impl<const D: usize> NpdqEngine<D> {
         q: &SnapshotQuery<D>,
         emit: impl FnMut(&R),
     ) -> QueryStats {
-        self.try_execute(tree, q, emit)
-            .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
-    }
-
-    /// Fallible form of [`Self::execute`]: a device fault mid-descent
-    /// surfaces as `Err` carrying the failing page, and so does a node
-    /// off the level its parent implies ([`StorageError::Corrupt`]: a
-    /// child id naming an ancestor would otherwise loop). Objects emitted
-    /// before the fault are valid answers of `q`; the previous-query
-    /// state is **not** advanced (partial coverage cannot serve as the
-    /// discard baseline), so re-executing a later snapshot will re-derive
-    /// the delta against the last *completed* query — possibly re-emitting
-    /// some of this frame's partial results, never losing any.
-    pub fn try_execute<R: MotionRecord<D>, S: PageStore>(
-        &mut self,
-        tree: &RTree<R, S>,
-        q: &SnapshotQuery<D>,
-        emit: impl FnMut(&R),
-    ) -> Result<QueryStats, StorageError> {
         let mut stats = QueryStats::default();
-        self.try_execute_with(tree, q, &mut stats, |_| true, emit)?;
-        Ok(stats)
+        self.try_execute_with(tree, q, &mut stats, |_| true, emit)
+            .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
+        stats
     }
 
-    /// [`Self::try_execute`] for a caller that knows more about what was
-    /// inserted since the previous query than the node stamps do: a
-    /// record in a node written since then is suppressed as seen when
-    /// the previous query matched it and `maybe_new` says it is not
-    /// new. A record in an unwritten node that the previous query
-    /// matched is suppressed whatever `maybe_new` says. The cost is
-    /// counted into `stats` as it accrues, so a failed query's reads are
-    /// not lost with it.
+    /// Fallible form of [`Self::execute`], for a caller that knows more
+    /// about what was inserted since the previous query than the node
+    /// stamps do (`|_| true` knows nothing more). A device fault
+    /// mid-descent surfaces as `Err` carrying the failing page, and so
+    /// does a node off the level its parent implies
+    /// ([`StorageError::Corrupt`]: a child id naming an ancestor would
+    /// otherwise loop). Objects emitted before the fault are valid
+    /// answers of `q`; the previous-query state is **not** advanced
+    /// (partial coverage cannot serve as the discard baseline), so
+    /// re-executing a later snapshot will re-derive the delta against the
+    /// last *completed* query — possibly re-emitting some of this frame's
+    /// partial results, never losing any. The cost is counted into
+    /// `stats` as it accrues, so a failed query's reads are not lost with
+    /// it.
+    ///
+    /// A record in a node written since the previous query is suppressed
+    /// as seen when that query matched it and `maybe_new` says it is not
+    /// new. A record in an unwritten node that the previous query matched
+    /// is suppressed whatever `maybe_new` says.
     pub fn try_execute_with<R: MotionRecord<D>, S: PageStore>(
         &mut self,
         tree: &RTree<R, S>,
@@ -570,7 +563,7 @@ mod tests {
         drop(root);
         tree.store().write(root_page, edit.bytes());
         let q = SnapshotQuery::at_instant(win(0.0, 0.0, 15.0), 1.0);
-        let res = NpdqEngine::new().try_execute(&tree, &q, |_| {});
+        let res = NpdqEngine::new().try_execute_with(&tree, &q, &mut QueryStats::default(), |_| true, |_| {});
         assert_eq!(res, Err(StorageError::Corrupt { page: leaf }));
     }
 
@@ -727,10 +720,11 @@ mod tests {
         let mut emitted = std::collections::HashSet::new();
         let mut errors = 0u32;
         let stats = loop {
-            match eng.try_execute(&tree, &q2, |r| {
+            let mut stats = QueryStats::default();
+            match eng.try_execute_with(&tree, &q2, &mut stats, |_| true, |r| {
                 emitted.insert(r.oid);
             }) {
-                Ok(stats) => break stats,
+                Ok(()) => break stats,
                 Err(e) => {
                     assert!(e.is_transient());
                     // Failure must not advance the discard baseline to the

@@ -434,27 +434,16 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
         t_end: f64,
     ) -> Vec<PdqResult<D, R>> {
         let mut out = Vec::new();
-        self.drain_window_into(tree, t_start, t_end, &mut out);
+        self.try_drain_window_into(tree, t_start, t_end, &mut out)
+            .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
         out
     }
 
-    /// Like [`Self::drain_window`], but appends into a caller-owned
-    /// buffer so per-frame serving loops can reuse one allocation across
-    /// frames.
-    pub fn drain_window_into<S: PageStore>(
-        &mut self,
-        tree: &RTree<R, S>,
-        t_start: f64,
-        t_end: f64,
-        out: &mut Vec<PdqResult<D, R>>,
-    ) {
-        self.try_drain_window_into(tree, t_start, t_end, out)
-            .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
-    }
-
-    /// Fallible form of [`Self::drain_window_into`]: results due before
-    /// the fault are appended to `out` and remain valid; the failing node
-    /// stays queued for retry (see [`Self::try_get_next`]).
+    /// Fallible form of [`Self::drain_window`], appending into a
+    /// caller-owned buffer so per-frame serving loops can reuse one
+    /// allocation across frames: results due before the fault are
+    /// appended to `out` and remain valid; the failing node stays queued
+    /// for retry (see [`Self::try_get_next`]).
     pub fn try_drain_window_into<S: PageStore>(
         &mut self,
         tree: &RTree<R, S>,

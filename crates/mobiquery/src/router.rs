@@ -23,7 +23,7 @@
 //! tie-breaks on — and NPDQ results by `(oid, seq)`, so a session's
 //! stream is the same under every grid and partitioned runs are bitwise
 //! deterministic: [`PartitionedDqServer::serve`] equals
-//! [`PartitionedDqServer::serve_serial`] exactly.
+//! [`PartitionedDqServer::serve_serial_plans`] exactly.
 //!
 //! ## The clock protocol, per region
 //!
@@ -112,7 +112,7 @@ impl RegionReport {
 }
 
 /// Outcome of one [`PartitionedDqServer::serve`] /
-/// [`PartitionedDqServer::serve_serial`] run: the whole-server
+/// [`PartitionedDqServer::serve_serial_plans`] run: the whole-server
 /// [`ServeReport`] (writer tallies summed over regions; session outputs
 /// merged across lanes) plus the per-region breakdown.
 ///
@@ -333,7 +333,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     }
 
     /// Serve with the plain per-spec schedule (every session joins at
-    /// frame 0); see [`Self::serve_plans`].
+    /// frame 0) and no sinks; see [`Self::serve_plans_streamed`].
     pub fn serve(
         &self,
         specs: &[SessionSpec<D>],
@@ -343,33 +343,11 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         S: Sync + Send,
     {
         let plans: Vec<SessionPlan<D>> = specs.iter().cloned().map(SessionPlan::new).collect();
-        self.serve_plans(&plans, inserts)
-    }
-
-    /// Single-threaded reference for [`Self::serve`].
-    pub fn serve_serial(
-        &self,
-        specs: &[SessionSpec<D>],
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-    ) -> PartitionedServeReport {
-        let plans: Vec<SessionPlan<D>> = specs.iter().cloned().map(SessionPlan::new).collect();
-        self.serve_serial_plans(&plans, inserts)
+        self.serve_plans_streamed(&plans, inserts, &[])
     }
 
     /// Run the clocked serve over explicit [`SessionPlan`]s (staggered
-    /// joins).
-    pub fn serve_plans(
-        &self,
-        plans: &[SessionPlan<D>],
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-    ) -> PartitionedServeReport
-    where
-        S: Sync + Send,
-    {
-        self.serve_plans_streamed(plans, inserts, &[])
-    }
-
-    /// [`Self::serve_plans`] with a per-session [`FrameSink`] hook: each
+    /// joins) with a per-session [`FrameSink`] hook: each
     /// session's new frame results are offered to its sink as soon as the
     /// frame is processed, before the session acks the next frame. A sink
     /// returning [`SinkVerdict::Detach`] removes the session from every
@@ -387,7 +365,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         self.finish_run(self.serve_clocked(plans, inserts, sinks))
     }
 
-    /// Single-threaded reference for [`Self::serve_plans`].
+    /// Single-threaded reference for [`Self::serve_plans_streamed`].
     pub fn serve_serial_plans(
         &self,
         plans: &[SessionPlan<D>],

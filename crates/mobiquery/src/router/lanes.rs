@@ -517,9 +517,9 @@ mod tests {
         let mut inserts = vec![Vec::new(); 4];
         inserts[3].push((late, 0.0));
         for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![1.0, 3.0])] {
-            let specs = std::slice::from_ref(&spec);
-            let out = build(grid.clone(), &line_records(40)).serve(specs, &inserts);
-            let serial = build(grid, &line_records(40)).serve_serial(specs, &inserts);
+            let out = build(grid.clone(), &line_records(40)).serve(std::slice::from_ref(&spec), &inserts);
+            let plans = [SessionPlan::new(spec.clone())];
+            let serial = build(grid, &line_records(40)).serve_serial_plans(&plans, &inserts);
             assert_eq!(out.sessions[0].results, serial.sessions[0].results);
             assert!(frame_sets(&out.sessions[0])[3].contains(&late.ids()), "record 900 lost");
         }

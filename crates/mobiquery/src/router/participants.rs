@@ -464,7 +464,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
 
     /// Single-threaded reference for the clocked serve: the same frame
     /// interleaving (WAL commit → regions ascending → sessions
-    /// ascending) with no threads and no clocks. [`Self::serve_plans`]
+    /// ascending) with no threads and no clocks. [`Self::serve_plans_streamed`]
     /// must match this bit-for-bit.
     pub(super) fn serve_serial_clocked<'a>(
         &self,

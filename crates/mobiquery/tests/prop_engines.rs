@@ -116,7 +116,7 @@ fn drain_frames(
     let mut pdq = PdqEngine::start(tree, traj.clone());
     let mut out = Vec::new();
     for w in times.windows(2) {
-        pdq.drain_window_into(tree, w[0], w[1], &mut out);
+        pdq.try_drain_window_into(tree, w[0], w[1], &mut out).unwrap();
     }
     out.sort_by_key(|r| (r.record.oid, r.record.seq));
     let reads = std::mem::take(&mut *tree.store().reads.lock());

@@ -1,5 +1,7 @@
 //! Loopback integration suite for the network front door: bit-identity
-//! against the serial serving oracle, typed admission rejections,
+//! against the serial serving oracle under a tight credit window (the
+//! drawn and pinned wire cases of the served oracle live in the root
+//! suite, `tests/service.rs`), typed admission rejections,
 //! slow-reader / vanish / garbage containment, the graceful-shutdown
 //! drain (recovery replays zero records), and the no-timer regression
 //! (no hand-off on the wire path waits out a timeout).
@@ -67,80 +69,6 @@ fn build_core(cuts: Vec<f64>, recs: &[R]) -> PartitionedDqServer<2, Pager> {
     PartitionedDqServer::build(RegionGrid::from_cuts(0, cuts), recs, |_| {
         RTree::new(Pager::new(), RTreeConfig::default())
     })
-}
-
-fn config(min_gather: usize) -> ServerConfig {
-    ServerConfig {
-        min_gather,
-        gather_window: Duration::from_millis(500),
-        write_deadline: Duration::from_millis(500),
-        ..ServerConfig::default()
-    }
-}
-
-#[test]
-fn loopback_stream_is_bit_identical_to_serve_serial() {
-    let recs = line_records(30);
-    let plans = vec![
-        slide_plan(SessionKind::Pdq, 12, 30.0),
-        slide_plan(SessionKind::Npdq, 12, 30.0),
-        slide_plan(SessionKind::Pdq, 8, 30.0),
-    ];
-    let inserts = insert_schedule(12, 30.0);
-
-    let oracle = build_core(vec![15.0], &recs).serve_serial_plans(&plans, &inserts);
-
-    let handle = NetServer::start(
-        build_core(vec![15.0], &recs),
-        vec![inserts.clone()],
-        "127.0.0.1:0",
-        config(plans.len()),
-    )
-    .expect("start server");
-    let addr = handle.addr();
-
-    // Sequential admits pin registration order to plan order.
-    let clients: Vec<NetClient> = plans
-        .iter()
-        .map(|p| {
-            let mut c = NetClient::connect(addr).expect("connect");
-            c.hello(p, 4).expect("hello io").expect("admitted");
-            c
-        })
-        .collect();
-    let handles: Vec<_> = clients
-        .into_iter()
-        .map(|c| std::thread::spawn(move || c.run(ClientBehavior::WellBehaved)))
-        .collect();
-    let runs: Vec<_> = handles
-        .into_iter()
-        .map(|t| t.join().expect("client thread"))
-        .collect();
-
-    for (i, run) in runs.iter().enumerate() {
-        let expect = &oracle.base.sessions[i];
-        assert_eq!(
-            run.results(),
-            expect.results,
-            "session {i}: streamed results must be bit-identical to serve_serial"
-        );
-        match run.outcome {
-            ClientOutcome::Done {
-                frames, results, ..
-            } => {
-                assert_eq!(frames as usize, expect.frames.len());
-                assert_eq!(results as usize, expect.results.len());
-                assert_eq!(run.deltas.len(), expect.frames.len(), "one delta per frame");
-            }
-            ref other => panic!("session {i}: expected Done, got {other:?}"),
-        }
-    }
-
-    let summary = handle.shutdown();
-    assert_eq!(summary.runs, 1, "one gather batch");
-    assert_eq!(summary.sessions, 3);
-    assert_eq!(summary.evicted, 0);
-    assert!(!summary.checkpointed, "non-durable core takes no checkpoint");
 }
 
 /// Every timeout the front door still has is set to 10 s, so a
@@ -252,22 +180,24 @@ fn admission_rejections_are_typed() {
     handle.shutdown();
 }
 
-#[test]
-fn slow_reader_is_evicted_and_healthy_session_unaffected() {
+/// A healthy PDQ client at credit 64 beside a misbehaving one on the same
+/// plan, over two regions: the healthy run, the misbehaver's run, and
+/// how many sessions the server evicted. The healthy client must stream
+/// the full serial results and finish.
+fn beside_a_misbehaver(
+    cfg: ServerConfig,
+    credit: u32,
+    behavior: ClientBehavior,
+) -> (ClientOutcome, usize) {
     let recs = line_records(30);
-    let plans = vec![
-        slide_plan(SessionKind::Pdq, 12, 30.0),
-        slide_plan(SessionKind::Pdq, 12, 30.0),
-    ];
+    let plan = slide_plan(SessionKind::Pdq, 12, 30.0);
     let inserts = insert_schedule(12, 30.0);
-    let oracle = build_core(vec![15.0], &recs).serve_serial_plans(&plans, &inserts);
-
+    let oracle =
+        build_core(vec![15.0], &recs).serve_serial_plans(std::slice::from_ref(&plan), &inserts);
     let cfg = ServerConfig {
         min_gather: 2,
         gather_window: Duration::from_secs(2),
-        outbox_frames: 1,
-        write_deadline: Duration::from_millis(100),
-        ..ServerConfig::default()
+        ..cfg
     };
     let handle = NetServer::start(
         build_core(vec![15.0], &recs),
@@ -276,72 +206,47 @@ fn slow_reader_is_evicted_and_healthy_session_unaffected() {
         cfg,
     )
     .expect("start server");
-
     let mut healthy = NetClient::connect(handle.addr()).expect("connect");
-    healthy.hello(&plans[0], 64).expect("io").expect("admitted");
-    let mut stalled = NetClient::connect(handle.addr()).expect("connect");
-    // Zero credit and a stall from the first delta: the outbox fills
-    // and the write deadline must evict us.
-    stalled.hello(&plans[1], 0).expect("io").expect("admitted");
+    healthy.hello(&plan, 64).expect("io").expect("admitted");
+    let mut other = NetClient::connect(handle.addr()).expect("connect");
+    other.hello(&plan, credit).expect("io").expect("admitted");
 
     let h = std::thread::spawn(move || healthy.run(ClientBehavior::WellBehaved));
-    let s = std::thread::spawn(move || stalled.run(ClientBehavior::StallAfter(0)));
+    let o = std::thread::spawn(move || other.run(behavior));
     let healthy_run = h.join().expect("healthy thread");
-    let stalled_run = s.join().expect("stalled thread");
-
+    let other_run = o.join().expect("misbehaving thread");
     assert_eq!(
         healthy_run.results(),
         oracle.base.sessions[0].results,
         "healthy session must stream the full serial results"
     );
     assert!(matches!(healthy_run.outcome, ClientOutcome::Done { .. }));
-    assert_eq!(
-        stalled_run.outcome,
-        ClientOutcome::Evicted(EvictReason::SlowReader)
-    );
-    let summary = handle.shutdown();
-    assert_eq!(summary.evicted, 1);
+    (other_run.outcome, handle.shutdown().evicted)
+}
+
+#[test]
+fn slow_reader_is_evicted_and_healthy_session_unaffected() {
+    // Zero credit and a stall from the first delta: the outbox fills and
+    // the write deadline must evict it.
+    let cfg = ServerConfig {
+        outbox_frames: 1,
+        write_deadline: Duration::from_millis(100),
+        ..ServerConfig::default()
+    };
+    let (stalled, evicted) = beside_a_misbehaver(cfg, 0, ClientBehavior::StallAfter(0));
+    assert_eq!(stalled, ClientOutcome::Evicted(EvictReason::SlowReader));
+    assert_eq!(evicted, 1);
 }
 
 #[test]
 fn vanished_client_is_contained() {
-    let recs = line_records(30);
-    let plans = vec![
-        slide_plan(SessionKind::Pdq, 12, 30.0),
-        slide_plan(SessionKind::Pdq, 12, 30.0),
-    ];
-    let inserts = insert_schedule(12, 30.0);
-    let oracle = build_core(vec![15.0], &recs).serve_serial_plans(&plans, &inserts);
-
     let cfg = ServerConfig {
-        min_gather: 2,
-        gather_window: Duration::from_secs(2),
         write_deadline: Duration::from_millis(200),
         ..ServerConfig::default()
     };
-    let handle = NetServer::start(
-        build_core(vec![15.0], &recs),
-        vec![inserts],
-        "127.0.0.1:0",
-        cfg,
-    )
-    .expect("start server");
-
-    let mut healthy = NetClient::connect(handle.addr()).expect("connect");
-    healthy.hello(&plans[0], 64).expect("io").expect("admitted");
-    let mut vanisher = NetClient::connect(handle.addr()).expect("connect");
-    vanisher.hello(&plans[1], 2).expect("io").expect("admitted");
-
-    let h = std::thread::spawn(move || healthy.run(ClientBehavior::WellBehaved));
-    let v = std::thread::spawn(move || vanisher.run(ClientBehavior::VanishAfter(1)));
-    let healthy_run = h.join().expect("healthy thread");
-    let vanished_run = v.join().expect("vanisher thread");
-
-    assert_eq!(healthy_run.results(), oracle.base.sessions[0].results);
-    assert!(matches!(healthy_run.outcome, ClientOutcome::Done { .. }));
-    assert_eq!(vanished_run.outcome, ClientOutcome::ConnectionLost);
-    let summary = handle.shutdown();
-    assert_eq!(summary.evicted, 1, "the vanished session was evicted");
+    let (vanished, evicted) = beside_a_misbehaver(cfg, 2, ClientBehavior::VanishAfter(1));
+    assert_eq!(vanished, ClientOutcome::ConnectionLost);
+    assert_eq!(evicted, 1, "the vanished session was evicted");
 }
 
 /// Straggler isolation over the wire: four 25-wide slabs, one healthy
@@ -523,8 +428,13 @@ fn shutdown_drain_checkpoints_so_recovery_replays_nothing() {
     let log = Arc::new(DurableLog::new(10_000));
     let core = build_core(vec![15.0], &recs).with_durability(Arc::clone(&log));
 
-    let handle = NetServer::start(core, vec![inserts], "127.0.0.1:0", config(1))
-        .expect("start server");
+    let cfg = ServerConfig {
+        min_gather: 1,
+        gather_window: Duration::from_millis(500),
+        write_deadline: Duration::from_millis(500),
+        ..ServerConfig::default()
+    };
+    let handle = NetServer::start(core, vec![inserts], "127.0.0.1:0", cfg).expect("start server");
     let mut c = NetClient::connect(handle.addr()).expect("connect");
     c.hello(&plan, 64).expect("io").expect("admitted");
     let run = c.run(ClientBehavior::WellBehaved);

@@ -140,11 +140,11 @@ proptest! {
     }
 }
 
-/// Historical proptest shrink (recorded in `prop_tpr.proptest-regressions`),
-/// promoted to a deterministic case since the offline harness does not
-/// replay regression files: a stationary record and a slow mover whose
-/// active intervals are ~12 time units apart stress the cover's
-/// extrapolation outside both validity windows.
+/// A shrunk failure of the cover property, kept as a deterministic case
+/// (the proptest shim neither shrinks nor persists, so a regression worth
+/// keeping is promoted to a `#[test]`): a stationary record and a slow
+/// mover whose active intervals are ~12 time units apart stress the
+/// cover's extrapolation outside both validity windows.
 #[test]
 fn cover_regression_disjoint_active_intervals() {
     let a = TprRecord::new(

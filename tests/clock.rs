@@ -168,7 +168,7 @@ fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
     let oracle = PartitionedDqServer::build(RegionGrid::single(), &recs, |_| {
         RTree::new(Pager::with_page_size(256), RTreeConfig::default())
     })
-    .serve_serial(std::slice::from_ref(&healthy), &inserts);
+    .serve_serial_plans(&[SessionPlan::new(healthy)], &inserts);
     assert!(report.sessions[0].outcome.is_ok());
     assert_eq!(report.sessions[0].results, oracle.sessions[0].results);
     assert_eq!(report.sessions[0].frames.len(), 8);

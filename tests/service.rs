@@ -3,7 +3,9 @@
 //! schedules, joiners, joiners that never run, slow, detaching and
 //! panicking sinks), every schedule the threads can take, 1–4 regions,
 //! bare pagers or a faulty store behind a retrying pool, with and
-//! without a durability thread — and the mixed dataset workload, pinned.
+//! without a durability thread, a corrupt page, a crash recovered under
+//! another grid, and the wire — and the mixed dataset workload and the
+//! front door's loopback stream, pinned.
 
 mod support;
 
@@ -12,7 +14,7 @@ use dq_repro::stkit::{Interval, Rect};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use support::served::{check_served, Case, Served, Sink};
+use support::served::{check_served, At, Case, Corrupt, Crash, Mutation, Served, Sink, Surface, Tail};
 use support::{integer_line, line_records, mixed_workload, slide_spec, R};
 
 /// A 16-wide window crossing [0, 100]² on a four-piece zigzag over
@@ -47,9 +49,14 @@ const SEAM_X: u32 = 40;
 ///   and frame times, and unit windows sliding at unit speed, so objects,
 ///   cuts and window edges meet exactly.
 ///
-/// Half the cases sit on chaos stores, a third are durable. 1–6 sessions
-/// of either kind, each with its own schedule length, join frame (at or
-/// past its last frame too: it never runs) and sink.
+/// Half the cases sit on chaos stores. A third are durable, and half of
+/// those crash at a drawn frame — mid-serve, or with the run cut there
+/// and that frame committed but unapplied — and a drawn tail and grid;
+/// half the others corrupt a drawn page of a drawn region with a drawn
+/// mutation. 1–6 sessions of
+/// either kind, each with its own schedule length, join frame (at or
+/// past its last frame too: it never runs) and sink — or, in a sixth of
+/// the cases, over the wire with no sinks.
 fn served_case(seed: u64, preload: usize, frames: usize, batch: usize) -> Case {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let seams = rng.gen_bool(1.0 / 3.0);
@@ -74,7 +81,7 @@ fn served_case(seed: u64, preload: usize, frames: usize, batch: usize) -> Case {
         true => integer_line(SEAM_X),
         false => (0..preload).map(|_| draw(&mut rng, 0.0)).collect(),
     };
-    let inserts: Vec<Vec<(R, f64)>> = (0..=frames)
+    let mut inserts: Vec<Vec<(R, f64)>> = (0..=frames)
         .map(|k| {
             let t = k as f64 * dt;
             (0..rng.gen_range(0..=batch))
@@ -86,18 +93,49 @@ fn served_case(seed: u64, preload: usize, frames: usize, batch: usize) -> Case {
         .chain(inserts.iter().flatten().map(|(r, _)| r))
         .map(|r| r.seg.spatial_bbox().extent(0).lo)
         .collect();
-    let on_records = !lows.is_empty() && rng.gen_bool(0.5);
-    let mut cuts: Vec<f64> = (0..rng.gen_range(0..=3))
-        .map(|_| match (seams, on_records) {
-            (true, _) => f64::from(rng.gen_range(1..SEAM_X)),
-            (false, true) => lows[rng.gen_range(0..lows.len())],
-            (false, false) => rng.gen_range(1.0..99.0),
-        })
-        .collect();
-    cuts.sort_unstable_by(f64::total_cmp);
-    cuts.dedup();
+    let grid = |rng: &mut ChaCha8Rng| {
+        let on_records = !lows.is_empty() && rng.gen_bool(0.5);
+        let mut cuts: Vec<f64> = (0..rng.gen_range(0..=3))
+            .map(|_| match (seams, on_records) {
+                (true, _) => f64::from(rng.gen_range(1..SEAM_X)),
+                (false, true) => lows[rng.gen_range(0..lows.len())],
+                (false, false) => rng.gen_range(1.0..99.0),
+            })
+            .collect();
+        cuts.sort_unstable_by(f64::total_cmp);
+        cuts.dedup();
+        cuts
+    };
+    let cuts = grid(&mut rng);
     let faults = rng.gen_bool(0.5).then(|| (rng.gen::<u64>() >> 1, rng.gen_range(0.02..0.1)));
     let durable = rng.gen_bool(1.0 / 3.0).then(|| rng.gen_range(0..=4u64));
+    let crash = (durable.is_some() && rng.gen_bool(0.5)).then(|| {
+        let back = rng.gen_range(1..400usize);
+        let tail = [Tail::Clean, Tail::Cut(back), Tail::Flip(back)][rng.gen_range(0..3usize)];
+        let at = match rng.gen_bool(0.5) {
+            true => At::Frame(rng.gen_range(0..=frames)),
+            // The run stops at a drawn frame, committed and applied nowhere.
+            false => At::Unapplied(inserts.split_off(rng.gen_range(0..=frames)).swap_remove(0)),
+        };
+        Crash { at, tail, cuts: grid(&mut rng) }
+    });
+    let corrupt = (durable.is_none() && rng.gen_bool(0.5)).then(|| {
+        let mutation = match rng.gen_range(0..7) {
+            0 => Mutation::Random(rng.gen()),
+            1 => Mutation::Magic,
+            2 => Mutation::Checksum,
+            3 => Mutation::Level,
+            4 => Mutation::OffDevice,
+            5 => Mutation::Ancestor,
+            _ => Mutation::Float([f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX][rng.gen_range(0..4usize)]),
+        };
+        let toward = match seams {
+            true => [f64::from(rng.gen_range(0..=SEAM_X)), 0.5],
+            false => [rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)],
+        };
+        Corrupt { region: rng.gen_range(0..4usize), toward, depth: rng.gen_range(0..4usize), mutation }
+    });
+    let surface = if rng.gen_bool(1.0 / 6.0) { Surface::Wire } else { Surface::InProcess };
     let (mut plans, mut sinks) = (Vec::new(), Vec::new());
     for _ in 0..rng.gen_range(1..=6) {
         let kind = if rng.gen_bool(0.5) { SessionKind::Pdq } else { SessionKind::Npdq };
@@ -118,6 +156,7 @@ fn served_case(seed: u64, preload: usize, frames: usize, batch: usize) -> Case {
         };
         plans.push(SessionPlan::new(spec).join_at(rng.gen_range(0..=len + 1)));
         sinks.push(match rng.gen_range(0..4) {
+            _ if surface == Surface::Wire => Sink::None,
             0 => Sink::None,
             1 => Sink::Lag(
                 (0..=frames)
@@ -128,7 +167,7 @@ fn served_case(seed: u64, preload: usize, frames: usize, batch: usize) -> Case {
             _ => Sink::Panic(rng.gen_range(0..=frames)),
         });
     }
-    Case { preload, inserts, cuts, faults, durable, plans, sinks }
+    Case { preload, inserts, cuts, faults, durable, corrupt, crash, surface, plans, sinks }
 }
 
 proptest! {
@@ -205,4 +244,25 @@ fn every_grid_matches_serial_and_grids_agree_per_frame() {
         }
         check_served(&case).unwrap();
     }
+}
+
+/// The front door's loopback stream: three sessions over two regions,
+/// one insert a frame, each client's `(frame, ids)` deltas the
+/// in-process stream.
+#[test]
+fn loopback_stream_is_bit_identical_to_serve_serial() {
+    let inserts = (0..12)
+        .map(|k| {
+            let (t, oid) = (2.5 * f64::from(k), 1000 + k);
+            let x = (t + 5.0) % 29.0;
+            vec![(R::new(oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]), t)]
+        })
+        .collect();
+    let specs = vec![
+        slide_spec(SessionKind::Pdq, 0.0, 12, 30.0),
+        slide_spec(SessionKind::Npdq, 0.0, 12, 30.0),
+        slide_spec(SessionKind::Pdq, 0.0, 8, 30.0),
+    ];
+    let case = Case { cuts: vec![15.0], surface: Surface::Wire, ..Case::new(line_records(30), inserts, specs) };
+    check_served(&case).unwrap();
 }

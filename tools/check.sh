@@ -3,9 +3,11 @@
 # package's tier-1 tests among them), clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and a grep gate that no Rust under crates tests examples src calls
-# `.free(`: no store frees a page, and `PageStore::free` is a no-op kept
-# only because benchmarks/dqbench forwards it.
+# and three grep gates: no Rust under crates tests examples src calls
+# `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
+# only because benchmarks/dqbench forwards it); no root suite but the
+# served oracle waits with a timeout; and the router keeps three `serve`
+# entry points (`serve`, `serve_plans_streamed`, `serve_serial_plans`).
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -33,9 +35,12 @@
 # `cover_volume` == `cover().volume()` bit for bit), and the figures
 # built by inserting — ablation_split (extensions), exp_updates
 # (updates), exp_tpr (tpr). A split that changes a partition must fail
-# here, not pass with a re-pinned figure. The tests that corrupt a
-# child id into a cycle (the rtree descent tests, chaos_n, chaos_o) wait
-# a bounded time, so a descent that loops fails the suite, not hangs it.
+# here, not pass with a re-pinned figure. A descent that loops on a
+# child id corrupted into a cycle fails the suite instead of hanging it:
+# the served oracle runs every concurrent and wire serve — drawn by
+# tests/service.rs or pinned, corrupt pages included — under one bound
+# in tests/support/served.rs, the one place a root suite waits with a
+# timeout, and the rtree descent tests wait a bounded time of their own.
 #
 #   bench  benchmarks/smoke.sh (every dqbench workload at 1/20 size,
 #          schema and correctness, no timing) and dqbench's own unit
@@ -123,6 +128,12 @@ if [ -z "$ONLY" ]; then
   cargo check --release --offline --manifest-path benchmarks/dqbench/Cargo.toml
   if grep -rn --include='*.rs' '\.free(' crates tests examples src; then
     echo "FAIL: a call to PageStore::free (see above); page ids are dense and nothing frees" >&2; exit 1
+  fi
+  if git grep -nE 'recv_timeout|RecvTimeoutError' -- tests ':!tests/support/served.rs'; then
+    echo "FAIL: a root suite waits with its own timeout (see above); the hang bound lives in tests/support/served.rs" >&2; exit 1
+  fi
+  if [ "$(grep -c 'pub fn serve' crates/mobiquery/src/router.rs)" != 3 ]; then
+    echo "FAIL: crates/mobiquery/src/router.rs has $(grep -c 'pub fn serve' crates/mobiquery/src/router.rs) serve entry points, not 3" >&2; exit 1
   fi
 fi
 mkdir -p target/figures
