@@ -28,8 +28,9 @@
 //!
 //! A logical checkpoint is built from the trees exactly once: the
 //! initial one, which captures whatever was preloaded before the log
-//! saw a commit ([`DurableLog::checkpoint_logical`]). Every later one is
-//! a *fold* of the log into it ([`DurableLog::fold_checkpoint`]).
+//! saw a commit ([`DurableLog::checkpoint_logical`], which a log that
+//! has committed refuses). Every later one is a *fold* of the log into
+//! it ([`DurableLog::fold_checkpoint`]).
 //! The index is insert-only (`RTree` has no delete), so the record set after
 //! commit `n` is the record set at the previous watermark plus the
 //! batches of the WAL records past it:
@@ -220,17 +221,23 @@ impl DurableLog {
     }
 
     /// Install `records` as the logical checkpoint — the base every
-    /// later [`Self::fold_checkpoint`] extends — and truncate the WAL:
-    /// the caller vouches that `records` already holds every batch the
-    /// log has committed. The partitioned server calls this once, for
-    /// the preloaded state, before its first commit. Encoding into
-    /// memory cannot fail, so neither can this.
-    pub fn checkpoint_logical<const D: usize>(&self, records: &[NsiSegmentRecord<D>]) {
+    /// later [`Self::fold_checkpoint`] extends — and truncate the WAL.
+    /// Returns whether it was installed. The partitioned server calls
+    /// this once, for the preloaded state, before its first commit.
+    /// Once the log has committed any frame it is refused and counted
+    /// as a checkpoint failure, nothing installed and nothing truncated:
+    /// a record set read off the trees cannot vouch for a batch that was
+    /// committed but never applied, and truncating would lose it.
+    pub fn checkpoint_logical<const D: usize>(&self, records: &[NsiSegmentRecord<D>]) -> bool {
         let started = Instant::now();
         let mut buf = Vec::new();
         encode_records(records.iter().copied(), &mut buf);
         let count = records.len() as u32;
         let mut st = self.state.lock();
+        if self.wal.stats().appends > 0 {
+            st.checkpoint_failures += 1;
+            return false;
+        }
         let wal_seq = self.wal.truncate_for_checkpoint();
         st.checkpoint = Some(LogicalCheckpoint {
             records: buf,
@@ -238,6 +245,7 @@ impl DurableLog {
             wal_seq,
         });
         st.installed(wal_seq, count, u64::from(count), started);
+        true
     }
 
     /// Checkpoint by folding the log into the installed logical
@@ -271,6 +279,13 @@ impl DurableLog {
                 Err(e)
             }
         }
+    }
+
+    /// Count a checkpoint that could not be taken: the base checkpoint's
+    /// tree scan met a page it cannot trust. Nothing is installed and the
+    /// WAL is kept.
+    pub(crate) fn checkpoint_failed(&self) {
+        self.state.lock().checkpoint_failures += 1;
     }
 
     /// Capture the durable state as of now (what a crash at this instant
@@ -675,11 +690,13 @@ mod tests {
         ));
         let stats = log.stats();
         assert_eq!((stats.checkpoints, stats.checkpoint_failures), (0, 1));
-        // The refused fold truncated nothing.
-        log.checkpoint_logical::<2>(&[]);
-        log.commit_frame(1, &[(rec(2, 1.0, 0.0), 0.0)]);
-        let (_, report) = recovered_oids(&log.durable_image());
-        assert_eq!(report.replayed_records, 1);
+        // The refused fold truncated nothing, and a base offered after a
+        // commit is refused too: it cannot vouch for that batch.
+        assert!(!log.checkpoint_logical::<2>(&[]));
+        assert_eq!(log.stats().checkpoint_failures, 2);
+        let image = log.durable_image();
+        assert!(matches!(image.recover_records::<2>(), Err(RecoverError::NoCheckpoint)));
+        assert_eq!(recover_batch(&image.wal).unwrap(), (0, vec![(rec(1, 1.0, 0.0), 0.0)]));
     }
 
     #[test]

@@ -389,34 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn first_query_returns_everything() {
-        let tree = grid_tree(20);
-        let mut eng = NpdqEngine::new();
-        let q = SnapshotQuery::at_instant(win(2.0, 2.0, 4.0), 1.0);
-        let mut got = Vec::new();
-        let stats = eng.execute(&tree, &q, |r| got.push(r.oid));
-        assert_eq!(got.len(), 16, "4×4 cells");
-        assert_eq!(stats.results, 16);
-        assert!(eng.has_previous());
-    }
-
-    #[test]
-    fn second_query_returns_only_delta() {
-        let tree = grid_tree(20);
-        let mut eng = NpdqEngine::new();
-        let q1 = SnapshotQuery::at_instant(win(2.0, 2.0, 4.0), 1.0);
-        let q2 = SnapshotQuery::at_instant(win(3.0, 2.0, 4.0), 1.1); // shifted 1 in x
-        let mut first = Vec::new();
-        eng.execute(&tree, &q1, |r| first.push(r.oid));
-        let mut second = Vec::new();
-        let s2 = eng.execute(&tree, &q2, |r| second.push(r.oid));
-        // New column x ∈ [6, 7): 4 objects.
-        assert_eq!(second.len(), 4, "only the newly visible column");
-        assert!(second.iter().all(|o| !first.contains(o)));
-        assert!(s2.results == 4);
-    }
-
-    #[test]
     fn high_overlap_costs_less_io() {
         let tree = spatial_grid_tree(40);
         // Large window stepping slightly (99 % overlap) vs jumping fully.
@@ -460,27 +432,6 @@ mod tests {
         // nodes whose region spans both windows may still be pruned or
         // kept identically.)
         assert_eq!(npdq_stats.disk_accesses, fresh_stats.disk_accesses);
-    }
-
-    #[test]
-    fn union_over_session_equals_naive_per_frame() {
-        // Sliding window: union of NPDQ deltas == union of naive results.
-        let tree = grid_tree(30);
-        let mut eng = NpdqEngine::new();
-        let mut npdq_all = std::collections::HashSet::new();
-        let mut naive_all = std::collections::HashSet::new();
-        let naive = crate::naive::NaiveEngine::new();
-        for k in 0..40 {
-            let t = 1.0 + k as f64 * 0.1;
-            let q = SnapshotQuery::at_instant(win(2.0 + k as f64 * 0.5, 10.0, 6.0), t);
-            eng.execute(&tree, &q, |r| {
-                npdq_all.insert(r.oid);
-            });
-            naive.query_dta(&tree, &q, |r| {
-                naive_all.insert(r.oid);
-            });
-        }
-        assert_eq!(npdq_all, naive_all);
     }
 
     #[test]

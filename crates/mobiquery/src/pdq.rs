@@ -517,38 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn objects_arrive_in_entry_order() {
-        let tree = line_tree(50);
-        let mut pdq = PdqEngine::start(&tree, slide(50.0));
-        let results = pdq.drain_window(&tree, 0.0, 50.0);
-        // Window [t, t+1] × [0,1] covers object i (at x=i+0.5) during
-        // t ∈ [i−0.5, i+0.5]; all 50 objects eventually appear.
-        assert_eq!(results.len(), 50);
-        let oids: Vec<u32> = results.iter().map(|r| r.record.oid).collect();
-        let mut sorted = oids.clone();
-        sorted.sort_unstable();
-        assert_eq!(oids, sorted, "objects must arrive in entry order");
-        // Visibility of object 10 is [9.5, 10.5].
-        let v = &results[10].visibility;
-        assert_eq!(v.hull(), Interval::new(9.5, 10.5));
-    }
-
-    #[test]
-    fn get_next_respects_window() {
-        let tree = line_tree(50);
-        let mut pdq = PdqEngine::start(&tree, slide(50.0));
-        // Ask only for objects appearing during [0, 5]: objects 0..=5
-        // (object i enters at i−0.5 ≤ 5 ⇒ i ≤ 5).
-        let early = pdq.drain_window(&tree, 0.0, 5.0);
-        let oids: Vec<u32> = early.iter().map(|r| r.record.oid).collect();
-        assert_eq!(oids, vec![0, 1, 2, 3, 4, 5]);
-        // The rest arrive when asked for later windows; nothing repeats.
-        let late = pdq.drain_window(&tree, 5.0, 50.0);
-        assert_eq!(late.len(), 44);
-        assert!(late.iter().all(|r| r.record.oid > 5));
-    }
-
-    #[test]
     fn each_node_loaded_at_most_once() {
         let tree = line_tree(2000);
         let mut pdq = PdqEngine::start(&tree, slide(100.0));
@@ -591,155 +559,6 @@ mod tests {
         assert!(pdq.get_next(&tree, 0.0, 10.0).is_none());
         // Only the root was examined.
         assert_eq!(pdq.stats().disk_accesses, 1);
-    }
-
-    #[test]
-    fn future_head_returns_none_until_asked() {
-        let tree = line_tree(50);
-        let mut pdq = PdqEngine::start(&tree, slide(50.0));
-        // Consume everything visible by t ≤ 1.
-        let _ = pdq.drain_window(&tree, 0.0, 1.0);
-        // Object 2 enters at t = 1.5 > 1: not returned for window [0, 1].
-        assert!(pdq.get_next(&tree, 0.0, 1.0).is_none());
-        // But it exists for the next frame window.
-        let next = pdq.get_next(&tree, 1.0, 2.0).expect("object 2 due");
-        assert_eq!(next.record.oid, 2);
-    }
-
-    #[test]
-    fn skipping_ahead_drops_stale_items() {
-        let tree = line_tree(50);
-        let mut pdq = PdqEngine::start(&tree, slide(50.0));
-        // Application jumps to t ∈ [30, 31] without asking for earlier
-        // frames: objects whose visibility ended before t=30 are dropped.
-        let got = pdq.drain_window(&tree, 30.0, 31.0);
-        let oids: Vec<u32> = got.iter().map(|r| r.record.oid).collect();
-        // Visible during [30,31]: object i visible [i−0.5, i+0.5] ⇒ i ∈ {30, 31}.
-        assert_eq!(oids, vec![30, 31]);
-    }
-
-    #[test]
-    fn late_insertion_is_found() {
-        let mut tree = line_tree(50);
-        let mut pdq = PdqEngine::start(&tree, slide(50.0));
-        // Consume the first 10 time units.
-        let first = pdq.drain_window(&tree, 0.0, 10.0);
-        assert_eq!(first.len(), 11);
-        // A new object appears ahead of the window at x = 20.5.
-        let rec = R::new(999, 0, Interval::new(10.0, 100.0), [20.5, 0.5], [20.5, 0.5]);
-        let report = tree.insert(rec, 10.0);
-        pdq.notify(&report);
-        let later = pdq.drain_window(&tree, 10.0, 50.0);
-        assert!(
-            later.iter().any(|r| r.record.oid == 999),
-            "late insertion must be returned"
-        );
-        // And nothing is returned twice across the whole run.
-        let mut all: Vec<(u32, u32)> = first
-            .iter()
-            .chain(later.iter())
-            .map(|r| (r.record.oid, r.record.seq))
-            .collect();
-        let n = all.len();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), n, "duplicate results");
-    }
-
-    #[test]
-    fn insertion_behind_window_not_returned() {
-        let mut tree = line_tree(50);
-        let mut pdq = PdqEngine::start(&tree, slide(50.0));
-        let _ = pdq.drain_window(&tree, 0.0, 20.0);
-        // Insert an object that was only visible around t = 5 (already
-        // passed, and its motion ended at t=6).
-        let rec = R::new(998, 0, Interval::new(4.0, 6.0), [5.5, 0.5], [5.5, 0.5]);
-        let report = tree.insert(rec, 20.0);
-        pdq.notify(&report);
-        let later = pdq.drain_window(&tree, 20.0, 50.0);
-        assert!(later.iter().all(|r| r.record.oid != 998));
-    }
-
-    #[test]
-    fn massive_concurrent_insertions_no_duplicates_no_losses() {
-        // Build small, then insert a stream of objects ahead of the
-        // window while draining — splits will cascade, up to the root.
-        let mut tree = line_tree(10);
-        let mut pdq = PdqEngine::start(&tree, slide(100.0));
-        let mut seen: Vec<(u32, u32)> = Vec::new();
-        let mut expected: Vec<u32> = (0..10).collect();
-        let mut t = 0.0;
-        let mut next_oid = 1000;
-        while t < 100.0 {
-            for r in pdq.drain_window(&tree, t, t + 1.0) {
-                seen.push((r.record.oid, r.record.seq));
-            }
-            // Two new stationary objects per step, placed ahead of the
-            // window (x = t + 10) so they will be swept later.
-            for _ in 0..2 {
-                let x = t + 10.5;
-                if x < 100.0 {
-                    let rec = R::new(next_oid, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]);
-                    let report = tree.insert(rec, t);
-                    pdq.notify(&report);
-                    expected.push(next_oid);
-                    next_oid += 1;
-                }
-            }
-            t += 1.0;
-        }
-        for r in pdq.drain_window(&tree, 0.0, 100.0) {
-            seen.push((r.record.oid, r.record.seq));
-        }
-        // No duplicates.
-        let n = seen.len();
-        let mut dedup = seen.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), n, "duplicates returned");
-        // No losses: every object whose position gets swept while its
-        // motion is valid must have been seen. Objects at x = t+10.5
-        // inserted at t are swept at time x−0.5 = t+10 < 100 ✓.
-        let seen_oids: HashSet<u32> = seen.iter().map(|&(o, _)| o).collect();
-        for oid in expected {
-            assert!(seen_oids.contains(&oid), "lost object {oid}");
-        }
-        tree.validate().unwrap();
-    }
-
-    #[test]
-    fn split_reports_alone_deliver_everything_once() {
-        let mut tree = line_tree(10);
-        let mut pdq = PdqEngine::start(&tree, slide(100.0));
-        let mut got: Vec<(u32, u32)> = pdq
-            .drain_window(&tree, 0.0, 5.0)
-            .iter()
-            .map(|r| (r.record.oid, r.record.seq))
-            .collect();
-        // Force many splits, root splits among them: the reports alone
-        // must deliver everything.
-        let mut expected = 10usize;
-        for i in 0..300u32 {
-            let x = 10.5 + (i % 80) as f64;
-            if x < 99.0 {
-                let rec = R::new(10_000 + i, 0, Interval::new(5.0, 100.0), [x, 0.5], [x, 0.5]);
-                let report = tree.insert(rec, 5.0);
-                pdq.notify(&report);
-                expected += 1;
-            }
-        }
-        got.extend(
-            pdq.drain_window(&tree, 0.0, 100.0)
-                .iter()
-                .map(|r| (r.record.oid, r.record.seq)),
-        );
-        got.sort_unstable();
-        let n = got.len();
-        got.dedup();
-        assert_eq!(got.len(), n, "duplicates");
-        // Everything whose position gets swept must arrive; the window
-        // reaches x = 101 by t = 100, so all inserted objects qualify.
-        assert_eq!(got.len(), expected, "losses");
     }
 
     #[test]
@@ -820,85 +639,6 @@ mod tests {
         // And none of them is ever returned.
         let rest = pdq.drain_window(&tree, 30.0, 50.0);
         assert!(rest.iter().all(|r| r.record.oid < 20_000));
-    }
-
-    #[test]
-    fn boundary_entry_delivered_in_the_window_it_touches_first() {
-        // Objects at x = k + 1.0 become visible exactly at t = k: their
-        // overlap-time start coincides with the shared boundary of the
-        // adjacent frame windows [k−1, k] and [k, k+1]. The window
-        // predicate is inclusive at t_end (`head_start > t_end` ⇒ wait),
-        // so the object belongs to the *earlier* window — the frame
-        // rendered at t = k must already show it.
-        let recs: Vec<R> = (0..20)
-            .map(|k| {
-                let x = k as f64 + 1.0;
-                R::new(k, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5])
-            })
-            .collect();
-        let tree = bulk_load(Pager::new(), RTreeConfig::default(), recs);
-        let mut pdq = PdqEngine::start(&tree, slide(50.0));
-
-        // Frame k drains window [k, k+1]. Object k enters at exactly
-        // t = k: boundary-inclusive, so it must arrive in the window
-        // whose t_end is k — i.e. frame k−1 — and never again.
-        let mut arrivals: Vec<(u32, usize)> = Vec::new();
-        for frame in 0..25usize {
-            let t0 = frame as f64;
-            for r in pdq.drain_window(&tree, t0, t0 + 1.0) {
-                arrivals.push((r.record.oid, frame));
-            }
-        }
-        // Exactly once each.
-        let mut oids: Vec<u32> = arrivals.iter().map(|&(o, _)| o).collect();
-        oids.sort_unstable();
-        oids.dedup();
-        assert_eq!(oids.len(), 20, "every object exactly once");
-        assert_eq!(arrivals.len(), 20, "no duplicate deliveries");
-        // Object k (entry time k) arrives in frame k−1 ([k−1, k], whose
-        // t_end equals the entry time) — except object 0, which is due at
-        // t = 0 and arrives in the first window drained.
-        for &(oid, frame) in &arrivals {
-            let expected = (oid as usize).saturating_sub(1);
-            assert_eq!(
-                frame, expected,
-                "object {oid} entering at t={oid} must arrive in frame {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_object_once_oracle_over_randomized_frame_boundaries() {
-        // Oracle: however [0, 50] is cut into adjacent windows — uniform,
-        // ragged, or zero-width cuts landing exactly on entry times — the
-        // union of drains equals one whole-span drain, with no repeats.
-        let tree = line_tree(50);
-        let whole: Vec<u32> = PdqEngine::start(&tree, slide(50.0))
-            .drain_window(&tree, 0.0, 50.0)
-            .iter()
-            .map(|r| r.record.oid)
-            .collect();
-
-        let cut_sets: &[&[f64]] = &[
-            &[10.0, 20.0, 30.0, 40.0],
-            &[0.5, 1.5, 2.5, 3.5, 49.5],           // cuts ON entry times
-            &[0.5, 0.5, 25.0, 25.0],               // zero-width windows
-            &[7.3, 11.9, 12.0, 12.1, 33.3, 48.99], // ragged
-        ];
-        for cuts in cut_sets {
-            let mut pdq = PdqEngine::start(&tree, slide(50.0));
-            let mut got: Vec<u32> = Vec::new();
-            let mut t0 = 0.0;
-            for &t1 in cuts.iter().chain(std::iter::once(&50.0)) {
-                got.extend(
-                    pdq.drain_window(&tree, t0, t1)
-                        .iter()
-                        .map(|r| r.record.oid),
-                );
-                t0 = t1;
-            }
-            assert_eq!(got, whole, "cuts {cuts:?} changed the delivery");
-        }
     }
 
     #[test]

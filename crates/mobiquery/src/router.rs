@@ -12,7 +12,8 @@
 //!
 //! The router half lives in each session: a session's moving window is
 //! split across the regions its trajectory sweeps (its *lanes*) — a PDQ
-//! engine per lane, or for NPDQ a range search per lane — and per-frame
+//! engine per lane, or for NPDQ an `NpdqEngine` per lane, given the ids
+//! its region's writer inserted as `maybe_new` — and per-frame
 //! lane results are folded into a single stream. Records whose
 //! trapezoid segments straddle a region seam are replicated into every
 //! touching region (closed slabs — see [`RegionGrid::route_rect`]), and
@@ -80,7 +81,7 @@ use rebuild::{build_regions, dedup_from, record_bounds};
 use rtree::{NsiSegmentRecord, RTree};
 use std::sync::Arc;
 use stkit::Interval;
-use storage::PageStore;
+use storage::{PageStore, StorageError};
 
 /// One region's tree, behind the lock its writer takes.
 type RegionTree<const D: usize, S> = RwLock<RTree<NsiSegmentRecord<D>, S>>;
@@ -287,28 +288,40 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// deduplicated by `(oid, seq)` (seam replicas collapse), then
     /// re-routed under the new cuts and packed as [`Self::build`] packs
     /// a preload — the same set under the same cuts gives the same
-    /// pages; load tallies reset.
+    /// pages; load tallies reset. A page the collecting scan cannot trust
+    /// is the error, and the server is left as it was.
     pub fn rebalance(
         &mut self,
         target_regions: usize,
         mut make_tree: impl FnMut(usize) -> RTree<NsiSegmentRecord<D>, S>,
-    ) {
-        let records = dedup_from(&self.regions);
+    ) -> Result<(), StorageError> {
+        let records = dedup_from(&self.regions)?;
         let bounds = record_bounds(self.grid.axis(), &records);
         let loads = self.loads.get_mut();
         self.grid = self.grid.recut(bounds, loads, target_regions);
         self.regions = build_regions(&self.grid, &records, &mut make_tree);
         *loads = vec![0; self.grid.len()];
+        Ok(())
     }
 
     /// Take the base checkpoint covering the preloaded regions, so
     /// recovery always has a record set to replay onto (idempotent:
     /// skipped once the log holds any checkpoint). This is the one tree
     /// scan of a durable server's life; every later checkpoint folds the
-    /// log instead ([`DurableLog::fold_checkpoint`]).
+    /// log instead ([`DurableLog::fold_checkpoint`]). A scan that meets a
+    /// page it cannot trust installs nothing and counts a checkpoint
+    /// failure: the serve goes on without durability, and recovery finds
+    /// no checkpoint. The failure is sticky: once a frame is committed
+    /// the log refuses a base read off the trees, so a later clean scan
+    /// cannot truncate a batch committed but never applied.
     fn ensure_initial_checkpoint(&self, log: &DurableLog) {
         if !log.has_checkpoint() {
-            log.checkpoint_logical(&dedup_from(&self.regions));
+            match dedup_from(&self.regions) {
+                Ok(records) => {
+                    log.checkpoint_logical(&records);
+                }
+                Err(_) => log.checkpoint_failed(),
+            }
         }
     }
 
@@ -615,7 +628,7 @@ mod tests {
         let spec = slide_spec(SessionKind::Pdq, 10, 24.0);
         let mut server = build(RegionGrid::from_cuts(0, vec![25.0]), &recs);
         server.serve(std::slice::from_ref(&spec), &region0_inserts(10));
-        server.rebalance(2, |_| RTree::new(Pager::new(), RTreeConfig::default()));
+        server.rebalance(2, |_| RTree::new(Pager::new(), RTreeConfig::default())).unwrap();
         assert_eq!(server.grid().len(), 2);
         let cut = server.grid().cuts()[0];
         assert!(cut < 25.0, "cut moved into the hot slab, got {cut}");
@@ -634,6 +647,55 @@ mod tests {
             build(RegionGrid::from_cuts(0, vec![25.0]), &all).serve(std::slice::from_ref(&spec), &[]);
         let after = server.serve(std::slice::from_ref(&spec), &[]);
         assert_eq!(after.sessions[0].results, oracle.sessions[0].results);
+    }
+
+    #[test]
+    fn a_rebalance_over_a_cyclic_region_is_corrupt_and_changes_nothing() {
+        // Region 0's root on 256 B pages with every child id pointed back
+        // at itself: the collecting scan would descend for ever.
+        let small = |_| RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+        let mut server = PartitionedDqServer::build(RegionGrid::from_cuts(0, vec![25.0]), &line_records(60), small);
+        let root = server.with_region_tree(0, |t| {
+            let root = t.root_page();
+            let node = t.read_node(root);
+            let mut buf = Vec::new();
+            let mut edit = rtree::node::NodeEdit::<_, R>::fresh(&mut buf, node.level(), 256);
+            node.internal_entries().for_each(|(k, _)| edit.push_entry(&k, root));
+            drop(node);
+            t.store().write(root, edit.bytes());
+            root
+        });
+        assert_eq!(server.rebalance(3, small), Err(StorageError::Corrupt { page: root }));
+        assert_eq!(server.grid().cuts(), &[25.0][..]);
+    }
+
+    #[test]
+    fn a_base_scan_that_failed_before_a_commit_is_never_retaken() {
+        use crate::{DurableLog, RecoverError};
+        use storage::{FaultPlan, FaultyStore};
+        // Every read is transient while injection is on: the first serve's
+        // base scan fails, the writer gives up on every record, and the
+        // log still commits all three frames.
+        let log = Arc::new(DurableLog::new(0));
+        let server = PartitionedDqServer::build(RegionGrid::single(), &line_records(20), |_| {
+            let store = FaultyStore::new(Pager::with_page_size(256), FaultPlan::transient(0, 1.0));
+            store.set_enabled(false);
+            RTree::new(store, RTreeConfig::default())
+        })
+        .with_durability(Arc::clone(&log));
+        server.with_region_tree(0, |t| t.store().set_enabled(true));
+        let report = server.serve(&[], &ahead_inserts(3, 2, 12.0, 100));
+        assert!(matches!(report.regions[0].writer_outcome, SessionOutcome::Degraded { .. }));
+        assert_eq!(report.regions[0].inserts_applied, 0);
+        // Now the scan reads clean, but a base read off the trees would
+        // truncate three committed batches no tree holds.
+        server.with_region_tree(0, |t| t.store().set_enabled(false));
+        assert!(!server.checkpoint_now());
+        let stats = log.stats();
+        assert_eq!((stats.checkpoints, stats.wal.appends), (0, 3));
+        assert!(stats.checkpoint_failures >= 3, "{stats:?}");
+        let image = log.durable_image();
+        assert!(matches!(image.recover_records::<2>(), Err(RecoverError::NoCheckpoint)));
     }
 
     #[test]

@@ -488,7 +488,7 @@ mod tests {
         for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![10.0, 25.0])] {
             let mut server = build(grid, &recs);
             let live = server.serve(std::slice::from_ref(&spec), &inserts);
-            server.rebalance(2, |_| RTree::new(Pager::new(), RTreeConfig::default()));
+            server.rebalance(2, |_| RTree::new(Pager::new(), RTreeConfig::default())).unwrap();
             let again = server.serve(std::slice::from_ref(&spec), &[]);
             for (out, snapshots) in [(live, &snapshots), (again, &settled)] {
                 let frames = frame_sets(&out.sessions[0]);

@@ -10,7 +10,7 @@ use parking_lot::RwLock;
 use rtree::bulk::{pack_into, AxisOrder};
 use rtree::{NsiSegmentRecord, RTree};
 use stkit::Interval;
-use storage::PageStore;
+use storage::{PageStore, StorageError};
 
 /// Refill `routed` with the slice of `batch` that routes to region `r`
 /// under `grid`, in batch order. The caller keeps one buffer per writer,
@@ -31,17 +31,18 @@ pub(super) fn route_slice<const D: usize>(
 
 /// Every record resident across `trees`, in `(oid, seq)` order and
 /// deduplicated by it so seam replicas collapse to one copy — what a
-/// rebalance re-routes and the base checkpoint persists.
+/// rebalance re-routes and the base checkpoint persists. A page the scan
+/// cannot trust is the error.
 pub(super) fn dedup_from<const D: usize, S: PageStore>(
     trees: &[RegionTree<D, S>],
-) -> Vec<NsiSegmentRecord<D>> {
+) -> Result<Vec<NsiSegmentRecord<D>>, StorageError> {
     let mut records = Vec::new();
     for lock in trees {
-        lock.read().scan(|rec| records.push(*rec));
+        lock.read().try_scan(|rec| records.push(*rec))?;
     }
     records.sort_unstable_by_key(NsiSegmentRecord::ids);
     records.dedup_by_key(|rec| rec.ids());
-    records
+    Ok(records)
 }
 
 /// The grid-axis extent spanned by `records` (degenerate sets get a
@@ -212,7 +213,7 @@ mod tests {
 
         // Never served, so no load: the recut is the uniform grid over the
         // records' extent — the grid both servers were built under.
-        again.rebalance(3, small);
+        again.rebalance(3, small).unwrap();
         assert_eq!(again.grid().cuts(), grid.cuts());
         assert!(images(&again) == images(&built), "a rebalance packed the same set differently");
     }

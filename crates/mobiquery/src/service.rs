@@ -31,9 +31,9 @@ pub enum SessionKind {
     /// Non-predictive: a snapshot query at each frame time, delivering
     /// what is newly visible — every object the query at `t_k` matches
     /// that the query at `t_{k-1}` did not, each over the records
-    /// resident at its frame. Served as a range search over the shared
-    /// NSI tree (why not §4.2's [`crate::NpdqEngine`]: the lanes module
-    /// of `router`).
+    /// resident at its frame. Served by §4.2's [`crate::NpdqEngine`],
+    /// one per region the session's lanes cover, told the ids the
+    /// region's writer inserted as `maybe_new`.
     Npdq,
 }
 

@@ -367,7 +367,7 @@ mod tests {
             assert_eq!(tree.len(), 500);
             assert!(tree.height() >= 3);
             let mut seen: Vec<u32> = Vec::new();
-            assert_eq!(tree.scan(|r| seen.push(r.oid)), 500);
+            assert_eq!(tree.try_scan(|r| seen.push(r.oid)), Ok(500));
             seen.sort_unstable();
             assert!(seen.iter().copied().eq(0..500));
         }

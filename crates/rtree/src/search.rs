@@ -55,7 +55,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// the fault are valid answers, and the nodes read before it are
     /// counted into the caller's `stats`, so the cost of a failed search
     /// is not lost with it.
-    pub fn try_range_search(
+    fn try_range_search(
         &self,
         query: &R::Key,
         stats: &mut SearchStats,
@@ -250,11 +250,17 @@ mod tests {
 impl<R: Record, S: PageStore> RTree<R, S> {
     /// Visit every record in the tree (full scan, in node order). Returns
     /// the number of records visited; each node load is one disk access.
-    pub fn scan(&self, mut visit: impl FnMut(&R)) -> u64 {
+    /// A page that does not parse, or a node off the level its parent
+    /// implies (a child id naming an ancestor would otherwise loop), is
+    /// `Err` carrying the page, after the records ahead of it were visited.
+    pub fn try_scan(&self, mut visit: impl FnMut(&R)) -> Result<u64, StorageError> {
         let mut n = 0;
-        let mut stack = vec![self.root_page()];
-        while let Some(page) = stack.pop() {
-            let node = self.read_node(page);
+        let mut stack = vec![(self.root_page(), self.height() - 1)];
+        while let Some((page, level)) = stack.pop() {
+            let node = self.try_read_node(page)?;
+            if node.level() != level {
+                return Err(StorageError::Corrupt { page });
+            }
             if node.is_leaf() {
                 for r in node.leaf_records() {
                     visit(&r);
@@ -262,37 +268,41 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 }
             } else {
                 for (_, child) in node.internal_entries() {
-                    stack.push(child);
+                    stack.push((child, level - 1));
                 }
             }
         }
-        n
+        Ok(n)
     }
 }
 
 #[cfg(test)]
 mod scan_tests {
     use crate::bulk::bulk_load;
+    use crate::node::NodeEdit;
     use crate::records::NsiSegmentRecord;
     use crate::tree::RTreeConfig;
-    use storage::Pager;
+    use storage::{PageId, PageStore, Pager, StorageError};
     use stkit::Interval;
 
-    #[test]
-    fn scan_visits_every_record_once() {
-        let recs: Vec<NsiSegmentRecord<2>> = (0..1000)
+    fn records(n: u32) -> Vec<NsiSegmentRecord<2>> {
+        (0..n)
             .map(|i| {
                 let x = (i % 40) as f64;
                 let y = (i / 40) as f64;
                 NsiSegmentRecord::new(i, 0, Interval::new(0.0, 1.0), [x, y], [x + 1.0, y])
             })
-            .collect();
-        let tree = bulk_load(Pager::new(), RTreeConfig::default(), recs);
+            .collect()
+    }
+
+    #[test]
+    fn scan_visits_every_record_once() {
+        let tree = bulk_load(Pager::new(), RTreeConfig::default(), records(1000));
         let mut seen = std::collections::HashSet::new();
-        let n = tree.scan(|r| {
+        let n = tree.try_scan(|r| {
             assert!(seen.insert(r.oid), "record {} visited twice", r.oid);
         });
-        assert_eq!(n, 1000);
+        assert_eq!(n, Ok(1000));
         assert_eq!(seen.len(), 1000);
     }
 
@@ -300,6 +310,33 @@ mod scan_tests {
     fn scan_of_empty_tree() {
         let tree: crate::tree::RTree<NsiSegmentRecord<2>, Pager> =
             crate::tree::RTree::new(Pager::new(), RTreeConfig::default());
-        assert_eq!(tree.scan(|_| {}), 0);
+        assert_eq!(tree.try_scan(|_| {}), Ok(0));
+    }
+
+    #[test]
+    fn a_scan_descending_into_a_cycle_is_corrupt() {
+        let tree = crate::tree::tests::cyclic_tree();
+        let root = tree.root_page();
+        let (res, visited) = crate::tree::tests::within_5s(tree, |t| {
+            let mut visited = 0;
+            (t.try_scan(|_| visited += 1), visited)
+        });
+        assert_eq!((res, visited), (Err(StorageError::Corrupt { page: root }), 0));
+    }
+
+    #[test]
+    fn a_scan_reaching_a_child_off_the_device_is_corrupt() {
+        let tree = bulk_load(Pager::with_page_size(256), RTreeConfig::default(), records(40));
+        let root = tree.root_page();
+        let node = tree.read_node(root);
+        let off = PageId(tree.store().page_count() + 1000);
+        let mut buf = Vec::new();
+        let mut edit = NodeEdit::<_, NsiSegmentRecord<2>>::fresh(&mut buf, node.level(), 256);
+        for (j, (key, child)) in node.internal_entries().enumerate() {
+            edit.push_entry(&key, if j == 0 { off } else { child });
+        }
+        drop(node);
+        tree.store().write(root, edit.bytes());
+        assert_eq!(tree.try_scan(|_| {}), Err(StorageError::Corrupt { page: off }));
     }
 }

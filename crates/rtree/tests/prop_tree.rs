@@ -198,7 +198,7 @@ proptest! {
         expect.extend_from_slice(&extra);
         prop_assert_eq!(inv.records as usize, expect.len());
         let mut got = Vec::new();
-        tree.scan(|r| got.push(*r));
+        tree.try_scan(|r| got.push(*r)).unwrap();
         got.sort_unstable_by_key(|r| r.oid);
         expect.sort_unstable_by_key(|r| r.oid);
         prop_assert_eq!(got, expect);

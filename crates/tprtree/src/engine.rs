@@ -115,33 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn stationary_window_sees_passers_by() {
-        // Window fixed at x ∈ [10, 11]: object i (at i + t) is inside
-        // during t ∈ [10 − i, 11 − i].
-        let tr = tree(10);
-        let traj = Trajectory::linear(
-            Rect::from_corners([10.0, 0.0], [11.0, 1.0]),
-            [0.0, 0.0],
-            Interval::new(0.0, 12.0),
-            2,
-        );
-        let mut q = TprDynamicQuery::start(&tr, traj);
-        let results = q.drain_window(&tr, 0.0, 12.0);
-        assert_eq!(results.len(), 10);
-        // Object 9 (starting at x=9) arrives first, then 8, 7, …
-        let oids: Vec<u32> = results.iter().map(|r| r.record.oid).collect();
-        assert_eq!(oids[0], 9);
-        assert_eq!(
-            results[0].visibility.hull(),
-            Interval::new(1.0, 2.0),
-            "object 9 inside during [1, 2]"
-        );
-        let mut sorted = oids.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(oids, sorted, "arrival in reverse id order");
-    }
-
-    #[test]
     fn co_moving_window_keeps_one_object() {
         // Window moving right at speed 1 starting around object 5.
         let tr = tree(10);
@@ -179,25 +152,6 @@ mod tests {
         }
         assert!(q.stats().disk_accesses <= inv.nodes);
         assert!(!seen.is_empty());
-    }
-
-    #[test]
-    fn live_motion_update_found() {
-        let mut tr = tree(5);
-        let traj = Trajectory::linear(
-            Rect::from_corners([50.0, 0.0], [52.0, 1.0]),
-            [0.0, 0.0],
-            Interval::new(0.0, 60.0),
-            2,
-        );
-        let mut q = TprDynamicQuery::start(&tr, traj);
-        let _ = q.drain_window(&tr, 0.0, 5.0);
-        // A new object appears at t=5, heading for the window.
-        let rec = TprRecord::new(99, 0, Interval::new(5.0, 100.0), [45.0, 0.5], [1.0, 0.0]);
-        let report = tr.insert(rec, 5.0);
-        q.notify(&report);
-        let later = q.drain_window(&tr, 5.0, 60.0);
-        assert!(later.iter().any(|r| r.record.oid == 99));
     }
 
     #[test]
@@ -285,94 +239,4 @@ mod tests {
         assert_eq!(q.stats().duplicates_skipped, 0, "a retry is not a duplicate");
     }
 
-    #[test]
-    fn split_reports_deliver_each_update_in_its_frame() {
-        // 256-byte pages: the stream splits nodes at every level, so most
-        // reports are `Inserted::Subtree`. The ground truth is computed
-        // from the records alone: a frame delivers what is in the tree,
-        // undelivered, and overlaps the trajectory from by the frame's
-        // end until at or after its start.
-        let motion = |i: u32, born: f64| {
-            let ang = i as f64 * 2.399;
-            let p = [50.0 + (i % 40) as f64 - 20.0, 50.0 + ((i / 40) % 12) as f64 - 6.0];
-            TprRecord::new(i, 0, Interval::new(born, born + 30.0), p, [0.8 * ang.cos(), 0.8 * ang.sin()])
-        };
-        let traj = Trajectory::linear(
-            Rect::from_corners([45.0, 45.0], [55.0, 55.0]),
-            [0.5, 0.2],
-            Interval::new(0.0, 20.0),
-            4,
-        );
-        let mut tr: RTree<TprRecord, Pager> =
-            RTree::new(Pager::with_page_size(256), RTreeConfig::default());
-        let mut present = Vec::new();
-        let admit = |present: &mut Vec<(u32, f64, f64)>, rec: &TprRecord| {
-            let ts = overlap_trajectory_tpbox(&traj, &rec.tpbox());
-            if let (Some(s), Some(e)) = (ts.start(), ts.end()) {
-                present.push((rec.oid, s, e));
-            }
-        };
-        let mut next = 0..;
-        for i in next.by_ref().take(100) {
-            tr.insert(motion(i, 0.0), 0.0);
-            admit(&mut present, &motion(i, 0.0));
-        }
-        assert!(tr.height() >= 3);
-        let mut q = TprDynamicQuery::start(&tr, traj.clone());
-        let (mut delivered, mut subtrees) = (HashSet::new(), 0);
-        for k in 0..40 {
-            let (t0, t1) = (k as f64 * 0.5, (k + 1) as f64 * 0.5);
-            for i in next.by_ref().take(6) {
-                let report = tr.insert(motion(i, t0), t0);
-                subtrees += usize::from(matches!(report.notify, Inserted::Subtree { .. }));
-                q.notify(&report);
-                admit(&mut present, &motion(i, t0));
-            }
-            let mut got: Vec<u32> =
-                q.drain_window(&tr, t0, t1).iter().map(|r| r.record.oid).collect();
-            got.sort_unstable();
-            let mut want: Vec<u32> = present
-                .iter()
-                .filter(|(oid, s, e)| !delivered.contains(oid) && *s <= t1 && *e >= t0)
-                .map(|&(oid, ..)| oid)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "frame {k}");
-            delivered.extend(got);
-        }
-        assert!(subtrees > 20 && delivered.len() > 50, "{subtrees} splits, {} answers", delivered.len());
-    }
-
-    #[test]
-    fn brute_force_agreement() {
-        // Random-ish fan of headings; compare against direct evaluation.
-        let mut tr: RTree<TprRecord, Pager> = RTree::new(Pager::new(), RTreeConfig::default());
-        let mut recs = Vec::new();
-        for i in 0..500u32 {
-            let ang = i as f64 * 2.399;
-            let p = [50.0 + (i % 40) as f64 - 20.0, 50.0 + (i / 40) as f64 - 6.0];
-            let v = [0.8 * ang.cos(), 0.8 * ang.sin()];
-            let r = TprRecord::new(i, 0, Interval::new(0.0, 30.0), p, v);
-            recs.push(r);
-            tr.insert(r, 0.0);
-        }
-        let traj = Trajectory::linear(
-            Rect::from_corners([45.0, 45.0], [55.0, 55.0]),
-            [0.5, 0.2],
-            Interval::new(2.0, 20.0),
-            4,
-        );
-        let expected: HashSet<u32> = recs
-            .iter()
-            .filter(|r| !overlap_trajectory_tpbox(&traj, &r.tpbox()).is_empty())
-            .map(|r| r.oid)
-            .collect();
-        let mut q = TprDynamicQuery::start(&tr, traj);
-        let got: HashSet<u32> = q
-            .drain_window(&tr, 2.0, 20.0)
-            .iter()
-            .map(|r| r.record.oid)
-            .collect();
-        assert_eq!(got, expected);
-    }
 }

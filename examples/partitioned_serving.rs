@@ -139,12 +139,14 @@ fn main() {
     println!("skewed loads: {loads:?}");
     if let Some(hot) = server.hotspot(1.5) {
         let old_span = server.grid().span_of(hot);
-        server.rebalance(4, |_| {
-            RTree::new(
-                ShardedBufferPool::new(Pager::new(), 64, 4),
-                RTreeConfig::default(),
-            )
-        });
+        server
+            .rebalance(4, |_| {
+                RTree::new(
+                    ShardedBufferPool::new(Pager::new(), 64, 4),
+                    RTreeConfig::default(),
+                )
+            })
+            .expect("clean pages");
         let new_span = server.grid().span_of(hot);
         println!(
             "hotspot region {hot}: slab [{:.1}, {:.1}] recut to [{:.1}, {:.1}] (cuts now {:?})",

@@ -409,7 +409,7 @@ fn chaos_i_full_device_fails_writer_cleanly_and_wal_recovers_the_backlog() {
 fn resident_ids<S: PageStore>(srv: &PartitionedDqServer<2, S>) -> BTreeSet<(u32, u32)> {
     let mut ids = BTreeSet::new();
     for r in 0..srv.grid().len() {
-        srv.with_region_tree(r, |t| t.scan(|rec| _ = ids.insert(rec.ids())));
+        srv.with_region_tree(r, |t| t.try_scan(|rec| _ = ids.insert(rec.ids()))).unwrap();
     }
     ids
 }

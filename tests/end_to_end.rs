@@ -1,14 +1,19 @@
 //! End-to-end integration tests: the full pipeline from motion
-//! simulation through indexing to every query engine, checking the
-//! engines against each other and against brute force.
+//! simulation through indexing to every query engine. The naive engine
+//! is checked against brute force; PDQ and NPDQ are pinned cases of the
+//! library engines' oracle, `support::engines::check_engine`.
 
-use dq_repro::mobiquery::{NaiveEngine, NpdqEngine, PdqEngine, SnapshotQuery, Trajectory};
+mod support;
+
+use dq_repro::mobiquery::{NaiveEngine, PdqEngine, SnapshotQuery, Trajectory};
 use dq_repro::motion::MotionUpdate;
-use dq_repro::rtree::{DtaSegmentRecord, NsiSegmentRecord, RTree, RTreeConfig};
+use dq_repro::rtree::DtaSegmentRecord;
 use dq_repro::stkit::{Interval, Rect};
-use dq_repro::storage::{PageStore, Pager};
+use dq_repro::storage::PageStore;
 use dq_repro::workload::{Dataset, DatasetConfig, QueryWorkload, QueryWorkloadConfig};
 use std::collections::BTreeSet;
+use support::engines::{check_engine, Build, EngineCase, Family};
+use support::R;
 
 fn dataset() -> Dataset {
     Dataset::generate(DatasetConfig {
@@ -61,68 +66,33 @@ fn naive_matches_brute_force_on_both_layouts() {
     }
 }
 
+/// PDQ over the insert-built NSI tree, frame by frame on each query's
+/// own frame times: exactly the record-list truth.
 #[test]
 fn pdq_delivers_union_of_frames_exactly_once() {
     let ds = dataset();
-    let tree = ds.build_nsi_tree();
-    let naive = NaiveEngine::new();
     for spec in workload(0.8, 5) {
-        // Expected: union over a *dense* frame sampling of naive results
-        // is a subset of PDQ's deliveries (PDQ sees continuous time, so
-        // it may also deliver objects that cross between frames).
-        let mut expected = BTreeSet::new();
-        for q in spec.snapshots() {
-            naive.query_nsi(&tree, &q, |r| {
-                expected.insert((r.oid, r.seq));
-            });
-        }
-        let mut pdq = PdqEngine::start(&tree, spec.trajectory.clone());
-        let mut got = Vec::new();
-        let t0 = spec.frame_times[0];
-        let t_end = *spec.frame_times.last().unwrap();
-        for r in pdq.drain_window(&tree, t0, t_end) {
-            got.push((r.record.oid, r.record.seq));
-        }
-        let got_set: BTreeSet<_> = got.iter().copied().collect();
-        assert_eq!(got.len(), got_set.len(), "PDQ must not deliver duplicates");
-        for e in &expected {
-            assert!(got_set.contains(e), "PDQ missed {e:?}");
-        }
-        // Everything PDQ delivered really intersects the trajectory.
-        for &(oid, seq) in &got_set {
-            let u = ds
-                .updates()
-                .iter()
-                .find(|u| u.oid == oid && u.seq == seq)
-                .unwrap();
-            let vis = spec.trajectory.overlap_segment(&u.seg);
-            assert!(
-                !vis.is_empty(),
-                "PDQ delivered object {oid}/{seq} that never intersects the window"
-            );
-        }
+        let case = EngineCase::new(Family::Pdq, ds.nsi_records(), spec.trajectory.clone(), &spec.frame_times);
+        let run = check_engine(&case).unwrap();
+        assert!(run.delivered() > 0);
     }
 }
 
+/// The PDQ's visibility sets, which the truth holds it to, agree with
+/// the naive snapshot at every frame time: an object is in the view at
+/// `t` iff the snapshot at `t` matches it.
 #[test]
 fn pdq_visibility_agrees_with_naive_frames() {
     let ds = dataset();
     let tree = ds.build_nsi_tree();
     let naive = NaiveEngine::new();
     let spec = &workload(0.9, 1)[0];
-    let mut pdq = PdqEngine::start(&tree, spec.trajectory.clone());
-    let t0 = spec.frame_times[0];
-    let t_end = *spec.frame_times.last().unwrap();
-    let results = pdq.drain_window(&tree, t0, t_end);
-    // For every frame, the set of objects whose PDQ visibility covers the
-    // frame time equals the naive frame result.
+    let case = EngineCase::new(Family::Pdq, ds.nsi_records(), spec.trajectory.clone(), &spec.frame_times);
+    let results = check_engine(&case).unwrap().frames.concat();
     for (i, q) in spec.snapshots().enumerate() {
         let t = spec.frame_times[i];
-        let from_visibility: BTreeSet<(u32, u32)> = results
-            .iter()
-            .filter(|r| r.visibility.contains(t))
-            .map(|r| (r.record.oid, r.record.seq))
-            .collect();
+        let from_visibility: BTreeSet<(u32, u32)> =
+            results.iter().filter(|(_, v)| v.contains(t)).map(|(id, _)| *id).collect();
         let mut from_naive = BTreeSet::new();
         naive.query_nsi(&tree, &q, |r| {
             from_naive.insert((r.oid, r.seq));
@@ -131,6 +101,9 @@ fn pdq_visibility_agrees_with_naive_frames() {
     }
 }
 
+/// NPDQ over the space-packed DTA tree with open snapshots (Fig. 5): every
+/// frame holds the newly visible set and lies inside the visible one, and
+/// at 90 % overlap it reads fewer pages than the naive engine.
 #[test]
 fn npdq_session_union_equals_naive_union() {
     // Denser data than the other tests: discardability needs leaf tiles
@@ -144,105 +117,70 @@ fn npdq_session_union_equals_naive_union() {
     let tree = ds.build_dta_tree();
     let naive = NaiveEngine::new();
     for spec in workload(0.9, 3) {
-        let mut engine = NpdqEngine::new();
-        let mut npdq_union = BTreeSet::new();
-        let mut naive_union = BTreeSet::new();
-        let mut npdq_io = 0;
-        let mut naive_io = 0;
-        for (i, _) in spec.frame_times.iter().enumerate() {
-            let q = spec.open_snapshot(i);
-            let s = engine.execute(&tree, &q, |r| {
-                npdq_union.insert((r.oid, r.seq));
-            });
-            npdq_io += s.disk_accesses;
-            let ns = naive.query_dta(&tree, &q, |r| {
-                naive_union.insert((r.oid, r.seq));
-            });
-            naive_io += ns.disk_accesses;
-        }
-        assert_eq!(npdq_union, naive_union, "NPDQ session must lose nothing");
-        assert!(
-            npdq_io < naive_io,
-            "NPDQ should save I/O at 90% overlap: {npdq_io} vs {naive_io}"
-        );
+        let family = Family::Npdq { dta: true, open: true };
+        let mut times = spec.frame_times.clone();
+        times.push(*times.last().unwrap());
+        let case = EngineCase {
+            build: Build::PackedBySpace,
+            ..EngineCase::new(family, ds.nsi_records(), spec.trajectory.clone(), &times)
+        };
+        let run = check_engine(&case).unwrap();
+        let naive_io: u64 = (0..spec.frame_times.len())
+            .map(|i| naive.query_dta(&tree, &spec.open_snapshot(i), |_| {}).disk_accesses)
+            .sum();
+        let npdq_io = run.stats.disk_accesses;
+        assert!(npdq_io < naive_io, "NPDQ should save I/O at 90% overlap: {npdq_io} vs {naive_io}");
     }
 }
 
+/// PDQ at 5 and at 500 frames: the oracle holds each to one frame over
+/// the whole span (same pages in the same order), and neither reads more
+/// pages than the tree has.
 #[test]
 fn pdq_io_is_bounded_by_tree_size_regardless_of_frame_rate() {
     let ds = dataset();
-    let tree = ds.build_nsi_tree();
-    let inv = tree.validate().unwrap();
     let spec = &workload(0.9, 1)[0];
-    // Drain at two very different frame rates; both must be ≤ node count,
-    // and per-node-visited identical (I/O-optimality).
-    let run = |steps: usize| {
-        let mut pdq = PdqEngine::start(&tree, spec.trajectory.clone());
-        let t0 = spec.frame_times[0];
-        let t_end = *spec.frame_times.last().unwrap();
-        let dt = (t_end - t0) / steps as f64;
-        for k in 0..steps {
-            let _ = pdq.drain_window(&tree, t0 + k as f64 * dt, t0 + (k + 1) as f64 * dt);
-        }
-        pdq.stats().disk_accesses
+    let (t0, t_end) = (spec.frame_times[0], *spec.frame_times.last().unwrap());
+    let reads = |steps: usize| {
+        let times: Vec<f64> = (0..=steps).map(|k| t0 + (t_end - t0) * k as f64 / steps as f64).collect();
+        let run = check_engine(&EngineCase::new(Family::Pdq, ds.nsi_records(), spec.trajectory.clone(), &times)).unwrap();
+        assert!(run.stats.disk_accesses <= u64::from(run.pages));
+        run.stats.disk_accesses
     };
-    let coarse = run(5);
-    let fine = run(500);
-    assert_eq!(coarse, fine, "PDQ I/O must be frame-rate independent");
-    assert!(fine <= inv.nodes);
+    assert_eq!(reads(5), reads(500), "PDQ I/O must be frame-rate independent");
 }
 
+/// The full system: updates streamed into the tree while a PDQ runs
+/// (the oracle holds every frame to the record-list truth), its answers
+/// fed to a client cache that never holds an object past its visibility.
 #[test]
 fn live_session_pdq_and_cache() {
-    // Full system: stream inserts + PDQ + client cache, via public APIs.
-    let mut tree: RTree<NsiSegmentRecord<2>, Pager> =
-        RTree::new(Pager::new(), RTreeConfig::default());
-    let ds = dataset();
-    let (pre, live): (Vec<&MotionUpdate<2>>, Vec<_>) =
-        ds.updates().iter().partition(|u| u.seg.t.lo < 7.0);
-    for u in &pre {
-        tree.insert(
-            NsiSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position()),
-            u.seg.t.lo,
-        );
-    }
+    let records = dataset().nsi_records();
+    let (preload, live): (Vec<R>, Vec<R>) = records.iter().partition(|r| r.seg.t.lo < 7.0);
     let trajectory = Trajectory::linear(
         Rect::from_corners([20.0, 40.0], [30.0, 50.0]),
         [3.0, 0.0],
         Interval::new(5.0, 14.0),
         4,
     );
-    let mut pdq = PdqEngine::start(&tree, trajectory);
+    let times: Vec<f64> = (0..=36).map(|k| 5.0 + 0.25 * f64::from(k)).collect();
+    // Frame `k` sees every update that started by its start time.
+    let mut feed = live.into_iter().peekable();
+    let inserts = (times.windows(2))
+        .map(|w| std::iter::from_fn(|| feed.next_if(|r| r.seg.t.lo <= w[0])).collect())
+        .collect();
+    let case = EngineCase { inserts, ..EngineCase::new(Family::Pdq, preload, trajectory, &times) };
+    let run = check_engine(&case).unwrap();
     let mut cache = dq_repro::mobiquery::ClientCache::new();
-    let mut feed = live.iter().peekable();
-    let mut delivered = BTreeSet::new();
-    let mut t = 5.0;
-    while t < 14.0 {
-        while let Some(u) = feed.peek() {
-            if u.seg.t.lo > t {
-                break;
-            }
-            let rec =
-                NsiSegmentRecord::new(u.oid, u.seq, u.seg.t, u.seg.x0, u.seg.end_position());
-            let report = tree.insert(rec, u.seg.t.lo);
-            pdq.notify(&report);
-            feed.next();
+    for (frame, w) in run.frames.iter().zip(times.windows(2)) {
+        for (id, visibility) in frame {
+            cache.insert(id.0, *id, visibility.clone());
         }
-        for r in pdq.drain_window(&tree, t, t + 0.25) {
-            assert!(
-                delivered.insert((r.record.oid, r.record.seq)),
-                "duplicate delivery of {:?}",
-                (r.record.oid, r.record.seq)
-            );
-            cache.insert(r.record.oid, r.record, r.visibility);
-        }
-        cache.advance(t + 0.25);
-        t += 0.25;
+        cache.advance(w[1]);
     }
-    assert!(!delivered.is_empty());
-    tree.validate().unwrap();
+    assert!(run.delivered() > 0);
     // Cache never holds objects past their disappearance.
-    assert!(cache.len() <= delivered.len());
+    assert!(cache.len() <= run.delivered());
 }
 
 #[test]

@@ -9,38 +9,18 @@
 
 mod support;
 
-use dq_repro::mobiquery::{KeySnapshot, SessionKind, SessionPlan, SessionSpec, Trajectory};
+use dq_repro::mobiquery::{SessionKind, SessionPlan, SessionSpec, Trajectory};
 use dq_repro::stkit::{Interval, Rect};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use support::served::{check_served, At, Case, Corrupt, Crash, Mutation, Served, Sink, Surface, Tail};
-use support::{integer_line, line_records, mixed_workload, slide_spec, R};
-
-/// A 16-wide window crossing [0, 100]² on a four-piece zigzag over
-/// `[0, span]`. `crates/mobiquery/tests/prop_pdq_updates.rs` keeps its
-/// own copy: a crate's test target cannot use the root suites' modules.
-fn zigzag(span: f64) -> Trajectory<2> {
-    let corners = [[5.0, 20.0], [35.0, 70.0], [60.0, 25.0], [80.0, 75.0], [95.0, 40.0]];
-    let keys = corners
-        .iter()
-        .enumerate()
-        .map(|(i, c)| KeySnapshot {
-            t: span * i as f64 / 4.0,
-            window: Rect::from_corners([c[0] - 8.0, c[1] - 8.0], [c[0] + 8.0, c[1] + 8.0]),
-        })
-        .collect();
-    Trajectory::new(keys)
-}
-
-/// The seam geometry's x range: an object at every integer in it.
-const SEAM_X: u32 = 40;
+use support::{integer_line, line_records, mixed_workload, motion, slide_spec, zigzag, R, SEAM_X};
 
 /// Draw a case from `seed`, with up to `preload` records before the
 /// run, `frames` frames and up to `batch` inserts a frame. Two
 /// geometries:
-/// - random motions over [0, 100]² (object `oid` born near its batch's
-///   time, up to 10 units of travel over a 0.5–6 lifetime), frames 0.25
+/// - random motions over [0, 100]² (`support::motion`), frames 0.25
 ///   apart, half the grids cut at records' own grid-axis low ends (where
 ///   a record's owner is decided by a tie with a cut), sessions on the
 ///   zigzag or on a slide confined to a few lanes;
@@ -53,7 +33,7 @@ const SEAM_X: u32 = 40;
 /// those crash at a drawn frame — mid-serve, or with the run cut there
 /// and that frame committed but unapplied — and a drawn tail and grid;
 /// half the others corrupt a drawn page of a drawn region with a drawn
-/// mutation. 1–6 sessions of
+/// mutation, a named one on a durable case. 1–6 sessions of
 /// either kind, each with its own schedule length, join frame (at or
 /// past its last frame too: it never runs) and sink — or, in a sixth of
 /// the cases, over the wire with no sinks.
@@ -64,19 +44,7 @@ fn served_case(seed: u64, preload: usize, frames: usize, batch: usize) -> Case {
     let span = frames as f64 * dt;
     // Past the seam preload's oids.
     let mut oids = SEAM_X + 1..;
-    let mut draw = |rng: &mut ChaCha8Rng, t: f64| {
-        let oid = oids.next().expect("u32 ids");
-        if !seams {
-            let born = t + rng.gen_range(-2.0..span.max(4.0));
-            let a = [rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)];
-            let b = [a[0] + rng.gen_range(-10.0..10.0), a[1] + rng.gen_range(-10.0..10.0)];
-            return R::new(oid, 0, Interval::new(born, born + rng.gen_range(0.5..6.0)), a, b);
-        }
-        let x = f64::from(rng.gen_range(0..=SEAM_X));
-        let born = t - f64::from(rng.gen_range(0..3u32));
-        let life = Interval::new(born, born + f64::from(rng.gen_range(1..8u32)));
-        R::new(oid, 0, life, [x, 0.5], [x, 0.5])
-    };
+    let mut draw = |rng: &mut ChaCha8Rng, t: f64| motion(rng, oids.next().expect("u32 ids"), t, span, seams);
     let preload: Vec<R> = match seams {
         true => integer_line(SEAM_X),
         false => (0..preload).map(|_| draw(&mut rng, 0.0)).collect(),
@@ -119,14 +87,16 @@ fn served_case(seed: u64, preload: usize, frames: usize, batch: usize) -> Case {
         };
         Crash { at, tail, cuts: grid(&mut rng) }
     });
-    let corrupt = (durable.is_none() && rng.gen_bool(0.5)).then(|| {
-        let mutation = match rng.gen_range(0..7) {
-            0 => Mutation::Random(rng.gen()),
-            1 => Mutation::Magic,
-            2 => Mutation::Checksum,
-            3 => Mutation::Level,
-            4 => Mutation::OffDevice,
-            5 => Mutation::Ancestor,
+    // Random bytes and floats stay off durable cases: nothing checks
+    // entry floats, and the base checkpoint would persist them.
+    let corrupt = (crash.is_none() && rng.gen_bool(0.5)).then(|| {
+        let mutation = match rng.gen_range(0..if durable.is_some() { 5 } else { 7 }) {
+            0 => Mutation::Magic,
+            1 => Mutation::Checksum,
+            2 => Mutation::Level,
+            3 => Mutation::OffDevice,
+            4 => Mutation::Ancestor,
+            5 => Mutation::Random(rng.gen()),
             _ => Mutation::Float([f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX][rng.gen_range(0..4usize)]),
         };
         let toward = match seams {

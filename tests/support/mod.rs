@@ -1,16 +1,22 @@
 //! Fixtures the root suites share: objects on a line, windows sliding
-//! along it, insert batches dropped onto it, a seeded mixed workload,
-//! and the server and leaf lookups over them; and the serving core's
-//! oracle, [`served`]. Each suite uses a subset.
+//! along it, insert batches dropped onto it, random and integer motions,
+//! the zigzag window, a seeded mixed workload, and the server and leaf
+//! lookups over them; the record-list [`truth`]; and the two oracles
+//! held to it, [`served`] for the serving core and [`engines`] for the
+//! library engines. Each suite uses a subset.
 #![allow(dead_code)]
 
+pub mod engines;
 pub mod served;
+pub mod truth;
 
-use dq_repro::mobiquery::{PartitionedDqServer, RegionGrid, SessionKind, SessionSpec, Trajectory};
+use dq_repro::mobiquery::{KeySnapshot, PartitionedDqServer, RegionGrid, SessionKind, SessionSpec, Trajectory};
 use dq_repro::rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
 use dq_repro::storage::{PageId, PageStore, Pager};
 use dq_repro::workload::{Dataset, DatasetConfig, QueryWorkload, QueryWorkloadConfig};
+use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 
 pub type R = NsiSegmentRecord<2>;
 /// One frame's inserts.
@@ -35,6 +41,42 @@ pub fn integer_line(n: u32) -> Vec<R> {
             R::new(i, 0, Interval::new(0.0, 200.0), [x, 0.5], [x, 0.5])
         })
         .collect()
+}
+
+/// The integer geometry's x range: an object at every integer in it.
+pub const SEAM_X: u32 = 40;
+
+/// A motion drawn for a batch at time `t` of a run over `[0, span]`.
+/// Random: born near `t`, up to 10 units of travel over a 0.5–6
+/// lifetime, somewhere in [0, 100]². Integer (`seams`): stationary at an
+/// integer x in `0..=SEAM_X`, living between integer times, so objects,
+/// cuts, window edges and frame times meet exactly.
+pub fn motion(rng: &mut ChaCha8Rng, oid: u32, t: f64, span: f64, seams: bool) -> R {
+    if !seams {
+        let born = t + rng.gen_range(-2.0..span.max(4.0));
+        let a = [rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)];
+        let b = [a[0] + rng.gen_range(-10.0..10.0), a[1] + rng.gen_range(-10.0..10.0)];
+        return R::new(oid, 0, Interval::new(born, born + rng.gen_range(0.5..6.0)), a, b);
+    }
+    let x = f64::from(rng.gen_range(0..=SEAM_X));
+    let born = t - f64::from(rng.gen_range(0..3u32));
+    let life = Interval::new(born, born + f64::from(rng.gen_range(1..8u32)));
+    R::new(oid, 0, life, [x, 0.5], [x, 0.5])
+}
+
+/// A 16-wide window crossing [0, 100]² on a four-piece zigzag over
+/// `[0, span]`.
+pub fn zigzag(span: f64) -> Trajectory<2> {
+    let corners = [[5.0, 20.0], [35.0, 70.0], [60.0, 25.0], [80.0, 75.0], [95.0, 40.0]];
+    let keys = corners
+        .iter()
+        .enumerate()
+        .map(|(i, c)| KeySnapshot {
+            t: span * i as f64 / 4.0,
+            window: Rect::from_corners([c[0] - 8.0, c[1] - 8.0], [c[0] + 8.0, c[1] + 8.0]),
+        })
+        .collect();
+    Trajectory::new(keys)
 }
 
 /// A unit window sliding right from `x0` at unit speed for `span`

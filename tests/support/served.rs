@@ -6,14 +6,13 @@
 //! without running any engine. `service.rs` draws cases from a seed; the
 //! other suites pin the hand-picked ones.
 
-use std::collections::HashSet;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dq_repro::mobiquery::{
     DurableImage, DurableLog, FrameDelta, FrameSink, MotionRecord, PartitionedDqServer, PartitionedServeReport,
-    QueryStats, RegionGrid, SessionKind, SessionOutcome, SessionOutput, SessionPlan, SessionSpec, SinkVerdict,
+    QueryStats, RecoverError, RegionGrid, SessionKind, SessionOutcome, SessionOutput, SessionPlan, SessionSpec, SinkVerdict,
     SnapshotQuery,
 };
 use dq_repro::rtree::node::NODE_HEADER_LEN;
@@ -26,6 +25,7 @@ use dq_repro::storage::{
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use super::truth::{self, Ids};
 use super::{Batch, R};
 
 /// One served case.
@@ -42,9 +42,9 @@ pub struct Case {
     /// The WAL's checkpoint cadence, when the serve is durable.
     pub durable: Option<u64>,
     /// A page rewritten before the serve, on every server of the case
-    /// but the fault-free and the one-region serial ones. Not on a
-    /// durable case: its first serve scans the trees into the base
-    /// checkpoint.
+    /// but the fault-free and the one-region serial ones. On a durable
+    /// case the first serve's base checkpoint scans the trees and meets
+    /// it.
     pub corrupt: Option<Corrupt>,
     /// For a durable case: the rest of the run, served again on the
     /// server recovered from a captured image of the log.
@@ -427,12 +427,16 @@ impl Case {
     /// identity, unpaired with the plan's draws: a read of an id off the
     /// device draws too, and reads no device, and its store counts the
     /// reads of a page whose header does not parse, which its tree
-    /// cannot.
+    /// cannot. A durable serve over a corrupt page installs no
+    /// checkpoint and counts a failed one, `checkpoint_now` after it
+    /// installs none either, and its log's image recovers to
+    /// `NoCheckpoint`.
     fn serve<S: Probe>(
         &self,
         make: impl FnMut(usize) -> RTree<R, S>,
     ) -> Result<(Served, Recorders, Option<Image>), String> {
-        let (server, log, _) = self.server(&self.cuts, true, make);
+        let (server, log, named) = self.server(&self.cuts, true, make);
+        let corrupt_log = log.clone().filter(|_| named.is_some());
         let counters = |server: &PartitionedDqServer<2, S>| -> Vec<_> {
             (0..server.grid().len())
                 .map(|r| server.with_region_tree(r, |t| (t.level_counters().snapshot(), t.store().tally())))
@@ -458,6 +462,16 @@ impl Case {
                 sinks.iter().map(|s| s.as_deref().map(|s| s as &dyn FrameSink)).collect();
             (server.serve_plans_streamed(&plans, &inserts, &sinks), server)
         })?;
+        if let Some(log) = corrupt_log {
+            // The base checkpoint's scan met the page: durability failed,
+            // the serve did not.
+            let stats = log.stats();
+            let recovered = log.durable_image().recover_records::<2>().map(drop);
+            let none = matches!(recovered, Err(RecoverError::NoCheckpoint));
+            if stats.checkpoints != 0 || stats.checkpoint_failures == 0 || server.checkpoint_now() || !none {
+                return Err(format!("durable under {:?}: {stats:?}, recovery {recovered:?}", self.corrupt));
+            }
+        }
         let corrupt = self.corrupt.as_ref().map(|c| c.region % server.grid().len());
         let mut store = Tally::default();
         for (r, ((levels0, t0), (levels, t))) in before.into_iter().zip(counters(&server)).enumerate() {
@@ -608,7 +622,7 @@ impl Case {
                 let (free, one) = (counted(free), counted(one));
                 return Err(format!("{what}: serial {free:?}, one region {one:?}"));
             }
-            let want = truth(self, plan);
+            let want = owed(self, plan);
             if frame_sets(free) != want {
                 return Err(format!("{what}: delivered {:?}, ground truth {want:?}", frame_sets(free)));
             }
@@ -757,47 +771,32 @@ pub fn multiset<'a>(recs: impl Iterator<Item = &'a R>) -> Vec<Vec<u8>> {
     out
 }
 
-/// What `plan`'s session must deliver, as `(global frame, sorted ids)`,
-/// from the record list alone, over the records resident at each frame
-/// from its join frame on: PDQ frame `k` is every record not yet
-/// delivered whose overlap with the trajectory meets `[t_k, t_{k+1}]`;
-/// NPDQ frame `k` is `S_k ∖ S_{k-1}`, with `S_k` what the snapshot at
-/// `t_k` matches — all of `S_k` at the join frame.
-fn truth(case: &Case, plan: &SessionPlan<2>) -> Frames {
+/// What `plan`'s session must deliver, as `(global frame, sorted ids)`:
+/// the record-list [`truth`] from its join frame on, PDQ frame `k` over
+/// `[t_k, t_{k+1}]`, NPDQ frame `k` exactly `S_k ∖ S_{k-1}` at the
+/// instant `t_k`.
+fn owed(case: &Case, plan: &SessionPlan<2>) -> Frames {
     let (traj, times, join) = (&plan.spec.trajectory, &plan.spec.frame_times, plan.join_frame);
-    let mut resident = case.preload.clone();
-    let (mut delivered, mut seen) = (HashSet::<(u32, u32)>::new(), HashSet::new());
-    let mut frames = Vec::new();
-    for (k, &t) in times.iter().enumerate() {
-        resident.extend(case.inserts.get(k).into_iter().flatten().map(|(r, _)| *r));
-        let mut want: Vec<_> = match plan.spec.kind {
-            SessionKind::Pdq => {
-                let Some(&t1) = times.get(k + 1) else { break };
-                (resident.iter())
-                    .filter(|r| !delivered.contains(&r.ids()))
-                    .filter(|r| {
-                        let ts = traj.overlap_segment(&r.seg);
-                        ts.start().is_some_and(|s| s <= t1) && ts.end().is_some_and(|e| e >= t)
-                    })
-                    .map(R::ids)
-                    .collect()
-            }
-            SessionKind::Npdq => {
-                let q = SnapshotQuery::at_instant(traj.window_at(t), t);
-                let visible: HashSet<_> =
-                    resident.iter().filter(|r| q.matches_segment(&r.seg)).map(R::ids).collect();
-                let fresh = visible.iter().filter(|&id| k == join || !seen.contains(id)).copied().collect();
-                seen = visible;
-                fresh
-            }
-        };
-        if k >= join {
-            want.sort_unstable();
-            delivered.extend(&want);
-            frames.push((k, want));
+    let batches: Vec<Vec<R>> = case.inserts.iter().map(|b| b.iter().map(|(r, _)| *r).collect()).collect();
+    let sorted = |mut ids: Vec<Ids>| {
+        ids.sort_unstable();
+        ids
+    };
+    match plan.spec.kind {
+        SessionKind::Pdq => {
+            let windows: Vec<_> = times.windows(2).map(|w| (w[0], w[1])).collect();
+            let visibility = |r: &R| traj.overlap_segment(&r.seg);
+            (truth::pdq(&case.preload, &batches, &windows, join, R::ids, visibility).into_iter())
+                .map(|(k, due)| (k, sorted(due.into_iter().map(|(id, _)| id).collect())))
+                .collect()
+        }
+        SessionKind::Npdq => {
+            let queries: Vec<_> = times.iter().map(|&t| SnapshotQuery::at_instant(traj.window_at(t), t)).collect();
+            (truth::npdq(&case.preload, &batches, &queries, join).into_iter())
+                .map(|s| (s.frame, sorted(s.fresh.into_iter().collect())))
+                .collect()
         }
     }
-    frames
 }
 
 /// The oracle, over one case. The concurrent serve returns within
@@ -812,7 +811,7 @@ fn truth(case: &Case, plan: &SessionPlan<2>) -> Frames {
 /// session's frames. Σ frame stats is the session's stats on both
 /// paths, and the regions' session reads are the sessions' own disk
 /// accesses. The fault-free serial streams are the one-region serve's,
-/// order included, and frame for frame the record-list [`truth`]. Under
+/// order included, and frame for frame the record-list truth. Under
 /// corruption, a session whose lanes miss the corrupt region and every
 /// other region's writer are the fault-free serve's, and under a named
 /// mutation every session delivers a subset of its fault-free results.
@@ -820,9 +819,6 @@ fn truth(case: &Case, plan: &SessionPlan<2>) -> Frames {
 pub fn check_served(case: &Case) -> Result<Served, String> {
     if case.crash.is_some() && case.durable.is_none() {
         return Err("a crash on a case that is not durable".into());
-    }
-    if case.corrupt.is_some() && case.durable.is_some() {
-        return Err("a corrupt page on a durable case, whose first serve scans its trees".into());
     }
     match case.faults {
         Some((seed, p)) => case.check(move |r| {

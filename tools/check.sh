@@ -3,11 +3,14 @@
 # package's tier-1 tests among them), clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and three grep gates: no Rust under crates tests examples src calls
+# and four grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
 # only because benchmarks/dqbench forwards it); no root suite but the
-# served oracle waits with a timeout; and the router keeps three `serve`
-# entry points (`serve`, `serve_plans_streamed`, `serve_serial_plans`).
+# served oracle waits with a timeout; no `zigzag` (nor a `truth`) is
+# defined outside tests/support — a name guard only: a copy of the
+# record-list truth under another name passes it; and the router keeps
+# three `serve` entry points (`serve`, `serve_plans_streamed`,
+# `serve_serial_plans`).
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -25,7 +28,11 @@
 # deterministic tests the default check already runs (the served
 # oracle, tests/support/served.rs, over tests/service.rs's property and
 # the cases pinned in tests/{concurrency,partition,clock,chaos}.rs;
-# the durability units; crates/server/tests). Every gates.py row compares counts; the one perf
+# the durability units; crates/server/tests). Nor are the library
+# engines': the engine oracle, tests/support/engines.rs, holds PDQ,
+# SPDQ, TPR and NPDQ to the same record-list truth
+# (tests/support/truth.rs) over tests/engines.rs's property and the
+# cases pinned in tests/end_to_end.rs, all in the tier-1 root suites. Every gates.py row compares counts; the one perf
 # harness is benchmarks/dqbench, and its smoke run checks correctness
 # only. Figures and logs go to target/figures/.
 #
@@ -131,6 +138,9 @@ if [ -z "$ONLY" ]; then
   fi
   if git grep -nE 'recv_timeout|RecvTimeoutError' -- tests ':!tests/support/served.rs'; then
     echo "FAIL: a root suite waits with its own timeout (see above); the hang bound lives in tests/support/served.rs" >&2; exit 1
+  fi
+  if git grep -nE '^(pub )?fn (zigzag|truth)\b' -- tests crates | grep -v '^tests/support/'; then
+    echo "FAIL: a zigzag or truth defined outside tests/support (see above); the ones there are the only copies" >&2; exit 1
   fi
   if [ "$(grep -c 'pub fn serve' crates/mobiquery/src/router.rs)" != 3 ]; then
     echo "FAIL: crates/mobiquery/src/router.rs has $(grep -c 'pub fn serve' crates/mobiquery/src/router.rs) serve entry points, not 3" >&2; exit 1
