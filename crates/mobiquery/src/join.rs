@@ -32,6 +32,7 @@ pub struct JoinPair<const D: usize> {
 }
 
 /// Dual-tree distance join between two NSI indexes over a time window.
+/// Panics on a read error ([`RTree::try_read_node`]).
 pub fn distance_join<const D: usize, SA: PageStore, SB: PageStore>(
     left: &RTree<NsiSegmentRecord<D>, SA>,
     right: &RTree<NsiSegmentRecord<D>, SB>,
@@ -41,27 +42,28 @@ pub fn distance_join<const D: usize, SA: PageStore, SB: PageStore>(
 ) -> QueryStats {
     assert!(delta >= 0.0, "distance threshold must be non-negative");
     let mut stats = QueryStats::default();
-    let mut stack = vec![(left.root_page(), right.root_page())];
+    // Node pairs, each page with the level its parent implies.
+    let mut stack = vec![(
+        (left.root_page(), left.height() - 1),
+        (right.root_page(), right.height() - 1),
+    )];
     let delta_sq = delta * delta;
-    while let Some((pa, pb)) = stack.pop() {
+    while let Some(((pa, la), (pb, lb))) = stack.pop() {
         // Zero-copy visits: both nodes stay as borrowed views over their
         // pages; entries decode lazily.
-        let na = left.read_node(pa);
-        let nb = right.read_node(pb);
+        let (na, nb) = left
+            .try_read_node(pa, la)
+            .and_then(|na| Ok((na, right.try_read_node(pb, lb)?)))
+            .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
         stats.disk_accesses += 2;
-        if na.is_leaf() {
-            stats.leaf_accesses += 1;
-        }
-        if nb.is_leaf() {
-            stats.leaf_accesses += 1;
-        }
+        stats.leaf_accesses += u64::from(la == 0) + u64::from(lb == 0);
         match (na.is_leaf(), nb.is_leaf()) {
             (false, false) => {
                 for (ka, ca) in na.internal_entries() {
                     for (kb, cb) in nb.internal_entries() {
                         stats.distance_computations += 1;
                         if compatible(&ka, &kb, delta_sq, &window) {
-                            stack.push((ca, cb));
+                            stack.push(((ca, la - 1), (cb, lb - 1)));
                         }
                     }
                 }
@@ -73,7 +75,7 @@ pub fn distance_join<const D: usize, SA: PageStore, SB: PageStore>(
                 for (ka, ca) in na.internal_entries() {
                     stats.distance_computations += 1;
                     if compatible(&ka, &kb, delta_sq, &window) {
-                        stack.push((ca, pb));
+                        stack.push(((ca, la - 1), (pb, lb)));
                     }
                 }
             }
@@ -82,7 +84,7 @@ pub fn distance_join<const D: usize, SA: PageStore, SB: PageStore>(
                 for (kb, cb) in nb.internal_entries() {
                     stats.distance_computations += 1;
                     if compatible(&ka, &kb, delta_sq, &window) {
-                        stack.push((pa, cb));
+                        stack.push(((pa, la), (cb, lb - 1)));
                     }
                 }
             }
@@ -255,6 +257,15 @@ mod tests {
             assert_eq!(a + 100, *b);
         }
         assert_eq!(stats.results, 10);
+    }
+
+    #[test]
+    fn a_join_descending_into_a_cycle_panics_with_the_corrupt_page() {
+        use crate::knn::tests::{cyclic_tree, panic_within_5s};
+        let (tree, root) = cyclic_tree();
+        let window = Interval::new(0.0, 10.0);
+        let msg = panic_within_5s(move || self_distance_join(&tree, 1.0, window, |_| {}));
+        assert!(msg.contains(&format!("corrupt page {root}")), "{msg}");
     }
 
     #[test]

@@ -23,7 +23,8 @@ pub struct KnnResult<const D: usize> {
 }
 
 enum Frontier<const D: usize> {
-    Node(PageId),
+    /// A page and the level its parent implies.
+    Node(PageId, u32),
     Object(NsiSegmentRecord<D>),
 }
 
@@ -41,7 +42,7 @@ impl<const D: usize> FrontierItem<D> {
     fn tie_key(&self) -> (u8, u64) {
         match &self.what {
             Frontier::Object(r) => (0, ((r.oid as u64) << 32) | r.seq as u64),
-            Frontier::Node(page) => (1, page.0 as u64),
+            Frontier::Node(page, _) => (1, page.0 as u64),
         }
     }
 }
@@ -69,7 +70,8 @@ impl<const D: usize> Ord for FrontierItem<D> {
 }
 
 /// Best-first kNN at a single instant `t`: the `k` objects (valid at `t`)
-/// nearest to point `p`.
+/// nearest to point `p`. Panics on a read error
+/// ([`RTree::try_read_node`]).
 pub fn knn_at<const D: usize, S: PageStore>(
     tree: &RTree<NsiSegmentRecord<D>, S>,
     p: [f64; D],
@@ -83,7 +85,7 @@ pub fn knn_at<const D: usize, S: PageStore>(
     let mut heap: BinaryHeap<FrontierItem<D>> = BinaryHeap::new();
     heap.push(FrontierItem {
         dist_sq: 0.0,
-        what: Frontier::Node(tree.root_page()),
+        what: Frontier::Node(tree.root_page(), tree.height() - 1),
     });
     let mut out: Vec<KnnResult<D>> = Vec::with_capacity(k);
     while let Some(item) = heap.pop() {
@@ -98,9 +100,11 @@ pub fn knn_at<const D: usize, S: PageStore>(
                     break;
                 }
             }
-            Frontier::Node(page) => {
+            Frontier::Node(page, level) => {
                 // Zero-copy visit: entries decode lazily out of the page.
-                let node = tree.read_node(page);
+                let node = tree
+                    .try_read_node(page, level)
+                    .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
                 stats.disk_accesses += 1;
                 if node.is_leaf() {
                     stats.leaf_accesses += 1;
@@ -122,7 +126,7 @@ pub fn knn_at<const D: usize, S: PageStore>(
                         }
                         heap.push(FrontierItem {
                             dist_sq: key.space.min_dist_sq(&p),
-                            what: Frontier::Node(child),
+                            what: Frontier::Node(child, level - 1),
                         });
                     }
                 }
@@ -133,7 +137,7 @@ pub fn knn_at<const D: usize, S: PageStore>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rtree::bulk::bulk_load;
     use rtree::{RTree, RTreeConfig};
@@ -246,5 +250,76 @@ mod tests {
         let mut stats = QueryStats::default();
         let res = knn_at(&tree, [0.0, 0.0], 1.0, 10, &mut stats);
         assert_eq!(res.len(), 4, "only 4 objects exist");
+    }
+
+    /// A packed tree of 49 grid points on 256 B pages, at least 3 levels
+    /// high, whose root's every entry names the root itself: a header
+    /// that parses, children that cycle. Returns the tree and its root.
+    pub(crate) fn cyclic_tree() -> (RTree<R, Pager>, PageId) {
+        let recs = (0..49)
+            .map(|k| {
+                let (x, y) = (f64::from(k % 7), f64::from(k / 7));
+                R::new(k, 0, Interval::new(0.0, 100.0), [x, y], [x, y])
+            })
+            .collect();
+        let tree = bulk_load(Pager::with_page_size(256), RTreeConfig::default(), recs);
+        let root = tree.root_page();
+        assert!(tree.height() >= 3);
+        repoint_root(&tree, |_, _| root);
+        (tree, root)
+    }
+
+    /// Rewrite `tree`'s root in place, keys untouched, the child id `c`
+    /// of its entry `j` replaced by `child(j, c)`.
+    pub(crate) fn repoint_root<Q: rtree::Record, S: PageStore>(
+        tree: &RTree<Q, S>,
+        child: impl Fn(usize, PageId) -> PageId,
+    ) {
+        let (root, top) = (tree.root_page(), tree.height() - 1);
+        let node = tree.try_read_node(root, top).unwrap();
+        let mut buf = Vec::new();
+        let mut edit = rtree::node::NodeEdit::<_, Q>::fresh(&mut buf, top, tree.store().page_size());
+        for (j, (k, c)) in node.internal_entries().enumerate() {
+            edit.push_entry(&k, child(j, c));
+        }
+        drop(node);
+        tree.store().write(root, edit.bytes());
+    }
+
+    /// Point the first entry of `tree`'s root, at least 3 levels high,
+    /// at a leaf, keys untouched: a node whose header parses, expected
+    /// above its own level. Returns the leaf.
+    pub(crate) fn a_leaf_under_the_root<Q: rtree::Record, S: PageStore>(tree: &RTree<Q, S>) -> PageId {
+        assert!(tree.height() >= 3);
+        let down = |page, level| tree.try_read_node(page, level).unwrap().internal_entry(0).1;
+        let leaf = (1..tree.height()).rev().fold(tree.root_page(), down);
+        repoint_root(tree, |j, c| if j == 0 { leaf } else { c });
+        leaf
+    }
+
+    /// What `f`, run on a thread of its own, panicked with. Fails the
+    /// test if `f` returned, or had not finished within 5 s: a descent
+    /// that cycles fails its test instead of hanging the suite.
+    pub(crate) fn panic_within_5s<T>(f: impl FnOnce() -> T + Send + 'static) -> String {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(f())));
+            let _ = done.send(out.err().map(|p| match p.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(p) => p.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string()),
+            }));
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("no answer within 5 s: the descent cycles")
+            .expect("returned instead of panicking")
+    }
+
+    #[test]
+    fn a_knn_descending_into_a_cycle_panics_with_the_corrupt_page() {
+        // More neighbours than records: a search that loops never stops.
+        let (tree, root) = cyclic_tree();
+        let msg = panic_within_5s(move || knn_at(&tree, [3.0, 3.0], 1.0, 100, &mut Default::default()));
+        assert!(msg.contains(&format!("corrupt page {root}")), "{msg}");
     }
 }

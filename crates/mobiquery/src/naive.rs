@@ -43,7 +43,6 @@ impl NaiveEngine {
             |r| skip || q.matches_segment(&r.seg),
             |r| emit(r),
         )
-        .into()
     }
 
     /// Evaluate one snapshot query over a double-temporal-axes tree.
@@ -59,7 +58,6 @@ impl NaiveEngine {
             |r| skip || q.matches_segment(&r.seg),
             |r| emit(r),
         )
-        .into()
     }
 }
 

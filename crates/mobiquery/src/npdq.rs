@@ -201,11 +201,9 @@ impl<const D: usize> NpdqEngine<D> {
 
     /// Fallible form of [`Self::execute`], for a caller that knows more
     /// about what was inserted since the previous query than the node
-    /// stamps do (`|_| true` knows nothing more). A device fault
-    /// mid-descent surfaces as `Err` carrying the failing page, and so
-    /// does a node off the level its parent implies
-    /// ([`StorageError::Corrupt`]: a child id naming an ancestor would
-    /// otherwise loop). Objects emitted before the fault are valid
+    /// stamps do (`|_| true` knows nothing more). A read error
+    /// mid-descent ([`RTree::try_read_node`]) surfaces as `Err` carrying
+    /// the failing page. Objects emitted before the fault are valid
     /// answers of `q`; the previous-query state is **not** advanced
     /// (partial coverage cannot serve as the discard baseline), so
     /// re-executing a later snapshot will re-derive the delta against the
@@ -238,16 +236,7 @@ impl<const D: usize> NpdqEngine<D> {
         stack.push((tree.root_page(), tree.height() - 1));
         while let Some((page, level)) = stack.pop() {
             // Zero-copy visit: header parsed once, entries decoded lazily.
-            // A node off its expected level is `Corrupt`; the read counts.
-            let node = tree.try_read_node(page).and_then(|node| {
-                stats.disk_accesses += 1;
-                if node.level() == level {
-                    Ok(node)
-                } else {
-                    Err(StorageError::Corrupt { page })
-                }
-            });
-            let node = match node {
+            let node = match tree.try_read_node(page, level) {
                 Ok(node) => node,
                 Err(e) => {
                     // Abandon the traversal but return the scratch stack
@@ -258,6 +247,7 @@ impl<const D: usize> NpdqEngine<D> {
                     return Err(e);
                 }
             };
+            stats.disk_accesses += 1;
             if level == 0 {
                 stats.leaf_accesses += 1;
             }
@@ -498,21 +488,7 @@ mod tests {
         // The root's first entry points at a leaf, keys untouched: the
         // leaf is expected one level up.
         let tree = bulk_load(Pager::with_page_size(256), RTreeConfig::default(), grid_records(15));
-        assert!(tree.height() >= 3);
-        let root = tree.read_node(tree.root_page());
-        let mut leaf = root.internal_entry(0).1;
-        while !tree.read_node(leaf).is_leaf() {
-            leaf = tree.read_node(leaf).internal_entry(0).1;
-        }
-        let mut buf = Vec::new();
-        let mut edit =
-            rtree::node::NodeEdit::<_, R>::fresh(&mut buf, root.level(), tree.store().page_size());
-        for (j, (key, child)) in root.internal_entries().enumerate() {
-            edit.push_entry(&key, if j == 0 { leaf } else { child });
-        }
-        let root_page = tree.root_page();
-        drop(root);
-        tree.store().write(root_page, edit.bytes());
+        let leaf = crate::knn::tests::a_leaf_under_the_root(&tree);
         let q = SnapshotQuery::at_instant(win(0.0, 0.0, 15.0), 1.0);
         let res = NpdqEngine::new().try_execute_with(&tree, &q, &mut QueryStats::default(), |_| true, |_| {});
         assert_eq!(res, Err(StorageError::Corrupt { page: leaf }));

@@ -151,7 +151,6 @@ pub fn psi_query<S: PageStore>(
 ) -> QueryStats {
     let key = psi_query_key(q, bounds);
     tree.range_search(&key, |r| q.matches_segment(&r.seg), |r| emit(r))
-        .into()
 }
 
 #[cfg(test)]

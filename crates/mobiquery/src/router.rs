@@ -657,12 +657,7 @@ mod tests {
         let mut server = PartitionedDqServer::build(RegionGrid::from_cuts(0, vec![25.0]), &line_records(60), small);
         let root = server.with_region_tree(0, |t| {
             let root = t.root_page();
-            let node = t.read_node(root);
-            let mut buf = Vec::new();
-            let mut edit = rtree::node::NodeEdit::<_, R>::fresh(&mut buf, node.level(), 256);
-            node.internal_entries().for_each(|(k, _)| edit.push_entry(&k, root));
-            drop(node);
-            t.store().write(root, edit.bytes());
+            crate::knn::tests::repoint_root(t, |_, _| root);
             root
         });
         assert_eq!(server.rebalance(3, small), Err(StorageError::Corrupt { page: root }));

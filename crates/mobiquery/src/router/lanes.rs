@@ -428,12 +428,12 @@ mod tests {
         assert_eq!(server.region_record_counts(), vec![13, 1]);
         let leaf = server.with_region_tree(0, |t| {
             assert!(t.height() > 1, "the straddler's leaf must not be the root");
-            let mut stack = vec![t.root_page()];
+            let mut stack = vec![(t.root_page(), t.height() - 1)];
             loop {
-                let page = stack.pop().expect("the straddler is in region 0");
-                let node = t.read_node(page);
+                let (page, level) = stack.pop().expect("the straddler is in region 0");
+                let node = t.try_read_node(page, level).unwrap();
                 if !node.is_leaf() {
-                    stack.extend(node.internal_entries().map(|(_, child)| child));
+                    stack.extend(node.internal_entries().map(|(_, child)| (child, level - 1)));
                 } else if node.leaf_records().any(|r| r.ids() == straddler.ids()) {
                     break page;
                 }

@@ -41,7 +41,7 @@
 //! [`RTree::latest_start`] is the exact maximum over the records under it.
 
 use crate::traits::{Key, Record};
-use crate::tree::{start_bound_f32, RTree, RTreeConfig};
+use crate::tree::{as_stored, start_bound_f32, RTree, RTreeConfig};
 use std::cmp::Ordering;
 use storage::{PageId, PageStore};
 
@@ -144,6 +144,7 @@ pub fn pack_into<R: Record, S: PageStore>(
     // Pack upper levels until one node remains.
     let internal_fill = effective_fill(tree.internal_capacity(), fill);
     let mut level = 0u32;
+    let mut buf = Vec::new();
     while entries.len() > 1 {
         level += 1;
         let below = std::mem::take(&mut entries);
@@ -163,7 +164,7 @@ pub fn pack_into<R: Record, S: PageStore>(
                 let page = tree.write_fresh(None, level, |node| {
                     for &i in tile {
                         let (k, child) = &below[i as usize];
-                        key = key.cover(k);
+                        key = key.cover(&as_stored(k, &mut buf));
                         node.push_entry(k, *child);
                     }
                 });

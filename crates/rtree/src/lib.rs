@@ -53,7 +53,7 @@ pub mod tree;
 pub use levels::{LevelCounters, LevelSnapshot, MAX_TRACKED_LEVELS};
 pub use node::NodeRef;
 pub use records::{DtaSegmentRecord, NsiSegmentRecord};
-pub use search::SearchStats;
+pub use search::QueryStats;
 pub use split::SplitPolicy;
 pub use traits::{Key, Record};
 pub use tree::{EpochStats, InsertReport, Inserted, RTree, RTreeConfig};

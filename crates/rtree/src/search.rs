@@ -11,26 +11,42 @@ use crate::traits::{Key, Record};
 use crate::tree::RTree;
 use storage::{PageStore, StorageError};
 
-/// Cost counters for one search.
+/// Cost of evaluating (part of) a query — the paper's two metrics,
+/// counted by the range search here and by every query engine above it.
+///
+/// §5: "Our performance measures are I/O cost measured in number of disk
+/// accesses/query and CPU utilization in terms of number of distance
+/// computations."
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Nodes loaded (= disk accesses).
-    pub nodes_visited: u64,
-    /// Of those, leaf nodes.
-    pub leaf_nodes_visited: u64,
-    /// Key/record comparisons — the paper's "distance computations"
-    /// CPU metric (§5): one per child examined.
-    pub comparisons: u64,
-    /// Records emitted.
+pub struct QueryStats {
+    /// R-tree nodes loaded (simulated disk accesses): reads that served
+    /// a node, never one that failed ([`RTree::try_read_node`]).
+    pub disk_accesses: u64,
+    /// Of those, leaf-level nodes (the paper's figures split the bars
+    /// into leaf and upper-level accesses).
+    pub leaf_accesses: u64,
+    /// Geometric comparisons: one per child entry or record examined
+    /// (overlap tests / overlap-time computations) — the paper's
+    /// "distance computations" CPU metric.
+    pub distance_computations: u64,
+    /// Objects returned.
     pub results: u64,
+    /// Duplicate queue entries discarded by the §4.1 update-management
+    /// dedup (0 unless concurrent insertions occur).
+    pub duplicates_skipped: u64,
+    /// Subtrees NPDQ skipped unread because the previous query already
+    /// retrieved what they hold for this one (§4.2).
+    pub subtrees_discarded: u64,
 }
 
-impl std::ops::AddAssign for SearchStats {
+impl std::ops::AddAssign for QueryStats {
     fn add_assign(&mut self, rhs: Self) {
-        self.nodes_visited += rhs.nodes_visited;
-        self.leaf_nodes_visited += rhs.leaf_nodes_visited;
-        self.comparisons += rhs.comparisons;
+        self.disk_accesses += rhs.disk_accesses;
+        self.leaf_accesses += rhs.leaf_accesses;
+        self.distance_computations += rhs.distance_computations;
         self.results += rhs.results;
+        self.duplicates_skipped += rhs.duplicates_skipped;
+        self.subtrees_discarded += rhs.subtrees_discarded;
     }
 }
 
@@ -43,8 +59,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         query: &R::Key,
         accept: impl FnMut(&R) -> bool,
         emit: impl FnMut(&R),
-    ) -> SearchStats {
-        let mut stats = SearchStats::default();
+    ) -> QueryStats {
+        let mut stats = QueryStats::default();
         self.try_range_search(query, &mut stats, accept, emit)
             .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
         stats
@@ -58,7 +74,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     fn try_range_search(
         &self,
         query: &R::Key,
-        stats: &mut SearchStats,
+        stats: &mut QueryStats,
         mut accept: impl FnMut(&R) -> bool,
         mut emit: impl FnMut(&R),
     ) -> Result<(), StorageError> {
@@ -68,17 +84,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         let mut stack = vec![(self.root_page(), self.height() - 1)];
         while let Some((page, level)) = stack.pop() {
             // Zero-copy visit: entries decode lazily out of the page bytes.
-            // A node off its expected level is `Corrupt` (a child id naming
-            // an ancestor would otherwise loop); the read still counts.
-            let node = self.try_read_node(page)?;
-            stats.nodes_visited += 1;
-            if node.level() != level {
-                return Err(StorageError::Corrupt { page });
-            }
+            let node = self.try_read_node(page, level)?;
+            stats.disk_accesses += 1;
             if node.is_leaf() {
-                stats.leaf_nodes_visited += 1;
+                stats.leaf_accesses += 1;
                 for r in node.leaf_records() {
-                    stats.comparisons += 1;
+                    stats.distance_computations += 1;
                     if r.key().overlaps(query) && accept(&r) {
                         stats.results += 1;
                         emit(&r);
@@ -86,7 +97,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 }
             } else {
                 for (k, child) in node.internal_entries() {
-                    stats.comparisons += 1;
+                    stats.distance_computations += 1;
                     if k.overlaps(query) {
                         stack.push((child, level - 1));
                     }
@@ -101,7 +112,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         &self,
         query: &R::Key,
         accept: impl FnMut(&R) -> bool,
-    ) -> (Vec<R>, SearchStats) {
+    ) -> (Vec<R>, QueryStats) {
         let mut out = Vec::new();
         let stats = self.range_search(query, accept, |r| out.push(*r));
         (out, stats)
@@ -112,7 +123,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 mod tests {
     use crate::bulk::bulk_load;
     use crate::records::NsiSegmentRecord;
-    use crate::search::SearchStats;
+    use crate::search::QueryStats;
     use crate::tree::{RTree, RTreeConfig};
     use storage::{PageStore, Pager, StorageError};
     use stkit::{Interval, Rect, StBox};
@@ -156,7 +167,7 @@ mod tests {
         let (hits, stats) = tree.range_collect(&q, |_| true);
         assert_eq!(hits.len(), 6, "3×2 cells expected");
         assert_eq!(stats.results, 6);
-        assert!(stats.nodes_visited >= 1);
+        assert!(stats.disk_accesses >= 1);
         for r in &hits {
             let c = r.seg.x0;
             assert!((10.0..13.0).contains(&c[0]));
@@ -177,7 +188,7 @@ mod tests {
         let tree = build(grid_records(10));
         let before = tree.store().io();
         let stats = tree.range_search(&K::EMPTY, |_| true, |_| {});
-        assert_eq!(stats.nodes_visited, 0);
+        assert_eq!(stats.disk_accesses, 0);
         assert_eq!((tree.store().io() - before).reads, 0);
     }
 
@@ -211,13 +222,13 @@ mod tests {
     }
 
     #[test]
-    fn io_matches_nodes_visited() {
+    fn io_matches_disk_accesses() {
         let tree = build(grid_records(40));
         let before = tree.store().io();
         let q = query((0.0, 5.0), (0.0, 5.0), (0.0, 10.0));
         let stats = tree.range_search(&q, |_| true, |_| {});
         let delta = tree.store().io() - before;
-        assert_eq!(delta.reads, stats.nodes_visited);
+        assert_eq!(delta.reads, stats.disk_accesses);
         assert_eq!(delta.writes, 0);
     }
 
@@ -227,11 +238,13 @@ mod tests {
         let root = tree.root_page();
         let q = query((-1.0, 30.0), (-1.0, 30.0), (0.0, 10.0));
         let (res, stats) = crate::tree::tests::within_5s(tree, move |t| {
-            let mut stats = SearchStats::default();
+            let mut stats = QueryStats::default();
             (t.try_range_search(&q, &mut stats, |_| true, |_| {}), stats)
         });
         assert_eq!(res, Err(StorageError::Corrupt { page: root }));
-        assert_eq!((stats.nodes_visited, stats.results), (2, 0));
+        // The root's read counts; the failed read of it one level down
+        // counts nothing.
+        assert_eq!((stats.disk_accesses, stats.results), (1, 0));
     }
 
     #[test]
@@ -250,17 +263,13 @@ mod tests {
 impl<R: Record, S: PageStore> RTree<R, S> {
     /// Visit every record in the tree (full scan, in node order). Returns
     /// the number of records visited; each node load is one disk access.
-    /// A page that does not parse, or a node off the level its parent
-    /// implies (a child id naming an ancestor would otherwise loop), is
-    /// `Err` carrying the page, after the records ahead of it were visited.
+    /// A read error ([`Self::try_read_node`]) is `Err` carrying the page,
+    /// after the records ahead of it were visited.
     pub fn try_scan(&self, mut visit: impl FnMut(&R)) -> Result<u64, StorageError> {
         let mut n = 0;
         let mut stack = vec![(self.root_page(), self.height() - 1)];
         while let Some((page, level)) = stack.pop() {
-            let node = self.try_read_node(page)?;
-            if node.level() != level {
-                return Err(StorageError::Corrupt { page });
-            }
+            let node = self.try_read_node(page, level)?;
             if node.is_leaf() {
                 for r in node.leaf_records() {
                     visit(&r);
@@ -279,10 +288,9 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 #[cfg(test)]
 mod scan_tests {
     use crate::bulk::bulk_load;
-    use crate::node::NodeEdit;
     use crate::records::NsiSegmentRecord;
     use crate::tree::RTreeConfig;
-    use storage::{PageId, PageStore, Pager, StorageError};
+    use storage::{PageId, Pager, StorageError};
     use stkit::Interval;
 
     fn records(n: u32) -> Vec<NsiSegmentRecord<2>> {
@@ -327,16 +335,8 @@ mod scan_tests {
     #[test]
     fn a_scan_reaching_a_child_off_the_device_is_corrupt() {
         let tree = bulk_load(Pager::with_page_size(256), RTreeConfig::default(), records(40));
-        let root = tree.root_page();
-        let node = tree.read_node(root);
         let off = PageId(tree.store().page_count() + 1000);
-        let mut buf = Vec::new();
-        let mut edit = NodeEdit::<_, NsiSegmentRecord<2>>::fresh(&mut buf, node.level(), 256);
-        for (j, (key, child)) in node.internal_entries().enumerate() {
-            edit.push_entry(&key, if j == 0 { off } else { child });
-        }
-        drop(node);
-        tree.store().write(root, edit.bytes());
+        crate::tree::tests::repoint_root(&tree, |j, c| if j == 0 { off } else { c });
         assert_eq!(tree.try_scan(|_| {}), Err(StorageError::Corrupt { page: off }));
     }
 }

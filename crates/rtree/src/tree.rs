@@ -114,7 +114,7 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
 
 /// A paginated R-tree over records of type `R`, stored in `S`.
 ///
-/// Every node occupies one page; reading a node ([`RTree::read_node`])
+/// Every node occupies one page; reading a node ([`RTree::try_read_node`])
 /// costs exactly one [`PageStore::read_page`], which is the paper's
 /// disk-access metric.
 ///
@@ -144,7 +144,7 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
 /// );
 /// let (hits, stats) = tree.range_collect(&q, |_| true);
 /// assert!(!hits.is_empty());
-/// assert!(stats.nodes_visited > 0); // every node load = one disk access
+/// assert!(stats.disk_accesses > 0); // every node load = one disk access
 /// ```
 pub struct RTree<R: Record, S: PageStore> {
     store: S,
@@ -305,31 +305,55 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         EpochStats::default()
     }
 
-    /// Read a node zero-copy — **one simulated disk access**, no page
-    /// copy and no entry materialization; entries decode lazily as the
-    /// [`NodeRef`]'s iterators advance.
+    /// Un-levelled [`Self::try_read_node`] that panics on a read error:
+    /// the node at whatever level its header names, so it cannot tell a
+    /// child id that names an ancestor from a real child. Hidden, and
+    /// kept only because `benchmarks/dqbench/src/layers.rs` calls it;
+    /// nothing in the workspace may.
+    #[doc(hidden)]
     pub fn read_node(&self, page: PageId) -> NodeRef<R::Key, R> {
-        self.try_read_node(page)
-            .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"))
+        let node = NodeRef::try_parse(self.store.read_page(page), page)
+            .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
+        self.record_read(page, node.level());
+        node
     }
 
-    /// Fallible form of [`Self::read_node`]: surfaces device faults as
-    /// [`StorageError`] carrying the failing page, so query engines can
-    /// report *which subtree* failed and retry or degrade instead of
-    /// panicking. A failed read records nothing — no level counter, no
-    /// trace event — so the I/O reconciliation identities only count
-    /// reads that actually served bytes. Served bytes whose header does
-    /// not parse ([`NodeRef::try_parse`]) are [`StorageError::Corrupt`]
-    /// too; that one read the store has counted and the tree cannot (the
-    /// level is part of what is corrupt).
-    pub fn try_read_node(&self, page: PageId) -> Result<NodeRef<R::Key, R>, StorageError> {
+    /// Read the node at `page`, expected at `level` — **one simulated disk
+    /// access**, zero-copy: no page copy and no entry materialization;
+    /// entries decode lazily as the [`NodeRef`]'s iterators advance.
+    ///
+    /// Every descent reads through here, naming the level its parent
+    /// implies: the root at `height − 1`, then one less a step. A node at
+    /// any other level is [`StorageError::Corrupt`] on `page`, as is one
+    /// whose header does not parse ([`NodeRef::try_parse`]), and a device
+    /// fault is the store's error, carrying the page. Levels strictly
+    /// fall, so no descent can cycle, whatever child ids a page holds: a
+    /// descent takes at most `height` steps down, and a child id naming
+    /// an ancestor is an error on the first read of it.
+    ///
+    /// A read that returns `Err` is recorded by nothing above the store —
+    /// no level counter, no trace event, and no engine counts it as a
+    /// disk access — so the reconciliation identities count exactly the
+    /// reads that served a node.
+    pub fn try_read_node(
+        &self,
+        page: PageId,
+        level: u32,
+    ) -> Result<NodeRef<R::Key, R>, StorageError> {
         let node = NodeRef::try_parse(self.store.try_read_page(page)?, page)?;
-        self.levels.record_read(node.level());
+        if node.level() != level {
+            return Err(StorageError::Corrupt { page });
+        }
+        self.record_read(page, level);
+        Ok(node)
+    }
+
+    fn record_read(&self, page: PageId, level: u32) {
+        self.levels.record_read(level);
         obs::trace(obs::TraceEvent::NodeVisit {
             page: page.0 as u64,
-            level: node.level(),
+            level,
         });
-        Ok(node)
     }
 
     /// Write `page` whole: a node at `level` holding the entries `fill`
@@ -439,11 +463,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         let added = rec.key();
         // Page-domain key: what the record's key becomes after one trip
         // through the f32 page encoding.
-        let key = {
-            self.scratch.clear();
-            added.encode(&mut self.scratch);
-            R::Key::decode(&self.scratch)
-        };
+        let key = round_trip(&added, &mut self.scratch);
 
         // ChooseLeaf. Every page write happens after this, so a device
         // fault surfaces with the tree unchanged.
@@ -491,13 +511,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 
     /// Walk from the root by least enlargement towards `key` down to a
     /// leaf, pushing every internal node passed onto `path` and returning
-    /// the leaf — through zero-copy views; nothing is materialized.
-    ///
-    /// Each node must sit at the level its parent implies — the root at
-    /// `height − 1`, then one less a step — so the walk takes at most
-    /// `height` reads: a child id naming an ancestor (or any page at the
-    /// wrong level) is [`StorageError::Corrupt`] on that page, before any
-    /// write, instead of a loop.
+    /// the leaf — through zero-copy views; nothing is materialized. Each
+    /// read names its level ([`Self::try_read_node`]), so the walk takes
+    /// at most `height` reads and a cyclic child id is `Corrupt` before
+    /// any write.
     fn descend(
         &self,
         path: &mut Vec<Step<R::Key, R>>,
@@ -505,12 +522,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     ) -> Result<(PageId, NodeRef<R::Key, R>), StorageError> {
         let (mut page, mut level) = (self.root, self.height - 1);
         loop {
-            // The read counts even when the level is wrong, as a header
-            // that does not parse does.
-            let node = self.try_read_node(page)?;
-            if node.level() != level {
-                return Err(StorageError::Corrupt { page });
-            }
+            let node = self.try_read_node(page, level)?;
             if node.is_leaf() {
                 return Ok((page, node));
             }
@@ -573,10 +585,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 continue;
             }
 
+            // `scratch` is free until the edit below copies the node in.
+            let buf = &mut self.scratch;
             let fold = || {
-                let folded = node.bounding_key_replacing(chosen, &ck);
+                let folded = node.bounding_key_replacing(chosen, &as_stored(&ck, buf));
                 match &pending {
-                    Some((nk, _)) => folded.cover(nk),
+                    Some((nk, _)) => folded.cover(&as_stored(nk, buf)),
                     None => folded,
                 }
             };
@@ -629,7 +643,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// at `level`, [stamped](Self::stamp), each entry appended by `push`. Returns
     /// the old and the new half as `(key, page)` entries, each key its
     /// group's `key`s folded in order — the fold
-    /// [`NodeRef::bounding_key`] does off the page.
+    /// [`NodeRef::bounding_key`] does off the page, internal keys
+    /// [as stored](as_stored).
     fn write_split<E>(
         &mut self,
         page: PageId,
@@ -656,29 +671,25 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 edit.set_stamp(stamp);
                 group.iter().for_each(|&i| push(edit, &entries[i]));
             });
+            let buf = &mut self.scratch;
+            let mut stored = |k: &R::Key| if level > 0 { as_stored(k, buf) } else { *k };
             group
                 .iter()
-                .fold(R::Key::empty(), |acc, &i| acc.cover(&keys[i]))
+                .fold(R::Key::empty(), |acc, &i| acc.cover(&stored(&keys[i])))
         };
         Ok([(half(page, old), page), (half(new_page, new), new_page)])
     }
 
     /// Walk the whole tree checking structural invariants; returns a
-    /// description of the first violation. Test/debug aid — I/O counted.
+    /// description of the first violation, a read error among them (a
+    /// node off its level, a page that does not parse). Test/debug aid —
+    /// I/O counted.
     pub fn validate(&self) -> Result<TreeInventory, String> {
         let mut inv = TreeInventory {
             height: self.height,
             ..TreeInventory::default()
         };
-        let root = self.read_node(self.root);
-        if root.level() + 1 != self.height {
-            return Err(format!(
-                "root level {} inconsistent with height {}",
-                root.level(),
-                self.height
-            ));
-        }
-        self.validate_node(self.root, &root, None, true, &mut inv)?;
+        self.validate_node(self.root, self.height - 1, None, &mut inv)?;
         if inv.records != self.len {
             return Err(format!(
                 "record count mismatch: counted {}, tree says {}",
@@ -691,11 +702,11 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     fn validate_node(
         &self,
         page: PageId,
-        node: &NodeRef<R::Key, R>,
+        level: u32,
         parent_key: Option<&R::Key>,
-        is_root: bool,
         inv: &mut TreeInventory,
     ) -> Result<(), String> {
+        let node = self.try_read_node(page, level).map_err(|e| e.to_string())?;
         let cap = if node.is_leaf() {
             self.leaf_capacity()
         } else {
@@ -705,7 +716,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         if node.len() > cap {
             return Err(format!("node {page} over capacity: {}", node.len()));
         }
-        if !is_root && node.len() < min_fill.min(cap / 2) && self.len > 0 {
+        if parent_key.is_some() && node.len() < min_fill.min(cap / 2) && self.len > 0 {
             // Bulk-loaded trees may have one underfull node per level
             // (the remainder tile); tolerate but record it.
             inv.underfull_nodes += 1;
@@ -721,18 +732,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             // the page stores it. Every writer keeps this (bulk load,
             // insert and split all store `bounding_key()`); the
             // insert path's `entry ∪ new key` shortcut depends on it.
-            if R::Key::COVER_IS_EXACT_JOIN {
-                let mut buf = Vec::with_capacity(R::Key::ENCODED_LEN);
-                bk.encode(&mut buf);
-                if R::Key::decode(&buf) != *pk {
-                    return Err(format!(
-                        "parent key of node {page} is not tight: {pk:?} vs {bk:?}"
-                    ));
-                }
+            if R::Key::COVER_IS_EXACT_JOIN && round_trip(&bk, &mut Vec::new()) != *pk {
+                return Err(format!("parent key of node {page} is not tight: {pk:?} vs {bk:?}"));
             }
         }
         inv.nodes += 1;
-        let lvl = node.level() as usize;
+        let lvl = level as usize;
         if inv.nodes_per_level.len() <= lvl {
             inv.nodes_per_level.resize(lvl + 1, 0);
             inv.entries_per_level.resize(lvl + 1, 0);
@@ -751,15 +756,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             if self.start_of(child_page) > bound {
                 return Err(format!("child {child_page}'s latest start exceeds node {page}'s"));
             }
-            let child = self.read_node(child_page);
-            if child.level() + 1 != node.level() {
-                return Err(format!(
-                    "level discontinuity: node {page} level {} child {child_page} level {}",
-                    node.level(),
-                    child.level()
-                ));
-            }
-            self.validate_node(child_page, &child, Some(&k), false, inv)?;
+            self.validate_node(child_page, level - 1, Some(&k), inv)?;
         }
         Ok(())
     }
@@ -790,6 +787,28 @@ impl TreeInventory {
         }
         self.entries_per_level[0] as f64 / self.nodes_per_level[0] as f64
     }
+}
+
+/// A child's key as its parent's fold must see it, the key as the child's
+/// entry on a page stores it. For a key type whose cover is an exact join
+/// that is `k` itself: the fold of the keys encodes as the fold of their
+/// encodings ([`Step::child_key_after`]). Otherwise it is what one trip
+/// through the page encoding makes of `k`, which is wider, and a parent
+/// folded from `k` would not contain the child it names. `buf` is
+/// scratch space.
+pub(crate) fn as_stored<K: Key>(k: &K, buf: &mut Vec<u8>) -> K {
+    if K::COVER_IS_EXACT_JOIN {
+        *k
+    } else {
+        round_trip(k, buf)
+    }
+}
+
+/// `k` after one trip through the page encoding, encoded into `buf`.
+fn round_trip<K: Key>(k: &K, buf: &mut Vec<u8>) -> K {
+    buf.clear();
+    k.encode(buf);
+    K::decode(buf)
 }
 
 /// `rec`'s [`Record::start_bound`] as the side array holds it: rounded
@@ -853,13 +872,22 @@ pub(crate) mod tests {
         );
         assert_eq!(tree.height(), 3);
         let root = tree.root_page();
-        let node = tree.read_node(root);
-        let mut buf = Vec::new();
-        let mut edit = NodeEdit::<_, R>::fresh(&mut buf, node.level(), tree.store().page_size());
-        node.internal_entries()
-            .for_each(|(k, _)| edit.push_entry(&k, root));
-        tree.store().write(root, edit.bytes());
+        repoint_root(&tree, |_, _| root);
         tree
+    }
+
+    /// Rewrite `tree`'s root in place, keys untouched, the child id `c`
+    /// of its entry `j` replaced by `child(j, c)`.
+    pub(crate) fn repoint_root(tree: &RTree<R, Pager>, child: impl Fn(usize, PageId) -> PageId) {
+        let (root, top) = (tree.root_page(), tree.height() - 1);
+        let node = tree.try_read_node(root, top).unwrap();
+        let mut buf = Vec::new();
+        let mut edit = NodeEdit::<_, R>::fresh(&mut buf, top, tree.store().page_size());
+        for (j, (k, c)) in node.internal_entries().enumerate() {
+            edit.push_entry(&k, child(j, c));
+        }
+        drop(node);
+        tree.store().write(root, edit.bytes());
     }
 
     /// `f(tree)` on a thread of its own, failing the test if it has not
@@ -895,14 +923,14 @@ pub(crate) mod tests {
         let recs = (0..200).map(timed).collect();
         let mut tree = bulk_load(Pager::with_page_size(256), RTreeConfig::default(), recs);
         assert!(tree.height() >= 3);
-        let mut stack = vec![tree.root_page()];
-        while let Some(page) = stack.pop() {
-            let node = tree.read_node(page);
+        let mut stack = vec![(tree.root_page(), tree.height() - 1)];
+        while let Some((page, level)) = stack.pop() {
+            let node = tree.try_read_node(page, level).unwrap();
             let exact = if node.is_leaf() {
                 node.leaf_records().map(|r| r.seg.t.lo).fold(f64::NEG_INFINITY, f64::max)
             } else {
                 let children: Vec<_> = node.internal_entries().map(|(_, c)| c).collect();
-                stack.extend(&children);
+                stack.extend(children.iter().map(|&c| (c, level - 1)));
                 children.iter().map(|&c| tree.latest_start(c)).fold(f64::NEG_INFINITY, f64::max)
             };
             assert_eq!(tree.latest_start(page), exact, "packed node {page}");
@@ -927,5 +955,23 @@ pub(crate) mod tests {
         assert_eq!(res, Err(StorageError::Corrupt { page: root }));
         let io = io - before;
         assert_eq!((io.reads, io.writes, len), (2, 0, 40), "{io:?}");
+    }
+
+    #[test]
+    fn validate_names_a_cycle_and_a_page_that_does_not_parse() {
+        let tree = cyclic_tree();
+        let root = tree.root_page();
+        let res = within_5s(tree, |t| t.validate());
+        assert_eq!(res, Err(StorageError::Corrupt { page: root }.to_string()));
+
+        // A child's magic flipped: its header does not parse.
+        let recs = (0..40).map(rec).collect();
+        let tree = bulk_load(Pager::with_page_size(256), RTreeConfig::default(), recs);
+        let child = tree.try_read_node(tree.root_page(), 2).unwrap().internal_entry(1).1;
+        let mut bytes = tree.store().read_page(child).to_vec();
+        bytes[0] ^= 0xFF;
+        tree.store().write(child, &bytes);
+        let res = within_5s(tree, |t| t.validate());
+        assert_eq!(res, Err(StorageError::Corrupt { page: child }.to_string()));
     }
 }

@@ -12,11 +12,12 @@
 //! its own test binary because a global allocator is per binary.
 
 use rtree::bulk::{bulk_load, pack_into, AxisOrder};
-use rtree::{Inserted, NsiSegmentRecord, RTree, RTreeConfig};
+use rtree::{Inserted, NsiSegmentRecord, RTree, RTreeConfig, Record};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use stkit::Interval;
 use storage::{PageStore, Pager};
+use tprtree::TprRecord;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -106,12 +107,23 @@ fn packing_allocates_under_16_bytes_a_record_beyond_its_pages() {
 
 #[test]
 fn a_no_split_insert_allocates_nothing() {
+    no_split_inserts_allocate_nothing(rec);
+    // A TPR key's parent fold sees each child key as stored, one trip
+    // through the page encoding: that trip allocates nothing either.
+    no_split_inserts_allocate_nothing(|i| {
+        let p = [f64::from(i % 97) * 10.0, f64::from(i / 97) * 10.0];
+        let v = [f64::from(i % 7) - 3.0, f64::from(i % 5) - 2.0];
+        TprRecord::new(i, 0, Interval::new(-5.0, 10.0), p, v)
+    });
+}
+
+fn no_split_inserts_allocate_nothing<R: Record>(rec: impl Fn(u32) -> R) {
     // Height 3 at the paper's page size and bulk fill, like a serving
     // region's tree.
     let mut tree = bulk_load(
         Pager::new(),
         RTreeConfig::default(),
-        (0..10_000).map(rec).collect(),
+        (0..10_000).map(&rec).collect(),
     );
     assert_eq!(tree.height(), 3);
     // The first insert sizes the scratch page, the descent stack and this

@@ -40,7 +40,7 @@ fn level_reads_reconcile_with_pool_hits_plus_misses() {
 
     // Every node the search visited is one pool access, and vice versa:
     // nothing else touched the store between the snapshots.
-    assert_eq!(delta.total_reads(), stats.nodes_visited);
+    assert_eq!(delta.total_reads(), stats.disk_accesses);
     assert_eq!(delta.total_reads(), pool_accesses);
     assert_eq!(delta.total_writes(), 0);
 

@@ -139,7 +139,8 @@ fn header() -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// Put `header` in front of `node`'s body on a page of a one-page tree
-/// and read it the way an insert's descent does.
+/// and read it the way every descent does, expecting the level the
+/// header names: what is under test is the header's own consistency.
 fn read_under_header(node: &Entries, header: &[u8]) -> Result<(), StorageError> {
     let store = Pager::with_page_size(PAGE);
     let page = store.alloc();
@@ -147,7 +148,8 @@ fn read_under_header(node: &Entries, header: &[u8]) -> Result<(), StorageError> 
     image[..32].copy_from_slice(header);
     store.write(page, &image);
     let tree: RTree<R, Pager> = RTree::reopen(store, RTreeConfig::default(), page, 1, 0);
-    let read = tree.try_read_node(page)?;
+    let level = u32::from_le_bytes(header[16..20].try_into().unwrap());
+    let read = tree.try_read_node(page, level)?;
     // Whatever the header admits must be decodable without leaving the
     // page: the body may be read as the other kind, at any count that fits.
     let seen = if read.is_leaf() {
@@ -242,5 +244,5 @@ fn bad_headers_are_corrupt_pages() {
     let store = Pager::with_page_size(16);
     let page = store.alloc();
     let tree: RTree<R, Pager> = RTree::reopen(store, RTreeConfig::default(), page, 1, 0);
-    assert_eq!(tree.try_read_node(page).err(), Some(StorageError::Corrupt { page }));
+    assert_eq!(tree.try_read_node(page, 0).err(), Some(StorageError::Corrupt { page }));
 }

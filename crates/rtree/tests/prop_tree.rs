@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rtree::bulk::{bulk_load, pack_into, AxisOrder};
 use rtree::{Key, NsiSegmentRecord, RTree, RTreeConfig, Record, SplitPolicy};
-use storage::Pager;
+use storage::{PageId, Pager};
 use stkit::{Interval, Rect, StBox};
 
 type R = NsiSegmentRecord<2>;
@@ -247,15 +247,17 @@ proptest! {
                     prop_assert!(page.0 >= before, "{page} predates the insert");
                     prop_assert!(key.contains(&r.key()),
                         "reported key {key:?} must contain inserted {:?}", r.key());
-                    prop_assert_eq!(tree.read_node(*page).level(), *level);
-                    let parent = pages_under(&tree, tree.root_page())
+                    prop_assert!(tree.try_read_node(*page, *level).is_ok(), "{page} off {level}");
+                    let parent = pages_under(&tree, tree.root_page(), tree.height() - 1)
                         .into_iter()
-                        .map(|p| tree.read_node(p))
-                        .find(|n| !n.is_leaf() && n.internal_entries().any(|(_, c)| c == *page));
-                    let parent = parent.expect("the reported node hangs in the tree");
-                    prop_assert_eq!(parent.level(), *level + 1);
-                    let reached = pages_under(&tree, *page).into_iter().any(|p| {
-                        let node = tree.read_node(p);
+                        .find(|&(p, l)| {
+                            let n = tree.try_read_node(p, l).unwrap();
+                            !n.is_leaf() && n.internal_entries().any(|(_, c)| c == *page)
+                        });
+                    let (_, parent_level) = parent.expect("the reported node hangs in the tree");
+                    prop_assert_eq!(parent_level, *level + 1);
+                    let reached = pages_under(&tree, *page, *level).into_iter().any(|(p, l)| {
+                        let node = tree.try_read_node(p, l).unwrap();
                         node.is_leaf() && node.leaf_records().any(|rec| rec == *r)
                     });
                     prop_assert!(reached, "no path from {page} to the inserted record");
@@ -266,15 +268,17 @@ proptest! {
     }
 }
 
-/// Every page of the subtree rooted at `from`, itself included.
-fn pages_under(tree: &RTree<R, Pager>, from: storage::PageId) -> Vec<storage::PageId> {
-    let mut pages = vec![from];
+/// Every page of the subtree rooted at `from`, at `level`, itself
+/// included, each with its level.
+fn pages_under(tree: &RTree<R, Pager>, from: PageId, level: u32) -> Vec<(PageId, u32)> {
+    let mut pages = vec![(from, level)];
     let mut next = 0;
     while next < pages.len() {
-        let node = tree.read_node(pages[next]);
+        let (page, level) = pages[next];
+        let node = tree.try_read_node(page, level).unwrap();
         next += 1;
         if !node.is_leaf() {
-            pages.extend(node.internal_entries().map(|(_, child)| child));
+            pages.extend(node.internal_entries().map(|(_, child)| (child, level - 1)));
         }
     }
     pages

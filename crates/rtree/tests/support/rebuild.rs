@@ -44,10 +44,22 @@ struct Node<K, R> {
 }
 
 impl<K: Key, R: Record<Key = K>> Node<K, R> {
+    /// The fold of the entries' keys, a child's key as its entry on the
+    /// page stores it: rounded outward by the encoding, unless the key
+    /// type's cover is an exact join (then the fold of the keys encodes
+    /// as the fold of their encodings, and the keys themselves fold).
     fn bounding_key(&self) -> K {
+        let stored = |e: &Entry<K, R>| match e {
+            Entry::Child(k, _) if !K::COVER_IS_EXACT_JOIN => {
+                let mut buf = Vec::new();
+                k.encode(&mut buf);
+                K::decode(&buf)
+            }
+            _ => e.key(),
+        };
         self.entries
             .iter()
-            .fold(K::empty(), |acc, e| acc.cover(&e.key()))
+            .fold(K::empty(), |acc, e| acc.cover(&stored(e)))
     }
 }
 

@@ -67,13 +67,6 @@ impl<S: PageStore> ShardedBufferPool<S> {
         self.recovery.stats()
     }
 
-    /// Mirror fault-recovery counters into `registry` as
-    /// `storage.retries`, `storage.corrupt_pages`, and the
-    /// `storage.retry_latency_ns` histogram.
-    pub fn attach_fault_metrics(&self, registry: &obs::MetricsRegistry) {
-        self.recovery.attach(registry);
-    }
-
     /// Number of shards (always a power of two).
     pub fn shard_count(&self) -> usize {
         self.shards.len()

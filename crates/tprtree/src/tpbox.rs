@@ -313,14 +313,22 @@ impl Key for TpBox {
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
+        // Outward over the whole stored window, not only at t ≥ 0: before
+        // t = 0 a velocity rounded outward moves its edge inward by the
+        // rounding times |t|, so the edge at t = 0 widens by as much.
+        let (t_lo, t_hi) = (f32_down(self.active.lo), f32_up(self.active.hi));
+        let before_zero = (-f64::from(t_lo)).max(0.0);
+        let widen = |rounding: f64| if rounding > 0.0 { rounding * before_zero } else { 0.0 };
         for a in &self.axes {
-            buf.extend_from_slice(&f32_down(a.lo0).to_le_bytes());
-            buf.extend_from_slice(&f32_down(a.v_lo).to_le_bytes());
-            buf.extend_from_slice(&f32_up(a.hi0).to_le_bytes());
-            buf.extend_from_slice(&f32_up(a.v_hi).to_le_bytes());
+            let (v_lo, v_hi) = (f32_down(a.v_lo), f32_up(a.v_hi));
+            let lo0 = f32_down(a.lo0 - widen(a.v_lo - f64::from(v_lo)));
+            let hi0 = f32_up(a.hi0 + widen(f64::from(v_hi) - a.v_hi));
+            for x in [lo0, v_lo, hi0, v_hi] {
+                buf.extend_from_slice(&x.to_le_bytes());
+            }
         }
-        buf.extend_from_slice(&f32_down(self.active.lo).to_le_bytes());
-        buf.extend_from_slice(&f32_up(self.active.hi).to_le_bytes());
+        buf.extend_from_slice(&t_lo.to_le_bytes());
+        buf.extend_from_slice(&t_hi.to_le_bytes());
     }
 
     fn decode(buf: &[u8]) -> Self {
@@ -488,6 +496,22 @@ mod tests {
                 assert!(d.rect_at(t).inflate(1e-4).contains_point(&p), "t={t}");
             }
         }
+    }
+
+    #[test]
+    fn encoding_holds_a_motion_that_starts_before_zero() {
+        // Velocities no f32 holds, over a window before t = 0: rounding
+        // `v_lo` down raises `lo(t)` there, and `v_hi` up lowers `hi(t)`,
+        // unless the edges at t = 0 widen with them.
+        let b = mp([-10.0, 10.0], [0.1, -0.1], -100.0, -1.0);
+        let mut buf = Vec::new();
+        b.encode(&mut buf);
+        let d = TpBox::decode(&buf);
+        for t in [-100.0, -50.0, -1.0] {
+            let (stored, exact) = (d.rect_at(t), b.rect_at(t));
+            assert!(stored.contains_rect(&exact), "t={t}: {stored:?} vs {exact:?}");
+        }
+        assert!(d.contains(&b));
     }
 
     #[test]

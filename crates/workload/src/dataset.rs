@@ -223,9 +223,9 @@ mod clustering_tests {
         });
         let measure = |tree: &RTree<DtaSegmentRecord<2>, storage::Pager>| {
             let (mut n, mut sx) = (0u32, 0.0f64);
-            let mut stack = vec![tree.root_page()];
-            while let Some(pg) = stack.pop() {
-                let node = tree.read_node(pg);
+            let mut stack = vec![(tree.root_page(), tree.height() - 1)];
+            while let Some((pg, level)) = stack.pop() {
+                let node = tree.try_read_node(pg, level).unwrap();
                 if node.is_leaf() {
                     let k = node.leaf_records().fold(
                         rtree::Key::empty(),
@@ -237,7 +237,7 @@ mod clustering_tests {
                     sx += k.space.extent(0).length().max(k.space.extent(1).length());
                 } else {
                     for (_, c) in node.internal_entries() {
-                        stack.push(c);
+                        stack.push((c, level - 1));
                     }
                 }
             }

@@ -178,17 +178,16 @@ fn dta(r: &R) -> DtaSegmentRecord<2> {
 /// no object twice in a frame, and its stats count its pages and
 /// deliveries.
 ///
-/// Every family but TPR: the tree validates after the run (ROADMAP
-/// item 13 has TPR's open rounding finding).
+/// Every family: the tree validates after the run.
 pub fn check_engine(case: &EngineCase) -> Result<EngineRun, String> {
     let traj = &case.trajectory;
     match case.family {
-        Family::Pdq => pdq(case, traj, |r: &R| *r, |r: &R| traj.overlap_segment(&r.seg), true),
+        Family::Pdq => pdq(case, traj, |r: &R| *r, |r: &R| traj.overlap_segment(&r.seg)),
         Family::Spdq(delta) => {
             let keys = traj.keys().iter().map(|k| KeySnapshot { t: k.t, window: k.window.inflate(delta) });
             let fat = Trajectory::new(keys.collect());
-            let run = pdq(case, &traj.inflate(delta), |r: &R| *r, |r: &R| fat.overlap_segment(&r.seg), true)?;
-            let plain = pdq(case, traj, |r: &R| *r, |r: &R| traj.overlap_segment(&r.seg), true)?;
+            let run = pdq(case, &traj.inflate(delta), |r: &R| *r, |r: &R| fat.overlap_segment(&r.seg))?;
+            let plain = pdq(case, traj, |r: &R| *r, |r: &R| traj.overlap_segment(&r.seg))?;
             let union = |run: &EngineRun| -> HashSet<Ids> { run.frames.iter().flatten().map(|(id, _)| *id).collect() };
             if delta == 0.0 && (run.frames != plain.frames || run.stats != plain.stats) {
                 return Err(format!("SPDQ at δ = 0: {:?} for {:?}, plain PDQ: {:?} for {:?}", run.frames, run.stats, plain.frames, plain.stats));
@@ -199,9 +198,7 @@ pub fn check_engine(case: &EngineCase) -> Result<EngineRun, String> {
                 None => Ok(run),
             }
         }
-        // Not validated: `TpBox::contains` rejects a parent whose stored
-        // `f32` edge lies a fraction of an ulp inside its child's cover.
-        Family::Tpr => pdq(case, traj, tpr, |r: &TprRecord| overlap_trajectory_tpbox(traj, &r.tpbox()), false),
+        Family::Tpr => pdq(case, traj, tpr, |r: &TprRecord| overlap_trajectory_tpbox(traj, &r.tpbox())),
         Family::Npdq { dta: true, open } => npdq(case, open, dta),
         Family::Npdq { dta: false, open } => npdq(case, open, |r: &R| *r),
     }
@@ -213,7 +210,6 @@ fn pdq<T: PdqRecord<2>>(
     traj: &Trajectory<2>,
     make: impl Fn(&R) -> T,
     visibility: impl Fn(&T) -> TimeSet,
-    validate: bool,
 ) -> Result<EngineRun, String> {
     let preload: Vec<T> = case.preload.iter().map(&make).collect();
     let batches: Vec<Vec<T>> = case.inserts.iter().map(|b| b.iter().map(&make).collect()).collect();
@@ -276,7 +272,7 @@ fn pdq<T: PdqRecord<2>>(
             ));
         }
     }
-    finish(run, &tree, validate)
+    finish(run, &tree)
 }
 
 /// An NPDQ on the case's records as `T`s; see [`check_engine`].
@@ -307,18 +303,12 @@ fn npdq<T: MotionRecord<2>>(case: &EngineCase, open: bool, make: impl Fn(&R) -> 
         run.stats += stats;
         run.frames.push(got.into_iter().map(|id| (id, TimeSet::empty())).collect());
     }
-    finish(run, &tree, true)
+    finish(run, &tree)
 }
 
-/// `run` with the tree's size, once the tree validates (if asked to).
-fn finish<T: dq_repro::rtree::Record>(
-    mut run: EngineRun,
-    tree: &RTree<T, ReadLog>,
-    validate: bool,
-) -> Result<EngineRun, String> {
-    if validate {
-        tree.validate().map_err(|e| format!("after the run: {e}"))?;
-    }
+/// `run` with the tree's size, once the tree validates.
+fn finish<T: dq_repro::rtree::Record>(mut run: EngineRun, tree: &RTree<T, ReadLog>) -> Result<EngineRun, String> {
+    tree.validate().map_err(|e| format!("after the run: {e}"))?;
     (run.pages, run.height) = (tree.store().inner.page_count(), tree.height());
     Ok(run)
 }

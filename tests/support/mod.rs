@@ -164,16 +164,16 @@ pub fn partitioned(grid: RegionGrid, recs: &[R]) -> PartitionedDqServer<2, Pager
 /// The leaf page holding `oid` — found by a plain DFS over clean pages,
 /// so call this *before* corrupting anything.
 pub fn leaf_page_of<S: PageStore>(tree: &RTree<R, S>, oid: u32) -> PageId {
-    let mut stack = vec![tree.root_page()];
-    while let Some(page) = stack.pop() {
-        let node = tree.read_node(page);
+    let mut stack = vec![(tree.root_page(), tree.height() - 1)];
+    while let Some((page, level)) = stack.pop() {
+        let node = tree.try_read_node(page, level).expect("a clean page");
         if node.is_leaf() {
             if node.leaf_records().any(|r| r.oid == oid) {
                 return page;
             }
         } else {
             for (_, child) in node.internal_entries() {
-                stack.push(child);
+                stack.push((child, level - 1));
             }
         }
     }

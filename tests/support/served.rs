@@ -153,10 +153,12 @@ impl Corrupt {
         server.with_region_tree(self.region % server.grid().len(), |t| {
             let child = matches!(self.mutation, Mutation::OffDevice | Mutation::Ancestor);
             let (root, mut page) = (t.root_page(), t.root_page());
-            let (mut node, mut depth) = (t.read_node(page), self.depth);
+            let read = |page, level| t.try_read_node(page, level).expect("a clean page");
+            let (mut node, mut depth) = (read(page, t.height() - 1), self.depth);
             while depth > 0 && node.level() > u32::from(child) {
+                let level = node.level() - 1;
                 (page, depth) = (node.internal_entry(nearest(&node, &self.toward)).1, depth - 1);
-                node = t.read_node(page);
+                node = read(page, level);
             }
             if child && node.is_leaf() {
                 return None;
@@ -425,9 +427,8 @@ impl Case {
     /// sessions' plus its writer's, each one a pool hit or a miss, each
     /// miss one device read. The corrupt region keeps only the first
     /// identity, unpaired with the plan's draws: a read of an id off the
-    /// device draws too, and reads no device, and its store counts the
-    /// reads of a page whose header does not parse, which its tree
-    /// cannot. A durable serve over a corrupt page installs no
+    /// device draws too, and reads no device, and its store counts every
+    /// read that fails, which its tree does not. A durable serve over a corrupt page installs no
     /// checkpoint and counts a failed one, `checkpoint_now` after it
     /// installs none either, and its log's image recovers to
     /// `NoCheckpoint`.

@@ -3,9 +3,12 @@
 # package's tier-1 tests among them), clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and four grep gates: no Rust under crates tests examples src calls
+# and five grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
-# only because benchmarks/dqbench forwards it); no root suite but the
+# only because benchmarks/dqbench forwards it), nor `.read_node(` (every
+# descent reads through `RTree::try_read_node`, which checks the level
+# the parent implies; the un-levelled `read_node` is kept only because
+# benchmarks/dqbench calls it); no root suite but the
 # served oracle waits with a timeout; no `zigzag` (nor a `truth`) is
 # defined outside tests/support — a name guard only: a copy of the
 # record-list truth under another name passes it; and the router keeps
@@ -135,6 +138,9 @@ if [ -z "$ONLY" ]; then
   cargo check --release --offline --manifest-path benchmarks/dqbench/Cargo.toml
   if grep -rn --include='*.rs' '\.free(' crates tests examples src; then
     echo "FAIL: a call to PageStore::free (see above); page ids are dense and nothing frees" >&2; exit 1
+  fi
+  if git grep -nE '\.read_node\(' -- crates tests examples src; then
+    echo "FAIL: an un-levelled RTree::read_node (see above); read through try_read_node(page, level)" >&2; exit 1
   fi
   if git grep -nE 'recv_timeout|RecvTimeoutError' -- tests ':!tests/support/served.rs'; then
     echo "FAIL: a root suite waits with its own timeout (see above); the hang bound lives in tests/support/served.rs" >&2; exit 1
