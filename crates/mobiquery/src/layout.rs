@@ -16,7 +16,7 @@
 use crate::snapshot::SnapshotQuery;
 use crate::trajectory::Trajectory;
 use rtree::{DtaSegmentRecord, NsiSegmentRecord, Record};
-use stkit::{Interval, MotionSegment, RectBatch, SegmentBatch, StBox, TimeSet};
+use stkit::{Interval, MotionSegment, StBox, TimeSet};
 
 /// A leaf record carrying a motion segment, whose index layout knows how
 /// to express a [`SnapshotQuery`] as a key-space probe.
@@ -65,10 +65,6 @@ impl<const D: usize> MotionRecord<D> for DtaSegmentRecord<D> {
 /// the record's exact motion (a moving point); a family whose keys only
 /// bound the motion overrides them with the exact test.
 pub trait PdqRecord<const D: usize>: Record {
-    /// Scratch staging one node page's entries, leaf records or
-    /// internal keys, for a lane-parallel solve (reused across pages).
-    type Page: Default + std::fmt::Debug;
-
     /// `(object id, update sequence)` identity.
     fn identity(&self) -> (u32, u32);
 
@@ -77,9 +73,6 @@ pub trait PdqRecord<const D: usize>: Record {
 
     /// The times `traj`'s window overlaps `key`.
     fn key_overlap(key: &Self::Key, traj: &Trajectory<D>) -> TimeSet;
-
-    /// Stage an internal entry's key.
-    fn stage_key(key: &Self::Key, page: &mut Self::Page);
 
     /// When the record is alive.
     fn lifetime(&self) -> Interval {
@@ -90,29 +83,11 @@ pub trait PdqRecord<const D: usize>: Record {
     fn overlap(&self, traj: &Trajectory<D>) -> TimeSet {
         Self::key_overlap(&self.key(), traj)
     }
-
-    /// Stage a leaf record.
-    fn stage(&self, page: &mut Self::Page) {
-        Self::stage_key(&self.key(), page)
-    }
-
-    /// Solve what was staged — records if `leaf`, keys otherwise — into
-    /// one overlap set per entry, in staging order and bit-identical to
-    /// [`Self::overlap`] / [`Self::key_overlap`], and leave the page
-    /// empty. Returns the trajectory pieces solved.
-    fn solve(
-        page: &mut Self::Page,
-        leaf: bool,
-        traj: &Trajectory<D>,
-        out: &mut Vec<TimeSet>,
-    ) -> usize;
 }
 
 /// Keys go through the static-box kernel, records through the exact
-/// motion-segment kernel, each in its own batch.
+/// motion-segment kernel.
 impl<const D: usize> PdqRecord<D> for NsiSegmentRecord<D> {
-    type Page = (RectBatch<D>, SegmentBatch<D>);
-
     #[inline]
     fn identity(&self) -> (u32, u32) {
         (self.oid, self.seq)
@@ -128,40 +103,12 @@ impl<const D: usize> PdqRecord<D> for NsiSegmentRecord<D> {
     }
 
     #[inline]
-    fn stage_key(key: &StBox<D, 1>, page: &mut Self::Page) {
-        page.0.push(&key.space, &key.time.extent(0));
-    }
-
-    #[inline]
     fn lifetime(&self) -> Interval {
         self.seg.t
     }
 
     fn overlap(&self, traj: &Trajectory<D>) -> TimeSet {
         traj.overlap_segment(&self.seg)
-    }
-
-    #[inline]
-    fn stage(&self, page: &mut Self::Page) {
-        page.1.push(&self.seg);
-    }
-
-    #[inline]
-    fn solve(
-        page: &mut Self::Page,
-        leaf: bool,
-        traj: &Trajectory<D>,
-        out: &mut Vec<TimeSet>,
-    ) -> usize {
-        if leaf {
-            let solved = traj.overlap_batch_into(&mut page.1, out);
-            page.1.clear();
-            solved
-        } else {
-            let solved = traj.overlap_batch_into(&mut page.0, out);
-            page.0.clear();
-            solved
-        }
     }
 }
 

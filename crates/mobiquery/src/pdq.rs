@@ -22,13 +22,13 @@
 //! already hold, and the two sets below — nodes expanded, objects
 //! returned — drop such a duplicate when it pops.
 //!
-//! **Cost model.** A node is read once; expanding it costs its entries ×
-//! the trajectory pieces *meeting the page* — the pieces whose span and
-//! swept box reach the hull of what the page staged (see
-//! [`crate::trajectory`]) — not entries × all pieces. Entries that can
-//! no longer be enqueued (lifetime over before `t_start`, or outside the
-//! trajectory's span) are counted but not staged, so they widen no hull.
-//! [`PdqEngine::pieces_solved`] counts the piece solves actually made.
+//! **Cost model.** A node is read once; expanding it costs one overlap
+//! set per entry (§5's distance computations), and each set is solved
+//! against only the trajectory pieces *meeting the entry* — the pieces
+//! whose span and swept box reach its lifetime and extent (see
+//! [`crate::trajectory`]) — not all pieces. Entries that can no longer
+//! be enqueued (lifetime over before `t_start`, or outside the
+//! trajectory's span) are counted but not solved.
 
 use crate::layout::PdqRecord;
 use crate::stats::QueryStats;
@@ -160,19 +160,7 @@ pub struct PdqEngine<const D: usize, R: PdqRecord<D> = NsiSegmentRecord<D>> {
     /// Deepest the queue has ever been — the engine's memory footprint
     /// proxy (the paper's queue-size concern in §4.1).
     queue_hwm: usize,
-    /// Trajectory pieces solved against a staged page, over all
-    /// expansions.
-    pieces_solved: u64,
     stats: QueryStats,
-    /// SoA staging for the entries of the node being expanded (scratch,
-    /// reused; empty between expansions).
-    page: R::Page,
-    /// Per-entry overlap time sets from the last batch solve (scratch).
-    ts_out: Vec<TimeSet>,
-    /// Leaf records staged alongside `page` (scratch).
-    pending_recs: Vec<R>,
-    /// Child pages staged alongside `page` (scratch).
-    pending_children: Vec<PageId>,
 }
 
 impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
@@ -186,12 +174,7 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
             returned: HashSet::new(),
             last_t_start: f64::NEG_INFINITY,
             queue_hwm: 0,
-            pieces_solved: 0,
             stats: QueryStats::default(),
-            page: R::Page::default(),
-            ts_out: Vec::new(),
-            pending_recs: Vec::new(),
-            pending_children: Vec::new(),
         };
         // The root has no stored bounding box above it; enqueue it over
         // the whole trajectory span (it is examined precisely on first pop).
@@ -244,12 +227,6 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
     /// Deepest the queue has ever been since the engine started.
     pub fn queue_hwm(&self) -> usize {
         self.queue_hwm
-    }
-
-    /// Trajectory pieces solved against staged pages since the engine
-    /// started: the multiplier in an expansion's cost (diagnostic).
-    pub fn pieces_solved(&self) -> u64 {
-        self.pieces_solved
     }
 
     /// The paper's `getNext(t_start, t_end)`: return the next object whose
@@ -346,47 +323,27 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
         }
         // An entry whose lifetime ended before `t_start`, or misses the
         // trajectory's span, has an overlap set `enqueue_timeset` drops
-        // (the set lies inside both): it is counted, never staged.
+        // (the set lies inside both): it is counted, never solved.
         let span = self.trajectory.span();
         let out_of_play =
             |life: &Interval| life.hi < t_start || life.hi < span.lo || life.lo > span.hi;
         if node.is_leaf() {
-            // Stage every live, not-yet-returned record into the SoA
-            // batch, then solve all lanes per trajectory piece meeting
-            // the page (branch-free inner loops, bit-identical to the
-            // scalar path).
-            self.pending_recs.clear();
             for rec in node.leaf_records() {
                 self.stats.distance_computations += 1;
                 if out_of_play(&rec.lifetime()) || self.returned.contains(&rec.identity()) {
                     continue;
                 }
-                rec.stage(&mut self.page);
-                self.pending_recs.push(rec);
-            }
-            self.pieces_solved +=
-                R::solve(&mut self.page, true, &self.trajectory, &mut self.ts_out) as u64;
-            for j in 0..self.pending_recs.len() {
-                let ts = std::mem::take(&mut self.ts_out[j]);
-                let rec = self.pending_recs[j];
+                let ts = rec.overlap(&self.trajectory);
                 self.enqueue_timeset(ts, t_start, |vis| ItemKind::object(rec, vis));
             }
         } else {
             let child_level = level - 1;
-            self.pending_children.clear();
             for (key, child) in node.internal_entries() {
                 self.stats.distance_computations += 1;
                 if out_of_play(&R::key_lifetime(&key)) {
                     continue;
                 }
-                R::stage_key(&key, &mut self.page);
-                self.pending_children.push(child);
-            }
-            self.pieces_solved +=
-                R::solve(&mut self.page, false, &self.trajectory, &mut self.ts_out) as u64;
-            for j in 0..self.pending_children.len() {
-                let ts = std::mem::take(&mut self.ts_out[j]);
-                let child = self.pending_children[j];
+                let ts = R::key_overlap(&key, &self.trajectory);
                 self.enqueue_timeset(ts, t_start, |_| ItemKind::Node {
                     page: child,
                     level: child_level,
@@ -712,7 +669,7 @@ mod tests {
     /// scanning every piece, driven frame by frame with inserts (and so
     /// `Record` and `Subtree` notifications) in between.
     #[test]
-    fn indexed_trajectory_streams_what_a_full_scan_streams_for_less() {
+    fn indexed_trajectory_streams_what_a_full_scan_streams() {
         use crate::trajectory::KeySnapshot;
         use rand::{Rng, SeedableRng};
         use rand_chacha::ChaCha8Rng;
@@ -734,8 +691,7 @@ mod tests {
             keys.push(KeySnapshot { t: k as f64 * dt, window: window(c) });
         }
         let traj = Trajectory::new(keys);
-        let pieces = traj.segments().len() as u64;
-        assert_eq!(pieces, 320);
+        assert_eq!(traj.segments().len(), 320);
         let span = traj.span();
 
         // Short-lived motions all over the space and the span; small
@@ -789,17 +745,6 @@ mod tests {
         assert!(delivered > 500, "only {delivered} answers: the run proves little");
         assert!(records > 100 && subtrees > 10, "{records} record / {subtrees} subtree reports");
         assert_eq!(indexed.queue_hwm(), scanned.queue_hwm());
-
-        // The scan solves every piece on every expansion; the index must
-        // stay far below that, or it has rotted into a scan.
-        let expansions = scanned.stats().disk_accesses;
-        assert_eq!(scanned.pieces_solved(), expansions * pieces);
-        assert!(
-            indexed.pieces_solved() * 8 < scanned.pieces_solved(),
-            "index solved {} pieces over {expansions} expansions, the scan {}",
-            indexed.pieces_solved(),
-            scanned.pieces_solved()
-        );
     }
 
     #[test]

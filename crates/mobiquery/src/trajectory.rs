@@ -1,24 +1,25 @@
 //! Predictive query trajectories — sequences of key snapshots (§4.1).
 //!
 //! **Cost model.** A trajectory is a time-ordered run of trapezoid
-//! pieces, and every overlap form below is the union, over pieces, of
-//! one kernel result per piece. A piece whose span misses an entry's
-//! lifetime, or whose swept box lies clear of the entry, contributes the
-//! empty interval, so the forms do not visit it: the pieces are indexed
-//! once at construction (their spans are already sorted; their swept
-//! boxes are cached, widened for rounding — [`MovingWindow::reach`]) and
+//! pieces, and an entry's overlap-time set is the union, over pieces, of
+//! one kernel result per piece. Every overlap form goes through one
+//! method, [`Trajectory::overlap_by`]: [`Trajectory::overlap_rect`] and
+//! [`Trajectory::overlap_segment`] here, the TPR-tree's moving boxes in
+//! `tprtree`. A piece whose span misses an entry's lifetime, or whose
+//! swept box lies clear of the entry, contributes the empty interval, so
+//! it is not visited: the pieces are indexed once at construction (their
+//! spans are already sorted; their swept boxes are cached, widened for
+//! rounding — [`MovingWindow::reach`]) and
 //! [`Trajectory::pieces_meeting`] is a binary search on time plus a box
-//! test. An overlap query costs *entries × pieces meeting them*, not
-//! entries × pieces; a fly-through with hundreds of key snapshots pays
-//! per page for the handful of pieces that pass near the page while its
-//! entries are alive. The result is bit-identical to visiting every
-//! piece: time pruning is exact, the box test is conservative, and
-//! `TimeSet::insert` of an empty interval is a no-op.
+//! test. An overlap query costs *pieces meeting the entry*, not all
+//! pieces; a fly-through with hundreds of key snapshots pays per entry
+//! for the handful of pieces that pass near it while it is alive. The
+//! result is bit-identical to visiting every piece: time pruning is
+//! exact, the box test is conservative, and `TimeSet::insert` of an
+//! empty interval is a no-op.
 
 use crate::snapshot::SnapshotQuery;
-use stkit::{
-    Interval, MotionSegment, MovingWindow, Rect, Scalar, StBox, StagedPage, TimeSet,
-};
+use stkit::{Interval, MotionSegment, MovingWindow, Rect, Scalar, StBox, TimeSet};
 
 /// One key snapshot `K^j = ⟨t, x̄₁, …, x̄_d⟩`: the query window at a point
 /// of the observer's trajectory (Eq. 2).
@@ -205,11 +206,7 @@ impl<const D: usize> Trajectory<D> {
     /// static space-time box `⟨time, space⟩`. Each trapezoid segment
     /// contributes one interval `T^j`; the result is their union.
     pub fn overlap_rect(&self, space: &Rect<D>, time: &Interval) -> TimeSet {
-        let mut out = TimeSet::empty();
-        for s in self.pieces_meeting(time, space) {
-            out.insert(s.overlap_time_rect(space, time));
-        }
-        out
+        self.overlap_by(time, space, |s| s.overlap_time_rect(space, time))
     }
 
     /// Overlap-time set for an NSI bounding box key.
@@ -223,36 +220,27 @@ impl<const D: usize> Trajectory<D> {
     /// set handed to the client cache ("how long the object stays in
     /// view").
     pub fn overlap_segment(&self, seg: &MotionSegment<D>) -> TimeSet {
-        let mut out = TimeSet::empty();
-        for s in self.pieces_meeting(&seg.t, &seg.reach()) {
-            out.insert(s.overlap_time_segment(seg));
-        }
-        out
+        self.overlap_by(&seg.t, &seg.reach(), |s| s.overlap_time_segment(seg))
     }
 
-    /// Batched [`Self::overlap_rect`] / [`Self::overlap_segment`] over a
-    /// staged node page, of whatever index family: one [`TimeSet`] per
-    /// staged entry, built by solving each piece that meets the page's
-    /// hulls against all lanes at once. Piece-order insertion keeps each
-    /// result bit-identical to the scalar path. Returns the number of
-    /// pieces solved.
-    pub fn overlap_batch_into<B: StagedPage<D>>(
+    /// The overlap-time set of an entry of any index family: the union of
+    /// `solve(piece)` over the pieces that can meet an entry alive during
+    /// `time` inside `space`. `solve` must give the empty interval for a
+    /// piece whose span misses `time` or whose window never reaches
+    /// `space`; then the result is the one every piece would give, bit
+    /// for bit. A family whose entries are not cheap to bound in space
+    /// passes `Rect::ALL` and is pruned by time alone.
+    pub fn overlap_by(
         &self,
-        batch: &mut B,
-        out: &mut Vec<TimeSet>,
-    ) -> usize {
-        out.clear();
-        out.resize(batch.len(), TimeSet::empty());
-        let (time, space) = (batch.lifetime_hull(), batch.space_hull());
-        let mut solved = 0;
-        for s in self.pieces_meeting(&time, &space) {
-            batch.solve(s);
-            for (j, ts) in out.iter_mut().enumerate() {
-                ts.insert(batch.result(j));
-            }
-            solved += 1;
+        time: &Interval,
+        space: &Rect<D>,
+        solve: impl Fn(&MovingWindow<D>) -> Interval,
+    ) -> TimeSet {
+        let mut out = TimeSet::empty();
+        for s in self.pieces_meeting(time, space) {
+            out.insert(solve(s));
         }
-        solved
+        out
     }
 
     /// SPDQ (§4): inflate every key window by `delta` to tolerate an
@@ -424,6 +412,48 @@ mod tests {
         // The test oracle ignores the index.
         let scan = slide_right().scanning_every_piece();
         assert_eq!(met(&scan, Interval::EMPTY, strip(90.0, 91.0)).len(), 5);
+    }
+
+    /// The index must actually leave pieces out: a short-lived entry in
+    /// one corner of a long bouncing trajectory meets a small share of it.
+    #[test]
+    fn a_short_lived_entry_meets_few_pieces() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        for seed in 0..48 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // 400 pieces of a window bouncing through [0, 1000]².
+            let mut t = rng.gen_range(0.0..50.0);
+            let mut c = [rng.gen_range(50.0..950.0), rng.gen_range(50.0..950.0)];
+            let mut v = [rng.gen_range(-1400.0..1400.0), rng.gen_range(-1400.0..1400.0)];
+            let mut keys = Vec::new();
+            for _ in 0..=400 {
+                let half = rng.gen_range(1.0..40.0);
+                let window =
+                    Rect::from_corners([c[0] - half, c[1] - half], [c[0] + half, c[1] + half]);
+                keys.push(KeySnapshot { t, window });
+                let dt = rng.gen_range(0.01..1.0);
+                t += dt;
+                for d in 0..2 {
+                    c[d] += v[d] * dt;
+                    if !(0.0..=1000.0).contains(&c[d]) {
+                        c[d] = c[d].clamp(0.0, 1000.0);
+                        v[d] = -v[d];
+                    }
+                }
+            }
+            let traj = Trajectory::new(keys);
+            let span = traj.span();
+            let t0 = rng.gen_range(span.lo..span.hi);
+            for _ in 0..50 {
+                let a = [rng.gen_range(400.0..450.0), rng.gen_range(400.0..450.0)];
+                let life = Interval::new(t0, t0 + rng.gen_range(0.0..span.length() / 20.0));
+                let seg = MotionSegment::from_endpoints(life, a, a);
+                let met = traj.pieces_meeting(&seg.t, &seg.reach()).count();
+                assert!(met <= 400 / 8, "seed {seed}: met {met} of 400 pieces");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Differential test of the trajectory's piece index: all four overlap
+//! Differential test of the trajectory's piece index: both overlap
 //! forms against the loop they replaced — every piece solved, in order —
 //! kept here as the oracle. Equality is `to_bits`-exact, interval for
 //! interval.
@@ -7,7 +7,7 @@ use mobiquery::{KeySnapshot, Trajectory};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use stkit::{Interval, MotionSegment, MovingWindow, Rect, RectBatch, SegmentBatch, TimeSet};
+use stkit::{Interval, MotionSegment, MovingWindow, Rect, TimeSet};
 
 const SPACE: f64 = 1000.0;
 
@@ -23,28 +23,6 @@ fn oracle_segment(traj: &Trajectory<2>, seg: &MotionSegment<2>) -> TimeSet {
     let mut out = TimeSet::empty();
     for s in traj.segments() {
         out.insert(s.overlap_time_segment(seg));
-    }
-    out
-}
-
-fn oracle_rect_batch(traj: &Trajectory<2>, batch: &mut RectBatch<2>) -> Vec<TimeSet> {
-    let mut out = vec![TimeSet::empty(); batch.len()];
-    for s in traj.segments() {
-        batch.solve(s);
-        for (j, ts) in out.iter_mut().enumerate() {
-            ts.insert(batch.result(j));
-        }
-    }
-    out
-}
-
-fn oracle_segment_batch(traj: &Trajectory<2>, batch: &mut SegmentBatch<2>) -> Vec<TimeSet> {
-    let mut out = vec![TimeSet::empty(); batch.len()];
-    for s in traj.segments() {
-        batch.solve(s);
-        for (j, ts) in out.iter_mut().enumerate() {
-            ts.insert(batch.result(j));
-        }
     }
     out
 }
@@ -253,67 +231,5 @@ proptest! {
                 "overlap_segment {:?}", seg
             );
         }
-
-        // Batched forms, in pages of random size: one hull per page.
-        let mut out = Vec::new();
-        let mut rest = &boxes[..];
-        let mut rects = RectBatch::new();
-        while !rest.is_empty() {
-            let (page, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(40)));
-            rest = tail;
-            rects.clear();
-            for (space, life) in page {
-                rects.push(space, life);
-            }
-            let solved = traj.overlap_batch_into(&mut rects, &mut out);
-            prop_assert!(solved <= pieces);
-            let expect = oracle_rect_batch(&traj, &mut rects);
-            prop_assert_eq!(out.len(), page.len());
-            for (j, (space, life)) in page.iter().enumerate() {
-                prop_assert_eq!(bits(&out[j]), bits(&expect[j]), "rect lane {}", j);
-                prop_assert_eq!(bits(&out[j]), bits(&oracle_rect(&traj, space, life)));
-            }
-        }
-        let mut rest = &segs[..];
-        let mut lanes = SegmentBatch::new();
-        while !rest.is_empty() {
-            let (page, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(40)));
-            rest = tail;
-            lanes.clear();
-            for seg in page {
-                lanes.push(seg);
-            }
-            let solved = traj.overlap_batch_into(&mut lanes, &mut out);
-            prop_assert!(solved <= pieces);
-            let expect = oracle_segment_batch(&traj, &mut lanes);
-            prop_assert_eq!(out.len(), page.len());
-            for (j, seg) in page.iter().enumerate() {
-                prop_assert_eq!(bits(&out[j]), bits(&expect[j]), "segment lane {}", j);
-                prop_assert_eq!(bits(&out[j]), bits(&oracle_segment(&traj, seg)));
-            }
-        }
-    }
-
-    /// The index must actually leave pieces out: a short-lived page in
-    /// one corner of a long trajectory meets a small share of it.
-    #[test]
-    fn a_short_lived_page_meets_few_pieces(seed in any::<u64>()) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let traj = bouncing(&mut rng, 400);
-        let span = traj.span();
-        let t0 = rng.gen_range(span.lo..span.hi);
-        let mut lanes = SegmentBatch::new();
-        for _ in 0..50 {
-            let a = [rng.gen_range(400.0..450.0), rng.gen_range(400.0..450.0)];
-            let life = Interval::new(t0, t0 + rng.gen_range(0.0..span.length() / 20.0));
-            lanes.push(&MotionSegment::from_endpoints(life, a, a));
-        }
-        let mut out = Vec::new();
-        let solved = traj.overlap_batch_into(&mut lanes, &mut out);
-        prop_assert!(solved <= 400 / 8, "solved {} of 400 pieces", solved);
-        prop_assert_eq!(
-            out.iter().map(bits).collect::<Vec<_>>(),
-            oracle_segment_batch(&traj, &mut lanes).iter().map(bits).collect::<Vec<_>>()
-        );
     }
 }

@@ -24,7 +24,8 @@
 //!   segment-vs-box intersection (the leaf-level optimization of §3.2).
 //! * [`MovingWindow`] — a query window whose lower/upper borders move
 //!   linearly with time (one trapezoid segment of Fig. 3), with
-//!   overlap-time computation against static boxes and motion segments.
+//!   overlap-time computation against static boxes and motion segments —
+//!   the one overlap kernel the query engines run, entry by entry.
 //!
 //! All computation is `f64`; on-page storage downcasts to `f32` elsewhere
 //! (see the `rtree` crate) exactly as the paper's fanout figures imply.
@@ -33,7 +34,7 @@
 // loops keep the per-axis math symmetric and readable.
 #![allow(clippy::needless_range_loop)]
 
-pub mod batch;
+mod batch;
 pub mod interval;
 pub mod linear;
 pub mod quadratic;
@@ -42,7 +43,8 @@ pub mod segment;
 pub mod timeset;
 pub mod window;
 
-pub use batch::{RectBatch, SegmentBatch, StagedPage};
+#[doc(hidden)]
+pub use batch::{RectBatch, SegmentBatch};
 pub use interval::Interval;
 pub use linear::LinearForm;
 pub use quadratic::{solve_quadratic_le, within_distance};

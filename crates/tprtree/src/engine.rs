@@ -8,11 +8,10 @@
 //! a conjunction of linear inequalities — and the [`PdqRecord`] impl
 //! that hands it to the engine.
 
-use crate::batch::TpBoxBatch;
 use crate::record::TprRecord;
 use crate::tpbox::TpBox;
 use mobiquery::{PdqEngine, PdqRecord, PdqResult, Trajectory};
-use stkit::{Interval, MovingWindow, TimeSet};
+use stkit::{Interval, MovingWindow, Rect, TimeSet};
 
 /// Overlap time of one trapezoid trajectory segment with a
 /// time-parameterized box: `window.hi_i(t) ≥ box.lo_i(t)` and
@@ -30,14 +29,11 @@ pub fn overlap_window_tpbox(w: &MovingWindow<2>, b: &TpBox) -> Interval {
 }
 
 /// Overlap time set of a whole trajectory with a time-parameterized box:
-/// every piece, one at a time — the scalar reference the batched page
-/// solve is held bit-identical to.
+/// the union over the pieces alive during `b.active`. Where a moving box
+/// can be over its lifetime is not free to bound, so pieces are pruned by
+/// time alone.
 pub fn overlap_trajectory_tpbox(traj: &Trajectory<2>, b: &TpBox) -> TimeSet {
-    let mut out = TimeSet::empty();
-    for s in traj.segments() {
-        out.insert(overlap_window_tpbox(s, b));
-    }
-    out
+    traj.overlap_by(&b.active, &Rect::ALL, |s| overlap_window_tpbox(s, b))
 }
 
 /// A running dynamic query over a TPR-tree.
@@ -47,11 +43,8 @@ pub type TprDynamicQuery = PdqEngine<2, TprRecord>;
 pub type TprResult = PdqResult<2, TprRecord>;
 
 /// A moving point is its own (degenerate) bounding box, so the
-/// record-side defaults — overlap and staging of `self.key()` — are
-/// exact, and leaves and internal nodes share one batch.
+/// record-side default — the overlap of `self.key()` — is exact.
 impl PdqRecord<2> for TprRecord {
-    type Page = TpBoxBatch;
-
     #[inline]
     fn identity(&self) -> (u32, u32) {
         (self.oid, self.seq)
@@ -67,24 +60,8 @@ impl PdqRecord<2> for TprRecord {
     }
 
     #[inline]
-    fn stage_key(key: &TpBox, page: &mut TpBoxBatch) {
-        page.push(key);
-    }
-
-    #[inline]
     fn lifetime(&self) -> Interval {
         self.active
-    }
-
-    fn solve(
-        page: &mut TpBoxBatch,
-        _leaf: bool,
-        traj: &Trajectory<2>,
-        out: &mut Vec<TimeSet>,
-    ) -> usize {
-        let solved = traj.overlap_batch_into(page, out);
-        page.clear();
-        solved
     }
 }
 

@@ -28,12 +28,10 @@
 // loops keep the per-axis math symmetric and readable.
 #![allow(clippy::needless_range_loop)]
 
-pub mod batch;
 pub mod engine;
 pub mod record;
 pub mod tpbox;
 
-pub use batch::TpBoxBatch;
 pub use engine::TprDynamicQuery;
 pub use record::TprRecord;
 pub use tpbox::TpBox;

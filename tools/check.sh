@@ -3,12 +3,16 @@
 # package's tier-1 tests among them), clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and five grep gates: no Rust under crates tests examples src calls
+# and six grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
 # only because benchmarks/dqbench forwards it), nor `.read_node(` (every
 # descent reads through `RTree::try_read_node`, which checks the level
 # the parent implies; the un-levelled `read_node` is kept only because
-# benchmarks/dqbench calls it); no root suite but the
+# benchmarks/dqbench calls it), nor names a struct-of-arrays overlap
+# kernel outside crates/stkit (every engine solves an entry through the
+# scalar forms and `Trajectory::overlap_by`; `RectBatch` and
+# `SegmentBatch` are kept only because benchmarks/dqbench times them);
+# no root suite but the
 # served oracle waits with a timeout; no `zigzag` (nor a `truth`) is
 # defined outside tests/support — a name guard only: a copy of the
 # record-list truth under another name passes it; and the router keeps
@@ -141,6 +145,9 @@ if [ -z "$ONLY" ]; then
   fi
   if git grep -nE '\.read_node\(' -- crates tests examples src; then
     echo "FAIL: an un-levelled RTree::read_node (see above); read through try_read_node(page, level)" >&2; exit 1
+  fi
+  if git grep -nE 'RectBatch|SegmentBatch|StagedPage|overlap_batch_into|TpBoxBatch' -- crates tests examples src ':!crates/stkit'; then
+    echo "FAIL: a batched overlap kernel outside crates/stkit (see above); solve each entry through the scalar forms" >&2; exit 1
   fi
   if git grep -nE 'recv_timeout|RecvTimeoutError' -- tests ':!tests/support/served.rs'; then
     echo "FAIL: a root suite waits with its own timeout (see above); the hang bound lives in tests/support/served.rs" >&2; exit 1
