@@ -33,6 +33,14 @@
 //! and a failed session [`FrameClock::detach`]es, so nobody waits on it
 //! again.
 //!
+//! Wake-ups are targeted: who waits on what decides who is woken. The
+//! writer waits on its own condvar (`wait_committed`, `wait_ready`), the
+//! sessions on the other (`wait_applied`). `advance_applied` wakes the
+//! sessions, `advance_committed` the writer, and an `ack` wakes the
+//! writer only when it raises the slowest live attached session's
+//! frontier — no other ack can complete `wait_ready`. `detach` changes
+//! who counts, so it wakes both.
+//!
 //! Invariant, per region, whenever durability is attached:
 //! `committed >= applied >= min(acks) - 1`. Watermarks count *completed
 //! frames* (`applied == n` means batches `0..n` are visible), so frame
@@ -92,7 +100,10 @@ pub struct FrameClock {
     windows: Vec<Option<(u64, u64)>>,
     live: Arc<SessionLiveness>,
     inner: Mutex<ClockInner>,
-    cv: Condvar,
+    /// The region's writer waits here: on `committed` and on the acks.
+    writer_cv: Condvar,
+    /// The sessions reading the region wait here, on `applied`.
+    reader_cv: Condvar,
 }
 
 impl FrameClock {
@@ -116,7 +127,8 @@ impl FrameClock {
                 applied: start,
                 acks,
             }),
-            cv: Condvar::new(),
+            writer_cv: Condvar::new(),
+            reader_cv: Condvar::new(),
         }
     }
 
@@ -133,7 +145,7 @@ impl FrameClock {
         debug_assert!(inner.committed == u64::MAX || n >= inner.committed, "committed is monotone");
         if inner.committed != u64::MAX && n > inner.committed {
             inner.committed = n;
-            self.cv.notify_all();
+            self.writer_cv.notify_all();
         }
     }
 
@@ -146,7 +158,7 @@ impl FrameClock {
         }
         let started = Instant::now();
         while inner.committed <= k {
-            self.cv.wait(&mut inner);
+            self.writer_cv.wait(&mut inner);
         }
         started.elapsed().as_nanos() as u64
     }
@@ -164,7 +176,7 @@ impl FrameClock {
             .map(|(i, _)| n.saturating_sub(inner.acks[i].saturating_sub(1)))
             .max()
             .unwrap_or(0);
-        self.cv.notify_all();
+        self.reader_cv.notify_all();
         lag
     }
 
@@ -180,19 +192,24 @@ impl FrameClock {
         }
         let started = Instant::now();
         while inner.applied < n {
-            self.cv.wait(&mut inner);
+            self.reader_cv.wait(&mut inner);
         }
         started.elapsed().as_nanos() as u64
     }
 
     /// Session `i`: permit this region's writer to apply batches `< upto`.
     /// Called with `first + 1` once the session's engines exist, then
-    /// `k + 2` after each consumed frame `k`.
+    /// `k + 2` after each consumed frame `k`. Wakes the writer only if
+    /// this raises the slowest live attached frontier, the one
+    /// `wait_ready` waits on.
     pub fn ack(&self, i: usize, upto: u64) {
         let mut inner = self.inner.lock();
         if upto > inner.acks[i] {
+            let slowest = self.slowest(&inner);
             inner.acks[i] = upto;
-            self.cv.notify_all();
+            if self.slowest(&inner) > slowest {
+                self.writer_cv.notify_all();
+            }
         }
     }
 
@@ -204,7 +221,8 @@ impl FrameClock {
         // Take the lock so a writer mid-predicate-check cannot miss the
         // flag flip, then wake everyone.
         let _inner = self.inner.lock();
-        self.cv.notify_all();
+        self.writer_cv.notify_all();
+        self.reader_cv.notify_all();
     }
 
     /// Region writer: block until *every* live attached session has
@@ -229,9 +247,15 @@ impl FrameClock {
         }
         let started = Instant::now();
         while !ready(&inner) {
-            self.cv.wait(&mut inner);
+            self.writer_cv.wait(&mut inner);
         }
         started.elapsed().as_nanos() as u64
+    }
+
+    /// The slowest live attached session's ack frontier (`u64::MAX` when
+    /// none is attached): only its rise can make `wait_ready` true.
+    fn slowest(&self, inner: &ClockInner) -> u64 {
+        self.attached().map(|(i, _)| inner.acks[i]).min().unwrap_or(u64::MAX)
     }
 
     /// Live attached sessions and their windows.

@@ -8,7 +8,8 @@
 //! ablation compares.
 //!
 //! The §4.1 algorithm asks less of an index: that records and bounding
-//! keys have a lifetime and an overlap time with a trajectory.
+//! keys have a lifetime and the two ends of their overlap time with a
+//! trajectory, and that a record can say when it is visible.
 //! [`PdqRecord`] is that contract, and [`crate::PdqEngine`] is the one
 //! engine over every family that meets it — NSI motion segments here,
 //! the TPR-tree's moving points in `tprtree`.
@@ -60,10 +61,15 @@ impl<const D: usize> MotionRecord<D> for DtaSegmentRecord<D> {
 }
 
 /// A leaf record a predictive dynamic query can run over: what
-/// [`crate::PdqEngine`] needs of an index family. The record-side items
-/// default to the record's bounding key, which is right when that key is
-/// the record's exact motion (a moving point); a family whose keys only
-/// bound the motion overrides them with the exact test.
+/// [`crate::PdqEngine`] needs of an index family. The engine's queue
+/// keys an entry by the two ends of its overlap set with the trajectory
+/// alone — when the window first meets it and when it last does — so
+/// that hull is what a key and a record give it; the full set, the
+/// record's visibility, is solved only for a caller who asks for it on
+/// return. [`Self::hull`] defaults to the hull of the record's bounding
+/// key, which is right when that key is the record's exact motion (a
+/// moving point); a family whose keys only bound the motion overrides it
+/// with the exact test.
 pub trait PdqRecord<const D: usize>: Record {
     /// `(object id, update sequence)` identity.
     fn identity(&self) -> (u32, u32);
@@ -71,18 +77,23 @@ pub trait PdqRecord<const D: usize>: Record {
     /// When the entries under `key` are alive.
     fn key_lifetime(key: &Self::Key) -> Interval;
 
-    /// The times `traj`'s window overlaps `key`.
-    fn key_overlap(key: &Self::Key, traj: &Trajectory<D>) -> TimeSet;
+    /// The hull of the times `traj`'s window overlaps `key`
+    /// (`Interval::EMPTY`: never).
+    fn key_hull(key: &Self::Key, traj: &Trajectory<D>) -> Interval;
 
     /// When the record is alive.
     fn lifetime(&self) -> Interval {
         Self::key_lifetime(&self.key())
     }
 
-    /// The times the object is inside `traj`'s window: its visibility.
-    fn overlap(&self, traj: &Trajectory<D>) -> TimeSet {
-        Self::key_overlap(&self.key(), traj)
+    /// The hull of [`Self::overlap`], bit for bit: when the object enters
+    /// the view and when it leaves it for the last time.
+    fn hull(&self, traj: &Trajectory<D>) -> Interval {
+        Self::key_hull(&self.key(), traj)
     }
+
+    /// The times the object is inside `traj`'s window: its visibility.
+    fn overlap(&self, traj: &Trajectory<D>) -> TimeSet;
 }
 
 /// Keys go through the static-box kernel, records through the exact
@@ -98,13 +109,19 @@ impl<const D: usize> PdqRecord<D> for NsiSegmentRecord<D> {
         key.time.extent(0)
     }
 
-    fn key_overlap(key: &StBox<D, 1>, traj: &Trajectory<D>) -> TimeSet {
-        traj.overlap_nsi_box(key)
+    fn key_hull(key: &StBox<D, 1>, traj: &Trajectory<D>) -> Interval {
+        let (space, time) = (&key.space, &key.time.extent(0));
+        traj.overlap_hull_by(time, space, |s| s.overlap_time_rect(space, time))
     }
 
     #[inline]
     fn lifetime(&self) -> Interval {
         self.seg.t
+    }
+
+    fn hull(&self, traj: &Trajectory<D>) -> Interval {
+        let seg = &self.seg;
+        traj.overlap_hull_by(&seg.t, &seg.reach(), |s| s.overlap_time_segment(seg))
     }
 
     fn overlap(&self, traj: &Trajectory<D>) -> TimeSet {

@@ -22,12 +22,18 @@
 //! already hold, and the two sets below — nodes expanded, objects
 //! returned — drop such a duplicate when it pops.
 //!
-//! **Cost model.** A node is read once; expanding it costs one overlap
-//! set per entry (§5's distance computations), and each set is solved
-//! against only the trajectory pieces *meeting the entry* — the pieces
-//! whose span and swept box reach its lifetime and extent (see
-//! [`crate::trajectory`]) — not all pieces. Entries that can no longer
-//! be enqueued (lifetime over before `t_start`, or outside the
+//! **Cost model.** A node is read once; expanding it costs, per entry
+//! (§5's distance computations), the two ends of its overlap set, by
+//! early exit: the queue needs only when an entry enters the view (its
+//! priority) and when it last leaves (to drop it once past), so the
+//! trajectory pieces *meeting the entry* — the pieces whose span and
+//! swept box reach its lifetime and extent (see [`crate::trajectory`]) —
+//! are solved from the front and from the back until each side finds a
+//! non-empty one, and the pieces in between never are. The full set, an
+//! object's visibility, is solved only on return, and only for a caller
+//! of [`PdqEngine::try_get_next`]; [`PdqEngine::try_next_entry`] returns
+//! the record and the time it enters the view instead. Entries that can
+//! no longer be enqueued (lifetime over before `t_start`, or outside the
 //! trajectory's span) are counted but not solved.
 
 use crate::layout::PdqRecord;
@@ -51,57 +57,48 @@ pub struct PdqResult<const D: usize, R = NsiSegmentRecord<D>> {
 }
 
 #[derive(Clone, Debug)]
-enum ItemKind<const D: usize, R> {
+enum ItemKind<R> {
     Node { page: PageId, level: u32 },
-    Object(Box<PdqResult<D, R>>),
-}
-
-impl<const D: usize, R> ItemKind<D, R> {
-    /// An answer waiting in the queue. It may wait for most of the
-    /// trajectory, so the capacity its set grew by is handed back here.
-    fn object(record: R, mut visibility: TimeSet) -> Self {
-        visibility.shrink_to_fit();
-        ItemKind::Object(Box::new(PdqResult { record, visibility }))
-    }
+    /// An answer waiting in the queue, its identity beside it so the
+    /// queue orders and filters it with no `PdqRecord` bound.
+    Object { id: (u32, u32), record: R },
 }
 
 #[derive(Clone, Debug)]
-struct QueueItem<const D: usize, R> {
-    /// Start of the overlap-time interval — the queue priority.
+struct QueueItem<R> {
+    /// Start of the overlap-time hull — when the entry enters the view,
+    /// the queue priority.
     start: f64,
-    /// End of the overlap-time interval.
+    /// End of the overlap-time hull.
     end: f64,
-    kind: ItemKind<D, R>,
+    kind: ItemKind<R>,
 }
 
-impl<const D: usize, R: PdqRecord<D>> QueueItem<D, R> {
+impl<R> QueueItem<R> {
     /// Deterministic tie-break key for items sharing a `start`: objects
     /// pop before nodes (an answer due now beats speculative expansion),
     /// then ascending identity. Without this, `BinaryHeap`'s arbitrary
     /// tie order makes result order depend on insertion history.
     fn tie_key(&self) -> (u8, u64) {
         match &self.kind {
-            ItemKind::Object(r) => {
-                let (oid, seq) = r.record.identity();
-                (0, ((oid as u64) << 32) | seq as u64)
-            }
+            ItemKind::Object { id: (oid, seq), .. } => (0, (u64::from(*oid) << 32) | u64::from(*seq)),
             ItemKind::Node { page, .. } => (1, page.0 as u64),
         }
     }
 }
 
-impl<const D: usize, R: PdqRecord<D>> PartialEq for QueueItem<D, R> {
+impl<R> PartialEq for QueueItem<R> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl<const D: usize, R: PdqRecord<D>> Eq for QueueItem<D, R> {}
-impl<const D: usize, R: PdqRecord<D>> PartialOrd for QueueItem<D, R> {
+impl<R> Eq for QueueItem<R> {}
+impl<R> PartialOrd for QueueItem<R> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<const D: usize, R: PdqRecord<D>> Ord for QueueItem<D, R> {
+impl<R> Ord for QueueItem<R> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse for earliest-start-first,
         // with a total tie-break so pop order is deterministic.
@@ -146,7 +143,7 @@ impl<const D: usize, R: PdqRecord<D>> Ord for QueueItem<D, R> {
 #[derive(Debug)]
 pub struct PdqEngine<const D: usize, R: PdqRecord<D> = NsiSegmentRecord<D>> {
     trajectory: Trajectory<D>,
-    queue: BinaryHeap<QueueItem<D, R>>,
+    queue: BinaryHeap<QueueItem<R>>,
     /// §4.1 duplicate elimination: a node already expanded or an object
     /// already returned is dropped when it pops again, at whatever
     /// priority (the paper's consecutive-pop check needs a duplicate to
@@ -192,7 +189,7 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
 
     /// All queue pushes funnel through here so the high-water mark and
     /// trace stream stay exact.
-    fn push_item(&mut self, item: QueueItem<D, R>) {
+    fn push_item(&mut self, item: QueueItem<R>) {
         self.queue.push(item);
         let depth = self.queue.len();
         if depth > self.queue_hwm {
@@ -252,12 +249,32 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
     /// already returned are never repeated, and none are lost as long as
     /// the caller keeps the failed call's `t_start` until a call succeeds:
     /// a later one drops what ended before it, unexamined.
+    ///
+    /// This is [`Self::try_next_entry`] plus the one visibility solve of
+    /// the record it returns.
     pub fn try_get_next<S: PageStore>(
         &mut self,
         tree: &RTree<R, S>,
         t_start: f64,
         t_end: f64,
     ) -> Result<Option<PdqResult<D, R>>, StorageError> {
+        Ok(self.try_next_entry(tree, t_start, t_end)?.map(|(_, record)| {
+            let visibility = record.overlap(&self.trajectory);
+            PdqResult { record, visibility }
+        }))
+    }
+
+    /// The pop loop behind every way of draining the query: the next
+    /// object whose visibility overlaps `[t_start, t_end]`, as the time it
+    /// enters the view — its queue priority, `visibility.start()` bit for
+    /// bit — and the record, with no visibility set built. Faults, retries
+    /// and skipping ahead behave as in [`Self::try_get_next`].
+    pub fn try_next_entry<S: PageStore>(
+        &mut self,
+        tree: &RTree<R, S>,
+        t_start: f64,
+        t_end: f64,
+    ) -> Result<Option<(f64, R)>, StorageError> {
         if t_start > self.last_t_start {
             self.last_t_start = t_start;
         }
@@ -280,10 +297,10 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
                 continue;
             }
             match item.kind {
-                ItemKind::Object(result) => {
-                    if self.returned.insert(result.record.identity()) {
+                ItemKind::Object { id, record } => {
+                    if self.returned.insert(id) {
                         self.stats.results += 1;
-                        return Ok(Some(*result));
+                        return Ok(Some((item.start, record)));
                     }
                     self.stats.duplicates_skipped += 1;
                 }
@@ -307,7 +324,7 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
     }
 
     /// Read a node (one disk access, zero-copy) and enqueue each child
-    /// whose overlap-time set is non-empty and not entirely before
+    /// whose overlap-time hull is non-empty and not entirely before
     /// `t_start`. Entries are decoded lazily straight out of the page.
     fn expand<S: PageStore>(
         &mut self,
@@ -322,8 +339,8 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
             self.stats.leaf_accesses += 1;
         }
         // An entry whose lifetime ended before `t_start`, or misses the
-        // trajectory's span, has an overlap set `enqueue_timeset` drops
-        // (the set lies inside both): it is counted, never solved.
+        // trajectory's span, has an overlap hull `enqueue` drops (the
+        // hull lies inside both): it is counted, never solved.
         let span = self.trajectory.span();
         let out_of_play =
             |life: &Interval| life.hi < t_start || life.hi < span.lo || life.lo > span.hi;
@@ -333,8 +350,11 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
                 if out_of_play(&rec.lifetime()) || self.returned.contains(&rec.identity()) {
                     continue;
                 }
-                let ts = rec.overlap(&self.trajectory);
-                self.enqueue_timeset(ts, t_start, |vis| ItemKind::object(rec, vis));
+                let hull = rec.hull(&self.trajectory);
+                self.enqueue(hull, t_start, || ItemKind::Object {
+                    id: rec.identity(),
+                    record: rec,
+                });
             }
         } else {
             let child_level = level - 1;
@@ -343,8 +363,8 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
                 if out_of_play(&R::key_lifetime(&key)) {
                     continue;
                 }
-                let ts = R::key_overlap(&key, &self.trajectory);
-                self.enqueue_timeset(ts, t_start, |_| ItemKind::Node {
+                let hull = R::key_hull(&key, &self.trajectory);
+                self.enqueue(hull, t_start, || ItemKind::Node {
                     page: child,
                     level: child_level,
                 });
@@ -353,26 +373,18 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
         Ok(())
     }
 
-    /// Enqueue what `make` builds from the overlap set `ts` — which it
-    /// takes over — at the set's hull, unless the set is empty or over.
-    fn enqueue_timeset(
-        &mut self,
-        ts: TimeSet,
-        t_start: f64,
-        make: impl FnOnce(TimeSet) -> ItemKind<D, R>,
-    ) {
-        let (Some(start), Some(end)) = (ts.start(), ts.end()) else {
-            return;
-        };
-        // Entirely before the earliest time the application still cares
-        // about: never enqueued (algorithm line 12).
-        if end < t_start {
+    /// Enqueue what `make` builds at the overlap hull `hull`, unless the
+    /// hull is empty or over.
+    fn enqueue(&mut self, hull: Interval, t_start: f64, make: impl FnOnce() -> ItemKind<R>) {
+        // Empty, or entirely before the earliest time the application
+        // still cares about: never enqueued (algorithm line 12).
+        if hull.is_empty() || hull.hi < t_start {
             return;
         }
         self.push_item(QueueItem {
-            start,
-            end,
-            kind: make(ts),
+            start: hull.lo,
+            end: hull.hi,
+            kind: make(),
         });
     }
 
@@ -392,7 +404,7 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
     }
 
     /// Fallible form of [`Self::drain_window`], appending into a
-    /// caller-owned buffer so per-frame serving loops can reuse one
+    /// caller-owned buffer so a per-frame loop can reuse one
     /// allocation across frames: results due before the fault are
     /// appended to `out` and remain valid; the failing node stays queued
     /// for retry (see [`Self::try_get_next`]).
@@ -411,7 +423,7 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
 
     /// §4.1 update management: called with the report of every insertion
     /// that runs concurrently with this dynamic query. Costs one overlap
-    /// test and at most one enqueue, and reads nothing: what a report
+    /// hull and at most one enqueue, and reads nothing: what a report
     /// names is new to this query, so the tree is not consulted.
     pub fn notify(&mut self, report: &rtree::InsertReport<R::Key, R>) {
         // Reports whose overlap ended before the latest requested t_start
@@ -424,14 +436,16 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
                 if self.returned.contains(&rec.identity()) {
                     return;
                 }
-                let ts = rec.overlap(&self.trajectory);
-                let rec = *rec;
-                self.enqueue_timeset(ts, t_start, |vis| ItemKind::object(rec, vis));
+                let hull = rec.hull(&self.trajectory);
+                self.enqueue(hull, t_start, || ItemKind::Object {
+                    id: rec.identity(),
+                    record: *rec,
+                });
             }
             Inserted::Subtree { page, key, level } => {
-                let ts = R::key_overlap(key, &self.trajectory);
+                let hull = R::key_hull(key, &self.trajectory);
                 let (page, level) = (*page, *level);
-                self.enqueue_timeset(ts, t_start, |_| ItemKind::Node { page, level });
+                self.enqueue(hull, t_start, || ItemKind::Node { page, level });
             }
         }
     }
@@ -440,6 +454,8 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use rtree::bulk::bulk_load;
     use rtree::{RTree, RTreeConfig};
     use storage::Pager;
@@ -664,18 +680,9 @@ mod tests {
         assert_eq!(pdq.stats().duplicates_skipped, 0, "retries are not dups");
     }
 
-    /// The piece index against the loop it replaced, through the whole
-    /// engine: two engines over one tree, one trajectory indexed and one
-    /// scanning every piece, driven frame by frame with inserts (and so
-    /// `Record` and `Subtree` notifications) in between.
-    #[test]
-    fn indexed_trajectory_streams_what_a_full_scan_streams() {
+    /// 320 pieces of a 30-wide window bouncing through [0, 1000]².
+    fn bouncing() -> Trajectory<2> {
         use crate::trajectory::KeySnapshot;
-        use rand::{Rng, SeedableRng};
-        use rand_chacha::ChaCha8Rng;
-
-        let mut rng = ChaCha8Rng::seed_from_u64(15);
-        // 320 pieces of a 30-wide window bouncing through [0, 1000]².
         let (mut c, mut v) = ([500.0, 300.0], [900.0, 700.0]);
         let window = |c: [f64; 2]| Rect::from_corners([c[0] - 15.0, c[1] - 15.0], [c[0] + 15.0, c[1] + 15.0]);
         let mut keys = vec![KeySnapshot { t: 0.0, window: window(c) }];
@@ -692,20 +699,37 @@ mod tests {
         }
         let traj = Trajectory::new(keys);
         assert_eq!(traj.segments().len(), 320);
-        let span = traj.span();
+        traj
+    }
 
-        // Short-lived motions all over the space and the span; small
-        // pages, so the tree is deep and inserts split below the root.
-        let motion = |rng: &mut ChaCha8Rng, oid: u32, born: f64| {
-            let a = [rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)];
-            let b = [a[0] + rng.gen_range(-40.0..40.0), a[1] + rng.gen_range(-40.0..40.0)];
-            R::new(oid, 0, Interval::new(born, born + rng.gen_range(0.5..4.0)), a, b)
-        };
+    /// A short-lived motion somewhere in the space, born at `born`.
+    fn motion(rng: &mut ChaCha8Rng, oid: u32, born: f64) -> R {
+        let a = [rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)];
+        let b = [a[0] + rng.gen_range(-40.0..40.0), a[1] + rng.gen_range(-40.0..40.0)];
+        R::new(oid, 0, Interval::new(born, born + rng.gen_range(0.5..4.0)), a, b)
+    }
+
+    /// Motions all over the space and [`bouncing`]'s span, on small
+    /// pages, so the tree is deep and inserts split below the root.
+    fn motion_tree(rng: &mut ChaCha8Rng) -> RTree<R, Pager> {
         let preload: Vec<R> = (0..6000)
-            .map(|i| motion(&mut rng, i, (i % 600) as f64 * 0.1))
+            .map(|i| motion(rng, i, (i % 600) as f64 * 0.1))
             .collect();
-        let mut tree = bulk_load(Pager::with_page_size(512), RTreeConfig::default(), preload);
+        let tree = bulk_load(Pager::with_page_size(512), RTreeConfig::default(), preload);
         assert!(tree.height() >= 3);
+        tree
+    }
+
+    /// The piece index against the loop it replaced, through the whole
+    /// engine: two engines over one tree, one trajectory indexed and one
+    /// scanning every piece, driven frame by frame with inserts (and so
+    /// `Record` and `Subtree` notifications) in between.
+    #[test]
+    fn indexed_trajectory_streams_what_a_full_scan_streams() {
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let traj = bouncing();
+        let span = traj.span();
+        let mut tree = motion_tree(&mut rng);
 
         let mut indexed = PdqEngine::start(&tree, traj.clone());
         let mut scanned = PdqEngine::start(&tree, traj.scanning_every_piece());
@@ -745,6 +769,49 @@ mod tests {
         assert!(delivered > 500, "only {delivered} answers: the run proves little");
         assert!(records > 100 && subtrees > 10, "{records} record / {subtrees} subtree reports");
         assert_eq!(indexed.queue_hwm(), scanned.queue_hwm());
+    }
+
+    /// The served lane's pop against the library's: two engines over one
+    /// tree taking live inserts, one drained through `try_next_entry`, the
+    /// other through `try_get_next`. Same records in the same order, each
+    /// entry time the visibility's start bit for bit, same cost.
+    #[test]
+    fn an_entry_time_is_its_visibility_start() {
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let traj = bouncing();
+        let span = traj.span();
+        let mut tree = motion_tree(&mut rng);
+
+        let mut entries = PdqEngine::start(&tree, traj.clone());
+        let mut full = PdqEngine::start(&tree, traj);
+        let (mut delivered, mut split_sets, mut next_oid) = (0usize, 0usize, 100_000);
+        let frame = 0.5;
+        let mut t = span.lo;
+        while t < span.hi {
+            let got: Vec<(f64, R)> =
+                std::iter::from_fn(|| entries.try_next_entry(&tree, t, t + frame).unwrap()).collect();
+            let want = full.drain_window(&tree, t, t + frame);
+            assert_eq!(got.len(), want.len(), "frame at t = {t}");
+            for ((entered, rec), w) in got.iter().zip(&want) {
+                assert_eq!(*rec, w.record, "frame at t = {t}");
+                let start = w.visibility.start().expect("a delivered object is visible");
+                assert_eq!(entered.to_bits(), start.to_bits(), "entry time of {}", rec.oid);
+                split_sets += usize::from(w.visibility.len() > 1);
+            }
+            delivered += got.len();
+            assert_eq!(entries.stats(), full.stats(), "frame at t = {t}");
+            for _ in 0..30 {
+                let born = t + rng.gen_range(-3.0..6.0);
+                let report = tree.insert(motion(&mut rng, next_oid, born), t);
+                next_oid += 1;
+                entries.notify(&report);
+                full.notify(&report);
+            }
+            t += frame;
+        }
+        assert!(delivered > 500, "only {delivered} answers: the run proves little");
+        assert!(split_sets > 0, "no visibility of more than one interval");
+        assert_eq!(entries.queue_hwm(), full.queue_hwm());
     }
 
     #[test]

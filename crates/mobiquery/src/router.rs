@@ -20,7 +20,7 @@
 //! only the lane whose region is the record's [`RegionGrid::owner`]
 //! emits a match, so each is emitted once with no delivered set and no
 //! dedup. Within a frame, PDQ results order by
-//! `(visibility start, oid, seq)` — the same keys the PDQ queue itself
+//! `(entry time, oid, seq)` — the same keys the PDQ queue itself
 //! tie-breaks on — and NPDQ results by `(oid, seq)`, so a session's
 //! stream is the same under every grid and partitioned runs are bitwise
 //! deterministic: [`PartitionedDqServer::serve`] equals

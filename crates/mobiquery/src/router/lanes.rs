@@ -32,7 +32,7 @@
 use super::RegionTree;
 use crate::layout::MotionRecord;
 use crate::npdq::NpdqEngine;
-use crate::pdq::{PdqEngine, PdqResult};
+use crate::pdq::PdqEngine;
 use crate::region::RegionGrid;
 use crate::service::{
     panic_message, FrameReport, NsiReport, SessionKind, SessionOutcome, SessionOutput, SessionSpec,
@@ -66,7 +66,7 @@ pub(super) struct LaneRun<'a, const D: usize> {
     /// Node reads attributed per region (for the per-region identity):
     /// empty until [`Self::enter`], one slot per region after.
     pub(super) region_reads: Vec<u64>,
-    scratch: Vec<PdqResult<D>>,
+    /// PDQ: the frame's owned entries as `(entry time, oid, seq)`.
     merge_pdq: Vec<(f64, u32, u32)>,
     /// When the lanes first came up; `out.wall_ns` counts from here.
     started: Option<Instant>,
@@ -85,7 +85,6 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             retry_from: None,
             out: SessionOutput::default(),
             region_reads: Vec::new(),
-            scratch: Vec::new(),
             merge_pdq: Vec::new(),
             started: None,
         }
@@ -197,14 +196,17 @@ impl<'a, const D: usize> LaneRun<'a, D> {
                     for report in slates[r].read().of_frame(r, k).0 {
                         pdq.notify(report);
                     }
-                    self.scratch.clear();
-                    let res = pdq.try_drain_window_into(tree, t0, t1, &mut self.scratch);
-                    for pr in &self.scratch {
-                        if grid.owner(&pr.record.seg.spatial_bbox(), &self.lanes) == r {
-                            let start = pr.visibility.start().unwrap_or(f64::NEG_INFINITY);
-                            self.merge_pdq.push((start, pr.record.oid, pr.record.seq));
+                    // Entries only: nothing here reads a visibility set.
+                    let res = loop {
+                        match pdq.try_next_entry(tree, t0, t1) {
+                            Ok(Some((entered, rec))) => {
+                                if grid.owner(&rec.seg.spatial_bbox(), &self.lanes) == r {
+                                    self.merge_pdq.push((entered, rec.oid, rec.seq));
+                                }
+                            }
+                            done => break done,
                         }
-                    }
+                    };
                     if let Err(e) = res {
                         first_err.get_or_insert(e);
                     }
@@ -610,7 +612,8 @@ mod tests {
                     direct.notify(report);
                 }
                 let (t0, t1) = (spec.frame_times[k], spec.frame_times[k + 1]);
-                (k, direct.drain_window(&*tree, t0, t1).len(), direct.take_stats())
+                let delivered = std::iter::from_fn(|| direct.try_next_entry(&*tree, t0, t1).unwrap()).count();
+                (k, delivered, direct.take_stats())
             })
             .collect();
         for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![5.0, 20.0])] {

@@ -5,7 +5,11 @@
 //! one kernel result per piece. Every overlap form goes through one
 //! method, [`Trajectory::overlap_by`]: [`Trajectory::overlap_rect`] and
 //! [`Trajectory::overlap_segment`] here, the TPR-tree's moving boxes in
-//! `tprtree`. A piece whose span misses an entry's lifetime, or whose
+//! `tprtree`. Its hull twin, [`Trajectory::overlap_hull_by`], gives only
+//! the set's two ends — all a PDQ queue keys an entry by — solving pieces
+//! from the front until one is non-empty and from the back likewise, so
+//! an entry that meets many pieces pays for the few at its two ends. A
+//! piece whose span misses an entry's lifetime, or whose
 //! swept box lies clear of the entry, contributes the empty interval, so
 //! it is not visited: the pieces are indexed once at construction (their
 //! spans are already sorted; their swept boxes are cached, widened for
@@ -19,7 +23,7 @@
 //! empty interval is a no-op.
 
 use crate::snapshot::SnapshotQuery;
-use stkit::{Interval, MotionSegment, MovingWindow, Rect, Scalar, StBox, TimeSet};
+use stkit::{Interval, MotionSegment, MovingWindow, Rect, Scalar, TimeSet};
 
 /// One key snapshot `K^j = ⟨t, x̄₁, …, x̄_d⟩`: the query window at a point
 /// of the observer's trajectory (Eq. 2).
@@ -117,7 +121,7 @@ impl<const D: usize> Trajectory<D> {
         &'a self,
         time: &Interval,
         space: &'a Rect<D>,
-    ) -> impl Iterator<Item = &'a MovingWindow<D>> + 'a {
+    ) -> impl DoubleEndedIterator<Item = &'a MovingWindow<D>> + 'a {
         #[cfg(test)]
         let (time, space) = if self.scan_all {
             (&Interval::ALL, &Rect::ALL)
@@ -209,11 +213,6 @@ impl<const D: usize> Trajectory<D> {
         self.overlap_by(time, space, |s| s.overlap_time_rect(space, time))
     }
 
-    /// Overlap-time set for an NSI bounding box key.
-    pub fn overlap_nsi_box(&self, key: &StBox<D, 1>) -> TimeSet {
-        self.overlap_rect(&key.space, &key.time.extent(0))
-    }
-
     /// Exact overlap-time set for a motion segment: the times at which
     /// the *object* (not its bounding box) is inside the moving window —
     /// the leaf-level exact test for dynamic queries, and the visibility
@@ -241,6 +240,27 @@ impl<const D: usize> Trajectory<D> {
             out.insert(solve(s));
         }
         out
+    }
+
+    /// `overlap_by(time, space, solve).hull()`, bit for bit, without the
+    /// set: `lo` from the first piece meeting the entry whose `solve` is
+    /// non-empty, `hi` from the last. Each piece's result lies inside its
+    /// span and the spans are sorted, so the first non-empty result holds
+    /// the set's least instant and the last its greatest; the pieces in
+    /// between are never solved. `Interval::EMPTY` when every piece
+    /// solves empty.
+    pub fn overlap_hull_by(
+        &self,
+        time: &Interval,
+        space: &Rect<D>,
+        solve: impl Fn(&MovingWindow<D>) -> Interval,
+    ) -> Interval {
+        let mut pieces = self.pieces_meeting(time, space).map(solve);
+        let Some(first) = pieces.find(|iv| !iv.is_empty()) else {
+            return Interval::EMPTY;
+        };
+        let last = pieces.rfind(|iv| !iv.is_empty()).unwrap_or(first);
+        Interval::new(first.lo, last.hi)
     }
 
     /// SPDQ (§4): inflate every key window by `delta` to tolerate an

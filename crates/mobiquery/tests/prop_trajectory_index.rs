@@ -1,13 +1,16 @@
 //! Differential test of the trajectory's piece index: both overlap
 //! forms against the loop they replaced — every piece solved, in order —
-//! kept here as the oracle. Equality is `to_bits`-exact, interval for
-//! interval.
+//! kept here as the oracle, and both hulls the PDQ queue keys entries
+//! by (`Trajectory::overlap_hull_by`, through `PdqRecord::key_hull` for a
+//! box and `PdqRecord::hull` for a motion segment) against the hull of
+//! each set. Equality is `to_bits`-exact, interval for interval.
 
-use mobiquery::{KeySnapshot, Trajectory};
+use mobiquery::{KeySnapshot, PdqRecord, Trajectory};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use stkit::{Interval, MotionSegment, MovingWindow, Rect, TimeSet};
+use rtree::NsiSegmentRecord;
+use stkit::{Interval, MotionSegment, MovingWindow, Rect, StBox, TimeSet};
 
 const SPACE: f64 = 1000.0;
 
@@ -32,6 +35,10 @@ fn bits(ts: &TimeSet) -> Vec<(u64, u64)> {
         .iter()
         .map(|iv| (iv.lo.to_bits(), iv.hi.to_bits()))
         .collect()
+}
+
+fn hull_bits(iv: Interval) -> (u64, u64) {
+    (iv.lo.to_bits(), iv.hi.to_bits())
 }
 
 /// How far, in representable values, a grazing probe sits from the face
@@ -216,20 +223,34 @@ proptest! {
             })
             .collect();
 
-        // Scalar forms, entry by entry.
+        // Scalar forms, entry by entry, and the hull of each.
         for (space, life) in &boxes {
-            prop_assert_eq!(
-                bits(&traj.overlap_rect(space, life)),
-                bits(&oracle_rect(&traj, space, life)),
-                "overlap_rect {:?} {:?}", space, life
-            );
+            let set = traj.overlap_rect(space, life);
+            let oracle = oracle_rect(&traj, space, life);
+            prop_assert_eq!(bits(&set), bits(&oracle), "overlap_rect {:?} {:?}", space, life);
+            let key = StBox { space: *space, time: Rect::new([*life]) };
+            let hulls = [
+                traj.overlap_hull_by(life, space, |s| s.overlap_time_rect(space, life)),
+                NsiSegmentRecord::<2>::key_hull(&key, &traj),
+            ];
+            for hull in hulls {
+                prop_assert_eq!(hull_bits(hull), hull_bits(set.hull()), "rect hull {:?} {:?}", space, life);
+                prop_assert_eq!(hull_bits(hull), hull_bits(oracle.hull()), "rect hull {:?} {:?}", space, life);
+            }
         }
         for seg in &segs {
-            prop_assert_eq!(
-                bits(&traj.overlap_segment(seg)),
-                bits(&oracle_segment(&traj, seg)),
-                "overlap_segment {:?}", seg
-            );
+            let set = traj.overlap_segment(seg);
+            let oracle = oracle_segment(&traj, seg);
+            prop_assert_eq!(bits(&set), bits(&oracle), "overlap_segment {:?}", seg);
+            let rec = NsiSegmentRecord { seg: *seg, oid: 0, seq: 0 };
+            let hulls = [
+                traj.overlap_hull_by(&seg.t, &seg.reach(), |s| s.overlap_time_segment(seg)),
+                rec.hull(&traj),
+            ];
+            for hull in hulls {
+                prop_assert_eq!(hull_bits(hull), hull_bits(set.hull()), "segment hull {:?}", seg);
+                prop_assert_eq!(hull_bits(hull), hull_bits(oracle.hull()), "segment hull {:?}", seg);
+            }
         }
     }
 }

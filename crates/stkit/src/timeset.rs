@@ -130,12 +130,6 @@ impl TimeSet {
         }
     }
 
-    /// Give back the capacity that growing by [`Self::insert`] left
-    /// over — for a set that is finished and will be held for a while.
-    pub fn shrink_to_fit(&mut self) {
-        self.ivs.shrink_to_fit();
-    }
-
     /// Union of two sets.
     pub fn union(&self, other: &TimeSet) -> TimeSet {
         let mut out = self.clone();

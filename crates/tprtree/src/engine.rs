@@ -11,6 +11,7 @@
 use crate::record::TprRecord;
 use crate::tpbox::TpBox;
 use mobiquery::{PdqEngine, PdqRecord, PdqResult, Trajectory};
+use rtree::Record;
 use stkit::{Interval, MovingWindow, Rect, TimeSet};
 
 /// Overlap time of one trapezoid trajectory segment with a
@@ -43,7 +44,8 @@ pub type TprDynamicQuery = PdqEngine<2, TprRecord>;
 pub type TprResult = PdqResult<2, TprRecord>;
 
 /// A moving point is its own (degenerate) bounding box, so the
-/// record-side default — the overlap of `self.key()` — is exact.
+/// record-side hull default — the hull of `self.key()` — is exact, and
+/// the visibility is the key's overlap set.
 impl PdqRecord<2> for TprRecord {
     #[inline]
     fn identity(&self) -> (u32, u32) {
@@ -55,13 +57,17 @@ impl PdqRecord<2> for TprRecord {
         key.active
     }
 
-    fn key_overlap(key: &TpBox, traj: &Trajectory<2>) -> TimeSet {
-        overlap_trajectory_tpbox(traj, key)
+    fn key_hull(key: &TpBox, traj: &Trajectory<2>) -> Interval {
+        traj.overlap_hull_by(&key.active, &Rect::ALL, |s| overlap_window_tpbox(s, key))
     }
 
     #[inline]
     fn lifetime(&self) -> Interval {
         self.active
+    }
+
+    fn overlap(&self, traj: &Trajectory<2>) -> TimeSet {
+        overlap_trajectory_tpbox(traj, &self.key())
     }
 }
 

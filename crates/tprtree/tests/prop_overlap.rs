@@ -1,13 +1,15 @@
 //! Property test pinning the TPR-tree's one overlap form,
 //! `overlap_trajectory_tpbox` — pieces pruned by time through the
 //! trajectory's piece index — to the loop over every piece kept here as
-//! the oracle. Equality is `to_bits`-exact, interval for interval.
+//! the oracle, and the box's hull the PDQ queue keys it by,
+//! `PdqRecord::key_hull`, to the hull of both sets. Equality is
+//! `to_bits`-exact, interval for interval.
 
-use mobiquery::{KeySnapshot, Trajectory};
+use mobiquery::{KeySnapshot, PdqRecord, Trajectory};
 use proptest::prelude::*;
 use stkit::{Interval, Rect, TimeSet};
 use tprtree::engine::{overlap_trajectory_tpbox, overlap_window_tpbox};
-use tprtree::TpBox;
+use tprtree::{TpBox, TprRecord};
 
 fn every_piece(traj: &Trajectory<2>, b: &TpBox) -> TimeSet {
     let mut out = TimeSet::empty();
@@ -19,6 +21,10 @@ fn every_piece(traj: &Trajectory<2>, b: &TpBox) -> TimeSet {
 
 fn bits(ts: &TimeSet) -> Vec<(u64, u64)> {
     ts.intervals().iter().map(|iv| (iv.lo.to_bits(), iv.hi.to_bits())).collect()
+}
+
+fn hull_bits(iv: Interval) -> (u64, u64) {
+    (iv.lo.to_bits(), iv.hi.to_bits())
 }
 
 fn iv() -> impl Strategy<Value = Interval> {
@@ -107,11 +113,11 @@ proptest! {
     ) {
         for (j, (b, how, k)) in boxes.into_iter().enumerate() {
             let b = snapped(&traj, b, how, k);
-            prop_assert_eq!(
-                bits(&overlap_trajectory_tpbox(&traj, &b)),
-                bits(&every_piece(&traj, &b)),
-                "box {} {:?}", j, b
-            );
+            let (set, oracle) = (overlap_trajectory_tpbox(&traj, &b), every_piece(&traj, &b));
+            prop_assert_eq!(bits(&set), bits(&oracle), "box {} {:?}", j, b);
+            let hull = TprRecord::key_hull(&b, &traj);
+            prop_assert_eq!(hull_bits(hull), hull_bits(set.hull()), "hull of box {} {:?}", j, b);
+            prop_assert_eq!(hull_bits(hull), hull_bits(oracle.hull()), "hull of box {} {:?}", j, b);
         }
     }
 }

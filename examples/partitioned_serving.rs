@@ -98,7 +98,7 @@ fn main() {
     }
 
     // Every session's stream is identical, order included: one lane emits
-    // each match, PDQ frames order by (visibility start, oid, seq) and
+    // each match, PDQ frames order by (entry time, oid, seq) and
     // NPDQ frames by (oid, seq), none of which depends on the grid.
     for (i, (p, m)) in part.sessions.iter().zip(&mono.sessions).enumerate() {
         assert_eq!(p.results, m.results, "session {i} diverged");

@@ -3,7 +3,7 @@
 # package's tier-1 tests among them), clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and six grep gates: no Rust under crates tests examples src calls
+# and seven grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
 # only because benchmarks/dqbench forwards it), nor `.read_node(` (every
 # descent reads through `RTree::try_read_node`, which checks the level
@@ -15,9 +15,12 @@
 # no root suite but the
 # served oracle waits with a timeout; no `zigzag` (nor a `truth`) is
 # defined outside tests/support — a name guard only: a copy of the
-# record-list truth under another name passes it; and the router keeps
+# record-list truth under another name passes it; the router keeps
 # three `serve` entry points (`serve`, `serve_plans_streamed`,
-# `serve_serial_plans`).
+# `serve_serial_plans`); and the served path builds no visibility set:
+# crates/mobiquery/src/router.rs and router/ name no `.visibility`,
+# `TimeSet`, `try_get_next` or `drain_window` (a PDQ lane pops entries
+# with `PdqEngine::try_next_entry` and merges by entry time).
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -157,6 +160,9 @@ if [ -z "$ONLY" ]; then
   fi
   if [ "$(grep -c 'pub fn serve' crates/mobiquery/src/router.rs)" != 3 ]; then
     echo "FAIL: crates/mobiquery/src/router.rs has $(grep -c 'pub fn serve' crates/mobiquery/src/router.rs) serve entry points, not 3" >&2; exit 1
+  fi
+  if git grep -nE '\.visibility|TimeSet|try_get_next|drain_window' -- crates/mobiquery/src/router.rs crates/mobiquery/src/router; then
+    echo "FAIL: the served path names a visibility set (see above); a PDQ lane pops with try_next_entry" >&2; exit 1
   fi
 fi
 mkdir -p target/figures
