@@ -44,14 +44,17 @@
 //! regions never hear from it. Sessions *detach* from their lane clocks
 //! when their schedule ends — or when they fail mid-run, so a dead
 //! session releases the writers instead of holding them. Per region the
-//! invariant
-//! `committed >= applied` holds throughout, and a region's writer and its
-//! readers strictly alternate: a lane reads its region's tree and slate
-//! behind the locks that writer takes, and never waits on them; a slate
-//! *ahead* of the frame being read would mean the clock failed, and fails
-//! the session that sees it. Region tree level reads == Σ lane disk
-//! accesses attributed to that region + that region's writer reads,
-//! exactly (a durable server's first run adds
+//! clock guarantees what `clock.rs`'s tests check over every
+//! interleaving: a session reading frame `k` sees exactly the batches
+//! `<= k` applied, a batch is applied only after its commit, and nobody
+//! waits for ever. So a lane reads its region's tree and slate behind
+//! the locks that writer takes, and never waits on them; a slate *ahead*
+//! of the frame being read would mean the clock failed, and fails the
+//! session that sees it. (The watermarks are not ordered: a region whose
+//! slice is empty, or whose writer failed, advances `applied` without
+//! waiting, past `committed` on a durable serve.) Region tree level
+//! reads == Σ lane disk accesses attributed to that region + that
+//! region's writer reads, exactly (a durable server's first run adds
 //! the base checkpoint's one scan; periodic checkpoints read no tree).
 //!
 //! ## Where things live

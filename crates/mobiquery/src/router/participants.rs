@@ -213,7 +213,6 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// its plan's window, when its lanes reach `r`.
     fn shared(&self, plans: &[SessionPlan<D>], steps: usize) -> Shared<D> {
         let n = self.grid.len();
-        let live = SessionLiveness::new(plans.len());
         let attach: Vec<_> = plans
             .iter()
             .map(|p| (p.window(), self.grid.route_rect(&p.spec.trajectory.swept_bounds())))
@@ -224,7 +223,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     .iter()
                     .map(|(w, lanes)| w.filter(|_| lanes.contains(&r)))
                     .collect();
-                FrameClock::new(windows, Arc::clone(&live), 0, self.durability.is_some())
+                FrameClock::new(windows, SessionLiveness::new(plans.len()), 0, self.durability.is_some())
             })
             .collect();
         Shared {
@@ -257,17 +256,11 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             if let Some(batch) = inserts.get(k) {
                 route_slice(&self.grid, r, batch, &mut routed);
                 if !routed.is_empty() && !writer_failed(&w) {
-                    // WAL before any page write, then flow control:
-                    // every live attached session has acked past `k`
-                    // (finished frame `k - 1`, or — at its join frame —
-                    // built its engines). Frames that route nothing
-                    // here skip both waits, so the ack check must not
-                    // be window-scoped (a later non-empty batch would
-                    // slip past a still-reading session).
+                    // WAL before any page write; then, once every
+                    // attached session has acked `k`, nobody still reads
+                    // the slate's previous frame.
                     record_wait(&sh.wait_hist, clock.wait_committed(ku));
                     record_wait(&sh.wait_hist, clock.wait_ready(ku));
-                    // `wait_ready` above is also why nobody still reads
-                    // the slate's previous frame.
                     let hold = sh.hold_hist.as_ref();
                     self.apply_region_batch(k, r, &routed, &sh.slates[r], &mut w, hold);
                 }

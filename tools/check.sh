@@ -3,7 +3,7 @@
 # package's tier-1 tests among them), clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and seven grep gates: no Rust under crates tests examples src calls
+# and eight grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
 # only because benchmarks/dqbench forwards it), nor `.read_node(` (every
 # descent reads through `RTree::try_read_node`, which checks the level
@@ -20,7 +20,11 @@
 # `serve_serial_plans`); and the served path builds no visibility set:
 # crates/mobiquery/src/router.rs and router/ name no `.visibility`,
 # `TimeSet`, `try_get_next` or `drain_window` (a PDQ lane pops entries
-# with `PdqEngine::try_next_entry` and merges by entry time).
+# with `PdqEngine::try_next_entry` and merges by entry time); and
+# crates/mobiquery/src/clock.rs holds exactly one `.wait(`, the one
+# timed loop every `FrameClock` wait goes through, so no rule hides in
+# a wait loop of its own (the rules are `ClockState::enabled`/`apply`,
+# which that file's tests enumerate over every interleaving).
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -163,6 +167,9 @@ if [ -z "$ONLY" ]; then
   fi
   if git grep -nE '\.visibility|TimeSet|try_get_next|drain_window' -- crates/mobiquery/src/router.rs crates/mobiquery/src/router; then
     echo "FAIL: the served path names a visibility set (see above); a PDQ lane pops with try_next_entry" >&2; exit 1
+  fi
+  if [ "$(grep -c '\.wait(' crates/mobiquery/src/clock.rs)" != 1 ]; then
+    echo "FAIL: crates/mobiquery/src/clock.rs has $(grep -c '\.wait(' crates/mobiquery/src/clock.rs) condvar waits, not 1; every wait goes through FrameClock's one loop" >&2; exit 1
   fi
 fi
 mkdir -p target/figures
