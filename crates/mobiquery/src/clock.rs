@@ -2,13 +2,10 @@
 //! region's writer against the sessions reading it.
 //!
 //! There is no global rendezvous on the serving path. Each region has a
-//! [`FrameClock`]: three monotonic watermarks plus per-session
-//! consumption cursors, so a slow session holds back only the regions
-//! its query touches, and a failed session simply detaches.
+//! [`FrameClock`]: one monotonic watermark plus per-session consumption
+//! cursors, so a slow session holds back only the regions its query
+//! touches, and a failed session simply detaches.
 //!
-//! * `committed` — frames whose insert batch is WAL-durable. Advanced by
-//!   the durability participant; a region's writer waits on it before
-//!   applying, so *commit happens-before apply* (chaos_g–j's contract).
 //! * `applied` — frames the region's writer is done with. A session
 //!   reads frame `k` only once `applied >= k + 1`, and only on the
 //!   clocks of the regions its query touches.
@@ -17,6 +14,11 @@
 //!   or, at its join frame, building its engines against the pre-batch
 //!   tree. A not-yet-joined session's frontier already sits at its join
 //!   frame, so it never gates earlier batches.
+//!
+//! Durability is not the clock's business: a durable serve's writer
+//! commits the log through frame `k` before it even routes its slice
+//! of batch `k` (`router/participants.rs`), so commit-before-apply is
+//! statement order, not a rule here.
 //!
 //! The rules are one value, `ClockState`: `enabled` says when a wait
 //! may return, `apply` what a mutation changes and which condvars it
@@ -28,20 +30,18 @@
 //! (i) a session reading frame `k` (building at its join frame `f`)
 //! sees exactly the batches `<= k` (`< f`) applied, as the serial
 //! oracle does, so the one-slot slate holds frame `k` or an older one;
-//! (ii) a non-empty batch is applied only after its commit; (iii) until
-//! every participant is done, some step is enabled; (iv) a mutation
-//! wakes every condvar whose waiter it enables.
+//! (ii) until every participant is done, some step is enabled; (iii) a
+//! mutation wakes every condvar whose waiter it enables.
 //!
-//! The watermarks themselves are not ordered: a writer whose slice of a
+//! `applied` is not ordered against the acks: a writer whose slice of a
 //! batch is empty, or which has failed, advances `applied` without
-//! waiting, so on a durable serve `applied` can pass `committed` and run
-//! frames ahead of a reader — harmless, as the tree does not change.
+//! waiting, so it can run frames ahead of a reader — harmless, as the
+//! tree does not change.
 //!
 //! Wake-ups are targeted. The writer waits on its own condvar
-//! (`wait_committed`, `wait_ready`), the sessions on the other
-//! (`wait_applied`). `advance_applied` wakes the sessions,
-//! `advance_committed` the writer, and an `ack` the writer only when it
-//! raises the slowest live attached frontier — no other ack can
+//! (`wait_ready`), the sessions on the other (`wait_applied`).
+//! `advance_applied` wakes the sessions, and an `ack` the writer only
+//! when it raises the slowest live attached frontier — no other ack can
 //! complete `wait_ready`. `detach` changes who counts, so it wakes both.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -64,8 +64,6 @@ impl SessionLiveness {
 /// A step of a clock's participants: a wait (`Await*`) or a mutation.
 #[derive(Clone, Copy, Debug)]
 enum Step {
-    /// Writer: batch `k` is WAL-durable.
-    AwaitCommit(u64),
     /// Writer: *every* live attached session has acked batch `k`. A
     /// session before its join frame passes vacuously (its frontier
     /// starts there), a finished one detaches. Not window-scoped: a
@@ -76,8 +74,6 @@ enum Step {
     AwaitReady(u64),
     /// Session: frames `0..n` are applied.
     AwaitApplied(u64),
-    /// Durability: frames `0..n` are WAL-durable.
-    Commit(u64),
     /// Writer: frames `0..n` are applied.
     Advance(u64),
     /// Session `i` permits batches `< upto`.
@@ -98,9 +94,6 @@ enum Wake {
 /// One region's clock rules as a value.
 #[derive(Clone, Debug)]
 struct ClockState {
-    /// Frames whose batch is WAL-durable (`u64::MAX` when the serve has
-    /// no durability participant, so writers never wait on it).
-    committed: u64,
     applied: u64,
     acks: Vec<u64>,
     /// `live[i]`: session `i` has a window on this region and has not
@@ -113,22 +106,15 @@ impl ClockState {
     /// always may.
     fn enabled(&self, step: Step) -> bool {
         match step {
-            Step::AwaitCommit(k) => self.committed > k,
             Step::AwaitReady(k) => self.slowest() > k,
             Step::AwaitApplied(n) => self.applied >= n,
-            Step::Commit(_) | Step::Advance(_) | Step::Ack(..) | Step::Detach(_) => true,
+            Step::Advance(_) | Step::Ack(..) | Step::Detach(_) => true,
         }
     }
 
     /// Make `step` (a wait changes nothing) and say whom it wakes.
     fn apply(&mut self, step: Step) -> Wake {
         match step {
-            Step::Commit(n) if self.committed != u64::MAX => {
-                debug_assert!(n >= self.committed, "committed is monotone");
-                let raised = n > self.committed;
-                self.committed = n;
-                if raised { Wake::Writer } else { Wake::None }
-            }
             Step::Advance(n) => {
                 debug_assert!(n >= self.applied, "applied is monotone");
                 self.applied = n;
@@ -143,7 +129,7 @@ impl ClockState {
                 self.live[i] = false;
                 Wake::Both
             }
-            Step::Commit(_) | Step::AwaitCommit(_) | Step::AwaitReady(_) | Step::AwaitApplied(_) => Wake::None,
+            Step::AwaitReady(_) | Step::AwaitApplied(_) => Wake::None,
         }
     }
 
@@ -157,26 +143,25 @@ impl ClockState {
 /// One region's frame clock. See the module docs for the protocol.
 pub struct FrameClock {
     state: Mutex<ClockState>,
-    /// The region's writer waits here: on `committed` and on the acks.
+    /// The region's writer waits here, on the acks.
     writer_cv: Condvar,
     /// The sessions reading the region wait here, on `applied`.
     reader_cv: Condvar,
 }
 
 impl FrameClock {
-    /// A clock whose watermarks start at global frame `start`: the tree
-    /// already contains every batch `< start` (a serve starts its clocks
-    /// at 0). `windows[i] = Some((first, last))` is the inclusive
-    /// global-frame range session `i` consumes on this region (`None`:
-    /// never). `durable` arms the `committed` watermark; without it
-    /// writers never wait on commit. Each attached session's ack
-    /// frontier starts at its window start: the writer is blocked from
-    /// the session's first frame until the session has built its
-    /// engines against the pre-batch tree.
-    pub fn new(windows: Vec<Option<(u64, u64)>>, _live: Arc<SessionLiveness>, start: u64, durable: bool) -> FrameClock {
+    /// A clock whose `applied` watermark starts at global frame
+    /// `start`: the tree already contains every batch `< start` (a serve
+    /// starts its clocks at 0). `windows[i] = Some((first, last))` is
+    /// the inclusive global-frame range session `i` consumes on this
+    /// region (`None`: never). Each attached session's ack frontier
+    /// starts at its window start: the writer is blocked from the
+    /// session's first frame until the session has built its engines
+    /// against the pre-batch tree. `_live` and `_durable` are read by
+    /// nothing; the signature keeps them for `benchmarks/dqbench`.
+    pub fn new(windows: Vec<Option<(u64, u64)>>, _live: Arc<SessionLiveness>, start: u64, _durable: bool) -> FrameClock {
         FrameClock {
             state: Mutex::new(ClockState {
-                committed: if durable { start } else { u64::MAX },
                 applied: start,
                 acks: windows.iter().map(|w| w.map_or(u64::MAX, |(first, _)| first.max(start))).collect(),
                 live: windows.iter().map(Option::is_some).collect(),
@@ -184,24 +169,6 @@ impl FrameClock {
             writer_cv: Condvar::new(),
             reader_cv: Condvar::new(),
         }
-    }
-
-    /// `(committed, applied)` right now — for invariant checks and the
-    /// `frame_lag` gauge. `committed` is `u64::MAX` without durability.
-    pub fn watermarks(&self) -> (u64, u64) {
-        let state = self.state.lock();
-        (state.committed, state.applied)
-    }
-
-    /// Durability participant: frames `0..n` are now WAL-durable.
-    pub fn advance_committed(&self, n: u64) {
-        self.apply(Step::Commit(n));
-    }
-
-    /// Region writer: block until batch `k` is WAL-durable (no-op on a
-    /// clock without durability). Returns nanoseconds spent waiting.
-    pub fn wait_committed(&self, k: u64) -> u64 {
-        self.wait_until(&self.writer_cv, Step::AwaitCommit(k))
     }
 
     /// Region writer: frames `0..n` are now done. Returns the region's
@@ -276,9 +243,13 @@ mod tests {
     use std::sync::mpsc::{channel, RecvTimeoutError};
     use std::time::Duration;
 
-    fn clock(windows: Vec<Option<(u64, u64)>>, durable: bool) -> FrameClock {
+    fn clock(windows: Vec<Option<(u64, u64)>>) -> FrameClock {
         let n = windows.len();
-        FrameClock::new(windows, SessionLiveness::new(n), 0, durable)
+        FrameClock::new(windows, SessionLiveness::new(n), 0, false)
+    }
+
+    fn applied(clock: &FrameClock) -> u64 {
+        clock.state.lock().applied
     }
 
     /// Run `body` on a thread of its own and fail the calling test if it
@@ -301,7 +272,7 @@ mod tests {
     #[test]
     fn writer_blocks_until_session_acks_then_session_blocks_on_applied() {
         bounded(|| {
-            let clock = clock(vec![Some((0, 4))], false);
+            let clock = clock(vec![Some((0, 4))]);
             std::thread::scope(|scope| {
                 let writer = scope.spawn(|| {
                     for k in 0..5u64 {
@@ -313,7 +284,7 @@ mod tests {
                 clock.ack(0, 1);
                 for k in 0..5u64 {
                     clock.wait_applied(k + 1);
-                    let (_, applied) = clock.watermarks();
+                    let applied = applied(&clock);
                     // Every batch is non-empty here, so the writer is at
                     // most one frame ahead.
                     assert!(applied > k && applied <= k + 2, "applied {applied} at frame {k}");
@@ -321,14 +292,14 @@ mod tests {
                 }
                 writer.join().unwrap();
             });
-            assert_eq!(clock.watermarks().1, 5);
+            assert_eq!(applied(&clock), 5);
         });
     }
 
     #[test]
     fn detached_session_releases_the_writer() {
         bounded(|| {
-            let clock = clock(vec![Some((0, 9)), Some((0, 9))], false);
+            let clock = clock(vec![Some((0, 9)), Some((0, 9))]);
             clock.ack(0, 1);
             // Session 1 never acks — it "fails" instead.
             std::thread::scope(|scope| {
@@ -346,7 +317,7 @@ mod tests {
         bounded(|| {
             // Session joins at frame 3: its ack frontier starts there, so
             // batches 0..3 need no permit.
-            let clock = clock(vec![Some((3, 6))], false);
+            let clock = clock(vec![Some((3, 6))]);
             assert_eq!(clock.wait_ready(0), 0);
             assert_eq!(clock.wait_ready(2), 0);
             std::thread::scope(|scope| {
@@ -360,7 +331,7 @@ mod tests {
                 });
                 // The joiner sees exactly the pre-join state: applied == 3.
                 clock.wait_applied(3);
-                assert_eq!(clock.watermarks().1, 3);
+                assert_eq!(applied(&clock), 3);
                 clock.ack(0, 4);
                 writer.join().unwrap();
             });
@@ -368,25 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn committed_gates_the_writer_only_when_durable() {
-        bounded(|| {
-            let free = clock(vec![], false);
-            assert_eq!(free.wait_committed(100), 0, "no durability: never waits");
-            let durable = clock(vec![], true);
-            std::thread::scope(|scope| {
-                let writer = scope.spawn(|| durable.wait_committed(0));
-                std::thread::sleep(Duration::from_millis(10));
-                durable.advance_committed(1);
-                writer.join().unwrap();
-            });
-            assert_eq!(durable.watermarks().0, 1);
-        });
-    }
-
-    #[test]
     fn frame_lag_tracks_slowest_live_consumer() {
         bounded(|| {
-            let clock = clock(vec![Some((0, 9)), Some((0, 9))], false);
+            let clock = clock(vec![Some((0, 9)), Some((0, 9))]);
             clock.ack(0, 1);
             clock.ack(1, 1);
             assert_eq!(clock.advance_applied(1), 1, "one frame ahead of both");
@@ -402,10 +357,11 @@ mod tests {
     // A model of one region's participants as `router/participants.rs`
     // runs them, each a program over `ClockState` steps and local ones:
     //
-    // * durability: per frame `k`, commit `k + 1`;
     // * writer: per frame `k`, if its slice is non-empty and it has not
-    //   failed, await commit, await ready and apply — or fail there, the
-    //   batch half-written, and stop applying; then advance `k + 1`;
+    //   failed, await ready and apply — or fail there, the batch
+    //   half-written, and stop applying; then advance `k + 1`. Its
+    //   commit of the log through `k`, first in its frame, reads and
+    //   writes no clock state, so the model leaves it out;
     // * a session joining at `f`: await applied `f`, build, ack `f + 1`;
     //   per frame `k`, await applied `k + 1`, read, ack `k + 2`; then
     //   detach. Instead of a build or a read it may bail (engines dead,
@@ -420,17 +376,13 @@ mod tests {
     // reachable state and checks, in each:
     //   (i)   a read of frame `k` (a build at `f`) sees exactly the tree
     //         the writer leaves after frame `k` (before `f`);
-    //   (ii)  a non-empty batch is applied only after its commit;
-    //   (iii) until everyone is done, some step is enabled;
-    //   (iv)  a step that enables a parked participant's wait returns a
+    //   (ii)  until everyone is done, some step is enabled;
+    //   (iii) a step that enables a parked participant's wait returns a
     //         `Wake` that reaches its condvar.
     //
-    // Two reductions keep it small. No step lowers `committed`,
-    // `applied` or the slowest frontier (checked on every step), so a
-    // wait that can return stays so and is taken at once. A commit
-    // changes only `committed`, which only the writer's wait reads, so
-    // durability commits only when the writer is parked on it or nobody
-    // else can move; committing late keeps (ii) at its strictest.
+    // One reduction keeps it small: no step lowers `applied` or the
+    // slowest frontier (checked on every step), so a wait that can
+    // return stays so and is taken at once.
 
     /// A multiplicative hash for the search's `u64` keys: the std
     /// default is many times slower in a debug build.
@@ -471,7 +423,6 @@ mod tests {
     enum Who {
         Writer,
         Session(usize),
-        Durability,
     }
 
     /// A step of the search: who moved, doing what, which way.
@@ -494,31 +445,28 @@ mod tests {
         /// 0..3` frame `k` (await, read, ack), then `LEAVE`, `DONE`.
         sessions: [u8; 3],
         /// Writer: its frame, and its place in it (0 slice, 1 await
-        /// commit, 2 await ready, 3 apply, 4 advance).
+        /// ready, 2 apply, 3 advance).
         writer: (u64, u8),
         /// The frame whose apply failed the writer.
         failed: Option<u64>,
         /// The writer's non-empty slices so far (bit `k`).
         slices: u8,
-        /// Durability: the next frame to commit.
-        durability: u64,
         /// Batches written to the tree (bit `k`), a failed one included.
         tree: u8,
     }
 
-    /// One scope: the frames, up to three sessions' join frames (`None`:
-    /// never joins) and whether the serve is durable.
+    /// One scope: the frames and up to three sessions' join frames
+    /// (`None`: never joins).
     struct Scope {
         frames: u64,
         joins: Vec<Option<u64>>,
-        durable: bool,
         who: Vec<Who>,
     }
 
     impl Scope {
-        fn new(frames: u64, joins: Vec<Option<u64>>, durable: bool) -> Scope {
-            let who = std::iter::once(Who::Writer).chain((0..joins.len()).map(Who::Session)).chain([Who::Durability]).collect();
-            Scope { frames, joins, durable, who }
+        fn new(frames: u64, joins: Vec<Option<u64>>) -> Scope {
+            let who = std::iter::once(Who::Writer).chain((0..joins.len()).map(Who::Session)).collect();
+            Scope { frames, joins, who }
         }
 
         fn start(&self) -> World {
@@ -527,20 +475,17 @@ mod tests {
             for (pc, j) in sessions.iter_mut().zip(&self.joins) {
                 *pc = if j.is_some() { 0 } else { DONE };
             }
-            let clock = clock(windows, self.durable).state.into_inner();
-            World { clock, sessions, writer: (0, 0), failed: None, slices: 0, durability: 0, tree: 0 }
+            let clock = clock(windows).state.into_inner();
+            World { clock, sessions, writer: (0, 0), failed: None, slices: 0, tree: 0 }
         }
 
         fn op(&self, w: &World, who: Who) -> Op {
             match who {
-                Who::Durability if self.durable && w.durability < self.frames => Op::Clock(Step::Commit(w.durability + 1)),
-                Who::Durability => Op::Done,
                 Who::Writer => match w.writer {
                     (k, _) if k == self.frames => Op::Done,
                     (k, 0) if w.failed.is_none() => Op::Slice(k),
-                    (k, 1) => Op::Clock(Step::AwaitCommit(k)),
-                    (k, 2) => Op::Clock(Step::AwaitReady(k)),
-                    (k, 3) => Op::Apply(k),
+                    (k, 1) => Op::Clock(Step::AwaitReady(k)),
+                    (k, 2) => Op::Apply(k),
                     (k, _) => Op::Clock(Step::Advance(k + 1)),
                 },
                 Who::Session(i) => {
@@ -570,7 +515,6 @@ mod tests {
         /// Move `who` past `op` in `to`, its plain continuation.
         fn advance(&self, to: &mut World, who: Who, op: Op) {
             match (who, op) {
-                (Who::Durability, _) => to.durability += 1,
                 (Who::Writer, Op::Clock(Step::Advance(_))) => to.writer = (to.writer.0 + 1, 0),
                 (Who::Writer, Op::Slice(k)) => (to.slices, to.writer.1) = (to.slices | 1 << k, 1),
                 (Who::Writer, _) => to.writer.1 += 1,
@@ -587,7 +531,7 @@ mod tests {
             }
         }
 
-        /// Take every wait that can return (see the reductions above).
+        /// Take every wait that can return (see the reduction above).
         /// Returns the waits taken.
         fn settle(&self, w: &mut World) -> Vec<Label> {
             let mut taken = Vec::new();
@@ -596,7 +540,7 @@ mod tests {
                 moved = false;
                 for &who in &self.who {
                     let op = self.op(w, who);
-                    if let Op::Clock(s @ (Step::AwaitCommit(_) | Step::AwaitReady(_) | Step::AwaitApplied(_))) = op {
+                    if let Op::Clock(s @ (Step::AwaitReady(_) | Step::AwaitApplied(_))) = op {
                         if w.clock.enabled(s) {
                             self.advance(w, who, op);
                             taken.push((who, op, Choice::Step));
@@ -612,12 +556,8 @@ mod tests {
         /// rule the state breaks.
         fn successors(&self, w: &World) -> Result<Vec<(Label, World)>, String> {
             let mut next = Vec::new();
-            let writer_parked = matches!(self.op(w, Who::Writer), Op::Clock(Step::AwaitCommit(_)));
             for &who in &self.who {
                 let op = self.op(w, who);
-                if matches!(who, Who::Durability) && !writer_parked && !next.is_empty() {
-                    continue;
-                }
                 match op {
                     Op::Done => continue,
                     Op::Clock(s) if !w.clock.enabled(s) => continue,
@@ -632,7 +572,7 @@ mod tests {
                         let (before, after) = (&w.clock, &to.clock);
                         let lowered = match s {
                             Step::Ack(..) | Step::Detach(_) => after.slowest() < before.slowest(),
-                            _ => after.committed < before.committed || after.applied < before.applied,
+                            _ => after.applied < before.applied,
                         };
                         if lowered {
                             return Err(format!("{who:?} {s:?} lowers a watermark or the slowest frontier"));
@@ -642,22 +582,19 @@ mod tests {
                             let cv = if matches!(other, Who::Session(_)) { Wake::Readers } else { Wake::Writer };
                             let reached = wake == Wake::Both || wake == cv;
                             if !reached && after.enabled(parked) && !before.enabled(parked) {
-                                return Err(format!("(iv) {who:?} {s:?} enables {other:?} {parked:?} but wakes {wake:?}"));
+                                return Err(format!("(iii) {who:?} {s:?} enables {other:?} {parked:?} but wakes {wake:?}"));
                             }
                         }
                     }
                     Op::Slice(_) => {
                         let mut empty = w.clone();
-                        empty.writer.1 = 4;
+                        empty.writer.1 = 3;
                         alt(Choice::EmptySlice, empty);
-                    }
-                    Op::Apply(k) if w.clock.committed <= k => {
-                        return Err(format!("(ii) batch {k} applied at committed {}", w.clock.committed));
                     }
                     Op::Apply(k) => {
                         to.tree |= 1 << k;
                         let mut failed = to.clone();
-                        (failed.failed, failed.writer.1) = (Some(k), 4);
+                        (failed.failed, failed.writer.1) = (Some(k), 3);
                         alt(Choice::Fail, failed);
                     }
                     Op::Build(f) if !self.sees_frames_before(w, f) => {
@@ -686,7 +623,7 @@ mod tests {
                 if let Op::Clock(Step::Advance(_)) = op {
                     if let slice @ Op::Slice(_) = self.op(&to, who) {
                         let mut empty = to.clone();
-                        empty.writer.1 = 4;
+                        empty.writer.1 = 3;
                         alt(Choice::EmptySlice, empty);
                         self.advance(&mut to, who, slice);
                     }
@@ -695,7 +632,7 @@ mod tests {
             }
             let done = self.who.iter().all(|&who| matches!(self.op(w, who), Op::Done));
             if next.is_empty() && !done {
-                return Err("(iii) deadlock: every participant left is parked".to_string());
+                return Err("(ii) deadlock: every participant left is parked".to_string());
             }
             Ok(next)
         }
@@ -711,12 +648,11 @@ mod tests {
                 *s = (self.joins[i], ack | u64::from(w.sessions[i]));
             }
             sessions.sort_unstable();
-            let mut key = small(w.clock.committed) << 3 | w.clock.applied;
+            let mut key = w.clock.applied;
             key = key << 3 | w.writer.0;
-            key = key << 3 | u64::from(w.writer.1);
+            key = key << 2 | u64::from(w.writer.1);
             key = key << 3 | w.failed.map_or(7, |f| f);
             key = key << 4 | u64::from(w.slices);
-            key = key << 3 | w.durability;
             key = key << 4 | u64::from(w.tree);
             sessions.iter().fold(key, |key, (_, s)| key << 10 | s)
         }
@@ -748,13 +684,7 @@ mod tests {
                                 Choice::Last => format!("{who:?}: {op:?}, its last frame"),
                             })
                             .collect();
-                        panic!(
-                            "{} frames, joins {:?}, durable {}: {broken}, after\n  {}",
-                            self.frames,
-                            self.joins,
-                            self.durable,
-                            trace.join("\n  ")
-                        );
+                        panic!("{} frames, joins {:?}: {broken}, after\n  {}", self.frames, self.joins, trace.join("\n  "));
                     }
                     Ok(next) => {
                         for (step, to) in next {
@@ -773,9 +703,8 @@ mod tests {
     fn every_interleaving_keeps_the_clock_rules() {
         let started = Instant::now();
         let (mut scopes, mut states, mut largest) = (0, 0, 0);
-        // Three sessions over four frames would be a million states, too
-        // many for a debug build; three over three is a fifth of that.
-        for (sessions, frames) in [(1, 4), (2, 4), (3, 3)] {
+        for sessions in 1..=3 {
+            let frames = 4;
             // A never-joining session is an absent one: three sessions
             // that all join cover the rest.
             let never = (sessions < 3).then_some(None);
@@ -783,18 +712,16 @@ mod tests {
             // Sessions are interchangeable: one multiset of join frames each.
             let mut pick = vec![0; sessions];
             loop {
-                for durable in [false, true] {
-                    let n = Scope::new(frames, pick.iter().map(|&j| joins[j]).collect(), durable).explore();
-                    (scopes, states, largest) = (scopes + 1, states + n, largest.max(n));
-                }
+                let n = Scope::new(frames, pick.iter().map(|&j| joins[j]).collect()).explore();
+                (scopes, states, largest) = (scopes + 1, states + n, largest.max(n));
                 let Some(j) = (0..sessions).rev().find(|&j| pick[j] + 1 < joins.len()) else { break };
                 let v = pick[j] + 1;
                 pick[j..].iter_mut().for_each(|p| *p = v);
             }
         }
         println!(
-            "clock model: 1-2 sessions over 4 frames (never-joining included) and 3 over 3, any windows, \
-             any empty slices, durable or not: {scopes} scopes, {states} states, at most {largest} in one, {:?}",
+            "clock model: 1-3 sessions over 4 frames (never-joining included), any windows, any empty slices: \
+             {scopes} scopes, {states} states, at most {largest} in one, {:?}",
             started.elapsed()
         );
     }

@@ -11,12 +11,13 @@
 //! and a frame whose record IS durable survives even if the crash hit
 //! between the WAL append and the tree write.
 //!
-//! The *ordering* between commit and apply is carried by the per-region
-//! [`crate::FrameClock`]s: the durability thread commits frame `k` and
-//! then advances every region clock's `committed` watermark past `k`,
-//! and each region writer's `wait_committed(k)` refuses to apply a
-//! non-empty slice before the watermark covers it — append
-//! happens-before apply, per frame, with no global barrier.
+//! The *ordering* between commit and apply is statement order in the
+//! region writers: a serve has one commit cursor, and each writer's
+//! frame `k` begins by committing the log through `k` under it —
+//! whichever writer gets there first commits, each batch once and in
+//! frame order — before it routes, let alone applies, its slice. Append
+//! happens-before apply, per frame, with no global barrier and no clock
+//! rule.
 //!
 //! There is one checkpoint shape, [`LogicalCheckpoint`]: a record set,
 //! not page images. One WAL is shared by however many region trees the

@@ -30,10 +30,12 @@
 //!
 //! Frames are ordered by one [`crate::clock::FrameClock`] *per region* —
 //! there is no global barrier anywhere on the serving path. Region `r`'s
-//! writer applies its routed slice of batch `k` only after (a) the
-//! `committed` watermark covers `k` (durable runs: the batch is in the
-//! WAL first) and (b) every live session attached to `r` has acked past
-//! `k` — then it applies under its tree's write lock, leaves the frame's
+//! writer starts frame `k` by committing the log through `k` (durable
+//! runs: the run has one commit cursor, and whichever writer reaches `k`
+//! first commits it), so a batch is in the WAL before any page of it is
+//! written. It applies its routed slice of batch `k` only once every
+//! live session attached to `r` has acked past `k` — under its tree's
+//! write lock — then leaves the frame's
 //! [`rtree::InsertReport`]s on `r`'s one slate (§4.1's notification of
 //! running PDQs: published once, whatever the session count), and
 //! advances `r`'s `applied` watermark. A session processes frame `k` by
@@ -46,13 +48,13 @@
 //! session releases the writers instead of holding them. Per region the
 //! clock guarantees what `clock.rs`'s tests check over every
 //! interleaving: a session reading frame `k` sees exactly the batches
-//! `<= k` applied, a batch is applied only after its commit, and nobody
-//! waits for ever. So a lane reads its region's tree and slate behind
-//! the locks that writer takes, and never waits on them; a slate *ahead*
-//! of the frame being read would mean the clock failed, and fails the
-//! session that sees it. (The watermarks are not ordered: a region whose
-//! slice is empty, or whose writer failed, advances `applied` without
-//! waiting, past `committed` on a durable serve.) Region tree level
+//! `<= k` applied, and nobody waits for ever. So a lane reads its
+//! region's tree and slate behind the locks that writer takes, and
+//! never waits on them; a slate *ahead* of the frame being read would
+//! mean the clock failed, and fails the session that sees it. (A region
+//! whose slice is empty, or whose writer failed, advances `applied`
+//! without waiting, so it may run ahead of a reader over a tree that
+//! does not change.) Region tree level
 //! reads == Σ lane disk accesses attributed to that region + that
 //! region's writer reads, exactly (a durable server's first run adds
 //! the base checkpoint's one scan; periodic checkpoints read no tree).
@@ -62,8 +64,9 @@
 //! Here: the server, its builders, the `serve*` entry points, the
 //! metrics mirror. `router/lanes.rs`: a session's per-region engines and
 //! the seam owner rule. `router/rebuild.rs`: record set → region trees.
-//! `router/participants.rs`: the writer, durability and session threads
-//! and the two drivers — concurrent, serial oracle — that run them.
+//! `router/participants.rs`: the writer and session threads, the writer
+//! frame and the commit cursor both drivers share, and the two drivers —
+//! concurrent, serial oracle — that run them.
 //!
 //! A serve has one grid. Hotspot rebalancing (after Kiwano, arXiv
 //! 1211.4414) happens between serves: every serve accumulates per-region
@@ -225,8 +228,8 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
 
     /// Make the write path durable (builder-style): each frame's whole
     /// batch is appended to `log`'s WAL as one group-committed record
-    /// *before* any region writer touches a tree page (the per-region
-    /// clocks' `committed` watermark publishes exactly that fact). The
+    /// *before* any region writer touches a tree page — every writer
+    /// commits the log through a frame before it routes its slice. The
     /// preloaded regions are scanned once into the base
     /// [`crate::LogicalCheckpoint`]; when a later one falls due the log
     /// folds its own tail into that base

@@ -1,13 +1,15 @@
 //! The participants of a serve and the two drivers that schedule them.
 //!
 //! Concurrent ([`PartitionedDqServer::serve_clocked`]): one
-//! `std::thread::scope` holding a writer thread per region, a thread per
-//! scheduled session and — durable runs — the durability thread, ordered
-//! by the per-region [`FrameClock`]s alone; the scope's join is the only
-//! barrier. Serial ([`PartitionedDqServer::serve_serial_clocked`]): the
-//! oracle — the same frame interleaving (WAL commit → regions ascending →
-//! sessions ascending) in one straight-line loop, with no thread and no
-//! clock. Both carry a [`Run`] from [`PartitionedDqServer::begin_run`] to
+//! `std::thread::scope` holding a writer thread per region and a thread
+//! per scheduled session, ordered by the per-region [`FrameClock`]s
+//! alone; the scope's join is the only barrier. Serial
+//! ([`PartitionedDqServer::serve_serial_clocked`]): the oracle — the same
+//! frame interleaving (regions ascending → sessions ascending) in one
+//! straight-line loop, with no thread and no clock. Both run a region's
+//! frame through one [`PartitionedDqServer::writer_frame`], which on a
+//! durable serve commits the log through the frame before it writes a
+//! page, and carry a [`Run`] from [`PartitionedDqServer::begin_run`] to
 //! [`PartitionedDqServer::finish_run`].
 
 use super::lanes::{LaneRun, Slate};
@@ -18,7 +20,7 @@ use crate::durability::DurableLog;
 use crate::service::{
     panic_message, record_wait, FrameDelta, FrameSink, SessionOutcome, SessionPlan, SinkVerdict,
 };
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use rtree::NsiSegmentRecord;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -33,36 +35,42 @@ const WRITER_RETRY: RetryPolicy = RetryPolicy::DEFAULT;
 
 /// A failed region writer (full device, or a panic) stops applying — a
 /// full disk stays full, and a panic may have left its tree half-written.
-/// The log keeps committing and checkpointing regardless: a checkpoint
-/// holds what was committed, not what a tree absorbed, so the backlog
-/// replays onto a larger device.
+/// It still commits: a checkpoint holds what was committed, not what a
+/// tree absorbed, so the backlog replays onto a larger device.
 fn writer_failed(w: &RegionReport) -> bool {
     matches!(w.writer_outcome, SessionOutcome::Failed(_))
 }
 
-/// Tallies of the durability participant (WAL commits + logical
-/// checkpoints) over one partitioned run.
+/// The run's one commit cursor: the next frame whose batch the log has
+/// not yet committed, and the tallies of the commits and folds so far.
 #[derive(Clone, Copy, Default)]
 struct DurabilityTally {
+    next: usize,
     appends: u64,
     commit_ns: u64,
     checkpoints: u64,
 }
 
 impl DurabilityTally {
-    /// Frame `k`'s durable step: fold the log into the checkpoint when
-    /// one is due, then group-commit `batch`.
-    fn commit<const D: usize>(
+    /// Commit the log through frame `k`: for every frame from the cursor
+    /// on that has a batch, fold the log into the checkpoint when one is
+    /// due, then group-commit the batch.
+    fn commit_through<const D: usize>(
         &mut self,
         log: &DurableLog,
-        k: u64,
-        batch: &[(NsiSegmentRecord<D>, f64)],
+        k: usize,
+        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
     ) {
-        self.checkpoints += fold_if_due::<D>(log);
-        let committed = Instant::now();
-        log.commit_frame(k, batch);
-        self.appends += 1;
-        self.commit_ns += committed.elapsed().as_nanos() as u64;
+        while self.next <= k {
+            if let Some(batch) = inserts.get(self.next) {
+                self.checkpoints += fold_if_due::<D>(log);
+                let committed = Instant::now();
+                log.commit_frame(self.next as u64, batch);
+                self.appends += 1;
+                self.commit_ns += committed.elapsed().as_nanos() as u64;
+            }
+            self.next += 1;
+        }
     }
 }
 
@@ -87,12 +95,17 @@ pub(super) struct Run<'a, const D: usize> {
     spawned: usize,
 }
 
-/// What the threads of one concurrent serve meet through — per region
-/// one frame clock and one [`Slate`] — and the instruments they record
-/// into.
-struct Shared<const D: usize> {
+/// What the participants of one serve meet through — per region one
+/// [`Slate`] and, on the concurrent path, one frame clock — the run's
+/// commit cursor, and the instruments they record into.
+struct Shared<'i, const D: usize> {
     steps: usize,
-    /// `clocks[r]` orders region `r`'s frames against its sessions.
+    inserts: &'i [Vec<(NsiSegmentRecord<D>, f64)>],
+    /// The run's one commit cursor: whichever writer reaches frame `k`
+    /// first commits the log through `k` (durable serves only).
+    commits: Mutex<DurabilityTally>,
+    /// `clocks[r]` orders region `r`'s frames against its sessions
+    /// (none on the serial path).
     clocks: Vec<FrameClock>,
     /// `slates[r]`: the last frame region `r`'s writer applied — its
     /// record ids and insert reports — for the lanes on `r` to read.
@@ -103,17 +116,12 @@ struct Shared<const D: usize> {
     lag_gauge: Option<Arc<obs::Gauge>>,
 }
 
-/// One blank slate per region of an `n`-region grid.
-fn blank_slates<const D: usize>(n: usize) -> Vec<RwLock<Slate<D>>> {
-    (0..n).map(|_| RwLock::new(Slate::default())).collect()
-}
-
 impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
-    /// Region `r`'s step of frame `k`, the same in both drivers: apply
-    /// its routed slice `batch` under the region's write lock, publish
-    /// the slice and its insert reports on the region's `slate`, and
-    /// trace the route. Transient failures back off with the lock
-    /// *released* and resume from the failed record; records whose
+    /// Region `r`'s write of frame `k`: apply its routed slice `batch`
+    /// under the region's write lock, publish the slice and its insert
+    /// reports on the region's slate, and trace the route. Transient
+    /// failures back off with the lock *released* and resume from the
+    /// failed record; records whose
     /// errors are unrecoverable (corrupt page) or whose retry budget is
     /// exhausted are skipped into the tally's outcome.
     ///
@@ -128,14 +136,13 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// advances its frames and no session waits on it.
     fn apply_region_batch(
         &self,
+        sh: &Shared<D>,
         k: usize,
         r: usize,
         batch: &[(NsiSegmentRecord<D>, f64)],
-        slate: &RwLock<Slate<D>>,
         w: &mut RegionReport,
-        hold_hist: Option<&Arc<obs::Histogram>>,
     ) {
-        let tree = &self.regions[r];
+        let (tree, slate) = (&self.regions[r], &sh.slates[r]);
         let mut reports = std::mem::take(&mut slate.write().reports);
         reports.clear();
         let mut idx = 0;
@@ -189,7 +196,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                 let delta = tree.level_counters().snapshot() - before;
                 w.writer_reads += delta.total_reads();
                 w.writer_writes += delta.total_writes();
-                if let Some(h) = hold_hist {
+                if let Some(h) = &sh.hold_hist {
                     h.record(held.elapsed().as_nanos() as u64);
                 }
                 backoff
@@ -207,106 +214,108 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         });
     }
 
-    /// The clocks, slates and instruments of one concurrent serve of
-    /// `plans` over `steps` frames. Each region's clock knows exactly
-    /// which sessions are attached to it: session `i` to region `r` over
-    /// its plan's window, when its lanes reach `r`.
-    fn shared(&self, plans: &[SessionPlan<D>], steps: usize) -> Shared<D> {
-        let n = self.grid.len();
+    /// What the serial driver's participants share: blank slates, a
+    /// commit cursor at frame 0, and the drain and lock-hold
+    /// instruments; no clocks.
+    fn shared<'i>(&self, inserts: &'i [Vec<(NsiSegmentRecord<D>, f64)>], steps: usize) -> Shared<'i, D> {
+        Shared {
+            steps,
+            inserts,
+            commits: Mutex::default(),
+            clocks: Vec::new(),
+            slates: (0..self.grid.len()).map(|_| RwLock::default()).collect(),
+            drain_hist: self.histogram("service.drain_ns"),
+            hold_hist: self.histogram("service.writer.lock_hold_ns"),
+            wait_hist: None,
+            lag_gauge: None,
+        }
+    }
+
+    /// What one concurrent serve of `plans` shares: [`Self::shared`],
+    /// per region a clock, and the wait and lag instruments. Each
+    /// region's clock knows exactly which sessions are attached to it:
+    /// session `i` to region `r` over its plan's window, when its lanes
+    /// reach `r`.
+    fn clocked<'i>(
+        &self,
+        plans: &[SessionPlan<D>],
+        inserts: &'i [Vec<(NsiSegmentRecord<D>, f64)>],
+        steps: usize,
+    ) -> Shared<'i, D> {
         let attach: Vec<_> = plans
             .iter()
             .map(|p| (p.window(), self.grid.route_rect(&p.spec.trajectory.swept_bounds())))
             .collect();
-        let clocks = (0..n)
+        let clocks = (0..self.grid.len())
             .map(|r| {
                 let windows = attach
                     .iter()
                     .map(|(w, lanes)| w.filter(|_| lanes.contains(&r)))
                     .collect();
-                FrameClock::new(windows, SessionLiveness::new(plans.len()), 0, self.durability.is_some())
+                FrameClock::new(windows, SessionLiveness::new(plans.len()), 0, false)
             })
             .collect();
         Shared {
-            steps,
             clocks,
-            slates: blank_slates(n),
-            drain_hist: self.histogram("service.drain_ns"),
-            hold_hist: self.histogram("service.writer.lock_hold_ns"),
             wait_hist: self.histogram("service.clock_wait_ns"),
             lag_gauge: self.metrics.as_ref().map(|m| m.gauge("service.frame_lag")),
+            ..self.shared(inserts, steps)
         }
     }
 
-    /// Region `r`'s writer: per frame, wait for the WAL commit (durable
-    /// runs) and for every attached session's permit, apply the routed
-    /// slice, publish its reports on `r`'s slate, and advance `r`'s
-    /// `applied` watermark — every frame, batch or not, so sessions of an
-    /// idle or failed region never stall.
-    fn writer_loop(
+    /// Region `r`'s frame `k`, the same in both drivers. On a durable
+    /// serve it first commits the log through `k` under the run's one
+    /// cursor — whichever writer gets there first commits, one whose
+    /// slice is empty or which has failed included — so no page of batch
+    /// `k` is written before the batch is in the WAL, and no commit runs
+    /// under a tree or clock lock. Then, if its slice of the batch is
+    /// non-empty and the writer alive, it applies the slice once nobody
+    /// reads the slate's previous frame: on the concurrent path once
+    /// every session attached to `clock` has acked `k`; on the serial
+    /// one sessions step after every region.
+    fn writer_frame(
         &self,
         sh: &Shared<D>,
+        k: usize,
         r: usize,
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-    ) -> RegionReport {
+        w: &mut RegionReport,
+        routed: &mut Vec<(NsiSegmentRecord<D>, f64)>,
+        clock: Option<&FrameClock>,
+    ) {
+        if let Some(log) = self.durability.as_deref() {
+            sh.commits.lock().commit_through(log, k, sh.inserts);
+        }
+        let Some(batch) = sh.inserts.get(k) else { return };
+        route_slice(&self.grid, r, batch, routed);
+        if routed.is_empty() || writer_failed(w) {
+            return;
+        }
+        if let Some(clock) = clock {
+            record_wait(&sh.wait_hist, clock.wait_ready(k as u64));
+        }
+        self.apply_region_batch(sh, k, r, routed, w);
+    }
+
+    /// Region `r`'s writer thread: every frame's [`Self::writer_frame`]
+    /// under `r`'s clock, then `r`'s `applied` watermark advanced past
+    /// it — every frame, batch or not, so sessions of an idle or failed
+    /// region never stall.
+    fn writer_loop(&self, sh: &Shared<D>, r: usize) -> RegionReport {
         let mut w = RegionReport::default();
         let mut routed = Vec::new();
         let clock = &sh.clocks[r];
         for k in 0..sh.steps {
-            let ku = k as u64;
-            if let Some(batch) = inserts.get(k) {
-                route_slice(&self.grid, r, batch, &mut routed);
-                if !routed.is_empty() && !writer_failed(&w) {
-                    // WAL before any page write; then, once every
-                    // attached session has acked `k`, nobody still reads
-                    // the slate's previous frame.
-                    record_wait(&sh.wait_hist, clock.wait_committed(ku));
-                    record_wait(&sh.wait_hist, clock.wait_ready(ku));
-                    let hold = sh.hold_hist.as_ref();
-                    self.apply_region_batch(k, r, &routed, &sh.slates[r], &mut w, hold);
-                }
-            }
-            let lag = clock.advance_applied(ku + 1);
+            self.writer_frame(sh, k, r, &mut w, &mut routed, Some(clock));
+            let lag = clock.advance_applied(k as u64 + 1);
             if let Some(g) = &sh.lag_gauge {
                 g.record_max(lag as i64);
             }
             obs::trace(obs::TraceEvent::FrameAdvance {
                 region: r as u32,
                 frame: k as u32,
-                watermark: obs::Watermark::Applied,
             });
         }
         w
-    }
-
-    /// The durability participant of a durable run: per frame, fold the
-    /// log into the checkpoint when one is due, group-commit the batch,
-    /// then advance every region's `committed` watermark. It never looks
-    /// at a tree or a region's `applied` watermark: the writers run on
-    /// behind it.
-    fn durability_loop(
-        &self,
-        sh: &Shared<D>,
-        log: &DurableLog,
-        inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
-    ) -> DurabilityTally {
-        let mut t = DurabilityTally::default();
-        for k in 0..sh.steps {
-            let ku = k as u64;
-            if let Some(batch) = inserts.get(k) {
-                t.commit(log, ku, batch);
-            }
-            for (r, c) in sh.clocks.iter().enumerate() {
-                c.advance_committed(ku + 1);
-                obs::trace(obs::TraceEvent::FrameAdvance {
-                    region: r as u32,
-                    frame: k as u32,
-                    watermark: obs::Watermark::Committed,
-                });
-            }
-        }
-        // A checkpoint that came due on the run's last commits.
-        t.checkpoints += fold_if_due::<D>(log);
-        t
     }
 
     /// Session `i`'s thread, its whole life: wait for its join frame,
@@ -405,10 +414,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         }
     }
 
-    /// The concurrent serve, one scope: a writer thread per region, a
-    /// thread for every session with a frame to run (each handed its own
-    /// [`LaneRun`]) and, durable runs, the durability thread — all
-    /// ordered by the per-region clocks, no global barrier inside.
+    /// The concurrent serve, one scope: a writer thread per region and
+    /// a thread for every session with a frame to run (each handed its
+    /// own [`LaneRun`]), all ordered by the per-region clocks, no global
+    /// barrier inside.
     pub(super) fn serve_clocked<'a>(
         &self,
         plans: &'a [SessionPlan<D>],
@@ -419,7 +428,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         S: Sync + Send,
     {
         let mut run = self.begin_run(plans, inserts);
-        let sh = &self.shared(plans, run.steps);
+        let sh = &self.clocked(plans, inserts, run.steps);
         std::thread::scope(|scope| {
             let sessions: Vec<_> = (0..)
                 .zip(&mut run.sessions)
@@ -429,21 +438,14 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     scope.spawn(move || self.session_loop(sh, i, &plans[i], s, sink))
                 })
                 .collect();
-            let dur = self
-                .durability
-                .as_deref()
-                .map(|log| scope.spawn(move || self.durability_loop(sh, log, inserts)));
             let writers: Vec<_> = (0..self.grid.len())
-                .map(|r| scope.spawn(move || self.writer_loop(sh, r, inserts)))
+                .map(|r| scope.spawn(move || self.writer_loop(sh, r)))
                 .collect();
-            run.spawned = sessions.len() + writers.len() + usize::from(dur.is_some());
+            run.spawned = sessions.len() + writers.len();
             run.writers = writers
                 .into_iter()
                 .map(|h| h.join().expect("region writer panicked"))
                 .collect();
-            if let Some(h) = dur {
-                run.dur = h.join().expect("durability thread panicked");
-            }
             for h in sessions {
                 h.join().expect("session thread panicked outside its containment");
             }
@@ -452,23 +454,21 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             let deepest = sh.slates.iter().map(|s| s.read().hwm).max().unwrap_or(0);
             reg.gauge("service.mailbox_hwm").record_max(deepest as i64);
         }
+        run.dur = *sh.commits.lock();
         run
     }
 
     /// Single-threaded reference for the clocked serve: the same frame
-    /// interleaving (WAL commit → regions ascending → sessions
-    /// ascending) with no threads and no clocks. [`Self::serve_plans_streamed`]
-    /// must match this bit-for-bit.
+    /// interleaving (regions ascending → sessions ascending) with no
+    /// threads and no clocks. [`Self::serve_plans_streamed`] must match
+    /// this bit-for-bit.
     pub(super) fn serve_serial_clocked<'a>(
         &self,
         plans: &'a [SessionPlan<D>],
         inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
     ) -> Run<'a, D> {
         let mut run = self.begin_run(plans, inserts);
-        let durable = self.durability.as_deref();
-        let drain_hist = self.histogram("service.drain_ns");
-        let hold_hist = self.histogram("service.writer.lock_hold_ns");
-        let slates = blank_slates(self.grid.len());
+        let sh = self.shared(inserts, run.steps);
         let mut routed = Vec::new();
         for k in 0..run.steps {
             let ku = k as u64;
@@ -479,39 +479,31 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
                     s.enter(&self.grid, &self.regions);
                 }
             }
-            if let Some(batch) = inserts.get(k) {
-                if let Some(log) = durable {
-                    run.dur.commit(log, ku, batch);
-                }
-                for (r, w) in run.writers.iter_mut().enumerate() {
-                    route_slice(&self.grid, r, batch, &mut routed);
-                    if !routed.is_empty() && !writer_failed(w) {
-                        // Sessions step after every region: nobody reads
-                        // the slate's previous frame.
-                        self.apply_region_batch(k, r, &routed, &slates[r], w, hold_hist.as_ref());
-                    }
-                }
+            for (r, w) in run.writers.iter_mut().enumerate() {
+                self.writer_frame(&sh, k, r, w, &mut routed, None);
             }
             for (s, p) in run.sessions.iter_mut().zip(plans) {
                 if s.alive() && p.window().is_some_and(|(f, l)| f <= ku && ku <= l) {
-                    s.step(&self.grid, &self.regions, &slates, k, &drain_hist);
+                    s.step(&self.grid, &self.regions, &sh.slates, k, &sh.drain_hist);
                 }
             }
-        }
-        if let Some(log) = durable {
-            run.dur.checkpoints += fold_if_due::<D>(log);
         }
         for s in &mut run.sessions {
             s.stamp();
         }
+        run.dur = sh.commits.into_inner();
         run
     }
 
-    /// What both drivers do last: complete each writer's tally with its
+    /// What both drivers do last: take a checkpoint that came due on the
+    /// run's last commits, complete each writer's tally with its
     /// region's span and session-side reads and fold it into the run's
     /// totals, close every session out, fold the per-region loads into
     /// the sticky tallies that drive [`Self::hotspot`], publish metrics.
-    pub(super) fn finish_run(&self, run: Run<'_, D>) -> PartitionedServeReport {
+    pub(super) fn finish_run(&self, mut run: Run<'_, D>) -> PartitionedServeReport {
+        if let Some(log) = self.durability.as_deref() {
+            run.dur.checkpoints += fold_if_due::<D>(log);
+        }
         let mut report = PartitionedServeReport {
             regions: run.writers,
             ..Default::default()
@@ -591,12 +583,12 @@ mod tests {
         let mut inserts = ahead_inserts(4, 3, 8.0, 3000);
         inserts[1].clear();
         inserts.push(Vec::new());
-        let sh = server.shared(&plans, 5);
+        let sh = server.clocked(&plans, &inserts, 5);
         for i in 0..plans.len() {
             sh.clocks[0].ack(i, u64::MAX);
         }
         obs::take_thread_trace();
-        let tally = server.writer_loop(&sh, 0, &inserts);
+        let tally = server.writer_loop(&sh, 0);
         assert_eq!(tally.inserts_applied, 9);
         let mut broadcasts = Vec::new();
         let mut since_visit = Vec::new();
@@ -635,7 +627,7 @@ mod tests {
 
     #[test]
     fn a_serve_spawns_its_writers_and_its_sessions_and_nothing_else() {
-        // The thread shape: one scope of s + r threads (+1 durable),
+        // The thread shape: one scope of s + r threads, durable or not,
         // where s counts the plans with a frame to run — the fifth
         // plan's schedule is empty, so it gets no thread, no clock
         // attachment and the default output.
@@ -657,7 +649,7 @@ mod tests {
             assert_eq!(report.sessions[4].outcome, SessionOutcome::Ok);
             assert!(report.sessions[4].frames.is_empty());
             let durable = build(grid, &recs).with_durability(Arc::new(DurableLog::new(3)));
-            assert_eq!(durable.serve_clocked(&plans, &inserts, &[]).spawned, 4 + r + 1);
+            assert_eq!(durable.serve_clocked(&plans, &inserts, &[]).spawned, 4 + r);
         }
     }
 }

@@ -28,7 +28,4 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry};
-pub use trace::{
-    take_thread_trace, thread_trace_dropped, trace, EvictReason, QueueOpKind, TraceEvent, TraceRing,
-    Watermark,
-};
+pub use trace::{take_thread_trace, thread_trace_dropped, trace, EvictReason, QueueOpKind, TraceEvent, TraceRing};

@@ -102,16 +102,13 @@ pub enum TraceEvent {
         /// a torn or corrupted tail was clipped).
         clean_tail: bool,
     },
-    /// A region's frame clock advanced one of its watermarks: frame
-    /// `frame`'s batch became WAL-durable (`committed`) or visible in the
-    /// region's tree (`applied`).
+    /// A region's writer is done with frame `frame`: its frame clock's
+    /// `applied` watermark moved past it.
     FrameAdvance {
         /// Region index within the serving grid.
         region: u32,
         /// Global frame whose watermark advanced.
         frame: u32,
-        /// Which watermark moved.
-        watermark: Watermark,
     },
     /// The network front door admitted a connection as a session.
     ConnAccepted {
@@ -141,16 +138,6 @@ pub enum EvictReason {
     Disconnected,
     /// The client sent bytes that failed protocol decoding.
     Protocol,
-}
-
-/// Which per-region frame-clock watermark a [`TraceEvent::FrameAdvance`]
-/// reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Watermark {
-    /// The frame's batch is durable in the WAL (`committed`).
-    Committed,
-    /// The frame's batch is visible in the region's tree (`applied`).
-    Applied,
 }
 
 /// A bounded ring of [`TraceEvent`]s, oldest-overwritten-first.

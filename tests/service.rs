@@ -3,7 +3,7 @@
 //! schedules, joiners, joiners that never run, slow, detaching and
 //! panicking sinks), every schedule the threads can take, 1–4 regions,
 //! bare pagers or a faulty store behind a retrying pool, with and
-//! without a durability thread, a corrupt page, a crash recovered under
+//! without a WAL the writers commit to, a corrupt page, a crash recovered under
 //! another grid, and the wire — and the mixed dataset workload and the
 //! front door's loopback stream, pinned.
 

@@ -431,13 +431,16 @@ impl Case {
     /// read that fails, which its tree does not. A durable serve over a corrupt page installs no
     /// checkpoint and counts a failed one, `checkpoint_now` after it
     /// installs none either, and its log's image recovers to
-    /// `NoCheckpoint`.
+    /// `NoCheckpoint`. Any other durable serve's log, however its
+    /// writers raced for the commit cursor, appended every batch once
+    /// and in frame order: its image recovers the preload and all of
+    /// `inserts`, over a WAL whose frame numbers strictly increase.
     fn serve<S: Probe>(
         &self,
         make: impl FnMut(usize) -> RTree<R, S>,
     ) -> Result<(Served, Recorders, Option<Image>), String> {
         let (server, log, named) = self.server(&self.cuts, true, make);
-        let corrupt_log = log.clone().filter(|_| named.is_some());
+        let served_log = log.clone();
         let counters = |server: &PartitionedDqServer<2, S>| -> Vec<_> {
             (0..server.grid().len())
                 .map(|r| server.with_region_tree(r, |t| (t.level_counters().snapshot(), t.store().tally())))
@@ -463,15 +466,32 @@ impl Case {
                 sinks.iter().map(|s| s.as_deref().map(|s| s as &dyn FrameSink)).collect();
             (server.serve_plans_streamed(&plans, &inserts, &sinks), server)
         })?;
-        if let Some(log) = corrupt_log {
-            // The base checkpoint's scan met the page: durability failed,
-            // the serve did not.
-            let stats = log.stats();
-            let recovered = log.durable_image().recover_records::<2>().map(drop);
-            let none = matches!(recovered, Err(RecoverError::NoCheckpoint));
-            if stats.checkpoints != 0 || stats.checkpoint_failures == 0 || server.checkpoint_now() || !none {
-                return Err(format!("durable under {:?}: {stats:?}, recovery {recovered:?}", self.corrupt));
+        match (served_log, named) {
+            (Some(log), Some(_)) => {
+                // The base checkpoint's scan met the page: durability
+                // failed, the serve did not.
+                let stats = log.stats();
+                let recovered = log.durable_image().recover_records::<2>().map(drop);
+                let none = matches!(recovered, Err(RecoverError::NoCheckpoint));
+                if stats.checkpoints != 0 || stats.checkpoint_failures == 0 || server.checkpoint_now() || !none {
+                    return Err(format!("durable under {:?}: {stats:?}, recovery {recovered:?}", self.corrupt));
+                }
             }
+            (Some(log), None) => {
+                // However the writers raced for the commit cursor, each
+                // batch is in the log once, in frame order.
+                let after = |e: String| format!("the log after the serve: {e}");
+                let (base, frames, _) = log.durable_image().recover_records::<2>().map_err(|e| after(e.to_string()))?;
+                let n = prefix(&self.preload, &self.inserts, &base, &frames).map_err(after)?;
+                let appends = log.stats().wal.appends;
+                let numbers: Vec<u64> = frames.iter().map(|(k, _)| *k).collect();
+                let ordered = numbers.windows(2).all(|pair| pair[0] < pair[1]);
+                if n != self.inserts.len() || appends != self.inserts.len() as u64 || !ordered {
+                    let len = self.inserts.len();
+                    return Err(after(format!("{n} of {len} batches recovered, {appends} appends, WAL frames {numbers:?}")));
+                }
+            }
+            (None, _) => {}
         }
         let corrupt = self.corrupt.as_ref().map(|c| c.region % server.grid().len());
         let mut store = Tally::default();

@@ -3,7 +3,7 @@
 # package's tier-1 tests among them), clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and eight grep gates: no Rust under crates tests examples src calls
+# and nine grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
 # only because benchmarks/dqbench forwards it), nor `.read_node(` (every
 # descent reads through `RTree::try_read_node`, which checks the level
@@ -24,7 +24,11 @@
 # crates/mobiquery/src/clock.rs holds exactly one `.wait(`, the one
 # timed loop every `FrameClock` wait goes through, so no rule hides in
 # a wait loop of its own (the rules are `ClockState::enabled`/`apply`,
-# which that file's tests enumerate over every interleaving).
+# which that file's tests enumerate over every interleaving); and
+# nothing under crates tests examples src names `durability_loop`,
+# `advance_committed`, `wait_committed` or `AwaitCommit`: writers commit
+# the log through a frame before they apply it, so no thread commits
+# ahead of them and no clock watermark orders the two.
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -170,6 +174,9 @@ if [ -z "$ONLY" ]; then
   fi
   if [ "$(grep -c '\.wait(' crates/mobiquery/src/clock.rs)" != 1 ]; then
     echo "FAIL: crates/mobiquery/src/clock.rs has $(grep -c '\.wait(' crates/mobiquery/src/clock.rs) condvar waits, not 1; every wait goes through FrameClock's one loop" >&2; exit 1
+  fi
+  if git grep -nE 'durability_loop|advance_committed|wait_committed|AwaitCommit' -- crates tests examples src; then
+    echo "FAIL: a durability thread or a committed watermark (see above); writers commit the log before they apply" >&2; exit 1
   fi
 fi
 mkdir -p target/figures
