@@ -46,6 +46,7 @@ pub mod node;
 pub mod records;
 pub mod search;
 pub mod split;
+mod staged;
 pub mod stbox_key;
 pub mod traits;
 pub mod tree;

@@ -47,8 +47,13 @@ const fn stride<K: Key, R: Record>(leaf: bool) -> usize {
     if leaf {
         R::ENCODED_LEN
     } else {
-        K::ENCODED_LEN + 4
+        internal_stride::<K>()
     }
+}
+
+/// Bytes per internal entry: the key, then the child's page id.
+pub(crate) const fn internal_stride<K: Key>() -> usize {
+    K::ENCODED_LEN + 4
 }
 
 /// Entries of a leaf (`true`) or internal node that fit a page of
@@ -71,9 +76,11 @@ impl Header {
     /// Total over every byte string: the one place a count read off a
     /// page is bounded before anything slices by it. `None` for a buffer
     /// shorter than the header or than the entries its count claims, a
-    /// bad magic or kind byte, or a level that contradicts the kind (a
+    /// bad magic or kind byte, a level that contradicts the kind (a
     /// leaf above level 0, or an internal node at it: engines compute
-    /// `level - 1` for an internal node's children).
+    /// `level - 1` for an internal node's children), or an internal node
+    /// with no entries — no writer makes one, and a descent would have no
+    /// child to take.
     fn parse<K: Key, R: Record>(buf: &[u8]) -> Option<Header> {
         let head = buf.get(..NODE_HEADER_LEN)?;
         if u16::from_le_bytes([head[0], head[1]]) != MAGIC {
@@ -91,7 +98,7 @@ impl Header {
             .and_then(|n| n.checked_add(NODE_HEADER_LEN))
             .is_some_and(|end| end <= buf.len());
         let level = u32::from_le_bytes(head[16..20].try_into().unwrap());
-        if !fits || leaf != (level == 0) {
+        if !fits || leaf != (level == 0) || (!leaf && count == 0) {
             return None;
         }
         Some(Header {
@@ -254,6 +261,14 @@ impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
             remaining: self.head.count,
             _marker: PhantomData,
         }
+    }
+
+    /// An internal node's encoded `(key, child)` entries, each
+    /// [`internal_stride`] bytes: what the staged ChooseLeaf reads bounds
+    /// from without decoding a key. Panics on leaves.
+    pub(crate) fn internal_entry_bytes(&self) -> &[u8] {
+        assert!(!self.head.leaf, "expected internal node");
+        self.entries()
     }
 
     /// Random access to one internal entry (fixed stride — O(1)).

@@ -7,6 +7,7 @@
 //! *freshly allocated* page, so every node created by a cascading split
 //! chain lies on a single root-to-leaf path.
 
+use crate::staged::Stage;
 use crate::traits::Key;
 
 /// Which split heuristic to use on node overflow.
@@ -40,6 +41,22 @@ pub struct SplitResult {
 ///
 /// `keys.len()` must be at least `2 * min_fill` and at least 2.
 pub fn split<K: Key>(policy: SplitPolicy, keys: &[K], min_fill: usize) -> SplitResult {
+    split_in(policy, keys, min_fill, &mut Stage::default(), keys.len())
+}
+
+/// [`split`] with the staged kernels' columns in `stage`, grown to at
+/// least `cap` entries: a tree passes its own, sized to its largest
+/// node, so a split allocates no staging of its own. A quadratic split of
+/// keys the stage takes ([`Key::STAGED_SPACE_AXES`]) runs the staged
+/// PickSeeds and distribution, any other the scalar ones below; both
+/// return the same groups.
+pub(crate) fn split_in<K: Key>(
+    policy: SplitPolicy,
+    keys: &[K],
+    min_fill: usize,
+    stage: &mut Stage,
+    cap: usize,
+) -> SplitResult {
     assert!(keys.len() >= 2, "cannot split fewer than two entries");
     assert!(
         keys.len() >= 2 * min_fill,
@@ -52,10 +69,13 @@ pub fn split<K: Key>(policy: SplitPolicy, keys: &[K], min_fill: usize) -> SplitR
             let (a, b) = linear_seeds(keys);
             distribute(keys, a, b, min_fill, policy)
         }
-        SplitPolicy::Quadratic => {
-            let (a, b) = quadratic_seeds(keys);
-            distribute(keys, a, b, min_fill, policy)
-        }
+        SplitPolicy::Quadratic => match stage.quadratic_seeds(cap, keys) {
+            Some((a, b)) => stage.distribute(keys, a, b, min_fill),
+            None => {
+                let (a, b) = quadratic_seeds(keys);
+                distribute(keys, a, b, min_fill, policy)
+            }
+        },
         SplitPolicy::RStar => rstar_split(keys, min_fill),
     }
 }
@@ -145,7 +165,8 @@ fn intersection_volume<K: Key>(a: &K, b: &K) -> f64 {
 }
 
 /// Guttman's PickSeeds (quadratic): the pair wasting the most area.
-/// Each key's volume is computed once, not once per pair.
+/// Each key's volume is computed once, not once per pair. The scalar
+/// kernel: keys the stage does not take.
 fn quadratic_seeds<K: Key>(keys: &[K]) -> (usize, usize) {
     let vols: Vec<f64> = keys.iter().map(K::volume).collect();
     let mut best = (0, 1);
@@ -213,7 +234,8 @@ fn linear_seeds<K: Key>(keys: &[K]) -> (usize, usize) {
 /// `enlargement` it stands for (`cover_volume` minus the cover's
 /// volume), so the partition is Guttman's bit for bit. Every vector is
 /// sized up front: a split allocates the same number of times whatever
-/// the node's capacity.
+/// the node's capacity. The scalar kernel: Linear splits, and Quadratic
+/// ones over keys the stage does not take.
 fn distribute<K: Key>(
     keys: &[K],
     seed_a: usize,
@@ -287,17 +309,7 @@ fn distribute<K: Key>(
                 cover_b.cover_volume(k) - vol_b,
             )
         };
-        // Assign to the group needing least enlargement; ties by smaller
-        // volume, then by fewer entries (Guttman's tie-breaking).
-        let to_a = match da.partial_cmp(&db) {
-            Some(std::cmp::Ordering::Less) => true,
-            Some(std::cmp::Ordering::Greater) => false,
-            _ => match vol_a.partial_cmp(&vol_b) {
-                Some(std::cmp::Ordering::Less) => true,
-                Some(std::cmp::Ordering::Greater) => false,
-                _ => group_a.len() <= group_b.len(),
-            },
-        };
+        let to_a = prefers_a(da, db, vol_a, vol_b, group_a.len(), group_b.len());
         let (group, cover, vol, enl) = if to_a {
             (&mut group_a, &mut cover_a, &mut vol_a, &mut enl_a)
         } else {
@@ -315,6 +327,28 @@ fn distribute<K: Key>(
     SplitResult {
         a: group_a,
         b: group_b,
+    }
+}
+
+/// Whether an entry enlarging group A by `da` and group B by `db` goes to
+/// A: the group needing least enlargement; ties by smaller volume, then
+/// by fewer entries (Guttman's tie-breaking).
+pub(crate) fn prefers_a(
+    da: f64,
+    db: f64,
+    vol_a: f64,
+    vol_b: f64,
+    len_a: usize,
+    len_b: usize,
+) -> bool {
+    match da.partial_cmp(&db) {
+        Some(std::cmp::Ordering::Less) => true,
+        Some(std::cmp::Ordering::Greater) => false,
+        _ => match vol_a.partial_cmp(&vol_b) {
+            Some(std::cmp::Ordering::Less) => true,
+            Some(std::cmp::Ordering::Greater) => false,
+            _ => len_a <= len_b,
+        },
     }
 }
 

@@ -52,6 +52,11 @@ impl<const D: usize, const T: usize> Key for StBox<D, T> {
     const AXES: usize = D + T;
     // `StBox::cover` is per-bound `min`/`max`.
     const COVER_IS_EXACT_JOIN: bool = true;
+    // `StBox::volume` is `space.volume() * time.volume()`, each
+    // `Rect::volume` a product of side lengths folded from 1.0; the
+    // cover is per-bound `min`/`max`, and `cover_volume` below multiplies
+    // the cover's sides in that grouping.
+    const STAGED_SPACE_AXES: Option<usize> = Some(D);
 
     fn empty() -> Self {
         StBox::EMPTY

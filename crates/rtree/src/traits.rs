@@ -30,6 +30,34 @@ pub trait Key: Copy + std::fmt::Debug + PartialEq {
     /// fold in the last bit.
     const COVER_IS_EXACT_JOIN: bool = false;
 
+    /// `Some(s)` iff the write path may run its *staged* ChooseLeaf and
+    /// quadratic split over this key type: kernels that read each key
+    /// once into struct-of-arrays `f64` bounds and compute every entry's
+    /// volume and cover volume in straight-line passes. Opting in
+    /// promises that a key is the box of its sides
+    /// `[axis_lo(a), axis_hi(a)]`, `a ∈ 0..AXES`; that [`Self::encode`]
+    /// writes them first, per axis in order `lo` then `hi` as
+    /// little-endian `f32`, and [`Self::decode`] widens each back (the
+    /// staged ChooseLeaf reads a page's bounds without decoding a key);
+    /// and that whenever every side of both operands has `lo <= hi` (no
+    /// NaN, no inverted side):
+    ///
+    /// * [`Self::volume`] is `(Π_{a<s} (hi − lo)) × (Π_{a≥s} (hi − lo))`,
+    ///   each product folded from `1.0` in axis order — `Rect::volume`'s
+    ///   grouping, space apart from time;
+    /// * [`Self::cover`] takes `lo.min(other.lo)` and `hi.max(other.hi)`
+    ///   per side;
+    /// * [`Self::cover_volume`] is the volume's two products over the
+    ///   cover's sides `hi.max(other.hi) − lo.min(other.lo)`.
+    ///
+    /// The kernels then make the same `f64` operations in the same order
+    /// as those calls, so every value they compare is bit-equal to the
+    /// scalar one. A node with any other side (empty, inverted, NaN) and
+    /// every key type that keeps the default `None` (a TPR box, whose
+    /// cover computes) take the scalar kernels. Which key types qualify
+    /// is theirs to declare, never a setting.
+    const STAGED_SPACE_AXES: Option<usize> = None;
+
     /// A key containing nothing; the identity of [`Self::cover`].
     fn empty() -> Self;
 
@@ -68,7 +96,10 @@ pub trait Key: Copy + std::fmt::Debug + PartialEq {
     /// for every pair of keys, empty, inverted and infinite bounds
     /// included: the split heuristics and ChooseLeaf compare these values,
     /// so one differing bit can change a partition and with it every page
-    /// an insert writes.
+    /// an insert writes. The contract extends to the staged form
+    /// ([`Self::STAGED_SPACE_AXES`]): for a key type that opts in, the
+    /// staged cover volume of two keys with no empty side is this value,
+    /// bit for bit.
     fn cover_volume(&self, other: &Self) -> f64 {
         self.cover(other).volume()
     }

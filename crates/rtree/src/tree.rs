@@ -2,7 +2,8 @@
 
 use crate::levels::LevelCounters;
 use crate::node::{capacity, NodeEdit, NodeRef};
-use crate::split::{split, SplitPolicy};
+use crate::split::{split_in, SplitPolicy};
+use crate::staged::Stage;
 use crate::stbox_key::f32_up;
 use crate::traits::{Key, Record};
 use storage::{PageId, PageStore, StorageError};
@@ -159,6 +160,10 @@ pub struct RTree<R: Record, S: PageStore> {
     /// The insert path's descent stack, empty between inserts and kept
     /// for its capacity.
     path: Vec<Step<R::Key, R>>,
+    /// The staged ChooseLeaf's and quadratic split's columns
+    /// ([`Stage`]), sized on first use to the tree's largest node plus
+    /// one and never grown again.
+    stage: Stage,
     /// Per-level node read/write counters (relaxed atomics, so readers
     /// sharing `&self` all count here).
     levels: LevelCounters,
@@ -184,6 +189,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             len: 0,
             scratch,
             path: Vec::new(),
+            stage: Stage::default(),
             levels: LevelCounters::new(),
             starts: Vec::new(),
             _records: std::marker::PhantomData,
@@ -206,6 +212,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             len,
             scratch: Vec::new(),
             path: Vec::new(),
+            stage: Stage::default(),
             levels: LevelCounters::new(),
             starts: Vec::new(),
             _records: std::marker::PhantomData,
@@ -392,6 +399,11 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         self.len = len;
     }
 
+    /// Entries the stage holds: an overflowing node of either kind.
+    fn stage_capacity(&self) -> usize {
+        self.leaf_capacity().max(self.internal_capacity()) + 1
+    }
+
     fn min_fill_count(&self, capacity: usize) -> usize {
         // At least 1, at most half of (capacity + 1) so a split of
         // capacity+1 entries is always feasible.
@@ -467,7 +479,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 
         // ChooseLeaf. Every page write happens after this, so a device
         // fault surfaces with the tree unchanged.
-        let (leaf_page, leaf) = self.descend(path, &key)?;
+        let mut stage = std::mem::take(&mut self.stage);
+        let descended = self.descend(path, &mut stage, &key);
+        self.stage = stage;
+        let (leaf_page, leaf) = descended?;
         let start = start_bound_f32(&rec);
         self.raise_start(leaf_page, start);
         for step in path.iter() {
@@ -511,22 +526,28 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 
     /// Walk from the root by least enlargement towards `key` down to a
     /// leaf, pushing every internal node passed onto `path` and returning
-    /// the leaf — through zero-copy views; nothing is materialized. Each
-    /// read names its level ([`Self::try_read_node`]), so the walk takes
-    /// at most `height` reads and a cyclic child id is `Corrupt` before
-    /// any write.
+    /// the leaf — through zero-copy views and the staged kernel's columns
+    /// ([`Stage::choose`]; the scalar [`choose_subtree`] for a node it
+    /// does not take); no node is materialized. Each read names its
+    /// level ([`Self::try_read_node`]), so the walk takes at most
+    /// `height` reads and a cyclic child id is `Corrupt` before any
+    /// write; a node that parses has an entry to take.
     fn descend(
         &self,
         path: &mut Vec<Step<R::Key, R>>,
+        stage: &mut Stage,
         key: &R::Key,
     ) -> Result<(PageId, NodeRef<R::Key, R>), StorageError> {
         let (mut page, mut level) = (self.root, self.height - 1);
+        let cap = self.stage_capacity();
         loop {
             let node = self.try_read_node(page, level)?;
             if node.is_leaf() {
                 return Ok((page, node));
             }
-            let chosen = choose_subtree(node.internal_entries().map(|(k, _)| k), key);
+            let chosen = stage
+                .choose(cap, node.internal_entry_bytes(), key)
+                .unwrap_or_else(|| choose_subtree(node.internal_entries().map(|(k, _)| k), key));
             let next = node.internal_entry(chosen).1;
             path.push(Step { page, node, chosen });
             (page, level) = (next, level - 1);
@@ -656,7 +677,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         let keys: Vec<R::Key> = entries.iter().map(key).collect();
         let min_fill =
             self.min_fill_count(capacity::<R::Key, R>(level == 0, self.store.page_size()));
-        let part = split(self.config.split_policy, &keys, min_fill);
+        let cap = self.stage_capacity();
+        let part = split_in(self.config.split_policy, &keys, min_fill, &mut self.stage, cap);
         let (old, new) = if part.a.contains(&(keys.len() - 1)) {
             (&part.b, &part.a)
         } else {
@@ -824,14 +846,13 @@ pub(crate) fn start_bound_f32<R: Record>(rec: &R) -> f32 {
 
 /// Guttman's ChooseLeaf criterion: least enlargement, ties by smaller
 /// volume, then by position. Consumes keys lazily so callers can feed a
-/// [`NodeRef`] iterator without materializing.
+/// [`NodeRef`] iterator without materializing. The scalar kernel: nodes
+/// and key types [`Stage::choose`] does not take.
 pub(crate) fn choose_subtree<K: Key>(keys: impl Iterator<Item = K>, key: &K) -> usize {
-    let mut seen = 0usize;
     let mut best = 0;
     let mut best_enl = f64::INFINITY;
     let mut best_vol = f64::INFINITY;
     for (i, k) in keys.enumerate() {
-        seen += 1;
         // `enlargement` is `cover().volume() - volume()` for every key:
         // computed from the one volume the tie-break needs anyway.
         let vol = k.volume();
@@ -842,7 +863,6 @@ pub(crate) fn choose_subtree<K: Key>(keys: impl Iterator<Item = K>, key: &K) -> 
             best_vol = vol;
         }
     }
-    debug_assert!(seen > 0);
     best
 }
 
@@ -955,6 +975,26 @@ pub(crate) mod tests {
         assert_eq!(res, Err(StorageError::Corrupt { page: root }));
         let io = io - before;
         assert_eq!((io.reads, io.writes, len), (2, 0, 40), "{io:?}");
+    }
+
+    #[test]
+    fn an_internal_node_with_no_entries_is_corrupt_before_any_write() {
+        // A packed height-3 tree whose root's header claims no entries:
+        // ChooseLeaf would have no child to take.
+        let mut tree = bulk_load(
+            Pager::with_page_size(256),
+            RTreeConfig::default(),
+            (0..40).map(rec).collect(),
+        );
+        assert_eq!(tree.height(), 3);
+        let root = tree.root_page();
+        let mut bytes = tree.store().read_page(root).to_vec();
+        bytes[4..8].copy_from_slice(&0u32.to_le_bytes());
+        tree.store().write(root, &bytes);
+        let before = tree.store().io();
+        assert_eq!(tree.try_insert(rec(40)), Err(StorageError::Corrupt { page: root }));
+        let io = tree.store().io() - before;
+        assert_eq!((io.reads, io.writes, tree.len()), (1, 0, 40), "{io:?}");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property tests: a page written by [`NodeEdit`] reads back through
-//! [`NodeRef`] as exactly the entries and stamp that went in — leaf
-//! and internal, empty through full capacity — and the header parse the
+//! [`NodeRef`] as exactly the entries and stamp that went in — a leaf
+//! empty through full capacity, an internal node one entry through full
+//! (no writer makes an empty one, and its header is corrupt) — and the
+//! header parse the
 //! tree reads through is total: no 32 bytes in front of a node body panic
 //! it or admit an entry outside the page.
 
@@ -51,7 +53,7 @@ fn leaf_node() -> impl Strategy<Value = (Entries, u64)> {
 
 fn internal_node() -> impl Strategy<Value = (Entries, u64)> {
     (
-        proptest::collection::vec((rec(), 0u32..100_000), 0..INTERNAL_CAP + 1),
+        proptest::collection::vec((rec(), 0u32..100_000), 1..INTERNAL_CAP + 1),
         1u32..8,
         stamp(),
     )
@@ -189,9 +191,11 @@ proptest! {
 }
 
 #[test]
-fn empty_nodes_read_back() {
+fn an_empty_leaf_reads_back_and_an_empty_internal_node_is_corrupt() {
     assert_reads_back(&Entries::Leaf(Vec::new()), u64::MAX);
-    assert_reads_back(&Entries::Internal(3, Vec::new()), 0);
+    let page = PageRef::from(write(&Entries::Internal(3, Vec::new()), 0));
+    let read = NodeRef::<K, R>::try_parse(page, PageId(5));
+    assert_eq!(read.err(), Some(StorageError::Corrupt { page: PageId(5) }));
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! hit/miss/eviction counters are per shard;
 //! [`ShardedBufferPool::cache_stats`] aggregates them.
 
-use crate::buffer::{CacheStats, Frame, PoolState};
+use crate::buffer::{CacheStats, Frame, PoolState, GOLDEN_64};
 use crate::fault::{FaultRecovery, FaultRecoveryStats, RetryPolicy, StorageError};
 use crate::{IoSnapshot, PageId, PageRef, PageStore};
 use parking_lot::Mutex;
@@ -86,7 +86,7 @@ impl<S: PageStore> ShardedBufferPool<S> {
         if self.shard_bits == 0 {
             return 0;
         }
-        let h = (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = (id.0 as u64).wrapping_mul(GOLDEN_64);
         (h >> (u64::BITS - self.shard_bits)) as usize
     }
 

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Repo check: the tier-1 release build, every workspace suite (the root
-# package's tier-1 tests among them), clippy, a type-check of
+# package's tier-1 tests among them), the staged-kernel suite again in
+# the optimised build (crates/rtree/tests/prop_kernels.rs: the debug
+# build does not vectorise, so only this run tests the loops that ship),
+# clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
 # and nine grep gates: no Rust under crates tests examples src calls
@@ -56,8 +59,11 @@
 #
 # The node split's identity gates: both prop_patch suites (pages vs the
 # rebuild reference), prop_tree's split oracle (Quadratic and Linear
-# `split` == the uncached PickSeeds/PickNext kept in the test, and
-# `cover_volume` == `cover().volume()` bit for bit), and the figures
+# `split` == the uncached PickSeeds/PickNext kept in
+# crates/rtree/tests/support/oracle.rs, and `cover_volume` ==
+# `cover().volume()` bit for bit), prop_kernels (the staged ChooseLeaf
+# and quadratic split == that oracle, choice for choice, in the debug
+# and the optimised build), and the figures
 # built by inserting — ablation_split (extensions), exp_updates
 # (updates), exp_tpr (tpr). A split that changes a partition must fail
 # here, not pass with a re-pinned figure. A descent that loops on a
@@ -149,6 +155,7 @@ bench_bin() { local log=$1 bin=$2; shift 2; env "$@" cargo run -q --offline --re
 cargo build --release --offline
 if [ -z "$ONLY" ]; then
   cargo test -q --offline --workspace
+  cargo test --release --offline -q -p rtree --test prop_kernels
   cargo clippy --offline --workspace --all-targets -- -D warnings
   cargo check --release --offline --manifest-path benchmarks/dqbench/Cargo.toml
   if grep -rn --include='*.rs' '\.free(' crates tests examples src; then
