@@ -45,10 +45,11 @@
 //! session back-pressures only its own lanes: writers of untouched
 //! regions never hear from it. Sessions *detach* from their lane clocks
 //! when their schedule ends — or when they fail mid-run, so a dead
-//! session releases the writers instead of holding them. Per region the
-//! clock guarantees what `clock.rs`'s tests check over every
-//! interleaving: a session reading frame `k` sees exactly the batches
-//! `<= k` applied, and nobody waits for ever. So a lane reads its
+//! session releases the writers instead of holding them. The clocks
+//! guarantee what `router/participants.rs`'s tests check over every
+//! interleaving of its programs, on one region and on two: a session
+//! reading frame `k` sees exactly the batches `<= k` applied, and nobody
+//! waits for ever. So a lane reads its
 //! region's tree and slate behind the locks that writer takes, and
 //! never waits on them; a slate *ahead* of the frame being read would
 //! mean the clock failed, and fails the session that sees it. (A region
@@ -64,9 +65,9 @@
 //! Here: the server, its builders, the `serve*` entry points, the
 //! metrics mirror. `router/lanes.rs`: a session's per-region engines and
 //! the seam owner rule. `router/rebuild.rs`: record set → region trees.
-//! `router/participants.rs`: the writer and session threads, the writer
-//! frame and the commit cursor both drivers share, and the two drivers —
-//! concurrent, serial oracle — that run them.
+//! `router/participants.rs`: the writer and session programs, the commit
+//! cursor, and the drivers that run them — threads, the serial oracle,
+//! and (in its tests) the checker of every interleaving.
 //!
 //! A serve has one grid. Hotspot rebalancing (after Kiwano, arXiv
 //! 1211.4414) happens between serves: every serve accumulates per-region
@@ -211,7 +212,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// Metric names: `service.drain_ns` (per-session-frame drain latency
     /// histogram), `service.writer.lock_hold_ns` (write-lock hold-time
     /// histogram), `service.clock_wait_ns` (time any participant spent
-    /// blocked on a frame-clock watermark), `service.frame_lag` (gauge:
+    /// blocked on a frame-clock watermark; a concurrent serve only) and
+    /// its split by waiter, `service.clock_wait_ns.writer` (`wait_ready`)
+    /// and `service.clock_wait_ns.session` (`wait_applied`), which sum to
+    /// it sample for sample, `service.frame_lag` (gauge:
     /// deepest applied-watermark lead over the slowest attached session),
     /// `service.mailbox_hwm` (gauge: most insert reports any region
     /// published for one frame; the name, which `dqbench` reads, predates
@@ -738,6 +742,14 @@ mod tests {
                 Some(obs::MetricValue::Histogram { count, .. }) => assert_eq!(count, 14),
                 other => panic!("missing drain histogram: {other:?}"),
             }
+            // Every real clock wait is one sample pooled and one under its
+            // waiter's role.
+            let hist = |name: &str| match registry.get(name) {
+                Some(obs::MetricValue::Histogram { count, sum, .. }) => [count, sum],
+                other => panic!("missing {name}: {other:?}"),
+            };
+            let (w, s) = (hist("service.clock_wait_ns.writer"), hist("service.clock_wait_ns.session"));
+            assert_eq!(hist("service.clock_wait_ns"), [w[0] + s[0], w[1] + s[1]]);
             assert_eq!(registry.counter_value("service.frames"), 8);
             assert_eq!(
                 registry.counter_value("service.session.reads"),

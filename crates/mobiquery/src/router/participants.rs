@@ -1,45 +1,215 @@
-//! The participants of a serve and the two drivers that schedule them.
+//! The participants of a serve as programs, and the drivers that run
+//! them.
 //!
-//! Concurrent ([`PartitionedDqServer::serve_clocked`]): one
-//! `std::thread::scope` holding a writer thread per region and a thread
-//! per scheduled session, ordered by the per-region [`FrameClock`]s
-//! alone; the scope's join is the only barrier. Serial
-//! ([`PartitionedDqServer::serve_serial_clocked`]): the oracle — the same
-//! frame interleaving (regions ascending → sessions ascending) in one
-//! straight-line loop, with no thread and no clock. Both run a region's
-//! frame through one [`PartitionedDqServer::writer_frame`], which on a
-//! durable serve commits the log through the frame before it writes a
-//! page, and carry a [`Run`] from [`PartitionedDqServer::begin_run`] to
+//! A region's writer and a session are each a step machine,
+//! [`WriterProgram`] and [`SessionProgram`], whose pending [`Op`] is a
+//! step of one region's clock (`ClockState`) or a local op whose outcome
+//! the driver reports back: an empty slice, a failed apply, a bailed
+//! build or step, a sink that detaches. A program never blocks and
+//! touches no tree, and it is the only statement of its participant's
+//! order. Three drivers run the same programs:
+//!
+//! * threads ([`PartitionedDqServer::serve_clocked`]): a scoped thread
+//!   per region writer and per scheduled session, each parking on its
+//!   region's [`FrameClock`] while a wait is not enabled;
+//! * serial ([`PartitionedDqServer::serve_serial_clocked`]), the oracle:
+//!   one thread, plain `ClockState`s, a fixed schedule;
+//! * the checker in this file's tests: every interleaving of small
+//!   scopes, local ops stubbed by counters.
+//!
+//! The first two share [`make_ops`] and the local ops, and carry a
+//! [`Run`] from [`PartitionedDqServer::begin_run`] to
 //! [`PartitionedDqServer::finish_run`].
 
 use super::lanes::{LaneRun, Slate};
 use super::rebuild::route_slice;
 use super::{PartitionedDqServer, PartitionedServeReport, RegionReport};
-use crate::clock::{FrameClock, SessionLiveness};
+use crate::clock::{ClockState, FrameClock, SessionLiveness, Step};
 use crate::durability::DurableLog;
-use crate::service::{
-    panic_message, record_wait, FrameDelta, FrameSink, SessionOutcome, SessionPlan, SinkVerdict,
-};
+use crate::service::{panic_message, FrameDelta, FrameSink, SessionOutcome, SessionPlan, SinkVerdict};
 use parking_lot::{Mutex, RwLock};
 use rtree::NsiSegmentRecord;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 use storage::{PageStore, RetryPolicy, StorageError};
+
+/// What a participant does next. A program's pending op is also where
+/// it is: [`Program::done`] maps it, and a local op's outcome, to the
+/// op after it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Op {
+    /// A step of region `.0`'s clock.
+    Clock(usize, Step),
+    /// Writer: commit the log through frame `k` (durable serves only).
+    Commit(u64),
+    /// Writer: route batch `k` to its region; reports a non-empty slice.
+    Route(u64),
+    /// Writer: apply its slice of batch `k`; reports the writer alive.
+    Apply(u64),
+    /// Session: build the lane engines; reports the session alive.
+    Build,
+    /// Session: step frame `k` on every lane; reports it alive.
+    Step(u64),
+    /// Session: hand frame `k` to the sink; reports it continuing.
+    Sink(u64),
+    Done,
+}
+
+/// A participant's program, which every driver runs.
+pub(crate) trait Program {
+    /// The op the participant makes next.
+    fn next(&self) -> Op;
+    /// That op is made; `ok` is a local op's outcome.
+    fn done(&mut self, ok: bool);
+}
+
+/// Region `r`'s writer, per frame `k`: commit the log through `k`
+/// (every writer, whatever its slice, so no page of batch `k` is
+/// written before the batch is in the WAL); if `k` has a batch and the
+/// writer is alive, route its slice, and if that is non-empty, await
+/// ready (every live attached session has acked `k`, so nobody still
+/// reads the slate's previous frame) and apply it; then advance
+/// `applied` past `k` — every frame, batch or not, so sessions of an
+/// idle or failed region never stall. A failed apply (full device, or a
+/// panic) stops the writer applying, not committing: a checkpoint holds
+/// what was committed, not what a tree absorbed.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WriterProgram {
+    r: usize,
+    /// Frames in the run, and how many of them have a batch.
+    steps: u64,
+    batches: u64,
+    failed: bool,
+    next: Op,
+}
+
+impl WriterProgram {
+    pub(crate) fn new(r: usize, steps: usize, batches: usize) -> WriterProgram {
+        let next = if steps == 0 { Op::Done } else { Op::Commit(0) };
+        WriterProgram { r, steps: steps as u64, batches: batches as u64, failed: false, next }
+    }
+}
+
+impl Program for WriterProgram {
+    fn next(&self) -> Op {
+        self.next
+    }
+
+    fn done(&mut self, ok: bool) {
+        let advance = |k: u64| Op::Clock(self.r, Step::Advance(k + 1));
+        self.next = match self.next {
+            Op::Commit(k) if k < self.batches && !self.failed => Op::Route(k),
+            Op::Route(k) if ok => Op::Clock(self.r, Step::AwaitReady(k)),
+            Op::Clock(_, Step::AwaitReady(k)) => Op::Apply(k),
+            Op::Apply(k) => {
+                self.failed = !ok;
+                advance(k)
+            }
+            Op::Commit(k) | Op::Route(k) => advance(k),
+            Op::Clock(_, Step::Advance(n)) if n < self.steps => Op::Commit(n),
+            _ => Op::Done,
+        };
+    }
+}
+
+/// Session `i` over its window `first..=last` and its lanes: await
+/// `applied` of `first` on every lane (the trees hold exactly the
+/// batches before the join, as the writers withhold batch `first` until
+/// the session's frontier clears), build the lane engines, ack
+/// `first + 1` on every lane; then per frame `k`, await `applied` of
+/// `k + 1` on every lane, step, sink, ack `k + 2` on every lane. However
+/// it ends — window complete, engines dead or never built, evicted by
+/// its sink or failed by a panicking one — it detaches from every lane,
+/// so no writer waits on it again.
+#[derive(Clone, Debug)]
+pub(crate) struct SessionProgram {
+    i: usize,
+    lanes: Range<usize>,
+    first: u64,
+    last: u64,
+    next: Op,
+}
+
+impl SessionProgram {
+    pub(crate) fn new(i: usize, (first, last): (u64, u64), lanes: Range<usize>) -> SessionProgram {
+        assert!(!lanes.is_empty(), "a session reads at least one region");
+        let next = Op::Clock(lanes.start, Step::AwaitApplied(first));
+        SessionProgram { i, lanes, first, last, next }
+    }
+}
+
+impl Program for SessionProgram {
+    fn next(&self) -> Op {
+        self.next
+    }
+
+    fn done(&mut self, ok: bool) {
+        let (i, start, end) = (self.i, self.lanes.start, self.lanes.end);
+        self.next = match self.next {
+            Op::Clock(r, step) if r + 1 < end => Op::Clock(r + 1, step),
+            Op::Clock(_, Step::AwaitApplied(n)) if n == self.first => Op::Build,
+            Op::Clock(_, Step::AwaitApplied(n)) => Op::Step(n - 1),
+            Op::Build | Op::Step(_) | Op::Sink(_) if !ok => Op::Clock(start, Step::Detach(i)),
+            Op::Build => Op::Clock(start, Step::Ack(i, self.first + 1)),
+            Op::Step(k) => Op::Sink(k),
+            Op::Sink(k) => Op::Clock(start, Step::Ack(i, k + 2)),
+            // The last lane's ack of the window's last frame ends it.
+            Op::Clock(_, Step::Ack(_, upto)) if upto > self.last + 1 => Op::Clock(start, Step::Detach(i)),
+            Op::Clock(_, Step::Ack(_, upto)) => Op::Clock(start, Step::AwaitApplied(upto)),
+            _ => Op::Done,
+        };
+    }
+}
+
+/// Hand the frame session `i` just stepped to `sink`, contained: a
+/// sink that detaches, or panics, fails the session. Returns whether it
+/// continues.
+fn offer<const D: usize>(i: usize, run: &mut LaneRun<'_, D>, sink: &dyn FrameSink) -> bool {
+    let f = run.out.frames.last().expect("a stepped frame is reported");
+    let delta = FrameDelta {
+        session: i,
+        frame: f.frame,
+        results: &run.out.results[run.out.results.len() - f.results..],
+        latency_ns: f.latency_ns,
+    };
+    let cut = match catch_unwind(AssertUnwindSafe(|| sink.on_frame(&delta))) {
+        Ok(SinkVerdict::Continue) => return true,
+        Ok(SinkVerdict::Detach) => "detached by frame sink".to_string(),
+        Err(p) => format!("frame sink panicked: {}", panic_message(p)),
+    };
+    run.out.outcome = SessionOutcome::Failed(cut);
+    false
+}
+
+/// Make `program`'s ops until it ends or `clock` declines a step, the
+/// loop of both serving drivers: `clock` makes a clock step (the threads
+/// driver parks until it is enabled; the serial one declines a wait its
+/// clock does not enable), `local` a local op. Returns whether it moved.
+fn make_ops(
+    program: &mut impl Program,
+    mut clock: impl FnMut(usize, Step) -> bool,
+    mut local: impl FnMut(Op) -> bool,
+) -> bool {
+    let mut moved = false;
+    loop {
+        let ok = match program.next() {
+            Op::Done => return moved,
+            Op::Clock(r, step) if !clock(r, step) => return moved,
+            Op::Clock(..) => true,
+            op => local(op),
+        };
+        program.done(ok);
+        moved = true;
+    }
+}
 
 /// How a region's writer treats a transient insert failure: the failed
 /// [`rtree::RTree::try_insert`] descent left the tree unchanged, so the
 /// same record is retried, after a backoff slept with the write lock
 /// *released*.
 const WRITER_RETRY: RetryPolicy = RetryPolicy::DEFAULT;
-
-/// A failed region writer (full device, or a panic) stops applying — a
-/// full disk stays full, and a panic may have left its tree half-written.
-/// It still commits: a checkpoint holds what was committed, not what a
-/// tree absorbed, so the backlog replays onto a larger device.
-fn writer_failed(w: &RegionReport) -> bool {
-    matches!(w.writer_outcome, SessionOutcome::Failed(_))
-}
 
 /// The run's one commit cursor: the next frame whose batch the log has
 /// not yet committed, and the tallies of the commits and folds so far.
@@ -112,8 +282,45 @@ struct Shared<'i, const D: usize> {
     slates: Vec<RwLock<Slate<D>>>,
     drain_hist: Option<Arc<obs::Histogram>>,
     hold_hist: Option<Arc<obs::Histogram>>,
+    /// Every real clock wait, pooled, and the same split by waiter: the
+    /// writers' `wait_ready` and the sessions' `wait_applied`.
     wait_hist: Option<Arc<obs::Histogram>>,
+    writer_wait_hist: Option<Arc<obs::Histogram>>,
+    session_wait_hist: Option<Arc<obs::Histogram>>,
     lag_gauge: Option<Arc<obs::Gauge>>,
+}
+
+impl<const D: usize> Shared<'_, D> {
+    /// The threads driver's clock step: a wait parks on region `r`'s
+    /// clock until it is enabled, and a real one is recorded pooled and
+    /// under its waiter; an advance publishes the region's frame lag and
+    /// traces the frame.
+    fn clock_step(&self, r: usize, step: Step) -> bool {
+        let clock = &self.clocks[r];
+        // Only real waits are samples; the fast path is the common case.
+        let waited = |role: &Option<Arc<obs::Histogram>>, ns: u64| {
+            for h in [&self.wait_hist, role].into_iter().flatten().filter(|_| ns > 0) {
+                h.record(ns);
+            }
+        };
+        match step {
+            Step::AwaitReady(k) => waited(&self.writer_wait_hist, clock.wait_ready(k)),
+            Step::AwaitApplied(n) => waited(&self.session_wait_hist, clock.wait_applied(n)),
+            Step::Advance(n) => {
+                let lag = clock.advance_applied(n);
+                if let Some(g) = &self.lag_gauge {
+                    g.record_max(lag as i64);
+                }
+                obs::trace(obs::TraceEvent::FrameAdvance {
+                    region: r as u32,
+                    frame: (n - 1) as u32,
+                });
+            }
+            Step::Ack(i, upto) => clock.ack(i, upto),
+            Step::Detach(i) => clock.detach(i),
+        }
+        true
+    }
 }
 
 impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
@@ -227,165 +434,103 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
             drain_hist: self.histogram("service.drain_ns"),
             hold_hist: self.histogram("service.writer.lock_hold_ns"),
             wait_hist: None,
+            writer_wait_hist: None,
+            session_wait_hist: None,
             lag_gauge: None,
         }
     }
 
+    /// The regions `plan`'s query sweeps: its session's lanes.
+    fn lanes(&self, plan: &SessionPlan<D>) -> Range<usize> {
+        self.grid.route_rect(&plan.spec.trajectory.swept_bounds())
+    }
+
+    /// Region `r`'s clock windows: session `i` is attached over its
+    /// plan's window when its lanes reach `r`.
+    fn windows(&self, plans: &[SessionPlan<D>], r: usize) -> Vec<Option<(u64, u64)>> {
+        plans.iter().map(|p| p.window().filter(|_| self.lanes(p).contains(&r))).collect()
+    }
+
     /// What one concurrent serve of `plans` shares: [`Self::shared`],
-    /// per region a clock, and the wait and lag instruments. Each
-    /// region's clock knows exactly which sessions are attached to it:
-    /// session `i` to region `r` over its plan's window, when its lanes
-    /// reach `r`.
+    /// per region a clock, and the wait and lag instruments.
     fn clocked<'i>(
         &self,
         plans: &[SessionPlan<D>],
         inserts: &'i [Vec<(NsiSegmentRecord<D>, f64)>],
         steps: usize,
     ) -> Shared<'i, D> {
-        let attach: Vec<_> = plans
-            .iter()
-            .map(|p| (p.window(), self.grid.route_rect(&p.spec.trajectory.swept_bounds())))
-            .collect();
         let clocks = (0..self.grid.len())
             .map(|r| {
-                let windows = attach
-                    .iter()
-                    .map(|(w, lanes)| w.filter(|_| lanes.contains(&r)))
-                    .collect();
-                FrameClock::new(windows, SessionLiveness::new(plans.len()), 0, false)
+                let liveness = SessionLiveness::new(plans.len());
+                FrameClock::new(self.windows(plans, r), liveness, 0, false)
             })
             .collect();
         Shared {
             clocks,
             wait_hist: self.histogram("service.clock_wait_ns"),
+            writer_wait_hist: self.histogram("service.clock_wait_ns.writer"),
+            session_wait_hist: self.histogram("service.clock_wait_ns.session"),
             lag_gauge: self.metrics.as_ref().map(|m| m.gauge("service.frame_lag")),
             ..self.shared(inserts, steps)
         }
     }
 
-    /// Region `r`'s frame `k`, the same in both drivers. On a durable
-    /// serve it first commits the log through `k` under the run's one
-    /// cursor — whichever writer gets there first commits, one whose
-    /// slice is empty or which has failed included — so no page of batch
-    /// `k` is written before the batch is in the WAL, and no commit runs
-    /// under a tree or clock lock. Then, if its slice of the batch is
-    /// non-empty and the writer alive, it applies the slice once nobody
-    /// reads the slate's previous frame: on the concurrent path once
-    /// every session attached to `clock` has acked `k`; on the serial
-    /// one sessions step after every region.
-    fn writer_frame(
+    /// Region `r`'s writer's local op, the same under every driver;
+    /// returns its outcome.
+    fn writer_op(
         &self,
         sh: &Shared<D>,
-        k: usize,
         r: usize,
+        op: Op,
         w: &mut RegionReport,
         routed: &mut Vec<(NsiSegmentRecord<D>, f64)>,
-        clock: Option<&FrameClock>,
-    ) {
-        if let Some(log) = self.durability.as_deref() {
-            sh.commits.lock().commit_through(log, k, sh.inserts);
-        }
-        let Some(batch) = sh.inserts.get(k) else { return };
-        route_slice(&self.grid, r, batch, routed);
-        if routed.is_empty() || writer_failed(w) {
-            return;
-        }
-        if let Some(clock) = clock {
-            record_wait(&sh.wait_hist, clock.wait_ready(k as u64));
-        }
-        self.apply_region_batch(sh, k, r, routed, w);
-    }
-
-    /// Region `r`'s writer thread: every frame's [`Self::writer_frame`]
-    /// under `r`'s clock, then `r`'s `applied` watermark advanced past
-    /// it — every frame, batch or not, so sessions of an idle or failed
-    /// region never stall.
-    fn writer_loop(&self, sh: &Shared<D>, r: usize) -> RegionReport {
-        let mut w = RegionReport::default();
-        let mut routed = Vec::new();
-        let clock = &sh.clocks[r];
-        for k in 0..sh.steps {
-            self.writer_frame(sh, k, r, &mut w, &mut routed, Some(clock));
-            let lag = clock.advance_applied(k as u64 + 1);
-            if let Some(g) = &sh.lag_gauge {
-                g.record_max(lag as i64);
+    ) -> bool {
+        match op {
+            Op::Commit(k) => {
+                if let Some(log) = self.durability.as_deref() {
+                    sh.commits.lock().commit_through(log, k as usize, sh.inserts);
+                }
+                true
             }
-            obs::trace(obs::TraceEvent::FrameAdvance {
-                region: r as u32,
-                frame: k as u32,
-            });
+            Op::Route(k) => {
+                route_slice(&self.grid, r, &sh.inserts[k as usize], routed);
+                !routed.is_empty()
+            }
+            Op::Apply(k) => {
+                self.apply_region_batch(sh, k as usize, r, routed, w);
+                // A failed writer (full device, or a panic) stops applying: a full
+                // disk stays full, and a panic may have left its tree half-written.
+                !matches!(w.writer_outcome, SessionOutcome::Failed(_))
+            }
+            _ => unreachable!("{op:?} is no writer's local op"),
         }
-        w
     }
 
-    /// Session `i`'s thread, its whole life: wait for its join frame,
-    /// build the lane engines, then run the clock protocol per frame —
-    /// wait `applied`, step (absorbing the lanes' slates), sink, ack.
-    /// However it ends — schedule complete, engines dead or never built,
-    /// evicted by its sink or failed by a panicking one — it detaches
-    /// from its lane clocks, here and nowhere else, so no writer waits on
-    /// it again.
-    fn session_loop(
+    /// Session `i`'s local op, the same under every driver; returns its
+    /// outcome.
+    fn session_op(
         &self,
         sh: &Shared<D>,
         i: usize,
-        plan: &SessionPlan<D>,
+        op: Op,
         run: &mut LaneRun<'_, D>,
         sink: Option<&dyn FrameSink>,
-    ) {
-        let (f, l) = plan.window().expect("spawned for its window");
-        let lanes = self.grid.route_rect(&plan.spec.trajectory.swept_bounds());
-        // The join boundary on every lane: trees hold exactly state_{f-1}
-        // (the writers withhold batch `f` until our un-acked permit
-        // clears), so the engines build against precisely what the serial
-        // reference shows them.
-        for r in lanes.clone() {
-            record_wait(&sh.wait_hist, sh.clocks[r].wait_applied(f));
+    ) -> bool {
+        match op {
+            Op::Build => run.enter(&self.grid, &self.regions),
+            Op::Step(k) => run.step(&self.grid, &self.regions, &sh.slates, k as usize, &sh.drain_hist),
+            Op::Sink(_) => sink.is_none_or(|sink| offer(i, run, sink)),
+            _ => unreachable!("{op:?} is no session's local op"),
         }
-        if run.enter(&self.grid, &self.regions) {
-            for r in lanes.clone() {
-                sh.clocks[r].ack(i, f + 1);
-            }
-            for k in f..=l {
-                for r in lanes.clone() {
-                    record_wait(&sh.wait_hist, sh.clocks[r].wait_applied(k + 1));
-                }
-                let (results_before, frames_before) = (run.out.results.len(), run.out.frames.len());
-                if !run.step(&self.grid, &self.regions, &sh.slates, k as usize, &sh.drain_hist) {
-                    break;
-                }
-                if run.out.frames.len() > frames_before {
-                    if let Some(sink) = sink {
-                        let f = run.out.frames.last().expect("frame just reported");
-                        let delta = FrameDelta {
-                            session: i,
-                            frame: f.frame,
-                            results: &run.out.results[results_before..],
-                            latency_ns: f.latency_ns,
-                        };
-                        // Evicted by its consumer before the ack, or the
-                        // consumer panicked: the next batch's permit is
-                        // never granted, and the detach below still runs.
-                        let cut = match catch_unwind(AssertUnwindSafe(|| sink.on_frame(&delta))) {
-                            Ok(SinkVerdict::Continue) => None,
-                            Ok(SinkVerdict::Detach) => Some("detached by frame sink".to_string()),
-                            Err(p) => Some(format!("frame sink panicked: {}", panic_message(p))),
-                        };
-                        if let Some(why) = cut {
-                            run.out.outcome = SessionOutcome::Failed(why);
-                            break;
-                        }
-                    }
-                }
-                for r in lanes.clone() {
-                    sh.clocks[r].ack(i, k + 2);
-                }
-            }
-        }
-        for r in lanes {
-            sh.clocks[r].detach(i);
-        }
-        run.stamp();
+    }
+
+    /// Region `r`'s writer thread.
+    fn writer_loop(&self, sh: &Shared<D>, r: usize) -> RegionReport {
+        let (mut w, mut routed) = (RegionReport::default(), Vec::new());
+        let mut program = WriterProgram::new(r, sh.steps, sh.inserts.len());
+        let local = |op| self.writer_op(sh, r, op, &mut w, &mut routed);
+        make_ops(&mut program, |r, step| sh.clock_step(r, step), local);
+        w
     }
 
     /// What both drivers do first: size the run, take the base
@@ -414,10 +559,10 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         }
     }
 
-    /// The concurrent serve, one scope: a writer thread per region and
-    /// a thread for every session with a frame to run (each handed its
-    /// own [`LaneRun`]), all ordered by the per-region clocks, no global
-    /// barrier inside.
+    /// The threads driver's serve, one scope: a writer thread per region
+    /// and a thread for every session with a frame to run (each handed
+    /// its own [`LaneRun`]), all ordered by the per-region clocks, no
+    /// global barrier inside. A session's wall time ends with its thread.
     pub(super) fn serve_clocked<'a>(
         &self,
         plans: &'a [SessionPlan<D>],
@@ -431,11 +576,15 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         let sh = &self.clocked(plans, inserts, run.steps);
         std::thread::scope(|scope| {
             let sessions: Vec<_> = (0..)
-                .zip(&mut run.sessions)
-                .filter(|(i, _)| plans[*i].window().is_some())
-                .map(|(i, s)| {
+                .zip(plans.iter().zip(&mut run.sessions))
+                .filter_map(|(i, (plan, lanes))| {
+                    let mut program = SessionProgram::new(i, plan.window()?, self.lanes(plan));
                     let sink = sinks.get(i).copied().flatten();
-                    scope.spawn(move || self.session_loop(sh, i, &plans[i], s, sink))
+                    Some(scope.spawn(move || {
+                        let local = |op| self.session_op(sh, i, op, lanes, sink);
+                        make_ops(&mut program, |r, step| sh.clock_step(r, step), local);
+                        lanes.stamp();
+                    }))
                 })
                 .collect();
             let writers: Vec<_> = (0..self.grid.len())
@@ -458,10 +607,13 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         run
     }
 
-    /// Single-threaded reference for the clocked serve: the same frame
-    /// interleaving (regions ascending → sessions ascending) with no
-    /// threads and no clocks. [`Self::serve_plans_streamed`] must match
-    /// this bit-for-bit.
+    /// The serial driver, the oracle [`Self::serve_plans_streamed`] must
+    /// match bit for bit: the same programs on one thread, over plain
+    /// `ClockState`s, in a fixed schedule — every writer, regions
+    /// ascending, then every session, ascending, each making ops until
+    /// its next is a wait its clock does not enable, round after round.
+    /// The checker shows some op is always enabled until every program
+    /// is done, so a round in which nobody moves ends the run.
     pub(super) fn serve_serial_clocked<'a>(
         &self,
         plans: &'a [SessionPlan<D>],
@@ -469,25 +621,34 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     ) -> Run<'a, D> {
         let mut run = self.begin_run(plans, inserts);
         let sh = self.shared(inserts, run.steps);
-        let mut routed = Vec::new();
-        for k in 0..run.steps {
-            let ku = k as u64;
-            // A joiner builds its engines against the pre-batch trees,
-            // as the concurrent path's boundary wait arranges.
-            for (s, p) in run.sessions.iter_mut().zip(plans) {
-                if p.window().is_some_and(|(f, _)| f == ku) {
-                    s.enter(&self.grid, &self.regions);
+        let regions = self.grid.len();
+        let mut clocks: Vec<_> = (0..regions).map(|r| ClockState::new(&self.windows(plans, r), 0)).collect();
+        let writer = |r| (WriterProgram::new(r, run.steps, inserts.len()), Vec::new());
+        let mut writers: Vec<_> = (0..regions).map(writer).collect();
+        let mut sessions: Vec<_> = (0..)
+            .zip(plans)
+            .filter_map(|(i, plan)| Some(SessionProgram::new(i, plan.window()?, self.lanes(plan))))
+            .collect();
+        let mut moved = true;
+        while moved {
+            moved = false;
+            let mut clock = |r: usize, step| {
+                let enabled = clocks[r].enabled(step);
+                if enabled {
+                    clocks[r].apply(step);
                 }
+                enabled
+            };
+            for (r, ((program, routed), w)) in writers.iter_mut().zip(&mut run.writers).enumerate() {
+                moved |= make_ops(program, &mut clock, |op| self.writer_op(&sh, r, op, w, routed));
             }
-            for (r, w) in run.writers.iter_mut().enumerate() {
-                self.writer_frame(&sh, k, r, w, &mut routed, None);
-            }
-            for (s, p) in run.sessions.iter_mut().zip(plans) {
-                if s.alive() && p.window().is_some_and(|(f, l)| f <= ku && ku <= l) {
-                    s.step(&self.grid, &self.regions, &sh.slates, k, &sh.drain_hist);
-                }
+            for program in &mut sessions {
+                let (i, lanes) = (program.i, &mut run.sessions[program.i]);
+                moved |= make_ops(program, &mut clock, |op| self.session_op(&sh, i, op, lanes, None));
             }
         }
+        let unfinished = writers.iter().map(|(p, _)| p.next()).chain(sessions.iter().map(Program::next));
+        assert!(unfinished.into_iter().all(|op| op == Op::Done), "the serial schedule stalled");
         for s in &mut run.sessions {
             s.stamp();
         }
@@ -542,7 +703,9 @@ mod tests {
     use crate::layout::MotionRecord;
     use crate::router::tests::*;
     use crate::region::RegionGrid;
+    use crate::clock::Wake;
     use crate::service::SessionKind;
+    use std::collections::HashSet;
     use stkit::Interval;
 
     #[test]
@@ -651,5 +814,316 @@ mod tests {
             let durable = build(grid, &recs).with_durability(Arc::new(DurableLog::new(3)));
             assert_eq!(durable.serve_clocked(&plans, &inserts, &[]).spawned, 4 + r);
         }
+    }
+
+    // ---- The programs over every interleaving ----
+    //
+    // The checker runs `WriterProgram` and `SessionProgram` themselves
+    // over plain `ClockState`s, local ops stubbed by counters: a batch is
+    // a bit, a tree the bits of the batches written to it, the log the
+    // commit cursor. Free choices are made as a program reaches them: an
+    // empty slice (at `Route`), a failed apply, a bail (at a build, step
+    // or sink), a session's last frame (at its last ack of a frame, the
+    // one op that reads the window's end). Nothing depends on a choice
+    // before it is made, so this covers every such set. A depth-first
+    // search with state hashing visits every reachable state and checks:
+    //   (i)   a step of frame `k` (a build at `f`) sees, on each lane,
+    //         exactly the tree its writer leaves after frame `k` (before
+    //         `f`): the serial schedule's;
+    //   (ii)  until every program is done, some op is enabled;
+    //   (iii) a clock step that enables a parked wait wakes its condvar;
+    //   (iv)  a writer applies batch `k` only once the log holds it, and
+    //         at the end the log holds every batch.
+    // Three reductions keep it small. No step lowers `applied` or the
+    // slowest frontier (checked on every step), so a wait that can
+    // return stays so and is taken at once. An op no other program
+    // observes (a `Route`, a `Sink`, a `Commit` with one writer) is made
+    // with the op before it. And a key leaves out what no later op
+    // reads: a detached session's frame, which past slices were empty.
+
+    /// A pending op as a number: its kind, frame and region.
+    fn place(op: Op) -> u128 {
+        let (kind, k, r) = match op {
+            Op::Clock(r, Step::AwaitReady(k)) => (1, k, r),
+            Op::Clock(r, Step::Advance(n)) => (2, n, r),
+            Op::Clock(r, Step::AwaitApplied(n)) => (3, n, r),
+            Op::Clock(r, Step::Ack(_, upto)) => (4, upto, r),
+            Op::Clock(r, Step::Detach(_)) => (5, 0, r),
+            Op::Commit(k) => (6, k, 0),
+            Op::Route(k) => (7, k, 0),
+            Op::Apply(k) => (8, k, 0),
+            Op::Build => (9, 0, 0),
+            Op::Step(k) => (10, k, 0),
+            Op::Sink(k) => (11, k, 0),
+            Op::Done => (0, 0, 0),
+        };
+        (kind as u128) << 4 | u128::from(k) << 1 | r as u128
+    }
+
+    /// A scope's state: programs `0..writers.len()` are the region
+    /// writers, the rest the sessions that join.
+    #[derive(Clone)]
+    struct Model {
+        clocks: Vec<ClockState>,
+        writers: Vec<WriterProgram>,
+        sessions: Vec<SessionProgram>,
+        /// Per region: its writer's non-empty slices so far, and the
+        /// batches written to its tree, a failed one included (bit `k`).
+        slices: [u8; 2],
+        trees: [u8; 2],
+        /// The log holds every batch below this.
+        logged: u64,
+    }
+
+    impl Model {
+        fn op(&self, p: usize) -> Op {
+            self.writers.get(p).map_or_else(|| self.sessions[p - self.writers.len()].next(), Program::next)
+        }
+
+        fn done(&mut self, p: usize, ok: bool) {
+            match p.checked_sub(self.writers.len()) {
+                None => self.writers[p].done(ok),
+                Some(i) => self.sessions[i].done(ok),
+            }
+        }
+
+        /// (i): region `r`'s writer is past frame `n - 1` (only its
+        /// `Advance` moves `applied`), and its tree holds exactly its
+        /// non-empty slices `< n`.
+        fn sees_frames_before(&self, r: usize, n: u64) -> bool {
+            self.clocks[r].applied >= n && self.trees[r] == self.slices[r] & ((1 << n) - 1)
+        }
+
+        /// Program `p`'s local op `op` with outcome `ok`, or the rule it
+        /// breaks.
+        fn local(&mut self, p: usize, op: Op, ok: bool) -> Result<(), String> {
+            match op {
+                Op::Commit(k) => self.logged = self.logged.max(k + 1),
+                Op::Route(k) if ok => self.slices[p] |= 1 << k,
+                Op::Apply(k) if self.logged <= k => return Err(format!("(iv) batch {k} is applied before the log holds it")),
+                Op::Apply(k) => self.trees[p] |= 1 << k,
+                Op::Build | Op::Step(_) => {
+                    let s = &self.sessions[p - self.writers.len()];
+                    let n = if let Op::Step(k) = op { k + 1 } else { s.first };
+                    if let Some(r) = s.lanes.clone().find(|&r| !self.sees_frames_before(r, n)) {
+                        return Err(format!("(i) {op:?} reads region {r}'s tree {:04b}", self.trees[r]));
+                    }
+                }
+                _ => {}
+            }
+            Ok(())
+        }
+
+        /// `self` as a number, sessions in sorted order: two with the
+        /// same window start and lanes are interchangeable, and the rest
+        /// keep theirs in their key.
+        fn key(&self) -> u128 {
+            let mut key = u128::from(self.logged);
+            for (r, (w, c)) in self.writers.iter().zip(&self.clocks).enumerate() {
+                // Below its frame a writer's slices and tree are read only
+                // by (i)'s comparison: which bits differ is all that counts.
+                let (slices, tree, k) = (self.slices[r], self.trees[r], c.applied);
+                let (past, ahead) = ((slices ^ tree) & ((1 << k) - 1), (slices >> k) << 4 | tree >> k);
+                key = key << 32 | place(w.next) << 20 | u128::from(w.failed) << 19 | u128::from(past) << 11;
+                key |= u128::from(ahead) << 3 | u128::from(k);
+            }
+            let mut sessions: Vec<u128> = (self.sessions.iter())
+                .map(|s| {
+                    let mut key = place(s.next) << 12 | u128::from(s.first) << 6 | (s.lanes.start * 4 + s.lanes.end) as u128;
+                    for c in &self.clocks {
+                        // A detached session's frontier no longer counts.
+                        key = key << 4 | if c.live[s.i] { u128::from(c.acks[s.i]) + 1 } else { 0 };
+                    }
+                    key
+                })
+                .collect();
+            sessions.sort_unstable();
+            sessions.iter().fold(key, |key, s| key << (20 + 4 * self.clocks.len()) | s)
+        }
+    }
+
+    /// A move of the search: which program, which op, which outcome.
+    type Move = (usize, Op, &'static str);
+
+    /// Every state reachable in one scope: the frames, and per session
+    /// its join frame (`None`: never) and lanes.
+    struct Search {
+        frames: u64,
+        regions: usize,
+        sessions: Vec<(Option<u64>, Range<usize>)>,
+        seen: HashSet<u128>,
+        path: Vec<Move>,
+    }
+
+    impl Search {
+        /// Visit every state reachable from the scope's start; returns how
+        /// many, or panics with the broken rule and the moves that reach it.
+        fn explore(frames: u64, regions: usize, sessions: Vec<(Option<u64>, Range<usize>)>) -> usize {
+            let window = |j: Option<u64>| j.map(|f| (f, frames - 1));
+            let start = Model {
+                clocks: (0..regions)
+                    .map(|r| {
+                        let windows: Vec<_> = sessions.iter().map(|(j, l)| window(*j).filter(|_| l.contains(&r))).collect();
+                        ClockState::new(&windows, 0)
+                    })
+                    .collect(),
+                writers: (0..regions).map(|r| WriterProgram::new(r, frames as usize, frames as usize)).collect(),
+                sessions: (0..)
+                    .zip(&sessions)
+                    .filter_map(|(i, (j, lanes))| Some(SessionProgram::new(i, window(*j)?, lanes.clone())))
+                    .collect(),
+                slices: [0; 2],
+                trees: [0; 2],
+                logged: 0,
+            };
+            let mut search = Search { frames, regions, sessions, seen: HashSet::new(), path: Vec::new() };
+            search.visit(start);
+            search.seen.len()
+        }
+
+        fn fail(&self, broken: String) -> ! {
+            let name = |p: usize| p.checked_sub(self.regions).map_or(format!("writer {p}"), |i| format!("session {i}"));
+            let trace: Vec<_> = self.path.iter().map(|&(p, op, what)| format!("{}: {op:?}{what}", name(p))).collect();
+            let (frames, regions, sessions) = (self.frames, self.regions, &self.sessions);
+            let trace = trace.join("\n  ");
+            panic!("{frames} frames, {regions} regions, sessions (join, lanes) {sessions:?}: {broken}, after\n  {trace}");
+        }
+
+        /// Take every wait that can return, then make each enabled op of
+        /// each program, every outcome, in a copy of its own.
+        fn visit(&mut self, mut m: Model) {
+            let depth = self.path.len();
+            let programs = m.writers.len() + m.sessions.len();
+            // A wait changes nothing, so one pass takes them all.
+            for p in 0..programs {
+                while let op @ Op::Clock(r, s @ (Step::AwaitReady(_) | Step::AwaitApplied(_))) = m.op(p) {
+                    if !m.clocks[r].enabled(s) {
+                        break;
+                    }
+                    m.done(p, true);
+                    self.path.push((p, op, ""));
+                }
+            }
+            if self.seen.insert(m.key()) {
+                let ops: Vec<Op> = (0..programs).map(|p| m.op(p)).collect();
+                let mut enabled = false;
+                for (p, &op) in ops.iter().enumerate() {
+                    match op {
+                        Op::Done => continue,
+                        Op::Clock(r, step) if m.clocks[r].enabled(step) => self.clock_step(&m, &ops, p, r, step),
+                        Op::Clock(..) => continue,
+                        op => self.local(m.clone(), p, op),
+                    }
+                    enabled = true;
+                }
+                let done = ops.iter().all(|&op| op == Op::Done);
+                if !enabled && !done {
+                    self.fail("(ii) deadlock: every program left is parked".to_string());
+                }
+                if done && m.logged < self.frames {
+                    self.fail(format!("(iv) the run ends with batch {} not in the log", m.logged));
+                }
+            }
+            self.path.truncate(depth);
+        }
+
+        /// Program `p` makes the clock step `step` on region `r`.
+        fn clock_step(&mut self, m: &Model, ops: &[Op], p: usize, r: usize, step: Step) {
+            let op = Op::Clock(r, step);
+            let mut to = m.clone();
+            let wake = to.clocks[r].apply(step);
+            let (before, after) = (&m.clocks[r], &to.clocks[r]);
+            if after.applied < before.applied || after.slowest() < before.slowest() {
+                self.fail(format!("program {p}'s {op:?} lowers a watermark or the slowest frontier"));
+            }
+            for (q, &parked) in ops.iter().enumerate() {
+                let Op::Clock(rq, parked @ (Step::AwaitReady(_) | Step::AwaitApplied(_))) = parked else { continue };
+                let cv = if matches!(parked, Step::AwaitReady(_)) { Wake::Writer } else { Wake::Readers };
+                if rq == r && wake != Wake::Both && wake != cv && after.enabled(parked) && !before.enabled(parked) {
+                    self.fail(format!("(iii) program {p}'s {op:?} enables program {q}'s {parked:?} but wakes {wake:?}"));
+                }
+            }
+            // A session's last ack of frame `k` may end its window there.
+            if let (Step::Ack(_, upto), Some(s)) = (step, p.checked_sub(m.writers.len()).map(|i| &m.sessions[i])) {
+                if r + 1 == s.lanes.end && s.first + 1 < upto && upto <= s.last + 1 {
+                    let mut last = to.clone();
+                    last.sessions[p - m.writers.len()].last = upto - 2;
+                    last.done(p, true);
+                    self.then(last, p, (p, op, ", its last frame"));
+                }
+            }
+            to.done(p, true);
+            self.then(to, p, (p, op, ""));
+        }
+
+        /// Program `p` makes the local op `op` in `m`, every outcome.
+        fn local(&mut self, m: Model, p: usize, op: Op) {
+            let outcomes: &[_] = match op {
+                Op::Commit(_) => &[(true, "")],
+                Op::Route(_) => &[(true, ""), (false, ", slice empty")],
+                Op::Apply(_) => &[(true, ""), (false, " fails")],
+                _ => &[(true, ""), (false, " bails")],
+            };
+            for &(ok, what) in outcomes {
+                let mut to = m.clone();
+                if let Err(broken) = to.local(p, op, ok) {
+                    self.path.push((p, op, what));
+                    self.fail(broken);
+                }
+                to.done(p, ok);
+                self.then(to, p, (p, op, what));
+            }
+        }
+
+        /// Record `mv`, make the op after it if no other program observes
+        /// it, and visit what that leaves.
+        fn then(&mut self, m: Model, p: usize, mv: Move) {
+            self.path.push(mv);
+            match m.op(p) {
+                op @ (Op::Route(_) | Op::Sink(_)) => self.local(m, p, op),
+                op @ Op::Commit(_) if self.regions == 1 => self.local(m, p, op),
+                _ => self.visit(m),
+            }
+            self.path.pop();
+        }
+    }
+
+    /// Explore every multiset of 1 to `most` sessions drawn from `kinds`
+    /// (sessions of one kind are interchangeable) that `keep` accepts;
+    /// prints the scopes, the states, the most in one scope and the time.
+    fn explore_all(
+        what: &str,
+        (frames, regions, most): (u64, usize, usize),
+        kinds: &[(Option<u64>, Range<usize>)],
+        keep: fn(&[usize]) -> bool,
+    ) {
+        let (started, mut tally) = (Instant::now(), [0; 3]);
+        for n in 1..=most {
+            let mut pick = vec![0; n];
+            loop {
+                if keep(&pick) {
+                    let states = Search::explore(frames, regions, pick.iter().map(|&j| kinds[j].clone()).collect());
+                    tally = [tally[0] + 1, tally[1] + states, tally[2].max(states)];
+                }
+                let Some(j) = (0..n).rev().find(|&j| pick[j] + 1 < kinds.len()) else { break };
+                let v = pick[j] + 1;
+                pick[j..].iter_mut().for_each(|p| *p = v);
+            }
+        }
+        let [scopes, states, largest] = tally;
+        println!("{what}: {scopes} scopes, {states} states, at most {largest} in one, {:?}", started.elapsed());
+    }
+
+    #[test]
+    fn every_interleaving_keeps_the_protocol() {
+        // A never-joining session is an absent one: three sessions that
+        // all join cover the rest.
+        let one: Vec<_> = std::iter::once(None).chain((0..4).map(Some)).map(|j| (j, 0..1)).collect();
+        let what = "one region: 1-3 sessions over 4 frames, never-joining included, any windows, slices, failures, bails";
+        explore_all(what, (4, 1, 3), &one, |pick| pick.len() < 3 || pick[0] > 0);
+        // Two writers on one commit cursor; one session reads both lanes.
+        let two: Vec<_> = (0..3).flat_map(|f| [0..2, 0..1, 1..2].map(|l| (Some(f), l))).collect();
+        let what = "two regions: 1-2 sessions over 3 frames, one on both lanes, any windows, slices, failures, bails";
+        explore_all(what, (3, 2, 2), &two, |pick| pick.iter().any(|&j| j % 3 == 0));
     }
 }

@@ -16,7 +16,6 @@
 use crate::stats::QueryStats;
 use crate::trajectory::Trajectory;
 use rtree::{InsertReport, NsiSegmentRecord, Record};
-use std::sync::Arc;
 use storage::StorageError;
 
 /// The insert report a region's writer publishes for PDQ sessions.
@@ -317,13 +316,3 @@ pub trait FrameSink: Sync {
     fn on_frame(&self, delta: &FrameDelta<'_>) -> SinkVerdict;
 }
 
-/// Record a clock wait into the `service.clock_wait_ns` histogram —
-/// only real waits; the fast path (watermark already past) is not a
-/// sample, it is the common case.
-pub(crate) fn record_wait(hist: &Option<Arc<obs::Histogram>>, ns: u64) {
-    if ns > 0 {
-        if let Some(h) = hist {
-            h.record(ns);
-        }
-    }
-}

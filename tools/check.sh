@@ -6,7 +6,7 @@
 # clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and nine grep gates: no Rust under crates tests examples src calls
+# and ten grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
 # only because benchmarks/dqbench forwards it), nor `.read_node(` (every
 # descent reads through `RTree::try_read_node`, which checks the level
@@ -26,12 +26,15 @@
 # with `PdqEngine::try_next_entry` and merges by entry time); and
 # crates/mobiquery/src/clock.rs holds exactly one `.wait(`, the one
 # timed loop every `FrameClock` wait goes through, so no rule hides in
-# a wait loop of its own (the rules are `ClockState::enabled`/`apply`,
-# which that file's tests enumerate over every interleaving); and
-# nothing under crates tests examples src names `durability_loop`,
+# a wait loop of its own (the rules are `ClockState::enabled`/`apply`);
+# and nothing under crates tests examples src names `durability_loop`,
 # `advance_committed`, `wait_committed` or `AwaitCommit`: writers commit
 # the log through a frame before they apply it, so no thread commits
-# ahead of them and no clock watermark orders the two.
+# ahead of them and no clock watermark orders the two; and clock.rs
+# defines no participant model (no `struct World`, `enum Who` or
+# `enum Op`): the checker of every interleaving runs the writer and
+# session programs of crates/mobiquery/src/router/participants.rs
+# themselves, so no hand copy of their order can drift from the code.
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -184,6 +187,9 @@ if [ -z "$ONLY" ]; then
   fi
   if git grep -nE 'durability_loop|advance_committed|wait_committed|AwaitCommit' -- crates tests examples src; then
     echo "FAIL: a durability thread or a committed watermark (see above); writers commit the log before they apply" >&2; exit 1
+  fi
+  if git grep -nE '\b(struct World|enum Who|enum Op)\b' -- crates/mobiquery/src/clock.rs; then
+    echo "FAIL: crates/mobiquery/src/clock.rs defines a participant model (see above); check the programs in router/participants.rs instead" >&2; exit 1
   fi
 fi
 mkdir -p target/figures
