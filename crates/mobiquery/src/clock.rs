@@ -21,10 +21,15 @@
 //! program order, not a rule here.
 //!
 //! The rules are one value, `ClockState`: `enabled` says when a wait
-//! may return, `apply` what a mutation changes and which condvars it
-//! must wake. [`FrameClock`] is a mutex and two condvars around it, and
-//! every wait is one loop, `while !state.enabled(step) { cv.wait }`; the
-//! serial oracle steps plain `ClockState`s. There is no multi-version
+//! may return, `apply` what a mutation changes and whom it must wake.
+//! Both serving drivers step plain `ClockState`s: the workers driver
+//! (`router/participants.rs`) under its scheduler's one lock, parking a
+//! program whose wait is not enabled and re-queueing the parked programs
+//! a mutation's `Wake` names, and the serial oracle in a fixed order.
+//! No serve uses [`FrameClock`], a mutex and two condvars around a
+//! `ClockState` whose every wait is one loop, `while
+//! !state.enabled(step) { cv.wait }`: it is kept only because
+//! `benchmarks/dqbench` times its hand-off. There is no multi-version
 //! store, so a reader can never see a previous tree; what the serve
 //! relies on instead is checked by `router/participants.rs`'s tests,
 //! which run the writer and session programs themselves over every
@@ -33,18 +38,18 @@
 //! batches `<= k` (`< f`) applied, as the serial oracle does, so the
 //! one-slot slate holds frame `k` or an older one; (ii) until every
 //! participant is done, some step is enabled; (iii) a mutation wakes
-//! every condvar whose waiter it enables.
+//! every waiter it enables.
 //!
 //! `applied` is not ordered against the acks: a writer whose slice of a
 //! batch is empty, or which has failed, advances `applied` without
 //! waiting, so it can run frames ahead of a reader — harmless, as the
 //! tree does not change.
 //!
-//! Wake-ups are targeted. The writer waits on its own condvar
-//! (`wait_ready`), the sessions on the other (`wait_applied`).
-//! `advance_applied` wakes the sessions, and an `ack` the writer only
-//! when it raises the slowest live attached frontier — no other ack can
-//! complete `wait_ready`. `detach` changes who counts, so it wakes both.
+//! Wake-ups are targeted. The writer waits for the acks (`AwaitReady`),
+//! the sessions for `applied` (`AwaitApplied`). An advance wakes the
+//! sessions, and an ack the writer only when it raises the slowest live
+//! attached frontier — no other ack can enable `AwaitReady`. A detach
+//! changes who counts, so it wakes both.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
@@ -145,6 +150,13 @@ impl ClockState {
         }
     }
 
+    /// The region's *frame lag*: how many frames `applied` is ahead of
+    /// the slowest live attached consumer (0 when none is attached), the
+    /// quantity the `frame_lag` gauge publishes.
+    pub(crate) fn lag(&self) -> u64 {
+        self.applied.saturating_sub(self.slowest().saturating_sub(1))
+    }
+
     /// The slowest live attached session's ack frontier (`u64::MAX` when
     /// none is attached): only its rise can enable `AwaitReady`.
     pub(crate) fn slowest(&self) -> u64 {
@@ -180,12 +192,9 @@ impl FrameClock {
     }
 
     /// Region writer: frames `0..n` are now done. Returns the region's
-    /// *frame lag* — how many frames the tree is ahead of its slowest
-    /// live attached consumer (0 when none is attached), the quantity
-    /// the `frame_lag` gauge publishes.
+    /// frame lag (`ClockState::lag`).
     pub fn advance_applied(&self, n: u64) -> u64 {
-        let state = self.apply(Step::Advance(n));
-        n.saturating_sub(state.slowest().saturating_sub(1))
+        self.apply(Step::Advance(n)).lag()
     }
 
     /// Session: block until `applied >= n` — `wait_applied(k + 1)` to

@@ -3,8 +3,8 @@
 //! One tree serializes every insert behind one write lock — correct,
 //! but the writer caps throughput long before millions of objects.
 //! [`PartitionedDqServer`] splits space by a [`RegionGrid`] into regions
-//! that each own their own NSI tree, their own writer thread, and their
-//! own buffer pool, so per-frame insert batches apply in parallel (the
+//! that each own their own NSI tree, their own writer, and their own
+//! buffer pool, so per-frame insert batches apply in parallel (the
 //! architecture of distributed continuous-range-query processors, arXiv
 //! 2206.01905, folded into one process). The single-tree server is the
 //! one-region grid ([`RegionGrid::single`]): one lane per session, one
@@ -28,8 +28,9 @@
 //!
 //! ## The clock protocol, per region
 //!
-//! Frames are ordered by one [`crate::clock::FrameClock`] *per region* —
-//! there is no global barrier anywhere on the serving path. Region `r`'s
+//! Frames are ordered by one frame clock (`ClockState`, `crate::clock`)
+//! *per region* — there is no global barrier anywhere on the serving
+//! path. Region `r`'s
 //! writer starts frame `k` by committing the log through `k` (durable
 //! runs: the run has one commit cursor, and whichever writer reaches `k`
 //! first commits it), so a batch is in the WAL before any page of it is
@@ -66,8 +67,9 @@
 //! metrics mirror. `router/lanes.rs`: a session's per-region engines and
 //! the seam owner rule. `router/rebuild.rs`: record set → region trees.
 //! `router/participants.rs`: the writer and session programs, the commit
-//! cursor, and the drivers that run them — threads, the serial oracle,
-//! and (in its tests) the checker of every interleaving.
+//! cursor, and the drivers that run them — one worker per CPU over a
+//! ready queue, the serial oracle, and (in its tests) the checker of
+//! every interleaving.
 //!
 //! A serve has one grid. Hotspot rebalancing (after Kiwano, arXiv
 //! 1211.4414) happens between serves: every serve accumulates per-region
@@ -211,10 +213,11 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     ///
     /// Metric names: `service.drain_ns` (per-session-frame drain latency
     /// histogram), `service.writer.lock_hold_ns` (write-lock hold-time
-    /// histogram), `service.clock_wait_ns` (time any participant spent
-    /// blocked on a frame-clock watermark; a concurrent serve only) and
-    /// its split by waiter, `service.clock_wait_ns.writer` (`wait_ready`)
-    /// and `service.clock_wait_ns.session` (`wait_applied`), which sum to
+    /// histogram), `service.clock_wait_ns` (time a participant spent
+    /// parked on a frame-clock watermark, from park to re-queue; the
+    /// workers driver only) and its split by waiter,
+    /// `service.clock_wait_ns.writer` (`AwaitReady`) and
+    /// `service.clock_wait_ns.session` (`AwaitApplied`), which sum to
     /// it sample for sample, `service.frame_lag` (gauge:
     /// deepest applied-watermark lead over the slowest attached session),
     /// `service.mailbox_hwm` (gauge: most insert reports any region
@@ -375,7 +378,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// frame is processed, before the session acks the next frame. A sink
     /// returning [`SinkVerdict::Detach`] removes the session from every
     /// region clock without stalling the run — this is the attach point
-    /// for the network front door's bounded outboxes.
+    /// for the network front door's bounded outboxes. The serve runs on
+    /// one worker per CPU this process may use, the calling thread the
+    /// first.
     pub fn serve_plans_streamed(
         &self,
         plans: &[SessionPlan<D>],
@@ -385,7 +390,8 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     where
         S: Sync + Send,
     {
-        self.finish_run(self.serve_clocked(plans, inserts, sinks))
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        self.finish_run(self.serve_tasks(plans, inserts, sinks, cpus))
     }
 
     /// Single-threaded reference for [`Self::serve_plans_streamed`].
@@ -394,7 +400,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         plans: &[SessionPlan<D>],
         inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
     ) -> PartitionedServeReport {
-        self.finish_run(self.serve_serial_clocked(plans, inserts))
+        self.finish_run(self.serve_serial_clocked(plans, inserts, &[]))
     }
 
     /// Mirror a run's report into the metrics registry (no-op when no

@@ -102,7 +102,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
     /// [`Self::alive`].
     ///
     /// `trees[r]` is region `r`'s tree behind the lock its writer takes.
-    /// The region's `FrameClock` alternates that writer with its
+    /// The region's frame clock alternates that writer with its
     /// readers, so a lane's read lock never waits; every method here
     /// holds it for one lane's work and never across a clock call.
     pub(super) fn enter<S: PageStore>(&mut self, grid: &RegionGrid, trees: &[RegionTree<D, S>]) -> bool {
@@ -300,7 +300,7 @@ impl<'a, const D: usize> LaneRun<'a, D> {
 /// read where it lies by every lane on the region; nothing is copied per
 /// session.
 ///
-/// One slot is enough because the region's `FrameClock` alternates the
+/// One slot is enough because the region's frame clock alternates the
 /// writer with its readers: `wait_ready(k)` holds batch `k` back until
 /// every live attached session has finished frame `k - 1`, and a session
 /// reads frame `k` only once `applied` covers it. So while anyone reads

@@ -9,29 +9,38 @@
 //! touches no tree, and it is the only statement of its participant's
 //! order. Three drivers run the same programs:
 //!
-//! * threads ([`PartitionedDqServer::serve_clocked`]): a scoped thread
-//!   per region writer and per scheduled session, each parking on its
-//!   region's [`FrameClock`] while a wait is not enabled;
+//! * workers ([`PartitionedDqServer::serve_tasks`]): one worker per CPU,
+//!   the calling thread the first, each popping programs off one FIFO
+//!   ready queue and making their ops. A clock step takes the
+//!   scheduler's one lock over every region's `ClockState`: a wait the
+//!   clock does not enable parks the program on that region, and a
+//!   mutation re-queues the parked programs its `Wake` names and
+//!   enables. A sink that blocks lends its worker's turn to a spare
+//!   ([`FrameDelta::block_in_place`]);
 //! * serial ([`PartitionedDqServer::serve_serial_clocked`]), the oracle:
-//!   one thread, plain `ClockState`s, a fixed schedule;
+//!   one thread, a fixed schedule;
 //! * the checker in this file's tests: every interleaving of small
 //!   scopes, local ops stubbed by counters.
 //!
-//! The first two share [`make_ops`] and the local ops, and carry a
-//! [`Run`] from [`PartitionedDqServer::begin_run`] to
+//! The first two share [`make_ops`], the [`Task`]s that hold what the
+//! local ops write and the local ops themselves, and carry a [`Run`]
+//! from [`PartitionedDqServer::begin_run`] to
 //! [`PartitionedDqServer::finish_run`].
 
 use super::lanes::{LaneRun, Slate};
 use super::rebuild::route_slice;
 use super::{PartitionedDqServer, PartitionedServeReport, RegionReport};
-use crate::clock::{ClockState, FrameClock, SessionLiveness, Step};
+use crate::clock::{ClockState, Step, Wake};
 use crate::durability::DurableLog;
-use crate::service::{panic_message, FrameDelta, FrameSink, SessionOutcome, SessionPlan, SinkVerdict};
-use parking_lot::{Mutex, RwLock};
+use crate::service::{panic_message, FrameDelta, FrameSink, Lend, SessionOutcome, SessionPlan, SinkVerdict};
+use parking_lot::{Condvar, Mutex, RwLock};
 use rtree::NsiSegmentRecord;
+use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::Instant;
 use storage::{PageStore, RetryPolicy, StorageError};
 
@@ -164,15 +173,17 @@ impl Program for SessionProgram {
 }
 
 /// Hand the frame session `i` just stepped to `sink`, contained: a
-/// sink that detaches, or panics, fails the session. Returns whether it
+/// sink that detaches, or panics, fails the session. `turn` is what the
+/// delta's [`FrameDelta::block_in_place`] lends. Returns whether it
 /// continues.
-fn offer<const D: usize>(i: usize, run: &mut LaneRun<'_, D>, sink: &dyn FrameSink) -> bool {
+fn offer<const D: usize>(i: usize, run: &mut LaneRun<'_, D>, sink: &dyn FrameSink, turn: Option<&dyn Lend>) -> bool {
     let f = run.out.frames.last().expect("a stepped frame is reported");
     let delta = FrameDelta {
         session: i,
         frame: f.frame,
         results: &run.out.results[run.out.results.len() - f.results..],
         latency_ns: f.latency_ns,
+        turn,
     };
     let cut = match catch_unwind(AssertUnwindSafe(|| sink.on_frame(&delta))) {
         Ok(SinkVerdict::Continue) => return true,
@@ -184,9 +195,9 @@ fn offer<const D: usize>(i: usize, run: &mut LaneRun<'_, D>, sink: &dyn FrameSin
 }
 
 /// Make `program`'s ops until it ends or `clock` declines a step, the
-/// loop of both serving drivers: `clock` makes a clock step (the threads
-/// driver parks until it is enabled; the serial one declines a wait its
-/// clock does not enable), `local` a local op. Returns whether it moved.
+/// loop of both serving drivers: `clock` makes a clock step if its
+/// region's clock enables it (the workers driver then parks the program
+/// on that region), `local` a local op. Returns whether it moved.
 fn make_ops(
     program: &mut impl Program,
     mut clock: impl FnMut(usize, Step) -> bool,
@@ -202,6 +213,23 @@ fn make_ops(
         };
         program.done(ok);
         moved = true;
+    }
+}
+
+/// A participant as both serving drivers hold it: its program, and what
+/// its local ops write — a writer's tally and routed slice, a session's
+/// lanes.
+enum Task<'r, 'a, const D: usize> {
+    Writer(WriterProgram, &'r mut RegionReport, Vec<(NsiSegmentRecord<D>, f64)>),
+    Session(SessionProgram, &'r mut LaneRun<'a, D>),
+}
+
+impl<const D: usize> Task<'_, '_, D> {
+    fn next(&self) -> Op {
+        match self {
+            Task::Writer(program, ..) => program.next(),
+            Task::Session(program, _) => program.next(),
+        }
     }
 }
 
@@ -266,24 +294,21 @@ pub(super) struct Run<'a, const D: usize> {
 }
 
 /// What the participants of one serve meet through — per region one
-/// [`Slate`] and, on the concurrent path, one frame clock — the run's
-/// commit cursor, and the instruments they record into.
+/// [`Slate`] — the run's commit cursor, and the instruments they record
+/// into.
 struct Shared<'i, const D: usize> {
-    steps: usize,
     inserts: &'i [Vec<(NsiSegmentRecord<D>, f64)>],
     /// The run's one commit cursor: whichever writer reaches frame `k`
     /// first commits the log through `k` (durable serves only).
     commits: Mutex<DurabilityTally>,
-    /// `clocks[r]` orders region `r`'s frames against its sessions
-    /// (none on the serial path).
-    clocks: Vec<FrameClock>,
     /// `slates[r]`: the last frame region `r`'s writer applied — its
     /// record ids and insert reports — for the lanes on `r` to read.
     slates: Vec<RwLock<Slate<D>>>,
     drain_hist: Option<Arc<obs::Histogram>>,
     hold_hist: Option<Arc<obs::Histogram>>,
-    /// Every real clock wait, pooled, and the same split by waiter: the
-    /// writers' `wait_ready` and the sessions' `wait_applied`.
+    /// Every park on a clock, from park to re-queue, pooled, and the
+    /// same split by waiter: the writers' `AwaitReady` and the sessions'
+    /// `AwaitApplied`.
     wait_hist: Option<Arc<obs::Histogram>>,
     writer_wait_hist: Option<Arc<obs::Histogram>>,
     session_wait_hist: Option<Arc<obs::Histogram>>,
@@ -291,35 +316,197 @@ struct Shared<'i, const D: usize> {
 }
 
 impl<const D: usize> Shared<'_, D> {
-    /// The threads driver's clock step: a wait parks on region `r`'s
-    /// clock until it is enabled, and a real one is recorded pooled and
-    /// under its waiter; an advance publishes the region's frame lag and
-    /// traces the frame.
-    fn clock_step(&self, r: usize, step: Step) -> bool {
-        let clock = &self.clocks[r];
-        // Only real waits are samples; the fast path is the common case.
-        let waited = |role: &Option<Arc<obs::Histogram>>, ns: u64| {
-            for h in [&self.wait_hist, role].into_iter().flatten().filter(|_| ns > 0) {
-                h.record(ns);
-            }
-        };
-        match step {
-            Step::AwaitReady(k) => waited(&self.writer_wait_hist, clock.wait_ready(k)),
-            Step::AwaitApplied(n) => waited(&self.session_wait_hist, clock.wait_applied(n)),
-            Step::Advance(n) => {
-                let lag = clock.advance_applied(n);
-                if let Some(g) = &self.lag_gauge {
-                    g.record_max(lag as i64);
-                }
-                obs::trace(obs::TraceEvent::FrameAdvance {
-                    region: r as u32,
-                    frame: (n - 1) as u32,
-                });
-            }
-            Step::Ack(i, upto) => clock.ack(i, upto),
-            Step::Detach(i) => clock.detach(i),
+    /// Both drivers' clock step: make `step` on `clock`, region `r`'s,
+    /// if the clock enables it, and say whom it wakes; an advance
+    /// publishes the region's frame lag and traces the frame.
+    fn step_clock(&self, clock: &mut ClockState, r: usize, step: Step) -> Option<Wake> {
+        if !clock.enabled(step) {
+            return None;
         }
-        true
+        let wake = clock.apply(step);
+        if let Step::Advance(n) = step {
+            if let Some(g) = &self.lag_gauge {
+                g.record_max(clock.lag() as i64);
+            }
+            obs::trace(obs::TraceEvent::FrameAdvance {
+                region: r as u32,
+                frame: (n - 1) as u32,
+            });
+        }
+        Some(wake)
+    }
+}
+
+/// Why a workers serve stopped short.
+enum Halt {
+    /// A worker panicked outside every containment; the payload.
+    Panic(Box<dyn Any + Send>),
+    /// No program was ready and none held, with this many parked: a lost
+    /// wake, or a deadlock of the protocol.
+    Stall(usize),
+}
+
+/// The workers driver's one lock: every region's clock, the ready
+/// queue, the programs parked on each region, and the pool's tallies.
+struct Sched<'r, 'a, const D: usize> {
+    clocks: Vec<ClockState>,
+    ready: VecDeque<Task<'r, 'a, D>>,
+    /// `parked[r]`: the programs whose next op is a wait region `r`'s
+    /// clock did not enable, each with when it parked.
+    parked: Vec<Vec<(Task<'r, 'a, D>, Instant)>>,
+    /// Programs not done, and how many of them a worker holds.
+    left: usize,
+    held: usize,
+    /// Workers holding a turn, and workers waiting for a turn or a task.
+    busy: usize,
+    idle: usize,
+    /// Spare workers started for sinks that block.
+    spares: usize,
+    halt: Option<Halt>,
+}
+
+/// The workers driver: `workers` turns on the CPUs, and the scheduler
+/// every worker takes its programs from.
+struct Pool<'p, 'a, const D: usize, S: PageStore> {
+    server: &'p PartitionedDqServer<D, S>,
+    sh: &'p Shared<'p, D>,
+    sinks: &'p [Option<&'p dyn FrameSink>],
+    workers: usize,
+    sched: Mutex<Sched<'p, 'a, D>>,
+    /// Idle workers wait here for a turn and a task, or the end.
+    wake: Condvar,
+}
+
+impl<'p, 'a, const D: usize, S: PageStore + Sync + Send> Pool<'p, 'a, D, S> {
+    /// One worker: take a turn and the ready queue's first program, make
+    /// its ops until it ends or parks, and again, until every program is
+    /// done or the serve halts. A worker over the pool's turns (one a
+    /// blocking sink lent out came back) waits idle: the spare is
+    /// retired.
+    fn work<'s>(&'s self, scope: &'s Scope<'s, '_>) {
+        let lender = Lender { pool: self, scope };
+        let mut s = self.sched.lock();
+        loop {
+            let mut task = loop {
+                if s.halt.is_some() || s.left == 0 {
+                    return;
+                }
+                if s.busy < self.workers {
+                    if let Some(task) = s.ready.pop_front() {
+                        break task;
+                    }
+                    if s.held == 0 {
+                        let parked = s.parked.iter().map(Vec::len).sum();
+                        s.halt = Some(Halt::Stall(parked));
+                        self.wake.notify_all();
+                        return;
+                    }
+                }
+                s.idle += 1;
+                self.wake.wait(&mut s);
+                s.idle -= 1;
+            };
+            s.busy += 1;
+            s.held += 1;
+            drop(s);
+            // A declined step hands its still-held lock back with the
+            // region, so the program parks before any step can enable it.
+            let mut declined = None;
+            let clock = |r: usize, step: Step| {
+                let mut s = self.sched.lock();
+                let Some(wake) = self.sh.step_clock(&mut s.clocks[r], r, step) else {
+                    declined = Some((s, r));
+                    return false;
+                };
+                self.requeue(&mut s, r, wake);
+                true
+            };
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                self.server.run_task(self.sh, &mut task, self.sinks, Some(&lender), clock)
+            }));
+            let park_on;
+            (s, park_on) = match declined {
+                Some((s, r)) => (s, Some(r)),
+                None => (self.sched.lock(), None),
+            };
+            s.busy -= 1;
+            s.held -= 1;
+            if let Err(payload) = ran {
+                s.halt = Some(Halt::Panic(payload));
+                self.wake.notify_all();
+                return;
+            }
+            match park_on {
+                Some(r) => s.parked[r].push((task, Instant::now())),
+                None => {
+                    s.left -= 1;
+                    if s.left == 0 {
+                        self.wake.notify_all();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Start a worker in `scope`: the one place a serve starts a thread.
+    fn start_worker<'s>(&'s self, scope: &'s Scope<'s, '_>) {
+        scope.spawn(move || self.work(scope));
+    }
+
+    /// Move the programs parked on region `r` that `wake` names and the
+    /// region's clock now enables to the ready queue, recording how long
+    /// each was parked, and call an idle worker for each while a turn is
+    /// free.
+    fn requeue(&self, s: &mut Sched<'p, 'a, D>, r: usize, wake: Wake) {
+        if wake == Wake::None {
+            return;
+        }
+        let mut j = 0;
+        while j < s.parked[r].len() {
+            let Op::Clock(_, step) = s.parked[r][j].0.next() else { unreachable!("a parked program waits on a clock") };
+            let (named, role) = match step {
+                Step::AwaitReady(_) => (wake != Wake::Readers, &self.sh.writer_wait_hist),
+                _ => (wake != Wake::Writer, &self.sh.session_wait_hist),
+            };
+            if !named || !s.clocks[r].enabled(step) {
+                j += 1;
+                continue;
+            }
+            let (task, since) = s.parked[r].remove(j);
+            let waited = since.elapsed().as_nanos() as u64;
+            for h in [&self.sh.wait_hist, role].into_iter().flatten() {
+                h.record(waited);
+            }
+            s.ready.push_back(task);
+            if s.idle > 0 && s.busy < self.workers {
+                self.wake.notify_one();
+            }
+        }
+    }
+}
+
+/// A worker's turn as its sinks lend it: the pool, and the scope a spare
+/// worker starts in when no idle one can take the turn.
+struct Lender<'s, 'e, 'p, 'a, const D: usize, S: PageStore> {
+    pool: &'s Pool<'p, 'a, D, S>,
+    scope: &'s Scope<'s, 'e>,
+}
+
+impl<const D: usize, S: PageStore + Sync + Send> Lend for Lender<'_, '_, '_, '_, D, S> {
+    fn lend(&self) {
+        let mut s = self.pool.sched.lock();
+        s.busy -= 1;
+        if s.idle > 0 {
+            self.pool.wake.notify_one();
+            return;
+        }
+        s.spares += 1;
+        drop(s);
+        self.pool.start_worker(self.scope);
+    }
+
+    fn reclaim(&self) {
+        self.pool.sched.lock().busy += 1;
     }
 }
 
@@ -421,22 +608,19 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         });
     }
 
-    /// What the serial driver's participants share: blank slates, a
-    /// commit cursor at frame 0, and the drain and lock-hold
-    /// instruments; no clocks.
-    fn shared<'i>(&self, inserts: &'i [Vec<(NsiSegmentRecord<D>, f64)>], steps: usize) -> Shared<'i, D> {
+    /// What one serve's participants share: blank slates, a commit
+    /// cursor at frame 0, and the instruments.
+    fn shared<'i>(&self, inserts: &'i [Vec<(NsiSegmentRecord<D>, f64)>]) -> Shared<'i, D> {
         Shared {
-            steps,
             inserts,
             commits: Mutex::default(),
-            clocks: Vec::new(),
             slates: (0..self.grid.len()).map(|_| RwLock::default()).collect(),
             drain_hist: self.histogram("service.drain_ns"),
             hold_hist: self.histogram("service.writer.lock_hold_ns"),
-            wait_hist: None,
-            writer_wait_hist: None,
-            session_wait_hist: None,
-            lag_gauge: None,
+            wait_hist: self.histogram("service.clock_wait_ns"),
+            writer_wait_hist: self.histogram("service.clock_wait_ns.writer"),
+            session_wait_hist: self.histogram("service.clock_wait_ns.session"),
+            lag_gauge: self.metrics.as_ref().map(|m| m.gauge("service.frame_lag")),
         }
     }
 
@@ -445,34 +629,12 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         self.grid.route_rect(&plan.spec.trajectory.swept_bounds())
     }
 
-    /// Region `r`'s clock windows: session `i` is attached over its
-    /// plan's window when its lanes reach `r`.
-    fn windows(&self, plans: &[SessionPlan<D>], r: usize) -> Vec<Option<(u64, u64)>> {
-        plans.iter().map(|p| p.window().filter(|_| self.lanes(p).contains(&r))).collect()
-    }
-
-    /// What one concurrent serve of `plans` shares: [`Self::shared`],
-    /// per region a clock, and the wait and lag instruments.
-    fn clocked<'i>(
-        &self,
-        plans: &[SessionPlan<D>],
-        inserts: &'i [Vec<(NsiSegmentRecord<D>, f64)>],
-        steps: usize,
-    ) -> Shared<'i, D> {
-        let clocks = (0..self.grid.len())
-            .map(|r| {
-                let liveness = SessionLiveness::new(plans.len());
-                FrameClock::new(self.windows(plans, r), liveness, 0, false)
-            })
-            .collect();
-        Shared {
-            clocks,
-            wait_hist: self.histogram("service.clock_wait_ns"),
-            writer_wait_hist: self.histogram("service.clock_wait_ns.writer"),
-            session_wait_hist: self.histogram("service.clock_wait_ns.session"),
-            lag_gauge: self.metrics.as_ref().map(|m| m.gauge("service.frame_lag")),
-            ..self.shared(inserts, steps)
-        }
+    /// Every region's clock at the start of a serve of `plans`: session
+    /// `i` is attached to region `r` over its plan's window when its
+    /// lanes reach `r`.
+    fn clocks(&self, plans: &[SessionPlan<D>]) -> Vec<ClockState> {
+        let windows = |r| -> Vec<_> { plans.iter().map(|p| p.window().filter(|_| self.lanes(p).contains(&r))).collect() };
+        (0..self.grid.len()).map(|r| ClockState::new(&windows(r), 0)).collect()
     }
 
     /// Region `r`'s writer's local op, the same under every driver;
@@ -515,22 +677,53 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         op: Op,
         run: &mut LaneRun<'_, D>,
         sink: Option<&dyn FrameSink>,
+        turn: Option<&dyn Lend>,
     ) -> bool {
         match op {
             Op::Build => run.enter(&self.grid, &self.regions),
             Op::Step(k) => run.step(&self.grid, &self.regions, &sh.slates, k as usize, &sh.drain_hist),
-            Op::Sink(_) => sink.is_none_or(|sink| offer(i, run, sink)),
+            Op::Sink(_) => sink.is_none_or(|sink| offer(i, run, sink, turn)),
             _ => unreachable!("{op:?} is no session's local op"),
         }
     }
 
-    /// Region `r`'s writer thread.
-    fn writer_loop(&self, sh: &Shared<D>, r: usize) -> RegionReport {
-        let (mut w, mut routed) = (RegionReport::default(), Vec::new());
-        let mut program = WriterProgram::new(r, sh.steps, sh.inserts.len());
-        let local = |op| self.writer_op(sh, r, op, &mut w, &mut routed);
-        make_ops(&mut program, |r, step| sh.clock_step(r, step), local);
-        w
+    /// Every participant of a serve of `plans` as a task over `run`: the
+    /// region writers, ascending, then each session with a frame to run
+    /// (a plan whose schedule is empty keeps its idle output).
+    fn tasks<'r, 'a>(&self, plans: &'a [SessionPlan<D>], run: &'r mut Run<'a, D>, batches: usize) -> Vec<Task<'r, 'a, D>> {
+        let steps = run.steps;
+        let writers = (0..).zip(&mut run.writers).map(|(r, w)| Task::Writer(WriterProgram::new(r, steps, batches), w, Vec::new()));
+        let sessions = (0..).zip(plans.iter().zip(&mut run.sessions)).filter_map(|(i, (plan, lanes))| {
+            Some(Task::Session(SessionProgram::new(i, plan.window()?, self.lanes(plan)), lanes))
+        });
+        writers.chain(sessions).collect()
+    }
+
+    /// Make `task`'s ops until it ends or `clock` declines a step; a
+    /// session that ends here stamps its wall time. Returns whether it
+    /// moved.
+    fn run_task(
+        &self,
+        sh: &Shared<D>,
+        task: &mut Task<'_, '_, D>,
+        sinks: &[Option<&dyn FrameSink>],
+        turn: Option<&dyn Lend>,
+        clock: impl FnMut(usize, Step) -> bool,
+    ) -> bool {
+        match task {
+            Task::Writer(program, w, routed) => {
+                let r = program.r;
+                make_ops(program, clock, |op| self.writer_op(sh, r, op, w, routed))
+            }
+            Task::Session(program, lanes) => {
+                let (i, sink) = (program.i, sinks.get(program.i).copied().flatten());
+                let moved = make_ops(program, clock, |op| self.session_op(sh, i, op, lanes, sink, turn));
+                if moved && program.next() == Op::Done {
+                    lanes.stamp();
+                }
+                moved
+            }
+        }
     }
 
     /// What both drivers do first: size the run, take the base
@@ -559,46 +752,57 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         }
     }
 
-    /// The threads driver's serve, one scope: a writer thread per region
-    /// and a thread for every session with a frame to run (each handed
-    /// its own [`LaneRun`]), all ordered by the per-region clocks, no
-    /// global barrier inside. A session's wall time ends with its thread.
-    pub(super) fn serve_clocked<'a>(
+    /// The workers driver's serve: every participant a task on one
+    /// ready queue, run by `workers` workers (at most one per task) —
+    /// the calling thread and `workers - 1` threads of one scope, plus a
+    /// spare for each sink that blocks while no worker is idle. Nothing
+    /// global orders the tasks: each parks on, and is woken by, the
+    /// clocks of its own regions only.
+    pub(super) fn serve_tasks<'a>(
         &self,
         plans: &'a [SessionPlan<D>],
         inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
         sinks: &[Option<&dyn FrameSink>],
+        workers: usize,
     ) -> Run<'a, D>
     where
         S: Sync + Send,
     {
         let mut run = self.begin_run(plans, inserts);
-        let sh = &self.clocked(plans, inserts, run.steps);
+        let sh = &self.shared(inserts);
+        let tasks = self.tasks(plans, &mut run, inserts.len());
+        let workers = workers.clamp(1, tasks.len());
+        let pool = Pool {
+            server: self,
+            sh,
+            sinks,
+            workers,
+            sched: Mutex::new(Sched {
+                clocks: self.clocks(plans),
+                left: tasks.len(),
+                ready: tasks.into(),
+                parked: (0..self.grid.len()).map(|_| Vec::new()).collect(),
+                held: 0,
+                busy: 0,
+                idle: 0,
+                spares: 0,
+                halt: None,
+            }),
+            wake: Condvar::new(),
+        };
         std::thread::scope(|scope| {
-            let sessions: Vec<_> = (0..)
-                .zip(plans.iter().zip(&mut run.sessions))
-                .filter_map(|(i, (plan, lanes))| {
-                    let mut program = SessionProgram::new(i, plan.window()?, self.lanes(plan));
-                    let sink = sinks.get(i).copied().flatten();
-                    Some(scope.spawn(move || {
-                        let local = |op| self.session_op(sh, i, op, lanes, sink);
-                        make_ops(&mut program, |r, step| sh.clock_step(r, step), local);
-                        lanes.stamp();
-                    }))
-                })
-                .collect();
-            let writers: Vec<_> = (0..self.grid.len())
-                .map(|r| scope.spawn(move || self.writer_loop(sh, r)))
-                .collect();
-            run.spawned = sessions.len() + writers.len();
-            run.writers = writers
-                .into_iter()
-                .map(|h| h.join().expect("region writer panicked"))
-                .collect();
-            for h in sessions {
-                h.join().expect("session thread panicked outside its containment");
+            for _ in 1..workers {
+                pool.start_worker(scope);
             }
+            pool.work(scope);
         });
+        let Sched { spares, halt, .. } = pool.sched.into_inner();
+        match halt {
+            Some(Halt::Panic(payload)) => resume_unwind(payload),
+            Some(Halt::Stall(parked)) => panic!("lost wake or deadlock: {parked} programs parked, none ready"),
+            None => {}
+        }
+        run.spawned = workers - 1 + spares;
         if let Some(reg) = &self.metrics {
             let deepest = sh.slates.iter().map(|s| s.read().hwm).max().unwrap_or(0);
             reg.gauge("service.mailbox_hwm").record_max(deepest as i64);
@@ -608,50 +812,32 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     }
 
     /// The serial driver, the oracle [`Self::serve_plans_streamed`] must
-    /// match bit for bit: the same programs on one thread, over plain
-    /// `ClockState`s, in a fixed schedule — every writer, regions
-    /// ascending, then every session, ascending, each making ops until
-    /// its next is a wait its clock does not enable, round after round.
-    /// The checker shows some op is always enabled until every program
-    /// is done, so a round in which nobody moves ends the run.
+    /// match bit for bit: the same tasks on one thread, in a fixed
+    /// schedule — every writer, regions ascending, then every session,
+    /// ascending, each making ops until its next is a wait its clock
+    /// does not enable, round after round. The checker shows some op is
+    /// always enabled until every program is done, so a round in which
+    /// nobody moves ends the run. A sink's blocking hook just blocks.
     pub(super) fn serve_serial_clocked<'a>(
         &self,
         plans: &'a [SessionPlan<D>],
         inserts: &[Vec<(NsiSegmentRecord<D>, f64)>],
+        sinks: &[Option<&dyn FrameSink>],
     ) -> Run<'a, D> {
         let mut run = self.begin_run(plans, inserts);
-        let sh = self.shared(inserts, run.steps);
-        let regions = self.grid.len();
-        let mut clocks: Vec<_> = (0..regions).map(|r| ClockState::new(&self.windows(plans, r), 0)).collect();
-        let writer = |r| (WriterProgram::new(r, run.steps, inserts.len()), Vec::new());
-        let mut writers: Vec<_> = (0..regions).map(writer).collect();
-        let mut sessions: Vec<_> = (0..)
-            .zip(plans)
-            .filter_map(|(i, plan)| Some(SessionProgram::new(i, plan.window()?, self.lanes(plan))))
-            .collect();
+        let sh = self.shared(inserts);
+        let mut clocks = self.clocks(plans);
+        let mut tasks = self.tasks(plans, &mut run, inserts.len());
         let mut moved = true;
         while moved {
             moved = false;
-            let mut clock = |r: usize, step| {
-                let enabled = clocks[r].enabled(step);
-                if enabled {
-                    clocks[r].apply(step);
-                }
-                enabled
-            };
-            for (r, ((program, routed), w)) in writers.iter_mut().zip(&mut run.writers).enumerate() {
-                moved |= make_ops(program, &mut clock, |op| self.writer_op(&sh, r, op, w, routed));
-            }
-            for program in &mut sessions {
-                let (i, lanes) = (program.i, &mut run.sessions[program.i]);
-                moved |= make_ops(program, &mut clock, |op| self.session_op(&sh, i, op, lanes, None));
+            for task in &mut tasks {
+                let clock = |r: usize, step| sh.step_clock(&mut clocks[r], r, step).is_some();
+                moved |= self.run_task(&sh, task, sinks, None, clock);
             }
         }
-        let unfinished = writers.iter().map(|(p, _)| p.next()).chain(sessions.iter().map(Program::next));
-        assert!(unfinished.into_iter().all(|op| op == Op::Done), "the serial schedule stalled");
-        for s in &mut run.sessions {
-            s.stamp();
-        }
+        assert!(tasks.iter().all(|t| t.next() == Op::Done), "the serial schedule stalled");
+        drop(tasks);
         run.dur = sh.commits.into_inner();
         run
     }
@@ -703,10 +889,13 @@ mod tests {
     use crate::layout::MotionRecord;
     use crate::router::tests::*;
     use crate::region::RegionGrid;
-    use crate::clock::Wake;
-    use crate::service::SessionKind;
+    use crate::service::{FrameReport, SessionKind, SessionOutput};
+    use rtree::{RTree, RTreeConfig};
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
     use stkit::Interval;
+    use storage::{IoSnapshot, PageId, PageRef, Pager};
 
     #[test]
     fn writer_only_serve_applies_every_batch() {
@@ -732,12 +921,13 @@ mod tests {
 
     #[test]
     fn writer_reports_broadcast_fanout() {
-        // The writer's half of the broadcast, driven alone on this thread
-        // (so its trace ring is readable) with every permit pre-granted:
-        // one InsertBroadcast per non-empty batch, published once the
-        // batch's node work is over and before `applied` moves, and the
-        // slate left holding the last non-empty frame — exactly the
-        // reports those inserts produce, whoever is attached.
+        // The writer's half of the broadcast: its program driven alone by
+        // `make_ops` on this thread (so its trace ring is readable), over a
+        // clock with every permit pre-granted: one InsertBroadcast per
+        // non-empty batch, published once the batch's node work is over
+        // and before `applied` moves, and the slate left holding the last
+        // non-empty frame — exactly the reports those inserts produce,
+        // whoever is attached.
         let server = build(RegionGrid::single(), &line_records(10));
         let plans: Vec<SessionPlan<2>> = [SessionKind::Pdq, SessionKind::Npdq, SessionKind::Pdq]
             .into_iter()
@@ -746,12 +936,17 @@ mod tests {
         let mut inserts = ahead_inserts(4, 3, 8.0, 3000);
         inserts[1].clear();
         inserts.push(Vec::new());
-        let sh = server.clocked(&plans, &inserts, 5);
+        let sh = server.shared(&inserts);
+        let mut clock = server.clocks(&plans).remove(0);
         for i in 0..plans.len() {
-            sh.clocks[0].ack(i, u64::MAX);
+            clock.apply(Step::Ack(i, u64::MAX));
         }
         obs::take_thread_trace();
-        let tally = server.writer_loop(&sh, 0);
+        let (mut tally, mut routed) = (RegionReport::default(), Vec::new());
+        let mut program = WriterProgram::new(0, inserts.len(), inserts.len());
+        let step = |r, step| sh.step_clock(&mut clock, r, step).is_some();
+        make_ops(&mut program, step, |op| server.writer_op(&sh, 0, op, &mut tally, &mut routed));
+        assert_eq!(program.next(), Op::Done);
         assert_eq!(tally.inserts_applied, 9);
         let mut broadcasts = Vec::new();
         let mut since_visit = Vec::new();
@@ -789,30 +984,203 @@ mod tests {
     }
 
     #[test]
-    fn a_serve_spawns_its_writers_and_its_sessions_and_nothing_else() {
-        // The thread shape: one scope of s + r threads, durable or not,
-        // where s counts the plans with a frame to run — the fifth
-        // plan's schedule is empty, so it gets no thread, no clock
-        // attachment and the default output.
+    fn a_serve_spawns_its_workers_and_nothing_else() {
+        // The thread shape: whatever the session and region counts,
+        // durable or not, a serve on w workers spawns w - 1 threads, w
+        // capped at its participants (the writers and the plans with a
+        // frame to run). The last plan's schedule is empty, so it is no
+        // participant and keeps the default output.
         let recs = line_records(30);
-        let mut plans: Vec<SessionPlan<2>> = (0..3)
-            .map(|_| SessionPlan::new(slide_spec(SessionKind::Pdq, 10, 30.0)))
-            .collect();
-        plans.push(SessionPlan::new(slide_spec(SessionKind::Npdq, 3, 9.0)));
+        let inserts = ahead_inserts(10, 1, 30.0, 7000);
         let mut never = slide_spec(SessionKind::Pdq, 10, 30.0);
         never.frame_times.truncate(1);
-        plans.push(SessionPlan::new(never));
-        let inserts = ahead_inserts(10, 1, 30.0, 7000);
-        for grid in grids() {
-            let r = grid.len();
-            let server = build(grid.clone(), &recs);
-            let run = server.serve_clocked(&plans, &inserts, &[]);
-            assert_eq!(run.spawned, 4 + r);
-            let report = server.finish_run(run);
-            assert_eq!(report.sessions[4].outcome, SessionOutcome::Ok);
-            assert!(report.sessions[4].frames.is_empty());
-            let durable = build(grid, &recs).with_durability(Arc::new(DurableLog::new(3)));
-            assert_eq!(durable.serve_clocked(&plans, &inserts, &[]).spawned, 4 + r);
+        for sessions in 1..=8 {
+            let mut plans: Vec<SessionPlan<2>> = (0..sessions)
+                .map(|i| {
+                    let kind = if i % 2 == 0 { SessionKind::Pdq } else { SessionKind::Npdq };
+                    SessionPlan::new(slide_spec(kind, 10, 30.0))
+                })
+                .collect();
+            plans.push(SessionPlan::new(never.clone()));
+            for regions in 1..=4 {
+                let cuts: Vec<f64> = (1..regions).map(|c| 30.0 * c as f64 / regions as f64).collect();
+                let grid = RegionGrid::from_cuts(0, cuts);
+                for workers in 1..=4 {
+                    let expect = workers.min(sessions + regions) - 1;
+                    let server = build(grid.clone(), &recs);
+                    let run = server.serve_tasks(&plans, &inserts, &[], workers);
+                    assert_eq!(run.spawned, expect, "{sessions} sessions, {regions} regions, {workers} workers");
+                    let report = server.finish_run(run);
+                    assert_eq!(report.base.sessions[sessions], SessionOutput::default());
+                    let durable = build(grid.clone(), &recs).with_durability(Arc::new(DurableLog::new(3)));
+                    assert_eq!(durable.serve_tasks(&plans, &inserts, &[], workers).spawned, expect);
+                }
+            }
+        }
+    }
+
+    /// A page store that panics on every read of one page, once armed.
+    struct Panicky {
+        inner: Pager,
+        victim: AtomicU32,
+    }
+
+    impl PageStore for Panicky {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn try_read_page(&self, id: PageId) -> Result<PageRef, StorageError> {
+            assert!(id.0 != self.victim.load(Ordering::Relaxed), "injected panic reading {id}");
+            self.inner.try_read_page(id)
+        }
+        fn write(&self, id: PageId, data: &[u8]) {
+            self.inner.write(id, data)
+        }
+        fn try_alloc(&self) -> Result<PageId, StorageError> {
+            self.inner.try_alloc()
+        }
+        fn io(&self) -> IoSnapshot {
+            self.inner.io()
+        }
+    }
+
+    /// Session 0's sink: detaches it at frame 5.
+    struct DetachAt5;
+
+    impl FrameSink for DetachAt5 {
+        fn on_frame(&self, d: &FrameDelta<'_>) -> SinkVerdict {
+            if d.frame == 5 { SinkVerdict::Detach } else { SinkVerdict::Continue }
+        }
+    }
+
+    /// A sink that, at session `waiter`'s frame 1, blocks through the
+    /// hook until session `other` has delivered its frame 1: the furthest
+    /// it can get while the waiter holds back their shared regions.
+    struct Await {
+        waiter: usize,
+        other: usize,
+        seen: StdMutex<Option<usize>>,
+        moved: StdCondvar,
+        /// What session `other` had delivered when the waiter blocked and
+        /// when it woke.
+        at_wake: StdMutex<Option<(Option<usize>, Option<usize>)>>,
+    }
+
+    impl FrameSink for Await {
+        fn on_frame(&self, d: &FrameDelta<'_>) -> SinkVerdict {
+            if d.session == self.other {
+                *self.seen.lock().unwrap() = Some(d.frame);
+                self.moved.notify_all();
+            } else if d.session == self.waiter && d.frame == 1 {
+                let before = *self.seen.lock().unwrap();
+                let after = d.block_in_place(|| {
+                    let seen = self.seen.lock().unwrap();
+                    let bound = std::time::Duration::from_secs(20);
+                    *self.moved.wait_timeout_while(seen, bound, |s| *s != Some(1)).unwrap().0
+                });
+                *self.at_wake.lock().unwrap() = Some((before, after));
+            }
+            SinkVerdict::Continue
+        }
+    }
+
+    /// The page of the leaf that holds `ids`.
+    fn leaf_of<S: PageStore>(tree: &RTree<R, S>, ids: (u32, u32)) -> PageId {
+        let mut stack = vec![(tree.root_page(), tree.height() - 1)];
+        while let Some((page, level)) = stack.pop() {
+            let node = tree.try_read_node(page, level).unwrap();
+            if !node.is_leaf() {
+                stack.extend(node.internal_entries().map(|(_, child)| (child, level - 1)));
+            } else if node.leaf_records().any(|r| r.ids() == ids) {
+                return page;
+            }
+        }
+        panic!("{ids:?} is in no leaf");
+    }
+
+    /// What of a session's output both drivers must agree on bit for
+    /// bit: everything but its wall times.
+    fn settled(o: &SessionOutput) -> SessionOutput {
+        let frames = o.frames.iter().map(|f| FrameReport { latency_ns: 0, ..f.clone() }).collect();
+        SessionOutput { frames, wall_ns: 0, ..o.clone() }
+    }
+
+    #[test]
+    fn workers_equal_the_serial_schedule_at_one_two_and_three_workers() {
+        // Two grids; a mid-run joiner; a session whose lane panics on a
+        // page read mid-run; a sink that detaches its session; and, at one
+        // worker, a sink that blocks through the hook until another
+        // session moves — which only a spare worker can let happen.
+        let recs = line_records(40);
+        // Inserts land at x < 24, where sessions 0-3 sweep.
+        let inserts: Vec<Vec<(R, f64)>> = (0..12u32)
+            .map(|k| {
+                let t = 22.0 * f64::from(k) / 12.0;
+                (0..2)
+                    .map(|j| {
+                        let x = (t + 4.0 + f64::from(j)) % 24.0;
+                        (R::new(9000 + 2 * k + j, 0, Interval::new(t, 100.0), [x, 0.5], [x, 0.5]), t)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut plans: Vec<SessionPlan<2>> = [SessionKind::Pdq, SessionKind::Npdq, SessionKind::Pdq, SessionKind::Npdq]
+            .into_iter()
+            .map(|kind| SessionPlan::new(slide_spec(kind, 12, 22.0)))
+            .collect();
+        plans[1].join_frame = 4;
+        // Session 4 sweeps x in [30, 41] alone, and mid-run reaches the
+        // leaf that holds record 39, whose every read panics.
+        let mut far = slide_spec(SessionKind::Pdq, 12, 40.0);
+        far.trajectory = crate::Trajectory::linear(
+            stkit::Rect::from_corners([30.0, 0.0], [31.0, 1.0]),
+            [0.25, 0.0],
+            Interval::new(0.0, 40.0),
+            2,
+        );
+        plans.push(SessionPlan::new(far));
+        let server = |grid: &RegionGrid| {
+            let server = PartitionedDqServer::build(grid.clone(), &recs, |_| {
+                let store = Panicky { inner: Pager::with_page_size(256), victim: AtomicU32::new(u32::MAX) };
+                RTree::new(store, RTreeConfig::default())
+            });
+            let region = server.grid().route_rect(&recs[39].seg.spatial_bbox()).start;
+            server.with_region_tree(region, |t| t.store().victim.store(leaf_of(t, recs[39].ids()).0, Ordering::Relaxed));
+            server
+        };
+        let detach = DetachAt5;
+        let sinks: [Option<&dyn FrameSink>; 1] = [Some(&detach)];
+        for grid in [RegionGrid::single(), RegionGrid::from_cuts(0, vec![12.0, 25.0])] {
+            let serial = server(&grid).serve_serial_clocked(&plans, &inserts, &sinks);
+            let serial = server(&grid).finish_run(serial);
+            assert!(serial.base.writer_outcome.is_ok());
+            assert!(matches!(&serial.base.sessions[0].outcome, SessionOutcome::Failed(m) if m.contains("detached")));
+            assert!(matches!(&serial.base.sessions[4].outcome, SessionOutcome::Failed(m) if m.contains("injected panic")));
+            assert!(serial.base.sessions[4].frames.len() > 2, "the lane fails mid-run");
+            let expect: Vec<_> = serial.base.sessions.iter().map(settled).collect();
+            for workers in 1..=3 {
+                let s = server(&grid);
+                let run = s.serve_tasks(&plans, &inserts, &sinks, workers);
+                assert_eq!(run.spawned, workers - 1, "no sink blocked");
+                let got: Vec<_> = s.finish_run(run).base.sessions.iter().map(settled).collect();
+                assert_eq!(got, expect, "{workers} workers, {} regions", grid.len());
+            }
+            // One worker: session 2 waits in its frame 1's sink for session
+            // 3's frame 1, which only a spare can run; no output changes.
+            let wait = Await {
+                waiter: 2,
+                other: 3,
+                seen: StdMutex::new(None),
+                moved: StdCondvar::new(),
+                at_wake: StdMutex::new(None),
+            };
+            let sinks: [Option<&dyn FrameSink>; 4] = [Some(&detach), None, Some(&wait), Some(&wait)];
+            let s = server(&grid);
+            let run = s.serve_tasks(&plans, &inserts, &sinks, 1);
+            assert_eq!(run.spawned, 1, "the blocked sink's turn went to one spare");
+            let got: Vec<_> = s.finish_run(run).base.sessions.iter().map(settled).collect();
+            assert_eq!(*wait.at_wake.lock().unwrap(), Some((Some(0), Some(1))), "session 3 moved only while session 2 waited");
+            assert_eq!(got, expect, "one worker and a blocking sink, {} regions", grid.len());
         }
     }
 

@@ -289,6 +289,46 @@ pub struct FrameDelta<'a> {
     pub results: &'a [(u32, u32)],
     /// Wall-clock time the session spent processing the frame.
     pub latency_ns: u64,
+    /// The serving worker's turn, which [`Self::block_in_place`] lends
+    /// out (none on the serial driver).
+    pub(crate) turn: Option<&'a dyn Lend>,
+}
+
+impl FrameDelta<'_> {
+    /// Run `f`, which may block (a full outbox, a peer's progress),
+    /// without holding back the rest of the serve: while `f` runs, the
+    /// session's worker hands its turn on a CPU to a spare worker, and
+    /// takes it back when `f` returns. A sink that may wait calls its
+    /// wait through this; one that waits outside it occupies a worker,
+    /// and with one worker stalls the whole serve for as long. On the
+    /// serial driver this just runs `f`.
+    pub fn block_in_place<T>(&self, f: impl FnOnce() -> T) -> T {
+        /// Takes the turn back however `f` ends.
+        struct Reclaim<'a>(&'a dyn Lend);
+        impl Drop for Reclaim<'_> {
+            fn drop(&mut self) {
+                self.0.reclaim();
+            }
+        }
+        let Some(turn) = self.turn else { return f() };
+        turn.lend();
+        let _back = Reclaim(turn);
+        f()
+    }
+}
+
+/// A serving worker's turn on a CPU, as a blocking sink sees it.
+pub(crate) trait Lend: Sync {
+    /// Hand the caller's turn to another worker while it blocks.
+    fn lend(&self);
+    /// Take a turn again once the block is over.
+    fn reclaim(&self);
+}
+
+impl std::fmt::Debug for dyn Lend + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Lend")
+    }
 }
 
 /// What a [`FrameSink`] wants done with its session after a delta.
@@ -303,8 +343,8 @@ pub enum SinkVerdict {
     Detach,
 }
 
-/// Per-frame consumer of one session's results, called from that
-/// session's serving thread (hence `Sync`): the hook a network front
+/// Per-frame consumer of one session's results, called from whichever
+/// worker runs that session (hence `Sync`): the hook a network front
 /// door uses to stream deltas to a remote client, and to evict the
 /// session (slow reader, dead socket) without touching the serving core.
 /// A sink that panics fails its own session and nobody else's: the

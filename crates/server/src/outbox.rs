@@ -120,6 +120,13 @@ impl Outbox {
         }
     }
 
+    /// Whether a [`push`](Self::push) now would wait: the queue is at
+    /// its bound and still open.
+    pub fn is_full(&self) -> bool {
+        let g = self.inner.lock();
+        g.state == State::Open && g.queue.len() >= self.cap
+    }
+
     /// Add `n` delta credits and wake a `pop` waiting on them. Called
     /// by the session's reader half for `Hello.credit` and each
     /// `Credit` message.

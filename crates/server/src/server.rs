@@ -21,10 +21,15 @@
 //! * **Coordinator** — owns the [`PartitionedDqServer`], gathers
 //!   registered sessions into batches, and runs
 //!   [`serve_plans_streamed`](PartitionedDqServer::serve_plans_streamed)
-//!   with one [`NetSink`] per session. A sink push that outlives the
-//!   write deadline evicts the session (`SlowReader`) and detaches it
-//!   from its frame clocks — the serving core never blocks on a
-//!   socket longer than the deadline.
+//!   with one [`NetSink`] per session. The serve runs every session as
+//!   a task on one worker per CPU, not a thread per session; a sink
+//!   whose outbox is full waits through
+//!   [`FrameDelta::block_in_place`], which lends its worker to a spare,
+//!   so a stalled reader holds back only its own regions. A push that
+//!   outlives the write deadline evicts the session (`SlowReader`) and
+//!   detaches it from its frame clocks — the serving core never blocks
+//!   on a socket longer than the deadline. The socket halves above are
+//!   still threads of their own.
 //!
 //! Graceful shutdown: the flag stops admission (a throwaway loopback
 //! connection wakes the listener to see it), the listener exits and
@@ -162,7 +167,11 @@ impl FrameSink for NetSink {
     fn on_frame(&self, delta: &FrameDelta<'_>) -> SinkVerdict {
         let bytes = encode_delta(delta.frame as u32, delta.latency_ns, delta.results);
         let len = bytes.len() as u64;
-        match self.outbox.push(bytes, self.shared.config.write_deadline) {
+        let push = || self.outbox.push(bytes, self.shared.config.write_deadline);
+        // Only this sink pushes, so an outbox with room keeps it: only a
+        // full one makes the push wait, and that wait lends the worker.
+        let pushed = if self.outbox.is_full() { delta.block_in_place(push) } else { push() };
+        match pushed {
             Ok(()) => {
                 if let Some(m) = &self.shared.config.metrics {
                     m.counter("net.frames.sent").add(1);

@@ -4,8 +4,8 @@
 //! history and a live update stream, then served twice by the same
 //! `PartitionedDqServer`:
 //!  1. over a one-region grid (one writer, one tree), and
-//!  2. over a 4-region grid — one tree, one writer thread, and one
-//!     buffer pool per region, with each session's moving window split
+//!  2. over a 4-region grid — one tree, one writer, and one buffer
+//!     pool per region, with each session's moving window split
 //!     across the regions it sweeps and each match emitted by the one
 //!     region that owns it.
 //!

@@ -4,12 +4,14 @@
 //! results, frame reports and session stats. Where a hand-picked
 //! schedule shows what the oracle's cannot: a session that panics
 //! mid-run on a page read detaches and perturbs nobody, and a stalled
-//! session holds back only its own regions.
+//! session holds back only its own regions. Every serve here runs under
+//! the oracle's watchdog (`support::served::bounded`), so a lost wake
+//! fails the test by name instead of hanging the suite.
 
 mod support;
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use dq_repro::mobiquery::{
@@ -19,7 +21,7 @@ use dq_repro::mobiquery::{
 use dq_repro::rtree::{RTree, RTreeConfig};
 use dq_repro::stkit::{Interval, Rect};
 use dq_repro::storage::{IoSnapshot, PageId, PageRef, PageStore, Pager, StorageError};
-use support::served::{check_served, Case, Sink};
+use support::served::{bounded, check_served, Case, Sink};
 use support::{leaf_page_of, line_inserts, line_records, partitioned, slide_spec, R};
 
 /// The single-tree case and a three-region grid.
@@ -150,9 +152,12 @@ fn mid_run_panic_neither_deadlocks_nor_perturbs_others() {
 
     // Reading the leaf that holds oid 28 panics, so the doomed session's
     // descent dies there (contained fail-stop).
-    let server = panicking_at(RegionGrid::single(), &recs, 28);
-
-    let report = server.serve(&[healthy.clone(), doomed], &inserts);
+    let (served, specs) = ((recs.clone(), inserts.clone()), [healthy.clone(), doomed]);
+    let report = bounded("the serve with a panicking session", move || {
+        let (recs, inserts) = served;
+        panicking_at(RegionGrid::single(), &recs, 28).serve(&specs, &inserts)
+    })
+    .unwrap();
     assert!(
         matches!(report.sessions[1].outcome, SessionOutcome::Failed(_)),
         "doomed session should have died, got {:?}",
@@ -191,7 +196,9 @@ struct StallState {
 
 /// Session 0 parks in its first frame's sink, so it never acks that
 /// frame; the sink of the last other session to deliver its final frame
-/// wakes it.
+/// wakes it. It parks through the delta's blocking hook, which hands its
+/// worker's turn to a spare: on one CPU, a sink that waited outside it
+/// would hold the serve's only worker.
 #[derive(Default)]
 struct Stall {
     state: Mutex<StallState>,
@@ -204,7 +211,7 @@ impl FrameSink for Stall {
         let mut st = self.state.lock().unwrap();
         st.seen[d.session] += 1;
         if d.session == 0 && st.seen[0] == 1 {
-            let (mut st, _) = self.others_done.wait_timeout_while(st, GUARD, unfinished).unwrap();
+            let mut st = d.block_in_place(|| self.others_done.wait_timeout_while(st, GUARD, unfinished).unwrap().0);
             st.at_wake = Some(st.seen);
         } else if !unfinished(&mut st) {
             self.others_done.notify_all();
@@ -258,9 +265,14 @@ fn a_stalled_session_holds_back_only_its_regions() {
         .collect();
     let grid = RegionGrid::uniform(0, Interval::new(0.0, SLABS as f64 * SLAB), SLABS);
 
-    let stall = Stall::default();
-    let sinks = vec![Some(&stall as &dyn FrameSink); SLABS];
-    let p = partitioned(grid.clone(), &preload).serve_plans_streamed(&plans, &inserts, &sinks);
+    let stall = Arc::new(Stall::default());
+    let served = (Arc::clone(&stall), grid.clone(), preload.clone(), plans.clone(), inserts.clone());
+    let p = bounded("the serve with a stalled session", move || {
+        let (stall, grid, preload, plans, inserts) = served;
+        let sinks = vec![Some(&*stall as &dyn FrameSink); SLABS];
+        partitioned(grid, &preload).serve_plans_streamed(&plans, &inserts, &sinks)
+    })
+    .unwrap();
     let at_wake = stall.state.lock().unwrap().at_wake.expect("session 0 parked");
     let unfinished: Vec<usize> = (1..SLABS).filter(|&i| at_wake[i] < STALL_FRAMES).collect();
     assert!(

@@ -382,16 +382,17 @@ fn transients_drawn(seed: u64, p: f64, reads: u64) -> u64 {
 pub const BOUND: Duration = Duration::from_secs(20);
 
 /// `f` on a thread of its own, failing as a hang if it has not returned
-/// within [`BOUND`]: the one place a test waits with a bound. The thread
-/// is not joined, so a hung `f` cannot hang the test; a panicking one
-/// drops the sender.
-fn bounded<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> Result<T, String> {
+/// within [`BOUND`]: the one place a test waits with a bound, and the
+/// watchdog of every serve a suite runs outside [`check_served`]. The
+/// thread is not joined, so a hung `f` cannot hang the test; a panicking
+/// one drops the sender.
+pub fn bounded<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> Result<T, String> {
     let (done, finished) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = done.send(f());
     });
     finished.recv_timeout(BOUND).map_err(|e| match e {
-        RecvTimeoutError::Timeout => format!("{what} is still running after {BOUND:?}"),
+        RecvTimeoutError::Timeout => format!("{what} is still running after {BOUND:?}: a lost wake or deadlock"),
         RecvTimeoutError::Disconnected => format!("{what} panicked"),
     })
 }

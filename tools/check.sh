@@ -6,7 +6,7 @@
 # clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and ten grep gates: no Rust under crates tests examples src calls
+# and eleven grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
 # only because benchmarks/dqbench forwards it), nor `.read_node(` (every
 # descent reads through `RTree::try_read_node`, which checks the level
@@ -34,7 +34,11 @@
 # defines no participant model (no `struct World`, `enum Who` or
 # `enum Op`): the checker of every interleaving runs the writer and
 # session programs of crates/mobiquery/src/router/participants.rs
-# themselves, so no hand copy of their order can drift from the code.
+# themselves, so no hand copy of their order can drift from the code;
+# and crates/mobiquery/src/router/ has exactly one thread-spawn site (the
+# workers driver's pool, which starts the spares too) and names no
+# `FrameClock`: a serve runs its programs as tasks on one worker per
+# CPU, so no thread-per-participant path comes back behind a flag.
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -190,6 +194,11 @@ if [ -z "$ONLY" ]; then
   fi
   if git grep -nE '\b(struct World|enum Who|enum Op)\b' -- crates/mobiquery/src/clock.rs; then
     echo "FAIL: crates/mobiquery/src/clock.rs defines a participant model (see above); check the programs in router/participants.rs instead" >&2; exit 1
+  fi
+  spawns=$(git grep -nE 'spawn\(' -- crates/mobiquery/src/router | wc -l)
+  if [ "$spawns" != 1 ] || git grep -n 'FrameClock' -- crates/mobiquery/src/router; then
+    git grep -nE 'spawn\(' -- crates/mobiquery/src/router >&2
+    echo "FAIL: crates/mobiquery/src/router/ has $spawns thread-spawn sites, not 1, or names FrameClock (see above); run participants as tasks on the workers driver's pool" >&2; exit 1
   fi
 fi
 mkdir -p target/figures
