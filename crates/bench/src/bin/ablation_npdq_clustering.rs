@@ -3,10 +3,11 @@
 //! A reproduction finding documented in EXPERIMENTS.md: with the paper's
 //! workload (≈1-time-unit segment lifetimes), *instant* delta queries
 //! can hardly discard — an instant query skips a subtree only if every
-//! record under it started by the previous instant and its whole space
-//! lies inside the previous window (the latest-start rule, `npdq.rs`),
-//! and a node holding currently-alive segments also holds freshly
-//! started ones, while time-clustered leaves are spatially huge. The
+//! record under it started by the previous instant and the part of its
+//! space its records could reach the current window from lies inside the
+//! previous window (the motion-bounded rule, `npdq.rs`), and a node
+//! holding currently-alive segments also holds freshly started ones,
+//! while time-clustered leaves are spatially huge. The
 //! §4.2 open-ended query shape keeps Lemma 1, and spatial-only
 //! clustering makes its spatial containment hold. This bench measures
 //! all combinations, and asserts every NPDQ frame over these static

@@ -14,20 +14,31 @@
 //!   quadrant-shaped region whose consecutive instances genuinely contain
 //!   each other's overlap.
 //! * **Bounded queries** (an instant, Definition 3's visualization case)
-//!   that start after `P` ends use the **latest-start rule**. Lemma 1 is
-//!   unsound for them: a key bounds its records' whole motion, so a
+//!   that start after `P` ends use the **motion-bounded rule**. Lemma 1
+//!   is unsound for them: a key bounds its records' whole motion, so a
 //!   record can lie outside `P`'s window at `t_P` and inside `Q ∩ R` at
-//!   `t_Q`. With `t_P` the end of `P` and `t_Q > t_P` the start of `Q`, a
-//!   child `R` is skipped when
-//!   1. every record under `R` started by `t_P`
-//!      ([`RTree::latest_start`], a bound the tree keeps per page, so no
-//!      key layout has to carry it), and
-//!   2. `R.space` — not `(Q ∩ R).space` — lies inside `P.window`, by a
-//!      rounding margin on every side.
+//!   `t_Q`. With `t_P` the end of `P`, `[t_Q, t_Q']` the time of `Q`
+//!   (`t_P < t_Q`), and `v_R` a bound on every record's speed along any
+//!   one axis under the child `R`, a child `R` is skipped when
+//!   1. every record under `R` started by `t_P` ([`PageBound::start`]),
+//!      and
+//!   2. on every spatial axis, with `ρ = v_R · (t_Q' − t_P)` rounded up
+//!      ([`PageBound::speed`]), the side `[max(R.lo, Q.lo − ρ),
+//!      min(R.hi, Q.hi + ρ)]` lies inside `P.window`, by a rounding
+//!      margin on every side.
 //!
-//!   A record under `R` that `Q` matches is alive at `t_Q` and started by
-//!   `t_P`, so it is alive at `t_P`, where its position lies in its
-//!   bounding box, inside `R.space`, inside `P.window`: `P` matched it.
+//!   A record under `R` that `Q` matches at some `t ∈ [t_Q, t_Q']` is
+//!   alive at `t` and started by `t_P`, so it is alive at `t_P`. There
+//!   its position lies in its bounding box, inside `R`; and between `t_P`
+//!   and `t`, where it lay in `Q.window`, it moved at most
+//!   `v_R · (t − t_P) ≤ ρ` along each axis. So at `t_P` it lies in the
+//!   clipped side, inside `P.window`: `P` matched it. Both bounds are
+//!   [`RTree::page_bound`]'s, a side array the tree keeps per page, so no
+//!   key layout has to carry them and no child is read to judge it. With
+//!   `v_R = +∞` — a record type that bounds no speed, a page the tree
+//!   knows nothing of, or an open-ended `Q` — the clip is `R`'s own side
+//!   and the rule is the latest-start rule it generalises: `R.space`
+//!   inside `P.window`.
 //!
 //! The margin. `matches_segment` does not evaluate a position; it solves
 //! each axis' line `a + b·t` against the window's edges
@@ -41,31 +52,44 @@
 //! bounding box). What bounds `|b|` and `|a|` without reading a record:
 //! a record `Q` matches that started by `t_P` lives at least
 //! `t_Q − t_P`, and its displacement fits in `R`, so on axis `i` its
-//! speed is at most `v_i = width_i(R) / (t_Q − t_P)`; with `M_i` the
-//! larger magnitude of `R`'s bounds on the axis,
-//! `|a| = |x₀ − b·t₀| ≤ M_i + width_i(R) + v_i·T ≤ 3·M_i + v_i·T`. So `R`
-//! is inside when `P.lo_i + REACH_SLACK · (|P.lo_i| + 3·M_i + 2·v_i·T) ≤
-//! R.lo_i`, and likewise at the top. A stationary record (`b = 0`) is
-//! solved exactly, so an ulp would do for it; a fast, short-lived one
-//! needs the speed term.
+//! speed is at most `v_i = min(v_R, width_i(R) / (t_Q − t_P))`; with
+//! `M_i` the larger magnitude of `R`'s bounds on the axis,
+//! `|a| = |x₀ − b·t₀| ≤ M_i + width_i(R) + v_i·T ≤ 3·M_i + v_i·T`. So the
+//! clipped side `[lo, hi]` is inside when
+//! `P.lo_i + REACH_SLACK · (|P.lo_i| + 3·M_i + 2·v_i·T) ≤ lo`, and
+//! likewise at the top. A stationary record (`b = 0`) is solved exactly,
+//! so an ulp would do for it; a fast, short-lived one needs the speed
+//! term. The clip adds no term: where it takes `Q`'s side,
+//! `R.lo ≤ Q.lo − ρ` and `Q.lo ≤ R.hi` (`R` meets `Q`), so `|Q.lo| ≤ M_i`
+//! and `Q`'s own solve strays no further than `P`'s, inside the 2⁸ to
+//! spare; `ρ` is rounded up, and its rounding is an ulp besides.
 //!
 //! Update management uses node stamps (§4.2): every insertion stamps the
 //! nodes it writes with its ordinal, the tree's record count after it
 //! ([`rtree::NodeRef::stamp`]), and the engine remembers the count the
-//! previous query saw. A visited node stamped above that count was
-//! written since the previous query ran, so the previous query's result
-//! can no longer be trusted for that subtree: no child of it is
-//! discarded, and a record in it that may be new
-//! ([`NpdqEngine::try_execute_with`]'s `maybe_new`) is tested afresh. The
-//! order is the tree's own, so no caller's clock can make a fresh insert
-//! look old.
+//! previous query saw. It reads every stamp from the tree's side array
+//! ([`PageBound::stamp`], which [`RTree::validate`] holds equal to the
+//! header's), so it judges a child before reading it. A child stamped
+//! above that count was written since the previous query ran, so the
+//! previous query's result can no longer be trusted for that subtree: it
+//! is not discarded, and a record in a leaf so stamped that may be new
+//! ([`NpdqEngine::try_execute_with`]'s `maybe_new`) is tested afresh.
+//! The child's *own* stamp suffices, its parent's need not be clean:
+//! every insert stamps every page it writes — its leaf and each ancestor
+//! up to the root, both halves of every split, and a new root — so a
+//! page unstamped since the previous query heads a subtree holding
+//! exactly the records it held then (an entry a split moves out leaves a
+//! written page behind). The order is the tree's own, so no caller's
+//! clock can make a fresh insert look old. On a tree opened by
+//! [`RTree::reopen`] the side array knows no stamp, so every page reads
+//! as written: nothing is discarded and every match is tested afresh.
 
 use crate::layout::MotionRecord;
 use crate::snapshot::SnapshotQuery;
 use crate::stats::QueryStats;
-use rtree::{Key, RTree};
+use rtree::{Key, PageBound, RTree};
 use stkit::linear::REACH_SLACK;
-use stkit::Rect;
+use stkit::{Interval, Rect};
 use storage::{PageId, PageStore, StorageError};
 
 /// The NPDQ query processor: one instance per dynamic query session.
@@ -109,13 +133,16 @@ enum Discard<K, const D: usize> {
     /// `Q` is open and its time lies inside `P`'s: Lemma 1 against `P`'s
     /// key.
     Lemma1(K),
-    /// `Q` starts after `P` ended at `t_p`: the latest-start rule
-    /// against `P`'s window, for records that live at least
-    /// `1 / inv_dt` and a query time of magnitude at most `t`.
-    Started {
+    /// `Q` starts after `P` ended at `t_p`: the motion-bounded rule
+    /// against `P`'s window and `Q`'s, for records that live at least
+    /// `1 / inv_dt`, move for at most `reach` (rounded up) between `t_p`
+    /// and `Q`'s end, and a query time of magnitude at most `t`.
+    Moved {
         window: Rect<D>,
+        query: Rect<D>,
         t_p: f64,
         inv_dt: f64,
+        reach: f64,
         t: f64,
     },
 }
@@ -127,10 +154,12 @@ impl<K: Key, const D: usize> Discard<K, D> {
     ) -> Option<Self> {
         let (t_p, t_q) = (p.time.hi, q.time.lo);
         if t_p < t_q {
-            Some(Discard::Started {
+            Some(Discard::Moved {
                 window: p.window,
+                query: q.window,
                 t_p,
                 inv_dt: 1.0 / (t_q - t_p),
+                reach: (q.time.hi - t_p).next_up(),
                 t: t_p.abs().max(t_q.abs()),
             })
         } else if q.time.hi == f64::INFINITY && p.time.contains_interval(&q.time) {
@@ -140,20 +169,30 @@ impl<K: Key, const D: usize> Discard<K, D> {
         }
     }
 
-    /// Whether the child keyed `r`, every record under which started by
-    /// `latest()`, holds nothing `q` matches that `P` did not.
-    fn skips(&self, q: &K, r: &K, latest: impl FnOnce() -> f64) -> bool {
+    /// Whether the child keyed `r`, unwritten since `P` ran, whose
+    /// records' starts and speeds `bound` bounds, holds nothing `q`
+    /// matches that `P` did not.
+    #[inline]
+    fn skips(&self, q: &K, r: &K, bound: PageBound) -> bool {
         match self {
             Discard::Lemma1(p) => discardable(p, q, r),
-            Discard::Started {
+            Discard::Moved {
                 window,
+                query,
                 t_p,
                 inv_dt,
+                reach,
                 t,
             } => {
-                latest() <= *t_p
-                    && window.dims.iter().enumerate().all(|(a, w)| {
-                        inside_by_margin(w.lo, w.hi, r.axis_lo(a), r.axis_hi(a), *inv_dt, *t)
+                let speed = f64::from(bound.speed);
+                // NaN for a still page under an open-ended `Q` (0 · ∞):
+                // `max` and `min` then keep `R`'s own side.
+                let rho = (speed * reach).next_up();
+                f64::from(bound.start) <= *t_p
+                    && (0..D).all(|a| {
+                        let (r_lo, r_hi, qa) = (r.axis_lo(a), r.axis_hi(a), &query.dims[a]);
+                        let side = (r_lo.max(qa.lo - rho), r_hi.min(qa.hi + rho));
+                        inside_by_margin(&window.dims[a], (r_lo, r_hi), side, speed, *inv_dt, *t)
                     })
             }
         }
@@ -225,9 +264,11 @@ impl<const D: usize> NpdqEngine<D> {
         mut emit: impl FnMut(&R),
     ) -> Result<(), StorageError> {
         let qkey = R::query_key(q);
+        // The rule `P` lends, and the record count it saw: a page stamped
+        // above it was written since.
         let discard = self
             .prev
-            .and_then(|(p, _)| Discard::<R::Key, D>::between::<R>(&p, q));
+            .and_then(|(p, seen)| Some((Discard::<R::Key, D>::between::<R>(&p, q)?, seen)));
 
         // Depth-first traversal; the stack is engine-owned scratch, reused
         // across per-frame executions.
@@ -251,14 +292,13 @@ impl<const D: usize> NpdqEngine<D> {
             if level == 0 {
                 stats.leaf_accesses += 1;
             }
-            // §4.2 stamp check: if an insert wrote this node after the
-            // previous query ran, its children may contain unseen data —
-            // the previous query cannot be used to discard them.
-            let (prev, clean) = match &self.prev {
-                Some((p, plen)) => (Some(p), node.stamp() <= *plen),
-                None => (None, false),
-            };
             if node.is_leaf() {
+                // §4.2 stamp check: if an insert wrote this leaf after the
+                // previous query ran, a record in it may be new to it.
+                let (prev, clean) = match &self.prev {
+                    Some((p, seen)) => (Some(p), tree.page_bound(page).stamp <= *seen),
+                    None => (None, false),
+                };
                 for rec in node.leaf_records() {
                     stats.distance_computations += 1;
                     if !rec.key().overlaps(&qkey) || !q.matches_segment(rec.segment()) {
@@ -274,20 +314,20 @@ impl<const D: usize> NpdqEngine<D> {
                     emit(&rec);
                 }
             } else {
-                let discard = discard.as_ref().filter(|_| clean);
                 for (key, child) in node.internal_entries() {
                     stats.distance_computations += 1;
                     if !key.overlaps(&qkey) {
                         continue;
                     }
-                    if discard.is_some_and(|d| d.skips(&qkey, &key, || tree.latest_start(child))) {
+                    // Judged by the child's own stamp and bounds (module
+                    // doc), whatever wrote its siblings.
+                    if discard.as_ref().is_some_and(|(d, seen)| {
+                        let bound = tree.page_bound(child);
+                        bound.stamp <= *seen && d.skips(&qkey, &key, bound)
+                    }) {
                         // Pruned without loading: the I/O the previous
                         // query paid for.
                         stats.subtrees_discarded += 1;
-                        obs::trace(obs::TraceEvent::QueueOp {
-                            op: obs::QueueOpKind::Discard,
-                            depth: stack.len() as u32,
-                        });
                         continue;
                     }
                     stack.push((child, level - 1));
@@ -305,16 +345,23 @@ pub fn discardable<K: Key>(p: &K, q: &K, r: &K) -> bool {
     p.contains(&q.intersect(r))
 }
 
-/// The latest-start rule's spatial half on one axis (module doc): an
-/// entry spanning `[r_lo, r_hi]` lies inside the window's `[p_lo, p_hi]`
-/// by the rounding margin, for records that live at least `1 / inv_dt`
-/// and a query time of magnitude at most `t`.
+/// The motion-bounded rule's spatial half on one axis (module doc): the
+/// side `[lo, hi]` clipped from an entry spanning `[r_lo, r_hi]` lies
+/// inside the window's side `p` by the rounding margin, for records no
+/// faster than `speed` that live at least `1 / inv_dt`, and a query time
+/// of magnitude at most `t`.
 #[inline]
-fn inside_by_margin(p_lo: f64, p_hi: f64, r_lo: f64, r_hi: f64, inv_dt: f64, t: f64) -> bool {
-    let speed = (r_hi - r_lo) * inv_dt;
+fn inside_by_margin(
+    p: &Interval,
+    (r_lo, r_hi): (f64, f64),
+    (lo, hi): (f64, f64),
+    speed: f64,
+    inv_dt: f64,
+    t: f64,
+) -> bool {
+    let speed = speed.min((r_hi - r_lo) * inv_dt);
     let line = 3.0 * r_lo.abs().max(r_hi.abs()) + 2.0 * speed * t;
-    p_lo + REACH_SLACK * (p_lo.abs() + line) <= r_lo
-        && r_hi + REACH_SLACK * (p_hi.abs() + line) <= p_hi
+    p.lo + REACH_SLACK * (p.lo.abs() + line) <= lo && hi + REACH_SLACK * (p.hi.abs() + line) <= p.hi
 }
 
 #[cfg(test)]
@@ -495,23 +542,31 @@ mod tests {
     }
 
     /// One draw of the skip property: a record, a box holding it with
-    /// its latest start, and the previous and current query.
+    /// its latest start and a bound on its speed, and the previous and
+    /// current query.
     #[derive(Clone, Copy, Debug)]
     struct SkipCase {
         rec: NsiSegmentRecord<2>,
         bx: StBox<2, 1>,
         latest: f64,
+        speed: f32,
         p: SnapshotQuery<2>,
         q: SnapshotQuery<2>,
     }
 
     impl SkipCase {
-        /// The engine's child test for `bx`, as the engine runs it.
+        /// The engine's child test for `bx`, unwritten since `p`, as the
+        /// engine runs it.
         fn skips(&self) -> bool {
             let rule = Discard::between::<NsiSegmentRecord<2>>(&self.p, &self.q)
                 .expect("q follows p");
             let q = self.q.nsi_key();
-            self.bx.overlaps(&q) && rule.skips(&q, &self.bx, || self.latest)
+            let bound = PageBound {
+                start: self.latest as f32,
+                speed: self.speed,
+                stamp: 0,
+            };
+            self.bx.overlaps(&q) && rule.skips(&q, &self.bx, bound)
         }
 
         /// Skipping `bx` must lose nothing: whatever `q` matches in it,
@@ -535,6 +590,17 @@ mod tests {
             y = if k > 0 { y.next_up() } else { y.next_down() };
         }
         f64::from(y)
+    }
+
+    /// A speed bound for `rec`'s box: mostly its own speed, which it runs
+    /// at, sometimes a looser one or none.
+    fn draw_speed(rng: &mut ChaCha8Rng, rec: &NsiSegmentRecord<2>) -> f32 {
+        let own = rtree::stbox_key::f32_up(rec.speed_bound());
+        match rng.gen_range(0..8) {
+            0 => f32::INFINITY,
+            1 => own * rng.gen_range(1.0..4.0) as f32,
+            _ => own,
+        }
     }
 
     fn draw_skip_case(rng: &mut ChaCha8Rng) -> SkipCase {
@@ -600,7 +666,77 @@ mod tests {
                 Rect::from_corners([at[0] - r, at[1] - r], [at[0] + r, at[1] + r])
             }
         };
-        SkipCase { rec, bx, latest, p, q: SnapshotQuery::at_instant(qwin, t_q) }
+        let speed = draw_speed(rng, &rec);
+        SkipCase { rec, bx, latest, speed, p, q: SnapshotQuery::at_instant(qwin, t_q) }
+    }
+
+    /// A box that overhangs `P`'s window on one side of axis 0, a `Q`
+    /// window that moves towards that side but stays inside `P`'s, and a
+    /// record that runs at its box's speed bound: from the overhang into
+    /// `Q` (which `P` missed, so the box must not be skipped), or inside
+    /// `P` all along (where skipping is sound, and tight when `Q` is).
+    fn draw_overhang_case(rng: &mut ChaCha8Rng) -> SkipCase {
+        let pick = |rng: &mut ChaCha8Rng, xs: &[f64]| xs[rng.gen_range(0..xs.len())];
+        let q32 = |x: f64| f64::from(x as f32);
+        let mag = pick(rng, &[1.0, 1e3, 1e6]);
+        let tmag = pick(rng, &[1.0, 1e2, 1e4]);
+        let t_p = q32(rng.gen_range(-tmag..tmag));
+        let dt = pick(rng, &[1e-3, 1e-1, 1.0, 10.0]) * rng.gen_range(0.5..2.0);
+        let t_q = q32(t_p + dt).max(f32_steps(t_p, 1));
+        let dt = t_q - t_p;
+        // `P`'s window, and `Q`'s: shrunk, then moved towards the
+        // overhang side (`side` = -1: low, +1: high) within `P`'s.
+        let w = mag * pick(rng, &[1e-3, 1e-2, 0.1]);
+        let c = [0, 1].map(|_| q32(rng.gen_range(-mag..mag)));
+        let window = Rect::from_corners([c[0] - w, c[1] - w], [c[0] + w, c[1] + w]);
+        let side = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+        let shrink = w * rng.gen_range(0.0..0.5);
+        let shift = side * rng.gen_range(0.0..1.0) * shrink;
+        let qwin = Rect::from_corners(
+            [q32(c[0] - w + shrink + shift), q32(c[1] - w + shrink)],
+            [q32(c[0] + w - shrink + shift), q32(c[1] + w - shrink)],
+        );
+        // The record on axis 0: at `t_Q` somewhere in `Q`; at `t_P` in the
+        // overhang, a little or far past `P`'s edge, or inside `P`.
+        let edge = if side < 0.0 { window.dims[0].lo } else { window.dims[0].hi };
+        let x_q = rng.gen_range(qwin.dims[0].lo..=qwin.dims[0].hi);
+        let x_p = match rng.gen_range(0..3) {
+            0 => edge + side * w * pick(rng, &[1e-6, 1e-4, 1e-2, 0.5]),
+            1 => f32_steps(edge, side as i32 * rng.gen_range(1..64)),
+            _ => rng.gen_range(window.dims[0].lo..=window.dims[0].hi),
+        };
+        let y = rng.gen_range(qwin.dims[1].lo..=qwin.dims[1].hi);
+        let v = (x_q - x_p) / dt;
+        // Alive over `[t_P, t_Q]` and some way either side.
+        let (before, after) = (rng.gen_range(0.0..1.0) * dt, rng.gen_range(0.0..1.0) * dt);
+        let (t0, t1) = (q32(t_p - before).min(t_p), q32(t_q + after).max(t_q));
+        let rec = NsiSegmentRecord::new(
+            0,
+            0,
+            Interval::new(t0, t1),
+            [x_p + v * (t0 - t_p), y],
+            [x_p + v * (t1 - t_p), y],
+        );
+        // The box: the record's key, grown past `P`'s edge on the
+        // overhang side when it does not reach there already.
+        let mut buf = Vec::new();
+        rec.key().encode(&mut buf);
+        let mut bx = StBox::<2, 1>::decode(&buf);
+        let d = &mut bx.space.dims[0];
+        if side < 0.0 {
+            d.lo = d.lo.min(f32_steps(edge - w * rng.gen_range(0.0..1.0), -1));
+        } else {
+            d.hi = d.hi.max(f32_steps(edge + w * rng.gen_range(0.0..1.0), 1));
+        }
+        let speed = draw_speed(rng, &rec);
+        SkipCase {
+            rec,
+            bx,
+            latest: t0,
+            speed,
+            p: SnapshotQuery::at_instant(window, t_p),
+            q: SnapshotQuery::at_instant(qwin, t_q),
+        }
     }
 
     #[test]
@@ -611,6 +747,15 @@ mod tests {
             tested += u32::from(draw_skip_case(&mut rng).check().unwrap());
         }
         assert!(tested > 2_000, "only {tested} draws skipped a box q matches in");
+        // Boxes that overhang `P`'s window, records at their speed bound.
+        let (mut overhung, mut missed) = (0u32, 0u32);
+        for _ in 0..100_000 {
+            let case = draw_overhang_case(&mut rng);
+            overhung += u32::from(case.check().unwrap());
+            missed += u32::from(case.q.matches_segment(&case.rec.seg) && !case.p.matches_segment(&case.rec.seg));
+        }
+        assert!(overhung > 2_000, "only {overhung} overhanging boxes were skipped");
+        assert!(missed > 2_000, "only {missed} records ran from the overhang into q");
     }
 
     #[test]

@@ -18,12 +18,16 @@
 //! layout, rebalance and recovery.
 //!
 //! The engine's instant-query rule (`npdq.rs`'s module doc has the proof
-//! and its rounding margin) skips a subtree under a node unwritten since
-//! `q_{k-1}` when every record under it started by `t_{k-1}` and its
-//! space lies inside `window(t_{k-1})`: whatever `q_k` matches there,
-//! `q_{k-1}` matched, so the subtree emits nothing and the stream cannot
-//! move. It pays where a region is mostly parked history — records that
-//! started long ago and sit still under a window that moves little.
+//! and its rounding margin) skips a child unwritten since `q_{k-1}` — by
+//! its own stamp, whatever an insert wrote beside it — when every record
+//! under it started by `t_{k-1}` and, on each axis, the part of its box
+//! within `ρ` of `window(t_k)` lies inside `window(t_{k-1})`, `ρ` the
+//! farthest its records can move between the two instants at the
+//! page's speed bound: whatever `q_k` matches there, `q_{k-1}` matched,
+//! so the subtree emits nothing and the stream cannot move. It pays
+//! where a region is mostly parked history — records that started long
+//! ago and sit still or crawl under a window that moves little — and
+//! keeps paying under a writer, which dirties only the path it writes.
 //!
 //! A frame that fails leaves no previous query in any lane, so the next
 //! one re-delivers its whole snapshot: it may repeat objects, never lose

@@ -16,8 +16,6 @@ pub enum QueueOpKind {
     Push,
     /// An item was popped for processing.
     Pop,
-    /// An item was discarded (stale or duplicate).
-    Discard,
 }
 
 /// One structured trace event. All payloads are plain scalars so events
@@ -51,7 +49,7 @@ pub enum TraceEvent {
     },
     /// A priority-queue operation (PDQ).
     QueueOp {
-        /// Push / pop / discard.
+        /// Push or pop.
         op: QueueOpKind,
         /// Queue length after the operation.
         depth: u32,

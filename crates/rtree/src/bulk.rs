@@ -38,10 +38,11 @@
 //! that reads "not modified since the previous query", which is sound
 //! because whatever rebuilds a tree also starts its queries afresh, with
 //! no previous query to discard against. Each packed node's
-//! [`RTree::latest_start`] is the exact maximum over the records under it.
+//! [`RTree::page_bound`] holds the exact maximum start and speed over the
+//! records under it, and stamp 0.
 
 use crate::traits::{Key, Record};
-use crate::tree::{as_stored, start_bound_f32, RTree, RTreeConfig};
+use crate::tree::{as_stored, speed_bound_f32, start_bound_f32, PageBound, RTree, RTreeConfig};
 use std::cmp::Ordering;
 use storage::{PageId, PageStore};
 
@@ -125,16 +126,17 @@ pub fn pack_into<R: Record, S: PageStore>(
         },
         emit: |tile: &[u32]| {
             let mut key = R::Key::empty();
-            let mut latest = f32::NEG_INFINITY;
+            let (mut start, mut speed) = (f32::NEG_INFINITY, 0.0f32);
             let page = tree.write_fresh(root_page.take(), 0, |node| {
                 for &i in tile {
                     let rec = &records[i as usize];
                     key = key.cover(&rec.key());
-                    latest = latest.max(start_bound_f32(rec));
+                    start = start.max(start_bound_f32(rec));
+                    speed = speed.max(speed_bound_f32(rec));
                     node.push_record(rec);
                 }
             });
-            tree.set_start(page, latest);
+            *tree.bound_mut(page) = PageBound { start, speed, stamp: 0 };
             entries.push((key, page));
         },
     }
@@ -157,10 +159,10 @@ pub fn pack_into<R: Record, S: PageStore>(
             tie: |a, b| below[a as usize].1.cmp(&below[b as usize].1),
             emit: |tile: &[u32]| {
                 let mut key = R::Key::empty();
-                let latest = tile
+                let (start, speed) = tile
                     .iter()
-                    .map(|&i| tree.start_of(below[i as usize].1))
-                    .fold(f32::NEG_INFINITY, f32::max);
+                    .map(|&i| tree.page_bound(below[i as usize].1))
+                    .fold((f32::NEG_INFINITY, 0.0f32), |(s, v), b| (s.max(b.start), v.max(b.speed)));
                 let page = tree.write_fresh(None, level, |node| {
                     for &i in tile {
                         let (k, child) = &below[i as usize];
@@ -168,7 +170,7 @@ pub fn pack_into<R: Record, S: PageStore>(
                         node.push_entry(k, *child);
                     }
                 });
-                tree.set_start(page, latest);
+                *tree.bound_mut(page) = PageBound { start, speed, stamp: 0 };
                 entries.push((key, page));
             },
         }

@@ -26,9 +26,12 @@
 //!   tree's record count after it, so "written since the previous query"
 //!   is a comparison with the count that query saw: what lets NPDQ decide
 //!   whether the previous query may be used to discard a subtree (§4.2).
-//! * **Latest starts** — beside the pages, the tree keeps an upper bound
-//!   on the latest record start under each page ([`RTree::latest_start`]),
-//!   what lets an instant NPDQ query skip a subtree soundly.
+//! * **A side array by page** — beside the pages, in memory, the tree
+//!   keeps for each page an upper bound on the latest record start and
+//!   on the greatest per-axis speed under it, and the page's stamp
+//!   ([`RTree::page_bound`], [`PageBound`]): what lets an instant NPDQ
+//!   query judge a child, written or not, started or not, and how far its
+//!   records can move, without reading it.
 //! * **STR bulk loading** ([`bulk`]): one packing routine, called by the
 //!   §5 experiment build at a configurable fill factor (the paper builds
 //!   its index at 0.5) and by every rebuild of a serving tree.
@@ -57,4 +60,4 @@ pub use records::{DtaSegmentRecord, NsiSegmentRecord};
 pub use search::QueryStats;
 pub use split::SplitPolicy;
 pub use traits::{Key, Record};
-pub use tree::{EpochStats, InsertReport, Inserted, RTree, RTreeConfig};
+pub use tree::{EpochStats, InsertReport, Inserted, PageBound, RTree, RTreeConfig};

@@ -69,6 +69,16 @@ macro_rules! segment_record {
                 self.seg.t.lo
             }
 
+            // `seg.v` is the velocity `decode` rebuilds from the page's
+            // `f32` endpoints, by the encoding contract.
+            fn speed_bound(&self) -> f64 {
+                let v = &self.seg.v;
+                if v.iter().any(|x| x.is_nan()) {
+                    return f64::INFINITY;
+                }
+                v.iter().fold(0.0, |m, x| m.max(x.abs()))
+            }
+
             fn encode(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&(self.seg.t.lo as f32).to_le_bytes());
                 buf.extend_from_slice(&(self.seg.t.hi as f32).to_le_bytes());

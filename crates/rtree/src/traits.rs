@@ -152,6 +152,15 @@ pub trait Record: Copy + std::fmt::Debug + PartialEq {
         f64::INFINITY
     }
 
+    /// An upper bound on the record's speed along any one spatial axis,
+    /// `max_i |v_i|` of the motion [`Self::decode`] rebuilds, which the
+    /// tree folds into a per-page bound ([`crate::RTree::page_bound`]).
+    /// The default, `+∞`, bounds nothing: a query may never take such a
+    /// record as slow.
+    fn speed_bound(&self) -> f64 {
+        f64::INFINITY
+    }
+
     /// Append exactly [`Self::ENCODED_LEN`] bytes to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 

@@ -113,6 +113,54 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
     }
 }
 
+/// What the tree knows of a page without reading it
+/// ([`RTree::page_bound`]): one entry of a side array kept by page id, in
+/// memory only.
+///
+/// Exact after [`crate::bulk::pack_into`]. An insert raises `start` and
+/// `speed` on every page of its path and sets `stamp` on every page it
+/// writes — the leaf it edits, each ancestor, both halves of a split and
+/// a new root — and a split's new page copies its sibling's `start` and
+/// `speed`, so both stay upper bounds, if looser ones. A page the tree
+/// knows nothing of ([`RTree::reopen`], or not a page of this tree) reads
+/// as [`PageBound::UNKNOWN`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PageBound {
+    /// An upper bound on [`Record::start_bound`] over every record under
+    /// the page, rounded up to `f32`: `-∞` for an empty leaf.
+    pub start: f32,
+    /// An upper bound on [`Record::speed_bound`] over every record under
+    /// the page, rounded up to `f32`: `0` for an empty leaf.
+    pub speed: f32,
+    /// The page's stamp, the one its header carries ([`NodeRef::stamp`];
+    /// [`RTree::validate`] holds the two equal), read without the page.
+    pub stamp: u64,
+}
+
+impl PageBound {
+    /// Nothing known: every record may start late and move fast, and the
+    /// page may have been written after any instant.
+    pub const UNKNOWN: PageBound = PageBound {
+        start: f32::INFINITY,
+        speed: f32::INFINITY,
+        stamp: u64::MAX,
+    };
+
+    /// A new empty leaf: no insert wrote it and nothing under it has
+    /// started or moves.
+    const EMPTY: PageBound = PageBound {
+        start: f32::NEG_INFINITY,
+        speed: 0.0,
+        stamp: 0,
+    };
+
+    /// Raise `start` and `speed` to cover a record's.
+    fn raise(&mut self, start: f32, speed: f32) {
+        self.start = self.start.max(start);
+        self.speed = self.speed.max(speed);
+    }
+}
+
 /// A paginated R-tree over records of type `R`, stored in `S`.
 ///
 /// Every node occupies one page; reading a node ([`RTree::try_read_node`])
@@ -122,7 +170,7 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
 /// The tree is insert-only, as the paper's update management (§4.1) is,
 /// and no store frees a page: a page id names one node for the tree's
 /// life, so a running query may key its duplicate filter on it — and the
-/// tree may keep a side array by page id ([`Self::latest_start`]).
+/// tree may keep a side array by page id ([`Self::page_bound`]).
 ///
 /// ```
 /// use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
@@ -167,10 +215,9 @@ pub struct RTree<R: Record, S: PageStore> {
     /// Per-level node read/write counters (relaxed atomics, so readers
     /// sharing `&self` all count here).
     levels: LevelCounters,
-    /// By page id: an upper bound on [`Record::start_bound`] over every
-    /// record under the page ([`Self::latest_start`]). Kept in memory
-    /// only; a page past the end is unknown, `+∞`.
-    starts: Vec<f32>,
+    /// By page id: what the tree knows of the page without reading it
+    /// ([`Self::page_bound`]). A page past the end is unknown.
+    bounds: Vec<PageBound>,
     _records: std::marker::PhantomData<fn() -> R>,
 }
 
@@ -191,18 +238,18 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             path: Vec::new(),
             stage: Stage::default(),
             levels: LevelCounters::new(),
-            starts: Vec::new(),
+            bounds: Vec::new(),
             _records: std::marker::PhantomData,
         };
-        // An empty leaf: no record under it has started.
-        tree.set_start(root, f32::NEG_INFINITY);
+        *tree.bound_mut(root) = PageBound::EMPTY;
         tree
     }
 
     /// Re-open a tree whose pages already live in `store` (e.g. loaded
     /// from a persisted page file): the caller supplies the metadata that
     /// [`RTree::metadata`] returned when the tree was saved. Pages carry
-    /// no start bound, so every page's [`Self::latest_start`] is `+∞`.
+    /// no start or speed bound, so every page's [`Self::page_bound`] is
+    /// [`PageBound::UNKNOWN`] until an insert writes it.
     pub fn reopen(store: S, config: RTreeConfig, root: PageId, height: u32, len: u64) -> Self {
         RTree {
             store,
@@ -214,7 +261,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             path: Vec::new(),
             stage: Stage::default(),
             levels: LevelCounters::new(),
-            starts: Vec::new(),
+            bounds: Vec::new(),
             _records: std::marker::PhantomData,
         }
     }
@@ -275,32 +322,29 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 
     /// An upper bound on [`Record::start_bound`] over every record under
     /// `page`, read without reading the page: `-∞` for an empty leaf,
-    /// `+∞` where the tree knows nothing (any page of a tree opened by
-    /// [`Self::reopen`], or not a page of this tree).
-    ///
-    /// Exact after [`crate::bulk::pack_into`]. An insert raises the bound
-    /// of every node on its path, and a node a split or a root growth
-    /// creates copies its sibling's, so it stays an upper bound, if a
-    /// looser one. It is held as `f32`, rounded up: exact for records
-    /// quantized to the page precision.
+    /// `+∞` where the tree knows nothing. [`Self::page_bound`]'s `start`;
+    /// held as `f32`, rounded up, so exact for records quantized to the
+    /// page precision.
     pub fn latest_start(&self, page: PageId) -> f64 {
-        f64::from(self.start_of(page))
+        f64::from(self.page_bound(page).start)
     }
 
-    pub(crate) fn start_of(&self, page: PageId) -> f32 {
-        self.starts.get(page.0 as usize).copied().unwrap_or(f32::INFINITY)
+    /// What the tree knows of `page` without reading it — its records'
+    /// latest start and greatest speed, and its stamp — or
+    /// [`PageBound::UNKNOWN`] where it knows nothing (any page of a tree
+    /// opened by [`Self::reopen`] that no insert has written since, or
+    /// not a page of this tree).
+    #[inline]
+    pub fn page_bound(&self, page: PageId) -> PageBound {
+        self.bounds.get(page.0 as usize).copied().unwrap_or(PageBound::UNKNOWN)
     }
 
-    pub(crate) fn set_start(&mut self, page: PageId, bound: f32) {
+    pub(crate) fn bound_mut(&mut self, page: PageId) -> &mut PageBound {
         let i = page.0 as usize;
-        if self.starts.len() <= i {
-            self.starts.resize(i + 1, f32::INFINITY);
+        if self.bounds.len() <= i {
+            self.bounds.resize(i + 1, PageBound::UNKNOWN);
         }
-        self.starts[i] = bound;
-    }
-
-    fn raise_start(&mut self, page: PageId, bound: f32) {
-        self.set_start(page, self.start_of(page).max(bound));
+        &mut self.bounds[i]
     }
 
     /// Always zero: a tree is read through `&self` and written through
@@ -363,21 +407,24 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         });
     }
 
-    /// Write `page` whole: a node at `level` holding the entries `fill`
-    /// appends, built in the scratch buffer ([`NodeEdit::fresh`]) and
-    /// stamped 0 unless `fill` stamps it. How split halves and new roots
-    /// are written; an insert's unsplit nodes are edited page images
-    /// instead (see [`Self::ascend`]).
+    /// Write `page` whole: a node at `level` stamped `stamp`, in its
+    /// header and in the side array, holding the entries `fill` appends,
+    /// built in the scratch buffer ([`NodeEdit::fresh`]). How split halves
+    /// and new roots are written; an insert's unsplit nodes are edited
+    /// page images instead (see [`Self::ascend`]).
     fn write_new(
         &mut self,
         page: PageId,
         level: u32,
+        stamp: u64,
         fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
     ) {
         let mut edit = NodeEdit::fresh(&mut self.scratch, level, self.store.page_size());
+        edit.set_stamp(stamp);
         fill(&mut edit);
         self.store.write(page, edit.bytes());
         self.levels.record_write(level);
+        self.bound_mut(page).stamp = stamp;
     }
 
     /// [Write](Self::write_new) `page`, or a newly allocated page when it
@@ -389,7 +436,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
     ) -> PageId {
         let page = page.unwrap_or_else(|| self.store.alloc());
-        self.write_new(page, level, fill);
+        self.write_new(page, level, 0, fill);
         page
     }
 
@@ -483,10 +530,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         let descended = self.descend(path, &mut stage, &key);
         self.stage = stage;
         let (leaf_page, leaf) = descended?;
-        let start = start_bound_f32(&rec);
-        self.raise_start(leaf_page, start);
+        let (start, speed) = (start_bound_f32(&rec), speed_bound_f32(&rec));
+        self.bound_mut(leaf_page).raise(start, speed);
         for step in path.iter() {
-            self.raise_start(step.page, start);
+            self.bound_mut(step.page).raise(start, speed);
         }
 
         // Key of the child just handled, for its parent's entry, and the
@@ -506,6 +553,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             edit.push_record(&rec);
             self.store.write(leaf_page, edit.bytes());
             self.levels.record_write(level);
+            self.bound_mut(leaf_page).stamp = stamp;
         } else {
             let mut recs = Vec::with_capacity(leaf.len() + 1);
             recs.extend(leaf.leaf_records());
@@ -632,6 +680,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             }
             self.store.write(page, edit.bytes());
             self.levels.record_write(level);
+            self.bound_mut(page).stamp = stamp;
             child_key = key;
         }
 
@@ -640,12 +689,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             let old_root_key = child_key.expect("a split hands its old half's key up");
             let (old_root, level) = (self.root, self.height);
             let new_root = self.store.try_alloc()?;
-            self.write_new(new_root, level, |edit| {
-                edit.set_stamp(stamp);
+            // The old root's bounds, stamped anew below.
+            *self.bound_mut(new_root) = self.page_bound(old_root);
+            self.write_new(new_root, level, stamp, |edit| {
                 edit.push_entry(&old_root_key, old_root);
                 edit.push_entry(&nk, np);
             });
-            self.set_start(new_root, self.start_of(old_root));
             self.root = new_root;
             self.height += 1;
             created = Some(Inserted::Subtree {
@@ -685,12 +734,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             (&part.a, &part.b)
         };
         let new_page = self.store.try_alloc()?;
-        // `page`'s bound already covers both groups.
-        self.set_start(new_page, self.start_of(page));
+        // `page`'s bounds already cover both groups; both are stamped
+        // anew below.
+        *self.bound_mut(new_page) = self.page_bound(page);
         let stamp = self.stamp();
         let mut half = |page, group: &[usize]| {
-            self.write_new(page, level, |edit| {
-                edit.set_stamp(stamp);
+            self.write_new(page, level, stamp, |edit| {
                 group.iter().for_each(|&i| push(edit, &entries[i]));
             });
             let buf = &mut self.scratch;
@@ -766,17 +815,33 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         }
         inv.nodes_per_level[lvl] += 1;
         inv.entries_per_level[lvl] += node.len() as u64;
-        let bound = self.start_of(page);
+        // The side array: the header's stamp wherever the array knows
+        // one, and start and speed bounds over everything below.
+        let bound = self.page_bound(page);
+        if bound.stamp != PageBound::UNKNOWN.stamp && bound.stamp != node.stamp() {
+            return Err(format!(
+                "node {page}'s side stamp {} is not its header's {}",
+                bound.stamp,
+                node.stamp()
+            ));
+        }
         if node.is_leaf() {
             inv.records += node.len() as u64;
-            if let Some(r) = node.leaf_records().find(|r| start_bound_f32(r) > bound) {
-                return Err(format!("node {page}'s latest start {bound} is below {r:?}'s"));
+            if let Some(r) = node.leaf_records().find(|r| start_bound_f32(r) > bound.start) {
+                return Err(format!("node {page}'s latest start {} is below {r:?}'s", bound.start));
+            }
+            if let Some(r) = node.leaf_records().find(|r| speed_bound_f32(r) > bound.speed) {
+                return Err(format!("node {page}'s speed bound {} is below {r:?}'s", bound.speed));
             }
             return Ok(());
         }
         for (k, child_page) in node.internal_entries() {
-            if self.start_of(child_page) > bound {
+            let child = self.page_bound(child_page);
+            if child.start > bound.start {
                 return Err(format!("child {child_page}'s latest start exceeds node {page}'s"));
+            }
+            if child.speed > bound.speed {
+                return Err(format!("child {child_page}'s speed bound exceeds node {page}'s"));
             }
             self.validate_node(child_page, level - 1, Some(&k), inv)?;
         }
@@ -841,6 +906,17 @@ pub(crate) fn start_bound_f32<R: Record>(rec: &R) -> f32 {
         f32::INFINITY
     } else {
         f32_up(s)
+    }
+}
+
+/// `rec`'s [`Record::speed_bound`] as the side array holds it: rounded
+/// up, and `+∞` for NaN, which bounds nothing.
+pub(crate) fn speed_bound_f32<R: Record>(rec: &R) -> f32 {
+    let v = rec.speed_bound();
+    if v.is_nan() {
+        f32::INFINITY
+    } else {
+        f32_up(v)
     }
 }
 
@@ -964,6 +1040,61 @@ pub(crate) mod tests {
         }
         tree.validate().unwrap();
         assert_eq!(tree.latest_start(tree.root_page()), 599.0 * 0.25);
+    }
+
+    #[test]
+    fn the_side_array_is_exact_when_packed_and_validate_holds_it_to_the_pages() {
+        // Record `i` moves `i / 100` units a side over a unit of time.
+        let moving = |i: u32| {
+            let (x, y, d) = (f64::from(i % 20), f64::from(i / 20 % 20), f64::from(i) / 100.0);
+            R::new(i, 0, Interval::new(0.0, 1.0), [x, y], [x + d, y - d / 2.0])
+        };
+        let mut tree = bulk_load(
+            Pager::with_page_size(256),
+            RTreeConfig::default(),
+            (0..200).map(moving).collect(),
+        );
+        let mut stack = vec![(tree.root_page(), tree.height() - 1)];
+        while let Some((page, level)) = stack.pop() {
+            let node = tree.try_read_node(page, level).unwrap();
+            let bound = tree.page_bound(page);
+            let fastest = if node.is_leaf() {
+                node.leaf_records().map(|r| speed_bound_f32(&r)).fold(0.0, f32::max)
+            } else {
+                let children: Vec<_> = node.internal_entries().map(|(_, c)| c).collect();
+                stack.extend(children.iter().map(|&c| (c, level - 1)));
+                children.iter().map(|&c| tree.page_bound(c).speed).fold(0.0, f32::max)
+            };
+            assert_eq!((bound.speed, bound.stamp), (fastest, 0), "packed node {page}");
+        }
+        let fastest = |n: u32| (0..n).map(|i| speed_bound_f32(&moving(i))).fold(0.0, f32::max);
+        assert_eq!(tree.page_bound(tree.root_page()).speed, fastest(200));
+
+        // Inserts split leaves, internal nodes and the root: each page's
+        // side stamp is its header's, and its speed bound covers it.
+        for i in 200..600 {
+            tree.insert(moving(i), 0.0);
+        }
+        tree.validate().unwrap();
+        let root = tree.root_page();
+        assert_eq!(tree.page_bound(root).stamp, 600);
+        assert_eq!(tree.page_bound(root).speed, fastest(600));
+
+        // A side array that lags its pages fails `validate`.
+        let leaf = {
+            let mut page = root;
+            for level in (1..tree.height()).rev() {
+                page = tree.try_read_node(page, level).unwrap().internal_entry(0).1;
+            }
+            page
+        };
+        let kept = tree.page_bound(leaf);
+        tree.bound_mut(leaf).speed = 0.0;
+        assert!(tree.validate().unwrap_err().contains("speed bound"));
+        *tree.bound_mut(leaf) = PageBound { stamp: kept.stamp + 1, ..kept };
+        assert!(tree.validate().unwrap_err().contains("side stamp"));
+        *tree.bound_mut(leaf) = PageBound { stamp: PageBound::UNKNOWN.stamp, ..kept };
+        tree.validate().expect("an unknown stamp bounds any");
     }
 
     #[test]

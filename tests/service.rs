@@ -216,6 +216,31 @@ fn every_grid_matches_serial_and_grids_agree_per_frame() {
     }
 }
 
+/// An NPDQ window that barely moves over parked objects, and an object
+/// inserted before every frame into one leaf whose siblings share its
+/// parent. Each insert has been alive since time 0, so the leaf's box
+/// stays inside the previous frame's window and its latest start stays
+/// at 0: only the leaf's own stamp says the previous frame never saw
+/// what it now holds. Its unwritten siblings are skipped; it must not be.
+#[test]
+fn npdq_over_a_slow_window_delivers_what_lands_in_a_written_sibling() {
+    let inserts: Vec<_> = (0..8)
+        .map(|k| {
+            let x = 5.0 + 0.25 * f64::from(k);
+            vec![(R::new(2000 + k, 0, Interval::new(0.0, 100.0), [x, 0.5], [x, 0.5]), 0.0)]
+        })
+        .collect();
+    let window = Rect::from_corners([0.0, 0.0], [20.0, 1.0]);
+    let spec = SessionSpec {
+        kind: SessionKind::Npdq,
+        trajectory: Trajectory::linear(window, [0.1, 0.0], Interval::new(0.0, 8.0), 2),
+        frame_times: (0..=8).map(f64::from).collect(),
+    };
+    for cuts in [vec![], vec![12.0]] {
+        check_served(&Case { cuts, ..Case::new(line_records(40), inserts.clone(), vec![spec.clone()]) }).unwrap();
+    }
+}
+
 /// The front door's loopback stream: three sessions over two regions,
 /// one insert a frame, each client's `(frame, ids)` deltas the
 /// in-process stream.

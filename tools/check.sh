@@ -38,7 +38,10 @@
 # and crates/mobiquery/src/router/ has exactly one thread-spawn site (the
 # workers driver's pool, which starts the spares too) and names no
 # `FrameClock`: a serve runs its programs as tasks on one worker per
-# CPU, so no thread-per-participant path comes back behind a flag.
+# CPU, so no thread-per-participant path comes back behind a flag. Last,
+# BENCH_trajectory.json — one row per workload and seed of each PR's
+# A/B, appended by `tools/ab.py --record PR` — must keep its schema and
+# never lower a PR number down the file (`tools/ab.py --check-trajectory`).
 #
 # The environment has no registry access; all external deps are vendored
 # path crates under crates/shims/, so --offline always works (and guards
@@ -97,7 +100,11 @@
 #          duplicate queue entries as it delivers objects — and the whole
 #          figure must reproduce the committed
 #          results/figures_smoke/exp_updates.json cell for cell, its NPDQ
-#          row being the one figure row §4.2's node-stamp rule drives.
+#          row being the one figure row §4.2's update rule drives: a
+#          child written since the previous frame is read, and an
+#          unwritten one skipped by the motion-bounded discard
+#          (crates/mobiquery/src/npdq.rs), so a change to either moves
+#          its disk/query cell.
 #   tpr    the one §4.1 engine over the second index family: exp_tpr at
 #          quick scale (seeded, a few seconds) must reproduce the
 #          committed results/figures_smoke/exp_tpr.json — the TPR-tree's
@@ -199,6 +206,9 @@ if [ -z "$ONLY" ]; then
   if [ "$spawns" != 1 ] || git grep -n 'FrameClock' -- crates/mobiquery/src/router; then
     git grep -nE 'spawn\(' -- crates/mobiquery/src/router >&2
     echo "FAIL: crates/mobiquery/src/router/ has $spawns thread-spawn sites, not 1, or names FrameClock (see above); run participants as tasks on the workers driver's pool" >&2; exit 1
+  fi
+  if ! tools/ab.py --check-trajectory; then
+    echo "FAIL: BENCH_trajectory.json breaks its schema or lowers a PR number (see above); rows come from tools/ab.py --record" >&2; exit 1
   fi
 fi
 mkdir -p target/figures

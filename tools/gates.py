@@ -90,7 +90,10 @@ GATES = [
     ("updates", "exp_updates", updates("live insertions"), 3, "each", "<=",
      (0.25, "exp_updates", updates("live insertions"), 4, "each"),
      "duplicate queue entries a live PDQ drops vs a quarter of what it delivers"),
-    # The NPDQ row is the one figure row §4.2's node-stamp rule drives.
+    # The NPDQ row is the one figure row §4.2's update rule drives: each
+    # child is judged by its own stamp, and an unwritten one is skipped
+    # by the motion-bounded discard (crates/mobiquery/src/npdq.rs), so a
+    # change to either moves its disk/query cell and re-pins it here.
     pinned("updates", "exp_updates", "The live-insert figure (NPDQ row included)"),
     ("tpr", "exp_tpr", every, 2, "sum", "==", (1.0, TPR_PINNED, every, 2, "sum"),
      "TPR disk accesses per frame, summed over the overlap sweep, vs the committed figure"),
