@@ -59,7 +59,7 @@ use parking_lot::Mutex;
 use rtree::{NsiSegmentRecord, Record};
 use std::sync::Arc;
 use std::time::Instant;
-use storage::{scan_wal, Wal, WalError, WalStats, WalTail, WAL_RECORD_OVERHEAD};
+use storage::{scan_wal, Wal, WalError, WalStats, WalTail};
 
 /// What a checkpoint persists: the record set as of the watermark — the
 /// preloaded records (seam replicas collapsed, in id order) followed by
@@ -119,11 +119,11 @@ struct CheckpointMetrics {
 }
 
 impl LogState {
-    /// Bookkeeping of a checkpoint just installed at `wal_seq` (the
-    /// caller, holding the state lock, has replaced `self.checkpoint` and
-    /// truncated the WAL): `persisted` is its [`obs::TraceEvent`] size,
-    /// `records` what it adds to [`DurableStats::checkpoint_records`].
-    fn installed(&mut self, wal_seq: u64, persisted: u32, records: u64, started: Instant) {
+    /// Bookkeeping of a checkpoint just installed (the caller, holding
+    /// the state lock, has replaced `self.checkpoint` and truncated the
+    /// WAL): `records` is what it adds to
+    /// [`DurableStats::checkpoint_records`].
+    fn installed(&mut self, records: u64, started: Instant) {
         self.commits_since_checkpoint = 0;
         self.checkpoints += 1;
         self.checkpoint_records += records;
@@ -131,10 +131,6 @@ impl LogState {
             m.checkpoint_ns.record(started.elapsed().as_nanos() as u64);
             m.checkpoint_records.add(records);
         }
-        obs::trace(obs::TraceEvent::Checkpoint {
-            seq: wal_seq,
-            persisted,
-        });
     }
 }
 
@@ -200,10 +196,6 @@ impl DurableLog {
         encode_records(batch.iter().map(|(rec, _)| *rec), &mut st.payload);
         let seq = self.wal.commit(&st.payload);
         st.commits_since_checkpoint += 1;
-        obs::trace(obs::TraceEvent::WalCommit {
-            seq,
-            bytes: (WAL_RECORD_OVERHEAD + st.payload.len()) as u32,
-        });
         seq
     }
 
@@ -245,7 +237,7 @@ impl DurableLog {
             count,
             wal_seq,
         });
-        st.installed(wal_seq, count, u64::from(count), started);
+        st.installed(u64::from(count), started);
         true
     }
 
@@ -271,8 +263,8 @@ impl DurableLog {
             .and_then(|cp| self.wal.with_image(|wal| fold_tail::<D>(cp, wal)));
         match folded {
             Ok(records) => {
-                let wal_seq = self.wal.truncate_for_checkpoint();
-                st.installed(wal_seq, records as u32, records, started);
+                self.wal.truncate_for_checkpoint();
+                st.installed(records, started);
                 Ok(records)
             }
             Err(e) => {
@@ -411,14 +403,9 @@ impl DurableImage {
         if let Some(msg) = malformed {
             return Err(RecoverError::Codec(msg));
         }
-        let records: u64 = frames.iter().map(|(_, batch)| batch.len() as u64).sum();
-        obs::trace(obs::TraceEvent::WalReplayed {
-            records: records as u32,
-            clean_tail: tail.is_clean(),
-        });
         let report = RecoveryReport {
             replayed_frames: frames.len() as u64,
-            replayed_records: records,
+            replayed_records: frames.iter().map(|(_, batch)| batch.len() as u64).sum(),
             tail,
         };
         Ok((base, frames, report))

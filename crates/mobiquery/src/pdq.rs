@@ -187,18 +187,11 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
         engine
     }
 
-    /// All queue pushes funnel through here so the high-water mark and
-    /// trace stream stay exact.
+    /// All queue pushes funnel through here so the high-water mark stays
+    /// exact.
     fn push_item(&mut self, item: QueueItem<R>) {
         self.queue.push(item);
-        let depth = self.queue.len();
-        if depth > self.queue_hwm {
-            self.queue_hwm = depth;
-        }
-        obs::trace(obs::TraceEvent::QueueOp {
-            op: obs::QueueOpKind::Push,
-            depth: depth as u32,
-        });
+        self.queue_hwm = self.queue_hwm.max(self.queue.len());
     }
 
     /// The trajectory this engine answers.
@@ -287,10 +280,6 @@ impl<const D: usize, R: PdqRecord<D>> PdqEngine<D, R> {
                 return Ok(None);
             }
             let item = self.queue.pop().expect("peeked");
-            obs::trace(obs::TraceEvent::QueueOp {
-                op: obs::QueueOpKind::Pop,
-                depth: self.queue.len() as u32,
-            });
 
             if item.end < t_start {
                 // Entirely in the past: dropped unexamined (line 7).

@@ -54,7 +54,6 @@ use storage::{PageStore, StorageError};
 /// One session's in-flight state: a PDQ or an NPDQ engine per swept
 /// region, plus what a failed frame leaves the next one.
 pub(super) struct LaneRun<'a, const D: usize> {
-    index: usize,
     spec: &'a SessionSpec<D>,
     /// Contiguous region indices this session's trajectory sweeps.
     lanes: Range<usize>,
@@ -79,9 +78,8 @@ pub(super) struct LaneRun<'a, const D: usize> {
 impl<'a, const D: usize> LaneRun<'a, D> {
     /// A session before its first frame: no lanes, no engines. One that
     /// is never scheduled finishes as the default output.
-    pub(super) fn idle(index: usize, spec: &'a SessionSpec<D>) -> Self {
+    pub(super) fn idle(spec: &'a SessionSpec<D>) -> Self {
         LaneRun {
-            index,
             spec,
             lanes: 0..0,
             engines: Vec::new(),
@@ -182,10 +180,6 @@ impl<'a, const D: usize> LaneRun<'a, D> {
         slates: &[RwLock<Slate<D>>],
         k: usize,
     ) -> Result<u64, StorageError> {
-        obs::trace(obs::TraceEvent::FrameStart {
-            session: self.index as u32,
-            frame: k as u32,
-        });
         let before_results = self.out.results.len();
         let started = Instant::now();
         let mut frame_stats = QueryStats::default();
@@ -270,12 +264,6 @@ impl<'a, const D: usize> LaneRun<'a, D> {
             latency_ns,
             stats: frame_stats,
         });
-        obs::trace(obs::TraceEvent::FrameEnd {
-            session: self.index as u32,
-            frame: k as u32,
-            results: results as u32,
-            latency_ns,
-        });
         match first_err {
             Some(e) => Err(e),
             None => Ok(latency_ns),
@@ -337,9 +325,6 @@ impl<const D: usize> Slate<D> {
         self.ids.sort_unstable();
         self.frame = Some(k);
         self.hwm = self.hwm.max(self.reports.len());
-        obs::trace(obs::TraceEvent::InsertBroadcast {
-            reports: self.reports.len() as u32,
-        });
     }
 
     /// Reader side: what a session at frame `k` must take from region
@@ -540,7 +525,7 @@ mod tests {
         let run = |stamp: Option<usize>| {
             let server = build(RegionGrid::single(), &line_records(10));
             let spec = slide_spec(SessionKind::Pdq, 4, 8.0);
-            let mut lanes = LaneRun::idle(0, &spec);
+            let mut lanes = LaneRun::idle(&spec);
             lanes.enter(&server.grid, &server.regions);
             let slates = [RwLock::new(Slate::default())];
             lanes.step_frame(&server.grid, &server.regions, &slates, 0).unwrap();

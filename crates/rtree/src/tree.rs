@@ -365,7 +365,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     pub fn read_node(&self, page: PageId) -> NodeRef<R::Key, R> {
         let node = NodeRef::try_parse(self.store.read_page(page), page)
             .unwrap_or_else(|e| panic!("unrecoverable storage error: {e}"));
-        self.record_read(page, node.level());
+        self.levels.record_read(node.level());
         node
     }
 
@@ -383,9 +383,9 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// an ancestor is an error on the first read of it.
     ///
     /// A read that returns `Err` is recorded by nothing above the store —
-    /// no level counter, no trace event, and no engine counts it as a
-    /// disk access — so the reconciliation identities count exactly the
-    /// reads that served a node.
+    /// no level counter, and no engine counts it as a disk access — so the
+    /// reconciliation identities count exactly the reads that served a
+    /// node.
     pub fn try_read_node(
         &self,
         page: PageId,
@@ -395,16 +395,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         if node.level() != level {
             return Err(StorageError::Corrupt { page });
         }
-        self.record_read(page, level);
-        Ok(node)
-    }
-
-    fn record_read(&self, page: PageId, level: u32) {
         self.levels.record_read(level);
-        obs::trace(obs::TraceEvent::NodeVisit {
-            page: page.0 as u64,
-            level,
-        });
+        Ok(node)
     }
 
     /// Write `page` whole: a node at `level` stamped `stamp`, in its

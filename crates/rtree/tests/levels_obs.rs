@@ -1,7 +1,6 @@
 //! Per-level counter reconciliation: every simulated disk access the tree
-//! performs must show up once in [`rtree::LevelCounters`], agree with the
-//! buffer pool's hit+miss totals, and appear as a `NodeVisit` event in
-//! the thread's trace ring.
+//! performs must show up once in [`rtree::LevelCounters`] and agree with
+//! the search's own count and the buffer pool's hit+miss totals.
 
 use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
 use stkit::{Interval, Rect, StBox};
@@ -48,41 +47,4 @@ fn level_reads_reconcile_with_pool_hits_plus_misses() {
     // node at the top level.
     assert_eq!(delta.reads[(tree.height() - 1) as usize], 1);
     assert!(delta.leaf_reads() > 0);
-}
-
-#[test]
-fn node_visits_trace_into_the_thread_ring() {
-    // Dedicated thread: the trace ring is thread-local, so this test
-    // sees only its own events.
-    std::thread::spawn(|| {
-        let mut tree = RTree::new(Pager::new(), RTreeConfig::default());
-        for i in 0..600u32 {
-            tree.insert(record(i), i as f64);
-        }
-        obs::take_thread_trace(); // drop build-time events
-
-        let q = StBox::new(
-            Rect::from_corners([0.0, 0.0], [10.0, 10.0]),
-            Rect::new([Interval::new(0.0, 1.0)]),
-        );
-        let before = tree.level_counters().snapshot();
-        tree.range_collect(&q, |_| true);
-        let delta = tree.level_counters().snapshot() - before;
-
-        let events = obs::take_thread_trace();
-        let visits = events
-            .iter()
-            .filter(|e| matches!(e, obs::TraceEvent::NodeVisit { .. }))
-            .count() as u64;
-        // The ring holds 1024 events; this search visits far fewer, so
-        // the trace must be a complete record of the counter delta.
-        assert!(visits <= 1024);
-        assert_eq!(visits, delta.total_reads());
-        assert!(events.iter().any(|e| matches!(
-            e,
-            obs::TraceEvent::NodeVisit { level, .. } if *level > 0
-        )));
-    })
-    .join()
-    .unwrap();
 }

@@ -13,10 +13,9 @@ use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use mobiquery::SessionPlan;
-use obs::EvictReason;
 
 use crate::protocol::{
-    encode, FrameReader, HelloSpec, Msg, RejectReason, DEFAULT_MAX_FRAME_BYTES,
+    encode, EvictReason, FrameReader, HelloSpec, Msg, RejectReason, DEFAULT_MAX_FRAME_BYTES,
 };
 
 /// How a client-side session ended.

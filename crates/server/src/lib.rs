@@ -35,7 +35,7 @@ pub use admission::{Admission, AdmitGuard};
 pub use client::{ClientBehavior, ClientDelta, ClientOutcome, ClientRun, NetClient};
 pub use outbox::{Outbox, Pop, PushError};
 pub use protocol::{
-    decode_payload, encode, encode_delta, DoneOutcome, FrameReader, HelloSpec, Msg, ProtocolError,
-    RejectReason, DEFAULT_MAX_FRAME_BYTES, MAX_FRAME_TIMES, MAX_KEYS, PROTO_VERSION,
+    decode_payload, encode, encode_delta, DoneOutcome, EvictReason, FrameReader, HelloSpec, Msg,
+    ProtocolError, RejectReason, DEFAULT_MAX_FRAME_BYTES, MAX_FRAME_TIMES, MAX_KEYS, PROTO_VERSION,
 };
 pub use server::{NetHandle, NetServer, RunInserts, ServerConfig, ServerSummary};

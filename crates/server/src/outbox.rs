@@ -21,8 +21,9 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use obs::EvictReason;
 use parking_lot::{Condvar, Mutex};
+
+use crate::protocol::EvictReason;
 
 /// Why a [`Outbox::push`] failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -23,7 +23,6 @@
 
 use mobiquery::{SessionKind, SessionPlan, SessionSpec, Trajectory};
 use mobiquery::trajectory::KeySnapshot;
-use obs::EvictReason;
 use stkit::Rect;
 
 /// Protocol version carried by every `Hello`.
@@ -56,6 +55,19 @@ pub enum RejectReason {
     Busy,
     /// The server-wide live-session cap is reached.
     Overloaded,
+}
+
+/// Why the server evicted a session, as reported in `Evicted`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EvictReason {
+    /// The session's bounded outbox stayed full past the write deadline:
+    /// the client stopped reading (or stopped granting credit).
+    SlowReader,
+    /// The socket disconnected (EOF, reset, or a half-open peer) while
+    /// the session was still being served.
+    Disconnected,
+    /// The client sent bytes that failed protocol decoding.
+    Protocol,
 }
 
 /// How a served session ended, as reported in `Done`.

@@ -31,6 +31,11 @@
 //!   on a socket longer than the deadline. The socket halves above are
 //!   still threads of their own.
 //!
+//! An eviction is counted, not logged: the first evictor of an outbox
+//! bumps `net.sessions.evicted` and [`ServerSummary::evicted`], and the
+//! reason ([`EvictReason`]) reaches the client as the `Evicted` notice.
+//! Admissions count in `net.conns.accepted`.
+//!
 //! Graceful shutdown: the flag stops admission (a throwaway loopback
 //! connection wakes the listener to see it), the listener exits and
 //! drops its registration sender, in-flight sessions drop theirs after
@@ -49,15 +54,15 @@ use std::time::{Duration, Instant};
 
 use mobiquery::router::PartitionedDqServer;
 use mobiquery::{FrameDelta, FrameSink, NsiRecord, SessionOutcome, SessionPlan, SinkVerdict};
-use obs::{EvictReason, MetricsRegistry, TraceEvent};
+use obs::MetricsRegistry;
 use storage::PageStore;
 
 use crate::admission::Admission;
 use crate::outbox::{Outbox, Pop, PushError};
 use crate::pool::{Job, WorkerPool};
 use crate::protocol::{
-    encode, encode_delta, DoneOutcome, FrameReader, HelloSpec, Msg, ProtocolError, RejectReason,
-    DEFAULT_MAX_FRAME_BYTES,
+    encode, encode_delta, DoneOutcome, EvictReason, FrameReader, HelloSpec, Msg, ProtocolError,
+    RejectReason, DEFAULT_MAX_FRAME_BYTES,
 };
 
 /// Pause after a failed `accept` (e.g. `EMFILE`), so a listener whose
@@ -125,7 +130,6 @@ pub struct ServerSummary {
 
 /// A session registered with the coordinator, awaiting its batch.
 struct PendingSession {
-    id: u32,
     plan: SessionPlan<2>,
     outbox: Arc<Outbox>,
 }
@@ -146,12 +150,11 @@ impl Shared {
     }
 
     /// Evict `outbox` with a wire notice; first caller wins, and only
-    /// the winner counts/traces.
-    fn evict(&self, session: u32, outbox: &Outbox, reason: EvictReason) {
+    /// the winner counts.
+    fn evict(&self, outbox: &Outbox, reason: EvictReason) {
         if outbox.evict(reason, encode(&Msg::Evicted { reason })) {
             self.evicted.fetch_add(1, Ordering::Relaxed);
             self.counter("net.sessions.evicted");
-            obs::trace(TraceEvent::SessionEvicted { session, reason });
         }
     }
 }
@@ -159,7 +162,6 @@ impl Shared {
 /// The serving core's per-frame sink for one network session.
 struct NetSink {
     shared: Arc<Shared>,
-    session: u32,
     outbox: Arc<Outbox>,
 }
 
@@ -180,8 +182,7 @@ impl FrameSink for NetSink {
                 SinkVerdict::Continue
             }
             Err(PushError::Timeout) => {
-                self.shared
-                    .evict(self.session, &self.outbox, EvictReason::SlowReader);
+                self.shared.evict(&self.outbox, EvictReason::SlowReader);
                 SinkVerdict::Detach
             }
             // The session's own halves already evicted (disconnect /
@@ -442,7 +443,6 @@ fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender
     // registration order.
     if reg_tx
         .send(PendingSession {
-            id,
             plan: hello.to_plan(),
             outbox: Arc::clone(&outbox),
         })
@@ -452,11 +452,10 @@ fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender
     }
     drop(reg_tx); // the coordinator must see disconnection on drain
     if stream.write_all(&encode(&Msg::Admitted { session: id })).is_err() {
-        shared.evict(id, &outbox, EvictReason::Disconnected);
+        shared.evict(&outbox, EvictReason::Disconnected);
         return;
     }
     shared.counter("net.conns.accepted");
-    obs::trace(TraceEvent::ConnAccepted { session: id });
 
     std::thread::scope(|scope| {
         // Dropped when the reader half returns: how the writer half
@@ -467,13 +466,13 @@ fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender
             .name(format!("net-read-{id}"))
             .spawn_scoped(scope, move || {
                 let _alive = reader_alive;
-                read_half(read_stream, reader, id, outbox, shared);
+                read_half(read_stream, reader, outbox, shared);
             });
         if spawned.is_err() {
-            shared.evict(id, outbox, EvictReason::Disconnected);
+            shared.evict(outbox, EvictReason::Disconnected);
             return;
         }
-        if write_half(&mut stream, id, outbox, shared) {
+        if write_half(&mut stream, outbox, shared) {
             // Half-close after the terminal frame and let the reader
             // half drain until the peer's FIN, for at most one write
             // deadline. Closing outright would turn a late `Credit` /
@@ -490,12 +489,12 @@ fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender
 /// The writer half: blocks in `pop` until a push, a grant or the
 /// outbox closing makes a frame writable, and writes it. False if the
 /// socket failed before the outbox was exhausted (session evicted).
-fn write_half(stream: &mut TcpStream, id: u32, outbox: &Outbox, shared: &Shared) -> bool {
+fn write_half(stream: &mut TcpStream, outbox: &Outbox, shared: &Shared) -> bool {
     loop {
         match outbox.pop(false, Duration::MAX) {
             Pop::Frame(bytes) => {
                 if stream.write_all(&bytes).is_err() {
-                    shared.evict(id, outbox, EvictReason::Disconnected);
+                    shared.evict(outbox, EvictReason::Disconnected);
                     return false;
                 }
             }
@@ -510,13 +509,7 @@ fn write_half(stream: &mut TcpStream, id: u32, outbox: &Outbox, shared: &Shared)
 /// garbage evicts it (a no-op once the session has finished). After
 /// garbage, as after the writer's half-close, it reads and discards
 /// until the peer's FIN or the writer half shuts the socket down.
-fn read_half(
-    mut stream: TcpStream,
-    mut reader: FrameReader,
-    id: u32,
-    outbox: &Outbox,
-    shared: &Shared,
-) {
+fn read_half(mut stream: TcpStream, mut reader: FrameReader, outbox: &Outbox, shared: &Shared) {
     let mut buf = [0u8; 4096];
     let mut saw_bye = false;
     let mut discard = false;
@@ -528,7 +521,7 @@ fn read_half(
                 Ok(Some(Msg::Bye)) => saw_bye = true,
                 Ok(None) => break,
                 Ok(Some(_)) | Err(_) => {
-                    shared.evict(id, outbox, EvictReason::Protocol);
+                    shared.evict(outbox, EvictReason::Protocol);
                     discard = true;
                 }
             }
@@ -538,7 +531,7 @@ fn read_half(
                 // EOF after `Bye` is an orderly half-close: the writer
                 // half keeps delivering results.
                 if !saw_bye {
-                    shared.evict(id, outbox, EvictReason::Disconnected);
+                    shared.evict(outbox, EvictReason::Disconnected);
                 }
                 return;
             }
@@ -546,7 +539,7 @@ fn read_half(
             Ok(n) => reader.extend(&buf[..n]),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => {
-                shared.evict(id, outbox, EvictReason::Disconnected);
+                shared.evict(outbox, EvictReason::Disconnected);
                 return;
             }
         }
@@ -628,7 +621,6 @@ fn serve_batch<S>(
         .iter()
         .map(|p| NetSink {
             shared: Arc::clone(shared),
-            session: p.id,
             outbox: Arc::clone(&p.outbox),
         })
         .collect();

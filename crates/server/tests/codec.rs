@@ -4,11 +4,10 @@
 //! exact typed [`ProtocolError`] each class deserves.
 
 use mobiquery::SessionKind;
-use obs::EvictReason;
 use proptest::prelude::*;
 use server::protocol::{
-    decode_payload, encode, encode_delta, DoneOutcome, FrameReader, HelloSpec, Msg, ProtocolError,
-    RejectReason, DEFAULT_MAX_FRAME_BYTES, MAX_KEYS, PROTO_VERSION,
+    decode_payload, encode, encode_delta, DoneOutcome, EvictReason, FrameReader, HelloSpec, Msg,
+    ProtocolError, RejectReason, DEFAULT_MAX_FRAME_BYTES, MAX_KEYS, PROTO_VERSION,
 };
 
 /// Round-trip one message through encode → FrameReader → compare.

@@ -13,10 +13,10 @@ use mobiquery::durability::DurableLog;
 use mobiquery::region::RegionGrid;
 use mobiquery::router::PartitionedDqServer;
 use mobiquery::{NsiRecord, SessionKind, SessionPlan, SessionSpec, Trajectory};
-use obs::EvictReason;
 use rtree::{RTree, RTreeConfig};
 use server::{
-    ClientBehavior, ClientOutcome, Msg, NetClient, NetServer, RejectReason, ServerConfig,
+    ClientBehavior, ClientOutcome, EvictReason, Msg, NetClient, NetServer, RejectReason,
+    ServerConfig,
 };
 use stkit::{Interval, Rect};
 use storage::Pager;

@@ -117,10 +117,6 @@ impl PoolState {
                 device.write(victim, &frame.data);
             }
             self.evictions += 1;
-            obs::trace(obs::TraceEvent::CacheEvict {
-                page: victim.0 as u64,
-                dirty: frame.dirty,
-            });
         }
     }
 

@@ -6,7 +6,7 @@
 # clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and eleven grep gates: no Rust under crates tests examples src calls
+# and twelve grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
 # only because benchmarks/dqbench forwards it), nor `.read_node(` (every
 # descent reads through `RTree::try_read_node`, which checks the level
@@ -38,7 +38,13 @@
 # and crates/mobiquery/src/router/ has exactly one thread-spawn site (the
 # workers driver's pool, which starts the spares too) and names no
 # `FrameClock`: a serve runs its programs as tasks on one worker per
-# CPU, so no thread-per-participant path comes back behind a flag. Last,
+# CPU, so no thread-per-participant path comes back behind a flag; and
+# nothing under crates tests examples src names `TraceEvent`,
+# `TraceRing`, `take_thread_trace`, `thread_trace_dropped`,
+# `QueueOpKind` or `obs::trace`: a per-thread event ring is read by no
+# one once participants move between workers, so the obs counters are
+# the serve's one instrument until a collector carried by the task
+# replaces it. Last,
 # BENCH_trajectory.json — one row per workload and seed of each PR's
 # A/B, appended by `tools/ab.py --record PR` — must keep its schema and
 # never lower a PR number down the file (`tools/ab.py --check-trajectory`).
@@ -206,6 +212,9 @@ if [ -z "$ONLY" ]; then
   if [ "$spawns" != 1 ] || git grep -n 'FrameClock' -- crates/mobiquery/src/router; then
     git grep -nE 'spawn\(' -- crates/mobiquery/src/router >&2
     echo "FAIL: crates/mobiquery/src/router/ has $spawns thread-spawn sites, not 1, or names FrameClock (see above); run participants as tasks on the workers driver's pool" >&2; exit 1
+  fi
+  if git grep -nE 'TraceEvent|TraceRing|take_thread_trace|thread_trace_dropped|QueueOpKind|obs::trace\b' -- crates tests examples src; then
+    echo "FAIL: a per-thread trace ring or its events (see above); count with obs metrics, or scope a collector to the task" >&2; exit 1
   fi
   if ! tools/ab.py --check-trajectory; then
     echo "FAIL: BENCH_trajectory.json breaks its schema or lowers a PR number (see above); rows come from tools/ab.py --record" >&2; exit 1
