@@ -378,7 +378,7 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// frame is processed, before the session acks the next frame. A sink
     /// returning [`SinkVerdict::Detach`] removes the session from every
     /// region clock without stalling the run — this is the attach point
-    /// for the network front door's bounded outboxes. The serve runs on
+    /// for the network front door's per-session sockets. The serve runs on
     /// one worker per CPU this process may use, the calling thread the
     /// first.
     pub fn serve_plans_streamed(

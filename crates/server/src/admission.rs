@@ -3,11 +3,12 @@
 //! Every connection is checked *before* any session state is built:
 //! a server-wide live-session cap (reject `Overloaded`) and a per-IP
 //! cap (reject `Busy`). Rejected connections get a typed wire notice
-//! and are closed — they never consume a worker, an outbox, or a
-//! frame-clock slot, which is what keeps an accept-flood from
+//! and are closed — they never consume a worker, a connection's
+//! state, or a frame-clock slot, which is what keeps an accept-flood from
 //! degrading admitted sessions. Slots release on [`AdmitGuard`] drop,
-//! so every exit path (clean done, eviction, handshake failure, pump
-//! panic) returns capacity.
+//! and a slot travels with its session's connection, so every exit
+//! path (clean done, eviction, handshake failure, a panicking job)
+//! returns capacity.
 
 use std::collections::HashMap;
 use std::net::IpAddr;

@@ -158,7 +158,7 @@ impl NetClient {
 
     /// Drive an admitted session to its end with the given behavior,
     /// granting one credit back per received delta (well-behaved) so
-    /// the server's outbox never waits on us.
+    /// the server never waits on us for credit.
     pub fn run(mut self, behavior: ClientBehavior) -> ClientRun {
         let mut deltas = Vec::new();
         loop {

@@ -11,16 +11,17 @@
 //! * [`admission`] — a server-wide live-session cap and a per-IP cap
 //!   checked before any session state exists; refused connections get
 //!   a typed `Rejected{Busy, Overloaded}` frame.
-//! * [`outbox`] — a bounded per-session queue of encoded frame
-//!   deltas, and the client's credit, between the serving core and
-//!   the session's writer half. A full
-//!   queue past the write deadline is the slow-reader signal: the
-//!   session is evicted and detached from its region frame clocks, so
-//!   a stalled socket back-pressures nothing.
-//! * [`server`] — the listener, per-session writer / reader halves
-//!   and coordinator threads (every hand-off a blocking wake-up, no
-//!   polling), and the graceful-shutdown drain (stop admission, serve
-//!   what was admitted, final checkpoint).
+//! * [`server`] — the listener and coordinator threads, the pool that
+//!   runs handshakes and terminal notices, and the per-session sink
+//!   that *is* the session's connection: the serving worker writes
+//!   each delta and reads the client's credit itself. A client that
+//!   grants no credit, or does not drain its socket, for a whole write
+//!   deadline is the slow-reader signal: the session is evicted and
+//!   detached from its region frame clocks, so a stalled socket
+//!   back-pressures nothing. Also the graceful-shutdown drain (stop
+//!   admission, serve what was admitted, final checkpoint).
+//! * [`outbox`] — a bounded queue with credit that no serving path
+//!   uses any more, kept only because `dqbench` compiles against it.
 //! * [`client`] — the blocking reference client, including the chaos
 //!   behaviors (stall, vanish, garbage) the robustness suite drives.
 

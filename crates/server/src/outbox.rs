@@ -1,17 +1,18 @@
-//! Bounded per-session outbox between the serving core and a socket.
+//! Bounded per-session outbox: a compile-compat remnant.
 //!
-//! The coordinator's [`FrameSink`](mobiquery::FrameSink) pushes each
-//! frame's encoded delta here; the session's writer half pops frames
-//! and writes them to the socket. The queue is **bounded**: when the
-//! client stops draining it (no credit, stalled socket), `push` blocks
-//! up to the write deadline and then fails — that failure *is* the
-//! slow-reader signal, turned into an eviction by the sink. The
-//! serving core therefore never waits on a socket longer than the
-//! deadline, and a dead session back-pressures nothing.
+//! No serving path uses it: a served wire session's sink writes each
+//! delta to the socket itself and reads the client's credit there (see
+//! [`server`](crate::server)). It is kept only because `dqbench`'s
+//! `layers.rs` times `push`/`pop` against it; what follows describes
+//! the queue as it still behaves.
 //!
-//! The client's **credit** lives here too, under the same mutex: the
-//! session's reader half [`grant`](Outbox::grant)s what the client
-//! sends, and `pop` *waits* while the head delta is credit-gated. One
+//! A producer pushes each frame's encoded delta here; a consumer pops
+//! frames and writes them to a socket. The queue is **bounded**: when the
+//! consumer stops draining it (no credit, stalled socket), `push`
+//! blocks up to the given deadline and then fails.
+//!
+//! The client's **credit** lives here too, under the same mutex: a
+//! reader [`grant`](Outbox::grant)s what the client sends, and `pop` *waits* while the head delta is credit-gated. One
 //! blocking `pop` is therefore woken by exactly the events that can
 //! make a frame writable — a push, a grant, or the outbox closing —
 //! and nothing on the path polls. Terminal notices (`Done`,
@@ -128,9 +129,7 @@ impl Outbox {
         g.state == State::Open && g.queue.len() >= self.cap
     }
 
-    /// Add `n` delta credits and wake a `pop` waiting on them. Called
-    /// by the session's reader half for `Hello.credit` and each
-    /// `Credit` message.
+    /// Add `n` delta credits and wake a `pop` waiting on them.
     pub fn grant(&self, n: u64) {
         let mut g = self.inner.lock();
         g.credit = g.credit.saturating_add(n);

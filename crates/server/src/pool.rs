@@ -1,11 +1,12 @@
-//! Fixed worker thread pool for session pumps.
+//! Fixed worker thread pool for the front door's blocking socket work.
 //!
-//! One admitted session occupies one worker for its whole lifetime
-//! (handshake → pump → close), so the pool size is the real ceiling on
-//! concurrent sessions — the admission cap is clamped to it at server
-//! start. A panicking job is contained: the worker catches it and
-//! moves to the next job, so one broken session never shrinks the
-//! pool.
+//! A worker holds a session only for its handshake (read the `Hello`,
+//! confirm, register) and for its terminal notice (write `Done` or
+//! `Evicted`, half-close, linger for the peer's FIN); while the session
+//! is served, the serving core's worker writes its deltas. The
+//! admission cap is still clamped to the pool size at server start. A
+//! panicking job is contained: the worker catches it and moves to the
+//! next job, so one broken session never shrinks the pool.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;

@@ -60,8 +60,9 @@ pub enum RejectReason {
 /// Why the server evicted a session, as reported in `Evicted`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvictReason {
-    /// The session's bounded outbox stayed full past the write deadline:
-    /// the client stopped reading (or stopped granting credit).
+    /// The client granted no credit for its next delta, or its socket
+    /// took none of it, for a whole write deadline: it stopped granting
+    /// credit (or stopped reading).
     SlowReader,
     /// The socket disconnected (EOF, reset, or a half-open peer) while
     /// the session was still being served.

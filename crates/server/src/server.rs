@@ -1,48 +1,53 @@
-//! The network front door: TCP listener, session halves, and the
+//! The network front door: TCP listener, session connections, and the
 //! serving coordinator.
 //!
-//! Three kinds of thread cooperate:
+//! Two threads and a pool cooperate:
 //!
 //! * **Listener** — blocks in `accept`, runs admission inline
 //!   (rejects get a typed `Rejected` frame and close immediately), and
 //!   hands admitted sockets to the worker pool.
-//! * **Session halves** — one pool worker per admitted session for
-//!   its lifetime: decode the `Hello`, register the session with the
-//!   coordinator, then become the **writer half**, a blocking
-//!   [`Outbox::pop`] → `write_all` loop that ends in a half-close. A
-//!   scoped **reader half** blocks in `read` on a clone of the socket:
-//!   `Credit` becomes [`Outbox::grant`], and every socket failure mode
-//!   (EOF, reset, garbage bytes, half-open peer) evicts the session's
-//!   own outbox, which the coordinator's sink observes as `Detach`.
-//!   No hand-off waits on a timer — a frame goes from the serving core
-//!   to the socket by wake-ups alone — and the timeouts that remain
-//!   (`write_deadline`, `handshake_timeout`, `gather_window`) are
-//!   deadlines on a misbehaving peer, never pacing.
+//! * **Pool workers** — a worker holds a session only for its handshake
+//!   and for its terminal notice. The handshake job decodes the
+//!   `Hello`, then, under one lock, writes `Admitted` and registers the
+//!   session with the coordinator: no delta can reach the wire before
+//!   `Admitted`, and sequential admits land in registration order. Once
+//!   the session is served, or as soon as it is evicted, a second job
+//!   writes `Done` or `Evicted{reason}`, half-closes, and drains until
+//!   the peer's FIN for at most one `write_deadline`.
 //! * **Coordinator** — owns the [`PartitionedDqServer`], gathers
 //!   registered sessions into batches, and runs
 //!   [`serve_plans_streamed`](PartitionedDqServer::serve_plans_streamed)
 //!   with one [`NetSink`] per session. The serve runs every session as
-//!   a task on one worker per CPU, not a thread per session; a sink
-//!   whose outbox is full waits through
-//!   [`FrameDelta::block_in_place`], which lends its worker to a spare,
-//!   so a stalled reader holds back only its own regions. A push that
+//!   a task on one worker per CPU, and a sink *is* its session's
+//!   connection: the worker that finishes a frame encodes the delta,
+//!   spends one unit of the client's credit and writes the delta to the
+//!   non-blocking socket itself. It reads the client's `Credit` only
+//!   when the balance is spent, and a wait — for credit, or for a full
+//!   socket buffer to drain — runs through
+//!   [`FrameDelta::block_in_place`], which lends the worker to a spare,
+//!   so a stalled reader holds back only its own regions. A wait that
 //!   outlives the write deadline evicts the session (`SlowReader`) and
-//!   detaches it from its frame clocks — the serving core never blocks
-//!   on a socket longer than the deadline. The socket halves above are
-//!   still threads of their own.
+//!   detaches it from its frame clocks. While it is served, a wire
+//!   session costs no thread of its own.
 //!
-//! An eviction is counted, not logged: the first evictor of an outbox
-//! bumps `net.sessions.evicted` and [`ServerSummary::evicted`], and the
+//! No hand-off waits on a timer — credit and deltas move by socket
+//! readiness alone — and the timeouts that remain (`write_deadline`,
+//! `handshake_timeout`, `gather_window`) are deadlines on a misbehaving
+//! peer, never pacing.
+//!
+//! An eviction is counted, not logged: the sink that evicts bumps
+//! `net.sessions.evicted` and [`ServerSummary::evicted`], and the
 //! reason ([`EvictReason`]) reaches the client as the `Evicted` notice.
 //! Admissions count in `net.conns.accepted`.
 //!
 //! Graceful shutdown: the flag stops admission (a throwaway loopback
 //! connection wakes the listener to see it), the listener exits and
-//! drops its registration sender, in-flight sessions drop theirs after
-//! registering, so the coordinator's channel drains to disconnection —
-//! it serves every already-admitted session to completion (applying
-//! all committed frames) and takes a final checkpoint before exiting,
-//! which is why recovery after a drain replays zero WAL records.
+//! drops its registration sender, in-flight handshakes drop theirs
+//! after registering, so the coordinator's channel drains to
+//! disconnection — it serves every already-admitted session to
+//! completion (applying all committed frames) and takes a final
+//! checkpoint before exiting, which is why recovery after a drain
+//! replays zero WAL records.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -55,10 +60,10 @@ use std::time::{Duration, Instant};
 use mobiquery::router::PartitionedDqServer;
 use mobiquery::{FrameDelta, FrameSink, NsiRecord, SessionOutcome, SessionPlan, SinkVerdict};
 use obs::MetricsRegistry;
+use parking_lot::Mutex;
 use storage::PageStore;
 
-use crate::admission::Admission;
-use crate::outbox::{Outbox, Pop, PushError};
+use crate::admission::{Admission, AdmitGuard};
 use crate::pool::{Job, WorkerPool};
 use crate::protocol::{
     encode, encode_delta, DoneOutcome, EvictReason, FrameReader, HelloSpec, Msg, ProtocolError,
@@ -75,17 +80,18 @@ pub type RunInserts = Vec<Vec<(NsiRecord<2>, f64)>>;
 /// Tunables for [`NetServer::start`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Pool workers; the hard ceiling on concurrent sessions (each
-    /// live session occupies one worker).
+    /// Pool workers, which run handshakes and terminal notices (a
+    /// served session holds none). Also the ceiling on concurrent
+    /// sessions: the admission cap is clamped to it.
     pub workers: usize,
     /// Admission: max live sessions (clamped to `workers`).
     pub max_sessions: usize,
     /// Admission: max live sessions per client IP.
     pub max_per_ip: usize,
-    /// Bounded outbox depth, in frames.
-    pub outbox_frames: usize,
-    /// How long a sink push may wait on a full outbox before the
-    /// session is evicted as a slow reader.
+    /// How long a served session may go without the credit for its
+    /// next delta, or without its socket taking a delta, before it is
+    /// evicted as a slow reader; also bounds the terminal notice's
+    /// write and the linger after the half-close.
     pub write_deadline: Duration,
     /// After the first session of a batch registers, how long the
     /// coordinator waits for more before serving.
@@ -104,7 +110,6 @@ impl Default for ServerConfig {
             workers: 8,
             max_sessions: 8,
             max_per_ip: 8,
-            outbox_frames: 4,
             write_deadline: Duration::from_millis(200),
             gather_window: Duration::from_millis(10),
             min_gather: 1,
@@ -131,15 +136,18 @@ pub struct ServerSummary {
 /// A session registered with the coordinator, awaiting its batch.
 struct PendingSession {
     plan: SessionPlan<2>,
-    outbox: Arc<Outbox>,
+    conn: Conn,
 }
 
-/// State shared by listener, session halves, and coordinator.
+/// State shared by the listener, the pool's jobs, and the coordinator.
 struct Shared {
     config: ServerConfig,
     shutdown: AtomicBool,
     next_id: AtomicU32,
     evicted: AtomicUsize,
+    /// Held across writing `Admitted` and registering, so both happen
+    /// in one order.
+    admit_order: Mutex<()>,
 }
 
 impl Shared {
@@ -148,46 +156,221 @@ impl Shared {
             m.counter(name).add(1);
         }
     }
+}
 
-    /// Evict `outbox` with a wire notice; first caller wins, and only
-    /// the winner counts.
-    fn evict(&self, outbox: &Outbox, reason: EvictReason) {
-        if outbox.evict(reason, encode(&Msg::Evicted { reason })) {
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-            self.counter("net.sessions.evicted");
+/// One admitted session's connection, from its handshake to its
+/// terminal notice. While the session is served the socket is
+/// non-blocking: a wait happens only in [`Conn::deliver`]'s `in_place`.
+struct Conn {
+    stream: TcpStream,
+    /// The handshake's decoder, so bytes that arrived behind the
+    /// `Hello` count.
+    reader: FrameReader,
+    /// Deltas the client has paid for and not yet been sent.
+    credit: u64,
+    /// The client said `Bye`: EOF is an orderly half-close.
+    saw_bye: bool,
+    /// A delta was cut off mid-frame, so no notice can follow it.
+    torn: bool,
+    _slot: AdmitGuard,
+}
+
+impl Conn {
+    /// Send one encoded delta: spend a unit of credit, reading the
+    /// client's `Credit` only when there is none, and write it. Every
+    /// wait (for credit, or for the socket to take the rest of the
+    /// delta) runs through `in_place` and lasts at most `deadline`.
+    /// `Err` is the reason to evict the session.
+    fn deliver(
+        &mut self,
+        bytes: &[u8],
+        deadline: Duration,
+        in_place: impl Fn(&mut dyn FnMut() -> Result<(), EvictReason>) -> Result<(), EvictReason>,
+    ) -> Result<(), EvictReason> {
+        if self.credit == 0 {
+            self.decode()?;
+            while self.credit == 0 && self.read_some()? {}
+            if self.credit == 0 {
+                let until = Instant::now() + deadline;
+                in_place(&mut || self.await_credit(until))?;
+            }
+        }
+        self.credit -= 1;
+        let sent = match self.stream.write(bytes) {
+            Ok(n) => n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => 0,
+            Err(_) => return Err(EvictReason::Disconnected),
+        };
+        if sent < bytes.len() {
+            let until = Instant::now() + deadline;
+            in_place(&mut || self.finish_write(&bytes[sent..], until))?;
+        }
+        Ok(())
+    }
+
+    /// Take every whole message the decoder holds: `Credit` adds to the
+    /// balance, `Bye` marks an orderly close, anything else is garbage.
+    fn decode(&mut self) -> Result<(), EvictReason> {
+        loop {
+            match self.reader.next_msg() {
+                Ok(Some(Msg::Credit { n })) => self.credit = self.credit.saturating_add(u64::from(n)),
+                Ok(Some(Msg::Bye)) => self.saw_bye = true,
+                Ok(None) => return Ok(()),
+                Ok(Some(_)) | Err(_) => return Err(EvictReason::Protocol),
+            }
+        }
+    }
+
+    /// One `read`, decoded. False if it brought nothing: no bytes
+    /// ready, or none within a blocking read's timeout. It is called
+    /// only for credit, so EOF ends the session: after `Bye` no credit
+    /// can come, and without it, or on a reset, the client is gone.
+    fn read_some(&mut self) -> Result<bool, EvictReason> {
+        let mut buf = [0u8; 4096];
+        match self.stream.read(&mut buf) {
+            Ok(0) if self.saw_bye => Err(EvictReason::SlowReader),
+            Ok(0) => Err(EvictReason::Disconnected),
+            Ok(n) => {
+                self.reader.extend(&buf[..n]);
+                self.decode()?;
+                Ok(true)
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                Ok(false)
+            }
+            Err(_) => Err(EvictReason::Disconnected),
+        }
+    }
+
+    /// Block in `read` until credit arrives or `until` passes.
+    fn await_credit(&mut self, until: Instant) -> Result<(), EvictReason> {
+        self.blocking(|conn| loop {
+            if conn.credit > 0 {
+                return Ok(());
+            }
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(EvictReason::SlowReader);
+            }
+            let _ = conn.stream.set_read_timeout(Some(left));
+            conn.read_some()?;
+        })
+    }
+
+    /// Block in `write` until the socket took `rest` or `until` passes.
+    fn finish_write(&mut self, mut rest: &[u8], until: Instant) -> Result<(), EvictReason> {
+        self.torn = true;
+        self.blocking(|conn| {
+            while !rest.is_empty() {
+                let left = until.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(EvictReason::SlowReader);
+                }
+                let _ = conn.stream.set_write_timeout(Some(left));
+                match conn.stream.write(rest) {
+                    Ok(0) => return Err(EvictReason::Disconnected),
+                    Ok(n) => rest = &rest[n..],
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                        ) => {}
+                    Err(_) => return Err(EvictReason::Disconnected),
+                }
+            }
+            conn.torn = false;
+            Ok(())
+        })
+    }
+
+    /// Run `f` with the socket blocking, then make it non-blocking again.
+    fn blocking<T>(&mut self, f: impl FnOnce(&mut Conn) -> Result<T, EvictReason>) -> Result<T, EvictReason> {
+        if self.stream.set_nonblocking(false).is_err() {
+            return Err(EvictReason::Disconnected);
+        }
+        let out = f(self);
+        if self.stream.set_nonblocking(true).is_err() {
+            return Err(EvictReason::Disconnected);
+        }
+        out
+    }
+
+    /// The terminal notice on a pool worker: write `notice` (unless a
+    /// torn delta makes it unframeable), half-close, and read until the
+    /// peer's FIN for at most `deadline`. Closing outright would turn
+    /// credit still in flight, or unread, into an RST, which destroys
+    /// the frames still sitting in the peer's receive buffer.
+    fn close(mut self, notice: &Msg, deadline: Duration) {
+        let stream = &mut self.stream;
+        let _ = stream.set_nonblocking(false);
+        let _ = stream.set_write_timeout(Some(deadline));
+        if self.torn || stream.write_all(&encode(notice)).is_err() {
+            return;
+        }
+        let _ = stream.shutdown(Shutdown::Write);
+        let until = Instant::now() + deadline;
+        let mut buf = [0u8; 4096];
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            let _ = stream.set_read_timeout(Some(left));
+            match stream.read(&mut buf) {
+                Ok(0) => return,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
         }
     }
 }
 
-/// The serving core's per-frame sink for one network session.
+/// Hand `conn` to a pool worker to write `notice` and close.
+fn retire(jobs: &mpsc::Sender<Job>, conn: Conn, notice: Msg, deadline: Duration) {
+    // The pool outlives the coordinator, so the send cannot fail.
+    let _ = jobs.send(Box::new(move || conn.close(&notice, deadline)));
+}
+
+/// The serving core's per-frame sink for one network session: the
+/// session's connection itself, written by whichever worker runs the
+/// session (one at a time, so the lock is never contended).
 struct NetSink {
     shared: Arc<Shared>,
-    outbox: Arc<Outbox>,
+    jobs: mpsc::Sender<Job>,
+    /// Taken by the eviction, or after the serve by `Done`.
+    conn: Mutex<Option<Conn>>,
 }
 
 impl FrameSink for NetSink {
     fn on_frame(&self, delta: &FrameDelta<'_>) -> SinkVerdict {
         let bytes = encode_delta(delta.frame as u32, delta.latency_ns, delta.results);
-        let len = bytes.len() as u64;
-        let push = || self.outbox.push(bytes, self.shared.config.write_deadline);
-        // Only this sink pushes, so an outbox with room keeps it: only a
-        // full one makes the push wait, and that wait lends the worker.
-        let pushed = if self.outbox.is_full() { delta.block_in_place(push) } else { push() };
-        match pushed {
+        let deadline = self.shared.config.write_deadline;
+        let mut slot = self.conn.lock();
+        let Some(conn) = slot.as_mut() else {
+            return SinkVerdict::Detach;
+        };
+        match conn.deliver(&bytes, deadline, |wait| delta.block_in_place(wait)) {
             Ok(()) => {
                 if let Some(m) = &self.shared.config.metrics {
                     m.counter("net.frames.sent").add(1);
-                    m.counter("net.bytes.sent").add(len);
+                    m.counter("net.bytes.sent").add(bytes.len() as u64);
                 }
                 SinkVerdict::Continue
             }
-            Err(PushError::Timeout) => {
-                self.shared.evict(&self.outbox, EvictReason::SlowReader);
+            Err(reason) => {
+                self.shared.evicted.fetch_add(1, Ordering::Relaxed);
+                self.shared.counter("net.sessions.evicted");
+                if let Some(conn) = slot.take() {
+                    retire(&self.jobs, conn, Msg::Evicted { reason }, deadline);
+                }
                 SinkVerdict::Detach
             }
-            // The session's own halves already evicted (disconnect /
-            // protocol): just detach from the clocks.
-            Err(PushError::Closed) => SinkVerdict::Detach,
         }
     }
 }
@@ -231,8 +414,9 @@ impl NetHandle {
             let _ = TcpStream::connect(wake);
             let _ = h.join();
         }
-        // Pool joins once every session exits; sessions exit once the
-        // coordinator finishes (or evicts) them — join it first.
+        // The coordinator exits once every handshake has registered or
+        // failed and every batch is served; its terminal notices are
+        // pool jobs — join it before the pool.
         let (runs, sessions, checkpointed) = self
             .coordinator
             .take()
@@ -284,6 +468,7 @@ impl NetServer {
             shutdown: AtomicBool::new(false),
             next_id: AtomicU32::new(0),
             evicted: AtomicUsize::new(0),
+            admit_order: Mutex::new(()),
         });
         let admission = Arc::new(Admission::new(
             config.max_sessions.min(config.workers),
@@ -306,9 +491,10 @@ impl NetServer {
 
         let coordinator_thread = {
             let shared = Arc::clone(&shared);
+            let jobs = pool.job_sender();
             std::thread::Builder::new()
                 .name("net-coord".into())
-                .spawn(move || coordinator_loop(core, run_inserts, shared, reg_rx))
+                .spawn(move || coordinator_loop(core, run_inserts, shared, jobs, reg_rx))
                 .expect("spawn coordinator")
         };
 
@@ -338,13 +524,10 @@ fn listener_loop(
         }
         match accepted {
             Ok((stream, peer)) => match admission.admit(peer.ip()) {
-                Ok(guard) => {
+                Ok(slot) => {
                     let shared = Arc::clone(&shared);
                     let reg_tx = reg_tx.clone();
-                    let job: Job = Box::new(move || {
-                        let _slot = guard;
-                        session_pump(stream, shared, reg_tx);
-                    });
+                    let job: Job = Box::new(move || session_pump(stream, slot, shared, reg_tx));
                     if jobs.send(job).is_err() {
                         return;
                     }
@@ -408,9 +591,15 @@ fn read_hello(
     }
 }
 
-/// One admitted connection's whole lifetime on a pool worker:
-/// handshake, registration, then both halves.
-fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender<PendingSession>) {
+/// An admitted connection's handshake on a pool worker: decode the
+/// `Hello`, then confirm and register the session. The connection,
+/// admission slot included, then belongs to the coordinator.
+fn session_pump(
+    mut stream: TcpStream,
+    slot: AdmitGuard,
+    shared: Arc<Shared>,
+    reg_tx: mpsc::Sender<PendingSession>,
+) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(shared.config.write_deadline));
 
@@ -428,122 +617,31 @@ fn session_pump(mut stream: TcpStream, shared: Arc<Shared>, reg_tx: mpsc::Sender
             return;
         }
     };
-    // The reader half's handle on the socket, taken before any session
-    // state exists; from here on reads block without a timeout.
-    let Ok(read_stream) = stream.try_clone() else {
-        return;
-    };
-    let _ = stream.set_read_timeout(None);
 
+    // `Admitted` goes out before the registration that lets deltas
+    // follow it, and under one lock with it, so a client that saw
+    // `Admitted` is registered before the next one is confirmed.
+    let _order = shared.admit_order.lock();
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    let outbox = Arc::new(Outbox::new(shared.config.outbox_frames));
-    outbox.grant(u64::from(hello.credit));
-    // Register BEFORE confirming: a client that saw `Admitted` is
-    // guaranteed to be in some batch, and sequential admits land in
-    // registration order.
-    if reg_tx
-        .send(PendingSession {
-            plan: hello.to_plan(),
-            outbox: Arc::clone(&outbox),
-        })
-        .is_err()
+    if stream.write_all(&encode(&Msg::Admitted { session: id })).is_err()
+        || stream.set_nonblocking(true).is_err()
     {
-        return; // coordinator already gone (shutdown race)
-    }
-    drop(reg_tx); // the coordinator must see disconnection on drain
-    if stream.write_all(&encode(&Msg::Admitted { session: id })).is_err() {
-        shared.evict(&outbox, EvictReason::Disconnected);
         return;
     }
     shared.counter("net.conns.accepted");
-
-    std::thread::scope(|scope| {
-        // Dropped when the reader half returns: how the writer half
-        // bounds its linger without polling.
-        let (reader_alive, reader_gone) = mpsc::channel::<()>();
-        let (outbox, shared) = (&*outbox, &*shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("net-read-{id}"))
-            .spawn_scoped(scope, move || {
-                let _alive = reader_alive;
-                read_half(read_stream, reader, outbox, shared);
-            });
-        if spawned.is_err() {
-            shared.evict(outbox, EvictReason::Disconnected);
-            return;
-        }
-        if write_half(&mut stream, outbox, shared) {
-            // Half-close after the terminal frame and let the reader
-            // half drain until the peer's FIN, for at most one write
-            // deadline. Closing outright would turn a late `Credit` /
-            // `Bye` into an RST, which destroys the terminal frame
-            // still sitting in the peer's receive buffer.
-            let _ = stream.shutdown(Shutdown::Write);
-            let _ = reader_gone.recv_timeout(shared.config.write_deadline);
-        }
-        // Unblocks a reader half still in `read`, so the scope can join.
-        let _ = stream.shutdown(Shutdown::Both);
+    let conn = Conn {
+        stream,
+        reader,
+        credit: u64::from(hello.credit),
+        saw_bye: false,
+        torn: false,
+        _slot: slot,
+    };
+    // Fails only if the coordinator is already gone (a shutdown race).
+    let _ = reg_tx.send(PendingSession {
+        plan: hello.to_plan(),
+        conn,
     });
-}
-
-/// The writer half: blocks in `pop` until a push, a grant or the
-/// outbox closing makes a frame writable, and writes it. False if the
-/// socket failed before the outbox was exhausted (session evicted).
-fn write_half(stream: &mut TcpStream, outbox: &Outbox, shared: &Shared) -> bool {
-    loop {
-        match outbox.pop(false, Duration::MAX) {
-            Pop::Frame(bytes) => {
-                if stream.write_all(&bytes).is_err() {
-                    shared.evict(outbox, EvictReason::Disconnected);
-                    return false;
-                }
-            }
-            Pop::Exhausted => return true,
-            Pop::Idle => {} // not with an unbounded timeout
-        }
-    }
-}
-
-/// The reader half: blocks in `read` for the session's whole life.
-/// `Credit` is granted to the outbox; EOF without `Bye`, a reset or
-/// garbage evicts it (a no-op once the session has finished). After
-/// garbage, as after the writer's half-close, it reads and discards
-/// until the peer's FIN or the writer half shuts the socket down.
-fn read_half(mut stream: TcpStream, mut reader: FrameReader, outbox: &Outbox, shared: &Shared) {
-    let mut buf = [0u8; 4096];
-    let mut saw_bye = false;
-    let mut discard = false;
-    loop {
-        // Decode first: bytes that arrived behind the `Hello` count.
-        while !discard {
-            match reader.next_msg() {
-                Ok(Some(Msg::Credit { n })) => outbox.grant(u64::from(n)),
-                Ok(Some(Msg::Bye)) => saw_bye = true,
-                Ok(None) => break,
-                Ok(Some(_)) | Err(_) => {
-                    shared.evict(outbox, EvictReason::Protocol);
-                    discard = true;
-                }
-            }
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                // EOF after `Bye` is an orderly half-close: the writer
-                // half keeps delivering results.
-                if !saw_bye {
-                    shared.evict(outbox, EvictReason::Disconnected);
-                }
-                return;
-            }
-            Ok(_) if discard => {}
-            Ok(n) => reader.extend(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                shared.evict(outbox, EvictReason::Disconnected);
-                return;
-            }
-        }
-    }
 }
 
 /// Map a served session's outcome onto the wire enum.
@@ -559,6 +657,7 @@ fn coordinator_loop<S>(
     core: PartitionedDqServer<2, S>,
     run_inserts: Vec<RunInserts>,
     shared: Arc<Shared>,
+    jobs: mpsc::Sender<Job>,
     reg_rx: mpsc::Receiver<PendingSession>,
 ) -> (usize, usize, bool)
 where
@@ -596,9 +695,9 @@ where
             }
         }
 
-        serve_batch(&core, &mut inserts_queue, &shared, &batch);
         runs += 1;
         sessions += batch.len();
+        serve_batch(&core, &mut inserts_queue, &shared, &jobs, batch);
     }
 
     // Shutdown drain: every committed frame was applied inside the
@@ -611,33 +710,78 @@ fn serve_batch<S>(
     core: &PartitionedDqServer<2, S>,
     inserts_queue: &mut std::collections::VecDeque<RunInserts>,
     shared: &Arc<Shared>,
-    batch: &[PendingSession],
+    jobs: &mpsc::Sender<Job>,
+    batch: Vec<PendingSession>,
 ) where
     S: PageStore + Send + Sync,
 {
     let inserts = inserts_queue.pop_front().unwrap_or_default();
-    let plans: Vec<SessionPlan<2>> = batch.iter().map(|p| p.plan.clone()).collect();
-    let sinks_owned: Vec<NetSink> = batch
-        .iter()
-        .map(|p| NetSink {
-            shared: Arc::clone(shared),
-            outbox: Arc::clone(&p.outbox),
+    let (plans, sinks_owned): (Vec<SessionPlan<2>>, Vec<NetSink>) = batch
+        .into_iter()
+        .map(|p| {
+            let sink = NetSink {
+                shared: Arc::clone(shared),
+                jobs: jobs.clone(),
+                conn: Mutex::new(Some(p.conn)),
+            };
+            (p.plan, sink)
         })
-        .collect();
+        .unzip();
     let sinks: Vec<Option<&dyn FrameSink>> =
         sinks_owned.iter().map(|s| Some(s as &dyn FrameSink)).collect();
 
     let report = core.serve_plans_streamed(&plans, &inserts, &sinks);
 
-    for (i, p) in batch.iter().enumerate() {
-        let out = &report.base.sessions[i];
-        p.outbox.finish(encode(&Msg::Done {
-            outcome: wire_outcome(&out.outcome),
-            frames: out.frames.len() as u32,
-            results: out.results.len() as u64,
-        }));
-        if let Some(m) = &shared.config.metrics {
-            m.gauge("net.outbox.hwm").record_max(p.outbox.hwm() as i64);
+    for (sink, out) in sinks_owned.into_iter().zip(&report.base.sessions) {
+        // An evicted session's connection is already retired.
+        if let Some(conn) = sink.conn.into_inner() {
+            let done = Msg::Done {
+                outcome: wire_outcome(&out.outcome),
+                frames: out.frames.len() as u32,
+                results: out.results.len() as u64,
+            };
+            retire(jobs, conn, done, shared.config.write_deadline);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A delta larger than both socket buffers, to a peer that never
+    /// reads: the non-blocking write takes what fits, finishing it
+    /// waits in place, and the write deadline ends the wait with a
+    /// `SlowReader` eviction instead of a hang.
+    #[test]
+    fn a_write_the_peer_never_drains_is_evicted_within_the_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, from) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).expect("non-blocking");
+        let admission = Arc::new(Admission::new(1, 1));
+        let mut conn = Conn {
+            stream,
+            reader: FrameReader::new(DEFAULT_MAX_FRAME_BYTES),
+            credit: 1,
+            saw_bye: false,
+            torn: false,
+            _slot: admission.admit(from.ip()).expect("a slot"),
+        };
+        let delta = vec![0u8; 32 << 20];
+        let deadline = Duration::from_millis(100);
+        let waits = std::cell::Cell::new(0);
+        let started = Instant::now();
+        let sent = conn.deliver(&delta, deadline, |wait| {
+            waits.set(waits.get() + 1);
+            wait()
+        });
+        let took = started.elapsed();
+        assert_eq!(sent, Err(EvictReason::SlowReader));
+        assert_eq!(waits.get(), 1, "only the write waited, and in place");
+        assert!(took >= deadline, "evicted after {took:?}, before the deadline");
+        assert!(took < deadline + Duration::from_secs(2), "evicted only after {took:?}");
+        assert!(conn.torn, "a cut delta leaves no room for a notice");
+        drop(peer);
     }
 }

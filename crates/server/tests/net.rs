@@ -15,8 +15,8 @@ use mobiquery::router::PartitionedDqServer;
 use mobiquery::{NsiRecord, SessionKind, SessionPlan, SessionSpec, Trajectory};
 use rtree::{RTree, RTreeConfig};
 use server::{
-    ClientBehavior, ClientOutcome, EvictReason, Msg, NetClient, NetServer, RejectReason,
-    ServerConfig,
+    encode, ClientBehavior, ClientOutcome, DoneOutcome, EvictReason, HelloSpec, Msg, NetClient,
+    NetServer, RejectReason, ServerConfig,
 };
 use stkit::{Interval, Rect};
 use storage::Pager;
@@ -137,6 +137,51 @@ fn progress_never_waits_for_a_timer() {
     }
 }
 
+/// Credit pipelined behind the `Hello`: the client sends `Hello{credit:
+/// 0}` and one `Credit` covering every frame in a single write, then
+/// never grants again. The server must count the `Credit` that arrived
+/// with the handshake and serve the session to `Done`, bit-identical to
+/// `serve_serial`.
+#[test]
+fn credit_pipelined_behind_the_hello_is_counted() {
+    const FRAMES: usize = 40;
+    let recs = line_records(30);
+    let plan = slide_plan(SessionKind::Pdq, FRAMES, 30.0);
+    let inserts = insert_schedule(FRAMES, 30.0);
+    let oracle =
+        build_core(vec![15.0], &recs).serve_serial_plans(std::slice::from_ref(&plan), &inserts);
+    let handle = NetServer::start(
+        build_core(vec![15.0], &recs),
+        vec![inserts],
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("start server");
+    let mut client = NetClient::connect(handle.addr()).expect("connect");
+    let mut bytes = encode(&Msg::Hello(HelloSpec::from_plan(&plan, 0)));
+    bytes.extend(encode(&Msg::Credit { n: FRAMES as u32 + 1 }));
+    client.send_raw(&bytes).expect("send");
+    assert!(matches!(client.next_msg(), Ok(Msg::Admitted { .. })));
+    let mut results = Vec::new();
+    let mut deltas = 0;
+    let done = loop {
+        match client.next_msg().expect("read") {
+            Msg::Delta { results: r, .. } => {
+                results.extend(r);
+                deltas += 1;
+            }
+            other => break other,
+        }
+    };
+    assert!(
+        matches!(done, Msg::Done { outcome: DoneOutcome::Ok, .. }),
+        "got {done:?} after {deltas} deltas"
+    );
+    assert_eq!(deltas, oracle.base.sessions[0].frames.len());
+    assert_eq!(results, oracle.base.sessions[0].results, "bit-identical to serve_serial");
+    assert_eq!(handle.shutdown().evicted, 0);
+}
+
 #[test]
 fn admission_rejections_are_typed() {
     let recs = line_records(10);
@@ -229,7 +274,6 @@ fn slow_reader_is_evicted_and_healthy_session_unaffected() {
     // Zero credit and a stall from the first delta: the outbox fills and
     // the write deadline must evict it.
     let cfg = ServerConfig {
-        outbox_frames: 1,
         write_deadline: Duration::from_millis(100),
         ..ServerConfig::default()
     };

@@ -100,7 +100,7 @@ fn main() {
             let session = c.hello(&p, 4).expect("hello io").expect("admitted");
             if i == 2 {
                 // The slow reader: take one delta, then never grant
-                // credit again. The server's outbox fills, the write
+                // credit again. Its sink waits for credit, the write
                 // deadline passes, and the session is evicted.
                 let run = c.run(ClientBehavior::StallAfter(1));
                 let results = run.results();

@@ -94,9 +94,15 @@
 #          tests in the release build the smoke just made — one of them
 #          holds BENCHMARK.json to the in-code metric and workload
 #          tables, and nothing else in this gate runs it.
-#   net    a grep gate that no thread under crates/server/src sleeps or
-#          reads a poll interval (lines tagged `sleep-ok:` excepted), and
-#          the server crate's suites in the debug and the optimised build.
+#   net    three grep gates — no thread under crates/server/src sleeps
+#          or reads a poll interval (lines tagged `sleep-ok:` excepted);
+#          crates/server/src names no `spawn_scoped` or `thread::scope`;
+#          and the non-test code of crates/server/src/{server,pool}.rs
+#          has exactly three `.spawn(` sites (listener, coordinator,
+#          pool): a served wire session's sink writes its deltas and
+#          reads its credit on the serving worker, so no socket thread
+#          per session comes back — then the server crate's suites in
+#          the debug and the optimised build.
 #   updates
 #          the §4.1 update protocol measured against something that is
 #          not the shared-engine oracle: exp_updates at quick scale — a
@@ -232,9 +238,18 @@ if want net; then
   if grep -rnE 'thread::sleep|poll_interval' crates/server/src | grep -v 'sleep-ok:'; then
     echo "FAIL: crates/server/src sleeps or polls (see above); hand-offs must be blocking wake-ups" >&2; exit 1
   fi
+  if git grep -nE 'spawn_scoped|thread::scope' -- crates/server/src; then
+    echo "FAIL: crates/server/src starts scoped threads (see above); a session's sink does its own socket work" >&2; exit 1
+  fi
+  spawn_sites() { for f in crates/server/src/server.rs crates/server/src/pool.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } /\.spawn\(/ { print FILENAME ":" FNR ": " $0 }' "$f"; done; }
+  if [ "$(spawn_sites | wc -l)" != 3 ]; then
+    spawn_sites >&2
+    echo "FAIL: crates/server/src/{server,pool}.rs have $(spawn_sites | wc -l) thread-spawn sites, not 3 (listener, coordinator, pool)" >&2; exit 1
+  fi
   cargo test -q --offline -p server
   cargo test -q --offline --release -p server
-  echo "OK: nothing under crates/server/src sleeps, and the server suites pass in debug and release."
+  echo "OK: nothing under crates/server/src sleeps or starts a socket thread per session, and the server suites pass in debug and release."
 fi
 
 if want updates; then
