@@ -295,10 +295,10 @@ pub struct FrameDelta<'a> {
 }
 
 impl FrameDelta<'_> {
-    /// Run `f`, which may block (a full outbox, a peer's progress),
-    /// without holding back the rest of the serve: while `f` runs, the
-    /// session's worker hands its turn on a CPU to a spare worker, and
-    /// takes it back when `f` returns. A sink that may wait calls its
+    /// Run `f`, which may block (for a peer's credit, or for a full
+    /// socket buffer to drain), without holding back the rest of the
+    /// serve: while `f` runs, the session's worker hands its turn on a
+    /// CPU to a spare worker, and takes it back when `f` returns. A sink that may wait calls its
     /// wait through this; one that waits outside it occupies a worker,
     /// and with one worker stalls the whole serve for as long. On the
     /// serial driver this just runs `f`.

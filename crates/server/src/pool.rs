@@ -3,10 +3,10 @@
 //! A worker holds a session only for its handshake (read the `Hello`,
 //! confirm, register) and for its terminal notice (write `Done` or
 //! `Evicted`, half-close, linger for the peer's FIN); while the session
-//! is served, the serving core's worker writes its deltas. The
-//! admission cap is still clamped to the pool size at server start. A
-//! panicking job is contained: the worker catches it and moves to the
-//! next job, so one broken session never shrinks the pool.
+//! is served, the serving core's worker writes its deltas. So the pool
+//! size does not cap live sessions: admission does. A panicking job is
+//! contained: the worker catches it and moves to the next job, so one
+//! broken session never shrinks the pool.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;

@@ -7,13 +7,15 @@
 //!   (rejects get a typed `Rejected` frame and close immediately), and
 //!   hands admitted sockets to the worker pool.
 //! * **Pool workers** — a worker holds a session only for its handshake
-//!   and for its terminal notice. The handshake job decodes the
-//!   `Hello`, then, under one lock, writes `Admitted` and registers the
-//!   session with the coordinator: no delta can reach the wire before
-//!   `Admitted`, and sequential admits land in registration order. Once
-//!   the session is served, or as soon as it is evicted, a second job
-//!   writes `Done` or `Evicted{reason}`, half-closes, and drains until
-//!   the peer's FIN for at most one `write_deadline`.
+//!   and for its terminal notice. The handshake job gives the socket to
+//!   the session's `Conn`, reads the `Hello`, then, under one lock,
+//!   writes `Admitted` and registers the session with the coordinator:
+//!   no delta can reach the wire before `Admitted`, and sequential
+//!   admits land in registration order. Once the session is served, or
+//!   as soon as it is evicted, a second job writes `Done` or
+//!   `Evicted{reason}`, half-closes, and drains until the peer's FIN for
+//!   at most one `write_deadline`. A `Hello` that does not decode gets
+//!   `Evicted{Protocol}` by the same close.
 //! * **Coordinator** — owns the [`PartitionedDqServer`], gathers
 //!   registered sessions into batches, and runs
 //!   [`serve_plans_streamed`](PartitionedDqServer::serve_plans_streamed)
@@ -28,15 +30,18 @@
 //!   so a stalled reader holds back only its own regions. A wait that
 //!   outlives the write deadline evicts the session (`SlowReader`) and
 //!   detaches it from its frame clocks. While it is served, a wire
-//!   session costs no thread of its own.
+//!   session costs no thread of its own. Before `Done`, one
+//!   non-blocking `read` looks for garbage the client sent while its
+//!   credit never ran out; garbage makes the notice `Evicted{Protocol}`.
 //!
 //! No hand-off waits on a timer — credit and deltas move by socket
 //! readiness alone — and the timeouts that remain (`write_deadline`,
 //! `handshake_timeout`, `gather_window`) are deadlines on a misbehaving
-//! peer, never pacing.
+//! peer, never pacing. Every wait on an admitted connection runs
+//! through one deadline loop, `Conn::wait`.
 //!
-//! An eviction is counted, not logged: the sink that evicts bumps
-//! `net.sessions.evicted` and [`ServerSummary::evicted`], and the
+//! An eviction is counted, not logged: handing out an `Evicted` notice
+//! bumps `net.sessions.evicted` and [`ServerSummary::evicted`], and the
 //! reason ([`EvictReason`]) reaches the client as the `Evicted` notice.
 //! Admissions count in `net.conns.accepted`.
 //!
@@ -51,7 +56,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -66,8 +71,8 @@ use storage::PageStore;
 use crate::admission::{Admission, AdmitGuard};
 use crate::pool::{Job, WorkerPool};
 use crate::protocol::{
-    encode, encode_delta, DoneOutcome, EvictReason, FrameReader, HelloSpec, Msg, ProtocolError,
-    RejectReason, DEFAULT_MAX_FRAME_BYTES,
+    encode, encode_delta, DoneOutcome, EvictReason, FrameReader, HelloSpec, Msg, RejectReason,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 
 /// Pause after a failed `accept` (e.g. `EMFILE`), so a listener whose
@@ -80,18 +85,17 @@ pub type RunInserts = Vec<Vec<(NsiRecord<2>, f64)>>;
 /// Tunables for [`NetServer::start`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Pool workers, which run handshakes and terminal notices (a
-    /// served session holds none). Also the ceiling on concurrent
-    /// sessions: the admission cap is clamped to it.
+    /// Pool workers, which run handshakes and terminal notices. A
+    /// served session holds none, so this does not cap sessions.
     pub workers: usize,
-    /// Admission: max live sessions (clamped to `workers`).
+    /// Admission: max live sessions.
     pub max_sessions: usize,
     /// Admission: max live sessions per client IP.
     pub max_per_ip: usize,
     /// How long a served session may go without the credit for its
     /// next delta, or without its socket taking a delta, before it is
-    /// evicted as a slow reader; also bounds the terminal notice's
-    /// write and the linger after the half-close.
+    /// evicted as a slow reader; also bounds the `Admitted` write, the
+    /// terminal notice's write and the linger after the half-close.
     pub write_deadline: Duration,
     /// After the first session of a batch registers, how long the
     /// coordinator waits for more before serving.
@@ -134,20 +138,16 @@ pub struct ServerSummary {
 }
 
 /// A session registered with the coordinator, awaiting its batch.
-struct PendingSession {
-    plan: SessionPlan<2>,
-    conn: Conn,
-}
+type PendingSession = (SessionPlan<2>, NetSink);
 
 /// State shared by the listener, the pool's jobs, and the coordinator.
 struct Shared {
     config: ServerConfig,
     shutdown: AtomicBool,
-    next_id: AtomicU32,
     evicted: AtomicUsize,
-    /// Held across writing `Admitted` and registering, so both happen
-    /// in one order.
-    admit_order: Mutex<()>,
+    /// The next session id, held across writing `Admitted` and
+    /// registering, so both happen in one order.
+    admit_order: Mutex<u32>,
 }
 
 impl Shared {
@@ -159,8 +159,9 @@ impl Shared {
 }
 
 /// One admitted session's connection, from its handshake to its
-/// terminal notice. While the session is served the socket is
-/// non-blocking: a wait happens only in [`Conn::deliver`]'s `in_place`.
+/// terminal notice. Every wait on it goes through [`Conn::wait`];
+/// outside a wait the socket is non-blocking once the handshake has
+/// read from it.
 struct Conn {
     stream: TcpStream,
     /// The handshake's decoder, so bytes that arrived behind the
@@ -176,6 +177,26 @@ struct Conn {
 }
 
 impl Conn {
+    /// Read the `Hello` within `budget`. `Err(Protocol)` if the peer
+    /// sent something else or cut a frame off at EOF; any other `Err`
+    /// is a peer that never spoke.
+    fn hello(&mut self, budget: Duration) -> Result<HelloSpec, EvictReason> {
+        let mut buf = [0u8; 4096];
+        self.wait(Instant::now() + budget, false, |conn| {
+            match io_some(conn.stream.read(&mut buf))? {
+                None => return Ok(None),
+                Some(0) if conn.reader.has_partial() => return Err(EvictReason::Protocol),
+                Some(0) => return Err(EvictReason::Disconnected),
+                Some(n) => conn.reader.extend(&buf[..n]),
+            }
+            match conn.reader.next_msg() {
+                Ok(None) => Ok(None),
+                Ok(Some(Msg::Hello(h))) => Ok(Some(h)),
+                Ok(Some(_)) | Err(_) => Err(EvictReason::Protocol),
+            }
+        })
+    }
+
     /// Send one encoded delta: spend a unit of credit, reading the
     /// client's `Credit` only when there is none, and write it. Every
     /// wait (for credit, or for the socket to take the rest of the
@@ -192,20 +213,37 @@ impl Conn {
             while self.credit == 0 && self.read_some()? {}
             if self.credit == 0 {
                 let until = Instant::now() + deadline;
-                in_place(&mut || self.await_credit(until))?;
+                in_place(&mut || {
+                    self.wait(until, false, |conn| {
+                        conn.read_some()?;
+                        Ok((conn.credit > 0).then_some(()))
+                    })
+                })?;
             }
         }
         self.credit -= 1;
-        let sent = match self.stream.write(bytes) {
-            Ok(n) => n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => 0,
-            Err(_) => return Err(EvictReason::Disconnected),
-        };
-        if sent < bytes.len() {
+        let mut rest = bytes;
+        if !self.write_some(&mut rest)? {
             let until = Instant::now() + deadline;
-            in_place(&mut || self.finish_write(&bytes[sent..], until))?;
+            self.torn = true;
+            in_place(&mut || self.write_all(rest, until))?;
+            self.torn = false;
         }
         Ok(())
+    }
+
+    /// One `write` of what is left of `rest`. True once it is all out.
+    fn write_some(&mut self, rest: &mut &[u8]) -> Result<bool, EvictReason> {
+        let n = io_some(self.stream.write(rest))?.unwrap_or(0);
+        *rest = &rest[n..];
+        Ok(rest.is_empty())
+    }
+
+    /// Wait until the socket took all of `bytes`, or `until` passes.
+    fn write_all(&mut self, mut bytes: &[u8], until: Instant) -> Result<(), EvictReason> {
+        self.wait(until, true, |conn| {
+            Ok(conn.write_some(&mut bytes)?.then_some(()))
+        })
     }
 
     /// Take every whole message the decoder holds: `Credit` adds to the
@@ -213,7 +251,9 @@ impl Conn {
     fn decode(&mut self) -> Result<(), EvictReason> {
         loop {
             match self.reader.next_msg() {
-                Ok(Some(Msg::Credit { n })) => self.credit = self.credit.saturating_add(u64::from(n)),
+                Ok(Some(Msg::Credit { n })) => {
+                    self.credit = self.credit.saturating_add(u64::from(n))
+                }
                 Ok(Some(Msg::Bye)) => self.saw_bye = true,
                 Ok(None) => return Ok(()),
                 Ok(Some(_)) | Err(_) => return Err(EvictReason::Protocol),
@@ -221,120 +261,92 @@ impl Conn {
         }
     }
 
-    /// One `read`, decoded. False if it brought nothing: no bytes
-    /// ready, or none within a blocking read's timeout. It is called
-    /// only for credit, so EOF ends the session: after `Bye` no credit
-    /// can come, and without it, or on a reset, the client is gone.
+    /// One `read`, decoded. False if it brought nothing. It is called
+    /// for credit, so EOF ends the session: after `Bye` no credit can
+    /// come, and without it the client is gone.
     fn read_some(&mut self) -> Result<bool, EvictReason> {
         let mut buf = [0u8; 4096];
-        match self.stream.read(&mut buf) {
-            Ok(0) if self.saw_bye => Err(EvictReason::SlowReader),
-            Ok(0) => Err(EvictReason::Disconnected),
-            Ok(n) => {
+        match io_some(self.stream.read(&mut buf))? {
+            None => Ok(false),
+            Some(0) if self.saw_bye => Err(EvictReason::SlowReader),
+            Some(0) => Err(EvictReason::Disconnected),
+            Some(n) => {
                 self.reader.extend(&buf[..n]);
                 self.decode()?;
                 Ok(true)
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(false)
+        }
+    }
+
+    /// Every wait on the connection: with the socket blocking, call
+    /// `step` — one `read`, or one `write` if `writing` — until it
+    /// returns a value or an error, each call bounded by what is left
+    /// of `until`; past it, `SlowReader`. The only code that switches
+    /// the socket's mode or sets its timeouts; it leaves the socket
+    /// non-blocking.
+    fn wait<T>(
+        &mut self,
+        until: Instant,
+        writing: bool,
+        mut step: impl FnMut(&mut Conn) -> Result<Option<T>, EvictReason>,
+    ) -> Result<T, EvictReason> {
+        if self.stream.set_nonblocking(false).is_err() {
+            return Err(EvictReason::Disconnected);
+        }
+        let out = loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break Err(EvictReason::SlowReader);
             }
+            let _ = if writing {
+                self.stream.set_write_timeout(Some(left))
+            } else {
+                self.stream.set_read_timeout(Some(left))
+            };
+            if let Some(done) = step(self).transpose() {
+                break done;
+            }
+        };
+        match self.stream.set_nonblocking(true) {
+            Ok(()) => out,
             Err(_) => Err(EvictReason::Disconnected),
         }
     }
 
-    /// Block in `read` until credit arrives or `until` passes.
-    fn await_credit(&mut self, until: Instant) -> Result<(), EvictReason> {
-        self.blocking(|conn| loop {
-            if conn.credit > 0 {
-                return Ok(());
-            }
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(EvictReason::SlowReader);
-            }
-            let _ = conn.stream.set_read_timeout(Some(left));
-            conn.read_some()?;
-        })
-    }
-
-    /// Block in `write` until the socket took `rest` or `until` passes.
-    fn finish_write(&mut self, mut rest: &[u8], until: Instant) -> Result<(), EvictReason> {
-        self.torn = true;
-        self.blocking(|conn| {
-            while !rest.is_empty() {
-                let left = until.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return Err(EvictReason::SlowReader);
-                }
-                let _ = conn.stream.set_write_timeout(Some(left));
-                match conn.stream.write(rest) {
-                    Ok(0) => return Err(EvictReason::Disconnected),
-                    Ok(n) => rest = &rest[n..],
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                        ) => {}
-                    Err(_) => return Err(EvictReason::Disconnected),
-                }
-            }
-            conn.torn = false;
-            Ok(())
-        })
-    }
-
-    /// Run `f` with the socket blocking, then make it non-blocking again.
-    fn blocking<T>(&mut self, f: impl FnOnce(&mut Conn) -> Result<T, EvictReason>) -> Result<T, EvictReason> {
-        if self.stream.set_nonblocking(false).is_err() {
-            return Err(EvictReason::Disconnected);
-        }
-        let out = f(self);
-        if self.stream.set_nonblocking(true).is_err() {
-            return Err(EvictReason::Disconnected);
-        }
-        out
-    }
-
     /// The terminal notice on a pool worker: write `notice` (unless a
     /// torn delta makes it unframeable), half-close, and read until the
-    /// peer's FIN for at most `deadline`. Closing outright would turn
-    /// credit still in flight, or unread, into an RST, which destroys
-    /// the frames still sitting in the peer's receive buffer.
+    /// peer's FIN, each for at most `deadline`. Closing outright would
+    /// turn credit still in flight, or unread, into an RST, which
+    /// destroys the frames still sitting in the peer's receive buffer.
     fn close(mut self, notice: &Msg, deadline: Duration) {
-        let stream = &mut self.stream;
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_write_timeout(Some(deadline));
-        if self.torn || stream.write_all(&encode(notice)).is_err() {
+        let until = Instant::now() + deadline;
+        if self.torn || self.write_all(&encode(notice), until).is_err() {
             return;
         }
-        let _ = stream.shutdown(Shutdown::Write);
-        let until = Instant::now() + deadline;
+        let _ = self.stream.shutdown(Shutdown::Write);
         let mut buf = [0u8; 4096];
-        loop {
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            let _ = stream.set_read_timeout(Some(left));
-            match stream.read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
+        let _ = self.wait(Instant::now() + deadline, false, |conn| {
+            Ok((io_some(conn.stream.read(&mut buf))? == Some(0)).then_some(()))
+        });
     }
 }
 
-/// Hand `conn` to a pool worker to write `notice` and close.
-fn retire(jobs: &mpsc::Sender<Job>, conn: Conn, notice: Msg, deadline: Duration) {
-    // The pool outlives the coordinator, so the send cannot fail.
-    let _ = jobs.send(Box::new(move || conn.close(&notice, deadline)));
+/// A socket call's byte count, or `None` if it moved nothing: the
+/// socket was not ready, or a blocking call's timeout passed. Any other
+/// error is the peer gone.
+fn io_some(r: std::io::Result<usize>) -> Result<Option<usize>, EvictReason> {
+    match r {
+        Ok(n) => Ok(Some(n)),
+        Err(e)
+            if matches!(
+                e.kind(),
+                ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+            ) =>
+        {
+            Ok(None)
+        }
+        Err(_) => Err(EvictReason::Disconnected),
+    }
 }
 
 /// The serving core's per-frame sink for one network session: the
@@ -345,6 +357,22 @@ struct NetSink {
     jobs: mpsc::Sender<Job>,
     /// Taken by the eviction, or after the serve by `Done`.
     conn: Mutex<Option<Conn>>,
+}
+
+impl NetSink {
+    /// Hand `conn` to a pool worker to write `notice` and close. An
+    /// `Evicted` notice counts the eviction.
+    fn retire(&self, conn: Conn, notice: Msg) {
+        if let Msg::Evicted { .. } = notice {
+            self.shared.evicted.fetch_add(1, Ordering::Relaxed);
+            self.shared.counter("net.sessions.evicted");
+        }
+        let deadline = self.shared.config.write_deadline;
+        // The pool outlives the coordinator, so the send cannot fail.
+        let _ = self
+            .jobs
+            .send(Box::new(move || conn.close(&notice, deadline)));
+    }
 }
 
 impl FrameSink for NetSink {
@@ -364,10 +392,8 @@ impl FrameSink for NetSink {
                 SinkVerdict::Continue
             }
             Err(reason) => {
-                self.shared.evicted.fetch_add(1, Ordering::Relaxed);
-                self.shared.counter("net.sessions.evicted");
                 if let Some(conn) = slot.take() {
-                    retire(&self.jobs, conn, Msg::Evicted { reason }, deadline);
+                    self.retire(conn, Msg::Evicted { reason });
                 }
                 SinkVerdict::Detach
             }
@@ -466,14 +492,10 @@ impl NetServer {
         let shared = Arc::new(Shared {
             config: config.clone(),
             shutdown: AtomicBool::new(false),
-            next_id: AtomicU32::new(0),
             evicted: AtomicUsize::new(0),
-            admit_order: Mutex::new(()),
+            admit_order: Mutex::new(0),
         });
-        let admission = Arc::new(Admission::new(
-            config.max_sessions.min(config.workers),
-            config.max_per_ip,
-        ));
+        let admission = Arc::new(Admission::new(config.max_sessions, config.max_per_ip));
         let pool = WorkerPool::new(config.workers, "net-pump");
         let (reg_tx, reg_rx) = mpsc::channel::<PendingSession>();
 
@@ -491,10 +513,9 @@ impl NetServer {
 
         let coordinator_thread = {
             let shared = Arc::clone(&shared);
-            let jobs = pool.job_sender();
             std::thread::Builder::new()
                 .name("net-coord".into())
-                .spawn(move || coordinator_loop(core, run_inserts, shared, jobs, reg_rx))
+                .spawn(move || coordinator_loop(core, run_inserts, shared, reg_rx))
                 .expect("spawn coordinator")
         };
 
@@ -525,9 +546,10 @@ fn listener_loop(
         match accepted {
             Ok((stream, peer)) => match admission.admit(peer.ip()) {
                 Ok(slot) => {
-                    let shared = Arc::clone(&shared);
-                    let reg_tx = reg_tx.clone();
-                    let job: Job = Box::new(move || session_pump(stream, slot, shared, reg_tx));
+                    let (shared, reg_tx) = (Arc::clone(&shared), reg_tx.clone());
+                    let notices = jobs.clone();
+                    let job: Job =
+                        Box::new(move || handshake(stream, slot, shared, notices, reg_tx));
                     if jobs.send(job).is_err() {
                         return;
                     }
@@ -549,115 +571,62 @@ fn listener_loop(
     // coordinator's channel disconnects and it can drain out.
 }
 
-/// Read one complete `Hello` into `reader` within the handshake
-/// budget; each `read` may block for exactly what is left of it.
-fn read_hello(
-    stream: &mut TcpStream,
-    reader: &mut FrameReader,
-    budget: Duration,
-) -> Result<HelloSpec, Option<ProtocolError>> {
-    let deadline = Instant::now() + budget;
-    let mut buf = [0u8; 4096];
-    loop {
-        match reader.next_msg() {
-            Ok(Some(Msg::Hello(h))) => return Ok(h),
-            Ok(Some(_)) => {
-                return Err(Some(ProtocolError::Malformed(
-                    "first message must be Hello".into(),
-                )))
-            }
-            Ok(None) => {}
-            Err(e) => return Err(Some(e)),
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(None); // silent: the peer just never spoke
-        }
-        let _ = stream.set_read_timeout(Some(left));
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                // EOF mid-handshake: truncated stream if partial bytes
-                // were seen, otherwise a probe that closed politely.
-                return Err(reader.has_partial().then_some(ProtocolError::Truncated));
-            }
-            Ok(n) => reader.extend(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return Err(None),
-        }
-    }
-}
-
-/// An admitted connection's handshake on a pool worker: decode the
+/// An admitted connection's handshake on a pool worker: read the
 /// `Hello`, then confirm and register the session. The connection,
-/// admission slot included, then belongs to the coordinator.
-fn session_pump(
-    mut stream: TcpStream,
+/// admission slot included, then belongs to the coordinator as the
+/// session's sink; `jobs` runs its terminal notice.
+fn handshake(
+    stream: TcpStream,
     slot: AdmitGuard,
     shared: Arc<Shared>,
+    jobs: mpsc::Sender<Job>,
     reg_tx: mpsc::Sender<PendingSession>,
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(shared.config.write_deadline));
-
-    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
-    let hello = match read_hello(&mut stream, &mut reader, shared.config.handshake_timeout) {
-        Ok(h) => h,
-        Err(proto_err) => {
-            if proto_err.is_some() {
-                // Typed containment: tell the peer why, then close.
-                let _ = stream.write_all(&encode(&Msg::Evicted {
-                    reason: EvictReason::Protocol,
-                }));
-                shared.counter("net.conns.rejected.protocol");
-            }
-            return;
-        }
-    };
-
-    // `Admitted` goes out before the registration that lets deltas
-    // follow it, and under one lock with it, so a client that saw
-    // `Admitted` is registered before the next one is confirmed.
-    let _order = shared.admit_order.lock();
-    let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-    if stream.write_all(&encode(&Msg::Admitted { session: id })).is_err()
-        || stream.set_nonblocking(true).is_err()
-    {
-        return;
-    }
-    shared.counter("net.conns.accepted");
-    let conn = Conn {
+    let mut conn = Conn {
         stream,
-        reader,
-        credit: u64::from(hello.credit),
+        reader: FrameReader::new(DEFAULT_MAX_FRAME_BYTES),
+        credit: 0,
         saw_bye: false,
         torn: false,
         _slot: slot,
     };
-    // Fails only if the coordinator is already gone (a shutdown race).
-    let _ = reg_tx.send(PendingSession {
-        plan: hello.to_plan(),
-        conn,
-    });
-}
+    let hello = match conn.hello(shared.config.handshake_timeout) {
+        Ok(h) => h,
+        Err(EvictReason::Protocol) => {
+            // Typed containment: tell the peer why, then close.
+            shared.counter("net.conns.rejected.protocol");
+            let notice = Msg::Evicted {
+                reason: EvictReason::Protocol,
+            };
+            return conn.close(&notice, shared.config.write_deadline);
+        }
+        Err(_) => return, // silent: the peer just never spoke
+    };
+    conn.credit = u64::from(hello.credit);
 
-/// Map a served session's outcome onto the wire enum.
-fn wire_outcome(outcome: &SessionOutcome) -> DoneOutcome {
-    match outcome {
-        SessionOutcome::Ok => DoneOutcome::Ok,
-        SessionOutcome::Degraded { .. } => DoneOutcome::Degraded,
-        SessionOutcome::Failed(_) => DoneOutcome::Failed,
+    // `Admitted` goes out before the registration that lets deltas
+    // follow it, and under one lock with it, so a client that saw
+    // `Admitted` is registered before the next one is confirmed.
+    let mut next_id = shared.admit_order.lock();
+    let admitted = encode(&Msg::Admitted { session: *next_id });
+    if conn
+        .write_all(&admitted, Instant::now() + shared.config.write_deadline)
+        .is_err()
+    {
+        return;
     }
+    *next_id += 1;
+    shared.counter("net.conns.accepted");
+    let (shared, conn) = (Arc::clone(&shared), Mutex::new(Some(conn)));
+    // Fails only if the coordinator is already gone (a shutdown race).
+    let _ = reg_tx.send((hello.to_plan(), NetSink { shared, jobs, conn }));
 }
 
 fn coordinator_loop<S>(
     core: PartitionedDqServer<2, S>,
     run_inserts: Vec<RunInserts>,
     shared: Arc<Shared>,
-    jobs: mpsc::Sender<Job>,
     reg_rx: mpsc::Receiver<PendingSession>,
 ) -> (usize, usize, bool)
 where
@@ -671,21 +640,13 @@ where
     while !disconnected {
         // Gather a batch: block for the first registration, then give
         // stragglers `gather_window` (or until `min_gather`) to pile on.
-        let mut batch: Vec<PendingSession> = Vec::new();
-        match reg_rx.recv() {
-            Ok(p) => batch.push(p),
-            Err(mpsc::RecvError) => break,
-        }
-        let window_start = Instant::now();
+        let Ok(first) = reg_rx.recv() else {
+            break;
+        };
+        let mut batch = vec![first];
+        let gathered_by = Instant::now() + shared.config.gather_window;
         while batch.len() < shared.config.min_gather {
-            let left = shared
-                .config
-                .gather_window
-                .saturating_sub(window_start.elapsed());
-            if left.is_zero() {
-                break;
-            }
-            match reg_rx.recv_timeout(left) {
+            match reg_rx.recv_timeout(gathered_by.saturating_duration_since(Instant::now())) {
                 Ok(p) => batch.push(p),
                 Err(mpsc::RecvTimeoutError::Timeout) => break,
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -694,55 +655,44 @@ where
                 }
             }
         }
-
         runs += 1;
         sessions += batch.len();
-        serve_batch(&core, &mut inserts_queue, &shared, &jobs, batch);
+
+        let inserts = inserts_queue.pop_front().unwrap_or_default();
+        let (plans, sinks): (Vec<SessionPlan<2>>, Vec<NetSink>) = batch.into_iter().unzip();
+        let dyn_sinks: Vec<Option<&dyn FrameSink>> =
+            sinks.iter().map(|s| Some(s as &dyn FrameSink)).collect();
+        let report = core.serve_plans_streamed(&plans, &inserts, &dyn_sinks);
+
+        for (sink, out) in sinks.iter().zip(&report.base.sessions) {
+            // An evicted session's connection is already retired.
+            let Some(mut conn) = sink.conn.lock().take() else {
+                continue;
+            };
+            // A client whose credit never ran out was never read: look
+            // once for garbage it sent meanwhile.
+            let notice = match conn.decode().and_then(|()| conn.read_some()) {
+                Err(EvictReason::Protocol) => Msg::Evicted {
+                    reason: EvictReason::Protocol,
+                },
+                _ => Msg::Done {
+                    outcome: match out.outcome {
+                        SessionOutcome::Ok => DoneOutcome::Ok,
+                        SessionOutcome::Degraded { .. } => DoneOutcome::Degraded,
+                        SessionOutcome::Failed(_) => DoneOutcome::Failed,
+                    },
+                    frames: out.frames.len() as u32,
+                    results: out.results.len() as u64,
+                },
+            };
+            sink.retire(conn, notice);
+        }
     }
 
     // Shutdown drain: every committed frame was applied inside the
     // last run; seal the state so recovery replays nothing.
     let checkpointed = core.checkpoint_now();
     (runs, sessions, checkpointed)
-}
-
-fn serve_batch<S>(
-    core: &PartitionedDqServer<2, S>,
-    inserts_queue: &mut std::collections::VecDeque<RunInserts>,
-    shared: &Arc<Shared>,
-    jobs: &mpsc::Sender<Job>,
-    batch: Vec<PendingSession>,
-) where
-    S: PageStore + Send + Sync,
-{
-    let inserts = inserts_queue.pop_front().unwrap_or_default();
-    let (plans, sinks_owned): (Vec<SessionPlan<2>>, Vec<NetSink>) = batch
-        .into_iter()
-        .map(|p| {
-            let sink = NetSink {
-                shared: Arc::clone(shared),
-                jobs: jobs.clone(),
-                conn: Mutex::new(Some(p.conn)),
-            };
-            (p.plan, sink)
-        })
-        .unzip();
-    let sinks: Vec<Option<&dyn FrameSink>> =
-        sinks_owned.iter().map(|s| Some(s as &dyn FrameSink)).collect();
-
-    let report = core.serve_plans_streamed(&plans, &inserts, &sinks);
-
-    for (sink, out) in sinks_owned.into_iter().zip(&report.base.sessions) {
-        // An evicted session's connection is already retired.
-        if let Some(conn) = sink.conn.into_inner() {
-            let done = Msg::Done {
-                outcome: wire_outcome(&out.outcome),
-                frames: out.frames.len() as u32,
-                results: out.results.len() as u64,
-            };
-            retire(jobs, conn, done, shared.config.write_deadline);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -779,8 +729,14 @@ mod tests {
         let took = started.elapsed();
         assert_eq!(sent, Err(EvictReason::SlowReader));
         assert_eq!(waits.get(), 1, "only the write waited, and in place");
-        assert!(took >= deadline, "evicted after {took:?}, before the deadline");
-        assert!(took < deadline + Duration::from_secs(2), "evicted only after {took:?}");
+        assert!(
+            took >= deadline,
+            "evicted after {took:?}, before the deadline"
+        );
+        assert!(
+            took < deadline + Duration::from_secs(2),
+            "evicted only after {took:?}"
+        );
         assert!(conn.torn, "a cut delta leaves no room for a notice");
         drop(peer);
     }

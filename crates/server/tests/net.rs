@@ -16,7 +16,7 @@ use mobiquery::{NsiRecord, SessionKind, SessionPlan, SessionSpec, Trajectory};
 use rtree::{RTree, RTreeConfig};
 use server::{
     encode, ClientBehavior, ClientOutcome, DoneOutcome, EvictReason, HelloSpec, Msg, NetClient,
-    NetServer, RejectReason, ServerConfig,
+    NetServer, RejectReason, ServerConfig, DEFAULT_MAX_FRAME_BYTES,
 };
 use stkit::{Interval, Rect};
 use storage::Pager;
@@ -271,7 +271,7 @@ fn beside_a_misbehaver(
 
 #[test]
 fn slow_reader_is_evicted_and_healthy_session_unaffected() {
-    // Zero credit and a stall from the first delta: the outbox fills and
+    // Zero credit and a stall from the first delta: no credit comes and
     // the write deadline must evict it.
     let cfg = ServerConfig {
         write_deadline: Duration::from_millis(100),
@@ -296,8 +296,8 @@ fn vanished_client_is_contained() {
 /// Straggler isolation over the wire: four 25-wide slabs, one healthy
 /// PDQ client on each of regions 1–3, and a staller and a vanisher on
 /// region 0. The staller admits at zero credit and holds its socket, so
-/// region 0 stalls once its outbox is full, for up to the 30 s write
-/// deadline — and the healthy clients must still read every delta, within
+/// region 0 stalls on its first delta, waiting for credit for up to the
+/// 30 s write deadline — and the healthy clients must still read every delta, within
 /// a 20 s guard that the deadline cannot rescue. Only then does the
 /// staller drop its socket.
 #[test]
@@ -440,7 +440,9 @@ fn garbage_streams_are_contained_to_their_session() {
     }
 
     // Garbage AFTER admission: that session is evicted, the healthy
-    // session in the same batch still completes.
+    // session in the same batch still completes. The rogue's 8 credits
+    // are fewer than its plan's frames, so the sink reads the garbage
+    // when the credit runs out, mid-serve.
     let mut rogue = NetClient::connect(handle.addr()).expect("connect");
     rogue.hello(&plan, 8).expect("io").expect("admitted");
     rogue.send_raw(&[0xDE, 0xAD, 0xBE, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF]).expect("send");
@@ -460,6 +462,162 @@ fn garbage_streams_are_contained_to_their_session() {
     );
     let summary = handle.shutdown();
     assert!(summary.evicted >= 1);
+}
+
+/// Garbage from a client that holds credit for every frame of its plan:
+/// no delta waits for its credit, so the sink never reads its socket
+/// while it is served, and the garbage, sent before the batch is
+/// gathered, is found only before `Done` goes out. The rogue must end
+/// `Evicted(Protocol)` and the healthy session beside it `Done`,
+/// bit-identical to `serve_serial`.
+#[test]
+fn garbage_from_a_client_with_credit_for_every_frame_is_evicted() {
+    const FRAMES: usize = 10;
+    let recs = line_records(30);
+    let plan = slide_plan(SessionKind::Pdq, FRAMES, 30.0);
+    let inserts = insert_schedule(FRAMES, 30.0);
+    let oracle =
+        build_core(vec![15.0], &recs).serve_serial_plans(std::slice::from_ref(&plan), &inserts);
+    let cfg = ServerConfig {
+        min_gather: 2,
+        gather_window: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
+    let handle = NetServer::start(
+        build_core(vec![15.0], &recs),
+        vec![inserts],
+        "127.0.0.1:0",
+        cfg,
+    )
+    .expect("start server");
+    let mut rogue = NetClient::connect(handle.addr()).expect("connect");
+    rogue
+        .hello(&plan, 2 * FRAMES as u32)
+        .expect("io")
+        .expect("admitted");
+    rogue
+        .send_raw(&[0xDE, 0xAD, 0xBE, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF])
+        .expect("send");
+    let mut healthy = NetClient::connect(handle.addr()).expect("connect");
+    healthy.hello(&plan, 64).expect("io").expect("admitted");
+
+    let h = std::thread::spawn(move || healthy.run(ClientBehavior::WellBehaved));
+    let r = std::thread::spawn(move || rogue.run(ClientBehavior::WellBehaved));
+    let healthy_run = h.join().expect("healthy thread");
+    let rogue_run = r.join().expect("rogue thread");
+
+    assert_eq!(
+        rogue_run.outcome,
+        ClientOutcome::Evicted(EvictReason::Protocol)
+    );
+    assert!(
+        matches!(
+            healthy_run.outcome,
+            ClientOutcome::Done {
+                outcome: DoneOutcome::Ok,
+                ..
+            }
+        ),
+        "healthy session: {:?}",
+        healthy_run.outcome
+    );
+    assert_eq!(
+        healthy_run.results(),
+        oracle.base.sessions[0].results,
+        "bit-identical to serve_serial"
+    );
+    assert_eq!(handle.shutdown().evicted, 1, "the rogue only");
+}
+
+/// A served session holds no pool worker, so one worker admits and
+/// serves as many sessions as `max_sessions` allows: four clients
+/// through a one-worker pool, gathered into one serve, each `Done` and
+/// bit-identical to `serve_serial`.
+#[test]
+fn one_pool_worker_serves_max_sessions_at_once() {
+    const FRAMES: usize = 12;
+    let recs = line_records(30);
+    let plans: Vec<SessionPlan<2>> = [SessionKind::Pdq, SessionKind::Npdq]
+        .into_iter()
+        .cycle()
+        .take(4)
+        .map(|kind| slide_plan(kind, FRAMES, 30.0))
+        .collect();
+    let inserts = insert_schedule(FRAMES, 30.0);
+    let oracle = build_core(vec![15.0], &recs).serve_serial_plans(&plans, &inserts);
+    let cfg = ServerConfig {
+        workers: 1,
+        max_sessions: 4,
+        min_gather: 4,
+        gather_window: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
+    let handle = NetServer::start(
+        build_core(vec![15.0], &recs),
+        vec![inserts],
+        "127.0.0.1:0",
+        cfg,
+    )
+    .expect("start server");
+    let clients: Vec<NetClient> = plans
+        .iter()
+        .map(|p| {
+            let mut c = NetClient::connect(handle.addr()).expect("connect");
+            c.hello(p, 4).expect("hello io").expect("admitted");
+            c
+        })
+        .collect();
+    let threads: Vec<_> = clients
+        .into_iter()
+        .map(|c| std::thread::spawn(move || c.run(ClientBehavior::WellBehaved)))
+        .collect();
+    for (i, t) in threads.into_iter().enumerate() {
+        let run = t.join().expect("client thread");
+        assert!(
+            matches!(run.outcome, ClientOutcome::Done { .. }),
+            "session {i}: {:?}",
+            run.outcome
+        );
+        assert_eq!(
+            run.results(),
+            oracle.base.sessions[i].results,
+            "session {i} vs serve_serial"
+        );
+    }
+    let summary = handle.shutdown();
+    assert_eq!((summary.runs, summary.sessions, summary.evicted), (1, 4, 0));
+}
+
+/// A `Hello` whose length prefix is over the frame limit, followed by
+/// more bytes than one 4 KiB `read` takes: the server must answer
+/// `Evicted(Protocol)` and then close in order, with a FIN, not reset
+/// the connection over the bytes it never read.
+#[test]
+fn an_oversized_hello_with_bytes_unread_is_answered_and_closed_in_order() {
+    let handle = NetServer::start(
+        build_core(vec![5.0], &line_records(10)),
+        vec![],
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("start server");
+    let mut client = NetClient::connect(handle.addr()).expect("connect");
+    let mut bytes = (DEFAULT_MAX_FRAME_BYTES as u32 + 1).to_le_bytes().to_vec();
+    bytes.resize(4 + 16 * 4096, 0xAB);
+    client.send_raw(&bytes).expect("send");
+    match client.next_msg() {
+        Ok(Msg::Evicted {
+            reason: EvictReason::Protocol,
+        }) => {}
+        other => panic!("expected a Protocol eviction notice, got {other:?}"),
+    }
+    let end = client.next_msg().expect_err("nothing follows the notice");
+    assert_eq!(
+        end.kind(),
+        std::io::ErrorKind::UnexpectedEof,
+        "a FIN, not a reset: {end}"
+    );
+    handle.shutdown();
 }
 
 #[test]

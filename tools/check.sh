@@ -102,7 +102,12 @@
 #          pool): a served wire session's sink writes its deltas and
 #          reads its credit on the serving worker, so no socket thread
 #          per session comes back — then the server crate's suites in
-#          the debug and the optimised build.
+#          the debug and the optimised build, and the wire suite
+#          (crates/server/tests/net.rs) again in the optimised build
+#          under `taskset -c 0`: on one CPU the serve has one worker,
+#          so a sink's wait for credit must lend it to a spare (the
+#          shape dqbench's `wire` runs) or the stalled-client case
+#          stalls the whole serve.
 #   updates
 #          the §4.1 update protocol measured against something that is
 #          not the shared-engine oracle: exp_updates at quick scale — a
@@ -249,7 +254,8 @@ if want net; then
   fi
   cargo test -q --offline -p server
   cargo test -q --offline --release -p server
-  echo "OK: nothing under crates/server/src sleeps or starts a socket thread per session, and the server suites pass in debug and release."
+  taskset -c 0 cargo test -q --offline --release -p server --test net
+  echo "OK: nothing under crates/server/src sleeps or starts a socket thread per session, and the server suites pass in debug and release, and the wire suite on one CPU."
 fi
 
 if want updates; then
