@@ -264,8 +264,8 @@ impl<K: Key, R: Record<Key = K>> NodeRef<K, R> {
     }
 
     /// An internal node's encoded `(key, child)` entries, each
-    /// [`internal_stride`] bytes: what the staged ChooseLeaf reads bounds
-    /// from without decoding a key. Panics on leaves.
+    /// [`internal_stride`] bytes: what a node is staged from for the
+    /// staged ChooseLeaf, without decoding a key. Panics on leaves.
     pub(crate) fn internal_entry_bytes(&self) -> &[u8] {
         assert!(!self.head.leaf, "expected internal node");
         self.entries()
@@ -428,6 +428,12 @@ impl<'a, K: Key, R: Record<Key = K>> NodeEdit<'a, K, R> {
     /// The edited image: header plus every entry, ready to write.
     pub fn bytes(&self) -> &[u8] {
         self.buf
+    }
+
+    /// The image's entries, header stripped: an internal node's are what
+    /// the tree stages it from once written.
+    pub(crate) fn entries(&self) -> &[u8] {
+        &self.buf[NODE_HEADER_LEN..]
     }
 }
 

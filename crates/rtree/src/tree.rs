@@ -3,7 +3,7 @@
 use crate::levels::LevelCounters;
 use crate::node::{capacity, NodeEdit, NodeRef};
 use crate::split::{split_in, SplitPolicy};
-use crate::staged::Stage;
+use crate::staged::{Stage, StagedNodes};
 use crate::stbox_key::f32_up;
 use crate::traits::{Key, Record};
 use storage::{PageId, PageStore, StorageError};
@@ -208,10 +208,14 @@ pub struct RTree<R: Record, S: PageStore> {
     /// The insert path's descent stack, empty between inserts and kept
     /// for its capacity.
     path: Vec<Step<R::Key, R>>,
-    /// The staged ChooseLeaf's and quadratic split's columns
-    /// ([`Stage`]), sized on first use to the tree's largest node plus
-    /// one and never grown again.
+    /// The staged quadratic split's columns ([`Stage`]), sized by the
+    /// first insert to the tree's largest node plus one and never grown
+    /// again.
     stage: Stage,
+    /// By page id: every internal node kept staged for ChooseLeaf
+    /// between inserts ([`StagedNodes`]), each sized to the node's
+    /// capacity when first staged.
+    staged: StagedNodes,
     /// Per-level node read/write counters (relaxed atomics, so readers
     /// sharing `&self` all count here).
     levels: LevelCounters,
@@ -237,6 +241,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             scratch,
             path: Vec::new(),
             stage: Stage::default(),
+            staged: StagedNodes::default(),
             levels: LevelCounters::new(),
             bounds: Vec::new(),
             _records: std::marker::PhantomData,
@@ -260,6 +265,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             scratch: Vec::new(),
             path: Vec::new(),
             stage: Stage::default(),
+            staged: StagedNodes::default(),
             levels: LevelCounters::new(),
             bounds: Vec::new(),
             _records: std::marker::PhantomData,
@@ -401,7 +407,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 
     /// Write `page` whole: a node at `level` stamped `stamp`, in its
     /// header and in the side array, holding the entries `fill` appends,
-    /// built in the scratch buffer ([`NodeEdit::fresh`]). How split halves
+    /// built in the scratch buffer ([`NodeEdit::fresh`]), and staged from
+    /// that image if internal ([`StagedNodes::written`]). How split halves
     /// and new roots are written; an insert's unsplit nodes are edited
     /// page images instead (see [`Self::ascend`]).
     fn write_new(
@@ -411,10 +418,14 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         stamp: u64,
         fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
     ) {
+        let cap = self.internal_capacity();
         let mut edit = NodeEdit::fresh(&mut self.scratch, level, self.store.page_size());
         edit.set_stamp(stamp);
         fill(&mut edit);
         self.store.write(page, edit.bytes());
+        if level > 0 {
+            self.staged.written::<R::Key>(page, cap, stamp, edit.entries());
+        }
         self.levels.record_write(level);
         self.bound_mut(page).stamp = stamp;
     }
@@ -516,12 +527,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         // through the f32 page encoding.
         let key = round_trip(&added, &mut self.scratch);
 
+        self.stage.reserve::<R::Key>(self.stage_capacity());
         // ChooseLeaf. Every page write happens after this, so a device
         // fault surfaces with the tree unchanged.
-        let mut stage = std::mem::take(&mut self.stage);
-        let descended = self.descend(path, &mut stage, &key);
-        self.stage = stage;
-        let (leaf_page, leaf) = descended?;
+        let (leaf_page, leaf) = self.descend(path, &key)?;
         let (start, speed) = (start_bound_f32(&rec), speed_bound_f32(&rec));
         self.bound_mut(leaf_page).raise(start, speed);
         for step in path.iter() {
@@ -566,27 +575,30 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 
     /// Walk from the root by least enlargement towards `key` down to a
     /// leaf, pushing every internal node passed onto `path` and returning
-    /// the leaf — through zero-copy views and the staged kernel's columns
-    /// ([`Stage::choose`]; the scalar [`choose_subtree`] for a node it
-    /// does not take); no node is materialized. Each read names its
-    /// level ([`Self::try_read_node`]), so the walk takes at most
-    /// `height` reads and a cyclic child id is `Corrupt` before any
-    /// write; a node that parses has an entry to take.
+    /// the leaf — through zero-copy views and each node's kept staged
+    /// columns ([`StagedNodes::fresh`], which stages a node the tree has
+    /// not, or whose page changed behind it; the scalar [`choose_subtree`]
+    /// for a node or key the staged kernel does not take); no node is
+    /// materialized. Each read names its level ([`Self::try_read_node`]),
+    /// so the walk takes at most `height` reads and a cyclic child id is
+    /// `Corrupt` before any page write; a node that parses has an entry
+    /// to take.
     fn descend(
-        &self,
+        &mut self,
         path: &mut Vec<Step<R::Key, R>>,
-        stage: &mut Stage,
         key: &R::Key,
     ) -> Result<(PageId, NodeRef<R::Key, R>), StorageError> {
         let (mut page, mut level) = (self.root, self.height - 1);
-        let cap = self.stage_capacity();
+        let cap = self.internal_capacity();
         loop {
             let node = self.try_read_node(page, level)?;
             if node.is_leaf() {
                 return Ok((page, node));
             }
-            let chosen = stage
-                .choose(cap, node.internal_entry_bytes(), key)
+            let chosen = self
+                .staged
+                .fresh(page, cap, &node)
+                .and_then(|staged| staged.choose(key))
                 .unwrap_or_else(|| choose_subtree(node.internal_entries().map(|(k, _)| k), key));
             let next = node.internal_entry(chosen).1;
             path.push(Step { page, node, chosen });
@@ -604,9 +616,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// scratch buffer, the one or two entries that change are patched in
     /// place, and the image is written back — after the node's `PageRef`
     /// is dropped, so the store overwrites its frame rather than copying
-    /// it. Only a node that overflows has its entries decoded into a
-    /// `Vec`, because the split heuristics want every key
-    /// ([`Self::write_split`]).
+    /// it — and those entries alone are re-staged from the image
+    /// ([`StagedNodes::edited`]). Only a node that overflows has its
+    /// entries decoded into a `Vec`, because the split heuristics want
+    /// every key ([`Self::write_split`]).
     ///
     /// The key handed up is the node's fold with the changed entry
     /// substituted, or — while `grew` holds: nothing below split, so every
@@ -661,7 +674,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             drop(node);
             edit.set_stamp(stamp);
             edit.set_key(chosen, &ck);
-            if let Some((nk, np)) = pending.take() {
+            let pushed = pending.take();
+            if let Some((nk, np)) = pushed {
                 // The first ancestor with room: the split chain ends here.
                 edit.push_entry(&nk, np);
                 created = Some(Inserted::Subtree {
@@ -671,6 +685,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 });
             }
             self.store.write(page, edit.bytes());
+            let entries = edit.entries();
+            self.staged.edited::<R::Key>(page, stamp, entries, chosen, pushed.is_some());
             self.levels.record_write(level);
             self.bound_mut(page).stamp = stamp;
             child_key = key;
@@ -827,6 +843,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             }
             return Ok(());
         }
+        // The kept staged columns: a fresh staging of the page, bit for bit.
+        self.staged.check(page, self.internal_capacity(), &node)?;
         for (k, child_page) in node.internal_entries() {
             let child = self.page_bound(child_page);
             if child.start > bound.start {
@@ -914,8 +932,8 @@ pub(crate) fn speed_bound_f32<R: Record>(rec: &R) -> f32 {
 
 /// Guttman's ChooseLeaf criterion: least enlargement, ties by smaller
 /// volume, then by position. Consumes keys lazily so callers can feed a
-/// [`NodeRef`] iterator without materializing. The scalar kernel: nodes
-/// and key types [`Stage::choose`] does not take.
+/// [`NodeRef`] iterator without materializing. The scalar kernel: nodes,
+/// keys and key types [`crate::staged::StagedNode::choose`] does not take.
 pub(crate) fn choose_subtree<K: Key>(keys: impl Iterator<Item = K>, key: &K) -> usize {
     let mut best = 0;
     let mut best_enl = f64::INFINITY;
@@ -1087,6 +1105,44 @@ pub(crate) mod tests {
         assert!(tree.validate().unwrap_err().contains("side stamp"));
         *tree.bound_mut(leaf) = PageBound { stamp: PageBound::UNKNOWN.stamp, ..kept };
         tree.validate().expect("an unknown stamp bounds any");
+    }
+
+    #[test]
+    fn validate_holds_the_kept_staged_nodes_to_their_pages() {
+        let mut tree = bulk_load(
+            Pager::with_page_size(256),
+            RTreeConfig::default(),
+            (0..200).map(rec).collect(),
+        );
+        for i in 200..400 {
+            tree.insert(rec(i), 0.0);
+        }
+        tree.validate().unwrap();
+        let (root, top) = (tree.root_page(), tree.height() - 1);
+        let page = tree.store().read_page(root).to_vec();
+
+        // The root rewritten behind the tree, its header as it was: the
+        // kept columns lag the page, and `validate` says where.
+        let mut bytes = page.clone();
+        let lo = crate::node::NODE_HEADER_LEN;
+        bytes[lo..lo + 4].copy_from_slice(&(-1.0f32).to_le_bytes());
+        tree.store().write(root, &bytes);
+        let err = tree.validate().unwrap_err();
+        assert_eq!(err, format!("node {root}'s staged bound 0 of entry 0"));
+        tree.store().write(root, &page);
+        tree.validate().unwrap();
+
+        // Its last entry dropped behind the tree: a count the tree did not
+        // write, so the next descent stages the root anew from its bytes.
+        let n = tree.try_read_node(root, top).unwrap().len();
+        let mut bytes = page.clone();
+        bytes[4..8].copy_from_slice(&(n as u32 - 1).to_le_bytes());
+        tree.store().write(root, &bytes);
+        tree.insert(rec(400), 0.0);
+        assert_eq!(tree.root_page(), root);
+        let node = tree.try_read_node(root, top).unwrap();
+        let cap = tree.internal_capacity();
+        tree.staged.check(root, cap, &node).expect("staged anew, then edited");
     }
 
     #[test]

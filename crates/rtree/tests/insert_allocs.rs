@@ -75,8 +75,9 @@ fn packing_allocates_under_16_bytes_a_record_beyond_its_pages() {
             r
         })
         .collect();
-    // A throwaway tree's first insert sizes this thread's trace ring; the
-    // packed tree's one scratch page is counted against the budget.
+    // A throwaway tree takes one insert first, so nothing set up once per
+    // process lands in the count; the packed tree's one scratch page is
+    // counted against the budget.
     RTree::new(Pager::new(), RTreeConfig::default()).insert(rec(n), 0.0);
     let mut tree = RTree::new(Pager::new(), RTreeConfig::default());
 
@@ -126,8 +127,8 @@ fn no_split_inserts_allocate_nothing<R: Record>(rec: impl Fn(u32) -> R) {
         (0..10_000).map(&rec).collect(),
     );
     assert_eq!(tree.height(), 3);
-    // The first insert sizes the scratch page, the descent stack and this
-    // thread's trace ring.
+    // The first insert sizes the scratch page, the descent stack and the
+    // split's stage.
     tree.insert(rec(10_000), 0.0);
 
     let mut unsplit = 0;

@@ -15,6 +15,14 @@
 //! record, and the leaf that received it must be the oracle's choice over
 //! the root's keys as the page stores them.
 //!
+//! The tree keeps its internal nodes staged between inserts, so ChooseLeaf
+//! is also checked insert by insert: runs of inserts, from an empty or a
+//! packed tree, on 256 B pages (internal splits, the root growing) and
+//! 4 KiB ones, reopened part-way so every node is staged anew. Each
+//! insert must write the leaf the oracle's descent over the stored keys
+//! reaches, and `validate` — which holds every kept staged node to a
+//! fresh staging of its page — must hold after it.
+//!
 //! Run this optimised as well as in the debug build (`tools/check.sh`
 //! does): the debug build does not vectorise, so only an optimised run
 //! tests the loops that ship.
@@ -26,10 +34,11 @@ use oracle::{oracle_choose, oracle_split};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use rtree::bulk::bulk_load;
 use rtree::node::NodeEdit;
 use rtree::{DtaSegmentRecord, Key, NsiSegmentRecord, RTree, RTreeConfig, Record, SplitPolicy};
 use stkit::{Interval, Rect, StBox};
-use storage::{PageStore, Pager};
+use storage::{load_pager, save_pager, PageStore, Pager};
 use tprtree::TpBox;
 
 const PAGE: usize = 4096;
@@ -222,6 +231,109 @@ fn split_matches_oracle<const T: usize>(seed: u64) -> Result<(), TestCaseError> 
     Ok(())
 }
 
+/// A record's motion for a run of inserts: a third of them on corners of
+/// one of `entries`, the root's keys (so enlargements tie), the rest
+/// from small bounds; one in eight with its interval inverted, one in
+/// sixteen with a NaN side.
+fn motion<const T: usize>(
+    rng: &mut ChaCha8Rng,
+    entries: &[StBox<2, T>],
+) -> ([f64; 2], [f64; 2], Interval) {
+    let (mut from, mut to, mut t) = if !entries.is_empty() && rng.gen_range(0u32..3) == 0 {
+        let k = entries[rng.gen_range(0..entries.len())];
+        let mut corner = |a: usize| {
+            if rng.gen_range(0u32..2) == 0 {
+                k.axis_lo(a)
+            } else {
+                k.axis_hi(a)
+            }
+        };
+        let (from, to) = ([corner(0), corner(1)], [corner(0), corner(1)]);
+        (from, to, Interval::new(k.axis_lo(2), k.axis_hi(2).max(k.axis_lo(2))))
+    } else {
+        let (t0, dt) = (bound(rng), f64::from(rng.gen_range(0u32..3)));
+        let (from, to) = ([bound(rng), bound(rng)], [bound(rng), bound(rng)]);
+        (from, to, Interval::new(t0, t0 + dt))
+    };
+    match rng.gen_range(0u32..16) {
+        0 | 1 => t = Interval::new(t.hi + 1.0, t.lo),
+        2 => {
+            let a = rng.gen_range(0usize..2);
+            (from[a], to[a]) = (f64::NAN, f64::NAN);
+        }
+        _ => {}
+    }
+    (from, to, t)
+}
+
+/// `inserts` records drawn by `record` into a tree on `page`-byte pages,
+/// empty or packed from drawn records, reopened from its saved pages
+/// part-way: each insert must write the leaf the oracle's ChooseLeaf
+/// reaches over every node's keys as stored — the one leaf that existed
+/// before the insert and carries its stamp after — and the tree must
+/// validate after it.
+fn inserts_take_the_oracle_s_leaves<const T: usize, R>(
+    seed: u64,
+    page: usize,
+    inserts: usize,
+    record: impl Fn(&mut ChaCha8Rng, [f64; 2], [f64; 2], Interval) -> R,
+) -> Result<(), TestCaseError>
+where
+    R: Record<Key = StBox<2, T>>,
+{
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let config = RTreeConfig::default();
+    let mut tree: RTree<R, Pager> = if rng.gen_range(0u32..2) == 0 {
+        RTree::new(Pager::with_page_size(page), config)
+    } else {
+        let packed = (0..inserts / 4).map(|_| {
+            let (from, to, t) = motion::<T>(&mut rng, &[]);
+            record(&mut rng, from, to, t)
+        });
+        bulk_load(Pager::with_page_size(page), config, packed.collect())
+    };
+    let reopen_at = rng.gen_range(inserts / 4..inserts * 3 / 4);
+    for i in 0..inserts {
+        if i == reopen_at {
+            let (root, height, len) = tree.metadata();
+            let mut bytes = Vec::new();
+            save_pager(tree.store(), &mut bytes).expect("the pages save");
+            let store = load_pager(&bytes[..]).expect("the pages load");
+            tree = RTree::reopen(store, config, root, height, len);
+        }
+        let (root, top) = (tree.root_page(), tree.height() - 1);
+        let entries: Vec<StBox<2, T>> = match tree.try_read_node(root, top) {
+            Ok(node) if !node.is_leaf() => node.internal_entries().map(|(k, _)| k).collect(),
+            _ => Vec::new(),
+        };
+        let (from, to, t) = motion(&mut rng, &entries);
+        let rec = record(&mut rng, from, to, t);
+        let key = on_page(&rec.key());
+        let (mut leaf, mut level) = (root, top);
+        while level > 0 {
+            let node = tree.try_read_node(leaf, level).expect("a node parses");
+            let stored: Vec<(StBox<2, T>, _)> = node.internal_entries().collect();
+            let keys: Vec<StBox<2, T>> = stored.iter().map(|&(k, _)| k).collect();
+            (leaf, level) = (stored[oracle_choose(&keys, &key)].1, level - 1);
+        }
+        tree.try_insert(rec).expect("an insert");
+        let stamp = tree.try_read_node(leaf, 0).expect("a leaf parses").stamp();
+        prop_assert_eq!(
+            stamp,
+            tree.len(),
+            "seed {}, insert {} of {:?}: the oracle's leaf {} was not written",
+            seed,
+            i,
+            rec.key(),
+            leaf
+        );
+        if let Err(e) = tree.validate() {
+            prop_assert!(false, "seed {}, insert {}: {}", seed, i, e);
+        }
+    }
+    Ok(())
+}
+
 fn nsi(rng: &mut ChaCha8Rng, from: [f64; 2], to: [f64; 2], t: Interval) -> NsiSegmentRecord<2> {
     NsiSegmentRecord::new(rng.gen_range(0u32..1000), 0, t, from, to)
 }
@@ -243,6 +355,19 @@ proptest! {
     fn staged_quadratic_split_makes_the_oracle_s_groups(seed in any::<u64>()) {
         split_matches_oracle::<1>(seed)?;
         split_matches_oracle::<2>(seed)?;
+    }
+}
+
+proptest! {
+    // Four cases of 1 500 inserts each.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn kept_staged_nodes_descend_to_the_oracle_s_leaf_insert_by_insert(seed in any::<u64>()) {
+        inserts_take_the_oracle_s_leaves(seed, 256, 500, nsi)?;
+        inserts_take_the_oracle_s_leaves(seed, 256, 500, dta)?;
+        inserts_take_the_oracle_s_leaves(seed, PAGE, 250, nsi)?;
+        inserts_take_the_oracle_s_leaves(seed, PAGE, 250, dta)?;
     }
 }
 

@@ -6,7 +6,7 @@
 # clippy, a type-check of
 # benchmarks/dqbench — its own package, which nothing else
 # compiles: deleting public API must not pass here and break the scorer —
-# and twelve grep gates: no Rust under crates tests examples src calls
+# and thirteen grep gates: no Rust under crates tests examples src calls
 # `.free(` (no store frees a page, and `PageStore::free` is a no-op kept
 # only because benchmarks/dqbench forwards it), nor `.read_node(` (every
 # descent reads through `RTree::try_read_node`, which checks the level
@@ -44,7 +44,13 @@
 # `QueueOpKind` or `obs::trace`: a per-thread event ring is read by no
 # one once participants move between workers, so the obs counters are
 # the serve's one instrument until a collector carried by the task
-# replaces it. Last,
+# replaces it. And ChooseLeaf stages no internal node from its page
+# bytes per insert: nothing under crates outside crates/rtree/src/node.rs
+# and staged.rs names `Stage::choose` or `internal_entry_bytes` (the
+# bytes a node is staged from), and staged.rs has one `fn choose`, the
+# kept staged node's, so the descent reads the columns the tree keeps
+# between inserts and stages a page only on a write or when it is
+# missing or stale (`StagedNodes::fresh`). Last,
 # BENCH_trajectory.json — one row per workload and seed of each PR's
 # A/B, appended by `tools/ab.py --record PR` — must keep its schema and
 # never lower a PR number down the file (`tools/ab.py --check-trajectory`).
@@ -226,6 +232,10 @@ if [ -z "$ONLY" ]; then
   fi
   if git grep -nE 'TraceEvent|TraceRing|take_thread_trace|thread_trace_dropped|QueueOpKind|obs::trace\b' -- crates tests examples src; then
     echo "FAIL: a per-thread trace ring or its events (see above); count with obs metrics, or scope a collector to the task" >&2; exit 1
+  fi
+  if git grep -nE 'Stage::choose|internal_entry_bytes' -- crates ':!crates/rtree/src/node.rs' ':!crates/rtree/src/staged.rs' \
+      || [ "$(git grep -c 'fn choose' -- crates/rtree/src/staged.rs | cut -d: -f2)" != 1 ]; then
+    echo "FAIL: an internal node staged from its page bytes outside StagedNodes, or a second ChooseLeaf kernel in staged.rs (see above); descend from the kept staged nodes" >&2; exit 1
   fi
   if ! tools/ab.py --check-trajectory; then
     echo "FAIL: BENCH_trajectory.json breaks its schema or lowers a PR number (see above); rows come from tools/ab.py --record" >&2; exit 1
