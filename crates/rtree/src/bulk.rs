@@ -8,7 +8,8 @@
 //! * **The §5 experiment build**, [`bulk_load`]. The paper builds its
 //!   index over ≈502 k motion segments before running queries, at a 0.5
 //!   fill factor; sorting space before time ([`AxisOrder::KeyOrder`]) at
-//!   `config.bulk_fill` yields exactly the reported height of 3. The
+//!   that fill, [`RTreeConfig::BULK_FILL`], yields exactly the reported
+//!   height of 3. The
 //!   figures and tests call this.
 //! * **A serving rebuild** — server start, the base of a recovery, a
 //!   recut (`mobiquery::router`). It sorts time first
@@ -70,7 +71,7 @@ impl AxisOrder {
 }
 
 /// Build a tree from `records` by STR packing in key-axis order at
-/// `config.bulk_fill` (the paper's §5 build).
+/// [`RTreeConfig::BULK_FILL`] (the paper's §5 build).
 pub fn bulk_load<R: Record, S: PageStore>(
     store: S,
     config: RTreeConfig,
@@ -79,7 +80,7 @@ pub fn bulk_load<R: Record, S: PageStore>(
     let mut tree = RTree::new(store, config);
     let order = AxisOrder::KeyOrder(config.bulk_leading_axes.unwrap_or(R::Key::AXES));
     let members = (0..index(records.len())).collect();
-    pack_into(&mut tree, &records, members, order, config.bulk_fill);
+    pack_into(&mut tree, &records, members, order, RTreeConfig::BULK_FILL);
     tree
 }
 
@@ -126,17 +127,19 @@ pub fn pack_into<R: Record, S: PageStore>(
         },
         emit: |tile: &[u32]| {
             let mut key = R::Key::empty();
-            let (mut start, mut speed) = (f32::NEG_INFINITY, 0.0f32);
-            let page = tree.write_fresh(root_page.take(), 0, |node| {
+            let mut bound = PageBound::EMPTY;
+            for &i in tile {
+                let rec = &records[i as usize];
+                bound.raise(start_bound_f32(rec), speed_bound_f32(rec));
+            }
+            let page = root_page.take().unwrap_or_else(|| tree.store().alloc());
+            tree.write_new(page, 0, bound, |node| {
                 for &i in tile {
                     let rec = &records[i as usize];
                     key = key.cover(&rec.key());
-                    start = start.max(start_bound_f32(rec));
-                    speed = speed.max(speed_bound_f32(rec));
                     node.push_record(rec);
                 }
             });
-            *tree.bound_mut(page) = PageBound { start, speed, stamp: 0 };
             entries.push((key, page));
         },
     }
@@ -159,18 +162,19 @@ pub fn pack_into<R: Record, S: PageStore>(
             tie: |a, b| below[a as usize].1.cmp(&below[b as usize].1),
             emit: |tile: &[u32]| {
                 let mut key = R::Key::empty();
-                let (start, speed) = tile
-                    .iter()
-                    .map(|&i| tree.page_bound(below[i as usize].1))
-                    .fold((f32::NEG_INFINITY, 0.0f32), |(s, v), b| (s.max(b.start), v.max(b.speed)));
-                let page = tree.write_fresh(None, level, |node| {
+                let mut bound = PageBound::EMPTY;
+                for &i in tile {
+                    let child = tree.page_bound(below[i as usize].1);
+                    bound.raise(child.start, child.speed);
+                }
+                let page = tree.store().alloc();
+                tree.write_new(page, level, bound, |node| {
                     for &i in tile {
                         let (k, child) = &below[i as usize];
                         key = key.cover(&as_stored(k, &mut buf));
                         node.push_entry(k, *child);
                     }
                 });
-                *tree.bound_mut(page) = PageBound { start, speed, stamp: 0 };
                 entries.push((key, page));
             },
         }
@@ -306,11 +310,15 @@ mod tests {
 
     #[test]
     fn full_fill_build() {
-        let cfg = RTreeConfig {
-            bulk_fill: 1.0,
-            ..RTreeConfig::default()
-        };
-        let tree = bulk_load(Pager::new(), cfg, records(1000));
+        let mut tree = RTree::new(Pager::new(), RTreeConfig::default());
+        let members = (0..1000).collect();
+        pack_into(
+            &mut tree,
+            &records(1000),
+            members,
+            AxisOrder::KeyOrder(3),
+            1.0,
+        );
         let inv = tree.validate().unwrap();
         // 1000 / 127 = 7.9 → 8 leaves, one root.
         assert_eq!(inv.nodes_per_level[0], 8);

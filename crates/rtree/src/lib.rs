@@ -26,15 +26,15 @@
 //!   tree's record count after it, so "written since the previous query"
 //!   is a comparison with the count that query saw: what lets NPDQ decide
 //!   whether the previous query may be used to discard a subtree (§4.2).
-//! * **A side array by page** — beside the pages, in memory, the tree
-//!   keeps for each page an upper bound on the latest record start and
-//!   on the greatest per-axis speed under it, and the page's stamp
+//! * **A record by page** — beside the pages, in memory, the tree keeps
+//!   for each page an upper bound on the latest record start and on the
+//!   greatest per-axis speed under it, and the page's stamp
 //!   ([`RTree::page_bound`], [`PageBound`]): what lets an instant NPDQ
 //!   query judge a child, written or not, started or not, and how far its
 //!   records can move, without reading it.
 //! * **STR bulk loading** ([`bulk`]): one packing routine, called by the
-//!   §5 experiment build at a configurable fill factor (the paper builds
-//!   its index at 0.5) and by every rebuild of a serving tree.
+//!   §5 experiment build at the paper's fill factor of 0.5 and by every
+//!   rebuild of a serving tree.
 //! * **Range search** with I/O and comparison counting — the *naive*
 //!   baseline the paper compares against, and the building block for the
 //!   first snapshot of every dynamic query.

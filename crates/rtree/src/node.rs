@@ -57,9 +57,10 @@ pub(crate) const fn internal_stride<K: Key>() -> usize {
 }
 
 /// Entries of a leaf (`true`) or internal node that fit a page of
-/// `page_size` bytes: the tree's fanout.
+/// `page_size` bytes: the tree's fanout; none on a page too small for a
+/// header, which a tree opened only to read one may have.
 pub(crate) fn capacity<K: Key, R: Record>(leaf: bool, page_size: usize) -> usize {
-    (page_size - NODE_HEADER_LEN) / stride::<K, R>(leaf)
+    page_size.saturating_sub(NODE_HEADER_LEN) / stride::<K, R>(leaf)
 }
 
 /// The fixed header, checked: `count` entries of this kind fit the

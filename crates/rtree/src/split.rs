@@ -41,11 +41,11 @@ pub struct SplitResult {
 ///
 /// `keys.len()` must be at least `2 * min_fill` and at least 2.
 pub fn split<K: Key>(policy: SplitPolicy, keys: &[K], min_fill: usize) -> SplitResult {
-    split_in(policy, keys, min_fill, &mut Stage::default(), keys.len())
+    split_in(policy, keys, min_fill, &mut Stage::new::<K>(keys.len()))
 }
 
-/// [`split`] with the staged kernels' columns in `stage`, grown to at
-/// least `cap` entries: a tree passes its own, sized to its largest
+/// [`split`] with the staged kernels' keys in `stage`, which must hold
+/// `keys.len()` of them: a tree passes its own, sized to its largest
 /// node, so a split allocates no staging of its own. A quadratic split of
 /// keys the stage takes ([`Key::STAGED_SPACE_AXES`]) runs the staged
 /// PickSeeds and distribution, any other the scalar ones below; both
@@ -55,7 +55,6 @@ pub(crate) fn split_in<K: Key>(
     keys: &[K],
     min_fill: usize,
     stage: &mut Stage,
-    cap: usize,
 ) -> SplitResult {
     assert!(keys.len() >= 2, "cannot split fewer than two entries");
     assert!(
@@ -69,7 +68,7 @@ pub(crate) fn split_in<K: Key>(
             let (a, b) = linear_seeds(keys);
             distribute(keys, a, b, min_fill, policy)
         }
-        SplitPolicy::Quadratic => match stage.quadratic_seeds(cap, keys) {
+        SplitPolicy::Quadratic => match stage.quadratic_seeds(keys) {
             Some((a, b)) => stage.distribute(keys, a, b, min_fill),
             None => {
                 let (a, b) = quadratic_seeds(keys);

@@ -22,10 +22,12 @@ pub trait Key: Copy + std::fmt::Debug + PartialEq {
     /// True iff [`Self::cover`] is an exact lattice join: every bound of
     /// the result is one operand's bound, picked by `min`/`max`, with no
     /// arithmetic. Such a cover is associative, commutative and
-    /// idempotent bit for bit, and commutes with the outward rounding of
-    /// [`Self::encode`] — so a node's key after one entry *grew* is its
-    /// stored key `∪` that entry, and the insert path takes that instead
-    /// of re-folding the node. A cover that computes (a TPR box anchoring
+    /// idempotent bit for bit over non-empty keys, and commutes with the
+    /// outward rounding of [`Self::encode`] — so a node's key after one
+    /// entry *grew* to a non-empty key is its stored key `∪` that entry,
+    /// and the insert path takes that instead of re-folding the node. (A
+    /// cover that ignores an empty operand keeps the later of two empty
+    /// keys: no join.) A cover that computes (a TPR box anchoring
     /// its edges) must leave this `false`: its union differs from the
     /// fold in the last bit.
     const COVER_IS_EXACT_JOIN: bool = false;

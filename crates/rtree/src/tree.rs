@@ -3,25 +3,19 @@
 use crate::levels::LevelCounters;
 use crate::node::{capacity, NodeEdit, NodeRef};
 use crate::split::{split_in, SplitPolicy};
-use crate::staged::{Stage, StagedNodes};
+use crate::staged::{KeptPage, Stage};
 use crate::stbox_key::f32_up;
 use crate::traits::{Key, Record};
 use storage::{PageId, PageStore, StorageError};
 
-/// Tuning knobs; defaults reproduce the paper's setup (§5).
+/// Tuning knobs; defaults reproduce the paper's setup (§5). The two
+/// fills are the paper's constants, not knobs: [`Self::MIN_FILL`] and
+/// [`Self::BULK_FILL`].
 #[derive(Clone, Copy, Debug)]
 pub struct RTreeConfig {
-    /// Minimum node fill on split, as a fraction of capacity. The paper
-    /// uses 0.5.
-    pub min_fill: f64,
     /// Split heuristic on overflow.
     pub split_policy: SplitPolicy,
-    /// Target node fill for [`crate::bulk::bulk_load`], the paper's §5
-    /// experiment build (paper: 0.5). A serving rebuild does not read
-    /// this or the next field: it passes `pack_into` its own order and
-    /// fill.
-    pub bulk_fill: f64,
-    /// When `Some(k)`, STR bulk loading tiles only over the first `k`
+    /// When `Some(k)`, [`crate::bulk::bulk_load`] tiles only over the first `k`
     /// axes (spatial axes come first in `StBox` keys): pass `Some(2)` for
     /// 2-d data to get purely *spatial* clustering, the layout that makes
     /// NPDQ discardability effective for open-ended queries (§4.2).
@@ -29,12 +23,20 @@ pub struct RTreeConfig {
     pub bulk_leading_axes: Option<usize>,
 }
 
+impl RTreeConfig {
+    /// Minimum node fill on split, as a fraction of capacity: the
+    /// paper's 0.5.
+    pub const MIN_FILL: f64 = 0.5;
+    /// Node fill of [`crate::bulk::bulk_load`], the paper's §5
+    /// experiment build: 0.5. A serving rebuild passes `pack_into` its
+    /// own order and fill.
+    pub const BULK_FILL: f64 = 0.5;
+}
+
 impl Default for RTreeConfig {
     fn default() -> Self {
         RTreeConfig {
-            min_fill: 0.5,
             split_policy: SplitPolicy::Quadratic,
-            bulk_fill: 0.5,
             bulk_leading_axes: None,
         }
     }
@@ -103,9 +105,12 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
     /// encode to the same bytes, because `min`/`max` commute with the
     /// encoding's monotone rounding; and an insert that splits nothing
     /// reports no key. Which key types qualify is theirs to declare
-    /// ([`Key::COVER_IS_EXACT_JOIN`]), never a setting.
+    /// ([`Key::COVER_IS_EXACT_JOIN`]), never a setting. An empty `added`
+    /// is no join operand — a cover keeps the last of two empty keys, so
+    /// a node of empty entries folds to its last one, not to the one
+    /// that changed — and takes the fold.
     fn child_key_after(&self, grew: bool, added: &K, fold: impl FnOnce() -> K) -> K {
-        if grew && K::COVER_IS_EXACT_JOIN {
+        if grew && K::COVER_IS_EXACT_JOIN && !added.is_empty() {
             self.node.internal_entry(self.chosen).0.cover(added)
         } else {
             fold()
@@ -114,8 +119,8 @@ impl<K: Key, R: Record<Key = K>> Step<K, R> {
 }
 
 /// What the tree knows of a page without reading it
-/// ([`RTree::page_bound`]): one entry of a side array kept by page id, in
-/// memory only.
+/// ([`RTree::page_bound`]): part of the record the tree keeps of each
+/// page by page id, in memory only.
 ///
 /// Exact after [`crate::bulk::pack_into`]. An insert raises `start` and
 /// `speed` on every page of its path and sets `stamp` on every page it
@@ -148,14 +153,14 @@ impl PageBound {
 
     /// A new empty leaf: no insert wrote it and nothing under it has
     /// started or moves.
-    const EMPTY: PageBound = PageBound {
+    pub(crate) const EMPTY: PageBound = PageBound {
         start: f32::NEG_INFINITY,
         speed: 0.0,
         stamp: 0,
     };
 
     /// Raise `start` and `speed` to cover a record's.
-    fn raise(&mut self, start: f32, speed: f32) {
+    pub(crate) fn raise(&mut self, start: f32, speed: f32) {
         self.start = self.start.max(start);
         self.speed = self.speed.max(speed);
     }
@@ -170,7 +175,7 @@ impl PageBound {
 /// The tree is insert-only, as the paper's update management (§4.1) is,
 /// and no store frees a page: a page id names one node for the tree's
 /// life, so a running query may key its duplicate filter on it — and the
-/// tree may keep a side array by page id ([`Self::page_bound`]).
+/// tree may keep a record of each page by page id ([`Self::page_bound`]).
 ///
 /// ```
 /// use rtree::{NsiSegmentRecord, RTree, RTreeConfig};
@@ -208,20 +213,19 @@ pub struct RTree<R: Record, S: PageStore> {
     /// The insert path's descent stack, empty between inserts and kept
     /// for its capacity.
     path: Vec<Step<R::Key, R>>,
-    /// The staged quadratic split's columns ([`Stage`]), sized by the
-    /// first insert to the tree's largest node plus one and never grown
-    /// again.
+    /// The staged quadratic split's keys ([`Stage`]), sized where the
+    /// tree learns its capacities to its largest node plus one and never
+    /// grown again.
     stage: Stage,
-    /// By page id: every internal node kept staged for ChooseLeaf
-    /// between inserts ([`StagedNodes`]), each sized to the node's
-    /// capacity when first staged.
-    staged: StagedNodes,
     /// Per-level node read/write counters (relaxed atomics, so readers
     /// sharing `&self` all count here).
     levels: LevelCounters,
-    /// By page id: what the tree knows of the page without reading it
-    /// ([`Self::page_bound`]). A page past the end is unknown.
-    bounds: Vec<PageBound>,
+    /// By page id, the one record the tree keeps of each page
+    /// ([`KeptPage`]): what it knows of the page without reading it
+    /// ([`Self::page_bound`]) and, for an internal node, its entries
+    /// staged for ChooseLeaf between inserts. A page past the end is
+    /// unknown.
+    pages: Vec<KeptPage>,
     _records: std::marker::PhantomData<fn() -> R>,
 }
 
@@ -229,24 +233,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// Create an empty tree (a single empty leaf as root).
     pub fn new(store: S, config: RTreeConfig) -> Self {
         let root = store.alloc();
-        let mut scratch = Vec::new();
-        let leaf = NodeEdit::<R::Key, R>::fresh(&mut scratch, 0, store.page_size());
-        store.write(root, leaf.bytes());
-        let mut tree = RTree {
-            store,
-            config,
-            root,
-            height: 1,
-            len: 0,
-            scratch,
-            path: Vec::new(),
-            stage: Stage::default(),
-            staged: StagedNodes::default(),
-            levels: LevelCounters::new(),
-            bounds: Vec::new(),
-            _records: std::marker::PhantomData,
-        };
-        *tree.bound_mut(root) = PageBound::EMPTY;
+        let mut tree = Self::reopen(store, config, root, 1, 0);
+        let leaf = NodeEdit::<R::Key, R>::fresh(&mut tree.scratch, 0, tree.store.page_size());
+        tree.store.write(root, leaf.bytes());
+        KeptPage::at(&mut tree.pages, root).bound = PageBound::EMPTY;
         tree
     }
 
@@ -256,6 +246,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// no start or speed bound, so every page's [`Self::page_bound`] is
     /// [`PageBound::UNKNOWN`] until an insert writes it.
     pub fn reopen(store: S, config: RTreeConfig, root: PageId, height: u32, len: u64) -> Self {
+        let page_size = store.page_size();
+        let largest = [true, false].map(|leaf| capacity::<R::Key, R>(leaf, page_size));
         RTree {
             store,
             config,
@@ -264,10 +256,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             len,
             scratch: Vec::new(),
             path: Vec::new(),
-            stage: Stage::default(),
-            staged: StagedNodes::default(),
+            // An overflowing node of either kind.
+            stage: Stage::new::<R::Key>(largest[0].max(largest[1]) + 1),
             levels: LevelCounters::new(),
-            bounds: Vec::new(),
+            pages: Vec::new(),
             _records: std::marker::PhantomData,
         }
     }
@@ -342,15 +334,9 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// not a page of this tree).
     #[inline]
     pub fn page_bound(&self, page: PageId) -> PageBound {
-        self.bounds.get(page.0 as usize).copied().unwrap_or(PageBound::UNKNOWN)
-    }
-
-    pub(crate) fn bound_mut(&mut self, page: PageId) -> &mut PageBound {
-        let i = page.0 as usize;
-        if self.bounds.len() <= i {
-            self.bounds.resize(i + 1, PageBound::UNKNOWN);
-        }
-        &mut self.bounds[i]
+        self.pages
+            .get(page.0 as usize)
+            .map_or(PageBound::UNKNOWN, |kept| kept.bound)
     }
 
     /// Always zero: a tree is read through `&self` and written through
@@ -405,42 +391,28 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         Ok(node)
     }
 
-    /// Write `page` whole: a node at `level` stamped `stamp`, in its
-    /// header and in the side array, holding the entries `fill` appends,
-    /// built in the scratch buffer ([`NodeEdit::fresh`]), and staged from
-    /// that image if internal ([`StagedNodes::written`]). How split halves
-    /// and new roots are written; an insert's unsplit nodes are edited
-    /// page images instead (see [`Self::ascend`]).
-    fn write_new(
+    /// Write `page` whole: a node at `level` bounded by `bound`, whose
+    /// stamp its header carries, holding the entries `fill` appends,
+    /// built in the scratch buffer ([`NodeEdit::fresh`]); its record
+    /// takes the bound and, if internal, a staging of that image
+    /// ([`KeptPage::written`]). How split halves, new roots and every
+    /// node bulk load packs (stamp 0, the one no insert writes) are
+    /// written; an insert's unsplit nodes are edited page images instead
+    /// (see [`Self::ascend`]).
+    pub(crate) fn write_new(
         &mut self,
         page: PageId,
         level: u32,
-        stamp: u64,
+        bound: PageBound,
         fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
     ) {
         let cap = self.internal_capacity();
         let mut edit = NodeEdit::fresh(&mut self.scratch, level, self.store.page_size());
-        edit.set_stamp(stamp);
+        edit.set_stamp(bound.stamp);
         fill(&mut edit);
         self.store.write(page, edit.bytes());
-        if level > 0 {
-            self.staged.written::<R::Key>(page, cap, stamp, edit.entries());
-        }
         self.levels.record_write(level);
-        self.bound_mut(page).stamp = stamp;
-    }
-
-    /// [Write](Self::write_new) `page`, or a newly allocated page when it
-    /// is `None`: how bulk load writes each node it packs, stamped 0.
-    pub(crate) fn write_fresh(
-        &mut self,
-        page: Option<PageId>,
-        level: u32,
-        fill: impl FnOnce(&mut NodeEdit<'_, R::Key, R>),
-    ) -> PageId {
-        let page = page.unwrap_or_else(|| self.store.alloc());
-        self.write_new(page, level, 0, fill);
-        page
+        KeptPage::at(&mut self.pages, page).written::<R::Key>(bound, level, cap, edit.entries());
     }
 
     pub(crate) fn set_root(&mut self, root: PageId, height: u32, len: u64) {
@@ -449,15 +421,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         self.len = len;
     }
 
-    /// Entries the stage holds: an overflowing node of either kind.
-    fn stage_capacity(&self) -> usize {
-        self.leaf_capacity().max(self.internal_capacity()) + 1
-    }
-
     fn min_fill_count(&self, capacity: usize) -> usize {
         // At least 1, at most half of (capacity + 1) so a split of
         // capacity+1 entries is always feasible.
-        let m = (capacity as f64 * self.config.min_fill).floor() as usize;
+        let m = (capacity as f64 * RTreeConfig::MIN_FILL).floor() as usize;
         m.clamp(1, capacity.div_ceil(2))
     }
 
@@ -527,14 +494,14 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         // through the f32 page encoding.
         let key = round_trip(&added, &mut self.scratch);
 
-        self.stage.reserve::<R::Key>(self.stage_capacity());
         // ChooseLeaf. Every page write happens after this, so a device
         // fault surfaces with the tree unchanged.
         let (leaf_page, leaf) = self.descend(path, &key)?;
         let (start, speed) = (start_bound_f32(&rec), speed_bound_f32(&rec));
-        self.bound_mut(leaf_page).raise(start, speed);
-        for step in path.iter() {
-            self.bound_mut(step.page).raise(start, speed);
+        for page in path.iter().map(|step| step.page).chain([leaf_page]) {
+            KeptPage::at(&mut self.pages, page)
+                .bound
+                .raise(start, speed);
         }
 
         // Key of the child just handled, for its parent's entry, and the
@@ -554,7 +521,7 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             edit.push_record(&rec);
             self.store.write(leaf_page, edit.bytes());
             self.levels.record_write(level);
-            self.bound_mut(leaf_page).stamp = stamp;
+            KeptPage::at(&mut self.pages, leaf_page).bound.stamp = stamp;
         } else {
             let mut recs = Vec::with_capacity(leaf.len() + 1);
             recs.extend(leaf.leaf_records());
@@ -575,9 +542,9 @@ impl<R: Record, S: PageStore> RTree<R, S> {
 
     /// Walk from the root by least enlargement towards `key` down to a
     /// leaf, pushing every internal node passed onto `path` and returning
-    /// the leaf — through zero-copy views and each node's kept staged
-    /// columns ([`StagedNodes::fresh`], which stages a node the tree has
-    /// not, or whose page changed behind it; the scalar [`choose_subtree`]
+    /// the leaf — through zero-copy views and each node's kept staging
+    /// ([`KeptPage::fresh`], which stages a node the tree has not, or
+    /// whose page changed behind it; the scalar [`choose_subtree`]
     /// for a node or key the staged kernel does not take); no node is
     /// materialized. Each read names its level ([`Self::try_read_node`]),
     /// so the walk takes at most `height` reads and a cyclic child id is
@@ -595,9 +562,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             if node.is_leaf() {
                 return Ok((page, node));
             }
-            let chosen = self
-                .staged
-                .fresh(page, cap, &node)
+            let chosen = KeptPage::at(&mut self.pages, page)
+                .fresh(cap, &node)
                 .and_then(|staged| staged.choose(key))
                 .unwrap_or_else(|| choose_subtree(node.internal_entries().map(|(k, _)| k), key));
             let next = node.internal_entry(chosen).1;
@@ -616,10 +582,10 @@ impl<R: Record, S: PageStore> RTree<R, S> {
     /// scratch buffer, the one or two entries that change are patched in
     /// place, and the image is written back — after the node's `PageRef`
     /// is dropped, so the store overwrites its frame rather than copying
-    /// it — and those entries alone are re-staged from the image
-    /// ([`StagedNodes::edited`]). Only a node that overflows has its
-    /// entries decoded into a `Vec`, because the split heuristics want
-    /// every key ([`Self::write_split`]).
+    /// it — and its record takes the stamp and re-stages those entries
+    /// alone from the image ([`KeptPage::edited`]). Only a node that
+    /// overflows has its entries decoded into a `Vec`, because the split
+    /// heuristics want every key ([`Self::write_split`]).
     ///
     /// The key handed up is the node's fold with the changed entry
     /// substituted, or — while `grew` holds: nothing below split, so every
@@ -685,10 +651,8 @@ impl<R: Record, S: PageStore> RTree<R, S> {
                 });
             }
             self.store.write(page, edit.bytes());
-            let entries = edit.entries();
-            self.staged.edited::<R::Key>(page, stamp, entries, chosen, pushed.is_some());
             self.levels.record_write(level);
-            self.bound_mut(page).stamp = stamp;
+            KeptPage::at(&mut self.pages, page).edited::<R::Key>(stamp, edit.entries(), chosen);
             child_key = key;
         }
 
@@ -697,9 +661,12 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             let old_root_key = child_key.expect("a split hands its old half's key up");
             let (old_root, level) = (self.root, self.height);
             let new_root = self.store.try_alloc()?;
-            // The old root's bounds, stamped anew below.
-            *self.bound_mut(new_root) = self.page_bound(old_root);
-            self.write_new(new_root, level, stamp, |edit| {
+            // The old root's bounds, stamped anew.
+            let bound = PageBound {
+                stamp,
+                ..self.page_bound(old_root)
+            };
+            self.write_new(new_root, level, bound, |edit| {
                 edit.push_entry(&old_root_key, old_root);
                 edit.push_entry(&nk, np);
             });
@@ -734,20 +701,21 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         let keys: Vec<R::Key> = entries.iter().map(key).collect();
         let min_fill =
             self.min_fill_count(capacity::<R::Key, R>(level == 0, self.store.page_size()));
-        let cap = self.stage_capacity();
-        let part = split_in(self.config.split_policy, &keys, min_fill, &mut self.stage, cap);
+        let part = split_in(self.config.split_policy, &keys, min_fill, &mut self.stage);
         let (old, new) = if part.a.contains(&(keys.len() - 1)) {
             (&part.b, &part.a)
         } else {
             (&part.a, &part.b)
         };
         let new_page = self.store.try_alloc()?;
-        // `page`'s bounds already cover both groups; both are stamped
-        // anew below.
-        *self.bound_mut(new_page) = self.page_bound(page);
-        let stamp = self.stamp();
+        // `page`'s bounds already cover both groups: both halves take
+        // them, stamped anew.
+        let bound = PageBound {
+            stamp: self.stamp(),
+            ..self.page_bound(page)
+        };
         let mut half = |page, group: &[usize]| {
-            self.write_new(page, level, stamp, |edit| {
+            self.write_new(page, level, bound, |edit| {
                 group.iter().for_each(|&i| push(edit, &entries[i]));
             });
             let buf = &mut self.scratch;
@@ -823,16 +791,13 @@ impl<R: Record, S: PageStore> RTree<R, S> {
         }
         inv.nodes_per_level[lvl] += 1;
         inv.entries_per_level[lvl] += node.len() as u64;
-        // The side array: the header's stamp wherever the array knows
-        // one, and start and speed bounds over everything below.
-        let bound = self.page_bound(page);
-        if bound.stamp != PageBound::UNKNOWN.stamp && bound.stamp != node.stamp() {
-            return Err(format!(
-                "node {page}'s side stamp {} is not its header's {}",
-                bound.stamp,
-                node.stamp()
-            ));
+        // The page's record: the header's stamp wherever it knows one, a
+        // staging equal to a fresh one of the page, and start and speed
+        // bounds over everything below.
+        if let Some(kept) = self.pages.get(page.0 as usize) {
+            kept.check(page, self.internal_capacity(), &node)?;
         }
+        let bound = self.page_bound(page);
         if node.is_leaf() {
             inv.records += node.len() as u64;
             if let Some(r) = node.leaf_records().find(|r| start_bound_f32(r) > bound.start) {
@@ -843,8 +808,6 @@ impl<R: Record, S: PageStore> RTree<R, S> {
             }
             return Ok(());
         }
-        // The kept staged columns: a fresh staging of the page, bit for bit.
-        self.staged.check(page, self.internal_capacity(), &node)?;
         for (k, child_page) in node.internal_entries() {
             let child = self.page_bound(child_page);
             if child.start > bound.start {
@@ -908,7 +871,7 @@ fn round_trip<K: Key>(k: &K, buf: &mut Vec<u8>) -> K {
     K::decode(buf)
 }
 
-/// `rec`'s [`Record::start_bound`] as the side array holds it: rounded
+/// `rec`'s [`Record::start_bound`] as a [`PageBound`] holds it: rounded
 /// up, and `+∞` for NaN, which bounds nothing.
 pub(crate) fn start_bound_f32<R: Record>(rec: &R) -> f32 {
     let s = rec.start_bound();
@@ -919,7 +882,7 @@ pub(crate) fn start_bound_f32<R: Record>(rec: &R) -> f32 {
     }
 }
 
-/// `rec`'s [`Record::speed_bound`] as the side array holds it: rounded
+/// `rec`'s [`Record::speed_bound`] as a [`PageBound`] holds it: rounded
 /// up, and `+∞` for NaN, which bounds nothing.
 pub(crate) fn speed_bound_f32<R: Record>(rec: &R) -> f32 {
     let v = rec.speed_bound();
@@ -1099,11 +1062,12 @@ pub(crate) mod tests {
             page
         };
         let kept = tree.page_bound(leaf);
-        tree.bound_mut(leaf).speed = 0.0;
+        KeptPage::at(&mut tree.pages, leaf).bound.speed = 0.0;
         assert!(tree.validate().unwrap_err().contains("speed bound"));
-        *tree.bound_mut(leaf) = PageBound { stamp: kept.stamp + 1, ..kept };
+        KeptPage::at(&mut tree.pages, leaf).bound = PageBound { stamp: kept.stamp + 1, ..kept };
         assert!(tree.validate().unwrap_err().contains("side stamp"));
-        *tree.bound_mut(leaf) = PageBound { stamp: PageBound::UNKNOWN.stamp, ..kept };
+        let unknown = PageBound::UNKNOWN.stamp;
+        KeptPage::at(&mut tree.pages, leaf).bound = PageBound { stamp: unknown, ..kept };
         tree.validate().expect("an unknown stamp bounds any");
     }
 
@@ -1142,7 +1106,21 @@ pub(crate) mod tests {
         assert_eq!(tree.root_page(), root);
         let node = tree.try_read_node(root, top).unwrap();
         let cap = tree.internal_capacity();
-        tree.staged.check(root, cap, &node).expect("staged anew, then edited");
+        tree.pages[root.0 as usize].check(root, cap, &node).expect("staged anew, then edited");
+    }
+
+    #[test]
+    fn parent_keys_stay_tight_over_empty_keys() {
+        // Every record's interval inverted: every key is empty, and a
+        // node folds to its last entry's key, whichever entry changed.
+        let mut tree = RTree::new(Pager::with_page_size(256), RTreeConfig::default());
+        for i in 0..200 {
+            let (x, y) = (f64::from(i % 20), f64::from(i / 20));
+            let t = Interval::new(f64::from(i % 7) + 1.0, 0.0);
+            tree.insert(R::new(i, 0, t, [x, y], [x + 0.5, y + 0.5]), 0.0);
+            tree.validate().unwrap_or_else(|e| panic!("insert {i}: {e}"));
+        }
+        assert!(tree.height() >= 3);
     }
 
     #[test]

@@ -127,8 +127,8 @@ fn no_split_inserts_allocate_nothing<R: Record>(rec: impl Fn(u32) -> R) {
         (0..10_000).map(&rec).collect(),
     );
     assert_eq!(tree.height(), 3);
-    // The first insert sizes the scratch page, the descent stack and the
-    // split's stage.
+    // The first insert sizes the scratch page and the descent stack; the
+    // split's stage is sized with the tree.
     tree.insert(rec(10_000), 0.0);
 
     let mut unsplit = 0;

@@ -3,8 +3,11 @@
 //! `support/oracle.rs`, choice for choice: the child an insert descends
 //! into, and both split groups in order.
 //!
-//! Keys are drawn for NSI's `StBox<2, 1>` and DTA's `StBox<2, 2>` from
-//! bounds that make ties common: small integers, `±0.0`, degenerate
+//! Keys are drawn for NSI's and DTA's keys in 2-D, `StBox<2, 1>` and
+//! `StBox<2, 2>`, and in 3-D, `StBox<3, 1>` — staged, its space group of
+//! three axes in a block of four — and `StBox<3, 2>`, whose five axes are
+//! more than a staged key may have, so it takes the scalar kernels. The
+//! bounds make ties common: small integers, `±0.0`, degenerate
 //! sides (zero-volume keys), duplicates of earlier keys, and infinite
 //! sides, which are staged and make `∞ − ∞` and `0 · ∞` NaN. A share of
 //! the sets also holds NaN or inverted sides, which send a node to the
@@ -71,19 +74,24 @@ fn side(rng: &mut impl Rng, odd: bool) -> Interval {
     }
 }
 
-/// A key with `T` time axes, a duplicate of an earlier one now and then.
-fn key<const T: usize>(rng: &mut impl Rng, odd: bool, earlier: &[StBox<2, T>]) -> StBox<2, T> {
+/// A key with `D` space and `T` time axes, a duplicate of an earlier one
+/// now and then.
+fn key<const D: usize, const T: usize>(
+    rng: &mut impl Rng,
+    odd: bool,
+    earlier: &[StBox<D, T>],
+) -> StBox<D, T> {
     if !earlier.is_empty() && rng.gen_range(0u32..6) == 0 {
         return earlier[rng.gen_range(0..earlier.len())];
     }
     StBox::new(
-        Rect::new([side(rng, odd), side(rng, odd)]),
+        Rect::new([(); D].map(|_| side(rng, odd))),
         Rect::new([(); T].map(|_| side(rng, odd))),
     )
 }
 
 /// `n` keys; a third of the sets may hold NaN or inverted sides.
-fn keys<const T: usize>(rng: &mut impl Rng, n: usize) -> Vec<StBox<2, T>> {
+fn keys<const D: usize, const T: usize>(rng: &mut impl Rng, n: usize) -> Vec<StBox<D, T>> {
     let odd = rng.gen_range(0u32..3) == 0;
     let mut keys = Vec::with_capacity(n);
     for _ in 0..n {
@@ -120,17 +128,17 @@ fn on_page<K: Key>(k: &K) -> K {
 /// Insert one record drawn by `record` into a height-2 tree whose root
 /// holds drawn keys over empty leaves: the leaf that takes it must be
 /// the oracle's ChooseLeaf over the root's keys as stored.
-fn choose_matches_oracle<const T: usize, R>(
+fn choose_matches_oracle<const D: usize, const T: usize, R>(
     seed: u64,
-    record: impl Fn(&mut ChaCha8Rng, [f64; 2], [f64; 2], Interval) -> R,
+    record: impl Fn(&mut ChaCha8Rng, [f64; D], [f64; D], Interval) -> R,
 ) -> Result<(), TestCaseError>
 where
-    R: Record<Key = StBox<2, T>>,
+    R: Record<Key = StBox<D, T>>,
 {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let cap = (PAGE - 32) / (<StBox<2, T> as Key>::ENCODED_LEN + 4);
+    let cap = (PAGE - 32) / (<StBox<D, T> as Key>::ENCODED_LEN + 4);
     let n = size(&mut rng, 1, cap);
-    let drawn: Vec<StBox<2, T>> = keys(&mut rng, n);
+    let drawn: Vec<StBox<D, T>> = keys(&mut rng, n);
 
     let store = Pager::with_page_size(PAGE);
     let root = store.alloc();
@@ -140,18 +148,18 @@ where
             let leaf = store.alloc();
             store.write(
                 leaf,
-                NodeEdit::<StBox<2, T>, R>::fresh(&mut buf, 0, PAGE).bytes(),
+                NodeEdit::<StBox<D, T>, R>::fresh(&mut buf, 0, PAGE).bytes(),
             );
             leaf
         })
         .collect();
-    let mut edit = NodeEdit::<StBox<2, T>, R>::fresh(&mut buf, 1, PAGE);
+    let mut edit = NodeEdit::<StBox<D, T>, R>::fresh(&mut buf, 1, PAGE);
     for (k, &leaf) in drawn.iter().zip(&leaves) {
         edit.push_entry(k, leaf);
     }
     store.write(root, edit.bytes());
     let mut tree: RTree<R, Pager> = RTree::reopen(store, RTreeConfig::default(), root, 2, 0);
-    let stored: Vec<StBox<2, T>> = tree
+    let stored: Vec<StBox<D, T>> = tree
         .try_read_node(root, 1)
         .expect("the root parses")
         .internal_entries()
@@ -169,19 +177,19 @@ where
                 k.axis_hi(a)
             }
         };
-        let from = [corner(0), corner(1)];
-        let to = [corner(0), corner(1)];
+        let from = std::array::from_fn(&mut corner);
+        let to = std::array::from_fn(&mut corner);
         (
             from,
             to,
-            Interval::new(k.axis_lo(2), k.axis_hi(2).max(k.axis_lo(2))),
+            Interval::new(k.axis_lo(D), k.axis_hi(D).max(k.axis_lo(D))),
         )
     } else {
         let b = |rng: &mut ChaCha8Rng| bound(rng);
         let (t0, dt) = (b(&mut rng), f64::from(rng.gen_range(0u32..3)));
         (
-            [b(&mut rng), b(&mut rng)],
-            [b(&mut rng), b(&mut rng)],
+            std::array::from_fn(|_| b(&mut rng)),
+            std::array::from_fn(|_| b(&mut rng)),
             Interval::new(t0, t0 + dt),
         )
     };
@@ -209,10 +217,10 @@ where
 
 /// The library's quadratic split against the oracle's over one drawn key
 /// set of up to a 4 KiB leaf's records plus one, any legal `min_fill`.
-fn split_matches_oracle<const T: usize>(seed: u64) -> Result<(), TestCaseError> {
+fn split_matches_oracle<const D: usize, const T: usize>(seed: u64) -> Result<(), TestCaseError> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = size(&mut rng, 2, 146);
-    let keys: Vec<StBox<2, T>> = keys(&mut rng, n);
+    let keys: Vec<StBox<D, T>> = keys(&mut rng, n);
     let min_fill = if rng.gen_range(0u32..2) == 0 {
         n / 2
     } else {
@@ -235,10 +243,10 @@ fn split_matches_oracle<const T: usize>(seed: u64) -> Result<(), TestCaseError> 
 /// one of `entries`, the root's keys (so enlargements tie), the rest
 /// from small bounds; one in eight with its interval inverted, one in
 /// sixteen with a NaN side.
-fn motion<const T: usize>(
+fn motion<const D: usize, const T: usize>(
     rng: &mut ChaCha8Rng,
-    entries: &[StBox<2, T>],
-) -> ([f64; 2], [f64; 2], Interval) {
+    entries: &[StBox<D, T>],
+) -> ([f64; D], [f64; D], Interval) {
     let (mut from, mut to, mut t) = if !entries.is_empty() && rng.gen_range(0u32..3) == 0 {
         let k = entries[rng.gen_range(0..entries.len())];
         let mut corner = |a: usize| {
@@ -248,17 +256,27 @@ fn motion<const T: usize>(
                 k.axis_hi(a)
             }
         };
-        let (from, to) = ([corner(0), corner(1)], [corner(0), corner(1)]);
-        (from, to, Interval::new(k.axis_lo(2), k.axis_hi(2).max(k.axis_lo(2))))
+        let (from, to) = (
+            std::array::from_fn(&mut corner),
+            std::array::from_fn(&mut corner),
+        );
+        (
+            from,
+            to,
+            Interval::new(k.axis_lo(D), k.axis_hi(D).max(k.axis_lo(D))),
+        )
     } else {
         let (t0, dt) = (bound(rng), f64::from(rng.gen_range(0u32..3)));
-        let (from, to) = ([bound(rng), bound(rng)], [bound(rng), bound(rng)]);
+        let (from, to) = (
+            std::array::from_fn(|_| bound(rng)),
+            std::array::from_fn(|_| bound(rng)),
+        );
         (from, to, Interval::new(t0, t0 + dt))
     };
     match rng.gen_range(0u32..16) {
         0 | 1 => t = Interval::new(t.hi + 1.0, t.lo),
         2 => {
-            let a = rng.gen_range(0usize..2);
+            let a = rng.gen_range(0usize..D);
             (from[a], to[a]) = (f64::NAN, f64::NAN);
         }
         _ => {}
@@ -272,14 +290,14 @@ fn motion<const T: usize>(
 /// reaches over every node's keys as stored — the one leaf that existed
 /// before the insert and carries its stamp after — and the tree must
 /// validate after it.
-fn inserts_take_the_oracle_s_leaves<const T: usize, R>(
+fn inserts_take_the_oracle_s_leaves<const D: usize, const T: usize, R>(
     seed: u64,
     page: usize,
     inserts: usize,
-    record: impl Fn(&mut ChaCha8Rng, [f64; 2], [f64; 2], Interval) -> R,
+    record: impl Fn(&mut ChaCha8Rng, [f64; D], [f64; D], Interval) -> R,
 ) -> Result<(), TestCaseError>
 where
-    R: Record<Key = StBox<2, T>>,
+    R: Record<Key = StBox<D, T>>,
 {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let config = RTreeConfig::default();
@@ -287,7 +305,7 @@ where
         RTree::new(Pager::with_page_size(page), config)
     } else {
         let packed = (0..inserts / 4).map(|_| {
-            let (from, to, t) = motion::<T>(&mut rng, &[]);
+            let (from, to, t) = motion::<D, T>(&mut rng, &[]);
             record(&mut rng, from, to, t)
         });
         bulk_load(Pager::with_page_size(page), config, packed.collect())
@@ -302,7 +320,7 @@ where
             tree = RTree::reopen(store, config, root, height, len);
         }
         let (root, top) = (tree.root_page(), tree.height() - 1);
-        let entries: Vec<StBox<2, T>> = match tree.try_read_node(root, top) {
+        let entries: Vec<StBox<D, T>> = match tree.try_read_node(root, top) {
             Ok(node) if !node.is_leaf() => node.internal_entries().map(|(k, _)| k).collect(),
             _ => Vec::new(),
         };
@@ -312,8 +330,8 @@ where
         let (mut leaf, mut level) = (root, top);
         while level > 0 {
             let node = tree.try_read_node(leaf, level).expect("a node parses");
-            let stored: Vec<(StBox<2, T>, _)> = node.internal_entries().collect();
-            let keys: Vec<StBox<2, T>> = stored.iter().map(|&(k, _)| k).collect();
+            let stored: Vec<(StBox<D, T>, _)> = node.internal_entries().collect();
+            let keys: Vec<StBox<D, T>> = stored.iter().map(|&(k, _)| k).collect();
             (leaf, level) = (stored[oracle_choose(&keys, &key)].1, level - 1);
         }
         tree.try_insert(rec).expect("an insert");
@@ -334,11 +352,21 @@ where
     Ok(())
 }
 
-fn nsi(rng: &mut ChaCha8Rng, from: [f64; 2], to: [f64; 2], t: Interval) -> NsiSegmentRecord<2> {
+fn nsi<const D: usize>(
+    rng: &mut ChaCha8Rng,
+    from: [f64; D],
+    to: [f64; D],
+    t: Interval,
+) -> NsiSegmentRecord<D> {
     NsiSegmentRecord::new(rng.gen_range(0u32..1000), 0, t, from, to)
 }
 
-fn dta(rng: &mut ChaCha8Rng, from: [f64; 2], to: [f64; 2], t: Interval) -> DtaSegmentRecord<2> {
+fn dta<const D: usize>(
+    rng: &mut ChaCha8Rng,
+    from: [f64; D],
+    to: [f64; D],
+    t: Interval,
+) -> DtaSegmentRecord<D> {
     DtaSegmentRecord::new(rng.gen_range(0u32..1000), 0, t, from, to)
 }
 
@@ -347,27 +375,35 @@ proptest! {
 
     #[test]
     fn staged_choose_leaf_takes_the_oracle_s_child(seed in any::<u64>()) {
-        choose_matches_oracle(seed, nsi)?;
-        choose_matches_oracle(seed, dta)?;
+        choose_matches_oracle(seed, nsi::<2>)?;
+        choose_matches_oracle(seed, dta::<2>)?;
+        choose_matches_oracle(seed, nsi::<3>)?;
+        choose_matches_oracle(seed, dta::<3>)?;
     }
 
     #[test]
     fn staged_quadratic_split_makes_the_oracle_s_groups(seed in any::<u64>()) {
-        split_matches_oracle::<1>(seed)?;
-        split_matches_oracle::<2>(seed)?;
+        split_matches_oracle::<2, 1>(seed)?;
+        split_matches_oracle::<2, 2>(seed)?;
+        split_matches_oracle::<3, 1>(seed)?;
+        split_matches_oracle::<3, 2>(seed)?;
     }
 }
 
 proptest! {
-    // Four cases of 1 500 inserts each.
+    // Four cases of 1 500 inserts each in 2-D, and as many in 3-D.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
     fn kept_staged_nodes_descend_to_the_oracle_s_leaf_insert_by_insert(seed in any::<u64>()) {
-        inserts_take_the_oracle_s_leaves(seed, 256, 500, nsi)?;
-        inserts_take_the_oracle_s_leaves(seed, 256, 500, dta)?;
-        inserts_take_the_oracle_s_leaves(seed, PAGE, 250, nsi)?;
-        inserts_take_the_oracle_s_leaves(seed, PAGE, 250, dta)?;
+        inserts_take_the_oracle_s_leaves(seed, 256, 500, nsi::<2>)?;
+        inserts_take_the_oracle_s_leaves(seed, 256, 500, dta::<2>)?;
+        inserts_take_the_oracle_s_leaves(seed, PAGE, 250, nsi::<2>)?;
+        inserts_take_the_oracle_s_leaves(seed, PAGE, 250, dta::<2>)?;
+        inserts_take_the_oracle_s_leaves(seed, 256, 500, nsi::<3>)?;
+        inserts_take_the_oracle_s_leaves(seed, 256, 500, dta::<3>)?;
+        inserts_take_the_oracle_s_leaves(seed, PAGE, 250, nsi::<3>)?;
+        inserts_take_the_oracle_s_leaves(seed, PAGE, 250, dta::<3>)?;
     }
 }
 
@@ -377,7 +413,7 @@ fn most_drawn_sets_reach_the_staged_kernels() {
         .filter(|&seed| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let n = size(&mut rng, 2, 146);
-            stageable(&keys::<1>(&mut rng, n))
+            stageable(&keys::<2, 1>(&mut rng, n))
         })
         .count();
     assert!(
@@ -390,6 +426,10 @@ fn most_drawn_sets_reach_the_staged_kernels() {
 fn stbox_keys_opt_in_and_tpr_boxes_take_the_scalar_kernels() {
     assert_eq!(<StBox<2, 1> as Key>::STAGED_SPACE_AXES, Some(2));
     assert_eq!(<StBox<2, 2> as Key>::STAGED_SPACE_AXES, Some(2));
+    assert_eq!(<StBox<3, 1> as Key>::STAGED_SPACE_AXES, Some(3));
+    // Five axes: opted in, but more than a staged key may have.
+    assert_eq!(<StBox<3, 2> as Key>::STAGED_SPACE_AXES, Some(3));
+    assert_eq!(<StBox<3, 2> as Key>::AXES, 5);
     // A TPR box's cover anchors its edges: not a per-side min/max.
     assert_eq!(<TpBox as Key>::STAGED_SPACE_AXES, None);
 }

@@ -191,7 +191,7 @@ impl Mirror {
 
     fn split_node<R: Record>(&self, node: &Node<R::Key, R>) -> (Node<R::Key, R>, Node<R::Key, R>) {
         let capacity = self.capacity(node);
-        let min_fill = ((capacity as f64 * self.config.min_fill).floor() as usize)
+        let min_fill = ((capacity as f64 * RTreeConfig::MIN_FILL).floor() as usize)
             .clamp(1, capacity.div_ceil(2));
         let keys: Vec<R::Key> = node.entries.iter().map(Entry::key).collect();
         let part = split(self.config.split_policy, &keys, min_fill);

@@ -50,7 +50,12 @@
 # bytes a node is staged from), and staged.rs has one `fn choose`, the
 # kept staged node's, so the descent reads the columns the tree keeps
 # between inserts and stages a page only on a write or when it is
-# missing or stale (`StagedNodes::fresh`). Last,
+# missing or stale (`KeptPage::fresh`); and the tree keeps each fact
+# about a page once: crates/rtree/src names no `StagedNodes` (a second
+# by-page table beside the page records), no `type Block` (a second
+# staged layout beside the kept node's), no `fn reserve` (a stage grown
+# per insert instead of sized with the tree) and no `pub min_fill` or
+# `pub bulk_fill` (the paper's fills are constants, not knobs). Last,
 # BENCH_trajectory.json — one row per workload and seed of each PR's
 # A/B, appended by `tools/ab.py --record PR` — must keep its schema and
 # never lower a PR number down the file (`tools/ab.py --check-trajectory`).
@@ -234,8 +239,9 @@ if [ -z "$ONLY" ]; then
     echo "FAIL: a per-thread trace ring or its events (see above); count with obs metrics, or scope a collector to the task" >&2; exit 1
   fi
   if git grep -nE 'Stage::choose|internal_entry_bytes' -- crates ':!crates/rtree/src/node.rs' ':!crates/rtree/src/staged.rs' \
-      || [ "$(git grep -c 'fn choose' -- crates/rtree/src/staged.rs | cut -d: -f2)" != 1 ]; then
-    echo "FAIL: an internal node staged from its page bytes outside StagedNodes, or a second ChooseLeaf kernel in staged.rs (see above); descend from the kept staged nodes" >&2; exit 1
+      || [ "$(git grep -c 'fn choose' -- crates/rtree/src/staged.rs | cut -d: -f2)" != 1 ] \
+      || git grep -nE 'StagedNodes|type Block|fn reserve|pub (min_fill|bulk_fill)' -- crates/rtree/src; then
+    echo "FAIL: an internal node staged from its page bytes outside staged.rs, a second ChooseLeaf kernel in staged.rs, or in crates/rtree/src a second by-page table, a second staged layout, a stage grown per insert or a fill knob (see above); descend from the kept staged nodes, one record per page, one staged layout" >&2; exit 1
   fi
   if ! tools/ab.py --check-trajectory; then
     echo "FAIL: BENCH_trajectory.json breaks its schema or lowers a PR number (see above); rows come from tools/ab.py --record" >&2; exit 1
