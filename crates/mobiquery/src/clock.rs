@@ -23,9 +23,10 @@
 //! The rules are one value, `ClockState`: `enabled` says when a wait
 //! may return, `apply` what a mutation changes and whom it must wake.
 //! Both serving drivers step plain `ClockState`s: the workers driver
-//! (`router/participants.rs`) under its scheduler's one lock, parking a
-//! program whose wait is not enabled and re-queueing the parked programs
-//! a mutation's `Wake` names, and the serial oracle in a fixed order.
+//! (`router/participants.rs`) inside its `SchedState`, under one lock,
+//! parking a program whose wait is not enabled and re-queueing the
+//! parked programs a mutation's `Wake` names, and the serial oracle in a
+//! fixed order.
 //! No serve uses [`FrameClock`], a mutex and two condvars around a
 //! `ClockState` whose every wait is one loop, `while
 //! !state.enabled(step) { cv.wait }`: it is kept only because
@@ -38,7 +39,9 @@
 //! batches `<= k` (`< f`) applied, as the serial oracle does, so the
 //! one-slot slate holds frame `k` or an older one; (ii) until every
 //! participant is done, some step is enabled; (iii) a mutation wakes
-//! every waiter it enables.
+//! every waiter it enables — its `Wake` names it, and, run as tasks of
+//! the workers driver's `SchedState` under one and two workers, the
+//! step re-queues it and notifies an idle worker while a turn is free.
 //!
 //! `applied` is not ordered against the acks: a writer whose slice of a
 //! batch is empty, or which has failed, advances `applied` without

@@ -9,18 +9,21 @@
 //! touches no tree, and it is the only statement of its participant's
 //! order. Three drivers run the same programs:
 //!
-//! * workers ([`PartitionedDqServer::serve_tasks`]): one worker per CPU,
-//!   the calling thread the first, each popping programs off one FIFO
-//!   ready queue and making their ops. A clock step takes the
-//!   scheduler's one lock over every region's `ClockState`: a wait the
-//!   clock does not enable parks the program on that region, and a
-//!   mutation re-queues the parked programs its `Wake` names and
-//!   enables. A sink that blocks lends its worker's turn to a spare
-//!   ([`FrameDelta::block_in_place`]);
+//! * workers ([`PartitionedDqServer::serve_tasks`]): one per CPU, the
+//!   calling thread the first. Their rules are one value under one lock,
+//!   [`SchedState`]: every region's clock, a FIFO ready queue, the
+//!   programs parked on each region and the turns. A worker takes a turn
+//!   and a program; a clock step the clock declines parks it, and one
+//!   it makes re-queues the parked programs its `Wake` names and the
+//!   clock now enables; a sink that blocks lends the turn to an idle or
+//!   spare worker and reclaims it ([`FrameDelta::block_in_place`]). Each
+//!   transition says whom to notify or start, or to stop; the driver is
+//!   the lock, the condvar, the threads and the ops outside the lock;
 //! * serial ([`PartitionedDqServer::serve_serial_clocked`]), the oracle:
 //!   one thread, a fixed schedule;
 //! * the checker in this file's tests: every interleaving of small
-//!   scopes, local ops stubbed by counters.
+//!   scopes, local ops stubbed by counters, of the programs alone and
+//!   of `SchedState` with one or two workers and lending sinks.
 //!
 //! The first two share [`make_ops`], the [`Task`]s that hold what the
 //! local ops write and the local ops themselves, and carry a [`Run`]
@@ -216,18 +219,22 @@ fn make_ops(
     }
 }
 
-/// A participant as both serving drivers hold it: its program, and what
-/// its local ops write — a writer's tally and routed slice, a session's
-/// lanes.
-enum Task<'r, 'a, const D: usize> {
-    Writer(WriterProgram, &'r mut RegionReport, Vec<(NsiSegmentRecord<D>, f64)>),
-    Session(SessionProgram, &'r mut LaneRun<'a, D>),
+/// A participant as a driver holds it: its program, and what its local
+/// ops write ([`Served`]: a writer's tally and slice, a session's lanes).
+#[derive(Clone)]
+enum Task<W, S> {
+    Writer(WriterProgram, W),
+    Session(SessionProgram, S),
 }
 
-impl<const D: usize> Task<'_, '_, D> {
+/// A task of a serve, and what its writer's local ops write.
+type Served<'r, 'a, const D: usize> = Task<Tally<'r, D>, &'r mut LaneRun<'a, D>>;
+type Tally<'r, const D: usize> = (&'r mut RegionReport, Vec<(NsiSegmentRecord<D>, f64)>);
+
+impl<W, S> Task<W, S> {
     fn next(&self) -> Op {
         match self {
-            Task::Writer(program, ..) => program.next(),
+            Task::Writer(program, _) => program.next(),
             Task::Session(program, _) => program.next(),
         }
     }
@@ -320,10 +327,7 @@ impl<const D: usize> Shared<'_, D> {
     /// enables it, and say whom it wakes; an advance publishes the
     /// region's frame lag.
     fn step_clock(&self, clock: &mut ClockState, step: Step) -> Option<Wake> {
-        if !clock.enabled(step) {
-            return None;
-        }
-        let wake = clock.apply(step);
+        let wake = clock.enabled(step).then(|| clock.apply(step))?;
         if let (Step::Advance(_), Some(g)) = (step, &self.lag_gauge) {
             g.record_max(clock.lag() as i64);
         }
@@ -331,176 +335,189 @@ impl<const D: usize> Shared<'_, D> {
     }
 }
 
-/// Why a workers serve stopped short.
-enum Halt {
-    /// A worker panicked outside every containment; the payload.
-    Panic(Box<dyn Any + Send>),
-    /// No program was ready and none held, with this many parked: a lost
-    /// wake, or a deadlock of the protocol.
-    Stall(usize),
+/// What a transition asks of the driver: notify idle workers or start
+/// one (either takes next), wait for a notify, or stop every worker.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Call {
+    Wake(usize),
+    Start,
+    Wait,
+    Stop,
 }
 
-/// The workers driver's one lock: every region's clock, the ready
-/// queue, the programs parked on each region, and the pool's tallies.
-struct Sched<'r, 'a, const D: usize> {
+/// The workers driver's rules as one value: only its transitions change
+/// it. The programs left are those ready, parked (with when) and held.
+#[derive(Clone)]
+struct SchedState<W, S> {
     clocks: Vec<ClockState>,
-    ready: VecDeque<Task<'r, 'a, D>>,
-    /// `parked[r]`: the programs whose next op is a wait region `r`'s
-    /// clock did not enable, each with when it parked.
-    parked: Vec<Vec<(Task<'r, 'a, D>, Instant)>>,
-    /// Programs not done, and how many of them a worker holds.
-    left: usize,
+    ready: VecDeque<Task<W, S>>,
+    parked: Vec<Vec<(Task<W, S>, Instant)>>,
+    /// The pool's turns; programs a worker holds; workers holding a
+    /// turn; workers in the condvar's wait (till their take); spares.
+    workers: usize,
     held: usize,
-    /// Workers holding a turn, and workers waiting for a turn or a task.
     busy: usize,
     idle: usize,
-    /// Spare workers started for sinks that block.
     spares: usize,
-    halt: Option<Halt>,
+    /// Why the serve stops short: a panic escaped every containment (the
+    /// pool keeps its payload), or a stall, naming each parked program.
+    halt: Option<String>,
 }
 
-/// The workers driver: `workers` turns on the CPUs, and the scheduler
-/// every worker takes its programs from.
+impl<W, S> SchedState<W, S> {
+    fn new(clocks: Vec<ClockState>, tasks: Vec<Task<W, S>>, workers: usize) -> Self {
+        let parked = clocks.iter().map(|_| Vec::new()).collect();
+        SchedState { clocks, ready: tasks.into(), parked, workers, held: 0, busy: 0, idle: 0, spares: 0, halt: None }
+    }
+
+    /// A free turn and the first ready program (`woke`: back from a
+    /// wait); else wait while one is ready or held. With none, every
+    /// program is done or the parked stay so, a stall naming each.
+    fn take(&mut self, woke: bool) -> Result<Task<W, S>, Call> {
+        self.idle -= usize::from(woke);
+        if self.halt.is_none() {
+            if let Some(task) = (self.busy < self.workers).then(|| self.ready.pop_front()).flatten() {
+                self.busy += 1;
+                self.held += 1;
+                return Ok(task);
+            }
+            if !self.ready.is_empty() || self.held > 0 {
+                self.idle += 1;
+                return Err(Call::Wait);
+            }
+            let parked = self.parked.iter().enumerate().flat_map(|(r, p)| p.iter().map(move |(task, _)| (r, task)));
+            let stuck = parked.map(|(r, task)| {
+                let (who, n) = match task { Task::Writer(p, _) => ("writer", p.r), Task::Session(p, _) => ("session", p.i) };
+                let c = &self.clocks[r];
+                format!("{who} {n} at {:?}: region {r} applied {}, slowest frontier {}", task.next(), c.applied, c.slowest())
+            });
+            self.halt = Some(stuck.collect::<Vec<_>>().join("; ")).filter(|s| !s.is_empty());
+        }
+        Err(Call::Stop)
+    }
+
+    /// The held program is done, parks on the region whose clock declined
+    /// its step (in that lock hold), or panicked and halts the serve.
+    fn finish(&mut self, ok: bool, park: Option<(Task<W, S>, usize)>) {
+        self.busy -= 1;
+        self.held -= 1;
+        if let Some((task, r)) = park {
+            self.parked[r].push((task, Instant::now()));
+        }
+        if !ok {
+            self.halt = Some("a worker panicked".to_string());
+        }
+    }
+
+    /// A held program's clock step, `None` if region `r`'s clock declines
+    /// it; the re-queued record how long they parked, and an idle worker
+    /// is notified for each while a turn is free.
+    fn step<const D: usize>(&mut self, r: usize, step: Step, sh: &Shared<D>) -> Option<Call> {
+        let wake = sh.step_clock(&mut self.clocks[r], step)?;
+        if wake == Wake::None {
+            return Some(Call::Wake(0));
+        }
+        let (clock, before) = (&self.clocks[r], self.ready.len());
+        let names = |w| matches!((wake, w), (Wake::Both, _) | (Wake::Writer, Step::AwaitReady(_)) | (Wake::Readers, Step::AwaitApplied(_)));
+        let moves = |(t, _): &mut (Task<W, S>, _)| matches!(t.next(), Op::Clock(_, w) if names(w) && clock.enabled(w));
+        for (task, since) in self.parked[r].extract_if(.., moves) {
+            let role = if let Op::Clock(_, Step::AwaitReady(_)) = task.next() { &sh.writer_wait_hist } else { &sh.session_wait_hist };
+            let waited = since.elapsed().as_nanos() as u64;
+            [&sh.wait_hist, role].into_iter().flatten().for_each(|h| h.record(waited));
+            self.ready.push_back(task);
+        }
+        Some(Call::Wake((self.ready.len() - before).min(self.idle).min(self.workers.saturating_sub(self.busy))))
+    }
+
+    /// A held program's sink blocks in place: its worker lends its turn
+    /// to an idle worker or, with none, to a spare.
+    fn lend(&mut self) -> Call {
+        self.busy -= 1;
+        if self.idle > 0 {
+            return Call::Wake(1);
+        }
+        self.spares += 1;
+        Call::Start
+    }
+
+    /// The block is over: the worker takes a turn back, over the pool's
+    /// turns until its next take if a spare holds the lent one.
+    fn reclaim(&mut self) {
+        self.busy += 1;
+    }
+}
+
+/// The workers driver: the lock, the condvar idle workers wait on, what
+/// the ops outside the lock need, and a panic that halted the serve.
 struct Pool<'p, 'a, const D: usize, S: PageStore> {
     server: &'p PartitionedDqServer<D, S>,
     sh: &'p Shared<'p, D>,
     sinks: &'p [Option<&'p dyn FrameSink>],
-    workers: usize,
-    sched: Mutex<Sched<'p, 'a, D>>,
-    /// Idle workers wait here for a turn and a task, or the end.
+    sched: Mutex<SchedState<Tally<'p, D>, &'p mut LaneRun<'a, D>>>,
     wake: Condvar,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl<'p, 'a, const D: usize, S: PageStore + Sync + Send> Pool<'p, 'a, D, S> {
-    /// One worker: take a turn and the ready queue's first program, make
-    /// its ops until it ends or parks, and again, until every program is
-    /// done or the serve halts. A worker over the pool's turns (one a
-    /// blocking sink lent out came back) waits idle: the spare is
-    /// retired.
+    /// One worker: take a program and make its ops, until told to stop.
     fn work<'s>(&'s self, scope: &'s Scope<'s, '_>) {
-        let lender = Lender { pool: self, scope };
-        let mut s = self.sched.lock();
+        let (mut s, mut woke) = (self.sched.lock(), false);
         loop {
-            let mut task = loop {
-                if s.halt.is_some() || s.left == 0 {
-                    return;
+            let mut task = match s.take(std::mem::take(&mut woke)) {
+                Ok(task) => task,
+                Err(Call::Wait) => {
+                    self.wake.wait(&mut s);
+                    woke = true;
+                    continue;
                 }
-                if s.busy < self.workers {
-                    if let Some(task) = s.ready.pop_front() {
-                        break task;
-                    }
-                    if s.held == 0 {
-                        let parked = s.parked.iter().map(Vec::len).sum();
-                        s.halt = Some(Halt::Stall(parked));
-                        self.wake.notify_all();
-                        return;
-                    }
-                }
-                s.idle += 1;
-                self.wake.wait(&mut s);
-                s.idle -= 1;
+                Err(_) => return self.wake.notify_all(),
             };
-            s.busy += 1;
-            s.held += 1;
             drop(s);
             // A declined step hands its still-held lock back with the
             // region, so the program parks before any step can enable it.
             let mut declined = None;
             let clock = |r: usize, step: Step| {
                 let mut s = self.sched.lock();
-                let Some(wake) = self.sh.step_clock(&mut s.clocks[r], step) else {
+                let Some(call) = s.step(r, step, self.sh) else {
                     declined = Some((s, r));
                     return false;
                 };
-                self.requeue(&mut s, r, wake);
+                self.answer(call, scope);
                 true
             };
             let ran = catch_unwind(AssertUnwindSafe(|| {
-                self.server.run_task(self.sh, &mut task, self.sinks, Some(&lender), clock)
+                self.server.run_task(self.sh, &mut task, self.sinks, Some(&(self, scope)), clock)
             }));
-            let park_on;
-            (s, park_on) = match declined {
-                Some((s, r)) => (s, Some(r)),
+            let park;
+            (s, park) = match declined {
+                Some((s, r)) => (s, Some((task, r))),
                 None => (self.sched.lock(), None),
             };
-            s.busy -= 1;
-            s.held -= 1;
-            if let Err(payload) = ran {
-                s.halt = Some(Halt::Panic(payload));
-                self.wake.notify_all();
-                return;
-            }
-            match park_on {
-                Some(r) => s.parked[r].push((task, Instant::now())),
-                None => {
-                    s.left -= 1;
-                    if s.left == 0 {
-                        self.wake.notify_all();
-                    }
-                }
-            }
+            let ok = ran.map_err(|payload| *self.panic.lock() = Some(payload)).is_ok();
+            s.finish(ok, park);
         }
     }
 
-    /// Start a worker in `scope`: the one place a serve starts a thread.
-    fn start_worker<'s>(&'s self, scope: &'s Scope<'s, '_>) {
-        scope.spawn(move || self.work(scope));
-    }
-
-    /// Move the programs parked on region `r` that `wake` names and the
-    /// region's clock now enables to the ready queue, recording how long
-    /// each was parked, and call an idle worker for each while a turn is
-    /// free.
-    fn requeue(&self, s: &mut Sched<'p, 'a, D>, r: usize, wake: Wake) {
-        if wake == Wake::None {
-            return;
-        }
-        let mut j = 0;
-        while j < s.parked[r].len() {
-            let Op::Clock(_, step) = s.parked[r][j].0.next() else { unreachable!("a parked program waits on a clock") };
-            let (named, role) = match step {
-                Step::AwaitReady(_) => (wake != Wake::Readers, &self.sh.writer_wait_hist),
-                _ => (wake != Wake::Writer, &self.sh.session_wait_hist),
-            };
-            if !named || !s.clocks[r].enabled(step) {
-                j += 1;
-                continue;
-            }
-            let (task, since) = s.parked[r].remove(j);
-            let waited = since.elapsed().as_nanos() as u64;
-            for h in [&self.sh.wait_hist, role].into_iter().flatten() {
-                h.record(waited);
-            }
-            s.ready.push_back(task);
-            if s.idle > 0 && s.busy < self.workers {
-                self.wake.notify_one();
-            }
+    /// Notify idle workers, or start one in `scope`: the one place a
+    /// serve starts a thread.
+    fn answer<'s>(&'s self, call: Call, scope: &'s Scope<'s, '_>) {
+        match call {
+            Call::Wake(n) => (0..n).for_each(|_| self.wake.notify_one()),
+            Call::Start => _ = scope.spawn(move || self.work(scope)),
+            Call::Wait | Call::Stop => unreachable!("{call:?} answers a take"),
         }
     }
 }
 
-/// A worker's turn as its sinks lend it: the pool, and the scope a spare
-/// worker starts in when no idle one can take the turn.
-struct Lender<'s, 'e, 'p, 'a, const D: usize, S: PageStore> {
-    pool: &'s Pool<'p, 'a, D, S>,
-    scope: &'s Scope<'s, 'e>,
-}
-
-impl<const D: usize, S: PageStore + Sync + Send> Lend for Lender<'_, '_, '_, '_, D, S> {
+/// A worker's turn as its sinks lend it: the pool, and a spare's scope.
+impl<'s, const D: usize, S: PageStore + Sync + Send> Lend for (&'s Pool<'_, '_, D, S>, &'s Scope<'s, '_>) {
     fn lend(&self) {
-        let mut s = self.pool.sched.lock();
-        s.busy -= 1;
-        if s.idle > 0 {
-            self.pool.wake.notify_one();
-            return;
-        }
-        s.spares += 1;
-        drop(s);
-        self.pool.start_worker(self.scope);
+        let call = self.0.sched.lock().lend();
+        self.0.answer(call, self.1);
     }
 
     fn reclaim(&self) {
-        self.pool.sched.lock().busy += 1;
+        self.0.sched.lock().reclaim();
     }
 }
 
@@ -679,9 +696,9 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     /// Every participant of a serve of `plans` as a task over `run`: the
     /// region writers, ascending, then each session with a frame to run
     /// (a plan whose schedule is empty keeps its idle output).
-    fn tasks<'r, 'a>(&self, plans: &'a [SessionPlan<D>], run: &'r mut Run<'a, D>, batches: usize) -> Vec<Task<'r, 'a, D>> {
+    fn tasks<'r, 'a>(&self, plans: &'a [SessionPlan<D>], run: &'r mut Run<'a, D>, batches: usize) -> Vec<Served<'r, 'a, D>> {
         let steps = run.steps;
-        let writers = (0..).zip(&mut run.writers).map(|(r, w)| Task::Writer(WriterProgram::new(r, steps, batches), w, Vec::new()));
+        let writers = (0..).zip(&mut run.writers).map(|(r, w)| Task::Writer(WriterProgram::new(r, steps, batches), (w, Vec::new())));
         let sessions = (0..).zip(plans.iter().zip(&mut run.sessions)).filter_map(|(i, (plan, lanes))| {
             Some(Task::Session(SessionProgram::new(i, plan.window()?, self.lanes(plan)), lanes))
         });
@@ -694,13 +711,13 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
     fn run_task(
         &self,
         sh: &Shared<D>,
-        task: &mut Task<'_, '_, D>,
+        task: &mut Served<'_, '_, D>,
         sinks: &[Option<&dyn FrameSink>],
         turn: Option<&dyn Lend>,
         clock: impl FnMut(usize, Step) -> bool,
     ) -> bool {
         match task {
-            Task::Writer(program, w, routed) => {
+            Task::Writer(program, (w, routed)) => {
                 let r = program.r;
                 make_ops(program, clock, |op| self.writer_op(sh, r, op, w, routed))
             }
@@ -741,12 +758,11 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         }
     }
 
-    /// The workers driver's serve: every participant a task on one
-    /// ready queue, run by `workers` workers (at most one per task) —
-    /// the calling thread and `workers - 1` threads of one scope, plus a
-    /// spare for each sink that blocks while no worker is idle. Nothing
-    /// global orders the tasks: each parks on, and is woken by, the
-    /// clocks of its own regions only.
+    /// The workers driver's serve: every participant a task, run by
+    /// `workers` workers (at most one per task) — the calling thread and
+    /// `workers - 1` threads of one scope, plus a spare for each sink
+    /// that blocks while no worker is idle. Each task parks on, and is
+    /// woken by, the clocks of its own regions only.
     pub(super) fn serve_tasks<'a>(
         &self,
         plans: &'a [SessionPlan<D>],
@@ -761,35 +777,18 @@ impl<const D: usize, S: PageStore> PartitionedDqServer<D, S> {
         let sh = &self.shared(inserts);
         let tasks = self.tasks(plans, &mut run, inserts.len());
         let workers = workers.clamp(1, tasks.len());
-        let pool = Pool {
-            server: self,
-            sh,
-            sinks,
-            workers,
-            sched: Mutex::new(Sched {
-                clocks: self.clocks(plans),
-                left: tasks.len(),
-                ready: tasks.into(),
-                parked: (0..self.grid.len()).map(|_| Vec::new()).collect(),
-                held: 0,
-                busy: 0,
-                idle: 0,
-                spares: 0,
-                halt: None,
-            }),
-            wake: Condvar::new(),
-        };
+        let sched = Mutex::new(SchedState::new(self.clocks(plans), tasks, workers));
+        let pool = Pool { server: self, sh, sinks, sched, wake: Condvar::new(), panic: Mutex::default() };
         std::thread::scope(|scope| {
-            for _ in 1..workers {
-                pool.start_worker(scope);
-            }
+            (1..workers).for_each(|_| pool.answer(Call::Start, scope));
             pool.work(scope);
         });
-        let Sched { spares, halt, .. } = pool.sched.into_inner();
-        match halt {
-            Some(Halt::Panic(payload)) => resume_unwind(payload),
-            Some(Halt::Stall(parked)) => panic!("lost wake or deadlock: {parked} programs parked, none ready"),
-            None => {}
+        if let Some(payload) = pool.panic.into_inner() {
+            resume_unwind(payload);
+        }
+        let SchedState { spares, halt, .. } = pool.sched.into_inner();
+        if let Some(stuck) = halt {
+            panic!("lost wake or deadlock: nothing ready or held, parked: {stuck}");
         }
         run.spawned = workers - 1 + spares;
         if let Some(reg) = &self.metrics {
@@ -881,6 +880,8 @@ mod tests {
     use crate::service::{FrameReport, SessionKind, SessionOutput};
     use rtree::{RTree, RTreeConfig};
     use std::collections::HashSet;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::Hasher;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
     use stkit::Interval;
@@ -1164,6 +1165,26 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_stall_names_each_parked_program() {
+        // Session 0 waits for frame 1 of region 0, whose writer never
+        // advances: taken, declined and parked, it leaves nothing ready
+        // or held, so the take stops the serve and names it.
+        let sh = build(RegionGrid::single(), &line_records(1)).shared(&[]);
+        let clocks = vec![ClockState::new(&[Some((2, 3))], 0)];
+        let mut s = SchedState::new(clocks, vec![Task::Session(SessionProgram::new(0, (2, 3), 0..1), ())], 1);
+        let task: Task<(), ()> = s.take(false).expect("a free turn and a ready program");
+        assert_eq!(s.step(0, Step::AwaitApplied(2), &sh), None, "the clock declines the wait");
+        s.finish(true, Some((task, 0)));
+        assert_eq!(s.take(false).err(), Some(Call::Stop));
+        let named = "session 0 at Clock(0, AwaitApplied(2)): region 0 applied 0, slowest frontier 2";
+        assert_eq!(s.halt.as_deref(), Some(named));
+        // With nothing parked either, every program is done: no stall.
+        let mut done = SchedState::<(), ()>::new(vec![ClockState::new(&[None], 0)], Vec::new(), 1);
+        assert_eq!(done.take(false).err(), Some(Call::Stop));
+        assert_eq!(done.halt, None);
+    }
+
     // ---- The programs over every interleaving ----
     //
     // The checker runs `WriterProgram` and `SessionProgram` themselves
@@ -1179,7 +1200,8 @@ mod tests {
     //         exactly the tree its writer leaves after frame `k` (before
     //         `f`): the serial schedule's;
     //   (ii)  until every program is done, some op is enabled;
-    //   (iii) a clock step that enables a parked wait wakes its condvar;
+    //   (iii) a clock step that enables a parked wait names it in its
+    //         `Wake`, which the workers driver re-queues by (below);
     //   (iv)  a writer applies batch `k` only once the log holds it, and
     //         at the end the log holds every batch.
     // Three reductions keep it small. No step lowers `applied` or the
@@ -1188,6 +1210,26 @@ mod tests {
     // observes (a `Route`, a `Sink`, a `Commit` with one writer) is made
     // with the op before it. And a key leaves out what no later op
     // reads: a detached session's frame, which past slices were empty.
+
+    /// A local op's outcomes as the checkers draw them: `Some(ok)` is one
+    /// a driver reports back, `None` one only the workers driver meets,
+    /// a sink that lends its turn or a build that panics.
+    fn outcomes(op: Op) -> &'static [(Option<bool>, &'static str)] {
+        match op {
+            Op::Commit(_) => &[(Some(true), "")],
+            Op::Route(_) => &[(Some(true), ""), (Some(false), ", slice empty")],
+            Op::Apply(_) => &[(Some(true), ""), (Some(false), " fails")],
+            Op::Sink(_) => &[(Some(true), ""), (Some(false), " bails"), (None, " lends its turn")],
+            Op::Build => &[(Some(true), ""), (Some(false), " bails"), (None, " panics")],
+            _ => &[(Some(true), ""), (Some(false), " bails")],
+        }
+    }
+
+    /// Whether session `s`'s ack of `upto` on lane `r` may end its
+    /// window: the last lane's ack of a frame inside it.
+    fn may_end(s: &SessionProgram, r: usize, upto: u64) -> bool {
+        r + 1 == s.lanes.end && s.first + 1 < upto && upto <= s.last + 1
+    }
 
     /// A pending op as a number: its kind, frame and region.
     fn place(op: Op) -> u128 {
@@ -1208,6 +1250,53 @@ mod tests {
         (kind as u128) << 4 | u128::from(k) << 1 | r as u128
     }
 
+    /// What the stubbed local ops act on: per region, its writer's
+    /// non-empty slices so far and the batches written to its tree, a
+    /// failed one included (bit `k`); and the log, which holds every
+    /// batch below `logged`.
+    #[derive(Clone, Copy, Default)]
+    struct Stubs {
+        slices: [u8; 2],
+        trees: [u8; 2],
+        logged: u64,
+    }
+
+    impl Stubs {
+        /// (i): region `r`'s writer is past frame `n - 1` (only its
+        /// `Advance` moves `applied`), and its tree holds exactly its
+        /// non-empty slices `< n`.
+        fn sees_frames_before(&self, clocks: &[ClockState], r: usize, n: u64) -> bool {
+            clocks[r].applied >= n && self.trees[r] == self.slices[r] & ((1 << n) - 1)
+        }
+
+        /// `task`'s local op `op` with outcome `ok`, or the rule it breaks.
+        fn local(&mut self, clocks: &[ClockState], task: &Task<(), ()>, op: Op, ok: bool) -> Result<(), String> {
+            match (task, op) {
+                (_, Op::Commit(k)) => self.logged = self.logged.max(k + 1),
+                (Task::Writer(w, _), Op::Route(k)) if ok => self.slices[w.r] |= 1 << k,
+                (_, Op::Apply(k)) if self.logged <= k => return Err(format!("(iv) batch {k} is applied before the log holds it")),
+                (Task::Writer(w, _), Op::Apply(k)) => self.trees[w.r] |= 1 << k,
+                (Task::Session(s, _), Op::Build | Op::Step(_)) => {
+                    let n = if let Op::Step(k) = op { k + 1 } else { s.first };
+                    if let Some(r) = s.lanes.clone().find(|&r| !self.sees_frames_before(clocks, r, n)) {
+                        return Err(format!("(i) {op:?} reads region {r}'s tree {:04b}", self.trees[r]));
+                    }
+                }
+                _ => {}
+            }
+            Ok(())
+        }
+    }
+
+    impl Task<(), ()> {
+        fn done(&mut self, ok: bool) {
+            match self {
+                Task::Writer(program, _) => program.done(ok),
+                Task::Session(program, _) => program.done(ok),
+            }
+        }
+    }
+
     /// A scope's state: programs `0..writers.len()` are the region
     /// writers, the rest the sessions that join.
     #[derive(Clone)]
@@ -1215,17 +1304,19 @@ mod tests {
         clocks: Vec<ClockState>,
         writers: Vec<WriterProgram>,
         sessions: Vec<SessionProgram>,
-        /// Per region: its writer's non-empty slices so far, and the
-        /// batches written to its tree, a failed one included (bit `k`).
-        slices: [u8; 2],
-        trees: [u8; 2],
-        /// The log holds every batch below this.
-        logged: u64,
+        stubs: Stubs,
     }
 
     impl Model {
         fn op(&self, p: usize) -> Op {
-            self.writers.get(p).map_or_else(|| self.sessions[p - self.writers.len()].next(), Program::next)
+            self.task(p).next()
+        }
+
+        fn task(&self, p: usize) -> Task<(), ()> {
+            match p.checked_sub(self.writers.len()) {
+                None => Task::Writer(self.writers[p], ()),
+                Some(i) => Task::Session(self.sessions[i].clone(), ()),
+            }
         }
 
         fn done(&mut self, p: usize, ok: bool) {
@@ -1235,42 +1326,22 @@ mod tests {
             }
         }
 
-        /// (i): region `r`'s writer is past frame `n - 1` (only its
-        /// `Advance` moves `applied`), and its tree holds exactly its
-        /// non-empty slices `< n`.
-        fn sees_frames_before(&self, r: usize, n: u64) -> bool {
-            self.clocks[r].applied >= n && self.trees[r] == self.slices[r] & ((1 << n) - 1)
-        }
-
         /// Program `p`'s local op `op` with outcome `ok`, or the rule it
         /// breaks.
         fn local(&mut self, p: usize, op: Op, ok: bool) -> Result<(), String> {
-            match op {
-                Op::Commit(k) => self.logged = self.logged.max(k + 1),
-                Op::Route(k) if ok => self.slices[p] |= 1 << k,
-                Op::Apply(k) if self.logged <= k => return Err(format!("(iv) batch {k} is applied before the log holds it")),
-                Op::Apply(k) => self.trees[p] |= 1 << k,
-                Op::Build | Op::Step(_) => {
-                    let s = &self.sessions[p - self.writers.len()];
-                    let n = if let Op::Step(k) = op { k + 1 } else { s.first };
-                    if let Some(r) = s.lanes.clone().find(|&r| !self.sees_frames_before(r, n)) {
-                        return Err(format!("(i) {op:?} reads region {r}'s tree {:04b}", self.trees[r]));
-                    }
-                }
-                _ => {}
-            }
-            Ok(())
+            let task = self.task(p);
+            self.stubs.local(&self.clocks, &task, op, ok)
         }
 
         /// `self` as a number, sessions in sorted order: two with the
         /// same window start and lanes are interchangeable, and the rest
         /// keep theirs in their key.
         fn key(&self) -> u128 {
-            let mut key = u128::from(self.logged);
+            let mut key = u128::from(self.stubs.logged);
             for (r, (w, c)) in self.writers.iter().zip(&self.clocks).enumerate() {
                 // Below its frame a writer's slices and tree are read only
                 // by (i)'s comparison: which bits differ is all that counts.
-                let (slices, tree, k) = (self.slices[r], self.trees[r], c.applied);
+                let (slices, tree, k) = (self.stubs.slices[r], self.stubs.trees[r], c.applied);
                 let (past, ahead) = ((slices ^ tree) & ((1 << k) - 1), (slices >> k) << 4 | tree >> k);
                 key = key << 32 | place(w.next) << 20 | u128::from(w.failed) << 19 | u128::from(past) << 11;
                 key |= u128::from(ahead) << 3 | u128::from(k);
@@ -1320,9 +1391,7 @@ mod tests {
                     .zip(&sessions)
                     .filter_map(|(i, (j, lanes))| Some(SessionProgram::new(i, window(*j)?, lanes.clone())))
                     .collect(),
-                slices: [0; 2],
-                trees: [0; 2],
-                logged: 0,
+                stubs: Stubs::default(),
             };
             let mut search = Search { frames, regions, sessions, seen: HashSet::new(), path: Vec::new() };
             search.visit(start);
@@ -1368,8 +1437,8 @@ mod tests {
                 if !enabled && !done {
                     self.fail("(ii) deadlock: every program left is parked".to_string());
                 }
-                if done && m.logged < self.frames {
-                    self.fail(format!("(iv) the run ends with batch {} not in the log", m.logged));
+                if done && m.stubs.logged < self.frames {
+                    self.fail(format!("(iv) the run ends with batch {} not in the log", m.stubs.logged));
                 }
             }
             self.path.truncate(depth);
@@ -1393,7 +1462,7 @@ mod tests {
             }
             // A session's last ack of frame `k` may end its window there.
             if let (Step::Ack(_, upto), Some(s)) = (step, p.checked_sub(m.writers.len()).map(|i| &m.sessions[i])) {
-                if r + 1 == s.lanes.end && s.first + 1 < upto && upto <= s.last + 1 {
+                if may_end(s, r, upto) {
                     let mut last = to.clone();
                     last.sessions[p - m.writers.len()].last = upto - 2;
                     last.done(p, true);
@@ -1406,13 +1475,8 @@ mod tests {
 
         /// Program `p` makes the local op `op` in `m`, every outcome.
         fn local(&mut self, m: Model, p: usize, op: Op) {
-            let outcomes: &[_] = match op {
-                Op::Commit(_) => &[(true, "")],
-                Op::Route(_) => &[(true, ""), (false, ", slice empty")],
-                Op::Apply(_) => &[(true, ""), (false, " fails")],
-                _ => &[(true, ""), (false, " bails")],
-            };
-            for &(ok, what) in outcomes {
+            for &(ok, what) in outcomes(op) {
+                let Some(ok) = ok else { continue };
                 let mut to = m.clone();
                 if let Err(broken) = to.local(p, op, ok) {
                     self.path.push((p, op, what));
@@ -1473,5 +1537,406 @@ mod tests {
         let two: Vec<_> = (0..3).flat_map(|f| [0..2, 0..1, 1..2].map(|l| (Some(f), l))).collect();
         let what = "two regions: 1-2 sessions over 3 frames, one on both lanes, any windows, slices, failures, bails";
         explore_all(what, (3, 2, 2), &two, |pick| pick.iter().any(|&j| j % 3 == 0));
+    }
+
+    // ---- The workers scheduler over every interleaving ----
+    //
+    // The same programs and stubs, now the tasks of a real `SchedState`
+    // under one or two workers: a move is one lock hold of a worker
+    // thread (a take; a clock step and what it calls for; a lend; a
+    // reclaim; a finish or a park and the take after it) or one local op
+    // outside the lock, and the checker does with each `Call` what
+    // `Pool` does: notify a thread waiting on the condvar, start one, or
+    // stop and notify them all. A sink may also lend its turn, to be
+    // reclaimed at any later move, and a build may panic. A notify wakes
+    // only a waiting thread, and none returns on its own (a spurious
+    // return only re-takes). The search makes enabled waits at once and
+    // merges unobserved ops as above, treats threads as interchangeable
+    // and keeps a 128-bit hash of each state. Every state keeps (i) and
+    // (iv), and:
+    //   (v)    no lost wake: no program is ready while a thread waits on
+    //          the condvar and a turn is free that no thread on its way
+    //          to a take will use;
+    //   (vi)   no false stall: the clocks always enable some op (ii), so
+    //          only a panic halts;
+    //   (vii)  `busy` stays within the turns, but for a thread between
+    //          a reclaim and its next take;
+    //   (viii) a parked program's wait is not enabled, and a re-queued
+    //          one's is;
+    //   (ix)   once no thread can move, each has stopped and, but after
+    //          a panic, the log holds every batch.
+
+    /// A worker thread: waiting on the condvar; on its way to a take
+    /// (`true`: back from a wait); making its program's ops (`true`:
+    /// from a reclaim until its next take); blocked in its sink's hook,
+    /// its turn lent; or stopped.
+    #[derive(Clone)]
+    enum Thread {
+        Asleep,
+        Taking(bool),
+        Running(Task<(), ()>, bool),
+        Lent(Task<(), ()>),
+        Stopped,
+    }
+
+    /// What a take gave a thread.
+    #[derive(Clone, Copy)]
+    enum Took {
+        Writer(usize),
+        Session(usize),
+        Waits,
+        Stops,
+    }
+
+    /// A move: the thread, the op its program made (none for a take or a
+    /// reclaim), what came of it, what it called for and what it took.
+    type Turn = (usize, Option<Op>, &'static str, Option<Call>, Option<Took>);
+
+    /// A scope's state under the workers driver.
+    #[derive(Clone)]
+    struct Pooled {
+        sched: SchedState<(), ()>,
+        threads: Vec<Thread>,
+        stubs: Stubs,
+        panicked: bool,
+    }
+
+    impl Pooled {
+        /// What `Pool::answer` does with `call`.
+        fn answer(&mut self, call: Call) -> Option<Call> {
+            match call {
+                Call::Wake(n) => {
+                    let asleep = self.threads.iter_mut().filter(|t| matches!(t, Thread::Asleep));
+                    asleep.take(n).for_each(|t| *t = Thread::Taking(true));
+                }
+                Call::Start => self.threads.push(Thread::Taking(false)),
+                Call::Wait | Call::Stop => unreachable!("{call:?} answers a take"),
+            }
+            Some(call)
+        }
+
+        /// Thread `t` takes, as `Pool::work` does.
+        fn take(&mut self, t: usize, woke: bool) -> Option<Took> {
+            let (thread, took) = match self.sched.take(woke) {
+                Ok(task) => {
+                    let took = match &task {
+                        Task::Writer(w, _) => Took::Writer(w.r),
+                        Task::Session(s, _) => Took::Session(s.i),
+                    };
+                    (Thread::Running(task, false), took)
+                }
+                Err(Call::Wait) => (Thread::Asleep, Took::Waits),
+                Err(_) => {
+                    for thread in &mut self.threads {
+                        if let Thread::Asleep = thread {
+                            *thread = Thread::Taking(true);
+                        }
+                    }
+                    (Thread::Stopped, Took::Stops)
+                }
+            };
+            self.threads[t] = thread;
+            Some(took)
+        }
+
+        /// The program thread `t` holds, taken out of it.
+        fn held(&mut self, t: usize) -> Task<(), ()> {
+            match std::mem::replace(&mut self.threads[t], Thread::Stopped) {
+                Thread::Running(task, _) | Thread::Lent(task) => task,
+                _ => unreachable!("thread {t} holds no program"),
+            }
+        }
+
+        fn running(&mut self, t: usize) -> &mut Task<(), ()> {
+            let Thread::Running(task, _) = &mut self.threads[t] else { unreachable!("thread {t} runs no program") };
+            task
+        }
+
+        /// `self` as a 128-bit hash; threads are interchangeable.
+        fn key(&self) -> u128 {
+            let code = |t: &Task<(), ()>| match t {
+                Task::Writer(w, _) => (place(w.next) as u64) << 8 | u64::from(w.failed) << 4 | w.r as u64,
+                Task::Session(s, _) => 1 << 63 | (place(s.next) as u64) << 24 | s.last << 16 | s.first << 8 | s.i as u64,
+            };
+            let (s, stubs) = (&self.sched, &self.stubs);
+            let mut hs = [DefaultHasher::new(), DefaultHasher::new()];
+            hs[1].write_u8(1);
+            let mut word = |w: u64| hs.iter_mut().for_each(|h| h.write_u64(w));
+            word(stubs.logged);
+            word(u64::from(u32::from_le_bytes([stubs.slices[0], stubs.slices[1], stubs.trees[0], stubs.trees[1]])));
+            [s.busy, s.held, s.idle, usize::from(s.halt.is_some())].into_iter().for_each(|n| word(n as u64));
+            for c in &s.clocks {
+                word(c.applied);
+                c.acks.iter().zip(&c.live).for_each(|(&a, &live)| word(if live { a } else { u64::MAX - 1 }));
+            }
+            word(s.ready.len() as u64);
+            s.ready.iter().for_each(|t| word(code(t)));
+            for parked in &s.parked {
+                word(parked.len() as u64);
+                parked.iter().for_each(|(t, _)| word(code(t)));
+            }
+            let mut threads: Vec<_> = (self.threads.iter())
+                .map(|t| match t {
+                    Thread::Asleep => (0, 0),
+                    Thread::Taking(woke) => (1 + u64::from(*woke), 0),
+                    Thread::Running(task, reclaimed) => (3 + u64::from(*reclaimed), code(task)),
+                    Thread::Lent(task) => (5, code(task)),
+                    Thread::Stopped => (6, 0),
+                })
+                .collect();
+            threads.sort_unstable();
+            threads.into_iter().for_each(|(a, b)| {
+                word(a);
+                word(b);
+            });
+            u128::from(hs[0].finish()) << 64 | u128::from(hs[1].finish())
+        }
+    }
+
+    /// Every state reachable in one scope under the workers driver.
+    struct Turns {
+        workers: usize,
+        frames: u64,
+        regions: usize,
+        sessions: Vec<(Option<u64>, Range<usize>)>,
+        sh: Shared<'static, 2>,
+        seen: HashSet<u128>,
+        path: Vec<Turn>,
+    }
+
+    impl Turns {
+        /// Visit every state reachable from the scope's start; returns how
+        /// many, or panics with the broken rule and the moves that reach it.
+        fn explore(workers: usize, frames: u64, regions: usize, sessions: Vec<(Option<u64>, Range<usize>)>) -> usize {
+            let window = |j: Option<u64>| j.map(|f| (f, frames - 1));
+            let clocks = (0..regions).map(|r| {
+                let windows: Vec<_> = sessions.iter().map(|(j, l)| window(*j).filter(|_| l.contains(&r))).collect();
+                ClockState::new(&windows, 0)
+            });
+            let writers = (0..regions).map(|r| Task::Writer(WriterProgram::new(r, frames as usize, frames as usize), ()));
+            let joining = (0..).zip(&sessions).filter_map(|(i, (j, lanes))| Some(SessionProgram::new(i, window(*j)?, lanes.clone())));
+            let tasks: Vec<_> = writers.chain(joining.map(|s| Task::Session(s, ()))).collect();
+            let workers = workers.min(tasks.len());
+            let start = Pooled {
+                sched: SchedState::new(clocks.collect(), tasks, workers),
+                threads: vec![Thread::Taking(false); workers],
+                stubs: Stubs::default(),
+                panicked: false,
+            };
+            let sh = build(RegionGrid::single(), &line_records(1)).shared(&[]);
+            let mut search = Turns { workers, frames, regions, sessions, sh, seen: HashSet::new(), path: Vec::new() };
+            search.visit(start);
+            search.seen.len()
+        }
+
+        fn fail(&self, broken: String) -> ! {
+            let turn = |&(t, op, what, call, took): &Turn| {
+                let op = op.map_or(String::new(), |op| format!(": {op:?}"));
+                let call = call.map_or(String::new(), |c| format!(", calls {c:?}"));
+                let then = if op.is_empty() { " " } else { ", " };
+                let took = match took {
+                    None => String::new(),
+                    Some(Took::Writer(r)) => format!("{then}takes writer {r}"),
+                    Some(Took::Session(i)) => format!("{then}takes session {i}"),
+                    Some(Took::Waits) => format!("{then}waits"),
+                    Some(Took::Stops) => format!("{then}stops"),
+                };
+                format!("thread {t}{op}{what}{call}{took}")
+            };
+            let trace: Vec<_> = self.path.iter().map(turn).collect();
+            let (workers, frames, regions, sessions) = (self.workers, self.frames, self.regions, &self.sessions);
+            let trace = trace.join("\n  ");
+            panic!("{workers} workers, {frames} frames, {regions} regions, sessions (join, lanes) {sessions:?}: {broken}, after\n  {trace}");
+        }
+
+        /// Make every wait a clock enables (it changes nothing) and, one
+        /// at a time, every local op the scheduler does not observe (it
+        /// commutes with every other move); then check the state and make
+        /// each move of each thread in a copy of its own.
+        fn visit(&mut self, mut m: Pooled) {
+            let depth = self.path.len();
+            for t in 0..m.threads.len() {
+                while let Thread::Running(task, _) = &m.threads[t] {
+                    match task.next() {
+                        op @ Op::Clock(r, wait @ (Step::AwaitReady(_) | Step::AwaitApplied(_))) if m.sched.clocks[r].enabled(wait) => {
+                            assert_eq!(m.sched.step(r, wait, &self.sh), Some(Call::Wake(0)), "a wait wakes nobody");
+                            m.running(t).done(true);
+                            self.path.push((t, Some(op), "", None, None));
+                        }
+                        op @ (Op::Commit(_) | Op::Route(_) | Op::Apply(_) | Op::Step(_)) => {
+                            self.local(m, t, op);
+                            return self.path.truncate(depth);
+                        }
+                        _ => break,
+                    }
+                }
+            }
+            self.check(&m);
+            if self.seen.insert(m.key()) {
+                let mut moved = false;
+                for t in 0..m.threads.len() {
+                    moved |= self.moves(&m, t);
+                }
+                if !moved {
+                    if m.threads.iter().any(|t| matches!(t, Thread::Asleep)) {
+                        self.fail("(ix) no thread can move, and one waits on the condvar for good".to_string());
+                    }
+                    if !m.panicked && m.stubs.logged < self.frames {
+                        self.fail(format!("(iv) the run ends with batch {} not in the log", m.stubs.logged));
+                    }
+                }
+            }
+            self.path.truncate(depth);
+        }
+
+        /// (v)-(viii) in `m`.
+        fn check(&self, m: &Pooled) {
+            let count = |f: fn(&Thread) -> bool| m.threads.iter().filter(|t| f(t)).count();
+            let asleep = count(|t| matches!(t, Thread::Asleep));
+            let taking = count(|t| matches!(t, Thread::Taking(_)));
+            let running = count(|t| matches!(t, Thread::Running(..)));
+            let reclaimed = count(|t| matches!(t, Thread::Running(_, true)));
+            let s = &m.sched;
+            if asleep > 0 && s.ready.len() > taking && running + taking < self.workers {
+                self.fail(format!("(v) lost wake: {} ready, {running} running, {asleep} waiting", s.ready.len()));
+            }
+            if let Some(halt) = s.halt.as_ref().filter(|_| !m.panicked) {
+                self.fail(format!("(vi) false stall: {halt}"));
+            }
+            if s.busy > self.workers + reclaimed {
+                self.fail(format!("(vii) {} busy over {} turns", s.busy, self.workers));
+            }
+            for (r, parked) in s.parked.iter().enumerate() {
+                for (task, _) in parked {
+                    if !matches!(task.next(), Op::Clock(q, wait) if q == r && !s.clocks[r].enabled(wait)) {
+                        self.fail(format!("(viii) {:?} stays parked on region {r}", task.next()));
+                    }
+                }
+            }
+        }
+
+        /// Every move thread `t` can make in `m`; returns whether it has one.
+        fn moves(&mut self, m: &Pooled, t: usize) -> bool {
+            match &m.threads[t] {
+                Thread::Asleep | Thread::Stopped => return false,
+                &Thread::Taking(woke) => {
+                    let mut to = m.clone();
+                    let took = to.take(t, woke);
+                    self.then(to, (t, None, "", None, took));
+                }
+                Thread::Lent(_) => {
+                    let mut to = m.clone();
+                    to.sched.reclaim();
+                    let mut task = to.held(t);
+                    task.done(true);
+                    to.threads[t] = Thread::Running(task, true);
+                    self.then(to, (t, None, " reclaims its turn", None, None));
+                }
+                Thread::Running(task, _) => match task.next() {
+                    Op::Done => {
+                        let mut to = m.clone();
+                        to.held(t);
+                        to.sched.finish(true, None);
+                        let took = to.take(t, false);
+                        self.then(to, (t, Some(Op::Done), "", None, took));
+                    }
+                    Op::Clock(r, step) => self.clock_step(m.clone(), t, r, step),
+                    op => self.local(m.clone(), t, op),
+                },
+            }
+            true
+        }
+
+        /// Thread `t`'s program makes the clock step `step` on region `r`.
+        fn clock_step(&mut self, mut to: Pooled, t: usize, r: usize, step: Step) {
+            let (op, before) = (Some(Op::Clock(r, step)), to.sched.ready.len());
+            let Some(call) = to.sched.step(r, step, &self.sh) else {
+                let task = to.held(t);
+                to.sched.finish(true, Some((task, r)));
+                let took = to.take(t, false);
+                return self.then(to, (t, op, " parks", None, took));
+            };
+            if let Some(q) = to.sched.ready.range(before..).find(|q| matches!(q.next(), Op::Clock(r, w) if !to.sched.clocks[r].enabled(w))) {
+                self.path.push((t, op, "", Some(call), None));
+                self.fail(format!("(viii) {:?} is re-queued but not enabled", q.next()));
+            }
+            let call = to.answer(call);
+            // A session's last ack of frame `k` may end its window there.
+            if let (Step::Ack(_, upto), Task::Session(s, _)) = (step, to.running(t)) {
+                if may_end(s, r, upto) {
+                    let mut last = to.clone();
+                    let Task::Session(s, _) = last.running(t) else { unreachable!() };
+                    s.last = upto - 2;
+                    last.running(t).done(true);
+                    self.then(last, (t, op, ", its last frame", call, None));
+                }
+            }
+            to.running(t).done(true);
+            self.then(to, (t, op, "", call, None));
+        }
+
+        /// Thread `t`'s program makes the local op `op`, every outcome.
+        fn local(&mut self, m: Pooled, t: usize, op: Op) {
+            let lender = matches!(&m.threads[t], Thread::Running(Task::Session(s, _), _) if s.i + 1 == self.sessions.len());
+            let outcomes: Vec<_> = outcomes(op).iter().filter(|(ok, _)| ok.is_some() || lender || op == Op::Build).collect();
+            let mut m = Some(m);
+            for (i, &&(ok, what)) in outcomes.iter().enumerate() {
+                let mut to = if i + 1 == outcomes.len() { m.take().unwrap() } else { m.clone().unwrap() };
+                let (mut call, mut took) = (None, None);
+                match ok {
+                    None if matches!(op, Op::Sink(_)) => {
+                        let lent = to.sched.lend();
+                        call = to.answer(lent);
+                        let task = to.held(t);
+                        to.threads[t] = Thread::Lent(task);
+                    }
+                    None => {
+                        to.held(t);
+                        to.panicked = true;
+                        to.sched.finish(false, None);
+                        took = to.take(t, false);
+                    }
+                    Some(ok) => {
+                        let task = to.running(t).clone();
+                        if let Err(broken) = to.stubs.local(&to.sched.clocks, &task, op, ok) {
+                            self.path.push((t, Some(op), what, None, None));
+                            self.fail(broken);
+                        }
+                        to.running(t).done(ok);
+                    }
+                }
+                self.then(to, (t, Some(op), what, call, took));
+            }
+        }
+
+        /// Record `turn` and visit what it leaves.
+        fn then(&mut self, m: Pooled, turn: Turn) {
+            self.path.push(turn);
+            self.visit(m);
+            self.path.pop();
+        }
+    }
+
+    #[test]
+    fn every_interleaving_keeps_the_scheduler() {
+        // The last session's sink may lend; a session before it may never
+        // join. One region over 3 frames, and two over 2, one session
+        // reading both lanes.
+        let kinds = [None, Some(0), Some(1), Some(2)];
+        let one = (kinds.iter()).flat_map(|&a| kinds[1..].iter().map(move |&b| vec![(a, 0..1), (b, 0..1)]));
+        let two = [
+            vec![(Some(0), 0..2)],
+            vec![(Some(1), 0..2)],
+            vec![(Some(0), 1..2), (Some(0), 0..2)],
+            vec![(Some(0), 0..2), (Some(0), 1..2)],
+            vec![(Some(1), 0..1), (Some(0), 0..2)],
+            vec![(Some(0), 0..2), (Some(1), 0..1)],
+        ];
+        for (workers, frames, what, scopes) in [(1, 3, "one region", one.clone().collect::<Vec<_>>()), (1, 2, "two regions", two.to_vec()), (2, 3, "one region", one.collect()), (2, 2, "two regions", two.to_vec())] {
+            let (started, n) = (Instant::now(), scopes.len());
+            let regions = if what == "one region" { 1 } else { 2 };
+            let states: usize = scopes.into_iter().map(|sessions| Turns::explore(workers, frames, regions, sessions)).sum();
+            println!("scheduler, {workers} workers, {what} over {frames} frames: {n} scopes, {states} states, {:?}", started.elapsed());
+        }
     }
 }

@@ -39,6 +39,10 @@
 # workers driver's pool, which starts the spares too) and names no
 # `FrameClock`: a serve runs its programs as tasks on one worker per
 # CPU, so no thread-per-participant path comes back behind a flag; and
+# the non-test part of router/participants.rs assigns no `.busy`,
+# `.held`, `.idle` or `.spares` outside `impl SchedState` and has no
+# `left` field: the scheduler's counters change only in its transitions,
+# which the checker runs, and the programs left are derived; and
 # nothing under crates tests examples src names `TraceEvent`,
 # `TraceRing`, `take_thread_trace`, `thread_trace_dropped`,
 # `QueueOpKind` or `obs::trace`: a per-thread event ring is read by no
@@ -234,6 +238,10 @@ if [ -z "$ONLY" ]; then
   if [ "$spawns" != 1 ] || git grep -n 'FrameClock' -- crates/mobiquery/src/router; then
     git grep -nE 'spawn\(' -- crates/mobiquery/src/router >&2
     echo "FAIL: crates/mobiquery/src/router/ has $spawns thread-spawn sites, not 1, or names FrameClock (see above); run participants as tasks on the workers driver's pool" >&2; exit 1
+  fi
+  outside_sched=$(awk '/^#\[cfg\(test\)\]/ { exit } /^impl<.*> SchedState<.*> \{/ { inside = 1 } !inside { print FILENAME ":" NR ": " $0 } inside && /^\}/ { inside = 0 }' crates/mobiquery/src/router/participants.rs)
+  if grep -E '\.(busy|held|idle|spares)[[:space:]]*(\+=|-=|=[^=>])|\bleft:' <<< "$outside_sched"; then
+    echo "FAIL: crates/mobiquery/src/router/participants.rs changes a scheduler counter outside impl SchedState, or keeps a left count (see above); make it a SchedState transition" >&2; exit 1
   fi
   if git grep -nE 'TraceEvent|TraceRing|take_thread_trace|thread_trace_dropped|QueueOpKind|obs::trace\b' -- crates tests examples src; then
     echo "FAIL: a per-thread trace ring or its events (see above); count with obs metrics, or scope a collector to the task" >&2; exit 1
